@@ -3,7 +3,7 @@
 //! generation, and K-Means training.
 
 use athena_compute::ComputeCluster;
-use athena_core::FeatureGenerator;
+use athena_core::{FeatureGenerator, FeatureIndex, FeatureRecord};
 use athena_ml::algorithms::kmeans::{KMeansModel, KMeansParams};
 use athena_ml::LabeledPoint;
 use athena_openflow::{
@@ -70,17 +70,32 @@ fn bench_flow_table(c: &mut Criterion) {
     });
 }
 
+/// A feature document shaped like the ones the SB publishes for
+/// `message_type`: five-tuple index, metadata, `fields` numeric fields.
+fn feature_doc(message_type: &str, fields: usize) -> athena_store::Document {
+    let mut r = FeatureRecord::new(FeatureIndex::flow(Dpid::new(7), ft(42)));
+    r.meta.message_type = message_type.into();
+    r.meta.timestamp = SimTime::from_secs(6);
+    for i in 0..fields {
+        r.push_field(format!("{message_type}_FIELD_{i}"), 1.5 * i as f64);
+    }
+    r.to_document()
+}
+
 fn bench_store(c: &mut Criterion) {
-    let cluster = StoreCluster::new(3, 2);
-    let coll = cluster.collection("bench");
-    c.bench_function("store/insert_replicated", |b| {
-        let mut i = 0i64;
-        b.iter(|| {
-            i += 1;
-            coll.insert(doc! { "switch" => i % 18, "pkts" => i * 10 })
-                .unwrap()
-        })
-    });
+    // Athena's store shape: 3 nodes, two copies, the `message_type`
+    // index. Each iteration also pays one document clone (the insert
+    // consumes its argument), the same on every commit.
+    for (name, doc) in [
+        ("packet_in", feature_doc("PACKET_IN", 3)),
+        ("flow_stats", feature_doc("FLOW_STATS", 27)),
+    ] {
+        let coll = StoreCluster::new(3, 2).collection("bench");
+        coll.create_index("message_type");
+        c.bench_function(&format!("store/insert_replicated/{name}"), |b| {
+            b.iter(|| coll.insert(black_box(&doc).clone()).unwrap())
+        });
+    }
     // A populated collection for query benches.
     let filled = StoreCluster::new(3, 2).collection("q");
     for i in 0..5_000i64 {

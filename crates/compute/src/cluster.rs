@@ -221,7 +221,7 @@ impl ComputeCluster {
                 format!("{label}: {} tasks", partitions.len()),
             );
         }
-        span.finish(format!("{label}: {} tasks", partitions.len()));
+        span.finish(format_args!("{label}: {} tasks", partitions.len()));
         results
     }
 }

@@ -350,7 +350,7 @@ impl ControllerLink for ControllerCluster {
                 }
                 commands.extend(ctx.into_commands());
                 timer.observe(&self.tel.packet_in_ns);
-                span.finish(format!("dpid={} cmds={}", from.raw(), commands.len()));
+                span.finish(format_args!("dpid={} cmds={}", from.raw(), commands.len()));
             }
             OfMessage::FlowRemoved { body, .. } => {
                 self.counters.flow_removeds += 1;
@@ -446,7 +446,7 @@ impl ControllerLink for ControllerCluster {
         self.tel.flow_mods.add(flow_mods);
         self.journal_rule_installs(&commands, now);
         timer.observe(&self.tel.packet_in_ns);
-        span.finish(format!("n={} cmds={}", n, commands.len()));
+        span.finish(format_args!("n={} cmds={}", n, commands.len()));
         commands
     }
 

@@ -5,12 +5,13 @@
 //! the *event delivery table* matching live features against registered
 //! constraints, and converts feature sets into ML training data.
 
-use crate::feature::format::FeatureRecord;
+use crate::feature::format::{FeatureRecord, RawDocument};
 use crate::nb::query::Query;
 use athena_ml::LabeledPoint;
 use athena_store::cluster::CollectionHandle;
 use athena_store::{Filter, StoreCluster};
 use athena_types::Result;
+use std::sync::Arc;
 
 /// A live-feature handler registered through `AddEventHandler`.
 pub type EventHandler = Box<dyn FnMut(&FeatureRecord) + Send>;
@@ -75,19 +76,26 @@ impl FeatureManager {
         if !self.publish_to_store && self.registrations.is_empty() {
             return Ok(());
         }
-        let doc = record.to_document();
-        if self.publish_to_store {
-            self.collection.insert(doc.clone())?;
-            self.published += 1;
-        }
-        for reg in &mut self.registrations {
-            if reg.filter.matches(&doc) {
-                (reg.handler)(record);
-                reg.delivered += 1;
-                self.dispatched += 1;
-            }
-        }
-        Ok(())
+        self.ingest_with_document(record, record.to_document())
+            .map(drop)
+    }
+
+    /// [`FeatureManager::ingest`] for a caller that already built the
+    /// record's document form. The document is moved into the store,
+    /// never copied; the returned handle lends it on (the SB interface
+    /// evaluates validator queries against it).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`athena_types::AthenaError::Store`] if publication fails.
+    pub fn ingest_with_document(
+        &mut self,
+        record: &FeatureRecord,
+        doc: RawDocument,
+    ) -> Result<Arc<RawDocument>> {
+        let doc = self.stored(doc)?;
+        self.deliver(record, &doc);
+        Ok(doc)
     }
 
     /// Ingests a pre-built feature document (used when replaying stored
@@ -97,20 +105,35 @@ impl FeatureManager {
     /// # Errors
     ///
     /// Returns [`athena_types::AthenaError::Store`] if publication fails.
-    pub fn ingest_document(&mut self, doc: crate::feature::format::RawDocument) -> Result<()> {
-        if self.publish_to_store {
-            self.collection.insert(doc.clone())?;
-            self.published += 1;
+    pub fn ingest_document(&mut self, doc: RawDocument) -> Result<()> {
+        let doc = self.stored(doc)?;
+        if !self.registrations.is_empty() {
+            self.deliver(&FeatureRecord::from_document(&doc), &doc);
         }
-        let record = FeatureRecord::from_document(&doc);
+        Ok(())
+    }
+
+    /// Moves `doc` into the store (when publication is on) and hands
+    /// back the stored body.
+    fn stored(&mut self, doc: RawDocument) -> Result<Arc<RawDocument>> {
+        if !self.publish_to_store {
+            return Ok(Arc::new(doc));
+        }
+        let stored = self.collection.insert_shared(doc)?;
+        self.published += 1;
+        Ok(stored)
+    }
+
+    /// Forwards `record` to every registration whose query matches its
+    /// document form.
+    fn deliver(&mut self, record: &FeatureRecord, doc: &RawDocument) {
         for reg in &mut self.registrations {
-            if reg.filter.matches(&doc) {
-                (reg.handler)(&record);
+            if reg.filter.matches(doc) {
+                (reg.handler)(record);
                 reg.delivered += 1;
                 self.dispatched += 1;
             }
         }
-        Ok(())
     }
 
     /// Registers an event handler with a query constraint; returns its

@@ -5,7 +5,7 @@
 //! raise reactions for the Attack Reactor. Batch-mode detection runs in
 //! the Detector Manager; this component is the live path.
 
-use crate::feature::format::FeatureRecord;
+use crate::feature::format::{FeatureRecord, RawDocument};
 use crate::nb::detector_manager::DetectionModel;
 use crate::nb::query::Query;
 use crate::nb::reaction_manager::Reaction;
@@ -95,15 +95,21 @@ impl AttackDetector {
 
     /// Examines one live record, returning any requested reactions.
     pub fn process(&mut self, record: &FeatureRecord) -> Vec<Reaction> {
-        let mut reactions = Vec::new();
         // The document form is only built when some validator's query
         // needs evaluation.
         if self.validators.is_empty() {
-            return reactions;
+            return Vec::new();
         }
-        let doc = record.to_document();
+        self.process_document(record, &record.to_document())
+    }
+
+    /// [`AttackDetector::process`] for a caller that already holds the
+    /// record's document form: validator queries are evaluated on the
+    /// borrowed `doc`.
+    pub fn process_document(&mut self, record: &FeatureRecord, doc: &RawDocument) -> Vec<Reaction> {
+        let mut reactions = Vec::new();
         for v in &mut self.validators {
-            if !v.filter.matches(&doc) {
+            if !v.filter.matches(doc) {
                 continue;
             }
             let Some(malicious) = v.model.is_malicious(record) else {

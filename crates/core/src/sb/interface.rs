@@ -129,14 +129,22 @@ impl AthenaSouthbound {
             }
             // Publication + event delivery; store failures surface as
             // dropped features, not panics.
-            let _ = fm.ingest(&record);
-            let reactions = detector.process(&record);
+            if detector.validator_count() == 0 {
+                let _ = fm.ingest(&record);
+                continue;
+            }
+            // One document serves the store, the event handlers and the
+            // validators' queries (rebuilt only if the store refused it).
+            let doc = fm
+                .ingest_with_document(&record, record.to_document())
+                .unwrap_or_else(|_| Arc::new(record.to_document()));
+            let reactions = detector.process_document(&record, &doc);
             if !reactions.is_empty() {
                 verdicts += 1;
                 self.observe.event(
                     "core",
                     "verdict",
-                    format!(
+                    format_args!(
                         "malicious {}: {} reactions",
                         record.meta.message_type,
                         reactions.len()
@@ -153,7 +161,7 @@ impl AthenaSouthbound {
             |from, dest| next_hop_toward(ctx, from, dest),
         ));
         timer.observe(&self.dispatch_ns);
-        span.finish(format!("{n_records} records, {verdicts} verdicts"));
+        span.finish(format_args!("{n_records} records, {verdicts} verdicts"));
     }
 
     fn fresh_xid(&mut self) -> Xid {
@@ -249,7 +257,7 @@ impl MessageInterceptor for AthenaSouthbound {
             let app_of = |cookie: u64| ctx.flow_rules.app_of_cookie(cookie);
             let records = self.generator.ingest(from, msg, now, &app_of);
             timer.observe(&self.feature_gen_ns);
-            span.finish(format!("{} records", records.len()));
+            span.finish(format_args!("{} records", records.len()));
             records
         };
         let mut out = Vec::new();
@@ -351,6 +359,7 @@ impl std::fmt::Debug for AthenaSouthbound {
 mod tests {
     use super::*;
     use crate::athena::{Athena, AthenaConfig};
+    use crate::feature::format::FeatureRecord;
     use athena_controller::{FlowRuleService, HostService, MastershipService};
     use athena_dataplane::Topology;
     use athena_openflow::StatsReply;
@@ -480,5 +489,164 @@ mod tests {
         assert_eq!(c.gave_up, issued as u64);
         assert_eq!(c.retries, 0);
         assert_eq!(sb.outstanding_polls(), 0);
+    }
+
+    /// What one deployment observed while a batch of records went
+    /// through it: the interleaved handler / alert log, `(published,
+    /// dispatched)`, alerts raised, documents stored.
+    type Observed = (Vec<String>, (u64, u64), u64, usize);
+
+    /// Runs `drive` over a fresh Athena with one event handler
+    /// (`FLOW_PACKET_COUNT>=50`) and one online validator (threshold
+    /// 100 on switch 1), each logging when it fires together with how
+    /// many documents the store held at that moment.
+    fn observe_run(
+        store_enabled: bool,
+        drive: impl FnOnce(&Athena, Vec<FeatureRecord>),
+    ) -> Observed {
+        use crate::nb::query::Query;
+        use athena_ml::{Algorithm, Preprocessor};
+        use athena_store::Filter;
+
+        let athena = Athena::with_telemetry(
+            AthenaConfig {
+                store_enabled,
+                ..AthenaConfig::default()
+            },
+            Telemetry::off(),
+        );
+        let log = Arc::new(std::sync::Mutex::new(Vec::new()));
+        let stored = {
+            let features = athena.runtime().store.collection("features");
+            move || features.count(&Filter::All)
+        };
+        let (handler_log, handler_stored) = (Arc::clone(&log), stored.clone());
+        athena.add_event_handler(
+            &Query::parse("FLOW_PACKET_COUNT>=50").unwrap(),
+            Box::new(move |r| {
+                let line = format!(
+                    "handler sw={} stored={}",
+                    r.index.switch.raw(),
+                    handler_stored()
+                );
+                handler_log.lock().unwrap().push(line);
+            }),
+        );
+        let model = athena
+            .detector_manager()
+            .generate_detection_model(
+                &[record(1, 1.0)],
+                &["FLOW_PACKET_COUNT".into()],
+                |_| false,
+                &Preprocessor::new(),
+                &Algorithm::threshold(0, 100.0),
+            )
+            .unwrap();
+        let (alert_log, alert_stored) = (Arc::clone(&log), stored.clone());
+        athena.add_online_validator(
+            "flood",
+            &Query::parse("switch==1").unwrap(),
+            model,
+            Box::new(move |r| {
+                let packets = r.field("FLOW_PACKET_COUNT").unwrap_or(0.0);
+                let line = format!("alert packets={packets} stored={}", alert_stored());
+                alert_log.lock().unwrap().push(line);
+                None
+            }),
+        );
+        let records = (0..24u64)
+            .map(|i| record(i % 3, (i * 13 % 160) as f64))
+            .collect();
+        drive(&athena, records);
+        let observed = log.lock().unwrap().clone();
+        let counters = athena.runtime().feature_manager.lock().counters();
+        let stored = athena.stored_feature_count();
+        (observed, counters, athena.total_alerts(), stored)
+    }
+
+    fn record(switch: u64, packets: f64) -> FeatureRecord {
+        let mut r = FeatureRecord::new(crate::FeatureIndex::switch(Dpid::new(switch)));
+        r.meta.message_type = "FLOW_STATS".into();
+        r.push_field("FLOW_PACKET_COUNT", packets);
+        r
+    }
+
+    /// `dispatch` through the SB element (one shared document).
+    fn via_dispatch(athena: &Athena, records: Vec<FeatureRecord>) {
+        let ctx = Ctx::new();
+        let mut sb = athena.southbound(ControllerId::new(0));
+        sb.dispatch(records, &ctx.borrow(ControllerId::new(0)), &mut Vec::new());
+    }
+
+    /// The reference order: each consumer builds its own document.
+    fn per_consumer(athena: &Athena, records: Vec<FeatureRecord>) {
+        for r in &records {
+            let _ = athena.runtime().feature_manager.lock().ingest(r);
+            athena.runtime().detector.lock().process(r);
+        }
+    }
+
+    #[test]
+    fn shared_document_fires_consumers_like_a_document_per_consumer() {
+        for store_enabled in [true, false] {
+            let shared = observe_run(store_enabled, via_dispatch);
+            let reference = observe_run(store_enabled, per_consumer);
+            assert_eq!(shared, reference, "store_enabled={store_enabled}");
+            let (log, (published, dispatched), alerts, stored) = shared;
+            assert_eq!(stored, if store_enabled { 24 } else { 0 });
+            assert_eq!(published as usize, stored);
+            assert_eq!(
+                log.iter().filter(|l| l.starts_with("handler")).count() as u64,
+                dispatched
+            );
+            assert_eq!(
+                log.iter().filter(|l| l.starts_with("alert")).count() as u64,
+                alerts
+            );
+            assert!(dispatched > 0 && alerts > 0);
+            // A record that reaches both consumers was stored first, then
+            // handled, then alerted on.
+            let both = log
+                .windows(2)
+                .filter(|w| w[0].starts_with("handler") && w[1].starts_with("alert"))
+                .count();
+            assert!(both > 0, "{log:?}");
+        }
+    }
+
+    #[test]
+    fn refused_store_write_still_reaches_the_detector() {
+        // Two of three nodes down: no write quorum, every insert fails.
+        let below_quorum = |drive: fn(&Athena, Vec<FeatureRecord>)| {
+            observe_run(true, move |athena, records| {
+                athena.runtime().store.set_node_up(0, false);
+                athena.runtime().store.set_node_up(1, false);
+                drive(athena, records);
+            })
+        };
+        let shared = below_quorum(via_dispatch);
+        assert_eq!(shared, below_quorum(per_consumer));
+        let (_, (published, dispatched), alerts, stored) = shared;
+        assert_eq!((published, dispatched, stored), (0, 0, 0));
+        assert!(alerts > 0);
+    }
+
+    #[test]
+    fn ingest_document_fires_handlers_like_ingest() {
+        for store_enabled in [true, false] {
+            let by_document = observe_run(store_enabled, |athena, records| {
+                for r in &records {
+                    let mut fm = athena.runtime().feature_manager.lock();
+                    fm.ingest_document(r.to_document()).unwrap();
+                }
+            });
+            let by_record = observe_run(store_enabled, |athena, records| {
+                for r in &records {
+                    athena.runtime().feature_manager.lock().ingest(r).unwrap();
+                }
+            });
+            assert_eq!(by_document, by_record, "store_enabled={store_enabled}");
+            assert!(by_document.1 .1 > 0);
+        }
     }
 }

@@ -767,7 +767,7 @@ impl Network {
             let span = self.observe.span_at("dataplane", "packet_in", self.now);
             let cmds = ctrl.on_message(dpid, msg, self.now);
             self.apply_commands(cmds, ctrl);
-            span.finish(format!("dpid={} xid={}", dpid.raw(), xid.raw()));
+            span.finish(format_args!("dpid={} xid={}", dpid.raw(), xid.raw()));
         }
         None
     }
@@ -862,7 +862,7 @@ impl Network {
                             );
                             let span = self.observe.span_at("dataplane", "stats_reply", self.now);
                             replies.extend(ctrl.on_message(dpid, reply, self.now));
-                            span.finish(format!("dpid={}", dpid.raw()));
+                            span.finish(format_args!("dpid={}", dpid.raw()));
                         }
                     }
                     OfMessage::EchoRequest { xid, data } => {

@@ -1225,7 +1225,7 @@ impl ShardedNetwork {
                 let span = self.observe.span_at("dataplane", "packet_in_batch", now);
                 let cmds = ctrl.on_packet_in_batch(batch, now);
                 self.apply_commands(cmds, ctrl);
-                span.finish(format!("{n} packet-ins"));
+                span.finish(format_args!("{n} packet-ins"));
                 self.tel.punt_batches.inc();
                 self.tel.batched_packet_ins.add(n);
                 for mut st in punts {
@@ -1363,7 +1363,7 @@ impl ShardedNetwork {
                             let reply = via_wire(OfMessage::StatsReply { xid, body: reply }, wire);
                             let span = self.observe.span_at("dataplane", "stats_reply", now);
                             replies.extend(ctrl.on_message(dpid, reply, now));
-                            span.finish(format!("dpid={}", dpid.raw()));
+                            span.finish(format_args!("dpid={}", dpid.raw()));
                         }
                     }
                     OfMessage::EchoRequest { xid, data } => {

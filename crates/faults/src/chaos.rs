@@ -146,14 +146,14 @@ impl<C: ControllerLink> ControllerLink for ChaosChannel<C> {
             self.counters.dropped += 1;
             self.dropped_tel.inc();
             self.observe
-                .event("faults", "msg_dropped", format!("dpid={}", from.raw()));
+                .event("faults", "msg_dropped", format_args!("dpid={}", from.raw()));
             return Vec::new();
         }
         if self.profile.delay_p > 0.0 && self.rng.random_bool(self.profile.delay_p) {
             self.counters.delayed += 1;
             self.delayed_tel.inc();
             self.observe
-                .event("faults", "msg_delayed", format!("dpid={}", from.raw()));
+                .event("faults", "msg_delayed", format_args!("dpid={}", from.raw()));
             self.delayed
                 .push_back((now + self.profile.delay, from, msg));
             return Vec::new();
@@ -164,7 +164,7 @@ impl<C: ControllerLink> ControllerLink for ChaosChannel<C> {
             let span = self.observe.span_at("faults", "chaos_hop", now);
             let mut out = self.inner.on_message(from, msg.clone(), now);
             out.extend(self.inner.on_message(from, msg, now));
-            span.finish(format!("duplicated dpid={}", from.raw()));
+            span.finish(format_args!("duplicated dpid={}", from.raw()));
             return out;
         }
         self.inner.on_message(from, msg, now)
@@ -183,7 +183,7 @@ impl<C: ControllerLink> ControllerLink for ChaosChannel<C> {
             // packet-in's context is long gone by release time.
             let span = self.observe.span_at("faults", "delayed_delivery", now);
             out.extend(self.inner.on_message(from, msg, now));
-            span.finish(format!("dpid={}", from.raw()));
+            span.finish(format_args!("dpid={}", from.raw()));
         }
         out.extend(self.inner.on_tick(now));
         out

@@ -42,6 +42,7 @@ pub use series::{Series, SeriesEngine, DEFAULT_SERIES_CAPACITY};
 use athena_telemetry::Telemetry;
 use athena_types::sentinel::TrackedMutex;
 use athena_types::{SimDuration, SimTime};
+use std::fmt;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
@@ -314,11 +315,14 @@ impl Observe {
     }
 
     /// Records an instantaneous event at the current virtual time,
-    /// attached to the active trace context (if any).
-    pub fn event(&self, subsystem: &'static str, name: &'static str, detail: String) {
+    /// attached to the active trace context (if any). `detail` is only
+    /// rendered when the handle is enabled, so pass `format_args!(..)`
+    /// rather than a formatted `String`.
+    pub fn event(&self, subsystem: &'static str, name: &'static str, detail: impl fmt::Display) {
         if !self.is_enabled() {
             return;
         }
+        let detail = detail.to_string();
         let ctx = context::current();
         let mut state = self.inner.state.lock();
         let at = state.now;
@@ -448,15 +452,18 @@ impl SpanGuard {
         self.ctx
     }
 
-    /// Finishes the span with a detail string.
-    pub fn finish(mut self, detail: impl Into<String>) {
-        self.close(detail.into());
+    /// Finishes the span with a detail string. `detail` is only
+    /// rendered when the span is being recorded, so pass
+    /// `format_args!(..)` rather than a formatted `String`.
+    pub fn finish(mut self, detail: impl fmt::Display) {
+        self.close(detail);
     }
 
-    fn close(&mut self, detail: String) {
+    fn close(&mut self, detail: impl fmt::Display) {
         let Some(inner) = self.inner.take() else {
             return;
         };
+        let detail = detail.to_string();
         context::pop(self.ctx);
         let mut state = inner.state.lock();
         let end = state.now.max(self.start);
@@ -480,7 +487,7 @@ impl SpanGuard {
 
 impl Drop for SpanGuard {
     fn drop(&mut self) {
-        self.close(String::new());
+        self.close("");
     }
 }
 
@@ -493,7 +500,7 @@ mod tests {
         let obs = Observe::disabled();
         let g = obs.span("dataplane", "packet_in");
         drop(g);
-        obs.event("core", "verdict", "x".into());
+        obs.event("core", "verdict", "x");
         obs.on_tick(SimTime::from_secs(1));
         assert!(obs.spans().is_empty());
         assert!(obs.events().is_empty());
@@ -509,7 +516,7 @@ mod tests {
             {
                 let child = obs.span("controller", "packet_in");
                 assert_eq!(child.context().trace_id, root_ctx.trace_id);
-                obs.event("core", "verdict", "benign".into());
+                obs.event("core", "verdict", "benign");
                 child.finish("handled");
             }
             root.finish("");

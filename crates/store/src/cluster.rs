@@ -135,7 +135,7 @@ pub(crate) struct MetricsInner {
 
 /// The cluster's telemetry instruments (detached until
 /// [`StoreCluster::bind_telemetry`]; shared by every cloned handle).
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 struct StoreTelemetry {
     insert_ns: Histogram,
     find_ns: Histogram,
@@ -174,8 +174,10 @@ pub struct StoreCluster {
     replication: usize,
     pub(crate) next_id: Arc<AtomicU64>,
     pub(crate) metrics: Arc<MetricsInner>,
-    pub(crate) index_requests: Arc<TrackedMutex<HashMap<String, Vec<String>>>>,
-    tel: Arc<TrackedRwLock<StoreTelemetry>>,
+    pub(crate) index_requests: Arc<TrackedMutex<HashMap<String, Arc<Vec<String>>>>>,
+    // Swapped whole on (re)bind, so the write path takes one snapshot
+    // handle instead of cloning each instrument under the lock.
+    tel: Arc<TrackedRwLock<Arc<StoreTelemetry>>>,
     pub(crate) persist: Arc<TrackedMutex<Option<StorePersist>>>,
     pub(crate) persist_on: Arc<AtomicBool>,
 }
@@ -192,7 +194,7 @@ impl StoreCluster {
             next_id: Arc::new(AtomicU64::new(1)),
             metrics: Arc::new(MetricsInner::default()),
             index_requests: Arc::new(TrackedMutex::new("store/index_requests", HashMap::new())),
-            tel: Arc::new(TrackedRwLock::new("store/tel", StoreTelemetry::default())),
+            tel: Arc::new(TrackedRwLock::new("store/tel", Arc::default())),
             persist: Arc::new(TrackedMutex::new("store/persist", None)),
             persist_on: Arc::new(AtomicBool::new(false)),
         }
@@ -206,7 +208,7 @@ impl StoreCluster {
         let rt = names::retry::SUBSYSTEM;
         // Rebuild wholesale but keep any already-bound observe handle.
         let observe = self.tel.read().observe.clone();
-        *self.tel.write() = StoreTelemetry {
+        *self.tel.write() = Arc::new(StoreTelemetry {
             insert_ns: m.histogram(st, names::store::INSERT_NS),
             find_ns: m.histogram(st, names::store::FIND_NS),
             aggregate_ns: m.histogram(st, names::store::AGGREGATE_NS),
@@ -217,13 +219,21 @@ impl StoreCluster {
             degraded_reads: m.counter(rt, names::retry::STORE_DEGRADED_READS),
             nodes_down: m.gauge(st, names::store::NODES_DOWN),
             observe,
-        };
+        });
     }
 
     /// Routes causal spans (the quorum-write leg of a trace) into `obs`
     /// for every handle cloned from this cluster.
     pub fn bind_observe(&self, obs: &Observe) {
-        self.tel.write().observe = obs.clone();
+        Arc::make_mut(&mut self.tel.write()).observe = obs.clone();
+    }
+
+    /// One snapshot handle to the instruments, out of a guard that lives
+    /// for this statement only: the write path goes on to take the
+    /// index-request and collection locks, and lock-discipline (rightly)
+    /// refuses nested acquisition under `tel`.
+    fn telemetry(&self) -> Arc<StoreTelemetry> {
+        Arc::clone(&self.tel.read())
     }
 
     /// Number of nodes.
@@ -271,8 +281,9 @@ impl StoreCluster {
     pub fn set_node_up(&self, i: usize, up: bool) {
         if let Some(node) = self.nodes.get(i) {
             let was = node.up.swap(up, Ordering::Relaxed);
-            let nodes_down = self.tel.read().nodes_down.clone();
-            nodes_down.set(i64::try_from(self.down_count()).unwrap_or(i64::MAX));
+            self.telemetry()
+                .nodes_down
+                .set(i64::try_from(self.down_count()).unwrap_or(i64::MAX));
             if up && !was {
                 self.deliver_handoffs();
             }
@@ -292,20 +303,19 @@ impl StoreCluster {
         names.sort();
         names.dedup();
         for name in names {
-            let indexed = self
-                .index_requests
-                .lock()
-                .get(&name)
-                .cloned()
-                .unwrap_or_default();
+            let indexed = self.indexed_fields(&name);
+            // Gather handles, not copies: re-placing a document shares
+            // its body with the surviving replica.
             let mut seen: HashSet<DocId> = HashSet::new();
-            let mut docs: Vec<Document> = Vec::new();
+            let mut docs: Vec<Arc<Document>> = Vec::new();
             for node in self.nodes.iter().filter(|n| n.is_up()) {
-                for d in node.read_collection(&name, |c| c.find_unordered(&Filter::All)) {
-                    if seen.insert(d.id) {
-                        docs.push(d);
+                node.read_collection(&name, |c| {
+                    for d in c.matching(&Filter::All) {
+                        if seen.insert(d.id) {
+                            docs.push(Arc::clone(d));
+                        }
                     }
-                }
+                });
             }
             docs.sort_by_key(|d| d.id);
             for doc in docs {
@@ -317,13 +327,13 @@ impl StoreCluster {
                     let holds = node.read_collection(&name, |c| c.get(doc.id).is_some());
                     if targets.contains(&idx) {
                         if !holds {
-                            node.journal(doc.encoded_len() as u64);
-                            node.with_collection(&name, |c| {
-                                for f in &indexed {
-                                    c.create_index(f.clone());
-                                }
-                                c.insert_with_id(doc.id, doc.clone());
-                            });
+                            self.write_replica(
+                                node,
+                                &name,
+                                &indexed,
+                                doc.encoded_len() as u64,
+                                &doc,
+                            );
                         }
                     } else if holds {
                         node.with_collection(&name, |c| {
@@ -333,6 +343,50 @@ impl StoreCluster {
                 }
             }
         }
+    }
+
+    /// The fields `coll` was asked to index, as a shared snapshot.
+    pub(crate) fn indexed_fields(&self, coll: &str) -> Arc<Vec<String>> {
+        self.index_requests
+            .lock()
+            .get(coll)
+            .cloned()
+            .unwrap_or_default()
+    }
+
+    /// Records that `coll` indexes `field` and builds the index on every
+    /// node's shard.
+    pub(crate) fn register_index(&self, coll: &str, field: &str) {
+        Arc::make_mut(
+            self.index_requests
+                .lock()
+                .entry(coll.to_owned())
+                .or_default(),
+        )
+        .push(field.to_owned());
+        for node in self.nodes.iter() {
+            node.with_collection(coll, |c| c.create_index(field));
+        }
+    }
+
+    /// One replica write: the journal record (sized by the insert's one
+    /// encode-length), index maintenance and the shard-map insert. The
+    /// shard stores a handle to `doc`, not a copy.
+    pub(crate) fn write_replica(
+        &self,
+        node: &StoreNode,
+        coll: &str,
+        indexed: &[String],
+        encoded_len: u64,
+        doc: &Arc<Document>,
+    ) {
+        node.journal(encoded_len);
+        node.with_collection(coll, |c| {
+            for f in indexed {
+                c.create_index(f);
+            }
+            c.insert_shared(Arc::clone(doc));
+        });
     }
 
     /// `true` if node `i` exists and is up.
@@ -363,6 +417,19 @@ impl StoreCluster {
     /// Panics if `i` is out of range.
     pub fn node(&self, i: usize) -> &StoreNode {
         &self.nodes[i]
+    }
+
+    /// The documents of `coll` matching `filter` that node `node_idx`
+    /// is primary for, cloned out of its shard.
+    fn primary_hits(&self, node_idx: usize, coll: &str, filter: &Filter) -> Vec<Document> {
+        self.nodes[node_idx].read_collection(coll, |c| {
+            let hits = c.matching(filter);
+            let primary = |d: &&Arc<Document>| self.primary_for(d.id) == node_idx;
+            hits.into_iter()
+                .filter(primary)
+                .map(|d| Document::clone(d))
+                .collect()
+        })
     }
 
     pub(crate) fn primary_for(&self, id: DocId) -> usize {
@@ -438,25 +505,23 @@ impl CollectionHandle {
     /// happen via [`StoreCluster::new`]) or too few nodes are up to reach
     /// the write quorum.
     pub fn insert(&self, doc: Document) -> Result<DocId> {
+        self.insert_shared(doc).map(|d| d.id)
+    }
+
+    /// [`CollectionHandle::insert`], returning a handle to the stored
+    /// (id-stamped) document: the body every replica shard now shares,
+    /// for a caller that goes on reading what it just wrote.
+    ///
+    /// # Errors
+    ///
+    /// As [`CollectionHandle::insert`].
+    pub fn insert_shared(&self, mut doc: Document) -> Result<Arc<Document>> {
         if self.cluster.nodes.is_empty() {
             return Err(AthenaError::Store("no store nodes".into()));
         }
-        // Clone the instruments out of a short-lived guard: the write
-        // path below takes the index-request and collection locks, and
-        // lock-discipline (rightly) refuses nested acquisition under
-        // `tel`.
-        let (insert_ns, replica_writes, write_handoffs, quorum_failures, observe) = {
-            let tel = self.cluster.tel.read();
-            (
-                tel.insert_ns.clone(),
-                tel.replica_writes.clone(),
-                tel.write_handoffs.clone(),
-                tel.quorum_failures.clone(),
-                tel.observe.clone(),
-            )
-        };
-        let span = observe.span("store", "quorum_write");
-        let timer = insert_ns.start_timer();
+        let tel = self.cluster.telemetry();
+        let span = tel.observe.span("store", "quorum_write");
+        let timer = tel.insert_ns.start_timer();
         let id = DocId(self.cluster.next_id.fetch_add(1, Ordering::Relaxed));
         let (targets, handoffs) = self.cluster.write_targets(id);
         if targets.len() < self.cluster.write_quorum() {
@@ -464,7 +529,7 @@ impl CollectionHandle {
                 .metrics
                 .quorum_failures
                 .fetch_add(1, Ordering::Relaxed);
-            quorum_failures.inc();
+            tel.quorum_failures.inc();
             return Err(AthenaError::Store(format!(
                 "write quorum not reached: {} of {} required copies placeable",
                 targets.len(),
@@ -477,44 +542,35 @@ impl CollectionHandle {
                 .metrics
                 .write_handoffs
                 .fetch_add(handoffs, Ordering::Relaxed);
-            write_handoffs.add(handoffs);
+            tel.write_handoffs.add(handoffs);
         }
-        let indexed_fields = self
-            .cluster
-            .index_requests
-            .lock()
-            .get(&self.name)
-            .cloned()
-            .unwrap_or_default();
+        let indexed = self.cluster.indexed_fields(&self.name);
         // The primary serializes the record once; replicas receive the
         // same bytes (so journaling costs one encode per logical write,
-        // as in a real replicated store).
+        // as in a real replicated store) and share the one body.
         let encoded_len = doc.encoded_len() as u64;
+        doc.id = id;
+        let doc = Arc::new(doc);
         for node_idx in targets {
             let node = &self.cluster.nodes[node_idx];
-            node.journal(encoded_len);
-            node.with_collection(&self.name, |c| {
-                for f in &indexed_fields {
-                    c.create_index(f.clone());
-                }
-                c.insert_with_id(id, doc.clone());
-            });
+            self.cluster
+                .write_replica(node, &self.name, &indexed, encoded_len, &doc);
             self.cluster
                 .metrics
                 .replica_writes
                 .fetch_add(1, Ordering::Relaxed);
-            replica_writes.inc();
+            tel.replica_writes.inc();
         }
         if self.cluster.persist_on.load(Ordering::Relaxed) {
             self.cluster
                 .journal_store_op(&ops::insert(&self.name, id, &doc))?;
         }
-        timer.observe(&insert_ns);
-        span.finish(format!(
+        timer.observe(&tel.insert_ns);
+        span.finish(format_args!(
             "coll={} id={} handoffs={handoffs}",
             self.name, id.0
         ));
-        Ok(id)
+        Ok(doc)
     }
 
     /// Inserts many documents, attempting every document even when some
@@ -546,15 +602,7 @@ impl CollectionHandle {
     /// Registers a secondary index on `field` across all shards.
     pub fn create_index(&self, field: impl Into<String>) {
         let field = field.into();
-        self.cluster
-            .index_requests
-            .lock()
-            .entry(self.name.clone())
-            .or_default()
-            .push(field.clone());
-        for node in self.cluster.nodes.iter() {
-            node.with_collection(&self.name, |c| c.create_index(field.clone()));
-        }
+        self.cluster.register_index(&self.name, &field);
         if self.cluster.persist_on.load(Ordering::Relaxed) {
             let _ = self
                 .cluster
@@ -567,7 +615,7 @@ impl CollectionHandle {
     /// Reads are served by each shard's primary copy only, so replicated
     /// documents are not duplicated in the result.
     pub fn find(&self, filter: &Filter, opts: &FindOptions) -> Vec<Document> {
-        let tel = self.cluster.tel.read();
+        let tel = self.cluster.telemetry();
         let timer = tel.find_ns.start_timer();
         self.cluster.metrics.finds.fetch_add(1, Ordering::Relaxed);
         let out = opts.apply(self.find_primaries(filter));
@@ -575,14 +623,34 @@ impl CollectionHandle {
         out
     }
 
-    /// Counts matching documents cluster-wide.
+    /// Counts matching documents cluster-wide: each shard counts its
+    /// primary copies (every live copy once, when degraded) in place.
     pub fn count(&self, filter: &Filter) -> usize {
-        self.find_primaries(filter).len()
+        let cluster = &self.cluster;
+        if cluster.nodes.iter().all(StoreNode::is_up) {
+            let mut n = 0;
+            for (node_idx, node) in cluster.nodes.iter().enumerate() {
+                n += node.read_collection(&self.name, |c| {
+                    let hits = c.matching(filter);
+                    let primary = |d: &&Arc<Document>| cluster.primary_for(d.id) == node_idx;
+                    hits.into_iter().filter(primary).count()
+                });
+            }
+            return n;
+        }
+        self.note_degraded_read();
+        let mut seen: HashSet<DocId> = HashSet::new();
+        for node in cluster.nodes.iter().filter(|n| n.is_up()) {
+            node.read_collection(&self.name, |c| {
+                seen.extend(c.matching(filter).iter().map(|d| d.id));
+            });
+        }
+        seen.len()
     }
 
     /// Runs an aggregation pipeline over the matching documents.
     pub fn aggregate(&self, pipeline: &Aggregation) -> Vec<Document> {
-        let tel = self.cluster.tel.read();
+        let tel = self.cluster.telemetry();
         let timer = tel.aggregate_ns.start_timer();
         self.cluster
             .metrics
@@ -613,7 +681,7 @@ impl CollectionHandle {
             .metrics
             .deletes
             .fetch_add(victims.len() as u64, Ordering::Relaxed);
-        self.cluster.tel.read().deletes.add(victims.len() as u64);
+        self.cluster.telemetry().deletes.add(victims.len() as u64);
         if self.cluster.persist_on.load(Ordering::Relaxed) && !victims.is_empty() {
             let _ = self
                 .cluster
@@ -675,22 +743,13 @@ impl CollectionHandle {
                 let name = self.name.clone();
                 let filter = filter.clone();
                 athena_parallel::par_map_indexed(n, move |node_idx| {
-                    let mut hits = cluster.nodes[node_idx]
-                        .read_collection(&name, |c| c.find_unordered(&filter));
-                    hits.retain(|d| cluster.primary_for(d.id) == node_idx);
-                    hits
+                    cluster.primary_hits(node_idx, &name, &filter)
                 })
                 .into_iter()
                 .flatten()
                 .collect()
             } else {
-                let mut out = Vec::new();
-                for (node_idx, node) in self.cluster.nodes.iter().enumerate() {
-                    let mut hits = node.read_collection(&self.name, |c| c.find_unordered(filter));
-                    hits.retain(|d| self.cluster.primary_for(d.id) == node_idx);
-                    out.append(&mut hits);
-                }
-                out
+                self.cluster.primary_hits(0, &self.name, filter)
             };
             out.sort_by_key(|d| d.id);
             return out;
@@ -699,28 +758,28 @@ impl CollectionHandle {
         // replica copies. Every up node is consulted in index order and
         // duplicates are dropped first-seen — deterministic regardless of
         // which nodes are down.
+        self.note_degraded_read();
+        let mut seen: HashSet<DocId> = HashSet::new();
+        let mut out = Vec::new();
+        for node in self.cluster.nodes.iter().filter(|n| n.is_up()) {
+            node.read_collection(&self.name, |c| {
+                for d in c.matching(filter) {
+                    if seen.insert(d.id) {
+                        out.push(Document::clone(d));
+                    }
+                }
+            });
+        }
+        out.sort_by_key(|d| d.id);
+        out
+    }
+
+    fn note_degraded_read(&self) {
         self.cluster
             .metrics
             .degraded_reads
             .fetch_add(1, Ordering::Relaxed);
-        // `try_read`: callers like `find` hold the tel read lock across
-        // this call; a blocking `read` could deadlock behind a waiting
-        // writer, so a contended bind just skips the increment.
-        if let Some(tel) = self.cluster.tel.try_read() {
-            tel.degraded_reads.inc();
-        }
-        let mut seen: HashSet<DocId> = HashSet::new();
-        let mut out = Vec::new();
-        for node in self.cluster.nodes.iter().filter(|n| n.is_up()) {
-            let hits = node.read_collection(&self.name, |c| c.find_unordered(filter));
-            for d in hits {
-                if seen.insert(d.id) {
-                    out.push(d);
-                }
-            }
-        }
-        out.sort_by_key(|d| d.id);
-        out
+        self.cluster.telemetry().degraded_reads.inc();
     }
 }
 
@@ -926,6 +985,127 @@ mod tests {
         assert_eq!(m.quorum_failures, 0);
         assert_eq!(m.degraded_reads, 0);
         assert_eq!(m.replica_writes, 30);
+    }
+
+    /// The handle every live shard holds for `id`, in node order.
+    fn shard_handles(cluster: &StoreCluster, id: DocId) -> Vec<Arc<Document>> {
+        let mut out = Vec::new();
+        for node in cluster.nodes.iter().filter(|n| n.is_up()) {
+            node.read_collection("c", |c| {
+                out.extend(
+                    c.matching(&Filter::All)
+                        .into_iter()
+                        .filter(|d| d.id == id)
+                        .cloned(),
+                );
+            });
+        }
+        out
+    }
+
+    #[test]
+    fn replicas_share_one_body_after_insert() {
+        let cluster = StoreCluster::new(4, 3);
+        let coll = cluster.collection("c");
+        coll.create_index("k");
+        for i in 0..20i64 {
+            let id = coll.insert(doc! { "k" => i % 3, "v" => i }).unwrap();
+            let handles = shard_handles(&cluster, id);
+            assert_eq!(handles.len(), 3);
+            assert!(handles.iter().all(|h| Arc::ptr_eq(h, &handles[0])));
+            // Three shards plus the three handles this test holds: the
+            // insert left no other copy or handle behind.
+            assert_eq!(Arc::strong_count(&handles[0]), 6);
+            assert_eq!(handles[0].id, id);
+        }
+    }
+
+    #[test]
+    fn mutations_keep_replicas_equal_and_never_reach_a_reader() {
+        let cluster = StoreCluster::new(3, 3);
+        let coll = cluster.collection("c");
+        coll.create_index("k");
+        let mut ids = Vec::new();
+        for i in 0..12i64 {
+            ids.push(coll.insert(doc! { "k" => i % 3, "v" => i }).unwrap());
+        }
+        let held = coll.insert_shared(doc! { "k" => 0, "v" => 99 }).unwrap();
+        let read_before = coll.all();
+        // Cluster-wide update (every replica goes through `update_by_id`).
+        assert_eq!(
+            coll.update(&Filter::eq("k", 0), &[("k".into(), 7.into())]),
+            5
+        );
+        for id in ids.iter().chain([&held.id]) {
+            let handles = shard_handles(&cluster, *id);
+            assert_eq!(handles.len(), 3);
+            assert!(
+                handles.iter().all(|h| **h == *handles[0]),
+                "replicas diverged"
+            );
+            // An updated body was copied on write; an untouched one is
+            // still the single shared body.
+            let updated = handles[0].get_i64("k") == Some(7);
+            assert_eq!(Arc::ptr_eq(&handles[0], &handles[1]), !updated);
+        }
+        // Neither the held handle nor the earlier read saw the update.
+        assert_eq!(held.get_i64("k"), Some(0));
+        assert_eq!(
+            read_before
+                .iter()
+                .filter(|d| d.get_i64("k") == Some(0))
+                .count(),
+            5
+        );
+        assert_eq!(coll.count(&Filter::eq("k", 7)), 5);
+        assert_eq!(coll.count(&Filter::eq("k", 0)), 0);
+        // Delete drops every replica and the index entries with them.
+        assert_eq!(coll.delete(&Filter::eq("k", 7)), 5);
+        assert!(shard_handles(&cluster, held.id).is_empty());
+        assert_eq!(coll.count(&Filter::All), 8);
+        assert_eq!(held.get_i64("v"), Some(99));
+        assert_eq!(read_before.len(), 13);
+    }
+
+    #[test]
+    fn outage_handoff_and_rejoin_read_like_no_outage() {
+        let run = |outage: bool| {
+            let cluster = StoreCluster::new(4, 2);
+            let coll = cluster.collection("c");
+            coll.create_index("k");
+            for i in 0..30i64 {
+                coll.insert(doc! { "k" => i % 4, "v" => i }).unwrap();
+            }
+            if outage {
+                cluster.set_node_up(1, false);
+            }
+            for i in 30..90i64 {
+                coll.insert(doc! { "k" => i % 4, "v" => i }).unwrap();
+            }
+            coll.update(&Filter::eq("k", 2), &[("hot".into(), true.into())]);
+            let degraded = (coll.all(), coll.count(&Filter::eq("k", 2)));
+            cluster.set_node_up(1, true);
+            // Delivery re-places bodies by handle: both preferred
+            // replicas of a handed-off document share one body again.
+            for d in coll.find(&Filter::eq("k", 1), &FindOptions::default()) {
+                let handles = shard_handles(&cluster, d.id);
+                assert_eq!(handles.len(), 2);
+                assert!(Arc::ptr_eq(&handles[0], &handles[1]));
+            }
+            (
+                degraded,
+                coll.all(),
+                coll.count(&Filter::eq("k", 2)),
+                cluster.metrics().replica_writes,
+            )
+        };
+        let (healthy_mid, healthy, healthy_n, healthy_writes) = run(false);
+        let (degraded_mid, rejoined, rejoined_n, outage_writes) = run(true);
+        assert_eq!(degraded_mid, healthy_mid);
+        assert_eq!(rejoined, healthy);
+        assert_eq!(rejoined_n, healthy_n);
+        assert_eq!(healthy.len(), 90);
+        assert_eq!((healthy_writes, outage_writes), (180, 180));
     }
 
     #[test]

@@ -7,12 +7,15 @@ use crate::query::FindOptions;
 use serde_json::Value;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 /// One shard of a collection, living on one store node.
 ///
 /// The distributed [`crate::StoreCluster`] routes documents to shards and
 /// merges their results; this type is the per-node storage engine:
-/// a document map plus ordered secondary indexes.
+/// a document map plus ordered secondary indexes. Document bodies are
+/// held by handle: replicas of one insert share a body until a shard
+/// mutates its copy (copy-on-write), and reads clone out.
 ///
 /// # Examples
 ///
@@ -29,7 +32,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 #[derive(Debug, Default)]
 pub struct Collection {
     name: String,
-    docs: HashMap<DocId, Document>,
+    docs: HashMap<DocId, Arc<Document>>,
     indexes: HashMap<String, SecondaryIndex>,
     // Atomics: read paths take `&self` behind shared locks (and now run
     // concurrently on the parallel cluster-scan path).
@@ -61,36 +64,42 @@ impl Collection {
         self.docs.is_empty()
     }
 
-    /// Creates a secondary index over `field`, indexing existing documents.
-    pub fn create_index(&mut self, field: impl Into<String>) {
-        let field = field.into();
-        if self.indexes.contains_key(&field) {
+    /// Creates a secondary index over `field`, indexing existing
+    /// documents. A no-op (and allocation-free) when the index exists.
+    pub fn create_index(&mut self, field: &str) {
+        if self.indexes.contains_key(field) {
             return;
         }
-        let mut idx = SecondaryIndex::new(field.clone());
+        let mut idx = SecondaryIndex::new(field);
         for (id, doc) in &self.docs {
-            if let Some(v) = doc.get(&field) {
+            if let Some(v) = doc.get(field) {
                 idx.insert(*id, v);
             }
         }
-        self.indexes.insert(field, idx);
+        self.indexes.insert(field.to_owned(), idx);
     }
 
     /// Inserts a document under a caller-assigned id (the cluster assigns
     /// ids so they are unique across shards).
     pub fn insert_with_id(&mut self, id: DocId, mut doc: Document) {
         doc.id = id;
+        self.insert_shared(Arc::new(doc));
+    }
+
+    /// Stores a handle to an id-stamped document, indexing it. The
+    /// cluster hands every replica shard a handle to the same body.
+    pub(crate) fn insert_shared(&mut self, doc: Arc<Document>) {
         for (field, idx) in &mut self.indexes {
             if let Some(v) = doc.get(field) {
-                idx.insert(id, &v.clone());
+                idx.insert(doc.id, v);
             }
         }
-        self.docs.insert(id, doc);
+        self.docs.insert(doc.id, doc);
     }
 
     /// Fetches a document by id.
     pub fn get(&self, id: DocId) -> Option<&Document> {
-        self.docs.get(&id)
+        self.docs.get(&id).map(|d| &**d)
     }
 
     /// Finds matching documents (unsorted; the cluster applies
@@ -103,20 +112,24 @@ impl Collection {
     /// Finds matching documents without sort/limit, using an index for
     /// point lookups when one exists.
     pub fn find_unordered(&self, filter: &Filter) -> Vec<Document> {
+        self.matching(filter)
+            .into_iter()
+            .map(|d| Document::clone(d))
+            .collect()
+    }
+
+    /// Handles of the matching documents (nothing cloned), index-served
+    /// for point lookups.
+    pub(crate) fn matching(&self, filter: &Filter) -> Vec<&Arc<Document>> {
         if let Some(ids) = self.index_candidates(filter) {
             return ids
                 .into_iter()
                 .filter_map(|id| self.docs.get(&id))
                 .filter(|d| filter.matches(d))
-                .cloned()
                 .collect();
         }
         self.scans.fetch_add(1, Ordering::Relaxed);
-        self.docs
-            .values()
-            .filter(|d| filter.matches(d))
-            .cloned()
-            .collect()
+        self.docs.values().filter(|d| filter.matches(d)).collect()
     }
 
     /// Candidate ids from a secondary index, when `filter` is a
@@ -131,18 +144,7 @@ impl Collection {
 
     /// Ids of matching documents, index-served when possible.
     fn matching_ids(&self, filter: &Filter) -> Vec<DocId> {
-        if let Some(ids) = self.index_candidates(filter) {
-            return ids
-                .into_iter()
-                .filter(|id| self.docs.get(id).is_some_and(|d| filter.matches(d)))
-                .collect();
-        }
-        self.scans.fetch_add(1, Ordering::Relaxed);
-        self.docs
-            .values()
-            .filter(|d| filter.matches(d))
-            .map(|d| d.id)
-            .collect()
+        self.matching(filter).into_iter().map(|d| d.id).collect()
     }
 
     /// Counts matching documents (index-served for equality predicates).
@@ -150,37 +152,14 @@ impl Collection {
         if matches!(filter, Filter::All) {
             return self.docs.len();
         }
-        if let Some(ids) = self.index_candidates(filter) {
-            return ids
-                .into_iter()
-                .filter(|id| self.docs.get(id).is_some_and(|d| filter.matches(d)))
-                .count();
-        }
-        self.scans.fetch_add(1, Ordering::Relaxed);
-        self.docs.values().filter(|d| filter.matches(d)).count()
+        self.matching(filter).len()
     }
 
     /// Sets fields on every matching document. Returns how many changed.
     pub fn update(&mut self, filter: &Filter, changes: &[(String, Value)]) -> usize {
         let ids: Vec<DocId> = self.matching_ids(filter);
         for id in &ids {
-            // Maintain indexes: remove old values, apply, insert new.
-            let Some(doc) = self.docs.get_mut(id) else {
-                continue;
-            };
-            for (field, idx) in &mut self.indexes {
-                if let Some(v) = doc.get(field) {
-                    idx.remove(*id, &v.clone());
-                }
-            }
-            for (k, v) in changes {
-                doc.set(k.clone(), v.clone());
-            }
-            for (field, idx) in &mut self.indexes {
-                if let Some(v) = doc.get(field) {
-                    idx.insert(*id, &v.clone());
-                }
-            }
+            self.update_by_id(*id, changes);
         }
         ids.len()
     }
@@ -191,9 +170,13 @@ impl Collection {
         let Some(doc) = self.docs.get_mut(&id) else {
             return false;
         };
+        // Copy-on-write: a body still shared with other replica shards
+        // (or a reader's handle) is copied once here, never aliased.
+        let doc = Arc::make_mut(doc);
+        // Maintain indexes: remove old values, apply, insert new.
         for (field, idx) in &mut self.indexes {
             if let Some(v) = doc.get(field) {
-                idx.remove(id, &v.clone());
+                idx.remove(id, v);
             }
         }
         for (k, v) in changes {
@@ -201,7 +184,7 @@ impl Collection {
         }
         for (field, idx) in &mut self.indexes {
             if let Some(v) = doc.get(field) {
-                idx.insert(id, &v.clone());
+                idx.insert(id, v);
             }
         }
         true
@@ -247,7 +230,7 @@ impl Collection {
 
     /// All documents in the shard (cloned).
     pub fn all(&self) -> Vec<Document> {
-        self.docs.values().cloned().collect()
+        self.docs.values().map(|d| Document::clone(d)).collect()
     }
 
     /// `(full scans, index-served lookups)` since creation.

@@ -1,8 +1,8 @@
 //! Documents: schemaless JSON objects with generated ids.
 
 use serde::{Deserialize, Serialize};
-use serde_json::{Map, Value};
-use std::fmt;
+use serde_json::{Map, Number, Value};
+use std::fmt::{self, Write};
 
 /// A document id, unique within a collection.
 #[derive(
@@ -101,9 +101,89 @@ impl Document {
         self.get(path)?.as_str()
     }
 
-    /// Serialized size in bytes (the journal representation).
+    /// Serialized size in bytes (the journal representation): the
+    /// length of `serde_json::to_vec(&self.fields)`, computed from the
+    /// borrowed fields without building a `Value` tree or the text.
     pub fn encoded_len(&self) -> usize {
-        serde_json::to_vec(&self.fields).map_or(0, |v| v.len())
+        object_len(&self.fields)
+    }
+}
+
+/// Length of `m` as one compact JSON object.
+fn object_len(m: &Map<String, Value>) -> usize {
+    // Braces, one comma between members, one colon per member.
+    let members: usize = m
+        .iter()
+        .map(|(k, v)| string_len(k) + 1 + value_len(v))
+        .sum();
+    2 + m.len().saturating_sub(1) + members
+}
+
+fn value_len(v: &Value) -> usize {
+    match v {
+        Value::Null | Value::Bool(true) => 4,
+        Value::Bool(false) => 5,
+        Value::Number(n) => number_len(n),
+        Value::String(s) => string_len(s),
+        Value::Array(a) => 2 + a.len().saturating_sub(1) + a.iter().map(value_len).sum::<usize>(),
+        Value::Object(m) => object_len(m),
+    }
+}
+
+/// Length of `s` quoted and escaped as the JSON writer escapes it:
+/// two-byte escapes for `"`, `\\` and the five named controls, `\u00XX`
+/// for the other controls, every other byte as itself.
+fn string_len(s: &str) -> usize {
+    let body: usize = s
+        .bytes()
+        .map(|b| match b {
+            b'"' | b'\\' | b'\n' | b'\r' | b'\t' | 0x08 | 0x0c => 2,
+            0x00..=0x1f => 6,
+            _ => 1,
+        })
+        .sum();
+    2 + body
+}
+
+/// Length of `n` as the JSON writer prints it. Integers, and floats
+/// holding an integer (most feature fields: counts, ports, addresses;
+/// printed as `<digits>.0`), are sized by counting digits; only a
+/// fractional float is actually formatted, into a byte counter.
+fn number_len(n: &Number) -> usize {
+    if !n.is_f64() {
+        if let Some(u) = n.as_u64() {
+            return decimal_digits(u);
+        }
+        if let Some(i) = n.as_i64() {
+            return 1 + decimal_digits(i.unsigned_abs());
+        }
+    }
+    match n.as_f64() {
+        // Below 1e15 the float is an exact integer that prints in
+        // positional notation with a trailing `.0`.
+        Some(x) if x.fract() == 0.0 && x.abs() < 1e15 => {
+            usize::from(x.is_sign_negative()) + decimal_digits(x.abs() as u64) + 2
+        }
+        _ => {
+            let mut counter = ByteCounter(0);
+            // `ByteCounter::write_str` never fails.
+            let _ = write!(counter, "{n}");
+            counter.0
+        }
+    }
+}
+
+fn decimal_digits(u: u64) -> usize {
+    u.checked_ilog10().map_or(1, |d| d as usize + 1)
+}
+
+/// A `fmt::Write` sink that keeps only the number of bytes written.
+struct ByteCounter(usize);
+
+impl fmt::Write for ByteCounter {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        self.0 += s.len();
+        Ok(())
     }
 }
 

@@ -19,6 +19,7 @@ use athena_types::{AthenaError, Result, VirtualClock};
 use serde_json::{Map, Value};
 use std::collections::HashSet;
 use std::sync::atomic::Ordering;
+use std::sync::Arc;
 
 /// The attached journal plus the virtual clock that stamps its records.
 #[derive(Debug)]
@@ -389,37 +390,14 @@ impl StoreCluster {
     /// up during recovery, so placement is the preferred replica set),
     /// without journaling it again.
     fn apply_insert(&self, coll: &str, id: DocId, fields: Map<String, Value>) {
-        let doc = Document { id, fields };
-        let indexed = self
-            .index_requests
-            .lock()
-            .get(coll)
-            .cloned()
-            .unwrap_or_default();
+        let doc = Arc::new(Document { id, fields });
+        let indexed = self.indexed_fields(coll);
         let encoded_len = doc.encoded_len() as u64;
         let (targets, _) = self.write_targets(id);
         for node_idx in targets {
-            let node = &self.nodes[node_idx];
-            node.journal(encoded_len);
-            node.with_collection(coll, |c| {
-                for f in &indexed {
-                    c.create_index(f.clone());
-                }
-                c.insert_with_id(id, doc.clone());
-            });
+            self.write_replica(&self.nodes[node_idx], coll, &indexed, encoded_len, &doc);
         }
         self.next_id.fetch_max(id.0 + 1, Ordering::Relaxed);
-    }
-
-    fn register_index(&self, coll: &str, field: &str) {
-        self.index_requests
-            .lock()
-            .entry(coll.to_owned())
-            .or_default()
-            .push(field.to_owned());
-        for node in self.nodes.iter() {
-            node.with_collection(coll, |c| c.create_index(field.to_owned()));
-        }
     }
 }
 

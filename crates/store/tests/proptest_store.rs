@@ -139,3 +139,61 @@ proptest! {
         prop_assert_eq!(below, n.min(pivot.max(0) as usize));
     }
 }
+
+// The journal sizes a document without serializing it; the number must
+// be the serializer's, for every value shape the store accepts.
+
+/// Characters covering every escape class of the JSON writer: the two
+/// quoted specials, the five named controls, `\u00XX` controls, plain
+/// ASCII (DEL included) and 2-, 3- and 4-byte UTF-8.
+const CHARS: [char; 18] = [
+    'a', 'Z', ' ', '/', '"', '\\', '\n', '\r', '\t', '\u{08}', '\u{0c}', '\u{00}', '\u{01}',
+    '\u{1f}', '\u{7f}', 'é', '∑', '😀',
+];
+
+fn arb_string() -> impl Strategy<Value = String> {
+    proptest::collection::vec(0usize..CHARS.len(), 0..12)
+        .prop_map(|picks| picks.into_iter().map(|i| CHARS[i]).collect())
+}
+
+fn arb_value(depth: u32) -> BoxedStrategy<serde_json::Value> {
+    use proptest::strategy::boxed;
+    use serde_json::Value;
+    let leaf = prop_oneof![
+        Just(Value::Null),
+        any::<bool>().prop_map(Value::from),
+        any::<u64>().prop_map(Value::from),
+        any::<i64>().prop_map(Value::from),
+        (-1000i64..1000).prop_map(Value::from),
+        // Every finite bit pattern: subnormals, exponent notation, -0.0.
+        any::<u64>().prop_map(|bits| Value::from(f64::from_bits(bits))),
+        // Integer-valued and short-fraction floats, the common field shape.
+        (any::<i32>(), 0i32..4)
+            .prop_map(|(m, scale)| Value::from(f64::from(m) / 10f64.powi(scale))),
+        (any::<u64>(), 0i32..4).prop_map(|(m, scale)| Value::from(m as f64 / 10f64.powi(scale))),
+        arb_string().prop_map(Value::from),
+    ];
+    if depth == 0 {
+        return boxed(leaf);
+    }
+    boxed(prop_oneof![
+        leaf,
+        proptest::collection::vec(arb_value(depth - 1), 0..4).prop_map(Value::from),
+        proptest::collection::vec((arb_string(), arb_value(depth - 1)), 0..4)
+            .prop_map(|members| Value::Object(members.into_iter().collect())),
+    ])
+}
+
+proptest! {
+    #[test]
+    fn encoded_len_is_the_serialized_length(
+        members in proptest::collection::vec((arb_string(), arb_value(3)), 0..8),
+    ) {
+        let doc = Document {
+            fields: members.into_iter().collect(),
+            ..Document::default()
+        };
+        let bytes = serde_json::to_vec(&doc.fields).unwrap();
+        prop_assert_eq!(doc.encoded_len(), bytes.len());
+    }
+}

@@ -133,4 +133,15 @@ echo "    scale gate finished in ${scale_elapsed}s (bound: 60 s)"
 [ "$scale_elapsed" -lt 60 ]
 test -s target/BENCH_scale.json
 
+echo "==> ledger (the BENCHMARK.json package: unit tests + one short traced run per workload)"
+# `ledger/` is a package of its own outside the workspace, so nothing
+# above compiles it. Exit status only: each run checks its own outputs
+# (`correct`, zero failed operations, every declared metric produced);
+# no timing is judged here.
+cargo test -q --offline --manifest-path ledger/Cargo.toml
+for w in ddos_detect cbench_saturate fat_tree_scale nb_analytics; do
+    cargo run --release --offline --quiet --manifest-path ledger/Cargo.toml -- \
+        --workload "$w" --seconds 3 --trace 1 > /dev/null
+done
+
 echo "CI gate passed."

@@ -3,9 +3,10 @@
 //! Cbench throughput — and the store actually receives the features.
 //!
 //! Also the telemetry gate: running the same simulation with telemetry
-//! enabled changes the simulated results not at all and the wall clock
-//! by less than 10 % — and the same holds for the full observe layer
-//! (causal tracing + series sampling + alert evaluation) on top.
+//! enabled changes the simulated results not at all and does a bounded
+//! amount of extra work per stored feature record — and the same holds
+//! for the full observe layer (causal tracing + series sampling + alert
+//! evaluation) on top.
 
 use athena::controller::cbench::{summarize, throughput_round, CbenchResponder};
 use athena::controller::ControllerCluster;
@@ -14,7 +15,6 @@ use athena::dataplane::{workload, Network, NetworkCounters, Topology};
 use athena::observe::Observe;
 use athena::telemetry::Telemetry;
 use athena::types::{SimDuration, SimTime};
-use std::time::{Duration, Instant};
 
 fn cluster_with(athena: Option<&Athena>) -> ControllerCluster {
     let topo = Topology::enterprise();
@@ -71,8 +71,8 @@ fn cbench_overhead_ordering_holds() {
 /// One full simulated deployment: enterprise topology, benign workload,
 /// Athena attached, optionally with the observe layer (tracing +
 /// sampling + alerting) bound everywhere. Returns the deterministic
-/// outcomes plus the wall clock the run took.
-fn simulate(tel: &Telemetry, obs: Option<&Observe>) -> (NetworkCounters, usize, Duration) {
+/// outcomes: network counters and feature records stored.
+fn simulate(tel: &Telemetry, obs: Option<&Observe>) -> (NetworkCounters, usize) {
     let topo = Topology::enterprise();
     let mut net = Network::new(topo.clone());
     net.bind_telemetry(tel);
@@ -91,58 +91,63 @@ fn simulate(tel: &Telemetry, obs: Option<&Observe>) -> (NetworkCounters, usize, 
         SimDuration::from_secs(8),
         1,
     ));
-    let start = Instant::now();
     net.run_until(SimTime::from_secs(12), &mut cluster);
-    let wall = start.elapsed();
-    (net.counters(), athena.stored_feature_count(), wall)
+    (net.counters(), athena.stored_feature_count())
 }
 
+/// Ceilings on what observability may cost, in work done per stored
+/// feature record. Both are counts the run reports about itself, so the
+/// gate cannot fail because the box was busy; the wall-clock ratios
+/// live in the ledger (`telemetry.on_wall_ratio`, `observe.on_wall_ratio`).
+///
+/// Timed observations are histogram samples (each one a clock-read pair).
+/// This run takes 1.24 per record (4,799 over 3,886): the store insert
+/// itself, plus the per-message and per-tick timers amortized over a
+/// message's records. One more timer per record would break the bound.
+const MAX_TIMED_OBSERVATIONS_PER_RECORD: f64 = 2.0;
+/// Causal spans (each one a lock and a ring push at open and close).
+/// This run records 1.33 per record (5,177 over 3,886): one
+/// `quorum_write` each, plus the per-message spans around it.
+const MAX_SPANS_PER_RECORD: f64 = 2.0;
+
 #[test]
-fn telemetry_changes_results_not_at_all_and_wall_clock_under_10_percent() {
-    // Interleave off/on/observe repetitions and keep each
-    // configuration's best time: the minimum is the stable estimator
-    // under scheduler noise.
-    let mut best_off = Duration::MAX;
-    let mut best_on = Duration::MAX;
-    let mut best_obs = Duration::MAX;
-    let mut outcomes = Vec::new();
-    for _ in 0..3 {
-        let (counters, stored, wall) = simulate(&Telemetry::off(), None);
-        best_off = best_off.min(wall);
-        outcomes.push((counters, stored));
-        let on = Telemetry::new();
-        let (counters, stored, wall) = simulate(&on, None);
-        best_on = best_on.min(wall);
-        outcomes.push((counters, stored));
-        // The enabled run actually observed the deployment.
-        let report = on.report();
-        assert!(!report.is_empty(), "enabled telemetry must collect data");
-        // Third arm: the full observe layer on top of telemetry.
-        let tel = Telemetry::new();
-        let obs = Observe::with_telemetry(7, &tel);
-        let (counters, stored, wall) = simulate(&tel, Some(&obs));
-        best_obs = best_obs.min(wall);
-        outcomes.push((counters, stored));
-        assert!(!obs.trace_ids().is_empty(), "observe must record traces");
-        assert!(obs.samples() > 0, "observe must sample the registry");
-    }
-    // Identical simulated outcomes in every repetition: off, telemetry,
-    // or the full observe pipeline.
+fn telemetry_changes_results_not_at_all_and_costs_bounded_work_per_record() {
+    let off = simulate(&Telemetry::off(), None);
+
+    let on = Telemetry::new();
+    let with_telemetry = simulate(&on, None);
+    // The enabled run actually observed the deployment.
+    let report = on.report();
+    assert!(!report.is_empty(), "enabled telemetry must collect data");
+
+    // Third arm: the full observe layer on top of telemetry.
+    let tel = Telemetry::new();
+    let obs = Observe::with_telemetry(7, &tel);
+    let with_observe = simulate(&tel, Some(&obs));
+    assert!(!obs.trace_ids().is_empty(), "observe must record traces");
+    assert!(obs.samples() > 0, "observe must sample the registry");
+
+    // Identical simulated outcomes: off, telemetry, or the full observe
+    // pipeline.
+    assert_eq!(off, with_telemetry, "telemetry changed simulated results");
+    assert_eq!(off, with_observe, "observe changed simulated results");
+
+    let stored = off.1 as f64;
+    assert!(stored > 0.0);
+    let timed: u64 = report.histograms.iter().map(|h| h.snapshot.count).sum();
+    let per_record = timed as f64 / stored;
     assert!(
-        outcomes.windows(2).all(|w| w[0] == w[1]),
-        "telemetry/observe must not change simulated results: {outcomes:?}"
+        per_record <= MAX_TIMED_OBSERVATIONS_PER_RECORD,
+        "telemetry took {per_record:.3} timed observations per stored record \
+         ({timed} over {stored} records)"
     );
-    let ratio = best_on.as_secs_f64() / best_off.as_secs_f64();
+    let traced = obs.report();
+    let spans = traced.spans + traced.spans_dropped;
+    let per_record = spans as f64 / stored;
     assert!(
-        ratio < 1.10,
-        "telemetry wall-clock overhead must stay under 10%: {ratio:.3} \
-         (on {best_on:?} vs off {best_off:?})"
-    );
-    let obs_ratio = best_obs.as_secs_f64() / best_off.as_secs_f64();
-    assert!(
-        obs_ratio < 1.10,
-        "observe wall-clock overhead must stay under 10%: {obs_ratio:.3} \
-         (observe {best_obs:?} vs off {best_off:?})"
+        per_record <= MAX_SPANS_PER_RECORD,
+        "observe opened {per_record:.3} spans per stored record \
+         ({spans} over {stored} records)"
     );
 }
 
