@@ -1,9 +1,9 @@
 //! Criterion micro-benchmarks for the hot paths under the evaluation:
-//! the wire codec, flow-table lookup, store writes/queries, feature
-//! generation, and K-Means training.
+//! the wire codec, flow-table lookup, the record ⇄ document conversions,
+//! store writes/queries, feature generation, and K-Means training.
 
 use athena_compute::ComputeCluster;
-use athena_core::{FeatureGenerator, FeatureIndex, FeatureRecord};
+use athena_core::{catalog, FeatureGenerator, FeatureRecord, FieldName};
 use athena_ml::algorithms::kmeans::{KMeansModel, KMeansParams};
 use athena_ml::LabeledPoint;
 use athena_openflow::{
@@ -70,26 +70,69 @@ fn bench_flow_table(c: &mut Criterion) {
     });
 }
 
-/// A feature document shaped like the ones the SB publishes for
-/// `message_type`: five-tuple index, metadata, `fields` numeric fields.
-fn feature_doc(message_type: &str, fields: usize) -> athena_store::Document {
-    let mut r = FeatureRecord::new(FeatureIndex::flow(Dpid::new(7), ft(42)));
-    r.meta.message_type = message_type.into();
-    r.meta.timestamp = SimTime::from_secs(6);
-    for i in 0..fields {
-        r.push_field(format!("{message_type}_FIELD_{i}"), 1.5 * i as f64);
+/// One generated record of each of the two shapes the SB publishes
+/// most: a `PACKET_IN` (3 features, 14 keys as a document) and a
+/// `FLOW_STATS` (27 features, 38 keys).
+fn feature_records() -> [(&'static str, FeatureRecord); 2] {
+    let mut generator = FeatureGenerator::new(ControllerId::new(0));
+    let app_of = |_: u64| AppId::CORE;
+    let mut first = |msg: &OfMessage| {
+        generator
+            .ingest(Dpid::new(7), msg, SimTime::from_secs(6), &app_of)
+            .swap_remove(0)
+    };
+    let packet_in = first(&OfMessage::packet_in(
+        Xid::new(1),
+        PacketHeader::from_five_tuple(PortNo::new(1), ft(42), 64),
+    ));
+    let flow_stats = first(&OfMessage::StatsReply {
+        xid: Xid::athena_marked(1),
+        body: StatsReply::Flow(vec![flow_stats_entry(42)]),
+    });
+    [("packet_in", packet_in), ("flow_stats", flow_stats)]
+}
+
+fn flow_stats_entry(i: u32) -> FlowStatsEntry {
+    FlowStatsEntry {
+        table_id: 0,
+        match_fields: MatchFields::exact_five_tuple(ft(i)),
+        priority: 100,
+        duration: SimDuration::from_secs(5),
+        idle_timeout: SimDuration::from_secs(30),
+        hard_timeout: SimDuration::ZERO,
+        cookie: 1 << 48,
+        packet_count: 1_000 + u64::from(i),
+        byte_count: 100_000 + u64::from(i),
+        actions: vec![Action::Output(PortNo::new(2))],
     }
-    r.to_document()
+}
+
+/// The record ⇄ document conversions on either side of the store, and
+/// the model-input extraction every scored record pays (on the
+/// `PACKET_IN` shape it is the miss a validator pays for a foreign
+/// record).
+fn bench_record(c: &mut Criterion) {
+    let model_inputs: Vec<FieldName> = catalog::DDOS_10_TUPLE.map(FieldName::from).to_vec();
+    for (name, record) in feature_records() {
+        c.bench_function(&format!("core/to_document/{name}"), |b| {
+            b.iter(|| black_box(&record).to_document())
+        });
+        let doc = record.to_document();
+        c.bench_function(&format!("core/from_document/{name}"), |b| {
+            b.iter(|| FeatureRecord::from_document(black_box(&doc)))
+        });
+        c.bench_function(&format!("core/vector10/{name}"), |b| {
+            b.iter(|| black_box(&record).values(black_box(&model_inputs)))
+        });
+    }
 }
 
 fn bench_store(c: &mut Criterion) {
     // Athena's store shape: 3 nodes, two copies, the `message_type`
     // index. Each iteration also pays one document clone (the insert
     // consumes its argument), the same on every commit.
-    for (name, doc) in [
-        ("packet_in", feature_doc("PACKET_IN", 3)),
-        ("flow_stats", feature_doc("FLOW_STATS", 27)),
-    ] {
+    for (name, record) in feature_records() {
+        let doc = record.to_document();
         let coll = StoreCluster::new(3, 2).collection("bench");
         coll.create_index("message_type");
         c.bench_function(&format!("store/insert_replicated/{name}"), |b| {
@@ -114,20 +157,7 @@ fn bench_store(c: &mut Criterion) {
 }
 
 fn bench_feature_generator(c: &mut Criterion) {
-    let entries: Vec<FlowStatsEntry> = (0..100)
-        .map(|i| FlowStatsEntry {
-            table_id: 0,
-            match_fields: MatchFields::exact_five_tuple(ft(i)),
-            priority: 100,
-            duration: SimDuration::from_secs(5),
-            idle_timeout: SimDuration::from_secs(30),
-            hard_timeout: SimDuration::ZERO,
-            cookie: 1 << 48,
-            packet_count: 1_000 + u64::from(i),
-            byte_count: 100_000 + u64::from(i),
-            actions: vec![Action::Output(PortNo::new(2))],
-        })
-        .collect();
+    let entries: Vec<FlowStatsEntry> = (0..100).map(flow_stats_entry).collect();
     let msg = OfMessage::StatsReply {
         xid: Xid::athena_marked(1),
         body: StatsReply::Flow(entries),
@@ -184,6 +214,7 @@ fn configured() -> Criterion {
 criterion_group! {
     name = benches;
     config = configured();
-    targets = bench_codec, bench_flow_table, bench_store, bench_feature_generator, bench_kmeans
+    targets = bench_codec, bench_flow_table, bench_record, bench_store, bench_feature_generator,
+        bench_kmeans
 }
 criterion_main!(benches);

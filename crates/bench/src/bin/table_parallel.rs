@@ -25,17 +25,13 @@ use athena_apps::dataset::{DdosDataset, FEATURES};
 use athena_apps::{DdosDetector, DdosDetectorConfig};
 use athena_bench::{env_scale, header};
 use athena_compute::ComputeCluster;
-use athena_core::{DetectorManager, FeatureGenerator};
+use athena_core::DetectorManager;
 use athena_ml::data::LabeledPoint;
 use athena_ml::sweep::{cross_validate, fit_all, table_iv_roster};
 use athena_ml::Algorithm;
-use athena_openflow::{Action, FlowStatsEntry, MatchFields, OfMessage, StatsReply};
 use athena_parallel::{modeled_makespan_ns, set_accounting, take_jobs, JobStats};
 use athena_store::{doc, Filter, FindOptions, StoreCluster};
 use athena_telemetry::Telemetry;
-use athena_types::{
-    AppId, ControllerId, Dpid, FiveTuple, Ipv4Addr, PortNo, SimDuration, SimTime, Xid,
-};
 use std::time::Instant;
 
 const WIDTHS: [usize; 4] = [1, 2, 4, 8];
@@ -66,8 +62,8 @@ fn measure(name: &'static str, mut work: impl FnMut() -> String) -> Row {
     // Width 1 first: the only uncontended timing a single-core host can
     // produce (a chunk wall-timed while seven sibling workers timeslice
     // the same core is charged for its time *descheduled*, and one such
-    // phantom cost pins the LPT makespan — the feature-extraction row
-    // once regressed at width 8 exactly this way). Accounting records
+    // phantom cost pins the LPT makespan — a row once regressed at
+    // width 8 exactly this way). Accounting records
     // per-item costs; each wider width is modeled by re-chunking those
     // costs exactly as a real run at that width would
     // (`modeled_makespan_ns`) and placing the chunk sums LPT. The wider
@@ -189,46 +185,6 @@ fn store_row() -> Row {
     })
 }
 
-/// Feature extraction from one large FLOW_STATS snapshot: per-entry flow
-/// records and per-host aggregates.
-fn generator_row() -> Row {
-    let n = env_scale("ATHENA_PARALLEL_FLOWS", if smoke() { 768 } else { 3_000 });
-    let entries: Vec<FlowStatsEntry> = (0..n)
-        .map(|i| {
-            let src = Ipv4Addr::new(10, ((i >> 6) % 200) as u8, (i % 64) as u8, 1);
-            let dst = Ipv4Addr::new(10, 200, ((i * 13) % 250) as u8, 2);
-            FlowStatsEntry {
-                table_id: 0,
-                match_fields: MatchFields::exact_five_tuple(FiveTuple::tcp(
-                    src,
-                    1024 + (i % 5000) as u16,
-                    dst,
-                    80,
-                )),
-                priority: 100,
-                duration: SimDuration::from_secs(5 + (i % 30) as u64),
-                idle_timeout: SimDuration::from_secs(30),
-                hard_timeout: SimDuration::ZERO,
-                cookie: (i % 7) as u64,
-                packet_count: 10 + (i % 1000) as u64,
-                byte_count: 1000 + (i % 100_000) as u64,
-                actions: vec![Action::Output(PortNo::new(2))],
-            }
-        })
-        .collect();
-    let msg = OfMessage::StatsReply {
-        xid: Xid::athena_marked(1),
-        body: StatsReply::Flow(entries),
-    };
-    measure("core/feature-extraction", move || {
-        let mut generator = FeatureGenerator::new(ControllerId::new(0));
-        let records = generator.ingest(Dpid::new(1), &msg, SimTime::from_secs(6), &|c| {
-            AppId::new(c as u32)
-        });
-        format!("{}:{records:?}", records.len())
-    })
-}
-
 fn json_row(row: &Row) -> String {
     let nums = |v: &[f64]| {
         v.iter()
@@ -255,7 +211,7 @@ fn main() {
          (virtual time); wall time alongside. Outputs byte-identical at every width.\n"
     );
 
-    let rows = [fig10_row(), ml_row(), store_row(), generator_row()];
+    let rows = [fig10_row(), ml_row(), store_row()];
 
     println!(
         "{:<26} {:>7} {:>12} {:>9} {:>10}",

@@ -259,7 +259,7 @@ impl Athena {
         let features: Vec<String> = if q.features.is_empty() {
             crate::feature::catalog::DDOS_10_TUPLE
                 .iter()
-                .map(|s| (*s).to_owned())
+                .map(|f| f.name().to_owned())
                 .collect()
         } else {
             q.features.clone()

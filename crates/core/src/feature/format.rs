@@ -1,14 +1,55 @@
 //! The Athena feature format (the paper's Figure 4): index fields,
 //! metadata, then the feature fields.
 
-use athena_store::{doc, Document};
+use crate::feature::catalog::{self, FieldName, KeyResolver, MessageType};
+use athena_store::{Document, Fields, Key};
 
 /// Alias used at API boundaries that accept pre-built feature documents.
 pub type RawDocument = Document;
 use athena_types::{AppId, ControllerId, Dpid, FiveTuple, IpProto, Ipv4Addr, PortNo, SimTime};
 use serde::{Deserialize, Serialize};
-use serde_json::json;
+use serde_json::Value;
 use std::fmt;
+
+const APP: &str = "app";
+const ATHENA_POLLED: &str = "athena_polled";
+const CONTROLLER: &str = "controller";
+const HOST: &str = "host";
+const IP_DST: &str = "ip_dst";
+const IP_PROTO: &str = "ip_proto";
+const IP_SRC: &str = "ip_src";
+const MESSAGE_TYPE: &str = "message_type";
+const PORT: &str = "port";
+const SWITCH: &str = "switch";
+const TIMESTAMP: &str = "timestamp";
+const TP_DST: &str = "tp_dst";
+const TP_SRC: &str = "tp_src";
+
+/// The document keys that carry a record's index and metadata, in name
+/// order — the order [`FeatureRecord::to_document`] writes them in.
+/// Every other numeric member of a feature document is a feature field.
+const META_KEYS: [&str; 13] = [
+    APP,
+    ATHENA_POLLED,
+    CONTROLLER,
+    HOST,
+    IP_DST,
+    IP_PROTO,
+    IP_SRC,
+    MESSAGE_TYPE,
+    PORT,
+    SWITCH,
+    TIMESTAMP,
+    TP_DST,
+    TP_SRC,
+];
+
+/// Whether `name` is an index or metadata key. The keys all start with
+/// a lower-case letter; catalog names never do, and skip the search.
+fn is_meta_key(name: &str) -> bool {
+    name.as_bytes().first().is_some_and(u8::is_ascii_lowercase)
+        && META_KEYS.binary_search(&name).is_ok()
+}
 
 /// The index fields: where the feature came from, including OpenFlow
 /// match-field indicators.
@@ -62,21 +103,24 @@ pub struct MetaData {
     /// The controller instance whose SB element generated it.
     pub controller: ControllerId,
     /// The OpenFlow message type the feature derives from.
-    pub message_type: String,
+    pub message_type: MessageType,
     /// Whether the sample came from an Athena-marked statistics request.
     pub athena_polled: bool,
 }
 
 /// One Athena feature record: index, metadata, and named numeric fields.
 ///
+/// A field's name is a catalog feature or an ad-hoc string; pushing a
+/// name again shadows the earlier value, here and in the document.
+///
 /// # Examples
 ///
 /// ```
-/// use athena_core::{FeatureIndex, FeatureRecord};
+/// use athena_core::{catalog, FeatureIndex, FeatureRecord};
 /// use athena_types::Dpid;
 ///
 /// let r = FeatureRecord::new(FeatureIndex::switch(Dpid::new(1)))
-///     .with_field("FLOW_PACKET_COUNT", 42.0);
+///     .with_field(catalog::FLOW_PACKET_COUNT, 42.0);
 /// assert_eq!(r.field("FLOW_PACKET_COUNT"), Some(42.0));
 /// let doc = r.to_document();
 /// assert_eq!(doc.get_f64("FLOW_PACKET_COUNT"), Some(42.0));
@@ -88,7 +132,7 @@ pub struct FeatureRecord {
     /// Timestamp and control-plane semantics.
     pub meta: MetaData,
     /// The named feature fields.
-    pub fields: Vec<(String, f64)>,
+    pub fields: Vec<(FieldName, f64)>,
 }
 
 impl FeatureRecord {
@@ -107,19 +151,41 @@ impl FeatureRecord {
     }
 
     /// Appends a field (builder style).
-    pub fn with_field(mut self, name: impl Into<String>, value: f64) -> Self {
-        self.fields.push((name.into(), value));
+    pub fn with_field(mut self, name: impl Into<FieldName>, value: f64) -> Self {
+        self.push_field(name, value);
         self
     }
 
     /// Appends a field in place.
-    pub fn push_field(&mut self, name: impl Into<String>, value: f64) {
+    pub fn push_field(&mut self, name: impl Into<FieldName>, value: f64) {
         self.fields.push((name.into(), value));
     }
 
-    /// Looks up a field by name.
+    /// Looks up a field by name (resolved against the catalog here; a
+    /// caller that looks the same names up in many records resolves
+    /// them once and calls [`FeatureRecord::value`]).
     pub fn field(&self, name: &str) -> Option<f64> {
-        self.fields.iter().find(|(n, _)| n == name).map(|(_, v)| *v)
+        match catalog::FeatureId::named(name) {
+            Some(id) => self.value(&id.into()),
+            // An ad-hoc name is compared as text: looking it up must not
+            // allocate the shared string a `FieldName` would hold.
+            None => self
+                .fields
+                .iter()
+                .rev()
+                .find(|(n, _)| n.feature().is_none() && n.as_str() == name)
+                .map(|(_, v)| *v),
+        }
+    }
+
+    /// Looks up a field by resolved name: the last value pushed for it,
+    /// which is the one the record's document carries.
+    pub fn value(&self, name: &FieldName) -> Option<f64> {
+        self.fields
+            .iter()
+            .rev()
+            .find(|(n, _)| n == name)
+            .map(|(_, v)| *v)
     }
 
     /// Extracts the named fields as a feature vector; `None` if any is
@@ -128,91 +194,139 @@ impl FeatureRecord {
         names.iter().map(|n| self.field(n.as_ref())).collect()
     }
 
+    /// [`FeatureRecord::vector`] over names resolved beforehand.
+    pub fn values(&self, names: &[FieldName]) -> Option<Vec<f64>> {
+        names.iter().map(|n| self.value(n)).collect()
+    }
+
     /// Serializes the record into a store document, flattening index and
     /// metadata into queryable top-level fields.
+    ///
+    /// The body is assembled in name order without comparing a name:
+    /// catalog fields are placed by id (id order is name order, and all
+    /// of them sort before the lower-case index and metadata keys).
     pub fn to_document(&self) -> Document {
-        let mut d = doc! {
-            "switch" => self.index.switch.raw(),
-            "timestamp" => self.meta.timestamp.as_micros(),
-            "controller" => self.meta.controller.raw(),
-            "message_type" => self.meta.message_type.clone(),
-            "athena_polled" => self.meta.athena_polled,
-        };
-        if let Some(p) = self.index.port {
-            d.set("port", p.raw());
-        }
-        if let Some(ft) = self.index.five_tuple {
-            d.set("ip_src", ft.src.raw());
-            d.set("ip_dst", ft.dst.raw());
-            d.set("tp_src", ft.src_port);
-            d.set("tp_dst", ft.dst_port);
-            d.set("ip_proto", ft.proto.number());
-        }
-        if let Some(host) = self.index.host {
-            d.set("host", host.raw());
-        }
-        if let Some(app) = self.index.app {
-            d.set("app", app.raw());
-        }
+        const WORDS: usize = catalog::COUNT.div_ceil(64);
+        let mut present = [0u64; WORDS];
+        let mut values = [0.0f64; catalog::COUNT];
+        let mut adhoc = 0;
         for (name, value) in &self.fields {
-            d.set(name.clone(), json!(value));
+            match name.feature() {
+                Some(id) => {
+                    let i = id.index();
+                    present[i / 64] |= 1 << (i % 64);
+                    values[i] = *value;
+                }
+                None => adhoc += 1,
+            }
         }
-        d
+        let features: usize = present.iter().map(|w| w.count_ones() as usize).sum();
+        let index = &self.index;
+        let index_keys = usize::from(index.port.is_some())
+            + 5 * usize::from(index.five_tuple.is_some())
+            + usize::from(index.host.is_some())
+            + usize::from(index.app.is_some());
+        let mut members: Vec<(Key, Value)> = Vec::with_capacity(features + adhoc + 5 + index_keys);
+        for (word, mut bits) in present.into_iter().enumerate() {
+            while bits != 0 {
+                let i = word * 64 + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                if let Some(id) = catalog::FeatureId::from_index(i) {
+                    members.push((Key::Static(id.name()), Value::from(values[i])));
+                }
+            }
+        }
+        let mut meta = |key: &'static str, value: Value| members.push((Key::Static(key), value));
+        let ft = index.five_tuple;
+        // In `META_KEYS` order.
+        if let Some(app) = index.app {
+            meta(APP, app.raw().into());
+        }
+        meta(ATHENA_POLLED, self.meta.athena_polled.into());
+        meta(CONTROLLER, self.meta.controller.raw().into());
+        if let Some(host) = index.host {
+            meta(HOST, host.raw().into());
+        }
+        if let Some(ft) = ft {
+            meta(IP_DST, ft.dst.raw().into());
+            meta(IP_PROTO, ft.proto.number().into());
+            meta(IP_SRC, ft.src.raw().into());
+        }
+        meta(MESSAGE_TYPE, self.meta.message_type.as_str().into());
+        if let Some(p) = index.port {
+            meta(PORT, p.raw().into());
+        }
+        meta(SWITCH, index.switch.raw().into());
+        meta(TIMESTAMP, self.meta.timestamp.as_micros().into());
+        if let Some(ft) = ft {
+            meta(TP_DST, ft.dst_port.into());
+            meta(TP_SRC, ft.src_port.into());
+        }
+        let mut doc = Document {
+            fields: Fields::from_sorted(members),
+            ..Document::default()
+        };
+        if adhoc > 0 {
+            // Ad-hoc names sort anywhere, so they go in by search — and,
+            // as a field always could, shadow an index key they repeat.
+            for (name, value) in &self.fields {
+                if name.feature().is_none() {
+                    doc.set(name.to_key(), *value);
+                }
+            }
+        }
+        doc
     }
 
     /// Reconstructs a record from a store document (the inverse of
     /// [`FeatureRecord::to_document`]); unknown fields become feature
     /// fields.
     pub fn from_document(d: &Document) -> Self {
-        let mut index = FeatureIndex::switch(Dpid::new(d.get_i64("switch").unwrap_or(0) as u64));
-        if let Some(p) = d.get_i64("port") {
+        Self::from_document_keeping(d, |_| true)
+    }
+
+    /// [`FeatureRecord::from_document`], keeping only the feature fields
+    /// `keep` accepts (a query's projection, applied while converting).
+    pub(crate) fn from_document_keeping(d: &Document, keep: impl Fn(&FieldName) -> bool) -> Self {
+        let mut index = FeatureIndex::switch(Dpid::new(d.get_i64(SWITCH).unwrap_or(0) as u64));
+        if let Some(p) = d.get_i64(PORT) {
             index.port = Some(PortNo::new(p as u32));
         }
-        if let (Some(src), Some(dst)) = (d.get_i64("ip_src"), d.get_i64("ip_dst")) {
+        if let (Some(src), Some(dst)) = (d.get_i64(IP_SRC), d.get_i64(IP_DST)) {
             index.five_tuple = Some(FiveTuple {
                 src: Ipv4Addr::from_raw(src as u32),
                 dst: Ipv4Addr::from_raw(dst as u32),
-                src_port: d.get_i64("tp_src").unwrap_or(0) as u16,
-                dst_port: d.get_i64("tp_dst").unwrap_or(0) as u16,
-                proto: IpProto::from_number(d.get_i64("ip_proto").unwrap_or(0) as u8),
+                src_port: d.get_i64(TP_SRC).unwrap_or(0) as u16,
+                dst_port: d.get_i64(TP_DST).unwrap_or(0) as u16,
+                proto: IpProto::from_number(d.get_i64(IP_PROTO).unwrap_or(0) as u8),
             });
         }
-        if let Some(host) = d.get_i64("host") {
+        if let Some(host) = d.get_i64(HOST) {
             index.host = Some(Ipv4Addr::from_raw(host as u32));
         }
-        if let Some(app) = d.get_i64("app") {
+        if let Some(app) = d.get_i64(APP) {
             index.app = Some(AppId::new(app as u32));
         }
         let meta = MetaData {
-            timestamp: SimTime::from_micros(d.get_i64("timestamp").unwrap_or(0) as u64),
-            controller: ControllerId::new(d.get_i64("controller").unwrap_or(0) as u32),
-            message_type: d.get_str("message_type").unwrap_or("").to_owned(),
+            timestamp: SimTime::from_micros(d.get_i64(TIMESTAMP).unwrap_or(0) as u64),
+            controller: ControllerId::new(d.get_i64(CONTROLLER).unwrap_or(0) as u32),
+            message_type: d.get_str(MESSAGE_TYPE).unwrap_or("").into(),
             athena_polled: d
-                .get("athena_polled")
-                .and_then(serde_json::Value::as_bool)
+                .get(ATHENA_POLLED)
+                .and_then(Value::as_bool)
                 .unwrap_or(false),
         };
-        const META_KEYS: [&str; 12] = [
-            "switch",
-            "timestamp",
-            "controller",
-            "message_type",
-            "athena_polled",
-            "port",
-            "ip_src",
-            "ip_dst",
-            "tp_src",
-            "tp_dst",
-            "ip_proto",
-            "host",
-        ];
-        let mut fields = Vec::new();
+        let mut fields = Vec::with_capacity(d.fields.len().saturating_sub(5));
+        let mut resolver = KeyResolver::default();
         for (k, v) in &d.fields {
-            if META_KEYS.contains(&k.as_str()) || k == "app" {
+            if is_meta_key(k.as_str()) {
                 continue;
             }
             if let Some(x) = v.as_f64() {
-                fields.push((k.clone(), x));
+                let name = resolver.resolve(k);
+                if keep(&name) {
+                    fields.push((name, x));
+                }
             }
         }
         FeatureRecord {
@@ -282,7 +396,7 @@ mod tests {
         assert_eq!(back.meta.message_type, r.meta.message_type);
         assert!(back.meta.athena_polled);
         for (name, value) in &r.fields {
-            assert_eq!(back.field(name), Some(*value), "{name}");
+            assert_eq!(back.value(name), Some(*value), "{name}");
         }
     }
 
@@ -301,5 +415,75 @@ mod tests {
         let back = FeatureRecord::from_document(&r.to_document());
         assert_eq!(back.index.port, Some(PortNo::new(2)));
         assert_eq!(back.index.five_tuple, None);
+    }
+
+    #[test]
+    fn a_repeated_name_reads_as_its_last_value_on_both_sides_of_the_store() {
+        // The document has always kept the last value pushed for a name;
+        // `field()` used to return the first, so what a detector read
+        // could change across a store round trip. Both read the last.
+        let r = FeatureRecord::new(FeatureIndex::switch(Dpid::new(1)))
+            .with_field("FLOW_PACKET_COUNT", 1.0)
+            .with_field("truth", 0.0)
+            .with_field("FLOW_PACKET_COUNT", 2.0)
+            .with_field("truth", 1.0);
+        assert_eq!(r.field("FLOW_PACKET_COUNT"), Some(2.0));
+        assert_eq!(r.field("truth"), Some(1.0));
+        let d = r.to_document();
+        assert_eq!(d.get_f64("FLOW_PACKET_COUNT"), Some(2.0));
+        assert_eq!(d.get_f64("truth"), Some(1.0));
+        let back = FeatureRecord::from_document(&d);
+        assert_eq!(back.fields.len(), 2);
+        assert_eq!(
+            back.vector(&["FLOW_PACKET_COUNT", "truth"]),
+            r.vector(&["FLOW_PACKET_COUNT", "truth"])
+        );
+    }
+
+    #[test]
+    fn index_and_meta_keys_are_one_sorted_list_apart_from_the_catalog() {
+        assert!(META_KEYS.windows(2).all(|w| w[0] < w[1]));
+        for key in META_KEYS {
+            assert!(is_meta_key(key));
+            assert!(catalog::FeatureId::named(key).is_none());
+        }
+        // The first-byte shortcut in `is_meta_key` never hides a key, and
+        // every catalog name sorts before every index key.
+        assert!(META_KEYS
+            .iter()
+            .all(|k| k.as_bytes()[0].is_ascii_lowercase()));
+        for f in catalog::all_features() {
+            assert!(!is_meta_key(f.name()));
+            assert!(f.name() < META_KEYS[0], "{f}");
+        }
+        // A full record writes every one of them, and reads them all back.
+        let mut r = record();
+        r.index.port = Some(PortNo::new(4));
+        r.index.host = Some(Ipv4Addr::new(10, 0, 0, 9));
+        r.index.app = Some(AppId::new(5));
+        let d = r.to_document();
+        for key in META_KEYS {
+            assert!(d.get(key).is_some(), "{key}");
+        }
+        assert_eq!(d.fields.len(), META_KEYS.len() + r.fields.len());
+        let back = FeatureRecord::from_document(&d);
+        assert_eq!((back.index, &back.meta), (r.index, &r.meta));
+        assert_eq!(back.fields.len(), r.fields.len());
+    }
+
+    #[test]
+    fn ad_hoc_names_land_in_name_order_wherever_they_sort() {
+        let r = record()
+            .with_field("truth", 1.0)
+            .with_field("Alpha", 2.0)
+            .with_field("mid", 3.0);
+        let d = r.to_document();
+        let keys: Vec<&str> = d.fields.iter().map(|(k, _)| k.as_str()).collect();
+        assert!(keys.windows(2).all(|w| w[0] < w[1]), "{keys:?}");
+        assert_eq!(d.get_f64("mid"), Some(3.0));
+        let back = FeatureRecord::from_document(&d);
+        for (name, value) in &r.fields {
+            assert_eq!(back.value(name), Some(*value), "{name}");
+        }
     }
 }

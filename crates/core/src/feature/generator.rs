@@ -5,21 +5,16 @@
 //! network state (pair-flow tracking), with a garbage collector that
 //! periodically removes outdated entries.
 
+use crate::feature::catalog::{self, MessageType};
 use crate::feature::format::{FeatureIndex, FeatureRecord, MetaData};
 use crate::feature::window::Windowing;
 use athena_openflow::stats::PortStatsEntry;
 use athena_openflow::{FlowStatsEntry, MatchFields, OfMessage, StatsReply};
 use athena_types::{AppId, ControllerId, Dpid, FiveTuple, PortNo, SimDuration, SimTime};
 use std::collections::{HashMap, HashSet};
-use std::sync::Arc;
 
 /// Nominal link capacity used for utilization features (bits/second).
 const NOMINAL_CAPACITY_BPS: f64 = 1_000_000_000.0;
-
-/// Snapshots smaller than this are formatted in place: the stateful
-/// phase has already run, and the per-record construction cost does not
-/// amortize a parallel job for a handful of entries.
-const PAR_THRESHOLD: usize = 32;
 
 #[derive(Debug, Clone, Copy)]
 struct PrevFlowSample {
@@ -145,17 +140,17 @@ impl FeatureGenerator {
                                 .insert(from, (e.active_count, e.lookup_count))
                                 .unwrap_or((e.active_count, e.lookup_count));
                             let mut r = FeatureRecord::new(FeatureIndex::switch(from))
-                                .with_meta(self.meta(now, "TABLE_STATS", polled));
-                            r.push_field("TABLE_ACTIVE_COUNT", f64::from(e.active_count));
-                            r.push_field("TABLE_LOOKUP_COUNT", e.lookup_count as f64);
-                            r.push_field("TABLE_MATCHED_COUNT", e.matched_count as f64);
-                            r.push_field("TABLE_MISS_RATIO", e.miss_ratio());
+                                .with_meta(self.meta(now, MessageType::TABLE_STATS, polled));
+                            r.push_field(catalog::TABLE_ACTIVE_COUNT, f64::from(e.active_count));
+                            r.push_field(catalog::TABLE_LOOKUP_COUNT, e.lookup_count as f64);
+                            r.push_field(catalog::TABLE_MATCHED_COUNT, e.matched_count as f64);
+                            r.push_field(catalog::TABLE_MISS_RATIO, e.miss_ratio());
                             r.push_field(
-                                "TABLE_ACTIVE_COUNT_VAR",
+                                catalog::TABLE_ACTIVE_COUNT_VAR,
                                 f64::from(e.active_count) - f64::from(prev_active),
                             );
                             r.push_field(
-                                "TABLE_LOOKUP_COUNT_VAR",
+                                catalog::TABLE_LOOKUP_COUNT_VAR,
                                 e.lookup_count as f64 - prev_lookup as f64,
                             );
                             records.push(r);
@@ -169,26 +164,29 @@ impl FeatureGenerator {
                 let mut index = FeatureIndex::switch(from);
                 index.five_tuple = body.match_fields.five_tuple();
                 index.app = Some(app_of(body.cookie));
-                let mut r =
-                    FeatureRecord::new(index).with_meta(self.meta(now, "FLOW_REMOVED", false));
-                r.push_field("REMOVED_PACKET_COUNT", body.packet_count as f64);
-                r.push_field("REMOVED_BYTE_COUNT", body.byte_count as f64);
-                r.push_field("REMOVED_DURATION_SEC", body.duration.as_secs_f64());
+                let mut r = FeatureRecord::new(index).with_meta(self.meta(
+                    now,
+                    MessageType::FLOW_REMOVED,
+                    false,
+                ));
+                r.push_field(catalog::REMOVED_PACKET_COUNT, body.packet_count as f64);
+                r.push_field(catalog::REMOVED_BYTE_COUNT, body.byte_count as f64);
+                r.push_field(catalog::REMOVED_DURATION_SEC, body.duration.as_secs_f64());
                 use athena_openflow::FlowRemovedReason as R;
                 r.push_field(
-                    "REMOVED_REASON_IDLE",
+                    catalog::REMOVED_REASON_IDLE,
                     f64::from(u8::from(body.reason == R::IdleTimeout)),
                 );
                 r.push_field(
-                    "REMOVED_REASON_HARD",
+                    catalog::REMOVED_REASON_HARD,
                     f64::from(u8::from(body.reason == R::HardTimeout)),
                 );
                 r.push_field(
-                    "REMOVED_REASON_DELETE",
+                    catalog::REMOVED_REASON_DELETE,
                     f64::from(u8::from(body.reason == R::Delete)),
                 );
                 r.push_field(
-                    "REMOVED_BYTE_PER_PACKET",
+                    catalog::REMOVED_BYTE_PER_PACKET,
                     safe_div(body.byte_count as f64, body.packet_count as f64),
                 );
                 // The flow is gone: stop tracking its previous sample.
@@ -202,11 +200,18 @@ impl FeatureGenerator {
                 let mut index = FeatureIndex::switch(from);
                 index.five_tuple = body.header.five_tuple();
                 index.port = Some(body.header.in_port);
-                let mut r = FeatureRecord::new(index).with_meta(self.meta(now, "PACKET_IN", false));
-                r.push_field("PACKET_IN_BYTE_LEN", f64::from(body.header.byte_len));
-                r.push_field("PACKET_IN_PORT", f64::from(body.header.in_port.raw()));
+                let mut r = FeatureRecord::new(index).with_meta(self.meta(
+                    now,
+                    MessageType::PACKET_IN,
+                    false,
+                ));
+                r.push_field(catalog::PACKET_IN_BYTE_LEN, f64::from(body.header.byte_len));
                 r.push_field(
-                    "PACKET_IN_BUFFERED",
+                    catalog::PACKET_IN_PORT,
+                    f64::from(body.header.in_port.raw()),
+                );
+                r.push_field(
+                    catalog::PACKET_IN_BUFFERED,
                     f64::from(u8::from(body.buffer_id.is_some())),
                 );
                 vec![r]
@@ -256,34 +261,43 @@ impl FeatureGenerator {
                 .unwrap_or_default();
             let mut r = FeatureRecord::new(FeatureIndex::switch(dpid)).with_meta(self.meta(
                 now,
-                "MSG_WINDOW",
+                MessageType::MSG_WINDOW,
                 false,
             ));
-            r.push_field("MSG_PACKET_IN_COUNT", counts.packet_in as f64);
-            r.push_field("MSG_PACKET_OUT_COUNT", counts.packet_out as f64);
-            r.push_field("MSG_FLOW_MOD_COUNT", counts.flow_mod as f64);
-            r.push_field("MSG_FLOW_REMOVED_COUNT", counts.flow_removed as f64);
-            r.push_field("MSG_PORT_STATUS_COUNT", counts.port_status as f64);
-            r.push_field("MSG_STATS_REQUEST_COUNT", counts.stats_request as f64);
-            r.push_field("MSG_STATS_REPLY_COUNT", counts.stats_reply as f64);
-            r.push_field("MSG_ECHO_COUNT", counts.echo as f64);
-            r.push_field("MSG_BARRIER_COUNT", counts.barrier as f64);
-            r.push_field("MSG_PACKET_IN_RATE", windowing.rate(counts.packet_in));
-            r.push_field("MSG_FLOW_MOD_RATE", windowing.rate(counts.flow_mod));
-            r.push_field("MSG_FLOW_REMOVED_RATE", windowing.rate(counts.flow_removed));
+            r.push_field(catalog::MSG_PACKET_IN_COUNT, counts.packet_in as f64);
+            r.push_field(catalog::MSG_PACKET_OUT_COUNT, counts.packet_out as f64);
+            r.push_field(catalog::MSG_FLOW_MOD_COUNT, counts.flow_mod as f64);
+            r.push_field(catalog::MSG_FLOW_REMOVED_COUNT, counts.flow_removed as f64);
+            r.push_field(catalog::MSG_PORT_STATUS_COUNT, counts.port_status as f64);
             r.push_field(
-                "MSG_PACKET_IN_COUNT_VAR",
+                catalog::MSG_STATS_REQUEST_COUNT,
+                counts.stats_request as f64,
+            );
+            r.push_field(catalog::MSG_STATS_REPLY_COUNT, counts.stats_reply as f64);
+            r.push_field(catalog::MSG_ECHO_COUNT, counts.echo as f64);
+            r.push_field(catalog::MSG_BARRIER_COUNT, counts.barrier as f64);
+            r.push_field(
+                catalog::MSG_PACKET_IN_RATE,
+                windowing.rate(counts.packet_in),
+            );
+            r.push_field(catalog::MSG_FLOW_MOD_RATE, windowing.rate(counts.flow_mod));
+            r.push_field(
+                catalog::MSG_FLOW_REMOVED_RATE,
+                windowing.rate(counts.flow_removed),
+            );
+            r.push_field(
+                catalog::MSG_PACKET_IN_COUNT_VAR,
                 counts.packet_in as f64 - prev.packet_in as f64,
             );
             r.push_field(
-                "MSG_FLOW_MOD_COUNT_VAR",
+                catalog::MSG_FLOW_MOD_COUNT_VAR,
                 counts.flow_mod as f64 - prev.flow_mod as f64,
             );
             r.push_field(
-                "MSG_PACKET_OUT_COUNT_VAR",
+                catalog::MSG_PACKET_OUT_COUNT_VAR,
                 counts.packet_out as f64 - prev.packet_out as f64,
             );
-            r.push_field("MSG_TOTAL_COUNT", counts.total() as f64);
+            r.push_field(catalog::MSG_TOTAL_COUNT, counts.total() as f64);
             self.records_generated += 1;
             out.push(r);
         }
@@ -308,11 +322,11 @@ impl FeatureGenerator {
         before - self.tracked_entries()
     }
 
-    fn meta(&self, now: SimTime, message_type: &str, athena_polled: bool) -> MetaData {
+    fn meta(&self, now: SimTime, message_type: MessageType, athena_polled: bool) -> MetaData {
         MetaData {
             timestamp: now,
             controller: self.controller,
-            message_type: message_type.to_owned(),
+            message_type,
             athena_polled,
         }
     }
@@ -333,16 +347,8 @@ impl FeatureGenerator {
         }
     }
 
-    /// Per-flow + per-switch features from a flow-stats snapshot.
-    ///
-    /// Runs in two phases so the expensive part can go wide: a
-    /// sequential *stateful* pass (previous-sample table updates, app
-    /// resolution, per-switch aggregation — everything that touches
-    /// `&mut self` or the non-`Sync` `app_of`), then a pure
-    /// record-construction pass that runs on the `athena-parallel` pool
-    /// for large snapshots. Ordered reduction keeps the emitted record
-    /// order — and therefore store contents — byte-identical at any
-    /// `ATHENA_THREADS`.
+    /// Per-flow + per-switch features from a flow-stats snapshot, in
+    /// entry order, then the switch aggregate, then the host aggregates.
     fn flow_stats_features(
         &mut self,
         from: Dpid,
@@ -369,8 +375,8 @@ impl FeatureGenerator {
         let mut total_bytes = 0u64;
         let mut total_duration = 0.0f64;
 
-        // Phase 1 (sequential): state updates and per-entry derivations.
-        let mut derived = Vec::with_capacity(entries.len());
+        let meta = self.meta(now, MessageType::FLOW_STATS, polled);
+        let mut out = Vec::with_capacity(entries.len() + 2);
         for e in entries {
             let ft = e.match_fields.five_tuple();
             if let Some(ft) = ft {
@@ -389,59 +395,42 @@ impl FeatureGenerator {
             total_packets += e.packet_count;
             total_bytes += e.byte_count;
             total_duration += e.duration.as_secs_f64();
-            derived.push(FlowDerived {
+            let stateful = FlowState {
                 app: app_of(e.cookie),
                 prev,
                 is_pair: ft.is_some_and(|t| tuples.contains(&t.reversed())),
-            });
+                pair_ratio,
+            };
+            out.push(build_flow_record(from, meta.clone(), e, &stateful));
         }
-
-        // Phase 2 (parallel for large snapshots): pure record
-        // construction from the frozen per-entry inputs.
-        let meta = self.meta(now, "FLOW_STATS", polled);
-        let mut out: Vec<FeatureRecord> = if entries.len() >= PAR_THRESHOLD {
-            let shared = Arc::new(entries.to_vec());
-            let derived = Arc::new(derived);
-            let meta = meta.clone();
-            athena_parallel::par_map_indexed(shared.len(), move |i| {
-                build_flow_record(from, meta.clone(), pair_ratio, &shared[i], &derived[i])
-            })
-        } else {
-            entries
-                .iter()
-                .zip(&derived)
-                .map(|(e, d)| build_flow_record(from, meta.clone(), pair_ratio, e, d))
-                .collect()
-        };
-        out.reserve(2);
 
         // The per-switch stateful aggregate record.
         if !entries.is_empty() {
             let mut r = FeatureRecord::new(FeatureIndex::switch(from)).with_meta(self.meta(
                 now,
-                "SWITCH_STATE",
+                MessageType::SWITCH_STATE,
                 polled,
             ));
-            r.push_field("SWITCH_FLOW_COUNT", entries.len() as f64);
-            r.push_field("SWITCH_PAIR_FLOW_COUNT", pair_count as f64);
-            r.push_field("SWITCH_PAIR_FLOW_RATIO", pair_ratio);
+            r.push_field(catalog::SWITCH_FLOW_COUNT, entries.len() as f64);
+            r.push_field(catalog::SWITCH_PAIR_FLOW_COUNT, pair_count as f64);
+            r.push_field(catalog::SWITCH_PAIR_FLOW_RATIO, pair_ratio);
             r.push_field(
-                "SWITCH_AVG_FLOW_DURATION",
+                catalog::SWITCH_AVG_FLOW_DURATION,
                 total_duration / entries.len() as f64,
             );
-            r.push_field("SWITCH_UNIQUE_SRC_COUNT", unique_src.len() as f64);
-            r.push_field("SWITCH_UNIQUE_DST_COUNT", unique_dst.len() as f64);
+            r.push_field(catalog::SWITCH_UNIQUE_SRC_COUNT, unique_src.len() as f64);
+            r.push_field(catalog::SWITCH_UNIQUE_DST_COUNT, unique_dst.len() as f64);
             r.push_field(
-                "SWITCH_SRC_DST_RATIO",
+                catalog::SWITCH_SRC_DST_RATIO,
                 safe_div(unique_src.len() as f64, unique_dst.len() as f64),
             );
             let athena_rules = entries
                 .iter()
                 .filter(|e| app_of(e.cookie) == AppId::new(9))
                 .count();
-            r.push_field("SWITCH_APP_FLOW_COUNT", athena_rules as f64);
-            r.push_field("SWITCH_PACKET_COUNT_TOTAL", total_packets as f64);
-            r.push_field("SWITCH_BYTE_COUNT_TOTAL", total_bytes as f64);
+            r.push_field(catalog::SWITCH_APP_FLOW_COUNT, athena_rules as f64);
+            r.push_field(catalog::SWITCH_PACKET_COUNT_TOTAL, total_packets as f64);
+            r.push_field(catalog::SWITCH_BYTE_COUNT_TOTAL, total_bytes as f64);
             out.push(r);
 
             // Per-host stateful aggregates from the same snapshot.
@@ -451,9 +440,7 @@ impl FeatureGenerator {
     }
 
     /// Per-host aggregates: fan-out/fan-in, byte/packet totals, and pair
-    /// ratio, keyed by host address. The aggregation pass is stateful
-    /// and sequential; record construction parallelizes for large host
-    /// sets (ordered, so output order matches the sequential run).
+    /// ratio, keyed by host address.
     fn host_features(
         &mut self,
         from: Dpid,
@@ -486,17 +473,11 @@ impl FeatureGenerator {
         let mut hosts: Vec<_> = hosts.into_iter().collect();
         hosts.sort_by_key(|(ip, _)| *ip);
         self.records_generated += hosts.len() as u64;
-        let meta = self.meta(now, "HOST_STATE", polled);
-        if hosts.len() >= PAR_THRESHOLD {
-            athena_parallel::par_map(hosts, move |(ip, agg)| {
-                build_host_record(from, meta.clone(), *ip, agg)
-            })
-        } else {
-            hosts
-                .into_iter()
-                .map(|(ip, agg)| build_host_record(from, meta.clone(), ip, &agg))
-                .collect()
-        }
+        let meta = self.meta(now, MessageType::HOST_STATE, polled);
+        hosts
+            .into_iter()
+            .map(|(ip, agg)| build_host_record(from, meta.clone(), ip, &agg))
+            .collect()
     }
 
     fn port_stats_features(
@@ -510,21 +491,21 @@ impl FeatureGenerator {
         let mut out = Vec::with_capacity(entries.len());
         for e in entries {
             let mut r = FeatureRecord::new(FeatureIndex::port(from, e.port_no))
-                .with_meta(self.meta(now, "PORT_STATS", polled));
-            r.push_field("PORT_RX_PACKETS", e.rx_packets as f64);
-            r.push_field("PORT_TX_PACKETS", e.tx_packets as f64);
-            r.push_field("PORT_RX_BYTES", e.rx_bytes as f64);
-            r.push_field("PORT_TX_BYTES", e.tx_bytes as f64);
-            r.push_field("PORT_RX_DROPPED", e.rx_dropped as f64);
-            r.push_field("PORT_TX_DROPPED", e.tx_dropped as f64);
-            r.push_field("PORT_RX_ERRORS", e.rx_errors as f64);
-            r.push_field("PORT_TX_ERRORS", e.tx_errors as f64);
+                .with_meta(self.meta(now, MessageType::PORT_STATS, polled));
+            r.push_field(catalog::PORT_RX_PACKETS, e.rx_packets as f64);
+            r.push_field(catalog::PORT_TX_PACKETS, e.tx_packets as f64);
+            r.push_field(catalog::PORT_RX_BYTES, e.rx_bytes as f64);
+            r.push_field(catalog::PORT_TX_BYTES, e.tx_bytes as f64);
+            r.push_field(catalog::PORT_RX_DROPPED, e.rx_dropped as f64);
+            r.push_field(catalog::PORT_TX_DROPPED, e.tx_dropped as f64);
+            r.push_field(catalog::PORT_RX_ERRORS, e.rx_errors as f64);
+            r.push_field(catalog::PORT_TX_ERRORS, e.tx_errors as f64);
             r.push_field(
-                "PORT_RX_BYTE_PER_PACKET",
+                catalog::PORT_RX_BYTE_PER_PACKET,
                 safe_div(e.rx_bytes as f64, e.rx_packets as f64),
             );
             r.push_field(
-                "PORT_TX_BYTE_PER_PACKET",
+                catalog::PORT_TX_BYTE_PER_PACKET,
                 safe_div(e.tx_bytes as f64, e.tx_packets as f64),
             );
             let prev = self.prev_port.insert(
@@ -538,43 +519,46 @@ impl FeatureGenerator {
             let rx_var = e.rx_bytes as f64 - p.rx_bytes as f64;
             let tx_var = e.tx_bytes as f64 - p.tx_bytes as f64;
             r.push_field(
-                "PORT_RX_PACKETS_VAR",
+                catalog::PORT_RX_PACKETS_VAR,
                 e.rx_packets as f64 - p.rx_packets as f64,
             );
             r.push_field(
-                "PORT_TX_PACKETS_VAR",
+                catalog::PORT_TX_PACKETS_VAR,
                 e.tx_packets as f64 - p.tx_packets as f64,
             );
-            r.push_field("PORT_RX_BYTES_VAR", rx_var);
-            r.push_field("PORT_TX_BYTES_VAR", tx_var);
+            r.push_field(catalog::PORT_RX_BYTES_VAR, rx_var);
+            r.push_field(catalog::PORT_TX_BYTES_VAR, tx_var);
             r.push_field(
-                "PORT_RX_DROPPED_VAR",
+                catalog::PORT_RX_DROPPED_VAR,
                 e.rx_dropped as f64 - p.rx_dropped as f64,
             );
             r.push_field(
-                "PORT_TX_DROPPED_VAR",
+                catalog::PORT_TX_DROPPED_VAR,
                 e.tx_dropped as f64 - p.tx_dropped as f64,
             );
             r.push_field(
-                "PORT_RX_ERRORS_VAR",
+                catalog::PORT_RX_ERRORS_VAR,
                 e.rx_errors as f64 - p.rx_errors as f64,
             );
             r.push_field(
-                "PORT_TX_ERRORS_VAR",
+                catalog::PORT_TX_ERRORS_VAR,
                 e.tx_errors as f64 - p.tx_errors as f64,
             );
             // Utilization over the sampling window.
             r.push_field(
-                "PORT_RX_UTILIZATION",
+                catalog::PORT_RX_UTILIZATION,
                 windowing.rate_f64(rx_var.max(0.0) * 8.0) / NOMINAL_CAPACITY_BPS,
             );
             r.push_field(
-                "PORT_TX_UTILIZATION",
+                catalog::PORT_TX_UTILIZATION,
                 windowing.rate_f64(tx_var.max(0.0) * 8.0) / NOMINAL_CAPACITY_BPS,
             );
             let dropped = e.rx_dropped + e.tx_dropped;
             let seen = e.rx_packets + e.tx_packets + dropped;
-            r.push_field("PORT_DROP_RATIO", safe_div(dropped as f64, seen as f64));
+            r.push_field(
+                catalog::PORT_DROP_RATIO,
+                safe_div(dropped as f64, seen as f64),
+            );
             out.push(r);
         }
         self.records_generated += out.len() as u64;
@@ -582,13 +566,13 @@ impl FeatureGenerator {
     }
 }
 
-/// Per-entry inputs frozen by the stateful phase so the record-building
-/// phase is a pure function fit for the parallel pool.
+/// What the generator's tracked state says about one flow-stats entry.
 #[derive(Debug, Clone, Copy)]
-struct FlowDerived {
+struct FlowState {
     app: AppId,
     prev: Option<PrevFlowSample>,
     is_pair: bool,
+    pair_ratio: f64,
 }
 
 /// Per-host aggregate accumulated from one flow-stats snapshot.
@@ -605,14 +589,12 @@ struct HostAgg {
     paired: u64,
 }
 
-/// Builds one `FLOW_STATS` record from an entry and its frozen derived
-/// inputs. Pure: safe to run on any pool worker.
+/// Builds one `FLOW_STATS` record from an entry and its tracked state.
 fn build_flow_record(
     from: Dpid,
     meta: MetaData,
-    pair_ratio: f64,
     e: &FlowStatsEntry,
-    d: &FlowDerived,
+    d: &FlowState,
 ) -> FeatureRecord {
     let ft = e.match_fields.five_tuple();
     let mut index = FeatureIndex::switch(from);
@@ -621,81 +603,84 @@ fn build_flow_record(
     let mut r = FeatureRecord::new(index).with_meta(meta);
 
     let dur = e.duration.as_secs_f64();
-    r.push_field("FLOW_PACKET_COUNT", e.packet_count as f64);
-    r.push_field("FLOW_BYTE_COUNT", e.byte_count as f64);
-    r.push_field("FLOW_DURATION_SEC", e.duration_sec() as f64);
-    r.push_field("FLOW_DURATION_NSEC", e.duration_nsec() as f64);
-    r.push_field("FLOW_PRIORITY", f64::from(e.priority));
-    r.push_field("FLOW_IDLE_TIMEOUT", e.idle_timeout.as_secs_f64());
-    r.push_field("FLOW_HARD_TIMEOUT", e.hard_timeout.as_secs_f64());
-    r.push_field("FLOW_TABLE_ID", f64::from(e.table_id));
+    r.push_field(catalog::FLOW_PACKET_COUNT, e.packet_count as f64);
+    r.push_field(catalog::FLOW_BYTE_COUNT, e.byte_count as f64);
+    r.push_field(catalog::FLOW_DURATION_SEC, e.duration_sec() as f64);
+    r.push_field(catalog::FLOW_DURATION_NSEC, e.duration_nsec() as f64);
+    r.push_field(catalog::FLOW_PRIORITY, f64::from(e.priority));
+    r.push_field(catalog::FLOW_IDLE_TIMEOUT, e.idle_timeout.as_secs_f64());
+    r.push_field(catalog::FLOW_HARD_TIMEOUT, e.hard_timeout.as_secs_f64());
+    r.push_field(catalog::FLOW_TABLE_ID, f64::from(e.table_id));
     if let Some(ft) = ft {
-        r.push_field("FLOW_IP_PROTO", f64::from(ft.proto.number()));
-        r.push_field("FLOW_IP_SRC", f64::from(ft.src.raw()));
-        r.push_field("FLOW_IP_DST", f64::from(ft.dst.raw()));
-        r.push_field("FLOW_TP_SRC", f64::from(ft.src_port));
-        r.push_field("FLOW_TP_DST", f64::from(ft.dst_port));
+        r.push_field(catalog::FLOW_IP_PROTO, f64::from(ft.proto.number()));
+        r.push_field(catalog::FLOW_IP_SRC, f64::from(ft.src.raw()));
+        r.push_field(catalog::FLOW_IP_DST, f64::from(ft.dst.raw()));
+        r.push_field(catalog::FLOW_TP_SRC, f64::from(ft.src_port));
+        r.push_field(catalog::FLOW_TP_DST, f64::from(ft.dst_port));
     }
     if let Some(et) = e.match_fields.eth_type {
-        r.push_field("FLOW_ETH_TYPE", f64::from(et.number()));
+        r.push_field(catalog::FLOW_ETH_TYPE, f64::from(et.number()));
     }
     if let Some(p) = athena_openflow::Action::first_output(&e.actions) {
-        r.push_field("FLOW_ACTION_OUTPUT_PORT", f64::from(p.raw()));
+        r.push_field(catalog::FLOW_ACTION_OUTPUT_PORT, f64::from(p.raw()));
     }
     // Combination features.
     r.push_field(
-        "FLOW_BYTE_PER_PACKET",
+        catalog::FLOW_BYTE_PER_PACKET,
         safe_div(e.byte_count as f64, e.packet_count as f64),
     );
     r.push_field(
-        "FLOW_PACKET_PER_DURATION",
+        catalog::FLOW_PACKET_PER_DURATION,
         safe_div(e.packet_count as f64, dur),
     );
-    r.push_field("FLOW_BYTE_PER_DURATION", safe_div(e.byte_count as f64, dur));
     r.push_field(
-        "FLOW_UTILIZATION",
+        catalog::FLOW_BYTE_PER_DURATION,
+        safe_div(e.byte_count as f64, dur),
+    );
+    r.push_field(
+        catalog::FLOW_UTILIZATION,
         safe_div(e.byte_count as f64 * 8.0, dur) / NOMINAL_CAPACITY_BPS,
     );
-    // Stateful features (derived in the sequential phase).
-    r.push_field("PAIR_FLOW", f64::from(u8::from(d.is_pair)));
-    r.push_field("PAIR_FLOW_RATIO", pair_ratio);
-    r.push_field("FLOW_APP_ID", f64::from(d.app.raw()));
+    // Stateful features.
+    r.push_field(catalog::PAIR_FLOW, f64::from(u8::from(d.is_pair)));
+    r.push_field(catalog::PAIR_FLOW_RATIO, d.pair_ratio);
+    r.push_field(catalog::FLOW_APP_ID, f64::from(d.app.raw()));
     r.push_field(
-        "FLOW_ORIGIN_REACTIVE",
+        catalog::FLOW_ORIGIN_REACTIVE,
         f64::from(u8::from(!e.idle_timeout.is_zero())),
     );
     // Variation features against the previous sample.
     if let Some(p) = d.prev {
         r.push_field(
-            "FLOW_PACKET_COUNT_VAR",
+            catalog::FLOW_PACKET_COUNT_VAR,
             e.packet_count as f64 - p.packet_count as f64,
         );
         r.push_field(
-            "FLOW_BYTE_COUNT_VAR",
+            catalog::FLOW_BYTE_COUNT_VAR,
             e.byte_count as f64 - p.byte_count as f64,
         );
         r.push_field(
-            "FLOW_DURATION_SEC_VAR",
+            catalog::FLOW_DURATION_SEC_VAR,
             e.duration_sec() as f64 - p.duration_sec as f64,
         );
         let prev_bpp = safe_div(p.byte_count as f64, p.packet_count as f64);
         r.push_field(
-            "FLOW_BYTE_PER_PACKET_VAR",
+            catalog::FLOW_BYTE_PER_PACKET_VAR,
             safe_div(e.byte_count as f64, e.packet_count as f64) - prev_bpp,
         );
     } else {
-        r.push_field("FLOW_PACKET_COUNT_VAR", e.packet_count as f64);
-        r.push_field("FLOW_BYTE_COUNT_VAR", e.byte_count as f64);
-        r.push_field("FLOW_DURATION_SEC_VAR", e.duration_sec() as f64);
+        r.push_field(catalog::FLOW_PACKET_COUNT_VAR, e.packet_count as f64);
+        r.push_field(catalog::FLOW_BYTE_COUNT_VAR, e.byte_count as f64);
+        r.push_field(catalog::FLOW_DURATION_SEC_VAR, e.duration_sec() as f64);
         r.push_field(
-            "FLOW_BYTE_PER_PACKET_VAR",
+            catalog::FLOW_BYTE_PER_PACKET_VAR,
             safe_div(e.byte_count as f64, e.packet_count as f64),
         );
     }
     r
 }
 
-/// Builds one `HOST_STATE` record. Pure: safe to run on any pool worker.
+/// Builds one `HOST_STATE` record.
 fn build_host_record(
     from: Dpid,
     meta: MetaData,
@@ -705,16 +690,16 @@ fn build_host_record(
     let mut index = FeatureIndex::switch(from);
     index.host = Some(ip);
     let mut r = FeatureRecord::new(index).with_meta(meta);
-    r.push_field("HOST_OUT_FLOW_COUNT", agg.out_flows as f64);
-    r.push_field("HOST_IN_FLOW_COUNT", agg.in_flows as f64);
-    r.push_field("HOST_TX_BYTES", agg.tx_bytes as f64);
-    r.push_field("HOST_RX_BYTES", agg.rx_bytes as f64);
-    r.push_field("HOST_TX_PACKETS", agg.tx_packets as f64);
-    r.push_field("HOST_RX_PACKETS", agg.rx_packets as f64);
-    r.push_field("HOST_FANOUT", agg.fanout.len() as f64);
-    r.push_field("HOST_FANIN", agg.fanin.len() as f64);
+    r.push_field(catalog::HOST_OUT_FLOW_COUNT, agg.out_flows as f64);
+    r.push_field(catalog::HOST_IN_FLOW_COUNT, agg.in_flows as f64);
+    r.push_field(catalog::HOST_TX_BYTES, agg.tx_bytes as f64);
+    r.push_field(catalog::HOST_RX_BYTES, agg.rx_bytes as f64);
+    r.push_field(catalog::HOST_TX_PACKETS, agg.tx_packets as f64);
+    r.push_field(catalog::HOST_RX_PACKETS, agg.rx_packets as f64);
+    r.push_field(catalog::HOST_FANOUT, agg.fanout.len() as f64);
+    r.push_field(catalog::HOST_FANIN, agg.fanin.len() as f64);
     r.push_field(
-        "HOST_PAIR_RATIO",
+        catalog::HOST_PAIR_RATIO,
         safe_div(agg.paired as f64, agg.out_flows as f64),
     );
     r

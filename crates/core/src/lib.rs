@@ -66,7 +66,7 @@ pub mod nb;
 pub mod sb;
 
 pub use athena::{Athena, AthenaConfig};
-pub use feature::catalog::{self, FeatureCategory};
+pub use feature::catalog::{self, FeatureCategory, FeatureId, FieldName, MessageType};
 pub use feature::format::{FeatureIndex, FeatureRecord, MetaData};
 pub use feature::generator::FeatureGenerator;
 pub use feature::window::{Boundaries, Windowing};

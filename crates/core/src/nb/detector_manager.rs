@@ -8,6 +8,7 @@
 //! small dataset, it handles the request on a single instance to reduce
 //! communication overhead."
 
+use crate::feature::catalog::FieldName;
 use crate::feature::format::FeatureRecord;
 use crate::nb::feature_manager::FeatureManager;
 use athena_compute::ComputeCluster;
@@ -29,8 +30,10 @@ pub struct DetectionModel {
     /// The fitted preprocessing chain (applied identically at validation
     /// and online-detection time).
     pub preprocessor: FittedPreprocessor,
-    /// The feature fields the model consumes, in order.
-    pub features: Vec<String>,
+    /// The feature fields the model consumes, in order: resolved against
+    /// the catalog when the model is built or loaded, so scoring a
+    /// record compares handles, not names.
+    pub features: Vec<FieldName>,
     /// The algorithm's display name.
     pub algorithm: String,
     /// Training-set size.
@@ -97,7 +100,7 @@ impl DetectionModel {
     /// Scores one feature record; `None` if the record lacks the model's
     /// features.
     pub fn score(&self, record: &FeatureRecord) -> Option<f64> {
-        let v = record.vector(&self.features)?;
+        let v = record.values(&self.features)?;
         let p = self.preprocessor.apply_point(&LabeledPoint::unlabeled(v));
         Some(self.model.predict(&p.features))
     }
@@ -203,7 +206,7 @@ impl DetectorManager {
         Ok(DetectionModel {
             model,
             preprocessor: fitted,
-            features: features.to_vec(),
+            features: features.iter().map(FieldName::from).collect(),
             algorithm: algorithm.name().to_owned(),
             trained_on: n,
         })
@@ -227,7 +230,7 @@ impl DetectorManager {
         }
 
         for r in records {
-            let Some(v) = r.vector(&model.features) else {
+            let Some(v) = r.values(&model.features) else {
                 continue;
             };
             let point = model.preprocessor.apply_point(&LabeledPoint::unlabeled(v));

@@ -5,6 +5,7 @@
 //! the *event delivery table* matching live features against registered
 //! constraints, and converts feature sets into ML training data.
 
+use crate::feature::catalog::FieldName;
 use crate::feature::format::{FeatureRecord, RawDocument};
 use crate::nb::query::Query;
 use athena_ml::LabeledPoint;
@@ -158,14 +159,13 @@ impl FeatureManager {
         let docs = self
             .collection
             .find(&query.to_filter(), &query.to_find_options());
-        let mut records: Vec<FeatureRecord> =
-            docs.iter().map(FeatureRecord::from_document).collect();
-        if !query.features.is_empty() {
-            for r in &mut records {
-                r.fields.retain(|(name, _)| query.features.contains(name));
-            }
+        if query.features.is_empty() {
+            return docs.iter().map(FeatureRecord::from_document).collect();
         }
-        records
+        let wanted: Vec<FieldName> = query.features.iter().map(FieldName::from).collect();
+        docs.iter()
+            .map(|d| FeatureRecord::from_document_keeping(d, |name| wanted.contains(name)))
+            .collect()
     }
 
     /// Number of stored feature documents matching a query.
@@ -188,10 +188,14 @@ impl FeatureManager {
         features: &[impl AsRef<str>],
         truth: impl Fn(&FeatureRecord) -> bool,
     ) -> Vec<LabeledPoint> {
+        let features: Vec<FieldName> = features
+            .iter()
+            .map(|name| FieldName::from(name.as_ref()))
+            .collect();
         records
             .iter()
             .filter_map(|r| {
-                let v = r.vector(features)?;
+                let v = r.values(&features)?;
                 Some(LabeledPoint::new(v, f64::from(u8::from(truth(r)))))
             })
             .collect()

@@ -4,6 +4,7 @@
 //! generated network features, according to requests from Athena
 //! applications."
 
+use crate::feature::catalog::MessageType;
 use crate::feature::format::FeatureRecord;
 use athena_types::{Dpid, SimDuration};
 use std::collections::HashSet;
@@ -15,7 +16,7 @@ pub struct ResourceManager {
     /// Master switch: `false` silences all feature generation.
     pub monitoring_enabled: bool,
     disabled_switches: HashSet<Dpid>,
-    disabled_kinds: HashSet<String>,
+    disabled_kinds: HashSet<MessageType>,
     /// Athena's own statistics-poll period.
     pub poll_interval: SimDuration,
 }
@@ -47,7 +48,7 @@ impl ResourceManager {
     }
 
     /// Enables/disables a feature kind (message type, e.g. `PORT_STATS`).
-    pub fn set_kind_enabled(&mut self, kind: impl Into<String>, enabled: bool) {
+    pub fn set_kind_enabled(&mut self, kind: impl Into<MessageType>, enabled: bool) {
         let kind = kind.into();
         if enabled {
             self.disabled_kinds.remove(&kind);
@@ -81,7 +82,7 @@ mod tests {
 
     fn record(switch: u64, kind: &str) -> FeatureRecord {
         let mut r = FeatureRecord::new(FeatureIndex::switch(Dpid::new(switch)));
-        r.meta.message_type = kind.to_owned();
+        r.meta.message_type = kind.into();
         r
     }
 

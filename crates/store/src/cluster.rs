@@ -325,7 +325,7 @@ impl StoreCluster {
                         continue;
                     }
                     let holds = node.read_collection(&name, |c| c.get(doc.id).is_some());
-                    if targets.contains(&idx) {
+                    if targets.contains(idx) {
                         if !holds {
                             self.write_replica(
                                 node,
@@ -446,14 +446,23 @@ impl StoreCluster {
     /// replica set, with each down member handed off to the next live
     /// ring node not already holding a copy (consistent-hashing-style
     /// hinted handoff). Returns `(targets, handoff_count)`.
-    pub(crate) fn write_targets(&self, id: DocId) -> (Vec<usize>, u64) {
+    pub(crate) fn write_targets(&self, id: DocId) -> (WriteTargets, u64) {
         let n = self.nodes.len();
+        let primary = self.primary_for(id);
+        if self.replicas_for(id).all(|idx| self.nodes[idx].is_up()) {
+            let ring = WriteTargets::Preferred {
+                primary,
+                count: self.replication,
+                nodes: n,
+            };
+            return (ring, 0);
+        }
         let preferred: Vec<usize> = self.replicas_for(id).collect();
         let mut targets: Vec<usize> = Vec::with_capacity(preferred.len());
         let mut handoffs = 0u64;
         // The handoff cursor starts just past the preferred set and keeps
         // advancing, so two down replicas get two distinct stand-ins.
-        let mut cursor = (self.primary_for(id) + self.replication) % n;
+        let mut cursor = (primary + self.replication) % n;
         for &idx in &preferred {
             if self.nodes[idx].is_up() {
                 targets.push(idx);
@@ -474,7 +483,48 @@ impl StoreCluster {
                 }
             }
         }
-        (targets, handoffs)
+        (WriteTargets::HandedOff(targets), handoffs)
+    }
+}
+
+/// The nodes one insert writes to.
+#[derive(Debug)]
+pub(crate) enum WriteTargets {
+    /// Every preferred replica is up: `count` ring nodes from `primary`
+    /// (the healthy write path; nothing on the heap).
+    Preferred {
+        primary: usize,
+        count: usize,
+        nodes: usize,
+    },
+    /// A preferred replica was down: the live ones and the stand-ins.
+    HandedOff(Vec<usize>),
+}
+
+impl WriteTargets {
+    pub(crate) fn len(&self) -> usize {
+        match self {
+            WriteTargets::Preferred { count, .. } => *count,
+            WriteTargets::HandedOff(targets) => targets.len(),
+        }
+    }
+
+    pub(crate) fn iter(&self) -> impl Iterator<Item = usize> + '_ {
+        let (primary, count, nodes, listed): (usize, usize, usize, &[usize]) = match self {
+            WriteTargets::Preferred {
+                primary,
+                count,
+                nodes,
+            } => (*primary, *count, *nodes, &[]),
+            WriteTargets::HandedOff(targets) => (0, 0, 1, targets),
+        };
+        (0..count)
+            .map(move |k| (primary + k) % nodes)
+            .chain(listed.iter().copied())
+    }
+
+    pub(crate) fn contains(&self, idx: usize) -> bool {
+        self.iter().any(|t| t == idx)
     }
 }
 
@@ -551,7 +601,7 @@ impl CollectionHandle {
         let encoded_len = doc.encoded_len() as u64;
         doc.id = id;
         let doc = Arc::new(doc);
-        for node_idx in targets {
+        for node_idx in targets.iter() {
             let node = &self.cluster.nodes[node_idx];
             self.cluster
                 .write_replica(node, &self.name, &indexed, encoded_len, &doc);

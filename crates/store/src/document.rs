@@ -2,7 +2,10 @@
 
 use serde::{Deserialize, Serialize};
 use serde_json::{Map, Number, Value};
+use std::cmp::Ordering;
 use std::fmt::{self, Write};
+use std::hash::{Hash, Hasher};
+use std::sync::Arc;
 
 /// A document id, unique within a collection.
 #[derive(
@@ -13,6 +16,216 @@ pub struct DocId(pub u64);
 impl fmt::Display for DocId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "doc-{}", self.0)
+    }
+}
+
+/// A document field name: a string literal borrowed for the life of
+/// the program, or a shared heap string for names only known at run
+/// time (parsed from JSON, built by `format!`). Cloning either copies
+/// a pointer; neither allocates. Compares, orders and hashes as the
+/// string it names.
+#[derive(Clone)]
+pub enum Key {
+    /// A name spelled in the program text.
+    Static(&'static str),
+    /// A name built at run time, shared between its holders.
+    Shared(Arc<str>),
+}
+
+impl Key {
+    /// The name.
+    pub fn as_str(&self) -> &str {
+        match self {
+            Key::Static(s) => s,
+            Key::Shared(s) => s,
+        }
+    }
+}
+
+impl From<&'static str> for Key {
+    fn from(s: &'static str) -> Self {
+        Key::Static(s)
+    }
+}
+
+impl From<String> for Key {
+    fn from(s: String) -> Self {
+        Key::Shared(s.into())
+    }
+}
+
+impl From<&String> for Key {
+    fn from(s: &String) -> Self {
+        Key::Shared(s.as_str().into())
+    }
+}
+
+impl From<Arc<str>> for Key {
+    fn from(s: Arc<str>) -> Self {
+        Key::Shared(s)
+    }
+}
+
+impl AsRef<str> for Key {
+    fn as_ref(&self) -> &str {
+        self.as_str()
+    }
+}
+
+impl PartialEq for Key {
+    fn eq(&self, other: &Self) -> bool {
+        self.as_str() == other.as_str()
+    }
+}
+
+impl Eq for Key {}
+
+impl PartialEq<str> for Key {
+    fn eq(&self, other: &str) -> bool {
+        self.as_str() == other
+    }
+}
+
+impl PartialEq<&str> for Key {
+    fn eq(&self, other: &&str) -> bool {
+        self.as_str() == *other
+    }
+}
+
+impl PartialOrd for Key {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for Key {
+    fn cmp(&self, other: &Self) -> Ordering {
+        self.as_str().cmp(other.as_str())
+    }
+}
+
+impl Hash for Key {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.as_str().hash(state);
+    }
+}
+
+impl fmt::Debug for Key {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(self.as_str(), f)
+    }
+}
+
+impl fmt::Display for Key {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self.as_str())
+    }
+}
+
+/// A document body: `(name, value)` members in one vector, strictly
+/// sorted by name — one allocation per document, lookup by binary
+/// search, iteration (and so JSON text, [`Document::encoded_len`] and
+/// every digest over them) in name order.
+#[derive(Debug, Clone, PartialEq, Default)]
+pub struct Fields(Vec<(Key, Value)>);
+
+impl Fields {
+    /// Wraps members that are already strictly sorted by name (the
+    /// feature path assembles them in order and skips the sort).
+    /// Sortedness is the caller's contract, checked in debug builds.
+    pub fn from_sorted(members: Vec<(Key, Value)>) -> Self {
+        debug_assert!(
+            members.windows(2).all(|w| w[0].0 < w[1].0),
+            "members must be strictly sorted by name"
+        );
+        Fields(members)
+    }
+
+    /// Number of members.
+    pub fn len(&self) -> usize {
+        self.0.len()
+    }
+
+    /// Returns `true` if there are no members.
+    pub fn is_empty(&self) -> bool {
+        self.0.is_empty()
+    }
+
+    /// The members, in name order.
+    pub fn iter(&self) -> std::slice::Iter<'_, (Key, Value)> {
+        self.0.iter()
+    }
+
+    /// The value of the member called `name` (no path navigation).
+    pub fn get(&self, name: &str) -> Option<&Value> {
+        let i = self.position(name).ok()?;
+        self.0.get(i).map(|(_, v)| v)
+    }
+
+    /// Sets a member, replacing the value of an existing one.
+    pub fn insert(&mut self, key: Key, value: Value) {
+        match self.position(key.as_str()) {
+            Ok(i) => {
+                if let Some((_, slot)) = self.0.get_mut(i) {
+                    *slot = value;
+                }
+            }
+            Err(i) => self.0.insert(i, (key, value)),
+        }
+    }
+
+    fn position(&self, name: &str) -> Result<usize, usize> {
+        self.0.binary_search_by(|(k, _)| k.as_str().cmp(name))
+    }
+}
+
+impl<'a> IntoIterator for &'a Fields {
+    type Item = &'a (Key, Value);
+    type IntoIter = std::slice::Iter<'a, (Key, Value)>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.0.iter()
+    }
+}
+
+/// Collects members in any order; a repeated name keeps its last value.
+impl<K: Into<Key>> FromIterator<(K, Value)> for Fields {
+    fn from_iter<I: IntoIterator<Item = (K, Value)>>(iter: I) -> Self {
+        let mut members: Vec<(Key, Value)> = iter.into_iter().map(|(k, v)| (k.into(), v)).collect();
+        // Stable, so among equal names the last one pushed is last.
+        members.sort_by(|a, b| a.0.cmp(&b.0));
+        let mut fields = Fields(Vec::with_capacity(members.len()));
+        for (k, v) in members {
+            match fields.0.last_mut() {
+                Some(last) if last.0 == k => last.1 = v,
+                _ => fields.0.push((k, v)),
+            }
+        }
+        fields
+    }
+}
+
+impl From<Map<String, Value>> for Fields {
+    fn from(m: Map<String, Value>) -> Self {
+        // A `Map` iterates in name order with unique names.
+        Fields(m.into_iter().map(|(k, v)| (Key::from(k), v)).collect())
+    }
+}
+
+impl Serialize for Fields {
+    fn to_value(&self) -> Value {
+        Value::Object(
+            self.0
+                .iter()
+                .map(|(k, v)| (k.as_str().to_owned(), v.clone()))
+                .collect(),
+        )
+    }
+}
+
+impl Deserialize for Fields {
+    fn from_value(v: &Value) -> Result<Self, serde::Error> {
+        Map::from_value(v).map(Fields::from)
     }
 }
 
@@ -35,7 +248,7 @@ pub struct Document {
     /// The document id (assigned on insert; zero before).
     pub id: DocId,
     /// The fields.
-    pub fields: Map<String, Value>,
+    pub fields: Fields,
 }
 
 impl Document {
@@ -51,27 +264,20 @@ impl Document {
         match v {
             Value::Object(fields) => Document {
                 id: DocId(0),
-                fields,
+                fields: fields.into(),
             },
-            other => {
-                let mut fields = Map::new();
-                fields.insert("value".to_owned(), other);
-                Document {
-                    id: DocId(0),
-                    fields,
-                }
-            }
+            other => Document::new().with("value", other),
         }
     }
 
     /// Sets a field (builder style).
-    pub fn with(mut self, key: impl Into<String>, value: impl Into<Value>) -> Self {
-        self.fields.insert(key.into(), value.into());
+    pub fn with(mut self, key: impl Into<Key>, value: impl Into<Value>) -> Self {
+        self.set(key, value);
         self
     }
 
     /// Sets a field in place.
-    pub fn set(&mut self, key: impl Into<String>, value: impl Into<Value>) {
+    pub fn set(&mut self, key: impl Into<Key>, value: impl Into<Value>) {
         self.fields.insert(key.into(), value.into());
     }
 
@@ -105,18 +311,16 @@ impl Document {
     /// length of `serde_json::to_vec(&self.fields)`, computed from the
     /// borrowed fields without building a `Value` tree or the text.
     pub fn encoded_len(&self) -> usize {
-        object_len(&self.fields)
+        object_len(self.fields.iter().map(|(k, v)| (k.as_str(), v)))
     }
 }
 
-/// Length of `m` as one compact JSON object.
-fn object_len(m: &Map<String, Value>) -> usize {
+/// Length of the members as one compact JSON object.
+fn object_len<'a>(members: impl ExactSizeIterator<Item = (&'a str, &'a Value)>) -> usize {
     // Braces, one comma between members, one colon per member.
-    let members: usize = m
-        .iter()
-        .map(|(k, v)| string_len(k) + 1 + value_len(v))
-        .sum();
-    2 + m.len().saturating_sub(1) + members
+    let commas = members.len().saturating_sub(1);
+    let members: usize = members.map(|(k, v)| string_len(k) + 1 + value_len(v)).sum();
+    2 + commas + members
 }
 
 fn value_len(v: &Value) -> usize {
@@ -126,7 +330,7 @@ fn value_len(v: &Value) -> usize {
         Value::Number(n) => number_len(n),
         Value::String(s) => string_len(s),
         Value::Array(a) => 2 + a.len().saturating_sub(1) + a.iter().map(value_len).sum::<usize>(),
-        Value::Object(m) => object_len(m),
+        Value::Object(m) => object_len(m.iter().map(|(k, v)| (k.as_str(), v))),
     }
 }
 
@@ -195,7 +399,7 @@ impl From<Value> for Document {
 
 impl fmt::Display for Document {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}: {}", self.id, Value::Object(self.fields.clone()))
+        write!(f, "{}: {}", self.id, self.fields.to_value())
     }
 }
 

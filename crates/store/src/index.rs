@@ -2,15 +2,18 @@
 
 use crate::document::DocId;
 use serde_json::Value;
+use std::borrow::Borrow;
+use std::cmp::Ordering;
 use std::collections::BTreeMap;
 use std::fmt;
+use std::sync::Arc;
 
 /// An orderable key extracted from a JSON scalar.
 ///
 /// Cross-type ordering follows the same type ranking as
 /// [`crate::filter::compare_values`] so index scans and comparison filters
 /// agree.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub enum IndexKey {
     /// JSON null.
     Null,
@@ -19,48 +22,133 @@ pub enum IndexKey {
     /// Any JSON number, compared as `f64`.
     Num(f64),
     /// JSON string.
-    Str(String),
+    Str(Arc<str>),
 }
 
 impl IndexKey {
     /// Extracts a key from a JSON value; arrays/objects are unindexable.
     pub fn from_value(v: &Value) -> Option<IndexKey> {
+        KeyRef::of(v).map(KeyRef::to_owned)
+    }
+}
+
+/// An [`IndexKey`] borrowed from the value it indexes: what inserts,
+/// removes and lookups search the map with, so only the first document
+/// under a string key pays for an owned copy of it.
+#[derive(Clone, Copy)]
+enum KeyRef<'a> {
+    Null,
+    Bool(bool),
+    Num(f64),
+    Str(&'a str),
+}
+
+impl<'a> KeyRef<'a> {
+    fn of(v: &'a Value) -> Option<Self> {
         match v {
-            Value::Null => Some(IndexKey::Null),
-            Value::Bool(b) => Some(IndexKey::Bool(*b)),
-            Value::Number(_) => v.as_f64().map(IndexKey::Num),
-            Value::String(s) => Some(IndexKey::Str(s.clone())),
+            Value::Null => Some(KeyRef::Null),
+            Value::Bool(b) => Some(KeyRef::Bool(*b)),
+            Value::Number(_) => v.as_f64().map(KeyRef::Num),
+            Value::String(s) => Some(KeyRef::Str(s)),
             _ => None,
         }
     }
 
-    fn rank(&self) -> u8 {
+    fn to_owned(self) -> IndexKey {
         match self {
-            IndexKey::Null => 0,
-            IndexKey::Bool(_) => 1,
-            IndexKey::Num(_) => 2,
-            IndexKey::Str(_) => 3,
+            KeyRef::Null => IndexKey::Null,
+            KeyRef::Bool(b) => IndexKey::Bool(b),
+            KeyRef::Num(n) => IndexKey::Num(n),
+            KeyRef::Str(s) => IndexKey::Str(s.into()),
         }
+    }
+
+    fn rank(self) -> u8 {
+        match self {
+            KeyRef::Null => 0,
+            KeyRef::Bool(_) => 1,
+            KeyRef::Num(_) => 2,
+            KeyRef::Str(_) => 3,
+        }
+    }
+
+    fn cmp(self, other: Self) -> Ordering {
+        match (self, other) {
+            (KeyRef::Bool(a), KeyRef::Bool(b)) => a.cmp(&b),
+            (KeyRef::Num(a), KeyRef::Num(b)) => a.partial_cmp(&b).unwrap_or(Ordering::Equal),
+            (KeyRef::Str(a), KeyRef::Str(b)) => a.cmp(b),
+            _ => self.rank().cmp(&other.rank()),
+        }
+    }
+}
+
+/// Both key forms, seen as the borrowed one. `IndexKey` lends itself to
+/// the map as `dyn Keyed` (below), which is what lets a `KeyRef` find
+/// an owned key; every comparison therefore goes through `KeyRef::cmp`.
+trait Keyed {
+    fn key_ref(&self) -> KeyRef<'_>;
+}
+
+impl Keyed for IndexKey {
+    fn key_ref(&self) -> KeyRef<'_> {
+        match self {
+            IndexKey::Null => KeyRef::Null,
+            IndexKey::Bool(b) => KeyRef::Bool(*b),
+            IndexKey::Num(n) => KeyRef::Num(*n),
+            IndexKey::Str(s) => KeyRef::Str(s),
+        }
+    }
+}
+
+impl Keyed for KeyRef<'_> {
+    fn key_ref(&self) -> KeyRef<'_> {
+        *self
+    }
+}
+
+impl<'a> Borrow<dyn Keyed + 'a> for IndexKey {
+    fn borrow(&self) -> &(dyn Keyed + 'a) {
+        self
+    }
+}
+
+impl PartialEq for dyn Keyed + '_ {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other) == Ordering::Equal
+    }
+}
+
+impl Eq for dyn Keyed + '_ {}
+
+impl PartialOrd for dyn Keyed + '_ {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for dyn Keyed + '_ {
+    fn cmp(&self, other: &Self) -> Ordering {
+        self.key_ref().cmp(other.key_ref())
+    }
+}
+
+impl PartialEq for IndexKey {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other) == Ordering::Equal
     }
 }
 
 impl Eq for IndexKey {}
 
 impl PartialOrd for IndexKey {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
     }
 }
 
 impl Ord for IndexKey {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        use std::cmp::Ordering;
-        match (self, other) {
-            (IndexKey::Bool(a), IndexKey::Bool(b)) => a.cmp(b),
-            (IndexKey::Num(a), IndexKey::Num(b)) => a.partial_cmp(b).unwrap_or(Ordering::Equal),
-            (IndexKey::Str(a), IndexKey::Str(b)) => a.cmp(b),
-            _ => self.rank().cmp(&other.rank()),
-        }
+    fn cmp(&self, other: &Self) -> Ordering {
+        self.key_ref().cmp(other.key_ref())
     }
 }
 
@@ -110,31 +198,39 @@ impl SecondaryIndex {
 
     /// Indexes `id` under the document's value for the field, if indexable.
     pub fn insert(&mut self, id: DocId, value: &Value) {
-        if let Some(key) = IndexKey::from_value(value) {
-            self.map.entry(key).or_default().push(id);
-            self.entry_count += 1;
+        let Some(key) = KeyRef::of(value) else {
+            return;
+        };
+        match self.map.get_mut(&key as &dyn Keyed) {
+            Some(ids) => ids.push(id),
+            None => {
+                self.map.insert(key.to_owned(), vec![id]);
+            }
         }
+        self.entry_count += 1;
     }
 
     /// Removes `id` from under `value`.
     pub fn remove(&mut self, id: DocId, value: &Value) {
-        if let Some(key) = IndexKey::from_value(value) {
-            if let Some(ids) = self.map.get_mut(&key) {
-                if let Some(pos) = ids.iter().position(|x| *x == id) {
-                    ids.swap_remove(pos);
-                    self.entry_count -= 1;
-                }
-                if ids.is_empty() {
-                    self.map.remove(&key);
-                }
+        let Some(key) = KeyRef::of(value) else {
+            return;
+        };
+        let key = &key as &dyn Keyed;
+        if let Some(ids) = self.map.get_mut(key) {
+            if let Some(pos) = ids.iter().position(|x| *x == id) {
+                ids.swap_remove(pos);
+                self.entry_count -= 1;
+            }
+            if ids.is_empty() {
+                self.map.remove(key);
             }
         }
     }
 
     /// Ids of documents whose field equals `value`.
     pub fn lookup(&self, value: &Value) -> Vec<DocId> {
-        IndexKey::from_value(value)
-            .and_then(|k| self.map.get(&k))
+        KeyRef::of(value)
+            .and_then(|k| self.map.get(&k as &dyn Keyed))
             .cloned()
             .unwrap_or_default()
     }

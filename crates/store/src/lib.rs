@@ -48,7 +48,7 @@ pub mod query;
 
 pub use cluster::{ClusterMetrics, StoreCluster, StoreNode};
 pub use collection::Collection;
-pub use document::{DocId, Document};
+pub use document::{DocId, Document, Fields, Key};
 pub use filter::Filter;
 pub use persist::StoreRecoveryReport;
 pub use query::{Accumulator, AggStage, Aggregation, FindOptions, GroupSpec, SortOrder, SortSpec};

@@ -16,6 +16,7 @@ use crate::filter::Filter;
 use athena_persist::{record::kind, Journal, PersistConfig, Recovery};
 use athena_telemetry::Telemetry;
 use athena_types::{AthenaError, Result, VirtualClock};
+use serde::Serialize;
 use serde_json::{Map, Value};
 use std::collections::HashSet;
 use std::sync::atomic::Ordering;
@@ -64,7 +65,7 @@ pub(crate) mod ops {
             ("op", Value::from("insert")),
             ("coll", Value::from(coll)),
             ("id", Value::from(id.0)),
-            ("fields", Value::Object(doc.fields.clone())),
+            ("fields", doc.fields.to_value()),
         ])
     }
 
@@ -254,7 +255,7 @@ impl StoreCluster {
                         .map(|d| {
                             let mut dm = Map::new();
                             dm.insert("id".into(), Value::from(d.id.0));
-                            dm.insert("fields".into(), Value::Object(d.fields));
+                            dm.insert("fields".into(), d.fields.to_value());
                             Value::Object(dm)
                         })
                         .collect(),
@@ -390,11 +391,14 @@ impl StoreCluster {
     /// up during recovery, so placement is the preferred replica set),
     /// without journaling it again.
     fn apply_insert(&self, coll: &str, id: DocId, fields: Map<String, Value>) {
-        let doc = Arc::new(Document { id, fields });
+        let doc = Arc::new(Document {
+            id,
+            fields: fields.into(),
+        });
         let indexed = self.indexed_fields(coll);
         let encoded_len = doc.encoded_len() as u64;
         let (targets, _) = self.write_targets(id);
-        for node_idx in targets {
+        for node_idx in targets.iter() {
             self.write_replica(&self.nodes[node_idx], coll, &indexed, encoded_len, &doc);
         }
         self.next_id.fetch_max(id.0 + 1, Ordering::Relaxed);

@@ -4,10 +4,10 @@
 //! *aggregation*, and *limiting*, plus projections for feature
 //! re-organization.
 
-use crate::document::Document;
+use crate::document::{Document, Fields, Key};
 use crate::filter::{compare_values, Filter};
 use serde::{Deserialize, Serialize};
-use serde_json::{Map, Value};
+use serde_json::Value;
 use std::cmp::Ordering;
 use std::collections::HashMap;
 
@@ -106,11 +106,13 @@ impl FindOptions {
             docs.truncate(n);
         }
         if !self.projection.is_empty() {
+            // One shared name per projected path, not one per document.
+            let keys: Vec<Key> = self.projection.iter().map(Key::from).collect();
             for d in &mut docs {
-                let mut kept = Map::new();
-                for p in &self.projection {
-                    if let Some(v) = d.get(p) {
-                        kept.insert(p.clone(), v.clone());
+                let mut kept = Fields::default();
+                for key in &keys {
+                    if let Some(v) = d.get(key.as_str()) {
+                        kept.insert(key.clone(), v.clone());
                     }
                 }
                 d.fields = kept;
@@ -121,9 +123,9 @@ impl FindOptions {
 
     fn compare_docs(&self, a: &Document, b: &Document) -> Ordering {
         for spec in &self.sort {
-            let av = a.get(&spec.field).cloned().unwrap_or(Value::Null);
-            let bv = b.get(&spec.field).cloned().unwrap_or(Value::Null);
-            let ord = compare_values(&av, &bv);
+            let av = a.get(&spec.field).unwrap_or(&Value::Null);
+            let bv = b.get(&spec.field).unwrap_or(&Value::Null);
+            let ord = compare_values(av, bv);
             let ord = match spec.order {
                 SortOrder::Ascending => ord,
                 SortOrder::Descending => ord.reverse(),

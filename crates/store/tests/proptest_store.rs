@@ -197,3 +197,115 @@ proptest! {
         prop_assert_eq!(doc.encoded_len(), bytes.len());
     }
 }
+
+/// A few names that share prefixes, so edits collide and neighbours in
+/// name order are one character apart.
+const KEYS: [&str; 8] = ["a", "ab", "abc", "b", "B", "_", "k0", "k1"];
+
+#[derive(Debug, Clone)]
+enum DocOp {
+    Set(usize, serde_json::Value),
+    With(usize, serde_json::Value),
+    /// Rebuild from the JSON object.
+    FromValue,
+    /// Store in a shard and edit there (copy-on-write, index upkeep).
+    UpdateById(Vec<(usize, serde_json::Value)>),
+    /// Through JSON text and back.
+    Deserialise,
+}
+
+fn arb_member() -> impl Strategy<Value = serde_json::Value> {
+    use serde_json::Value;
+    prop_oneof![
+        (-1000i64..1000).prop_map(Value::from),
+        (any::<i32>(), 0i32..4)
+            .prop_map(|(m, scale)| Value::from(f64::from(m) / 10f64.powi(scale))),
+        arb_string().prop_map(Value::from),
+        // One level of nesting, for the dotted paths.
+        proptest::collection::vec((0usize..KEYS.len(), -9i64..9), 0..3).prop_map(|members| {
+            Value::Object(
+                members
+                    .into_iter()
+                    .map(|(k, v)| (KEYS[k].to_owned(), Value::from(v)))
+                    .collect(),
+            )
+        }),
+    ]
+}
+
+fn arb_doc_op() -> impl Strategy<Value = DocOp> {
+    prop_oneof![
+        (0usize..KEYS.len(), arb_member()).prop_map(|(k, v)| DocOp::Set(k, v)),
+        (0usize..KEYS.len(), arb_member()).prop_map(|(k, v)| DocOp::With(k, v)),
+        Just(DocOp::FromValue),
+        proptest::collection::vec((0usize..KEYS.len(), arb_member()), 0..4)
+            .prop_map(DocOp::UpdateById),
+        Just(DocOp::Deserialise),
+    ]
+}
+
+proptest! {
+    #[test]
+    fn document_keys_stay_sorted_and_lookups_agree_with_a_map(
+        ops in proptest::collection::vec(arb_doc_op(), 1..24),
+    ) {
+        use athena_store::collection::Collection;
+        use athena_store::DocId;
+        use serde_json::Value;
+        use std::collections::BTreeMap;
+
+        let mut doc = Document::new();
+        let mut oracle: BTreeMap<String, Value> = BTreeMap::new();
+        for op in ops {
+            match op {
+                DocOp::Set(k, v) => {
+                    doc.set(KEYS[k], v.clone());
+                    oracle.insert(KEYS[k].to_owned(), v);
+                }
+                DocOp::With(k, v) => {
+                    // Run-time names take the shared-string form of a key.
+                    doc = doc.with(KEYS[k].to_owned(), v.clone());
+                    oracle.insert(KEYS[k].to_owned(), v);
+                }
+                DocOp::FromValue => {
+                    doc = Document::from_value(Value::Object(oracle.clone().into_iter().collect()));
+                }
+                DocOp::UpdateById(changes) => {
+                    let changes: Vec<(String, Value)> = changes
+                        .into_iter()
+                        .map(|(k, v)| (KEYS[k].to_owned(), v))
+                        .collect();
+                    let mut shard = Collection::new("c");
+                    shard.create_index("a");
+                    shard.insert_with_id(DocId(7), doc);
+                    prop_assert!(shard.update_by_id(DocId(7), &changes));
+                    doc = shard.get(DocId(7)).cloned().unwrap();
+                    doc.id = DocId(0);
+                    oracle.extend(changes);
+                }
+                DocOp::Deserialise => {
+                    let text = serde_json::to_string(&doc).unwrap();
+                    doc = serde_json::from_str(&text).unwrap();
+                }
+            }
+            let keys: Vec<&str> = doc.fields.iter().map(|(k, _)| k.as_str()).collect();
+            prop_assert!(keys.windows(2).all(|w| w[0] < w[1]), "{:?}", keys);
+            prop_assert_eq!(keys, oracle.keys().map(String::as_str).collect::<Vec<_>>());
+            for name in KEYS {
+                prop_assert_eq!(doc.get(name), oracle.get(name), "{}", name);
+                for inner in KEYS {
+                    let nested = oracle
+                        .get(name)
+                        .and_then(Value::as_object)
+                        .and_then(|m| m.get(inner));
+                    prop_assert_eq!(doc.get(&format!("{name}.{inner}")), nested);
+                }
+            }
+            // Same members, same order, same bytes as the map would print.
+            prop_assert_eq!(
+                serde_json::to_string(&doc.fields).unwrap(),
+                serde_json::to_string(&oracle).unwrap()
+            );
+        }
+    }
+}

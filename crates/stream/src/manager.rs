@@ -25,7 +25,7 @@
 //! `e2e_stream.rs` gate both watch the ≤ 15 virtual-second bound.
 
 use crate::online::OnlineSpec;
-use athena_core::{AlertHandler, Athena, DetectionModel, FeatureRecord, Query};
+use athena_core::{AlertHandler, Athena, DetectionModel, FeatureRecord, FieldName, Query};
 use athena_ml::{LabeledPoint, Preprocessor};
 use athena_telemetry::{names, Counter, Gauge, Histogram, Telemetry};
 use athena_types::sentinel::TrackedMutex;
@@ -192,11 +192,11 @@ impl RetrainLoop {
         {
             let live = Arc::clone(&live);
             let truth = Arc::clone(&truth);
-            let features = cfg.features.clone();
+            let features: Vec<FieldName> = cfg.features.iter().map(FieldName::from).collect();
             athena.add_event_handler(
                 query,
                 Box::new(move |r| {
-                    if let Some(v) = r.vector(&features) {
+                    if let Some(v) = r.values(&features) {
                         let label = if truth(r) { 1.0 } else { 0.0 };
                         live.lock()
                             .push(r.meta.timestamp, LabeledPoint::new(v, label));
@@ -324,7 +324,7 @@ impl RetrainLoop {
     fn fit_candidate(&self, points: Vec<LabeledPoint>) -> Result<DetectionModel> {
         let spec = self.cfg.spec.clone();
         let prep = self.cfg.preprocessor.clone();
-        let features = self.cfg.features.clone();
+        let features: Vec<FieldName> = self.cfg.features.iter().map(FieldName::from).collect();
         let fits = self.partial_fits.clone();
         let (tx, rx) = mpsc::channel();
         athena_parallel::scope(|s| {

@@ -8,7 +8,7 @@
 //! for the full observe layer (causal tracing + series sampling + alert
 //! evaluation) on top.
 
-use athena::controller::cbench::{summarize, throughput_round, CbenchResponder};
+use athena::controller::cbench::{throughput_round, CbenchResponder};
 use athena::controller::ControllerCluster;
 use athena::core::{Athena, AthenaConfig};
 use athena::dataplane::{workload, Network, NetworkCounters, Topology};
@@ -26,28 +26,33 @@ fn cluster_with(athena: Option<&Athena>) -> ControllerCluster {
     cluster
 }
 
-fn avg_rate(athena: Option<&Athena>) -> f64 {
-    let mut cluster = cluster_with(athena);
-    let rounds: Vec<_> = (0..5)
-        .map(|i| throughput_round(&mut cluster, 4_000, i))
-        .collect();
-    // Every packet-in got exactly one flow-mod in every configuration.
-    assert!(rounds.iter().all(|r| r.responses == r.requests));
-    summarize(&rounds).avg
+/// Cbench rate of each configuration: the fastest of its rounds, the
+/// configurations taking turns round by round. The other tests of this
+/// binary run alongside on what may be a two-core box; a round they
+/// disturb must not decide an ordering that an undisturbed one shows,
+/// and taking turns spreads a disturbance over all three.
+fn best_rates(configs: [Option<&Athena>; 3]) -> [f64; 3] {
+    let mut clusters = configs.map(cluster_with);
+    let mut best = [0.0f64; 3];
+    for round in 0..9 {
+        for (cluster, best) in clusters.iter_mut().zip(&mut best) {
+            let r = throughput_round(cluster, 4_000, round);
+            // Every packet-in got exactly one flow-mod in every configuration.
+            assert_eq!(r.responses, r.requests);
+            *best = best.max(r.responses_per_sec());
+        }
+    }
+    best
 }
 
 #[test]
 fn cbench_overhead_ordering_holds() {
-    let without = avg_rate(None);
-
     let with_db = Athena::new(AthenaConfig::default());
-    let with_db_rate = avg_rate(Some(&with_db));
-
     let no_db = Athena::new(AthenaConfig {
         store_enabled: false,
         ..AthenaConfig::default()
     });
-    let no_db_rate = avg_rate(Some(&no_db));
+    let [without, no_db_rate, with_db_rate] = best_rates([None, Some(&no_db), Some(&with_db)]);
 
     assert!(
         without > no_db_rate,
