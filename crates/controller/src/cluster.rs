@@ -29,7 +29,7 @@ pub struct ClusterCounters {
 /// paper's Figure 2, collapsed into one address space.
 ///
 /// The cluster implements [`ControllerLink`], so it plugs directly into
-/// [`athena_dataplane::Network::run_until`].
+/// [`athena_dataplane::Network::run_until`] (or `ShardedNetwork`'s).
 pub struct ControllerCluster {
     topology: Topology,
     pub(crate) mastership: MastershipService,
@@ -279,6 +279,41 @@ impl ControllerCluster {
         self.interceptors.iter_mut().find(|i| i.name() == name)
     }
 
+    /// The packet-in pipeline, for a single punt and for each punt of a
+    /// batch alike: count it, learn the source host, run the processors
+    /// in priority order until one blocks, and append what they decided.
+    fn packet_in(
+        &mut self,
+        from: Dpid,
+        header: athena_openflow::PacketHeader,
+        now: SimTime,
+        commands: &mut Vec<(Dpid, OfMessage)>,
+    ) {
+        self.counters.packet_ins += 1;
+        self.tel.packet_ins.inc();
+        // Host learning from observed source addresses.
+        if let (Some(ip), true) = (header.ip_src, header.in_port.is_physical()) {
+            if self.hosts.location_of(ip).is_none() {
+                self.hosts.learn(ip, from, header.in_port);
+            }
+        }
+        let mut ctx = PacketContext::new(
+            from,
+            header,
+            now,
+            &self.topology,
+            &self.hosts,
+            &mut self.flow_rules,
+        );
+        for p in &mut self.processors {
+            p.process(&mut ctx);
+            if ctx.is_blocked() {
+                break;
+            }
+        }
+        commands.extend(ctx.into_commands());
+    }
+
     fn run_interceptors(
         &mut self,
         from: Dpid,
@@ -324,31 +359,9 @@ impl ControllerLink for ControllerCluster {
         let mut commands: Vec<(Dpid, OfMessage)> = Vec::new();
         match &msg {
             OfMessage::PacketIn { body, .. } => {
-                self.counters.packet_ins += 1;
-                self.tel.packet_ins.inc();
                 let span = self.observe.span_at("controller", "packet_in", now);
                 let timer = self.tel.packet_in_ns.start_timer();
-                // Host learning from observed source addresses.
-                if let (Some(ip), true) = (body.header.ip_src, body.header.in_port.is_physical()) {
-                    if self.hosts.location_of(ip).is_none() {
-                        self.hosts.learn(ip, from, body.header.in_port);
-                    }
-                }
-                let mut ctx = PacketContext::new(
-                    from,
-                    body.header,
-                    now,
-                    &self.topology,
-                    &self.hosts,
-                    &mut self.flow_rules,
-                );
-                for p in &mut self.processors {
-                    p.process(&mut ctx);
-                    if ctx.is_blocked() {
-                        break;
-                    }
-                }
-                commands.extend(ctx.into_commands());
+                self.packet_in(from, body.header, now, &mut commands);
                 timer.observe(&self.tel.packet_in_ns);
                 span.finish(format_args!("dpid={} cmds={}", from.raw(), commands.len()));
             }
@@ -414,28 +427,7 @@ impl ControllerLink for ControllerCluster {
                 commands.extend(self.on_message(from, msg, now));
                 continue;
             };
-            self.counters.packet_ins += 1;
-            self.tel.packet_ins.inc();
-            if let (Some(ip), true) = (body.header.ip_src, body.header.in_port.is_physical()) {
-                if self.hosts.location_of(ip).is_none() {
-                    self.hosts.learn(ip, from, body.header.in_port);
-                }
-            }
-            let mut ctx = PacketContext::new(
-                from,
-                body.header,
-                now,
-                &self.topology,
-                &self.hosts,
-                &mut self.flow_rules,
-            );
-            for p in &mut self.processors {
-                p.process(&mut ctx);
-                if ctx.is_blocked() {
-                    break;
-                }
-            }
-            commands.extend(ctx.into_commands());
+            self.packet_in(from, body.header, now, &mut commands);
             self.run_interceptors(from, &msg, now, &mut commands);
         }
         let flow_mods = commands

@@ -1,4 +1,4 @@
-//! A discrete-event, flow-level SDN data-plane simulator.
+//! A tick-driven, flow-level SDN data-plane simulator.
 //!
 //! The Athena paper evaluates on a physical testbed — 18 OpenFlow switches
 //! (6 hardware, 12 OVS), 48 links, Mininet-emulated hosts — that this crate
@@ -10,12 +10,18 @@
 //! - [`SimSwitch`] — an OpenFlow switch: flow tables, ports, counters
 //!   ([`switch`] module),
 //! - [`FlowSpec`] — flow-level traffic ([`flow`] module),
-//! - [`Network`] — the event loop: flow arrivals, per-tick counter
-//!   crediting with link-capacity contention, flow-table expiry, and a
-//!   synchronous control channel to whatever implements
-//!   [`ControllerLink`] ([`network`] module),
+//! - [`Engine`] — the one simulation loop: flow arrivals, per-tick counter
+//!   crediting with link-capacity contention, timing-wheel flow-table
+//!   expiry, and a control channel to whatever implements
+//!   [`ControllerLink`], all over a [`ShardPlan`] ([`shard`] module),
+//! - [`Network`] and [`ShardedNetwork`] — that engine under the two
+//!   [punt disciplines](punt): misses resolved inline one packet at a
+//!   time, or batched per routing round,
+//! - [`ControllerLink`], [`NetworkConfig`], [`LearningControllerStub`] —
+//!   the control channel's contract, the simulator's configuration and a
+//!   reference ECMP shortest-path controller ([`network`] module),
 //! - [`workload`] — benign mixes, DDoS floods, Crossfire-style link
-//!   flooding, and flash crowds.
+//!   flooding, port scans and flash crowds.
 //!
 //! The simulation is flow-level: the first packet of each flow traverses
 //! the network packet-by-packet (producing table-miss `PACKET_IN`s exactly
@@ -46,6 +52,7 @@
 pub mod flow;
 pub mod link;
 pub mod network;
+pub mod punt;
 pub mod shard;
 pub mod switch;
 pub mod topology;
@@ -55,9 +62,10 @@ pub mod workload;
 pub use flow::{ActiveFlow, FlowSpec};
 pub use link::{LinkModel, SimLink};
 pub use network::{
-    ControllerLink, ExpiryMode, LearningControllerStub, Network, NetworkConfig, NetworkCounters,
+    ControllerLink, ExpiryMode, LearningControllerStub, NetworkConfig, NetworkCounters,
 };
-pub use shard::{ShardPlan, ShardedNetwork};
+pub use punt::{Batched, Network, PuntDiscipline, ShardedNetwork, Synchronous};
+pub use shard::{Engine, ShardPlan};
 pub use switch::{FlowCacheStats, SimSwitch};
 pub use topology::{HostSpec, LinkSpec, SwitchSpec, Topology};
 pub use wheel::TimingWheel;

@@ -1,71 +1,59 @@
-//! The sharded tick engine for 100k-host topologies.
+//! The network engine: one tick pipeline over a [`ShardPlan`].
 //!
-//! [`ShardedNetwork`] runs the same flow-level simulation model as
-//! [`Network`](crate::Network), restructured as a bulk-synchronous
-//! per-tick pipeline over a deterministic partition of the topology:
+//! [`Engine`] is the only simulation loop in this crate. The topology's
+//! switches are partitioned into shards (one shard unless a plan says
+//! otherwise); each shard owns its switches, the links they source, its
+//! own expiry wheel and the buffers the phases below fill and drain, so a
+//! phase runs on every shard in parallel without sharing anything
+//! ([`athena_parallel::par_map_take`] moves each shard into its runner
+//! and hands it back in index order — inline on the caller when there is
+//! one shard). Every tick runs:
 //!
-//! 1. **Expiry** — every shard advances its own hierarchical timing
-//!    wheel in parallel ([`athena_parallel::par_map_take`] moves each
-//!    shard into its runner and hands it back in index order), then the
-//!    collected `FLOW_REMOVED`s are delivered sequentially in global
-//!    dpid order.
-//! 2. **Routing** — each active flow's per-tick packet walks its shard's
-//!    switches with read-only lookups. A walk segment ends by delivering,
-//!    failing, crossing a shard boundary (the packet re-enters the next
-//!    round in its new shard), or missing in the flow table. All misses
-//!    of a round are collected into **one packet-in batch**, sorted by
-//!    item index, and handed to
-//!    [`ControllerLink::on_packet_in_batch`] — the controller pipelines
-//!    the whole batch under a single span. Rounds repeat until every
-//!    packet settles.
-//! 3. **Contention** — link offers are bucketed to the owning shard and
-//!    every shard settles all of its links in parallel (every link
-//!    settles every tick, so stochastic link-model RNG streams advance
-//!    identically at any width).
-//! 4. **Credit** — switch/flow counter updates replay the hops the
-//!    routing phase recorded, grouped per owning shard and applied in
-//!    parallel; per-flow bookkeeping then runs sequentially in item
+//! 1. **Expiry** — each shard advances its timing wheel and expires due
+//!    tables; the `FLOW_REMOVED`s are delivered sequentially in global
+//!    dpid order (shards are contiguous sorted dpid ranges).
+//! 2. **Activation** — flows whose start time arrived join the active
+//!    set; what happens to their first packet is the punt discipline's
+//!    call.
+//! 3. **Controller tick** — `on_tick` (statistics polling) and its
+//!    commands.
+//! 4. **Routing** — each active flow's per-tick packet walks the fabric
+//!    with read-only lookups (`Shard::walk`), appending one `Hop` per
+//!    link crossed to the tick's segment stream. How a table miss reaches
+//!    the controller is, again, the punt discipline's call.
+//! 5. **Contention** — the stream's byte offers land on their links and
+//!    every shard settles all of its links (every link settles every
+//!    tick, so stochastic link-model streams advance identically under
+//!    any plan and width).
+//! 6. **Credit** — switch and flow counters replay the hops the routing
+//!    phase recorded, per owning shard; per-flow bookkeeping runs in item
 //!    order.
 //!
-//! # Determinism contract
-//!
-//! For a fixed [`ShardPlan`], every observable output — counters, flow
-//! tables, controller command streams, trace spans — is byte-identical
-//! at any `ATHENA_THREADS` width: parallel phases only touch shard-local
-//! state and return their results through ordered reductions, and every
-//! cross-shard interaction (FLOW_REMOVED delivery, punt batches, frac
-//! merging, bookkeeping) runs sequentially in a sorted order. Outputs
-//! *do* depend on the plan itself: shard boundaries decide which misses
-//! share a punt batch, exactly like region placement would on a real
-//! distributed controller.
+//! The two public engines, [`Network`](crate::Network) and
+//! [`ShardedNetwork`](crate::ShardedNetwork), are this one type under the
+//! two [punt disciplines](crate::punt) — see that module for the one
+//! decision they differ in and for the determinism contract of each.
 
 use crate::flow::{ActiveFlow, FlowSpec};
 use crate::link::{LinkModel, SimLink};
-use crate::network::NetworkCounters;
-use crate::network::{apply_rewrites, via_wire, ControllerLink, ExpiryMode, NetworkConfig};
+use crate::network::{
+    apply_rewrites, via_wire, ControllerLink, ExpiryMode, NetworkConfig, NetworkCounters,
+};
+use crate::punt::PuntDiscipline;
 use crate::switch::SimSwitch;
-use crate::topology::{HostSpec, Topology};
+use crate::topology::Topology;
 use crate::wheel::TimingWheel;
 use athena_observe::Observe;
-use athena_openflow::{Action, FlowRemoved, OfMessage, PacketHeader};
+use athena_openflow::{Action, FlowMod, FlowRemoved, OfMessage, PacketHeader};
 use athena_telemetry::{names, Counter, Gauge, Histogram, Telemetry};
 use athena_types::{Dpid, Ipv4Addr, LinkId, PortNo, SimDuration, SimTime, Xid};
-use std::collections::{HashMap, HashSet};
-use std::sync::Arc;
+use std::collections::HashMap;
+use std::marker::PhantomData;
 
-/// One shard's slice of a FlowMod batch: `(command index, target
-/// switch, command)` — the index restores submission order at merge.
-type FlowModBucket = Vec<(usize, Dpid, athena_openflow::FlowMod)>;
-
-/// Command batches at or above this size that are pure `FlowMod`s take
-/// the per-shard parallel application path; smaller or mixed batches use
-/// the sequential loop. A pure function of the batch, never of width.
+/// Command batches at or above this size that are pure `FlowMod`s are
+/// applied per shard in parallel; smaller or mixed batches use the
+/// sequential loop. A pure function of the batch, never of width.
 const FLOW_MOD_BATCH_MIN: usize = 64;
-
-/// Segment-stream chunk length for the parallel offer and credit
-/// replays. A pure function of the stream length, never of width, so
-/// chunk boundaries (and therefore replay order) are width-invariant.
-const SEG_CHUNK: usize = 4096;
 
 /// A deterministic partition of a topology's switches into shards.
 ///
@@ -98,8 +86,8 @@ impl ShardPlan {
         ShardPlan { groups }
     }
 
-    /// The default plan: one shard per ~4 switches, capped at 16 shards
-    /// (matching the pool's practical width) and floored at 1.
+    /// One shard per ~4 switches, capped at 16 shards (matching the
+    /// pool's practical width) and floored at 1.
     pub fn auto(topology: &Topology) -> Self {
         let n = (topology.switches.len() / 4).clamp(1, 16);
         Self::partition(topology, n)
@@ -116,349 +104,400 @@ impl ShardPlan {
     }
 }
 
-/// Immutable per-tick routing context shared (read-only) by every shard.
-#[derive(Debug)]
-struct RouteCtx {
-    /// Unidirectional link leaving `(dpid, port)`.
-    egress: HashMap<(Dpid, PortNo), LinkId>,
-    /// Host-facing `(dpid, port)` pairs.
-    host_ports: HashSet<(Dpid, PortNo)>,
-    /// Owning shard of each switch.
-    shard_of: HashMap<Dpid, usize>,
+/// Where a switch lives: its shard, and its slot in that shard.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Loc {
+    pub(crate) shard: usize,
+    pub(crate) slot: usize,
 }
 
-/// One shard: a contiguous dpid range of switches, the links they source,
-/// and the shard's own expiry wheel.
-#[derive(Debug)]
-struct Shard {
-    index: usize,
-    /// Sorted by dpid, parallel to `dpids`.
-    switches: Vec<SimSwitch>,
-    dpids: Vec<Dpid>,
-    slot_of: HashMap<Dpid, usize>,
-    /// Links whose source switch lives here, sorted by id.
-    links: Vec<SimLink>,
-    link_slot: HashMap<LinkId, usize>,
-    wheel: TimingWheel<Dpid>,
-    /// Earliest outstanding wheel entry per switch (arm dedup).
-    armed: HashMap<Dpid, u64>,
+/// What a switch port leads to, resolved once at construction so a hop
+/// costs two `Vec` reads instead of hash lookups.
+#[derive(Debug, Clone, Copy)]
+enum Port {
+    /// Nothing attached. Reserved ports (`CONTROLLER`, …) index past
+    /// every table and read as this too.
+    Unused,
+    /// A host sits here: a packet sent out of it is delivered.
+    Host,
+    /// The unidirectional link leaving this port: its slot in the owning
+    /// shard's `links`, and where and on which port it lands.
+    Link {
+        link: usize,
+        to: Loc,
+        in_port: PortNo,
+    },
 }
 
-/// What one shard's expiry pass produced.
-struct ExpiryOut {
-    /// `(dpid, notification)` in dpid order.
-    removed: Vec<(Dpid, FlowRemoved)>,
-    fired: u64,
-    spurious: u64,
-    armed: u64,
-}
-
-/// What one shard's offer/settle pass produced.
-struct SettleOut {
-    /// `(link, delivered fraction)` for every link the shard owns.
-    link_fracs: Vec<(LinkId, f64)>,
-    queue_drop_delta: u64,
-    /// Latency draws for modeled links, in link order.
-    latencies: Vec<u64>,
-}
-
-/// A packet mid-walk: which item it belongs to, where it is, and how
-/// much punt/hop budget remains.
-#[derive(Debug, Clone)]
-struct PacketState {
-    item: usize,
-    dpid: Dpid,
-    pkt: PacketHeader,
+/// A packet mid-walk: which traffic item it belongs to, where it is, and
+/// how much punt/hop budget remains.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct PacketState {
+    pub(crate) item: usize,
+    pub(crate) at: Loc,
+    pub(crate) pkt: PacketHeader,
     /// Punts already spent at the current hop (reset on movement).
-    punts: usize,
+    pub(crate) punts: usize,
     hops_left: usize,
 }
 
-/// How a walk segment ended.
-enum Outcome {
+/// How a shard-local walk segment ended.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Outcome {
+    /// Reached a host-facing port.
     Delivered,
+    /// Drop rule, dead port, exhausted punt or hop budget.
     Failed,
-    NeedPunt(PacketState),
-    Handoff(PacketState),
+    /// Table miss with punt budget left: the packet waits where it is.
+    Miss,
+    /// Crossed into another shard; the packet continues there.
+    Handoff,
 }
 
-/// One shard-local walk segment's result.
-struct WalkSeg {
+/// One entry of the tick's segment stream: a packet crossed `link`
+/// (owned by shard `from`) and arrived at `to` as `pkt`. An item's hops
+/// appear in the order it took them, so replaying the stream
+/// item-filtered recovers each packet's full path.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Hop {
     item: usize,
-    links: Vec<LinkId>,
-    hops: Vec<(Dpid, PacketHeader)>,
-    outcome: Outcome,
+    from: usize,
+    link: usize,
+    to: Loc,
+    pkt: PacketHeader,
 }
 
-/// A counter-credit operation replayed on the owning shard.
+/// A counter-credit operation replayed on the owning shard. All of them
+/// are commutative adds sharing the tick's timestamp.
+#[derive(Debug, Clone, Copy)]
 enum CreditOp {
     Flow {
-        dpid: Dpid,
+        slot: usize,
         pkt: PacketHeader,
         packets: u64,
         bytes: u64,
     },
-    TxDrop {
-        dpid: Dpid,
-        port: PortNo,
-        packets: u64,
-    },
+    /// Contention loss, counted on the egress port of link `link`.
+    TxDrop { link: usize, packets: u64 },
 }
 
 /// One per-tick unit of traffic: a flow's forward or reverse share, or a
 /// new flow's activation packet.
-struct TrafficItem {
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct TrafficItem {
     /// `None` for activation packets (credited in full, no contention).
     flow_idx: Option<usize>,
     bytes: u64,
-    /// Where the packet entered the fabric (credited like a hop).
-    entry: (Dpid, PacketHeader),
-    delivered: bool,
+    /// Where the packet enters the fabric (credited like a hop).
+    at: Loc,
+    pkt: PacketHeader,
+    pub(crate) delivered: bool,
 }
 
-/// One entry of the tick's segment stream: the links and hops one walk
-/// segment traversed, recorded in `(round, shard index, bucket order)`
-/// — a pure function of the tick's inputs, never of thread count. An
-/// item's segments appear in chronological hop order (rounds are
-/// appended in sequence and an item has at most one in-flight packet
-/// per round), so replaying the stream item-filtered recovers each
-/// packet's full path.
-struct SegRec {
-    item: usize,
-    links: Vec<LinkId>,
-    hops: Vec<(Dpid, PacketHeader)>,
+/// What the credit phase works out per traffic item.
+#[derive(Debug, Clone, Copy)]
+struct Share {
+    /// Product of the link fractions along the item's path, in hop order.
+    frac: f64,
+    /// The first link on the path that delivered less than it was offered.
+    congested: Option<(usize, usize)>,
+    /// `(packets, bytes)` each switch on the path is credited with.
+    credit: Option<(u64, u64)>,
 }
 
-/// Per-flow bookkeeping computed in item order after settling.
-struct Book {
-    flow_idx: usize,
-    total: u64,
-    delivered_share: u64,
-    routed: bool,
+/// Wheel activity a shard accumulates until the engine mirrors it.
+#[derive(Debug, Clone, Copy, Default)]
+struct WheelStats {
+    armed: u64,
+    fired: u64,
+    spurious: u64,
+}
+
+/// One shard: a contiguous dpid range of switches, the links they source,
+/// the shard's own expiry wheel, and the buffers the tick's phases fill
+/// and drain (capacity is kept across ticks).
+#[derive(Debug)]
+pub(crate) struct Shard {
+    index: usize,
+    /// Sorted by dpid.
+    switches: Vec<SimSwitch>,
+    /// `ports[slot][port number]`, as long as the highest attached port.
+    ports: Vec<Vec<Port>>,
+    /// Links whose source switch lives here, sorted by id.
+    links: Vec<SimLink>,
+    /// The fraction each link delivered when it last settled, parallel
+    /// to `links`.
+    fracs: Vec<f64>,
+    /// Expiry wake-ups by switch slot (slot order is dpid order).
+    wheel: TimingWheel<usize>,
+    /// Earliest outstanding wheel entry per switch slot (arm dedup).
+    armed: Vec<Option<u64>>,
+    wheel_stats: WheelStats,
+    /// Packets waiting to walk this shard.
+    pub(crate) inbox: Vec<PacketState>,
+    /// What [`Shard::walk_inbox`] produced: the hops, and how each packet
+    /// ended.
+    pub(crate) hops: Vec<Hop>,
+    pub(crate) outbox: Vec<(PacketState, Outcome)>,
+    credits: Vec<CreditOp>,
+    /// Flow-mods waiting to be applied: `(command index, slot, mod)`.
+    mods: Vec<(usize, usize, FlowMod)>,
+    /// `FLOW_REMOVED`s from expiry or flow-mods, tagged with the command
+    /// index that caused them (0 for expiry).
+    removed: Vec<(usize, Dpid, FlowRemoved)>,
+    /// Settle results for modeled links: latency draws in link order and
+    /// the tick's queue-dropped bytes.
+    latencies: Vec<u64>,
+    queue_drops: u64,
 }
 
 impl Shard {
-    fn switch(&self, dpid: Dpid) -> Option<&SimSwitch> {
-        self.slot_of.get(&dpid).and_then(|s| self.switches.get(*s))
-    }
-
-    fn switch_mut(&mut self, dpid: Dpid) -> Option<&mut SimSwitch> {
-        match self.slot_of.get(&dpid) {
-            Some(s) => self.switches.get_mut(*s),
-            None => None,
+    fn new(index: usize, switches: Vec<SimSwitch>, links: Vec<SimLink>) -> Self {
+        Shard {
+            index,
+            armed: vec![None; switches.len()],
+            fracs: vec![1.0; links.len()],
+            ports: vec![Vec::new(); switches.len()],
+            switches,
+            links,
+            wheel: TimingWheel::new(0),
+            wheel_stats: WheelStats::default(),
+            inbox: Vec::new(),
+            hops: Vec::new(),
+            outbox: Vec::new(),
+            credits: Vec::new(),
+            mods: Vec::new(),
+            removed: Vec::new(),
+            latencies: Vec::new(),
+            queue_drops: 0,
         }
     }
 
+    /// Records what `port` of the switch at `slot` leads to, unless
+    /// something already claimed it.
+    fn attach(&mut self, slot: usize, port: PortNo, leads_to: Port) {
+        let Some(table) = self.ports.get_mut(slot) else {
+            return;
+        };
+        let p = port.raw() as usize;
+        if table.len() <= p {
+            table.resize(p + 1, Port::Unused);
+        }
+        if let Some(vacant @ Port::Unused) = table.get_mut(p) {
+            *vacant = leads_to;
+        }
+    }
+
+    fn port(&self, slot: usize, port: PortNo) -> Port {
+        self.ports
+            .get(slot)
+            .and_then(|table| table.get(port.raw() as usize))
+            .copied()
+            .unwrap_or(Port::Unused)
+    }
+
     /// Schedules an expiry wake-up at the switch's next deadline unless
-    /// an earlier-or-equal one is outstanding. Returns whether a new
-    /// wheel entry was created.
-    fn arm(&mut self, dpid: Dpid, tick: SimDuration) -> bool {
-        let Some(next) = self.switch(dpid).and_then(SimSwitch::next_expiry) else {
-            return false;
+    /// an earlier-or-equal one is outstanding.
+    fn arm(&mut self, slot: usize, tick: SimDuration) {
+        let Some(next) = self.switches.get(slot).and_then(SimSwitch::next_expiry) else {
+            return;
         };
         // First tick boundary at or after the deadline, clamped to the
-        // wheel's next firable tick so `armed` names the landed slot.
+        // wheel's next firable tick so `armed` names the landed slot (an
+        // unclamped record would suppress every future re-arm).
         let due = next
             .as_micros()
             .div_ceil(tick.as_micros().max(1))
             .max(self.wheel.now() + 1);
-        match self.armed.get(&dpid) {
-            Some(a) if *a <= due => false,
-            _ => {
-                self.wheel.schedule(due, dpid);
-                self.armed.insert(dpid, due);
-                true
-            }
+        let Some(armed) = self.armed.get_mut(slot) else {
+            return;
+        };
+        if armed.is_none_or(|a| a > due) {
+            self.wheel.schedule(due, slot);
+            *armed = Some(due);
+            self.wheel_stats.armed += 1;
         }
     }
 
-    /// The per-shard expiry phase: advance the wheel (or scan, in
-    /// [`ExpiryMode::Scan`]), expire due tables, re-arm, and report the
-    /// FLOW_REMOVEDs in dpid order.
-    fn run_expiry(
-        &mut self,
-        t: SimTime,
-        tick_idx: u64,
-        mode: ExpiryMode,
-        tick: SimDuration,
-    ) -> ExpiryOut {
+    /// The expiry phase: wake the switches whose wheel entry is due (or,
+    /// under [`ExpiryMode::Scan`], visit every switch), expire due
+    /// tables, re-arm, and leave the FLOW_REMOVEDs in `removed` in dpid
+    /// order.
+    fn run_expiry(&mut self, t: SimTime, tick_idx: u64, mode: ExpiryMode, tick: SimDuration) {
         let wheel_mode = mode == ExpiryMode::Wheel;
-        let fired_dpids: Vec<Dpid> = if wheel_mode {
+        let woken: Vec<usize> = if wheel_mode {
             // Every fire this tick shares the due, so the (due, key)
-            // sort is a dpid sort; dedup collapses stale duplicates.
-            let mut due: Vec<Dpid> = self
+            // sort is a slot sort; dedup collapses stale duplicates.
+            let mut due: Vec<usize> = self
                 .wheel
                 .advance(tick_idx)
                 .into_iter()
-                .map(|(_, dpid)| dpid)
+                .map(|(_, slot)| slot)
                 .collect();
             due.dedup();
             due
         } else {
-            self.dpids.clone()
+            (0..self.switches.len()).collect()
         };
-        let mut out = ExpiryOut {
-            removed: Vec::new(),
-            fired: 0,
-            spurious: 0,
-            armed: 0,
-        };
-        for dpid in fired_dpids {
-            if wheel_mode && self.armed.get(&dpid) == Some(&tick_idx) {
-                self.armed.remove(&dpid);
-            }
-            let due = self
-                .switch(dpid)
-                .and_then(SimSwitch::next_expiry)
-                .is_some_and(|next| next <= t);
-            if due {
-                if wheel_mode {
-                    out.fired += 1;
+        for slot in woken {
+            if wheel_mode {
+                if let Some(armed) = self.armed.get_mut(slot) {
+                    if *armed == Some(tick_idx) {
+                        *armed = None;
+                    }
                 }
-                let removed = match self.switch_mut(dpid) {
-                    Some(sw) => sw.expire(t),
-                    None => Vec::new(),
-                };
-                for fr in removed {
-                    out.removed.push((dpid, fr));
-                }
-            } else if wheel_mode {
-                out.spurious += 1;
             }
-            if wheel_mode && self.arm(dpid, tick) {
-                out.armed += 1;
+            let Some(sw) = self.switches.get_mut(slot) else {
+                continue;
+            };
+            if sw.next_expiry().is_some_and(|next| next <= t) {
+                let dpid = sw.dpid();
+                for fr in sw.expire(t) {
+                    self.removed.push((0, dpid, fr));
+                }
+                self.wheel_stats.fired += u64::from(wheel_mode);
+            } else {
+                // The deadline moved later (traffic re-armed an idle
+                // timeout, entries were deleted, the switch rebooted):
+                // the wake-up was stale.
+                self.wheel_stats.spurious += u64::from(wheel_mode);
+            }
+            if wheel_mode {
+                self.arm(slot, tick);
             }
         }
-        out
     }
 
-    /// Walks every packet in `pkts` (in order) through this shard's
-    /// switches with read-only lookups, returning one segment per packet.
-    fn walk_all(
+    /// Walks `st` through this shard's switches with read-only lookups,
+    /// appending one [`Hop`] per link crossed, until the packet is
+    /// delivered, fails, misses, or leaves the shard. `st` is left where
+    /// the walk stopped.
+    pub(crate) fn walk(
         &self,
-        pkts: Vec<PacketState>,
-        ctx: &RouteCtx,
+        st: &mut PacketState,
         now: SimTime,
         max_punt: usize,
-    ) -> Vec<WalkSeg> {
-        pkts.into_iter()
-            .map(|st| self.walk(st, ctx, now, max_punt))
-            .collect()
-    }
-
-    fn walk(&self, mut st: PacketState, ctx: &RouteCtx, now: SimTime, max_punt: usize) -> WalkSeg {
-        let item = st.item;
-        let mut links = Vec::new();
-        let mut hops = Vec::new();
-        let done = |links, hops, outcome| WalkSeg {
-            item,
-            links,
-            hops,
-            outcome,
-        };
+        hops: &mut Vec<Hop>,
+    ) -> Outcome {
         loop {
-            let Some(sw) = self.switch(st.dpid) else {
-                return done(links, hops, Outcome::Failed);
+            let Some(sw) = self.switches.get(st.at.slot) else {
+                return Outcome::Failed;
             };
             let Some(actions) = sw.peek(&st.pkt, now) else {
-                // Table miss: punt if budget remains at this hop.
-                if st.punts < max_punt {
-                    return done(links, hops, Outcome::NeedPunt(st));
-                }
-                return done(links, hops, Outcome::Failed);
+                return if st.punts < max_punt {
+                    Outcome::Miss
+                } else {
+                    Outcome::Failed
+                };
             };
             let Some(out) = Action::first_output(&actions) else {
-                return done(links, hops, Outcome::Failed); // drop rule
+                return Outcome::Failed; // drop rule
             };
-            if out == PortNo::CONTROLLER {
-                return done(links, hops, Outcome::Failed);
-            }
-            if let Some(link) = ctx.egress.get(&(st.dpid, out)).copied() {
-                if st.hops_left == 0 {
-                    return done(links, hops, Outcome::Failed); // loop guard
+            match self.port(st.at.slot, out) {
+                Port::Link { link, to, in_port } => {
+                    if st.hops_left == 0 {
+                        return Outcome::Failed; // loop guard
+                    }
+                    st.hops_left -= 1;
+                    st.punts = 0;
+                    st.pkt = apply_rewrites(&actions, st.pkt).with_in_port(in_port);
+                    st.at = to;
+                    hops.push(Hop {
+                        item: st.item,
+                        from: self.index,
+                        link,
+                        to,
+                        pkt: st.pkt,
+                    });
+                    if to.shard != self.index {
+                        return Outcome::Handoff;
+                    }
                 }
-                st.hops_left -= 1;
-                st.punts = 0;
-                links.push(link);
-                st.pkt = apply_rewrites(&actions, st.pkt).with_in_port(link.dst_port);
-                st.dpid = link.dst;
-                hops.push((st.dpid, st.pkt));
-                if ctx.shard_of.get(&st.dpid) != Some(&self.index) {
-                    return done(links, hops, Outcome::Handoff(st));
-                }
-                continue;
+                Port::Host => return Outcome::Delivered,
+                Port::Unused => return Outcome::Failed,
             }
-            // Host-facing port: delivered if some host sits there.
-            let delivered = ctx.host_ports.contains(&(st.dpid, out));
-            let outcome = if delivered {
-                Outcome::Delivered
-            } else {
-                Outcome::Failed
-            };
-            return done(links, hops, outcome);
         }
     }
 
-    /// Applies the tick's byte offers, then settles **all** of this
-    /// shard's links (stochastic models advance every tick regardless of
-    /// traffic). Returns fractions in link order.
-    fn offers_and_settle(&mut self, offers: Vec<(LinkId, u64)>, tick: SimDuration) -> SettleOut {
-        for (id, bytes) in offers {
-            if let Some(slot) = self.link_slot.get(&id) {
-                if let Some(link) = self.links.get_mut(*slot) {
-                    link.offer(bytes);
-                }
-            }
+    /// Walks every packet in the inbox, in order, into `hops` / `outbox`.
+    pub(crate) fn walk_inbox(&mut self, now: SimTime, max_punt: usize) {
+        let mut inbox = std::mem::take(&mut self.inbox);
+        let mut hops = std::mem::take(&mut self.hops);
+        for mut st in inbox.drain(..) {
+            let outcome = self.walk(&mut st, now, max_punt, &mut hops);
+            self.outbox.push((st, outcome));
         }
-        let mut out = SettleOut {
-            link_fracs: Vec::with_capacity(self.links.len()),
-            queue_drop_delta: 0,
-            latencies: Vec::new(),
-        };
-        for link in &mut self.links {
+        self.inbox = inbox;
+        self.hops = hops;
+    }
+
+    /// Settles **all** of this shard's links on the bytes offered this
+    /// tick (stochastic models advance every tick regardless of traffic).
+    fn settle(&mut self, tick: SimDuration) {
+        for (link, frac) in self.links.iter_mut().zip(&mut self.fracs) {
             let dropped_before = link.queue_dropped_bytes();
-            let (frac, _) = link.settle_tick(tick);
-            out.link_fracs.push((link.id, frac));
+            *frac = link.settle_tick(tick).0;
             if link.model().is_some() {
-                out.queue_drop_delta += link.queue_dropped_bytes() - dropped_before;
-                out.latencies.push(link.last_latency_us());
+                self.queue_drops += link.queue_dropped_bytes() - dropped_before;
+                self.latencies.push(link.last_latency_us());
             }
         }
-        out
     }
 
-    /// Replays counter-credit operations in the given (item, hop) order.
-    fn run_credits(&mut self, ops: Vec<CreditOp>, now: SimTime) {
-        for op in ops {
+    /// Replays the queued counter credits.
+    fn run_credits(&mut self, now: SimTime) {
+        let mut ops = std::mem::take(&mut self.credits);
+        for op in ops.drain(..) {
             match op {
                 CreditOp::Flow {
-                    dpid,
+                    slot,
                     pkt,
                     packets,
                     bytes,
                 } => {
-                    if let Some(sw) = self.switch_mut(dpid) {
+                    if let Some(sw) = self.switches.get_mut(slot) {
                         let _ = sw.process(&pkt, now, packets, bytes);
                     }
                 }
-                CreditOp::TxDrop {
-                    dpid,
-                    port,
-                    packets,
-                } => {
-                    if let Some(sw) = self.switch_mut(dpid) {
-                        sw.count_tx_drop(port, packets);
+                CreditOp::TxDrop { link, packets } => {
+                    let Some(id) = self.links.get(link).map(|l| l.id) else {
+                        continue;
+                    };
+                    let src = self.switches.binary_search_by_key(&id.src, SimSwitch::dpid);
+                    if let Some(sw) = src.ok().and_then(|slot| self.switches.get_mut(slot)) {
+                        sw.count_tx_drop(id.src_port, packets);
                     }
                 }
             }
         }
+        self.credits = ops;
+    }
+
+    /// Applies the queued flow-mods in order, leaving what they removed
+    /// in `removed` and re-arming the wheel where a mod may have brought
+    /// a deadline forward.
+    fn apply_mods(&mut self, now: SimTime, mode: ExpiryMode, tick: SimDuration) {
+        let mut mods = std::mem::take(&mut self.mods);
+        for (i, slot, body) in mods.drain(..) {
+            let Some(sw) = self.switches.get_mut(slot) else {
+                continue;
+            };
+            let dpid = sw.dpid();
+            for fr in sw.apply_flow_mod(&body, now) {
+                self.removed.push((i, dpid, fr));
+            }
+            if mode == ExpiryMode::Wheel {
+                self.arm(slot, tick);
+            }
+        }
+        self.mods = mods;
     }
 }
 
-/// The sharded engine's telemetry instruments (detached until
-/// [`ShardedNetwork::bind_telemetry`]).
+/// The engine's telemetry instruments (detached until
+/// [`Engine::bind_telemetry`]).
 #[derive(Debug, Default)]
-struct ScaleTelemetry {
+pub(crate) struct EngineTelemetry {
     step_ns: Histogram,
     packet_ins: Counter,
     flow_removeds: Counter,
@@ -472,132 +511,147 @@ struct ScaleTelemetry {
     wheel_fired: Counter,
     wheel_spurious: Counter,
     shards: Gauge,
-    ticks: Counter,
-    punt_batches: Counter,
-    batched_packet_ins: Counter,
-    cross_shard_handoffs: Counter,
-    routing_rounds: Counter,
+    pub(crate) punt_batches: Counter,
+    pub(crate) batched_packet_ins: Counter,
+    pub(crate) cross_shard_handoffs: Counter,
+    pub(crate) routing_rounds: Counter,
+    /// Kept for run spans and the per-switch table gauges.
     handle: Option<Telemetry>,
 }
 
-/// The sharded, batched network engine. See the [module docs](self) for
-/// the phase pipeline and the determinism contract.
+/// The simulated network, generic over its [punt
+/// discipline](crate::punt): use it as [`Network`](crate::Network) or
+/// [`ShardedNetwork`](crate::ShardedNetwork). See the [module
+/// docs](self) for the tick pipeline.
 #[derive(Debug)]
-pub struct ShardedNetwork {
+pub struct Engine<P> {
     topology: Topology,
-    config: NetworkConfig,
+    pub(crate) config: NetworkConfig,
     plan: ShardPlan,
-    shards: Vec<Shard>,
-    ctx: Arc<RouteCtx>,
-    /// `hosts[i]` by IP — first match wins, like a linear scan.
-    host_index: HashMap<Ipv4Addr, usize>,
-    pending: Vec<FlowSpec>, // sorted by start time, descending
+    pub(crate) shards: Vec<Shard>,
+    /// Shard and slot of every switch.
+    place: HashMap<Dpid, Loc>,
+    /// Attachment point of every host address (first host wins, like a
+    /// linear scan of the topology's host list).
+    hosts: HashMap<Ipv4Addr, (Loc, PortNo)>,
+    pending: Vec<FlowSpec>, // sorted by start time, descending (pop from end)
     active: Vec<ActiveFlow>,
-    now: SimTime,
-    counters: NetworkCounters,
+    pub(crate) now: SimTime,
+    pub(crate) counters: NetworkCounters,
     next_xid: u32,
-    tel: ScaleTelemetry,
-    observe: Observe,
+    pub(crate) tel: EngineTelemetry,
+    pub(crate) observe: Observe,
+    /// The traffic items being routed and the segment stream of hops
+    /// they took; both are emptied once credited.
+    pub(crate) items: Vec<TrafficItem>,
+    pub(crate) stream: Vec<Hop>,
+    shares: Vec<Share>,
+    _punt: PhantomData<P>,
 }
 
-impl ShardedNetwork {
-    /// Builds a sharded network with the default configuration and the
-    /// [`ShardPlan::auto`] partition.
+impl<P: PuntDiscipline> Engine<P> {
+    /// Builds a network with the default configuration on one shard.
     pub fn new(topology: Topology) -> Self {
-        let plan = ShardPlan::auto(&topology);
-        Self::with_plan(topology, NetworkConfig::default(), plan)
+        Self::with_config(topology, NetworkConfig::default())
     }
 
-    /// Builds a sharded network with an explicit configuration and the
-    /// [`ShardPlan::auto`] partition.
+    /// Builds a network with an explicit configuration on one shard
+    /// (pass [`ShardPlan::auto`] to [`Engine::with_plan`] to shard it).
     pub fn with_config(topology: Topology, config: NetworkConfig) -> Self {
-        let plan = ShardPlan::auto(&topology);
+        let plan = ShardPlan::partition(&topology, 1);
         Self::with_plan(topology, config, plan)
     }
 
-    /// Builds a sharded network with an explicit configuration and plan.
+    /// Builds a network with an explicit configuration and plan.
     pub fn with_plan(topology: Topology, config: NetworkConfig, plan: ShardPlan) -> Self {
-        let mut shard_of = HashMap::new();
-        for (i, group) in plan.groups.iter().enumerate() {
-            for dpid in group {
-                shard_of.insert(*dpid, i);
+        let mut place = HashMap::new();
+        for (shard, group) in plan.groups.iter().enumerate() {
+            for (slot, dpid) in group.iter().enumerate() {
+                place.insert(*dpid, Loc { shard, slot });
             }
         }
-        let mut n_ports_of = HashMap::new();
-        for s in &topology.switches {
-            n_ports_of.insert(s.dpid, s.n_ports);
-        }
-        let mut egress = HashMap::new();
-        let mut links_by_shard: Vec<Vec<SimLink>> =
-            (0..plan.n_shards()).map(|_| Vec::new()).collect();
-        for l in &topology.links {
+        let n_ports_of: HashMap<Dpid, u32> = topology
+            .switches
+            .iter()
+            .map(|s| (s.dpid, s.n_ports))
+            .collect();
+        // Both directions of every link, owned by the source's shard.
+        let directions = |l: &crate::topology::LinkSpec| {
             let fwd = LinkId::new(l.a.0, l.a.1, l.b.0, l.b.1);
-            let rev = fwd.reversed();
-            // First match wins, like Topology::link_from's scan.
-            egress.entry(l.a).or_insert(fwd);
-            egress.entry(l.b).or_insert(rev);
-            for id in [fwd, rev] {
-                if let Some(si) = shard_of.get(&id.src) {
-                    if let Some(bucket) = links_by_shard.get_mut(*si) {
-                        bucket.push(SimLink::new(id, l.capacity_bps));
+            [fwd, fwd.reversed()]
+        };
+        let mut links: Vec<Vec<SimLink>> = plan.groups.iter().map(|_| Vec::new()).collect();
+        for l in &topology.links {
+            for id in directions(l) {
+                if let (Some(src), true) = (place.get(&id.src), place.contains_key(&id.dst)) {
+                    if let Some(owned) = links.get_mut(src.shard) {
+                        owned.push(SimLink::new(id, l.capacity_bps));
                     }
                 }
             }
         }
-        let mut host_index = HashMap::new();
-        let mut host_ports = HashSet::new();
-        for (i, h) in topology.hosts.iter().enumerate() {
-            host_index.entry(h.ip).or_insert(i);
-            host_ports.insert((h.switch, h.port));
-        }
-        let mut shards = Vec::with_capacity(plan.n_shards());
-        for (i, group) in plan.groups.iter().enumerate() {
-            let mut links = links_by_shard
-                .get_mut(i)
-                .map(std::mem::take)
-                .unwrap_or_default();
+        let mut shards: Vec<Shard> = Vec::with_capacity(plan.n_shards());
+        for (index, (group, mut links)) in plan.groups.iter().zip(links).enumerate() {
             links.sort_by_key(|l| l.id);
             links.dedup_by_key(|l| l.id);
-            let mut slot_of = HashMap::new();
-            let mut switches = Vec::with_capacity(group.len());
-            for (slot, dpid) in group.iter().enumerate() {
-                let n_ports = n_ports_of.get(dpid).copied().unwrap_or(0);
-                switches.push(SimSwitch::new(*dpid, n_ports));
-                slot_of.insert(*dpid, slot);
-            }
-            let mut link_slot = HashMap::new();
-            for (slot, l) in links.iter().enumerate() {
-                link_slot.insert(l.id, slot);
-            }
-            shards.push(Shard {
-                index: i,
-                switches,
-                dpids: group.clone(),
-                slot_of,
-                links,
-                link_slot,
-                wheel: TimingWheel::new(0),
-                armed: HashMap::new(),
-            });
+            let switches = group
+                .iter()
+                .map(|d| SimSwitch::new(*d, n_ports_of.get(d).copied().unwrap_or(0)))
+                .collect();
+            shards.push(Shard::new(index, switches, links));
         }
-        ShardedNetwork {
+        // A port leads to the first link the topology lists for it, else
+        // to the host attached there — `Topology::link_from`'s answer.
+        for l in &topology.links {
+            for id in directions(l) {
+                let (Some(src), Some(to)) = (place.get(&id.src), place.get(&id.dst)) else {
+                    continue;
+                };
+                let Some(shard) = shards.get_mut(src.shard) else {
+                    continue;
+                };
+                if let Ok(link) = shard.links.binary_search_by_key(&id, |l| l.id) {
+                    let in_port = id.dst_port;
+                    shard.attach(
+                        src.slot,
+                        id.src_port,
+                        Port::Link {
+                            link,
+                            to: *to,
+                            in_port,
+                        },
+                    );
+                }
+            }
+        }
+        let mut hosts = HashMap::new();
+        for h in &topology.hosts {
+            let Some(loc) = place.get(&h.switch) else {
+                continue;
+            };
+            if let Some(shard) = shards.get_mut(loc.shard) {
+                shard.attach(loc.slot, h.port, Port::Host);
+            }
+            hosts.entry(h.ip).or_insert((*loc, h.port));
+        }
+        Engine {
             topology,
             config,
             plan,
             shards,
-            ctx: Arc::new(RouteCtx {
-                egress,
-                host_ports,
-                shard_of,
-            }),
-            host_index,
+            place,
+            hosts,
             pending: Vec::new(),
             active: Vec::new(),
             now: SimTime::ZERO,
             counters: NetworkCounters::default(),
             next_xid: 1,
-            tel: ScaleTelemetry::default(),
+            tel: EngineTelemetry::default(),
             observe: Observe::disabled(),
+            items: Vec::new(),
+            stream: Vec::new(),
+            shares: Vec::new(),
+            _punt: PhantomData,
         }
     }
 
@@ -633,8 +687,24 @@ impl ShardedNetwork {
 
     /// Immutable access to a switch.
     pub fn switch(&self, dpid: Dpid) -> Option<&SimSwitch> {
-        let si = self.ctx.shard_of.get(&dpid)?;
-        self.shards.get(*si)?.switch(dpid)
+        let loc = self.place.get(&dpid)?;
+        self.shards.get(loc.shard)?.switches.get(loc.slot)
+    }
+
+    fn switch_mut(&mut self, dpid: Dpid) -> Option<&mut SimSwitch> {
+        let loc = self.place.get(&dpid)?;
+        self.shards.get_mut(loc.shard)?.switches.get_mut(loc.slot)
+    }
+
+    /// Immutable access to a link direction.
+    pub fn link(&self, id: LinkId) -> Option<&SimLink> {
+        let links = &self.shards.get(self.place.get(&id.src)?.shard)?.links;
+        links.get(links.binary_search_by_key(&id, |l| l.id).ok()?)
+    }
+
+    /// All link directions, in link-id order.
+    pub fn links(&self) -> impl Iterator<Item = &SimLink> {
+        self.shards.iter().flat_map(|s| &s.links)
     }
 
     /// Flows currently active.
@@ -642,8 +712,8 @@ impl ShardedNetwork {
         &self.active
     }
 
-    /// Routes counters and per-tick latency into `tel` (and the
-    /// per-switch lookup instruments of every shard's switches).
+    /// Routes the simulator's counters, per-tick step latency, and
+    /// per-switch flow-table lookup totals into `tel`.
     pub fn bind_telemetry(&mut self, tel: &Telemetry) {
         for shard in &mut self.shards {
             for sw in &mut shard.switches {
@@ -653,8 +723,8 @@ impl ShardedNetwork {
         let m = tel.metrics();
         let dp = names::dataplane::SUBSYSTEM;
         let sc = names::scale::SUBSYSTEM;
-        self.tel = ScaleTelemetry {
-            step_ns: m.histogram(sc, names::scale::STEP_NS),
+        self.tel = EngineTelemetry {
+            step_ns: m.histogram(dp, names::dataplane::STEP_NS),
             packet_ins: m.counter(dp, names::dataplane::PACKET_INS),
             flow_removeds: m.counter(dp, names::dataplane::FLOW_REMOVEDS),
             delivered_bytes: m.counter(dp, names::dataplane::DELIVERED_BYTES),
@@ -667,7 +737,6 @@ impl ShardedNetwork {
             wheel_fired: m.counter(dp, names::dataplane::WHEEL_FIRED),
             wheel_spurious: m.counter(dp, names::dataplane::WHEEL_SPURIOUS),
             shards: m.gauge(sc, names::scale::SHARDS),
-            ticks: m.counter(sc, names::scale::TICKS),
             punt_batches: m.counter(sc, names::scale::PUNT_BATCHES),
             batched_packet_ins: m.counter(sc, names::scale::BATCHED_PACKET_INS),
             cross_shard_handoffs: m.counter(sc, names::scale::CROSS_SHARD_HANDOFFS),
@@ -679,57 +748,54 @@ impl ShardedNetwork {
             .set(i64::try_from(self.shards.len()).unwrap_or(i64::MAX));
     }
 
-    /// Routes causal spans and per-tick sample/alert evaluation into
-    /// `obs` (the engine drives the observe clock, like `Network`).
+    /// Routes causal spans (packet-in roots, stats replies) and the
+    /// per-tick sample/alert evaluation into `obs`. The dataplane drives
+    /// the observe clock: [`Engine::step`] calls `obs.on_tick` after
+    /// every tick's work so samples see that tick's counters.
     pub fn bind_observe(&mut self, obs: &Observe) {
         self.observe = obs.clone();
     }
 
-    /// Simulates a switch losing its flow state. Returns entries lost.
+    /// Simulates a switch losing its flow state (table wipe). Traffic
+    /// through it re-punts to the controller on the next tick. Returns
+    /// how many entries were lost (no FLOW_REMOVED is sent — the state
+    /// is gone, exactly like a real reboot).
     pub fn wipe_switch(&mut self, dpid: Dpid) -> usize {
         let now = self.now;
-        match self.switch_mut(dpid) {
-            Some(sw) => {
-                let n = sw.flow_count();
-                let _ = sw.clear_flows(now);
-                n
-            }
-            None => 0,
-        }
+        self.switch_mut(dpid).map_or(0, |sw| {
+            let n = sw.flow_count();
+            let _ = sw.clear_flows(now);
+            n
+        })
     }
 
-    /// Simulates a full switch reboot (flow state and port counters
-    /// lost). Returns flow entries lost.
+    /// Simulates a full switch reboot: flow state *and* port counters are
+    /// lost (see [`SimSwitch::reboot`]). Returns how many flow entries
+    /// were lost, or 0 for an unknown switch.
     pub fn reboot_switch(&mut self, dpid: Dpid) -> usize {
         let now = self.now;
-        match self.switch_mut(dpid) {
-            Some(sw) => {
-                let n = sw.reboot(now);
-                self.tel.switch_reboots.inc();
-                n
-            }
-            None => 0,
-        }
+        let Some(sw) = self.switch_mut(dpid) else {
+            return 0;
+        };
+        let lost = sw.reboot(now);
+        self.tel.switch_reboots.inc();
+        lost
     }
 
     /// Sets the effective-capacity factor of every link direction between
-    /// `a` and `b` (0.0 down, (0,1) degraded, 1.0 restored). Returns the
-    /// number of link directions affected.
+    /// switches `a` and `b`: `0.0` takes the link down, `(0, 1)` degrades
+    /// it, `1.0` restores it. Returns how many link directions were
+    /// affected (0 when no such link exists).
     pub fn set_link_state(&mut self, a: Dpid, b: Dpid, factor: f64) -> usize {
         let mut n = 0;
         let mut degraded = 0usize;
-        for shard in &mut self.shards {
-            for link in &mut shard.links {
-                let fwd = link.id.src == a && link.id.dst == b;
-                let rev = link.id.src == b && link.id.dst == a;
-                if fwd || rev {
-                    link.set_capacity_factor(factor);
-                    n += 1;
-                }
-                if link.capacity_factor() < 1.0 {
-                    degraded += 1;
-                }
+        for link in self.shards.iter_mut().flat_map(|s| &mut s.links) {
+            let ends = (link.id.src, link.id.dst);
+            if ends == (a, b) || ends == (b, a) {
+                link.set_capacity_factor(factor);
+                n += 1;
             }
+            degraded += usize::from(link.capacity_factor() < 1.0);
         }
         self.tel
             .links_degraded
@@ -737,15 +803,14 @@ impl ShardedNetwork {
         n
     }
 
-    /// Installs the stochastic `model` on every link direction, seeded
-    /// from `seed` mixed with each link's stable identity.
+    /// Installs the stochastic `model` on every link direction, each
+    /// seeded from `seed` mixed with its stable link identity. Returns
+    /// how many link directions were configured.
     pub fn set_link_model(&mut self, model: LinkModel, seed: u64) -> usize {
         let mut n = 0;
-        for shard in &mut self.shards {
-            for link in &mut shard.links {
-                link.set_model(model, seed);
-                n += 1;
-            }
+        for link in self.shards.iter_mut().flat_map(|s| &mut s.links) {
+            link.set_model(model, seed);
+            n += 1;
         }
         n
     }
@@ -753,10 +818,12 @@ impl ShardedNetwork {
     /// Schedules flows for injection.
     pub fn inject_flows(&mut self, flows: impl IntoIterator<Item = FlowSpec>) {
         self.pending.extend(flows);
+        // Descending by start time so activation pops from the end.
         self.pending.sort_by_key(|f| std::cmp::Reverse(f.start));
     }
 
-    /// Runs the simulation until `until`.
+    /// Runs the simulation until `until`: [`Engine::step`] in a loop,
+    /// under one trace span, followed by [`Engine::flush_gauges`].
     pub fn run_until(&mut self, until: SimTime, ctrl: &mut impl ControllerLink) {
         let run_start = self.now;
         let run_span = self
@@ -776,8 +843,9 @@ impl ShardedNetwork {
         }
     }
 
-    /// Publishes the per-switch table gauges now (done automatically at
-    /// the end of every [`ShardedNetwork::run_until`]).
+    /// Publishes per-switch flow-table lookup/match totals as gauges
+    /// (done at the end of every [`Engine::run_until`]; harnesses driving
+    /// [`Engine::step`] directly call this before rendering a report).
     pub fn flush_gauges(&self) {
         let Some(tel) = &self.tel.handle else {
             return;
@@ -787,470 +855,143 @@ impl ShardedNetwork {
         }
         let m = tel.metrics();
         let sub = names::dataplane::SUBSYSTEM;
-        for shard in &self.shards {
-            for sw in &shard.switches {
-                let instance = format!("s{}", sw.dpid().raw());
-                let table = sw.table();
-                m.gauge_with(sub, names::dataplane::TABLE_LOOKUPS, &instance)
-                    .set(i64::try_from(table.lookup_count()).unwrap_or(i64::MAX));
-                m.gauge_with(sub, names::dataplane::TABLE_MATCHES, &instance)
-                    .set(i64::try_from(table.matched_count()).unwrap_or(i64::MAX));
-            }
+        for sw in self.shards.iter().flat_map(|s| &s.switches) {
+            let instance = format!("s{}", sw.dpid().raw());
+            let table = sw.table();
+            m.gauge_with(sub, names::dataplane::TABLE_LOOKUPS, &instance)
+                .set(i64::try_from(table.lookup_count()).unwrap_or(i64::MAX));
+            m.gauge_with(sub, names::dataplane::TABLE_MATCHES, &instance)
+                .set(i64::try_from(table.matched_count()).unwrap_or(i64::MAX));
         }
     }
 
-    /// Advances the simulation by exactly one tick through the sharded
-    /// phase pipeline (see the [module docs](self)).
+    /// Advances the simulation by exactly one tick (see the [module
+    /// docs](self) for the phases). This is the unit the fault injector
+    /// drives: it applies due fault events between steps, so every tick
+    /// sees a consistent fault state.
     pub fn step(&mut self, ctrl: &mut impl ControllerLink) {
         let before = self.counters;
         let step_timer = self.tel.step_ns.start_timer();
-        let t = self.now + self.config.tick;
-        self.now = t;
-        let tick_idx = t.as_micros().div_ceil(self.config.tick.as_micros().max(1));
-
-        // Phase 1: per-shard expiry in parallel, FLOW_REMOVED delivery
-        // sequential in global dpid order (shards are contiguous sorted
-        // ranges, so shard order *is* dpid order).
-        let mode = self.config.expiry;
         let tick = self.config.tick;
-        let shards = std::mem::take(&mut self.shards);
-        let results = athena_parallel::par_map_take(shards, move |mut s| {
-            let out = s.run_expiry(t, tick_idx, mode, tick);
-            (s, out)
-        });
-        let mut removed: Vec<(Dpid, FlowRemoved)> = Vec::new();
-        let (mut fired, mut spurious, mut armed) = (0u64, 0u64, 0u64);
-        for (s, out) in results {
-            self.shards.push(s);
-            fired += out.fired;
-            spurious += out.spurious;
-            armed += out.armed;
-            removed.extend(out.removed);
-        }
-        self.tel.wheel_fired.add(fired);
-        self.tel.wheel_spurious.add(spurious);
-        self.tel.wheel_armed.add(armed);
-        let wire = self.config.wire_mode;
-        for (dpid, fr) in removed {
-            self.counters.flow_removeds += 1;
-            let xid = self.fresh_xid();
-            let msg = via_wire(OfMessage::FlowRemoved { xid, body: fr }, wire);
+        let t = self.now + tick;
+        self.now = t;
+
+        // 1. Flow-table expiry (soft/hard timeouts) -> FLOW_REMOVED.
+        let tick_idx = t.as_micros().div_ceil(tick.as_micros().max(1));
+        let mode = self.config.expiry;
+        self.each_shard(move |s| s.run_expiry(t, tick_idx, mode, tick));
+        for (_, dpid, fr) in self.take_removed() {
+            let msg = self.flow_removed(fr);
             let cmds = ctrl.on_message(dpid, msg, t);
             self.apply_commands(cmds, ctrl);
         }
 
-        // Phase 2: activate due flows — their first packet joins the
-        // batched routing phase as a full-credit item.
-        let mut items: Vec<TrafficItem> = Vec::new();
-        let mut entries: Vec<(Dpid, PacketHeader)> = Vec::new();
+        // 2. Activate flows whose start time has arrived. A spoofed
+        // source has no attachment point: the flow is active but sends
+        // no first packet.
         while let Some(spec) = self.pending.pop_if(|f| f.start <= t) {
-            if let Some(src) = self.host_by_ip(spec.five_tuple.src) {
-                let header = spec.header(src.port);
-                items.push(TrafficItem {
+            if let Some((at, port)) = self.hosts.get(&spec.five_tuple.src).copied() {
+                self.items.push(TrafficItem {
                     flow_idx: None,
                     bytes: u64::from(spec.packet_size),
-                    entry: (src.switch, header),
+                    at,
+                    pkt: spec.header(port),
                     delivered: false,
                 });
-                entries.push((src.switch, header));
+                P::activated(self, ctrl);
             }
             self.active.push(ActiveFlow::new(spec));
         }
 
-        // Phase 3: controller's own tick (stats polling etc.).
+        // 3. Controller's own tick (stats polling etc.).
         let cmds = ctrl.on_tick(t);
         self.apply_commands(cmds, ctrl);
 
-        // Phase 4: per-flow traffic items.
-        let specs: Vec<(usize, FlowSpec)> = self
-            .active
-            .iter()
-            .enumerate()
-            .filter(|(_, f)| f.spec.start < t && f.spec.end_time() >= t)
-            .map(|(i, f)| (i, f.spec))
-            .collect();
-        for (idx, spec) in specs {
-            let fwd_bytes = spec.bytes_per(tick);
-            if fwd_bytes > 0 {
-                if let Some(src) = self.host_by_ip(spec.five_tuple.src) {
-                    let header = spec.header(src.port);
-                    items.push(TrafficItem {
-                        flow_idx: Some(idx),
-                        bytes: fwd_bytes,
-                        entry: (src.switch, header),
-                        delivered: false,
-                    });
-                    entries.push((src.switch, header));
-                }
-            }
-            if spec.reverse_ratio > 0.0 {
-                let rev_bytes = (fwd_bytes as f64 * spec.reverse_ratio) as u64;
-                if rev_bytes > 0 {
-                    if let Some(dst) = self.host_by_ip(spec.five_tuple.dst) {
-                        let header = spec.reverse_header(dst.port);
-                        items.push(TrafficItem {
-                            flow_idx: Some(idx),
-                            bytes: rev_bytes,
-                            entry: (dst.switch, header),
-                            delivered: false,
-                        });
-                        entries.push((dst.switch, header));
-                    }
-                }
-            }
-        }
-
-        // Phase 5: batched routing rounds.
-        let (rounds, handoffs, stream) = self.route_items(&mut items, entries, ctrl);
-        self.tel.routing_rounds.add(rounds);
-        self.tel.cross_shard_handoffs.add(handoffs);
-
-        // Phase 6: per-shard link offers + settle in parallel. Every
-        // link settles every tick, so RNG streams are width-invariant.
-        // Offers replay the segment stream in fixed-size chunks mapped
-        // in parallel: per-link byte totals are sums, so any
-        // width-invariant order works, and chunk boundaries depend only
-        // on the stream length — never on thread count.
-        let n_shards = self.shards.len();
-        let stream = Arc::new(stream);
-        let ranges: Vec<(usize, usize)> = (0..stream.len())
-            .step_by(SEG_CHUNK)
-            .map(|s| (s, (s + SEG_CHUNK).min(stream.len())))
-            .collect();
-        // Bytes each item offers per traversed link; 0 skips (activation
-        // packets don't contend).
-        let offer_bytes: Arc<Vec<u64>> = Arc::new(
-            items
-                .iter()
-                .map(|it| if it.flow_idx.is_some() { it.bytes } else { 0 })
-                .collect(),
-        );
-        let mut offers: Vec<Vec<(LinkId, u64)>> = (0..n_shards).map(|_| Vec::new()).collect();
-        {
-            let stream = Arc::clone(&stream);
-            let ctx = Arc::clone(&self.ctx);
-            let chunks = athena_parallel::par_map(ranges.clone(), move |&(s, e)| {
-                let mut buckets: Vec<Vec<(LinkId, u64)>> =
-                    (0..n_shards).map(|_| Vec::new()).collect();
-                for rec in stream.get(s..e).unwrap_or(&[]) {
-                    let bytes = offer_bytes.get(rec.item).copied().unwrap_or(0);
-                    if bytes == 0 {
-                        continue;
-                    }
-                    for l in &rec.links {
-                        if let Some(si) = ctx.shard_of.get(&l.src) {
-                            if let Some(bucket) = buckets.get_mut(*si) {
-                                bucket.push((*l, bytes));
-                            }
-                        }
-                    }
-                }
-                buckets
-            });
-            for mut chunk in chunks {
-                for (si, bucket) in chunk.iter_mut().enumerate() {
-                    if let Some(dst) = offers.get_mut(si) {
-                        dst.append(bucket);
-                    }
-                }
-            }
-        }
-        let shards = std::mem::take(&mut self.shards);
-        let jobs: Vec<(Shard, Vec<(LinkId, u64)>)> = shards.into_iter().zip(offers).collect();
-        let results = athena_parallel::par_map_take(jobs, move |(mut s, o)| {
-            let out = s.offers_and_settle(o, tick);
-            (s, out)
-        });
-        let mut frac_of: HashMap<LinkId, f64> = HashMap::new();
-        let mut queue_drops = 0u64;
-        for (s, out) in results {
-            self.shards.push(s);
-            queue_drops += out.queue_drop_delta;
-            for lat in out.latencies {
-                self.tel.link_latency_us.record(lat);
-            }
-            for (id, frac) in out.link_fracs {
-                frac_of.insert(id, frac);
-            }
-        }
-        if queue_drops > 0 {
-            self.tel.link_queue_drops.add(queue_drops);
-        }
-
-        // Phase 7: credit replay per shard in parallel, then per-flow
-        // bookkeeping sequentially in item order. Credit ops are all
-        // commutative counter adds sharing one timestamp, so the bucket
-        // order only has to be width-invariant, not item-major: entry
-        // credits, drops, and bookkeeping go item-major; per-hop credits
-        // replay the segment stream. The delivered fraction multiplies
-        // link fracs in exact hop order (stream order restricted to one
-        // item *is* its hop order), keeping f64 rounding identical to a
-        // per-item walk.
-        let mut frac_acc: Vec<f64> = vec![1.0; items.len()];
-        let mut congested_of: Vec<Option<LinkId>> = vec![None; items.len()];
-        for rec in stream.iter() {
-            let Some(fa) = frac_acc.get_mut(rec.item) else {
+        // 4. A tick of traffic for every active flow: route it …
+        for (idx, flow) in self.active.iter().enumerate() {
+            let spec = &flow.spec;
+            if spec.start >= t || spec.end_time() < t {
                 continue;
-            };
-            for l in &rec.links {
-                let f = frac_of.get(l).copied().unwrap_or(1.0);
-                *fa *= f;
-                if f < 1.0 {
-                    if let Some(c) = congested_of.get_mut(rec.item) {
-                        if c.is_none() {
-                            *c = Some(*l);
-                        }
-                    }
-                }
             }
-        }
-        let mut ops: Vec<Vec<CreditOp>> = (0..n_shards).map(|_| Vec::new()).collect();
-        let mut books: Vec<Book> = Vec::new();
-        // `(packets, bytes)` each of the item's hops is credited with;
-        // `None` skips the item (its flow vanished mid-tick).
-        let mut creds: Vec<Option<(u64, u64)>> = Vec::with_capacity(items.len());
-        for (i, it) in items.iter().enumerate() {
-            match it.flow_idx {
-                None => creds.push(Some((1, it.bytes))),
-                Some(fi) => {
-                    let frac = frac_acc.get(i).copied().unwrap_or(1.0);
-                    let delivered_share = (it.bytes as f64 * frac) as u64;
-                    let dropped = it.bytes - delivered_share;
-                    let Some(spec) = self.active.get(fi).map(|f| f.spec) else {
-                        creds.push(None);
-                        continue;
-                    };
-                    let packets = spec.packets_for(delivered_share.max(1));
-                    creds.push(Some((packets, delivered_share)));
-                    if dropped > 0 {
-                        if let Some(congested) = congested_of.get(i).copied().flatten() {
-                            if let Some(si) = self.ctx.shard_of.get(&congested.src) {
-                                if let Some(bucket) = ops.get_mut(*si) {
-                                    bucket.push(CreditOp::TxDrop {
-                                        dpid: congested.src,
-                                        port: congested.src_port,
-                                        packets: spec.packets_for(dropped),
-                                    });
-                                }
-                            }
-                        }
-                    }
-                    books.push(Book {
-                        flow_idx: fi,
-                        total: it.bytes,
-                        delivered_share,
-                        routed: it.delivered,
-                    });
-                }
-            }
-            // The entry switch is credited like a hop.
-            if let Some((packets, bytes)) = creds.last().copied().flatten() {
-                let (dpid, pkt) = it.entry;
-                if let Some(si) = self.ctx.shard_of.get(&dpid) {
-                    if let Some(bucket) = ops.get_mut(*si) {
-                        bucket.push(CreditOp::Flow {
-                            dpid,
-                            pkt,
-                            packets,
-                            bytes,
-                        });
-                    }
-                }
-            }
-        }
-        {
-            let stream = Arc::clone(&stream);
-            let ctx = Arc::clone(&self.ctx);
-            let creds = Arc::new(creds);
-            let chunks = athena_parallel::par_map(ranges, move |&(s, e)| {
-                let mut buckets: Vec<Vec<CreditOp>> = (0..n_shards).map(|_| Vec::new()).collect();
-                for rec in stream.get(s..e).unwrap_or(&[]) {
-                    let Some((packets, bytes)) = creds.get(rec.item).copied().flatten() else {
-                        continue;
-                    };
-                    for (dpid, pkt) in &rec.hops {
-                        if let Some(si) = ctx.shard_of.get(dpid) {
-                            if let Some(bucket) = buckets.get_mut(*si) {
-                                bucket.push(CreditOp::Flow {
-                                    dpid: *dpid,
-                                    pkt: *pkt,
-                                    packets,
-                                    bytes,
-                                });
-                            }
-                        }
-                    }
-                }
-                buckets
-            });
-            for mut chunk in chunks {
-                for (si, bucket) in chunk.iter_mut().enumerate() {
-                    if let Some(dst) = ops.get_mut(si) {
-                        dst.append(bucket);
-                    }
-                }
-            }
-        }
-        let shards = std::mem::take(&mut self.shards);
-        let jobs: Vec<(Shard, Vec<CreditOp>)> = shards.into_iter().zip(ops).collect();
-        self.shards = athena_parallel::par_map_take(jobs, move |(mut s, o)| {
-            s.run_credits(o, t);
-            s
-        });
-        for b in books {
-            let dropped = b.total - b.delivered_share;
-            let Some(f) = self.active.get_mut(b.flow_idx) else {
-                continue;
-            };
-            f.last_tick_routed = b.routed;
-            if b.routed {
-                f.delivered_bytes += b.delivered_share;
-                f.dropped_bytes += dropped;
-                self.counters.delivered_bytes += b.delivered_share;
-                self.counters.dropped_bytes += dropped;
+            let fwd = spec.bytes_per(tick);
+            let rev = if spec.reverse_ratio > 0.0 {
+                (fwd as f64 * spec.reverse_ratio) as u64
             } else {
-                f.dropped_bytes += b.total;
-                self.counters.dropped_bytes += b.total;
+                0
+            };
+            let ft = spec.five_tuple;
+            for (bytes, ip, reverse) in [(fwd, ft.src, false), (rev, ft.dst, true)] {
+                let (true, Some((at, port))) = (bytes > 0, self.hosts.get(&ip).copied()) else {
+                    continue;
+                };
+                let pkt = if reverse {
+                    spec.reverse_header(port)
+                } else {
+                    spec.header(port)
+                };
+                self.items.push(TrafficItem {
+                    flow_idx: Some(idx),
+                    bytes,
+                    at,
+                    pkt,
+                    delivered: false,
+                });
             }
         }
+        P::route(self, ctrl);
+        // … 5. settle link contention, 6. credit the delivered share.
+        self.settle();
+        self.credit();
 
-        // Phase 8: retire finished flows, mirror counters, tick observe.
+        // 7. Retire finished flows.
         self.active.retain(|f| f.spec.end_time() > t);
+
         step_timer.observe(&self.tel.step_ns);
-        self.tel
-            .packet_ins
-            .add(self.counters.packet_ins - before.packet_ins);
+        // Mirror this tick's deltas into the registry — one add per
+        // counter per tick keeps the inner loops untouched.
+        let c = self.counters;
+        self.tel.packet_ins.add(c.packet_ins - before.packet_ins);
         self.tel
             .flow_removeds
-            .add(self.counters.flow_removeds - before.flow_removeds);
+            .add(c.flow_removeds - before.flow_removeds);
         self.tel
             .delivered_bytes
-            .add(self.counters.delivered_bytes - before.delivered_bytes);
+            .add(c.delivered_bytes - before.delivered_bytes);
         self.tel
             .dropped_bytes
-            .add(self.counters.dropped_bytes - before.dropped_bytes);
-        self.tel.ticks.inc();
+            .add(c.dropped_bytes - before.dropped_bytes);
+        for shard in &mut self.shards {
+            let wheel = std::mem::take(&mut shard.wheel_stats);
+            self.tel.wheel_armed.add(wheel.armed);
+            self.tel.wheel_fired.add(wheel.fired);
+            self.tel.wheel_spurious.add(wheel.spurious);
+        }
+        // 8. Observe sample/alert tick — after mirroring, so the sampled
+        // series include this tick's counter deltas.
         self.observe.on_tick(t);
     }
 
-    /// The batched routing phase: rounds of parallel shard-local walks,
-    /// with one pipeline-processed packet-in batch per round and
-    /// cross-shard handoffs continuing in the next round.
-    fn route_items(
-        &mut self,
-        items: &mut [TrafficItem],
-        entries: Vec<(Dpid, PacketHeader)>,
-        ctrl: &mut impl ControllerLink,
-    ) -> (u64, u64, Vec<SegRec>) {
-        let mut stream: Vec<SegRec> = Vec::new();
-        let max_punt = self.config.max_punt_retries;
-        let hop_budget = self.ctx.shard_of.len() + 2;
-        let now = self.now;
-        let n_shards = self.shards.len();
-        let mut pkts: Vec<PacketState> = entries
-            .into_iter()
-            .enumerate()
-            .map(|(item, (dpid, pkt))| PacketState {
-                item,
-                dpid,
-                pkt,
-                punts: 0,
-                hops_left: hop_budget,
-            })
-            .collect();
-        let mut rounds = 0u64;
-        let mut handoffs = 0u64;
-        while !pkts.is_empty() {
-            rounds += 1;
-            // Bucket by shard; item order is preserved within a bucket,
-            // and the merge below walks shards in index order, so the
-            // round's output order is a pure function of its input.
-            let mut buckets: Vec<Vec<PacketState>> = (0..n_shards).map(|_| Vec::new()).collect();
-            for st in pkts.drain(..) {
-                if let Some(si) = self.ctx.shard_of.get(&st.dpid) {
-                    if let Some(b) = buckets.get_mut(*si) {
-                        b.push(st);
-                    }
-                }
-            }
-            let ctx = Arc::clone(&self.ctx);
-            let shards = std::mem::take(&mut self.shards);
-            let jobs: Vec<(Shard, Vec<PacketState>)> = shards.into_iter().zip(buckets).collect();
-            let results = athena_parallel::par_map_take(jobs, move |(s, b)| {
-                let segs = s.walk_all(b, &ctx, now, max_punt);
-                (s, segs)
-            });
-            let mut punts: Vec<PacketState> = Vec::new();
-            for (s, segs) in results {
-                self.shards.push(s);
-                for seg in segs {
-                    let WalkSeg {
-                        item,
-                        links,
-                        hops,
-                        outcome,
-                    } = seg;
-                    if !links.is_empty() || !hops.is_empty() {
-                        // Moved in whole: the merge never copies hops.
-                        stream.push(SegRec { item, links, hops });
-                    }
-                    match outcome {
-                        Outcome::Delivered => {
-                            if let Some(it) = items.get_mut(item) {
-                                it.delivered = true;
-                            }
-                        }
-                        Outcome::Failed => {}
-                        Outcome::NeedPunt(st) => punts.push(st),
-                        Outcome::Handoff(st) => {
-                            handoffs += 1;
-                            pkts.push(st);
-                        }
-                    }
-                }
-            }
-            if !punts.is_empty() {
-                // One batch per round: xids assigned in item order, one
-                // span for the whole batch, commands applied in the
-                // order the controller returned them.
-                punts.sort_by_key(|s| s.item);
-                let n = punts.len() as u64;
-                self.counters.packet_ins += n;
-                let wire = self.config.wire_mode;
-                let mut batch = Vec::with_capacity(punts.len());
-                for st in &punts {
-                    let xid = self.fresh_xid();
-                    batch.push((st.dpid, via_wire(OfMessage::packet_in(xid, st.pkt), wire)));
-                }
-                let span = self.observe.span_at("dataplane", "packet_in_batch", now);
-                let cmds = ctrl.on_packet_in_batch(batch, now);
-                self.apply_commands(cmds, ctrl);
-                span.finish(format_args!("{n} packet-ins"));
-                self.tel.punt_batches.inc();
-                self.tel.batched_packet_ins.add(n);
-                for mut st in punts {
-                    st.punts += 1;
-                    pkts.push(st);
-                }
-            }
-            // Deterministic next-round order (each item has at most one
-            // in-flight packet, so the item index is a unique key).
-            pkts.sort_by_key(|s| s.item);
-        }
-        (rounds, handoffs, stream)
+    /// Runs one phase on every shard in parallel: each shard moves into
+    /// its runner and comes back in index order, having touched only its
+    /// own state.
+    pub(crate) fn each_shard(&mut self, phase: impl Fn(&mut Shard) + Send + Sync + 'static) {
+        let shards = std::mem::take(&mut self.shards);
+        self.shards = athena_parallel::par_map_take(shards, move |mut shard| {
+            phase(&mut shard);
+            shard
+        });
     }
 
-    /// The host (if any) owning `ip`, via the constructed-once index.
-    fn host_by_ip(&self, ip: Ipv4Addr) -> Option<HostSpec> {
-        self.host_index
-            .get(&ip)
-            .and_then(|i| self.topology.hosts.get(*i))
-            .copied()
-    }
-
-    fn switch_mut(&mut self, dpid: Dpid) -> Option<&mut SimSwitch> {
-        let si = self.ctx.shard_of.get(&dpid).copied()?;
-        self.shards.get_mut(si)?.switch_mut(dpid)
+    /// The packet that carries traffic item `item` into the fabric.
+    pub(crate) fn packet(&self, item: usize) -> Option<PacketState> {
+        let it = self.items.get(item)?;
+        Some(PacketState {
+            item,
+            at: it.at,
+            pkt: it.pkt,
+            punts: 0,
+            hops_left: self.place.len() + 2,
+        })
     }
 
     fn fresh_xid(&mut self) -> Xid {
@@ -1258,33 +999,190 @@ impl ShardedNetwork {
         Xid::new(self.next_xid)
     }
 
-    /// Re-arms `dpid`'s shard wheel after its table may have gained an
-    /// earlier deadline.
-    fn arm_switch(&mut self, dpid: Dpid) {
-        if self.config.expiry == ExpiryMode::Scan {
-            return;
+    /// Counts a punt of `st` from the switch it waits at and frames its
+    /// PACKET_IN.
+    pub(crate) fn packet_in(&mut self, st: &PacketState) -> Option<(Dpid, OfMessage)> {
+        let sw = self.shards.get(st.at.shard)?.switches.get(st.at.slot)?;
+        let dpid = sw.dpid();
+        self.counters.packet_ins += 1;
+        let xid = self.fresh_xid();
+        let msg = OfMessage::packet_in(xid, st.pkt);
+        Some((dpid, via_wire(msg, self.config.wire_mode)))
+    }
+
+    /// Counts a FLOW_REMOVED and frames it for the controller.
+    fn flow_removed(&mut self, body: FlowRemoved) -> OfMessage {
+        self.counters.flow_removeds += 1;
+        let xid = self.fresh_xid();
+        via_wire(OfMessage::FlowRemoved { xid, body }, self.config.wire_mode)
+    }
+
+    /// Collects what the shards' last expiry or flow-mod phase removed,
+    /// in the order of the commands that caused it (shard order — dpid
+    /// order — within one command).
+    fn take_removed(&mut self) -> Vec<(usize, Dpid, FlowRemoved)> {
+        let mut removed = Vec::new();
+        for shard in &mut self.shards {
+            removed.append(&mut shard.removed);
+        }
+        // Stable: removals within one command keep their order.
+        removed.sort_by_key(|(i, _, _)| *i);
+        removed
+    }
+
+    /// Link contention: the stream's byte offers, then every link of
+    /// every shard settles. Offers are sums per link, so stream order is
+    /// as good as any.
+    fn settle(&mut self) {
+        for hop in &self.stream {
+            // Activation packets don't contend.
+            let Some(bytes) = self
+                .items
+                .get(hop.item)
+                .and_then(|it| it.flow_idx.map(|_| it.bytes))
+            else {
+                continue;
+            };
+            let link = self
+                .shards
+                .get_mut(hop.from)
+                .and_then(|s| s.links.get_mut(hop.link));
+            if let Some(link) = link {
+                link.offer(bytes);
+            }
         }
         let tick = self.config.tick;
-        let Some(si) = self.ctx.shard_of.get(&dpid).copied() else {
-            return;
-        };
-        let Some(shard) = self.shards.get_mut(si) else {
-            return;
-        };
-        if shard.arm(dpid, tick) {
-            self.tel.wheel_armed.inc();
+        self.each_shard(move |s| s.settle(tick));
+        let mut queue_drops = 0u64;
+        for shard in &mut self.shards {
+            queue_drops += std::mem::take(&mut shard.queue_drops);
+            for lat in shard.latencies.drain(..) {
+                self.tel.link_latency_us.record(lat);
+            }
+        }
+        if queue_drops > 0 {
+            self.tel.link_queue_drops.add(queue_drops);
         }
     }
 
-    /// Full-credit sequential walk for PACKET_OUT injection (follows the
-    /// tables' current actions, like `Network::credit_path`).
-    fn credit_walk(&mut self, entry: Dpid, header: PacketHeader, packets: u64, bytes: u64) {
+    /// Credits every routed item's delivered share to the switches on its
+    /// path and to its flow, then empties `items` and `stream`. Shards
+    /// replay their credit queues in parallel.
+    pub(crate) fn credit(&mut self) {
+        self.queue_credits();
+        let t = self.now;
+        self.each_shard(move |s| s.run_credits(t));
+    }
+
+    /// [`credit`](Self::credit) with the queues replayed on the caller:
+    /// an activation packet's one op per hop is not worth a pool
+    /// round-trip per new flow.
+    pub(crate) fn credit_inline(&mut self) {
+        self.queue_credits();
+        for shard in &mut self.shards {
+            shard.run_credits(self.now);
+        }
+    }
+
+    /// Fills each shard's credit queue from `items` and `stream`, then
+    /// empties both.
+    ///
+    /// Credit ops are commutative counter adds sharing one timestamp, so
+    /// each shard's queue only has to be filled in a plan- and
+    /// width-invariant order: entry credits and drops go item-major,
+    /// per-hop credits in stream order. The delivered fraction multiplies
+    /// link fractions in exact hop order (stream order restricted to one
+    /// item *is* its hop order), so f64 rounding is that of a per-packet
+    /// walk.
+    fn queue_credits(&mut self) {
+        self.shares.clear();
+        self.shares.resize(
+            self.items.len(),
+            Share {
+                frac: 1.0,
+                congested: None,
+                credit: None,
+            },
+        );
+        for hop in &self.stream {
+            let frac = self
+                .shards
+                .get(hop.from)
+                .and_then(|s| s.fracs.get(hop.link));
+            let (Some(frac), Some(share)) = (frac.copied(), self.shares.get_mut(hop.item)) else {
+                continue;
+            };
+            share.frac *= frac;
+            if frac < 1.0 && share.congested.is_none() {
+                share.congested = Some((hop.from, hop.link));
+            }
+        }
+        for (item, share) in self.items.iter().zip(&mut self.shares) {
+            let (packets, bytes) = match item.flow_idx {
+                None => (1, item.bytes),
+                Some(fi) => {
+                    let Some(flow) = self.active.get_mut(fi) else {
+                        continue;
+                    };
+                    let delivered = (item.bytes as f64 * share.frac) as u64;
+                    let dropped = item.bytes - delivered;
+                    // Drops are accounted on the first congested link's
+                    // egress port.
+                    if let (true, Some((shard, link))) = (dropped > 0, share.congested) {
+                        if let Some(s) = self.shards.get_mut(shard) {
+                            s.credits.push(CreditOp::TxDrop {
+                                link,
+                                packets: flow.spec.packets_for(dropped),
+                            });
+                        }
+                    }
+                    flow.last_tick_routed = item.delivered;
+                    let (ok, lost) = if item.delivered {
+                        (delivered, dropped)
+                    } else {
+                        (0, item.bytes)
+                    };
+                    flow.delivered_bytes += ok;
+                    flow.dropped_bytes += lost;
+                    self.counters.delivered_bytes += ok;
+                    self.counters.dropped_bytes += lost;
+                    (flow.spec.packets_for(delivered.max(1)), delivered)
+                }
+            };
+            share.credit = Some((packets, bytes));
+            if let Some(s) = self.shards.get_mut(item.at.shard) {
+                s.credits.push(CreditOp::Flow {
+                    slot: item.at.slot,
+                    pkt: item.pkt,
+                    packets,
+                    bytes,
+                });
+            }
+        }
+        for hop in &self.stream {
+            let credit = self.shares.get(hop.item).and_then(|s| s.credit);
+            if let (Some((packets, bytes)), Some(s)) = (credit, self.shards.get_mut(hop.to.shard)) {
+                s.credits.push(CreditOp::Flow {
+                    slot: hop.to.slot,
+                    pkt: hop.pkt,
+                    packets,
+                    bytes,
+                });
+            }
+        }
+        self.items.clear();
+        self.stream.clear();
+    }
+
+    /// Full-credit walk for PACKET_OUT injection: follows the tables'
+    /// current actions from `at`, crediting as it goes.
+    fn credit_walk(&mut self, mut at: Loc, mut pkt: PacketHeader, packets: u64, bytes: u64) {
         let now = self.now;
-        let mut dpid = entry;
-        let mut pkt = header;
-        let max_hops = self.ctx.shard_of.len() + 2;
-        for _ in 0..max_hops {
-            let Some(sw) = self.switch_mut(dpid) else {
+        for _ in 0..self.place.len() + 2 {
+            let Some(shard) = self.shards.get_mut(at.shard) else {
+                return;
+            };
+            let Some(sw) = shard.switches.get_mut(at.slot) else {
                 return;
             };
             let Some(actions) = sw.process(&pkt, now, packets, bytes) else {
@@ -1293,23 +1191,47 @@ impl ShardedNetwork {
             let Some(out) = Action::first_output(&actions) else {
                 return;
             };
-            let Some(link) = self.ctx.egress.get(&(dpid, out)).copied() else {
+            let Port::Link { to, in_port, .. } = shard.port(at.slot, out) else {
                 return;
             };
-            dpid = link.dst;
-            pkt = apply_rewrites(&actions, pkt).with_in_port(link.dst_port);
+            pkt = apply_rewrites(&actions, pkt).with_in_port(in_port);
+            at = to;
         }
     }
 
-    /// Applies controller commands; replies are fed back, bounded to
-    /// avoid livelock (mirrors `Network::apply_commands`).
-    fn apply_commands(
+    /// Queues `body` for `dpid`'s shard as command `index`; returns the
+    /// shard, or `None` for an unknown switch.
+    fn queue_mod(&mut self, index: usize, dpid: Dpid, body: FlowMod) -> Option<&mut Shard> {
+        let loc = self.place.get(&dpid)?;
+        let shard = self.shards.get_mut(loc.shard)?;
+        shard.mods.push((index, loc.slot, body));
+        Some(shard)
+    }
+
+    /// Delivers the FLOW_REMOVEDs the last flow-mods caused, collecting
+    /// the controller's answers into `replies`.
+    fn report_removed(
+        &mut self,
+        ctrl: &mut impl ControllerLink,
+        replies: &mut Vec<(Dpid, OfMessage)>,
+    ) {
+        for (_, dpid, fr) in self.take_removed() {
+            let reply = self.flow_removed(fr);
+            replies.extend(ctrl.on_message(dpid, reply, self.now));
+        }
+    }
+
+    /// Applies controller commands; replies (e.g. stats) are fed back to
+    /// the controller, bounded to avoid livelock.
+    pub(crate) fn apply_commands(
         &mut self,
         mut commands: Vec<(Dpid, OfMessage)>,
         ctrl: &mut impl ControllerLink,
     ) {
         let now = self.now;
         let wire = self.config.wire_mode;
+        let mode = self.config.expiry;
+        let tick = self.config.tick;
         let mut depth = 0;
         while !commands.is_empty() && depth < 8 {
             depth += 1;
@@ -1317,44 +1239,46 @@ impl ShardedNetwork {
                 .drain(..)
                 .map(|(dpid, msg)| (dpid, via_wire(msg, wire)))
                 .collect();
+            let mut replies: Vec<(Dpid, OfMessage)> = Vec::new();
             // Large all-FlowMod batches (a punt batch's install burst)
-            // apply per shard in parallel; anything mixed falls through
-            // to the order-sensitive sequential loop.
+            // apply per shard in parallel: switches are disjoint across
+            // shards and per-shard command order is kept, so tables,
+            // wheel arms and the FLOW_REMOVED replies (merged back into
+            // command order) equal the sequential loop's. Anything mixed
+            // takes the order-sensitive sequential loop.
             if decoded.len() >= FLOW_MOD_BATCH_MIN
                 && decoded
                     .iter()
                     .all(|(_, m)| matches!(m, OfMessage::FlowMod { .. }))
             {
-                commands = self.apply_flow_mod_batch(decoded, ctrl);
+                for (i, (dpid, msg)) in decoded.into_iter().enumerate() {
+                    if let OfMessage::FlowMod { body, .. } = msg {
+                        self.queue_mod(i, dpid, body);
+                    }
+                }
+                self.each_shard(move |s| s.apply_mods(now, mode, tick));
+                self.report_removed(ctrl, &mut replies);
+                commands = replies;
                 continue;
             }
-            let mut replies: Vec<(Dpid, OfMessage)> = Vec::new();
             for (dpid, msg) in decoded {
                 match msg {
                     OfMessage::FlowMod { body, .. } => {
-                        let removed = match self.switch_mut(dpid) {
-                            Some(sw) => sw.apply_flow_mod(&body, now),
-                            None => continue,
-                        };
-                        for fr in removed {
-                            self.counters.flow_removeds += 1;
-                            let xid = self.fresh_xid();
-                            let reply = via_wire(OfMessage::FlowRemoved { xid, body: fr }, wire);
-                            replies.extend(ctrl.on_message(dpid, reply, now));
+                        if let Some(shard) = self.queue_mod(0, dpid, body) {
+                            shard.apply_mods(now, mode, tick);
+                            self.report_removed(ctrl, &mut replies);
                         }
-                        // The mod may have introduced an earlier
-                        // deadline: schedule its wake-up.
-                        self.arm_switch(dpid);
                     }
                     OfMessage::PacketOut { body, .. } => {
-                        let bytes = u64::from(body.header.byte_len);
-                        if let Some(out) = Action::first_output(&body.actions) {
+                        // Inject at the named switch's egress port.
+                        let out = Action::first_output(&body.actions);
+                        let port = self.place.get(&dpid).zip(out).and_then(|(loc, out)| {
+                            Some(self.shards.get(loc.shard)?.port(loc.slot, out))
+                        });
+                        if let Some(Port::Link { to, in_port, .. }) = port {
                             let pkt = body.header.with_in_port(PortNo::CONTROLLER);
-                            if let Some(link) = self.ctx.egress.get(&(dpid, out)).copied() {
-                                let next =
-                                    apply_rewrites(&body.actions, pkt).with_in_port(link.dst_port);
-                                self.credit_walk(link.dst, next, 1, bytes);
-                            }
+                            let next = apply_rewrites(&body.actions, pkt).with_in_port(in_port);
+                            self.credit_walk(to, next, 1, u64::from(body.header.byte_len));
                         }
                     }
                     OfMessage::StatsRequest { xid, body } => {
@@ -1396,90 +1320,72 @@ impl ShardedNetwork {
             commands = replies;
         }
     }
-
-    /// Applies an all-`FlowMod` command batch per shard in parallel —
-    /// switches are disjoint across shards and per-shard command order
-    /// is preserved, so the resulting tables, wheel arms, and the
-    /// FLOW_REMOVED reply stream (merged back into command order) are
-    /// byte-identical to the sequential loop at any width.
-    fn apply_flow_mod_batch(
-        &mut self,
-        cmds: Vec<(Dpid, OfMessage)>,
-        ctrl: &mut impl ControllerLink,
-    ) -> Vec<(Dpid, OfMessage)> {
-        let now = self.now;
-        let wire = self.config.wire_mode;
-        let mode = self.config.expiry;
-        let tick = self.config.tick;
-        let n_shards = self.shards.len();
-        let mut buckets: Vec<Vec<(usize, Dpid, athena_openflow::FlowMod)>> =
-            (0..n_shards).map(|_| Vec::new()).collect();
-        for (i, (dpid, msg)) in cmds.into_iter().enumerate() {
-            let OfMessage::FlowMod { body, .. } = msg else {
-                continue;
-            };
-            if let Some(si) = self.ctx.shard_of.get(&dpid) {
-                if let Some(b) = buckets.get_mut(*si) {
-                    b.push((i, dpid, body));
-                }
-            }
-        }
-        let shards = std::mem::take(&mut self.shards);
-        let jobs: Vec<(Shard, FlowModBucket)> = shards.into_iter().zip(buckets).collect();
-        let results = athena_parallel::par_map_take(jobs, move |(mut s, cmds)| {
-            let mut removed: Vec<(usize, Dpid, FlowRemoved)> = Vec::new();
-            let mut armed = 0u64;
-            for (i, dpid, body) in cmds {
-                let frs = match s.switch_mut(dpid) {
-                    Some(sw) => sw.apply_flow_mod(&body, now),
-                    None => continue,
-                };
-                for fr in frs {
-                    removed.push((i, dpid, fr));
-                }
-                // The mod may have introduced an earlier deadline.
-                if mode != ExpiryMode::Scan && s.arm(dpid, tick) {
-                    armed += 1;
-                }
-            }
-            (s, removed, armed)
-        });
-        let mut removed: Vec<(usize, Dpid, FlowRemoved)> = Vec::new();
-        let mut armed = 0u64;
-        for (s, r, a) in results {
-            self.shards.push(s);
-            removed.extend(r);
-            armed += a;
-        }
-        self.tel.wheel_armed.add(armed);
-        // Stable sort: removals within one command keep their order.
-        removed.sort_by_key(|(i, _, _)| *i);
-        let mut replies: Vec<(Dpid, OfMessage)> = Vec::new();
-        for (_, dpid, fr) in removed {
-            self.counters.flow_removeds += 1;
-            let xid = self.fresh_xid();
-            let reply = via_wire(OfMessage::FlowRemoved { xid, body: fr }, wire);
-            replies.extend(ctrl.on_message(dpid, reply, now));
-        }
-        replies
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::network::LearningControllerStub;
-    use crate::Network;
-    use athena_types::{FiveTuple, HostId};
+    use crate::{Batched, Synchronous};
+    use athena_openflow::{MatchFields, StatsReply, StatsRequest};
+    use athena_types::FiveTuple;
 
-    fn stub_for(topo: &Topology) -> LearningControllerStub {
-        // The stub only needs the topology; borrow a throwaway Network.
-        LearningControllerStub::new(&Network::new(topo.clone()))
+    /// Instantiates each generic test below once per punt discipline.
+    macro_rules! over_both_disciplines {
+        ($($test:ident),* $(,)?) => {
+            mod synchronous {
+                $(#[test] fn $test() { super::$test::<super::Synchronous>() })*
+            }
+            mod batched {
+                $(#[test] fn $test() { super::$test::<super::Batched>() })*
+            }
+        };
     }
 
-    fn flows_on(topo: &Topology, n: usize, seed: u64) -> Vec<FlowSpec> {
-        // benign_mix_on draws src/dst from the topology's real hosts.
-        crate::workload::benign_mix_on(topo, n, SimDuration::from_secs(10), seed)
+    over_both_disciplines!(
+        routes_counts_and_credits_the_activation_packet,
+        telemetry_mirrors_engine_counters,
+        idle_timeout_produces_flow_removed_and_reinstall,
+        congestion_drops_excess_traffic,
+        no_route_means_no_delivery,
+        stats_request_round_trip_via_on_tick,
+        link_down_blackholes_and_restore_recovers,
+        chaos_hooks_wipe_and_reboot,
+        step_matches_run_until,
+        bidirectional_flows_create_pair_entries,
+        reruns_with_the_same_plan_are_identical,
+    );
+
+    /// An `n`-switch line cut into `shards` shards, its stub controller,
+    /// and a TCP five-tuple from the first host to the last.
+    fn line<P: PuntDiscipline>(
+        n: usize,
+        hosts_per_switch: usize,
+        shards: usize,
+    ) -> (Engine<P>, LearningControllerStub, FiveTuple) {
+        let topo = Topology::linear(n, hosts_per_switch);
+        let plan = ShardPlan::partition(&topo, shards);
+        let ctrl = LearningControllerStub::for_topology(topo.clone());
+        let (src, dst) = (topo.hosts[0].ip, topo.hosts[topo.hosts.len() - 1].ip);
+        let net = Engine::with_plan(topo, NetworkConfig::default(), plan);
+        (net, ctrl, FiveTuple::tcp(src, 40_000, dst, 80))
+    }
+
+    fn flow(ft: FiveTuple, start: u64, secs: u64, rate_bps: u64) -> FlowSpec {
+        FlowSpec::new(
+            ft,
+            SimTime::from_secs(start),
+            SimDuration::from_secs(secs),
+            rate_bps,
+        )
+    }
+
+    fn flow_entries<P: PuntDiscipline>(
+        net: &Engine<P>,
+        dpid: u64,
+    ) -> Vec<athena_openflow::stats::FlowStatsEntry> {
+        let sw = net.switch(Dpid::new(dpid)).unwrap();
+        sw.table().flow_stats(&MatchFields::new(), net.now())
     }
 
     #[test]
@@ -1507,51 +1413,120 @@ mod tests {
         assert!(ShardPlan::partition(&topo, 10_000).n_shards() <= topo.switches.len());
     }
 
+    /// The one thing the two types differ in, seen from the controller.
     #[test]
-    fn sharded_engine_routes_and_expires_like_a_network() {
-        let topo = Topology::linear(6, 2);
-        let plan = ShardPlan::partition(&topo, 3);
-        let mut net = ShardedNetwork::with_plan(topo.clone(), NetworkConfig::default(), plan);
-        let mut ctrl = stub_for(&topo);
-        ctrl.idle_timeout = SimDuration::from_secs(3);
-        net.inject_flows(flows_on(&topo, 30, 42));
-        net.run_until(SimTime::from_secs(25), &mut ctrl);
-        let c = net.counters();
-        assert!(c.delivered_bytes > 0, "{c:?}");
-        assert!(c.packet_ins > 0, "{c:?}");
-        assert!(c.flow_removeds > 0, "idle timeouts must fire: {c:?}");
-        assert_eq!(net.now(), SimTime::from_secs(25));
-        assert!(net.switch(Dpid::new(1)).is_some());
+    fn disciplines_differ_in_how_a_miss_reaches_the_controller() {
+        #[derive(Default)]
+        struct Seen {
+            singles: u64,
+            batches: u64,
+            batched: u64,
+        }
+        struct Counting(LearningControllerStub, Seen);
+        impl ControllerLink for Counting {
+            fn on_message(
+                &mut self,
+                from: Dpid,
+                msg: OfMessage,
+                now: SimTime,
+            ) -> Vec<(Dpid, OfMessage)> {
+                self.1.singles += u64::from(matches!(msg, OfMessage::PacketIn { .. }));
+                self.0.on_message(from, msg, now)
+            }
+            fn on_packet_in_batch(
+                &mut self,
+                batch: Vec<(Dpid, OfMessage)>,
+                now: SimTime,
+            ) -> Vec<(Dpid, OfMessage)> {
+                self.1.batches += 1;
+                self.1.batched += batch.len() as u64;
+                self.0.on_packet_in_batch(batch, now)
+            }
+        }
+        /// Counters, what the controller saw, and the engine's own
+        /// `scale/punt_batches` / `scale/batched_packet_ins`.
+        fn run<P: PuntDiscipline>() -> (NetworkCounters, Seen, (u64, u64)) {
+            let (mut net, ctrl, _) = line::<P>(4, 2, 2);
+            let mut ctrl = Counting(ctrl, Seen::default());
+            let tel = Telemetry::new();
+            net.bind_telemetry(&tel);
+            let flows =
+                crate::workload::benign_mix_on(net.topology(), 20, SimDuration::from_secs(8), 7);
+            net.inject_flows(flows);
+            net.run_until(SimTime::from_secs(10), &mut ctrl);
+            let m = tel.metrics();
+            let told = (
+                m.counter("scale", "punt_batches").get(),
+                m.counter("scale", "batched_packet_ins").get(),
+            );
+            (net.counters(), ctrl.1, told)
+        }
+        let (counters, seen, told) = run::<Synchronous>();
+        assert!(counters.packet_ins > 0);
+        assert_eq!((seen.singles, seen.batches), (counters.packet_ins, 0));
+        assert_eq!(told, (0, 0));
+        let (counters, seen, told) = run::<Batched>();
+        assert!(seen.batches > 0);
+        assert_eq!((seen.singles, seen.batched), (0, counters.packet_ins));
+        assert_eq!(told, (seen.batches, counters.packet_ins));
     }
 
-    #[test]
-    fn scale_telemetry_counts_batches_and_handoffs() {
-        let topo = Topology::linear(8, 2);
-        let plan = ShardPlan::partition(&topo, 4);
-        let mut net = ShardedNetwork::with_plan(topo.clone(), NetworkConfig::default(), plan);
+    fn routes_counts_and_credits_the_activation_packet<P: PuntDiscipline>() {
+        // One switch per shard: every hop is a cross-shard handoff.
+        let (mut net, mut ctrl, ft) = line::<P>(3, 1, 3);
+        let spec = flow(ft, 1, 5, 8_000_000); // 1 MB/s
+        net.inject_flows([spec]);
+        // A flow starting exactly on a tick boundary activates on that
+        // tick and sends traffic from the next: after one step the
+        // ingress rule has seen the activation packet and nothing else.
+        net.step(&mut ctrl);
+        let entries = flow_entries(&net, 1);
+        assert_eq!(entries.len(), 1, "the miss installed the path");
+        assert_eq!(
+            (entries[0].packet_count, entries[0].byte_count),
+            (1, u64::from(spec.packet_size))
+        );
+        net.run_until(SimTime::from_secs(9), &mut ctrl);
+        // ~5 MB delivered, through one packet-in chain and >= 3 installs.
+        assert!(net.delivered_bytes() >= 4_000_000, "{:?}", net.counters());
+        assert!(net.counters().packet_ins >= 1);
+        assert!(ctrl.installs() >= 3);
+        assert!(flow_entries(&net, 1)
+            .iter()
+            .any(|s| s.byte_count > 1_000_000));
+        assert_eq!(net.now(), SimTime::from_secs(9));
+    }
+
+    fn telemetry_mirrors_engine_counters<P: PuntDiscipline>() {
+        let (mut net, mut ctrl, _) = line::<P>(8, 2, 4);
         let tel = Telemetry::new();
         net.bind_telemetry(&tel);
-        let mut ctrl = stub_for(&topo);
-        net.inject_flows(flows_on(&topo, 20, 7));
+        let flows =
+            crate::workload::benign_mix_on(net.topology(), 20, SimDuration::from_secs(10), 7);
+        net.inject_flows(flows);
         net.run_until(SimTime::from_secs(12), &mut ctrl);
         let m = tel.metrics();
-        assert_eq!(m.gauge("scale", "shards").get(), 4);
-        assert_eq!(m.counter("scale", "ticks").get(), 12);
-        assert!(m.counter("scale", "punt_batches").get() > 0);
-        assert!(m.counter("scale", "batched_packet_ins").get() >= net.counters().packet_ins);
-        // An 8-switch line cut into 4 shards must hand packets across.
-        assert!(m.counter("scale", "cross_shard_handoffs").get() > 0);
-        assert!(m.counter("scale", "routing_rounds").get() >= 12);
-        assert!(m.counter("dataplane", "wheel_armed").get() > 0);
-        // Mirrored dataplane counters match the engine's own.
-        assert_eq!(
-            m.counter("dataplane", "packet_ins").get(),
-            net.counters().packet_ins
-        );
+        let c = net.counters();
+        assert_eq!(m.counter("dataplane", "packet_ins").get(), c.packet_ins);
         assert_eq!(
             m.counter("dataplane", "delivered_bytes").get(),
-            net.counters().delivered_bytes
+            c.delivered_bytes
         );
+        // One step latency sample per tick.
+        assert_eq!(m.histogram("dataplane", "step_ns").snapshot().count, 12);
+        assert!(m.counter("dataplane", "wheel_armed").get() > 0);
+        // Per-switch lookup gauges were published for the ingress switch.
+        assert!(m.gauge_with("dataplane", "table_lookups", "s1").get() > 0);
+        // The plan's shape: an 8-switch line cut into 4 shards must hand
+        // packets across, in at least one routing pass per tick.
+        assert_eq!(m.gauge("scale", "shards").get(), 4);
+        assert!(m.counter("scale", "cross_shard_handoffs").get() > 0);
+        assert!(m.counter("scale", "routing_rounds").get() >= 12);
+        // The run span is in the trace with virtual stamps.
+        let spans = tel.tracer().entries();
+        assert!(spans
+            .iter()
+            .any(|e| e.name == "run_until" && e.sim_end == SimTime::from_secs(12)));
         // Every emitted key is declared in the registry.
         assert_eq!(
             athena_telemetry::names::undeclared(&tel.report()),
@@ -1559,74 +1534,177 @@ mod tests {
         );
     }
 
-    #[test]
-    fn reruns_with_the_same_plan_are_identical() {
+    fn idle_timeout_produces_flow_removed_and_reinstall<P: PuntDiscipline>() {
+        let (mut net, mut ctrl, ft) = line::<P>(3, 1, 2);
+        ctrl.idle_timeout = SimDuration::from_secs(3);
+        // Two short bursts separated by a long gap.
+        net.inject_flows([flow(ft, 0, 2, 1_000_000), flow(ft, 10, 2, 1_000_000)]);
+        net.run_until(SimTime::from_secs(15), &mut ctrl);
+        assert!(net.counters().flow_removeds >= 3, "{:?}", net.counters());
+        // The second burst re-punted.
+        assert!(net.counters().packet_ins >= 2);
+    }
+
+    fn congestion_drops_excess_traffic<P: PuntDiscipline>() {
+        // Two flows share the single 1 Gb/s inter-switch link but offer
+        // 2 x 0.8 Gb/s.
+        let (mut net, mut ctrl, _) = line::<P>(2, 2, 2);
+        let ip = |i: usize| net.topology().hosts[i].ip;
+        net.inject_flows([
+            flow(FiveTuple::tcp(ip(0), 1, ip(2), 80), 0, 5, 800_000_000),
+            flow(FiveTuple::tcp(ip(1), 2, ip(3), 80), 0, 5, 800_000_000),
+        ]);
+        net.run_until(SimTime::from_secs(7), &mut ctrl);
+        assert!(net.counters().dropped_bytes > 0, "{:?}", net.counters());
+        // The inter-switch link shows congestion history, and the loss is
+        // counted on its egress port.
+        let link = net
+            .topology()
+            .link_from(Dpid::new(1), PortNo::new(1))
+            .unwrap();
+        assert!(net.link(link).unwrap().dropped_bytes() > 0);
+        let sw1 = net.switch(Dpid::new(1)).unwrap();
+        let StatsReply::Port(ports) = sw1.stats(
+            &StatsRequest::Port {
+                port_no: link.src_port,
+            },
+            net.now(),
+        ) else {
+            panic!("expected port stats");
+        };
+        assert!(ports[0].tx_dropped > 0);
+    }
+
+    fn no_route_means_no_delivery<P: PuntDiscipline>() {
+        let (mut net, mut ctrl, ft) = line::<P>(2, 1, 2);
+        let nowhere = FiveTuple::tcp(ft.src, 1, Ipv4Addr::new(99, 99, 99, 99), 80);
+        net.inject_flows([flow(nowhere, 0, 3, 1_000_000)]);
+        net.run_until(SimTime::from_secs(5), &mut ctrl);
+        assert_eq!(net.delivered_bytes(), 0);
+        assert!(net.counters().dropped_bytes > 0);
+    }
+
+    fn stats_request_round_trip_via_on_tick<P: PuntDiscipline>() {
+        struct Poller(u64);
+        impl ControllerLink for Poller {
+            fn on_message(
+                &mut self,
+                _: Dpid,
+                msg: OfMessage,
+                _: SimTime,
+            ) -> Vec<(Dpid, OfMessage)> {
+                self.0 += u64::from(matches!(msg, OfMessage::StatsReply { .. }));
+                Vec::new()
+            }
+            fn on_tick(&mut self, _now: SimTime) -> Vec<(Dpid, OfMessage)> {
+                let body = StatsRequest::Port {
+                    port_no: PortNo::ANY,
+                };
+                let xid = Xid::athena_marked(1);
+                vec![(Dpid::new(2), OfMessage::StatsRequest { xid, body })]
+            }
+        }
+        let (mut net, _, _) = line::<P>(2, 1, 2);
+        let mut ctrl = Poller(0);
+        net.run_until(SimTime::from_secs(3), &mut ctrl);
+        assert_eq!(ctrl.0, 3); // one per tick
+    }
+
+    fn link_down_blackholes_and_restore_recovers<P: PuntDiscipline>() {
+        let (mut net, mut ctrl, ft) = line::<P>(3, 1, 2);
+        net.inject_flows([flow(ft, 0, 20, 8_000_000)]);
+        net.run_until(SimTime::from_secs(5), &mut ctrl);
+        let delivered_up = net.delivered_bytes();
+        assert!(delivered_up > 0);
+        // Take the s1-s2 link down: traffic blackholes.
+        assert_eq!(net.set_link_state(Dpid::new(1), Dpid::new(2), 0.0), 2);
+        net.run_until(SimTime::from_secs(10), &mut ctrl);
+        assert_eq!(net.delivered_bytes(), delivered_up, "link was down");
+        assert!(net.counters().dropped_bytes > 0);
+        // Restore: traffic flows again.
+        assert_eq!(net.set_link_state(Dpid::new(1), Dpid::new(2), 1.0), 2);
+        net.run_until(SimTime::from_secs(15), &mut ctrl);
+        assert!(net.delivered_bytes() > delivered_up, "no recovery");
+        // No such link: harmless.
+        assert_eq!(net.set_link_state(Dpid::new(7), Dpid::new(9), 0.0), 0);
+    }
+
+    fn chaos_hooks_wipe_and_reboot<P: PuntDiscipline>() {
+        let (mut net, mut ctrl, ft) = line::<P>(4, 1, 2);
+        net.inject_flows([flow(ft, 0, 20, 8_000_000)]);
+        net.run_until(SimTime::from_secs(4), &mut ctrl);
+        let punts_before = net.counters().packet_ins;
+
+        // A wipe loses the table and nothing else.
+        assert!(net.wipe_switch(Dpid::new(2)) > 0);
+        assert_eq!(net.switch(Dpid::new(2)).unwrap().flow_count(), 0);
+        let port_bytes = |net: &Engine<P>, dpid: u64| {
+            let sw = net.switch(Dpid::new(dpid)).unwrap();
+            let all = StatsRequest::Port {
+                port_no: PortNo::ANY,
+            };
+            let StatsReply::Port(ports) = sw.stats(&all, net.now()) else {
+                panic!("expected port stats");
+            };
+            ports.iter().map(|p| p.rx_bytes + p.tx_bytes).sum::<u64>()
+        };
+        assert!(port_bytes(&net, 2) > 0, "a wipe keeps port counters");
+
+        // A reboot loses the table and the port counters.
+        assert!(port_bytes(&net, 3) > 0);
+        assert!(net.reboot_switch(Dpid::new(3)) > 0, "entries were lost");
+        assert_eq!(net.switch(Dpid::new(3)).unwrap().flow_count(), 0);
+        assert_eq!(port_bytes(&net, 3), 0);
+        assert_eq!(net.reboot_switch(Dpid::new(99)), 0);
+        assert_eq!(net.wipe_switch(Dpid::new(99)), 0);
+
+        // Traffic re-punts at the first emptied switch (the install
+        // covers the second) and keeps delivering.
+        let delivered = net.delivered_bytes();
+        net.run_until(SimTime::from_secs(8), &mut ctrl);
+        assert!(net.counters().packet_ins > punts_before, "no re-punt");
+        assert!(net.delivered_bytes() > delivered, "traffic recovers");
+        assert!(net.switch(Dpid::new(3)).unwrap().flow_count() > 0);
+    }
+
+    fn step_matches_run_until<P: PuntDiscipline>() {
+        let (mut a, mut ctrl_a, ft) = line::<P>(3, 1, 2);
+        let (mut b, mut ctrl_b, _) = line::<P>(3, 1, 2);
+        a.inject_flows([flow(ft, 0, 5, 8_000_000)]);
+        b.inject_flows([flow(ft, 0, 5, 8_000_000)]);
+        a.run_until(SimTime::from_secs(8), &mut ctrl_a);
+        for _ in 0..8 {
+            b.step(&mut ctrl_b);
+        }
+        assert_eq!(a.counters(), b.counters());
+        assert_eq!(a.now(), b.now());
+    }
+
+    fn bidirectional_flows_create_pair_entries<P: PuntDiscipline>() {
+        let (mut net, mut ctrl, ft) = line::<P>(3, 1, 2);
+        net.inject_flows([flow(ft, 0, 4, 1_000_000).bidirectional(0.5)]);
+        net.run_until(SimTime::from_secs(6), &mut ctrl);
+        // The middle switch carries entries for both directions.
+        let stats = flow_entries(&net, 2);
+        let has = |ft: FiveTuple| {
+            stats
+                .iter()
+                .any(|s| s.match_fields.five_tuple() == Some(ft))
+        };
+        assert!(has(ft) && has(ft.reversed()), "entries: {}", stats.len());
+    }
+
+    fn reruns_with_the_same_plan_are_identical<P: PuntDiscipline>() {
         let run = || {
             let topo = Topology::fat_tree(4);
             let plan = ShardPlan::partition(&topo, 4);
-            let mut net = ShardedNetwork::with_plan(topo.clone(), NetworkConfig::default(), plan);
-            let mut ctrl = stub_for(&topo);
-            net.inject_flows(flows_on(&topo, 40, 9));
+            let mut ctrl = LearningControllerStub::for_topology(topo.clone());
+            let flows = crate::workload::benign_mix_on(&topo, 40, SimDuration::from_secs(10), 9);
+            let mut net = Engine::<P>::with_plan(topo, NetworkConfig::default(), plan);
+            net.inject_flows(flows);
             net.run_until(SimTime::from_secs(14), &mut ctrl);
-            net.counters()
+            (net.counters(), ctrl.installs())
         };
         assert_eq!(run(), run());
-    }
-
-    #[test]
-    fn chaos_hooks_wipe_reboot_and_links() {
-        let topo = Topology::linear(4, 2);
-        let mut net = ShardedNetwork::with_plan(
-            topo.clone(),
-            NetworkConfig::default(),
-            ShardPlan::partition(&topo, 2),
-        );
-        let mut ctrl = stub_for(&topo);
-        net.inject_flows(flows_on(&topo, 10, 3));
-        net.run_until(SimTime::from_secs(4), &mut ctrl);
-        assert!(net.wipe_switch(Dpid::new(2)) > 0);
-        assert!(net.reboot_switch(Dpid::new(3)) == 0 || net.switch(Dpid::new(3)).is_some());
-        assert_eq!(net.set_link_state(Dpid::new(1), Dpid::new(2), 0.0), 2);
-        let before = net.delivered_bytes();
-        net.run_until(SimTime::from_secs(6), &mut ctrl);
-        assert_eq!(net.set_link_state(Dpid::new(1), Dpid::new(2), 1.0), 2);
-        net.run_until(SimTime::from_secs(10), &mut ctrl);
-        assert!(net.delivered_bytes() > before, "traffic recovers");
-        assert_eq!(net.set_link_state(Dpid::new(9), Dpid::new(10), 0.0), 0);
-    }
-
-    #[test]
-    fn activation_packet_credits_ingress_counters() {
-        let topo = Topology::linear(3, 1);
-        let mut net = ShardedNetwork::with_plan(
-            topo.clone(),
-            NetworkConfig::default(),
-            ShardPlan::partition(&topo, 3),
-        );
-        let mut ctrl = stub_for(&topo);
-        let src = topo.host(HostId::new(1)).map(|h| h.ip);
-        let dst = topo.host(HostId::new(3)).map(|h| h.ip);
-        let (Some(src), Some(dst)) = (src, dst) else {
-            panic!("linear(3,1) has hosts 1 and 3");
-        };
-        net.inject_flows([FlowSpec::new(
-            FiveTuple::tcp(src, 40_000, dst, 80),
-            SimTime::ZERO,
-            SimDuration::from_secs(5),
-            8_000_000,
-        )]);
-        net.run_until(SimTime::from_secs(8), &mut ctrl);
-        assert!(
-            net.delivered_bytes() >= 4_000_000,
-            "{}",
-            net.delivered_bytes()
-        );
-        let sw1 = net.switch(Dpid::new(1)).and_then(|s| {
-            s.table()
-                .flow_stats(&athena_openflow::MatchFields::new(), net.now())
-                .into_iter()
-                .next()
-        });
-        assert!(sw1.is_some_and(|s| s.byte_count > 1_000_000));
     }
 }

@@ -3,7 +3,7 @@
 
 use crate::chaos::FaultTarget;
 use crate::plan::{FaultKind, FaultPlan};
-use athena_dataplane::{ControllerLink, Network};
+use athena_dataplane::{ControllerLink, Engine, PuntDiscipline};
 use athena_store::StoreCluster;
 use athena_telemetry::{Counter, Telemetry};
 use athena_types::SimTime;
@@ -99,10 +99,10 @@ impl FaultInjector {
 
     /// Applies every event due at or before `now`. Returns how many were
     /// applied.
-    pub fn apply_due<T: FaultTarget>(
+    pub fn apply_due<P: PuntDiscipline, T: FaultTarget>(
         &mut self,
         now: SimTime,
-        net: &mut Network,
+        net: &mut Engine<P>,
         ctrl: &mut T,
     ) -> usize {
         let mut applied = 0;
@@ -173,10 +173,10 @@ impl FaultInjector {
 
 /// Runs the simulation to `until`, applying due fault events before each
 /// tick — the chaos-matrix main loop. Equivalent to
-/// [`Network::run_until`] plus fault injection (gauges are flushed at the
+/// [`Engine::run_until`] plus fault injection (gauges are flushed at the
 /// end, as `run_until` does).
-pub fn run_with_faults<C: ControllerLink + FaultTarget>(
-    net: &mut Network,
+pub fn run_with_faults<P: PuntDiscipline, C: ControllerLink + FaultTarget>(
+    net: &mut Engine<P>,
     until: SimTime,
     ctrl: &mut C,
     injector: &mut FaultInjector,
@@ -195,7 +195,7 @@ mod tests {
     use crate::chaos::ChaosChannel;
     use crate::plan::{MessageFaultProfile, Scenario};
     use athena_controller::ControllerCluster;
-    use athena_dataplane::{workload, Topology};
+    use athena_dataplane::{workload, Network, Topology};
     use athena_types::{ControllerId, SimDuration};
 
     fn harness() -> (Network, ControllerCluster, Topology) {

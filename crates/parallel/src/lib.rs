@@ -50,18 +50,19 @@ pub use accounting::{makespan_ns, modeled_makespan_ns, set_accounting, take_jobs
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, OnceLock};
 
 use pool::{lock, pool};
 
 /// The configured job width: `ATHENA_THREADS` if set to a positive
-/// integer, otherwise the host's available parallelism. Read per job, so
-/// tests and benches can flip it at runtime.
+/// integer, otherwise the host's available parallelism. The variable is
+/// read per job, so tests and benches can flip it at runtime; the host's
+/// parallelism is asked for once (on Linux the call reads cgroup files —
+/// ~12 µs, more than a small job's work).
 pub fn threads() -> usize {
-    athena_types::env_usize(
-        "ATHENA_THREADS",
-        std::thread::available_parallelism().map_or(1, |n| n.get()),
-    )
+    static HOST: OnceLock<usize> = OnceLock::new();
+    let host = *HOST.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()));
+    athena_types::env_usize("ATHENA_THREADS", host)
 }
 
 /// Binds the pool's `parallel/*` instruments to a telemetry registry.

@@ -154,23 +154,22 @@ pub mod dataplane {
     pub const WHEEL_SPURIOUS: &str = "wheel_spurious";
 }
 
-/// `scale/*` — the sharded event engine.
+/// `scale/*` — the dataplane engine's shard plan and routing shape
+/// (tick count and latency are `dataplane/step_ns`).
 pub mod scale {
     /// Subsystem label.
     pub const SUBSYSTEM: &str = "scale";
     /// Shard count the engine partitioned the topology into (gauge).
     pub const SHARDS: &str = "shards";
-    /// Sharded-engine ticks executed.
-    pub const TICKS: &str = "ticks";
-    /// Per-tick wall latency of the sharded engine (nanoseconds).
-    pub const STEP_NS: &str = "step_ns";
-    /// Packet-in batches handed to the controller (one per punt round).
+    /// Packet-in batches handed to the controller (one per punt round;
+    /// zero under the synchronous discipline).
     pub const PUNT_BATCHES: &str = "punt_batches";
     /// Packet-ins delivered inside batches.
     pub const BATCHED_PACKET_INS: &str = "batched_packet_ins";
-    /// Packets handed across a shard boundary between routing rounds.
+    /// Packets that crossed a shard boundary mid-walk.
     pub const CROSS_SHARD_HANDOFFS: &str = "cross_shard_handoffs";
-    /// Routing rounds run (per tick, summed).
+    /// Routing rounds run, summed over ticks (a synchronous routing
+    /// pass counts as one).
     pub const ROUTING_ROUNDS: &str = "routing_rounds";
 }
 
@@ -371,8 +370,6 @@ pub const DECLARED: &[(&str, &str)] = &[
     (dataplane::SUBSYSTEM, dataplane::WHEEL_FIRED),
     (dataplane::SUBSYSTEM, dataplane::WHEEL_SPURIOUS),
     (scale::SUBSYSTEM, scale::SHARDS),
-    (scale::SUBSYSTEM, scale::TICKS),
-    (scale::SUBSYSTEM, scale::STEP_NS),
     (scale::SUBSYSTEM, scale::PUNT_BATCHES),
     (scale::SUBSYSTEM, scale::BATCHED_PACKET_INS),
     (scale::SUBSYSTEM, scale::CROSS_SHARD_HANDOFFS),

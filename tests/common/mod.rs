@@ -10,7 +10,7 @@
 
 use athena::controller::ControllerCluster;
 use athena::core::{Athena, AthenaConfig};
-use athena::dataplane::{workload, FlowSpec, Network, Topology};
+use athena::dataplane::{workload, FlowSpec, Network, NetworkConfig, ShardPlan, Topology};
 use athena::types::{Ipv4Addr, SimDuration, SimTime};
 
 /// A live simulated SDN with Athena attached: network, controller
@@ -62,13 +62,16 @@ impl Deployment {
     }
 }
 
-/// Deploys Athena on `topo` with extra controller configuration (e.g.
-/// NAE processors) applied before attach.
+/// Deploys Athena on `topo`, its network sharded by `plan` (any plan
+/// gives the one-shard run's bytes — `Network` is plan-invariant), with
+/// extra controller configuration (e.g. NAE processors) applied before
+/// attach.
 pub fn deploy_on_with(
     topo: Topology,
+    plan: ShardPlan,
     configure: impl FnOnce(&mut ControllerCluster),
 ) -> Deployment {
-    let net = Network::new(topo.clone());
+    let net = Network::with_plan(topo.clone(), NetworkConfig::default(), plan);
     let mut cluster = ControllerCluster::new(&topo);
     configure(&mut cluster);
     let athena = Athena::new(AthenaConfig::default());
@@ -83,7 +86,8 @@ pub fn deploy_on_with(
 
 /// Deploys Athena on `topo` with the default controller cluster.
 pub fn deploy_on(topo: Topology) -> Deployment {
-    deploy_on_with(topo, |_| {})
+    let plan = ShardPlan::partition(&topo, 1);
+    deploy_on_with(topo, plan, |_| {})
 }
 
 /// Deploys Athena on the enterprise topology.

@@ -9,10 +9,12 @@
 //! workload (CI keeps the gate under a minute); the matrix itself is
 //! never reduced — no scenario is skipped in either mode.
 
+mod common;
+
 use athena::apps::{DdosDetector, DdosDetectorConfig, ScanDetector, ScanDetectorConfig};
 use athena::controller::ControllerCluster;
 use athena::core::{Athena, AthenaConfig, Query};
-use athena::dataplane::{workload, Network, Topology};
+use athena::dataplane::{workload, Network, ShardPlan, Topology};
 use athena::faults::{run_with_faults, ChaosChannel, FaultInjector, Scenario};
 use athena::telemetry::Telemetry;
 use athena::types::{SimDuration, SimTime};
@@ -285,4 +287,34 @@ fn fault_retry_and_failover_counters_surface_in_telemetry() {
         );
     }
     assert!(run.net.delivered_bytes() > 0);
+}
+
+/// The fault hooks reach every shard: the two chaos scenarios that strike
+/// the data plane itself (a degraded core link, a rebooted switch), run
+/// mid-flood on a four-shard plan, equal their one-shard outcome.
+#[test]
+fn dataplane_faults_on_a_four_shard_plan_equal_the_one_shard_run() {
+    let run = |scenario: Scenario, shards: usize| {
+        let topo = Topology::enterprise();
+        let plan = ShardPlan::partition(&topo, shards);
+        let mut d = common::deploy_on_with(topo, plan, |_| {});
+        ddos_load(&d.topo, &mut d.net);
+        let store = d.athena.runtime().store.clone();
+        let plan = scenario.plan(&d.topo, store.node_count(), SEED, INJECT_AT, RECOVER_AT);
+        let mut injector = FaultInjector::new(plan).with_store(store);
+        let end = SimTime::from_secs(25);
+        run_with_faults(&mut d.net, end, &mut d.cluster, &mut injector);
+        assert!(injector.finished(), "{}: events left", scenario.name());
+        (
+            d.net.counters(),
+            d.cluster.counters(),
+            injector.counters(),
+            d.athena.stored_feature_count(),
+        )
+    };
+    for scenario in [Scenario::LinkDegrade, Scenario::SwitchReboot] {
+        let sharded = run(scenario, 4);
+        assert!(sharded.0.delivered_bytes > 0 && sharded.3 > 0);
+        assert_eq!(sharded, run(scenario, 1), "{}", scenario.name());
+    }
 }

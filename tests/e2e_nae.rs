@@ -6,14 +6,16 @@ mod common;
 use athena::apps::{NaeMonitor, NaeMonitorConfig};
 use athena::controller::apps::{LoadBalancer, SecurityApp};
 use athena::core::Athena;
-use athena::dataplane::{FlowSpec, Topology};
+use athena::dataplane::{FlowSpec, ShardPlan, Topology};
 use athena::types::{Dpid, FiveTuple, Ipv4Addr, SimDuration, SimTime};
 use common::deploy_on_with;
 
 const ACTIVATE_AT: u64 = 60;
 
 fn run_scenario() -> (NaeMonitor, Athena) {
-    let mut d = deploy_on_with(Topology::nae(), |cluster| {
+    let topo = Topology::nae();
+    let plan = ShardPlan::partition(&topo, 1);
+    let mut d = deploy_on_with(topo, plan, |cluster| {
         cluster.add_processor(Box::new(LoadBalancer::new((
             Ipv4Addr::new(10, 0, 4, 0),
             24,

@@ -1,22 +1,26 @@
-//! Sharded-engine determinism e2e: the same seeded scenario run at
-//! `ATHENA_THREADS=1` and `ATHENA_THREADS=8` through `ShardedNetwork`
-//! must produce byte-identical counters, flow tables, controller
-//! installs, and active-flow sets. The shard engine's phases (parallel
-//! routing rounds, seg-stream offer/credit replay, batched packet-in
-//! pipeline, timing-wheel expiry) may only change *how fast* the tick
-//! completes, never its outcome — ordered reduction in
-//! `athena-parallel` plus width-invariant seg-stream chunking are what
-//! make this hold.
+//! Batched-discipline determinism e2e: the same seeded scenario run at
+//! `ATHENA_THREADS` 1, 2, 4 and 8 through `ShardedNetwork` on a fixed
+//! plan must produce byte-identical counters, flow tables, controller
+//! installs, and active-flow sets. The engine's parallel phases (routing
+//! rounds, per-shard settle and credit replay, batched flow-mod
+//! application, timing-wheel expiry) may only change *how fast* the tick
+//! completes, never its outcome — shard-local state plus ordered
+//! reduction in `athena-parallel` are what make this hold.
 //!
-//! Two scenarios cover the interesting regimes on a fat-tree (ECMP
-//! multipath) fabric:
+//! Three scenarios cover the interesting regimes on fat-tree (ECMP
+//! multipath) fabrics:
 //!   1. a DDoS flood layered over benign background traffic — the
 //!      packet-in path, flow-table churn, and congestion crediting all
 //!      run hot;
 //!   2. a chaos schedule (switch wipe, reboot, link degradation and
 //!      recovery) applied mid-run at fixed virtual times — the
 //!      cross-shard handoff and wheel re-arm paths run under topology
-//!      damage.
+//!      damage;
+//!   3. above toy size: a k = 8 fat-tree (80 switches, 1024 hosts) on the
+//!      16-shard `ShardPlan::auto` partition — more shards than any
+//!      width, punt batches past the parallel flow-mod threshold. No
+//!      other gate checks width invariance where shards outnumber
+//!      workers.
 
 use athena::dataplane::workload::{self, DdosParams};
 use athena::dataplane::{
@@ -47,8 +51,7 @@ fn fabric() -> Topology {
 
 /// Everything a pool width could perturb, flattened to one comparable
 /// string: engine counters, controller installs, the active-flow set,
-/// and every switch's flow-table size (small fabric — full tables are
-/// cheap here, unlike the sampled digest in `table_scale`).
+/// and every switch's flow-table size.
 fn digest(net: &ShardedNetwork, ctrl: &LearningControllerStub) -> String {
     let mut tables = String::new();
     for s in &net.topology().switches {
@@ -99,8 +102,8 @@ fn run_ddos(threads: usize, check_names: bool) -> String {
         net.run_until(SimTime::from_secs(14), &mut ctrl);
         if check_names {
             net.flush_gauges();
-            // Every key the sharded engine emits is declared in the
-            // telemetry registry (scale/* and dataplane/wheel_*).
+            // Every key the engine emits is declared in the telemetry
+            // registry (scale/* and dataplane/wheel_*).
             assert_eq!(
                 athena::telemetry::names::undeclared(&tel.report()),
                 Vec::<String>::new()
@@ -137,6 +140,36 @@ fn run_chaos(threads: usize) -> String {
     })
 }
 
+/// 250 benign flows on a k = 8 fat-tree with 32 hosts per edge switch,
+/// partitioned by `ShardPlan::auto`: 16 shards, so every width in the
+/// loop runs several shards per worker.
+fn run_k8(threads: usize) -> String {
+    with_threads(threads, || {
+        let topo = Topology::fat_tree_with_hosts(8, 32);
+        let plan = ShardPlan::auto(&topo);
+        assert_eq!(plan.n_shards(), 16);
+        let mut net = ShardedNetwork::with_plan(topo.clone(), NetworkConfig::default(), plan);
+        let mut ctrl = LearningControllerStub::for_topology(topo);
+        let flows =
+            workload::benign_mix_on(net.topology(), 250, SimDuration::from_secs(8), 20170610);
+        net.inject_flows(flows);
+        net.run_until(SimTime::from_secs(10), &mut ctrl);
+        assert!(net.counters().packet_ins >= 250, "{:?}", net.counters());
+        digest(&net, &ctrl)
+    })
+}
+
+/// Holds every wider run of `scenario` to its width-1 digest.
+fn assert_identical_across_widths(reference: &str, scenario: impl Fn(usize) -> String) {
+    for w in [2, 4, 8] {
+        assert_eq!(
+            scenario(w),
+            reference,
+            "batched engine diverged at ATHENA_THREADS={w}"
+        );
+    }
+}
+
 #[test]
 fn ddos_on_fat_tree_is_byte_identical_across_widths() {
     let reference = run_ddos(1, true);
@@ -144,20 +177,15 @@ fn ddos_on_fat_tree_is_byte_identical_across_widths() {
         reference.contains("packet_ins"),
         "digest carries the counter block: {reference}"
     );
-    for w in [2, 4, 8] {
-        let got = run_ddos(w, false);
-        assert_eq!(
-            got, reference,
-            "sharded engine diverged at ATHENA_THREADS={w}"
-        );
-    }
+    assert_identical_across_widths(&reference, |w| run_ddos(w, false));
 }
 
 #[test]
 fn chaos_schedule_is_byte_identical_across_widths() {
-    let reference = run_chaos(1);
-    for w in [2, 4, 8] {
-        let got = run_chaos(w);
-        assert_eq!(got, reference, "chaos run diverged at ATHENA_THREADS={w}");
-    }
+    assert_identical_across_widths(&run_chaos(1), run_chaos);
+}
+
+#[test]
+fn k8_fat_tree_is_byte_identical_across_widths() {
+    assert_identical_across_widths(&run_k8(1), run_k8);
 }

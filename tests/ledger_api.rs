@@ -11,13 +11,22 @@
 mod common;
 
 use athena::apps::{DdosDetector, DdosDetectorConfig};
+use athena::controller::ControllerCluster;
 use athena::core::{
     AttackDetector, DetectionModel, FeatureGenerator, FeatureManager, FeatureRecord, Query,
 };
+use athena::dataplane::workload::{self, DdosParams};
+use athena::dataplane::{
+    ControllerLink, FlowSpec, Network, NetworkConfig, NetworkCounters, ShardPlan, ShardedNetwork,
+    SimSwitch, TimingWheel, Topology,
+};
 use athena::ml::LabeledPoint;
+use athena::observe::Observe;
+use athena::openflow::OfVersion;
 use athena::openflow::{OfMessage, PacketHeader};
 use athena::store::{Accumulator, Aggregation, Filter, FindOptions, GroupSpec, StoreCluster};
-use athena::types::{AppId, ControllerId, Dpid, Ipv4Addr, PortNo, SimTime, Xid};
+use athena::telemetry::Telemetry;
+use athena::types::{AppId, ControllerId, Dpid, Ipv4Addr, PortNo, SimDuration, SimTime, Xid};
 
 /// `probes::sample_records`.
 fn sample_records(athena: &athena::core::Athena, n: usize) -> Vec<FeatureRecord> {
@@ -120,4 +129,165 @@ fn the_calls_the_ledger_makes_compile_and_agree() {
     );
     let generated = generator.ingest(Dpid::new(1), &msg, SimTime::from_secs(1), &app_of);
     assert_eq!(generated.len(), 1);
+}
+
+/// `workloads::Engine`: the ledger implements its stepping trait once
+/// per network type, so the two must stay distinct nominal types.
+trait Engine {
+    fn now(&self) -> SimTime;
+    fn step_once<L: ControllerLink>(&mut self, link: &mut L);
+}
+
+impl Engine for Network {
+    fn now(&self) -> SimTime {
+        Network::now(self)
+    }
+    fn step_once<L: ControllerLink>(&mut self, link: &mut L) {
+        self.step(link);
+    }
+}
+
+impl Engine for ShardedNetwork {
+    fn now(&self) -> SimTime {
+        ShardedNetwork::now(self)
+    }
+    fn step_once<L: ControllerLink>(&mut self, link: &mut L) {
+        self.step(link);
+    }
+}
+
+/// `workloads::drive`.
+fn drive<E: Engine, L: ControllerLink>(net: &mut E, link: &mut L, until: SimTime) {
+    while net.now() < until {
+        net.step_once(link);
+    }
+}
+
+/// `workloads::max_table`.
+fn max_table<'a>(topo: &Topology, switch: impl Fn(Dpid) -> Option<&'a SimSwitch>) -> usize {
+    topo.switches
+        .iter()
+        .filter_map(|s| switch(s.dpid))
+        .map(SimSwitch::flow_count)
+        .max()
+        .unwrap_or(0)
+}
+
+/// `link::TimedLink`: a wrapper that forwards all three `ControllerLink`
+/// calls, relying on their signatures.
+struct Forward<C>(C, u64);
+
+impl<C: ControllerLink> ControllerLink for Forward<C> {
+    fn on_message(&mut self, from: Dpid, msg: OfMessage, now: SimTime) -> Vec<(Dpid, OfMessage)> {
+        self.0.on_message(from, msg, now)
+    }
+    fn on_packet_in_batch(
+        &mut self,
+        batch: Vec<(Dpid, OfMessage)>,
+        now: SimTime,
+    ) -> Vec<(Dpid, OfMessage)> {
+        self.1 += 1;
+        self.0.on_packet_in_batch(batch, now)
+    }
+    fn on_tick(&mut self, now: SimTime) -> Vec<(Dpid, OfMessage)> {
+        self.0.on_tick(now)
+    }
+}
+
+/// A controller that relies on the `on_tick` / `on_packet_in_batch`
+/// defaults (`link.rs`'s transparency test has one).
+struct Silent;
+
+impl ControllerLink for Silent {
+    fn on_message(&mut self, _: Dpid, _: OfMessage, _: SimTime) -> Vec<(Dpid, OfMessage)> {
+        Vec::new()
+    }
+}
+
+#[test]
+fn the_dataplane_calls_the_ledger_makes_compile_and_agree() {
+    // inputs.rs: topologies, FlowSpec lists, workload generators.
+    let topo = Topology::enterprise();
+    let mut flows: Vec<FlowSpec> =
+        workload::benign_mix_on(&topo, 40, SimDuration::from_secs(6), 20170610);
+    flows.extend(workload::ddos_flood(
+        &topo,
+        topo.hosts[0].ip,
+        DdosParams {
+            n_flows: 40,
+            start: SimTime::from_secs(2),
+            duration: SimDuration::from_secs(4),
+            ..DdosParams::default()
+        },
+        20170611,
+    ));
+    let until = SimTime::from_secs(8);
+    let tel = Telemetry::new();
+    let obs = Observe::with_telemetry(7, &tel);
+
+    // ddos_detect::deploy and Instr::bind_network, link.rs's tests.
+    let _ = Network::new(topo.clone());
+    let mut net = Network::with_config(
+        topo.clone(),
+        NetworkConfig {
+            wire_mode: Some(OfVersion::V1_3),
+            ..NetworkConfig::default()
+        },
+    );
+    net.bind_telemetry(&tel);
+    net.bind_observe(&obs);
+    let mut link = Forward(ControllerCluster::new(&topo), 0);
+    net.inject_flows(flows.clone());
+    drive(&mut net, &mut link, until);
+    let unsharded: NetworkCounters = net.counters();
+    assert_eq!(Network::now(&net), until);
+    assert_eq!(link.1, 0, "Network punts one message at a time");
+    assert_eq!(link.0.counters().packet_ins, unsharded.packet_ins);
+    assert!(max_table(&topo, |d| net.switch(d)) > 0);
+    net.run_until(SimTime::from_secs(9), &mut Silent);
+
+    // fat_tree_scale::rep.
+    let mut net = ShardedNetwork::with_plan(
+        topo.clone(),
+        NetworkConfig::default(),
+        ShardPlan::auto(&topo),
+    );
+    net.bind_telemetry(&tel);
+    net.bind_observe(&obs);
+    let mut link = Forward(ControllerCluster::new(&topo), 0);
+    net.inject_flows(flows);
+    drive(&mut net, &mut link, until);
+    let sharded = net.counters();
+    assert!(link.1 > 0, "ShardedNetwork punts in batches");
+    assert_eq!(link.0.counters().packet_ins, sharded.packet_ins);
+    assert!(max_table(&topo, |d| net.switch(d)) > 0);
+    assert!(!net.active_flows().is_empty() || sharded.delivered_bytes > 0);
+    net.run_until(SimTime::from_secs(9), &mut Silent);
+
+    // count_metrics and the digests: Copy, Debug, four pub fields.
+    let copy = sharded;
+    let text = format!("{copy:?}");
+    for field in [
+        "packet_ins",
+        "flow_removeds",
+        "delivered_bytes",
+        "dropped_bytes",
+    ] {
+        assert!(text.contains(field));
+    }
+    let NetworkCounters {
+        packet_ins,
+        flow_removeds: _,
+        delivered_bytes,
+        dropped_bytes: _,
+    } = NetworkCounters::default();
+    assert_eq!((packet_ins, delivered_bytes), (0, 0));
+
+    // probes::wheel.
+    let mut wheel: TimingWheel<u64> = TimingWheel::new(0);
+    for i in 0..128u64 {
+        wheel.schedule(1 + i % 64, i);
+    }
+    let fired: usize = (1..=64).map(|tick| wheel.advance(tick).len()).sum();
+    assert_eq!(fired, 128);
 }

@@ -77,15 +77,13 @@ fn derived_lock_graph_is_cycle_free_and_ordered() {
 fn hot_propagation_reaches_transitive_helpers() {
     // None of these files appears in [analyze] hot_entries: they are
     // reached only through the call graph (forwarding path → match/route
-    // helpers; sharded engine → ordered fan-out). The old hand-maintained
-    // per-file hot list never covered them. (`topology.rs::shortest_path`
-    // used to be on this list; the ECMP controller stub now routes over
-    // cached BFS distance maps built from `Topology::adjacency`, so the
-    // per-packet path no longer touches it.)
+    // helpers; engine phases → ordered fan-out; engine punt → the ECMP
+    // controller stub's per-destination BFS in `network.rs`). A
+    // hand-maintained per-file hot list would not cover them.
     let analysis = athena_analyze::check_workspace(root()).expect("analysis engine runs");
     for expected in [
         "crates/openflow/src/match_fields.rs::matches",
-        "crates/dataplane/src/topology.rs::adjacency",
+        "crates/dataplane/src/network.rs::ensure_dists",
         "crates/openflow/src/table.rs::lookup_at",
         "crates/parallel/src/lib.rs::run_ordered",
     ] {
