@@ -1,9 +1,11 @@
 //! Criterion micro-benchmarks for the hot paths under the evaluation:
-//! the wire codec, flow-table lookup, the record ⇄ document conversions,
+//! the wire codec, the flow table, route lookup, the record ⇄ document conversions,
 //! store writes/queries, feature generation, and K-Means training.
 
 use athena_compute::ComputeCluster;
+use athena_controller::PathService;
 use athena_core::{catalog, FeatureGenerator, FeatureRecord, FieldName};
+use athena_dataplane::Topology;
 use athena_ml::algorithms::kmeans::{KMeansModel, KMeansParams};
 use athena_ml::LabeledPoint;
 use athena_openflow::{
@@ -46,28 +48,115 @@ fn bench_codec(c: &mut Criterion) {
     });
 }
 
-fn bench_flow_table(c: &mut Criterion) {
+/// The mixed table of `table.rs`'s scale guard: `n` five-tuple rules
+/// under 25 `ip_src/32` block rules and over a default rule — three
+/// shapes, so a lookup is three probes at every `n`.
+fn mixed_table(n: u32) -> FlowTable {
     let mut table = FlowTable::new(0);
-    for i in 0..1_000u32 {
-        table
-            .apply(
-                &FlowMod::add(
-                    MatchFields::exact_five_tuple(ft(i)),
-                    100,
-                    vec![Action::Output(PortNo::new(2))],
-                ),
-                SimTime::ZERO,
-            )
-            .unwrap();
+    let out = vec![Action::Output(PortNo::new(2))];
+    let mut add = |m: MatchFields, priority: u16, actions: Vec<Action>| {
+        let fm = FlowMod::add(m, priority, actions).with_idle_timeout(SimDuration::from_secs(30));
+        table.apply(&fm, SimTime::ZERO).unwrap();
+    };
+    add(MatchFields::new(), 0, out.clone());
+    for i in 0..25 {
+        let blocked = Ipv4Addr::from_raw(0x0c00_0000 + i);
+        add(
+            MatchFields::new().with_ip_src(blocked, 32),
+            1000,
+            Vec::new(),
+        );
     }
-    let pkt = PacketHeader::from_five_tuple(PortNo::new(1), ft(500), 64);
-    c.bench_function("flow_table/lookup_1k_entries", |b| {
-        b.iter(|| {
-            table
-                .lookup(black_box(&pkt), SimTime::ZERO, 1, 64)
-                .is_some()
-        })
-    });
+    for i in 0..n {
+        add(MatchFields::exact_five_tuple(ft(i)), 100, out.clone());
+    }
+    table
+}
+
+/// Per-operation cost on the mixed table at three depths. `apply` is
+/// one `Add` drawn from 1,024 keys outside the table (a replacing `Add`
+/// once they are all in, at depth `n` + 1,024; it runs last); `lookup_hit` and
+/// `peek` cycle through the installed five-tuples; `lookup_miss` sends
+/// packets no five-tuple rule covers, which the default rule takes.
+fn bench_flow_table(c: &mut Criterion) {
+    let pkt = |i: u32| PacketHeader::from_five_tuple(PortNo::new(1), ft(i), 64);
+    for n in [64u32, 1024, 8192] {
+        let mut table = mixed_table(n);
+        let hits: Vec<PacketHeader> = (0..n).map(pkt).collect();
+        let strangers: Vec<PacketHeader> = (0..1024).map(|i| pkt((1 << 22) + i)).collect();
+        let spares: Vec<FlowMod> = strangers
+            .iter()
+            .map(|h| {
+                let m = MatchFields::exact_five_tuple(h.five_tuple().unwrap());
+                FlowMod::add(m, 100, vec![Action::Output(PortNo::new(2))])
+            })
+            .collect();
+        let mut i = 0usize;
+        let mut next = move |len: usize| {
+            i = (i + 1) % len;
+            i
+        };
+        c.bench_function(&format!("flow_table/lookup_hit/{n}"), |b| {
+            b.iter(|| {
+                let h = &hits[next(hits.len())];
+                table.lookup(black_box(h), SimTime::ZERO, 1, 64).is_some()
+            })
+        });
+        c.bench_function(&format!("flow_table/lookup_miss/{n}"), |b| {
+            b.iter(|| {
+                let h = &strangers[next(strangers.len())];
+                table.lookup(black_box(h), SimTime::ZERO, 1, 64).is_some()
+            })
+        });
+        c.bench_function(&format!("flow_table/peek/{n}"), |b| {
+            b.iter(|| {
+                let h = &hits[next(hits.len())];
+                table.peek(black_box(h), SimTime::ZERO).is_some()
+            })
+        });
+        c.bench_function(&format!("flow_table/apply/{n}"), |b| {
+            b.iter(|| {
+                let fm = &spares[next(spares.len())];
+                table.apply(black_box(fm), SimTime::ZERO).is_ok()
+            })
+        });
+    }
+}
+
+/// One route between two edge switches: a fresh adjacency + BFS per call
+/// (`Topology::shortest_path`) against the controller's `PathService`.
+fn bench_shortest_path(c: &mut Criterion) {
+    for (name, topo) in [
+        ("enterprise", Topology::enterprise()),
+        ("fat_tree_k8", Topology::fat_tree(8)),
+    ] {
+        let mut edges: Vec<Dpid> = topo.hosts.iter().map(|h| h.switch).collect();
+        edges.dedup();
+        let mut i = 0usize;
+        let mut pair = move || {
+            i += 1;
+            (edges[i % edges.len()], edges[(i * 7 + 3) % edges.len()])
+        };
+        c.bench_function(
+            &format!("controller/shortest_path/{name}/topology_bfs"),
+            |b| {
+                b.iter(|| {
+                    let (from, to) = pair();
+                    topo.shortest_path(black_box(from), to).map(|p| p.len())
+                })
+            },
+        );
+        let paths = PathService::from_topology(&topo);
+        c.bench_function(
+            &format!("controller/shortest_path/{name}/path_service"),
+            |b| {
+                b.iter(|| {
+                    let (from, to) = pair();
+                    paths.shortest_path(black_box(from), to).map(|p| p.len())
+                })
+            },
+        );
+    }
 }
 
 /// One generated record of each of the two shapes the SB publishes
@@ -214,7 +303,7 @@ fn configured() -> Criterion {
 criterion_group! {
     name = benches;
     config = configured();
-    targets = bench_codec, bench_flow_table, bench_record, bench_store, bench_feature_generator,
-        bench_kmeans
+    targets = bench_codec, bench_flow_table, bench_shortest_path, bench_record, bench_store,
+        bench_feature_generator, bench_kmeans
 }
 criterion_main!(benches);

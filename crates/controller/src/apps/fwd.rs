@@ -54,7 +54,7 @@ impl PacketProcessor for ReactiveForwarding {
         let Some((dst_switch, dst_port)) = ctx.hosts.location_of(ft.dst) else {
             return;
         };
-        let Some(path) = ctx.topology.shortest_path(ctx.dpid, dst_switch) else {
+        let Some(path) = ctx.paths.shortest_path(ctx.dpid, dst_switch) else {
             return;
         };
         let m = MatchFields::exact_five_tuple(ft);
@@ -81,7 +81,7 @@ impl PacketProcessor for ReactiveForwarding {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::services::{FlowRuleService, HostService};
+    use crate::services::{FlowRuleService, HostService, PathService};
     use athena_dataplane::Topology;
     use athena_openflow::{OfMessage, PacketHeader};
     use athena_types::{Dpid, PortNo, SimTime};
@@ -90,6 +90,7 @@ mod tests {
     fn installs_rules_along_the_path() {
         let topo = Topology::linear(3, 1);
         let hosts = HostService::from_topology(&topo);
+        let paths = PathService::from_topology(&topo);
         let mut rules = FlowRuleService::new();
         let src = topo.hosts[0];
         let dst = topo.hosts[2];
@@ -98,7 +99,7 @@ mod tests {
             src.switch,
             header,
             SimTime::ZERO,
-            &topo,
+            &paths,
             &hosts,
             &mut rules,
         );
@@ -121,13 +122,14 @@ mod tests {
     fn ignores_unknown_destinations_and_non_ip() {
         let topo = Topology::linear(2, 1);
         let hosts = HostService::from_topology(&topo);
+        let paths = PathService::from_topology(&topo);
         let mut rules = FlowRuleService::new();
         let header = PacketHeader::arp_request(PortNo::new(3), topo.hosts[0].ip);
         let mut ctx = crate::packet::PacketContext::new(
             Dpid::new(1),
             header,
             SimTime::ZERO,
-            &topo,
+            &paths,
             &hosts,
             &mut rules,
         );

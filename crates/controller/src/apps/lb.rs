@@ -7,10 +7,8 @@
 
 use crate::apps::app_ids;
 use crate::packet::{PacketContext, PacketProcessor};
-use athena_dataplane::Topology;
 use athena_openflow::{Action, FlowMod, MatchFields};
-use athena_types::{Dpid, Ipv4Addr, PortNo, SimDuration};
-use std::collections::HashSet;
+use athena_types::{Ipv4Addr, SimDuration};
 
 /// Splits traffic toward a server subnet across link-disjoint paths,
 /// round-robin per new flow, with soft (idle) timeouts.
@@ -44,65 +42,6 @@ impl LoadBalancer {
     }
 }
 
-/// Up to `k` link-disjoint shortest paths between two switches.
-///
-/// Computes the shortest path, removes its links, repeats.
-pub fn disjoint_paths(topo: &Topology, from: Dpid, to: Dpid, k: usize) -> Vec<Vec<(Dpid, PortNo)>> {
-    let mut paths = Vec::new();
-    let mut excluded: HashSet<(Dpid, PortNo)> = HashSet::new();
-    for _ in 0..k {
-        let Some(path) = shortest_path_excluding(topo, from, to, &excluded) else {
-            break;
-        };
-        for hop in &path {
-            excluded.insert(*hop);
-        }
-        paths.push(path);
-    }
-    paths
-}
-
-fn shortest_path_excluding(
-    topo: &Topology,
-    from: Dpid,
-    to: Dpid,
-    excluded: &HashSet<(Dpid, PortNo)>,
-) -> Option<Vec<(Dpid, PortNo)>> {
-    if from == to {
-        return Some(Vec::new());
-    }
-    let adj = topo.adjacency();
-    let mut prev: std::collections::HashMap<Dpid, (Dpid, PortNo)> =
-        std::collections::HashMap::new();
-    let mut queue = std::collections::VecDeque::from([from]);
-    while let Some(cur) = queue.pop_front() {
-        if cur == to {
-            break;
-        }
-        for (out_port, next, _) in adj.get(&cur).into_iter().flatten() {
-            if excluded.contains(&(cur, *out_port)) {
-                continue;
-            }
-            if *next != from && !prev.contains_key(next) {
-                prev.insert(*next, (cur, *out_port));
-                queue.push_back(*next);
-            }
-        }
-    }
-    if !prev.contains_key(&to) {
-        return None;
-    }
-    let mut path = Vec::new();
-    let mut cur = to;
-    while cur != from {
-        let (p, port) = prev[&cur];
-        path.push((p, port));
-        cur = p;
-    }
-    path.reverse();
-    Some(path)
-}
-
 impl PacketProcessor for LoadBalancer {
     fn name(&self) -> &str {
         "lb"
@@ -122,7 +61,7 @@ impl PacketProcessor for LoadBalancer {
         let Some((dst_switch, dst_port)) = ctx.hosts.location_of(ft.dst) else {
             return;
         };
-        let paths = disjoint_paths(ctx.topology, ctx.dpid, dst_switch, 2);
+        let paths = ctx.paths.disjoint_paths(ctx.dpid, dst_switch, 2);
         if paths.is_empty() {
             return;
         }
@@ -151,24 +90,16 @@ impl PacketProcessor for LoadBalancer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::services::{FlowRuleService, HostService};
+    use crate::services::{FlowRuleService, HostService, PathService};
+    use athena_dataplane::Topology;
     use athena_openflow::PacketHeader;
     use athena_types::SimTime;
-
-    #[test]
-    fn nae_topology_yields_two_disjoint_paths() {
-        let topo = Topology::nae();
-        let paths = disjoint_paths(&topo, Dpid::new(1), Dpid::new(4), 2);
-        assert_eq!(paths.len(), 2);
-        // Paths share no (switch, port) hop.
-        let a: HashSet<_> = paths[0].iter().collect();
-        assert!(paths[1].iter().all(|h| !a.contains(h)));
-    }
 
     #[test]
     fn alternates_between_paths_per_flow() {
         let topo = Topology::nae();
         let hosts = HostService::from_topology(&topo);
+        let paths = PathService::from_topology(&topo);
         let mut rules = FlowRuleService::new();
         let client = topo.hosts[0];
         let server = Ipv4Addr::new(10, 0, 4, 1);
@@ -181,7 +112,7 @@ mod tests {
                 client.switch,
                 header,
                 SimTime::ZERO,
-                &topo,
+                &paths,
                 &hosts,
                 &mut rules,
             );
@@ -204,6 +135,7 @@ mod tests {
     fn ignores_traffic_outside_the_subnet() {
         let topo = Topology::nae();
         let hosts = HostService::from_topology(&topo);
+        let paths = PathService::from_topology(&topo);
         let mut rules = FlowRuleService::new();
         let client = topo.hosts[0];
         let other = topo.hosts[4]; // host behind S5, not in 10.0.4.0/24
@@ -213,7 +145,7 @@ mod tests {
             client.switch,
             header,
             SimTime::ZERO,
-            &topo,
+            &paths,
             &hosts,
             &mut rules,
         );

@@ -84,10 +84,10 @@ impl PacketProcessor for SecurityApp {
             return;
         };
         // Route: ingress -> waypoint -> destination (shortest paths).
-        let Some(to_waypoint) = ctx.topology.shortest_path(ctx.dpid, self.waypoint) else {
+        let Some(to_waypoint) = ctx.paths.shortest_path(ctx.dpid, self.waypoint) else {
             return;
         };
-        let Some(onward) = ctx.topology.shortest_path(self.waypoint, dst_switch) else {
+        let Some(onward) = ctx.paths.shortest_path(self.waypoint, dst_switch) else {
             return;
         };
         let m = MatchFields::exact_five_tuple(ft);
@@ -113,7 +113,7 @@ impl PacketProcessor for SecurityApp {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::services::{FlowRuleService, HostService};
+    use crate::services::{FlowRuleService, HostService, PathService};
     use athena_dataplane::Topology;
     use athena_openflow::{OfMessage, PacketHeader};
     use athena_types::Ipv4Addr;
@@ -131,6 +131,7 @@ mod tests {
     fn inactive_app_does_nothing() {
         let topo = Topology::nae();
         let hosts = HostService::from_topology(&topo);
+        let paths = PathService::from_topology(&topo);
         let mut rules = FlowRuleService::new();
         let (dpid, header) = ftp_packet(&topo);
         let mut app = SecurityApp::new(Dpid::new(6));
@@ -138,7 +139,7 @@ mod tests {
             dpid,
             header,
             SimTime::from_secs(100),
-            &topo,
+            &paths,
             &hosts,
             &mut rules,
         );
@@ -151,6 +152,7 @@ mod tests {
     fn active_app_routes_ftp_through_waypoint() {
         let topo = Topology::nae();
         let hosts = HostService::from_topology(&topo);
+        let paths = PathService::from_topology(&topo);
         let mut rules = FlowRuleService::new();
         let (dpid, header) = ftp_packet(&topo);
         let mut app = SecurityApp::new(Dpid::new(6)).activate_at(SimTime::from_secs(10));
@@ -158,7 +160,7 @@ mod tests {
             dpid,
             header,
             SimTime::from_secs(20),
-            &topo,
+            &paths,
             &hosts,
             &mut rules,
         );
@@ -182,6 +184,7 @@ mod tests {
     fn non_ftp_traffic_is_ignored_even_when_active() {
         let topo = Topology::nae();
         let hosts = HostService::from_topology(&topo);
+        let paths = PathService::from_topology(&topo);
         let mut rules = FlowRuleService::new();
         let client = topo.hosts[0];
         let header = PacketHeader::tcp_syn(
@@ -196,7 +199,7 @@ mod tests {
             client.switch,
             header,
             SimTime::from_secs(5),
-            &topo,
+            &paths,
             &hosts,
             &mut rules,
         );

@@ -3,7 +3,7 @@
 use crate::apps::ReactiveForwarding;
 use crate::interceptor::{InterceptCtx, MessageInterceptor};
 use crate::packet::{PacketContext, PacketProcessor};
-use crate::services::{FlowRuleService, HostService, MastershipService};
+use crate::services::{FlowRuleService, HostService, MastershipService, PathService};
 use crate::stats::StatsPoller;
 use athena_dataplane::{ControllerLink, Topology};
 use athena_observe::Observe;
@@ -34,6 +34,7 @@ pub struct ControllerCluster {
     topology: Topology,
     pub(crate) mastership: MastershipService,
     hosts: HostService,
+    paths: PathService,
     pub(crate) flow_rules: FlowRuleService,
     processors: Vec<Box<dyn PacketProcessor>>,
     interceptors: Vec<Box<dyn MessageInterceptor>>,
@@ -105,6 +106,7 @@ impl ControllerCluster {
             topology: topo.clone(),
             mastership: MastershipService::from_topology(topo),
             hosts: HostService::from_topology(topo),
+            paths: PathService::from_topology(topo),
             flow_rules: FlowRuleService::new(),
             processors: Vec::new(),
             interceptors: Vec::new(),
@@ -301,7 +303,7 @@ impl ControllerCluster {
             from,
             header,
             now,
-            &self.topology,
+            &self.paths,
             &self.hosts,
             &mut self.flow_rules,
         );
@@ -332,7 +334,7 @@ impl ControllerCluster {
                 flow_rules: &self.flow_rules,
                 hosts: &self.hosts,
                 mastership: &self.mastership,
-                topology: &self.topology,
+                paths: &self.paths,
             };
             out.extend(i.on_southbound(&ctx, from, msg, now));
         }
@@ -458,7 +460,7 @@ impl ControllerLink for ControllerCluster {
                 flow_rules: &self.flow_rules,
                 hosts: &self.hosts,
                 mastership: &self.mastership,
-                topology: &self.topology,
+                paths: &self.paths,
             };
             commands.extend(i.on_tick(&ctx, now));
         }

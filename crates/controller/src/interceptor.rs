@@ -8,8 +8,7 @@
 //! through the normal command path (the Athena Proxy), so the controller's
 //! internal state stays consistent.
 
-use crate::services::{FlowRuleService, HostService, MastershipService};
-use athena_dataplane::Topology;
+use crate::services::{FlowRuleService, HostService, MastershipService, PathService};
 use athena_openflow::OfMessage;
 use athena_types::{ControllerId, Dpid, SimTime};
 
@@ -23,8 +22,8 @@ pub struct InterceptCtx<'a> {
     pub hosts: &'a HostService,
     /// Switch mastership.
     pub mastership: &'a MastershipService,
-    /// The topology view.
-    pub topology: &'a Topology,
+    /// Shortest paths over the topology view.
+    pub paths: &'a PathService,
 }
 
 /// An observer of the southbound message stream (Athena's SB interface).

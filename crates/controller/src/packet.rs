@@ -1,8 +1,7 @@
 //! The packet-processing chain: ONOS-style `PacketProcessor`s with
 //! priorities.
 
-use crate::services::{FlowRuleService, HostService};
-use athena_dataplane::Topology;
+use crate::services::{FlowRuleService, HostService, PathService};
 use athena_openflow::{FlowMod, OfMessage, PacketHeader};
 use athena_types::{AppId, Dpid, SimTime, Xid};
 
@@ -19,8 +18,8 @@ pub struct PacketContext<'a> {
     pub header: PacketHeader,
     /// The simulation time.
     pub now: SimTime,
-    /// The network topology view.
-    pub topology: &'a Topology,
+    /// Shortest paths over the topology view.
+    pub paths: &'a PathService,
     /// Host locations.
     pub hosts: &'a HostService,
     flow_rules: &'a mut FlowRuleService,
@@ -33,7 +32,7 @@ impl<'a> PacketContext<'a> {
         dpid: Dpid,
         header: PacketHeader,
         now: SimTime,
-        topology: &'a Topology,
+        paths: &'a PathService,
         hosts: &'a HostService,
         flow_rules: &'a mut FlowRuleService,
     ) -> Self {
@@ -41,7 +40,7 @@ impl<'a> PacketContext<'a> {
             dpid,
             header,
             now,
-            topology,
+            paths,
             hosts,
             flow_rules,
             commands: Vec::new(),
@@ -105,6 +104,7 @@ pub trait PacketProcessor: Send {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use athena_dataplane::Topology;
     use athena_openflow::MatchFields;
     use athena_types::{Ipv4Addr, PortNo};
 
@@ -128,6 +128,7 @@ mod tests {
     fn context_collects_attributed_commands() {
         let topo = Topology::linear(2, 1);
         let hosts = HostService::from_topology(&topo);
+        let paths = PathService::from_topology(&topo);
         let mut rules = FlowRuleService::new();
         let header = PacketHeader::tcp_syn(
             PortNo::new(1),
@@ -140,7 +141,7 @@ mod tests {
             Dpid::new(1),
             header,
             SimTime::ZERO,
-            &topo,
+            &paths,
             &hosts,
             &mut rules,
         );

@@ -340,7 +340,7 @@ fn next_hop_toward(
     if from == dst_switch {
         return Some(dst_port);
     }
-    ctx.topology
+    ctx.paths
         .shortest_path(from, dst_switch)?
         .first()
         .map(|(_, p)| *p)
@@ -360,7 +360,7 @@ mod tests {
     use super::*;
     use crate::athena::{Athena, AthenaConfig};
     use crate::feature::format::FeatureRecord;
-    use athena_controller::{FlowRuleService, HostService, MastershipService};
+    use athena_controller::{FlowRuleService, HostService, MastershipService, PathService};
     use athena_dataplane::Topology;
     use athena_openflow::StatsReply;
     use athena_telemetry::Telemetry;
@@ -369,6 +369,7 @@ mod tests {
         flow_rules: FlowRuleService,
         hosts: HostService,
         mastership: MastershipService,
+        paths: PathService,
         topology: Topology,
     }
 
@@ -379,6 +380,7 @@ mod tests {
                 flow_rules: FlowRuleService::new(),
                 hosts: HostService::from_topology(&topology),
                 mastership: MastershipService::from_topology(&topology),
+                paths: PathService::from_topology(&topology),
                 topology,
             }
         }
@@ -389,7 +391,7 @@ mod tests {
                 flow_rules: &self.flow_rules,
                 hosts: &self.hosts,
                 mastership: &self.mastership,
-                topology: &self.topology,
+                paths: &self.paths,
             }
         }
     }

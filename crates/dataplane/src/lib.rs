@@ -66,6 +66,6 @@ pub use network::{
 };
 pub use punt::{Batched, Network, PuntDiscipline, ShardedNetwork, Synchronous};
 pub use shard::{Engine, ShardPlan};
-pub use switch::{FlowCacheStats, SimSwitch};
+pub use switch::SimSwitch;
 pub use topology::{HostSpec, LinkSpec, SwitchSpec, Topology};
 pub use wheel::TimingWheel;

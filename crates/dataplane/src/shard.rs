@@ -390,7 +390,7 @@ impl Shard {
                     Outcome::Failed
                 };
             };
-            let Some(out) = Action::first_output(&actions) else {
+            let Some(out) = Action::first_output(actions) else {
                 return Outcome::Failed; // drop rule
             };
             match self.port(st.at.slot, out) {
@@ -400,7 +400,7 @@ impl Shard {
                     }
                     st.hops_left -= 1;
                     st.punts = 0;
-                    st.pkt = apply_rewrites(&actions, st.pkt).with_in_port(in_port);
+                    st.pkt = apply_rewrites(actions, st.pkt).with_in_port(in_port);
                     st.at = to;
                     hops.push(Hop {
                         item: st.item,
@@ -715,11 +715,6 @@ impl<P: PuntDiscipline> Engine<P> {
     /// Routes the simulator's counters, per-tick step latency, and
     /// per-switch flow-table lookup totals into `tel`.
     pub fn bind_telemetry(&mut self, tel: &Telemetry) {
-        for shard in &mut self.shards {
-            for sw in &mut shard.switches {
-                sw.bind_telemetry(tel);
-            }
-        }
         let m = tel.metrics();
         let dp = names::dataplane::SUBSYSTEM;
         let sc = names::scale::SUBSYSTEM;
@@ -1188,13 +1183,14 @@ impl<P: PuntDiscipline> Engine<P> {
             let Some(actions) = sw.process(&pkt, now, packets, bytes) else {
                 return;
             };
-            let Some(out) = Action::first_output(&actions) else {
+            let Some(out) = Action::first_output(actions) else {
                 return;
             };
+            let rewritten = apply_rewrites(actions, pkt);
             let Port::Link { to, in_port, .. } = shard.port(at.slot, out) else {
                 return;
             };
-            pkt = apply_rewrites(&actions, pkt).with_in_port(in_port);
+            pkt = rewritten.with_in_port(in_port);
             at = to;
         }
     }

@@ -2,145 +2,17 @@
 
 use athena_openflow::stats::PortStatsEntry;
 use athena_openflow::{
-    Action, EntryPos, FlowMod, FlowRemoved, FlowTable, MatchFields, PacketHeader, StatsReply,
-    StatsRequest,
+    Action, FlowMod, FlowRemoved, FlowTable, MatchFields, PacketHeader, StatsReply, StatsRequest,
 };
-use athena_telemetry::{names, Counter, Telemetry};
 use athena_types::{Dpid, PortNo, SimTime};
-use std::collections::{HashMap, VecDeque};
-
-/// Capacity of the per-switch exact-match lookup cache.
-const FLOW_CACHE_CAPACITY: usize = 1024;
-
-/// Snapshot of a switch's lookup-cache counters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct FlowCacheStats {
-    /// Lookups served from the cache (no table scan).
-    pub hits: u64,
-    /// Lookups that scanned the table (cold key or stale slot).
-    pub misses: u64,
-    /// Slots (re-)populated after a full lookup.
-    pub insertions: u64,
-    /// Whole-cache invalidations (flow-mods and expiries).
-    pub invalidations: u64,
-}
-
-/// One cached lookup result: where the winning entry for an exact-match
-/// key sat in the flow table, plus enough identity (the entry's own match
-/// and priority — the winner for an exact key may be a wildcard rule) for
-/// [`FlowTable::lookup_at`] to revalidate it.
-#[derive(Debug, Clone, Copy)]
-struct CacheSlot {
-    pos: EntryPos,
-    stamp: u64,
-}
-
-/// An exact-match LRU cache over [`FlowTable`] lookups.
-///
-/// Keyed by the packet's exact header fields; a hit revalidates the
-/// recorded table position via [`FlowTable::lookup_at`] so counters move
-/// exactly as an uncached lookup would. Any structural table change
-/// (flow-mod, expiry) invalidates the whole cache — positions recorded
-/// before the change may be stale.
-///
-/// Recency is tracked with a lazy-deletion queue (stamped entries, stale
-/// ones skipped at eviction) so the cache never iterates its `HashMap` —
-/// iteration order must not leak into behaviour on the hot path.
-#[derive(Debug, Clone, Default)]
-struct FlowLookupCache {
-    map: HashMap<MatchFields, CacheSlot>,
-    order: VecDeque<(MatchFields, u64)>,
-    stamp: u64,
-    stats: FlowCacheStats,
-    tel: CacheTelemetry,
-}
-
-/// Registry handles for the cache counters (detached until
-/// [`SimSwitch::bind_telemetry`]; shared across switches — registration
-/// is idempotent, so every switch resolves the same instruments).
-#[derive(Debug, Clone, Default)]
-struct CacheTelemetry {
-    hits: Counter,
-    misses: Counter,
-    insertions: Counter,
-    invalidations: Counter,
-}
-
-impl FlowLookupCache {
-    /// Looks up the cached slot for `key`, refreshing its recency.
-    fn get(&mut self, key: &MatchFields) -> Option<CacheSlot> {
-        self.stamp += 1;
-        let stamp = self.stamp;
-        let slot = self.map.get_mut(key)?;
-        slot.stamp = stamp;
-        let out = *slot;
-        self.order.push_back((*key, stamp));
-        self.compact();
-        Some(out)
-    }
-
-    /// Records the winning entry for `key`, evicting the least recently
-    /// used keys beyond capacity.
-    fn insert(&mut self, key: MatchFields, pos: EntryPos) {
-        self.stamp += 1;
-        let slot = CacheSlot {
-            pos,
-            stamp: self.stamp,
-        };
-        self.map.insert(key, slot);
-        self.order.push_back((key, self.stamp));
-        while self.map.len() > FLOW_CACHE_CAPACITY {
-            match self.order.pop_front() {
-                // A queue entry is live only if it carries the key's
-                // current stamp; older duplicates are skipped.
-                Some((k, s)) => {
-                    if self.map.get(&k).is_some_and(|slot| slot.stamp == s) {
-                        self.map.remove(&k);
-                    }
-                }
-                None => break,
-            }
-        }
-        self.compact();
-        self.stats.insertions += 1;
-        self.tel.insertions.inc();
-    }
-
-    /// Drops every cached position (called on any structural change to
-    /// the flow table).
-    fn invalidate(&mut self) {
-        if self.map.is_empty() {
-            return;
-        }
-        self.map.clear();
-        self.order.clear();
-        self.stats.invalidations += 1;
-        self.tel.invalidations.inc();
-    }
-
-    /// Rebuilds the recency queue once stale entries dominate, keeping
-    /// its length proportional to the live map.
-    fn compact(&mut self) {
-        if self.order.len() < self.map.len().saturating_mul(4).max(64) {
-            return;
-        }
-        let map = &self.map;
-        self.order
-            .retain(|(k, s)| map.get(k).is_some_and(|slot| slot.stamp == *s));
-    }
-
-    fn hit(&mut self) {
-        self.stats.hits += 1;
-        self.tel.hits.inc();
-    }
-
-    fn miss(&mut self) {
-        self.stats.misses += 1;
-        self.tel.misses.inc();
-    }
-}
 
 /// A simulated OpenFlow switch: one flow table plus per-port counters.
+///
+/// Calls into the table are written `FlowTable::lookup(&mut self.table, …)`
+/// rather than as method calls: `athena-lint` resolves a path-qualified
+/// call exactly, so the hot-path rules follow the forwarding path into
+/// the classifier (`lookup`, `peek` and `apply` are ambiguous as bare
+/// method names and would end the call graph here).
 ///
 /// # Examples
 ///
@@ -156,54 +28,37 @@ impl FlowLookupCache {
 /// );
 /// let pkt = PacketHeader::tcp_syn(PortNo::new(1), Ipv4Addr::new(1,1,1,1), 1, Ipv4Addr::new(2,2,2,2), 2);
 /// let out = sw.process(&pkt, SimTime::ZERO, 1, 64);
-/// assert_eq!(out, Some(vec![Action::Output(PortNo::new(2))]));
+/// assert_eq!(out, Some(&[Action::Output(PortNo::new(2))][..]));
 /// ```
 #[derive(Debug, Clone)]
 pub struct SimSwitch {
     dpid: Dpid,
     table: FlowTable,
-    ports: HashMap<PortNo, PortStatsEntry>,
-    cache: FlowLookupCache,
+    /// Port `p`'s counters at index `p - 1`.
+    ports: Vec<PortStatsEntry>,
+}
+
+/// Port `p`'s index in the dense counter table.
+fn index(port: PortNo) -> Option<usize> {
+    (port.raw() as usize).checked_sub(1)
+}
+
+fn port_mut(ports: &mut [PortStatsEntry], port: PortNo) -> Option<&mut PortStatsEntry> {
+    ports.get_mut(index(port)?)
 }
 
 impl SimSwitch {
     /// Creates a switch with ports `1..=n_ports`.
     pub fn new(dpid: Dpid, n_ports: u32) -> Self {
-        let mut ports = HashMap::new();
-        for p in 1..=n_ports {
-            let port_no = PortNo::new(p);
-            ports.insert(
-                port_no,
-                PortStatsEntry {
-                    port_no,
-                    ..PortStatsEntry::default()
-                },
-            );
-        }
+        let fresh = |p| PortStatsEntry {
+            port_no: PortNo::new(p),
+            ..PortStatsEntry::default()
+        };
         SimSwitch {
             dpid,
             table: FlowTable::new(0),
-            ports,
-            cache: FlowLookupCache::default(),
+            ports: (1..=n_ports).map(fresh).collect(),
         }
-    }
-
-    /// Routes the lookup-cache counters into `tel` (aggregated across
-    /// switches as `dataplane/cache/*`).
-    pub fn bind_telemetry(&mut self, tel: &Telemetry) {
-        let m = tel.metrics();
-        let sub = names::dataplane::SUBSYSTEM;
-        self.cache.tel = CacheTelemetry {
-            hits: m.counter(sub, names::dataplane::CACHE_HITS),
-            misses: m.counter(sub, names::dataplane::CACHE_MISSES),
-            insertions: m.counter(sub, names::dataplane::CACHE_INSERTIONS),
-            invalidations: m.counter(sub, names::dataplane::CACHE_INVALIDATIONS),
-        };
-    }
-
-    /// Snapshot of this switch's lookup-cache counters.
-    pub fn cache_stats(&self) -> FlowCacheStats {
-        self.cache.stats
     }
 
     /// The switch's datapath id.
@@ -213,9 +68,7 @@ impl SimSwitch {
 
     /// The switch's port numbers.
     pub fn port_numbers(&self) -> Vec<PortNo> {
-        let mut v: Vec<PortNo> = self.ports.keys().copied().collect();
-        v.sort();
-        v
+        self.ports.iter().map(|p| p.port_no).collect()
     }
 
     /// Immutable access to the flow table.
@@ -233,11 +86,8 @@ impl SimSwitch {
     /// Applies a flow-mod, returning any flow-removed notifications (from
     /// delete commands).
     pub fn apply_flow_mod(&mut self, fm: &FlowMod, now: SimTime) -> Vec<FlowRemoved> {
-        // Any flow-mod may reorder or remove entries: cached positions
-        // are stale, so drop them all.
-        self.cache.invalidate();
         // OpenFlow switches silently ignore modify/delete misses.
-        self.table.apply(fm, now).unwrap_or_default()
+        FlowTable::apply(&mut self.table, fm, now).unwrap_or_default()
     }
 
     /// Performs a table lookup for a packet, crediting `packets`/`bytes`
@@ -251,93 +101,45 @@ impl SimSwitch {
         now: SimTime,
         packets: u64,
         bytes: u64,
-    ) -> Option<Vec<Action>> {
-        if let Some(port) = self.ports.get_mut(&pkt.in_port) {
+    ) -> Option<&[Action]> {
+        if let Some(port) = port_mut(&mut self.ports, pkt.in_port) {
             port.rx_packets += packets;
             port.rx_bytes += bytes;
         }
-        let key = MatchFields::exact_from_packet(pkt);
-        let cached = self.cache.get(&key).and_then(|slot| {
-            self.table
-                .lookup_at(&slot.pos, pkt, now, packets, bytes)
-                .map(|e| e.actions.clone())
-        });
-        let actions = match cached {
-            Some(acts) => {
-                self.cache.hit();
-                Some(acts)
-            }
-            None => {
-                // Cold key or stale slot: full lookup, then (re)cache the
-                // winning position. Counters moved only here — a failed
-                // `lookup_at` moves nothing, so totals match an uncached
-                // switch exactly.
-                self.cache.miss();
-                match self.table.lookup_indexed(pkt, now, packets, bytes) {
-                    Some((idx, e)) => {
-                        let pos = EntryPos {
-                            idx,
-                            priority: e.priority,
-                            match_fields: e.match_fields,
-                        };
-                        let acts = e.actions.clone();
-                        self.cache.insert(key, pos);
-                        Some(acts)
-                    }
-                    None => None,
-                }
-            }
-        };
-        match &actions {
-            Some(acts) => {
-                for a in acts {
-                    if let Some(out) = a.output_port() {
-                        if let Some(port) = self.ports.get_mut(&out) {
-                            port.tx_packets += packets;
-                            port.tx_bytes += bytes;
-                        }
-                    }
-                }
-            }
-            None => {
-                // Count the miss against the ingress port as a drop only
-                // if the caller decides to drop; the network layer calls
-                // `count_drop` explicitly. Nothing to do here.
+        // A miss is not counted as a drop here: the engine decides, and
+        // calls `count_rx_drop` if it does.
+        let entry = FlowTable::lookup(&mut self.table, pkt, now, packets, bytes)?;
+        for out in entry.actions.iter().filter_map(|a| a.output_port()) {
+            if let Some(port) = port_mut(&mut self.ports, out) {
+                port.tx_packets += packets;
+                port.tx_bytes += bytes;
             }
         }
-        actions
+        Some(entry.actions.as_slice())
     }
 
     /// Table lookup without crediting any counters (the routing phase).
-    pub fn peek(&self, pkt: &PacketHeader, now: SimTime) -> Option<Vec<Action>> {
-        self.table.peek(pkt, now).map(|e| e.actions.clone())
+    pub fn peek(&self, pkt: &PacketHeader, now: SimTime) -> Option<&[Action]> {
+        FlowTable::peek(&self.table, pkt, now).map(|e| e.actions.as_slice())
     }
 
     /// Records dropped traffic on a port's tx side (capacity contention).
     pub fn count_tx_drop(&mut self, port: PortNo, packets: u64) {
-        if let Some(p) = self.ports.get_mut(&port) {
+        if let Some(p) = port_mut(&mut self.ports, port) {
             p.tx_dropped += packets;
         }
     }
 
     /// Records dropped traffic on a port's rx side (no route / no rule).
     pub fn count_rx_drop(&mut self, port: PortNo, packets: u64) {
-        if let Some(p) = self.ports.get_mut(&port) {
+        if let Some(p) = port_mut(&mut self.ports, port) {
             p.rx_dropped += packets;
         }
     }
 
     /// Expires timed-out flow entries.
     pub fn expire(&mut self, now: SimTime) -> Vec<FlowRemoved> {
-        let before = self.table.len();
-        let removed = self.table.expire(now);
-        // `removed` only holds entries that asked for FLOW_REMOVED, so
-        // detect structural change by length: any removal shifts the
-        // positions the cache recorded.
-        if self.table.len() != before {
-            self.cache.invalidate();
-        }
-        removed
+        self.table.expire(now)
     }
 
     /// Serves a statistics request.
@@ -353,16 +155,12 @@ impl SimSwitch {
             StatsRequest::Aggregate { filter } => {
                 StatsReply::Aggregate(self.table.aggregate_stats(filter))
             }
-            StatsRequest::Port { port_no } => {
-                let entries = if *port_no == PortNo::ANY {
-                    let mut v: Vec<PortStatsEntry> = self.ports.values().copied().collect();
-                    v.sort_by_key(|p| p.port_no);
-                    v
-                } else {
-                    self.ports.get(port_no).copied().into_iter().collect()
-                };
-                StatsReply::Port(entries)
-            }
+            StatsRequest::Port { port_no } => StatsReply::Port(if *port_no == PortNo::ANY {
+                self.ports.clone()
+            } else {
+                let one = index(*port_no).and_then(|i| self.ports.get(i));
+                one.copied().into_iter().collect()
+            }),
             StatsRequest::Table => StatsReply::Table(vec![self.table.table_stats()]),
         }
     }
@@ -385,9 +183,9 @@ impl SimSwitch {
     pub fn reboot(&mut self, now: SimTime) -> usize {
         let lost = self.table.len();
         let _ = self.clear_flows(now);
-        for (port_no, entry) in self.ports.iter_mut() {
-            *entry = PortStatsEntry {
-                port_no: *port_no,
+        for p in &mut self.ports {
+            *p = PortStatsEntry {
+                port_no: p.port_no,
                 ..PortStatsEntry::default()
             };
         }
@@ -423,7 +221,7 @@ mod tests {
             SimTime::ZERO,
         );
         let out = sw.process(&pkt(1), SimTime::ZERO, 1, 64).unwrap();
-        assert_eq!(Action::first_output(&out), Some(PortNo::new(2)));
+        assert_eq!(Action::first_output(out), Some(PortNo::new(2)));
         assert_eq!(sw.flow_count(), 1);
     }
 
@@ -498,7 +296,7 @@ mod tests {
     }
 
     #[test]
-    fn cache_serves_repeat_lookups_with_identical_counters() {
+    fn repeat_lookups_move_each_counter_exactly_once() {
         let mut sw = SimSwitch::new(Dpid::new(1), 4);
         sw.apply_flow_mod(
             &FlowMod::add(
@@ -510,13 +308,8 @@ mod tests {
         );
         for i in 0..5 {
             let out = sw.process(&pkt(1), SimTime::from_secs(i), 2, 100).unwrap();
-            assert_eq!(Action::first_output(&out), Some(PortNo::new(2)));
+            assert_eq!(Action::first_output(out), Some(PortNo::new(2)));
         }
-        let stats = sw.cache_stats();
-        assert_eq!(stats.misses, 1, "{stats:?}");
-        assert_eq!(stats.hits, 4, "{stats:?}");
-        assert_eq!(stats.insertions, 1, "{stats:?}");
-        // Table counters match what 5 uncached lookups would produce.
         assert_eq!(sw.table().lookup_count(), 5);
         assert_eq!(sw.table().matched_count(), 5);
         let entry = sw.table().iter().next().unwrap();
@@ -526,15 +319,14 @@ mod tests {
     }
 
     #[test]
-    fn flow_mod_invalidates_cached_positions() {
+    fn higher_priority_rule_installed_after_traffic_wins_the_next_packet() {
         let mut sw = SimSwitch::new(Dpid::new(1), 4);
         sw.apply_flow_mod(
             &FlowMod::add(MatchFields::new(), 1, vec![Action::Output(PortNo::new(2))]),
             SimTime::ZERO,
         );
-        sw.process(&pkt(1), SimTime::ZERO, 1, 64); // warm the cache
-        assert_eq!(sw.cache_stats().hits + sw.cache_stats().misses, 1);
-        // A higher-priority rule for the same packet must win immediately.
+        let out = sw.process(&pkt(1), SimTime::ZERO, 1, 64).unwrap();
+        assert_eq!(Action::first_output(out), Some(PortNo::new(2)));
         sw.apply_flow_mod(
             &FlowMod::add(
                 MatchFields::exact_from_packet(&pkt(1)),
@@ -544,15 +336,13 @@ mod tests {
             SimTime::ZERO,
         );
         let out = sw.process(&pkt(1), SimTime::ZERO, 1, 64).unwrap();
-        assert_eq!(Action::first_output(&out), Some(PortNo::new(3)));
-        assert_eq!(sw.cache_stats().invalidations, 1);
+        assert_eq!(Action::first_output(out), Some(PortNo::new(3)));
     }
 
     #[test]
-    fn expiry_invalidates_cache_even_without_notifications() {
+    fn entry_expired_without_notification_does_not_match_afterwards() {
         let mut sw = SimSwitch::new(Dpid::new(1), 4);
-        // No FLOW_REMOVED requested: `expire` returns nothing, but the
-        // cache must still notice the structural change.
+        // No FLOW_REMOVED requested: `expire` returns nothing.
         let mut fm = FlowMod::add(
             MatchFields::exact_from_packet(&pkt(1)),
             10,
@@ -565,20 +355,17 @@ mod tests {
         let removed = sw.expire(SimTime::from_secs(10));
         assert!(removed.is_empty());
         assert_eq!(sw.flow_count(), 0);
-        assert_eq!(sw.cache_stats().invalidations, 1);
-        // The stale position must not resurrect the entry.
         assert_eq!(sw.process(&pkt(1), SimTime::from_secs(10), 1, 64), None);
     }
 
     #[test]
-    fn cache_evicts_beyond_capacity_without_wrong_answers() {
+    fn many_distinct_keys_under_one_wildcard_rule_all_hit_it() {
         let mut sw = SimSwitch::new(Dpid::new(1), 4);
         sw.apply_flow_mod(
             &FlowMod::add(MatchFields::new(), 1, vec![Action::Output(PortNo::new(2))]),
             SimTime::ZERO,
         );
-        // Far more distinct exact keys than the cache holds.
-        for i in 0..(super::FLOW_CACHE_CAPACITY as u16 + 500) {
+        for i in 0..1524u16 {
             let p = PacketHeader::tcp_syn(
                 PortNo::new(1),
                 Ipv4Addr::new(10, 0, (i >> 8) as u8, i as u8),
@@ -587,14 +374,10 @@ mod tests {
                 80,
             );
             let out = sw.process(&p, SimTime::ZERO, 1, 64).unwrap();
-            assert_eq!(Action::first_output(&out), Some(PortNo::new(2)));
+            assert_eq!(Action::first_output(out), Some(PortNo::new(2)));
         }
-        let stats = sw.cache_stats();
-        assert_eq!(
-            stats.misses as usize,
-            super::FLOW_CACHE_CAPACITY + 500,
-            "distinct keys never hit"
-        );
+        assert_eq!(sw.table().matched_count(), 1524);
+        assert_eq!(sw.table().iter().next().unwrap().packet_count, 1524);
     }
 
     #[test]

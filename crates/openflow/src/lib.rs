@@ -59,4 +59,4 @@ pub use message::{
 };
 pub use packet::PacketHeader;
 pub use stats::{AggregateStats, FlowStatsEntry, PortStatsEntry, StatsReply, TableStatsEntry};
-pub use table::{EntryPos, FlowEntry, FlowTable};
+pub use table::{FlowEntry, FlowTable};

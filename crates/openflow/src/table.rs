@@ -1,13 +1,32 @@
-//! The switch flow table: priority-ordered matching, timeout expiry, and
-//! per-entry counters.
+//! The switch flow table: a tuple-space classifier with priority-ordered
+//! matching, timeout expiry, and per-entry counters.
+//!
+//! Entries are grouped by match **shape** — which of the ten fields are
+//! constrained, plus the two prefix lengths. Every entry of one shape
+//! pins the same fields, so a packet can only match those whose pinned
+//! values equal its own: each shape owns one hash map from the
+//! *canonical* match (networks masked to their prefix) to the entries
+//! carrying it, and a lookup is one probe per shape in use instead of a
+//! walk over the table. Among the shapes' candidates the winner is the
+//! one that comes first in match order — priority ↓, specificity ↓,
+//! install sequence ↓ — which is also the key of the ordered map that
+//! full walks (statistics, expiry, non-strict delete) iterate. Expiry
+//! deadlines are kept as a multiset, so [`FlowTable::next_expiry`] reads
+//! its first key.
+//!
+//! There is no lookup cache in front of the table: a probe costs what a
+//! cache hit would, and needs no invalidation.
 
 use crate::action::Action;
 use crate::match_fields::MatchFields;
 use crate::message::{FlowMod, FlowModCommand, FlowRemoved, FlowRemovedReason};
 use crate::packet::PacketHeader;
 use crate::stats::{AggregateStats, FlowStatsEntry, TableStatsEntry};
-use athena_types::{AthenaError, Result, SimDuration, SimTime};
+use athena_types::{AthenaError, Ipv4Addr, Result, SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
+use std::cmp::Reverse;
+use std::collections::{BTreeMap, HashMap};
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// A single flow-table entry with live counters.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -34,9 +53,6 @@ pub struct FlowEntry {
     pub byte_count: u64,
     /// Whether removal should emit a [`FlowRemoved`].
     pub send_flow_removed: bool,
-    /// Monotone insertion sequence, used to break priority ties (later
-    /// installations shadow earlier equal-priority, equal-specificity ones).
-    seq: u64,
 }
 
 impl FlowEntry {
@@ -95,6 +111,166 @@ impl FlowEntry {
     }
 }
 
+/// An entry's place in match order: priority ↓, specificity ↓, install
+/// sequence ↓ (a later installation shadows an earlier equal one). The
+/// sequence makes it unique per entry.
+type Rank = (Reverse<u16>, Reverse<u32>, Reverse<u64>);
+
+/// One stored entry: the slab slot the ordered map and the shape buckets
+/// address.
+#[derive(Debug, Clone)]
+struct Node {
+    entry: FlowEntry,
+    rank: Rank,
+    /// The next entry of the same bucket, in match order.
+    next: Option<usize>,
+}
+
+/// Hasher for the shape buckets' fixed-layout [`MatchFields`] keys: one
+/// rotate-xor-multiply per word written (the FxHash construction), a
+/// fraction of SipHash's cost on a 60-byte key. The keys come from the
+/// simulated controller, not from outside the program, and no bucket map
+/// is ever iterated, so neither flooding resistance nor a per-process
+/// seed is wanted.
+#[derive(Debug, Clone, Copy, Default)]
+struct WordHasher(u64);
+
+impl WordHasher {
+    fn mix(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+}
+
+impl Hasher for WordHasher {
+    fn finish(&self) -> u64 {
+        // The multiply mixes upward only; bring the strong bits down to
+        // where the map takes its bucket index from.
+        self.0.rotate_left(26)
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            self.mix(chunk.iter().fold(0, |w, b| (w << 8) | u64::from(*b)));
+        }
+    }
+
+    fn write_u8(&mut self, v: u8) {
+        self.mix(u64::from(v));
+    }
+
+    fn write_u16(&mut self, v: u16) {
+        self.mix(u64::from(v));
+    }
+
+    fn write_u32(&mut self, v: u32) {
+        self.mix(u64::from(v));
+    }
+
+    fn write_u64(&mut self, v: u64) {
+        self.mix(v);
+    }
+
+    fn write_usize(&mut self, v: usize) {
+        self.mix(v as u64);
+    }
+}
+
+/// The entries that constrain one set of fields with one pair of prefix
+/// lengths.
+#[derive(Debug, Clone)]
+struct Shape {
+    /// What every entry's match looks like with its values zeroed.
+    template: MatchFields,
+    /// Canonical match → slot of the first entry carrying it.
+    buckets: HashMap<MatchFields, usize, BuildHasherDefault<WordHasher>>,
+}
+
+impl Shape {
+    /// The canonical match an entry of this shape must carry to match
+    /// `pkt`, or `None` when the shape pins a field the packet lacks: no
+    /// entry of the shape can match then, a `/0` prefix included.
+    fn project(&self, pkt: &PacketHeader) -> Option<MatchFields> {
+        let t = &self.template;
+        Some(MatchFields {
+            in_port: t.in_port.map(|_| pkt.in_port),
+            eth_src: t.eth_src.map(|_| pkt.eth_src),
+            eth_dst: t.eth_dst.map(|_| pkt.eth_dst),
+            eth_type: t.eth_type.map(|_| pkt.eth_type),
+            vlan_id: pinned(t.vlan_id, pkt.vlan_id)?,
+            ip_src: match t.ip_src {
+                Some((_, len)) => Some(network(pkt.ip_src?, len)),
+                None => None,
+            },
+            ip_dst: match t.ip_dst {
+                Some((_, len)) => Some(network(pkt.ip_dst?, len)),
+                None => None,
+            },
+            ip_proto: pinned(t.ip_proto, pkt.ip_proto)?,
+            tp_src: pinned(t.tp_src, pkt.tp_src)?,
+            tp_dst: pinned(t.tp_dst, pkt.tp_dst)?,
+        })
+    }
+}
+
+/// A shape's key for an optional header field: wild when the shape
+/// leaves it wild, the packet's value when it is pinned — and no key at
+/// all (outer `None`) when it is pinned but the packet has none.
+fn pinned<T>(template: Option<T>, have: Option<T>) -> Option<Option<T>> {
+    match template {
+        None => Some(None),
+        Some(_) => have.map(Some),
+    }
+}
+
+/// `ip/len` with the host bits cleared.
+fn network(ip: Ipv4Addr, len: u8) -> (Ipv4Addr, u8) {
+    let host_bits = 32u32.saturating_sub(u32::from(len));
+    let mask = u32::MAX.checked_shl(host_bits).unwrap_or(0);
+    (Ipv4Addr::from_raw(ip.raw() & mask), len)
+}
+
+/// `m` with its networks masked to their prefix: `10.0.0.5/24` and
+/// `10.0.0.0/24` match the same packets, so they share a bucket.
+fn canonical(m: &MatchFields) -> MatchFields {
+    MatchFields {
+        ip_src: m.ip_src.map(|(ip, len)| network(ip, len)),
+        ip_dst: m.ip_dst.map(|(ip, len)| network(ip, len)),
+        ..*m
+    }
+}
+
+/// `m` with every pinned value zeroed: equal for two matches exactly
+/// when they have the same shape.
+fn template(m: &MatchFields) -> MatchFields {
+    MatchFields {
+        in_port: m.in_port.map(|_| Default::default()),
+        eth_src: m.eth_src.map(|_| Default::default()),
+        eth_dst: m.eth_dst.map(|_| Default::default()),
+        eth_type: m.eth_type.map(|_| Default::default()),
+        vlan_id: m.vlan_id.map(|_| 0),
+        ip_src: m.ip_src.map(|(_, len)| (Ipv4Addr::UNSPECIFIED, len)),
+        ip_dst: m.ip_dst.map(|(_, len)| (Ipv4Addr::UNSPECIFIED, len)),
+        ip_proto: m.ip_proto.map(|_| Default::default()),
+        tp_src: m.tp_src.map(|_| 0),
+        tp_dst: m.tp_dst.map(|_| 0),
+    }
+}
+
+fn arm(deadlines: &mut BTreeMap<SimTime, usize>, at: SimTime) {
+    if at != SimTime::MAX {
+        *deadlines.entry(at).or_insert(0) += 1;
+    }
+}
+
+fn disarm(deadlines: &mut BTreeMap<SimTime, usize>, at: SimTime) {
+    if let Some(n) = deadlines.get_mut(&at) {
+        *n -= 1;
+        if *n == 0 {
+            deadlines.remove(&at);
+        }
+    }
+}
+
 /// A priority-ordered OpenFlow flow table.
 ///
 /// Lookup semantics follow the specification: the highest-priority matching
@@ -116,23 +292,30 @@ impl FlowEntry {
 /// assert_eq!(table.len(), 1);
 /// # Ok::<(), athena_types::AthenaError>(())
 /// ```
-/// A previously-returned entry's table position plus enough of its
-/// identity (own match and priority) for [`FlowTable::lookup_at`] to
-/// detect a stale position and refuse the shortcut.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct EntryPos {
-    pub idx: usize,
-    pub priority: u16,
-    pub match_fields: MatchFields,
-}
-
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct FlowTable {
     table_id: u8,
-    entries: Vec<FlowEntry>,
+    /// Entry storage; a freed slot is `None` and listed in `free`.
+    slots: Vec<Option<Node>>,
+    free: Vec<usize>,
+    /// Every entry's slot, in match order.
+    order: BTreeMap<Rank, usize>,
+    /// The shapes in use. A `Vec`, not a map: the winner is chosen by
+    /// rank, so the visiting order cannot change the answer.
+    shapes: Vec<Shape>,
+    /// The entries' finite [`FlowEntry::expires_at`] values, with
+    /// multiplicity.
+    deadlines: BTreeMap<SimTime, usize>,
     next_seq: u64,
     lookup_count: u64,
     matched_count: u64,
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Entries this thread's bucket walks have examined: the scale
+    /// guard's yardstick.
+    static VISITS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
 }
 
 impl FlowTable {
@@ -146,17 +329,174 @@ impl FlowTable {
 
     /// Number of live entries.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.order.len()
     }
 
     /// Returns `true` if the table has no entries.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.order.is_empty()
     }
 
     /// Iterates over the entries in match order (highest priority first).
     pub fn iter(&self) -> impl Iterator<Item = &FlowEntry> {
-        self.entries.iter()
+        self.order
+            .values()
+            .filter_map(|slot| self.node(*slot))
+            .map(|n| &n.entry)
+    }
+
+    fn node(&self, slot: usize) -> Option<&Node> {
+        self.slots.get(slot)?.as_ref()
+    }
+
+    fn node_mut(&mut self, slot: usize) -> Option<&mut Node> {
+        self.slots.get_mut(slot)?.as_mut()
+    }
+
+    /// The entries of one bucket from `head` on, in match order.
+    fn mates(&self, head: Option<usize>) -> impl Iterator<Item = (usize, &Node)> {
+        let mut at = head;
+        std::iter::from_fn(move || {
+            let slot = at?;
+            let node = self.node(slot)?;
+            at = node.next;
+            #[cfg(test)]
+            VISITS.with(|v| v.set(v.get() + 1));
+            Some((slot, node))
+        })
+    }
+
+    /// The index of the shape `m` has, if any entry has it.
+    fn shape_of(&self, m: &MatchFields) -> Option<usize> {
+        let shape = template(m);
+        self.shapes.iter().position(|s| s.template == shape)
+    }
+
+    /// The first entry of the bucket `key` names in shape `at`.
+    fn head(&self, at: usize, key: &MatchFields) -> Option<usize> {
+        self.shapes.get(at)?.buckets.get(key).copied()
+    }
+
+    /// The entry with exactly this match (as installed, not merely an
+    /// equivalent prefix) and priority.
+    fn find_strict(&self, m: &MatchFields, priority: u16) -> Option<usize> {
+        self.mates(self.head(self.shape_of(m)?, &canonical(m)))
+            .find(|(_, n)| n.entry.priority == priority && n.entry.match_fields == *m)
+            .map(|(slot, _)| slot)
+    }
+
+    /// The first live entry, in match order, that matches `pkt`: one
+    /// probe per shape, then the best-ranked of the shapes' candidates.
+    /// An expired entry stays in its bucket until [`FlowTable::expire`]
+    /// and is passed over for the next mate.
+    fn winner(&self, pkt: &PacketHeader, now: SimTime) -> Option<usize> {
+        let mut best: Option<(Rank, usize)> = None;
+        for shape in &self.shapes {
+            let head = shape
+                .project(pkt)
+                .and_then(|key| shape.buckets.get(&key).copied());
+            let live = self
+                .mates(head)
+                .find(|(_, n)| n.entry.expiry_reason(now).is_none());
+            if let Some((slot, node)) = live {
+                debug_assert!(node.entry.match_fields.matches(pkt));
+                if best.is_none_or(|(rank, _)| node.rank < rank) {
+                    best = Some((node.rank, slot));
+                }
+            }
+        }
+        best.map(|(_, slot)| slot)
+    }
+
+    fn install(&mut self, entry: FlowEntry) {
+        let rank = (
+            Reverse(entry.priority),
+            Reverse(entry.match_fields.specificity()),
+            Reverse(self.next_seq),
+        );
+        self.next_seq += 1;
+        let key = canonical(&entry.match_fields);
+        let at = self.shape_of(&entry.match_fields).unwrap_or_else(|| {
+            self.shapes.push(Shape {
+                template: template(&entry.match_fields),
+                buckets: HashMap::default(),
+            });
+            self.shapes.len() - 1
+        });
+        let head = self.head(at, &key);
+        // Bucket-mates share a shape, hence a specificity: rank orders
+        // them by priority, then newest first.
+        let before = self
+            .mates(head)
+            .take_while(|(_, n)| n.rank < rank)
+            .last()
+            .map(|(slot, _)| slot);
+        let slot = self.free.pop().unwrap_or(self.slots.len());
+        if slot == self.slots.len() {
+            self.slots.push(None);
+        }
+        let next = match before.and_then(|b| self.node_mut(b)) {
+            Some(b) => b.next.replace(slot),
+            None => {
+                if let Some(shape) = self.shapes.get_mut(at) {
+                    shape.buckets.insert(key, slot);
+                }
+                head
+            }
+        };
+        arm(&mut self.deadlines, entry.expires_at());
+        self.order.insert(rank, slot);
+        if let Some(vacant) = self.slots.get_mut(slot) {
+            *vacant = Some(Node { entry, rank, next });
+        }
+    }
+
+    fn uninstall(&mut self, slot: usize) -> Option<FlowEntry> {
+        let m = self.node(slot)?.entry.match_fields;
+        let (at, key) = (self.shape_of(&m)?, canonical(&m));
+        let before = self
+            .mates(self.head(at, &key))
+            .find(|(_, n)| n.next == Some(slot))
+            .map(|(b, _)| b);
+        let Node { entry, rank, next } = self.slots.get_mut(slot)?.take()?;
+        self.free.push(slot);
+        self.order.remove(&rank);
+        disarm(&mut self.deadlines, entry.expires_at());
+        match before.and_then(|b| self.node_mut(b)) {
+            Some(b) => b.next = next,
+            None => {
+                let shape = self.shapes.get_mut(at)?;
+                match next {
+                    Some(next) => shape.buckets.insert(key, next),
+                    None => shape.buckets.remove(&key),
+                };
+                if shape.buckets.is_empty() {
+                    self.shapes.swap_remove(at);
+                }
+            }
+        }
+        Some(entry)
+    }
+
+    /// Removes, in match order, every entry `doomed` gives a reason for,
+    /// returning the notifications of those that asked for one.
+    fn remove_where(
+        &mut self,
+        now: SimTime,
+        doomed: impl Fn(&FlowEntry) -> Option<FlowRemovedReason>,
+    ) -> Vec<FlowRemoved> {
+        let slots: Vec<(usize, FlowRemovedReason)> = self
+            .order
+            .values()
+            .filter_map(|slot| Some((*slot, doomed(&self.node(*slot)?.entry)?)))
+            .collect();
+        let mut removed = Vec::new();
+        for (slot, reason) in slots {
+            if let Some(e) = self.uninstall(slot).filter(|e| e.send_flow_removed) {
+                removed.push(e.to_flow_removed(now, reason));
+            }
+        }
+        removed
     }
 
     /// Applies a flow-mod. Returns any [`FlowRemoved`] notifications the
@@ -171,9 +511,10 @@ impl FlowTable {
         match fm.command {
             FlowModCommand::Add => {
                 // Adding replaces an entry with identical match + priority.
-                self.entries
-                    .retain(|e| !(e.priority == fm.priority && e.match_fields == fm.match_fields));
-                let entry = FlowEntry {
+                if let Some(slot) = self.find_strict(&fm.match_fields, fm.priority) {
+                    self.uninstall(slot);
+                }
+                self.install(FlowEntry {
                     match_fields: fm.match_fields,
                     priority: fm.priority,
                     actions: fm.actions.clone(),
@@ -185,30 +526,15 @@ impl FlowTable {
                     packet_count: 0,
                     byte_count: 0,
                     send_flow_removed: fm.send_flow_removed,
-                    seq: self.next_seq,
-                };
-                self.next_seq += 1;
-                // Insert keeping (priority desc, specificity desc, seq desc).
-                let key = |e: &FlowEntry| {
-                    (
-                        std::cmp::Reverse(e.priority),
-                        std::cmp::Reverse(e.match_fields.specificity()),
-                        std::cmp::Reverse(e.seq),
-                    )
-                };
-                let pos = self
-                    .entries
-                    .binary_search_by_key(&key(&entry), key)
-                    .unwrap_or_else(|p| p);
-                self.entries.insert(pos, entry);
+                });
                 Ok(Vec::new())
             }
             FlowModCommand::Modify => {
                 let mut touched = 0;
-                for e in &mut self.entries {
-                    if e.match_fields.is_subset_of(&fm.match_fields) {
-                        e.actions = fm.actions.clone();
-                        e.cookie = fm.cookie;
+                for n in self.slots.iter_mut().flatten() {
+                    if n.entry.match_fields.is_subset_of(&fm.match_fields) {
+                        n.entry.actions = fm.actions.clone();
+                        n.entry.cookie = fm.cookie;
                         touched += 1;
                     }
                 }
@@ -221,40 +547,22 @@ impl FlowTable {
                     Ok(Vec::new())
                 }
             }
-            FlowModCommand::Delete => {
-                let mut removed = Vec::new();
-                self.entries.retain(|e| {
-                    if e.match_fields.is_subset_of(&fm.match_fields) {
-                        if e.send_flow_removed {
-                            removed.push(e.to_flow_removed(now, FlowRemovedReason::Delete));
-                        }
-                        false
-                    } else {
-                        true
-                    }
-                });
-                Ok(removed)
-            }
+            FlowModCommand::Delete => Ok(self.remove_where(now, |e| {
+                e.match_fields
+                    .is_subset_of(&fm.match_fields)
+                    .then_some(FlowRemovedReason::Delete)
+            })),
             FlowModCommand::DeleteStrict => {
-                let before = self.entries.len();
-                let mut removed = Vec::new();
-                self.entries.retain(|e| {
-                    if e.priority == fm.priority && e.match_fields == fm.match_fields {
-                        if e.send_flow_removed {
-                            removed.push(e.to_flow_removed(now, FlowRemovedReason::Delete));
-                        }
-                        false
-                    } else {
-                        true
+                let slot = self.find_strict(&fm.match_fields, fm.priority);
+                match slot.and_then(|slot| self.uninstall(slot)) {
+                    Some(e) if e.send_flow_removed => {
+                        Ok(vec![e.to_flow_removed(now, FlowRemovedReason::Delete)])
                     }
-                });
-                if self.entries.len() == before {
-                    Err(AthenaError::InvalidState(format!(
+                    Some(_) => Ok(Vec::new()),
+                    None => Err(AthenaError::InvalidState(format!(
                         "strict delete matched no entry in table {}",
                         self.table_id
-                    )))
-                } else {
-                    Ok(removed)
+                    ))),
                 }
             }
         }
@@ -272,112 +580,42 @@ impl FlowTable {
         packets: u64,
         bytes: u64,
     ) -> Option<&FlowEntry> {
-        self.lookup_indexed(pkt, now, packets, bytes)
-            .map(|(_, e)| e)
-    }
-
-    /// [`FlowTable::lookup`], but also returns the winning entry's table
-    /// position so exact-match lookup caches can revalidate it later with
-    /// [`FlowTable::lookup_at`].
-    pub fn lookup_indexed(
-        &mut self,
-        pkt: &PacketHeader,
-        now: SimTime,
-        packets: u64,
-        bytes: u64,
-    ) -> Option<(usize, &FlowEntry)> {
         self.lookup_count += 1;
-        let idx = self
-            .entries
-            .iter()
-            .position(|e| e.expiry_reason(now).is_none() && e.match_fields.matches(pkt))?;
+        let slot = self.winner(pkt, now)?;
         self.matched_count += 1;
-        let e = &mut self.entries[idx];
-        e.packet_count += packets;
-        e.byte_count += bytes;
-        e.last_matched_at = now;
-        Some((idx, &self.entries[idx]))
-    }
-
-    /// Credits a lookup against the entry at `pos.idx` if it is still
-    /// the entry a cache recorded — same match and priority — and it
-    /// still matches `pkt` unexpired at `now`. Counters (table-level and
-    /// per-entry) move exactly as in [`FlowTable::lookup`].
-    ///
-    /// Returns `None` **without moving any counter** when the validation
-    /// fails; the caller must then fall back to a full
-    /// [`FlowTable::lookup`]. The position stays authoritative between
-    /// structural changes ([`FlowTable::apply`] / [`FlowTable::expire`])
-    /// because entries never move otherwise: expired entries keep their
-    /// slot (and can never match again — expiry is monotonic), and
-    /// earlier entries' match fields are immutable, so the first live
-    /// match for an exact packet cannot shift to a different position.
-    pub fn lookup_at(
-        &mut self,
-        pos: &EntryPos,
-        pkt: &PacketHeader,
-        now: SimTime,
-        packets: u64,
-        bytes: u64,
-    ) -> Option<&FlowEntry> {
-        let idx = pos.idx;
-        let valid = self.entries.get(idx).is_some_and(|e| {
-            e.priority == pos.priority
-                && e.match_fields == pos.match_fields
-                && e.expiry_reason(now).is_none()
-                && e.match_fields.matches(pkt)
-        });
-        if !valid {
-            return None;
+        let entry = &mut self.slots.get_mut(slot)?.as_mut()?.entry;
+        let deadline = entry.expires_at();
+        entry.packet_count += packets;
+        entry.byte_count += bytes;
+        entry.last_matched_at = now;
+        if entry.expires_at() != deadline {
+            disarm(&mut self.deadlines, deadline);
+            arm(&mut self.deadlines, entry.expires_at());
         }
-        self.lookup_count += 1;
-        self.matched_count += 1;
-        if let Some(e) = self.entries.get_mut(idx) {
-            e.packet_count += packets;
-            e.byte_count += bytes;
-            e.last_matched_at = now;
-        }
-        self.entries.get(idx)
+        Some(entry)
     }
 
     /// Looks up the packet without mutating any counters (used by the
     /// simulator's routing phase; a subsequent [`FlowTable::lookup`]
     /// credits the traffic).
     pub fn peek(&self, pkt: &PacketHeader, now: SimTime) -> Option<&FlowEntry> {
-        self.entries
-            .iter()
-            .find(|e| e.expiry_reason(now).is_none() && e.match_fields.matches(pkt))
+        Some(&self.node(self.winner(pkt, now)?)?.entry)
     }
 
     /// Removes expired entries, returning their [`FlowRemoved`]
     /// notifications (only for entries that requested them).
     pub fn expire(&mut self, now: SimTime) -> Vec<FlowRemoved> {
-        let mut removed = Vec::new();
-        self.entries.retain(|e| match e.expiry_reason(now) {
-            Some(reason) => {
-                if e.send_flow_removed {
-                    removed.push(e.to_flow_removed(now, reason));
-                }
-                false
-            }
-            None => true,
-        });
-        removed
+        self.remove_where(now, |e| e.expiry_reason(now))
     }
 
     /// Returns the earliest instant at which some entry expires, if any.
     pub fn next_expiry(&self) -> Option<SimTime> {
-        self.entries
-            .iter()
-            .map(FlowEntry::expires_at)
-            .filter(|t| *t != SimTime::MAX)
-            .min()
+        self.deadlines.keys().next().copied()
     }
 
     /// Per-flow statistics for entries whose match is a subset of `filter`.
     pub fn flow_stats(&self, filter: &MatchFields, now: SimTime) -> Vec<FlowStatsEntry> {
-        self.entries
-            .iter()
+        self.iter()
             .filter(|e| e.match_fields.is_subset_of(filter))
             .map(|e| {
                 let mut s = e.to_stats(now);
@@ -391,7 +629,7 @@ impl FlowTable {
     /// `filter`.
     pub fn aggregate_stats(&self, filter: &MatchFields) -> AggregateStats {
         let mut agg = AggregateStats::default();
-        for e in &self.entries {
+        for e in self.iter() {
             if e.match_fields.is_subset_of(filter) {
                 agg.packet_count += e.packet_count;
                 agg.byte_count += e.byte_count;
@@ -415,7 +653,7 @@ impl FlowTable {
     pub fn table_stats(&self) -> TableStatsEntry {
         TableStatsEntry {
             table_id: self.table_id,
-            active_count: self.entries.len() as u32,
+            active_count: self.len() as u32,
             lookup_count: self.lookup_count,
             matched_count: self.matched_count,
         }
@@ -623,5 +861,79 @@ mod tests {
         )
         .unwrap();
         assert_eq!(t.next_expiry(), Some(SimTime::from_secs(10)));
+    }
+
+    /// The deterministic scale guard: on 8,192 five-tuple rules under 25
+    /// `ip_src/32` block rules and over a default rule, a lookup examines
+    /// one candidate per shape (plus expired bucket-mates) and an `Add`
+    /// of a new match none, however deep the table is.
+    #[test]
+    fn probes_do_not_scale_with_table_depth() {
+        let flow = |i: u32| {
+            PacketHeader::tcp_syn(
+                PortNo::new(1),
+                Ipv4Addr::from_raw(0x0a00_0000 + i),
+                1000,
+                Ipv4Addr::from_raw(0x0b00_0000 + i),
+                80,
+            )
+        };
+        let rule = |i: u32, prio: u16| {
+            let m = MatchFields::exact_five_tuple(flow(i).five_tuple().unwrap());
+            FlowMod::add(m, prio, vec![Action::Output(PortNo::new(2))])
+        };
+        let mut t = FlowTable::new(0);
+        add(&mut t, MatchFields::new(), 0, 9);
+        for i in 0..25 {
+            let blocked = Ipv4Addr::from_raw(0x0c00_0000 + i);
+            t.apply(
+                &FlowMod::add(MatchFields::new().with_ip_src(blocked, 32), 1000, vec![]),
+                SimTime::ZERO,
+            )
+            .unwrap();
+        }
+        let visits = || VISITS.with(|v| v.replace(0));
+        visits();
+        for i in 0..8192 {
+            let fm = rule(i, 10).with_idle_timeout(SimDuration::from_secs(30));
+            t.apply(&fm, SimTime::ZERO).unwrap();
+            assert_eq!(visits(), 0, "add {i} examined entries");
+        }
+        assert_eq!((t.len(), t.shapes.len()), (8192 + 25 + 1, 3));
+
+        for i in [0, 4096, 8191] {
+            let hit = t.lookup(&flow(i), SimTime::ZERO, 1, 64).unwrap();
+            assert_eq!(hit.priority, 10);
+            assert!(visits() <= 3);
+        }
+        let stranger = t.peek(&flow(9000), SimTime::ZERO).unwrap();
+        assert_eq!(stranger.priority, 0);
+        assert!(visits() <= 3);
+        let mut blocked = flow(3);
+        blocked.ip_src = Some(Ipv4Addr::from_raw(0x0c00_0003));
+        assert_eq!(t.peek(&blocked, SimTime::ZERO).unwrap().priority, 1000);
+        assert!(visits() <= 3);
+
+        // A lower-priority, permanent rule for flow 7 shares its bucket.
+        // Once the table has idled out (but before `expire` collects it)
+        // the lookup passes over the dead mate and nothing else.
+        t.apply(&rule(7, 5), SimTime::ZERO).unwrap();
+        assert!(visits() <= 2, "only the one bucket-mate is examined");
+        let late = SimTime::from_secs(31);
+        assert_eq!(t.lookup(&flow(7), late, 1, 64).unwrap().priority, 5);
+        assert!(visits() <= 3 + 1);
+        assert_eq!(t.peek(&flow(8), late).unwrap().priority, 0);
+        assert!(visits() <= 3 + 1);
+        // A replacing Add examines its bucket, not the table.
+        t.apply(&rule(7, 10), late).unwrap();
+        assert!(visits() <= 2 * 2);
+        assert_eq!(t.lookup(&flow(7), late, 1, 64).unwrap().priority, 10);
+
+        // An emptied shape stops being probed.
+        assert_eq!(t.expire(late).len(), 8191);
+        assert_eq!((t.len(), t.shapes.len()), (25 + 1 + 2, 3));
+        let all_blocks = MatchFields::new().with_ip_src(Ipv4Addr::new(12, 0, 0, 0), 8);
+        t.apply(&FlowMod::delete(all_blocks), late).unwrap();
+        assert_eq!((t.len(), t.shapes.len()), (1 + 2, 2));
     }
 }

@@ -130,14 +130,6 @@ pub mod dataplane {
     pub const TABLE_LOOKUPS: &str = "table_lookups";
     /// Per-switch flow-table matches (gauge, mirrored per tick).
     pub const TABLE_MATCHES: &str = "table_matches";
-    /// Flow-lookup cache hits.
-    pub const CACHE_HITS: &str = "cache/hits";
-    /// Flow-lookup cache misses.
-    pub const CACHE_MISSES: &str = "cache/misses";
-    /// Flow-lookup cache insertions.
-    pub const CACHE_INSERTIONS: &str = "cache/insertions";
-    /// Flow-lookup cache invalidations.
-    pub const CACHE_INVALIDATIONS: &str = "cache/invalidations";
     /// Links whose effective capacity is currently below 1.0 (gauge).
     pub const LINKS_DEGRADED: &str = "links_degraded";
     /// Switch reboots observed by the dataplane.
@@ -358,10 +350,6 @@ pub const DECLARED: &[(&str, &str)] = &[
     (dataplane::SUBSYSTEM, dataplane::DROPPED_BYTES),
     (dataplane::SUBSYSTEM, dataplane::TABLE_LOOKUPS),
     (dataplane::SUBSYSTEM, dataplane::TABLE_MATCHES),
-    (dataplane::SUBSYSTEM, dataplane::CACHE_HITS),
-    (dataplane::SUBSYSTEM, dataplane::CACHE_MISSES),
-    (dataplane::SUBSYSTEM, dataplane::CACHE_INSERTIONS),
-    (dataplane::SUBSYSTEM, dataplane::CACHE_INVALIDATIONS),
     (dataplane::SUBSYSTEM, dataplane::LINKS_DEGRADED),
     (dataplane::SUBSYSTEM, dataplane::SWITCH_REBOOTS),
     (dataplane::SUBSYSTEM, dataplane::LINK_QUEUE_DROPS),

@@ -58,6 +58,12 @@ cargo test -q -p athena-persist --offline --test proptest_persist
 echo "==> openflow codec property tests (round-trip + decode-never-panics)"
 cargo test -q -p athena-openflow --offline --test proptest_codec
 
+echo "==> flow-table differential property test (indexed table vs sorted scan)"
+cargo test -q -p athena-openflow --offline --test proptest_table
+
+echo "==> microbench compiles (flow_table/*, controller/shortest_path/*; not run here)"
+cargo bench --no-run -q -p athena-bench --bench micro --offline
+
 echo "==> telemetry overhead microbench (smoke mode)"
 ATHENA_BENCH_SMOKE=1 cargo bench -q -p athena-telemetry --offline --bench overhead
 

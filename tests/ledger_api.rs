@@ -23,7 +23,7 @@ use athena::dataplane::{
 use athena::ml::LabeledPoint;
 use athena::observe::Observe;
 use athena::openflow::OfVersion;
-use athena::openflow::{OfMessage, PacketHeader};
+use athena::openflow::{Action, FlowMod, FlowTable, MatchFields, OfMessage, PacketHeader};
 use athena::store::{Accumulator, Aggregation, Filter, FindOptions, GroupSpec, StoreCluster};
 use athena::telemetry::Telemetry;
 use athena::types::{AppId, ControllerId, Dpid, Ipv4Addr, PortNo, SimDuration, SimTime, Xid};
@@ -290,4 +290,37 @@ fn the_dataplane_calls_the_ledger_makes_compile_and_agree() {
     }
     let fired: usize = (1..=64).map(|tick| wheel.advance(tick).len()).sum();
     assert_eq!(fired, 128);
+
+    // probes::openflow_table: the table is re-assigned inside the timed
+    // closure, then probed with its own headers and with strangers.
+    let header = |i: u32| {
+        let src = Ipv4Addr::from_raw(0x0a00_0000 | i);
+        PacketHeader::tcp_syn(PortNo::new(1), src, 1024, Ipv4Addr::new(11, 0, 0, 1), 80)
+    };
+    let headers: Vec<PacketHeader> = (0..64).map(header).collect();
+    let mods: Vec<FlowMod> = headers
+        .iter()
+        .map(|h| {
+            FlowMod::add(
+                MatchFields::exact_from_packet(h),
+                100,
+                vec![Action::Output(PortNo::new(2))],
+            )
+        })
+        .collect();
+    let now = SimTime::from_secs(1);
+    let mut table = FlowTable::new(0);
+    let mut fill = || {
+        table = FlowTable::new(0);
+        for fm in &mods {
+            assert!(table.apply(fm, now).is_ok());
+        }
+    };
+    fill();
+    fill();
+    assert_eq!(table.len(), headers.len());
+    for h in &headers {
+        assert!(table.lookup(h, now, 1, 64).is_some());
+    }
+    assert!(table.lookup(&header(1 << 22), now, 1, 64).is_none());
 }

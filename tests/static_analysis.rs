@@ -84,7 +84,7 @@ fn hot_propagation_reaches_transitive_helpers() {
     for expected in [
         "crates/openflow/src/match_fields.rs::matches",
         "crates/dataplane/src/network.rs::ensure_dists",
-        "crates/openflow/src/table.rs::lookup_at",
+        "crates/openflow/src/table.rs::winner",
         "crates/parallel/src/lib.rs::run_ordered",
     ] {
         assert!(
