@@ -129,7 +129,7 @@ fn main() {
         header("athena-top — chaos health view + observe overhead at 1/2/4/8 workers")
     );
 
-    // The live view: one observed run at the default pool width,
+    // The live view: one observed run at the default job width,
     // printing the health table every 5 virtual seconds.
     println!("-- live health (controller crash at 10s, rejoin at 20s) --\n");
     let live = run_once(true, true);
@@ -141,7 +141,7 @@ fn main() {
         .expect("write observe-report.json");
     println!("wrote target/observe-report.json");
 
-    // The overhead sweep: off vs on at every pool width.
+    // The overhead sweep: off vs on at every job width.
     let mut rows = Vec::new();
     let mut baseline_digest: Option<String> = None;
     let mut baseline_alerts: Option<String> = None;
@@ -151,7 +151,7 @@ fn main() {
         let on = run_once(true, false);
         std::env::remove_var("ATHENA_THREADS");
         // Byte-identity: the observe layer changes nothing simulated,
-        // and neither does the pool width.
+        // and neither does the job width.
         assert_eq!(
             off.digest, on.digest,
             "observe layer changed simulated outcomes at width {w}"

@@ -105,7 +105,7 @@ impl ComputeCluster {
 
     /// Routes causal spans (the compute-job leg of a trace) into `obs`
     /// for every handle cloned from this cluster. Spans are opened and
-    /// closed on the submitting thread only — pool workers record
+    /// closed on the submitting thread only — parallel runners record
     /// nothing causal, so the trace stream is thread-count-invariant.
     pub fn bind_observe(&self, obs: &Observe) {
         self.inner.tel.write().observe = obs.clone();
@@ -150,22 +150,18 @@ impl ComputeCluster {
     }
 
     /// Runs a job: executes `task` over each partition (for real, in
-    /// parallel on the `athena-parallel` pool at the `ATHENA_THREADS`
+    /// parallel through `athena-parallel` at the `ATHENA_THREADS`
     /// width), measures each task's CPU cost, and charges the virtual
     /// makespan.
     ///
-    /// Results come back in partition order (the pool's ordered
-    /// reduction), so output is byte-identical at any thread count.
-    pub(crate) fn run_job<P, R>(
+    /// Results come back in partition order, so output is byte-identical
+    /// at any thread count.
+    pub(crate) fn run_job<P: Sync, R: Send>(
         &self,
         label: &str,
-        partitions: &Arc<Vec<P>>,
-        task: impl Fn(&P) -> R + Send + Sync + 'static,
-    ) -> Vec<R>
-    where
-        P: Send + Sync + 'static,
-        R: Send + 'static,
-    {
+        partitions: &[P],
+        task: impl Fn(&P) -> R + Sync,
+    ) -> Vec<R> {
         // Instruments are cloned out of a short-lived guard so the jobs
         // log below is never locked while `tel` is held.
         let tel = {
@@ -180,13 +176,12 @@ impl ComputeCluster {
         };
         let span = tel.observe.span("compute", "job");
         let job_timer = tel.job_ns.start_timer();
-        let parts = Arc::clone(partitions);
-        let task_hist = tel.task_ns.clone();
-        let timed = athena_parallel::par_map_indexed(parts.len(), move |i| {
+        let timed = athena_parallel::par_map_indexed(partitions.len(), |i| {
             let start = Instant::now();
-            let r = task(&parts[i]);
+            let r = task(&partitions[i]);
             let elapsed = start.elapsed();
-            task_hist.record(elapsed.as_nanos().min(u128::from(u64::MAX)) as u64);
+            tel.task_ns
+                .record(elapsed.as_nanos().min(u128::from(u64::MAX)) as u64);
             (SimDuration::from_micros(elapsed.as_micros() as u64), r)
         });
         let mut results = Vec::with_capacity(timed.len());

@@ -87,12 +87,9 @@ impl<T> Dataset<T> {
     }
 }
 
-impl<T: Clone + Send + Sync + 'static> Dataset<T> {
+impl<T: Clone + Send + Sync> Dataset<T> {
     /// Applies `f` to every element (one job, one task per partition).
-    pub fn map<U: Send + 'static>(
-        &self,
-        f: impl Fn(&T) -> U + Send + Sync + 'static,
-    ) -> Dataset<U> {
+    pub fn map<U: Send>(&self, f: impl Fn(&T) -> U + Sync) -> Dataset<U> {
         let parts = self
             .cluster
             .run_job("map", &self.partitions, move |p: &Vec<T>| {
@@ -102,7 +99,7 @@ impl<T: Clone + Send + Sync + 'static> Dataset<T> {
     }
 
     /// Keeps elements satisfying `f`.
-    pub fn filter(&self, f: impl Fn(&T) -> bool + Send + Sync + 'static) -> Dataset<T> {
+    pub fn filter(&self, f: impl Fn(&T) -> bool + Sync) -> Dataset<T> {
         let parts = self
             .cluster
             .run_job("filter", &self.partitions, move |p: &Vec<T>| {
@@ -113,10 +110,7 @@ impl<T: Clone + Send + Sync + 'static> Dataset<T> {
 
     /// Applies `f` to whole partitions (the workhorse for per-partition
     /// aggregation in ML algorithms).
-    pub fn map_partitions<U: Send + 'static>(
-        &self,
-        f: impl Fn(&[T]) -> Vec<U> + Send + Sync + 'static,
-    ) -> Dataset<U> {
+    pub fn map_partitions<U: Send>(&self, f: impl Fn(&[T]) -> Vec<U> + Sync) -> Dataset<U> {
         let parts = self
             .cluster
             .run_job("map_partitions", &self.partitions, move |p: &Vec<T>| f(p));
@@ -124,34 +118,26 @@ impl<T: Clone + Send + Sync + 'static> Dataset<T> {
     }
 
     /// Combines all elements with `f` (associative).
-    pub fn reduce(&self, f: impl Fn(T, T) -> T + Send + Sync + 'static) -> Option<T> {
-        let f = Arc::new(f);
-        let g = Arc::clone(&f);
+    pub fn reduce(&self, f: impl Fn(T, T) -> T + Sync) -> Option<T> {
         let partials = self
             .cluster
-            .run_job("reduce", &self.partitions, move |p: &Vec<T>| {
-                p.iter().cloned().reduce(&*g)
+            .run_job("reduce", &self.partitions, |p: &Vec<T>| {
+                p.iter().cloned().reduce(&f)
             });
-        partials.into_iter().flatten().reduce(&*f)
+        partials.into_iter().flatten().reduce(&f)
     }
 
     /// Spark's `aggregate`: per-partition fold with `seq`, then a driver
     /// combine with `comb`. The driver combine runs in partition order,
     /// so the result is byte-identical at any thread count.
-    pub fn fold<A>(
-        &self,
-        init: A,
-        seq: impl Fn(A, &T) -> A + Send + Sync + 'static,
-        comb: impl Fn(A, A) -> A,
-    ) -> A
+    pub fn fold<A>(&self, init: A, seq: impl Fn(A, &T) -> A + Sync, comb: impl Fn(A, A) -> A) -> A
     where
-        A: Clone + Send + Sync + 'static,
+        A: Clone + Send + Sync,
     {
-        let seed = init.clone();
         let partials = self
             .cluster
-            .run_job("fold", &self.partitions, move |p: &Vec<T>| {
-                p.iter().fold(seed.clone(), &seq)
+            .run_job("fold", &self.partitions, |p: &Vec<T>| {
+                p.iter().fold(init.clone(), &seq)
             });
         partials.into_iter().fold(init, comb)
     }

@@ -10,7 +10,6 @@ use crate::topology::{HostSpec, Topology};
 use athena_openflow::{Action, OfMessage, PacketHeader};
 use athena_types::{Dpid, FiveTuple, Ipv4Addr, PortNo, SimDuration, SimTime, Xid};
 use std::collections::HashMap;
-use std::sync::Arc;
 
 /// The data plane's view of its controllers.
 ///
@@ -145,12 +144,8 @@ pub(crate) fn apply_rewrites(actions: &[Action], mut pkt: PacketHeader) -> Packe
     pkt
 }
 
-/// Shared adjacency: `dpid -> [(out port, neighbor, neighbor's in port)]`.
-type SharedAdjacency = Arc<HashMap<Dpid, Vec<(PortNo, Dpid, PortNo)>>>;
-
-/// One punt's frozen routing inputs `(ingress, flow, destination host,
-/// hop-distance map)` for the parallel batch fan-out.
-type PuntJob = (Dpid, FiveTuple, HostSpec, Arc<HashMap<Dpid, u32>>);
+/// Adjacency: `dpid -> [(out port, neighbor, neighbor's in port)]`.
+type Adjacency = HashMap<Dpid, Vec<(PortNo, Dpid, PortNo)>>;
 
 /// A minimal reactive shortest-path controller used by the data-plane
 /// crate's own tests and examples. The full distributed controller lives
@@ -173,12 +168,11 @@ pub struct LearningControllerStub {
     /// per PACKET_IN melts down at 100k-host scale.
     host_of: HashMap<Ipv4Addr, usize>,
     /// Adjacency built once; `Topology::shortest_path` rebuilds it per
-    /// call, which dominates batch punt handling on large fabrics.
-    /// `Arc` so batched punt handling can fan path computation out.
-    adj: SharedAdjacency,
+    /// call, which dominates punt handling on large fabrics.
+    adj: Adjacency,
     /// Hop-distance maps keyed by destination switch, built lazily (one
     /// BFS per distinct destination edge switch, then O(path) per punt).
-    dist_cache: HashMap<Dpid, Arc<HashMap<Dpid, u32>>>,
+    dist_cache: HashMap<Dpid, HashMap<Dpid, u32>>,
 }
 
 impl LearningControllerStub {
@@ -193,7 +187,7 @@ impl LearningControllerStub {
         for (i, h) in topology.hosts.iter().enumerate() {
             host_of.entry(h.ip).or_insert(i);
         }
-        let adj = Arc::new(topology.adjacency());
+        let adj = topology.adjacency();
         LearningControllerStub {
             topology,
             idle_timeout: SimDuration::from_secs(30),
@@ -224,31 +218,32 @@ impl LearningControllerStub {
 
     /// Hop distances from every switch to `to` (BFS over the cached
     /// adjacency), computed once per destination.
-    fn ensure_dists(&mut self, to: Dpid) -> Arc<HashMap<Dpid, u32>> {
-        if let Some(d) = self.dist_cache.get(&to) {
-            return Arc::clone(d);
-        }
-        let mut dist: HashMap<Dpid, u32> = HashMap::from([(to, 0)]);
-        let mut queue = std::collections::VecDeque::from([to]);
-        while let Some(cur) = queue.pop_front() {
-            let d = dist.get(&cur).copied().unwrap_or(0);
-            for (_, next, _) in self.adj.get(&cur).into_iter().flatten() {
-                if !dist.contains_key(next) {
-                    dist.insert(*next, d + 1);
-                    queue.push_back(*next);
+    fn ensure_dists<'a>(
+        cache: &'a mut HashMap<Dpid, HashMap<Dpid, u32>>,
+        adj: &Adjacency,
+        to: Dpid,
+    ) -> &'a HashMap<Dpid, u32> {
+        cache.entry(to).or_insert_with(|| {
+            let mut dist: HashMap<Dpid, u32> = HashMap::from([(to, 0)]);
+            let mut queue = std::collections::VecDeque::from([to]);
+            while let Some(cur) = queue.pop_front() {
+                let d = dist.get(&cur).copied().unwrap_or(0);
+                for (_, next, _) in adj.get(&cur).into_iter().flatten() {
+                    if !dist.contains_key(next) {
+                        dist.insert(*next, d + 1);
+                        queue.push_back(*next);
+                    }
                 }
             }
-        }
-        let dist = Arc::new(dist);
-        self.dist_cache.insert(to, Arc::clone(&dist));
-        dist
+            dist
+        })
     }
 
     /// A shortest path `from -> to`, ECMP-balanced: at each hop the
     /// flow hash (mixed with the hop index) picks among the equal-cost
     /// downhill neighbours in adjacency order. Deterministic per flow.
     fn walk_ecmp(
-        adj: &HashMap<Dpid, Vec<(PortNo, Dpid, PortNo)>>,
+        adj: &Adjacency,
         dist: &HashMap<Dpid, u32>,
         from: Dpid,
         to: Dpid,
@@ -282,7 +277,7 @@ impl LearningControllerStub {
     /// The `FlowMod` install sequence for one punted flow: the ECMP path
     /// hop by hop, then delivery out the destination host port.
     fn install_cmds(
-        adj: &HashMap<Dpid, Vec<(PortNo, Dpid, PortNo)>>,
+        adj: &Adjacency,
         dist: &HashMap<Dpid, u32>,
         from: Dpid,
         ft: FiveTuple,
@@ -342,40 +337,9 @@ impl ControllerLink for LearningControllerStub {
         let Some((ft, dst)) = self.punt_dst(&msg) else {
             return Vec::new();
         };
-        let dist = self.ensure_dists(dst.switch);
-        let cmds = Self::install_cmds(&self.adj, &dist, from, ft, dst, self.idle_timeout);
+        let dist = Self::ensure_dists(&mut self.dist_cache, &self.adj, dst.switch);
+        let cmds = Self::install_cmds(&self.adj, dist, from, ft, dst, self.idle_timeout);
         self.installs += cmds.len() as u64;
         cmds
-    }
-
-    /// Pipeline-processes a whole punt batch: the per-destination
-    /// distance maps are warmed sequentially (shared cache), then every
-    /// punt's path + install sequence is computed in parallel. Output is
-    /// the in-order concatenation of what per-message handling returns.
-    fn on_packet_in_batch(
-        &mut self,
-        batch: Vec<(Dpid, OfMessage)>,
-        _now: SimTime,
-    ) -> Vec<(Dpid, OfMessage)> {
-        let idle = self.idle_timeout;
-        let jobs: Vec<PuntJob> = batch
-            .iter()
-            .filter_map(|(from, msg)| {
-                let (ft, dst) = self.punt_dst(msg)?;
-                let dist = self.ensure_dists(dst.switch);
-                Some((*from, ft, dst, dist))
-            })
-            .collect();
-        let adj = Arc::clone(&self.adj);
-        let per_punt: Vec<Vec<(Dpid, OfMessage)>> =
-            athena_parallel::par_map(jobs, move |(from, ft, dst, dist)| {
-                Self::install_cmds(&adj, dist, *from, *ft, *dst, idle)
-            });
-        let mut out = Vec::new();
-        for cmds in per_punt {
-            self.installs += cmds.len() as u64;
-            out.extend(cmds);
-        }
-        out
     }
 }

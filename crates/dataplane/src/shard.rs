@@ -5,9 +5,8 @@
 //! otherwise); each shard owns its switches, the links they source, its
 //! own expiry wheel and the buffers the phases below fill and drain, so a
 //! phase runs on every shard in parallel without sharing anything
-//! ([`athena_parallel::par_map_take`] moves each shard into its runner
-//! and hands it back in index order — inline on the caller when there is
-//! one shard). Every tick runs:
+//! ([`athena_parallel::par_each_mut`] runs it on each shard in place —
+//! inline on the caller when there is one shard). Every tick runs:
 //!
 //! 1. **Expiry** — each shard advances its timing wheel and expires due
 //!    tables; the `FLOW_REMOVED`s are delivered sequentially in global
@@ -86,8 +85,8 @@ impl ShardPlan {
         ShardPlan { groups }
     }
 
-    /// One shard per ~4 switches, capped at 16 shards (matching the
-    /// pool's practical width) and floored at 1.
+    /// One shard per ~4 switches, capped at 16 shards (a practical
+    /// job width) and floored at 1.
     pub fn auto(topology: &Topology) -> Self {
         let n = (topology.switches.len() / 4).clamp(1, 16);
         Self::partition(topology, n)
@@ -966,15 +965,10 @@ impl<P: PuntDiscipline> Engine<P> {
         self.observe.on_tick(t);
     }
 
-    /// Runs one phase on every shard in parallel: each shard moves into
-    /// its runner and comes back in index order, having touched only its
-    /// own state.
-    pub(crate) fn each_shard(&mut self, phase: impl Fn(&mut Shard) + Send + Sync + 'static) {
-        let shards = std::mem::take(&mut self.shards);
-        self.shards = athena_parallel::par_map_take(shards, move |mut shard| {
-            phase(&mut shard);
-            shard
-        });
+    /// Runs one phase on every shard in parallel, in place: a phase
+    /// touches only its own shard's state.
+    pub(crate) fn each_shard(&mut self, phase: impl Fn(&mut Shard) + Sync) {
+        athena_parallel::par_each_mut(&mut self.shards, phase);
     }
 
     /// The packet that carries traffic item `item` into the fabric.
@@ -1070,8 +1064,8 @@ impl<P: PuntDiscipline> Engine<P> {
     }
 
     /// [`credit`](Self::credit) with the queues replayed on the caller:
-    /// an activation packet's one op per hop is not worth a pool
-    /// round-trip per new flow.
+    /// an activation packet's one op per hop is not worth a parallel
+    /// job per new flow.
     pub(crate) fn credit_inline(&mut self) {
         self.queue_credits();
         for shard in &mut self.shards {

@@ -49,7 +49,6 @@ pub mod linalg;
 pub mod metrics;
 pub mod model;
 pub mod preprocess;
-pub mod sweep;
 
 pub use algorithms::forest::RandomForestModel;
 pub use algorithms::gbt::GbtClassifier;
@@ -66,4 +65,3 @@ pub use linalg::{mean_of, DenseVector};
 pub use metrics::{group_digits, ClusterReport, ConfusionMatrix, ValidationSummary};
 pub use model::{Algorithm, AlgorithmCategory, Model, TrainedModel};
 pub use preprocess::{FittedPreprocessor, Normalization, Preprocessor};
-pub use sweep::{cross_validate, fit_all, table_iv_roster, AlgoFit, FoldReport};

@@ -179,7 +179,7 @@ impl AlertEngine {
     }
 }
 
-/// The standard Athena SLO rule set: the five issue-mandated service
+/// The standard Athena SLO rule set: the four issue-mandated service
 /// rules plus one rule per chaos-matrix fault family, so every injected
 /// `Scenario` has an alert that fires during its fault window and clears
 /// after recovery.
@@ -221,14 +221,6 @@ pub fn standard_rules() -> Vec<AlertRule> {
                 window: w6,
             },
             deterministic: true,
-        },
-        AlertRule {
-            name: "pool-queue-depth",
-            signal: HistogramP99Above {
-                key: "parallel/queue_depth",
-                threshold: 1024.0,
-            },
-            deterministic: false, // depends on real scheduling interleavings
         },
         // — chaos-matrix fault alerts —
         AlertRule {

@@ -1,383 +1,164 @@
-//! A from-scratch, dependency-free work-stealing thread pool with
-//! **deterministic ordered reduction**.
+//! Deterministic ordered fan-out over borrowed threads.
 //!
 //! The paper's prototype inherits parallelism from its substrates (Spark
-//! executors, MongoDB shards); this crate gives the reproduction the
-//! same property without giving up the byte-identical determinism the
-//! repo's chaos and recovery gates enforce:
+//! executors, MongoDB shards). This crate gives the reproduction the
+//! same property for the few heavy items its call sites hold — store
+//! nodes, compute partitions, engine shards — without giving up the
+//! byte-identical determinism the chaos and recovery gates enforce, and
+//! without keeping a thread between jobs: [`par_map_indexed`] /
+//! [`par_map`] map over `0..n` / a vector with results **in index
+//! order** at any width, [`par_each_mut`] runs a closure on every
+//! element of a slice in place, and [`threads`] is the configured width.
 //!
-//! - [`par_map`] / [`par_map_arc`] / [`par_map_indexed`] — map a
-//!   function over items on the pool, returning results **in submission
-//!   index order** regardless of worker count or steal interleaving,
-//! - [`par_map_take`] — the same, but each item is moved into its
-//!   runner (for mutating owned shards and handing them back),
-//! - [`par_map_reduce`] — ordered map + in-order fold, so floating-point
-//!   and order-sensitive reductions are byte-identical at any width,
-//! - [`scope`] — structured fork/join over arbitrary `'static` tasks,
-//! - [`threads`] — the configured width: `ATHENA_THREADS` (default =
-//!   available cores; `1` selects an in-place sequential fast path that
-//!   never touches the pool).
+//! # One job
 //!
-//! # How determinism survives work stealing
-//!
-//! A job of `n` items is split into fixed chunks (a pure function of `n`
-//! and the width). `width - 1` *runner* tasks go into the pool and the
-//! **caller participates as the last runner**, so a job always makes
-//! progress even if every pool worker is busy or blocked — nested jobs
-//! cannot deadlock. Runners claim chunks from a shared atomic cursor and
-//! write each item's result into its own index slot; which runner
-//! computes which chunk is racy, *where the result lands* is not. After
-//! the last slot fills, the caller assembles `Vec<R>` by index — the
-//! same bytes as the `width == 1` run.
-//!
-//! # Examples
+//! A job of `n` items at width `w` is cut into fixed chunks of
+//! `chunk_size(n, w)` items and run by `runners(n, w) = min(w, chunks)`
+//! runners (at least one) — a pure function of the inputs: a requested
+//! width is honoured up to one runner per chunk, there are never more
+//! runners than items, and no constant caps it. One runner means the
+//! caller maps `0..n` in place and no thread is started. Otherwise the
+//! job opens a [`std::thread::scope`], starts `runners - 1` threads and
+//! **runs as the last runner itself**, so it completes even if no thread
+//! could be started, and a nested job simply opens its own scope.
+//! Runners claim chunks from one atomic cursor into their own
+//! `(start, results)` parts, which the caller concatenates by `start`:
+//! which runner computes which chunk is racy, *where the result lands*
+//! is not — the same bytes as the width-1 run. Every thread is joined
+//! before the job returns, so closures borrow from the caller; a panic
+//! in any item is re-raised on the caller with its payload once all
+//! runners have stopped. Runners record nothing causal and emit no trace
+//! event, so trace streams are identical across widths. Starting and
+//! joining a thread costs ≈ 0.1 ms; jobs here live 1–16 ms (DESIGN.md §11).
 //!
 //! ```
-//! let squares = athena_parallel::par_map((0..64u64).collect(), |x| x * x);
-//! assert_eq!(squares[5], 25);
-//! let sum = athena_parallel::par_map_reduce((0..100u64).collect(), |x| x * 2, 0u64, |a, b| a + b);
-//! assert_eq!(sum, 9900);
+//! let base = vec![10u64, 20, 30];
+//! let shifted = athena_parallel::par_map_indexed(64, |i| base[i % 3] + i as u64);
+//! assert_eq!(shifted[5], 35);
+//! let mut counters = [0u32; 16];
+//! athena_parallel::par_each_mut(&mut counters, |c| *c += 1);
+//! assert_eq!(counters, [1; 16]);
 //! ```
 
 #![forbid(unsafe_code)]
 #![deny(rust_2018_idioms)]
 
-mod accounting;
-mod pool;
-mod telemetry;
-
-pub use accounting::{makespan_ns, modeled_makespan_ns, set_accounting, take_jobs, JobStats};
-
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, OnceLock};
-
-use pool::{lock, pool};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Mutex, OnceLock, PoisonError};
+use std::thread;
 
 /// The configured job width: `ATHENA_THREADS` if set to a positive
 /// integer, otherwise the host's available parallelism. The variable is
-/// read per job, so tests and benches can flip it at runtime; the host's
-/// parallelism is asked for once (on Linux the call reads cgroup files —
-/// ~12 µs, more than a small job's work).
+/// read per job, so tests and benches can flip it at runtime; the host
+/// is asked once (on Linux the call reads cgroup files, ~12 µs).
 pub fn threads() -> usize {
     static HOST: OnceLock<usize> = OnceLock::new();
-    let host = *HOST.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()));
+    let host = *HOST.get_or_init(|| thread::available_parallelism().map_or(1, |n| n.get()));
     athena_types::env_usize("ATHENA_THREADS", host)
 }
 
-/// Binds the pool's `parallel/*` instruments to a telemetry registry.
-/// Only metrics are recorded, never trace events, so trace streams stay
-/// byte-identical across `ATHENA_THREADS` settings.
-pub fn bind_telemetry(tel: &athena_telemetry::Telemetry) {
-    let p = pool();
-    let bound = telemetry::Instruments::bound(tel, p.workers());
-    *p.tel
-        .write()
-        .unwrap_or_else(std::sync::PoisonError::into_inner) = bound;
-}
-
-/// Shared state of one in-flight ordered job.
-struct JobState<R> {
-    /// Next unclaimed item index; runners claim `chunk` items at a time.
-    cursor: AtomicUsize,
-    /// One slot per item, written by whichever runner claims it.
-    slots: Vec<Mutex<Option<R>>>,
-    /// Count of finished items, guarded so the caller can wait on it.
-    done: Mutex<usize>,
-    all_done: Condvar,
-    panicked: AtomicBool,
-    chunk: usize,
-    n: usize,
-    /// Measured chunk costs `(start_index, ns)`, kept only while
-    /// accounting is enabled.
-    costs: Mutex<Vec<(usize, u64)>>,
-}
-
-/// Items claimed per cursor bump. See [`JobState::new`] for rationale.
 const MIN_CHUNK: usize = 32;
 
-/// The fixed chunk size of an `n`-item job at `width` — a pure function
-/// of its inputs, so chunk boundaries (and thus accounting rows) are
-/// identical run-to-run.
+/// The fixed chunk size of an `n`-item job at `width`: ~8 chunks per
+/// runner (fine enough for the cursor to balance), floored at
+/// [`MIN_CHUNK`] so cheap items are not shredded into claim-dominated
+/// confetti, capped at `ceil(n / width)` so every runner still gets a
+/// chunk when items are few and heavy. A pure function of its inputs.
 fn chunk_size(n: usize, width: usize) -> usize {
-    (n / (width * 8))
+    let width = width.max(1);
+    (n / width.saturating_mul(8))
         .max(MIN_CHUNK)
-        .min(n.div_ceil(width.max(1)))
+        .min(n.div_ceil(width))
         .max(1)
 }
 
-impl<R: Send + 'static> JobState<R> {
-    fn new(n: usize, width: usize) -> Self {
-        JobState {
-            cursor: AtomicUsize::new(0),
-            slots: (0..n).map(|_| Mutex::new(None)).collect(),
-            done: Mutex::new(0),
-            all_done: Condvar::new(),
-            panicked: AtomicBool::new(false),
-            // ~8 chunks per runner: fine-grained enough for stealing to
-            // balance, coarse enough to amortize slot writes — with a
-            // floor of MIN_CHUNK items so cheap-item jobs at high width
-            // are not shredded into lock-dominated confetti (the
-            // BENCH_parallel feature-extraction row regressed at width
-            // 8 exactly this way), capped at ceil(n/width) so every
-            // runner still gets a chunk when items are few and heavy.
-            // A pure function of (n, width) — results never depend on it.
-            chunk: chunk_size(n, width),
-            n,
-            costs: Mutex::new(Vec::new()),
-        }
-    }
-
-    /// Runner body: claim chunks until the cursor passes the end.
-    fn run(&self, f: &(impl Fn(usize) -> R + Sync)) {
-        let account = accounting::accounting_enabled();
-        loop {
-            let start = self.cursor.fetch_add(self.chunk, Ordering::Relaxed);
-            if start >= self.n {
-                return;
-            }
-            let end = (start + self.chunk).min(self.n);
-            let t0 = account.then(accounting::ChunkTimer::start);
-            for i in start..end {
-                match catch_unwind(AssertUnwindSafe(|| f(i))) {
-                    Ok(r) => *lock(&self.slots[i], "parallel/slots") = Some(r),
-                    Err(_) => self.panicked.store(true, Ordering::SeqCst),
-                }
-            }
-            if let Some(t0) = t0 {
-                lock(&self.costs, "parallel/costs").push((start, t0.elapsed_ns()));
-            }
-            let mut d = lock(&self.done, "parallel/done");
-            *d += end - start;
-            if *d >= self.n {
-                self.all_done.notify_all();
-            }
-        }
-    }
-
-    fn record_accounting(&self, width: usize) {
-        if !accounting::accounting_enabled() {
-            return;
-        }
-        let mut costs = lock(&self.costs, "parallel/costs").clone();
-        costs.sort_unstable_by_key(|&(start, _)| start);
-        accounting::record_job(JobStats {
-            items: self.n,
-            width,
-            chunk_costs_ns: costs.into_iter().map(|(_, ns)| ns).collect(),
-        });
-    }
+/// How many runners an `n`-item job at `width` has: one per chunk up to
+/// `width` (chunks hold at least one item, so never more than `n`).
+fn runners(n: usize, width: usize) -> usize {
+    width.min(n.div_ceil(chunk_size(n, width))).max(1)
 }
 
 /// Maps `f` over `0..n` at `width`, returning results in index order.
-/// The deterministic core every `par_map` variant lowers to.
-fn run_ordered<R, F>(n: usize, width: usize, f: F) -> Vec<R>
-where
-    R: Send + 'static,
-    F: Fn(usize) -> R + Send + Sync + 'static,
-{
-    if n == 0 {
-        return Vec::new();
-    }
-    let width = width.clamp(1, n);
-    if width == 1 {
-        return run_sequential(n, f);
-    }
-    let p = pool();
-    let width = width.min(p.workers() + 1);
-    p.with_tel(|t| {
-        t.jobs.inc();
-        t.items.add(n as u64);
-    });
-    let state = Arc::new(JobState::new(n, width));
-    let f = Arc::new(f);
-    for _ in 1..width {
-        let st = Arc::clone(&state);
-        let g = Arc::clone(&f);
-        p.spawn_task(Box::new(move || st.run(&*g)));
-    }
-    // The caller is the last runner: the job progresses even if no pool
-    // worker ever picks up a task.
-    state.run(&*f);
-    let mut finished = lock(&state.done, "parallel/done");
-    while *finished < n {
-        finished = finished.wait(&state.all_done);
-    }
-    drop(finished);
-    if state.panicked.load(Ordering::SeqCst) {
-        panic!("athena-parallel: a parallel task panicked");
-    }
-    state.record_accounting(width);
-    (0..state.slots.len())
-        .map(|s| {
-            lock(&state.slots[s], "parallel/slots")
-                .take()
-                .expect("all slots filled before wait returned")
-        })
-        .collect()
-}
-
-/// The `width == 1` fast path: runs in place on the caller, touching
-/// neither the pool nor any synchronization.
-fn run_sequential<R>(n: usize, f: impl Fn(usize) -> R) -> Vec<R> {
-    if !accounting::accounting_enabled() {
+/// The deterministic core every entry point lowers to.
+fn run_ordered<R: Send>(n: usize, width: usize, f: impl Fn(usize) -> R + Sync) -> Vec<R> {
+    let runners = runners(n, width);
+    if runners == 1 {
         return (0..n).map(f).collect();
     }
-    // Per-item costs: the width-1 run is the only uncontended timing a
-    // single-core host can produce, so record item-level granularity for
-    // the LPT model to place on virtual workers at any width.
-    let mut costs = Vec::with_capacity(n);
-    let out: Vec<R> = (0..n)
-        .map(|i| {
-            let t0 = accounting::ChunkTimer::start();
-            let r = f(i);
-            costs.push(t0.elapsed_ns());
-            r
-        })
-        .collect();
-    accounting::record_job(JobStats {
-        items: n,
-        width: 1,
-        chunk_costs_ns: costs,
+    let chunk = chunk_size(n, width);
+    // Relaxed: the cursor only partitions indices; the joins publish.
+    let cursor = AtomicUsize::new(0);
+    let run_chunks = || {
+        let mut parts = Vec::new();
+        loop {
+            let start = cursor.fetch_add(chunk, Ordering::Relaxed);
+            if start >= n {
+                return parts;
+            }
+            let end = (start + chunk).min(n);
+            parts.push((start, (start..end).map(&f).collect::<Vec<R>>()));
+        }
+    };
+    let mut parts = thread::scope(|s| {
+        // A failed spawn is one runner fewer, never a failed job.
+        let started: Vec<_> = (1..runners)
+            .filter_map(|_| thread::Builder::new().spawn_scoped(s, run_chunks).ok())
+            .collect();
+        let mut parts = run_chunks();
+        for runner in started {
+            match runner.join() {
+                Ok(theirs) => parts.extend(theirs),
+                // The scope joins the remaining runners before unwinding.
+                Err(payload) => std::panic::resume_unwind(payload),
+            }
+        }
+        parts
     });
-    out
+    parts.sort_unstable_by_key(|&(start, _)| start);
+    parts.into_iter().flat_map(|(_, results)| results).collect()
 }
 
-/// Maps `f` over `0..n` in parallel at the configured width, returning
-/// results in index order.
-pub fn par_map_indexed<R, F>(n: usize, f: F) -> Vec<R>
-where
-    R: Send + 'static,
-    F: Fn(usize) -> R + Send + Sync + 'static,
-{
+/// Maps `f` over `0..n` at the configured width, results in index order.
+pub fn par_map_indexed<R: Send>(n: usize, f: impl Fn(usize) -> R + Sync) -> Vec<R> {
     run_ordered(n, threads(), f)
 }
 
-/// Maps `f` over a shared vector in parallel, returning results in item
-/// order. Use when the caller already holds the data in an `Arc` (e.g.
-/// `compute::Dataset` partitions) — no copy is made.
-pub fn par_map_arc<T, R, F>(items: &Arc<Vec<T>>, f: F) -> Vec<R>
-where
-    T: Send + Sync + 'static,
-    R: Send + 'static,
-    F: Fn(&T) -> R + Send + Sync + 'static,
-{
-    let items = Arc::clone(items);
-    run_ordered(items.len(), threads(), move |i| f(&items[i]))
+/// Maps `f` over a vector in parallel, returning results in item order:
+/// the parallel, order-preserving `items.iter().map(f).collect()`.
+pub fn par_map<T: Sync, R: Send>(items: Vec<T>, f: impl Fn(&T) -> R + Sync) -> Vec<R> {
+    run_ordered(items.len(), threads(), |i| f(&items[i]))
 }
 
-/// Maps `f` over an owned vector in parallel, returning results in item
-/// order: the parallel, order-preserving `items.iter().map(f).collect()`.
-pub fn par_map<T, R, F>(items: Vec<T>, f: F) -> Vec<R>
-where
-    T: Send + Sync + 'static,
-    R: Send + 'static,
-    F: Fn(&T) -> R + Send + Sync + 'static,
-{
-    par_map_arc(&Arc::new(items), f)
-}
-
-/// Maps `f` over an owned vector in parallel, **moving** each item into
-/// the call that maps it, returning results in item order. The parallel
-/// engine for owned stateful partitions (the sharded dataplane's tick
-/// phases): move each shard in, mutate it, and hand it back inside `R`.
-pub fn par_map_take<T, R, F>(items: Vec<T>, f: F) -> Vec<R>
-where
-    T: Send + 'static,
-    R: Send + 'static,
-    F: Fn(T) -> R + Send + Sync + 'static,
-{
-    let slots: Arc<Vec<Mutex<Option<T>>>> =
-        Arc::new(items.into_iter().map(|t| Mutex::new(Some(t))).collect());
-    run_ordered(slots.len(), threads(), move |i| {
-        let item = lock(&slots[i], "parallel/slots")
-            .take()
-            .expect("run_ordered hands each index to exactly one runner");
-        f(item)
-    })
-}
-
-/// Parallel map followed by an **ordered** in-order fold on the caller:
-/// `fold(.. fold(fold(init, f(items[0])), f(items[1])) ..)`. Because the
-/// fold order is fixed, non-commutative and floating-point reductions
-/// are byte-identical at any width.
-pub fn par_map_reduce<T, R, A, F, G>(items: Vec<T>, map: F, init: A, fold: G) -> A
-where
-    T: Send + Sync + 'static,
-    R: Send + 'static,
-    F: Fn(&T) -> R + Send + Sync + 'static,
-    G: FnMut(A, R) -> A,
-{
-    par_map(items, map).into_iter().fold(init, fold)
-}
-
-/// A structured fork/join scope: tasks spawned on it are guaranteed
-/// finished when [`scope`] returns.
-pub struct Scope {
-    pending: Arc<(Mutex<usize>, Condvar)>,
-    panicked: Arc<AtomicBool>,
-}
-
-impl Scope {
-    /// Spawns a task into the pool. The task must be `'static`; share
-    /// data with the caller through `Arc`.
-    pub fn spawn(&self, task: impl FnOnce() + Send + 'static) {
-        *lock(&self.pending.0, "parallel/pending") += 1;
-        let pending = Arc::clone(&self.pending);
-        let panicked = Arc::clone(&self.panicked);
-        pool().spawn_task(Box::new(move || {
-            if catch_unwind(AssertUnwindSafe(task)).is_err() {
-                panicked.store(true, Ordering::SeqCst);
-            }
-            let mut p = lock(&pending.0, "parallel/pending");
-            *p -= 1;
-            if *p == 0 {
-                pending.1.notify_all();
-            }
-        }));
-    }
-}
-
-/// Runs `f` with a [`Scope`], then blocks until every task spawned on it
-/// has finished. While waiting, the caller helps drain the pool, so
-/// scopes nested inside pool tasks cannot starve. Panics if any task
-/// panicked.
-pub fn scope(f: impl FnOnce(&Scope)) {
-    let s = Scope {
-        pending: Arc::new((Mutex::new(0), Condvar::new())),
-        panicked: Arc::new(AtomicBool::new(false)),
-    };
-    f(&s);
-    let p = pool();
-    loop {
-        if *lock(&s.pending.0, "parallel/pending") == 0 {
-            break;
+/// Runs `f` on every element of `items` in parallel, in place: for owned
+/// stateful partitions (the dataplane's shards and their tick phases).
+pub fn par_each_mut<T: Send>(items: &mut [T], f: impl Fn(&mut T) + Sync) {
+    // Safe Rust's way to hand `&mut items[i]` to whichever runner claims
+    // `i`: each borrow waits in a cell that its one claimant empties.
+    let cells: Vec<Mutex<Option<&mut T>>> = items
+        .iter_mut()
+        .map(|item| Mutex::new(Some(item)))
+        .collect();
+    run_ordered(cells.len(), threads(), |i| {
+        let claimed = cells
+            .get(i)
+            .and_then(|cell| cell.lock().unwrap_or_else(PoisonError::into_inner).take());
+        if let Some(item) = claimed {
+            f(item);
         }
-        // Help: run queued tasks (ours or anyone's) instead of blocking.
-        if let Some(task) = p.find_task_external() {
-            let _ = catch_unwind(AssertUnwindSafe(task));
-            continue;
-        }
-        let guard = lock(&s.pending.0, "parallel/pending");
-        if *guard == 0 {
-            break;
-        }
-        let _ = guard.wait_timeout(&s.pending.1, std::time::Duration::from_millis(1));
-    }
-    if s.panicked.load(Ordering::SeqCst) {
-        panic!("athena-parallel: a scoped task panicked");
-    }
+    });
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicU64;
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+
+    const WIDTHS: [usize; 5] = [1, 2, 3, 8, 64];
 
     fn with_threads<T>(n: usize, f: impl FnOnce() -> T) -> T {
         // Env vars are process-global; serialize the tests that set one.
         static ENV: Mutex<()> = Mutex::new(());
-        let _guard = lock(&ENV, "parallel/ENV");
+        let _guard = ENV.lock().unwrap_or_else(PoisonError::into_inner);
         std::env::set_var("ATHENA_THREADS", n.to_string());
         let out = f();
         std::env::remove_var("ATHENA_THREADS");
@@ -387,31 +168,65 @@ mod tests {
     #[test]
     fn par_map_preserves_order_at_every_width() {
         let expect: Vec<u64> = (0..500u64).map(|x| x * 3 + 1).collect();
-        for width in [1, 2, 3, 8, 64] {
+        for width in WIDTHS {
             let got = with_threads(width, || par_map((0..500u64).collect(), |x| x * 3 + 1));
             assert_eq!(got, expect, "width {width}");
         }
     }
 
     #[test]
-    fn ordered_reduce_is_byte_identical_across_widths() {
-        // Floating-point addition is not associative: only an ordered
-        // fold gives bit-equal sums at different widths.
+    fn ordered_fold_is_bit_equal_across_widths() {
+        // Floating-point addition is not associative: only results in
+        // index order give bit-equal sums at different widths.
         let items: Vec<f64> = (0..2000).map(|i| 1.0 / f64::from(i + 1)).collect();
-        let seq = with_threads(1, || {
-            par_map_reduce(items.clone(), |x| x.sin(), 0.0f64, |a, b| a + b)
-        });
-        let par = with_threads(8, || {
-            par_map_reduce(items.clone(), |x| x.sin(), 0.0f64, |a, b| a + b)
-        });
-        assert_eq!(seq.to_bits(), par.to_bits());
+        let sum = |width| {
+            with_threads(width, || par_map(items.clone(), |x| x.sin()))
+                .into_iter()
+                .fold(0.0f64, |a, b| a + b)
+        };
+        assert_eq!(sum(1).to_bits(), sum(8).to_bits());
     }
 
     #[test]
-    fn sequential_fast_path_handles_edge_sizes() {
+    fn empty_and_one_item_jobs_run_inline() {
         assert_eq!(par_map(Vec::<u32>::new(), |x| *x), Vec::<u32>::new());
-        let one = with_threads(8, || par_map(vec![41u32], |x| x + 1));
-        assert_eq!(one, vec![42]);
+        let caller = thread::current().id();
+        let ran_on = with_threads(8, || par_map(vec![41u32], |_| thread::current().id()));
+        assert_eq!(ran_on, vec![caller]);
+    }
+
+    #[test]
+    fn runner_count_is_a_pure_function_of_items_and_width() {
+        for ((n, width), expect) in [
+            ((8, 2), 2),
+            ((16, 2), 2),
+            ((16, 8), 8),
+            ((3, 8), 3),
+            ((1, 8), 1),
+            // One runner is the caller: nothing is started.
+            ((0, 8), 1),
+            // Never more threads than items, with no cap constant.
+            ((100, 100_000), 100),
+            ((500, 64), 63),
+            ((7, usize::MAX), 7),
+        ] {
+            assert_eq!(runners(n, width), expect, "runners({n}, {width})");
+        }
+    }
+
+    #[test]
+    fn a_requested_width_is_honoured() {
+        // Twelve one-item chunks at width 12 (the resident pool capped
+        // this at nine runners on a two-core box): every item waits at a
+        // barrier that only twelve concurrent runners can pass.
+        let barrier = std::sync::Barrier::new(12);
+        let got = with_threads(12, || {
+            par_map_indexed(12, |i| {
+                barrier.wait();
+                i
+            })
+        });
+        assert_eq!(got, (0..12).collect::<Vec<_>>());
     }
 
     #[test]
@@ -424,22 +239,8 @@ mod tests {
     }
 
     #[test]
-    fn scope_joins_all_tasks() {
-        let hits = Arc::new(AtomicU64::new(0));
-        scope(|s| {
-            for i in 0..32u64 {
-                let hits = Arc::clone(&hits);
-                s.spawn(move || {
-                    hits.fetch_add(i, Ordering::SeqCst);
-                });
-            }
-        });
-        assert_eq!(hits.load(Ordering::SeqCst), (0..32).sum());
-    }
-
-    #[test]
     fn panics_propagate_without_deadlock() {
-        let result = std::panic::catch_unwind(|| {
+        let result = catch_unwind(|| {
             with_threads(4, || {
                 par_map_indexed(64, |i| {
                     assert!(i != 17, "boom");
@@ -447,31 +248,13 @@ mod tests {
                 })
             })
         });
-        assert!(result.is_err());
-        // The pool survives for subsequent jobs.
+        let payload = result.expect_err("the item's panic reaches the caller");
+        assert!(payload
+            .downcast_ref::<&str>()
+            .is_some_and(|m| m.contains("boom")));
+        // Nothing outlives a job, so the next one just works.
         let after = with_threads(4, || par_map_indexed(16, |i| i + 1));
         assert_eq!(after[0], 1);
-    }
-
-    #[test]
-    fn accounting_records_costs_and_models_makespan() {
-        set_accounting(true);
-        let _ = with_threads(4, || par_map_indexed(256, |i| i * 2));
-        let jobs = take_jobs();
-        set_accounting(false);
-        let job = jobs.iter().find(|j| j.items == 256).expect("job recorded");
-        assert!(job.width > 1);
-        assert_eq!(
-            job.chunk_costs_ns.len(),
-            job.items.div_ceil(job.chunk_size())
-        );
-        assert!(job.makespan_ns(4) <= job.serial_ns());
-    }
-
-    impl JobStats {
-        fn chunk_size(&self) -> usize {
-            super::chunk_size(self.items, self.width)
-        }
     }
 
     #[test]
@@ -487,28 +270,42 @@ mod tests {
     }
 
     #[test]
-    fn par_map_take_moves_items_and_preserves_order() {
-        #[derive(Debug, PartialEq)]
-        struct Owned(Vec<u64>);
-        for width in [1, 4, 8] {
-            let items: Vec<Owned> = (0..100u64).map(|i| Owned(vec![i; 3])).collect();
-            let got = with_threads(width, || {
-                par_map_take(items, |mut o| {
-                    o.0.push(o.0[0] * 2);
-                    o
-                })
-            });
-            assert_eq!(got.len(), 100, "width {width}");
-            assert_eq!(got[7], Owned(vec![7, 7, 7, 14]), "width {width}");
+    fn par_each_mut_visits_every_element_once_in_place() {
+        for n in [0usize, 1, 2, 17, 100] {
+            for width in WIDTHS {
+                let mut items: Vec<(usize, u32)> = (0..n).map(|i| (i, 0)).collect();
+                with_threads(width, || {
+                    par_each_mut(&mut items, |(_, visits)| *visits += 1)
+                });
+                let expect: Vec<(usize, u32)> = (0..n).map(|i| (i, 1)).collect();
+                assert_eq!(items, expect, "n {n} width {width}");
+            }
         }
     }
 
     #[test]
-    fn makespan_model_is_lpt() {
-        assert_eq!(makespan_ns(&[4, 3, 3, 2], 2), 6);
-        assert_eq!(makespan_ns(&[10], 4), 10);
-        assert_eq!(makespan_ns(&[], 4), 0);
-        assert_eq!(makespan_ns(&[1, 1, 1, 1], 1), 4);
+    fn par_each_mut_reraises_a_panic() {
+        let mut items: Vec<usize> = (0..64).collect();
+        let result = catch_unwind(AssertUnwindSafe(|| {
+            with_threads(4, || {
+                par_each_mut(&mut items, |i| assert!(*i != 40, "boom"));
+            });
+        }));
+        assert!(result.is_err());
+    }
+
+    #[test]
+    fn closures_borrow_from_the_caller() {
+        // The regression test for "no `'static`": neither call compiles
+        // against a resident pool.
+        let local: Vec<u64> = (0..100).collect();
+        let doubled = with_threads(4, || par_map_indexed(local.len(), |i| local[i] * 2));
+        assert_eq!(doubled[99], 198);
+        let mut slots = [0u64; 40];
+        let slice = &mut slots[4..36];
+        with_threads(4, || par_each_mut(slice, |s| *s = local[7]));
+        assert_eq!(slots[3..6], [0, 7, 7]);
+        assert_eq!(slots[35..37], [7, 0]);
     }
 
     #[test]

@@ -782,18 +782,14 @@ impl CollectionHandle {
         if self.cluster.nodes.iter().all(StoreNode::is_up) {
             // Healthy path: each shard answers from its primary copy only,
             // so replicated documents are not duplicated. With more than
-            // one node the per-node scans fan out over the work-stealing
-            // pool (`ATHENA_THREADS = 1` takes the pool's in-place
-            // sequential fast path); the ordered reduction merges
-            // them back in node-index order, and the final id sort makes
+            // one node the per-node scans fan out over `athena-parallel`
+            // (inline on the caller at `ATHENA_THREADS = 1`); the results
+            // come back in node-index order, and the final id sort makes
             // the result byte-identical to the sequential walk anyway.
             let n = self.cluster.nodes.len();
             let mut out: Vec<Document> = if n > 1 {
-                let cluster = self.cluster.clone();
-                let name = self.name.clone();
-                let filter = filter.clone();
-                athena_parallel::par_map_indexed(n, move |node_idx| {
-                    cluster.primary_hits(node_idx, &name, &filter)
+                athena_parallel::par_map_indexed(n, |node_idx| {
+                    self.cluster.primary_hits(node_idx, &self.name, filter)
                 })
                 .into_iter()
                 .flatten()

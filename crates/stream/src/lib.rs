@@ -15,9 +15,8 @@
 //!   and a `freeze` step that lowers them onto the batch
 //!   [`athena_ml::TrainedModel`] representation.
 //! - [`manager`] — the [`RetrainLoop`]: accumulates labeled live
-//!   traffic in a bounded window, periodically fits a candidate model
-//!   in the background (via `athena-parallel`), round-trips it through
-//!   the persist snapshot format
+//!   traffic in a bounded window, periodically fits a candidate model,
+//!   round-trips it through the persist snapshot format
 //!   ([`DetectionModel::save_to`](athena_core::DetectionModel::save_to)
 //!   /`load_from`), and hot-swaps it atomically into the running
 //!   [`AttackDetector`](athena_core::AttackDetector) — the old model

@@ -1,15 +1,14 @@
-//! The retrain loop: live window → background candidate fit →
-//! snapshot → atomic hot-swap.
+//! The retrain loop: live window → candidate fit → snapshot → atomic
+//! hot-swap.
 //!
 //! [`RetrainLoop::deploy`] registers an online validator on the
 //! [`Athena`] runtime with a caller-supplied bootstrap model, plus an
 //! event handler that copies every matching feature record (labeled by
 //! the app's ground-truth closure) into a bounded virtual-time
 //! [`LiveWindow`]. Each [`RetrainLoop::tick`] then decides, on the
-//! retrain cadence, whether to fit a candidate: the fit runs as a
-//! background `athena-parallel` task (joined before the tick returns,
-//! so verdict streams stay deterministic across `ATHENA_THREADS`), the
-//! candidate round-trips through the persist snapshot format
+//! retrain cadence, whether to fit a candidate: the fit runs inside the
+//! tick (so verdict streams are deterministic), the candidate
+//! round-trips through the persist snapshot format
 //! (`DetectionModel::save_to`/`load_from` — the exact bytes a crash
 //! recovery would reload), and is hot-swapped into the
 //! [`AttackDetector`](athena_core::AttackDetector) under the detector
@@ -29,11 +28,11 @@ use athena_core::{AlertHandler, Athena, DetectionModel, FeatureRecord, FieldName
 use athena_ml::{LabeledPoint, Preprocessor};
 use athena_telemetry::{names, Counter, Gauge, Histogram, Telemetry};
 use athena_types::sentinel::TrackedMutex;
-use athena_types::{AthenaError, Result, SimDuration, SimTime};
+use athena_types::{Result, SimDuration, SimTime};
 use std::collections::VecDeque;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{mpsc, Arc};
+use std::sync::Arc;
 
 /// When and on how much data the loop retrains.
 #[derive(Debug, Clone, PartialEq)]
@@ -246,9 +245,9 @@ impl RetrainLoop {
 
     /// Drives the loop at `now` (call once per virtual tick, e.g. from
     /// the simulation's step loop). When the retrain cadence is due and
-    /// the live window holds enough points, fits a candidate in the
-    /// background, round-trips it through the snapshot format, and
-    /// hot-swaps it. Returns the report when a retrain completed.
+    /// the live window holds enough points, fits a candidate,
+    /// round-trips it through the snapshot format, and hot-swaps it.
+    /// Returns the report when a retrain completed.
     ///
     /// Candidates that cannot be fitted yet (e.g. a one-class window
     /// before the attack starts) are skipped silently — the incumbent
@@ -269,7 +268,7 @@ impl RetrainLoop {
         self.last_retrain = Some(now);
         let n = points.len();
         let timer = self.retrain_ns.start_timer();
-        let candidate = self.fit_candidate(points);
+        let candidate = self.fit_candidate(&points);
         timer.observe(&self.retrain_ns);
         let candidate = match candidate {
             Ok(c) => c,
@@ -314,44 +313,25 @@ impl RetrainLoop {
         Some(report)
     }
 
-    /// Fits a candidate on `points` as a background `athena-parallel`
-    /// task: the preprocessor is refitted on the window, the online
-    /// learner consumes the prepared points strictly in record order
-    /// (so the fit is deterministic), and the frozen model is wrapped
-    /// into a deployable [`DetectionModel`]. The scope join makes the
-    /// result available before the tick returns regardless of
-    /// `ATHENA_THREADS`.
-    fn fit_candidate(&self, points: Vec<LabeledPoint>) -> Result<DetectionModel> {
-        let spec = self.cfg.spec.clone();
-        let prep = self.cfg.preprocessor.clone();
-        let features: Vec<FieldName> = self.cfg.features.iter().map(FieldName::from).collect();
-        let fits = self.partial_fits.clone();
-        let (tx, rx) = mpsc::channel();
-        athena_parallel::scope(|s| {
-            s.spawn(move || {
-                let result = (|| -> Result<DetectionModel> {
-                    let fitted = prep.fit(&points)?;
-                    let prepared = fitted.apply(&points);
-                    let mut model = spec.build();
-                    for p in &prepared {
-                        model.partial_fit(p);
-                        fits.inc();
-                    }
-                    let frozen = model.freeze()?;
-                    Ok(DetectionModel {
-                        model: frozen,
-                        preprocessor: fitted,
-                        features,
-                        algorithm: spec.tag().to_string(),
-                        trained_on: points.len(),
-                    })
-                })();
-                let _ = tx.send(result);
-            });
-        });
-        match rx.recv() {
-            Ok(r) => r,
-            Err(_) => Err(AthenaError::Ml("background retrain task vanished".into())),
+    /// Fits a candidate on `points`: the preprocessor is refitted on the
+    /// window, the online learner consumes the prepared points strictly
+    /// in record order (so the fit is deterministic), and the frozen
+    /// model is wrapped into a deployable [`DetectionModel`].
+    fn fit_candidate(&self, points: &[LabeledPoint]) -> Result<DetectionModel> {
+        let spec = &self.cfg.spec;
+        let fitted = self.cfg.preprocessor.fit(points)?;
+        let prepared = fitted.apply(points);
+        let mut model = spec.build();
+        for p in &prepared {
+            model.partial_fit(p);
+            self.partial_fits.inc();
         }
+        Ok(DetectionModel {
+            model: model.freeze()?,
+            preprocessor: fitted,
+            features: self.cfg.features.iter().map(FieldName::from).collect(),
+            algorithm: spec.tag().to_string(),
+            trained_on: points.len(),
+        })
     }
 }

@@ -203,28 +203,6 @@ pub mod faults {
     pub const MSGS_DELAYED: &str = "msgs_delayed";
 }
 
-/// `parallel/*` — the work-stealing pool.
-pub mod parallel {
-    /// Subsystem label.
-    pub const SUBSYSTEM: &str = "parallel";
-    /// Tasks spawned onto the pool.
-    pub const TASKS_SPAWNED: &str = "tasks_spawned";
-    /// Items processed by parallel iterators.
-    pub const ITEMS: &str = "items";
-    /// Jobs submitted.
-    pub const JOBS: &str = "jobs";
-    /// Successful steals.
-    pub const STEALS: &str = "steals";
-    /// Worker park events.
-    pub const PARKS: &str = "parks";
-    /// Injector queue depth samples (histogram).
-    pub const QUEUE_DEPTH: &str = "queue_depth";
-    /// Configured worker count (gauge).
-    pub const WORKERS: &str = "workers";
-    /// Per-worker task counts (instanced counter).
-    pub const WORKER_TASKS: &str = "worker_tasks";
-}
-
 /// `persist/*` — WAL/checkpoint durability. Metric names here are
 /// `<journal>_<suffix>`, one set per journal prefix.
 pub mod persist {
@@ -375,14 +353,6 @@ pub const DECLARED: &[(&str, &str)] = &[
     (faults::SUBSYSTEM, faults::MSGS_DROPPED),
     (faults::SUBSYSTEM, faults::MSGS_DUPLICATED),
     (faults::SUBSYSTEM, faults::MSGS_DELAYED),
-    (parallel::SUBSYSTEM, parallel::TASKS_SPAWNED),
-    (parallel::SUBSYSTEM, parallel::ITEMS),
-    (parallel::SUBSYSTEM, parallel::JOBS),
-    (parallel::SUBSYSTEM, parallel::STEALS),
-    (parallel::SUBSYSTEM, parallel::PARKS),
-    (parallel::SUBSYSTEM, parallel::QUEUE_DEPTH),
-    (parallel::SUBSYSTEM, parallel::WORKERS),
-    (parallel::SUBSYSTEM, parallel::WORKER_TASKS),
     (apps::SUBSYSTEM, apps::DDOS_TRAIN_NS),
     (apps::SUBSYSTEM, apps::DDOS_TEST_NS),
     (ml::SUBSYSTEM, ml::FIT_NS),

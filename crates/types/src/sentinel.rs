@@ -14,7 +14,7 @@
 //!
 //! Tracking is name-based: locks are registered under the crate-qualified
 //! names the static analyzer derives (`"core/detector"`,
-//! `"parallel/deques"`, …), so one declared order serves both checkers.
+//! `"store/coll"`, …), so one declared order serves both checkers.
 //! Two instances sharing a name (e.g. every per-collection lock is
 //! `"store/coll"`) are treated as one rank; nesting two *different*
 //! instances of the same name is deliberately not recorded — the order
@@ -30,8 +30,7 @@
 use std::collections::BTreeSet;
 use std::ops::{Deref, DerefMut};
 use std::sync::atomic::{AtomicU8, Ordering};
-use std::sync::{Condvar, OnceLock, PoisonError};
-use std::time::Duration;
+use std::sync::{OnceLock, PoisonError};
 
 /// Global switch: 0 = follow `ATHENA_LOCK_SENTINEL`, 1 = forced on,
 /// 2 = forced off. Tests force; production follows the environment.
@@ -335,8 +334,8 @@ impl<T: ?Sized> DerefMut for TrackedWriteGuard<'_, T> {
 }
 
 /// Locks a bare `std::sync::Mutex` under a sentinel name, recovering
-/// from poisoning. For crates (telemetry, parallel) whose hot paths keep
-/// `std` primitives and lock through a poison-recovering helper.
+/// from poisoning. For crates (telemetry) whose hot paths keep `std`
+/// primitives and lock through a poison-recovering helper.
 pub fn lock_std<'a, T: ?Sized>(
     m: &'a std::sync::Mutex<T>,
     name: &'static str,
@@ -349,33 +348,10 @@ pub fn lock_std<'a, T: ?Sized>(
 }
 
 /// Guard returned by [`lock_std`]. Carries the sentinel token alongside
-/// the `std` guard and re-exposes condvar waiting (the token stays put
-/// across a wait: the thread is blocked, so it cannot acquire anything
-/// out of order while the mutex is temporarily released).
+/// the `std` guard.
 pub struct StdMutexGuard<'a, T: ?Sized> {
     g: std::sync::MutexGuard<'a, T>,
     _held: Option<HeldLock>,
-}
-
-impl<'a, T> StdMutexGuard<'a, T> {
-    /// Blocks on `cv` until notified, re-acquiring the mutex afterwards.
-    pub fn wait(self, cv: &Condvar) -> Self {
-        let StdMutexGuard { g, _held } = self;
-        StdMutexGuard {
-            g: cv.wait(g).unwrap_or_else(PoisonError::into_inner),
-            _held,
-        }
-    }
-
-    /// Blocks on `cv` until notified or `dur` elapses.
-    pub fn wait_timeout(self, cv: &Condvar, dur: Duration) -> Self {
-        let StdMutexGuard { g, _held } = self;
-        let g = match cv.wait_timeout(g, dur) {
-            Ok((g, _)) => g,
-            Err(e) => e.into_inner().0,
-        };
-        StdMutexGuard { g, _held }
-    }
 }
 
 impl<T: ?Sized> Deref for StdMutexGuard<'_, T> {
@@ -388,32 +364,6 @@ impl<T: ?Sized> Deref for StdMutexGuard<'_, T> {
 impl<T: ?Sized> DerefMut for StdMutexGuard<'_, T> {
     fn deref_mut(&mut self) -> &mut T {
         &mut self.g
-    }
-}
-
-/// Read-locks a bare `std::sync::RwLock` under a sentinel name,
-/// recovering from poisoning.
-pub fn read_std<'a, T: ?Sized>(
-    l: &'a std::sync::RwLock<T>,
-    name: &'static str,
-) -> StdReadGuard<'a, T> {
-    let held = acquire(name, std::ptr::from_ref(l) as *const () as usize);
-    StdReadGuard {
-        g: l.read().unwrap_or_else(PoisonError::into_inner),
-        _held: held,
-    }
-}
-
-/// Guard returned by [`read_std`].
-pub struct StdReadGuard<'a, T: ?Sized> {
-    g: std::sync::RwLockReadGuard<'a, T>,
-    _held: Option<HeldLock>,
-}
-
-impl<T: ?Sized> Deref for StdReadGuard<'_, T> {
-    type Target = T;
-    fn deref(&self) -> &T {
-        &self.g
     }
 }
 

@@ -30,7 +30,7 @@ cargo clippy --workspace --all-targets --offline -- -D warnings
 
 echo "==> athena-lint (whole-workspace analysis gate)"
 # Build outside the timer: the gate bounds analysis time, not compile
-# time. The JSON report is archived next to BENCH_parallel.json.
+# time.
 cargo build -q --release --offline -p athena-analyze --bin athena-lint
 timed_gate "analysis gate" \
     ./target/release/athena-lint --root . --json target/analysis-report.json
@@ -73,18 +73,11 @@ ATHENA_TELEMETRY_REPORT=target/telemetry-report.json \
     results_are_invariant_to_cluster_size_and_time_decreases
 test -s target/telemetry-report.json
 
-echo "==> parallel smoke gate (worker-count determinism + lock sentinel + speedup table)"
-# Bench binaries are built outside the timers: a gate bounds runtime, not
-# compile time. ATHENA_LOCK_SENTINEL=1 makes every tracked acquisition
-# record its order edges, cross-checked against [analyze] lock_order.
-cargo build -q --release --offline -p athena-bench --bin table_parallel
-parallel_gate() {
-    ATHENA_LOCK_SENTINEL=1 ATHENA_CHAOS_SMOKE=1 cargo test -q --offline --test e2e_determinism
-    ATHENA_BENCH_SMOKE=1 ATHENA_PARALLEL_JSON=target/BENCH_parallel.json \
-        ./target/release/table_parallel
-}
-timed_gate "parallel gate" parallel_gate
-test -s target/BENCH_parallel.json
+echo "==> parallel smoke gate (width determinism + lock sentinel)"
+# ATHENA_LOCK_SENTINEL=1 makes every tracked acquisition record its order
+# edges, cross-checked against [analyze] lock_order.
+timed_gate "parallel gate" \
+    env ATHENA_LOCK_SENTINEL=1 ATHENA_CHAOS_SMOKE=1 cargo test -q --offline --test e2e_determinism
 
 echo "==> observe gate (chaos-alert round trip + causal traces + overhead sweep)"
 # The e2e writes target/chrome-trace.json and target/observe-report.json;
@@ -101,8 +94,7 @@ test -s target/BENCH_obs.json
 
 echo "==> Table-IV matrix gate (every attack x algorithm cell + baselines)"
 # Smoke mode halves the workloads but never skips a cell; the recorded
-# baselines hold at both scales. The JSON artifact is archived like
-# BENCH_parallel.json.
+# baselines hold at both scales.
 cargo build -q --release --offline -p athena-bench --bin table_matrix
 timed_gate "matrix gate" \
     env ATHENA_CHAOS_SMOKE=1 ATHENA_MATRIX_JSON=target/BENCH_matrix.json \

@@ -12,7 +12,7 @@
 //! | [`controller`] | `athena-controller` | distributed ONOS-like controller cluster |
 //! | [`store`] | `athena-store` | sharded/replicated document store (MongoDB substitute) |
 //! | [`compute`] | `athena-compute` | Spark-like compute cluster in virtual time |
-//! | [`parallel`] | `athena-parallel` | deterministic work-stealing thread pool (ordered reduction) |
+//! | [`parallel`] | `athena-parallel` | deterministic ordered fan-out over scoped threads |
 //! | [`ml`] | `athena-ml` | the 11 Athena ML algorithms + preprocessors + metrics |
 //! | [`core`] | `athena-core` | **the framework**: features, SB/NB elements, the 8 NB APIs |
 //! | [`apps`] | `athena-apps` | DDoS / LFA / NAE applications + Table VIII baselines |

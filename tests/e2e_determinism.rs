@@ -1,8 +1,8 @@
 //! Worker-count determinism e2e: the same seeded scenario run at
 //! `ATHENA_THREADS=1` and `ATHENA_THREADS=8` must produce byte-identical
 //! store contents, detection verdicts, and telemetry streams. The
-//! parallel pool may only change *how fast* answers arrive, never the
-//! answers — ordered reduction in `athena-parallel` plus the
+//! width may only change *how fast* answers arrive, never the answers —
+//! index-ordered results in `athena-parallel` plus the
 //! no-unordered-iter lint rule are what make this hold.
 //!
 //! Canonicalization: wall-clock stamps (`wall_start_ns`/`wall_dur_ns`)
@@ -10,9 +10,7 @@
 //! simulation behaviour. `compute/job` events are additionally stamped at
 //! the cluster's cumulative *measured* virtual time (derived from wall
 //! task costs), so their sim stamps are zeroed too; their order, labels,
-//! and task counts still must match. Metric counters are compared except
-//! the `parallel/*` family, whose values legitimately scale with the
-//! worker count (chunk and task counts depend on the pool width).
+//! and task counts still must match. Every metric counter is compared.
 //!
 //! Set `ATHENA_CHAOS_SMOKE=1` for the lighter CI workload (same
 //! assertions).
@@ -45,8 +43,7 @@ fn scaled(n: usize) -> usize {
     }
 }
 
-/// Serializes runs: `ATHENA_THREADS` is process-global, and so is the
-/// worker pool's telemetry binding.
+/// Serializes runs: `ATHENA_THREADS` is process-global.
 static ENV_LOCK: Mutex<()> = Mutex::new(());
 
 fn with_threads<R>(threads: usize, f: impl FnOnce() -> R) -> R {
@@ -64,8 +61,8 @@ struct Snapshot {
     verdict: String,
     trace: Vec<String>,
     counters: Vec<String>,
-    /// Seed-derived causal trace ids, in root-creation order. Workers
-    /// never open causal spans, so this stream is pool-width-invariant.
+    /// Seed-derived causal trace ids, in root-creation order. Runners
+    /// never open causal spans, so this stream is width-invariant.
     trace_ids: Vec<u64>,
     /// Rendered fire/clear transitions of the deterministic alert rules.
     alerts: Vec<String>,
@@ -99,12 +96,11 @@ fn canonical_trace(tel: &Telemetry) -> Vec<String> {
         .collect()
 }
 
-/// Counter values except the `parallel/*` family (pool-width dependent).
+/// Every counter value.
 fn canonical_counters(tel: &Telemetry) -> Vec<String> {
     tel.report()
         .counters
         .into_iter()
-        .filter(|c| c.key.subsystem != "parallel")
         .map(|c| format!("{}={}", c.key.label(), c.value))
         .collect()
 }
@@ -134,7 +130,7 @@ fn assert_identical(what: &str, one: Snapshot, eight: Snapshot, expect_trace: bo
 }
 
 /// One full Athena deployment over the enterprise topology, telemetry
-/// bound into the dataplane, the core stack, and the worker pool.
+/// bound into the dataplane and the core stack.
 struct Rig {
     topo: Topology,
     tel: Telemetry,
@@ -148,7 +144,6 @@ fn rig() -> Rig {
     let topo = Topology::enterprise();
     let tel = Telemetry::new();
     let obs = Observe::with_telemetry(SEED, &tel);
-    athena::parallel::bind_telemetry(&tel);
     let mut net = Network::new(topo.clone());
     net.bind_telemetry(&tel);
     net.bind_observe(&obs);
@@ -314,9 +309,9 @@ fn matrix_cell_bytes() -> String {
 
 /// The ddos run with the streaming pipeline live: a `RetrainLoop`
 /// retrains on the live window and hot-swaps the online validator
-/// mid-run. The swap joins its background fit before the tick returns,
-/// so the full observable state — alert stream included via the
-/// `stream/*` counters — must stay pool-width-invariant.
+/// mid-run. The fit runs inside the tick, so the full observable state
+/// — alert stream included via the `stream/*` counters — must stay
+/// width-invariant.
 fn stream_hot_swap_snapshot() -> Snapshot {
     use athena::apps::DdosDataset;
     use athena::ml::Algorithm;

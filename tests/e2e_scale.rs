@@ -30,8 +30,7 @@ use athena::telemetry::Telemetry;
 use athena::types::{Dpid, SimDuration, SimTime};
 use std::sync::Mutex;
 
-/// Serializes runs: `ATHENA_THREADS` is process-global, and so is the
-/// worker pool's telemetry binding.
+/// Serializes runs: `ATHENA_THREADS` is process-global.
 static ENV_LOCK: Mutex<()> = Mutex::new(());
 
 fn with_threads<R>(threads: usize, f: impl FnOnce() -> R) -> R {
@@ -49,7 +48,7 @@ fn fabric() -> Topology {
     Topology::fat_tree_with_hosts(4, 6)
 }
 
-/// Everything a pool width could perturb, flattened to one comparable
+/// Everything a job width could perturb, flattened to one comparable
 /// string: engine counters, controller installs, the active-flow set,
 /// and every switch's flow-table size.
 fn digest(net: &ShardedNetwork, ctrl: &LearningControllerStub) -> String {
@@ -86,7 +85,7 @@ fn ddos_flows(topo: &Topology) -> Vec<FlowSpec> {
     flows
 }
 
-/// Runs the DDoS scenario to completion at one pool width and returns
+/// Runs the DDoS scenario to completion at one job width and returns
 /// its digest (plus the telemetry report when `tel` asks for one).
 fn run_ddos(threads: usize, check_names: bool) -> String {
     with_threads(threads, || {

@@ -6,12 +6,11 @@
 //! stays within the ≤ 15 virtual-second bound.
 //!
 //! Determinism: the full run — alert timestamps, retrain reports,
-//! store contents, non-`parallel/*` counters, and the snapshot bytes
-//! on disk — must be byte-identical across reruns and across
-//! `ATHENA_THREADS=1` vs `8` (the background fit joins before the tick
-//! returns, so pool width can never reorder a swap relative to the
-//! record stream). The same gate then runs composed with the
-//! controller-crash chaos scenario.
+//! store contents, every counter, and the snapshot bytes on disk — must
+//! be byte-identical across reruns and across `ATHENA_THREADS=1` vs `8`
+//! (the fit runs inside the tick, so width can never reorder a swap
+//! relative to the record stream). The same gate then runs composed
+//! with the controller-crash chaos scenario.
 //!
 //! Satellite check: every metric the stream pipeline emitted must be
 //! declared in `athena_telemetry::names` (`names::undeclared` empty).
@@ -54,8 +53,7 @@ fn scaled(n: usize) -> usize {
     }
 }
 
-/// Serializes runs: `ATHENA_THREADS` is process-global, and so is the
-/// worker pool's telemetry binding.
+/// Serializes runs: `ATHENA_THREADS` is process-global.
 static ENV_LOCK: Mutex<()> = Mutex::new(());
 
 fn with_threads<R>(threads: usize, f: impl FnOnce() -> R) -> R {
@@ -91,12 +89,11 @@ struct StreamRun {
     undeclared: Vec<String>,
 }
 
-/// Counter values except the `parallel/*` family (pool-width dependent).
+/// Every counter value.
 fn canonical_counters(tel: &Telemetry) -> Vec<String> {
     tel.report()
         .counters
         .into_iter()
-        .filter(|c| c.key.subsystem != "parallel")
         .map(|c| format!("{}={}", c.key.label(), c.value))
         .collect()
 }
@@ -108,7 +105,6 @@ fn canonical_counters(tel: &Telemetry) -> Vec<String> {
 fn stream_run(chaos: bool) -> StreamRun {
     let topo = Topology::enterprise();
     let tel = Telemetry::new();
-    athena::parallel::bind_telemetry(&tel);
     let mut net = Network::new(topo.clone());
     net.bind_telemetry(&tel);
     let mut cluster = ControllerCluster::new(&topo);

@@ -129,6 +129,13 @@ fn the_calls_the_ledger_makes_compile_and_agree() {
     );
     let generated = generator.ingest(Dpid::new(1), &msg, SimTime::from_secs(1), &app_of);
     assert_eq!(generated.len(), 1);
+
+    // probes::par_map_dispatch, and main.rs's `parallel.width` (the
+    // width-1 rep sets and removes `ATHENA_THREADS` around itself).
+    let n = 8u64;
+    let mapped = athena::parallel::par_map((0..n).collect(), |x: &u64| *x);
+    assert_eq!(mapped, (0..n).collect::<Vec<u64>>());
+    assert!(athena::parallel::threads() >= 1);
 }
 
 /// `workloads::Engine`: the ledger implements its stepping trait once
