@@ -4,7 +4,7 @@
 
 use athena_compute::ComputeCluster;
 use athena_controller::PathService;
-use athena_core::{catalog, FeatureGenerator, FeatureRecord, FieldName};
+use athena_core::{catalog, FeatureGenerator, FeatureManager, FeatureRecord, FieldName, Query};
 use athena_dataplane::Topology;
 use athena_ml::algorithms::kmeans::{KMeansModel, KMeansParams};
 use athena_ml::LabeledPoint;
@@ -245,6 +245,115 @@ fn bench_store(c: &mut Criterion) {
     });
 }
 
+/// `per_switch` generated `FLOW_STATS` records from each of `switches`
+/// switches (one stats reply per switch) and one `PACKET_IN` per twelve
+/// of them: the mix the live phases leave in the feature collection.
+fn generated_records(switches: u64, per_switch: u32) -> Vec<FeatureRecord> {
+    let mut generator = FeatureGenerator::new(ControllerId::new(0));
+    let app_of = |_: u64| AppId::CORE;
+    let now = SimTime::from_secs(6);
+    let mut records = Vec::new();
+    for sw in 1..=switches {
+        let dpid = Dpid::new(sw);
+        let base = sw as u32 * per_switch;
+        let entries = (base..base + per_switch).map(flow_stats_entry).collect();
+        let reply = OfMessage::StatsReply {
+            xid: Xid::athena_marked(1),
+            body: StatsReply::Flow(entries),
+        };
+        let polled = generator.ingest(dpid, &reply, now, &app_of);
+        records.extend(
+            polled
+                .into_iter()
+                .filter(|r| r.meta.message_type == "FLOW_STATS"),
+        );
+        for i in (base..base + per_switch).step_by(12) {
+            let header = PacketHeader::from_five_tuple(PortNo::new(1), ft(i), 64);
+            let punted = generator.ingest(
+                dpid,
+                &OfMessage::packet_in(Xid::new(i), header),
+                now,
+                &app_of,
+            );
+            records.extend(
+                punted
+                    .into_iter()
+                    .filter(|r| r.meta.message_type == "PACKET_IN"),
+            );
+        }
+    }
+    records
+}
+
+/// The read side of Athena's store shape (3 nodes, two copies, the
+/// `message_type` index) over generated records: 12 switches x 1,000
+/// `FLOW_STATS` plus 1,008 `PACKET_IN`s. Per call, so divide by the hits
+/// (1,008 / 1,000 / 1,084) or the 13,008 documents for a per-document
+/// figure.
+fn bench_store_read(c: &mut Criterion) {
+    let records = generated_records(12, 1_000);
+    let store = StoreCluster::new(3, 2);
+    let mut manager = FeatureManager::new(&store);
+    for r in &records {
+        manager.ingest(r).unwrap();
+    }
+    let coll = store.collection(FeatureManager::COLLECTION);
+    let opts = FindOptions::default();
+    let kind = |k: &str| Filter::eq("message_type", k);
+    let switch = || Filter::eq("switch", 3);
+    for (name, filter, hits) in [
+        // Served whole by the index: no document is read.
+        ("indexed_eq", kind("PACKET_IN"), 1_008),
+        // The index narrows to 12,000 candidates; `switch` is evaluated.
+        (
+            "conjunct",
+            Filter::and(vec![kind("FLOW_STATS"), switch()]),
+            1_000,
+        ),
+        // `switch` carries no index: every primary copy is examined.
+        ("scan", switch(), 1_084),
+    ] {
+        assert_eq!(coll.count(&filter), hits, "{name}");
+        c.bench_function(&format!("store/find/{name}"), |b| {
+            b.iter(|| coll.find(black_box(&filter), &opts))
+        });
+    }
+    c.bench_function("store/count", |b| {
+        b.iter(|| coll.count(black_box(&kind("FLOW_STATS"))))
+    });
+    let query = Query::parse("feature==FLOW_STATS && switch==3").unwrap();
+    assert_eq!(manager.request_features(&query).len(), 1_000);
+    c.bench_function("core/request_features", |b| {
+        b.iter(|| manager.request_features(black_box(&query)))
+    });
+
+    // Purge: every victim sits under one index key. The harness cannot
+    // refill outside the timed region, so the fill is timed on its own
+    // and the purge is the difference between the two rows.
+    let docs: Vec<_> = records
+        .iter()
+        .filter(|r| r.meta.message_type == "FLOW_STATS")
+        .take(10_000)
+        .map(FeatureRecord::to_document)
+        .collect();
+    let fill = || {
+        let coll = StoreCluster::new(3, 2).collection("purge");
+        coll.create_index("message_type");
+        for d in &docs {
+            coll.insert(d.clone()).unwrap();
+        }
+        coll
+    };
+    c.bench_function("store/purge/fill_10k", |b| b.iter(fill));
+    c.bench_function("store/purge/fill_then_purge_10k", |b| {
+        b.iter(|| {
+            let coll = fill();
+            assert_eq!(coll.delete(&kind("FLOW_STATS")), docs.len());
+            coll
+        })
+    });
+}
+
 fn bench_feature_generator(c: &mut Criterion) {
     let entries: Vec<FlowStatsEntry> = (0..100).map(flow_stats_entry).collect();
     let msg = OfMessage::StatsReply {
@@ -304,6 +413,7 @@ criterion_group! {
     name = benches;
     config = configured();
     targets = bench_codec, bench_flow_table, bench_shortest_path, bench_record, bench_store,
+        bench_store_read,
         bench_feature_generator, bench_kmeans
 }
 criterion_main!(benches);

@@ -25,30 +25,51 @@ const TIMESTAMP: &str = "timestamp";
 const TP_DST: &str = "tp_dst";
 const TP_SRC: &str = "tp_src";
 
-/// The document keys that carry a record's index and metadata, in name
-/// order — the order [`FeatureRecord::to_document`] writes them in.
-/// Every other numeric member of a feature document is a feature field.
-const META_KEYS: [&str; 13] = [
-    APP,
-    ATHENA_POLLED,
-    CONTROLLER,
-    HOST,
-    IP_DST,
-    IP_PROTO,
-    IP_SRC,
-    MESSAGE_TYPE,
-    PORT,
-    SWITCH,
-    TIMESTAMP,
-    TP_DST,
-    TP_SRC,
-];
+/// The members of a feature document that carry a record's index and
+/// metadata, where [`FeatureRecord::from_document`]'s pass over the
+/// document met them. Every other numeric member is a feature field.
+#[derive(Default)]
+struct MetaMembers<'a> {
+    app: Option<&'a Value>,
+    athena_polled: Option<&'a Value>,
+    controller: Option<&'a Value>,
+    host: Option<&'a Value>,
+    ip_dst: Option<&'a Value>,
+    ip_proto: Option<&'a Value>,
+    ip_src: Option<&'a Value>,
+    message_type: Option<&'a Value>,
+    port: Option<&'a Value>,
+    switch: Option<&'a Value>,
+    timestamp: Option<&'a Value>,
+    tp_dst: Option<&'a Value>,
+    tp_src: Option<&'a Value>,
+}
 
-/// Whether `name` is an index or metadata key. The keys all start with
-/// a lower-case letter; catalog names never do, and skip the search.
-fn is_meta_key(name: &str) -> bool {
-    name.as_bytes().first().is_some_and(u8::is_ascii_lowercase)
-        && META_KEYS.binary_search(&name).is_ok()
+impl<'a> MetaMembers<'a> {
+    /// Where the member called `name` goes, if it is an index or
+    /// metadata key. The keys all start with a lower-case letter;
+    /// catalog names never do, and skip the comparison.
+    fn slot(&mut self, name: &str) -> Option<&mut Option<&'a Value>> {
+        if !name.as_bytes().first().is_some_and(u8::is_ascii_lowercase) {
+            return None;
+        }
+        Some(match name {
+            APP => &mut self.app,
+            ATHENA_POLLED => &mut self.athena_polled,
+            CONTROLLER => &mut self.controller,
+            HOST => &mut self.host,
+            IP_DST => &mut self.ip_dst,
+            IP_PROTO => &mut self.ip_proto,
+            IP_SRC => &mut self.ip_src,
+            MESSAGE_TYPE => &mut self.message_type,
+            PORT => &mut self.port,
+            SWITCH => &mut self.switch,
+            TIMESTAMP => &mut self.timestamp,
+            TP_DST => &mut self.tp_dst,
+            TP_SRC => &mut self.tp_src,
+            _ => return None,
+        })
+    }
 }
 
 /// The index fields: where the feature came from, including OpenFlow
@@ -287,48 +308,50 @@ impl FeatureRecord {
 
     /// [`FeatureRecord::from_document`], keeping only the feature fields
     /// `keep` accepts (a query's projection, applied while converting).
+    ///
+    /// One forward pass over the members sorts them into index and
+    /// metadata keys and feature fields; a key holding a value of the
+    /// wrong type reads as its default, and is still no field.
     pub(crate) fn from_document_keeping(d: &Document, keep: impl Fn(&FieldName) -> bool) -> Self {
-        let mut index = FeatureIndex::switch(Dpid::new(d.get_i64(SWITCH).unwrap_or(0) as u64));
-        if let Some(p) = d.get_i64(PORT) {
-            index.port = Some(PortNo::new(p as u32));
-        }
-        if let (Some(src), Some(dst)) = (d.get_i64(IP_SRC), d.get_i64(IP_DST)) {
-            index.five_tuple = Some(FiveTuple {
-                src: Ipv4Addr::from_raw(src as u32),
-                dst: Ipv4Addr::from_raw(dst as u32),
-                src_port: d.get_i64(TP_SRC).unwrap_or(0) as u16,
-                dst_port: d.get_i64(TP_DST).unwrap_or(0) as u16,
-                proto: IpProto::from_number(d.get_i64(IP_PROTO).unwrap_or(0) as u8),
-            });
-        }
-        if let Some(host) = d.get_i64(HOST) {
-            index.host = Some(Ipv4Addr::from_raw(host as u32));
-        }
-        if let Some(app) = d.get_i64(APP) {
-            index.app = Some(AppId::new(app as u32));
-        }
-        let meta = MetaData {
-            timestamp: SimTime::from_micros(d.get_i64(TIMESTAMP).unwrap_or(0) as u64),
-            controller: ControllerId::new(d.get_i64(CONTROLLER).unwrap_or(0) as u32),
-            message_type: d.get_str(MESSAGE_TYPE).unwrap_or("").into(),
-            athena_polled: d
-                .get(ATHENA_POLLED)
-                .and_then(Value::as_bool)
-                .unwrap_or(false),
-        };
+        let mut at = MetaMembers::default();
         let mut fields = Vec::with_capacity(d.fields.len().saturating_sub(5));
         let mut resolver = KeyResolver::default();
         for (k, v) in &d.fields {
-            if is_meta_key(k.as_str()) {
-                continue;
-            }
-            if let Some(x) = v.as_f64() {
+            if let Some(slot) = at.slot(k.as_str()) {
+                *slot = Some(v);
+            } else if let Some(x) = v.as_f64() {
                 let name = resolver.resolve(k);
                 if keep(&name) {
                     fields.push((name, x));
                 }
             }
         }
+        let int = |member: Option<&Value>| member.and_then(Value::as_i64);
+        let mut index = FeatureIndex::switch(Dpid::new(int(at.switch).unwrap_or(0) as u64));
+        if let Some(p) = int(at.port) {
+            index.port = Some(PortNo::new(p as u32));
+        }
+        if let (Some(src), Some(dst)) = (int(at.ip_src), int(at.ip_dst)) {
+            index.five_tuple = Some(FiveTuple {
+                src: Ipv4Addr::from_raw(src as u32),
+                dst: Ipv4Addr::from_raw(dst as u32),
+                src_port: int(at.tp_src).unwrap_or(0) as u16,
+                dst_port: int(at.tp_dst).unwrap_or(0) as u16,
+                proto: IpProto::from_number(int(at.ip_proto).unwrap_or(0) as u8),
+            });
+        }
+        if let Some(host) = int(at.host) {
+            index.host = Some(Ipv4Addr::from_raw(host as u32));
+        }
+        if let Some(app) = int(at.app) {
+            index.app = Some(AppId::new(app as u32));
+        }
+        let meta = MetaData {
+            timestamp: SimTime::from_micros(int(at.timestamp).unwrap_or(0) as u64),
+            controller: ControllerId::new(int(at.controller).unwrap_or(0) as u32),
+            message_type: at.message_type.and_then(Value::as_str).unwrap_or("").into(),
+            athena_polled: at.athena_polled.and_then(Value::as_bool).unwrap_or(false),
+        };
         FeatureRecord {
             index,
             meta,
@@ -440,22 +463,50 @@ mod tests {
         );
     }
 
+    /// The index and metadata keys, in name order — the order
+    /// `to_document` writes them in.
+    const META_KEYS: [&str; 13] = [
+        APP,
+        ATHENA_POLLED,
+        CONTROLLER,
+        HOST,
+        IP_DST,
+        IP_PROTO,
+        IP_SRC,
+        MESSAGE_TYPE,
+        PORT,
+        SWITCH,
+        TIMESTAMP,
+        TP_DST,
+        TP_SRC,
+    ];
+
     #[test]
     fn index_and_meta_keys_are_one_sorted_list_apart_from_the_catalog() {
         assert!(META_KEYS.windows(2).all(|w| w[0] < w[1]));
+        let mut at = MetaMembers::default();
         for key in META_KEYS {
-            assert!(is_meta_key(key));
+            assert!(at.slot(key).is_some(), "{key}");
             assert!(catalog::FeatureId::named(key).is_none());
         }
-        // The first-byte shortcut in `is_meta_key` never hides a key, and
-        // every catalog name sorts before every index key.
+        // Thirteen keys, thirteen distinct slots.
+        let probe = Value::Null;
+        for key in META_KEYS {
+            let slot = at.slot(key).unwrap();
+            assert!(slot.is_none(), "{key} shares a slot");
+            *slot = Some(&probe);
+        }
+        // The first-byte shortcut in `slot` never hides a key, and every
+        // catalog name sorts before every index key.
         assert!(META_KEYS
             .iter()
             .all(|k| k.as_bytes()[0].is_ascii_lowercase()));
         for f in catalog::all_features() {
-            assert!(!is_meta_key(f.name()));
+            assert!(at.slot(f.name()).is_none());
             assert!(f.name() < META_KEYS[0], "{f}");
         }
+        assert!(at.slot("truth").is_none());
+        assert!(at.slot("").is_none());
         // A full record writes every one of them, and reads them all back.
         let mut r = record();
         r.index.port = Some(PortNo::new(4));
@@ -469,6 +520,40 @@ mod tests {
         let back = FeatureRecord::from_document(&d);
         assert_eq!((back.index, &back.meta), (r.index, &r.meta));
         assert_eq!(back.fields.len(), r.fields.len());
+    }
+
+    #[test]
+    fn a_wrong_typed_key_reads_as_its_default_and_is_no_field() {
+        let d = record()
+            .to_document()
+            .with(SWITCH, "seven")
+            .with(TIMESTAMP, 1.5)
+            .with(TP_SRC, true)
+            .with(ATHENA_POLLED, 1)
+            .with(MESSAGE_TYPE, 4);
+        let back = FeatureRecord::from_document(&d);
+        let want = record();
+        assert_eq!(back.index.switch, Dpid::new(0));
+        assert_eq!(back.meta.timestamp, SimTime::from_micros(0));
+        assert_eq!(back.meta.message_type, MessageType::default());
+        assert!(!back.meta.athena_polled);
+        let (got, ft) = (
+            back.index.five_tuple.unwrap(),
+            want.index.five_tuple.unwrap(),
+        );
+        assert_eq!(
+            (got.src, got.dst, got.dst_port),
+            (ft.src, ft.dst, ft.dst_port)
+        );
+        assert_eq!(got.src_port, 0);
+        // `timestamp` and `athena_polled` now hold numbers: still keys.
+        assert_eq!(back.fields.len(), want.fields.len());
+        for (name, value) in &want.fields {
+            assert_eq!(back.value(name), Some(*value), "{name}");
+        }
+        // Half a five-tuple is none.
+        let d = record().to_document().with(IP_DST, "10.0.0.2");
+        assert_eq!(FeatureRecord::from_document(&d).index.five_tuple, None);
     }
 
     #[test]

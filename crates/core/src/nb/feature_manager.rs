@@ -154,17 +154,17 @@ impl FeatureManager {
     }
 
     /// Retrieves stored features matching a query (the `RequestFeatures`
-    /// API), applying the query's projection to the feature fields.
+    /// API), applying the query's projection to the feature fields. The
+    /// records are converted straight from the bodies the shards hold:
+    /// no document is copied on the way.
     pub fn request_features(&self, query: &Query) -> Vec<FeatureRecord> {
         let docs = self
             .collection
             .find(&query.to_filter(), &query.to_find_options());
-        if query.features.is_empty() {
-            return docs.iter().map(FeatureRecord::from_document).collect();
-        }
         let wanted: Vec<FieldName> = query.features.iter().map(FieldName::from).collect();
+        let keep = |name: &FieldName| wanted.is_empty() || wanted.contains(name);
         docs.iter()
-            .map(|d| FeatureRecord::from_document_keeping(d, |name| wanted.contains(name)))
+            .map(|d| FeatureRecord::from_document_keeping(d, keep))
             .collect()
     }
 

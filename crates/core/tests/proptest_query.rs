@@ -4,6 +4,7 @@
 use athena_core::{Query, QueryBuilder};
 use athena_store::doc;
 use proptest::prelude::*;
+use std::sync::Arc;
 
 fn arb_field() -> impl Strategy<Value = String> {
     prop_oneof![
@@ -101,8 +102,8 @@ proptest! {
     #[test]
     fn limit_truncates(n in 1usize..50, limit in 1usize..50) {
         let q = Query::parse(&format!("limit {limit}")).unwrap();
-        let docs: Vec<athena_store::Document> =
-            (0..n).map(|i| doc!{ "i" => i as i64 }).collect();
+        let docs: Vec<Arc<athena_store::Document>> =
+            (0..n).map(|i| Arc::new(doc!{ "i" => i as i64 })).collect();
         let out = q.to_find_options().apply(docs);
         prop_assert_eq!(out.len(), n.min(limit));
     }
@@ -111,8 +112,8 @@ proptest! {
     #[test]
     fn sort_is_monotone(values in proptest::collection::vec(-1000i64..1000, 0..40)) {
         let q = Query::parse("sort x asc").unwrap();
-        let docs: Vec<athena_store::Document> =
-            values.iter().map(|v| doc!{ "x" => *v }).collect();
+        let docs: Vec<Arc<athena_store::Document>> =
+            values.iter().map(|v| Arc::new(doc!{ "x" => *v })).collect();
         let out = q.to_find_options().apply(docs);
         let sorted: Vec<i64> = out.iter().filter_map(|d| d.get_i64("x")).collect();
         prop_assert!(sorted.windows(2).all(|w| w[0] <= w[1]));

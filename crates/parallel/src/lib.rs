@@ -2,8 +2,8 @@
 //!
 //! The paper's prototype inherits parallelism from its substrates (Spark
 //! executors, MongoDB shards). This crate gives the reproduction the
-//! same property for the few heavy items its call sites hold — store
-//! nodes, compute partitions, engine shards — without giving up the
+//! same property for the few heavy items its call sites hold — compute
+//! partitions, engine shards — without giving up the
 //! byte-identical determinism the chaos and recovery gates enforce, and
 //! without keeping a thread between jobs: [`par_map_indexed`] /
 //! [`par_map`] map over `0..n` / a vector with results **in index

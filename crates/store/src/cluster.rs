@@ -304,20 +304,9 @@ impl StoreCluster {
         names.dedup();
         for name in names {
             let indexed = self.indexed_fields(&name);
-            // Gather handles, not copies: re-placing a document shares
-            // its body with the surviving replica.
-            let mut seen: HashSet<DocId> = HashSet::new();
-            let mut docs: Vec<Arc<Document>> = Vec::new();
-            for node in self.nodes.iter().filter(|n| n.is_up()) {
-                node.read_collection(&name, |c| {
-                    for d in c.matching(&Filter::All) {
-                        if seen.insert(d.id) {
-                            docs.push(Arc::clone(d));
-                        }
-                    }
-                });
-            }
-            docs.sort_by_key(|d| d.id);
+            // Handles, not copies: re-placing a document shares its body
+            // with the surviving replica.
+            let docs = self.live_docs(&name, &Filter::All);
             for doc in docs {
                 let (targets, _) = self.write_targets(doc.id);
                 for (idx, node) in self.nodes.iter().enumerate() {
@@ -419,17 +408,39 @@ impl StoreCluster {
         &self.nodes[i]
     }
 
-    /// The documents of `coll` matching `filter` that node `node_idx`
-    /// is primary for, cloned out of its shard.
-    fn primary_hits(&self, node_idx: usize, coll: &str, filter: &Filter) -> Vec<Document> {
-        self.nodes[node_idx].read_collection(coll, |c| {
-            let hits = c.matching(filter);
-            let primary = |d: &&Arc<Document>| self.primary_for(d.id) == node_idx;
-            hits.into_iter()
-                .filter(primary)
-                .map(|d| Document::clone(d))
-                .collect()
-        })
+    /// Every live copy once: handles of the documents of `coll` matching
+    /// `filter` on the up nodes, consulted in index order with an id's
+    /// later copies skipped unread — deterministic whichever nodes are
+    /// down, and placement-independent (a stand-in's handed-off copy
+    /// counts). In id order.
+    pub(crate) fn live_docs(&self, coll: &str, filter: &Filter) -> Vec<Arc<Document>> {
+        let mut seen: HashSet<DocId> = HashSet::new();
+        let mut out: Vec<Arc<Document>> = Vec::new();
+        for node in self.nodes.iter().filter(|n| n.is_up()) {
+            let first_fresh = out.len();
+            node.read_collection(coll, |c| {
+                let fresh = c.matching(filter, |id| !seen.contains(&id));
+                out.extend(fresh.into_iter().map(Arc::clone));
+            });
+            seen.extend(out[first_fresh..].iter().map(|d| d.id));
+        }
+        out.sort_by_key(|d| d.id);
+        out
+    }
+
+    /// Drops the listed documents from every node's shard of `coll`
+    /// (preferred replicas, stand-ins holding handed-off copies, and
+    /// down nodes alike, so nothing deleted is re-placed on a rejoin):
+    /// one lock and one batch per shard.
+    pub(crate) fn delete_on_every_node(&self, coll: &str, ids: &[DocId]) {
+        if ids.is_empty() {
+            return;
+        }
+        for node in self.nodes.iter() {
+            node.with_collection(coll, |c| {
+                c.delete_ids(ids);
+            });
+        }
     }
 
     pub(crate) fn primary_for(&self, id: DocId) -> usize {
@@ -663,8 +674,11 @@ impl CollectionHandle {
     /// Finds matching documents cluster-wide, then applies `opts`.
     ///
     /// Reads are served by each shard's primary copy only, so replicated
-    /// documents are not duplicated in the result.
-    pub fn find(&self, filter: &Filter, opts: &FindOptions) -> Vec<Document> {
+    /// documents are not duplicated in the result. The result holds the
+    /// shards' own document handles: a snapshot — a later update copies
+    /// the body it changes, so a reader never sees it — that costs a
+    /// reference count per hit, and a new body only under a projection.
+    pub fn find(&self, filter: &Filter, opts: &FindOptions) -> Vec<Arc<Document>> {
         let tel = self.cluster.telemetry();
         let timer = tel.find_ns.start_timer();
         self.cluster.metrics.finds.fetch_add(1, Ordering::Relaxed);
@@ -677,29 +691,30 @@ impl CollectionHandle {
     /// primary copies (every live copy once, when degraded) in place.
     pub fn count(&self, filter: &Filter) -> usize {
         let cluster = &self.cluster;
-        if cluster.nodes.iter().all(StoreNode::is_up) {
-            let mut n = 0;
-            for (node_idx, node) in cluster.nodes.iter().enumerate() {
-                n += node.read_collection(&self.name, |c| {
-                    let hits = c.matching(filter);
-                    let primary = |d: &&Arc<Document>| cluster.primary_for(d.id) == node_idx;
-                    hits.into_iter().filter(primary).count()
-                });
-            }
-            return n;
+        if !cluster.nodes.iter().all(StoreNode::is_up) {
+            self.note_degraded_read();
+            return cluster.live_docs(&self.name, filter).len();
         }
-        self.note_degraded_read();
-        let mut seen: HashSet<DocId> = HashSet::new();
-        for node in cluster.nodes.iter().filter(|n| n.is_up()) {
+        let mut n = 0;
+        self.each_shards_primaries(filter, |hits| n += hits.len());
+        n
+    }
+
+    /// Hands `visit` each shard's matching primary copies, in node order
+    /// (every node up). The ownership test runs on the id, before the
+    /// shard looks at a document: a replica copy costs a multiply, not a
+    /// fetch and a match.
+    fn each_shards_primaries(&self, filter: &Filter, mut visit: impl FnMut(Vec<&Arc<Document>>)) {
+        let cluster = &self.cluster;
+        for (node_idx, node) in cluster.nodes.iter().enumerate() {
             node.read_collection(&self.name, |c| {
-                seen.extend(c.matching(filter).iter().map(|d| d.id));
+                visit(c.matching(filter, |id| cluster.primary_for(id) == node_idx));
             });
         }
-        seen.len()
     }
 
     /// Runs an aggregation pipeline over the matching documents.
-    pub fn aggregate(&self, pipeline: &Aggregation) -> Vec<Document> {
+    pub fn aggregate(&self, pipeline: &Aggregation) -> Vec<Arc<Document>> {
         let tel = self.cluster.telemetry();
         let timer = tel.aggregate_ns.start_timer();
         self.cluster
@@ -711,22 +726,16 @@ impl CollectionHandle {
         out
     }
 
+    /// Ids of the logical documents matching `filter`, in id order.
+    fn victims(&self, filter: &Filter) -> Vec<DocId> {
+        self.find_primaries(filter).iter().map(|d| d.id).collect()
+    }
+
     /// Deletes matching documents on every replica. Returns the number of
     /// logical documents removed.
     pub fn delete(&self, filter: &Filter) -> usize {
-        let victims: Vec<DocId> = self
-            .find_primaries(filter)
-            .into_iter()
-            .map(|d| d.id)
-            .collect();
-        for id in &victims {
-            for node_idx in self.cluster.replicas_for(*id).collect::<Vec<_>>() {
-                let node = &self.cluster.nodes[node_idx];
-                node.with_collection(&self.name, |c| {
-                    c.delete_by_id(*id);
-                });
-            }
-        }
+        let victims = self.victims(filter);
+        self.cluster.delete_on_every_node(&self.name, &victims);
         self.cluster
             .metrics
             .deletes
@@ -744,11 +753,7 @@ impl CollectionHandle {
     /// (including handed-off copies on ring stand-ins). Returns the number
     /// of logical documents changed.
     pub fn update(&self, filter: &Filter, changes: &[(String, Value)]) -> usize {
-        let victims: Vec<DocId> = self
-            .find_primaries(filter)
-            .into_iter()
-            .map(|d| d.id)
-            .collect();
+        let victims = self.victims(filter);
         for id in &victims {
             for node in self.cluster.nodes.iter().filter(|n| n.is_up()) {
                 node.with_collection(&self.name, |c| {
@@ -769,7 +774,7 @@ impl CollectionHandle {
     }
 
     /// All documents (primary copies), in canonical id order.
-    pub fn all(&self) -> Vec<Document> {
+    pub fn all(&self) -> Vec<Arc<Document>> {
         self.find_primaries(&Filter::All)
     }
 
@@ -778,44 +783,22 @@ impl CollectionHandle {
     /// order is therefore independent of document placement and of
     /// per-shard index history — a run that handed documents off during
     /// an outage and a run recovered from the journal read identically.
-    fn find_primaries(&self, filter: &Filter) -> Vec<Document> {
-        if self.cluster.nodes.iter().all(StoreNode::is_up) {
-            // Healthy path: each shard answers from its primary copy only,
-            // so replicated documents are not duplicated. With more than
-            // one node the per-node scans fan out over `athena-parallel`
-            // (inline on the caller at `ATHENA_THREADS = 1`); the results
-            // come back in node-index order, and the final id sort makes
-            // the result byte-identical to the sequential walk anyway.
-            let n = self.cluster.nodes.len();
-            let mut out: Vec<Document> = if n > 1 {
-                athena_parallel::par_map_indexed(n, |node_idx| {
-                    self.cluster.primary_hits(node_idx, &self.name, filter)
-                })
-                .into_iter()
-                .flatten()
-                .collect()
-            } else {
-                self.cluster.primary_hits(0, &self.name, filter)
-            };
-            out.sort_by_key(|d| d.id);
-            return out;
+    fn find_primaries(&self, filter: &Filter) -> Vec<Arc<Document>> {
+        if !self.cluster.nodes.iter().all(StoreNode::is_up) {
+            // Degraded path: a down primary's documents are recovered
+            // from replica copies.
+            self.note_degraded_read();
+            return self.cluster.live_docs(&self.name, filter);
         }
-        // Degraded path: a down primary's documents are recovered from
-        // replica copies. Every up node is consulted in index order and
-        // duplicates are dropped first-seen — deterministic regardless of
-        // which nodes are down.
-        self.note_degraded_read();
-        let mut seen: HashSet<DocId> = HashSet::new();
-        let mut out = Vec::new();
-        for node in self.cluster.nodes.iter().filter(|n| n.is_up()) {
-            node.read_collection(&self.name, |c| {
-                for d in c.matching(filter) {
-                    if seen.insert(d.id) {
-                        out.push(Document::clone(d));
-                    }
-                }
-            });
-        }
+        // Healthy path: each shard answers from its primary copy only,
+        // so replicated documents are not duplicated. The shards are
+        // walked in turn — with nothing cloned a shard's answer is too
+        // short for a second thread to repay its start (EXPERIMENTS.md,
+        // "Store read path").
+        let mut out: Vec<Arc<Document>> = Vec::new();
+        self.each_shards_primaries(filter, |hits| {
+            out.extend(hits.into_iter().map(Arc::clone));
+        });
         out.sort_by_key(|d| d.id);
         out
     }
@@ -1038,12 +1021,8 @@ mod tests {
         let mut out = Vec::new();
         for node in cluster.nodes.iter().filter(|n| n.is_up()) {
             node.read_collection("c", |c| {
-                out.extend(
-                    c.matching(&Filter::All)
-                        .into_iter()
-                        .filter(|d| d.id == id)
-                        .cloned(),
-                );
+                let held = c.matching(&Filter::All, |held| held == id);
+                out.extend(held.into_iter().cloned());
             });
         }
         out
@@ -1152,6 +1131,51 @@ mod tests {
         assert_eq!(rejoined_n, healthy_n);
         assert_eq!(healthy.len(), 90);
         assert_eq!((healthy_writes, outage_writes), (180, 180));
+    }
+
+    /// `(documents, index entries under "k")` summed over every shard.
+    fn shard_totals(cluster: &StoreCluster) -> (usize, usize) {
+        let mut totals = (0, 0);
+        for node in cluster.nodes.iter() {
+            let (docs, entries) =
+                node.read_collection("c", |c| (c.len(), c.index_entries("k").unwrap_or(0)));
+            totals = (totals.0 + docs, totals.1 + entries);
+        }
+        totals
+    }
+
+    #[test]
+    fn a_bulk_delete_empties_shards_and_indexes_healthy_and_handed_off() {
+        for outage in [false, true] {
+            let cluster = StoreCluster::new(4, 2);
+            let coll = cluster.collection("c");
+            coll.create_index("k");
+            for i in 0..40i64 {
+                coll.insert(doc! { "k" => i % 2, "v" => i }).unwrap();
+            }
+            if outage {
+                cluster.set_node_up(1, false);
+            }
+            // During an outage these land on ring stand-ins.
+            for i in 40..120i64 {
+                coll.insert(doc! { "k" => i % 2, "v" => i }).unwrap();
+            }
+            assert_eq!(shard_totals(&cluster), (240, 240));
+            // One key holds every victim: the batch is one pass over it.
+            assert_eq!(coll.delete(&Filter::eq("k", 1)), 60);
+            // Every copy went, wherever it lived, and no index entry
+            // outlived its document.
+            assert_eq!(shard_totals(&cluster), (120, 120), "outage={outage}");
+            assert_eq!(coll.count(&Filter::eq("k", 1)), 0);
+            assert_eq!(coll.count(&Filter::All), 60);
+            assert_eq!(coll.all().len(), 60);
+            cluster.set_node_up(1, true);
+            // Nothing deleted is re-placed by the rejoin.
+            assert_eq!(shard_totals(&cluster), (120, 120), "outage={outage}");
+            assert_eq!(coll.count(&Filter::eq("k", 1)), 0);
+            assert_eq!(coll.count(&Filter::eq("k", 0)), 60);
+            assert_eq!(cluster.metrics().deletes, 60);
+        }
     }
 
     #[test]

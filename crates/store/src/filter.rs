@@ -126,14 +126,21 @@ impl Filter {
         }
     }
 
-    /// If the filter pins a single field to a single value (possibly under
-    /// a conjunction), returns `(field, value)` — used for index selection.
-    pub fn point_lookup(&self) -> Option<(&str, &Value)> {
-        match self {
-            Filter::Eq(f, v) => Some((f.as_str(), v)),
-            Filter::And(fs) => fs.iter().find_map(Filter::point_lookup),
-            _ => None,
+    /// The filter as one flat conjunction: the sub-filters that must all
+    /// match, with nested `And`s flattened and `All` dropped (`All`
+    /// itself is the empty list). What the shard's planner chooses an
+    /// index from.
+    pub(crate) fn conjuncts(&self) -> Vec<&Filter> {
+        fn flatten<'a>(f: &'a Filter, out: &mut Vec<&'a Filter>) {
+            match f {
+                Filter::All => {}
+                Filter::And(fs) => fs.iter().for_each(|f| flatten(f, out)),
+                f => out.push(f),
+            }
         }
+        let mut out = Vec::new();
+        flatten(self, &mut out);
+        out
     }
 }
 
@@ -271,12 +278,20 @@ mod tests {
     }
 
     #[test]
-    fn point_lookup_extraction() {
-        let f = Filter::and(vec![Filter::gt("x", 1), Filter::eq("k", "v")]);
-        let (field, value) = f.point_lookup().unwrap();
-        assert_eq!(field, "k");
-        assert_eq!(value, &json!("v"));
-        assert!(Filter::gt("x", 1).point_lookup().is_none());
+    fn conjuncts_flatten_nested_ands_only() {
+        let or = Filter::or(vec![Filter::eq("a", 1), Filter::eq("b", 2)]);
+        let f = Filter::and(vec![
+            Filter::gt("x", 1),
+            Filter::All,
+            Filter::and(vec![Filter::eq("k", "v"), or.clone()]),
+        ]);
+        assert_eq!(
+            f.conjuncts(),
+            [&Filter::gt("x", 1), &Filter::eq("k", "v"), &or]
+        );
+        assert_eq!(Filter::eq("k", 1).conjuncts(), [&Filter::eq("k", 1)]);
+        assert!(Filter::All.conjuncts().is_empty());
+        assert!(Filter::and(vec![]).conjuncts().is_empty());
     }
 
     #[test]

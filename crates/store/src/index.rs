@@ -4,7 +4,7 @@ use crate::document::DocId;
 use serde_json::Value;
 use std::borrow::Borrow;
 use std::cmp::Ordering;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashSet};
 use std::fmt;
 use std::sync::Arc;
 
@@ -23,13 +23,6 @@ pub enum IndexKey {
     Num(f64),
     /// JSON string.
     Str(Arc<str>),
-}
-
-impl IndexKey {
-    /// Extracts a key from a JSON value; arrays/objects are unindexable.
-    pub fn from_value(v: &Value) -> Option<IndexKey> {
-        KeyRef::of(v).map(KeyRef::to_owned)
-    }
 }
 
 /// An [`IndexKey`] borrowed from the value it indexes: what inserts,
@@ -210,7 +203,8 @@ impl SecondaryIndex {
         self.entry_count += 1;
     }
 
-    /// Removes `id` from under `value`.
+    /// Removes `id` from under `value` (one document; a batch goes
+    /// through [`SecondaryIndex::remove_all`]).
     pub fn remove(&mut self, id: DocId, value: &Value) {
         let Some(key) = KeyRef::of(value) else {
             return;
@@ -227,31 +221,39 @@ impl SecondaryIndex {
         }
     }
 
-    /// Ids of documents whose field equals `value`.
-    pub fn lookup(&self, value: &Value) -> Vec<DocId> {
-        KeyRef::of(value)
-            .and_then(|k| self.map.get(&k as &dyn Keyed))
-            .cloned()
-            .unwrap_or_default()
-    }
-
-    /// Ids of documents whose field lies in `[lo, hi]` (inclusive).
-    pub fn range(&self, lo: &Value, hi: &Value) -> Vec<DocId> {
-        let (Some(lo), Some(hi)) = (IndexKey::from_value(lo), IndexKey::from_value(hi)) else {
-            return Vec::new();
-        };
-        if lo > hi {
-            return Vec::new();
+    /// Removes the ids in `gone` from under each of `values` (the
+    /// removed documents' values for the field): one `retain` pass per
+    /// distinct key, however many documents shared it.
+    pub fn remove_all<'a>(
+        &mut self,
+        values: impl Iterator<Item = &'a Value>,
+        gone: &HashSet<DocId>,
+    ) {
+        let mut keys: Vec<KeyRef<'a>> = values.filter_map(KeyRef::of).collect();
+        keys.sort_by(|a, b| a.cmp(*b));
+        keys.dedup_by(|a, b| a.cmp(*b) == Ordering::Equal);
+        for key in keys {
+            let key = &key as &dyn Keyed;
+            let Some(ids) = self.map.get_mut(key) else {
+                continue;
+            };
+            let before = ids.len();
+            ids.retain(|id| !gone.contains(id));
+            self.entry_count -= before - ids.len();
+            if ids.is_empty() {
+                self.map.remove(key);
+            }
         }
-        self.map
-            .range(lo..=hi)
-            .flat_map(|(_, ids)| ids.iter().copied())
-            .collect()
     }
 
-    /// Number of distinct keys.
-    pub fn cardinality(&self) -> usize {
-        self.map.len()
+    /// Ids of documents whose field equals `value`, lent from the index
+    /// (empty when no document carries the value). `None` means the
+    /// index cannot answer: arrays and objects are never indexed, so a
+    /// document may hold `value` without being listed, and the caller
+    /// must scan.
+    pub fn lookup(&self, value: &Value) -> Option<&[DocId]> {
+        let key = KeyRef::of(value)?;
+        Some(self.map.get(&key as &dyn Keyed).map_or(&[], Vec::as_slice))
     }
 }
 
@@ -267,34 +269,49 @@ mod tests {
         idx.insert(DocId(2), &json!(5));
         idx.insert(DocId(3), &json!(7));
         assert_eq!(idx.len(), 3);
-        assert_eq!(idx.cardinality(), 2);
-        let mut hits = idx.lookup(&json!(5));
-        hits.sort();
-        assert_eq!(hits, vec![DocId(1), DocId(2)]);
+        assert_eq!(idx.lookup(&json!(5)), Some(&[DocId(1), DocId(2)][..]));
         idx.remove(DocId(1), &json!(5));
-        assert_eq!(idx.lookup(&json!(5)), vec![DocId(2)]);
+        assert_eq!(idx.lookup(&json!(5)), Some(&[DocId(2)][..]));
         idx.remove(DocId(2), &json!(5));
-        assert!(idx.lookup(&json!(5)).is_empty());
-        assert_eq!(idx.cardinality(), 1);
+        assert_eq!(idx.lookup(&json!(5)), Some(&[][..]));
+        assert_eq!(idx.len(), 1);
     }
 
     #[test]
     fn integer_and_float_keys_coincide() {
         let mut idx = SecondaryIndex::new("k");
         idx.insert(DocId(1), &json!(5));
-        assert_eq!(idx.lookup(&json!(5.0)), vec![DocId(1)]);
+        assert_eq!(idx.lookup(&json!(5.0)), Some(&[DocId(1)][..]));
     }
 
     #[test]
-    fn range_scan() {
+    fn a_batch_leaves_no_stale_id_under_any_key() {
         let mut idx = SecondaryIndex::new("k");
-        for i in 0..10 {
-            idx.insert(DocId(i), &json!(i));
+        let value = |i: u64| json!(["a", "b", "c"][(i % 3) as usize]);
+        for i in 0..30 {
+            idx.insert(DocId(i), &value(i));
         }
-        let mut ids = idx.range(&json!(3), &json!(6));
-        ids.sort();
-        assert_eq!(ids, (3..=6).map(DocId).collect::<Vec<_>>());
-        assert!(idx.range(&json!(8), &json!(2)).is_empty());
+        // Every "a", half the "b"s, no "c"; one id that was never indexed.
+        let victims: Vec<u64> = (0..30)
+            .filter(|i| i % 3 == 0 || (i % 3 == 1 && i % 2 == 0))
+            .collect();
+        let gone: HashSet<DocId> = victims.iter().copied().chain([99]).map(DocId).collect();
+        let values: Vec<Value> = victims.iter().map(|i| value(*i)).collect();
+        idx.remove_all(values.iter(), &gone);
+        assert_eq!(idx.len(), 30 - victims.len());
+        assert_eq!(idx.lookup(&json!("a")), Some(&[][..]));
+        let b: Vec<DocId> = (0..30).filter(|i| i % 6 == 1).map(DocId).collect();
+        assert_eq!(idx.lookup(&json!("b")), Some(&b[..]));
+        assert_eq!(idx.lookup(&json!("c")).map(<[DocId]>::len), Some(10));
+    }
+
+    #[test]
+    fn an_unindexable_value_is_not_answered() {
+        let mut idx = SecondaryIndex::new("k");
+        idx.insert(DocId(1), &json!(5));
+        assert_eq!(idx.lookup(&json!([1, 2])), None);
+        assert_eq!(idx.lookup(&json!({"a": 1})), None);
+        assert_eq!(idx.lookup(&json!(null)), Some(&[][..]));
     }
 
     #[test]

@@ -18,7 +18,6 @@ use athena_telemetry::Telemetry;
 use athena_types::{AthenaError, Result, VirtualClock};
 use serde::Serialize;
 use serde_json::{Map, Value};
-use std::collections::HashSet;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
@@ -234,7 +233,7 @@ impl StoreCluster {
         names.dedup();
         let mut colls = Vec::with_capacity(names.len());
         for name in names {
-            let docs = self.logical_docs(&name);
+            let docs = self.live_docs(&name, &Filter::All);
             let mut fields: Vec<String> = self
                 .nodes
                 .iter()
@@ -270,22 +269,6 @@ impl StoreCluster {
         );
         root.insert("collections".into(), Value::Array(colls));
         Value::Object(root)
-    }
-
-    /// Every logical document in `name`, consulting all up nodes and
-    /// dropping replica duplicates, sorted by id.
-    fn logical_docs(&self, name: &str) -> Vec<Document> {
-        let mut seen: HashSet<DocId> = HashSet::new();
-        let mut out = Vec::new();
-        for node in self.nodes.iter().filter(|n| n.is_up()) {
-            for d in node.read_collection(name, |c| c.find_unordered(&Filter::All)) {
-                if seen.insert(d.id) {
-                    out.push(d);
-                }
-            }
-        }
-        out.sort_by_key(|d| d.id);
-        out
     }
 
     fn apply_recovery(&self, recovery: &Recovery) -> Result<StoreRecoveryReport> {
@@ -368,13 +351,7 @@ impl StoreCluster {
             }
             "delete" => {
                 let coll = get_str(m, "coll")?;
-                for id in get_ids(m, "ids")? {
-                    for node in self.nodes.iter() {
-                        node.with_collection(coll, |c| {
-                            c.delete_by_id(id);
-                        });
-                    }
-                }
+                self.delete_on_every_node(coll, &get_ids(m, "ids")?);
                 Ok(())
             }
             "index" => {
@@ -428,8 +405,9 @@ mod tests {
 
     /// Sorted canonical contents of a collection, for byte-level diffing.
     fn contents(cluster: &StoreCluster, coll: &str) -> String {
-        let mut docs = cluster.collection(coll).all();
-        docs.sort_by_key(|d| d.id);
+        let docs = cluster.collection(coll).all();
+        assert!(docs.windows(2).all(|w| w[0].id < w[1].id));
+        let docs: Vec<&Document> = docs.iter().map(|d| &**d).collect();
         serde_json::to_string(&docs).unwrap()
     }
 

@@ -10,6 +10,7 @@ use serde::{Deserialize, Serialize};
 use serde_json::Value;
 use std::cmp::Ordering;
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// Sort direction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
@@ -96,12 +97,13 @@ impl FindOptions {
         self
     }
 
-    /// Applies sort/skip/limit/projection to a result set.
-    pub fn apply(&self, mut docs: Vec<Document>) -> Vec<Document> {
+    /// Applies sort/skip/limit/projection to a result set. Documents are
+    /// moved by handle; only a projection builds new bodies.
+    pub fn apply(&self, mut docs: Vec<Arc<Document>>) -> Vec<Arc<Document>> {
         if !self.sort.is_empty() {
             docs.sort_by(|a, b| self.compare_docs(a, b));
         }
-        let mut docs: Vec<Document> = docs.into_iter().skip(self.skip).collect();
+        docs.drain(..self.skip.min(docs.len()));
         if let Some(n) = self.limit {
             docs.truncate(n);
         }
@@ -115,7 +117,10 @@ impl FindOptions {
                         kept.insert(key.clone(), v.clone());
                     }
                 }
-                d.fields = kept;
+                *d = Arc::new(Document {
+                    id: d.id,
+                    fields: kept,
+                });
             }
         }
         docs
@@ -201,12 +206,15 @@ pub enum AggStage {
 ///
 /// ```
 /// use athena_store::{doc, Accumulator, Aggregation, GroupSpec, SortSpec};
+/// use std::sync::Arc;
 ///
-/// let docs = vec![
+/// let docs = [
 ///     doc! { "sw" => 1, "pkts" => 10 },
 ///     doc! { "sw" => 1, "pkts" => 30 },
 ///     doc! { "sw" => 2, "pkts" => 5 },
-/// ];
+/// ]
+/// .map(Arc::new)
+/// .to_vec();
 /// let out = Aggregation::new()
 ///     .group(GroupSpec::by(&["sw"]).with("total", Accumulator::Sum("pkts".into())))
 ///     .sort(vec![SortSpec::desc("total")])
@@ -255,12 +263,13 @@ impl Aggregation {
         self
     }
 
-    /// Runs the pipeline over a document set.
-    pub fn run(&self, mut docs: Vec<Document>) -> Vec<Document> {
+    /// Runs the pipeline over a document set. Documents are moved by
+    /// handle; only a group or a projection stage builds new bodies.
+    pub fn run(&self, mut docs: Vec<Arc<Document>>) -> Vec<Arc<Document>> {
         for stage in &self.stages {
             docs = match stage {
                 AggStage::Match(f) => docs.into_iter().filter(|d| f.matches(d)).collect(),
-                AggStage::Group(g) => run_group(g, docs),
+                AggStage::Group(g) => run_group(g, &docs),
                 AggStage::Sort(specs) => {
                     let opts = FindOptions {
                         sort: specs.clone(),
@@ -285,7 +294,7 @@ impl Aggregation {
     }
 }
 
-fn run_group(spec: &GroupSpec, docs: Vec<Document>) -> Vec<Document> {
+fn run_group(spec: &GroupSpec, docs: &[Arc<Document>]) -> Vec<Arc<Document>> {
     // Group key -> (key values, accumulator states)
     struct AccState {
         sum: f64,
@@ -297,7 +306,7 @@ fn run_group(spec: &GroupSpec, docs: Vec<Document>) -> Vec<Document> {
     let mut groups: HashMap<String, (Vec<Value>, Vec<AccState>)> = HashMap::new();
     let mut order: Vec<String> = Vec::new();
 
-    for d in &docs {
+    for d in docs {
         let key_vals: Vec<Value> = spec
             .by
             .iter()
@@ -385,7 +394,7 @@ fn run_group(spec: &GroupSpec, docs: Vec<Document>) -> Vec<Document> {
                 };
                 out.set(name.clone(), v);
             }
-            out
+            Arc::new(out)
         })
         .collect()
 }
@@ -395,13 +404,15 @@ mod tests {
     use super::*;
     use crate::doc;
 
-    fn docs() -> Vec<Document> {
-        vec![
+    fn docs() -> Vec<Arc<Document>> {
+        [
             doc! { "sw" => 1, "port" => 1, "pkts" => 10 },
             doc! { "sw" => 1, "port" => 2, "pkts" => 30 },
             doc! { "sw" => 2, "port" => 1, "pkts" => 5 },
             doc! { "sw" => 2, "port" => 2, "pkts" => 50 },
         ]
+        .map(Arc::new)
+        .to_vec()
     }
 
     #[test]
@@ -440,7 +451,7 @@ mod tests {
     #[test]
     fn missing_sort_fields_sort_first_ascending() {
         let mut ds = docs();
-        ds.push(doc! { "sw" => 9 }); // no pkts
+        ds.push(Arc::new(doc! { "sw" => 9 })); // no pkts
         let opts = FindOptions::default().sort(SortSpec::asc("pkts"));
         let out = opts.apply(ds);
         assert_eq!(out[0].get_i64("sw"), Some(9));

@@ -309,3 +309,373 @@ proptest! {
         }
     }
 }
+
+// The read path: whatever the documents, indexes, filter and ownership
+// test, a shard lends exactly the documents the naive walk would — its
+// own handles — and the cluster reads agree with one another healthy,
+// degraded, after a rejoin and after journal recovery.
+
+/// Fields a generated document may carry. `n.k` reaches into an object.
+const QUERY_FIELDS: [&str; 4] = ["a", "b", "n", "n.k"];
+
+/// Values that collide often: ints and the floats equal to them, a few
+/// strings, null, booleans, and the two unindexable shapes.
+fn arb_field_value() -> impl Strategy<Value = serde_json::Value> {
+    use serde_json::{json, Value};
+    prop_oneof![
+        (0i64..4).prop_map(Value::from),
+        (0i64..4).prop_map(|i| Value::from(i as f64)),
+        (0usize..3).prop_map(|i| Value::from(["x", "y", ""][i])),
+        Just(Value::Null),
+        any::<bool>().prop_map(Value::from),
+        Just(json!([1, 2])),
+        Just(json!([])),
+        (0i64..3).prop_map(|k| json!({ "k": k })),
+        Just(json!({ "k": [1, 2] })),
+    ]
+}
+
+fn arb_query_doc() -> impl Strategy<Value = Document> {
+    (
+        proptest::option::of(arb_field_value()),
+        proptest::option::of(arb_field_value()),
+        proptest::option::of(arb_field_value()),
+    )
+        .prop_map(|(a, b, n)| {
+            let mut d = Document::new();
+            for (name, value) in [("a", a), ("b", b), ("n", n)] {
+                if let Some(v) = value {
+                    d.set(name, v);
+                }
+            }
+            d
+        })
+}
+
+fn arb_leaf() -> impl Strategy<Value = Filter> {
+    let field = || (0usize..QUERY_FIELDS.len()).prop_map(|i| QUERY_FIELDS[i].to_owned());
+    prop_oneof![
+        // Equality three times over: it is what the planner serves.
+        (field(), arb_field_value()).prop_map(|(f, v)| Filter::Eq(f, v)),
+        (field(), arb_field_value()).prop_map(|(f, v)| Filter::Eq(f, v)),
+        (field(), arb_field_value()).prop_map(|(f, v)| Filter::Eq(f, v)),
+        (field(), arb_field_value()).prop_map(|(f, v)| Filter::Ne(f, v)),
+        (field(), arb_field_value()).prop_map(|(f, v)| Filter::Gt(f, v)),
+        (field(), arb_field_value()).prop_map(|(f, v)| Filter::Lte(f, v)),
+        (field(), proptest::collection::vec(arb_field_value(), 0..3))
+            .prop_map(|(f, vs)| Filter::In(f, vs)),
+        field().prop_map(Filter::Exists),
+        Just(Filter::All),
+    ]
+}
+
+fn arb_filter() -> impl Strategy<Value = Filter> {
+    let group = || proptest::collection::vec(arb_leaf(), 0..4);
+    prop_oneof![
+        arb_leaf(),
+        group().prop_map(Filter::And),
+        group().prop_map(Filter::And),
+        group().prop_map(Filter::Or),
+        arb_leaf().prop_map(Filter::not),
+        // A conjunction holding an `Or`, a `Not` and a nested `And`.
+        (group(), group(), arb_leaf(), group()).prop_map(|(mut fs, or, not, inner)| {
+            fs.push(Filter::Or(or));
+            fs.push(Filter::not(not));
+            fs.push(Filter::And(inner));
+            Filter::And(fs)
+        }),
+    ]
+}
+
+/// `filter`, and — for a conjunction — its members the other way round.
+fn both_orders(filter: Filter) -> Vec<Filter> {
+    match &filter {
+        Filter::And(fs) => {
+            let reversed = Filter::And(fs.iter().rev().cloned().collect());
+            vec![filter, reversed]
+        }
+        _ => vec![filter],
+    }
+}
+
+#[derive(Debug, Clone)]
+enum ShardOp {
+    Insert(Document),
+    /// Set one field on the i-th live document (modulo how many live).
+    Update(usize, usize, serde_json::Value),
+    /// Delete the listed live documents (by position) as one batch.
+    Delete(Vec<usize>),
+    CreateIndex(usize),
+}
+
+fn arb_shard_op() -> impl Strategy<Value = ShardOp> {
+    prop_oneof![
+        arb_query_doc().prop_map(ShardOp::Insert),
+        arb_query_doc().prop_map(ShardOp::Insert),
+        arb_query_doc().prop_map(ShardOp::Insert),
+        (any::<usize>(), 0usize..3, arb_field_value())
+            .prop_map(|(i, f, v)| ShardOp::Update(i, f, v)),
+        proptest::collection::vec(any::<usize>(), 0..4).prop_map(ShardOp::Delete),
+        (0usize..QUERY_FIELDS.len()).prop_map(ShardOp::CreateIndex),
+    ]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn matching_is_the_naive_walk_then_the_ownership_test(
+        ops in proptest::collection::vec(arb_shard_op(), 1..60),
+        filters in proptest::collection::vec(arb_filter(), 1..6),
+        modulus in 1u64..4,
+        residue in 0u64..3,
+    ) {
+        use athena_store::collection::Collection;
+        use athena_store::DocId;
+        use std::collections::BTreeMap;
+
+        let mut shard = Collection::new("c");
+        let mut model: BTreeMap<DocId, Document> = BTreeMap::new();
+        let mut next = 1u64;
+        for op in ops {
+            match op {
+                ShardOp::Insert(mut doc) => {
+                    doc.id = DocId(next);
+                    next += 1;
+                    shard.insert_with_id(doc.id, doc.clone());
+                    model.insert(doc.id, doc);
+                }
+                ShardOp::Update(i, f, v) if !model.is_empty() => {
+                    let id = *model.keys().nth(i % model.len()).unwrap();
+                    let name = QUERY_FIELDS[f];
+                    prop_assert!(shard.update_by_id(id, &[(name.to_owned(), v.clone())]));
+                    model.get_mut(&id).unwrap().set(name, v);
+                }
+                ShardOp::Delete(picks) if !model.is_empty() => {
+                    let live: Vec<DocId> = model.keys().copied().collect();
+                    let mut victims: Vec<DocId> =
+                        picks.iter().map(|i| live[i % live.len()]).collect();
+                    // One id the shard does not hold rides along.
+                    victims.push(DocId(next + 7));
+                    let distinct: std::collections::BTreeSet<DocId> =
+                        victims.iter().copied().filter(|id| model.contains_key(id)).collect();
+                    prop_assert_eq!(shard.delete_ids(&victims), distinct.len());
+                    model.retain(|id, _| !distinct.contains(id));
+                }
+                ShardOp::CreateIndex(f) => shard.create_index(QUERY_FIELDS[f]),
+                ShardOp::Update(..) | ShardOp::Delete(..) => {}
+            }
+        }
+        prop_assert_eq!(shard.len(), model.len());
+
+        let owns = |id: DocId| id.0 % modulus == residue % modulus;
+        for filter in filters.into_iter().flat_map(both_orders) {
+            let want: Vec<DocId> = model
+                .values()
+                .filter(|d| filter.matches(d))
+                .map(|d| d.id)
+                .filter(|id| owns(*id))
+                .collect();
+            let hits = shard.matching(&filter, owns);
+            let mut got: Vec<DocId> = hits.iter().map(|d| d.id).collect();
+            got.sort_unstable();
+            prop_assert_eq!(&got, &want, "{} over indexes {:?}", filter, shard.index_fields());
+            for d in hits {
+                // The shard's own body, and an equal of the model's.
+                prop_assert!(std::ptr::eq(&**d, shard.get(d.id).unwrap()));
+                prop_assert_eq!(&**d, &model[&d.id]);
+            }
+            let everyone = model.values().filter(|d| filter.matches(d)).count();
+            prop_assert_eq!(shard.count(&filter), everyone, "{}", filter);
+        }
+    }
+}
+
+/// Ids of a cluster read, checked to be strictly increasing (canonical
+/// order, no duplicate) on the way.
+fn ids_in_order(docs: &[std::sync::Arc<Document>]) -> Vec<u64> {
+    let ids: Vec<u64> = docs.iter().map(|d| d.id.0).collect();
+    assert!(ids.windows(2).all(|w| w[0] < w[1]), "{ids:?}");
+    ids
+}
+
+/// `find`, `all` and `count` against the model, for every filter.
+fn assert_reads_agree(
+    coll: &athena_store::cluster::CollectionHandle,
+    model: &[Document],
+    filters: &[Filter],
+    state: &str,
+) {
+    let everything: Vec<u64> = model.iter().map(|d| d.id.0).collect();
+    assert_eq!(ids_in_order(&coll.all()), everything, "{state}: all");
+    assert_eq!(coll.count(&Filter::All), everything.len(), "{state}");
+    for filter in filters {
+        let want: Vec<u64> = model
+            .iter()
+            .filter(|d| filter.matches(d))
+            .map(|d| d.id.0)
+            .collect();
+        let found = coll.find(filter, &FindOptions::default());
+        assert_eq!(ids_in_order(&found), want, "{state}: find {filter}");
+        assert_eq!(coll.count(filter), want.len(), "{state}: count {filter}");
+        for (d, m) in found.iter().zip(model.iter().filter(|d| filter.matches(d))) {
+            assert_eq!(&**d, m, "{state}: body of {}", d.id);
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    #[test]
+    fn cluster_reads_agree_healthy_degraded_rejoined_and_recovered(
+        before in proptest::collection::vec(arb_query_doc(), 1..40),
+        during in proptest::collection::vec(arb_query_doc(), 0..40),
+        filters in proptest::collection::vec(arb_filter(), 1..5),
+        indexes in proptest::collection::vec(0usize..QUERY_FIELDS.len(), 0..3),
+        nodes in 2usize..6,
+        replication in 2usize..4,
+        down in 0usize..6,
+        purge in arb_leaf(),
+    ) {
+        use athena_persist::PersistConfig;
+        use athena_telemetry::Telemetry;
+        use athena_types::VirtualClock;
+
+        static CASE: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
+        let dir = std::env::temp_dir().join(format!(
+            "athena-store-reads-{}-{}",
+            std::process::id(),
+            CASE.fetch_add(1, std::sync::atomic::Ordering::Relaxed)
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        let filters: Vec<Filter> = filters.into_iter().flat_map(both_orders).collect();
+
+        let cluster = StoreCluster::new(nodes, replication);
+        cluster
+            .attach_persistence(PersistConfig::new(&dir), VirtualClock::new(), &Telemetry::off())
+            .unwrap();
+        let coll = cluster.collection("c");
+        for f in &indexes {
+            coll.create_index(QUERY_FIELDS[*f]);
+        }
+        let mut model: Vec<Document> = Vec::new();
+        let insert = |doc: Document, model: &mut Vec<Document>| {
+            // Below the write quorum (two nodes, one down) nothing lands.
+            if let Ok(stored) = coll.insert_shared(doc) {
+                model.push(Document::clone(&stored));
+            }
+        };
+        for doc in before {
+            insert(doc, &mut model);
+        }
+        assert_reads_agree(&coll, &model, &filters, "healthy");
+
+        // With two copies of everything, one node down hides nothing.
+        cluster.set_node_up(down % nodes, false);
+        for doc in during {
+            insert(doc, &mut model);
+        }
+        assert_reads_agree(&coll, &model, &filters, "degraded");
+        // A purge while degraded reaches the handed-off copies too.
+        let purged = model.iter().filter(|d| purge.matches(d)).count();
+        prop_assert_eq!(coll.delete(&purge), purged);
+        model.retain(|d| !purge.matches(d));
+        assert_reads_agree(&coll, &model, &filters, "degraded, purged");
+
+        cluster.set_node_up(down % nodes, true);
+        prop_assert!(cluster.metrics().degraded_reads > 0);
+        assert_reads_agree(&coll, &model, &filters, "rejoined");
+
+        let recovered = StoreCluster::new(nodes, replication);
+        recovered
+            .attach_persistence(PersistConfig::new(&dir), VirtualClock::new(), &Telemetry::off())
+            .unwrap();
+        assert_reads_agree(&recovered.collection("c"), &model, &filters, "recovered");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+#[test]
+fn a_read_is_a_snapshot_of_the_shards_own_bodies() {
+    use std::sync::Arc;
+    let cluster = StoreCluster::new(3, 2);
+    let coll = cluster.collection("c");
+    coll.create_index("k");
+    let mut stored = Vec::new();
+    for i in 0..30i64 {
+        stored.push(coll.insert_shared(doc! { "k" => i % 3, "v" => i }).unwrap());
+    }
+    // Indexed, scanned and unfiltered reads all lend the stored bodies.
+    for filter in [Filter::eq("k", 1), Filter::gte("v", 10), Filter::All] {
+        let found = coll.find(&filter, &FindOptions::default());
+        assert!(!found.is_empty());
+        for d in &found {
+            assert!(Arc::ptr_eq(d, &stored[d.id.0 as usize - 1]), "{}", filter);
+        }
+    }
+    for (d, s) in coll.all().iter().zip(&stored) {
+        assert!(Arc::ptr_eq(d, s));
+    }
+    // Sorting, skipping and limiting move handles; a projection builds.
+    let top = coll.find(
+        &Filter::eq("k", 1),
+        &FindOptions::default()
+            .sort(SortSpec::desc("v"))
+            .skip(1)
+            .limit(2),
+    );
+    assert_eq!(
+        ids_in_order(&[top[1].clone(), top[0].clone()]),
+        vec![23, 26]
+    );
+    assert!(top
+        .iter()
+        .all(|d| Arc::ptr_eq(d, &stored[d.id.0 as usize - 1])));
+    let projected = coll.find(&Filter::eq("k", 1), &FindOptions::default().project("v"));
+    assert!(projected
+        .iter()
+        .all(|d| d.fields.len() == 1 && d.id.0 % 3 == 2));
+    assert_eq!(stored[1].fields.len(), 2);
+
+    // An update copies the body it changes: the reader keeps the old
+    // value, the next reader sees the new one, and neither aliases.
+    let reader = coll.find(&Filter::eq("k", 1), &FindOptions::default());
+    assert_eq!(
+        coll.update(&Filter::eq("k", 1), &[("k".into(), 9.into())]),
+        10
+    );
+    assert!(reader.iter().all(|d| d.get_i64("k") == Some(1)));
+    assert!(stored.iter().all(|d| d.get_i64("k") != Some(9)));
+    let fresh = coll.find(&Filter::eq("k", 9), &FindOptions::default());
+    assert_eq!(ids_in_order(&fresh), ids_in_order(&reader));
+    for (new, old) in fresh.iter().zip(&reader) {
+        assert!(!Arc::ptr_eq(new, old));
+        assert_eq!(new.get_i64("v"), old.get_i64("v"));
+    }
+    assert!(coll
+        .find(&Filter::eq("k", 1), &FindOptions::default())
+        .is_empty());
+    // A delete drops the shards' handles, not the reader's documents.
+    assert_eq!(coll.delete(&Filter::eq("k", 9)), 10);
+    assert_eq!(reader.len(), 10);
+    assert_eq!(coll.count(&Filter::All), 20);
+}
+
+#[test]
+fn an_unindexable_equality_finds_its_document_with_or_without_the_index() {
+    let cluster = StoreCluster::new(3, 2);
+    let coll = cluster.collection("c");
+    let pair = Filter::eq("k", serde_json::json!([1, 2]));
+    let id = coll
+        .insert(doc! { "k" => serde_json::json!([1, 2]) })
+        .unwrap();
+    coll.insert(doc! { "k" => 1 }).unwrap();
+    assert_eq!(coll.count(&pair), 1);
+    coll.create_index("k");
+    assert_eq!(coll.count(&pair), 1);
+    let found = coll.find(&pair, &FindOptions::default());
+    assert_eq!(found.iter().map(|d| d.id).collect::<Vec<_>>(), vec![id]);
+    assert_eq!(coll.delete(&pair), 1);
+    assert_eq!(coll.count(&Filter::All), 1);
+}

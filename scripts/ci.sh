@@ -122,13 +122,20 @@ timed_gate "scale gate" cargo test -q --release --offline --test e2e_scale
 
 echo "==> ledger (the BENCHMARK.json package: unit tests + one short traced run per workload)"
 # `ledger/` is a package of its own outside the workspace, so nothing
-# above compiles it. Exit status only: each run checks its own outputs
-# (`correct`, zero failed operations, every declared metric produced);
-# no timing is judged here.
+# above compiles it. Each run checks its own outputs (`correct`, zero
+# failed operations, every declared metric produced) through its exit
+# status, and its `behaviour` line — digests, counts, DR/FAR: the same
+# for a seed whatever `--seconds` or `--trace` — must be the committed
+# one. The timed metrics are printed for the log, never judged here:
+# timing is settled by alternating pairs in the PR that changes it.
 cargo test -q --offline --manifest-path ledger/Cargo.toml
+: > target/ledger_behaviour.txt
 for w in ddos_detect cbench_saturate fat_tree_scale nb_analytics; do
-    cargo run --release --offline --quiet --manifest-path ledger/Cargo.toml -- \
-        --workload "$w" --seconds 3 --trace 1 > /dev/null
+    out=$(cargo run --release --offline --quiet --manifest-path ledger/Cargo.toml -- \
+        --workload "$w" --seconds 3 --trace 1)
+    grep -v '^{' <<< "$out"
+    grep '^behaviour ' <<< "$out" | sed "s/^/$w /" >> target/ledger_behaviour.txt
 done
+diff -u scripts/ledger_behaviour.golden target/ledger_behaviour.txt
 
 echo "CI gate passed."
