@@ -11,7 +11,6 @@ use std::collections::{BTreeMap, VecDeque};
 
 use athena_lint::rules::SourceFile;
 use athena_lint::sites;
-use athena_lint::tokenizer::TokenKind;
 
 use crate::graph::Call;
 use crate::model::{self, Func};
@@ -22,12 +21,6 @@ enum Hotness {
     Seed,
     Via { parent: usize, line: u32 },
 }
-
-/// Call idents that open a causal span or latency timer. A hot *seed*
-/// (declared subsystem entry point) must invoke one of these somewhere
-/// in its body so the cross-subsystem trace covers the boundary
-/// (`span-on-subsystem-entry`).
-const SPAN_OPENERS: &[&str] = &["span", "span_at", "span_now", "root_span", "start_timer"];
 
 /// Runs the hot-path pass; returns diagnostics plus the sorted qualified
 /// names of every hot function (for the JSON report).
@@ -115,38 +108,6 @@ pub(crate) fn analyze_hot(
                     witness: chain(fid, &hot, funcs, files),
                 });
             }
-        }
-    }
-
-    // Seeds are the declared subsystem entry points: each must open a
-    // telemetry/observe span (or latency timer) so causal traces cover
-    // the boundary. Propagated (`Via`) functions are exempt — they run
-    // inside a span their entry point opened.
-    for (&id, how) in &hot {
-        if !matches!(how, Hotness::Seed) {
-            continue;
-        }
-        let f = &funcs[id];
-        let file = &files[f.file];
-        let body = &file.tokens[f.body_start..=f.body_end];
-        let opens = body.windows(2).any(|w| {
-            w[0].kind == TokenKind::Ident
-                && SPAN_OPENERS.contains(&w[0].text.as_str())
-                && w[1].is_punct('(')
-        });
-        if !opens {
-            diags.push(RawDiag {
-                rule: "span-on-subsystem-entry",
-                file: file.rel_path.clone(),
-                line: f.line,
-                col: 1,
-                message: format!(
-                    "hot entry `{}` opens no telemetry/observe span; call one of \
-                     {SPAN_OPENERS:?} (or add an [[allow]] with a reason)",
-                    f.name
-                ),
-                witness: Vec::new(),
-            });
         }
     }
 

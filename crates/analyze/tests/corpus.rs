@@ -65,14 +65,6 @@ const CASES: &[Case] = &[
         wants_witness: false,
     },
     Case {
-        name: "hot_no_span",
-        source: include_str!("corpus/hot_no_span.rs"),
-        rule: "span-on-subsystem-entry",
-        hot_seed: true,
-        lock_order: &[],
-        wants_witness: false,
-    },
-    Case {
         name: "wallclock",
         source: include_str!("corpus/wallclock.rs"),
         rule: "no-wallclock-in-lib",
@@ -186,7 +178,7 @@ fn corpus_snippets_are_clean_without_their_trigger_config() {
     // The hot-path cases fire only because their seed makes them hot:
     // with no hot entries the same code is (correctly) unflagged,
     // proving the findings come from reachability, not a file-wide scan.
-    for name in ["hot_panic", "hot_unordered", "hot_no_span"] {
+    for name in ["hot_panic", "hot_unordered"] {
         let case = CASES.iter().find(|c| c.name == name).expect("case exists");
         let config = Config::parse(
             "[analyze]\n\

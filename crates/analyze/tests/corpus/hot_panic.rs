@@ -1,13 +1,9 @@
 // hot_entry is a declared hot seed; helper() is reachable from it, so
 // the unwrap one hop down inherits the no-panic obligation even though
-// nothing hot appears in helper's own body. The span() call satisfies
-// span-on-subsystem-entry so only the panic finding fires.
+// nothing hot appears in helper's own body.
 pub fn hot_entry(v: u8) -> u8 {
-    span("corpus/entry");
     helper(v)
 }
-
-fn span(_name: &str) {}
 
 fn helper(v: u8) -> u8 {
     Some(v).unwrap()

@@ -9,7 +9,6 @@ use athena_core::nb::reaction_manager::Reaction;
 use athena_core::FeatureRecord;
 use athena_core::{Athena, DetectionModel, Query, QueryBuilder};
 use athena_ml::{Algorithm, Normalization, Preprocessor, ValidationSummary};
-use athena_telemetry::names;
 use athena_types::{IpProto, Ipv4Addr, Result};
 
 /// Configuration for the DDoS detector.
@@ -89,32 +88,22 @@ impl DdosDetector {
     ///
     /// Propagates query/preprocessing/fitting failures.
     pub fn train(&self, athena: &Athena) -> Result<DetectionModel> {
-        let tel = athena.telemetry().metrics();
-        let train_ns = tel.histogram(names::apps::SUBSYSTEM, names::apps::DDOS_TRAIN_NS);
-        let timer = train_ns.start_timer();
         let mut q_train = self.query();
         q_train.features = Self::features();
-        let model = athena.generate_detection_model(
+        athena.generate_detection_model(
             &q_train,
             &self.preprocessor(),
             &self.config.algorithm,
             self.truth(),
-        );
-        timer.observe(&train_ns);
-        model
+        )
     }
 
     /// Validates the test features (the pseudocode's
     /// `ValidateFeatures(q_test, f, m)`), yielding the Figure 6 summary.
     pub fn test(&self, athena: &Athena, model: &DetectionModel) -> ValidationSummary {
-        let tel = athena.telemetry().metrics();
-        let test_ns = tel.histogram(names::apps::SUBSYSTEM, names::apps::DDOS_TEST_NS);
-        let timer = test_ns.start_timer();
         let mut q_test = self.query();
         q_test.features = Self::features();
-        let summary = athena.validate_features(&q_test, model, self.truth());
-        timer.observe(&test_ns);
-        summary
+        athena.validate_features(&q_test, model, self.truth())
     }
 
     /// Deploys live detection: an online validator that blocks alerting
@@ -217,21 +206,6 @@ mod tests {
             .unwrap();
         let summary = dm.validate_points(&data.points, &model);
         assert!(summary.confusion.detection_rate() > 0.95);
-    }
-
-    #[test]
-    fn train_latency_reaches_telemetry() {
-        let tel = athena_telemetry::Telemetry::new();
-        let athena = Athena::with_telemetry(AthenaConfig::default(), tel.clone());
-        let det = DdosDetector::new(DdosDetectorConfig::default());
-        // The store is empty, so training fails — the attempt's latency
-        // is still recorded (failures are exactly when you want timings).
-        assert!(det.train(&athena).is_err());
-        let snap = tel
-            .metrics()
-            .histogram(names::apps::SUBSYSTEM, names::apps::DDOS_TRAIN_NS)
-            .snapshot();
-        assert_eq!(snap.count, 1);
     }
 
     #[test]

@@ -25,7 +25,7 @@ use athena_ml::algorithms::linear::LinearParams;
 use athena_ml::Algorithm;
 use athena_telemetry::Telemetry;
 use athena_types::{env_flag, FiveTuple, SimDuration, SimTime};
-use athena_workloads::{record_generation, AttackConfig, AttackFamily};
+use athena_workloads::{AttackConfig, AttackFamily};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 
@@ -142,7 +142,6 @@ pub fn run_family(family: AttackFamily, cfg: &MatrixConfig) -> FamilyRun {
         ..AttackConfig::new(topo.hosts[0].ip)
     };
     let attack = family.generate(&topo, &attack_cfg, seed);
-    record_generation(&tel, &attack);
     let malicious: BTreeSet<FiveTuple> = attack.malicious_tuples().into_iter().collect();
     net.inject_flows(workload::benign_mix_on(
         &topo,

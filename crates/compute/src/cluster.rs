@@ -5,7 +5,7 @@ use crate::scheduler::{SchedulerConfig, VirtualScheduler};
 use athena_observe::Observe;
 use athena_telemetry::{names, Counter, Histogram, Telemetry};
 use athena_types::sentinel::{TrackedMutex, TrackedRwLock};
-use athena_types::{SimDuration, SimTime};
+use athena_types::SimDuration;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
@@ -41,8 +41,6 @@ struct ComputeTelemetry {
     task_ns: Histogram,
     job_ns: Histogram,
     tasks: Counter,
-    /// Kept for the per-job virtual-time trace events.
-    handle: Option<Telemetry>,
     observe: Observe,
 }
 
@@ -87,8 +85,7 @@ impl ComputeCluster {
     }
 
     /// Routes task/job dispatch latencies into `tel` for every handle
-    /// cloned from this cluster. Each completed job also emits a trace
-    /// event stamped with the cluster's cumulative virtual time.
+    /// cloned from this cluster.
     pub fn bind_telemetry(&self, tel: &Telemetry) {
         let m = tel.metrics();
         let sub = names::compute::SUBSYSTEM;
@@ -98,7 +95,6 @@ impl ComputeCluster {
             task_ns: m.histogram(sub, names::compute::TASK_NS),
             job_ns: m.histogram(sub, names::compute::JOB_NS),
             tasks: m.counter(sub, names::compute::TASKS),
-            handle: Some(tel.clone()),
             observe,
         };
     }
@@ -170,7 +166,6 @@ impl ComputeCluster {
                 task_ns: guard.task_ns.clone(),
                 job_ns: guard.job_ns.clone(),
                 tasks: guard.tasks.clone(),
-                handle: guard.handle.clone(),
                 observe: guard.observe.clone(),
             }
         };
@@ -193,11 +188,9 @@ impl ComputeCluster {
         tel.tasks.add(costs.len() as u64);
         let virtual_time = self.inner.scheduler.makespan(&costs);
         let job_id = self.inner.job_counter.fetch_add(1, Ordering::Relaxed);
-        let virtual_total = self
-            .inner
+        self.inner
             .virtual_micros
-            .fetch_add(virtual_time.as_micros(), Ordering::Relaxed)
-            + virtual_time.as_micros();
+            .fetch_add(virtual_time.as_micros(), Ordering::Relaxed);
         self.inner.jobs.lock().push(JobMetrics {
             job_id,
             label: label.to_owned(),
@@ -206,16 +199,6 @@ impl ComputeCluster {
             virtual_time,
         });
         job_timer.observe(&tel.job_ns);
-        if let Some(handle) = &tel.handle {
-            // Stamp the job at the cluster's cumulative virtual time so
-            // traces line compute work up against the simulation clock.
-            handle.tracer().event(
-                "compute",
-                "job",
-                SimTime::from_micros(virtual_total),
-                format!("{label}: {} tasks", partitions.len()),
-            );
-        }
         span.finish(format_args!("{label}: {} tasks", partitions.len()));
         results
     }
@@ -252,17 +235,19 @@ mod tests {
     #[test]
     fn telemetry_counts_tasks_and_traces_jobs() {
         let tel = Telemetry::new();
+        let obs = Observe::new(7);
         let c = ComputeCluster::new(3);
         c.bind_telemetry(&tel);
+        c.bind_observe(&obs);
         let _ = c.parallelize((0..50u32).collect(), 6).count();
         let m = tel.metrics();
         assert_eq!(m.counter("compute", "tasks").get(), 6);
         assert_eq!(m.histogram("compute", "task_ns").snapshot().count, 6);
         assert_eq!(m.histogram("compute", "job_ns").snapshot().count, 1);
-        let events = tel.tracer().entries();
-        assert!(events
+        assert!(obs
+            .spans()
             .iter()
-            .any(|e| e.subsystem == "compute" && e.name == "job" && e.detail.contains("6 tasks")));
+            .any(|s| s.subsystem == "compute" && s.name == "job" && s.detail.contains("6 tasks")));
     }
 
     #[test]

@@ -139,7 +139,6 @@ impl ControllerCluster {
         if let Some(poller) = &mut self.poller {
             poller.bind_telemetry(tel);
         }
-        self.flow_rules.bind_telemetry(tel);
     }
 
     /// Routes causal spans (the controller leg of a packet-in trace)

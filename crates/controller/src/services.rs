@@ -3,7 +3,6 @@
 
 use athena_dataplane::Topology;
 use athena_openflow::{FlowMod, FlowRemoved};
-use athena_telemetry::{Counter, Telemetry};
 use athena_types::{AppId, ControllerId, Dpid, Ipv4Addr, PortNo, SimTime};
 use std::collections::{BTreeSet, HashMap, HashSet, VecDeque};
 use std::sync::OnceLock;
@@ -347,8 +346,6 @@ pub struct FlowRuleService {
     installs: u64,
     removals: u64,
     next_seq: u64,
-    installs_tel: Counter,
-    removals_tel: Counter,
 }
 
 impl FlowRuleService {
@@ -357,26 +354,12 @@ impl FlowRuleService {
         FlowRuleService::default()
     }
 
-    /// Routes install/removal counts into `tel`.
-    pub fn bind_telemetry(&mut self, tel: &Telemetry) {
-        use athena_telemetry::names;
-        self.installs_tel = tel.metrics().counter(
-            names::controller::SUBSYSTEM,
-            names::controller::RULES_INSTALLED,
-        );
-        self.removals_tel = tel.metrics().counter(
-            names::controller::SUBSYSTEM,
-            names::controller::RULES_REMOVED,
-        );
-    }
-
     /// Stamps a flow-mod with a fresh app-attributed cookie and records
     /// it. Returns the stamped flow-mod.
     pub fn register(&mut self, app: AppId, mut fm: FlowMod, dpid: Dpid, now: SimTime) -> FlowMod {
         self.next_seq += 1;
         fm.cookie = FlowMod::cookie_for_app(app, self.next_seq);
         self.installs += 1;
-        self.installs_tel.inc();
         self.records.insert(
             fm.cookie,
             FlowRuleRecord {
@@ -397,7 +380,6 @@ impl FlowRuleService {
     /// Athena issues mitigation rules.
     pub fn record_external(&mut self, fm: &FlowMod, dpid: Dpid, now: SimTime) {
         self.installs += 1;
-        self.installs_tel.inc();
         self.records.insert(
             fm.cookie,
             FlowRuleRecord {
@@ -425,7 +407,6 @@ impl FlowRuleService {
     pub fn on_flow_removed(&mut self, fr: &FlowRemoved) {
         if self.records.remove(&fr.cookie).is_some() {
             self.removals += 1;
-            self.removals_tel.inc();
         }
     }
 

@@ -46,7 +46,6 @@ pub struct AthenaSouthbound {
     dispatch_ns: Histogram,
     feature_records: Counter,
     timeouts_tel: Counter,
-    retries_tel: Counter,
     gave_up_tel: Counter,
     observe: Observe,
 }
@@ -83,7 +82,6 @@ impl AthenaSouthbound {
             ),
             feature_records: m.counter(names::core::SUBSYSTEM, names::core::FEATURE_RECORDS),
             timeouts_tel: m.counter(names::retry::SUBSYSTEM, names::retry::SB_STATS_TIMEOUTS),
-            retries_tel: m.counter(names::retry::SUBSYSTEM, names::retry::SB_STATS_RETRIES),
             gave_up_tel: m.counter(names::retry::SUBSYSTEM, names::retry::SB_STATS_GAVE_UP),
             observe: runtime.observe.clone(),
             runtime,
@@ -222,7 +220,6 @@ impl AthenaSouthbound {
                 continue;
             }
             self.retry_counters.retries += 1;
-            self.retries_tel.inc();
             self.issue_poll(o.dpid, o.body, now, o.attempt + 1, out);
         }
     }

@@ -208,7 +208,6 @@ struct Share {
 #[derive(Debug, Clone, Copy, Default)]
 struct WheelStats {
     armed: u64,
-    fired: u64,
     spurious: u64,
 }
 
@@ -244,10 +243,6 @@ pub(crate) struct Shard {
     /// `FLOW_REMOVED`s from expiry or flow-mods, tagged with the command
     /// index that caused them (0 for expiry).
     removed: Vec<(usize, Dpid, FlowRemoved)>,
-    /// Settle results for modeled links: latency draws in link order and
-    /// the tick's queue-dropped bytes.
-    latencies: Vec<u64>,
-    queue_drops: u64,
 }
 
 impl Shard {
@@ -267,8 +262,6 @@ impl Shard {
             credits: Vec::new(),
             mods: Vec::new(),
             removed: Vec::new(),
-            latencies: Vec::new(),
-            queue_drops: 0,
         }
     }
 
@@ -354,7 +347,6 @@ impl Shard {
                 for fr in sw.expire(t) {
                     self.removed.push((0, dpid, fr));
                 }
-                self.wheel_stats.fired += u64::from(wheel_mode);
             } else {
                 // The deadline moved later (traffic re-armed an idle
                 // timeout, entries were deleted, the switch rebooted):
@@ -434,12 +426,7 @@ impl Shard {
     /// tick (stochastic models advance every tick regardless of traffic).
     fn settle(&mut self, tick: SimDuration) {
         for (link, frac) in self.links.iter_mut().zip(&mut self.fracs) {
-            let dropped_before = link.queue_dropped_bytes();
             *frac = link.settle_tick(tick).0;
-            if link.model().is_some() {
-                self.queue_drops += link.queue_dropped_bytes() - dropped_before;
-                self.latencies.push(link.last_latency_us());
-            }
         }
     }
 
@@ -504,17 +491,14 @@ pub(crate) struct EngineTelemetry {
     dropped_bytes: Counter,
     links_degraded: Gauge,
     switch_reboots: Counter,
-    link_queue_drops: Counter,
-    link_latency_us: Histogram,
     wheel_armed: Counter,
-    wheel_fired: Counter,
     wheel_spurious: Counter,
     shards: Gauge,
     pub(crate) punt_batches: Counter,
     pub(crate) batched_packet_ins: Counter,
     pub(crate) cross_shard_handoffs: Counter,
     pub(crate) routing_rounds: Counter,
-    /// Kept for run spans and the per-switch table gauges.
+    /// Kept for the per-switch table gauges.
     handle: Option<Telemetry>,
 }
 
@@ -725,10 +709,7 @@ impl<P: PuntDiscipline> Engine<P> {
             dropped_bytes: m.counter(dp, names::dataplane::DROPPED_BYTES),
             links_degraded: m.gauge(dp, names::dataplane::LINKS_DEGRADED),
             switch_reboots: m.counter(dp, names::dataplane::SWITCH_REBOOTS),
-            link_queue_drops: m.counter(dp, names::dataplane::LINK_QUEUE_DROPS),
-            link_latency_us: m.histogram(dp, names::dataplane::LINK_LATENCY_US),
             wheel_armed: m.counter(dp, names::dataplane::WHEEL_ARMED),
-            wheel_fired: m.counter(dp, names::dataplane::WHEEL_FIRED),
             wheel_spurious: m.counter(dp, names::dataplane::WHEEL_SPURIOUS),
             shards: m.gauge(sc, names::scale::SHARDS),
             punt_batches: m.counter(sc, names::scale::PUNT_BATCHES),
@@ -816,28 +797,17 @@ impl<P: PuntDiscipline> Engine<P> {
         self.pending.sort_by_key(|f| std::cmp::Reverse(f.start));
     }
 
-    /// Runs the simulation until `until`: [`Engine::step`] in a loop,
-    /// under one trace span, followed by [`Engine::flush_gauges`].
+    /// Runs the simulation until `until`: [`Engine::step`] in a loop
+    /// (one `dataplane/step_ns` sample per tick), followed by
+    /// [`Engine::flush_gauges`].
     pub fn run_until(&mut self, until: SimTime, ctrl: &mut impl ControllerLink) {
-        let run_start = self.now;
-        let run_span = self
-            .tel
-            .handle
-            .as_ref()
-            .map(|tel| tel.tracer().span("dataplane", "run_until", run_start));
-        let mut ticks: u64 = 0;
         while self.now < until {
             self.step(ctrl);
-            ticks += 1;
         }
         self.flush_gauges();
-        if let (Some(span), Some(tel)) = (run_span, &self.tel.handle) {
-            tel.tracer()
-                .end_span(span, self.now, format!("{ticks} ticks"));
-        }
     }
 
-    /// Publishes per-switch flow-table lookup/match totals as gauges
+    /// Publishes per-switch flow-table lookup totals as gauges
     /// (done at the end of every [`Engine::run_until`]; harnesses driving
     /// [`Engine::step`] directly call this before rendering a report).
     pub fn flush_gauges(&self) {
@@ -851,11 +821,8 @@ impl<P: PuntDiscipline> Engine<P> {
         let sub = names::dataplane::SUBSYSTEM;
         for sw in self.shards.iter().flat_map(|s| &s.switches) {
             let instance = format!("s{}", sw.dpid().raw());
-            let table = sw.table();
             m.gauge_with(sub, names::dataplane::TABLE_LOOKUPS, &instance)
-                .set(i64::try_from(table.lookup_count()).unwrap_or(i64::MAX));
-            m.gauge_with(sub, names::dataplane::TABLE_MATCHES, &instance)
-                .set(i64::try_from(table.matched_count()).unwrap_or(i64::MAX));
+                .set(i64::try_from(sw.table().lookup_count()).unwrap_or(i64::MAX));
         }
     }
 
@@ -957,7 +924,6 @@ impl<P: PuntDiscipline> Engine<P> {
         for shard in &mut self.shards {
             let wheel = std::mem::take(&mut shard.wheel_stats);
             self.tel.wheel_armed.add(wheel.armed);
-            self.tel.wheel_fired.add(wheel.fired);
             self.tel.wheel_spurious.add(wheel.spurious);
         }
         // 8. Observe sample/alert tick — after mirroring, so the sampled
@@ -1042,16 +1008,6 @@ impl<P: PuntDiscipline> Engine<P> {
         }
         let tick = self.config.tick;
         self.each_shard(move |s| s.settle(tick));
-        let mut queue_drops = 0u64;
-        for shard in &mut self.shards {
-            queue_drops += std::mem::take(&mut shard.queue_drops);
-            for lat in shard.latencies.drain(..) {
-                self.tel.link_latency_us.record(lat);
-            }
-        }
-        if queue_drops > 0 {
-            self.tel.link_queue_drops.add(queue_drops);
-        }
     }
 
     /// Credits every routed item's delivered share to the switches on its
@@ -1512,11 +1468,6 @@ mod tests {
         assert_eq!(m.gauge("scale", "shards").get(), 4);
         assert!(m.counter("scale", "cross_shard_handoffs").get() > 0);
         assert!(m.counter("scale", "routing_rounds").get() >= 12);
-        // The run span is in the trace with virtual stamps.
-        let spans = tel.tracer().entries();
-        assert!(spans
-            .iter()
-            .any(|e| e.name == "run_until" && e.sim_end == SimTime::from_secs(12)));
         // Every emitted key is declared in the registry.
         assert_eq!(
             athena_telemetry::names::undeclared(&tel.report()),

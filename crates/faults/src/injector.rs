@@ -37,10 +37,8 @@ pub struct FaultInjector {
     store: Option<StoreCluster>,
     counters: FaultCounters,
     injected_tel: Counter,
-    link_tel: Counter,
     reboot_tel: Counter,
     controller_tel: Counter,
-    store_tel: Counter,
     profile_tel: Counter,
 }
 
@@ -53,10 +51,8 @@ impl FaultInjector {
             store: None,
             counters: FaultCounters::default(),
             injected_tel: Counter::detached(),
-            link_tel: Counter::detached(),
             reboot_tel: Counter::detached(),
             controller_tel: Counter::detached(),
-            store_tel: Counter::detached(),
             profile_tel: Counter::detached(),
         }
     }
@@ -75,10 +71,8 @@ impl FaultInjector {
         let m = tel.metrics();
         let sub = names::faults::SUBSYSTEM;
         self.injected_tel = m.counter(sub, names::faults::INJECTED);
-        self.link_tel = m.counter(sub, names::faults::LINK_EVENTS);
         self.reboot_tel = m.counter(sub, names::faults::SWITCH_REBOOTS);
         self.controller_tel = m.counter(sub, names::faults::CONTROLLER_EVENTS);
-        self.store_tel = m.counter(sub, names::faults::STORE_EVENTS);
         self.profile_tel = m.counter(sub, names::faults::MESSAGE_PROFILE_CHANGES);
     }
 
@@ -119,17 +113,14 @@ impl FaultInjector {
                 FaultKind::LinkDown { a, b } => {
                     net.set_link_state(a, b, 0.0);
                     self.counters.link_events += 1;
-                    self.link_tel.inc();
                 }
                 FaultKind::LinkDegrade { a, b, factor } => {
                     net.set_link_state(a, b, factor);
                     self.counters.link_events += 1;
-                    self.link_tel.inc();
                 }
                 FaultKind::LinkRestore { a, b } => {
                     net.set_link_state(a, b, 1.0);
                     self.counters.link_events += 1;
-                    self.link_tel.inc();
                 }
                 FaultKind::SwitchReboot { dpid } => {
                     net.reboot_switch(dpid);
@@ -151,14 +142,12 @@ impl FaultInjector {
                         store.set_node_up(node, false);
                     }
                     self.counters.store_events += 1;
-                    self.store_tel.inc();
                 }
                 FaultKind::StoreNodeUp { node } => {
                     if let Some(store) = &self.store {
                         store.set_node_up(node, true);
                     }
                     self.counters.store_events += 1;
-                    self.store_tel.inc();
                 }
                 FaultKind::MessageFaults { profile } => {
                     ctrl.set_message_faults(profile);

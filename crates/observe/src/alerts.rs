@@ -412,6 +412,22 @@ mod tests {
         assert!(!events[1].fired && events[1].at == SimTime::from_secs(20));
     }
 
+    /// A renamed or deleted metric cannot silently detach its rule.
+    #[test]
+    fn standard_rule_keys_are_declared_metric_names() {
+        use AlertSignal::*;
+        for rule in standard_rules() {
+            let (CounterRateAbove { key, .. }
+            | GaugeAbove { key, .. }
+            | HistogramP99Above { key, .. }
+            | CounterStallOver { key, .. }) = rule.signal;
+            let declared = key
+                .split_once('/')
+                .is_some_and(|(sub, name)| athena_telemetry::names::is_declared(sub, name));
+            assert!(declared, "{}: key {key:?} is not declared", rule.name);
+        }
+    }
+
     #[test]
     fn standard_rules_have_unique_names() {
         let rules = standard_rules();

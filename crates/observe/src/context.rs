@@ -8,7 +8,7 @@
 //! path: each span guard pushes its context on creation and pops it when
 //! finished, and any span opened in between becomes its child.
 //!
-//! Pool worker closures never open causal spans (see DESIGN.md §13), so
+//! Pool worker closures never open causal spans (see DESIGN.md §8), so
 //! the stack never needs to cross threads and trace-id allocation stays
 //! on the driver thread — the property that makes the id stream
 //! byte-identical at any `ATHENA_THREADS`.

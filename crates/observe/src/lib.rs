@@ -46,11 +46,11 @@ use std::fmt;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-/// Default bound on retained spans/events (drops beyond it are
-/// counted).
+/// Bound on retained spans, events and trace ids — each list has this
+/// capacity, and drops beyond it are counted in the [`ObserveReport`].
 pub const DEFAULT_SPAN_CAPACITY: usize = 65_536;
 
-/// Default virtual-time sampling cadence.
+/// The virtual-time sampling cadence.
 pub const DEFAULT_SAMPLE_CADENCE: SimDuration = SimDuration::from_secs(1);
 
 #[derive(Debug)]
@@ -65,8 +65,8 @@ struct State {
     capacity: usize,
     spans_dropped: u64,
     events_dropped: u64,
+    trace_ids_dropped: u64,
     telemetry: Option<Telemetry>,
-    cadence: SimDuration,
     next_sample: SimTime,
     series: SeriesEngine,
     alerts: AlertEngine,
@@ -93,14 +93,13 @@ impl Default for Observe {
 }
 
 impl Observe {
-    fn build(
-        enabled: bool,
-        seed: u64,
-        telemetry: Option<Telemetry>,
-        cadence: SimDuration,
-        rules: Vec<AlertRule>,
-        capacity: usize,
-    ) -> Self {
+    /// `capacity` is [`DEFAULT_SPAN_CAPACITY`] everywhere but the overflow test.
+    fn build(enabled: bool, seed: u64, telemetry: Option<Telemetry>, capacity: usize) -> Self {
+        let rules = if telemetry.is_some() {
+            standard_rules()
+        } else {
+            Vec::new()
+        };
         Observe {
             inner: Arc::new(Inner {
                 enabled: AtomicBool::new(enabled),
@@ -114,11 +113,11 @@ impl Observe {
                         trace_ids: Vec::new(),
                         spans: Vec::new(),
                         events: Vec::new(),
-                        capacity: capacity.max(16),
+                        capacity,
                         spans_dropped: 0,
                         events_dropped: 0,
+                        trace_ids_dropped: 0,
                         telemetry,
-                        cadence,
                         next_sample: SimTime::ZERO,
                         series: SeriesEngine::new(DEFAULT_SERIES_CAPACITY),
                         alerts: AlertEngine::new(rules),
@@ -130,54 +129,20 @@ impl Observe {
 
     /// A handle that records nothing (one relaxed atomic load per call).
     pub fn disabled() -> Self {
-        Observe::build(
-            false,
-            0,
-            None,
-            DEFAULT_SAMPLE_CADENCE,
-            Vec::new(),
-            DEFAULT_SPAN_CAPACITY,
-        )
+        Observe::build(false, 0, None, DEFAULT_SPAN_CAPACITY)
     }
 
     /// An enabled trace-only handle: spans and events are recorded, but
     /// with no telemetry attached nothing is sampled and no alert can
     /// fire.
     pub fn new(seed: u64) -> Self {
-        Observe::build(
-            true,
-            seed,
-            None,
-            DEFAULT_SAMPLE_CADENCE,
-            Vec::new(),
-            DEFAULT_SPAN_CAPACITY,
-        )
+        Observe::build(true, seed, None, DEFAULT_SPAN_CAPACITY)
     }
 
-    /// The full pipeline: tracing plus per-virtual-second sampling of
-    /// `tel` and the [`standard_rules`] alert set.
+    /// The full pipeline: tracing plus sampling of `tel` every
+    /// [`DEFAULT_SAMPLE_CADENCE`] and the [`standard_rules`] alert set.
     pub fn with_telemetry(seed: u64, tel: &Telemetry) -> Self {
-        Observe::with_options(
-            seed,
-            Some(tel.clone()),
-            DEFAULT_SAMPLE_CADENCE,
-            standard_rules(),
-        )
-    }
-
-    /// An enabled handle with explicit sampling cadence and rule set.
-    pub fn with_options(
-        seed: u64,
-        telemetry: Option<Telemetry>,
-        cadence: SimDuration,
-        rules: Vec<AlertRule>,
-    ) -> Self {
-        let cadence = if cadence.as_micros() == 0 {
-            DEFAULT_SAMPLE_CADENCE
-        } else {
-            cadence
-        };
-        Observe::build(true, seed, telemetry, cadence, rules, DEFAULT_SPAN_CAPACITY)
+        Observe::build(true, seed, Some(tel.clone()), DEFAULT_SPAN_CAPACITY)
     }
 
     /// Whether the handle records anything.
@@ -206,8 +171,7 @@ impl Observe {
             if now < state.next_sample {
                 return;
             }
-            let cadence = state.cadence;
-            state.next_sample = now + cadence;
+            state.next_sample = now + DEFAULT_SAMPLE_CADENCE;
             match state.telemetry.clone() {
                 Some(t) => t,
                 None => return,
@@ -216,35 +180,24 @@ impl Observe {
         let report = tel.report();
         // Second critical section: fold the snapshot into the series
         // ring and run the alert rules against it.
-        let details = {
-            let mut state = self.inner.state.lock();
-            state.series.sample(now, &report);
-            let transitions = {
-                let State { series, alerts, .. } = &mut *state;
-                alerts.evaluate(now, series)
-            };
-            let mut details = Vec::with_capacity(transitions.len());
-            for t in &transitions {
-                let detail = t.render();
-                push_event(
-                    &mut state,
-                    CausalEvent {
-                        trace_id: 0,
-                        span_id: 0,
-                        subsystem: "observe",
-                        name: if t.fired { "alert_fire" } else { "alert_clear" },
-                        at: now,
-                        detail: detail.clone(),
-                    },
-                );
-                details.push(detail);
-            }
-            details
+        let mut state = self.inner.state.lock();
+        state.series.sample(now, &report);
+        let transitions = {
+            let State { series, alerts, .. } = &mut *state;
+            alerts.evaluate(now, series)
         };
-        // Mirror the transitions into the telemetry trace ring so alert
-        // history shows up next to wall-clock spans too.
-        for detail in details {
-            tel.tracer().event("observe", "alert", now, detail);
+        for t in &transitions {
+            push_event(
+                &mut state,
+                CausalEvent {
+                    trace_id: 0,
+                    span_id: 0,
+                    subsystem: "observe",
+                    name: if t.fired { "alert_fire" } else { "alert_clear" },
+                    at: now,
+                    detail: t.render(),
+                },
+            );
         }
     }
 
@@ -289,6 +242,8 @@ impl Observe {
                     let id = splitmix64(state.seed ^ state.root_seq);
                     if state.trace_ids.len() < state.capacity {
                         state.trace_ids.push(id);
+                    } else {
+                        state.trace_ids_dropped += 1;
                     }
                     (id, 0)
                 }
@@ -350,12 +305,16 @@ impl Observe {
         self.inner.state.lock().spans.clone()
     }
 
-    /// Recorded events, in occurrence order.
+    /// Recorded events, in occurrence order. Alert transitions share
+    /// this capped list with the per-record `core/verdict` events, so a
+    /// long run can drop them here; [`Observe::alert_events`] is the
+    /// lossless alert history.
     pub fn events(&self) -> Vec<CausalEvent> {
         self.inner.state.lock().events.clone()
     }
 
-    /// Every alert transition so far.
+    /// Every alert transition so far (kept by the alert engine, never
+    /// dropped).
     pub fn alert_events(&self) -> Vec<AlertEvent> {
         self.inner.state.lock().alerts.transitions().to_vec()
     }
@@ -418,6 +377,8 @@ impl Observe {
             spans: state.spans.len() as u64,
             spans_dropped: state.spans_dropped,
             events: state.events.len() as u64,
+            events_dropped: state.events_dropped,
+            trace_ids_dropped: state.trace_ids_dropped,
             alerts: state.alerts.transitions().to_vec(),
             firing: state.alerts.firing_rules(),
             series,
@@ -568,13 +529,32 @@ mod tests {
         assert!(alerts[0].fired && alerts[0].rule == "links-degraded");
         assert!(!alerts[1].fired);
         assert!(obs.firing().is_empty());
-        // Mirrored into causal events and the telemetry trace.
+        // Recorded as causal events too.
         assert_eq!(obs.events().len(), 2);
-        assert!(tel
-            .tracer()
-            .entries()
-            .iter()
-            .any(|e| e.subsystem == "observe"));
+    }
+
+    #[test]
+    fn overflow_is_counted_for_spans_events_and_trace_ids() {
+        let obs = Observe::build(true, 7, None, 4);
+        for _ in 0..6 {
+            obs.span("dataplane", "packet_in").finish("");
+            obs.event("core", "verdict", "benign");
+        }
+        assert_eq!(obs.spans().len(), 4);
+        assert_eq!(obs.events().len(), 4);
+        assert_eq!(obs.trace_ids().len(), 4);
+        let report = obs.report();
+        assert_eq!(report.traces, 6);
+        assert_eq!(
+            (
+                report.spans_dropped,
+                report.events_dropped,
+                report.trace_ids_dropped
+            ),
+            (2, 2, 2)
+        );
+        assert!(report.render().contains("2 spans, 2 events, 2 trace ids"));
+        assert!(report.to_json().contains("\"trace_ids_dropped\":2"));
     }
 
     #[test]

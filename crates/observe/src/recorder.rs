@@ -2,9 +2,10 @@
 //!
 //! Everything here is stamped with **virtual time only** — no wall
 //! clock — so recorded traces are byte-identical across reruns and
-//! thread counts. (The wall-clock spans in `athena-telemetry` remain
-//! available for profiling; the causal layer is the deterministic one.)
+//! thread counts. (What a boundary costs on the wall clock is in the
+//! `*_ns` histograms of `athena-telemetry`.)
 
+use athena_telemetry::json;
 use athena_types::SimTime;
 use std::fmt::Write as _;
 
@@ -47,25 +48,6 @@ pub struct CausalEvent {
     pub detail: String,
 }
 
-/// Escapes a string for embedding in a JSON string literal.
-pub(crate) fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 /// Renders spans and events as a Chrome-trace (`chrome://tracing` /
 /// Perfetto loadable) JSON document. Spans become complete (`"X"`)
 /// events on a per-trace track; events become instants (`"i"`).
@@ -84,7 +66,7 @@ pub fn chrome_trace_json(spans: &[CausalSpan], events: &[CausalEvent]) -> String
             out,
             "{{\"name\":\"{}/{}\",\"cat\":\"{}\",\"ph\":\"X\",\"pid\":1,\
              \"tid\":{},\"ts\":{},\"dur\":{},\"args\":{{\"trace_id\":\"{:#018x}\",\
-             \"span_id\":{},\"parent_id\":{},\"detail\":\"{}\"}}}}",
+             \"span_id\":{},\"parent_id\":{},\"detail\":",
             s.subsystem,
             s.name,
             s.subsystem,
@@ -94,8 +76,9 @@ pub fn chrome_trace_json(spans: &[CausalSpan], events: &[CausalEvent]) -> String
             s.trace_id,
             s.span_id,
             s.parent_id,
-            json_escape(&s.detail),
         );
+        json::string_into(&mut out, &s.detail);
+        out.push_str("}}");
     }
     for e in events {
         if !first {
@@ -105,15 +88,16 @@ pub fn chrome_trace_json(spans: &[CausalSpan], events: &[CausalEvent]) -> String
         let _ = write!(
             out,
             "{{\"name\":\"{}/{}\",\"cat\":\"{}\",\"ph\":\"i\",\"s\":\"g\",\"pid\":1,\
-             \"tid\":{},\"ts\":{},\"args\":{{\"trace_id\":\"{:#018x}\",\"detail\":\"{}\"}}}}",
+             \"tid\":{},\"ts\":{},\"args\":{{\"trace_id\":\"{:#018x}\",\"detail\":",
             e.subsystem,
             e.name,
             e.subsystem,
             e.trace_id % 1_000_000,
             e.at.as_micros(),
             e.trace_id,
-            json_escape(&e.detail),
         );
+        json::string_into(&mut out, &e.detail);
+        out.push_str("}}");
     }
     out.push_str("\n]}\n");
     out
@@ -193,10 +177,5 @@ mod tests {
         assert!(out.contains("test/root;test/child 20"), "{out}");
         // Root self time: 20 total − 20 in child → floored to 1.
         assert!(out.contains("test/root 1"), "{out}");
-    }
-
-    #[test]
-    fn escape_handles_quotes_and_controls() {
-        assert_eq!(json_escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
     }
 }

@@ -3,7 +3,7 @@
 //! `athena-top` view) or exportable as JSON.
 
 use crate::alerts::AlertEvent;
-use crate::recorder::json_escape;
+use athena_telemetry::json;
 use std::fmt::Write as _;
 use std::io;
 use std::path::Path;
@@ -39,6 +39,10 @@ pub struct ObserveReport {
     pub spans_dropped: u64,
     /// Causal events retained.
     pub events: u64,
+    /// Events dropped to the capacity bound.
+    pub events_dropped: u64,
+    /// Trace ids started but not retained in the id stream.
+    pub trace_ids_dropped: u64,
     /// Every alert transition so far, in occurrence order.
     pub alerts: Vec<AlertEvent>,
     /// Rules currently firing.
@@ -53,12 +57,16 @@ impl ObserveReport {
         let mut out = String::new();
         let _ = writeln!(
             out,
-            "== observe @ {:.1}s · {} samples · {} traces · {} spans ({} dropped) ==",
+            "== observe @ {:.1}s · {} samples · {} traces · {} spans · {} events \
+             (dropped: {} spans, {} events, {} trace ids) ==",
             self.now_us as f64 / 1_000_000.0,
             self.samples,
             self.traces,
             self.spans,
+            self.events,
             self.spans_dropped,
+            self.events_dropped,
+            self.trace_ids_dropped,
         );
         if self.firing.is_empty() {
             out.push_str("alerts: all clear\n");
@@ -88,7 +96,8 @@ impl ObserveReport {
         let _ = write!(
             out,
             "\"seed\":{},\"now_us\":{},\"samples\":{},\"traces\":{},\
-             \"spans\":{},\"spans_dropped\":{},\"events\":{},",
+             \"spans\":{},\"spans_dropped\":{},\"events\":{},\"events_dropped\":{},\
+             \"trace_ids_dropped\":{},",
             self.seed,
             self.now_us,
             self.samples,
@@ -96,24 +105,26 @@ impl ObserveReport {
             self.spans,
             self.spans_dropped,
             self.events,
+            self.events_dropped,
+            self.trace_ids_dropped,
         );
         out.push_str("\"firing\":[");
         for (i, f) in self.firing.iter().enumerate() {
             if i > 0 {
                 out.push(',');
             }
-            let _ = write!(out, "\"{}\"", json_escape(f));
+            json::string_into(&mut out, f);
         }
         out.push_str("],\"alerts\":[");
         for (i, a) in self.alerts.iter().enumerate() {
             if i > 0 {
                 out.push(',');
             }
+            out.push_str("{\"rule\":");
+            json::string_into(&mut out, a.rule);
             let _ = write!(
                 out,
-                "{{\"rule\":\"{}\",\"fired\":{},\"at_us\":{},\"value\":{:.3},\
-                 \"deterministic\":{}}}",
-                json_escape(a.rule),
+                ",\"fired\":{},\"at_us\":{},\"value\":{:.3},\"deterministic\":{}}}",
                 a.fired,
                 a.at.as_micros(),
                 a.value,
@@ -125,13 +136,12 @@ impl ObserveReport {
             if i > 0 {
                 out.push(',');
             }
+            out.push_str("{\"key\":");
+            json::string_into(&mut out, &s.key);
             let _ = write!(
                 out,
-                "{{\"key\":\"{}\",\"points\":{},\"latest\":{:.3},\"rate_per_sec\":{:.3}}}",
-                json_escape(&s.key),
-                s.points,
-                s.latest,
-                s.rate_per_sec,
+                ",\"points\":{},\"latest\":{:.3},\"rate_per_sec\":{:.3}}}",
+                s.points, s.latest, s.rate_per_sec,
             );
         }
         out.push_str("]}");
@@ -163,6 +173,8 @@ mod tests {
             spans: 12,
             spans_dropped: 0,
             events: 3,
+            events_dropped: 0,
+            trace_ids_dropped: 0,
             alerts: vec![AlertEvent {
                 rule: "links-degraded",
                 fired: true,

@@ -68,7 +68,6 @@ pub struct Recovery {
 #[derive(Debug, Default)]
 struct JournalTelemetry {
     append_ns: Option<Histogram>,
-    checkpoint_ns: Option<Histogram>,
     checkpoint_bytes: Option<Histogram>,
     wal_records: Counter,
     wal_bytes: Counter,
@@ -192,7 +191,6 @@ impl Journal {
         let hist = |suffix: &str| m.histogram(p::SUBSYSTEM, &format!("{name}{suffix}"));
         let ctr = |suffix: &str| m.counter(p::SUBSYSTEM, &format!("{name}{suffix}"));
         self.tel.append_ns = Some(hist(p::APPEND_NS_SUFFIX));
-        self.tel.checkpoint_ns = Some(hist(p::CHECKPOINT_NS_SUFFIX));
         self.tel.checkpoint_bytes = Some(hist(p::CHECKPOINT_BYTES_SUFFIX));
         self.tel.wal_records = ctr(p::WAL_RECORDS_SUFFIX);
         self.tel.wal_bytes = ctr(p::WAL_BYTES_SUFFIX);
@@ -218,7 +216,6 @@ impl Journal {
     /// Writes a checkpoint covering every record appended so far, then
     /// deletes the superseded WAL segments.
     pub fn checkpoint(&mut self, payload: &[u8], now: SimTime) -> Result<u64> {
-        let timer = self.tel.checkpoint_ns.as_ref().map(Histogram::start_timer);
         let covered = self.next_seq - 1;
         let bytes = record::encode(kind::CHECKPOINT, covered, now, payload);
         let path = checkpoint_path(&self.config.dir, covered);
@@ -227,9 +224,6 @@ impl Journal {
         self.tel.checkpoints_written.inc();
         if let Some(h) = &self.tel.checkpoint_bytes {
             h.record(bytes.len() as u64);
-        }
-        if let (Some(t), Some(h)) = (timer, self.tel.checkpoint_ns.as_ref()) {
-            t.observe(h);
         }
         Ok(covered)
     }

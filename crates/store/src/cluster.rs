@@ -139,11 +139,9 @@ pub(crate) struct MetricsInner {
 struct StoreTelemetry {
     insert_ns: Histogram,
     find_ns: Histogram,
-    aggregate_ns: Histogram,
     replica_writes: Counter,
     deletes: Counter,
     write_handoffs: Counter,
-    quorum_failures: Counter,
     degraded_reads: Counter,
     nodes_down: Gauge,
     observe: Observe,
@@ -211,11 +209,9 @@ impl StoreCluster {
         *self.tel.write() = Arc::new(StoreTelemetry {
             insert_ns: m.histogram(st, names::store::INSERT_NS),
             find_ns: m.histogram(st, names::store::FIND_NS),
-            aggregate_ns: m.histogram(st, names::store::AGGREGATE_NS),
             replica_writes: m.counter(st, names::store::REPLICA_WRITES),
             deletes: m.counter(st, names::store::DELETES),
             write_handoffs: m.counter(rt, names::retry::STORE_WRITE_HANDOFFS),
-            quorum_failures: m.counter(rt, names::retry::STORE_QUORUM_FAILURES),
             degraded_reads: m.counter(rt, names::retry::STORE_DEGRADED_READS),
             nodes_down: m.gauge(st, names::store::NODES_DOWN),
             observe,
@@ -590,7 +586,6 @@ impl CollectionHandle {
                 .metrics
                 .quorum_failures
                 .fetch_add(1, Ordering::Relaxed);
-            tel.quorum_failures.inc();
             return Err(AthenaError::Store(format!(
                 "write quorum not reached: {} of {} required copies placeable",
                 targets.len(),
@@ -715,15 +710,11 @@ impl CollectionHandle {
 
     /// Runs an aggregation pipeline over the matching documents.
     pub fn aggregate(&self, pipeline: &Aggregation) -> Vec<Arc<Document>> {
-        let tel = self.cluster.telemetry();
-        let timer = tel.aggregate_ns.start_timer();
         self.cluster
             .metrics
             .aggregations
             .fetch_add(1, Ordering::Relaxed);
-        let out = pipeline.run(self.find_primaries(&Filter::All));
-        timer.observe(&tel.aggregate_ns);
-        out
+        pipeline.run(self.find_primaries(&Filter::All))
     }
 
     /// Ids of the logical documents matching `filter`, in id order.

@@ -26,7 +26,7 @@
 use crate::online::OnlineSpec;
 use athena_core::{AlertHandler, Athena, DetectionModel, FeatureRecord, FieldName, Query};
 use athena_ml::{LabeledPoint, Preprocessor};
-use athena_telemetry::{names, Counter, Gauge, Histogram, Telemetry};
+use athena_telemetry::{names, Counter, Telemetry};
 use athena_types::sentinel::TrackedMutex;
 use athena_types::{Result, SimDuration, SimTime};
 use std::collections::VecDeque;
@@ -101,7 +101,6 @@ struct LiveWindow {
     max_points: usize,
     updates: Counter,
     evictions: Counter,
-    live_points: Gauge,
 }
 
 impl LiveWindow {
@@ -117,7 +116,6 @@ impl LiveWindow {
             self.evictions.inc();
         }
         self.updates.inc();
-        self.live_points.set(self.entries.len() as i64);
     }
 
     fn snapshot(&self) -> Vec<LabeledPoint> {
@@ -133,10 +131,6 @@ pub struct RetrainLoop {
     live: Arc<TrackedMutex<LiveWindow>>,
     last_retrain: Option<SimTime>,
     reports: Vec<RetrainReport>,
-    partial_fits: Counter,
-    retrain_ns: Histogram,
-    retrains: Counter,
-    swaps: Counter,
     swap_failures: Counter,
 }
 
@@ -183,9 +177,6 @@ impl RetrainLoop {
                 evictions: tel
                     .metrics()
                     .counter(names::stream::SUBSYSTEM, names::stream::WINDOW_EVICTIONS),
-                live_points: tel
-                    .metrics()
-                    .gauge(names::stream::SUBSYSTEM, names::stream::LIVE_POINTS),
             },
         ));
         {
@@ -205,18 +196,6 @@ impl RetrainLoop {
         }
 
         RetrainLoop {
-            partial_fits: tel
-                .metrics()
-                .counter(names::stream::SUBSYSTEM, names::stream::PARTIAL_FITS),
-            retrain_ns: tel
-                .metrics()
-                .histogram(names::stream::SUBSYSTEM, names::stream::RETRAIN_NS),
-            retrains: tel
-                .metrics()
-                .counter(names::stream::SUBSYSTEM, names::stream::RETRAINS),
-            swaps: tel
-                .metrics()
-                .counter(names::stream::SUBSYSTEM, names::stream::SWAPS),
             swap_failures: tel
                 .metrics()
                 .counter(names::stream::SUBSYSTEM, names::stream::SWAP_FAILURES),
@@ -267,16 +246,12 @@ impl RetrainLoop {
         }
         self.last_retrain = Some(now);
         let n = points.len();
-        let timer = self.retrain_ns.start_timer();
-        let candidate = self.fit_candidate(&points);
-        timer.observe(&self.retrain_ns);
-        let candidate = match candidate {
+        let candidate = match self.fit_candidate(&points) {
             Ok(c) => c,
             // Not enough signal in this window (single class, empty
             // threshold): keep the incumbent and try again next tick.
             Err(_) => return None,
         };
-        self.retrains.inc();
         let deployed = match &self.cfg.policy.snapshot {
             Some(path) => candidate
                 .save_to(path, now)
@@ -287,9 +262,7 @@ impl RetrainLoop {
             Ok(m) => {
                 let algorithm = m.algorithm.clone();
                 let swapped = athena.swap_online_model(self.validator, m).is_some();
-                if swapped {
-                    self.swaps.inc();
-                } else {
+                if !swapped {
                     self.swap_failures.inc();
                 }
                 RetrainReport {
@@ -324,7 +297,6 @@ impl RetrainLoop {
         let mut model = spec.build();
         for p in &prepared {
             model.partial_fit(p);
-            self.partial_fits.inc();
         }
         Ok(DetectionModel {
             model: model.freeze()?,

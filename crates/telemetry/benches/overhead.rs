@@ -7,7 +7,6 @@
 //! (`ATHENA_BENCH_SMOKE=1`) to keep the gate fast.
 
 use athena_telemetry::Telemetry;
-use athena_types::SimTime;
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use std::time::Duration;
 
@@ -45,13 +44,6 @@ fn bench_overhead(c: &mut Criterion) {
     });
     c.bench_function("hist_timer_disabled", |b| {
         b.iter(|| h_off.start_timer().observe(&h_off))
-    });
-
-    c.bench_function("span_disabled", |b| {
-        b.iter(|| {
-            let span = off.tracer().span("bench", "op", SimTime::ZERO);
-            off.tracer().end_span(span, SimTime::ZERO, "");
-        })
     });
 }
 

@@ -1,12 +1,12 @@
 //! A tiny hand-rolled JSON writer.
 //!
 //! The telemetry crate sits below every other production crate and must
-//! not pull in the serde shims, so exporters assemble their JSON with
-//! these helpers instead. Only the forms telemetry emits are supported:
-//! objects, arrays, strings, and integers.
+//! not pull in the serde shims, so its exporters — and `athena-observe`'s
+//! — assemble their JSON with these helpers instead. Only the forms they
+//! emit are supported: objects, arrays, strings, and numbers.
 
 /// Appends `s` as a JSON string literal (with quotes) onto `out`.
-pub(crate) fn string_into(out: &mut String, s: &str) {
+pub fn string_into(out: &mut String, s: &str) {
     out.push('"');
     for c in s.chars() {
         match c {
@@ -25,7 +25,7 @@ pub(crate) fn string_into(out: &mut String, s: &str) {
 }
 
 /// Appends `"key":` onto `out`.
-pub(crate) fn key_into(out: &mut String, key: &str) {
+pub fn key_into(out: &mut String, key: &str) {
     string_into(out, key);
     out.push(':');
 }

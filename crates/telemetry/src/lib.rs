@@ -1,5 +1,5 @@
-//! Observability for the Athena reproduction: metrics + virtual-time
-//! tracing, with no dependencies beyond `athena-types` and `std`.
+//! Metrics for the Athena reproduction, with no dependencies beyond
+//! `athena-types` and `std`.
 //!
 //! The paper's whole evaluation is observational (Cbench throughput,
 //! per-stage feature-generation and query latencies, detection-app
@@ -9,14 +9,15 @@
 //! - [`MetricsRegistry`] — lock-cheap counters, gauges, and fixed-bucket
 //!   log-scale histograms (p50/p90/p99/max), keyed by subsystem, metric
 //!   name, and an optional instance label ([`metrics`] module),
-//! - [`TraceRecorder`] — structured [`Span`]s and events stamped with
-//!   both **virtual** [`SimTime`](athena_types::SimTime) and wall clock,
-//!   kept in a bounded ring buffer with text/JSON exporters ([`trace`]
-//!   module),
+//! - [`names`] — the one declaration of every metric name production
+//!   code emits,
 //! - [`TelemetryReport`] — the per-subsystem summary the bench binaries
 //!   and the e2e harness print at exit ([`report`] module).
 //!
-//! A [`Telemetry`] handle bundles one registry and one recorder; cloning
+//! Spans and events are not recorded here: `athena-observe` owns the one
+//! causal recorder and samples this registry for its series and alerts.
+//!
+//! A [`Telemetry`] handle is one registry with an on/off switch; cloning
 //! yields another handle to the same instruments. Telemetry is **off by
 //! default** ([`Telemetry::off`], also `Default`): a disabled instrument
 //! costs one relaxed atomic load per record and never touches the wall
@@ -29,7 +30,6 @@
 //!
 //! ```
 //! use athena_telemetry::Telemetry;
-//! use athena_types::SimTime;
 //!
 //! let tel = Telemetry::new();
 //! let polls = tel.metrics().counter("controller", "stats_polls");
@@ -37,8 +37,6 @@
 //!
 //! polls.inc();
 //! latency.record(12_500);
-//! let span = tel.tracer().span("store", "find", SimTime::from_secs(1));
-//! tel.tracer().end_span(span, SimTime::from_secs(1), "filter=swept");
 //!
 //! let report = tel.report();
 //! assert!(report.render().contains("stats_polls"));
@@ -47,18 +45,15 @@
 
 #![forbid(unsafe_code)]
 #![deny(rust_2018_idioms)]
+pub mod json;
 pub mod metrics;
 pub mod names;
 pub mod report;
-pub mod trace;
-
-pub(crate) mod json;
 
 pub use metrics::{
     Counter, Gauge, HistTimer, Histogram, HistogramSnapshot, MetricKey, MetricsRegistry,
 };
 pub use report::{CounterEntry, GaugeEntry, HistogramEntry, TelemetryReport};
-pub use trace::{Span, TraceEntry, TraceKind, TraceRecorder};
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -66,11 +61,9 @@ use std::sync::Arc;
 struct TelemetryInner {
     enabled: Arc<AtomicBool>,
     metrics: MetricsRegistry,
-    tracer: TraceRecorder,
 }
 
-/// One observability domain: a metrics registry plus a trace recorder
-/// sharing a single on/off switch.
+/// One observability domain: a metrics registry with an on/off switch.
 ///
 /// Cloning is cheap and yields a handle to the *same* instruments — a
 /// deployment creates one `Telemetry` and binds it into every subsystem
@@ -81,28 +74,22 @@ pub struct Telemetry {
 }
 
 impl Telemetry {
-    /// Default ring-buffer capacity of the trace recorder.
-    pub const DEFAULT_TRACE_CAPACITY: usize = 4096;
-
     /// Creates an **enabled** telemetry domain.
     pub fn new() -> Self {
-        Self::with_options(true, Self::DEFAULT_TRACE_CAPACITY)
+        Self::with_enabled(true)
     }
 
     /// Creates a **disabled** telemetry domain (the default everywhere):
     /// every record is a single relaxed atomic load, no wall-clock reads.
     pub fn off() -> Self {
-        Self::with_options(false, Self::DEFAULT_TRACE_CAPACITY)
+        Self::with_enabled(false)
     }
 
-    /// Creates a domain with an explicit enabled state and trace ring
-    /// capacity.
-    pub fn with_options(enabled: bool, trace_capacity: usize) -> Self {
+    fn with_enabled(enabled: bool) -> Self {
         let flag = Arc::new(AtomicBool::new(enabled));
         Telemetry {
             inner: Arc::new(TelemetryInner {
                 metrics: MetricsRegistry::with_flag(Arc::clone(&flag)),
-                tracer: TraceRecorder::with_flag(Arc::clone(&flag), trace_capacity),
                 enabled: flag,
             }),
         }
@@ -111,11 +98,6 @@ impl Telemetry {
     /// The metrics registry.
     pub fn metrics(&self) -> &MetricsRegistry {
         &self.inner.metrics
-    }
-
-    /// The trace recorder.
-    pub fn tracer(&self) -> &TraceRecorder {
-        &self.inner.tracer
     }
 
     /// Whether recording is currently enabled.
@@ -146,7 +128,6 @@ impl std::fmt::Debug for Telemetry {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Telemetry")
             .field("enabled", &self.is_enabled())
-            .field("trace_len", &self.tracer().len())
             .finish()
     }
 }
@@ -154,7 +135,6 @@ impl std::fmt::Debug for Telemetry {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use athena_types::SimTime;
 
     #[test]
     fn handles_share_state_across_clones() {
@@ -171,11 +151,8 @@ mod tests {
         let h = tel.metrics().histogram("a", "lat_ns");
         c.inc();
         h.record(99);
-        let span = tel.tracer().span("a", "s", SimTime::ZERO);
-        tel.tracer().end_span(span, SimTime::ZERO, "");
         assert_eq!(c.get(), 0);
         assert_eq!(h.snapshot().count, 0);
-        assert_eq!(tel.tracer().len(), 0);
     }
 
     #[test]

@@ -1,206 +1,203 @@
 //! The metric-name registry: every subsystem/name pair a production
-//! crate emits, declared as constants in one place.
+//! crate emits, declared once.
 //!
 //! Call sites register instruments through these constants
 //! (`m.counter(names::controller::SUBSYSTEM, names::controller::PACKET_INS)`),
-//! and the observe layer's series and alert keys reference the same
-//! strings — so a renamed counter cannot silently detach an alert rule.
-//! The e2e observability gate asserts that every pair a full-stack run
-//! emits satisfies [`is_declared`].
+//! and each `NAME = "name";` line below yields both the constant and its
+//! [`DECLARED`] row. The observe layer's alert keys are resolved against
+//! the same table by a unit test, so a renamed counter cannot silently
+//! detach an alert rule, and the e2e observability gate asserts that
+//! every pair a full-stack run emits satisfies [`is_declared`].
+//!
+//! A metric is declared here only while something reads it by name: a
+//! test assertion, an alert rule, a report row or the ledger.
 
-/// `controller/*` — the ONOS-like cluster pipeline.
-pub mod controller {
-    /// Subsystem label.
-    pub const SUBSYSTEM: &str = "controller";
-    /// Packet-ins handled by the cluster.
-    pub const PACKET_INS: &str = "packet_ins";
-    /// Flow-mods emitted southbound.
-    pub const FLOW_MODS: &str = "flow_mods";
-    /// Statistics replies settled.
-    pub const STATS_REPLIES: &str = "stats_replies";
-    /// Flow-removed notifications handled.
-    pub const FLOW_REMOVEDS: &str = "flow_removeds";
-    /// Packet-in service latency (wall nanoseconds).
-    pub const PACKET_IN_NS: &str = "packet_in_ns";
-    /// Poll requests issued by the statistics poller.
-    pub const STATS_POLLS_ISSUED: &str = "stats_polls_issued";
-    /// Rules registered with the flow-rule service.
-    pub const RULES_INSTALLED: &str = "rules_installed";
-    /// Rules removed from the flow-rule service.
-    pub const RULES_REMOVED: &str = "rules_removed";
+/// Declares one module per subsystem (`SUBSYSTEM` is the module's own
+/// name) and the [`DECLARED`] table, from one line per metric.
+macro_rules! declare_metrics {
+    ($(
+        $(#[$sub_doc:meta])*
+        $sub:ident { $( $(#[$doc:meta])* $konst:ident = $name:literal; )* }
+    )*) => {
+        $(
+            $(#[$sub_doc])*
+            pub mod $sub {
+                /// Subsystem label.
+                pub const SUBSYSTEM: &str = stringify!($sub);
+                $( $(#[$doc])* pub const $konst: &str = $name; )*
+            }
+        )*
+
+        /// Every fixed subsystem/name pair production code emits
+        /// (persist's per-journal names are declared by prefix/suffix
+        /// instead — see [`is_declared`]).
+        pub const DECLARED: &[(&str, &str)] = &[
+            $( $( ($sub::SUBSYSTEM, $sub::$konst), )* )*
+        ];
+    };
 }
 
-/// `failover/*` — mastership re-election under instance faults.
-pub mod failover {
-    /// Subsystem label.
-    pub const SUBSYSTEM: &str = "failover";
-    /// Re-election rounds run.
-    pub const ELECTIONS: &str = "elections";
-    /// Switch masterships moved across instances.
-    pub const SWITCHES_MOVED: &str = "switches_moved";
-    /// Controller instances currently crashed (gauge).
-    pub const INSTANCES_DOWN: &str = "instances_down";
-}
+declare_metrics! {
+    /// `controller/*` — the ONOS-like cluster pipeline.
+    controller {
+        /// Packet-ins handled by the cluster.
+        PACKET_INS = "packet_ins";
+        /// Flow-mods emitted southbound.
+        FLOW_MODS = "flow_mods";
+        /// Statistics replies settled.
+        STATS_REPLIES = "stats_replies";
+        /// Flow-removed notifications handled.
+        FLOW_REMOVEDS = "flow_removeds";
+        /// Packet-in service latency (wall nanoseconds).
+        PACKET_IN_NS = "packet_in_ns";
+        /// Poll requests issued by the statistics poller.
+        STATS_POLLS_ISSUED = "stats_polls_issued";
+    }
 
-/// `retry/*` — timeout/retry/degraded-mode accounting.
-pub mod retry {
-    /// Subsystem label.
-    pub const SUBSYSTEM: &str = "retry";
-    /// Poller stats requests retried.
-    pub const STATS_RETRIES: &str = "stats_retries";
-    /// Poller stats requests timed out.
-    pub const STATS_TIMEOUTS: &str = "stats_timeouts";
-    /// Poller stats requests abandoned.
-    pub const STATS_GAVE_UP: &str = "stats_gave_up";
-    /// Athena SB stats requests timed out.
-    pub const SB_STATS_TIMEOUTS: &str = "sb_stats_timeouts";
-    /// Athena SB stats requests retried.
-    pub const SB_STATS_RETRIES: &str = "sb_stats_retries";
-    /// Athena SB stats requests abandoned.
-    pub const SB_STATS_GAVE_UP: &str = "sb_stats_gave_up";
-    /// Store writes handed off to a non-preferred replica.
-    pub const STORE_WRITE_HANDOFFS: &str = "store_write_handoffs";
-    /// Store writes that failed to reach quorum.
-    pub const STORE_QUORUM_FAILURES: &str = "store_quorum_failures";
-    /// Store reads served below full replication.
-    pub const STORE_DEGRADED_READS: &str = "store_degraded_reads";
-}
+    /// `failover/*` — mastership re-election under instance faults.
+    failover {
+        /// Re-election rounds run.
+        ELECTIONS = "elections";
+        /// Switch masterships moved across instances.
+        SWITCHES_MOVED = "switches_moved";
+        /// Controller instances currently crashed (gauge).
+        INSTANCES_DOWN = "instances_down";
+    }
 
-/// `store/*` — the replicated document store.
-pub mod store {
-    /// Subsystem label.
-    pub const SUBSYSTEM: &str = "store";
-    /// Insert latency (wall nanoseconds).
-    pub const INSERT_NS: &str = "insert_ns";
-    /// Find latency (wall nanoseconds).
-    pub const FIND_NS: &str = "find_ns";
-    /// Aggregate latency (wall nanoseconds).
-    pub const AGGREGATE_NS: &str = "aggregate_ns";
-    /// Per-replica write operations.
-    pub const REPLICA_WRITES: &str = "replica_writes";
-    /// Document deletions.
-    pub const DELETES: &str = "deletes";
-    /// Store nodes currently down (gauge).
-    pub const NODES_DOWN: &str = "nodes_down";
-}
+    /// `retry/*` — timeout/retry/degraded-mode accounting.
+    retry {
+        /// Poller stats requests retried.
+        STATS_RETRIES = "stats_retries";
+        /// Poller stats requests timed out.
+        STATS_TIMEOUTS = "stats_timeouts";
+        /// Poller stats requests abandoned.
+        STATS_GAVE_UP = "stats_gave_up";
+        /// Athena SB stats requests timed out.
+        SB_STATS_TIMEOUTS = "sb_stats_timeouts";
+        /// Athena SB stats requests abandoned.
+        SB_STATS_GAVE_UP = "sb_stats_gave_up";
+        /// Store writes handed off to a non-preferred replica.
+        STORE_WRITE_HANDOFFS = "store_write_handoffs";
+        /// Store reads served below full replication.
+        STORE_DEGRADED_READS = "store_degraded_reads";
+    }
 
-/// `core/*` — Athena's northbound/southbound elements.
-pub mod core {
-    /// Subsystem label.
-    pub const SUBSYSTEM: &str = "core";
-    /// Feature-generation latency per SB instance (wall nanoseconds).
-    pub const FEATURE_GEN_NS: &str = "feature_gen_ns";
-    /// Record-dispatch latency per SB instance (wall nanoseconds).
-    pub const DISPATCH_NS: &str = "dispatch_ns";
-    /// Feature records dispatched.
-    pub const FEATURE_RECORDS: &str = "feature_records";
-    /// Model fit latency (wall nanoseconds).
-    pub const FIT_NS: &str = "fit_ns";
-    /// Detection models trained.
-    pub const MODELS_TRAINED: &str = "models_trained";
-}
+    /// `store/*` — the replicated document store.
+    store {
+        /// Insert latency (wall nanoseconds).
+        INSERT_NS = "insert_ns";
+        /// Find latency (wall nanoseconds).
+        FIND_NS = "find_ns";
+        /// Per-replica write operations.
+        REPLICA_WRITES = "replica_writes";
+        /// Document deletions.
+        DELETES = "deletes";
+        /// Store nodes currently down (gauge).
+        NODES_DOWN = "nodes_down";
+    }
 
-/// `compute/*` — the Spark-like compute cluster.
-pub mod compute {
-    /// Subsystem label.
-    pub const SUBSYSTEM: &str = "compute";
-    /// Per-task latency (wall nanoseconds).
-    pub const TASK_NS: &str = "task_ns";
-    /// Per-job latency (wall nanoseconds).
-    pub const JOB_NS: &str = "job_ns";
-    /// Tasks executed.
-    pub const TASKS: &str = "tasks";
-}
+    /// `core/*` — Athena's northbound/southbound elements.
+    core {
+        /// Feature-generation latency per SB instance (wall nanoseconds).
+        FEATURE_GEN_NS = "feature_gen_ns";
+        /// Record-dispatch latency per SB instance (wall nanoseconds).
+        DISPATCH_NS = "dispatch_ns";
+        /// Feature records dispatched.
+        FEATURE_RECORDS = "feature_records";
+        /// Model fit latency (wall nanoseconds).
+        FIT_NS = "fit_ns";
+        /// Detection models trained.
+        MODELS_TRAINED = "models_trained";
+    }
 
-/// `dataplane/*` — the simulated network.
-pub mod dataplane {
-    /// Subsystem label.
-    pub const SUBSYSTEM: &str = "dataplane";
-    /// Per-step latency (wall nanoseconds).
-    pub const STEP_NS: &str = "step_ns";
-    /// Packet-ins punted to the control plane.
-    pub const PACKET_INS: &str = "packet_ins";
-    /// Flow-removed notifications generated.
-    pub const FLOW_REMOVEDS: &str = "flow_removeds";
-    /// Bytes delivered by links.
-    pub const DELIVERED_BYTES: &str = "delivered_bytes";
-    /// Bytes dropped by contention or downed links.
-    pub const DROPPED_BYTES: &str = "dropped_bytes";
-    /// Per-switch flow-table lookups (gauge, mirrored per tick).
-    pub const TABLE_LOOKUPS: &str = "table_lookups";
-    /// Per-switch flow-table matches (gauge, mirrored per tick).
-    pub const TABLE_MATCHES: &str = "table_matches";
-    /// Links whose effective capacity is currently below 1.0 (gauge).
-    pub const LINKS_DEGRADED: &str = "links_degraded";
-    /// Switch reboots observed by the dataplane.
-    pub const SWITCH_REBOOTS: &str = "switch_reboots";
-    /// Bytes tail-dropped by stochastic link-model queue drops.
-    pub const LINK_QUEUE_DROPS: &str = "link_queue_drops";
-    /// Per-tick link latency draws (microseconds, histogram).
-    pub const LINK_LATENCY_US: &str = "link_latency_us";
-    /// Expiry wake-ups armed on the timing wheel.
-    pub const WHEEL_ARMED: &str = "wheel_armed";
-    /// Wheel wake-ups that found a due flow entry.
-    pub const WHEEL_FIRED: &str = "wheel_fired";
-    /// Wheel wake-ups whose deadline had moved later (lazy cancellation).
-    pub const WHEEL_SPURIOUS: &str = "wheel_spurious";
-}
+    /// `compute/*` — the Spark-like compute cluster.
+    compute {
+        /// Per-task latency (wall nanoseconds).
+        TASK_NS = "task_ns";
+        /// Per-job latency (wall nanoseconds).
+        JOB_NS = "job_ns";
+        /// Tasks executed.
+        TASKS = "tasks";
+    }
 
-/// `scale/*` — the dataplane engine's shard plan and routing shape
-/// (tick count and latency are `dataplane/step_ns`).
-pub mod scale {
-    /// Subsystem label.
-    pub const SUBSYSTEM: &str = "scale";
-    /// Shard count the engine partitioned the topology into (gauge).
-    pub const SHARDS: &str = "shards";
-    /// Packet-in batches handed to the controller (one per punt round;
-    /// zero under the synchronous discipline).
-    pub const PUNT_BATCHES: &str = "punt_batches";
-    /// Packet-ins delivered inside batches.
-    pub const BATCHED_PACKET_INS: &str = "batched_packet_ins";
-    /// Packets that crossed a shard boundary mid-walk.
-    pub const CROSS_SHARD_HANDOFFS: &str = "cross_shard_handoffs";
-    /// Routing rounds run, summed over ticks (a synchronous routing
-    /// pass counts as one).
-    pub const ROUTING_ROUNDS: &str = "routing_rounds";
-}
+    /// `dataplane/*` — the simulated network.
+    dataplane {
+        /// Per-step latency (wall nanoseconds).
+        STEP_NS = "step_ns";
+        /// Packet-ins punted to the control plane.
+        PACKET_INS = "packet_ins";
+        /// Flow-removed notifications generated.
+        FLOW_REMOVEDS = "flow_removeds";
+        /// Bytes delivered by links.
+        DELIVERED_BYTES = "delivered_bytes";
+        /// Bytes dropped by contention or downed links.
+        DROPPED_BYTES = "dropped_bytes";
+        /// Per-switch flow-table lookups (gauge, mirrored per tick).
+        TABLE_LOOKUPS = "table_lookups";
+        /// Links whose effective capacity is currently below 1.0 (gauge).
+        LINKS_DEGRADED = "links_degraded";
+        /// Switch reboots observed by the dataplane.
+        SWITCH_REBOOTS = "switch_reboots";
+        /// Expiry wake-ups armed on the timing wheel.
+        WHEEL_ARMED = "wheel_armed";
+        /// Wheel wake-ups whose deadline had moved later (lazy cancellation).
+        WHEEL_SPURIOUS = "wheel_spurious";
+    }
 
-/// `workloads/*` — the unseen-attack generator family.
-pub mod workloads {
-    /// Subsystem label.
-    pub const SUBSYSTEM: &str = "workloads";
-    /// Attack traces generated.
-    pub const ATTACKS_GENERATED: &str = "attacks_generated";
-    /// Flows emitted across all generated traces.
-    pub const FLOWS_GENERATED: &str = "flows_generated";
-    /// Held-out (unseen-family) traces generated.
-    pub const HELD_OUT_GENERATED: &str = "held_out_generated";
-    /// Traces that carried a non-identity mutation draw.
-    pub const MUTATIONS_APPLIED: &str = "mutations_applied";
-}
+    /// `scale/*` — the dataplane engine's shard plan and routing shape
+    /// (tick count and latency are `dataplane/step_ns`).
+    scale {
+        /// Shard count the engine partitioned the topology into (gauge).
+        SHARDS = "shards";
+        /// Packet-in batches handed to the controller (one per punt round;
+        /// zero under the synchronous discipline).
+        PUNT_BATCHES = "punt_batches";
+        /// Packet-ins delivered inside batches.
+        BATCHED_PACKET_INS = "batched_packet_ins";
+        /// Packets that crossed a shard boundary mid-walk.
+        CROSS_SHARD_HANDOFFS = "cross_shard_handoffs";
+        /// Routing rounds run, summed over ticks (a synchronous routing
+        /// pass counts as one).
+        ROUTING_ROUNDS = "routing_rounds";
+    }
 
-/// `faults/*` — the chaos injector and channel.
-pub mod faults {
-    /// Subsystem label.
-    pub const SUBSYSTEM: &str = "faults";
-    /// Fault events injected.
-    pub const INJECTED: &str = "injected";
-    /// Link state changes injected.
-    pub const LINK_EVENTS: &str = "link_events";
-    /// Switch reboots injected.
-    pub const SWITCH_REBOOTS: &str = "switch_reboots";
-    /// Controller crash/rejoin events injected.
-    pub const CONTROLLER_EVENTS: &str = "controller_events";
-    /// Store node up/down events injected.
-    pub const STORE_EVENTS: &str = "store_events";
-    /// Message-fault profile changes applied.
-    pub const MESSAGE_PROFILE_CHANGES: &str = "message_profile_changes";
-    /// Southbound messages dropped by the chaos channel.
-    pub const MSGS_DROPPED: &str = "msgs_dropped";
-    /// Southbound messages duplicated by the chaos channel.
-    pub const MSGS_DUPLICATED: &str = "msgs_duplicated";
-    /// Southbound messages delayed by the chaos channel.
-    pub const MSGS_DELAYED: &str = "msgs_delayed";
+    /// `faults/*` — the chaos injector and channel.
+    faults {
+        /// Fault events injected.
+        INJECTED = "injected";
+        /// Switch reboots injected.
+        SWITCH_REBOOTS = "switch_reboots";
+        /// Controller crash/rejoin events injected.
+        CONTROLLER_EVENTS = "controller_events";
+        /// Message-fault profile changes applied.
+        MESSAGE_PROFILE_CHANGES = "message_profile_changes";
+        /// Southbound messages dropped by the chaos channel.
+        MSGS_DROPPED = "msgs_dropped";
+        /// Southbound messages duplicated by the chaos channel.
+        MSGS_DUPLICATED = "msgs_duplicated";
+        /// Southbound messages delayed by the chaos channel.
+        MSGS_DELAYED = "msgs_delayed";
+    }
+
+    /// `ml/*` — the algorithm library.
+    ml {
+        /// Per-algorithm fit latency (wall nanoseconds).
+        FIT_NS = "fit_ns";
+    }
+
+    /// `stream/*` — the online learning pipeline (incremental windows,
+    /// retrain loop, model hot-swap).
+    stream {
+        /// Samples pushed into ring-buffer feature windows.
+        WINDOW_UPDATES = "window_updates";
+        /// Samples evicted as windows slid past them.
+        WINDOW_EVICTIONS = "window_evictions";
+        /// Retrain/swap attempts abandoned (snapshot round-trip failures).
+        SWAP_FAILURES = "swap_failures";
+        /// Gap between consecutive detections (virtual microseconds) —
+        /// the continuity signal the ≤ 15 s miss-window gate watches.
+        DETECTION_GAP_US = "detection_gap_us";
+    }
 }
 
 /// `persist/*` — WAL/checkpoint durability. Metric names here are
@@ -213,7 +210,6 @@ pub mod persist {
     /// Per-journal metric suffixes (appended to the prefix).
     pub const SUFFIXES: &[&str] = &[
         APPEND_NS_SUFFIX,
-        CHECKPOINT_NS_SUFFIX,
         CHECKPOINT_BYTES_SUFFIX,
         WAL_RECORDS_SUFFIX,
         WAL_BYTES_SUFFIX,
@@ -223,8 +219,6 @@ pub mod persist {
     ];
     /// WAL append latency (wall nanoseconds).
     pub const APPEND_NS_SUFFIX: &str = "_append_ns";
-    /// Checkpoint write latency (wall nanoseconds).
-    pub const CHECKPOINT_NS_SUFFIX: &str = "_checkpoint_ns";
     /// Checkpoint sizes (bytes).
     pub const CHECKPOINT_BYTES_SUFFIX: &str = "_checkpoint_bytes";
     /// WAL records appended.
@@ -238,134 +232,6 @@ pub mod persist {
     /// Torn/corrupt WAL tails truncated during recovery.
     pub const TAILS_TRUNCATED_SUFFIX: &str = "_tails_truncated";
 }
-
-/// `apps/*` — the detection applications.
-pub mod apps {
-    /// Subsystem label.
-    pub const SUBSYSTEM: &str = "apps";
-    /// DDoS app training latency (wall nanoseconds).
-    pub const DDOS_TRAIN_NS: &str = "ddos_train_ns";
-    /// DDoS app test latency (wall nanoseconds).
-    pub const DDOS_TEST_NS: &str = "ddos_test_ns";
-}
-
-/// `ml/*` — the algorithm library.
-pub mod ml {
-    /// Subsystem label.
-    pub const SUBSYSTEM: &str = "ml";
-    /// Per-algorithm fit latency (wall nanoseconds).
-    pub const FIT_NS: &str = "fit_ns";
-}
-
-/// `stream/*` — the online learning pipeline (incremental windows,
-/// retrain loop, model hot-swap).
-pub mod stream {
-    /// Subsystem label.
-    pub const SUBSYSTEM: &str = "stream";
-    /// Samples pushed into ring-buffer feature windows.
-    pub const WINDOW_UPDATES: &str = "window_updates";
-    /// Samples evicted as windows slid past them.
-    pub const WINDOW_EVICTIONS: &str = "window_evictions";
-    /// Online `partial_fit` steps applied to the candidate model.
-    pub const PARTIAL_FITS: &str = "partial_fits";
-    /// Background retrain latency (wall nanoseconds).
-    pub const RETRAIN_NS: &str = "retrain_ns";
-    /// Candidate models retrained on the live window.
-    pub const RETRAINS: &str = "retrains";
-    /// Candidate models hot-swapped into the detector.
-    pub const SWAPS: &str = "swaps";
-    /// Retrain/swap attempts abandoned (snapshot round-trip failures).
-    pub const SWAP_FAILURES: &str = "swap_failures";
-    /// Gap between consecutive detections (virtual microseconds) —
-    /// the continuity signal the ≤ 15 s miss-window gate watches.
-    pub const DETECTION_GAP_US: &str = "detection_gap_us";
-    /// Labeled points currently held in the live window.
-    pub const LIVE_POINTS: &str = "live_points";
-}
-
-/// Every fixed subsystem/name pair production code emits (persist's
-/// per-journal names are declared by prefix/suffix instead — see
-/// [`is_declared`]).
-pub const DECLARED: &[(&str, &str)] = &[
-    (controller::SUBSYSTEM, controller::PACKET_INS),
-    (controller::SUBSYSTEM, controller::FLOW_MODS),
-    (controller::SUBSYSTEM, controller::STATS_REPLIES),
-    (controller::SUBSYSTEM, controller::FLOW_REMOVEDS),
-    (controller::SUBSYSTEM, controller::PACKET_IN_NS),
-    (controller::SUBSYSTEM, controller::STATS_POLLS_ISSUED),
-    (controller::SUBSYSTEM, controller::RULES_INSTALLED),
-    (controller::SUBSYSTEM, controller::RULES_REMOVED),
-    (failover::SUBSYSTEM, failover::ELECTIONS),
-    (failover::SUBSYSTEM, failover::SWITCHES_MOVED),
-    (failover::SUBSYSTEM, failover::INSTANCES_DOWN),
-    (retry::SUBSYSTEM, retry::STATS_RETRIES),
-    (retry::SUBSYSTEM, retry::STATS_TIMEOUTS),
-    (retry::SUBSYSTEM, retry::STATS_GAVE_UP),
-    (retry::SUBSYSTEM, retry::SB_STATS_TIMEOUTS),
-    (retry::SUBSYSTEM, retry::SB_STATS_RETRIES),
-    (retry::SUBSYSTEM, retry::SB_STATS_GAVE_UP),
-    (retry::SUBSYSTEM, retry::STORE_WRITE_HANDOFFS),
-    (retry::SUBSYSTEM, retry::STORE_QUORUM_FAILURES),
-    (retry::SUBSYSTEM, retry::STORE_DEGRADED_READS),
-    (store::SUBSYSTEM, store::INSERT_NS),
-    (store::SUBSYSTEM, store::FIND_NS),
-    (store::SUBSYSTEM, store::AGGREGATE_NS),
-    (store::SUBSYSTEM, store::REPLICA_WRITES),
-    (store::SUBSYSTEM, store::DELETES),
-    (store::SUBSYSTEM, store::NODES_DOWN),
-    (core::SUBSYSTEM, core::FEATURE_GEN_NS),
-    (core::SUBSYSTEM, core::DISPATCH_NS),
-    (core::SUBSYSTEM, core::FEATURE_RECORDS),
-    (core::SUBSYSTEM, core::FIT_NS),
-    (core::SUBSYSTEM, core::MODELS_TRAINED),
-    (compute::SUBSYSTEM, compute::TASK_NS),
-    (compute::SUBSYSTEM, compute::JOB_NS),
-    (compute::SUBSYSTEM, compute::TASKS),
-    (dataplane::SUBSYSTEM, dataplane::STEP_NS),
-    (dataplane::SUBSYSTEM, dataplane::PACKET_INS),
-    (dataplane::SUBSYSTEM, dataplane::FLOW_REMOVEDS),
-    (dataplane::SUBSYSTEM, dataplane::DELIVERED_BYTES),
-    (dataplane::SUBSYSTEM, dataplane::DROPPED_BYTES),
-    (dataplane::SUBSYSTEM, dataplane::TABLE_LOOKUPS),
-    (dataplane::SUBSYSTEM, dataplane::TABLE_MATCHES),
-    (dataplane::SUBSYSTEM, dataplane::LINKS_DEGRADED),
-    (dataplane::SUBSYSTEM, dataplane::SWITCH_REBOOTS),
-    (dataplane::SUBSYSTEM, dataplane::LINK_QUEUE_DROPS),
-    (dataplane::SUBSYSTEM, dataplane::LINK_LATENCY_US),
-    (dataplane::SUBSYSTEM, dataplane::WHEEL_ARMED),
-    (dataplane::SUBSYSTEM, dataplane::WHEEL_FIRED),
-    (dataplane::SUBSYSTEM, dataplane::WHEEL_SPURIOUS),
-    (scale::SUBSYSTEM, scale::SHARDS),
-    (scale::SUBSYSTEM, scale::PUNT_BATCHES),
-    (scale::SUBSYSTEM, scale::BATCHED_PACKET_INS),
-    (scale::SUBSYSTEM, scale::CROSS_SHARD_HANDOFFS),
-    (scale::SUBSYSTEM, scale::ROUTING_ROUNDS),
-    (workloads::SUBSYSTEM, workloads::ATTACKS_GENERATED),
-    (workloads::SUBSYSTEM, workloads::FLOWS_GENERATED),
-    (workloads::SUBSYSTEM, workloads::HELD_OUT_GENERATED),
-    (workloads::SUBSYSTEM, workloads::MUTATIONS_APPLIED),
-    (faults::SUBSYSTEM, faults::INJECTED),
-    (faults::SUBSYSTEM, faults::LINK_EVENTS),
-    (faults::SUBSYSTEM, faults::SWITCH_REBOOTS),
-    (faults::SUBSYSTEM, faults::CONTROLLER_EVENTS),
-    (faults::SUBSYSTEM, faults::STORE_EVENTS),
-    (faults::SUBSYSTEM, faults::MESSAGE_PROFILE_CHANGES),
-    (faults::SUBSYSTEM, faults::MSGS_DROPPED),
-    (faults::SUBSYSTEM, faults::MSGS_DUPLICATED),
-    (faults::SUBSYSTEM, faults::MSGS_DELAYED),
-    (apps::SUBSYSTEM, apps::DDOS_TRAIN_NS),
-    (apps::SUBSYSTEM, apps::DDOS_TEST_NS),
-    (ml::SUBSYSTEM, ml::FIT_NS),
-    (stream::SUBSYSTEM, stream::WINDOW_UPDATES),
-    (stream::SUBSYSTEM, stream::WINDOW_EVICTIONS),
-    (stream::SUBSYSTEM, stream::PARTIAL_FITS),
-    (stream::SUBSYSTEM, stream::RETRAIN_NS),
-    (stream::SUBSYSTEM, stream::RETRAINS),
-    (stream::SUBSYSTEM, stream::SWAPS),
-    (stream::SUBSYSTEM, stream::SWAP_FAILURES),
-    (stream::SUBSYSTEM, stream::DETECTION_GAP_US),
-    (stream::SUBSYSTEM, stream::LIVE_POINTS),
-];
 
 /// Whether production code declares the `subsystem/name` pair.
 /// Instances are not part of the key — strip them before calling.

@@ -23,37 +23,6 @@ pub mod mutate;
 pub use family::{AttackConfig, AttackFamily, GeneratedAttack};
 pub use mutate::{MutationBounds, MutationParams, BOUNDS};
 
-use athena_telemetry::{names, Telemetry};
-
-/// Records a generated attack in the `workloads/*` telemetry counters.
-pub fn record_generation(tel: &Telemetry, attack: &GeneratedAttack) {
-    let m = tel.metrics();
-    m.counter(
-        names::workloads::SUBSYSTEM,
-        names::workloads::ATTACKS_GENERATED,
-    )
-    .inc();
-    m.counter(
-        names::workloads::SUBSYSTEM,
-        names::workloads::FLOWS_GENERATED,
-    )
-    .add(attack.flows.len() as u64);
-    if attack.held_out() {
-        m.counter(
-            names::workloads::SUBSYSTEM,
-            names::workloads::HELD_OUT_GENERATED,
-        )
-        .inc();
-    }
-    if attack.params != MutationParams::identity() {
-        m.counter(
-            names::workloads::SUBSYSTEM,
-            names::workloads::MUTATIONS_APPLIED,
-        )
-        .inc();
-    }
-}
-
 /// Splits generated attacks into the training set (base families only)
 /// and the held-out evaluation set. The ML layer must never see a
 /// held-out trace at fit time — the property suite enforces this.
@@ -86,21 +55,5 @@ mod tests {
         assert_eq!(held.len(), AttackFamily::unseen().len());
         assert!(train.iter().all(|a| !a.held_out()));
         assert!(held.iter().all(|a| a.held_out()));
-    }
-
-    #[test]
-    fn record_generation_uses_declared_names() {
-        let tel = Telemetry::new();
-        let topo = Topology::enterprise();
-        let cfg = AttackConfig {
-            n_flows: 10,
-            ..AttackConfig::new(topo.hosts[0].ip)
-        };
-        let base = AttackFamily::Ddos.generate(&topo, &cfg, 1);
-        let mutant = AttackFamily::RateScaledDdos.generate(&topo, &cfg, 1);
-        record_generation(&tel, &base);
-        record_generation(&tel, &mutant);
-        let report = tel.report();
-        assert!(names::undeclared(&report).is_empty());
     }
 }

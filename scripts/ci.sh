@@ -79,18 +79,17 @@ echo "==> parallel smoke gate (width determinism + lock sentinel)"
 timed_gate "parallel gate" \
     env ATHENA_LOCK_SENTINEL=1 ATHENA_CHAOS_SMOKE=1 cargo test -q --offline --test e2e_determinism
 
-echo "==> observe gate (chaos-alert round trip + causal traces + overhead sweep)"
+echo "==> observe gate (chaos-alert round trip + causal traces + health table)"
 # The e2e writes target/chrome-trace.json and target/observe-report.json;
-# athena_top rewrites the report and adds the per-width overhead sweep.
+# athena_top prints the live health table and rewrites the report.
 cargo build -q --release --offline -p athena-bench --bin athena_top
 observe_gate() {
     ATHENA_CHAOS_SMOKE=1 cargo test -q --release --offline --test e2e_observe
-    ATHENA_BENCH_SMOKE=1 ATHENA_OBS_JSON=target/BENCH_obs.json ./target/release/athena_top
+    ATHENA_BENCH_SMOKE=1 ./target/release/athena_top
 }
 timed_gate "observe gate" observe_gate
 test -s target/chrome-trace.json
 test -s target/observe-report.json
-test -s target/BENCH_obs.json
 
 echo "==> Table-IV matrix gate (every attack x algorithm cell + baselines)"
 # Smoke mode halves the workloads but never skips a cell; the recorded

@@ -18,7 +18,7 @@
 //! | [`apps`] | `athena-apps` | DDoS / LFA / NAE applications + Table VIII baselines |
 //! | [`faults`] | `athena-faults` | seeded fault injection: fault plans, chaos channel, injector |
 //! | [`persist`] | `athena-persist` | append-only WAL + checkpoints; crash recovery for store/models/controller |
-//! | [`telemetry`] | `athena-telemetry` | metrics + virtual-time tracing (off by default) |
+//! | [`telemetry`] | `athena-telemetry` | metrics registry and metric names (off by default) |
 //! | [`observe`] | `athena-observe` | causal traces, time-series sampling, SLO alert rules |
 //! | [`workloads`] | `athena-workloads` | attack generators: base families + held-out mutants with ground truth |
 //!

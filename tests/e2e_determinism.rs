@@ -1,16 +1,14 @@
 //! Worker-count determinism e2e: the same seeded scenario run at
 //! `ATHENA_THREADS=1` and `ATHENA_THREADS=8` must produce byte-identical
-//! store contents, detection verdicts, and telemetry streams. The
+//! store contents, detection verdicts, causal streams, and counters. The
 //! width may only change *how fast* answers arrive, never the answers —
 //! index-ordered results in `athena-parallel` plus the
 //! no-unordered-iter lint rule are what make this hold.
 //!
-//! Canonicalization: wall-clock stamps (`wall_start_ns`/`wall_dur_ns`)
-//! are excluded from trace comparison — they measure host CPU time, not
-//! simulation behaviour. `compute/job` events are additionally stamped at
-//! the cluster's cumulative *measured* virtual time (derived from wall
-//! task costs), so their sim stamps are zeroed too; their order, labels,
-//! and task counts still must match. Every metric counter is compared.
+//! The causal stream is compared whole — every field of every span and
+//! event: spans are stamped in virtual time and opened on the driving
+//! thread only, so nothing in them depends on the host. Every metric
+//! counter is compared; histograms (wall-clock-fed) are not.
 //!
 //! Set `ATHENA_CHAOS_SMOKE=1` for the lighter CI workload (same
 //! assertions).
@@ -20,7 +18,7 @@ use athena::controller::ControllerCluster;
 use athena::core::{Athena, AthenaConfig};
 use athena::dataplane::{workload, Network, Topology};
 use athena::faults::{run_with_faults, ChaosChannel, FaultInjector, Scenario};
-use athena::observe::Observe;
+use athena::observe::{CausalEvent, CausalSpan, Observe};
 use athena::telemetry::Telemetry;
 use athena::types::{SimDuration, SimTime};
 use std::sync::Mutex;
@@ -54,18 +52,35 @@ fn with_threads<R>(threads: usize, f: impl FnOnce() -> R) -> R {
     out
 }
 
-/// Everything a run observably produced, rendered to comparable strings.
+/// Everything a run observably produced, in comparable form.
 #[derive(Debug, PartialEq, Eq)]
 struct Snapshot {
     store: String,
     verdict: String,
-    trace: Vec<String>,
     counters: Vec<String>,
-    /// Seed-derived causal trace ids, in root-creation order. Runners
-    /// never open causal spans, so this stream is width-invariant.
+    /// Seed-derived causal trace ids, in root-creation order.
     trace_ids: Vec<u64>,
+    /// Every completed causal span, in finish order, and every event.
+    spans: Vec<CausalSpan>,
+    events: Vec<CausalEvent>,
     /// Rendered fire/clear transitions of the deterministic alert rules.
     alerts: Vec<String>,
+}
+
+impl Snapshot {
+    /// Takes the rig's parts rather than the rig: the chaos run has moved
+    /// its cluster into the chaos channel by then.
+    fn of(athena: &Athena, tel: &Telemetry, obs: &Observe, verdict: String) -> Self {
+        Snapshot {
+            store: athena.runtime().store.contents(),
+            verdict,
+            counters: canonical_counters(tel),
+            trace_ids: obs.trace_ids(),
+            spans: obs.spans(),
+            events: obs.events(),
+            alerts: canonical_alerts(obs),
+        }
+    }
 }
 
 /// The deterministic alert stream in its canonical byte-compared form.
@@ -73,26 +88,6 @@ fn canonical_alerts(obs: &Observe) -> Vec<String> {
     obs.deterministic_alert_events()
         .iter()
         .map(|e| e.render())
-        .collect()
-}
-
-/// The trace stream minus wall stamps; `compute` sim stamps zeroed (they
-/// carry measured task costs), everything else byte-for-byte.
-fn canonical_trace(tel: &Telemetry) -> Vec<String> {
-    tel.tracer()
-        .entries()
-        .into_iter()
-        .map(|e| {
-            let (start, end) = if e.subsystem == "compute" {
-                (SimTime::ZERO, SimTime::ZERO)
-            } else {
-                (e.sim_start, e.sim_end)
-            };
-            format!(
-                "{} {:?} {}/{} {:?}..{:?} {}",
-                e.seq, e.kind, e.subsystem, e.name, start, end, e.detail
-            )
-        })
         .collect()
 }
 
@@ -105,23 +100,37 @@ fn canonical_counters(tel: &Telemetry) -> Vec<String> {
         .collect()
 }
 
-/// `expect_trace` is false for the fault-injected run: `run_with_faults`
-/// drives `Network::step` directly and never opens the `run_until` span,
-/// so its trace stream is legitimately empty.
-fn assert_identical(what: &str, one: Snapshot, eight: Snapshot, expect_trace: bool) {
+/// Where two streams first differ — the index and the two items, not a
+/// 15,000-span dump.
+fn first_difference<'a, T: PartialEq>(
+    a: &'a [T],
+    b: &'a [T],
+) -> Option<(usize, Option<&'a T>, Option<&'a T>)> {
+    (0..a.len().max(b.len()))
+        .find(|&i| a.get(i) != b.get(i))
+        .map(|i| (i, a.get(i), b.get(i)))
+}
+
+fn assert_identical(what: &str, one: Snapshot, eight: Snapshot) {
     assert!(!one.store.is_empty(), "{what}: empty store snapshot");
-    assert!(
-        !expect_trace || !one.trace.is_empty(),
-        "{what}: empty trace stream"
-    );
     assert!(!one.trace_ids.is_empty(), "{what}: no causal traces");
+    assert!(!one.spans.is_empty(), "{what}: no causal spans");
     assert_eq!(one.store, eight.store, "{what}: store contents diverge");
     assert_eq!(one.verdict, eight.verdict, "{what}: verdicts diverge");
-    assert_eq!(one.trace, eight.trace, "{what}: trace streams diverge");
     assert_eq!(one.counters, eight.counters, "{what}: counters diverge");
     assert_eq!(
         one.trace_ids, eight.trace_ids,
         "{what}: causal trace-id streams diverge"
+    );
+    assert_eq!(
+        first_difference(&one.spans, &eight.spans),
+        None,
+        "{what}: causal spans diverge"
+    );
+    assert_eq!(
+        first_difference(&one.events, &eight.events),
+        None,
+        "{what}: causal events diverge"
     );
     assert_eq!(
         one.alerts, eight.alerts,
@@ -193,14 +202,7 @@ fn ddos_snapshot() -> Snapshot {
     });
     let model = det.train(&r.athena).expect("training");
     let confusion = det.test(&r.athena, &model).confusion;
-    Snapshot {
-        store: r.athena.runtime().store.contents(),
-        verdict: format!("{confusion:?}"),
-        trace: canonical_trace(&r.tel),
-        counters: canonical_counters(&r.tel),
-        trace_ids: r.obs.trace_ids(),
-        alerts: canonical_alerts(&r.obs),
-    }
+    Snapshot::of(&r.athena, &r.tel, &r.obs, format!("{confusion:?}"))
 }
 
 fn port_scan_snapshot() -> Snapshot {
@@ -225,14 +227,12 @@ fn port_scan_snapshot() -> Snapshot {
     r.net.run_until(SimTime::from_secs(25), &mut r.cluster);
     let flagged = det.detect(&r.athena);
     let mitigated = r.athena.mitigated_hosts();
-    Snapshot {
-        store: r.athena.runtime().store.contents(),
-        verdict: format!("flagged={flagged:?} mitigated={mitigated:?}"),
-        trace: canonical_trace(&r.tel),
-        counters: canonical_counters(&r.tel),
-        trace_ids: r.obs.trace_ids(),
-        alerts: canonical_alerts(&r.obs),
-    }
+    Snapshot::of(
+        &r.athena,
+        &r.tel,
+        &r.obs,
+        format!("flagged={flagged:?} mitigated={mitigated:?}"),
+    )
 }
 
 /// A chaos-matrix controller-crash run: faults strike mid-attack, heal,
@@ -257,35 +257,28 @@ fn chaos_snapshot() -> Snapshot {
     });
     let model = det.train(&r.athena).expect("training");
     let confusion = det.test(&r.athena, &model).confusion;
-    Snapshot {
-        store: r.athena.runtime().store.contents(),
-        verdict: format!("{confusion:?}"),
-        trace: canonical_trace(&r.tel),
-        counters: canonical_counters(&r.tel),
-        trace_ids: r.obs.trace_ids(),
-        alerts: canonical_alerts(&r.obs),
-    }
+    Snapshot::of(&r.athena, &r.tel, &r.obs, format!("{confusion:?}"))
 }
 
 #[test]
 fn ddos_run_is_byte_identical_across_worker_counts() {
     let one = with_threads(1, ddos_snapshot);
     let eight = with_threads(8, ddos_snapshot);
-    assert_identical("ddos", one, eight, true);
+    assert_identical("ddos", one, eight);
 }
 
 #[test]
 fn port_scan_run_is_byte_identical_across_worker_counts() {
     let one = with_threads(1, port_scan_snapshot);
     let eight = with_threads(8, port_scan_snapshot);
-    assert_identical("port-scan", one, eight, true);
+    assert_identical("port-scan", one, eight);
 }
 
 #[test]
 fn chaos_controller_crash_is_byte_identical_across_worker_counts() {
     let one = with_threads(1, chaos_snapshot);
     let eight = with_threads(8, chaos_snapshot);
-    assert_identical("chaos/controller-crash", one, eight, false);
+    assert_identical("chaos/controller-crash", one, eight);
 }
 
 /// One Table-IV matrix cell rendered to canonical bytes: the DDoS family
@@ -357,21 +350,19 @@ fn stream_hot_swap_snapshot() -> Snapshot {
     }
     let swaps = retrain.reports().iter().filter(|rep| rep.swapped).count();
     assert!(swaps >= 1, "no hot-swap happened mid-run");
-    Snapshot {
-        store: r.athena.runtime().store.contents(),
-        verdict: format!("{:?}", retrain.reports()),
-        trace: canonical_trace(&r.tel),
-        counters: canonical_counters(&r.tel),
-        trace_ids: r.obs.trace_ids(),
-        alerts: canonical_alerts(&r.obs),
-    }
+    Snapshot::of(
+        &r.athena,
+        &r.tel,
+        &r.obs,
+        format!("{:?}", retrain.reports()),
+    )
 }
 
 #[test]
 fn stream_hot_swap_run_is_byte_identical_across_worker_counts() {
     let one = with_threads(1, stream_hot_swap_snapshot);
     let eight = with_threads(8, stream_hot_swap_snapshot);
-    assert_identical("stream-hot-swap", one, eight, true);
+    assert_identical("stream-hot-swap", one, eight);
 }
 
 #[test]

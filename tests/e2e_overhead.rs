@@ -6,14 +6,18 @@
 //! enabled changes the simulated results not at all and does a bounded
 //! amount of extra work per stored feature record — and the same holds
 //! for the full observe layer (causal tracing + series sampling + alert
-//! evaluation) on top.
+//! evaluation) on top. And the span-count gate: the causal spans of a
+//! run, counted per boundary, equal the counters the same run keeps for
+//! its own purposes.
 
+use athena::apps::{DdosDataset, DdosDetector, DdosDetectorConfig};
 use athena::controller::cbench::{throughput_round, CbenchResponder};
 use athena::controller::ControllerCluster;
 use athena::core::{Athena, AthenaConfig};
 use athena::dataplane::{workload, Network, NetworkCounters, Topology};
+use athena::ml::Algorithm;
 use athena::observe::Observe;
-use athena::telemetry::Telemetry;
+use athena::telemetry::{names, Telemetry};
 use athena::types::{SimDuration, SimTime};
 
 fn cluster_with(athena: Option<&Athena>) -> ControllerCluster {
@@ -75,9 +79,9 @@ fn cbench_overhead_ordering_holds() {
 
 /// One full simulated deployment: enterprise topology, benign workload,
 /// Athena attached, optionally with the observe layer (tracing +
-/// sampling + alerting) bound everywhere. Returns the deterministic
-/// outcomes: network counters and feature records stored.
-fn simulate(tel: &Telemetry, obs: Option<&Observe>) -> (NetworkCounters, usize) {
+/// sampling + alerting) bound everywhere. Returns the network and the
+/// deployment as the run left them.
+fn simulate(tel: &Telemetry, obs: Option<&Observe>) -> (Network, Athena) {
     let topo = Topology::enterprise();
     let mut net = Network::new(topo.clone());
     net.bind_telemetry(tel);
@@ -97,6 +101,12 @@ fn simulate(tel: &Telemetry, obs: Option<&Observe>) -> (NetworkCounters, usize) 
         1,
     ));
     net.run_until(SimTime::from_secs(12), &mut cluster);
+    (net, athena)
+}
+
+/// The deterministic outcomes of a run: network counters and feature
+/// records stored.
+fn outcome((net, athena): &(Network, Athena)) -> (NetworkCounters, usize) {
     (net.counters(), athena.stored_feature_count())
 }
 
@@ -117,10 +127,10 @@ const MAX_SPANS_PER_RECORD: f64 = 2.0;
 
 #[test]
 fn telemetry_changes_results_not_at_all_and_costs_bounded_work_per_record() {
-    let off = simulate(&Telemetry::off(), None);
+    let off = outcome(&simulate(&Telemetry::off(), None));
 
     let on = Telemetry::new();
-    let with_telemetry = simulate(&on, None);
+    let with_telemetry = outcome(&simulate(&on, None));
     // The enabled run actually observed the deployment.
     let report = on.report();
     assert!(!report.is_empty(), "enabled telemetry must collect data");
@@ -128,7 +138,7 @@ fn telemetry_changes_results_not_at_all_and_costs_bounded_work_per_record() {
     // Third arm: the full observe layer on top of telemetry.
     let tel = Telemetry::new();
     let obs = Observe::with_telemetry(7, &tel);
-    let with_observe = simulate(&tel, Some(&obs));
+    let with_observe = outcome(&simulate(&tel, Some(&obs)));
     assert!(!obs.trace_ids().is_empty(), "observe must record traces");
     assert!(obs.samples() > 0, "observe must sample the registry");
 
@@ -154,6 +164,106 @@ fn telemetry_changes_results_not_at_all_and_costs_bounded_work_per_record() {
         "observe opened {per_record:.3} spans per stored record \
          ({spans} over {stored} records)"
     );
+}
+
+/// Every boundary that opens a causal span also keeps a counter for its
+/// own purposes; on one fault-free run under the synchronous discipline
+/// the two must agree, boundary by boundary. These are the counts the
+/// ledger reports from outside (`store.inserts`,
+/// `controller.packet_in_calls`, `controller.stats_reply_calls`,
+/// `dataplane.steps`), so the program's own view and the outside one
+/// cannot drift — and a boundary that loses its span fails here, by name.
+#[test]
+fn span_counts_equal_the_functional_counters_of_the_same_run() {
+    let tel = Telemetry::new();
+    let obs = Observe::with_telemetry(7, &tel);
+    let (net, athena) = simulate(&tel, Some(&obs));
+
+    // The compute boundary: one local fit (no job) and one distributed
+    // validation (jobs) through the deployment's own cluster.
+    let det = DdosDetector::new(DdosDetectorConfig::default());
+    let data = DdosDataset::generate(2_000, 3);
+    let dm = athena.detector_manager();
+    let model = dm
+        .generate_from_points(
+            data.points.clone(),
+            &DdosDetector::features(),
+            &det.preprocessor(),
+            &Algorithm::kmeans(4),
+        )
+        .expect("k-means fits the synthetic set");
+    let _ = dm.validate_points_distributed(data.points, &model);
+
+    let spans = obs.spans();
+    let named = |subsystem: &'static str, name: &'static str| {
+        spans
+            .iter()
+            .filter(move |s| (s.subsystem, s.name) == (subsystem, name))
+    };
+    let span_count = |subsystem, name| named(subsystem, name).count() as u64;
+    let m = tel.metrics();
+    let ctl = |name| m.counter(names::controller::SUBSYSTEM, name).get();
+    let report = obs.report();
+    assert_eq!(
+        (
+            report.spans_dropped,
+            report.events_dropped,
+            report.trace_ids_dropped
+        ),
+        (0, 0, 0),
+        "the recorder overflowed; the counts below would be short"
+    );
+
+    let store = athena.runtime().store.metrics();
+    assert!(store.inserts > 0);
+    assert_eq!(
+        span_count("store", "quorum_write"),
+        store.inserts + store.quorum_failures
+    );
+
+    let packet_ins = net.counters().packet_ins;
+    assert!(packet_ins > 0);
+    assert_eq!(span_count("dataplane", "packet_in"), packet_ins);
+    assert_eq!(span_count("controller", "packet_in"), packet_ins);
+    assert_eq!(ctl(names::controller::PACKET_INS), packet_ins);
+    let stats_replies = ctl(names::controller::STATS_REPLIES);
+    assert!(stats_replies > 0);
+    assert_eq!(span_count("dataplane", "stats_reply"), stats_replies);
+
+    // Every message the controller took reached the one southbound
+    // element mastering its switch.
+    let handed = packet_ins + stats_replies + ctl(names::controller::FLOW_REMOVEDS);
+    assert_eq!(span_count("core", "feature_gen"), handed);
+    // A dispatch is one non-empty batch of records: one per message that
+    // yielded any, plus the window flushes `on_tick` makes outside any
+    // message — so `core/dispatch` may exceed `core/feature_gen` (391 to
+    // 390 here). What the batches must add up to is the records counted.
+    let yielding = named("core", "feature_gen")
+        .filter(|s| s.detail != "0 records")
+        .count() as u64;
+    assert!(0 < yielding && yielding <= span_count("core", "dispatch"));
+    let dispatched_records: u64 = named("core", "dispatch")
+        .map(|s| {
+            let n = s.detail.split(' ').next().unwrap_or_default();
+            n.parse::<u64>().expect("`<n> records, <m> verdicts`")
+        })
+        .sum();
+    assert_eq!(
+        dispatched_records,
+        m.counter(names::core::SUBSYSTEM, names::core::FEATURE_RECORDS)
+            .get()
+    );
+
+    let jobs = dm.compute().job_count();
+    assert!(jobs > 0);
+    assert_eq!(span_count("compute", "job"), jobs);
+
+    let ticks = net.now().as_micros() / net.config().tick.as_micros();
+    let steps = m
+        .histogram(names::dataplane::SUBSYSTEM, names::dataplane::STEP_NS)
+        .snapshot()
+        .count;
+    assert_eq!(steps, ticks);
 }
 
 #[test]
