@@ -2,8 +2,8 @@
 //!
 //! Runs the file-local rules and the whole-workspace call-graph passes
 //! (derived lock graph, hot-path propagation) over `src/` and
-//! `crates/*/src/`, then exits non-zero on any error-severity finding or
-//! stale `[[allow]]` entry.
+//! `crates/*/src/`, then exits non-zero on any finding or stale
+//! `[[allow]]` entry.
 //!
 //! Flags:
 //! - `--root <dir>`: workspace root (default: walk up to `lint.toml`).
@@ -17,8 +17,7 @@ use std::fs;
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use athena_analyze::{check_workspace, json};
-use athena_lint::{find_root, Severity};
+use athena_analyze::{check_workspace, find_root, json};
 
 fn main() -> ExitCode {
     let args: Vec<String> = env::args().skip(1).collect();
@@ -55,7 +54,7 @@ fn main() -> ExitCode {
                      \n\
                      Workspace static-analysis gate: file-local rules plus the\n\
                      call-graph passes (derived lock-acquisition graph, hot-path\n\
-                     propagation). Exits non-zero on error findings or stale\n\
+                     propagation). Exits non-zero on findings or stale\n\
                      [[allow]] entries.\n\
                      \n\
                      --root <dir>    workspace root (default: nearest lint.toml upward)\n\
@@ -131,18 +130,12 @@ fn main() -> ExitCode {
     for s in &report.stale_allows {
         println!("{s}");
     }
-    let errors = report
-        .diagnostics
-        .iter()
-        .filter(|d| d.severity == Severity::Error)
-        .count();
     println!(
-        "athena-lint: {} files, {} hot functions, {} lock edges, {} error(s), {} warning(s), {} stale allow(s)",
+        "athena-lint: {} files, {} hot functions, {} lock edges, {} error(s), {} stale allow(s)",
         report.files_scanned,
         analysis.hot_functions.len(),
         analysis.lock_graph.edges.len(),
-        errors,
-        report.diagnostics.len() - errors,
+        report.diagnostics.len(),
         report.stale_allows.len()
     );
     if report.has_errors() {

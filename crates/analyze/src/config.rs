@@ -5,32 +5,7 @@
 //! headers, `[[allow]]` array-of-table headers, `key = "string"`, and
 //! `key = [ "array", "of", "strings" ]` (single- or multi-line).
 
-use std::collections::HashMap;
-use std::fmt;
-
-/// How a rule's findings are treated.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Severity {
-    /// Reported and fails the gate.
-    Error,
-    /// Reported but does not fail the gate.
-    Warn,
-    /// Rule disabled.
-    Off,
-}
-
-impl Severity {
-    fn parse(s: &str) -> Result<Self, ConfigError> {
-        match s {
-            "error" => Ok(Severity::Error),
-            "warn" => Ok(Severity::Warn),
-            "off" => Ok(Severity::Off),
-            other => Err(ConfigError::new(format!(
-                "unknown severity {other:?} (expected \"error\", \"warn\", or \"off\")"
-            ))),
-        }
-    }
-}
+use crate::LintError;
 
 /// One grandfathered violation.
 #[derive(Debug, Clone)]
@@ -41,7 +16,7 @@ pub struct AllowEntry {
     pub file: String,
     /// Substring of the offending source line.
     pub pattern: String,
-    /// Why the site is allowed (required; shown in `--list-allowed`).
+    /// Why the site is allowed (required).
     pub reason: String,
     /// 1-based `lint.toml` line of the `[[allow]]` header — reported when
     /// the entry goes stale so the line to delete is one click away.
@@ -56,6 +31,9 @@ pub struct Config {
     /// file). Panic-freedom and iteration-order rules propagate from
     /// these transitively through the workspace call graph.
     pub hot_entries: Vec<String>,
+    /// 1-based `lint.toml` line of the `hot_entries` key (0 when absent) —
+    /// reported when an entry matches no function.
+    pub hot_entries_line: usize,
     /// Crate-qualified lock names (`"<crate>/<field>"`) in the one global
     /// acquisition order. The call-graph analysis *derives* the real
     /// acquisition graph and verifies this list against it: every derived
@@ -78,44 +56,23 @@ pub struct Config {
     /// *supposed* to read the host clock: telemetry's timers and the
     /// real-time bench harnesses).
     pub wallclock_exempt: Vec<String>,
-    /// Per-rule severity overrides.
-    pub severity: HashMap<String, Severity>,
     /// Grandfathered sites.
     pub allow: Vec<AllowEntry>,
 }
 
-/// Error produced by [`Config::parse`].
-#[derive(Debug)]
-pub struct ConfigError {
-    message: String,
+/// A parse error pointing at its `lint.toml` line.
+fn at(line_no: usize, message: String) -> LintError {
+    LintError(format!("lint.toml:{line_no}: {message}"))
 }
-
-impl ConfigError {
-    fn new(message: String) -> Self {
-        ConfigError { message }
-    }
-
-    fn at(line_no: usize, message: String) -> Self {
-        ConfigError::new(format!("lint.toml:{line_no}: {message}"))
-    }
-}
-
-impl fmt::Display for ConfigError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&self.message)
-    }
-}
-
-impl std::error::Error for ConfigError {}
 
 impl Config {
     /// Parses the configuration text.
     ///
     /// # Errors
     ///
-    /// Returns [`ConfigError`] on syntax this subset does not understand,
+    /// Returns [`LintError`] on syntax this subset does not understand,
     /// unknown keys, or an `[[allow]]` entry missing a field.
-    pub fn parse(text: &str) -> Result<Self, ConfigError> {
+    pub fn parse(text: &str) -> Result<Self, LintError> {
         let mut config = Config::default();
         let mut section = String::new();
 
@@ -129,10 +86,7 @@ impl Config {
 
             if let Some(header) = line.strip_prefix("[[").and_then(|l| l.strip_suffix("]]")) {
                 if header != "allow" {
-                    return Err(ConfigError::at(
-                        line_no,
-                        format!("unknown array table [[{header}]]"),
-                    ));
+                    return Err(at(line_no, format!("unknown array table [[{header}]]")));
                 }
                 section = "allow".to_string();
                 config.allow.push(AllowEntry {
@@ -146,10 +100,8 @@ impl Config {
             }
             if let Some(header) = line.strip_prefix('[').and_then(|l| l.strip_suffix(']')) {
                 match header {
-                    "lint" | "severity" | "analyze" => section = header.to_string(),
-                    other => {
-                        return Err(ConfigError::at(line_no, format!("unknown table [{other}]")))
-                    }
+                    "lint" | "analyze" => section = header.to_string(),
+                    other => return Err(at(line_no, format!("unknown table [{other}]"))),
                 }
                 continue;
             }
@@ -157,39 +109,21 @@ impl Config {
             let (key, mut value) = line
                 .split_once('=')
                 .map(|(k, v)| (k.trim().to_string(), v.trim().to_string()))
-                .ok_or_else(|| {
-                    ConfigError::at(line_no, format!("expected `key = value`, got {line:?}"))
-                })?;
+                .ok_or_else(|| at(line_no, format!("expected `key = value`, got {line:?}")))?;
 
             // Multi-line arrays: keep consuming until brackets balance.
             while value.starts_with('[') && !brackets_balanced(&value) {
                 let (_, next) = lines
                     .next()
-                    .ok_or_else(|| ConfigError::at(line_no, "unterminated array".to_string()))?;
+                    .ok_or_else(|| at(line_no, "unterminated array".to_string()))?;
                 value.push(' ');
                 value.push_str(strip_comment(next).trim());
             }
 
             match (section.as_str(), key.as_str()) {
-                ("lint", "hot_paths") => {
-                    return Err(ConfigError::at(
-                        line_no,
-                        "hot_paths moved: the call-graph pass seeds from \
-                         [analyze] hot_entries (\"<file>::<fn>\" or \"<file>::*\")"
-                            .to_string(),
-                    ))
-                }
-                ("lint", "lock_order") => {
-                    return Err(ConfigError::at(
-                        line_no,
-                        "lock_order moved to [analyze] and now uses crate-qualified \
-                         names (\"<crate>/<field>\"); regenerate with \
-                         `cargo run -p athena-analyze --bin athena-lint -- --lock-graph`"
-                            .to_string(),
-                    ))
-                }
                 ("analyze", "hot_entries") => {
                     config.hot_entries = parse_string_array(&value, line_no)?;
+                    config.hot_entries_line = line_no;
                 }
                 ("analyze", "lock_order") => {
                     config.lock_order = parse_string_array(&value, line_no)?;
@@ -205,46 +139,35 @@ impl Config {
                 ("lint", "wallclock_exempt") => {
                     config.wallclock_exempt = parse_string_array(&value, line_no)?;
                 }
-                ("severity", rule) => {
-                    let sev = Severity::parse(&parse_string(&value, line_no)?)?;
-                    config.severity.insert(rule.to_string(), sev);
-                }
                 ("allow", field) => {
-                    let entry = config.allow.last_mut().ok_or_else(|| {
-                        ConfigError::at(line_no, "allow key outside [[allow]]".to_string())
-                    })?;
+                    let entry = config
+                        .allow
+                        .last_mut()
+                        .ok_or_else(|| at(line_no, "allow key outside [[allow]]".to_string()))?;
                     let s = parse_string(&value, line_no)?;
                     match field {
                         "rule" => entry.rule = s,
                         "file" => entry.file = s,
                         "pattern" => entry.pattern = s,
                         "reason" => entry.reason = s,
-                        other => {
-                            return Err(ConfigError::at(
-                                line_no,
-                                format!("unknown allow key {other:?}"),
-                            ))
-                        }
+                        other => return Err(at(line_no, format!("unknown allow key {other:?}"))),
                     }
                 }
                 (sec, k) => {
-                    return Err(ConfigError::at(
-                        line_no,
-                        format!("unknown key {k:?} in section [{sec}]"),
-                    ))
+                    return Err(at(line_no, format!("unknown key {k:?} in section [{sec}]")))
                 }
             }
         }
 
         for (i, entry) in config.allow.iter().enumerate() {
             if entry.rule.is_empty() || entry.file.is_empty() || entry.pattern.is_empty() {
-                return Err(ConfigError::new(format!(
+                return Err(LintError(format!(
                     "[[allow]] entry #{} must set rule, file, and pattern",
                     i + 1
                 )));
             }
             if entry.reason.is_empty() {
-                return Err(ConfigError::new(format!(
+                return Err(LintError(format!(
                     "[[allow]] entry #{} ({} in {}) must carry a reason",
                     i + 1,
                     entry.rule,
@@ -254,18 +177,6 @@ impl Config {
         }
 
         Ok(config)
-    }
-
-    /// The effective severity for a rule, honoring overrides.
-    pub fn severity_for(&self, rule: &str, default: Severity) -> Severity {
-        self.severity.get(rule).copied().unwrap_or(default)
-    }
-
-    /// Whether an allow entry matches the diagnostic site.
-    pub fn is_allowed(&self, rule: &str, file: &str, line_text: &str) -> bool {
-        self.allow
-            .iter()
-            .any(|a| a.rule == rule && a.file == file && line_text.contains(&a.pattern))
     }
 }
 
@@ -308,22 +219,20 @@ fn brackets_balanced(value: &str) -> bool {
     depth == 0
 }
 
-fn parse_string(value: &str, line_no: usize) -> Result<String, ConfigError> {
+fn parse_string(value: &str, line_no: usize) -> Result<String, LintError> {
     let inner = value
         .strip_prefix('"')
         .and_then(|v| v.strip_suffix('"'))
-        .ok_or_else(|| {
-            ConfigError::at(line_no, format!("expected a quoted string, got {value:?}"))
-        })?;
+        .ok_or_else(|| at(line_no, format!("expected a quoted string, got {value:?}")))?;
     // Unescape the two escapes the config actually needs.
     Ok(inner.replace("\\\"", "\"").replace("\\\\", "\\"))
 }
 
-fn parse_string_array(value: &str, line_no: usize) -> Result<Vec<String>, ConfigError> {
+fn parse_string_array(value: &str, line_no: usize) -> Result<Vec<String>, LintError> {
     let inner = value
         .strip_prefix('[')
         .and_then(|v| v.strip_suffix(']'))
-        .ok_or_else(|| ConfigError::at(line_no, format!("expected an array, got {value:?}")))?;
+        .ok_or_else(|| at(line_no, format!("expected an array, got {value:?}")))?;
     let mut out = Vec::new();
     for part in split_top_level(inner) {
         let part = part.trim();

@@ -3,21 +3,26 @@
 //! Resolution is deliberately conservative: a call edge is only created
 //! when the callee name plausibly refers to workspace functions, and
 //! method names that collide with the standard library (`insert`, `get`,
-//! `iter`, …) are never resolved — a false edge would propagate held-lock
-//! sets and hot-path reachability into unrelated code. The runtime
-//! lock-order sentinel compensates for edges this under-approximation
-//! misses (closures, stoplisted methods).
+//! `iter`, …) are never resolved by name — a false edge would propagate
+//! held-lock sets and hot-path reachability into unrelated code.
+//!
+//! One piece of type knowledge comes first: `self.m(…)` is method `m` of
+//! the caller's own `impl` type, and `self.f.m(…)` is `m` on the declared
+//! type of field `f` of that type's `struct`, whatever `m` is called.
+//! Nothing else about a receiver is known — no locals, no chained calls,
+//! no trait objects, no inference; those fall to the name-based rules.
+//! The runtime lock-order sentinel compensates for the edges this
+//! under-approximation misses.
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use athena_lint::rules::SourceFile;
-use athena_lint::tokenizer::TokenKind;
+use crate::model::{self, Func, StructDef, CALL_KEYWORDS};
+use crate::tokenizer::{Token, TokenKind};
+use crate::SourceFile;
 
-use crate::model::{self, Func, CALL_KEYWORDS};
-
-/// Method names never resolved to workspace functions: each collides
-/// with a std/container method, and a wrong edge poisons every
-/// propagation pass downstream.
+/// Method names never resolved to workspace functions by name alone:
+/// each collides with a std/container method, and a wrong edge poisons
+/// every propagation pass downstream.
 const METHOD_STOPLIST: &[&str] = &[
     "abs",
     "add",
@@ -283,7 +288,12 @@ pub fn build_calls(files: &[SourceFile], funcs: &[Func]) -> Vec<Vec<Call>> {
     for f in funcs {
         by_name.entry(&f.name).or_default().push(f.id);
     }
-    let crate_of_file: Vec<&str> = files.iter().map(|f| model::crate_of(&f.rel_path)).collect();
+    let resolver = Resolver {
+        funcs,
+        by_name,
+        structs: model::extract_structs(files),
+        crate_of_file: files.iter().map(|f| model::crate_of(&f.rel_path)).collect(),
+    };
 
     let mut calls: Vec<Vec<Call>> = funcs.iter().map(|_| Vec::new()).collect();
     for (file_idx, file) in files.iter().enumerate() {
@@ -316,10 +326,10 @@ pub fn build_calls(files: &[SourceFile], funcs: &[Func]) -> Vec<Vec<Call>> {
             };
             let prev = k.checked_sub(1).map(|i| &tokens[i]);
             let callee = match prev {
-                Some(pv) if pv.is_punct('.') => Callee::Method,
+                Some(pv) if pv.is_punct('.') => Callee::Method(receiver(tokens, k - 1)),
                 Some(pv) if pv.kind == TokenKind::PathSep => {
                     match k.checked_sub(2).map(|i| &tokens[i]) {
-                        Some(q) if q.kind == TokenKind::Ident => Callee::Qualified(q.text.clone()),
+                        Some(q) if q.kind == TokenKind::Ident => Callee::Qualified(&q.text),
                         _ => continue, // `<T as Trait>::f` — unresolvable
                     }
                 }
@@ -333,127 +343,181 @@ pub fn build_calls(files: &[SourceFile], funcs: &[Func]) -> Vec<Vec<Call>> {
                     Callee::Free
                 }
             };
-            let targets = resolve(
-                &callee,
-                &t.text,
-                funcs,
-                &by_name,
-                &crate_of_file,
-                file_idx,
-                funcs[fid].impl_type.as_deref(),
-                fid,
-            );
             calls[fid].push(Call {
                 tok: k,
                 line: t.line,
                 col: t.col,
                 name: t.text.clone(),
-                targets,
+                targets: resolver.resolve(&callee, &t.text, &funcs[fid]),
             });
         }
     }
     calls
 }
 
-enum Callee {
-    Method,
+enum Callee<'a> {
+    Method(Receiver<'a>),
     Free,
-    Qualified(String),
+    Qualified(&'a str),
 }
 
-#[allow(clippy::too_many_arguments)]
-fn resolve(
-    callee: &Callee,
-    name: &str,
-    funcs: &[Func],
-    by_name: &BTreeMap<&str, Vec<usize>>,
-    crate_of_file: &[&str],
-    caller_file: usize,
-    caller_impl: Option<&str>,
-    caller: usize,
-) -> Vec<usize> {
-    let candidates = |keep: &dyn Fn(&Func) -> bool| -> Vec<usize> {
-        by_name
-            .get(name)
-            .map(|ids| {
-                ids.iter()
-                    .copied()
-                    .filter(|&id| keep(&funcs[id]))
-                    .collect::<Vec<_>>()
-            })
-            .unwrap_or_default()
-    };
-    let raw = match callee {
-        Callee::Method => {
-            if METHOD_STOPLIST.binary_search(&name).is_ok() {
-                return Vec::new();
-            }
-            // A same-named method call inside a function never resolves
-            // back to that function: `self.detector.lock().total_alerts()`
-            // inside `fn total_alerts` is the wrapper-delegation pattern,
-            // and a self-target would fabricate a lock self-cycle.
-            candidates(&|f| f.has_self && f.id != caller)
+/// What the tokens before a method call's `.` say about its receiver.
+enum Receiver<'a> {
+    /// `self.m(…)`.
+    Own,
+    /// `self.field.m(…)`.
+    Field(&'a str),
+    /// A local, a call result, a longer chain: resolved by name only.
+    Unknown,
+}
+
+/// Classifies the receiver ending just before the `.` at `dot`.
+fn receiver(tokens: &[Token], dot: usize) -> Receiver<'_> {
+    let back = |n: usize| dot.checked_sub(n).map(|i| &tokens[i]);
+    match (back(3), back(2), back(1)) {
+        (_, Some(d), Some(s)) if s.is_ident("self") && !d.is_punct('.') => Receiver::Own,
+        (Some(s), Some(d), Some(f))
+            if s.is_ident("self")
+                && d.is_punct('.')
+                && f.kind == TokenKind::Ident
+                && !back(4).is_some_and(|b| b.is_punct('.')) =>
+        {
+            Receiver::Field(&f.text)
         }
-        Callee::Free => {
-            if name == "drop" {
-                return Vec::new();
-            }
-            candidates(&|f| !f.has_self && f.impl_type.is_none())
-        }
-        Callee::Qualified(q) => {
-            if STD_QUALIFIERS.contains(&q.as_str()) {
-                return Vec::new();
-            }
-            if q == "Self" {
-                match caller_impl {
-                    Some(ty) => candidates(&|f| f.impl_type.as_deref() == Some(ty)),
-                    None => Vec::new(),
-                }
-            } else if q == "crate" {
-                let cr = crate_of_file[caller_file];
-                candidates(&|f| f.impl_type.is_none() && !f.has_self && crate_of_file[f.file] == cr)
-            } else if let Some(cr) = q.strip_prefix("athena_") {
-                candidates(&|f| f.impl_type.is_none() && !f.has_self && crate_of_file[f.file] == cr)
-            } else if q.chars().next().is_some_and(|c| c.is_uppercase()) {
-                // `Type::method(…)` — associated call on a workspace type.
-                candidates(&|f| f.impl_type.as_deref() == Some(q.as_str()))
-            } else {
-                // `module::function(…)`.
-                candidates(&|f| f.impl_type.is_none() && !f.has_self)
-            }
-        }
-    };
-    // Prefer the nearest tier: same file, then same crate, then anywhere.
-    let cr = crate_of_file[caller_file];
-    let same_file: Vec<usize> = raw
-        .iter()
-        .copied()
-        .filter(|&id| funcs[id].file == caller_file)
-        .collect();
-    if !same_file.is_empty() {
-        return same_file;
+        _ => Receiver::Unknown,
     }
-    let same_crate: Vec<usize> = raw
-        .iter()
-        .copied()
-        .filter(|&id| crate_of_file[funcs[id].file] == cr)
-        .collect();
-    if !same_crate.is_empty() {
-        return same_crate;
+}
+
+struct Resolver<'a> {
+    funcs: &'a [Func],
+    by_name: BTreeMap<&'a str, Vec<usize>>,
+    structs: Vec<StructDef>,
+    crate_of_file: Vec<&'a str>,
+}
+
+impl Resolver<'_> {
+    fn crate_of(&self, f: &Func) -> &str {
+        self.crate_of_file[f.file]
     }
-    // Workspace tier, method calls only: candidates scattered across
-    // crates mean the name is generic (`checkpoint`, `bind_telemetry`);
-    // resolving to all of them stitches unrelated subsystems together.
-    if matches!(callee, Callee::Method) {
-        let crates: BTreeSet<&str> = raw
-            .iter()
-            .map(|&id| crate_of_file[funcs[id].file])
-            .collect();
-        if crates.len() > 1 {
+
+    /// Functions called `name` that pass `keep`.
+    fn candidates(&self, name: &str, keep: impl Fn(&Func) -> bool) -> Vec<usize> {
+        let ids = self.by_name.get(name).map_or(&[][..], Vec::as_slice);
+        ids.iter()
+            .copied()
+            .filter(|&id| keep(&self.funcs[id]))
+            .collect()
+    }
+
+    /// The nearest tier of `raw`: same file, then same crate, then all.
+    fn nearest(&self, raw: Vec<usize>, caller: &Func) -> Vec<usize> {
+        let same_file = |id: &usize| self.funcs[*id].file == caller.file;
+        let same_crate = |id: &usize| self.crate_of(&self.funcs[*id]) == self.crate_of(caller);
+        if raw.iter().any(same_file) {
+            raw.into_iter().filter(same_file).collect()
+        } else if raw.iter().any(same_crate) {
+            raw.into_iter().filter(same_crate).collect()
+        } else {
+            raw
+        }
+    }
+
+    /// Methods called `name` on the receiver's declared type, when the
+    /// receiver is `self` or one of its struct's fields. For a field,
+    /// every identifier of the declared type is a candidate type
+    /// (`Arc<TrackedMutex<Detector>>` is tried as all three); only a
+    /// workspace type that has such a method yields a target.
+    fn by_receiver_type(&self, recv: &Receiver<'_>, name: &str, caller: &Func) -> Vec<usize> {
+        let Some(own) = caller.impl_type.as_deref() else {
             return Vec::new();
-        }
+        };
+        let raw = match recv {
+            Receiver::Unknown => return Vec::new(),
+            // A type's methods live in its own crate (inherent impls must).
+            Receiver::Own => self.candidates(name, |f| {
+                f.impl_type.as_deref() == Some(own) && self.crate_of(f) == self.crate_of(caller)
+            }),
+            Receiver::Field(field) => {
+                let mine = |s: &&StructDef| {
+                    s.name == own && self.crate_of_file[s.file] == self.crate_of(caller)
+                };
+                let decl = self
+                    .structs
+                    .iter()
+                    .filter(mine)
+                    .find(|s| s.file == caller.file)
+                    .or_else(|| self.structs.iter().find(mine));
+                let Some((_, ty)) = decl.and_then(|s| s.fields.iter().find(|(f, _)| f == field))
+                else {
+                    return Vec::new();
+                };
+                self.candidates(name, |f| {
+                    f.impl_type.as_ref().is_some_and(|t| ty.contains(t))
+                })
+            }
+        };
+        let methods = raw
+            .into_iter()
+            .filter(|&id| self.funcs[id].has_self && id != caller.id)
+            .collect();
+        self.nearest(methods, caller)
     }
-    raw
+
+    fn resolve(&self, callee: &Callee<'_>, name: &str, caller: &Func) -> Vec<usize> {
+        let free = |f: &Func| f.impl_type.is_none() && !f.has_self;
+        let raw = match callee {
+            Callee::Method(recv) => {
+                let typed = self.by_receiver_type(recv, name, caller);
+                if !typed.is_empty() {
+                    return typed;
+                }
+                if METHOD_STOPLIST.binary_search(&name).is_ok() {
+                    return Vec::new();
+                }
+                // A same-named method call inside a function never resolves
+                // back to that function: `self.detector.lock().total_alerts()`
+                // inside `fn total_alerts` is the wrapper-delegation pattern,
+                // and a self-target would fabricate a lock self-cycle.
+                self.candidates(name, |f| f.has_self && f.id != caller.id)
+            }
+            Callee::Free if name == "drop" => return Vec::new(),
+            Callee::Free => self.candidates(name, free),
+            Callee::Qualified(q) if STD_QUALIFIERS.contains(q) => return Vec::new(),
+            Callee::Qualified("Self") => match caller.impl_type.as_deref() {
+                Some(ty) => self.candidates(name, |f| f.impl_type.as_deref() == Some(ty)),
+                None => Vec::new(),
+            },
+            Callee::Qualified(q) => {
+                let in_crate = match (*q, q.strip_prefix("athena_")) {
+                    ("crate", _) => Some(self.crate_of(caller)),
+                    (_, named) => named,
+                };
+                if let Some(cr) = in_crate {
+                    self.candidates(name, |f| free(f) && self.crate_of(f) == cr)
+                } else if q.chars().next().is_some_and(|c| c.is_uppercase()) {
+                    // `Type::method(…)` — associated call on a workspace type.
+                    self.candidates(name, |f| f.impl_type.as_deref() == Some(*q))
+                } else {
+                    // `module::function(…)`.
+                    self.candidates(name, free)
+                }
+            }
+        };
+        let near = self.nearest(raw, caller);
+        // Workspace tier, method calls only: candidates scattered across
+        // crates mean the name is generic (`checkpoint`, `bind_telemetry`);
+        // resolving to all of them stitches unrelated subsystems together.
+        if matches!(callee, Callee::Method(_)) {
+            let crates: BTreeSet<&str> = near
+                .iter()
+                .map(|&id| self.crate_of(&self.funcs[id]))
+                .collect();
+            if crates.len() > 1 {
+                return Vec::new();
+            }
+        }
+        near
+    }
 }
 
 #[cfg(test)]

@@ -9,12 +9,11 @@
 
 use std::collections::{BTreeMap, VecDeque};
 
-use athena_lint::rules::SourceFile;
-use athena_lint::sites;
-
+use crate::config::Config;
 use crate::graph::Call;
 use crate::model::{self, Func};
-use crate::RawDiag;
+use crate::sites;
+use crate::{Diagnostic, SourceFile};
 
 /// How a function became hot.
 enum Hotness {
@@ -22,15 +21,15 @@ enum Hotness {
     Via { parent: usize, line: u32 },
 }
 
-/// Runs the hot-path pass; returns diagnostics plus the sorted qualified
-/// names of every hot function (for the JSON report).
+/// Runs the hot-path pass: findings go to `diags`; returns the sorted
+/// qualified names of every hot function (for the JSON report).
 pub(crate) fn analyze_hot(
-    config: &athena_lint::Config,
+    config: &Config,
     files: &[SourceFile],
     funcs: &[Func],
     calls: &[Vec<Call>],
-) -> (Vec<RawDiag>, Vec<String>) {
-    let mut diags = Vec::new();
+    diags: &mut Vec<Diagnostic>,
+) -> Vec<String> {
     let mut hot: BTreeMap<usize, Hotness> = BTreeMap::new();
     let mut queue: VecDeque<usize> = VecDeque::new();
 
@@ -98,32 +97,22 @@ pub(crate) fn analyze_hot(
                 if !hot.contains_key(&fid) {
                     continue;
                 }
-                let t = &file.tokens[site.token];
-                diags.push(RawDiag {
-                    rule,
-                    file: file.rel_path.clone(),
-                    line: t.line,
-                    col: t.col,
-                    message: site.message,
-                    witness: chain(fid, &hot, funcs, files),
-                });
+                let mut d = Diagnostic::at(rule, file, &file.tokens[site.token], site.message);
+                d.witness = chain(fid, &hot, funcs, files);
+                diags.push(d);
             }
         }
     }
 
-    let hot_names: Vec<String> = hot.keys().map(|&id| funcs[id].qualified(files)).collect();
-    (diags, hot_names)
+    hot.keys().map(|&id| funcs[id].qualified(files)).collect()
 }
 
-fn bad_entry(config: &athena_lint::Config, entry: &str, why: &str) -> RawDiag {
-    RawDiag {
-        rule: "hot-entry-unmatched",
-        file: "lint.toml".to_string(),
-        line: config.lock_order_line as u32, // nearest [analyze] anchor
-        col: 1,
-        message: format!("[analyze] hot_entries entry {entry:?} {why}"),
-        witness: Vec::new(),
-    }
+fn bad_entry(config: &Config, entry: &str, why: &str) -> Diagnostic {
+    Diagnostic::in_config(
+        "hot-entry-unmatched",
+        config.hot_entries_line,
+        format!("[analyze] hot_entries entry {entry:?} {why}"),
+    )
 }
 
 /// Call chain from a hot seed down to `fid` (empty for seeds — their

@@ -1,29 +1,18 @@
 //! Hand-rolled JSON serialization for the analysis report.
 //!
-//! The lint stack cannot depend on serde (it is the thing that gates the
-//! rest of the workspace), so the report is emitted with a small escaping
+//! The gate cannot depend on serde (it is the thing that gates the rest
+//! of the workspace), so the report is emitted with a small escaping
 //! writer. The schema is versioned so CI consumers can evolve.
 
-use athena_lint::{Diagnostic, Severity};
-
-use crate::Analysis;
+use crate::{Analysis, Diagnostic};
 
 /// Renders the full machine-readable report.
 pub fn render(analysis: &Analysis) -> String {
     let report = &analysis.report;
     let mut s = String::with_capacity(4096);
-    s.push_str("{\n  \"schema\": \"athena-analysis-v1\",\n");
+    s.push_str("{\n  \"schema\": \"athena-analysis-v2\",\n");
     s.push_str(&format!("  \"files_scanned\": {},\n", report.files_scanned));
-    let errors = report
-        .diagnostics
-        .iter()
-        .filter(|d| d.severity == Severity::Error)
-        .count();
-    s.push_str(&format!("  \"errors\": {},\n", errors));
-    s.push_str(&format!(
-        "  \"warnings\": {},\n",
-        report.diagnostics.len() - errors
-    ));
+    s.push_str(&format!("  \"errors\": {},\n", report.diagnostics.len()));
 
     s.push_str("  \"findings\": [");
     push_list(&mut s, &report.diagnostics, 4, push_finding);
@@ -66,15 +55,6 @@ pub fn render(analysis: &Analysis) -> String {
 fn push_finding(s: &mut String, d: &Diagnostic) {
     s.push_str("{\"rule\": ");
     push_str_lit(s, d.rule);
-    s.push_str(", \"severity\": ");
-    push_str_lit(
-        s,
-        match d.severity {
-            Severity::Error => "error",
-            Severity::Warn => "warn",
-            Severity::Off => "off",
-        },
-    );
     s.push_str(", \"file\": ");
     push_str_lit(s, &d.file);
     s.push_str(&format!(", \"line\": {}, \"col\": {}, ", d.line, d.col));

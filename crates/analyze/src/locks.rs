@@ -1,28 +1,30 @@
-//! Derived lock-acquisition-graph analysis.
+//! Guard windows and the derived lock-acquisition graph.
 //!
 //! Every acquisition site (`.lock()` / `.read()` / `.write()` / helper
-//! calls) is given a crate-qualified name. Held-lock sets propagate
-//! through the call graph to a fixpoint; an edge `A → B` means "B was
-//! acquired somewhere while A was held". The gate then demands the edge
-//! set be cycle-free and consistent with the single global order declared
-//! in `[analyze] lock_order` — which turns `lint.toml` from a trusted
-//! assertion into a verified one.
+//! calls) opens a *window*: the token range of its function over which
+//! the guard is held. The windows are computed once and read twice.
+//!
+//! Inside one function they give `lock-discipline`: while a guard is
+//! held, the same lock may not be re-acquired (self-deadlock) and no
+//! send/event-bus call may run.
+//!
+//! Across functions, each nameable acquisition gets a crate-qualified
+//! name and held-lock sets propagate through the call graph to a
+//! fixpoint; an edge `A → B` means "B was acquired somewhere while A was
+//! held". The gate then demands the edge set be cycle-free and consistent
+//! with the single global order declared in `[analyze] lock_order` —
+//! which turns `lint.toml` from a trusted assertion into a verified one —
+//! and that no call made under a guard transitively reaches a bus call.
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use athena_lint::rules::SourceFile;
-use athena_lint::sites;
-use athena_lint::tokenizer::TokenKind;
-use athena_lint::Config;
-
+use crate::config::Config;
 use crate::graph::Call;
 use crate::model::{self, Func};
-use crate::RawDiag;
+use crate::sites;
+use crate::{Diagnostic, LockGraph, SourceFile};
 
-/// Function names whose bodies are opaque to acquisition extraction: the
-/// lock *wrappers* themselves (configured helpers plus the conventional
-/// guard methods). Their internal `.lock()` is the implementation of the
-/// acquisition already attributed at their call sites.
+/// The conventional guard methods (see [`analyze_locks`]).
 const OPAQUE_WRAPPERS: &[&str] = &["lock", "read", "write", "try_lock", "try_read", "try_write"];
 
 /// One derived acquisition-order edge with its code witness.
@@ -42,37 +44,58 @@ pub struct LockEdge {
     pub witness: Vec<String>,
 }
 
-/// Result of the lock analysis.
-pub(crate) struct LockOutcome {
-    /// Every crate-qualified lock name with at least one acquisition
-    /// site, sorted.
-    pub locks: Vec<String>,
-    /// Derived edges, sorted by (from, to).
-    pub edges: Vec<LockEdge>,
-    /// A valid total order for `lock_order` (topological; cycle members
-    /// appended last), as printed by `--lock-graph`.
-    pub suggested_order: Vec<String>,
-    /// Cycle, order, and graph-aware bus findings.
-    pub diags: Vec<RawDiag>,
+impl LockEdge {
+    /// A finding at the inner acquisition, carrying the edge's witness.
+    fn finding(&self, rule: &'static str, message: String) -> Diagnostic {
+        Diagnostic {
+            rule,
+            file: self.file.clone(),
+            line: self.line,
+            col: self.col,
+            message,
+            witness: self.witness.clone(),
+        }
+    }
 }
 
 /// A held-guard window inside one function (token half-open range).
 struct Window {
+    /// Crate-qualified lock name.
     lock: String,
+    /// False for a receiver that cannot be named (`<crate>/<expr>`).
+    named: bool,
     start: usize,
     end: usize,
     acq_tok: usize,
     acq_line: u32,
 }
 
-/// Runs the full lock-graph pass.
+impl Window {
+    fn holds(&self, tok: usize) -> bool {
+        self.start <= tok && tok < self.end
+    }
+}
+
+/// Runs the guard-window and lock-graph passes; findings go to `diags`.
 pub(crate) fn analyze_locks(
     config: &Config,
     files: &[SourceFile],
     funcs: &[Func],
     calls: &[Vec<Call>],
-) -> LockOutcome {
-    let windows = collect_windows(config, files, funcs);
+    diags: &mut Vec<Diagnostic>,
+) -> LockGraph {
+    let mut windows = collect_windows(config, files, funcs);
+    discipline_diags(config, files, funcs, &windows, diags);
+
+    // The graph is over nameable locks, and a lock *wrapper*'s body is
+    // opaque to it: the configured helpers plus the conventional guard
+    // methods. Their internal `.lock()` is the implementation of the
+    // acquisition already attributed at their call sites.
+    for (f, ws) in funcs.iter().zip(&mut windows) {
+        let wrapper =
+            OPAQUE_WRAPPERS.contains(&f.name.as_str()) || config.lock_helpers.contains(&f.name);
+        ws.retain(|w| w.named && !wrapper);
+    }
 
     // Fixpoint: locks held on entry to each function, with the call edge
     // that first propagated them (for witness reconstruction).
@@ -86,10 +109,8 @@ pub(crate) fn analyze_locks(
                     continue;
                 }
                 let mut held: BTreeSet<String> = entry_held[f].keys().cloned().collect();
-                for w in &windows[f] {
-                    if w.start <= call.tok && call.tok < w.end {
-                        held.insert(w.lock.clone());
-                    }
+                for w in windows[f].iter().filter(|w| w.holds(call.tok)) {
+                    held.insert(w.lock.clone());
                 }
                 for &t in &call.targets {
                     for h in &held {
@@ -125,11 +146,7 @@ pub(crate) fn analyze_locks(
                     });
             };
             for w_held in &windows[f] {
-                if w_held.acq_tok != w_to.acq_tok
-                    && w_held.start <= w_to.acq_tok
-                    && w_to.acq_tok < w_held.end
-                    && w_held.lock != w_to.lock
-                {
+                if w_held.holds(w_to.acq_tok) && w_held.lock != w_to.lock {
                     add(
                         w_held.lock.clone(),
                         vec![format!(
@@ -164,24 +181,14 @@ pub(crate) fn analyze_locks(
         set.into_iter().collect()
     };
 
-    let mut diags = Vec::new();
-    let cycle_edges = cycle_diags(&edges, &mut diags);
-    order_diags(config, &locks, &edges, &cycle_edges, &mut diags);
-    bus_diags(
-        config,
-        files,
-        funcs,
-        calls,
-        &windows,
-        &entry_held,
-        &mut diags,
-    );
+    let cycle_edges = cycle_diags(&edges, diags);
+    order_diags(config, &locks, &edges, &cycle_edges, diags);
+    bus_diags(config, files, funcs, calls, &windows, &entry_held, diags);
 
-    LockOutcome {
+    LockGraph {
         suggested_order: suggest_order(&locks, &edges),
         locks,
         edges,
-        diags,
     }
 }
 
@@ -195,14 +202,9 @@ fn anchor_tok(file: &SourceFile, acq_tok: usize) -> usize {
     }
 }
 
-/// Collects held-guard windows per function, skipping opaque wrapper
-/// bodies, test code, and receivers that cannot be named.
+/// Collects every held-guard window of every function — the one walk
+/// over acquisition sites. Test code opens no window.
 fn collect_windows(config: &Config, files: &[SourceFile], funcs: &[Func]) -> Vec<Vec<Window>> {
-    let mut opaque: BTreeSet<&str> = OPAQUE_WRAPPERS.iter().copied().collect();
-    for h in &config.lock_helpers {
-        opaque.insert(h);
-    }
-
     let mut windows: Vec<Vec<Window>> = funcs.iter().map(|_| Vec::new()).collect();
     for (file_idx, file) in files.iter().enumerate() {
         let tokens = &file.tokens;
@@ -212,34 +214,59 @@ fn collect_windows(config: &Config, files: &[SourceFile], funcs: &[Func]) -> Vec
         }
         let krate = model::crate_of(&file.rel_path);
         for acq in sites::find_acquisitions(tokens, &config.lock_helpers) {
-            if tokens[acq.at].in_test || acq.name == "<expr>" {
+            if tokens[acq.at].in_test {
                 continue;
             }
             let Some(fid) = model::innermost_fn(&file_funcs, acq.at) else {
                 continue;
             };
-            if opaque.contains(funcs[fid].name.as_str()) {
-                continue;
-            }
-            let mut end = sites::guard_extent(tokens, &acq).min(funcs[fid].body_end);
-            if let Some(var) = sites::guard_variable(tokens, &acq) {
-                for k in acq.end..end {
-                    if sites::drop_releases(tokens, k, &var) {
-                        end = k;
-                        break;
-                    }
-                }
-            }
             windows[fid].push(Window {
                 lock: format!("{krate}/{}", acq.name),
+                named: acq.name != sites::UNNAMED,
                 start: acq.end,
-                end,
+                end: sites::guard_end(tokens, &acq).min(funcs[fid].body_end),
                 acq_tok: acq.at,
                 acq_line: tokens[anchor_tok(file, acq.at)].line,
             });
         }
     }
     windows
+}
+
+/// `lock-discipline`, read off each function's windows: a nameable lock
+/// re-acquired inside its own window, and a direct bus call inside any
+/// window. Acquisition *ordering* between different locks needs the call
+/// graph — cross-function nesting is where real inversions live.
+fn discipline_diags(
+    config: &Config,
+    files: &[SourceFile],
+    funcs: &[Func],
+    windows: &[Vec<Window>],
+    diags: &mut Vec<Diagnostic>,
+) {
+    for (f, ws) in funcs.iter().zip(windows) {
+        let file = &files[f.file];
+        for w in ws {
+            let again = |a: &&Window| w.named && a.lock == w.lock && w.holds(a.acq_tok);
+            for a in ws.iter().filter(again) {
+                let message = format!(
+                    "lock `{}` re-acquired while its guard is held (self-deadlock)",
+                    w.lock
+                );
+                let at = &file.tokens[a.acq_tok];
+                diags.push(Diagnostic::at("lock-discipline", file, at, message));
+            }
+            for k in w.start..w.end {
+                if let Some(bus) = sites::bus_call_at(&file.tokens, k, &config.bus_calls) {
+                    let message = format!(
+                        "`.{}(…)` called while lock `{}` is held; release the guard first",
+                        bus.text, w.lock
+                    );
+                    diags.push(Diagnostic::at("lock-discipline", file, bus, message));
+                }
+            }
+        }
+    }
 }
 
 /// Reconstructs how `lock` came to be held on entry to `fid`.
@@ -281,7 +308,7 @@ fn chain_for(
 /// Finds strongly-connected components with a cycle and reports each as
 /// one `lock-cycle` diagnostic. Returns the set of intra-cycle edges so
 /// the order check does not double-report them.
-fn cycle_diags(edges: &[LockEdge], diags: &mut Vec<RawDiag>) -> BTreeSet<(String, String)> {
+fn cycle_diags(edges: &[LockEdge], diags: &mut Vec<Diagnostic>) -> BTreeSet<(String, String)> {
     let nodes: Vec<&str> = {
         let mut s: BTreeSet<&str> = BTreeSet::new();
         for e in edges {
@@ -316,18 +343,12 @@ fn cycle_diags(edges: &[LockEdge], diags: &mut Vec<RawDiag>) -> BTreeSet<(String
             })
             .map(|x| format!("`{}` → `{}` ({}:{})", x.from, x.to, x.file, x.line))
             .collect();
-        diags.push(RawDiag {
-            rule: "lock-cycle",
-            file: e.file.clone(),
-            line: e.line,
-            col: e.col,
-            message: format!(
-                "derived lock-acquisition cycle: {}; a concurrent interleaving of these \
-                 chains deadlocks",
-                members.join(", ")
-            ),
-            witness: e.witness.clone(),
-        });
+        let message = format!(
+            "derived lock-acquisition cycle: {}; a concurrent interleaving of these chains \
+             deadlocks",
+            members.join(", ")
+        );
+        diags.push(e.finding("lock-cycle", message));
     }
     cycle_edges
 }
@@ -397,19 +418,16 @@ fn order_diags(
     site_locks: &[String],
     edges: &[LockEdge],
     cycle_edges: &BTreeSet<(String, String)>,
-    diags: &mut Vec<RawDiag>,
+    diags: &mut Vec<Diagnostic>,
 ) {
     let mut pos: BTreeMap<&str, usize> = BTreeMap::new();
     for (i, name) in config.lock_order.iter().enumerate() {
         if pos.insert(name, i).is_some() {
-            diags.push(RawDiag {
-                rule: "lock-order-violation",
-                file: "lint.toml".to_string(),
-                line: config.lock_order_line as u32,
-                col: 1,
-                message: format!("lock `{name}` listed twice in [analyze] lock_order"),
-                witness: Vec::new(),
-            });
+            diags.push(Diagnostic::in_config(
+                "lock-order-violation",
+                config.lock_order_line,
+                format!("lock `{name}` listed twice in [analyze] lock_order"),
+            ));
         }
     }
 
@@ -419,36 +437,28 @@ fn order_diags(
             continue;
         }
         match (pos.get(e.from.as_str()), pos.get(e.to.as_str())) {
-            (Some(a), Some(b)) if a > b => diags.push(RawDiag {
-                rule: "lock-order-violation",
-                file: e.file.clone(),
-                line: e.line,
-                col: e.col,
-                message: format!(
+            (Some(a), Some(b)) if a > b => diags.push(e.finding(
+                "lock-order-violation",
+                format!(
                     "derived acquisition `{}` → `{}` contradicts [analyze] lock_order, \
                      which lists `{}` before `{}`",
                     e.from, e.to, e.to, e.from
                 ),
-                witness: e.witness.clone(),
-            }),
+            )),
             (Some(_), Some(_)) => {}
             (a, b) => {
                 for (p, name) in [(a, &e.from), (b, &e.to)] {
                     if p.is_none() && unlisted.insert(name.as_str()) {
-                        diags.push(RawDiag {
-                            rule: "lock-order-violation",
-                            file: e.file.clone(),
-                            line: e.line,
-                            col: e.col,
-                            message: format!(
+                        diags.push(e.finding(
+                            "lock-order-violation",
+                            format!(
                                 "lock `{name}` participates in derived acquisition edge \
                                  `{}` → `{}` but is not listed in [analyze] lock_order; \
                                  regenerate with `cargo run -p athena-analyze --bin \
                                  athena-lint -- --lock-graph`",
                                 e.from, e.to
                             ),
-                            witness: e.witness.clone(),
-                        });
+                        ));
                     }
                 }
             }
@@ -457,17 +467,14 @@ fn order_diags(
 
     for name in &config.lock_order {
         if !site_locks.contains(name) {
-            diags.push(RawDiag {
-                rule: "lock-order-violation",
-                file: "lint.toml".to_string(),
-                line: config.lock_order_line as u32,
-                col: 1,
-                message: format!(
+            diags.push(Diagnostic::in_config(
+                "lock-order-violation",
+                config.lock_order_line,
+                format!(
                     "declared lock `{name}` matched no acquisition site; delete it or \
                      regenerate with `--lock-graph`"
                 ),
-                witness: Vec::new(),
-            });
+            ));
         }
     }
 }
@@ -515,8 +522,7 @@ fn suggest_order(locks: &[String], edges: &[LockEdge]) -> Vec<String> {
 
 /// Graph-aware bus-call check: flags calls made under a held guard whose
 /// *callee* transitively performs a send/event-bus call. Direct bus calls
-/// under a guard are the file-local lock-discipline rule's job.
-#[allow(clippy::too_many_arguments)]
+/// under a guard are [`discipline_diags`]' job.
 fn bus_diags(
     config: &Config,
     files: &[SourceFile],
@@ -524,7 +530,7 @@ fn bus_diags(
     calls: &[Vec<Call>],
     windows: &[Vec<Window>],
     entry_held: &[BTreeMap<String, (usize, u32)>],
-    diags: &mut Vec<RawDiag>,
+    diags: &mut Vec<Diagnostic>,
 ) {
     // Which functions *directly* contain a bus call.
     #[derive(Clone)]
@@ -536,22 +542,12 @@ fn bus_diags(
         .iter()
         .map(|f| {
             let tokens = &files[f.file].tokens;
-            for k in f.body_start + 1..f.body_end {
-                if tokens[k].is_punct('.')
-                    && tokens.get(k + 1).is_some_and(|n| {
-                        n.kind == TokenKind::Ident
-                            && !n.in_test
-                            && config.bus_calls.contains(&n.text)
-                    })
-                    && tokens.get(k + 2).is_some_and(|n| n.is_punct('('))
-                {
-                    return Some(Reach::Direct {
-                        line: tokens[k + 1].line,
-                        name: tokens[k + 1].text.clone(),
-                    });
-                }
-            }
-            None
+            let bus = (f.body_start + 1..f.body_end)
+                .find_map(|k| sites::bus_call_at(tokens, k, &config.bus_calls))?;
+            Some(Reach::Direct {
+                line: bus.line,
+                name: bus.text.clone(),
+            })
         })
         .collect();
     loop {
@@ -582,11 +578,12 @@ fn bus_diags(
                 continue;
             }
             let mut held: BTreeSet<&str> = entry_held[f].keys().map(|s| s.as_str()).collect();
-            for w in &windows[f] {
-                if w.start <= call.tok && call.tok < w.end {
-                    held.insert(&w.lock);
-                }
-            }
+            held.extend(
+                windows[f]
+                    .iter()
+                    .filter(|w| w.holds(call.tok))
+                    .map(|w| w.lock.as_str()),
+            );
             let Some(&held_name) = held.iter().next() else {
                 continue;
             };
@@ -620,7 +617,7 @@ fn bus_diags(
                     None => break,
                 }
             }
-            diags.push(RawDiag {
+            diags.push(Diagnostic {
                 rule: "bus-call-under-guard",
                 file: files[funcs[f].file].rel_path.clone(),
                 line: call.line,

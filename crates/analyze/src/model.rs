@@ -1,12 +1,14 @@
-//! Function and `impl`-block extraction over the tokenized workspace.
+//! Function, `impl`-block and `struct`-field extraction over the
+//! tokenized workspace.
 //!
 //! The call-graph analyses need to know, for every production function:
 //! where its body starts and ends, whether it takes `self`, which type it
-//! is implemented on, and which crate it lives in. All of that is derived
-//! here from the shared tokenizer — no syn, no rustc.
+//! is implemented on, and which crate it lives in — and, to resolve
+//! `self.field.method(…)`, the declared type of every struct field. All
+//! of that is derived here from the tokenizer — no syn, no rustc.
 
-use athena_lint::rules::SourceFile;
-use athena_lint::tokenizer::{Token, TokenKind};
+use crate::tokenizer::{matching_brace, Token, TokenKind};
+use crate::SourceFile;
 
 /// Identifiers that can precede `(` without being a function call.
 pub const CALL_KEYWORDS: &[&str] = &[
@@ -69,7 +71,7 @@ pub fn extract_functions(files: &[SourceFile]) -> Vec<Func> {
             if name_tok.kind != TokenKind::Ident {
                 continue; // `fn(…)` pointer type
             }
-            let Some((body_start, body_end)) = fn_body(tokens, i) else {
+            let Some((body_start, body_end)) = item_body(tokens, i) else {
                 continue; // trait method declaration without a body
             };
             let impl_type = impls
@@ -87,6 +89,65 @@ pub fn extract_functions(files: &[SourceFile]) -> Vec<Func> {
                 body_start,
                 body_end,
                 line: name_tok.line,
+            });
+        }
+    }
+    out
+}
+
+/// One production `struct` with named fields.
+#[derive(Debug)]
+pub struct StructDef {
+    /// Index into the scanned file list.
+    pub file: usize,
+    /// The struct's name.
+    pub name: String,
+    /// Each field with every identifier of its declared type
+    /// (`live: Arc<Mutex<Window>>` → `live`, [`Arc`, `Mutex`, `Window`]).
+    pub fields: Vec<(String, Vec<String>)>,
+}
+
+/// Extracts every non-test `struct Name { field: Type, … }` from `files`.
+pub fn extract_structs(files: &[SourceFile]) -> Vec<StructDef> {
+    let mut out = Vec::new();
+    for (file_idx, file) in files.iter().enumerate() {
+        let tokens = &file.tokens;
+        for i in 0..tokens.len() {
+            if !tokens[i].is_ident("struct") || tokens[i].in_test {
+                continue;
+            }
+            // A tuple or unit struct ends at its `;` before any `{`.
+            let (Some(name), Some((open, close))) = (tokens.get(i + 1), item_body(tokens, i))
+            else {
+                continue;
+            };
+            let mut fields: Vec<(String, Vec<String>)> = Vec::new();
+            // `nest` counts `<`/`(`/`[`: a field starts at `name:` outside
+            // all of them and runs to the next `,` outside all of them.
+            let (mut nest, mut open_field) = (0i32, false);
+            for k in open + 1..close {
+                let t = &tokens[k];
+                match t.kind {
+                    _ if t.in_test => {}
+                    TokenKind::Punct('<' | '(' | '[') => nest += 1,
+                    TokenKind::Punct('>' | ')' | ']') => nest -= 1,
+                    TokenKind::Punct(',') if nest == 0 => open_field = false,
+                    TokenKind::Ident if nest == 0 && tokens[k + 1].is_punct(':') => {
+                        fields.push((t.text.clone(), Vec::new()));
+                        open_field = true;
+                    }
+                    TokenKind::Ident if open_field => {
+                        if let Some((_, ty)) = fields.last_mut() {
+                            ty.push(t.text.clone());
+                        }
+                    }
+                    _ => {}
+                }
+            }
+            out.push(StructDef {
+                file: file_idx,
+                name: name.text.clone(),
+                fields,
             });
         }
     }
@@ -168,9 +229,10 @@ fn impl_spans(tokens: &[Token]) -> Vec<ImplSpan> {
     out
 }
 
-/// Body span of the `fn` at token `fn_tok`: the first `{` one level
-/// deeper, unless a `;` at the same depth ends a bodyless declaration.
-fn fn_body(tokens: &[Token], fn_tok: usize) -> Option<(usize, usize)> {
+/// Body span of the `fn` or `struct` at token `fn_tok`: the first `{` one
+/// level deeper, unless a `;` at the same depth ends a bodyless
+/// declaration.
+fn item_body(tokens: &[Token], fn_tok: usize) -> Option<(usize, usize)> {
     let depth = tokens[fn_tok].depth;
     let mut j = fn_tok + 2;
     let body_start = loop {
@@ -193,21 +255,9 @@ fn fn_has_self(tokens: &[Token], fn_tok: usize) -> bool {
     // Find the parameter list `(`, skipping a generics block.
     let mut j = fn_tok + 2;
     if tokens.get(j).is_some_and(|t| t.is_punct('<')) {
-        let mut angle = 1i32;
-        loop {
-            j += 1;
-            match tokens.get(j) {
-                Some(t) if t.is_punct('<') => angle += 1,
-                Some(t) if t.is_punct('>') => {
-                    angle -= 1;
-                    if angle == 0 {
-                        j += 1;
-                        break;
-                    }
-                }
-                Some(_) => {}
-                None => return false,
-            }
+        match skip_angles(tokens, j) {
+            Some(after) => j = after,
+            None => return false,
         }
     }
     if !tokens.get(j).is_some_and(|t| t.is_punct('(')) {
@@ -221,16 +271,6 @@ fn fn_has_self(tokens: &[Token], fn_tok: usize) -> bool {
         j += 1;
     }
     tokens.get(j).is_some_and(|t| t.is_ident("self"))
-}
-
-/// Index of the `}` matching the `{` at `open` (same depth, first one
-/// after — the tokenizer assigns both braces the inner depth).
-pub fn matching_brace(tokens: &[Token], open: usize) -> Option<usize> {
-    let depth = tokens[open].depth;
-    tokens[open + 1..]
-        .iter()
-        .position(|t| t.is_punct('}') && t.depth == depth)
-        .map(|off| open + 1 + off)
 }
 
 /// Skips a `<…>` angle-bracket group starting at `open`; returns the

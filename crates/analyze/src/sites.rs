@@ -1,6 +1,5 @@
-//! Shared site extraction: the token-level pattern matchers used both by
-//! the file-local rules in [`crate::rules`] and by the whole-workspace
-//! call-graph analysis in `athena-analyze`.
+//! Site extraction: the token-level pattern matchers under the hot-path
+//! pass ([`crate::hot`]) and the guard-window pass ([`crate::locks`]).
 //!
 //! Everything here is purely syntactic — no name resolution, no
 //! cross-file state. The analysis layers decide what a site *means*
@@ -10,7 +9,7 @@ use crate::tokenizer::{Token, TokenKind};
 
 /// Keywords that may directly precede a `[` without it being indexing
 /// (array literals, types, and expression starts).
-pub const NON_INDEX_KEYWORDS: &[&str] = &[
+const NON_INDEX_KEYWORDS: &[&str] = &[
     "as", "box", "break", "const", "dyn", "else", "enum", "fn", "for", "if", "impl", "in", "let",
     "loop", "match", "mod", "move", "mut", "pub", "ref", "return", "static", "struct", "trait",
     "type", "unsafe", "use", "where", "while", "yield",
@@ -18,7 +17,7 @@ pub const NON_INDEX_KEYWORDS: &[&str] = &[
 
 /// Methods whose iteration order over a hash container is
 /// nondeterministic.
-pub const UNORDERED_ITER_METHODS: &[&str] = &[
+const UNORDERED_ITER_METHODS: &[&str] = &[
     "iter",
     "iter_mut",
     "keys",
@@ -159,7 +158,7 @@ fn rooted_at_self_or_bare(tokens: &[Token], ident: usize) -> bool {
 /// Identifiers declared in this file with a `HashMap`/`HashSet` type
 /// (field/let annotations, possibly `&`-qualified or path-qualified) or
 /// bound from a `HashMap::…` constructor call.
-pub fn hash_container_names(tokens: &[Token]) -> Vec<String> {
+fn hash_container_names(tokens: &[Token]) -> Vec<String> {
     let mut out = Vec::new();
     for (i, t) in tokens.iter().enumerate() {
         if !(t.is_ident("HashMap") || t.is_ident("HashSet")) {
@@ -202,7 +201,7 @@ pub fn hash_container_names(tokens: &[Token]) -> Vec<String> {
 /// local — `None` for anything with calls, ranges, or other operators,
 /// which either iterate deterministically or are flagged at their
 /// method-call site instead.
-pub fn bare_loop_target(tokens: &[Token], mut j: usize) -> Option<(String, bool)> {
+fn bare_loop_target(tokens: &[Token], mut j: usize) -> Option<(String, bool)> {
     while tokens
         .get(j)
         .is_some_and(|t| t.is_punct('&') || t.is_ident("mut"))
@@ -227,6 +226,21 @@ pub fn bare_loop_target(tokens: &[Token], mut j: usize) -> Option<(String, bool)
         }
     }
 }
+
+/// The method-name token of the send/event-bus call `.name(` whose `.` is
+/// at `dot` — `name` being one of `bus_calls` — outside test code.
+pub fn bus_call_at<'a>(tokens: &'a [Token], dot: usize, bus_calls: &[String]) -> Option<&'a Token> {
+    let name = tokens.get(dot + 1)?;
+    (tokens[dot].is_punct('.')
+        && name.kind == TokenKind::Ident
+        && !name.in_test
+        && bus_calls.contains(&name.text)
+        && tokens.get(dot + 2)?.is_punct('('))
+    .then_some(name)
+}
+
+/// The [`Acquisition::name`] of a receiver that no identifier names.
+pub const UNNAMED: &str = "<expr>";
 
 /// One lock acquisition found in the token stream.
 #[derive(Debug, Clone)]
@@ -335,7 +349,7 @@ fn helper_arg_name(tokens: &[Token], open: usize) -> String {
                         Some(u) if u.is_punct('[') => brackets += 1,
                         Some(u) if u.is_punct(']') => brackets -= 1,
                         Some(_) => {}
-                        None => return last.unwrap_or_else(|| "<expr>".to_string()),
+                        None => return last.unwrap_or_else(|| UNNAMED.to_string()),
                     }
                 }
             }
@@ -344,13 +358,13 @@ fn helper_arg_name(tokens: &[Token], open: usize) -> String {
         }
         j += 1;
     }
-    last.unwrap_or_else(|| "<expr>".to_string())
+    last.unwrap_or_else(|| UNNAMED.to_string())
 }
 
 /// The identifier naming the lock: the last field/variable in the
 /// receiver chain (`self.runtime.reactor.lock()` → `reactor`,
 /// `s.pending.0.lock()` → `pending`).
-pub fn receiver_name(tokens: &[Token], dot: usize) -> String {
+fn receiver_name(tokens: &[Token], dot: usize) -> String {
     let mut j = dot;
     while j > 0 {
         j -= 1;
@@ -381,13 +395,23 @@ pub fn receiver_name(tokens: &[Token], dot: usize) -> String {
                     }
                 }
             }
-            _ => return "<expr>".to_string(),
+            _ => return UNNAMED.to_string(),
         }
     }
-    "<expr>".to_string()
+    UNNAMED.to_string()
 }
 
-/// Token index (exclusive) until which the acquisition's guard is held.
+/// Token index (exclusive) at which the acquisition's guard is released:
+/// the end of its syntactic extent, or an earlier `drop(guard)` — or a
+/// tuple drop containing it — when the guard is a named `let` binding.
+pub fn guard_end(tokens: &[Token], acq: &Acquisition) -> usize {
+    let end = guard_extent(tokens, acq).min(tokens.len());
+    guard_variable(tokens, acq)
+        .and_then(|var| (acq.end..end).find(|&k| drop_releases(tokens, k, &var)))
+        .unwrap_or(end)
+}
+
+/// Token index (exclusive) until which the acquisition's guard lives.
 ///
 /// Three statement shapes matter:
 ///
@@ -399,7 +423,7 @@ pub fn receiver_name(tokens: &[Token], dot: usize) -> String {
 ///   condition temporaries alive until the end of the `if`).
 /// - `….lock().push(x);` — any other temporary (including a chained
 ///   `let v = ….lock().take();`) dies at the end of its statement.
-pub fn guard_extent(tokens: &[Token], acq: &Acquisition) -> usize {
+fn guard_extent(tokens: &[Token], acq: &Acquisition) -> usize {
     let depth = tokens[acq.at].depth;
     let stmt_start = statement_start(tokens, acq.at);
     let first = &tokens[stmt_start];
@@ -471,7 +495,7 @@ fn control_statement_end(tokens: &[Token], from: usize, depth: u32) -> usize {
 
 /// The variable a `let` guard is bound to, when the acquisition's
 /// statement is a `let` binding of a plain identifier.
-pub fn guard_variable(tokens: &[Token], acq: &Acquisition) -> Option<String> {
+fn guard_variable(tokens: &[Token], acq: &Acquisition) -> Option<String> {
     let stmt_start = statement_start(tokens, acq.at);
     if !tokens.get(stmt_start)?.is_ident("let") {
         return None;
@@ -487,7 +511,7 @@ pub fn guard_variable(tokens: &[Token], acq: &Acquisition) -> Option<String> {
 }
 
 /// Index of the first token of the statement containing `at`.
-pub fn statement_start(tokens: &[Token], at: usize) -> usize {
+fn statement_start(tokens: &[Token], at: usize) -> usize {
     let mut j = at;
     while j > 0 {
         let t = &tokens[j - 1];
@@ -502,7 +526,7 @@ pub fn statement_start(tokens: &[Token], at: usize) -> usize {
 /// Whether the tokens at `k` are a `drop(…)` call whose argument list
 /// contains the identifier `var` — covers both `drop(guard)` and the
 /// tuple form `drop((a, guard, c))`.
-pub fn drop_releases(tokens: &[Token], k: usize, var: &str) -> bool {
+fn drop_releases(tokens: &[Token], k: usize, var: &str) -> bool {
     if !(tokens[k].is_ident("drop") && tokens.get(k + 1).is_some_and(|t| t.is_punct('('))) {
         return false;
     }

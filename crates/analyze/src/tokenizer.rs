@@ -1,4 +1,4 @@
-//! A lightweight Rust tokenizer for lint rules.
+//! A lightweight Rust tokenizer for the analysis passes.
 //!
 //! This is not a full lexer: it produces just enough structure for the
 //! static-analysis rules — identifiers, punctuation, and brace nesting —
@@ -382,36 +382,34 @@ fn char_literal_len(rest: &str) -> Option<usize> {
     None
 }
 
+/// Index of the `}` matching the `{` at `open` (same depth, first one
+/// after — both braces carry the inner depth).
+pub fn matching_brace(tokens: &[Token], open: usize) -> Option<usize> {
+    let depth = tokens[open].depth;
+    tokens[open + 1..]
+        .iter()
+        .position(|t| t.is_punct('}') && t.depth == depth)
+        .map(|off| open + 1 + off)
+}
+
 /// Marks tokens inside `#[cfg(test)]` items and `mod tests { … }` blocks.
 fn mark_test_regions(tokens: &mut [Token]) {
     let mut k = 0usize;
     while k < tokens.len() {
-        if let Some(block_start) = test_region_start(tokens, k) {
-            if let Some(end) = end_of_brace_block(tokens, block_start) {
-                for t in &mut tokens[k..=end] {
-                    t.in_test = true;
-                }
-                k = end + 1;
-                continue;
-            }
-            // No block (e.g. `#[cfg(test)]` on a `use`): mark to the next
-            // semicolon.
-            let end = tokens[k..]
-                .iter()
-                .position(|t| t.is_punct(';'))
-                .map_or(tokens.len() - 1, |p| k + p);
+        if let Some(from) = test_region_start(tokens, k) {
+            let end = end_of_item(tokens, from);
             for t in &mut tokens[k..=end] {
                 t.in_test = true;
             }
             k = end + 1;
-            continue;
+        } else {
+            k += 1;
         }
-        k += 1;
     }
 }
 
-/// When a test-only region starts at token `k`, returns the index at which
-/// to begin searching for its opening brace.
+/// When a test-only region starts at token `k`, returns the index just
+/// past its marker (the attribute, or `mod tests`).
 fn test_region_start(tokens: &[Token], k: usize) -> Option<usize> {
     // #[cfg(test)] — seven tokens: # [ cfg ( test ) ]
     if tokens[k].is_punct('#')
@@ -432,30 +430,29 @@ fn test_region_start(tokens: &[Token], k: usize) -> Option<usize> {
     None
 }
 
-/// Index of the `}` closing the first `{` found at or after `from`,
-/// skipping at most a few tokens of item header. Returns `None` when no
-/// block opens nearby (e.g. `mod tests;` or an attribute on a field).
-fn end_of_brace_block(tokens: &[Token], from: usize) -> Option<usize> {
-    let mut j = from;
-    // Scan forward to the opening brace, giving up at a `;` (item without
-    // a body) so `#[cfg(test)] use …;` doesn't swallow the next item.
-    loop {
-        let t = tokens.get(j)?;
-        if t.is_punct('{') {
-            break;
+/// Index of the last token of the item whose header starts at `from`.
+///
+/// An item with a body ends at the `}` matching its first `{`. One
+/// without ends at its `;` (`#[cfg(test)] use …;`, `mod tests;`), at a
+/// `,` outside every `(` / `[` / `<` opened since `from` (a struct field,
+/// an enum variant, a match arm — but not the commas of `fn f<A, B>(a: A,
+/// b: B) { … }` or of a `where` clause), or just before the `}` closing
+/// the enclosing block (a last field without a trailing comma).
+fn end_of_item(tokens: &[Token], from: usize) -> usize {
+    let (mut nest, mut angle, mut in_where) = (0u32, 0u32, false);
+    for (j, t) in tokens.iter().enumerate().skip(from) {
+        match t.kind {
+            TokenKind::Punct('{') => return matching_brace(tokens, j).unwrap_or(tokens.len() - 1),
+            TokenKind::Punct(';') => return j,
+            TokenKind::Punct('}') => return j - 1,
+            TokenKind::Punct(',') if nest == 0 && angle == 0 && !in_where => return j,
+            TokenKind::Punct('(' | '[') => nest += 1,
+            TokenKind::Punct(')' | ']') => nest = nest.saturating_sub(1),
+            TokenKind::Punct('<') => angle += 1,
+            TokenKind::Punct('>') => angle = angle.saturating_sub(1),
+            TokenKind::Ident if t.text == "where" => in_where = true,
+            _ => {}
         }
-        if t.is_punct(';') {
-            return None;
-        }
-        j += 1;
     }
-    let open_depth = tokens[j].depth;
-    let mut k = j + 1;
-    while k < tokens.len() {
-        if tokens[k].is_punct('}') && tokens[k].depth == open_depth {
-            return Some(k);
-        }
-        k += 1;
-    }
-    Some(tokens.len() - 1)
+    tokens.len() - 1
 }

@@ -1,6 +1,6 @@
-//! Violation-corpus self-test: one deliberately-bad snippet per rule,
-//! each asserting that it fires *exactly* its expected rule, exactly
-//! once, and nothing else. This is the proof that the gate can actually
+//! Self-test over the violation corpus: one deliberately-bad snippet per
+//! rule, each asserting that it fires *exactly* its expected rule,
+//! exactly once, and nothing else. This is the proof that the gate can actually
 //! fail — a rule that silently stops matching turns up here, not in a
 //! shipped deadlock.
 //!
@@ -8,9 +8,7 @@
 //! sat at `crates/corpus/src/<name>.rs`, so crate-qualified lock names
 //! come out as `corpus/<field>`.
 
-use athena_analyze::analyze_sources;
-use athena_lint::rules::SourceFile;
-use athena_lint::Config;
+use athena_analyze::{analyze_sources, Config, SourceFile};
 
 /// A corpus case: snippet text, the rule it must fire, and whether the
 /// finding must carry a call-chain witness (propagated findings only).

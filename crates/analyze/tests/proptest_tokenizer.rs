@@ -1,7 +1,7 @@
 //! Property tests: the tokenizer must never panic, whatever bytes it is
 //! fed, and must preserve basic structural invariants on valid-ish input.
 
-use athena_lint::tokenizer::{tokenize, TokenKind};
+use athena_analyze::tokenizer::{tokenize, TokenKind};
 use proptest::prelude::*;
 
 /// Fragments that stress the tricky lexer states when concatenated in

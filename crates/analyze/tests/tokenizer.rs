@@ -1,11 +1,11 @@
 //! Tokenizer unit tests: panicking constructs mentioned in comments,
 //! string literals, raw strings, or test-only code must never surface as
 //! tokens the rules could flag — and real violations must. The site
-//! scanners (`athena_lint::sites`) are exercised directly; transitive
-//! hot-path propagation over these sites lives in `crates/analyze`.
+//! scanners (`athena_analyze::sites`) are exercised directly; transitive
+//! hot-path propagation over these sites is `tests/corpus.rs`' job.
 
-use athena_lint::sites;
-use athena_lint::tokenizer::{tokenize, TokenKind};
+use athena_analyze::sites;
+use athena_analyze::tokenizer::{tokenize, TokenKind};
 
 fn idents(source: &str) -> Vec<String> {
     tokenize(source)
@@ -134,6 +134,57 @@ fn cfg_test_on_single_item_does_not_mask_following_items() {
         .collect();
     assert_eq!(flagged.len(), 1, "only prod()'s unwrap is live");
     assert_eq!(flagged[0].line, 3);
+}
+
+#[test]
+fn cfg_test_on_a_struct_field_masks_only_that_field() {
+    let src = "struct S { #[cfg(test)] probe: u32, live: u32 }\n\
+               impl S { fn f(&self, v: Option<u8>) -> u8 { v.unwrap() } }";
+    let live = idents(src);
+    assert!(!live.contains(&"probe".to_string()));
+    for name in ["live", "impl", "f", "unwrap"] {
+        assert!(
+            live.contains(&name.to_string()),
+            "{name} is production code"
+        );
+    }
+    assert_eq!(panic_messages(src).len(), 1, "the unwrap is seen");
+
+    // A last field without a trailing comma ends at the struct's brace.
+    let src = "struct S { live: u32, #[cfg(test)] probe: Vec<(u8, u8)> }\nfn after() {}";
+    let toks = tokenize(src);
+    assert!(idents(src).contains(&"after".to_string()));
+    let close = toks
+        .iter()
+        .find(|t| t.is_punct('}'))
+        .expect("struct closes");
+    assert!(!close.in_test, "the enclosing brace stays live");
+}
+
+#[test]
+fn cfg_test_on_an_enum_variant_or_match_arm_masks_only_that_one() {
+    let src = "enum E { A, #[cfg(test)] B(u8, u8), C }\n\
+               fn f(e: E) -> u8 { match e { E::A => 1, #[cfg(test)] E::B(x, _) => x, E::C => c() } }";
+    let live = idents(src);
+    assert!(!live.contains(&"B".to_string()));
+    assert!(!live.contains(&"x".to_string()));
+    for name in ["A", "C", "f", "c"] {
+        assert!(
+            live.contains(&name.to_string()),
+            "{name} is production code"
+        );
+    }
+}
+
+#[test]
+fn cfg_test_on_a_generic_fn_is_masked_whole() {
+    let src =
+        "#[cfg(test)]\nfn helper<A, B>(a: A, b: B) -> u8 where A: Copy, B: Copy { a.unwrap() }\n\
+               fn prod() {}";
+    let live = idents(src);
+    assert!(!live.contains(&"unwrap".to_string()));
+    assert!(!live.contains(&"helper".to_string()));
+    assert!(live.contains(&"prod".to_string()));
 }
 
 #[test]

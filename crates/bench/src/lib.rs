@@ -13,7 +13,6 @@
 //! | Figure 10 (compute-cluster scalability) | `fig10_scalability` |
 //! | Table IX (Cbench overhead) | `table9_cbench` |
 //! | Figure 11 (CPU usage vs flow events) | `fig11_cpu` |
-//! | Fault tolerance (chaos-matrix summary) | `table_faults` |
 //!
 //! Every binary prints the paper's reported values next to the measured
 //! ones. Scale factors (dataset sizes, round counts) default to values

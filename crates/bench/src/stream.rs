@@ -14,8 +14,8 @@
 //!   scored by a barely-fitted model.
 //!
 //! The whole report is a pure function of [`MatrixConfig`]:
-//! byte-identical across reruns and `ATHENA_THREADS` widths. The
-//! `table_stream` binary prints the comparison and writes the
+//! byte-identical across reruns and `ATHENA_THREADS` widths.
+//! `tests/e2e_stream.rs` runs the sweep, gates its floor and writes the
 //! `BENCH_stream.json` artifact the CI gate archives.
 
 use crate::matrix::{evaluate_cell, run_family, FamilyRun, MatrixConfig};

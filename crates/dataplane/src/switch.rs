@@ -8,12 +8,6 @@ use athena_types::{Dpid, PortNo, SimTime};
 
 /// A simulated OpenFlow switch: one flow table plus per-port counters.
 ///
-/// Calls into the table are written `FlowTable::lookup(&mut self.table, …)`
-/// rather than as method calls: `athena-lint` resolves a path-qualified
-/// call exactly, so the hot-path rules follow the forwarding path into
-/// the classifier (`lookup`, `peek` and `apply` are ambiguous as bare
-/// method names and would end the call graph here).
-///
 /// # Examples
 ///
 /// ```
@@ -87,7 +81,7 @@ impl SimSwitch {
     /// delete commands).
     pub fn apply_flow_mod(&mut self, fm: &FlowMod, now: SimTime) -> Vec<FlowRemoved> {
         // OpenFlow switches silently ignore modify/delete misses.
-        FlowTable::apply(&mut self.table, fm, now).unwrap_or_default()
+        self.table.apply(fm, now).unwrap_or_default()
     }
 
     /// Performs a table lookup for a packet, crediting `packets`/`bytes`
@@ -108,7 +102,7 @@ impl SimSwitch {
         }
         // A miss is not counted as a drop here: the engine decides, and
         // calls `count_rx_drop` if it does.
-        let entry = FlowTable::lookup(&mut self.table, pkt, now, packets, bytes)?;
+        let entry = self.table.lookup(pkt, now, packets, bytes)?;
         for out in entry.actions.iter().filter_map(|a| a.output_port()) {
             if let Some(port) = port_mut(&mut self.ports, out) {
                 port.tx_packets += packets;
@@ -120,7 +114,7 @@ impl SimSwitch {
 
     /// Table lookup without crediting any counters (the routing phase).
     pub fn peek(&self, pkt: &PacketHeader, now: SimTime) -> Option<&[Action]> {
-        FlowTable::peek(&self.table, pkt, now).map(|e| e.actions.as_slice())
+        self.table.peek(pkt, now).map(|e| e.actions.as_slice())
     }
 
     /// Records dropped traffic on a port's tx side (capacity contention).

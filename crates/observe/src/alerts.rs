@@ -135,7 +135,7 @@ impl AlertEngine {
     /// transitions this tick (also appended to [`AlertEngine::events`]).
     pub fn evaluate(&mut self, now: SimTime, series: &SeriesEngine) -> Vec<AlertEvent> {
         let mut transitions = Vec::new();
-        for (i, rule) in self.rules.iter().enumerate() {
+        for (rule, firing) in self.rules.iter().zip(&mut self.firing) {
             let (active, value) = match &rule.signal {
                 AlertSignal::CounterRateAbove {
                     key,
@@ -162,8 +162,8 @@ impl AlertEngine {
                     (stalled, series.latest(key))
                 }
             };
-            if active != self.firing[i] {
-                self.firing[i] = active;
+            if active != *firing {
+                *firing = active;
                 let event = AlertEvent {
                     rule: rule.name,
                     fired: active,

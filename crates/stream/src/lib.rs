@@ -1,4 +1,4 @@
-//! athena-stream: the online learning pipeline (DESIGN.md §14).
+//! athena-stream: the online learning pipeline (DESIGN.md §13).
 //!
 //! Turns Athena's batch train-then-test loop into *continuous*
 //! detection, the operating point the paper pitches and RapidLearn's

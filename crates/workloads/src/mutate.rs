@@ -26,7 +26,7 @@ pub struct MutationBounds {
     pub start_jitter_s: (f64, f64),
 }
 
-/// The declared mutation-operator bounds (documented in DESIGN.md §13).
+/// The declared mutation-operator bounds (documented in DESIGN.md §12).
 pub const BOUNDS: MutationBounds = MutationBounds {
     rate_scale: (0.25, 4.0),
     duration_scale: (0.5, 8.0),

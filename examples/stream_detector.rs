@@ -1,4 +1,4 @@
-//! Opt-in streaming pipeline (DESIGN.md §14): deploy a bootstrap model,
+//! Opt-in streaming pipeline (DESIGN.md §13): deploy a bootstrap model,
 //! accumulate labeled live traffic in a sliding window, retrain an
 //! online learner in the background, and hot-swap it mid-run — without
 //! ever pausing detection.

@@ -41,8 +41,14 @@ cargo test -q -p athena-analyze --offline --test corpus
 
 # ATHENA_CHAOS_SMOKE=1 keeps the chaos matrix on the light workload in
 # CI (the full scenario matrix still runs — no scenario is skipped).
+# e2e_matrix (every Table-IV attack x algorithm cell against its recorded
+# baselines) and e2e_stream (the online-vs-batch sweep) archive their
+# reports; both run at smoke scale whatever the variable says.
 echo "==> cargo test (chaos smoke workload)"
+rm -f target/BENCH_matrix.json target/BENCH_stream.json
 ATHENA_CHAOS_SMOKE=1 cargo test -q --workspace --offline
+test -s target/BENCH_matrix.json
+test -s target/BENCH_stream.json
 
 echo "==> chaos matrix gate (every scenario x both detectors)"
 timed_gate "chaos matrix" \
@@ -91,28 +97,12 @@ timed_gate "observe gate" observe_gate
 test -s target/chrome-trace.json
 test -s target/observe-report.json
 
-echo "==> Table-IV matrix gate (every attack x algorithm cell + baselines)"
-# Smoke mode halves the workloads but never skips a cell; the recorded
-# baselines hold at both scales.
-cargo build -q --release --offline -p athena-bench --bin table_matrix
-timed_gate "matrix gate" \
-    env ATHENA_CHAOS_SMOKE=1 ATHENA_MATRIX_JSON=target/BENCH_matrix.json \
-    ./target/release/table_matrix
-test -s target/BENCH_matrix.json
-
-echo "==> streaming gate (hot-swap e2e + online-vs-batch table)"
+echo "==> streaming gate (hot-swap e2e + online-vs-batch sweep)"
 # The e2e drives a live retrain + hot-swap under ddos_flood, asserts the
 # ≤ 15 virtual-s detection-continuity bound, and re-runs composed with
-# the controller-crash chaos scenario; table_stream writes the archived
-# online-vs-batch comparison artifact.
-cargo build -q --release --offline -p athena-bench --bin table_stream
-stream_gate() {
-    ATHENA_CHAOS_SMOKE=1 cargo test -q --release --offline --test e2e_stream
-    ATHENA_CHAOS_SMOKE=1 ATHENA_STREAM_JSON=target/BENCH_stream.json \
-        ./target/release/table_stream
-}
-timed_gate "streaming gate" stream_gate
-test -s target/BENCH_stream.json
+# the controller-crash chaos scenario.
+timed_gate "streaming gate" \
+    env ATHENA_CHAOS_SMOKE=1 cargo test -q --release --offline --test e2e_stream
 
 echo "==> scale gate (batched engine byte-identity at ATHENA_THREADS 1/2/4/8)"
 # DDoS, a chaos schedule, and a k = 8 fat-tree on 16 shards, in release.

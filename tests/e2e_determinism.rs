@@ -388,7 +388,7 @@ use athena::types::sentinel;
 
 /// The declared order from `lint.toml` — one list serves both checkers.
 fn declared_lock_order() -> Vec<String> {
-    athena_lint::load_config(std::path::Path::new(env!("CARGO_MANIFEST_DIR")))
+    athena_analyze::load_config(std::path::Path::new(env!("CARGO_MANIFEST_DIR")))
         .expect("lint.toml parses")
         .lock_order
 }

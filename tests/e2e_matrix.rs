@@ -6,7 +6,8 @@
 //! with a chaos scenario to show evaluation and fault injection stack.
 //!
 //! Workloads run in smoke scale (halved, never skipped) so the suite
-//! stays fast in debug builds; the baselines hold at both scales.
+//! stays fast in debug builds; the baselines hold at both scales, and an
+//! `#[ignore]`d twin runs the same body at full scale.
 
 use std::collections::BTreeSet;
 
@@ -16,17 +17,27 @@ use athena_bench::matrix::{
     evaluate_cell, regressions, run_family, run_matrix, train_models, MatrixConfig, BASELINE_SEED,
 };
 
-fn matrix_config() -> MatrixConfig {
+fn matrix_config(smoke: bool) -> MatrixConfig {
     MatrixConfig {
         seed: BASELINE_SEED,
-        smoke: true,
+        smoke,
         ..MatrixConfig::default()
     }
 }
 
 #[test]
 fn every_cell_runs_and_known_attacks_hold_their_baselines() {
-    let cfg = matrix_config();
+    matrix_gate(true, "target/BENCH_matrix.json");
+}
+
+#[test]
+#[ignore = "full-scale matrix; run with --release -- --ignored"]
+fn every_cell_runs_and_known_attacks_hold_their_baselines_at_full_scale() {
+    matrix_gate(false, "target/BENCH_matrix_full.json");
+}
+
+fn matrix_gate(smoke: bool, artifact: &str) {
+    let cfg = matrix_config(smoke);
     let report = run_matrix(&cfg);
 
     // Every (family x algorithm) cell is present exactly once.
@@ -80,7 +91,7 @@ fn every_cell_runs_and_known_attacks_hold_their_baselines() {
     }
 
     // The artifact is written and non-empty.
-    let path = std::path::Path::new("target/BENCH_matrix.json");
+    let path = std::path::Path::new(artifact);
     report.save_json(path).expect("artifact written");
     let bytes = std::fs::read(path).expect("artifact readable");
     assert!(!bytes.is_empty());
@@ -98,7 +109,7 @@ fn every_cell_runs_and_known_attacks_hold_their_baselines() {
 
 #[test]
 fn matrix_cells_compose_with_chaos_scenarios() {
-    let cfg = matrix_config();
+    let cfg = matrix_config(true);
 
     // Train on the clean base families, evaluate the DDoS cell while a
     // controller crashes and rejoins mid-attack.

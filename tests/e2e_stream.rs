@@ -17,6 +17,10 @@
 //!
 //! Set `ATHENA_CHAOS_SMOKE=1` for the lighter CI workload (same
 //! assertions).
+//!
+//! The last test is the online-vs-batch sweep over every attack family
+//! (`athena_bench::stream::run_stream`): it gates the online learner's
+//! floor on the known flood and writes `target/BENCH_stream.json`.
 
 use athena::apps::{DdosDataset, DdosDetector, DdosDetectorConfig};
 use athena::controller::ControllerCluster;
@@ -312,4 +316,53 @@ fn streaming_gate_holds_under_controller_crash_chaos() {
     assert_gate("stream/chaos", &one);
     assert_gate("stream/chaos @8", &eight);
     assert_identical("stream/chaos 1v8", &one, &eight);
+}
+
+/// The online-vs-batch sweep at one scale: every family × pairing cell,
+/// the online Naive Bayes floor on the known flood (the batch operating
+/// point's neighbourhood, reached prequentially), and the archived
+/// artifact.
+fn online_vs_batch_sweep(smoke: bool, artifact: &str) {
+    use athena_bench::matrix::{MatrixConfig, BASELINE_SEED};
+    use athena_bench::stream::{pairings, run_stream};
+
+    let report = run_stream(&MatrixConfig {
+        seed: BASELINE_SEED,
+        smoke,
+        ..MatrixConfig::default()
+    });
+    let families = athena::workloads::AttackFamily::all().len();
+    assert_eq!(report.cells.len(), families * pairings().len());
+
+    let nb = report
+        .cells
+        .iter()
+        .find(|c| c.family == "ddos_flood" && c.online.algorithm == "online-naive-bayes")
+        .expect("ddos_flood online-NB cell");
+    assert!(
+        nb.online.detection_rate > 0.9,
+        "online NB detection rate {:.4} regressed",
+        nb.online.detection_rate
+    );
+    assert!(
+        nb.online.false_alarm_rate < 0.15,
+        "online NB false-alarm rate {:.4} regressed",
+        nb.online.false_alarm_rate
+    );
+
+    let path = std::path::Path::new(artifact);
+    report.save_json(path).expect("artifact written");
+    let bytes = std::fs::read(path).expect("artifact readable");
+    assert_eq!(bytes, report.to_json().expect("serialize").into_bytes());
+}
+
+#[test]
+fn online_vs_batch_sweep_holds_its_floor_and_writes_the_artifact() {
+    online_vs_batch_sweep(true, "target/BENCH_stream.json");
+}
+
+#[test]
+#[ignore = "full-scale sweep; run with --release -- --ignored"]
+fn online_vs_batch_sweep_holds_its_floor_at_full_scale() {
+    online_vs_batch_sweep(false, "target/BENCH_stream_full.json");
 }

@@ -10,8 +10,7 @@
 
 use std::path::Path;
 
-use athena_lint::rules::SourceFile;
-use athena_lint::{Config, Severity};
+use athena_analyze::{Config, SourceFile};
 
 fn root() -> &'static Path {
     Path::new(env!("CARGO_MANIFEST_DIR"))
@@ -22,12 +21,7 @@ fn workspace_passes_athena_lint() {
     let analysis = athena_analyze::check_workspace(root()).expect("analysis engine runs");
     let report = &analysis.report;
 
-    let mut failures: Vec<String> = report
-        .diagnostics
-        .iter()
-        .filter(|d| d.severity == Severity::Error)
-        .map(ToString::to_string)
-        .collect();
+    let mut failures: Vec<String> = report.diagnostics.iter().map(ToString::to_string).collect();
     failures.extend(report.stale_allows.iter().cloned());
 
     assert!(
@@ -151,6 +145,157 @@ fn propagated_panic_carries_call_chain_witness() {
     );
 }
 
+/// The `no-panic-in-hot-path` findings (the test config also declares
+/// two locks, which a lock-free snippet leaves unmatched).
+fn hot_panics(analysis: &athena_analyze::Analysis) -> Vec<&athena_analyze::Diagnostic> {
+    let all = analysis.report.diagnostics.iter();
+    all.filter(|d| d.rule == "no-panic-in-hot-path").collect()
+}
+
+/// A hot `per_packet` calling `self.index.get(k)`, with `index` declared
+/// as `field_type`; `Index::get` lives in another file and reaches an
+/// `unwrap` one hop down.
+fn self_field_call(field_type: &str) -> athena_analyze::Analysis {
+    let files = [
+        file(
+            "crates/x/src/entry.rs",
+            &format!(
+                "pub struct Engine {{ index: {field_type} }}\n\
+                 impl Engine {{\n\
+                     pub fn per_packet(&self, k: u64) -> Option<u8> {{ self.index.get(&k).copied() }}\n\
+                 }}"
+            ),
+        ),
+        file(
+            "crates/x/src/index.rs",
+            "pub struct Index { slots: Vec<u8> }\n\
+             impl Index {\n\
+                 pub fn get(&self, k: &u64) -> Option<&u8> { Some(must(self.slots.get(*k as usize))) }\n\
+             }\n\
+             fn must(v: Option<&u8>) -> &u8 { v.unwrap() }",
+        ),
+    ];
+    athena_analyze::analyze_sources(&test_config(""), &files)
+}
+
+#[test]
+fn self_field_call_resolves_through_the_declared_field_type() {
+    // `get` is on the std stoplist, so by name alone the call graph ends
+    // at `per_packet`. The field's declared type says whose `get` it is.
+    let analysis = self_field_call("Index");
+    let diags = hot_panics(&analysis);
+    assert_eq!(diags.len(), 1, "{diags:?}");
+    assert_eq!(diags[0].file, "crates/x/src/index.rs");
+    assert!(
+        diags[0].witness.iter().any(|h| h.contains("index.rs::get")),
+        "witness should pass through Index::get: {:?}",
+        diags[0].witness
+    );
+
+    // The same call on a std container names no workspace type: no edge.
+    let analysis = self_field_call("std::collections::HashMap<u64, u8>");
+    assert!(hot_panics(&analysis).is_empty());
+    assert_eq!(
+        analysis.hot_functions,
+        ["crates/x/src/entry.rs::per_packet"]
+    );
+}
+
+#[test]
+fn field_type_picks_the_right_one_of_two_same_named_methods() {
+    // Two crates define `lookup`; by name alone a call from a third is
+    // ambiguous and dropped. The field is a `FlowTable`, so exactly that
+    // `lookup` is hot — and the panicking one in the other crate is not.
+    let files = [
+        file(
+            "crates/x/src/entry.rs",
+            "pub struct Switch { table: athena_y::FlowTable }\n\
+             impl Switch { pub fn process(&mut self) -> u8 { self.table.lookup() } }",
+        ),
+        file(
+            "crates/y/src/table.rs",
+            "pub struct FlowTable;\n\
+             impl FlowTable { pub fn lookup(&mut self) -> u8 { 1 } }",
+        ),
+        file(
+            "crates/z/src/routes.rs",
+            "pub struct RouteTable;\n\
+             impl RouteTable { pub fn lookup(&self) -> u8 { None::<u8>.unwrap() } }",
+        ),
+    ];
+    let analysis = athena_analyze::analyze_sources(&test_config(""), &files);
+    assert_eq!(
+        analysis.hot_functions,
+        [
+            "crates/x/src/entry.rs::process",
+            "crates/y/src/table.rs::lookup"
+        ]
+    );
+    assert!(hot_panics(&analysis).is_empty());
+}
+
+#[test]
+fn cfg_test_field_does_not_hide_the_following_impl() {
+    // The attribute masks `probe` and nothing after it: `live`, the
+    // `impl` and its `unwrap` are production code.
+    let files = [file(
+        "crates/x/src/entry.rs",
+        "struct S { #[cfg(test)] probe: u32, live: u32 }\n\
+         impl S { fn f(&self, v: Option<u8>) -> u8 { v.unwrap() } }",
+    )];
+    let analysis = athena_analyze::analyze_sources(&test_config(""), &files);
+    assert_eq!(hot_panics(&analysis).len(), 1);
+    assert_eq!(analysis.hot_functions, ["crates/x/src/entry.rs::f"]);
+}
+
+/// The `lock-discipline` findings for a method body of `S { a, bus }`.
+fn discipline_findings(body: &str) -> (Vec<String>, athena_analyze::LockGraph) {
+    let files = [file(
+        "crates/x/src/guarded.rs",
+        &format!(
+            "use parking_lot::Mutex;\n\
+             pub struct Bus;\n\
+             impl Bus {{ pub fn dispatch(&self, _n: u32) {{}} }}\n\
+             pub struct S {{ a: Mutex<u32>, bus: Bus }}\n\
+             impl S {{ pub fn run(&self, m: &Mutex<u32>) -> u32 {{ {body} }} }}"
+        ),
+    )];
+    let analysis = athena_analyze::analyze_sources(&test_config(""), &files);
+    let findings = analysis
+        .report
+        .diagnostics
+        .iter()
+        .filter(|d| d.rule == "lock-discipline")
+        .map(|d| d.message.clone())
+        .collect();
+    (findings, analysis.lock_graph)
+}
+
+#[test]
+fn guard_windows_end_at_drop_and_cover_unnamed_receivers() {
+    // Held across a bus call and a second acquisition: both fire.
+    let held = "let ga = self.a.lock(); let v = *ga; let _ = m;\n\
+                self.bus.dispatch(v); let again = self.a.lock(); *again";
+    let (findings, _) = discipline_findings(held);
+    assert_eq!(findings.len(), 2, "{findings:?}");
+    assert!(findings.iter().any(|m| m.contains("re-acquired")));
+    assert!(findings.iter().any(|m| m.contains(".dispatch(")));
+
+    // `drop(ga)` closes the window first: the same body is clean.
+    let dropped = held.replace("let _ = m;", "let _ = m; drop(ga);");
+    let (findings, _) = discipline_findings(&dropped);
+    assert!(findings.is_empty(), "{findings:?}");
+
+    // A receiver that cannot be named still holds a guard across the bus
+    // call — but is no node of the lock graph.
+    let unnamed = "let g = (*m).lock(); self.bus.dispatch(*g); *g";
+    let (findings, graph) = discipline_findings(unnamed);
+    assert_eq!(findings.len(), 1, "{findings:?}");
+    assert!(findings[0].contains("<expr>"), "{findings:?}");
+    assert!(graph.locks.is_empty(), "{:?}", graph.locks);
+    assert!(graph.edges.is_empty(), "{:?}", graph.edges);
+}
+
 #[test]
 fn seeded_lock_inversion_fails_static_gate() {
     // lock_order declares a before b; this code acquires b then a. The
@@ -234,20 +379,32 @@ fn stale_allow_entries_fail_the_gate_with_a_pointer() {
         "stale-allow report must point at the line to delete: {}",
         analysis.report.stale_allows[0]
     );
+
+    // With no sources the seeded hot entry matches nothing either: that
+    // finding points at the `hot_entries` key (line 2 of the test config).
+    let analysis = athena_analyze::analyze_sources(&config, &[]);
+    let unmatched: Vec<_> = analysis
+        .report
+        .diagnostics
+        .iter()
+        .filter(|d| d.rule == "hot-entry-unmatched")
+        .map(|d| (d.file.as_str(), d.line))
+        .collect();
+    assert_eq!(unmatched, [("lint.toml", 2)]);
 }
 
 #[test]
 fn lint_catches_println_in_library_code() {
-    use athena_lint::rules::{NoPrintlnInLib, Rule};
+    use athena_analyze::rules::no_println_in_lib;
 
-    let config = athena_lint::load_config(root()).expect("lint.toml parses");
+    let config = athena_analyze::load_config(root()).expect("lint.toml parses");
 
     let lib = file(
         "crates/store/src/cluster.rs",
         "fn log(n: u64) { println!(\"{n}\"); }",
     );
     let mut out = Vec::new();
-    NoPrintlnInLib.check(&lib, &config, &mut out);
+    no_println_in_lib(&lib, &config, &mut out);
     assert_eq!(out.len(), 1, "library println must be flagged: {out:?}");
 
     // The same text in an exempt binary path is fine.
@@ -256,6 +413,6 @@ fn lint_catches_println_in_library_code() {
         "fn log(n: u64) { println!(\"{n}\"); }",
     );
     let mut out = Vec::new();
-    NoPrintlnInLib.check(&bin, &config, &mut out);
+    no_println_in_lib(&bin, &config, &mut out);
     assert!(out.is_empty(), "exempt binaries may print: {out:?}");
 }
