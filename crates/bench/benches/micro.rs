@@ -12,7 +12,7 @@ use athena_openflow::{
     decode_message, encode_message, Action, FlowMod, FlowStatsEntry, FlowTable, MatchFields,
     OfMessage, OfVersion, PacketHeader, StatsReply,
 };
-use athena_store::{doc, Filter, FindOptions, StoreCluster};
+use athena_store::{doc, Filter, FindOptions, Placement, StoreCluster};
 use athena_types::{
     AppId, ControllerId, Dpid, FiveTuple, Ipv4Addr, PortNo, SimDuration, SimTime, Xid,
 };
@@ -220,14 +220,46 @@ fn bench_store(c: &mut Criterion) {
     // Athena's store shape: 3 nodes, two copies, the `message_type`
     // index. Each iteration also pays one document clone (the insert
     // consumes its argument), the same on every commit.
-    for (name, record) in feature_records() {
-        let doc = record.to_document();
+    let store = || {
         let coll = StoreCluster::new(3, 2).collection("bench");
         coll.create_index("message_type");
+        coll
+    };
+    for (name, record) in feature_records() {
+        let doc = record.to_document();
+        let coll = store();
         c.bench_function(&format!("store/insert_replicated/{name}"), |b| {
             b.iter(|| coll.insert(black_box(&doc).clone()).unwrap())
         });
     }
+    // One store batch of `FLOW_STATS` documents, the size of a
+    // PACKET_IN message, of a mean stats reply on `fat_tree_scale`, and
+    // of a large one. Per call: divide by the size for a per-document
+    // figure beside `insert_replicated/flow_stats`. The collection is
+    // replaced once it holds 2^17 documents (its drop is timed, amortized
+    // over them), so a row holds ~0.5 GB at most where the two rows above
+    // grow for their whole run.
+    let [_, (_, flow_stats)] = feature_records();
+    let doc = flow_stats.to_document();
+    for size in [1, 52, 1024] {
+        let (mut coll, mut held) = (store(), 0);
+        let mut batch = Vec::with_capacity(size);
+        c.bench_function(&format!("store/insert_batch/{size}"), |b| {
+            b.iter(|| {
+                if held >= 1 << 17 {
+                    (coll, held) = (store(), 0);
+                }
+                batch.clear();
+                batch.extend((0..size).map(|_| Placement::pending(black_box(&doc).clone())));
+                coll.insert_batch(&mut batch);
+                held += size;
+            })
+        });
+    }
+    // What sizing its journal record costs: 38 keys, none escaped.
+    c.bench_function("store/encoded_len/flow_stats", |b| {
+        b.iter(|| black_box(&doc).encoded_len())
+    });
     // A populated collection for query benches.
     let filled = StoreCluster::new(3, 2).collection("q");
     for i in 0..5_000i64 {

@@ -10,12 +10,17 @@ use crate::feature::format::{FeatureRecord, RawDocument};
 use crate::nb::query::Query;
 use athena_ml::LabeledPoint;
 use athena_store::cluster::CollectionHandle;
-use athena_store::{Filter, StoreCluster};
+use athena_store::{Filter, Placement, StoreCluster};
 use athena_types::Result;
 use std::sync::Arc;
 
 /// A live-feature handler registered through `AddEventHandler`.
 pub type EventHandler = Box<dyn FnMut(&FeatureRecord) + Send>;
+
+/// What [`FeatureManager::ingest_batch`] hands each record of a batch,
+/// with its document, once the batch is stored (the SB interface's online
+/// validators).
+pub type Examine<'a> = &'a mut dyn FnMut(&FeatureRecord, &RawDocument);
 
 struct Registration {
     filter: Filter,
@@ -30,6 +35,9 @@ pub struct FeatureManager {
     publish_to_store: bool,
     published: u64,
     dispatched: u64,
+    // Kept between batches (emptied, never shrunk), so a message's store
+    // batch allocates nothing but its documents.
+    batch: Vec<Placement>,
 }
 
 impl FeatureManager {
@@ -46,6 +54,7 @@ impl FeatureManager {
             publish_to_store: true,
             published: 0,
             dispatched: 0,
+            batch: Vec::new(),
         }
     }
 
@@ -72,31 +81,51 @@ impl FeatureManager {
     ///
     /// Returns [`athena_types::AthenaError::Store`] if publication fails.
     pub fn ingest(&mut self, record: &FeatureRecord) -> Result<()> {
-        // The document form is only materialized when someone needs it:
-        // the store, or a registered handler's filter.
-        if !self.publish_to_store && self.registrations.is_empty() {
-            return Ok(());
-        }
-        self.ingest_with_document(record, record.to_document())
-            .map(drop)
+        self.ingest_batch(std::slice::from_ref(record), None)
     }
 
-    /// [`FeatureManager::ingest`] for a caller that already built the
-    /// record's document form. The document is moved into the store,
-    /// never copied; the returned handle lends it on (the SB interface
-    /// evaluates validator queries against it).
+    /// Ingests one message's live records: publishes their documents to
+    /// the store as one batch, then, record by record in order, forwards
+    /// each published one to the matching handlers and hands every one —
+    /// a refused write included — with its document to `examine` (the
+    /// SB interface's online validators). The whole batch is stored
+    /// before the first handler runs. Each document is built once, and
+    /// only when the store, a handler or `examine` reads it; it is moved
+    /// into the store, never copied.
     ///
     /// # Errors
     ///
-    /// Returns [`athena_types::AthenaError::Store`] if publication fails.
-    pub fn ingest_with_document(
+    /// Returns the first [`athena_types::AthenaError::Store`] error if
+    /// publication failed for any record, after every record has been
+    /// delivered.
+    pub fn ingest_batch(
         &mut self,
-        record: &FeatureRecord,
-        doc: RawDocument,
-    ) -> Result<Arc<RawDocument>> {
-        let doc = self.stored(doc)?;
-        self.deliver(record, &doc);
-        Ok(doc)
+        records: &[FeatureRecord],
+        mut examine: Option<Examine<'_>>,
+    ) -> Result<()> {
+        if !self.publish_to_store && self.registrations.is_empty() && examine.is_none() {
+            return Ok(());
+        }
+        let mut batch = std::mem::take(&mut self.batch);
+        batch.extend(records.iter().map(|r| Placement::pending(r.to_document())));
+        if self.publish_to_store {
+            self.collection.insert_batch(&mut batch);
+        }
+        let mut first_error = Ok(());
+        for (record, Placement { doc, outcome, .. }) in records.iter().zip(batch.drain(..)) {
+            match outcome {
+                Ok(()) => {
+                    self.published += u64::from(self.publish_to_store);
+                    self.deliver(record, &doc);
+                }
+                Err(e) => first_error = first_error.and(Err(e)),
+            }
+            if let Some(examine) = examine.as_mut() {
+                examine(record, &doc);
+            }
+        }
+        self.batch = batch;
+        first_error
     }
 
     /// Ingests a pre-built feature document (used when replaying stored

@@ -11,7 +11,9 @@
 //! requests (`Xid::athena_marked`), exactly as the paper describes.
 
 use crate::athena::AthenaRuntime;
+use crate::feature::format::{FeatureRecord, RawDocument};
 use crate::feature::generator::FeatureGenerator;
+use crate::nb::feature_manager::Examine;
 use athena_controller::{InterceptCtx, MessageInterceptor, RetryCounters, RetryPolicy};
 use athena_observe::Observe;
 use athena_openflow::{MatchFields, OfMessage, StatsRequest};
@@ -105,7 +107,7 @@ impl AthenaSouthbound {
 
     fn dispatch(
         &mut self,
-        records: Vec<crate::feature::format::FeatureRecord>,
+        mut records: Vec<FeatureRecord>,
         ctx: &InterceptCtx<'_>,
         out: &mut Vec<(Dpid, OfMessage)>,
     ) {
@@ -120,26 +122,15 @@ impl AthenaSouthbound {
         let mut fm = self.runtime.feature_manager.lock();
         let mut detector = self.runtime.detector.lock();
         let mut reactor = self.runtime.reactor.lock();
+        records.retain(|r| resource.allows(r));
         let mut verdicts = 0usize;
-        for record in records {
-            if !resource.allows(&record) {
-                continue;
-            }
-            // Publication + event delivery; store failures surface as
-            // dropped features, not panics.
-            if detector.validator_count() == 0 {
-                let _ = fm.ingest(&record);
-                continue;
-            }
-            // One document serves the store, the event handlers and the
-            // validators' queries (rebuilt only if the store refused it).
-            let doc = fm
-                .ingest_with_document(&record, record.to_document())
-                .unwrap_or_else(|_| Arc::new(record.to_document()));
-            let reactions = detector.process_document(&record, &doc);
+        let observe = &self.observe;
+        let validators = detector.validator_count() > 0;
+        let mut examine = |record: &FeatureRecord, doc: &RawDocument| {
+            let reactions = detector.process_document(record, doc);
             if !reactions.is_empty() {
                 verdicts += 1;
-                self.observe.event(
+                observe.event(
                     "core",
                     "verdict",
                     format_args!(
@@ -152,7 +143,12 @@ impl AthenaSouthbound {
             for reaction in reactions {
                 reactor.enqueue(reaction);
             }
-        }
+        };
+        // One store batch for the message, then handlers and validators
+        // record by record; one document per record serves all three.
+        // Store failures surface as dropped features, not panics.
+        let examine: Examine<'_> = &mut examine;
+        let _ = fm.ingest_batch(&records, validators.then_some(examine));
         drop((resource, fm, detector));
         out.extend(reactor.drain(
             |ip| ctx.hosts.location_of(ip),
@@ -497,12 +493,12 @@ mod tests {
 
     /// Runs `drive` over a fresh Athena with one event handler
     /// (`FLOW_PACKET_COUNT>=50`) and one online validator (threshold
-    /// 100 on switch 1), each logging when it fires together with how
-    /// many documents the store held at that moment.
+    /// 100 on switch 1), each logging when it fires. Also returns how
+    /// many documents the store held each time one of them fired.
     fn observe_run(
         store_enabled: bool,
         drive: impl FnOnce(&Athena, Vec<FeatureRecord>),
-    ) -> Observed {
+    ) -> (Observed, Vec<usize>) {
         use crate::nb::query::Query;
         use athena_ml::{Algorithm, Preprocessor};
         use athena_store::Filter;
@@ -515,21 +511,19 @@ mod tests {
             Telemetry::off(),
         );
         let log = Arc::new(std::sync::Mutex::new(Vec::new()));
-        let stored = {
+        let seen = Arc::new(std::sync::Mutex::new(Vec::new()));
+        let note = {
+            let (log, seen) = (Arc::clone(&log), Arc::clone(&seen));
             let features = athena.runtime().store.collection("features");
-            move || features.count(&Filter::All)
+            move |line: String| {
+                log.lock().unwrap().push(line);
+                seen.lock().unwrap().push(features.count(&Filter::All));
+            }
         };
-        let (handler_log, handler_stored) = (Arc::clone(&log), stored.clone());
+        let handler_note = note.clone();
         athena.add_event_handler(
             &Query::parse("FLOW_PACKET_COUNT>=50").unwrap(),
-            Box::new(move |r| {
-                let line = format!(
-                    "handler sw={} stored={}",
-                    r.index.switch.raw(),
-                    handler_stored()
-                );
-                handler_log.lock().unwrap().push(line);
-            }),
+            Box::new(move |r| handler_note(format!("handler sw={}", r.index.switch.raw()))),
         );
         let model = athena
             .detector_manager()
@@ -541,15 +535,13 @@ mod tests {
                 &Algorithm::threshold(0, 100.0),
             )
             .unwrap();
-        let (alert_log, alert_stored) = (Arc::clone(&log), stored.clone());
         athena.add_online_validator(
             "flood",
             &Query::parse("switch==1").unwrap(),
             model,
             Box::new(move |r| {
                 let packets = r.field("FLOW_PACKET_COUNT").unwrap_or(0.0);
-                let line = format!("alert packets={packets} stored={}", alert_stored());
-                alert_log.lock().unwrap().push(line);
+                note(format!("alert packets={packets}"));
                 None
             }),
         );
@@ -560,7 +552,8 @@ mod tests {
         let observed = log.lock().unwrap().clone();
         let counters = athena.runtime().feature_manager.lock().counters();
         let stored = athena.stored_feature_count();
-        (observed, counters, athena.total_alerts(), stored)
+        let seen = seen.lock().unwrap().clone();
+        ((observed, counters, athena.total_alerts(), stored), seen)
     }
 
     fn record(switch: u64, packets: f64) -> FeatureRecord {
@@ -588,8 +581,8 @@ mod tests {
     #[test]
     fn shared_document_fires_consumers_like_a_document_per_consumer() {
         for store_enabled in [true, false] {
-            let shared = observe_run(store_enabled, via_dispatch);
-            let reference = observe_run(store_enabled, per_consumer);
+            let (shared, seen) = observe_run(store_enabled, via_dispatch);
+            let (reference, _) = observe_run(store_enabled, per_consumer);
             assert_eq!(shared, reference, "store_enabled={store_enabled}");
             let (log, (published, dispatched), alerts, stored) = shared;
             assert_eq!(stored, if store_enabled { 24 } else { 0 });
@@ -603,13 +596,16 @@ mod tests {
                 alerts
             );
             assert!(dispatched > 0 && alerts > 0);
-            // A record that reaches both consumers was stored first, then
-            // handled, then alerted on.
+            // A record that reaches both consumers is handled, then
+            // alerted on.
             let both = log
                 .windows(2)
                 .filter(|w| w[0].starts_with("handler") && w[1].starts_with("alert"))
                 .count();
             assert!(both > 0, "{log:?}");
+            // The whole message is stored before its first handler runs.
+            assert_eq!(seen.len(), log.len());
+            assert!(seen.iter().all(|&n| n == stored), "{seen:?}");
         }
     }
 
@@ -625,7 +621,7 @@ mod tests {
         };
         let shared = below_quorum(via_dispatch);
         assert_eq!(shared, below_quorum(per_consumer));
-        let (_, (published, dispatched), alerts, stored) = shared;
+        let ((_, (published, dispatched), alerts, stored), _) = shared;
         assert_eq!((published, dispatched, stored), (0, 0, 0));
         assert!(alerts > 0);
     }
@@ -645,7 +641,7 @@ mod tests {
                 }
             });
             assert_eq!(by_document, by_record, "store_enabled={store_enabled}");
-            assert!(by_document.1 .1 > 0);
+            assert!(by_document.0 .1 .1 > 0);
         }
     }
 }

@@ -65,11 +65,9 @@ impl StoreNode {
         result
     }
 
-    pub(crate) fn read_collection<R: Default>(
-        &self,
-        name: &str,
-        f: impl FnOnce(&Collection) -> R,
-    ) -> R {
+    /// Runs `f` on this node's shard of collection `name` under its read
+    /// lock; `R::default()` when the node holds no such shard.
+    pub fn read_collection<R: Default>(&self, name: &str, f: impl FnOnce(&Collection) -> R) -> R {
         let map = self.collections.read();
         map.get(name)
             .map_or_else(R::default, |coll| f(&coll.read()))
@@ -80,10 +78,35 @@ impl StoreNode {
         self.collections.read().keys().cloned().collect()
     }
 
-    pub(crate) fn journal(&self, encoded_len: u64) {
-        let bytes = encoded_len + 16; // header overhead
+    /// The per-node write step every placement shares — a batch insert,
+    /// rejoin delivery, journal replay: one shard lock, one pass ensuring
+    /// the requested indexes, the handles stored in the order given, and
+    /// one journal add for them all (a record per copy, each its
+    /// document's length plus the header). An empty batch takes no lock.
+    /// Returns the copies written.
+    pub(crate) fn place<'a>(
+        &self,
+        coll: &str,
+        indexed: &[String],
+        copies: impl Iterator<Item = &'a Placement>,
+    ) -> u64 {
+        const HEADER_BYTES: u64 = 16;
+        let mut copies = copies.peekable();
+        if copies.peek().is_none() {
+            return 0;
+        }
+        let (records, bytes) = self.with_collection(coll, |c| {
+            for f in indexed {
+                c.create_index(f);
+            }
+            copies.fold((0, 0), |(records, bytes), p| {
+                c.insert_shared(Arc::clone(&p.doc));
+                (records + 1, bytes + p.len + HEADER_BYTES)
+            })
+        });
         self.journal_bytes.fetch_add(bytes, Ordering::Relaxed);
-        self.journal_records.fetch_add(1, Ordering::Relaxed);
+        self.journal_records.fetch_add(records, Ordering::Relaxed);
+        records
     }
 
     /// Total bytes appended to this node's journal.
@@ -288,8 +311,9 @@ impl StoreCluster {
 
     /// Hinted-handoff delivery after a node rejoins: re-places every
     /// logical document onto its (current) preferred replica set, copying
-    /// it where missing and dropping stand-in copies. Deterministic:
-    /// collections by name, documents by id, nodes in index order.
+    /// it where missing and dropping stand-in copies — per up node, one
+    /// placement step and one batch delete. Deterministic: collections by
+    /// name, nodes in index order, documents by id.
     fn deliver_handoffs(&self) {
         let mut names: Vec<String> = self
             .nodes
@@ -302,29 +326,38 @@ impl StoreCluster {
             let indexed = self.indexed_fields(&name);
             // Handles, not copies: re-placing a document shares its body
             // with the surviving replica.
-            let docs = self.live_docs(&name, &Filter::All);
-            for doc in docs {
-                let (targets, _) = self.write_targets(doc.id);
-                for (idx, node) in self.nodes.iter().enumerate() {
-                    if !node.is_up() {
-                        continue;
-                    }
-                    let holds = node.read_collection(&name, |c| c.get(doc.id).is_some());
-                    if targets.contains(idx) {
-                        if !holds {
-                            self.write_replica(
-                                node,
-                                &name,
-                                &indexed,
-                                doc.encoded_len() as u64,
-                                &doc,
-                            );
-                        }
-                    } else if holds {
-                        node.with_collection(&name, |c| {
-                            c.delete_by_id(doc.id);
-                        });
-                    }
+            let placements: Vec<Placement> = self
+                .live_docs(&name, &Filter::All)
+                .into_iter()
+                .map(|doc| self.placement(doc))
+                .collect();
+            for (idx, node) in self.nodes.iter().enumerate() {
+                if !node.is_up() {
+                    continue;
+                }
+                let held: Vec<bool> = node.read_collection(&name, |c| {
+                    placements
+                        .iter()
+                        .map(|p| c.get(p.doc.id).is_some())
+                        .collect()
+                });
+                let holds = |i: usize| held.get(i).copied().unwrap_or(false);
+                let missing = placements
+                    .iter()
+                    .enumerate()
+                    .filter(|(i, p)| p.targets.contains(idx) && !holds(*i))
+                    .map(|(_, p)| p);
+                node.place(&name, &indexed, missing);
+                let strays: Vec<DocId> = placements
+                    .iter()
+                    .enumerate()
+                    .filter(|(i, p)| !p.targets.contains(idx) && holds(*i))
+                    .map(|(_, p)| p.doc.id)
+                    .collect();
+                if !strays.is_empty() {
+                    node.with_collection(&name, |c| {
+                        c.delete_ids(&strays);
+                    });
                 }
             }
         }
@@ -340,38 +373,52 @@ impl StoreCluster {
     }
 
     /// Records that `coll` indexes `field` and builds the index on every
-    /// node's shard.
-    pub(crate) fn register_index(&self, coll: &str, field: &str) {
-        Arc::make_mut(
-            self.index_requests
-                .lock()
-                .entry(coll.to_owned())
-                .or_default(),
-        )
-        .push(field.to_owned());
+    /// node's shard. Returns `false`, and does nothing, when `field` was
+    /// already requested: every later write would otherwise run its
+    /// ensure-index pass twice.
+    pub(crate) fn register_index(&self, coll: &str, field: &str) -> bool {
+        {
+            let mut requests = self.index_requests.lock();
+            let fields = requests.entry(coll.to_owned()).or_default();
+            if fields.iter().any(|f| f == field) {
+                return false;
+            }
+            Arc::make_mut(fields).push(field.to_owned());
+        }
         for node in self.nodes.iter() {
             node.with_collection(coll, |c| c.create_index(field));
         }
+        true
     }
 
-    /// One replica write: the journal record (sized by the insert's one
-    /// encode-length), index maintenance and the shard-map insert. The
-    /// shard stores a handle to `doc`, not a copy.
-    pub(crate) fn write_replica(
+    /// `doc`, already stored under its id, bound for the nodes an insert
+    /// of that id writes to now.
+    pub(crate) fn placement(&self, doc: Arc<Document>) -> Placement {
+        let (targets, _) = self.write_targets(doc.id);
+        let len = doc.encoded_len() as u64;
+        Placement {
+            doc,
+            outcome: Ok(()),
+            targets,
+            len,
+        }
+    }
+
+    /// The one placement routine: every node that any of `batch` targets
+    /// gets one per-node step ([`StoreNode::place`]) with its copies, in
+    /// the order given. Returns the copies written.
+    pub(crate) fn place_all<'a>(
         &self,
-        node: &StoreNode,
         coll: &str,
-        indexed: &[String],
-        encoded_len: u64,
-        doc: &Arc<Document>,
-    ) {
-        node.journal(encoded_len);
-        node.with_collection(coll, |c| {
-            for f in indexed {
-                c.create_index(f);
-            }
-            c.insert_shared(Arc::clone(doc));
-        });
+        batch: impl Iterator<Item = &'a Placement> + Clone,
+    ) -> u64 {
+        let indexed = self.indexed_fields(coll);
+        let mut copies = 0;
+        for (idx, node) in self.nodes.iter().enumerate() {
+            let mine = batch.clone().filter(|p| p.targets.contains(idx));
+            copies += node.place(coll, &indexed, mine);
+        }
+        copies
     }
 
     /// `true` if node `i` exists and is up.
@@ -516,22 +563,48 @@ impl WriteTargets {
         }
     }
 
-    pub(crate) fn iter(&self) -> impl Iterator<Item = usize> + '_ {
-        let (primary, count, nodes, listed): (usize, usize, usize, &[usize]) = match self {
+    pub(crate) fn contains(&self, idx: usize) -> bool {
+        match self {
+            // `idx` is within `count` ring steps of `primary`.
             WriteTargets::Preferred {
                 primary,
                 count,
                 nodes,
-            } => (*primary, *count, *nodes, &[]),
-            WriteTargets::HandedOff(targets) => (0, 0, 1, targets),
-        };
-        (0..count)
-            .map(move |k| (primary + k) % nodes)
-            .chain(listed.iter().copied())
+            } => (idx + nodes - primary) % nodes < *count,
+            WriteTargets::HandedOff(targets) => targets.contains(&idx),
+        }
     }
+}
 
-    pub(crate) fn contains(&self, idx: usize) -> bool {
-        self.iter().any(|t| t == idx)
+/// One document on its way to the shards: what the one placement
+/// routine moves, whether it comes from an insert, a rejoin or a replay.
+/// An insert starts it [`Placement::pending`] and
+/// [`CollectionHandle::insert_batch`] settles it in place.
+#[derive(Debug)]
+pub struct Placement {
+    /// The body: the document as given until its batch runs (and when
+    /// refused); once stored, the id-stamped handle every target shard
+    /// holds.
+    pub doc: Arc<Document>,
+    /// `Ok` while pending and once stored (and journaled, with
+    /// persistence attached); otherwise why the insert failed.
+    pub outcome: Result<()>,
+    /// The nodes its copies go to (none while pending or when refused).
+    targets: WriteTargets,
+    /// Its journal record's length: the primary serializes it once and
+    /// every replica receives the same bytes.
+    len: u64,
+}
+
+impl Placement {
+    /// A document waiting for [`CollectionHandle::insert_batch`].
+    pub fn pending(doc: Document) -> Self {
+        Placement {
+            doc: Arc::new(doc),
+            outcome: Ok(()),
+            targets: WriteTargets::HandedOff(Vec::new()),
+            len: 0,
+        }
     }
 }
 
@@ -558,91 +631,109 @@ impl CollectionHandle {
     ///
     /// # Errors
     ///
-    /// Returns [`AthenaError::Store`] if the cluster has no nodes (cannot
-    /// happen via [`StoreCluster::new`]) or too few nodes are up to reach
-    /// the write quorum.
+    /// Returns [`AthenaError::Store`] if too few nodes are up to reach the
+    /// write quorum.
     pub fn insert(&self, doc: Document) -> Result<DocId> {
         self.insert_shared(doc).map(|d| d.id)
     }
 
     /// [`CollectionHandle::insert`], returning a handle to the stored
     /// (id-stamped) document: the body every replica shard now shares,
-    /// for a caller that goes on reading what it just wrote.
+    /// for a caller that goes on reading what it just wrote. A batch of
+    /// one, on the stack.
     ///
     /// # Errors
     ///
     /// As [`CollectionHandle::insert`].
-    pub fn insert_shared(&self, mut doc: Document) -> Result<Arc<Document>> {
-        if self.cluster.nodes.is_empty() {
-            return Err(AthenaError::Store("no store nodes".into()));
+    pub fn insert_shared(&self, doc: Document) -> Result<Arc<Document>> {
+        let mut one = [Placement::pending(doc)];
+        self.insert_batch(&mut one);
+        let [Placement { doc, outcome, .. }] = one;
+        outcome.map(|()| doc)
+    }
+
+    /// Inserts the [`Placement::pending`] documents of `batch` as one
+    /// batch, the write-side mirror of the batch delete, and settles each
+    /// in place. Ids are stamped in batch order (a document refused for
+    /// want of a write quorum still consumes its id); each document's
+    /// write targets are picked as [`CollectionHandle::insert`] picks
+    /// them; then every node that receives copies takes one shard lock,
+    /// one ensure-index pass and one journal add for all of them, and
+    /// stores them in id order. The counters move once per batch, which
+    /// records one `store/quorum_write` span and one `store/insert_ns`
+    /// sample; with persistence attached, one WAL insert per stored
+    /// document follows, in id order. Every document is attempted.
+    ///
+    /// The batch is the caller's, so one that keeps a `Vec` of them
+    /// between batches allocates nothing here but the documents' bodies.
+    pub fn insert_batch(&self, batch: &mut [Placement]) {
+        if batch.is_empty() {
+            return;
         }
-        let tel = self.cluster.telemetry();
+        let cluster = &self.cluster;
+        let tel = cluster.telemetry();
         let span = tel.observe.span("store", "quorum_write");
         let timer = tel.insert_ns.start_timer();
-        let id = DocId(self.cluster.next_id.fetch_add(1, Ordering::Relaxed));
-        let (targets, handoffs) = self.cluster.write_targets(id);
-        if targets.len() < self.cluster.write_quorum() {
-            self.cluster
-                .metrics
-                .quorum_failures
-                .fetch_add(1, Ordering::Relaxed);
-            return Err(AthenaError::Store(format!(
-                "write quorum not reached: {} of {} required copies placeable",
-                targets.len(),
-                self.cluster.write_quorum()
-            )));
+        let quorum = cluster.write_quorum();
+        let n = batch.len() as u64;
+        let first = cluster.next_id.fetch_add(n, Ordering::Relaxed);
+        let (mut placed, mut handoffs) = (0, 0);
+        for (p, id) in batch.iter_mut().zip(first..) {
+            let id = DocId(id);
+            let (targets, handed) = cluster.write_targets(id);
+            if targets.len() < quorum {
+                p.outcome = Err(AthenaError::Store(format!(
+                    "write quorum not reached: {} of {quorum} required copies placeable",
+                    targets.len()
+                )));
+                continue;
+            }
+            placed += 1;
+            handoffs += handed;
+            p.outcome = Ok(());
+            Arc::make_mut(&mut p.doc).id = id;
+            p.len = p.doc.encoded_len() as u64;
+            p.targets = targets;
         }
-        self.cluster.metrics.inserts.fetch_add(1, Ordering::Relaxed);
+        let copies = cluster.place_all(&self.name, batch.iter().filter(|p| p.outcome.is_ok()));
+
+        let m = &cluster.metrics;
+        m.inserts.fetch_add(placed, Ordering::Relaxed);
+        m.quorum_failures.fetch_add(n - placed, Ordering::Relaxed);
+        m.replica_writes.fetch_add(copies, Ordering::Relaxed);
+        tel.replica_writes.add(copies);
         if handoffs > 0 {
-            self.cluster
-                .metrics
-                .write_handoffs
-                .fetch_add(handoffs, Ordering::Relaxed);
+            m.write_handoffs.fetch_add(handoffs, Ordering::Relaxed);
             tel.write_handoffs.add(handoffs);
         }
-        let indexed = self.cluster.indexed_fields(&self.name);
-        // The primary serializes the record once; replicas receive the
-        // same bytes (so journaling costs one encode per logical write,
-        // as in a real replicated store) and share the one body.
-        let encoded_len = doc.encoded_len() as u64;
-        doc.id = id;
-        let doc = Arc::new(doc);
-        for node_idx in targets.iter() {
-            let node = &self.cluster.nodes[node_idx];
-            self.cluster
-                .write_replica(node, &self.name, &indexed, encoded_len, &doc);
-            self.cluster
-                .metrics
-                .replica_writes
-                .fetch_add(1, Ordering::Relaxed);
-            tel.replica_writes.inc();
-        }
-        if self.cluster.persist_on.load(Ordering::Relaxed) {
-            self.cluster
-                .journal_store_op(&ops::insert(&self.name, id, &doc))?;
+        if cluster.persist_on.load(Ordering::Relaxed) {
+            for p in batch.iter_mut().filter(|p| p.outcome.is_ok()) {
+                p.outcome = cluster.journal_store_op(&ops::insert(&self.name, p.doc.id, &p.doc));
+            }
         }
         timer.observe(&tel.insert_ns);
         span.finish(format_args!(
-            "coll={} id={} handoffs={handoffs}",
-            self.name, id.0
+            "coll={} docs={n} handoffs={handoffs}",
+            self.name
         ));
-        Ok(doc)
     }
 
-    /// Inserts many documents, attempting every document even when some
-    /// fail — a quorum failure on one document no longer aborts the rest
-    /// of the batch.
+    /// Inserts many documents as one batch, attempting every document
+    /// even when some fail — a quorum failure on one document does not
+    /// abort the rest of the batch.
     ///
     /// # Errors
     ///
     /// Returns [`AthenaError::Store`] if any document failed, after all
     /// documents have been attempted.
     pub fn insert_many(&self, docs: impl IntoIterator<Item = Document>) -> Result<Vec<DocId>> {
+        let mut batch: Vec<Placement> = docs.into_iter().map(Placement::pending).collect();
+        self.insert_batch(&mut batch);
         let mut ids = Vec::new();
         let mut failed = 0usize;
-        for d in docs {
-            match self.insert(d) {
-                Ok(id) => ids.push(id),
+        for Placement { doc, outcome, .. } in batch {
+            match outcome {
+                Ok(()) => ids.push(doc.id),
                 Err(_) => failed += 1,
             }
         }
@@ -655,11 +746,13 @@ impl CollectionHandle {
         Ok(ids)
     }
 
-    /// Registers a secondary index on `field` across all shards.
+    /// Registers a secondary index on `field` across all shards (and
+    /// journals it, with persistence attached); a field already indexed
+    /// is left alone.
     pub fn create_index(&self, field: impl Into<String>) {
         let field = field.into();
-        self.cluster.register_index(&self.name, &field);
-        if self.cluster.persist_on.load(Ordering::Relaxed) {
+        let new = self.cluster.register_index(&self.name, &field);
+        if new && self.cluster.persist_on.load(Ordering::Relaxed) {
             let _ = self
                 .cluster
                 .journal_store_op(&ops::create_index(&self.name, &field));

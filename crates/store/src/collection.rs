@@ -209,8 +209,7 @@ impl Collection {
     }
 
     /// Number of entries the index over `field` holds, if there is one.
-    #[cfg(test)]
-    pub(crate) fn index_entries(&self, field: &str) -> Option<usize> {
+    pub fn index_entries(&self, field: &str) -> Option<usize> {
         self.indexes.get(field).map(SecondaryIndex::len)
     }
 

@@ -338,6 +338,14 @@ fn value_len(v: &Value) -> usize {
 /// two-byte escapes for `"`, `\\` and the five named controls, `\u00XX`
 /// for the other controls, every other byte as itself.
 fn string_len(s: &str) -> usize {
+    // Every catalog name and message type escapes nothing: one pass
+    // that folds the test without branching per byte settles those.
+    let escapes = s.bytes().fold(false, |any, b| {
+        any | (b < 0x20) | (b == b'"') | (b == b'\\')
+    });
+    if !escapes {
+        return s.len() + 2;
+    }
     let body: usize = s
         .bytes()
         .map(|b| match b {

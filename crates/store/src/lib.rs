@@ -46,7 +46,7 @@ pub mod index;
 pub mod persist;
 pub mod query;
 
-pub use cluster::{ClusterMetrics, StoreCluster, StoreNode};
+pub use cluster::{ClusterMetrics, Placement, StoreCluster, StoreNode};
 pub use collection::Collection;
 pub use document::{DocId, Document, Fields, Key};
 pub use filter::Filter;

@@ -10,7 +10,7 @@
 //! contents. Checkpoints snapshot every collection (documents sorted by
 //! id, index fields sorted) plus the id allocator, superseding the WAL.
 
-use crate::cluster::StoreCluster;
+use crate::cluster::{Placement, StoreCluster};
 use crate::document::{DocId, Document};
 use crate::filter::Filter;
 use athena_persist::{record::kind, Journal, PersistConfig, Recovery};
@@ -310,13 +310,16 @@ impl StoreCluster {
                     }
                 }
                 if let Some(Value::Array(docs)) = cm.get("docs") {
-                    for d in docs {
-                        let dm = as_object(d)?;
-                        let id = DocId(get_u64(dm, "id")?);
-                        let fields = get_object(dm, "fields")?;
-                        self.apply_insert(name, id, fields);
-                        restored += 1;
-                    }
+                    let placements = docs
+                        .iter()
+                        .map(|d| {
+                            let dm = as_object(d)?;
+                            let id = DocId(get_u64(dm, "id")?);
+                            Ok(self.replayed(id, get_object(dm, "fields")?))
+                        })
+                        .collect::<Result<Vec<Placement>>>()?;
+                    self.place_all(name, placements.iter());
+                    restored += placements.len() as u64;
                 }
             }
         }
@@ -333,7 +336,7 @@ impl StoreCluster {
                 let coll = get_str(m, "coll")?;
                 let id = DocId(get_u64(m, "id")?);
                 let fields = get_object(m, "fields")?;
-                self.apply_insert(coll, id, fields);
+                self.place_all(coll, std::iter::once(&self.replayed(id, fields)));
                 Ok(())
             }
             "update" => {
@@ -364,21 +367,16 @@ impl StoreCluster {
         }
     }
 
-    /// Replays one insert through the normal sharding path (all nodes are
-    /// up during recovery, so placement is the preferred replica set),
-    /// without journaling it again.
-    fn apply_insert(&self, coll: &str, id: DocId, fields: Map<String, Value>) {
-        let doc = Arc::new(Document {
+    /// A recovered document bound for its nodes — replayed through the
+    /// normal placement step (all nodes are up during recovery, so its
+    /// targets are the preferred replica set) and not journaled again;
+    /// the id allocator moves past its id.
+    fn replayed(&self, id: DocId, fields: Map<String, Value>) -> Placement {
+        self.next_id.fetch_max(id.0 + 1, Ordering::Relaxed);
+        self.placement(Arc::new(Document {
             id,
             fields: fields.into(),
-        });
-        let indexed = self.indexed_fields(coll);
-        let encoded_len = doc.encoded_len() as u64;
-        let (targets, _) = self.write_targets(id);
-        for node_idx in targets.iter() {
-            self.write_replica(&self.nodes[node_idx], coll, &indexed, encoded_len, &doc);
-        }
-        self.next_id.fetch_max(id.0 + 1, Ordering::Relaxed);
+        }))
     }
 }
 
@@ -529,6 +527,42 @@ mod tests {
         // The recovered cluster is healthy and holds every document on its
         // preferred primary — recovery even heals the handed-off placement.
         assert_eq!(contents(&recovered, "c"), before);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_second_create_index_registers_and_journals_nothing() {
+        let wal_records =
+            |tel: &Telemetry| tel.metrics().counter("persist", "store_wal_records").get();
+        let dir = test_dir();
+        let tel = Telemetry::new();
+        let original = StoreCluster::new(3, 2);
+        original
+            .attach_persistence(PersistConfig::new(&dir), VirtualClock::new(), &tel)
+            .unwrap();
+        let coll = original.collection("c");
+        coll.create_index("k");
+        coll.create_index("k");
+        assert_eq!(*original.indexed_fields("c"), ["k"]);
+        assert_eq!(wal_records(&tel), 1);
+        coll.insert(doc! { "k" => 1 }).unwrap();
+        original.checkpoint().unwrap();
+        drop(original);
+
+        // A deployment registers its index before it attaches the
+        // journal, whose checkpoint lists the same index.
+        let recovered = StoreCluster::new(3, 2);
+        let coll = recovered.collection("c");
+        coll.create_index("k");
+        let tel = Telemetry::new();
+        let report = recovered
+            .attach_persistence(PersistConfig::new(&dir), VirtualClock::new(), &tel)
+            .unwrap();
+        assert!(report.checkpoint_applied);
+        coll.create_index("k");
+        assert_eq!(*recovered.indexed_fields("c"), ["k"]);
+        assert_eq!(wal_records(&tel), 0);
+        assert_eq!(coll.count(&Filter::eq("k", 1)), 1);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

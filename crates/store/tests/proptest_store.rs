@@ -1,7 +1,7 @@
 //! Property-based tests for the distributed store: shard routing stability,
 //! insert-then-find, filter/sort/limit contracts, and index/scan agreement.
 
-use athena_store::{doc, Document, Filter, FindOptions, SortSpec, StoreCluster};
+use athena_store::{doc, Document, Filter, FindOptions, Placement, SortSpec, StoreCluster};
 use proptest::prelude::*;
 
 fn arb_docs() -> impl Strategy<Value = Vec<Document>> {
@@ -594,6 +594,217 @@ proptest! {
         assert_reads_agree(&recovered.collection("c"), &model, &filters, "recovered");
         let _ = std::fs::remove_dir_all(&dir);
     }
+}
+
+// The write path: a batch insert is its documents inserted one call at a
+// time, whatever the batches and the node outages between them. No
+// second insert routine is the oracle — the same cluster API, called
+// once per document.
+
+#[derive(Debug, Clone)]
+enum WriteStep {
+    Batch(Vec<Document>),
+    /// Flip node `i` (modulo the node count) down or back up.
+    Toggle(usize),
+}
+
+fn arb_write_step() -> impl Strategy<Value = WriteStep> {
+    let batch = || proptest::collection::vec(arb_query_doc(), 0..12).prop_map(WriteStep::Batch);
+    // Three batches to a toggle.
+    prop_oneof![
+        batch(),
+        batch(),
+        batch(),
+        (0usize..6).prop_map(WriteStep::Toggle),
+    ]
+}
+
+/// Per node: up or not, journal bytes and records, and of its shard of
+/// `c` the ids held and each index with its entry count.
+type NodeState = (bool, u64, u64, Vec<u64>, Vec<(String, Option<usize>)>);
+
+fn node_states(cluster: &StoreCluster) -> Vec<NodeState> {
+    (0..cluster.node_count())
+        .map(|i| {
+            let node = cluster.node(i);
+            let (ids, indexes) = node.read_collection("c", |c| {
+                let mut ids: Vec<u64> = c
+                    .matching(&Filter::All, |_| true)
+                    .iter()
+                    .map(|d| d.id.0)
+                    .collect();
+                ids.sort_unstable();
+                let fields = c.index_fields();
+                let entries = fields
+                    .iter()
+                    .map(|f| (f.clone(), c.index_entries(f)))
+                    .collect();
+                (ids, entries)
+            });
+            (
+                node.is_up(),
+                node.journal_bytes(),
+                node.journal_records(),
+                ids,
+                indexes,
+            )
+        })
+        .collect()
+}
+
+/// Every file of a journal directory, by name, with its bytes.
+fn journal_files(dir: &std::path::Path) -> Vec<(std::ffi::OsString, Vec<u8>)> {
+    let mut files: Vec<_> = std::fs::read_dir(dir)
+        .unwrap()
+        .map(|e| {
+            let e = e.unwrap();
+            (e.file_name(), std::fs::read(e.path()).unwrap())
+        })
+        .collect();
+    files.sort();
+    files
+}
+
+/// Runs `steps` into two journaled clusters, one batch per call and one
+/// document per call, and asserts they agree at every step, after every
+/// node rejoins and after recovery from each one's WAL. Returns the
+/// batched cluster's metrics.
+fn assert_batches_are_singletons(
+    nodes: usize,
+    replication: usize,
+    indexes: &[usize],
+    steps: Vec<WriteStep>,
+) -> athena_store::ClusterMetrics {
+    use athena_persist::PersistConfig;
+    use athena_telemetry::Telemetry;
+    use athena_types::VirtualClock;
+
+    static CASE: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
+    let case = CASE.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+    let dir = |side: &str| {
+        let d = std::env::temp_dir().join(format!(
+            "athena-store-batch-{}-{case}-{side}",
+            std::process::id()
+        ));
+        let _ = std::fs::remove_dir_all(&d);
+        d
+    };
+    let (batched_dir, single_dir) = (dir("batched"), dir("single"));
+    let open = |dir: &std::path::Path| {
+        let cluster = StoreCluster::new(nodes, replication);
+        cluster
+            .attach_persistence(
+                PersistConfig::new(dir),
+                VirtualClock::new(),
+                &Telemetry::off(),
+            )
+            .unwrap();
+        cluster
+    };
+    let (batched, single) = (open(&batched_dir), open(&single_dir));
+    let (bc, sc) = (batched.collection("c"), single.collection("c"));
+    for f in indexes {
+        bc.create_index(QUERY_FIELDS[*f]);
+        sc.create_index(QUERY_FIELDS[*f]);
+    }
+    for step in steps {
+        match step {
+            WriteStep::Batch(docs) => {
+                let mut got: Vec<Placement> =
+                    docs.iter().cloned().map(Placement::pending).collect();
+                bc.insert_batch(&mut got);
+                for (given, inserted) in docs.into_iter().zip(got) {
+                    let want = sc.insert_shared(given.clone());
+                    assert_eq!(inserted.outcome.is_ok(), want.is_ok());
+                    match want {
+                        Ok(stored) => assert_eq!(*inserted.doc, *stored),
+                        // A refused document comes back as it was given.
+                        Err(e) => {
+                            assert_eq!(*inserted.doc, given);
+                            assert_eq!(inserted.outcome.unwrap_err().to_string(), e.to_string());
+                        }
+                    }
+                }
+            }
+            WriteStep::Toggle(i) => {
+                let i = i % nodes;
+                let up = !batched.node_is_up(i);
+                batched.set_node_up(i, up);
+                single.set_node_up(i, up);
+            }
+        }
+        assert_eq!(node_states(&batched), node_states(&single));
+        assert_eq!(batched.metrics(), single.metrics());
+    }
+    let metrics = batched.metrics();
+    for i in 0..nodes {
+        batched.set_node_up(i, true);
+        single.set_node_up(i, true);
+    }
+    assert_eq!(node_states(&batched), node_states(&single), "rejoined");
+    assert_eq!(batched.contents(), single.contents(), "rejoined");
+    // One WAL insert per stored document, in id order: the same bytes.
+    assert_eq!(journal_files(&batched_dir), journal_files(&single_dir));
+    // Recovery replays through the same placement step; only the id
+    // allocator may differ from the live cluster (refused ids leave no
+    // record).
+    let collections = |contents: String| {
+        let v: serde_json::Value = serde_json::from_str(&contents).unwrap();
+        v.as_object().unwrap().get("collections").cloned()
+    };
+    let live = collections(batched.contents());
+    drop((bc, sc, batched, single));
+    let recovered = open(&batched_dir).contents();
+    assert_eq!(recovered, open(&single_dir).contents(), "recovered");
+    assert_eq!(collections(recovered), live, "recovered");
+    for dir in [&batched_dir, &single_dir] {
+        let _ = std::fs::remove_dir_all(dir);
+    }
+    metrics
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    #[test]
+    fn a_batch_insert_is_its_documents_inserted_one_by_one(
+        steps in proptest::collection::vec(arb_write_step(), 1..16),
+        nodes in 2usize..6,
+        replication in 1usize..4,
+        indexes in proptest::collection::vec(0usize..QUERY_FIELDS.len(), 0..3),
+    ) {
+        assert_batches_are_singletons(nodes, replication, &indexes, steps);
+    }
+}
+
+#[test]
+fn batches_that_hand_off_and_lose_quorum_are_singletons_too() {
+    // Three copies on four nodes, write quorum 2: one node down hands
+    // copies off; three down leaves one placeable copy, so the batch
+    // between is refused — and consumes its ids — while the one after
+    // the nodes return is stored.
+    let docs = |n: i64| {
+        (0..n)
+            .map(|i| doc! { "a" => i % 3, "b" => i })
+            .collect::<Vec<_>>()
+    };
+    let steps = vec![
+        WriteStep::Batch(docs(9)),
+        WriteStep::Toggle(1),
+        WriteStep::Batch(docs(7)),
+        WriteStep::Toggle(2),
+        WriteStep::Toggle(3),
+        WriteStep::Batch(docs(5)),
+        WriteStep::Toggle(2),
+        WriteStep::Batch(docs(6)),
+        WriteStep::Toggle(3),
+        WriteStep::Toggle(1),
+        WriteStep::Batch(docs(4)),
+    ];
+    let m = assert_batches_are_singletons(4, 3, &[0, 1], steps);
+    assert!(m.write_handoffs > 0, "{m:?}");
+    assert_eq!(m.quorum_failures, 5, "{m:?}");
+    assert_eq!(m.inserts, 9 + 7 + 6 + 4, "{m:?}");
 }
 
 #[test]

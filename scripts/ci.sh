@@ -115,16 +115,22 @@ echo "==> ledger (the BENCHMARK.json package: unit tests + one short traced run 
 # failed operations, every declared metric produced) through its exit
 # status, and its `behaviour` line — digests, counts, DR/FAR: the same
 # for a seed whatever `--seconds` or `--trace` — must be the committed
-# one. The timed metrics are printed for the log, never judged here:
-# timing is settled by alternating pairs in the PR that changes it.
+# one, and so must the deterministic counts among its per-layer metrics.
+# The timed metrics are printed for the log, never judged here: timing
+# is settled by alternating pairs in the PR that changes it.
 cargo test -q --offline --manifest-path ledger/Cargo.toml
+counts='^(store\.docs|store\.inserts|controller\.flow_mods|controller\.stats_reply_calls|controller\.batch_calls|compute\.tasks|dataplane\.steps)$'
 : > target/ledger_behaviour.txt
+: > target/ledger_counts.txt
 for w in ddos_detect cbench_saturate fat_tree_scale nb_analytics; do
     out=$(cargo run --release --offline --quiet --manifest-path ledger/Cargo.toml -- \
         --workload "$w" --seconds 3 --trace 1)
     grep -v '^{' <<< "$out"
     grep '^behaviour ' <<< "$out" | sed "s/^/$w /" >> target/ledger_behaviour.txt
+    awk -v w="$w" -v counts="$counts" '$1 ~ counts { print w, $1, $2 }' <<< "$out" \
+        >> target/ledger_counts.txt
 done
 diff -u scripts/ledger_behaviour.golden target/ledger_behaviour.txt
+diff -u scripts/ledger_counts.golden target/ledger_counts.txt
 
 echo "CI gate passed."
