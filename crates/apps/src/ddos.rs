@@ -160,7 +160,7 @@ mod tests {
         assert_eq!(det.preprocessor().steps().len(), 2);
         let q = det.query();
         assert!(q
-            .to_filter()
+            .filter
             .matches(&athena_store::doc! { "message_type" => "FLOW_STATS" }));
     }
 

@@ -221,6 +221,9 @@ let after = 3;
         let spark = measured_sloc(include_str!("ddos_spark.rs"));
         let bsp = measured_sloc(include_str!("ddos_bsp.rs"));
         assert!(athena > 0 && spark > 0 && bsp > 0);
+        // Table VIII's Athena row, pinned: an NB API change that makes the
+        // paper's pseudocode longer to write fails here.
+        assert_eq!(athena, 30, "Athena K-Means detector SLoC");
         // The paper reports Athena at ~5% of the baselines; we assert the
         // order-of-magnitude relationship.
         assert!(athena * 5 < spark, "athena {athena} vs spark {spark}");

@@ -4,7 +4,7 @@
 use crate::feature::format::FeatureRecord;
 use crate::nb::detector_manager::{DetectionModel, DetectorManager};
 use crate::nb::feature_manager::{EventHandler, FeatureManager};
-use crate::nb::query::{Predicate, Query};
+use crate::nb::query::Query;
 use crate::nb::reaction_manager::Reaction;
 use crate::nb::resource_manager::ResourceManager;
 use crate::nb::ui::{Series, UiManager};
@@ -15,7 +15,7 @@ use athena_compute::ComputeCluster;
 use athena_controller::ControllerCluster;
 use athena_ml::{Algorithm, Preprocessor, ValidationSummary};
 use athena_observe::Observe;
-use athena_store::StoreCluster;
+use athena_store::{Filter, StoreCluster};
 use athena_telemetry::Telemetry;
 use athena_types::sentinel::TrackedMutex;
 use athena_types::{ControllerId, Dpid, Result, SimDuration};
@@ -194,40 +194,37 @@ impl Athena {
 
     /// `ManageMonitor(q, o)`: turns monitoring on/off. A query naming
     /// `switch==X` toggles that switch; `feature==KIND` toggles a feature
-    /// kind; an empty query toggles everything.
+    /// kind; the empty query toggles everything. Only equalities name a
+    /// switch or kind — the query's own, or those among the members of
+    /// its top-level `and` / `or`; any other comparison (`switch!=1`,
+    /// `switch>=3`) selects nothing.
     pub fn manage_monitor(&self, q: &Query, on: bool) {
         let mut resource = self.runtime.resource.lock();
-        let mut toggled_specific = false;
-        let mut visit = |p: &Predicate| {
-            if let Predicate::Cmp { field, value, .. } = p {
-                match field.as_str() {
-                    "switch" => {
-                        if let Some(d) = value.as_i64() {
-                            resource.set_switch_enabled(Dpid::new(d as u64), on);
-                            toggled_specific = true;
-                        }
-                    }
-                    "message_type" => {
-                        if let Some(kind) = value.as_str() {
-                            resource.set_kind_enabled(kind, on);
-                            toggled_specific = true;
-                        }
-                    }
-                    _ => {}
-                }
+        let members = match &q.filter {
+            Filter::All => {
+                resource.monitoring_enabled = on;
+                return;
             }
+            Filter::And(fs) | Filter::Or(fs) => fs.as_slice(),
+            f => std::slice::from_ref(f),
         };
-        match &q.predicate {
-            Some(Predicate::And(ps)) | Some(Predicate::Or(ps)) => {
-                for p in ps {
-                    visit(p);
+        for f in members {
+            let Filter::Eq(field, value) = f else {
+                continue;
+            };
+            match field.as_str() {
+                "switch" => {
+                    if let Some(d) = value.as_i64() {
+                        resource.set_switch_enabled(Dpid::new(d as u64), on);
+                    }
                 }
+                "message_type" => {
+                    if let Some(kind) = value.as_str() {
+                        resource.set_kind_enabled(kind, on);
+                    }
+                }
+                _ => {}
             }
-            Some(p) => visit(p),
-            None => {}
-        }
-        if !toggled_specific {
-            resource.monitoring_enabled = on;
         }
     }
 
@@ -433,6 +430,24 @@ mod tests {
         // Re-enable.
         athena.manage_monitor(&Query::all(), true);
         assert!(athena.runtime().resource.lock().monitoring_enabled);
+    }
+
+    #[test]
+    fn manage_monitor_acts_on_equalities_only() {
+        let athena = Athena::new(AthenaConfig::default());
+        for text in ["switch!=1", "switch>=3", "switch<2 || feature!=FLOW_STATS"] {
+            athena.manage_monitor(&Query::parse(text).unwrap(), false);
+        }
+        {
+            let resource = athena.runtime().resource.lock();
+            assert!(resource.monitoring_enabled);
+            assert_eq!(resource.disabled_count(), 0);
+        }
+        athena.manage_monitor(&Query::parse("switch==3 && switch>=1").unwrap(), false);
+        let resource = athena.runtime().resource.lock();
+        assert!(resource.allows_polling(Dpid::new(1)));
+        assert!(!resource.allows_polling(Dpid::new(3)));
+        assert_eq!(resource.disabled_count(), 1);
     }
 
     #[test]

@@ -19,7 +19,9 @@
 //! - [`sb`] — the southbound element: the controller interceptor
 //!   ([`AthenaSouthbound`]), the [`AttackDetector`] (online validators),
 //!   and the [`AttackReactor`] (Block/Quarantine via the proxy),
-//! - [`nb`] — the northbound element: the [`Query`] language, the
+//! - [`nb`] — the northbound element: the [`Query`] language (the
+//!   store's own filter plus sort keys, limit and feature projection;
+//!   [`nb`] maps the pseudocode's utility names onto calls), the
 //!   [`FeatureManager`] with its event-delivery table, the
 //!   [`DetectorManager`] (single-node vs. cluster dispatch), the
 //!   [`ReactionManager`], [`ResourceManager`], and [`UiManager`],

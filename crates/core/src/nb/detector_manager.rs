@@ -13,8 +13,8 @@ use crate::feature::format::FeatureRecord;
 use crate::nb::feature_manager::FeatureManager;
 use athena_compute::ComputeCluster;
 use athena_ml::{
-    Algorithm, ClusterReport, ConfusionMatrix, FittedPreprocessor, LabeledPoint, Model,
-    Preprocessor, TrainedModel, ValidationSummary,
+    Algorithm, FittedPreprocessor, LabeledPoint, Model, Preprocessor, TrainedModel,
+    ValidationSummary,
 };
 use athena_telemetry::{Counter, Histogram, Telemetry};
 use athena_types::{AthenaError, FiveTuple, Result, SimDuration, SimTime};
@@ -108,6 +108,27 @@ impl DetectionModel {
     /// Classifies one record as malicious; `None` if not applicable.
     pub fn is_malicious(&self, record: &FeatureRecord) -> Option<bool> {
         self.score(record).map(|s| s >= 0.5)
+    }
+
+    /// An empty validation tally with one report per cluster of the model.
+    fn empty_summary(&self) -> ValidationSummary {
+        ValidationSummary::with_clusters(self.model.cluster_count().unwrap_or(0))
+    }
+
+    /// Scores one raw point and tallies the verdict against `actual`.
+    fn tally(&self, summary: &mut ValidationSummary, point: &LabeledPoint, actual: bool) {
+        let prepared = self.preprocessor.apply_point(point);
+        let (predicted, cluster) = self.model.verdict_and_cluster(&prepared.features);
+        summary.record(actual, predicted, cluster);
+    }
+
+    /// The counts-only tally of points labeled with their ground truth.
+    fn tally_points(&self, points: &[LabeledPoint]) -> ValidationSummary {
+        let mut summary = self.empty_summary();
+        for p in points {
+            self.tally(&mut summary, p, p.is_malicious());
+        }
+        summary
     }
 }
 
@@ -220,23 +241,15 @@ impl DetectorManager {
         truth: impl Fn(&FeatureRecord) -> bool,
         model: &DetectionModel,
     ) -> ValidationSummary {
-        let mut confusion = ConfusionMatrix::default();
+        let mut summary = model.empty_summary();
         let mut benign_flows: HashSet<FiveTuple> = HashSet::new();
         let mut malicious_flows: HashSet<FiveTuple> = HashSet::new();
-        let k = model.model.cluster_count().unwrap_or(0);
-        let mut clusters = vec![ClusterReport::default(); k];
-        for (i, c) in clusters.iter_mut().enumerate() {
-            c.cluster = i;
-        }
-
         for r in records {
             let Some(v) = r.values(&model.features) else {
                 continue;
             };
-            let point = model.preprocessor.apply_point(&LabeledPoint::unlabeled(v));
             let actual = truth(r);
-            let (predicted, cluster) = model.model.verdict_and_cluster(&point.features);
-            confusion.record(actual, predicted);
+            model.tally(&mut summary, &LabeledPoint::unlabeled(v), actual);
             if let Some(ft) = r.index.five_tuple {
                 if actual {
                     malicious_flows.insert(ft);
@@ -244,23 +257,12 @@ impl DetectorManager {
                     benign_flows.insert(ft);
                 }
             }
-            if let Some(c) = cluster {
-                if let Some(report) = clusters.get_mut(c) {
-                    if actual {
-                        report.malicious += 1;
-                    } else {
-                        report.benign += 1;
-                    }
-                    report.flagged_malicious = predicted;
-                }
-            }
         }
         ValidationSummary {
-            confusion,
             benign_unique_flows: benign_flows.len() as u64,
             malicious_unique_flows: malicious_flows.len() as u64,
             model_info: model.model.describe(),
-            clusters,
+            ..summary
         }
     }
 
@@ -271,33 +273,9 @@ impl DetectorManager {
         points: &[LabeledPoint],
         model: &DetectionModel,
     ) -> ValidationSummary {
-        let mut confusion = ConfusionMatrix::default();
-        let k = model.model.cluster_count().unwrap_or(0);
-        let mut clusters = vec![ClusterReport::default(); k];
-        for (i, c) in clusters.iter_mut().enumerate() {
-            c.cluster = i;
-        }
-        for p in points {
-            let prepared = model.preprocessor.apply_point(p);
-            let (predicted, cluster) = model.model.verdict_and_cluster(&prepared.features);
-            confusion.record(p.is_malicious(), predicted);
-            if let Some(c) = cluster {
-                if let Some(report) = clusters.get_mut(c) {
-                    if p.is_malicious() {
-                        report.malicious += 1;
-                    } else {
-                        report.benign += 1;
-                    }
-                    report.flagged_malicious = predicted;
-                }
-            }
-        }
         ValidationSummary {
-            confusion,
-            benign_unique_flows: 0,
-            malicious_unique_flows: 0,
             model_info: model.model.describe(),
-            clusters,
+            ..model.tally_points(points)
         }
     }
 
@@ -311,54 +289,15 @@ impl DetectorManager {
         model: &DetectionModel,
     ) -> (ValidationSummary, SimDuration) {
         let before = self.compute.total_virtual_time();
-        let k = model.model.cluster_count().unwrap_or(0);
         let ds = self.compute.parallelize(points, self.partitions);
-        let model_for_job = model.clone();
-        let partials = ds.map_partitions(move |part| {
-            let mut confusion = ConfusionMatrix::default();
-            let mut cluster_counts = vec![(0u64, 0u64, false); k];
-            for p in part {
-                let prepared = model_for_job.preprocessor.apply_point(p);
-                let (predicted, cluster) =
-                    model_for_job.model.verdict_and_cluster(&prepared.features);
-                confusion.record(p.is_malicious(), predicted);
-                if let Some(c) = cluster {
-                    if let Some(slot) = cluster_counts.get_mut(c) {
-                        if p.is_malicious() {
-                            slot.1 += 1;
-                        } else {
-                            slot.0 += 1;
-                        }
-                        slot.2 = predicted;
-                    }
-                }
-            }
-            vec![(confusion, cluster_counts)]
-        });
-        let mut confusion = ConfusionMatrix::default();
-        let mut clusters = vec![ClusterReport::default(); k];
-        for (i, c) in clusters.iter_mut().enumerate() {
-            c.cluster = i;
+        let partials = ds.map_partitions(|part| vec![model.tally_points(part)]);
+        let mut summary = model.empty_summary();
+        for partial in partials.collect() {
+            summary.merge(&partial);
         }
-        for (partial, counts) in partials.collect() {
-            confusion.merge(&partial);
-            for (report, (b, m, flagged)) in clusters.iter_mut().zip(counts) {
-                report.benign += b;
-                report.malicious += m;
-                report.flagged_malicious |= flagged;
-            }
-        }
+        summary.model_info = model.model.describe();
         let elapsed = self.compute.total_virtual_time() - before;
-        (
-            ValidationSummary {
-                confusion,
-                benign_unique_flows: 0,
-                malicious_unique_flows: 0,
-                model_info: model.model.describe(),
-                clusters,
-            },
-            elapsed,
-        )
+        (summary, elapsed)
     }
 }
 
@@ -467,20 +406,27 @@ mod tests {
     fn distributed_validation_matches_serial() {
         let dm = manager();
         let rs = records(300);
-        let model = dm
-            .generate_detection_model(
-                &rs,
-                &features(),
-                truth,
-                &Preprocessor::new(),
-                &Algorithm::decision_tree(),
-            )
-            .unwrap();
         let points = FeatureManager::to_labeled_points(&rs, &features(), truth);
-        let serial = dm.validate_points(&points, &model);
-        let (dist, elapsed) = dm.validate_points_distributed(points, &model);
-        assert_eq!(serial.confusion, dist.confusion);
-        assert!(elapsed.as_micros() > 0);
+        for (algorithm, clusters) in [(Algorithm::kmeans(4), 4), (Algorithm::decision_tree(), 0)] {
+            let model = dm
+                .generate_detection_model(
+                    &rs,
+                    &features(),
+                    truth,
+                    &Preprocessor::new().normalize(athena_ml::Normalization::MinMax),
+                    &algorithm,
+                )
+                .unwrap();
+            let serial = dm.validate_points(&points, &model);
+            let (dist, elapsed) = dm.validate_points_distributed(points.clone(), &model);
+            assert_eq!(serial.clusters.len(), clusters);
+            assert_eq!(
+                serial.clusters.iter().map(|c| c.total()).sum::<u64>(),
+                if clusters > 0 { 300 } else { 0 }
+            );
+            assert_eq!(serial, dist, "{}", algorithm.name());
+            assert!(elapsed.as_micros() > 0);
+        }
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! The Feature Management Manager (paper §III-A 2A).
 //!
 //! Provides the unified mechanism applications use to retrieve and receive
-//! network features: translates [`Query`]s into store queries, maintains
+//! network features: reads the store under each [`Query`]'s filter, maintains
 //! the *event delivery table* matching live features against registered
 //! constraints, and converts feature sets into ML training data.
 
@@ -10,9 +10,8 @@ use crate::feature::format::{FeatureRecord, RawDocument};
 use crate::nb::query::Query;
 use athena_ml::LabeledPoint;
 use athena_store::cluster::CollectionHandle;
-use athena_store::{Filter, Placement, StoreCluster};
+use athena_store::{Filter, FindOptions, Placement, StoreCluster};
 use athena_types::Result;
-use std::sync::Arc;
 
 /// A live-feature handler registered through `AddEventHandler`.
 pub type EventHandler = Box<dyn FnMut(&FeatureRecord) + Send>;
@@ -101,13 +100,38 @@ impl FeatureManager {
     pub fn ingest_batch(
         &mut self,
         records: &[FeatureRecord],
-        mut examine: Option<Examine<'_>>,
+        examine: Option<Examine<'_>>,
     ) -> Result<()> {
         if !self.publish_to_store && self.registrations.is_empty() && examine.is_none() {
             return Ok(());
         }
+        let docs = records.iter().map(FeatureRecord::to_document);
+        self.store_and_deliver(records, docs, examine)
+    }
+
+    /// Ingests a pre-built feature document (used when replaying stored
+    /// feature sets carrying extra fields such as phase tags or ground
+    /// truth): a batch of one, stored as given. Handlers receive the
+    /// record read back from it.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`athena_types::AthenaError::Store`] if publication fails.
+    pub fn ingest_document(&mut self, doc: RawDocument) -> Result<()> {
+        let record = FeatureRecord::from_document(&doc);
+        self.store_and_deliver(std::slice::from_ref(&record), [doc], None)
+    }
+
+    /// The one ingest path: stores `docs` (one per record, in order) as
+    /// one batch, then delivers record by record.
+    fn store_and_deliver(
+        &mut self,
+        records: &[FeatureRecord],
+        docs: impl IntoIterator<Item = RawDocument>,
+        mut examine: Option<Examine<'_>>,
+    ) -> Result<()> {
         let mut batch = std::mem::take(&mut self.batch);
-        batch.extend(records.iter().map(|r| Placement::pending(r.to_document())));
+        batch.extend(docs.into_iter().map(Placement::pending));
         if self.publish_to_store {
             self.collection.insert_batch(&mut batch);
         }
@@ -128,32 +152,6 @@ impl FeatureManager {
         first_error
     }
 
-    /// Ingests a pre-built feature document (used when replaying stored
-    /// feature sets carrying extra fields such as phase tags or ground
-    /// truth). Handlers receive the reconstructed record.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`athena_types::AthenaError::Store`] if publication fails.
-    pub fn ingest_document(&mut self, doc: RawDocument) -> Result<()> {
-        let doc = self.stored(doc)?;
-        if !self.registrations.is_empty() {
-            self.deliver(&FeatureRecord::from_document(&doc), &doc);
-        }
-        Ok(())
-    }
-
-    /// Moves `doc` into the store (when publication is on) and hands
-    /// back the stored body.
-    fn stored(&mut self, doc: RawDocument) -> Result<Arc<RawDocument>> {
-        if !self.publish_to_store {
-            return Ok(Arc::new(doc));
-        }
-        let stored = self.collection.insert_shared(doc)?;
-        self.published += 1;
-        Ok(stored)
-    }
-
     /// Forwards `record` to every registration whose query matches its
     /// document form.
     fn deliver(&mut self, record: &FeatureRecord, doc: &RawDocument) {
@@ -170,7 +168,7 @@ impl FeatureManager {
     /// registration index.
     pub fn register_handler(&mut self, query: &Query, handler: EventHandler) -> usize {
         self.registrations.push(Registration {
-            filter: query.to_filter(),
+            filter: query.filter.clone(),
             handler,
             delivered: 0,
         });
@@ -187,9 +185,12 @@ impl FeatureManager {
     /// records are converted straight from the bodies the shards hold:
     /// no document is copied on the way.
     pub fn request_features(&self, query: &Query) -> Vec<FeatureRecord> {
-        let docs = self
-            .collection
-            .find(&query.to_filter(), &query.to_find_options());
+        let options = FindOptions {
+            sort: query.sort.clone(),
+            limit: query.limit,
+            ..FindOptions::default()
+        };
+        let docs = self.collection.find(&query.filter, &options);
         let wanted: Vec<FieldName> = query.features.iter().map(FieldName::from).collect();
         let keep = |name: &FieldName| wanted.is_empty() || wanted.contains(name);
         docs.iter()
@@ -199,13 +200,13 @@ impl FeatureManager {
 
     /// Number of stored feature documents matching a query.
     pub fn count_features(&self, query: &Query) -> usize {
-        self.collection.count(&query.to_filter())
+        self.collection.count(&query.filter)
     }
 
     /// Deletes stored features matching a query (used by tests and
     /// benchmarks between phases).
     pub fn purge(&self, query: &Query) -> usize {
-        self.collection.delete(&query.to_filter())
+        self.collection.delete(&query.filter)
     }
 
     /// Converts records to ML training data: extracts the named feature

@@ -5,78 +5,19 @@
 //! `and`/`or` (also spelled `&&`/`||`), plus the options of Table IV:
 //! sorting, aggregation, and limiting. The string syntax matches the
 //! paper's examples (`"TCP_PORT==80 && time==1 day"`), and a typed
-//! [`QueryBuilder`] offers the same power programmatically.
+//! [`QueryBuilder`] offers the same power programmatically. Both build
+//! the store's own [`Filter`] and [`SortSpec`]s: a query is what the
+//! store evaluates, with no translation step in between.
 
-use athena_store::{Filter, FindOptions, SortSpec};
+use athena_store::{Filter, SortSpec};
 use athena_types::{AthenaError, Result};
 use serde_json::Value;
 
-/// A comparison operator.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CmpOp {
-    /// `==`
-    Eq,
-    /// `!=`
-    Ne,
-    /// `<`
-    Lt,
-    /// `<=`
-    Lte,
-    /// `>`
-    Gt,
-    /// `>=`
-    Gte,
-}
+/// A comparison operator: one of the store filter's variant constructors
+/// (`Filter::Eq`, `Filter::Ne`, …), which serve as the operator table.
+type Cmp = fn(String, Value) -> Filter;
 
-/// A predicate tree.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Predicate {
-    /// `field op value`.
-    Cmp {
-        /// The (already canonicalized) document field.
-        field: String,
-        /// The operator.
-        op: CmpOp,
-        /// The comparison value.
-        value: Value,
-    },
-    /// `field in {v1, v2, …}`.
-    In {
-        /// The document field.
-        field: String,
-        /// Accepted values.
-        values: Vec<Value>,
-    },
-    /// All conjuncts hold.
-    And(Vec<Predicate>),
-    /// At least one disjunct holds.
-    Or(Vec<Predicate>),
-}
-
-impl Predicate {
-    /// Translates to a store filter.
-    pub fn to_filter(&self) -> Filter {
-        match self {
-            Predicate::Cmp { field, op, value } => {
-                let f = field.clone();
-                let v = value.clone();
-                match op {
-                    CmpOp::Eq => Filter::Eq(f, v),
-                    CmpOp::Ne => Filter::Ne(f, v),
-                    CmpOp::Lt => Filter::Lt(f, v),
-                    CmpOp::Lte => Filter::Lte(f, v),
-                    CmpOp::Gt => Filter::Gt(f, v),
-                    CmpOp::Gte => Filter::Gte(f, v),
-                }
-            }
-            Predicate::In { field, values } => Filter::In(field.clone(), values.clone()),
-            Predicate::And(ps) => Filter::And(ps.iter().map(Predicate::to_filter).collect()),
-            Predicate::Or(ps) => Filter::Or(ps.iter().map(Predicate::to_filter).collect()),
-        }
-    }
-}
-
-/// An Athena query: predicate plus result-shaping options.
+/// An Athena query: the store filter plus result-shaping options.
 ///
 /// # Examples
 ///
@@ -88,10 +29,10 @@ impl Predicate {
 /// ```
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct Query {
-    /// The predicate (`None` = match everything).
-    pub predicate: Option<Predicate>,
-    /// Sort keys: `(field, descending)`.
-    pub sort: Vec<(String, bool)>,
+    /// The store filter (`Filter::All` = match everything).
+    pub filter: Filter,
+    /// Sort keys, applied in order.
+    pub sort: Vec<SortSpec>,
     /// Maximum results.
     pub limit: Option<usize>,
     /// Feature fields to retain (empty = all).
@@ -126,32 +67,11 @@ impl Query {
     pub fn parse(text: &str) -> Result<Self> {
         parse_query(text)
     }
-
-    /// The store filter this query's predicate translates to.
-    pub fn to_filter(&self) -> Filter {
-        self.predicate
-            .as_ref()
-            .map_or(Filter::All, Predicate::to_filter)
-    }
-
-    /// The store find-options (sort + limit) this query translates to.
-    pub fn to_find_options(&self) -> FindOptions {
-        let mut opts = FindOptions::default();
-        for (field, desc) in &self.sort {
-            opts = opts.sort(if *desc {
-                SortSpec::desc(field.clone())
-            } else {
-                SortSpec::asc(field.clone())
-            });
-        }
-        if let Some(n) = self.limit {
-            opts = opts.limit(n);
-        }
-        opts
-    }
 }
 
-/// A typed builder for [`Query`].
+/// A typed builder for [`Query`]. Field names go through the same alias
+/// table as [`Query::parse`], so `.eq("feature", "FLOW_STATS")` selects
+/// what `feature==FLOW_STATS` selects.
 ///
 /// # Examples
 ///
@@ -167,8 +87,8 @@ impl Query {
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct QueryBuilder {
-    conjuncts: Vec<Predicate>,
-    sort: Vec<(String, bool)>,
+    conjuncts: Vec<Filter>,
+    sort: Vec<SortSpec>,
     limit: Option<usize>,
     features: Vec<String>,
 }
@@ -179,63 +99,60 @@ impl QueryBuilder {
         QueryBuilder::default()
     }
 
-    fn cmp(mut self, field: impl Into<String>, op: CmpOp, value: impl Into<Value>) -> Self {
-        self.conjuncts.push(Predicate::Cmp {
-            field: field.into(),
-            op,
-            value: value.into(),
-        });
+    fn cmp(mut self, op: Cmp, field: impl AsRef<str>, value: impl Into<Value>) -> Self {
+        self.conjuncts
+            .push(op(canonical_field(field.as_ref()), value.into()));
         self
     }
 
     /// Adds `field == value`.
-    pub fn eq(self, field: impl Into<String>, value: impl Into<Value>) -> Self {
-        self.cmp(field, CmpOp::Eq, value)
+    pub fn eq(self, field: impl AsRef<str>, value: impl Into<Value>) -> Self {
+        self.cmp(Filter::Eq, field, value)
     }
 
     /// Adds `field != value`.
-    pub fn ne(self, field: impl Into<String>, value: impl Into<Value>) -> Self {
-        self.cmp(field, CmpOp::Ne, value)
+    pub fn ne(self, field: impl AsRef<str>, value: impl Into<Value>) -> Self {
+        self.cmp(Filter::Ne, field, value)
     }
 
     /// Adds `field > value`.
-    pub fn gt(self, field: impl Into<String>, value: impl Into<Value>) -> Self {
-        self.cmp(field, CmpOp::Gt, value)
+    pub fn gt(self, field: impl AsRef<str>, value: impl Into<Value>) -> Self {
+        self.cmp(Filter::Gt, field, value)
     }
 
     /// Adds `field >= value`.
-    pub fn gte(self, field: impl Into<String>, value: impl Into<Value>) -> Self {
-        self.cmp(field, CmpOp::Gte, value)
+    pub fn gte(self, field: impl AsRef<str>, value: impl Into<Value>) -> Self {
+        self.cmp(Filter::Gte, field, value)
     }
 
     /// Adds `field < value`.
-    pub fn lt(self, field: impl Into<String>, value: impl Into<Value>) -> Self {
-        self.cmp(field, CmpOp::Lt, value)
+    pub fn lt(self, field: impl AsRef<str>, value: impl Into<Value>) -> Self {
+        self.cmp(Filter::Lt, field, value)
     }
 
     /// Adds `field <= value`.
-    pub fn lte(self, field: impl Into<String>, value: impl Into<Value>) -> Self {
-        self.cmp(field, CmpOp::Lte, value)
+    pub fn lte(self, field: impl AsRef<str>, value: impl Into<Value>) -> Self {
+        self.cmp(Filter::Lte, field, value)
     }
 
     /// Adds `field in values` (the paper's `IP_SRC in {suspicious hosts}`).
-    pub fn is_in(mut self, field: impl Into<String>, values: Vec<Value>) -> Self {
-        self.conjuncts.push(Predicate::In {
-            field: field.into(),
-            values,
-        });
+    pub fn is_in(mut self, field: impl AsRef<str>, values: Vec<Value>) -> Self {
+        self.conjuncts
+            .push(Filter::In(canonical_field(field.as_ref()), values));
         self
     }
 
     /// Adds an ascending sort key.
-    pub fn sort_asc(mut self, field: impl Into<String>) -> Self {
-        self.sort.push((field.into(), false));
+    pub fn sort_asc(mut self, field: impl AsRef<str>) -> Self {
+        self.sort
+            .push(SortSpec::asc(canonical_field(field.as_ref())));
         self
     }
 
     /// Adds a descending sort key.
-    pub fn sort_desc(mut self, field: impl Into<String>) -> Self {
-        self.sort.push((field.into(), true));
+    pub fn sort_desc(mut self, field: impl AsRef<str>) -> Self {
+        self.sort
+            .push(SortSpec::desc(canonical_field(field.as_ref())));
         self
     }
 
@@ -253,18 +170,22 @@ impl QueryBuilder {
 
     /// Builds the query.
     pub fn build(self) -> Query {
-        let mut conjuncts = self.conjuncts;
-        let predicate = match conjuncts.len() {
-            0 => None,
-            1 => conjuncts.pop(),
-            _ => Some(Predicate::And(conjuncts)),
-        };
         Query {
-            predicate,
+            filter: combine(self.conjuncts, Filter::And),
             sort: self.sort,
             limit: self.limit,
             features: self.features,
         }
+    }
+}
+
+/// Joins comparisons: none matches everything, one stands alone, more
+/// are combined with `join` (`Filter::And` or `Filter::Or`).
+fn combine(mut parts: Vec<Filter>, join: fn(Vec<Filter>) -> Filter) -> Filter {
+    match parts.len() {
+        0 => Filter::All,
+        1 => parts.pop().unwrap_or_default(),
+        _ => join(parts),
     }
 }
 
@@ -349,7 +270,7 @@ fn parse_query(text: &str) -> Result<Query> {
     tokens = fixed.iter().map(String::as_str).collect();
 
     let mut query = Query::default();
-    let mut comparisons: Vec<Predicate> = Vec::new();
+    let mut comparisons: Vec<Filter> = Vec::new();
     let mut any_or = false;
     let mut i = 0;
     while let Some(tok) = tokens.get(i) {
@@ -363,17 +284,12 @@ fn parse_query(text: &str) -> Result<Query> {
             }
             "sort" => {
                 let field = tokens.get(i + 1).ok_or_else(|| bad("sort needs a field"))?;
-                let mut desc = false;
-                let mut step = 2;
-                match tokens.get(i + 2) {
-                    Some(&"desc") => {
-                        desc = true;
-                        step = 3;
-                    }
-                    Some(&"asc") => step = 3,
-                    _ => {}
-                }
-                query.sort.push((canonical_field(field), desc));
+                let (order, step): (fn(String) -> SortSpec, usize) = match tokens.get(i + 2) {
+                    Some(&"desc") => (SortSpec::desc, 3),
+                    Some(&"asc") => (SortSpec::asc, 3),
+                    _ => (SortSpec::asc, 2),
+                };
+                query.sort.push(order(canonical_field(field)));
                 i += step;
             }
             "limit" => {
@@ -386,13 +302,13 @@ fn parse_query(text: &str) -> Result<Query> {
             }
             field_tok => {
                 let op_tok = tokens.get(i + 1).ok_or_else(|| bad("missing operator"))?;
-                let op = match *op_tok {
-                    "==" => CmpOp::Eq,
-                    "!=" => CmpOp::Ne,
-                    "<" => CmpOp::Lt,
-                    "<=" => CmpOp::Lte,
-                    ">" => CmpOp::Gt,
-                    ">=" => CmpOp::Gte,
+                let op: Cmp = match *op_tok {
+                    "==" => Filter::Eq,
+                    "!=" => Filter::Ne,
+                    "<" => Filter::Lt,
+                    "<=" => Filter::Lte,
+                    ">" => Filter::Gt,
+                    ">=" => Filter::Gte,
                     other => return Err(bad(&format!("unknown operator {other:?}"))),
                 };
                 let value_tok = tokens.get(i + 2).ok_or_else(|| bad("missing value"))?;
@@ -411,17 +327,12 @@ fn parse_query(text: &str) -> Result<Query> {
                 } else {
                     parse_value(&field, value_tok)?
                 };
-                comparisons.push(Predicate::Cmp { field, op, value });
+                comparisons.push(op(field, value));
                 i += consumed;
             }
         }
     }
-    query.predicate = match comparisons.len() {
-        0 => None,
-        1 => comparisons.pop(),
-        _ if any_or => Some(Predicate::Or(comparisons)),
-        _ => Some(Predicate::And(comparisons)),
-    };
+    query.filter = combine(comparisons, if any_or { Filter::Or } else { Filter::And });
     Ok(query)
 }
 
@@ -433,70 +344,53 @@ mod tests {
     #[test]
     fn parses_the_papers_example() {
         let q = Query::parse("TCP_PORT==80 && time==1 day").unwrap();
-        let Some(Predicate::And(ps)) = &q.predicate else {
-            panic!("expected conjunction: {q:?}");
-        };
-        assert_eq!(ps.len(), 2);
         assert_eq!(
-            ps[0],
-            Predicate::Cmp {
-                field: "tp_dst".into(),
-                op: CmpOp::Eq,
-                value: Value::from(80),
-            }
-        );
-        assert_eq!(
-            ps[1],
-            Predicate::Cmp {
-                field: "timestamp".into(),
-                op: CmpOp::Eq,
-                value: Value::from(86_400_000_000i64),
-            }
+            q.filter,
+            Filter::And(vec![
+                Filter::eq("tp_dst", 80),
+                Filter::eq("timestamp", 86_400_000_000i64),
+            ])
         );
     }
 
     #[test]
     fn parses_all_six_operators() {
-        for (text, op) in [
-            ("x == 1", CmpOp::Eq),
-            ("x != 1", CmpOp::Ne),
-            ("x < 1", CmpOp::Lt),
-            ("x <= 1", CmpOp::Lte),
-            ("x > 1", CmpOp::Gt),
-            ("x >= 1", CmpOp::Gte),
-        ] {
+        let cases: [(&str, Cmp); 6] = [
+            ("x == 1", Filter::Eq),
+            ("x != 1", Filter::Ne),
+            ("x < 1", Filter::Lt),
+            ("x <= 1", Filter::Lte),
+            ("x > 1", Filter::Gt),
+            ("x >= 1", Filter::Gte),
+        ];
+        for (text, op) in cases {
             let q = Query::parse(text).unwrap();
-            let Some(Predicate::Cmp { op: parsed, .. }) = q.predicate else {
-                panic!("{text}");
-            };
-            assert_eq!(parsed, op, "{text}");
+            assert_eq!(q.filter, op("x".into(), Value::from(1)), "{text}");
         }
     }
 
     #[test]
     fn parses_or_and_options() {
         let q = Query::parse("switch==6 or switch==3 sort timestamp asc limit 100").unwrap();
-        assert!(matches!(q.predicate, Some(Predicate::Or(_))));
-        assert_eq!(q.sort, vec![("timestamp".to_owned(), false)]);
+        assert!(matches!(q.filter, Filter::Or(_)));
+        assert_eq!(q.sort, vec![SortSpec::asc("timestamp")]);
         assert_eq!(q.limit, Some(100));
     }
 
     #[test]
     fn ip_values_become_raw_u32() {
         let q = Query::parse("IP_DST==10.0.0.5").unwrap();
-        let Some(Predicate::Cmp { value, .. }) = &q.predicate else {
-            panic!();
-        };
         assert_eq!(
-            value,
-            &Value::from(athena_types::Ipv4Addr::new(10, 0, 0, 5).raw())
+            q.filter,
+            Filter::eq("ip_dst", athena_types::Ipv4Addr::new(10, 0, 0, 5).raw())
         );
     }
 
     #[test]
     fn filter_translation_matches_documents() {
-        let q = Query::parse("message_type==FLOW_STATS && FLOW_PACKET_COUNT>10").unwrap();
-        let f = q.to_filter();
+        let f = Query::parse("message_type==FLOW_STATS && FLOW_PACKET_COUNT>10")
+            .unwrap()
+            .filter;
         assert!(f.matches(&doc! {
             "message_type" => "FLOW_STATS",
             "FLOW_PACKET_COUNT" => 50,
@@ -519,16 +413,39 @@ mod tests {
             .gte("FLOW_BYTE_COUNT", 1000)
             .limit(3)
             .build();
-        assert_eq!(parsed.to_filter(), built.to_filter());
-        assert_eq!(parsed.limit, built.limit);
+        assert_eq!(parsed, built);
+    }
+
+    #[test]
+    fn builder_resolves_the_alias_table() {
+        let built = QueryBuilder::new()
+            .eq("feature", "FLOW_STATS")
+            .eq("TCP_PORT", 80)
+            .is_in("DPID", vec![Value::from(1)])
+            .sort_desc("time")
+            .build();
+        assert_eq!(
+            built.filter,
+            Filter::And(vec![
+                Filter::eq("message_type", "FLOW_STATS"),
+                Filter::eq("tp_dst", 80),
+                Filter::is_in("switch", vec![Value::from(1)]),
+            ])
+        );
+        assert_eq!(built.sort, vec![SortSpec::desc("timestamp")]);
+        assert!(built.filter.matches(&doc! {
+            "message_type" => "FLOW_STATS",
+            "tp_dst" => 80,
+            "switch" => 1,
+        }));
     }
 
     #[test]
     fn in_predicate_for_suspicious_hosts() {
-        let q = QueryBuilder::new()
+        let f = QueryBuilder::new()
             .is_in("ip_src", vec![Value::from(1u32), Value::from(2u32)])
-            .build();
-        let f = q.to_filter();
+            .build()
+            .filter;
         assert!(f.matches(&doc! { "ip_src" => 2 }));
         assert!(!f.matches(&doc! { "ip_src" => 3 }));
     }
@@ -544,8 +461,9 @@ mod tests {
     #[test]
     fn empty_query_matches_everything() {
         let q = Query::parse("").unwrap();
-        assert_eq!(q.to_filter(), Filter::All);
-        assert!(q.to_filter().matches(&doc! { "anything" => 1 }));
+        assert_eq!(q, Query::all());
+        assert_eq!(q.filter, Filter::All);
+        assert!(q.filter.matches(&doc! { "anything" => 1 }));
     }
 
     #[test]
@@ -558,10 +476,7 @@ mod tests {
             ("time>=7", 7_000_000),
         ] {
             let q = Query::parse(text).unwrap();
-            let Some(Predicate::Cmp { value, .. }) = &q.predicate else {
-                panic!("{text}");
-            };
-            assert_eq!(value, &Value::from(us), "{text}");
+            assert_eq!(q.filter, Filter::gte("timestamp", us), "{text}");
         }
     }
 }

@@ -55,7 +55,7 @@ impl AttackDetector {
     ) -> usize {
         self.validators.push(OnlineValidator {
             name: name.into(),
-            filter: query.to_filter(),
+            filter: query.filter.clone(),
             model,
             on_alert,
             examined: 0,

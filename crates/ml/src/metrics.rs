@@ -141,6 +141,65 @@ pub struct ValidationSummary {
 }
 
 impl ValidationSummary {
+    /// An empty tally with one report per cluster (`clusters` = 0 for a
+    /// non-clustering model), so a cluster no entry falls in still
+    /// reports.
+    pub fn with_clusters(clusters: usize) -> Self {
+        ValidationSummary {
+            clusters: (0..clusters)
+                .map(|cluster| ClusterReport {
+                    cluster,
+                    ..ClusterReport::default()
+                })
+                .collect(),
+            ..ValidationSummary::default()
+        }
+    }
+
+    /// Tallies one validated entry: its ground truth, the detector's
+    /// verdict, and — for a clustering model — the cluster it fell in
+    /// (the paper's `ResultsGenerator`). A cluster is flagged once any of
+    /// its entries is; a clustering model gives every entry of a cluster
+    /// that cluster's verdict. A cluster index without a report is
+    /// counted in the confusion matrix only.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use athena_ml::ValidationSummary;
+    /// let mut s = ValidationSummary::with_clusters(2);
+    /// s.record(true, true, Some(1));
+    /// s.record(false, false, Some(0));
+    /// s.record(false, true, None);
+    /// assert_eq!(s.total_entries(), 3);
+    /// assert_eq!(s.confusion.false_positive, 1);
+    /// assert!(s.clusters[1].flagged_malicious && !s.clusters[0].flagged_malicious);
+    /// ```
+    pub fn record(&mut self, actual: bool, predicted: bool, cluster: Option<usize>) {
+        self.confusion.record(actual, predicted);
+        if let Some(report) = cluster.and_then(|c| self.clusters.get_mut(c)) {
+            if actual {
+                report.malicious += 1;
+            } else {
+                report.benign += 1;
+            }
+            report.flagged_malicious |= predicted;
+        }
+    }
+
+    /// Adds another tally's entry counts into this one (a partition's
+    /// partial into the whole), cluster by cluster. The unique-flow
+    /// counts and the model description stay this summary's own: two
+    /// partitions may see the same flow.
+    pub fn merge(&mut self, other: &ValidationSummary) {
+        self.confusion.merge(&other.confusion);
+        for (report, part) in self.clusters.iter_mut().zip(&other.clusters) {
+            report.benign += part.benign;
+            report.malicious += part.malicious;
+            report.flagged_malicious |= part.flagged_malicious;
+        }
+    }
+
     /// Total validated entries.
     pub fn total_entries(&self) -> u64 {
         self.confusion.total()

@@ -2,7 +2,9 @@
 //! K-Means invariants, metric identities, and model totality.
 
 use athena_ml::algorithms::kmeans::{KMeansModel, KMeansParams};
-use athena_ml::{Algorithm, ConfusionMatrix, LabeledPoint, Model, Normalization, Preprocessor};
+use athena_ml::{
+    Algorithm, ConfusionMatrix, LabeledPoint, Model, Normalization, Preprocessor, ValidationSummary,
+};
 use proptest::prelude::*;
 
 fn arb_points(dim: usize) -> impl Strategy<Value = Vec<LabeledPoint>> {
@@ -145,6 +147,43 @@ proptest! {
         let mut merged = cm;
         merged.merge(&ConfusionMatrix::default());
         prop_assert_eq!(merged, cm);
+    }
+
+    /// Any split of a point set into partitions, each tallied on its own
+    /// and merged, equals the serial tally — confusion matrix and
+    /// per-cluster reports (counts and flags) alike.
+    #[test]
+    fn partitioned_tallies_merge_to_the_serial_tally(
+        points in arb_points(2),
+        k in 1usize..5,
+        cuts in proptest::collection::vec(0usize..60, 0..6),
+    ) {
+        let model = Algorithm::kmeans(k).fit(&points).unwrap();
+        let k = model.cluster_count().unwrap();
+        let tally = |part: &[LabeledPoint]| {
+            let mut s = ValidationSummary::with_clusters(k);
+            for p in part {
+                let (predicted, cluster) = model.verdict_and_cluster(&p.features);
+                s.record(p.is_malicious(), predicted, cluster);
+            }
+            s
+        };
+        let serial = tally(&points);
+        prop_assert_eq!(serial.clusters.len(), k);
+        prop_assert_eq!(
+            serial.clusters.iter().map(|c| c.total()).sum::<u64>(),
+            serial.total_entries()
+        );
+
+        let mut bounds: Vec<usize> = cuts.iter().map(|c| c % (points.len() + 1)).collect();
+        bounds.push(0);
+        bounds.push(points.len());
+        bounds.sort_unstable();
+        let mut merged = ValidationSummary::with_clusters(k);
+        for w in bounds.windows(2) {
+            merged.merge(&tally(&points[w[0]..w[1]]));
+        }
+        prop_assert_eq!(merged, serial);
     }
 
     /// Sampling keeps roughly the requested fraction and never fabricates

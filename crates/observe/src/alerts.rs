@@ -132,7 +132,7 @@ impl AlertEngine {
     }
 
     /// Evaluates every rule against `series` at `now`; returns the
-    /// transitions this tick (also appended to [`AlertEngine::events`]).
+    /// transitions this tick (also appended to [`AlertEngine::transitions`]).
     pub fn evaluate(&mut self, now: SimTime, series: &SeriesEngine) -> Vec<AlertEvent> {
         let mut transitions = Vec::new();
         for (rule, firing) in self.rules.iter().zip(&mut self.firing) {

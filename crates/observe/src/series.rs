@@ -4,7 +4,7 @@
 //! per-key ring buffer of `(virtual time, value)` points. Histograms
 //! contribute two derived series: `<key>#p99` and `<key>#count`. The
 //! windowed queries ([`SeriesEngine::rate_per_sec`],
-//! [`SeriesEngine::latest`], [`SeriesEngine::stalled_for`]) are what the
+//! [`SeriesEngine::latest`], [`Series::stalled_for`]) are what the
 //! alert rules evaluate.
 
 use athena_telemetry::TelemetryReport;

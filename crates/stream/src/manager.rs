@@ -5,7 +5,7 @@
 //! [`Athena`] runtime with a caller-supplied bootstrap model, plus an
 //! event handler that copies every matching feature record (labeled by
 //! the app's ground-truth closure) into a bounded virtual-time
-//! [`LiveWindow`]. Each [`RetrainLoop::tick`] then decides, on the
+//! `LiveWindow`. Each [`RetrainLoop::tick`] then decides, on the
 //! retrain cadence, whether to fit a candidate: the fit runs inside the
 //! tick (so verdict streams are deterministic), the candidate
 //! round-trips through the persist snapshot format

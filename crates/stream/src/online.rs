@@ -5,7 +5,7 @@
 //! (`partial_fit`), scores points at any moment (`predict`, same ≥ 0.5
 //! = malicious convention as the batch [`Model`](athena_ml::Model)
 //! trait), and can `freeze` into the batch
-//! [`TrainedModel`](athena_ml::TrainedModel) representation — which is
+//! [`TrainedModel`] representation — which is
 //! what the retrain loop snapshots and hot-swaps into the detector.
 //! All three are RNG-free and strictly sequential, so a fit over the
 //! same point sequence is deterministic to the bit, independent of

@@ -14,7 +14,7 @@
 //!   operation;
 //! - derived floating-point views (mean, per-second rate) are computed
 //!   from the exact sums through the *shared*
-//!   [`Windowing`](athena_core::Windowing) definition, the same code
+//!   [`Windowing`] definition, the same code
 //!   path `FeatureGenerator::flush_window` uses — one windowing
 //!   definition, two consumers.
 //!

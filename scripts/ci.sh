@@ -28,6 +28,9 @@ cargo fmt --check
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets --offline -- -D warnings
 
+echo "==> cargo doc (intra-doc links resolve; warnings are errors)"
+RUSTDOCFLAGS="-D warnings" cargo doc -q --no-deps --workspace --offline
+
 echo "==> athena-lint (whole-workspace analysis gate)"
 # Build outside the timer: the gate bounds analysis time, not compile
 # time.
