@@ -217,12 +217,13 @@ fn bench_record(c: &mut Criterion) {
 }
 
 fn bench_store(c: &mut Criterion) {
-    // Athena's store shape: 3 nodes, two copies, the `message_type`
-    // index. Each iteration also pays one document clone (the insert
-    // consumes its argument), the same on every commit.
+    // Athena's store shape: 3 nodes, two copies, the feature
+    // collection's one `(message_type, switch)` index. Each iteration
+    // also pays one document clone (the insert consumes its argument),
+    // the same on every commit.
     let store = || {
         let coll = StoreCluster::new(3, 2).collection("bench");
-        coll.create_index("message_type");
+        coll.create_index(["message_type", "switch"]);
         coll
     };
     for (name, record) in feature_records() {
@@ -318,8 +319,8 @@ fn generated_records(switches: u64, per_switch: u32) -> Vec<FeatureRecord> {
 }
 
 /// The read side of Athena's store shape (3 nodes, two copies, the
-/// `message_type` index) over generated records: 12 switches x 1,000
-/// `FLOW_STATS` plus 1,008 `PACKET_IN`s. Per call, so divide by the hits
+/// `(message_type, switch)` index) over generated records: 12 switches
+/// x 1,000 `FLOW_STATS` plus 1,008 `PACKET_IN`s. Per call, so divide by the hits
 /// (1,008 / 1,000 / 1,084) or the 13,008 documents for a per-document
 /// figure.
 fn bench_store_read(c: &mut Criterion) {
@@ -334,15 +335,17 @@ fn bench_store_read(c: &mut Criterion) {
     let kind = |k: &str| Filter::eq("message_type", k);
     let switch = || Filter::eq("switch", 3);
     for (name, filter, hits) in [
-        // Served whole by the index: no document is read.
+        // Served by the index's `message_type` prefix: no document is
+        // read.
         ("indexed_eq", kind("PACKET_IN"), 1_008),
-        // The index narrows to 12,000 candidates; `switch` is evaluated.
+        // Served by the whole key: the 1,000 hits are the only
+        // candidates, and no conjunct is left to evaluate.
         (
             "conjunct",
             Filter::and(vec![kind("FLOW_STATS"), switch()]),
             1_000,
         ),
-        // `switch` carries no index: every primary copy is examined.
+        // `switch` leads no index: every primary copy is examined.
         ("scan", switch(), 1_084),
     ] {
         assert_eq!(coll.count(&filter), hits, "{name}");
@@ -359,7 +362,7 @@ fn bench_store_read(c: &mut Criterion) {
         b.iter(|| manager.request_features(black_box(&query)))
     });
 
-    // Purge: every victim sits under one index key. The harness cannot
+    // Purge: every victim sits under one index prefix. The harness cannot
     // refill outside the timed region, so the fill is timed on its own
     // and the purge is the difference between the two rows.
     let docs: Vec<_> = records
@@ -370,7 +373,7 @@ fn bench_store_read(c: &mut Criterion) {
         .collect();
     let fill = || {
         let coll = StoreCluster::new(3, 2).collection("purge");
-        coll.create_index("message_type");
+        coll.create_index(["message_type", "switch"]);
         for d in &docs {
             coll.insert(d.clone()).unwrap();
         }

@@ -46,7 +46,7 @@ impl FeatureManager {
     /// Creates a manager publishing into the given store cluster.
     pub fn new(store: &StoreCluster) -> Self {
         let collection = store.collection(Self::COLLECTION);
-        collection.create_index("message_type");
+        collection.create_index(["message_type", "switch"]);
         FeatureManager {
             collection,
             registrations: Vec::new(),
@@ -273,6 +273,21 @@ mod tests {
         let hot = fm.request_features(&Query::parse("FLOW_PACKET_COUNT>50").unwrap());
         assert_eq!(hot.len(), 4);
         assert_eq!(fm.count_features(&Query::parse("switch==0").unwrap()), 4);
+    }
+
+    #[test]
+    fn the_feature_collection_declares_one_compound_index() {
+        let store = StoreCluster::new(3, 2);
+        let mut fm = FeatureManager::new(&store);
+        fm.ingest(&record(2, 1.0)).unwrap();
+        for i in 0..store.node_count() {
+            let indexes = store
+                .node(i)
+                .read_collection(FeatureManager::COLLECTION, |c| c.index_fields());
+            assert_eq!(indexes, [["message_type", "switch"]]);
+        }
+        let per_switch = Query::parse("switch==2 && feature==FLOW_STATS").unwrap();
+        assert_eq!(fm.request_features(&per_switch).len(), 1);
     }
 
     #[test]

@@ -96,8 +96,10 @@ impl<K: Ord + Copy> TimingWheel<K> {
         for level in &mut self.levels {
             if delta <= span {
                 let slot = ((due / granularity) % SLOTS) as usize;
-                level[slot].push((due, key));
-                return;
+                if let Some(bucket) = level.get_mut(slot) {
+                    bucket.push((due, key));
+                    return;
+                }
             }
             span = span.saturating_mul(SLOTS);
             granularity *= SLOTS;
@@ -112,11 +114,10 @@ impl<K: Ord + Copy> TimingWheel<K> {
         while self.now < to {
             self.now += 1;
             self.cascade_boundaries();
-            let slot = (self.now % SLOTS) as usize;
             // Everything in a level-0 slot was (re-)inserted within the
             // last 64 units, so reaching the slot means it is due now.
-            let due_now = std::mem::take(&mut self.levels[0][slot]);
-            for (due, key) in due_now {
+            let due_now = self.slot(0, self.now).map(std::mem::take);
+            for (due, key) in due_now.into_iter().flatten() {
                 debug_assert!(due <= self.now);
                 fired.push((due.min(self.now), key));
             }
@@ -124,6 +125,20 @@ impl<K: Ord + Copy> TimingWheel<K> {
         self.len -= fired.len();
         fired.sort_unstable();
         fired
+    }
+
+    /// Level `l`'s slot for the time `t` (at that level's granularity),
+    /// masked by the ring size: every level holds `SLOTS` slots, so
+    /// `None` only for a level past the hierarchy.
+    fn slot(&mut self, l: usize, t: u64) -> Option<&mut Vec<(u64, K)>> {
+        self.levels.get_mut(l)?.get_mut((t % SLOTS) as usize)
+    }
+
+    /// Lands an entry in the level-0 slot the fire loop visits next.
+    fn fire_next(&mut self, due: u64, key: K) {
+        if let Some(bucket) = self.slot(0, self.now) {
+            bucket.push((due, key));
+        }
     }
 
     /// At each `64^l` boundary, spills level `l`'s current slot down
@@ -134,8 +149,10 @@ impl<K: Ord + Copy> TimingWheel<K> {
             if !self.now.is_multiple_of(granularity) {
                 break;
             }
-            let slot = ((self.now / granularity) % SLOTS) as usize;
-            let entries = std::mem::take(&mut self.levels[l][slot]);
+            let entries = self
+                .slot(l, self.now / granularity)
+                .map(std::mem::take)
+                .unwrap_or_default();
             if !entries.is_empty() {
                 self.cascades += 1;
             }
@@ -143,7 +160,7 @@ impl<K: Ord + Copy> TimingWheel<K> {
                 if due <= self.now {
                     // Due exactly at this boundary: land it in the
                     // level-0 slot the fire loop is about to visit.
-                    self.levels[0][(self.now % SLOTS) as usize].push((due, key));
+                    self.fire_next(due, key);
                 } else {
                     self.insert(due, key);
                 }
@@ -156,7 +173,7 @@ impl<K: Ord + Copy> TimingWheel<K> {
             let entries = std::mem::take(&mut self.overflow);
             for (due, key) in entries {
                 if due <= self.now {
-                    self.levels[0][(self.now % SLOTS) as usize].push((due, key));
+                    self.fire_next(due, key);
                 } else {
                     self.insert(due, key);
                 }

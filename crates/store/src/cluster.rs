@@ -9,6 +9,7 @@
 use crate::collection::Collection;
 use crate::document::{DocId, Document};
 use crate::filter::Filter;
+use crate::index::IndexFields;
 use crate::persist::{ops, StorePersist};
 use crate::query::{Aggregation, FindOptions};
 use athena_observe::Observe;
@@ -80,29 +81,29 @@ impl StoreNode {
 
     /// The per-node write step every placement shares — a batch insert,
     /// rejoin delivery, journal replay: one shard lock, one pass ensuring
-    /// the requested indexes, the handles stored in the order given, and
-    /// one journal add for them all (a record per copy, each its
-    /// document's length plus the header). An empty batch takes no lock.
-    /// Returns the copies written.
+    /// the requested indexes, the handles stored in the order given (each
+    /// index probed once per run of copies sharing its key), and one
+    /// journal add for them all (a record per copy, each its document's
+    /// length plus the header). An empty batch takes no lock. Returns the
+    /// copies written.
     pub(crate) fn place<'a>(
         &self,
         coll: &str,
-        indexed: &[String],
-        copies: impl Iterator<Item = &'a Placement>,
+        indexed: &[Vec<String>],
+        copies: impl Iterator<Item = &'a Placement> + Clone,
     ) -> u64 {
         const HEADER_BYTES: u64 = 16;
-        let mut copies = copies.peekable();
-        if copies.peek().is_none() {
+        let (records, bytes) = copies.clone().fold((0, 0), |(records, bytes), p| {
+            (records + 1, bytes + p.len + HEADER_BYTES)
+        });
+        if records == 0 {
             return 0;
         }
-        let (records, bytes) = self.with_collection(coll, |c| {
-            for f in indexed {
-                c.create_index(f);
+        self.with_collection(coll, |c| {
+            for fields in indexed {
+                c.create_index(fields);
             }
-            copies.fold((0, 0), |(records, bytes), p| {
-                c.insert_shared(Arc::clone(&p.doc));
-                (records + 1, bytes + p.len + HEADER_BYTES)
-            })
+            c.insert_all(copies.map(|p| &p.doc));
         });
         self.journal_bytes.fetch_add(bytes, Ordering::Relaxed);
         self.journal_records.fetch_add(records, Ordering::Relaxed);
@@ -170,6 +171,9 @@ struct StoreTelemetry {
     observe: Observe,
 }
 
+/// Per collection, the field list of each index asked for.
+pub(crate) type IndexRequests = HashMap<String, Arc<Vec<Vec<String>>>>;
+
 /// A distributed document store: N nodes, hash sharding, replication.
 ///
 /// Cloning yields another handle to the same cluster.
@@ -195,7 +199,7 @@ pub struct StoreCluster {
     replication: usize,
     pub(crate) next_id: Arc<AtomicU64>,
     pub(crate) metrics: Arc<MetricsInner>,
-    pub(crate) index_requests: Arc<TrackedMutex<HashMap<String, Arc<Vec<String>>>>>,
+    pub(crate) index_requests: Arc<TrackedMutex<IndexRequests>>,
     // Swapped whole on (re)bind, so the write path takes one snapshot
     // handle instead of cloning each instrument under the lock.
     tel: Arc<TrackedRwLock<Arc<StoreTelemetry>>>,
@@ -363,8 +367,8 @@ impl StoreCluster {
         }
     }
 
-    /// The fields `coll` was asked to index, as a shared snapshot.
-    pub(crate) fn indexed_fields(&self, coll: &str) -> Arc<Vec<String>> {
+    /// The indexes `coll` was asked for, as a shared snapshot.
+    pub(crate) fn indexed_fields(&self, coll: &str) -> Arc<Vec<Vec<String>>> {
         self.index_requests
             .lock()
             .get(coll)
@@ -372,21 +376,24 @@ impl StoreCluster {
             .unwrap_or_default()
     }
 
-    /// Records that `coll` indexes `field` and builds the index on every
-    /// node's shard. Returns `false`, and does nothing, when `field` was
-    /// already requested: every later write would otherwise run its
-    /// ensure-index pass twice.
-    pub(crate) fn register_index(&self, coll: &str, field: &str) -> bool {
+    /// Records that `coll` indexes `fields` (in key order) and builds the
+    /// index on every node's shard. Returns `false`, and does nothing,
+    /// when that index was already requested (every later write would
+    /// otherwise run its ensure-index pass twice) or `fields` is empty.
+    pub(crate) fn register_index(&self, coll: &str, fields: &[String]) -> bool {
+        if fields.is_empty() {
+            return false;
+        }
         {
             let mut requests = self.index_requests.lock();
-            let fields = requests.entry(coll.to_owned()).or_default();
-            if fields.iter().any(|f| f == field) {
+            let indexes = requests.entry(coll.to_owned()).or_default();
+            if indexes.iter().any(|f| f == fields) {
                 return false;
             }
-            Arc::make_mut(fields).push(field.to_owned());
+            Arc::make_mut(indexes).push(fields.to_vec());
         }
         for node in self.nodes.iter() {
-            node.with_collection(coll, |c| c.create_index(field));
+            node.with_collection(coll, |c| c.create_index(fields));
         }
         true
     }
@@ -746,16 +753,31 @@ impl CollectionHandle {
         Ok(ids)
     }
 
-    /// Registers a secondary index on `field` across all shards (and
-    /// journals it, with persistence attached); a field already indexed
-    /// is left alone.
-    pub fn create_index(&self, field: impl Into<String>) {
-        let field = field.into();
-        let new = self.cluster.register_index(&self.name, &field);
+    /// Registers a secondary index across all shards (and journals it,
+    /// with persistence attached): over one field, or over an ordered
+    /// list of fields whose every leading run an equality can use. An
+    /// index already registered is left alone.
+    ///
+    /// ```
+    /// use athena_store::{doc, Filter, StoreCluster};
+    ///
+    /// let features = StoreCluster::new(3, 2).collection("features");
+    /// features.create_index(["message_type", "switch"]);
+    /// features.insert(doc! { "message_type" => "FLOW_STATS", "switch" => 4 })?;
+    /// let per_switch = Filter::and(vec![
+    ///     Filter::eq("switch", 4),
+    ///     Filter::eq("message_type", "FLOW_STATS"),
+    /// ]);
+    /// assert_eq!(features.count(&per_switch), 1);
+    /// # Ok::<(), athena_types::AthenaError>(())
+    /// ```
+    pub fn create_index(&self, fields: impl IndexFields) {
+        let fields = fields.into_fields();
+        let new = self.cluster.register_index(&self.name, &fields);
         if new && self.cluster.persist_on.load(Ordering::Relaxed) {
             let _ = self
                 .cluster
-                .journal_store_op(&ops::create_index(&self.name, &field));
+                .journal_store_op(&ops::create_index(&self.name, &fields));
         }
     }
 
@@ -1222,7 +1244,7 @@ mod tests {
         let mut totals = (0, 0);
         for node in cluster.nodes.iter() {
             let (docs, entries) =
-                node.read_collection("c", |c| (c.len(), c.index_entries("k").unwrap_or(0)));
+                node.read_collection("c", |c| (c.len(), c.index_entries(&["k"]).unwrap_or(0)));
             totals = (totals.0 + docs, totals.1 + entries);
         }
         totals

@@ -2,7 +2,7 @@
 
 use crate::document::{DocId, Document};
 use crate::filter::Filter;
-use crate::index::SecondaryIndex;
+use crate::index::{self, SecondaryIndex};
 use crate::query::FindOptions;
 use serde_json::Value;
 use std::collections::{HashMap, HashSet};
@@ -30,7 +30,7 @@ use std::sync::Arc;
 /// use athena_store::DocId;
 ///
 /// let mut c = Collection::new("features");
-/// c.create_index("sw");
+/// c.create_index(&["sw"]);
 /// c.insert_with_id(DocId(1), doc! { "sw" => 4 });
 /// assert_eq!(c.find(&Filter::eq("sw", 4), &FindOptions::default()).len(), 1);
 /// ```
@@ -38,7 +38,8 @@ use std::sync::Arc;
 pub struct Collection {
     name: String,
     docs: HashMap<DocId, Arc<Document>>,
-    indexes: HashMap<String, SecondaryIndex>,
+    /// In creation order.
+    indexes: Vec<SecondaryIndex>,
     // Atomics: read paths take `&self` behind shared locks, and readers
     // run concurrently.
     scans: AtomicU64,
@@ -69,37 +70,48 @@ impl Collection {
         self.docs.is_empty()
     }
 
-    /// Creates a secondary index over `field`, indexing existing
-    /// documents. A no-op (and allocation-free) when the index exists.
-    pub fn create_index(&mut self, field: &str) {
-        if self.indexes.contains_key(field) {
+    /// Creates a secondary index over `fields` (in key order), indexing
+    /// existing documents. A no-op (and allocation-free) when the index
+    /// exists or `fields` is empty.
+    pub fn create_index(&mut self, fields: &[impl AsRef<str>]) {
+        if fields.is_empty() || self.index(fields).is_some() {
             return;
         }
-        let mut idx = SecondaryIndex::new(field);
-        for (id, doc) in &self.docs {
-            if let Some(v) = doc.get(field) {
-                idx.insert(*id, v);
-            }
-        }
-        self.indexes.insert(field.to_owned(), idx);
+        let fields: Vec<String> = fields.iter().map(|f| f.as_ref().to_owned()).collect();
+        let mut idx = SecondaryIndex::new(fields);
+        idx.insert_all(self.docs.values().map(|d| &**d));
+        self.indexes.push(idx);
+    }
+
+    /// The index over exactly `fields`, in that order.
+    fn index(&self, fields: &[impl AsRef<str>]) -> Option<&SecondaryIndex> {
+        let wanted = || fields.iter().map(AsRef::as_ref);
+        self.indexes
+            .iter()
+            .find(|idx| idx.fields().iter().map(String::as_str).eq(wanted()))
     }
 
     /// Inserts a document under a caller-assigned id (the cluster assigns
     /// ids so they are unique across shards).
     pub fn insert_with_id(&mut self, id: DocId, mut doc: Document) {
         doc.id = id;
-        self.insert_shared(Arc::new(doc));
+        self.insert_all(std::iter::once(&Arc::new(doc)));
     }
 
-    /// Stores a handle to an id-stamped document, indexing it. The
-    /// cluster hands every replica shard a handle to the same body.
-    pub(crate) fn insert_shared(&mut self, doc: Arc<Document>) {
-        for (field, idx) in &mut self.indexes {
-            if let Some(v) = doc.get(field) {
-                idx.insert(doc.id, v);
-            }
+    /// Stores handles to id-stamped documents, indexing them: each index
+    /// is probed once per run of consecutive documents that share its
+    /// key. The cluster hands every replica shard a handle to the same
+    /// body.
+    pub(crate) fn insert_all<'d>(
+        &mut self,
+        handles: impl Iterator<Item = &'d Arc<Document>> + Clone,
+    ) {
+        for idx in &mut self.indexes {
+            idx.insert_all(handles.clone().map(|d| &**d));
         }
-        self.docs.insert(doc.id, doc);
+        for doc in handles {
+            self.docs.insert(doc.id, Arc::clone(doc));
+        }
     }
 
     /// Fetches a document by id.
@@ -119,26 +131,34 @@ impl Collection {
     /// cluster asks each shard for the copies it is primary for). Nothing
     /// is cloned, and a document `owns` rejects is never looked at.
     ///
-    /// The planner: among the filter's conjuncts (the filter itself, or
-    /// the members of its `And`s) that are an `Eq` on an indexed field
-    /// with an indexable value, take the one with the shortest posting
-    /// list (the first of equals), walk that list and evaluate only the
-    /// other conjuncts — a bare indexed `Eq` reads no document. With no
-    /// such conjunct, scan.
+    /// The planner: the filter's conjuncts are the filter itself, or the
+    /// members of its `And`s. For each index, take the longest leading
+    /// run of its fields that each have an `Eq` conjunct with an
+    /// indexable value (the first such conjunct per field): the whole key
+    /// is one posting list, a shorter run a range of them. Walk the
+    /// candidate with the fewest postings (the first index of equals) and
+    /// evaluate only the conjuncts it did not consume — an `Eq` on every
+    /// field of an index reads only the documents it returns. With no
+    /// run on any index, scan.
     pub fn matching(&self, filter: &Filter, owns: impl Fn(DocId) -> bool) -> Vec<&Arc<Document>> {
-        let mut residual = filter.conjuncts();
-        let served = residual
-            .iter()
-            .enumerate()
-            .filter_map(|(i, f)| match f {
-                Filter::Eq(field, value) => {
-                    let ids = self.indexes.get(field)?.lookup(value)?;
-                    Some((i, ids))
-                }
+        let conjuncts = filter.conjuncts();
+        // The conjunct that pins `field` to an indexable value.
+        let pin = |field: &String| {
+            conjuncts.iter().copied().find_map(|c| match c {
+                Filter::Eq(f, v) if f == field && index::indexable(v) => Some((c, v)),
                 _ => None,
             })
-            .min_by_key(|(_, ids)| ids.len());
-        let Some((i, ids)) = served else {
+        };
+        let served = self
+            .indexes
+            .iter()
+            .filter_map(|idx| {
+                let postings = idx.lookup(idx.fields().iter().map_while(pin).map(|(_, v)| v))?;
+                let candidates: usize = postings.clone().map(<[DocId]>::len).sum();
+                Some((idx, postings, candidates))
+            })
+            .min_by_key(|(_, _, candidates)| *candidates);
+        let Some((idx, postings, _)) = served else {
             self.scans.fetch_add(1, Ordering::Relaxed);
             let owned = self.docs.iter().filter(|(id, _)| owns(**id));
             return owned
@@ -147,8 +167,17 @@ impl Collection {
                 .collect();
         };
         self.index_hits.fetch_add(1, Ordering::Relaxed);
-        residual.swap_remove(i);
-        ids.iter()
+        let consumed = || {
+            let run = idx.fields().iter().take(postings.pinned());
+            run.filter_map(pin).map(|(c, _)| c)
+        };
+        let residual: Vec<&Filter> = conjuncts
+            .iter()
+            .copied()
+            .filter(|c| !consumed().any(|used| std::ptr::eq(used, *c)))
+            .collect();
+        postings
+            .flatten()
             .filter(|id| owns(**id))
             .filter_map(|id| self.docs.get(id))
             .filter(|d| residual.iter().all(|f| f.matches(d)))
@@ -184,33 +213,29 @@ impl Collection {
         // Copy-on-write: a body still shared with other replica shards
         // (or a reader's handle) is copied once here, never aliased.
         let doc = Arc::make_mut(doc);
-        // Maintain indexes: remove old values, apply, insert new.
-        for (field, idx) in &mut self.indexes {
-            if let Some(v) = doc.get(field) {
-                idx.remove(id, v);
-            }
+        // Maintain indexes: remove the old key, apply, insert the new.
+        for idx in &mut self.indexes {
+            idx.remove(doc);
         }
         for (k, v) in changes {
             doc.set(k.clone(), v.clone());
         }
-        for (field, idx) in &mut self.indexes {
-            if let Some(v) = doc.get(field) {
-                idx.insert(id, v);
-            }
+        for idx in &mut self.indexes {
+            idx.insert(doc);
         }
         true
     }
 
-    /// Names of the secondary indexes, sorted.
-    pub fn index_fields(&self) -> Vec<String> {
-        let mut out: Vec<String> = self.indexes.keys().cloned().collect();
+    /// The field lists of the secondary indexes, sorted.
+    pub fn index_fields(&self) -> Vec<Vec<String>> {
+        let mut out: Vec<Vec<String>> = self.indexes.iter().map(|i| i.fields().to_vec()).collect();
         out.sort();
         out
     }
 
-    /// Number of entries the index over `field` holds, if there is one.
-    pub fn index_entries(&self, field: &str) -> Option<usize> {
-        self.indexes.get(field).map(SecondaryIndex::len)
+    /// Number of entries the index over `fields` holds, if there is one.
+    pub fn index_entries(&self, fields: &[impl AsRef<str>]) -> Option<usize> {
+        self.index(fields).map(SecondaryIndex::len)
     }
 
     /// Deletes matching documents. Returns how many were removed.
@@ -233,8 +258,8 @@ impl Collection {
             ids.iter().filter_map(|id| self.docs.remove(id)).collect();
         if !removed.is_empty() {
             let gone: HashSet<DocId> = removed.iter().map(|d| d.id).collect();
-            for (field, idx) in &mut self.indexes {
-                idx.remove_all(removed.iter().filter_map(|d| d.get(field)), &gone);
+            for idx in &mut self.indexes {
+                idx.remove_all(removed.iter().map(|d| &**d), &gone);
             }
         }
         removed.len()
@@ -297,7 +322,7 @@ mod tests {
     fn index_accelerated_point_lookup_agrees_with_scan() {
         let mut c = filled();
         let scan = ids(&c, &Filter::eq("parity", 1));
-        c.create_index("parity");
+        c.create_index(&["parity"]);
         assert_eq!(ids(&c, &Filter::eq("parity", 1)), scan);
         assert_eq!(scan, [2, 4, 6, 8, 10]);
     }
@@ -305,7 +330,7 @@ mod tests {
     #[test]
     fn matching_lends_the_shards_own_handles_to_the_owner_only() {
         let mut c = filled();
-        c.create_index("parity");
+        c.create_index(&["parity"]);
         for filter in [Filter::eq("parity", 1), Filter::gte("i", 0)] {
             let hits = c.matching(&filter, |id| id.0 % 4 == 0);
             let mut got: Vec<u64> = hits.iter().map(|d| d.id.0).collect();
@@ -335,8 +360,8 @@ mod tests {
         let array = Filter::eq("k", serde_json::json!([1, 2]));
         let object = Filter::eq("k", serde_json::json!({"a": 1}));
         assert_eq!(ids(&c, &array), [1]);
-        c.create_index("k");
-        assert_eq!(c.index_entries("k"), Some(1));
+        c.create_index(&["k"]);
+        assert_eq!(c.index_entries(&["k"]), Some(1));
         assert_eq!(ids(&c, &array), [1]);
         assert_eq!(ids(&c, &object), [2]);
         assert_eq!(c.count(&array), 1);
@@ -349,7 +374,7 @@ mod tests {
     #[test]
     fn either_conjunct_order_is_index_served() {
         let mut c = filled();
-        c.create_index("parity");
+        c.create_index(&["parity"]);
         let parity = || Filter::eq("parity", 1);
         let i = || Filter::eq("i", 3);
         for filter in [
@@ -375,8 +400,8 @@ mod tests {
         // `owns` sees exactly the candidates walked: the one document
         // under `i == 3`, not the five under `parity == 1`.
         let mut c = filled();
-        c.create_index("parity");
-        c.create_index("i");
+        c.create_index(&["parity"]);
+        c.create_index(&["i"]);
         for filter in [
             Filter::and(vec![Filter::eq("parity", 1), Filter::eq("i", 3)]),
             Filter::and(vec![Filter::eq("i", 3), Filter::eq("parity", 1)]),
@@ -389,47 +414,87 @@ mod tests {
             assert_eq!(hits.len(), 1);
             assert_eq!(asked.load(Ordering::Relaxed), 1, "{filter}");
         }
+
+        // The feature collection's one `(message_type, switch)` index:
+        // 40 `FLOW_STATS` and 20 `PACKET_IN` documents over four switches.
+        let mut c = Collection::new("features");
+        for i in 0..60u64 {
+            let kind = if i % 3 == 0 {
+                "PACKET_IN"
+            } else {
+                "FLOW_STATS"
+            };
+            c.insert_with_id(
+                DocId(i + 1),
+                doc! { "message_type" => kind, "switch" => i % 4 },
+            );
+        }
+        c.create_index(&["message_type", "switch"]);
+        // `(documents returned, documents whose ownership was asked)`.
+        let walked = |filter: &Filter| {
+            let asked = AtomicU64::new(0);
+            let hits = c.matching(filter, |_| {
+                asked.fetch_add(1, Ordering::Relaxed);
+                true
+            });
+            (hits.len() as u64, asked.load(Ordering::Relaxed))
+        };
+        let kind = || Filter::eq("message_type", "FLOW_STATS");
+        let switch = || Filter::eq("switch", 2);
+        // The whole key: only the documents returned are read.
+        for filter in [
+            Filter::and(vec![kind(), switch()]),
+            Filter::and(vec![switch(), kind()]),
+        ] {
+            assert_eq!(walked(&filter), (10, 10), "{filter}");
+        }
+        // The `message_type` prefix: every `FLOW_STATS` document, once.
+        assert_eq!(walked(&kind()), (40, 40));
+        // `switch` leads no index: a scan.
+        let (scans, hits) = c.scan_stats();
+        assert_eq!(walked(&switch()).0, 15);
+        assert_eq!(c.scan_stats(), (scans + 1, hits));
     }
 
     #[test]
     fn update_maintains_indexes() {
         let mut c = filled();
-        c.create_index("parity");
+        c.create_index(&["parity"]);
         let n = c.update(&Filter::eq("i", 3), &[("parity".into(), 0.into())]);
         assert_eq!(n, 1);
         assert_eq!(c.count(&Filter::eq("parity", 0)), 6);
         assert_eq!(ids(&c, &Filter::eq("parity", 0)).len(), 6);
-        assert_eq!(c.index_entries("parity"), Some(10));
+        assert_eq!(c.index_entries(&["parity"]), Some(10));
     }
 
     #[test]
     fn delete_maintains_indexes() {
         let mut c = filled();
-        c.create_index("parity");
+        c.create_index(&["parity"]);
         let n = c.delete(&Filter::eq("parity", 1));
         assert_eq!(n, 5);
         assert_eq!(c.len(), 5);
         assert!(ids(&c, &Filter::eq("parity", 1)).is_empty());
-        assert_eq!(c.index_entries("parity"), Some(5));
+        assert_eq!(c.index_entries(&["parity"]), Some(5));
     }
 
     #[test]
     fn a_batch_delete_leaves_no_stale_index_entry() {
         let mut c = filled();
-        c.create_index("parity");
-        c.create_index("i");
+        c.create_index(&["parity"]);
+        c.create_index(&["i"]);
         // Ids 1..=6 go (one listed twice, one this shard never held).
         let victims: Vec<DocId> = [1, 2, 3, 3, 4, 5, 6, 77].map(DocId).to_vec();
         assert_eq!(c.delete_ids(&victims), 6);
         assert_eq!(c.len(), 4);
-        assert_eq!(c.index_entries("parity"), Some(4));
-        assert_eq!(c.index_entries("i"), Some(4));
+        assert_eq!(c.index_entries(&["parity"]), Some(4));
+        assert_eq!(c.index_entries(&["i"]), Some(4));
         assert_eq!(ids(&c, &Filter::eq("parity", 0)), [7, 9]);
         assert_eq!(ids(&c, &Filter::eq("parity", 1)), [8, 10]);
         assert_eq!(c.count(&Filter::All), 4);
         assert!(c.delete_by_id(DocId(7)));
         assert!(!c.delete_by_id(DocId(7)));
-        assert_eq!(c.index_entries("parity"), Some(3));
+        assert_eq!(c.index_entries(&["parity"]), Some(3));
     }
 
     #[test]
@@ -442,7 +507,7 @@ mod tests {
     #[test]
     fn indexed_equality_queries_never_scan() {
         let mut c = filled();
-        c.create_index("parity");
+        c.create_index(&["parity"]);
         let (scans_before, _) = c.scan_stats();
         assert_eq!(ids(&c, &Filter::eq("parity", 0)).len(), 5);
         assert_eq!(c.count(&Filter::eq("parity", 1)), 5);
@@ -462,9 +527,9 @@ mod tests {
     #[test]
     fn create_index_twice_is_idempotent() {
         let mut c = filled();
-        c.create_index("i");
-        c.create_index("i");
+        c.create_index(&["i"]);
+        c.create_index(&["i"]);
         assert_eq!(ids(&c, &Filter::eq("i", 4)), [5]);
-        assert_eq!(c.index_entries("i"), Some(10));
+        assert_eq!(c.index_entries(&["i"]), Some(10));
     }
 }

@@ -123,7 +123,7 @@ impl fmt::Display for Key {
 }
 
 /// A document body: `(name, value)` members in one vector, strictly
-/// sorted by name — one allocation per document, lookup by binary
+/// sorted by name — one allocation per document, placement by binary
 /// search, iteration (and so JSON text, [`Document::encoded_len`] and
 /// every digest over them) in name order.
 #[derive(Debug, Clone, PartialEq, Default)]
@@ -156,10 +156,15 @@ impl Fields {
         self.0.iter()
     }
 
-    /// The value of the member called `name` (no path navigation).
+    /// The value of the member called `name` (no path navigation). A
+    /// walk that rejects most names on their length alone: at
+    /// feature-document sizes (a few dozen members) it is several times
+    /// faster than the binary search's ordered string comparisons.
     pub fn get(&self, name: &str) -> Option<&Value> {
-        let i = self.position(name).ok()?;
-        self.0.get(i).map(|(_, v)| v)
+        self.0
+            .iter()
+            .find(|(k, _)| k.as_str() == name)
+            .map(|(_, v)| v)
     }
 
     /// Sets a member, replacing the value of an existing one.
@@ -283,10 +288,11 @@ impl Document {
 
     /// Looks up a field by dotted path.
     pub fn get(&self, path: &str) -> Option<&Value> {
-        let mut parts = path.split('.');
-        let first = parts.next()?;
+        let Some((first, rest)) = path.split_once('.') else {
+            return self.fields.get(path);
+        };
         let mut cur = self.fields.get(first)?;
-        for part in parts {
+        for part in rest.split('.') {
             cur = cur.as_object()?.get(part)?;
         }
         Some(cur)

@@ -89,11 +89,16 @@ pub(crate) mod ops {
         ])
     }
 
-    pub(crate) fn create_index(coll: &str, field: &str) -> Value {
+    /// An index as its ordered field array.
+    pub(crate) fn index_fields(fields: &[String]) -> Value {
+        Value::Array(fields.iter().map(|f| Value::from(f.as_str())).collect())
+    }
+
+    pub(crate) fn create_index(coll: &str, fields: &[String]) -> Value {
         obj(vec![
             ("op", Value::from("index")),
             ("coll", Value::from(coll)),
-            ("field", Value::from(field)),
+            ("fields", index_fields(fields)),
         ])
     }
 }
@@ -129,6 +134,22 @@ fn get_ids(m: &Map<String, Value>, key: &str) -> Result<Vec<DocId>> {
             })
             .collect(),
         _ => Err(AthenaError::Persist(format!("store op misses `{key}`"))),
+    }
+}
+
+/// An index's ordered fields: an array of paths, or — as journals and
+/// checkpoints written before compound indexes hold it — one bare path.
+fn index_fields(v: &Value) -> Result<Vec<String>> {
+    match v {
+        Value::String(f) => Ok(vec![f.clone()]),
+        Value::Array(fs) => fs
+            .iter()
+            .map(|f| match f {
+                Value::String(f) => Ok(f.clone()),
+                _ => Err(AthenaError::Persist("non-string index field".into())),
+            })
+            .collect(),
+        _ => Err(AthenaError::Persist("malformed index fields".into())),
     }
 }
 
@@ -234,18 +255,18 @@ impl StoreCluster {
         let mut colls = Vec::with_capacity(names.len());
         for name in names {
             let docs = self.live_docs(&name, &Filter::All);
-            let mut fields: Vec<String> = self
+            let mut indexes: Vec<Vec<String>> = self
                 .nodes
                 .iter()
                 .flat_map(|n| n.read_collection(&name, |c| c.index_fields()))
                 .collect();
-            fields.sort();
-            fields.dedup();
+            indexes.sort();
+            indexes.dedup();
             let mut m = Map::new();
             m.insert("name".into(), Value::from(name));
             m.insert(
                 "indexes".into(),
-                Value::Array(fields.into_iter().map(Value::from).collect()),
+                Value::Array(indexes.iter().map(|f| ops::index_fields(f)).collect()),
             );
             m.insert(
                 "docs".into(),
@@ -302,11 +323,9 @@ impl StoreCluster {
             for coll in colls {
                 let cm = as_object(coll)?;
                 let name = get_str(cm, "name")?;
-                if let Some(Value::Array(fields)) = cm.get("indexes") {
-                    for f in fields {
-                        if let Value::String(f) = f {
-                            self.register_index(name, f);
-                        }
+                if let Some(Value::Array(indexes)) = cm.get("indexes") {
+                    for fields in indexes {
+                        self.register_index(name, &index_fields(fields)?);
                     }
                 }
                 if let Some(Value::Array(docs)) = cm.get("docs") {
@@ -359,8 +378,11 @@ impl StoreCluster {
             }
             "index" => {
                 let coll = get_str(m, "coll")?;
-                let field = get_str(m, "field")?;
-                self.register_index(coll, field);
+                let fields = m
+                    .get("fields")
+                    .or_else(|| m.get("field"))
+                    .ok_or_else(|| AthenaError::Persist("store op misses `fields`".into()))?;
+                self.register_index(coll, &index_fields(fields)?);
                 Ok(())
             }
             other => Err(AthenaError::Persist(format!("unknown store op `{other}`"))),
@@ -409,6 +431,29 @@ mod tests {
         serde_json::to_string(&docs).unwrap()
     }
 
+    /// `(full scans, index-served lookups)` over every shard of `coll`.
+    fn scan_stats(cluster: &StoreCluster, coll: &str) -> (u64, u64) {
+        cluster
+            .nodes
+            .iter()
+            .map(|n| n.read_collection(coll, |c| c.scan_stats()))
+            .fold((0, 0), |a, b| (a.0 + b.0, a.1 + b.1))
+    }
+
+    /// Counts `filter` on `coll`, asserting every shard served it from an
+    /// index.
+    fn indexed_count(cluster: &StoreCluster, coll: &str, filter: &Filter) -> usize {
+        let (scans, hits) = scan_stats(cluster, coll);
+        let n = cluster.collection(coll).count(filter);
+        let shards = cluster.node_count() as u64;
+        assert_eq!(
+            scan_stats(cluster, coll),
+            (scans, hits + shards),
+            "{filter}"
+        );
+        n
+    }
+
     #[test]
     fn wal_replay_restores_identical_contents() {
         let dir = test_dir();
@@ -419,11 +464,12 @@ mod tests {
             .attach_persistence(PersistConfig::new(&dir), clock.clone(), &tel)
             .unwrap();
         let coll = original.collection("features");
-        coll.create_index("sw");
+        coll.create_index(["sw", "hot"]);
         for i in 0..40i64 {
             clock.advance_by(SimDuration::from_millis(10));
             coll.insert(doc! { "sw" => i % 5, "v" => i }).unwrap();
         }
+        // The update moves eight documents from `(2, missing)` to `(2, true)`.
         coll.update(&Filter::eq("sw", 2), &[("hot".into(), Value::from(true))]);
         coll.delete(&Filter::eq("sw", 4));
         let before = contents(&original, "features");
@@ -440,16 +486,23 @@ mod tests {
         assert!(!report.checkpoint_applied);
         assert!(report.ops_replayed >= 42);
         assert_eq!(contents(&recovered, "features"), before);
+        assert_eq!(*recovered.indexed_fields("features"), [["sw", "hot"]]);
         // The allocator continues, so new inserts do not collide.
         let id = recovered
             .collection("features")
             .insert(doc! { "sw" => 9 })
             .unwrap();
         assert!(id.0 > 40);
-        // The recovered index is live.
+        // The recovered index is live, over its prefix and its whole key.
+        let hot = Filter::and(vec![Filter::eq("hot", true), Filter::eq("sw", 2)]);
+        assert_eq!(indexed_count(&recovered, "features", &hot), 8);
         assert_eq!(
-            recovered.collection("features").count(&Filter::eq("sw", 2)),
+            indexed_count(&recovered, "features", &Filter::eq("sw", 2)),
             8
+        );
+        assert_eq!(
+            indexed_count(&recovered, "features", &Filter::eq("sw", 4)),
+            0
         );
         std::fs::remove_dir_all(&dir).unwrap();
     }
@@ -463,13 +516,14 @@ mod tests {
             .attach_persistence(PersistConfig::new(&dir), clock.clone(), &Telemetry::off())
             .unwrap();
         let coll = original.collection("c");
+        coll.create_index(["j", "i"]);
         for i in 0..30i64 {
-            coll.insert(doc! { "i" => i }).unwrap();
+            coll.insert(doc! { "i" => i, "j" => i % 3 }).unwrap();
         }
         clock.advance_to(SimTime::from_secs(10));
         original.checkpoint().unwrap();
         for i in 30..50i64 {
-            coll.insert(doc! { "i" => i }).unwrap();
+            coll.insert(doc! { "i" => i, "j" => i % 3 }).unwrap();
         }
         let before = contents(&original, "c");
         drop(original);
@@ -486,7 +540,34 @@ mod tests {
         assert_eq!(report.docs_restored, 30);
         assert_eq!(report.ops_replayed, 20);
         assert_eq!(contents(&recovered, "c"), before);
+        // The checkpoint carried the index: live over the snapshot's
+        // documents and the tail's.
+        assert_eq!(*recovered.indexed_fields("c"), [["j", "i"]]);
+        let one = |i: i64| Filter::and(vec![Filter::eq("i", i), Filter::eq("j", i % 3)]);
+        assert_eq!(indexed_count(&recovered, "c", &one(7)), 1);
+        assert_eq!(indexed_count(&recovered, "c", &one(31)), 1);
+        assert_eq!(indexed_count(&recovered, "c", &Filter::eq("j", 1)), 17);
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_one_field_index_as_the_parent_format_wrote_it_recovers() {
+        // Before compound indexes, an index op and a checkpoint's index
+        // list held one bare field name.
+        let cluster = StoreCluster::new(2, 1);
+        cluster
+            .apply_op(&serde_json::json!({ "op": "index", "coll": "a", "field": "k" }))
+            .unwrap();
+        cluster
+            .apply_snapshot(&serde_json::json!({
+                "next_id": 1,
+                "collections": [{ "name": "b", "indexes": ["k", ["m", "n"]], "docs": [] }],
+            }))
+            .unwrap();
+        assert_eq!(*cluster.indexed_fields("a"), [["k"]]);
+        assert_eq!(*cluster.indexed_fields("b"), [vec!["k"], vec!["m", "n"]]);
+        let malformed = serde_json::json!({ "op": "index", "coll": "a", "fields": [1] });
+        assert!(cluster.apply_op(&malformed).is_err());
     }
 
     #[test]
@@ -534,36 +615,39 @@ mod tests {
     fn a_second_create_index_registers_and_journals_nothing() {
         let wal_records =
             |tel: &Telemetry| tel.metrics().counter("persist", "store_wal_records").get();
-        let dir = test_dir();
-        let tel = Telemetry::new();
-        let original = StoreCluster::new(3, 2);
-        original
-            .attach_persistence(PersistConfig::new(&dir), VirtualClock::new(), &tel)
-            .unwrap();
-        let coll = original.collection("c");
-        coll.create_index("k");
-        coll.create_index("k");
-        assert_eq!(*original.indexed_fields("c"), ["k"]);
-        assert_eq!(wal_records(&tel), 1);
-        coll.insert(doc! { "k" => 1 }).unwrap();
-        original.checkpoint().unwrap();
-        drop(original);
+        for fields in [vec!["k"], vec!["k", "m"]] {
+            let owned = || -> Vec<String> { fields.iter().map(|f| f.to_string()).collect() };
+            let dir = test_dir();
+            let tel = Telemetry::new();
+            let original = StoreCluster::new(3, 2);
+            original
+                .attach_persistence(PersistConfig::new(&dir), VirtualClock::new(), &tel)
+                .unwrap();
+            let coll = original.collection("c");
+            coll.create_index(fields.as_slice());
+            coll.create_index(fields.as_slice());
+            assert_eq!(*original.indexed_fields("c"), [owned()]);
+            assert_eq!(wal_records(&tel), 1);
+            coll.insert(doc! { "k" => 1, "m" => 2 }).unwrap();
+            original.checkpoint().unwrap();
+            drop(original);
 
-        // A deployment registers its index before it attaches the
-        // journal, whose checkpoint lists the same index.
-        let recovered = StoreCluster::new(3, 2);
-        let coll = recovered.collection("c");
-        coll.create_index("k");
-        let tel = Telemetry::new();
-        let report = recovered
-            .attach_persistence(PersistConfig::new(&dir), VirtualClock::new(), &tel)
-            .unwrap();
-        assert!(report.checkpoint_applied);
-        coll.create_index("k");
-        assert_eq!(*recovered.indexed_fields("c"), ["k"]);
-        assert_eq!(wal_records(&tel), 0);
-        assert_eq!(coll.count(&Filter::eq("k", 1)), 1);
-        std::fs::remove_dir_all(&dir).unwrap();
+            // A deployment registers its index before it attaches the
+            // journal, whose checkpoint lists the same index.
+            let recovered = StoreCluster::new(3, 2);
+            let coll = recovered.collection("c");
+            coll.create_index(fields.as_slice());
+            let tel = Telemetry::new();
+            let report = recovered
+                .attach_persistence(PersistConfig::new(&dir), VirtualClock::new(), &tel)
+                .unwrap();
+            assert!(report.checkpoint_applied);
+            coll.create_index(fields.as_slice());
+            assert_eq!(*recovered.indexed_fields("c"), [owned()]);
+            assert_eq!(wal_records(&tel), 0);
+            assert_eq!(indexed_count(&recovered, "c", &Filter::eq("k", 1)), 1);
+            std::fs::remove_dir_all(&dir).unwrap();
+        }
     }
 
     #[test]

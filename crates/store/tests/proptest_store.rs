@@ -276,7 +276,7 @@ proptest! {
                         .map(|(k, v)| (KEYS[k].to_owned(), v))
                         .collect();
                     let mut shard = Collection::new("c");
-                    shard.create_index("a");
+                    shard.create_index(&["a"]);
                     shard.insert_with_id(DocId(7), doc);
                     prop_assert!(shard.update_by_id(DocId(7), &changes));
                     doc = shard.get(DocId(7)).cloned().unwrap();
@@ -371,8 +371,14 @@ fn arb_leaf() -> impl Strategy<Value = Filter> {
 
 fn arb_filter() -> impl Strategy<Value = Filter> {
     let group = || proptest::collection::vec(arb_leaf(), 0..4);
+    let eq = || {
+        let field = (0usize..QUERY_FIELDS.len()).prop_map(|i| QUERY_FIELDS[i].to_owned());
+        (field, arb_field_value()).prop_map(|(f, v)| Filter::Eq(f, v))
+    };
     prop_oneof![
         arb_leaf(),
+        // Two equalities: a compound index's whole key, or its prefix.
+        (eq(), eq()).prop_map(|(a, b)| Filter::And(vec![a, b])),
         group().prop_map(Filter::And),
         group().prop_map(Filter::And),
         group().prop_map(Filter::Or),
@@ -405,7 +411,20 @@ enum ShardOp {
     Update(usize, usize, serde_json::Value),
     /// Delete the listed live documents (by position) as one batch.
     Delete(Vec<usize>),
-    CreateIndex(usize),
+    CreateIndex(Vec<&'static str>),
+}
+
+/// An index over one field or an ordered pair of them (either order,
+/// the dotted `n.k` included, a field twice too): documents that lack a
+/// later field or hold an array or an object there key under its
+/// missing and unindexable markers.
+fn arb_index() -> impl Strategy<Value = Vec<&'static str>> {
+    let field = || (0usize..QUERY_FIELDS.len()).prop_map(|i| QUERY_FIELDS[i]);
+    prop_oneof![
+        field().prop_map(|f| vec![f]),
+        (field(), field()).prop_map(|(f, g)| vec![f, g]),
+        (field(), field()).prop_map(|(f, g)| vec![f, g]),
+    ]
 }
 
 fn arb_shard_op() -> impl Strategy<Value = ShardOp> {
@@ -416,7 +435,7 @@ fn arb_shard_op() -> impl Strategy<Value = ShardOp> {
         (any::<usize>(), 0usize..3, arb_field_value())
             .prop_map(|(i, f, v)| ShardOp::Update(i, f, v)),
         proptest::collection::vec(any::<usize>(), 0..4).prop_map(ShardOp::Delete),
-        (0usize..QUERY_FIELDS.len()).prop_map(ShardOp::CreateIndex),
+        arb_index().prop_map(ShardOp::CreateIndex),
     ]
 }
 
@@ -462,7 +481,7 @@ proptest! {
                     prop_assert_eq!(shard.delete_ids(&victims), distinct.len());
                     model.retain(|id, _| !distinct.contains(id));
                 }
-                ShardOp::CreateIndex(f) => shard.create_index(QUERY_FIELDS[f]),
+                ShardOp::CreateIndex(fields) => shard.create_index(&fields),
                 ShardOp::Update(..) | ShardOp::Delete(..) => {}
             }
         }
@@ -487,6 +506,55 @@ proptest! {
             }
             let everyone = model.values().filter(|d| filter.matches(d)).count();
             prop_assert_eq!(shard.count(&filter), everyone, "{}", filter);
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// One index alone, so the planner serves every filter that pins its
+    /// leading field from it — never from a rival index that happens to
+    /// hold fewer postings.
+    #[test]
+    fn a_lone_index_serves_exactly_the_naive_walk(
+        before in proptest::collection::vec(arb_query_doc(), 0..30),
+        after in proptest::collection::vec(arb_query_doc(), 0..30),
+        fields in arb_index(),
+        pins in proptest::collection::vec(arb_field_value(), 2..3),
+        filters in proptest::collection::vec(arb_filter(), 1..8),
+    ) {
+        use athena_store::collection::Collection;
+        use athena_store::DocId;
+
+        // Besides the drawn filters: an equality on each of the index's
+        // fields (its whole key), and on its leading field alone.
+        let pinned: Vec<Filter> = fields
+            .iter()
+            .zip(&pins)
+            .map(|(f, v)| Filter::Eq((*f).to_owned(), v.clone()))
+            .collect();
+        let leading = pinned.iter().take(1).cloned().collect();
+        let filters = filters
+            .into_iter()
+            .chain([Filter::And(pinned), Filter::And(leading)]);
+
+        let mut shard = Collection::new("c");
+        let mut model: Vec<Document> = Vec::new();
+        for (i, mut doc) in before.into_iter().chain(after).enumerate() {
+            if i == 15 {
+                shard.create_index(&fields);
+            }
+            doc.id = DocId(i as u64 + 1);
+            shard.insert_with_id(doc.id, doc.clone());
+            model.push(doc);
+        }
+        shard.create_index(&fields);
+        for filter in filters.flat_map(both_orders) {
+            let want: Vec<DocId> = model.iter().filter(|d| filter.matches(d)).map(|d| d.id).collect();
+            let mut got: Vec<DocId> = shard.matching(&filter, |_| true).iter().map(|d| d.id).collect();
+            got.sort_unstable();
+            prop_assert_eq!(&got, &want, "{} over {:?}", filter, fields);
         }
     }
 }
@@ -532,7 +600,7 @@ proptest! {
         before in proptest::collection::vec(arb_query_doc(), 1..40),
         during in proptest::collection::vec(arb_query_doc(), 0..40),
         filters in proptest::collection::vec(arb_filter(), 1..5),
-        indexes in proptest::collection::vec(0usize..QUERY_FIELDS.len(), 0..3),
+        indexes in proptest::collection::vec(arb_index(), 0..3),
         nodes in 2usize..6,
         replication in 2usize..4,
         down in 0usize..6,
@@ -556,8 +624,8 @@ proptest! {
             .attach_persistence(PersistConfig::new(&dir), VirtualClock::new(), &Telemetry::off())
             .unwrap();
         let coll = cluster.collection("c");
-        for f in &indexes {
-            coll.create_index(QUERY_FIELDS[*f]);
+        for fields in &indexes {
+            coll.create_index(fields.as_slice());
         }
         let mut model: Vec<Document> = Vec::new();
         let insert = |doc: Document, model: &mut Vec<Document>| {
@@ -621,7 +689,7 @@ fn arb_write_step() -> impl Strategy<Value = WriteStep> {
 
 /// Per node: up or not, journal bytes and records, and of its shard of
 /// `c` the ids held and each index with its entry count.
-type NodeState = (bool, u64, u64, Vec<u64>, Vec<(String, Option<usize>)>);
+type NodeState = (bool, u64, u64, Vec<u64>, Vec<(Vec<String>, Option<usize>)>);
 
 fn node_states(cluster: &StoreCluster) -> Vec<NodeState> {
     (0..cluster.node_count())
@@ -672,7 +740,7 @@ fn journal_files(dir: &std::path::Path) -> Vec<(std::ffi::OsString, Vec<u8>)> {
 fn assert_batches_are_singletons(
     nodes: usize,
     replication: usize,
-    indexes: &[usize],
+    indexes: &[Vec<&'static str>],
     steps: Vec<WriteStep>,
 ) -> athena_store::ClusterMetrics {
     use athena_persist::PersistConfig;
@@ -703,9 +771,9 @@ fn assert_batches_are_singletons(
     };
     let (batched, single) = (open(&batched_dir), open(&single_dir));
     let (bc, sc) = (batched.collection("c"), single.collection("c"));
-    for f in indexes {
-        bc.create_index(QUERY_FIELDS[*f]);
-        sc.create_index(QUERY_FIELDS[*f]);
+    for fields in indexes {
+        bc.create_index(fields.as_slice());
+        sc.create_index(fields.as_slice());
     }
     for step in steps {
         match step {
@@ -771,7 +839,7 @@ proptest! {
         steps in proptest::collection::vec(arb_write_step(), 1..16),
         nodes in 2usize..6,
         replication in 1usize..4,
-        indexes in proptest::collection::vec(0usize..QUERY_FIELDS.len(), 0..3),
+        indexes in proptest::collection::vec(arb_index(), 0..3),
     ) {
         assert_batches_are_singletons(nodes, replication, &indexes, steps);
     }
@@ -801,7 +869,7 @@ fn batches_that_hand_off_and_lose_quorum_are_singletons_too() {
         WriteStep::Toggle(1),
         WriteStep::Batch(docs(4)),
     ];
-    let m = assert_batches_are_singletons(4, 3, &[0, 1], steps);
+    let m = assert_batches_are_singletons(4, 3, &[vec!["a"], vec!["b", "a"]], steps);
     assert!(m.write_handoffs > 0, "{m:?}");
     assert_eq!(m.quorum_failures, 5, "{m:?}");
     assert_eq!(m.inserts, 9 + 7 + 6 + 4, "{m:?}");
