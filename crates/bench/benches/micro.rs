@@ -2,6 +2,7 @@
 //! the wire codec, the flow table, route lookup, the record ⇄ document conversions,
 //! store writes/queries, feature generation, and K-Means training.
 
+use athena_apps::{DdosDataset, DdosDetector, DdosDetectorConfig};
 use athena_compute::ComputeCluster;
 use athena_controller::PathService;
 use athena_core::{catalog, FeatureGenerator, FeatureManager, FeatureRecord, FieldName, Query};
@@ -434,6 +435,20 @@ fn bench_kmeans(c: &mut Criterion) {
     let ds = cluster.parallelize(data.clone(), 8);
     c.bench_function("ml/kmeans_2k_points_distributed", |b| {
         b.iter(|| KMeansModel::fit_distributed(params, black_box(&ds)).unwrap())
+    });
+
+    // The DDoS detector's fit: as many points as the ledger trains on,
+    // through the detector's preprocessor, with `Algorithm::kmeans(8)`'s
+    // parameters (10 features, k = 8, 5 runs of at most 20 passes).
+    let det = DdosDetector::new(DdosDetectorConfig::default());
+    let raw = DdosDataset::generate(18_326, 20170611).points;
+    let points = det.preprocessor().fit(&raw).unwrap().apply(&raw);
+    let params = KMeansParams {
+        k: 8,
+        ..KMeansParams::default()
+    };
+    c.bench_function("ml/kmeans_fit/ddos", |b| {
+        b.iter(|| KMeansModel::fit(params, black_box(&points)).unwrap())
     });
 }
 
