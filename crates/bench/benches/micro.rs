@@ -13,7 +13,7 @@ use athena_openflow::{
     decode_message, encode_message, Action, FlowMod, FlowStatsEntry, FlowTable, MatchFields,
     OfMessage, OfVersion, PacketHeader, StatsReply,
 };
-use athena_store::{doc, Filter, FindOptions, Placement, StoreCluster};
+use athena_store::{doc, Document, Filter, FindOptions, Placement, StoreCluster};
 use athena_types::{
     AppId, ControllerId, Dpid, FiveTuple, Ipv4Addr, PortNo, SimDuration, SimTime, Xid,
 };
@@ -241,23 +241,28 @@ fn bench_store(c: &mut Criterion) {
     // replaced once it holds 2^17 documents (its drop is timed, amortized
     // over them), so a row holds ~0.5 GB at most where the two rows above
     // grow for their whole run.
-    let [_, (_, flow_stats)] = feature_records();
+    let [(_, packet_in), (_, flow_stats)] = feature_records();
     let doc = flow_stats.to_document();
-    for size in [1, 52, 1024] {
+    let mut batch_row = |row: &str, doc: &Document, size: usize| {
         let (mut coll, mut held) = (store(), 0);
         let mut batch = Vec::with_capacity(size);
-        c.bench_function(&format!("store/insert_batch/{size}"), |b| {
+        c.bench_function(&format!("store/insert_batch/{row}"), |b| {
             b.iter(|| {
                 if held >= 1 << 17 {
                     (coll, held) = (store(), 0);
                 }
                 batch.clear();
-                batch.extend((0..size).map(|_| Placement::pending(black_box(&doc).clone())));
+                batch.extend((0..size).map(|_| Placement::pending(black_box(doc).clone())));
                 coll.insert_batch(&mut batch);
                 held += size;
             })
         });
+    };
+    for size in [1, 52, 1024] {
+        batch_row(&size.to_string(), &doc, size);
     }
+    // Table IX's write: a PACKET_IN is a batch of one 14-key document.
+    batch_row("packet_in", &packet_in.to_document(), 1);
     // What sizing its journal record costs: 38 keys, none escaped.
     c.bench_function("store/encoded_len/flow_stats", |b| {
         b.iter(|| black_box(&doc).encoded_len())

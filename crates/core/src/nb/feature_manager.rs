@@ -280,10 +280,9 @@ mod tests {
         let store = StoreCluster::new(3, 2);
         let mut fm = FeatureManager::new(&store);
         fm.ingest(&record(2, 1.0)).unwrap();
+        let features = store.collection(FeatureManager::COLLECTION);
         for i in 0..store.node_count() {
-            let indexes = store
-                .node(i)
-                .read_collection(FeatureManager::COLLECTION, |c| c.index_fields());
+            let indexes = features.read_shard(i, |c| c.index_fields());
             assert_eq!(indexes, [["message_type", "switch"]]);
         }
         let per_switch = Query::parse("switch==2 && feature==FLOW_STATS").unwrap();

@@ -1,10 +1,14 @@
 //! The distributed store: sharding, replication, journaling, metrics.
 //!
-//! A [`StoreCluster`] is a set of [`StoreNode`]s. Each collection is hash-
-//! sharded across all nodes by document id; each shard is replicated onto
-//! the next `replication - 1` nodes in ring order. Writes run on the
-//! primary and every replica and append a serialized journal record — real
-//! work that the Table IX benchmark measures.
+//! A [`StoreCluster`] is a set of [`StoreNode`]s and its collections. A
+//! collection is one cluster-wide object holding a shard per node; its
+//! documents are hash-sharded by id, and each is replicated onto the next
+//! `replication - 1` nodes in ring order. A write runs on the primary and
+//! every replica, and each node's journal counts a record per copy. That
+//! record is sized from the document ([`Document::encoded_len`]), not
+//! serialized; only with persistence attached is the logical operation
+//! serialized, once, into the WAL. This is the work the Table IX
+//! benchmark measures.
 
 use crate::collection::Collection;
 use crate::document::{DocId, Document};
@@ -17,33 +21,26 @@ use athena_telemetry::{names, Counter, Gauge, Histogram, Telemetry};
 use athena_types::sentinel::{TrackedMutex, TrackedRwLock};
 use athena_types::{AthenaError, Result};
 use serde_json::Value;
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeMap, HashSet};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
-/// A single store node: the shards it hosts plus its write journal.
+/// A single store node: whether it is up, and its write journal (the
+/// shards it hosts belong to the collections).
 #[derive(Debug)]
 pub struct StoreNode {
-    collections: TrackedRwLock<HashMap<String, TrackedRwLock<Collection>>>,
     journal_bytes: AtomicU64,
     journal_records: AtomicU64,
     up: AtomicBool,
 }
 
-impl Default for StoreNode {
-    fn default() -> Self {
+impl StoreNode {
+    fn new() -> Self {
         StoreNode {
-            collections: TrackedRwLock::new("store/collections", HashMap::new()),
             journal_bytes: AtomicU64::new(0),
             journal_records: AtomicU64::new(0),
             up: AtomicBool::new(true),
         }
-    }
-}
-
-impl StoreNode {
-    fn new() -> Self {
-        StoreNode::default()
     }
 
     /// `true` unless the node is faulted down.
@@ -51,45 +48,15 @@ impl StoreNode {
         self.up.load(Ordering::Relaxed)
     }
 
-    pub(crate) fn with_collection<R>(&self, name: &str, f: impl FnOnce(&mut Collection) -> R) -> R {
-        {
-            let map = self.collections.read();
-            if let Some(coll) = map.get(name) {
-                return f(&mut coll.write());
-            }
-        }
-        let mut map = self.collections.write();
-        let coll = map
-            .entry(name.to_owned())
-            .or_insert_with(|| TrackedRwLock::new("store/coll", Collection::new(name)));
-        let result = f(&mut coll.write());
-        result
-    }
-
-    /// Runs `f` on this node's shard of collection `name` under its read
-    /// lock; `R::default()` when the node holds no such shard.
-    pub fn read_collection<R: Default>(&self, name: &str, f: impl FnOnce(&Collection) -> R) -> R {
-        let map = self.collections.read();
-        map.get(name)
-            .map_or_else(R::default, |coll| f(&coll.read()))
-    }
-
-    /// Names of the collections this node holds shards of.
-    pub(crate) fn collection_names(&self) -> Vec<String> {
-        self.collections.read().keys().cloned().collect()
-    }
-
     /// The per-node write step every placement shares — a batch insert,
-    /// rejoin delivery, journal replay: one shard lock, one pass ensuring
-    /// the requested indexes, the handles stored in the order given (each
-    /// index probed once per run of copies sharing its key), and one
-    /// journal add for them all (a record per copy, each its document's
-    /// length plus the header). An empty batch takes no lock. Returns the
-    /// copies written.
+    /// rejoin delivery, journal replay: one lock on this node's shard
+    /// `coll`, the handles stored in the order given (each index probed
+    /// once per run of copies sharing its key), and one journal add for
+    /// them all (a record per copy, each its document's length plus the
+    /// header). An empty batch takes no lock. Returns the copies written.
     pub(crate) fn place<'a>(
         &self,
-        coll: &str,
-        indexed: &[Vec<String>],
+        coll: &TrackedRwLock<Collection>,
         copies: impl Iterator<Item = &'a Placement> + Clone,
     ) -> u64 {
         const HEADER_BYTES: u64 = 16;
@@ -99,12 +66,7 @@ impl StoreNode {
         if records == 0 {
             return 0;
         }
-        self.with_collection(coll, |c| {
-            for fields in indexed {
-                c.create_index(fields);
-            }
-            c.insert_all(copies.map(|p| &p.doc));
-        });
+        coll.write().insert_all(copies.map(|p| &p.doc));
         self.journal_bytes.fetch_add(bytes, Ordering::Relaxed);
         self.journal_records.fetch_add(records, Ordering::Relaxed);
         records
@@ -118,6 +80,69 @@ impl StoreNode {
     /// Total records appended to this node's journal.
     pub fn journal_records(&self) -> u64 {
         self.journal_records.load(Ordering::Relaxed)
+    }
+}
+
+/// One logical collection, cluster-wide: its shard on every node, in
+/// node order. `register_index` builds an index on every shard, down
+/// nodes' included, so no write ever checks for one.
+#[derive(Debug)]
+pub(crate) struct ClusterCollection {
+    pub(crate) shards: Vec<TrackedRwLock<Collection>>,
+}
+
+impl ClusterCollection {
+    fn new(name: &str, nodes: usize) -> Self {
+        ClusterCollection {
+            shards: (0..nodes)
+                .map(|_| TrackedRwLock::new("store/coll", Collection::new(name)))
+                .collect(),
+        }
+    }
+
+    /// Builds the index over `fields` (in key order) on every shard.
+    /// Returns `true` if it is new: the first shard's lock settles a race
+    /// between two registrations, so only one of them journals it.
+    pub(crate) fn register_index(&self, fields: &[String]) -> bool {
+        // Spelled with its type: the handle's `create_index` is another.
+        let built: Vec<bool> = self
+            .shards
+            .iter()
+            .map(|coll| Collection::create_index(&mut coll.write(), fields))
+            .collect();
+        built.first() == Some(&true)
+    }
+
+    /// Drops the listed documents from every shard (preferred replicas,
+    /// stand-ins holding handed-off copies, and down nodes alike, so
+    /// nothing deleted is re-placed on a rejoin): one lock and one batch
+    /// per shard.
+    pub(crate) fn delete_everywhere(&self, ids: &[DocId]) {
+        if ids.is_empty() {
+            return;
+        }
+        for coll in &self.shards {
+            coll.write().delete_ids(ids);
+        }
+    }
+
+    /// Sets `changes` on the listed documents in the shard of every up
+    /// node: one lock per shard.
+    pub(crate) fn update_ids(
+        &self,
+        nodes: &[StoreNode],
+        ids: &[DocId],
+        changes: &[(String, Value)],
+    ) {
+        if ids.is_empty() {
+            return;
+        }
+        for (_, coll) in nodes.iter().zip(&self.shards).filter(|(n, _)| n.is_up()) {
+            let mut shard = coll.write();
+            for id in ids {
+                shard.update_by_id(*id, changes);
+            }
+        }
     }
 }
 
@@ -171,9 +196,6 @@ struct StoreTelemetry {
     observe: Observe,
 }
 
-/// Per collection, the field list of each index asked for.
-pub(crate) type IndexRequests = HashMap<String, Arc<Vec<Vec<String>>>>;
-
 /// A distributed document store: N nodes, hash sharding, replication.
 ///
 /// Cloning yields another handle to the same cluster.
@@ -199,7 +221,8 @@ pub struct StoreCluster {
     replication: usize,
     pub(crate) next_id: Arc<AtomicU64>,
     pub(crate) metrics: Arc<MetricsInner>,
-    pub(crate) index_requests: Arc<TrackedMutex<IndexRequests>>,
+    /// Every collection by name; a handle looks its own up once.
+    collections: Arc<TrackedRwLock<BTreeMap<String, Arc<ClusterCollection>>>>,
     // Swapped whole on (re)bind, so the write path takes one snapshot
     // handle instead of cloning each instrument under the lock.
     tel: Arc<TrackedRwLock<Arc<StoreTelemetry>>>,
@@ -218,7 +241,7 @@ impl StoreCluster {
             replication: replication.clamp(1, nodes),
             next_id: Arc::new(AtomicU64::new(1)),
             metrics: Arc::new(MetricsInner::default()),
-            index_requests: Arc::new(TrackedMutex::new("store/index_requests", HashMap::new())),
+            collections: Arc::new(TrackedRwLock::new("store/collections", BTreeMap::new())),
             tel: Arc::new(TrackedRwLock::new("store/tel", Arc::default())),
             persist: Arc::new(TrackedMutex::new("store/persist", None)),
             persist_on: Arc::new(AtomicBool::new(false)),
@@ -252,9 +275,9 @@ impl StoreCluster {
     }
 
     /// One snapshot handle to the instruments, out of a guard that lives
-    /// for this statement only: the write path goes on to take the
-    /// index-request and collection locks, and lock-discipline (rightly)
-    /// refuses nested acquisition under `tel`.
+    /// for this statement only: the write path goes on to take the shard
+    /// locks, and lock-discipline (rightly) refuses nested acquisition
+    /// under `tel`.
     fn telemetry(&self) -> Arc<StoreTelemetry> {
         Arc::clone(&self.tel.read())
     }
@@ -269,13 +292,42 @@ impl StoreCluster {
         self.replication
     }
 
-    /// Returns a handle to a named collection (created lazily on first
-    /// write).
+    /// Returns a handle to a named collection. The handle alone creates
+    /// nothing: the collection comes to exist with its first stored
+    /// document or index.
     pub fn collection(&self, name: impl Into<String>) -> CollectionHandle {
         CollectionHandle {
             cluster: self.clone(),
             name: name.into(),
+            bound: OnceLock::new(),
         }
+    }
+
+    /// The collection called `name`, if it exists.
+    fn existing(&self, name: &str) -> Option<Arc<ClusterCollection>> {
+        self.collections.read().get(name).cloned()
+    }
+
+    /// The collection called `name`, made (a shard per node) if it does
+    /// not exist yet.
+    pub(crate) fn collection_object(&self, name: &str) -> Arc<ClusterCollection> {
+        if let Some(found) = self.existing(name) {
+            return found;
+        }
+        let mut collections = self.collections.write();
+        let coll = collections
+            .entry(name.to_owned())
+            .or_insert_with(|| Arc::new(ClusterCollection::new(name, self.nodes.len())));
+        Arc::clone(coll)
+    }
+
+    /// Every collection with its name, in name order.
+    pub(crate) fn collection_objects(&self) -> Vec<(String, Arc<ClusterCollection>)> {
+        let collections = self.collections.read();
+        collections
+            .iter()
+            .map(|(name, coll)| (name.clone(), Arc::clone(coll)))
+            .collect()
     }
 
     /// A snapshot of the operation counters.
@@ -319,83 +371,35 @@ impl StoreCluster {
     /// placement step and one batch delete. Deterministic: collections by
     /// name, nodes in index order, documents by id.
     fn deliver_handoffs(&self) {
-        let mut names: Vec<String> = self
-            .nodes
-            .iter()
-            .flat_map(|n| n.collection_names())
-            .collect();
-        names.sort();
-        names.dedup();
-        for name in names {
-            let indexed = self.indexed_fields(&name);
+        for (_, collection) in self.collection_objects() {
             // Handles, not copies: re-placing a document shares its body
             // with the surviving replica.
             let placements: Vec<Placement> = self
-                .live_docs(&name, &Filter::All)
+                .live_docs(&collection, &Filter::All)
                 .into_iter()
                 .map(|doc| self.placement(doc))
                 .collect();
-            for (idx, node) in self.nodes.iter().enumerate() {
+            for (idx, (node, coll)) in self.nodes.iter().zip(&collection.shards).enumerate() {
                 if !node.is_up() {
                     continue;
                 }
-                let held: Vec<bool> = node.read_collection(&name, |c| {
-                    placements
-                        .iter()
-                        .map(|p| c.get(p.doc.id).is_some())
-                        .collect()
-                });
-                let holds = |i: usize| held.get(i).copied().unwrap_or(false);
-                let missing = placements
-                    .iter()
-                    .enumerate()
-                    .filter(|(i, p)| p.targets.contains(idx) && !holds(*i))
-                    .map(|(_, p)| p);
-                node.place(&name, &indexed, missing);
-                let strays: Vec<DocId> = placements
-                    .iter()
-                    .enumerate()
-                    .filter(|(i, p)| !p.targets.contains(idx) && holds(*i))
-                    .map(|(_, p)| p.doc.id)
-                    .collect();
+                let (mut missing, mut strays) = (Vec::new(), Vec::new());
+                {
+                    let c = coll.read();
+                    for p in &placements {
+                        match (p.targets.contains(idx), c.get(p.doc.id).is_some()) {
+                            (true, false) => missing.push(p),
+                            (false, true) => strays.push(p.doc.id),
+                            _ => {}
+                        }
+                    }
+                }
+                node.place(coll, missing.into_iter());
                 if !strays.is_empty() {
-                    node.with_collection(&name, |c| {
-                        c.delete_ids(&strays);
-                    });
+                    coll.write().delete_ids(&strays);
                 }
             }
         }
-    }
-
-    /// The indexes `coll` was asked for, as a shared snapshot.
-    pub(crate) fn indexed_fields(&self, coll: &str) -> Arc<Vec<Vec<String>>> {
-        self.index_requests
-            .lock()
-            .get(coll)
-            .cloned()
-            .unwrap_or_default()
-    }
-
-    /// Records that `coll` indexes `fields` (in key order) and builds the
-    /// index on every node's shard. Returns `false`, and does nothing,
-    /// when that index was already requested (every later write would
-    /// otherwise run its ensure-index pass twice) or `fields` is empty.
-    pub(crate) fn register_index(&self, coll: &str, fields: &[String]) -> bool {
-        if fields.is_empty() {
-            return false;
-        }
-        {
-            let mut requests = self.index_requests.lock();
-            let indexes = requests.entry(coll.to_owned()).or_default();
-            if indexes.iter().any(|f| f == fields) {
-                return false;
-            }
-            Arc::make_mut(indexes).push(fields.to_vec());
-        }
-        for node in self.nodes.iter() {
-            node.with_collection(coll, |c| c.create_index(fields));
-        }
-        true
     }
 
     /// `doc`, already stored under its id, bound for the nodes an insert
@@ -412,18 +416,18 @@ impl StoreCluster {
     }
 
     /// The one placement routine: every node that any of `batch` targets
-    /// gets one per-node step ([`StoreNode::place`]) with its copies, in
-    /// the order given. Returns the copies written.
+    /// gets one per-node step ([`StoreNode::place`]) on its shard of
+    /// `collection` with its copies, in the order given. Returns the copies
+    /// written.
     pub(crate) fn place_all<'a>(
         &self,
-        coll: &str,
+        collection: &ClusterCollection,
         batch: impl Iterator<Item = &'a Placement> + Clone,
     ) -> u64 {
-        let indexed = self.indexed_fields(coll);
         let mut copies = 0;
-        for (idx, node) in self.nodes.iter().enumerate() {
+        for (idx, (node, coll)) in self.nodes.iter().zip(&collection.shards).enumerate() {
             let mine = batch.clone().filter(|p| p.targets.contains(idx));
-            copies += node.place(coll, &indexed, mine);
+            copies += node.place(coll, mine);
         }
         copies
     }
@@ -458,39 +462,32 @@ impl StoreCluster {
         &self.nodes[i]
     }
 
-    /// Every live copy once: handles of the documents of `coll` matching
+    /// Every live copy once: handles of the documents of `collection` matching
     /// `filter` on the up nodes, consulted in index order with an id's
     /// later copies skipped unread — deterministic whichever nodes are
     /// down, and placement-independent (a stand-in's handed-off copy
     /// counts). In id order.
-    pub(crate) fn live_docs(&self, coll: &str, filter: &Filter) -> Vec<Arc<Document>> {
+    pub(crate) fn live_docs(
+        &self,
+        collection: &ClusterCollection,
+        filter: &Filter,
+    ) -> Vec<Arc<Document>> {
         let mut seen: HashSet<DocId> = HashSet::new();
         let mut out: Vec<Arc<Document>> = Vec::new();
-        for node in self.nodes.iter().filter(|n| n.is_up()) {
+        for (node, coll) in self.nodes.iter().zip(&collection.shards) {
+            if !node.is_up() {
+                continue;
+            }
             let first_fresh = out.len();
-            node.read_collection(coll, |c| {
+            {
+                let c = coll.read();
                 let fresh = c.matching(filter, |id| !seen.contains(&id));
                 out.extend(fresh.into_iter().map(Arc::clone));
-            });
+            }
             seen.extend(out[first_fresh..].iter().map(|d| d.id));
         }
         out.sort_by_key(|d| d.id);
         out
-    }
-
-    /// Drops the listed documents from every node's shard of `coll`
-    /// (preferred replicas, stand-ins holding handed-off copies, and
-    /// down nodes alike, so nothing deleted is re-placed on a rejoin):
-    /// one lock and one batch per shard.
-    pub(crate) fn delete_on_every_node(&self, coll: &str, ids: &[DocId]) {
-        if ids.is_empty() {
-            return;
-        }
-        for node in self.nodes.iter() {
-            node.with_collection(coll, |c| {
-                c.delete_ids(ids);
-            });
-        }
     }
 
     pub(crate) fn primary_for(&self, id: DocId) -> usize {
@@ -598,8 +595,7 @@ pub struct Placement {
     pub outcome: Result<()>,
     /// The nodes its copies go to (none while pending or when refused).
     targets: WriteTargets,
-    /// Its journal record's length: the primary serializes it once and
-    /// every replica receives the same bytes.
+    /// Its journal record's length, sized once for every copy.
     len: u64,
 }
 
@@ -620,12 +616,38 @@ impl Placement {
 pub struct CollectionHandle {
     cluster: StoreCluster,
     name: String,
+    /// The collection, once this handle has found it.
+    bound: OnceLock<Arc<ClusterCollection>>,
 }
 
 impl CollectionHandle {
     /// The collection name.
     pub fn name(&self) -> &str {
         &self.name
+    }
+
+    /// The collection, looked up by name until this handle has found it.
+    /// With `create` (a write, an index registration) it is made if it
+    /// does not exist; a read creates nothing.
+    fn collection(&self, create: bool) -> Option<&ClusterCollection> {
+        if let Some(coll) = self.bound.get() {
+            return Some(coll);
+        }
+        let coll = match create {
+            true => self.cluster.collection_object(&self.name),
+            false => self.cluster.existing(&self.name)?,
+        };
+        Some(self.bound.get_or_init(|| coll))
+    }
+
+    /// Runs `f` on node `node`'s shard under its read lock (for tests and
+    /// benchmarks); `R::default()` when there is no such shard.
+    pub fn read_shard<R: Default>(&self, node: usize, f: impl FnOnce(&Collection) -> R) -> R {
+        let Some(coll) = self.collection(false).and_then(|c| c.shards.get(node)) else {
+            return R::default();
+        };
+        let shard = coll.read();
+        f(&shard)
     }
 
     /// Inserts a document, assigning it a cluster-unique id.
@@ -664,9 +686,9 @@ impl CollectionHandle {
     /// in place. Ids are stamped in batch order (a document refused for
     /// want of a write quorum still consumes its id); each document's
     /// write targets are picked as [`CollectionHandle::insert`] picks
-    /// them; then every node that receives copies takes one shard lock,
-    /// one ensure-index pass and one journal add for all of them, and
-    /// stores them in id order. The counters move once per batch, which
+    /// them; then every node that receives copies takes its shard's write
+    /// lock and one journal add for all of them, and stores them in id
+    /// order. The counters move once per batch, which
     /// records one `store/quorum_write` span and one `store/insert_ns`
     /// sample; with persistence attached, one WAL insert per stored
     /// document follows, in id order. Every document is attempted.
@@ -702,7 +724,11 @@ impl CollectionHandle {
             p.len = p.doc.encoded_len() as u64;
             p.targets = targets;
         }
-        let copies = cluster.place_all(&self.name, batch.iter().filter(|p| p.outcome.is_ok()));
+        // A batch refused whole creates no collection.
+        let stored = batch.iter().filter(|p| p.outcome.is_ok());
+        let copies = self
+            .collection(placed > 0)
+            .map_or(0, |coll| cluster.place_all(coll, stored));
 
         let m = &cluster.metrics;
         m.inserts.fetch_add(placed, Ordering::Relaxed);
@@ -713,10 +739,8 @@ impl CollectionHandle {
             m.write_handoffs.fetch_add(handoffs, Ordering::Relaxed);
             tel.write_handoffs.add(handoffs);
         }
-        if cluster.persist_on.load(Ordering::Relaxed) {
-            for p in batch.iter_mut().filter(|p| p.outcome.is_ok()) {
-                p.outcome = cluster.journal_store_op(&ops::insert(&self.name, p.doc.id, &p.doc));
-            }
+        for p in batch.iter_mut().filter(|p| p.outcome.is_ok()) {
+            p.outcome = cluster.journal(|| ops::insert(&self.name, p.doc.id, &p.doc));
         }
         timer.observe(&tel.insert_ns);
         span.finish(format_args!(
@@ -736,21 +760,14 @@ impl CollectionHandle {
     pub fn insert_many(&self, docs: impl IntoIterator<Item = Document>) -> Result<Vec<DocId>> {
         let mut batch: Vec<Placement> = docs.into_iter().map(Placement::pending).collect();
         self.insert_batch(&mut batch);
-        let mut ids = Vec::new();
-        let mut failed = 0usize;
-        for Placement { doc, outcome, .. } in batch {
-            match outcome {
-                Ok(()) => ids.push(doc.id),
-                Err(_) => failed += 1,
-            }
-        }
+        let failed = batch.iter().filter(|p| p.outcome.is_err()).count();
         if failed > 0 {
             return Err(AthenaError::Store(format!(
                 "{failed} of {} inserts failed (below write quorum)",
-                ids.len() + failed
+                batch.len()
             )));
         }
-        Ok(ids)
+        Ok(batch.iter().map(|p| p.doc.id).collect())
     }
 
     /// Registers a secondary index across all shards (and journals it,
@@ -773,11 +790,14 @@ impl CollectionHandle {
     /// ```
     pub fn create_index(&self, fields: impl IndexFields) {
         let fields = fields.into_fields();
-        let new = self.cluster.register_index(&self.name, &fields);
-        if new && self.cluster.persist_on.load(Ordering::Relaxed) {
+        let new = !fields.is_empty()
+            && self
+                .collection(true)
+                .is_some_and(|coll| coll.register_index(&fields));
+        if new {
             let _ = self
                 .cluster
-                .journal_store_op(&ops::create_index(&self.name, &fields));
+                .journal(|| ops::create_index(&self.name, &fields));
         }
     }
 
@@ -800,10 +820,8 @@ impl CollectionHandle {
     /// Counts matching documents cluster-wide: each shard counts its
     /// primary copies (every live copy once, when degraded) in place.
     pub fn count(&self, filter: &Filter) -> usize {
-        let cluster = &self.cluster;
-        if !cluster.nodes.iter().all(StoreNode::is_up) {
-            self.note_degraded_read();
-            return cluster.live_docs(&self.name, filter).len();
+        if !self.cluster.nodes.iter().all(StoreNode::is_up) {
+            return self.find_primaries(filter).len();
         }
         let mut n = 0;
         self.each_shards_primaries(filter, |hits| n += hits.len());
@@ -815,20 +833,20 @@ impl CollectionHandle {
     /// shard looks at a document: a replica copy costs a multiply, not a
     /// fetch and a match.
     fn each_shards_primaries(&self, filter: &Filter, mut visit: impl FnMut(Vec<&Arc<Document>>)) {
+        let Some(collection) = self.collection(false) else {
+            return;
+        };
         let cluster = &self.cluster;
-        for (node_idx, node) in cluster.nodes.iter().enumerate() {
-            node.read_collection(&self.name, |c| {
-                visit(c.matching(filter, |id| cluster.primary_for(id) == node_idx));
-            });
+        for (node_idx, coll) in collection.shards.iter().enumerate() {
+            let c = coll.read();
+            visit(c.matching(filter, |id| cluster.primary_for(id) == node_idx));
         }
     }
 
     /// Runs an aggregation pipeline over the matching documents.
     pub fn aggregate(&self, pipeline: &Aggregation) -> Vec<Arc<Document>> {
-        self.cluster
-            .metrics
-            .aggregations
-            .fetch_add(1, Ordering::Relaxed);
+        let m = &self.cluster.metrics;
+        m.aggregations.fetch_add(1, Ordering::Relaxed);
         pipeline.run(self.find_primaries(&Filter::All))
     }
 
@@ -841,16 +859,14 @@ impl CollectionHandle {
     /// logical documents removed.
     pub fn delete(&self, filter: &Filter) -> usize {
         let victims = self.victims(filter);
-        self.cluster.delete_on_every_node(&self.name, &victims);
-        self.cluster
-            .metrics
-            .deletes
-            .fetch_add(victims.len() as u64, Ordering::Relaxed);
-        self.cluster.telemetry().deletes.add(victims.len() as u64);
-        if self.cluster.persist_on.load(Ordering::Relaxed) && !victims.is_empty() {
-            let _ = self
-                .cluster
-                .journal_store_op(&ops::delete(&self.name, &victims));
+        if let Some(coll) = self.collection(false) {
+            coll.delete_everywhere(&victims);
+        }
+        let n = victims.len() as u64;
+        self.cluster.metrics.deletes.fetch_add(n, Ordering::Relaxed);
+        self.cluster.telemetry().deletes.add(n);
+        if n > 0 {
+            let _ = self.cluster.journal(|| ops::delete(&self.name, &victims));
         }
         victims.len()
     }
@@ -860,21 +876,15 @@ impl CollectionHandle {
     /// of logical documents changed.
     pub fn update(&self, filter: &Filter, changes: &[(String, Value)]) -> usize {
         let victims = self.victims(filter);
-        for id in &victims {
-            for node in self.cluster.nodes.iter().filter(|n| n.is_up()) {
-                node.with_collection(&self.name, |c| {
-                    c.update_by_id(*id, changes);
-                });
-            }
+        if let Some(coll) = self.collection(false) {
+            coll.update_ids(&self.cluster.nodes, &victims, changes);
         }
-        self.cluster
-            .metrics
-            .updates
-            .fetch_add(victims.len() as u64, Ordering::Relaxed);
-        if self.cluster.persist_on.load(Ordering::Relaxed) && !victims.is_empty() {
+        let n = victims.len() as u64;
+        self.cluster.metrics.updates.fetch_add(n, Ordering::Relaxed);
+        if n > 0 {
             let _ = self
                 .cluster
-                .journal_store_op(&ops::update(&self.name, &victims, changes));
+                .journal(|| ops::update(&self.name, &victims, changes));
         }
         victims.len()
     }
@@ -894,7 +904,9 @@ impl CollectionHandle {
             // Degraded path: a down primary's documents are recovered
             // from replica copies.
             self.note_degraded_read();
-            return self.cluster.live_docs(&self.name, filter);
+            return self
+                .collection(false)
+                .map_or_else(Vec::new, |coll| self.cluster.live_docs(coll, filter));
         }
         // Healthy path: each shard answers from its primary copy only,
         // so replicated documents are not duplicated. The shards are
@@ -910,10 +922,8 @@ impl CollectionHandle {
     }
 
     fn note_degraded_read(&self) {
-        self.cluster
-            .metrics
-            .degraded_reads
-            .fetch_add(1, Ordering::Relaxed);
+        let m = &self.cluster.metrics;
+        m.degraded_reads.fetch_add(1, Ordering::Relaxed);
         self.cluster.telemetry().degraded_reads.inc();
     }
 }
@@ -980,7 +990,7 @@ mod tests {
         }
         // Every node should hold a reasonable share (loose bound).
         for i in 0..4 {
-            let n = cluster.node(i).read_collection("c", |c| c.len());
+            let n = coll.read_shard(i, |c| c.len());
             assert!(n > 40, "node {i} holds only {n} docs");
         }
     }
@@ -1122,11 +1132,12 @@ mod tests {
         assert_eq!(m.replica_writes, 30);
     }
 
-    /// The handle every live shard holds for `id`, in node order.
+    /// The handle every live shard of `c` holds for `id`, in node order.
     fn shard_handles(cluster: &StoreCluster, id: DocId) -> Vec<Arc<Document>> {
+        let coll = cluster.collection("c");
         let mut out = Vec::new();
-        for node in cluster.nodes.iter().filter(|n| n.is_up()) {
-            node.read_collection("c", |c| {
+        for i in (0..cluster.node_count()).filter(|i| cluster.node_is_up(*i)) {
+            coll.read_shard(i, |c| {
                 let held = c.matching(&Filter::All, |held| held == id);
                 out.extend(held.into_iter().cloned());
             });
@@ -1241,10 +1252,11 @@ mod tests {
 
     /// `(documents, index entries under "k")` summed over every shard.
     fn shard_totals(cluster: &StoreCluster) -> (usize, usize) {
+        let coll = cluster.collection("c");
         let mut totals = (0, 0);
-        for node in cluster.nodes.iter() {
+        for i in 0..cluster.node_count() {
             let (docs, entries) =
-                node.read_collection("c", |c| (c.len(), c.index_entries(&["k"]).unwrap_or(0)));
+                coll.read_shard(i, |c| (c.len(), c.index_entries(&["k"]).unwrap_or(0)));
             totals = (totals.0 + docs, totals.1 + entries);
         }
         totals
@@ -1282,6 +1294,81 @@ mod tests {
             assert_eq!(coll.count(&Filter::eq("k", 0)), 60);
             assert_eq!(cluster.metrics().deletes, 60);
         }
+    }
+
+    /// Asserts that every shard of `coll` indexes all of its documents
+    /// under `k` and serves `k == v`, for each `v` in `keys`, from that
+    /// index with exactly the documents a walk of the shard finds.
+    fn every_shard_serves_k_from_its_index(
+        cluster: &StoreCluster,
+        coll: &CollectionHandle,
+        keys: i64,
+    ) {
+        for node in 0..cluster.node_count() {
+            coll.read_shard(node, |c| {
+                assert_eq!(c.index_entries(&["k"]), Some(c.len()), "node {node}");
+                let walk = c.matching(&Filter::All, |_| true);
+                for k in 0..keys {
+                    let (scans, hits) = c.scan_stats();
+                    let mut served: Vec<DocId> = c
+                        .matching(&Filter::eq("k", k), |_| true)
+                        .iter()
+                        .map(|d| d.id)
+                        .collect();
+                    assert_eq!(c.scan_stats(), (scans, hits + 1), "node {node} k={k}");
+                    served.sort_unstable();
+                    let naive: Vec<DocId> = walk
+                        .iter()
+                        .filter(|d| d.get_i64("k") == Some(k))
+                        .map(|d| d.id)
+                        .collect();
+                    assert_eq!(served, naive, "node {node} k={k}");
+                }
+            });
+        }
+    }
+
+    #[test]
+    fn an_index_registered_through_another_handle_indexes_later_writes() {
+        let cluster = StoreCluster::new(3, 2);
+        let writer = cluster.collection("c");
+        for i in 0..30i64 {
+            writer.insert(doc! { "k" => i % 4, "v" => i }).unwrap();
+        }
+        // A second handle registers the index; the first, bound before
+        // it existed, keeps writing.
+        cluster.collection("c").create_index("k");
+        for i in 30..90i64 {
+            writer.insert(doc! { "k" => i % 4, "v" => i }).unwrap();
+        }
+        let mut batch: Vec<Placement> = (90..100i64)
+            .map(|i| Placement::pending(doc! { "k" => i % 4, "v" => i }))
+            .collect();
+        writer.insert_batch(&mut batch);
+        every_shard_serves_k_from_its_index(&cluster, &writer, 4);
+        assert_eq!(writer.count(&Filter::eq("k", 1)), 25);
+    }
+
+    #[test]
+    fn an_index_registered_while_a_node_is_down_serves_it_after_the_rejoin() {
+        let cluster = StoreCluster::new(4, 2);
+        let coll = cluster.collection("c");
+        for i in 0..40i64 {
+            coll.insert(doc! { "k" => i % 3, "v" => i }).unwrap();
+        }
+        cluster.set_node_up(1, false);
+        coll.create_index("k");
+        for i in 40..100i64 {
+            coll.insert(doc! { "k" => i % 3, "v" => i }).unwrap();
+        }
+        assert!(cluster.metrics().write_handoffs > 0);
+        // The rejoin delivers the handed-off documents to node 1's shard.
+        cluster.set_node_up(1, true);
+        assert!(coll.read_shard(1, |c| c.len()) > 20);
+        every_shard_serves_k_from_its_index(&cluster, &coll, 3);
+        let (scans, hits) = coll.read_shard(1, |c| c.scan_stats());
+        assert_eq!(coll.count(&Filter::eq("k", 2)), 33);
+        assert_eq!(coll.read_shard(1, |c| c.scan_stats()), (scans, hits + 1));
     }
 
     #[test]

@@ -5,7 +5,7 @@ use crate::filter::Filter;
 use crate::index::{self, SecondaryIndex};
 use crate::query::FindOptions;
 use serde_json::Value;
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -13,7 +13,10 @@ use std::sync::Arc;
 ///
 /// The distributed [`crate::StoreCluster`] routes documents to shards and
 /// merges their results; this type is the per-node storage engine:
-/// a document map plus ordered secondary indexes. Document bodies are
+/// an id-ordered document map plus ordered secondary indexes. The
+/// cluster stamps ids in increasing order, so an insert lands at the
+/// map's right edge, and a scan walks the shard in id order. Document
+/// bodies are
 /// held by handle: replicas of one insert share a body until a shard
 /// mutates its copy (copy-on-write), and reads lend the same handles
 /// out — a reader pays a reference count per hit, and keeps the body it
@@ -37,7 +40,7 @@ use std::sync::Arc;
 #[derive(Debug, Default)]
 pub struct Collection {
     name: String,
-    docs: HashMap<DocId, Arc<Document>>,
+    docs: BTreeMap<DocId, Arc<Document>>,
     /// In creation order.
     indexes: Vec<SecondaryIndex>,
     // Atomics: read paths take `&self` behind shared locks, and readers
@@ -71,16 +74,17 @@ impl Collection {
     }
 
     /// Creates a secondary index over `fields` (in key order), indexing
-    /// existing documents. A no-op (and allocation-free) when the index
-    /// exists or `fields` is empty.
-    pub fn create_index(&mut self, fields: &[impl AsRef<str>]) {
+    /// existing documents. Returns `false`, and does nothing (allocating
+    /// nothing), when the index exists or `fields` is empty.
+    pub fn create_index(&mut self, fields: &[impl AsRef<str>]) -> bool {
         if fields.is_empty() || self.index(fields).is_some() {
-            return;
+            return false;
         }
         let fields: Vec<String> = fields.iter().map(|f| f.as_ref().to_owned()).collect();
         let mut idx = SecondaryIndex::new(fields);
         idx.insert_all(self.docs.values().map(|d| &**d));
         self.indexes.push(idx);
+        true
     }
 
     /// The index over exactly `fields`, in that order.
@@ -184,24 +188,9 @@ impl Collection {
             .collect()
     }
 
-    /// Ids of matching documents.
-    fn matching_ids(&self, filter: &Filter) -> Vec<DocId> {
-        let hits = self.matching(filter, |_| true);
-        hits.into_iter().map(|d| d.id).collect()
-    }
-
     /// Counts matching documents.
     pub fn count(&self, filter: &Filter) -> usize {
         self.matching(filter, |_| true).len()
-    }
-
-    /// Sets fields on every matching document. Returns how many changed.
-    pub fn update(&mut self, filter: &Filter, changes: &[(String, Value)]) -> usize {
-        let ids: Vec<DocId> = self.matching_ids(filter);
-        for id in &ids {
-            self.update_by_id(*id, changes);
-        }
-        ids.len()
     }
 
     /// Sets fields on the document with the given id, maintaining indexes.
@@ -236,18 +225,6 @@ impl Collection {
     /// Number of entries the index over `fields` holds, if there is one.
     pub fn index_entries(&self, fields: &[impl AsRef<str>]) -> Option<usize> {
         self.index(fields).map(SecondaryIndex::len)
-    }
-
-    /// Deletes matching documents. Returns how many were removed.
-    pub fn delete(&mut self, filter: &Filter) -> usize {
-        let ids = self.matching_ids(filter);
-        self.delete_ids(&ids)
-    }
-
-    /// Deletes the document with the given id, maintaining indexes.
-    /// Returns `true` if the document existed.
-    pub fn delete_by_id(&mut self, id: DocId) -> bool {
-        self.delete_ids(&[id]) == 1
     }
 
     /// Deletes the listed documents this shard holds, as one batch: the
@@ -456,12 +433,16 @@ mod tests {
         assert_eq!(c.scan_stats(), (scans + 1, hits));
     }
 
+    /// Ids of the documents matching `filter`, as `matching` lends them.
+    fn hit_ids(c: &Collection, filter: &Filter) -> Vec<DocId> {
+        c.matching(filter, |_| true).iter().map(|d| d.id).collect()
+    }
+
     #[test]
     fn update_maintains_indexes() {
         let mut c = filled();
         c.create_index(&["parity"]);
-        let n = c.update(&Filter::eq("i", 3), &[("parity".into(), 0.into())]);
-        assert_eq!(n, 1);
+        assert!(c.update_by_id(DocId(4), &[("parity".into(), 0.into())]));
         assert_eq!(c.count(&Filter::eq("parity", 0)), 6);
         assert_eq!(ids(&c, &Filter::eq("parity", 0)).len(), 6);
         assert_eq!(c.index_entries(&["parity"]), Some(10));
@@ -471,8 +452,8 @@ mod tests {
     fn delete_maintains_indexes() {
         let mut c = filled();
         c.create_index(&["parity"]);
-        let n = c.delete(&Filter::eq("parity", 1));
-        assert_eq!(n, 5);
+        let odd = hit_ids(&c, &Filter::eq("parity", 1));
+        assert_eq!(c.delete_ids(&odd), 5);
         assert_eq!(c.len(), 5);
         assert!(ids(&c, &Filter::eq("parity", 1)).is_empty());
         assert_eq!(c.index_entries(&["parity"]), Some(5));
@@ -492,8 +473,8 @@ mod tests {
         assert_eq!(ids(&c, &Filter::eq("parity", 0)), [7, 9]);
         assert_eq!(ids(&c, &Filter::eq("parity", 1)), [8, 10]);
         assert_eq!(c.count(&Filter::All), 4);
-        assert!(c.delete_by_id(DocId(7)));
-        assert!(!c.delete_by_id(DocId(7)));
+        assert_eq!(c.delete_ids(&[DocId(7)]), 1);
+        assert_eq!(c.delete_ids(&[DocId(7)]), 0);
         assert_eq!(c.index_entries(&["parity"]), Some(3));
     }
 
@@ -511,11 +492,11 @@ mod tests {
         let (scans_before, _) = c.scan_stats();
         assert_eq!(ids(&c, &Filter::eq("parity", 0)).len(), 5);
         assert_eq!(c.count(&Filter::eq("parity", 1)), 5);
-        assert_eq!(
-            c.update(&Filter::eq("parity", 1), &[("seen".into(), 1.into())]),
-            5
-        );
-        assert_eq!(c.delete(&Filter::eq("parity", 0)), 5);
+        for id in hit_ids(&c, &Filter::eq("parity", 1)) {
+            assert!(c.update_by_id(id, &[("seen".into(), 1.into())]));
+        }
+        let even = hit_ids(&c, &Filter::eq("parity", 0));
+        assert_eq!(c.delete_ids(&even), 5);
         let (scans, hits) = c.scan_stats();
         assert_eq!(scans, scans_before, "indexed equality must not scan");
         assert_eq!(hits, 4, "all four operations were index-served");

@@ -344,12 +344,7 @@ fn value_len(v: &Value) -> usize {
 /// two-byte escapes for `"`, `\\` and the five named controls, `\u00XX`
 /// for the other controls, every other byte as itself.
 fn string_len(s: &str) -> usize {
-    // Every catalog name and message type escapes nothing: one pass
-    // that folds the test without branching per byte settles those.
-    let escapes = s.bytes().fold(false, |any, b| {
-        any | (b < 0x20) | (b == b'"') | (b == b'\\')
-    });
-    if !escapes {
+    if !needs_escape(s.as_bytes()) {
         return s.len() + 2;
     }
     let body: usize = s
@@ -361,6 +356,26 @@ fn string_len(s: &str) -> usize {
         })
         .sum();
     2 + body
+}
+
+/// `true` if `bytes` holds a control (below 0x20), `"` or `\\`: eight
+/// bytes per 64-bit word (SWAR), the whole words and then the last eight
+/// bytes, which overlap the last word instead of leaving a tail to walk;
+/// a string shorter than a word is walked. Exact: `below(w, n)` is
+/// nonzero iff a byte of `w` is below `n`, as a borrow only leaves a byte
+/// that was itself below `n`.
+fn needs_escape(bytes: &[u8]) -> bool {
+    const ONES: u64 = u64::from_ne_bytes([0x01; 8]);
+    let below = |w: u64, n: u8| w.wrapping_sub(ONES * u64::from(n)) & !w & (ONES << 7);
+    let escapes = |w: &[u8; 8]| {
+        let w = u64::from_ne_bytes(*w);
+        let (quote, backslash) = (w ^ (ONES * u64::from(b'"')), w ^ (ONES * u64::from(b'\\')));
+        (below(w, 0x20) | below(quote, 1) | below(backslash, 1)) != 0
+    };
+    let Some(last) = bytes.last_chunk() else {
+        return bytes.iter().any(|&b| b < 0x20 || b == b'"' || b == b'\\');
+    };
+    bytes.as_chunks().0.iter().chain([last]).any(escapes)
 }
 
 /// Length of `n` as the JSON writer prints it. Integers, and floats

@@ -13,10 +13,11 @@
 //! - a cluster of nodes with hash sharding, primary/replica replication,
 //!   a write journal, and operation metrics ([`cluster`] module).
 //!
-//! The write path performs *real* work (serialization for the journal,
-//! index maintenance, replication fan-out) because the paper's Table IX
-//! attributes Athena's throughput overhead primarily to DB operations —
-//! the benchmark harness measures these same costs.
+//! The write path performs *real* work (index maintenance, replication
+//! fan-out, a journal record per copy — sized, not serialized, unless
+//! persistence is attached) because the paper's Table IX attributes
+//! Athena's throughput overhead primarily to DB operations — the
+//! benchmark harness measures these same costs.
 //!
 //! # Examples
 //!

@@ -214,9 +214,13 @@ impl StoreCluster {
         p.journal.checkpoint(&payload, now)
     }
 
-    /// Appends one logical-operation record to the attached journal.
-    pub(crate) fn journal_store_op(&self, op: &Value) -> Result<()> {
-        let payload = serde_json::to_vec(op)
+    /// Appends the logical operation `op()` builds to the attached
+    /// journal; without persistence it is never built.
+    pub(crate) fn journal(&self, op: impl FnOnce() -> Value) -> Result<()> {
+        if !self.persist_on.load(Ordering::Relaxed) {
+            return Ok(());
+        }
+        let payload = serde_json::to_vec(&op())
             .map_err(|e| AthenaError::Persist(format!("encode store op: {e}")))?;
         let mut guard = self.persist.lock();
         if let Some(p) = guard.as_mut() {
@@ -245,23 +249,15 @@ impl StoreCluster {
     /// during an outage stay in the checkpoint even after the preferred
     /// primary comes back without them.
     fn build_snapshot(&self) -> Value {
-        let mut names: Vec<String> = self
-            .nodes
-            .iter()
-            .flat_map(|n| n.collection_names())
-            .collect();
-        names.sort();
-        names.dedup();
-        let mut colls = Vec::with_capacity(names.len());
-        for name in names {
-            let docs = self.live_docs(&name, &Filter::All);
-            let mut indexes: Vec<Vec<String>> = self
-                .nodes
-                .iter()
-                .flat_map(|n| n.read_collection(&name, |c| c.index_fields()))
-                .collect();
-            indexes.sort();
-            indexes.dedup();
+        let collections = self.collection_objects();
+        let mut colls = Vec::with_capacity(collections.len());
+        for (name, coll) in collections {
+            let docs = self.live_docs(&coll, &Filter::All);
+            // Every shard holds every index: the first one's list.
+            let indexes = match coll.shards.first() {
+                Some(coll) => coll.read().index_fields(),
+                None => Vec::new(),
+            };
             let mut m = Map::new();
             m.insert("name".into(), Value::from(name));
             m.insert(
@@ -325,7 +321,7 @@ impl StoreCluster {
                 let name = get_str(cm, "name")?;
                 if let Some(Value::Array(indexes)) = cm.get("indexes") {
                     for fields in indexes {
-                        self.register_index(name, &index_fields(fields)?);
+                        self.replay_index(name, &index_fields(fields)?);
                     }
                 }
                 if let Some(Value::Array(docs)) = cm.get("docs") {
@@ -337,7 +333,7 @@ impl StoreCluster {
                             Ok(self.replayed(id, get_object(dm, "fields")?))
                         })
                         .collect::<Result<Vec<Placement>>>()?;
-                    self.place_all(name, placements.iter());
+                    self.place_all(&self.collection_object(name), placements.iter());
                     restored += placements.len() as u64;
                 }
             }
@@ -350,42 +346,40 @@ impl StoreCluster {
 
     fn apply_op(&self, op: &Value) -> Result<()> {
         let m = as_object(op)?;
-        match get_str(m, "op")? {
+        let op = get_str(m, "op")?;
+        let coll = get_str(m, "coll")?;
+        match op {
             "insert" => {
-                let coll = get_str(m, "coll")?;
                 let id = DocId(get_u64(m, "id")?);
-                let fields = get_object(m, "fields")?;
-                self.place_all(coll, std::iter::once(&self.replayed(id, fields)));
-                Ok(())
+                let placement = self.replayed(id, get_object(m, "fields")?);
+                self.place_all(&self.collection_object(coll), std::iter::once(&placement));
             }
             "update" => {
-                let coll = get_str(m, "coll")?;
-                let ids = get_ids(m, "ids")?;
                 let changes: Vec<(String, Value)> = get_object(m, "changes")?.into_iter().collect();
-                for id in ids {
-                    for node in self.nodes.iter() {
-                        node.with_collection(coll, |c| {
-                            c.update_by_id(id, &changes);
-                        });
-                    }
-                }
-                Ok(())
+                let ids = get_ids(m, "ids")?;
+                self.collection_object(coll)
+                    .update_ids(&self.nodes, &ids, &changes);
             }
-            "delete" => {
-                let coll = get_str(m, "coll")?;
-                self.delete_on_every_node(coll, &get_ids(m, "ids")?);
-                Ok(())
-            }
+            "delete" => self
+                .collection_object(coll)
+                .delete_everywhere(&get_ids(m, "ids")?),
             "index" => {
-                let coll = get_str(m, "coll")?;
                 let fields = m
                     .get("fields")
                     .or_else(|| m.get("field"))
                     .ok_or_else(|| AthenaError::Persist("store op misses `fields`".into()))?;
-                self.register_index(coll, &index_fields(fields)?);
-                Ok(())
+                self.replay_index(coll, &index_fields(fields)?);
             }
-            other => Err(AthenaError::Persist(format!("unknown store op `{other}`"))),
+            other => return Err(AthenaError::Persist(format!("unknown store op `{other}`"))),
+        }
+        Ok(())
+    }
+
+    /// A recovered index, built on every shard of `coll` (not journaled
+    /// again). An empty field list creates nothing.
+    fn replay_index(&self, coll: &str, fields: &[String]) {
+        if !fields.is_empty() {
+            self.collection_object(coll).register_index(fields);
         }
     }
 
@@ -433,11 +427,15 @@ mod tests {
 
     /// `(full scans, index-served lookups)` over every shard of `coll`.
     fn scan_stats(cluster: &StoreCluster, coll: &str) -> (u64, u64) {
-        cluster
-            .nodes
-            .iter()
-            .map(|n| n.read_collection(coll, |c| c.scan_stats()))
+        let coll = cluster.collection(coll);
+        (0..cluster.node_count())
+            .map(|i| coll.read_shard(i, |c| c.scan_stats()))
             .fold((0, 0), |a, b| (a.0 + b.0, a.1 + b.1))
+    }
+
+    /// The field lists of `coll`'s indexes, sorted.
+    fn indexed_fields(cluster: &StoreCluster, coll: &str) -> Vec<Vec<String>> {
+        cluster.collection(coll).read_shard(0, |c| c.index_fields())
     }
 
     /// Counts `filter` on `coll`, asserting every shard served it from an
@@ -486,7 +484,7 @@ mod tests {
         assert!(!report.checkpoint_applied);
         assert!(report.ops_replayed >= 42);
         assert_eq!(contents(&recovered, "features"), before);
-        assert_eq!(*recovered.indexed_fields("features"), [["sw", "hot"]]);
+        assert_eq!(indexed_fields(&recovered, "features"), [["sw", "hot"]]);
         // The allocator continues, so new inserts do not collide.
         let id = recovered
             .collection("features")
@@ -542,12 +540,63 @@ mod tests {
         assert_eq!(contents(&recovered, "c"), before);
         // The checkpoint carried the index: live over the snapshot's
         // documents and the tail's.
-        assert_eq!(*recovered.indexed_fields("c"), [["j", "i"]]);
+        assert_eq!(indexed_fields(&recovered, "c"), [["j", "i"]]);
         let one = |i: i64| Filter::and(vec![Filter::eq("i", i), Filter::eq("j", i % 3)]);
         assert_eq!(indexed_count(&recovered, "c", &one(7)), 1);
         assert_eq!(indexed_count(&recovered, "c", &one(31)), 1);
         assert_eq!(indexed_count(&recovered, "c", &Filter::eq("j", 1)), 17);
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn an_index_registered_after_its_documents_recovers_from_wal_and_checkpoint() {
+        for checkpoint in [false, true] {
+            let dir = test_dir();
+            let original = StoreCluster::new(3, 2);
+            original
+                .attach_persistence(
+                    PersistConfig::new(&dir),
+                    VirtualClock::new(),
+                    &Telemetry::off(),
+                )
+                .unwrap();
+            let coll = original.collection("c");
+            for i in 0..30i64 {
+                coll.insert(doc! { "k" => i % 3, "v" => i }).unwrap();
+            }
+            coll.create_index("k");
+            if checkpoint {
+                original.checkpoint().unwrap();
+            }
+            for i in 30..45i64 {
+                coll.insert(doc! { "k" => i % 3, "v" => i }).unwrap();
+            }
+            // A second index after the checkpoint: the tail carries it.
+            coll.create_index(["v", "k"]);
+            let before = contents(&original, "c");
+            drop(original);
+
+            let recovered = StoreCluster::new(3, 2);
+            let report = recovered
+                .attach_persistence(
+                    PersistConfig::new(&dir),
+                    VirtualClock::new(),
+                    &Telemetry::off(),
+                )
+                .unwrap();
+            assert_eq!(report.checkpoint_applied, checkpoint);
+            assert_eq!(contents(&recovered, "c"), before);
+            assert_eq!(indexed_fields(&recovered, "c"), [vec!["k"], vec!["v", "k"]]);
+            assert_eq!(indexed_count(&recovered, "c", &Filter::eq("k", 1)), 15);
+            assert_eq!(indexed_count(&recovered, "c", &Filter::eq("v", 7)), 1);
+            // Every shard indexes every document it holds.
+            let c = recovered.collection("c");
+            for node in 0..recovered.node_count() {
+                let (len, entries) = c.read_shard(node, |s| (s.len(), s.index_entries(&["k"])));
+                assert_eq!(entries, Some(len), "checkpoint={checkpoint} node {node}");
+            }
+            std::fs::remove_dir_all(&dir).unwrap();
+        }
     }
 
     #[test]
@@ -564,8 +613,8 @@ mod tests {
                 "collections": [{ "name": "b", "indexes": ["k", ["m", "n"]], "docs": [] }],
             }))
             .unwrap();
-        assert_eq!(*cluster.indexed_fields("a"), [["k"]]);
-        assert_eq!(*cluster.indexed_fields("b"), [vec!["k"], vec!["m", "n"]]);
+        assert_eq!(indexed_fields(&cluster, "a"), [["k"]]);
+        assert_eq!(indexed_fields(&cluster, "b"), [vec!["k"], vec!["m", "n"]]);
         let malformed = serde_json::json!({ "op": "index", "coll": "a", "fields": [1] });
         assert!(cluster.apply_op(&malformed).is_err());
     }
@@ -626,7 +675,7 @@ mod tests {
             let coll = original.collection("c");
             coll.create_index(fields.as_slice());
             coll.create_index(fields.as_slice());
-            assert_eq!(*original.indexed_fields("c"), [owned()]);
+            assert_eq!(indexed_fields(&original, "c"), [owned()]);
             assert_eq!(wal_records(&tel), 1);
             coll.insert(doc! { "k" => 1, "m" => 2 }).unwrap();
             original.checkpoint().unwrap();
@@ -643,7 +692,7 @@ mod tests {
                 .unwrap();
             assert!(report.checkpoint_applied);
             coll.create_index(fields.as_slice());
-            assert_eq!(*recovered.indexed_fields("c"), [owned()]);
+            assert_eq!(indexed_fields(&recovered, "c"), [owned()]);
             assert_eq!(wal_records(&tel), 0);
             assert_eq!(indexed_count(&recovered, "c", &Filter::eq("k", 1)), 1);
             std::fs::remove_dir_all(&dir).unwrap();

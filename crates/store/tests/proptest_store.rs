@@ -198,6 +198,66 @@ proptest! {
     }
 }
 
+// The escape test runs eight bytes at a time, so every escaped byte is
+// placed at every offset within a word, and in the tail after the last
+// whole word: strings of 0 to 40 bytes, for keys and for string values.
+
+/// Every byte the JSON writer escapes, the one just above them (DEL is
+/// printed as is), and 2-, 3- and 4-byte UTF-8.
+fn probe_chars() -> Vec<char> {
+    let mut chars: Vec<char> = (0u8..0x20).map(char::from).collect();
+    chars.extend(['"', '\\', '\u{7f}', ' ', 'é', '∑', '😀']);
+    chars
+}
+
+/// `encoded_len` of one document holding `s` as a key (the run-time
+/// form of a name, and the static one when `name` lends it) and as a
+/// string value, checked against the serializer.
+fn assert_string_sized(s: &str, name: Option<&'static str>) {
+    use athena_store::Key;
+    let mut keys = vec![Key::from(s.to_owned())];
+    keys.extend(name.map(Key::Static));
+    for key in keys {
+        let doc = Document::new().with(key, s);
+        let bytes = serde_json::to_vec(&doc.fields).unwrap();
+        assert_eq!(doc.encoded_len(), bytes.len(), "{s:?}");
+    }
+}
+
+#[test]
+fn encoded_len_is_exact_for_an_escape_at_every_offset() {
+    for special in probe_chars() {
+        for len in 0..=40usize {
+            for at in 0..len {
+                let s: String = (0..len)
+                    .map(|i| if i == at { special } else { 'a' })
+                    .collect();
+                assert_string_sized(&s, None);
+            }
+            // With nothing to escape: the word path alone decides.
+            assert_string_sized(&"b".repeat(len), None);
+        }
+    }
+}
+
+proptest! {
+    #[test]
+    fn encoded_len_is_exact_for_any_mix_of_escapes(
+        picks in proptest::collection::vec((any::<bool>(), 0usize..64), 0..=40),
+        shift in 0usize..8,
+    ) {
+        let chars = probe_chars();
+        // Mostly plain bytes, so an escape often sits alone in its word.
+        let body: String = picks
+            .into_iter()
+            .map(|(plain, i)| if plain { 'x' } else { chars[i % chars.len()] })
+            .collect();
+        let s = format!("{}{body}", "_".repeat(shift));
+        let name: &'static str = Box::leak(s.clone().into_boxed_str());
+        assert_string_sized(&s, Some(name));
+    }
+}
+
 /// A few names that share prefixes, so edits collide and neighbours in
 /// name order are one character apart.
 const KEYS: [&str; 8] = ["a", "ab", "abc", "b", "B", "_", "k0", "k1"];
@@ -481,7 +541,9 @@ proptest! {
                     prop_assert_eq!(shard.delete_ids(&victims), distinct.len());
                     model.retain(|id, _| !distinct.contains(id));
                 }
-                ShardOp::CreateIndex(fields) => shard.create_index(&fields),
+                ShardOp::CreateIndex(fields) => {
+                    shard.create_index(&fields);
+                }
                 ShardOp::Update(..) | ShardOp::Delete(..) => {}
             }
         }
@@ -692,10 +754,11 @@ fn arb_write_step() -> impl Strategy<Value = WriteStep> {
 type NodeState = (bool, u64, u64, Vec<u64>, Vec<(Vec<String>, Option<usize>)>);
 
 fn node_states(cluster: &StoreCluster) -> Vec<NodeState> {
+    let coll = cluster.collection("c");
     (0..cluster.node_count())
         .map(|i| {
             let node = cluster.node(i);
-            let (ids, indexes) = node.read_collection("c", |c| {
+            let (ids, indexes) = coll.read_shard(i, |c| {
                 let mut ids: Vec<u64> = c
                     .matching(&Filter::All, |_| true)
                     .iter()
@@ -731,6 +794,13 @@ fn journal_files(dir: &std::path::Path) -> Vec<(std::ffi::OsString, Vec<u8>)> {
         .collect();
     files.sort();
     files
+}
+
+/// The `collections` member of a cluster's `contents()`: everything but
+/// the id allocator.
+fn collections_of(contents: &str) -> Option<serde_json::Value> {
+    let v: serde_json::Value = serde_json::from_str(contents).unwrap();
+    v.as_object().unwrap().get("collections").cloned()
 }
 
 /// Runs `steps` into two journaled clusters, one batch per call and one
@@ -816,15 +886,11 @@ fn assert_batches_are_singletons(
     // Recovery replays through the same placement step; only the id
     // allocator may differ from the live cluster (refused ids leave no
     // record).
-    let collections = |contents: String| {
-        let v: serde_json::Value = serde_json::from_str(&contents).unwrap();
-        v.as_object().unwrap().get("collections").cloned()
-    };
-    let live = collections(batched.contents());
+    let live = collections_of(&batched.contents());
     drop((bc, sc, batched, single));
     let recovered = open(&batched_dir).contents();
     assert_eq!(recovered, open(&single_dir).contents(), "recovered");
-    assert_eq!(collections(recovered), live, "recovered");
+    assert_eq!(collections_of(&recovered), live, "recovered");
     for dir in [&batched_dir, &single_dir] {
         let _ = std::fs::remove_dir_all(dir);
     }
@@ -873,6 +939,59 @@ fn batches_that_hand_off_and_lose_quorum_are_singletons_too() {
     assert!(m.write_handoffs > 0, "{m:?}");
     assert_eq!(m.quorum_failures, 5, "{m:?}");
     assert_eq!(m.inserts, 9 + 7 + 6 + 4, "{m:?}");
+}
+
+#[test]
+fn a_handle_alone_creates_no_collection() {
+    use athena_persist::PersistConfig;
+    use athena_telemetry::Telemetry;
+    use athena_types::VirtualClock;
+
+    let dir = std::env::temp_dir().join(format!("athena-store-handle-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let open = || {
+        let cluster = StoreCluster::new(3, 3);
+        cluster
+            .attach_persistence(
+                PersistConfig::new(&dir),
+                VirtualClock::new(),
+                &Telemetry::off(),
+            )
+            .unwrap();
+        cluster
+    };
+    let cluster = open();
+    let kept = cluster.collection("kept");
+    kept.create_index("k");
+    kept.insert(doc! { "k" => 1 }).unwrap();
+    let before = cluster.contents();
+
+    // Reads, filtered writes that match nothing, an empty index, an
+    // empty batch and a batch refused whole for want of a quorum.
+    let ghost = cluster.collection("ghost");
+    assert!(ghost.all().is_empty());
+    assert_eq!(ghost.count(&Filter::All), 0);
+    assert!(ghost
+        .find(&Filter::eq("k", 1), &FindOptions::default())
+        .is_empty());
+    assert_eq!(ghost.delete(&Filter::All), 0);
+    assert_eq!(ghost.update(&Filter::All, &[("k".into(), 2.into())]), 0);
+    assert_eq!(ghost.read_shard(0, |c| c.len()), 0);
+    ghost.create_index(Vec::<String>::new());
+    ghost.insert_batch(&mut []);
+    cluster.set_node_up(0, false);
+    cluster.set_node_up(1, false);
+    assert!(ghost.insert(doc! { "k" => 1 }).is_err());
+    cluster.set_node_up(0, true);
+    cluster.set_node_up(1, true);
+    // Only the id allocator moved: the refused document consumed an id.
+    assert_eq!(collections_of(&cluster.contents()), collections_of(&before));
+
+    // The checkpoint holds the same: a recovered cluster reads the same.
+    cluster.checkpoint().unwrap();
+    drop((kept, ghost, cluster));
+    assert_eq!(collections_of(&open().contents()), collections_of(&before));
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]

@@ -23,11 +23,15 @@
 //! [`check_against`] always reports (with `std::sync` primitives it is a
 //! guaranteed deadlock).
 //!
+//! The same switch also counts acquisitions by lock name and mode
+//! ([`acquisitions`]): a clock-free measure of what one operation locks,
+//! which a test can pin.
+//!
 //! When the sentinel is disabled, [`acquire`] is one relaxed atomic load
 //! and the tracked types add a `&'static str` per lock — cheap enough to
 //! leave compiled into release builds.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 use std::ops::{Deref, DerefMut};
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::{OnceLock, PoisonError};
@@ -40,11 +44,25 @@ static ENV_ON: OnceLock<bool> = OnceLock::new();
 /// Observed acquisition-order edges, global across all threads.
 static STATE: std::sync::Mutex<SentinelState> = std::sync::Mutex::new(SentinelState {
     edges: BTreeSet::new(),
+    counts: BTreeMap::new(),
 });
 
 struct SentinelState {
     /// `(held, acquired)` pairs observed at runtime.
     edges: BTreeSet<(&'static str, &'static str)>,
+    /// Acquisitions per `(name, mode)`.
+    counts: BTreeMap<(&'static str, Access), u64>,
+}
+
+/// How a tracked lock was taken.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub enum Access {
+    /// A mutex lock.
+    Lock,
+    /// A shared read of a reader-writer lock.
+    Read,
+    /// An exclusive write of a reader-writer lock.
+    Write,
 }
 
 thread_local! {
@@ -78,27 +96,25 @@ fn state_guard() -> std::sync::MutexGuard<'static, SentinelState> {
     STATE.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// Records the acquisition of lock `name` (instance at `addr`) by the
-/// current thread. Returns a token that pops the thread's held stack when
-/// dropped, or `None` when tracking is disabled.
-pub fn acquire(name: &'static str, addr: usize) -> Option<HeldLock> {
+/// Records the acquisition of lock `name` (instance at `addr`, taken as
+/// `access`) by the current thread. Returns a token that pops the
+/// thread's held stack when dropped, or `None` when tracking is disabled.
+pub fn acquire(name: &'static str, addr: usize, access: Access) -> Option<HeldLock> {
     if !enabled() {
         return None;
     }
     HELD.with(|held| {
         let mut stack = held.borrow_mut();
-        if !stack.is_empty() {
-            let mut st = state_guard();
-            for &(held_name, held_addr) in stack.iter() {
-                if held_addr == addr {
-                    // Same instance re-acquired: a self-deadlock with
-                    // std primitives. Record it as a self-edge so
-                    // check_against reports it even if the process
-                    // somehow survives.
-                    st.edges.insert((name, name));
-                } else if held_name != name {
-                    st.edges.insert((held_name, name));
-                }
+        let mut st = state_guard();
+        *st.counts.entry((name, access)).or_default() += 1;
+        for &(held_name, held_addr) in stack.iter() {
+            if held_addr == addr {
+                // Same instance re-acquired: a self-deadlock with std
+                // primitives. Record it as a self-edge so check_against
+                // reports it even if the process somehow survives.
+                st.edges.insert((name, name));
+            } else if held_name != name {
+                st.edges.insert((held_name, name));
             }
         }
         stack.push((name, addr));
@@ -132,9 +148,16 @@ pub fn edges() -> Vec<(&'static str, &'static str)> {
     state_guard().edges.iter().copied().collect()
 }
 
-/// Clears all recorded edges (between test scenarios).
+/// Snapshot of the acquisition counts per `(name, mode)`, sorted.
+pub fn acquisitions() -> Vec<((&'static str, Access), u64)> {
+    state_guard().counts.iter().map(|(k, n)| (*k, *n)).collect()
+}
+
+/// Clears all recorded edges and counts (between test scenarios).
 pub fn reset() {
-    state_guard().edges.clear();
+    let mut st = state_guard();
+    st.edges.clear();
+    st.counts.clear();
 }
 
 /// Cross-checks the observed edges against a declared total order (the
@@ -199,7 +222,11 @@ impl<T: ?Sized> TrackedMutex<T> {
     /// Acquires the lock, recording an order edge from every lock the
     /// thread already holds.
     pub fn lock(&self) -> TrackedMutexGuard<'_, T> {
-        let held = acquire(self.name, std::ptr::from_ref(self) as *const () as usize);
+        let held = acquire(
+            self.name,
+            std::ptr::from_ref(self) as *const () as usize,
+            Access::Lock,
+        );
         TrackedMutexGuard {
             g: self.inner.lock(),
             _held: held,
@@ -265,7 +292,11 @@ impl<T> TrackedRwLock<T> {
 impl<T: ?Sized> TrackedRwLock<T> {
     /// Acquires a shared read guard, recording the acquisition.
     pub fn read(&self) -> TrackedReadGuard<'_, T> {
-        let held = acquire(self.name, std::ptr::from_ref(self) as *const () as usize);
+        let held = acquire(
+            self.name,
+            std::ptr::from_ref(self) as *const () as usize,
+            Access::Read,
+        );
         TrackedReadGuard {
             g: self.inner.read(),
             _held: held,
@@ -276,13 +307,21 @@ impl<T: ?Sized> TrackedRwLock<T> {
     /// is recorded only on success.
     pub fn try_read(&self) -> Option<TrackedReadGuard<'_, T>> {
         let g = self.inner.try_read()?;
-        let held = acquire(self.name, std::ptr::from_ref(self) as *const () as usize);
+        let held = acquire(
+            self.name,
+            std::ptr::from_ref(self) as *const () as usize,
+            Access::Read,
+        );
         Some(TrackedReadGuard { g, _held: held })
     }
 
     /// Acquires an exclusive write guard, recording the acquisition.
     pub fn write(&self) -> TrackedWriteGuard<'_, T> {
-        let held = acquire(self.name, std::ptr::from_ref(self) as *const () as usize);
+        let held = acquire(
+            self.name,
+            std::ptr::from_ref(self) as *const () as usize,
+            Access::Write,
+        );
         TrackedWriteGuard {
             g: self.inner.write(),
             _held: held,
@@ -340,7 +379,11 @@ pub fn lock_std<'a, T: ?Sized>(
     m: &'a std::sync::Mutex<T>,
     name: &'static str,
 ) -> StdMutexGuard<'a, T> {
-    let held = acquire(name, std::ptr::from_ref(m) as *const () as usize);
+    let held = acquire(
+        name,
+        std::ptr::from_ref(m) as *const () as usize,
+        Access::Lock,
+    );
     StdMutexGuard {
         g: m.lock().unwrap_or_else(PoisonError::into_inner),
         _held: held,
@@ -417,6 +460,18 @@ mod tests {
             let _gm = lock_std(&m, "test/std");
         }
         assert!(edges().contains(&("test/rw", "test/std")));
+        // Every acquisition is counted by name and mode.
+        {
+            let _gw = rw.write();
+        }
+        assert_eq!(
+            acquisitions(),
+            [
+                (("test/rw", Access::Read), 1),
+                (("test/rw", Access::Write), 1),
+                (("test/std", Access::Lock), 1),
+            ]
+        );
 
         // Disabled: nothing is recorded.
         reset();
@@ -426,6 +481,7 @@ mod tests {
             let _gb = b.lock();
         }
         assert!(edges().is_empty());
+        assert!(acquisitions().is_empty());
         force(None);
     }
 }
