@@ -160,11 +160,6 @@ impl ControllerCluster {
         self.interceptors.push(i);
     }
 
-    /// Replaces the statistics poller.
-    pub fn set_poller(&mut self, poller: Option<StatsPoller>) {
-        self.poller = poller;
-    }
-
     /// Number of controller instances in the cluster.
     pub fn instance_count(&self) -> usize {
         self.mastership.instances().len()
@@ -250,7 +245,7 @@ impl ControllerCluster {
     pub fn retry_counters(&self) -> crate::stats::RetryCounters {
         self.poller
             .as_ref()
-            .map(StatsPoller::retry_counters)
+            .map(|p| p.polls().counters())
             .unwrap_or_default()
     }
 
@@ -376,12 +371,9 @@ impl ControllerLink for ControllerCluster {
                 self.counters.stats_replies += 1;
                 self.tel.stats_replies.inc();
                 // Settle the poller's in-flight request so it is not
-                // retried (Athena-marked replies belong to the SB poller
-                // and are ignored here).
-                if !xid.is_athena_marked() {
-                    if let Some(poller) = &mut self.poller {
-                        poller.on_reply(*xid);
-                    }
+                // retried (an Athena-marked reply is never one of its own).
+                if let Some(poller) = &mut self.poller {
+                    poller.on_reply(*xid);
                 }
                 // ONOS refreshes its flow-rule store from every poll.
                 if let athena_openflow::StatsReply::Flow(entries) = body {
@@ -576,10 +568,10 @@ mod tests {
         net.run_until(SimTime::from_secs(20), &mut cluster);
         // Healthy southbound: every poll is answered the same tick, so
         // nothing times out and nothing is left outstanding for long.
-        assert_eq!(
-            cluster.retry_counters(),
-            crate::stats::RetryCounters::default()
-        );
+        let c = cluster.retry_counters();
+        assert!(c.issued > 0);
+        assert_eq!(c.settled, c.issued);
+        assert_eq!((c.timeouts, c.retries, c.gave_up), (0, 0, 0));
         assert!(cluster.counters().stats_replies > 0);
     }
 

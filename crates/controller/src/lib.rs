@@ -16,7 +16,8 @@
 //! - built-in applications — reactive shortest-path forwarding, the
 //!   load balancer and the FTP-inspecting security app used by the NAE
 //!   scenario ([`apps`] module),
-//! - a statistics poller with marked transaction ids ([`stats`] module),
+//! - the statistics-poll tracker ONOS's poller (unmarked transaction
+//!   ids) and Athena's southbound (marked ones) share ([`stats`] module),
 //! - the [`MessageInterceptor`] seam Athena's southbound element hooks
 //!   into (the paper's `OpenFlowController` modification) and the proxy
 //!   path for the Attack Reactor ([`interceptor`] module),
@@ -57,4 +58,4 @@ pub use interceptor::{InterceptCtx, MessageInterceptor};
 pub use packet::{PacketContext, PacketProcessor};
 pub use persist::ControllerRecoveryReport;
 pub use services::{FlowRuleService, HostService, MastershipService, PathService};
-pub use stats::{RetryCounters, RetryPolicy, StatsPoller};
+pub use stats::{PollTelemetry, PollTracker, RetryCounters, StatsPoller};

@@ -33,10 +33,6 @@ pub struct AthenaConfig {
     pub compute_workers: usize,
     /// Athena's statistics-poll period.
     pub poll_interval: SimDuration,
-    /// Timeout/backoff policy for Athena's marked statistics polls: a
-    /// poll whose reply is lost to a faulty southbound channel is
-    /// re-issued with bounded exponential backoff.
-    pub poll_retry: athena_controller::RetryPolicy,
     /// Whether features are published to the store (Table IX's "no DB"
     /// configuration sets this to `false`).
     pub store_enabled: bool,
@@ -49,7 +45,6 @@ impl Default for AthenaConfig {
             store_replication: 2,
             compute_workers: 6,
             poll_interval: SimDuration::from_secs(5),
-            poll_retry: athena_controller::RetryPolicy::default(),
             store_enabled: true,
         }
     }
@@ -67,8 +62,6 @@ pub struct AthenaRuntime {
     pub reactor: TrackedMutex<AttackReactor>,
     /// The resource manager (monitoring fidelity).
     pub resource: TrackedMutex<ResourceManager>,
-    /// Retry policy for Athena's marked statistics polls.
-    pub poll_retry: athena_controller::RetryPolicy,
     /// The deployment's telemetry domain (disabled unless the instance
     /// was built with [`Athena::with_telemetry`]).
     pub telemetry: Telemetry,
@@ -120,7 +113,6 @@ impl Athena {
             detector: TrackedMutex::new("core/detector", AttackDetector::new()),
             reactor: TrackedMutex::new("core/reactor", AttackReactor::new()),
             resource: TrackedMutex::new("core/resource", resource),
-            poll_retry: config.poll_retry,
             telemetry: tel.clone(),
             observe: obs.clone(),
         });

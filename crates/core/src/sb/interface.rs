@@ -8,28 +8,19 @@
 //! [`FeatureManager`](crate::nb::feature_manager::FeatureManager), runs
 //! live validators, and drains the Attack Reactor through the proxy
 //! command path. On its own cadence it issues Athena-marked statistics
-//! requests (`Xid::athena_marked`), exactly as the paper describes.
+//! requests (a [`PollTracker`] under `Xid::ATHENA_MARK`), exactly as the
+//! paper describes.
 
 use crate::athena::AthenaRuntime;
 use crate::feature::format::{FeatureRecord, RawDocument};
 use crate::feature::generator::FeatureGenerator;
 use crate::nb::feature_manager::Examine;
-use athena_controller::{InterceptCtx, MessageInterceptor, RetryCounters, RetryPolicy};
+use athena_controller::{InterceptCtx, MessageInterceptor, PollTelemetry, PollTracker};
 use athena_observe::Observe;
 use athena_openflow::{MatchFields, OfMessage, StatsRequest};
 use athena_telemetry::{names, Counter, Histogram};
 use athena_types::{ControllerId, Dpid, PortNo, SimTime, Xid};
-use std::collections::BTreeMap;
 use std::sync::Arc;
-
-/// One Athena-marked statistics request awaiting its reply.
-#[derive(Debug, Clone)]
-struct OutstandingPoll {
-    dpid: Dpid,
-    body: StatsRequest,
-    issued_at: SimTime,
-    attempt: u32,
-}
 
 /// One controller instance's Athena southbound element.
 pub struct AthenaSouthbound {
@@ -39,16 +30,10 @@ pub struct AthenaSouthbound {
     runtime: Arc<AthenaRuntime>,
     last_poll: Option<SimTime>,
     last_gc: SimTime,
-    next_xid: u32,
-    retry: RetryPolicy,
-    retry_counters: RetryCounters,
-    // Keyed by raw marked XID; BTreeMap keeps timeout scans deterministic.
-    outstanding: BTreeMap<u32, OutstandingPoll>,
+    polls: PollTracker,
     feature_gen_ns: Histogram,
     dispatch_ns: Histogram,
     feature_records: Counter,
-    timeouts_tel: Counter,
-    gave_up_tel: Counter,
     observe: Observe,
 }
 
@@ -68,10 +53,6 @@ impl AthenaSouthbound {
             generator: FeatureGenerator::new(controller),
             last_poll: None,
             last_gc: SimTime::ZERO,
-            next_xid: 0,
-            retry: runtime.poll_retry,
-            retry_counters: RetryCounters::default(),
-            outstanding: BTreeMap::new(),
             feature_gen_ns: m.histogram_with(
                 names::core::SUBSYSTEM,
                 names::core::FEATURE_GEN_NS,
@@ -83,8 +64,14 @@ impl AthenaSouthbound {
                 &instance,
             ),
             feature_records: m.counter(names::core::SUBSYSTEM, names::core::FEATURE_RECORDS),
-            timeouts_tel: m.counter(names::retry::SUBSYSTEM, names::retry::SB_STATS_TIMEOUTS),
-            gave_up_tel: m.counter(names::retry::SUBSYSTEM, names::retry::SB_STATS_GAVE_UP),
+            polls: PollTracker::new(
+                Xid::ATHENA_MARK,
+                PollTelemetry {
+                    timeouts: m.counter(names::retry::SUBSYSTEM, names::retry::SB_STATS_TIMEOUTS),
+                    gave_up: m.counter(names::retry::SUBSYSTEM, names::retry::SB_STATS_GAVE_UP),
+                    ..PollTelemetry::default()
+                },
+            ),
             observe: runtime.observe.clone(),
             runtime,
         }
@@ -95,14 +82,9 @@ impl AthenaSouthbound {
         self.generator.records_generated()
     }
 
-    /// Retry counters for Athena-marked statistics polls.
-    pub fn retry_counters(&self) -> RetryCounters {
-        self.retry_counters
-    }
-
-    /// Athena-marked polls still awaiting a reply.
-    pub fn outstanding_polls(&self) -> usize {
-        self.outstanding.len()
+    /// The tracker of Athena's marked statistics polls.
+    pub fn polls(&self) -> &PollTracker {
+        &self.polls
     }
 
     fn dispatch(
@@ -157,68 +139,6 @@ impl AthenaSouthbound {
         timer.observe(&self.dispatch_ns);
         span.finish(format_args!("{n_records} records, {verdicts} verdicts"));
     }
-
-    fn fresh_xid(&mut self) -> Xid {
-        self.next_xid = self.next_xid.wrapping_add(1);
-        Xid::athena_marked(self.next_xid)
-    }
-
-    /// Issues one Athena-marked statistics request and registers it for
-    /// timeout tracking.
-    fn issue_poll(
-        &mut self,
-        dpid: Dpid,
-        body: StatsRequest,
-        now: SimTime,
-        attempt: u32,
-        out: &mut Vec<(Dpid, OfMessage)>,
-    ) {
-        let xid = self.fresh_xid();
-        self.outstanding.insert(
-            xid.raw(),
-            OutstandingPoll {
-                dpid,
-                body: body.clone(),
-                issued_at: now,
-                attempt,
-            },
-        );
-        out.push((dpid, OfMessage::StatsRequest { xid, body }));
-    }
-
-    /// Reissues timed-out marked polls with bounded exponential backoff;
-    /// gives up past `max_retries` (and on switches this controller no
-    /// longer masters).
-    fn drain_timeouts(
-        &mut self,
-        ctx: &InterceptCtx<'_>,
-        now: SimTime,
-        out: &mut Vec<(Dpid, OfMessage)>,
-    ) {
-        let due: Vec<u32> = self
-            .outstanding
-            .iter()
-            .filter(|(_, o)| {
-                now.saturating_since(o.issued_at) >= self.retry.deadline_after(o.attempt)
-            })
-            .map(|(xid, _)| *xid)
-            .collect();
-        for xid in due {
-            let Some(o) = self.outstanding.remove(&xid) else {
-                continue;
-            };
-            self.retry_counters.timeouts += 1;
-            self.timeouts_tel.inc();
-            let still_mastered = ctx.mastership.master_of(o.dpid) == Some(self.controller);
-            if o.attempt >= self.retry.max_retries || !still_mastered {
-                self.retry_counters.gave_up += 1;
-                self.gave_up_tel.inc();
-                continue;
-            }
-            self.retry_counters.retries += 1;
-            self.issue_poll(o.dpid, o.body, now, o.attempt + 1, out);
-        }
-    }
 }
 
 impl MessageInterceptor for AthenaSouthbound {
@@ -240,9 +160,7 @@ impl MessageInterceptor for AthenaSouthbound {
         }
         // Settle the marked poll this reply answers.
         if let OfMessage::StatsReply { xid, .. } = msg {
-            if xid.is_athena_marked() {
-                self.outstanding.remove(&xid.raw());
-            }
+            self.polls.settle(*xid);
         }
         let records = {
             let span = self.observe.span_at("core", "feature_gen", now);
@@ -265,8 +183,10 @@ impl MessageInterceptor for AthenaSouthbound {
             (r.poll_interval, r.monitoring_enabled)
         };
 
-        // Reissue timed-out marked polls before scheduling new ones.
-        self.drain_timeouts(ctx, now, &mut out);
+        // Reissue timed-out marked polls before scheduling new ones; a
+        // switch this controller no longer masters is given up.
+        let still_mastered = |dpid| ctx.mastership.master_of(dpid) == Some(self.controller);
+        self.polls.drain_timeouts(now, still_mastered, &mut out);
 
         // Athena's own marked statistics polling.
         let due = self
@@ -280,25 +200,15 @@ impl MessageInterceptor for AthenaSouthbound {
                 if !allowed {
                     continue;
                 }
-                self.issue_poll(
-                    dpid,
-                    StatsRequest::Flow {
-                        filter: MatchFields::new(),
-                    },
-                    now,
-                    0,
-                    &mut out,
-                );
-                self.issue_poll(
-                    dpid,
-                    StatsRequest::Port {
-                        port_no: PortNo::ANY,
-                    },
-                    now,
-                    0,
-                    &mut out,
-                );
-                self.issue_poll(dpid, StatsRequest::Table, now, 0, &mut out);
+                let flow = StatsRequest::Flow {
+                    filter: MatchFields::new(),
+                };
+                self.polls.issue(dpid, flow, now, &mut out);
+                let port = StatsRequest::Port {
+                    port_no: PortNo::ANY,
+                };
+                self.polls.issue(dpid, port, now, &mut out);
+                self.polls.issue(dpid, StatsRequest::Table, now, &mut out);
             }
             // Flush the per-window message counters as features.
             let records = self.generator.flush_window(now);
@@ -353,6 +263,7 @@ mod tests {
     use super::*;
     use crate::athena::{Athena, AthenaConfig};
     use crate::feature::format::FeatureRecord;
+    use athena_controller::stats::{BACKOFF_CAP, MAX_RETRIES};
     use athena_controller::{FlowRuleService, HostService, MastershipService, PathService};
     use athena_dataplane::Topology;
     use athena_openflow::StatsReply;
@@ -409,8 +320,9 @@ mod tests {
         let mut sb = sb(Telemetry::off());
         let out = sb.on_tick(&ctx.borrow(ControllerId::new(0)), SimTime::from_secs(5));
         let issued = marked_stats_requests(&out);
-        assert!(!issued.is_empty());
-        assert_eq!(sb.outstanding_polls(), issued.len());
+        let issued_n = issued.len();
+        assert!(issued_n > 0);
+        assert_eq!(sb.polls().outstanding(), issued_n);
         for (dpid, xid) in issued {
             sb.on_southbound(
                 &ctx.borrow(ControllerId::new(0)),
@@ -422,8 +334,10 @@ mod tests {
                 SimTime::from_secs(5),
             );
         }
-        assert_eq!(sb.outstanding_polls(), 0);
-        assert_eq!(sb.retry_counters(), RetryCounters::default());
+        assert_eq!(sb.polls().outstanding(), 0);
+        let c = sb.polls().counters();
+        assert_eq!((c.issued, c.settled), (issued_n as u64, issued_n as u64));
+        assert_eq!((c.timeouts, c.retries, c.gave_up), (0, 0, 0));
     }
 
     #[test]
@@ -437,11 +351,10 @@ mod tests {
         assert!(issued > 0);
         // Stop new interval polls from mixing in: disable monitoring.
         sb.runtime.resource.lock().monitoring_enabled = false;
-        let policy = RetryPolicy::default();
         let mut now = SimTime::from_secs(5);
         // Walk far enough for every attempt to expire (attempts 0..=max).
-        for _ in 0..=policy.max_retries {
-            now += policy.backoff_cap;
+        for _ in 0..=MAX_RETRIES {
+            now += BACKOFF_CAP;
             let out = sb.on_tick(&ctx.borrow(ControllerId::new(0)), now);
             // Retries re-issue the same stats bodies with fresh marked xids.
             for (_, msg) in &out {
@@ -450,13 +363,13 @@ mod tests {
                 }
             }
         }
-        now += policy.backoff_cap;
+        now += BACKOFF_CAP;
         sb.on_tick(&ctx.borrow(ControllerId::new(0)), now);
-        let c = sb.retry_counters();
-        assert_eq!(c.retries, issued as u64 * u64::from(policy.max_retries));
+        let c = sb.polls().counters();
+        assert_eq!(c.retries, issued as u64 * u64::from(MAX_RETRIES));
         assert_eq!(c.gave_up, issued as u64);
         assert_eq!(c.timeouts, c.retries + c.gave_up);
-        assert_eq!(sb.outstanding_polls(), 0);
+        assert_eq!(sb.polls().outstanding(), 0);
         let m = tel.metrics();
         assert_eq!(m.counter("retry", "sb_stats_timeouts").get(), c.timeouts);
         assert_eq!(m.counter("retry", "sb_stats_gave_up").get(), c.gave_up);
@@ -477,13 +390,13 @@ mod tests {
             s.controller = ControllerId::new(1);
         }
         moved.mastership = MastershipService::from_topology(&moved.topology);
-        let later = SimTime::from_secs(5) + RetryPolicy::default().backoff_cap;
+        let later = SimTime::from_secs(5) + BACKOFF_CAP;
         let out = sb.on_tick(&moved.borrow(ControllerId::new(0)), later);
         assert!(marked_stats_requests(&out).is_empty());
-        let c = sb.retry_counters();
+        let c = sb.polls().counters();
         assert_eq!(c.gave_up, issued as u64);
         assert_eq!(c.retries, 0);
-        assert_eq!(sb.outstanding_polls(), 0);
+        assert_eq!(sb.polls().outstanding(), 0);
     }
 
     /// What one deployment observed while a batch of records went

@@ -68,9 +68,6 @@ pub enum ExpiryMode {
 pub struct NetworkConfig {
     /// The traffic-crediting tick.
     pub tick: SimDuration,
-    /// How many times a table miss may punt to the controller per hop
-    /// before the packet is dropped.
-    pub max_punt_retries: usize,
     /// When set, every southbound message is encoded to its OpenFlow wire
     /// form and decoded back before delivery (and the round-trip is
     /// asserted lossless) — the control channel then exercises the real
@@ -84,7 +81,6 @@ impl Default for NetworkConfig {
     fn default() -> Self {
         NetworkConfig {
             tick: SimDuration::from_secs(1),
-            max_punt_retries: 1,
             wire_mode: None,
             expiry: ExpiryMode::Wheel,
         }

@@ -46,6 +46,10 @@
 use crate::network::ControllerLink;
 use crate::shard::{Engine, Outcome, PacketState};
 
+/// How many times a table miss may punt to the controller per hop
+/// before the packet is dropped, under either discipline.
+pub(crate) const MAX_PUNT_RETRIES: usize = 1;
+
 /// The unsharded-semantics network: [`Engine`] under [`Synchronous`].
 pub type Network = Engine<Synchronous>;
 
@@ -98,14 +102,13 @@ impl sealed::Discipline for Synchronous {
 
     fn route<C: ControllerLink>(net: &mut Engine<Self>, ctrl: &mut C) {
         let now = net.now;
-        let max_punt = net.config.max_punt_retries;
         let mut handoffs = 0u64;
         for item in 0..net.items.len() {
             let Some(mut st) = net.packet(item) else {
                 continue;
             };
             while let Some(shard) = net.shards.get(st.at.shard) {
-                match shard.walk(&mut st, now, max_punt, &mut net.stream) {
+                match shard.walk(&mut st, now, &mut net.stream) {
                     Outcome::Delivered => {
                         if let Some(it) = net.items.get_mut(item) {
                             it.delivered = true;
@@ -142,7 +145,6 @@ impl sealed::Discipline for Batched {
 
     fn route<C: ControllerLink>(net: &mut Engine<Self>, ctrl: &mut C) {
         let now = net.now;
-        let max_punt = net.config.max_punt_retries;
         // Inboxes fill in item order and the merge below walks shards in
         // index order, so a round's output order is a pure function of
         // its input.
@@ -157,7 +159,7 @@ impl sealed::Discipline for Batched {
                     shard.inbox.push(st);
                 }
             }
-            net.each_shard(move |s| s.walk_inbox(now, max_punt));
+            net.each_shard(move |s| s.walk_inbox(now));
             let mut punts: Vec<PacketState> = Vec::new();
             for shard in &mut net.shards {
                 net.stream.append(&mut shard.hops);

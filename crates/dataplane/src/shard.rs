@@ -38,7 +38,7 @@ use crate::link::{LinkModel, SimLink};
 use crate::network::{
     apply_rewrites, via_wire, ControllerLink, ExpiryMode, NetworkConfig, NetworkCounters,
 };
-use crate::punt::PuntDiscipline;
+use crate::punt::{PuntDiscipline, MAX_PUNT_RETRIES};
 use crate::switch::SimSwitch;
 use crate::topology::Topology;
 use crate::wheel::TimingWheel;
@@ -363,19 +363,13 @@ impl Shard {
     /// appending one [`Hop`] per link crossed, until the packet is
     /// delivered, fails, misses, or leaves the shard. `st` is left where
     /// the walk stopped.
-    pub(crate) fn walk(
-        &self,
-        st: &mut PacketState,
-        now: SimTime,
-        max_punt: usize,
-        hops: &mut Vec<Hop>,
-    ) -> Outcome {
+    pub(crate) fn walk(&self, st: &mut PacketState, now: SimTime, hops: &mut Vec<Hop>) -> Outcome {
         loop {
             let Some(sw) = self.switches.get(st.at.slot) else {
                 return Outcome::Failed;
             };
             let Some(actions) = sw.peek(&st.pkt, now) else {
-                return if st.punts < max_punt {
+                return if st.punts < MAX_PUNT_RETRIES {
                     Outcome::Miss
                 } else {
                     Outcome::Failed
@@ -411,11 +405,11 @@ impl Shard {
     }
 
     /// Walks every packet in the inbox, in order, into `hops` / `outbox`.
-    pub(crate) fn walk_inbox(&mut self, now: SimTime, max_punt: usize) {
+    pub(crate) fn walk_inbox(&mut self, now: SimTime) {
         let mut inbox = std::mem::take(&mut self.inbox);
         let mut hops = std::mem::take(&mut self.hops);
         for mut st in inbox.drain(..) {
-            let outcome = self.walk(&mut st, now, max_punt, &mut hops);
+            let outcome = self.walk(&mut st, now, &mut hops);
             self.outbox.push((st, outcome));
         }
         self.inbox = inbox;

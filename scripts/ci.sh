@@ -70,6 +70,9 @@ cargo test -q -p athena-openflow --offline --test proptest_codec
 echo "==> flow-table differential property test (indexed table vs sorted scan)"
 cargo test -q -p athena-openflow --offline --test proptest_table
 
+echo "==> poll-accounting property test (hostile replies, both XID marks)"
+cargo test -q -p athena-controller --offline --test proptest_poll
+
 echo "==> microbench compiles (flow_table/*, controller/shortest_path/*; not run here)"
 cargo bench --no-run -q -p athena-bench --bench micro --offline
 
