@@ -9,7 +9,8 @@
 //! - [`sites`] — purely syntactic matchers (panicking constructs, hash
 //!   iteration, lock acquisitions and their guard extents);
 //! - [`rules`] — the file-local rules: `forbid-unsafe`, `error-hygiene`,
-//!   `no-println-in-lib`, `no-wallclock-in-lib`;
+//!   `no-println-in-lib`, `no-wallclock-in-lib`; and `unused-pub`, a
+//!   `pub fn` whose name no other file spells;
 //! - [`model`], [`graph`] — every production `fn`, its `impl` type, the
 //!   workspace's `struct` fields, and conservatively resolved call edges;
 //! - [`locks`] — one guard-window pass per function, from which come
@@ -74,7 +75,7 @@ impl SourceFile {
     }
 
     /// The text of a 1-based line (empty when out of range).
-    pub fn line_text(&self, line: u32) -> &str {
+    fn line_text(&self, line: u32) -> &str {
         self.text
             .lines()
             .nth(line.saturating_sub(1) as usize)
@@ -206,12 +207,13 @@ pub fn analyze_sources(config: &Config, files: &[SourceFile]) -> Analysis {
     let calls = graph::build_calls(files, &funcs);
 
     let mut found: Vec<Diagnostic> = Vec::new();
-    for file in files {
+    for file in files.iter().filter(|f| model::is_production(&f.rel_path)) {
         rules::forbid_unsafe(file, &mut found);
         rules::error_hygiene(file, &mut found);
         rules::no_println_in_lib(file, config, &mut found);
         rules::no_wallclock_in_lib(file, config, &mut found);
     }
+    rules::unused_pub(files, &mut found);
     let lock_graph = locks::analyze_locks(config, files, &funcs, &calls, &mut found);
     let hot_functions = hot::analyze_hot(config, files, &funcs, &calls, &mut found);
 
@@ -287,30 +289,34 @@ fn read(path: &Path) -> Result<String, LintError> {
     fs::read_to_string(path).map_err(|e| LintError(format!("cannot read {}: {e}", path.display())))
 }
 
-/// Collects and tokenizes the workspace's production sources.
+/// Collects and tokenizes the workspace's sources.
 ///
-/// Scans `src/` and `crates/*/src/` under `root`, sorted so results are
-/// deterministic. Test directories (`tests/`, `benches/`, `examples/`)
-/// and the vendored dependency shims are out of scope: the gate protects
-/// shipped code.
+/// Production code is `src/` and `crates/*/src/` under `root`; every rule
+/// checks it. The reference-only sources — `tests/`, `examples/`,
+/// `crates/*/{tests,benches,examples}/` and the benchmark's `ledger/src/`
+/// — are read only for the names `unused-pub` counts as uses
+/// ([`model::is_production`] tells the two apart). The vendored
+/// dependency shims are out of scope. Sorted so results are
+/// deterministic.
 ///
 /// # Errors
 ///
 /// Returns [`LintError`] on I/O failures while walking the tree.
-pub fn collect_sources(root: &Path) -> Result<Vec<SourceFile>, LintError> {
-    let mut files = Vec::new();
-    let src = root.join("src");
-    if src.is_dir() {
-        collect_rust_files(&src, &mut files)?;
-    }
-    let crates = root.join("crates");
-    if crates.is_dir() {
-        for entry in read_dir(&crates)? {
-            let crate_src = entry.join("src");
-            if crate_src.is_dir() {
-                collect_rust_files(&crate_src, &mut files)?;
-            }
+fn collect_sources(root: &Path) -> Result<Vec<SourceFile>, LintError> {
+    let mut dirs = vec![
+        root.join("src"),
+        root.join("tests"),
+        root.join("examples"),
+        root.join("ledger/src"),
+    ];
+    if root.join("crates").is_dir() {
+        for krate in read_dir(&root.join("crates"))? {
+            dirs.extend(["src", "tests", "benches", "examples"].map(|d| krate.join(d)));
         }
+    }
+    let mut files = Vec::new();
+    for dir in dirs.iter().filter(|d| d.is_dir()) {
+        collect_rust_files(dir, &mut files)?;
     }
     files.sort();
     files

@@ -54,11 +54,25 @@ pub fn crate_of(rel_path: &str) -> &str {
         .unwrap_or("athena")
 }
 
-/// Extracts every non-test function with a body from `files`, in file
-/// then token order (deterministic ids).
+/// Whether a workspace-relative path is production code (`src/…` or
+/// `crates/<name>/src/…`) rather than a reference-only source such as
+/// `tests/` or `ledger/src`, which only `unused-pub` reads.
+pub fn is_production(rel_path: &str) -> bool {
+    rel_path.starts_with("src/")
+        || rel_path
+            .strip_prefix("crates/")
+            .and_then(|rest| rest.split_once('/'))
+            .is_some_and(|(_, rest)| rest.starts_with("src/"))
+}
+
+/// Extracts every non-test function with a body from the production
+/// `files`, in file then token order (deterministic ids).
 pub fn extract_functions(files: &[SourceFile]) -> Vec<Func> {
     let mut out = Vec::new();
     for (file_idx, file) in files.iter().enumerate() {
+        if !is_production(&file.rel_path) {
+            continue;
+        }
         let tokens = &file.tokens;
         let impls = impl_spans(tokens);
         for i in 0..tokens.len() {
@@ -107,10 +121,14 @@ pub struct StructDef {
     pub fields: Vec<(String, Vec<String>)>,
 }
 
-/// Extracts every non-test `struct Name { field: Type, … }` from `files`.
+/// Extracts every non-test `struct Name { field: Type, … }` from the
+/// production `files`.
 pub fn extract_structs(files: &[SourceFile]) -> Vec<StructDef> {
     let mut out = Vec::new();
     for (file_idx, file) in files.iter().enumerate() {
+        if !is_production(&file.rel_path) {
+            continue;
+        }
         let tokens = &file.tokens;
         for i in 0..tokens.len() {
             if !tokens[i].is_ident("struct") || tokens[i].in_test {

@@ -6,7 +6,9 @@
 //!
 //! Snippets live in `tests/corpus/*.rs`; they are analyzed as if they
 //! sat at `crates/corpus/src/<name>.rs`, so crate-qualified lock names
-//! come out as `corpus/<field>`.
+//! come out as `corpus/<field>`. Each is analyzed alone, so a `pub fn`
+//! in a snippet is one no other file names: only the `unused-pub` case
+//! declares one.
 
 use athena_analyze::{analyze_sources, Config, SourceFile};
 
@@ -98,6 +100,14 @@ const CASES: &[Case] = &[
         name: "self_deadlock",
         source: include_str!("corpus/self_deadlock.rs"),
         rule: "lock-discipline",
+        hot_seed: false,
+        lock_order: &[],
+        wants_witness: false,
+    },
+    Case {
+        name: "unused_pub",
+        source: include_str!("corpus/unused_pub.rs"),
+        rule: "unused-pub",
         hot_seed: false,
         lock_order: &[],
         wants_witness: false,

@@ -7,7 +7,7 @@ use parking_lot::Mutex;
 pub struct Bus;
 
 impl Bus {
-    pub fn dispatch(&self, _n: u32) {}
+    fn dispatch(&self, _n: u32) {}
 }
 
 pub struct S {
@@ -16,7 +16,7 @@ pub struct S {
 }
 
 impl S {
-    pub fn guarded(&self) -> u32 {
+    fn guarded(&self) -> u32 {
         let ga = self.a.lock();
         self.notify(*ga);
         *ga

@@ -8,7 +8,7 @@ pub struct Flows {
 }
 
 impl Flows {
-    pub fn hot_entry(&self) -> u64 {
+    fn hot_entry(&self) -> u64 {
         let mut out = 0u64;
         for (k, v) in &self.map {
             out = out.wrapping_mul(31).wrapping_add(k + u64::from(*v));

@@ -9,13 +9,13 @@ pub struct S {
 }
 
 impl S {
-    pub fn ab(&self) -> u32 {
+    fn ab(&self) -> u32 {
         let ga = self.a.lock();
         let gb = self.b.lock();
         *ga + *gb
     }
 
-    pub fn ba(&self) -> u32 {
+    fn ba(&self) -> u32 {
         let gb = self.b.lock();
         let ga = self.a.lock();
         *ga + *gb

@@ -9,7 +9,7 @@ pub struct S {
 }
 
 impl S {
-    pub fn inverted(&self) -> u32 {
+    fn inverted(&self) -> u32 {
         let gb = self.b.lock();
         let ga = self.a.lock();
         *ga + *gb

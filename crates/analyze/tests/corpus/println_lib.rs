@@ -1,5 +1,5 @@
 // Library code writing to stdout: output belongs to binaries; libraries
 // report through telemetry events or return values.
-pub fn log(n: u64) {
+fn log(n: u64) {
     println!("{n}");
 }

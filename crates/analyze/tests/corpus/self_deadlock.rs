@@ -7,7 +7,7 @@ pub struct S {
 }
 
 impl S {
-    pub fn twice(&self) -> u32 {
+    fn twice(&self) -> u32 {
         let ga = self.a.lock();
         let gb = self.a.lock();
         *ga + *gb

@@ -1,5 +1,5 @@
 // The workspace forbids unsafe everywhere: a from-scratch simulation has
 // no FFI and no reason for it.
-pub fn read(p: *const u8) -> u8 {
+fn read(p: *const u8) -> u8 {
     unsafe { *p }
 }

@@ -1,5 +1,5 @@
 // Library code reading the host clock: breaks deterministic replay and
 // the byte-identical recovery guarantees.
-pub fn stamp() -> u64 {
+fn stamp() -> u64 {
     std::time::Instant::now().elapsed().as_secs()
 }

@@ -49,7 +49,7 @@ impl DdosDataset {
     }
 
     /// Generates a dataset with an explicit benign fraction.
-    pub fn generate_with_ratio(total_entries: usize, benign_fraction: f64, seed: u64) -> Self {
+    fn generate_with_ratio(total_entries: usize, benign_fraction: f64, seed: u64) -> Self {
         let mut rng = StdRng::seed_from_u64(seed);
         let n_benign = (total_entries as f64 * benign_fraction) as usize;
         let n_malicious = total_entries - n_benign;
@@ -159,12 +159,6 @@ impl DdosDataset {
     pub fn is_empty(&self) -> bool {
         self.points.is_empty()
     }
-
-    /// Entries labeled benign / malicious.
-    pub fn class_counts(&self) -> (usize, usize) {
-        let malicious = self.points.iter().filter(|p| p.is_malicious()).count();
-        (self.points.len() - malicious, malicious)
-    }
 }
 
 #[cfg(test)]
@@ -174,8 +168,8 @@ mod tests {
     #[test]
     fn class_balance_matches_request() {
         let d = DdosDataset::generate(10_000, 1);
-        let (benign, malicious) = d.class_counts();
-        assert_eq!(benign + malicious, 10_000);
+        assert_eq!(d.len(), 10_000);
+        let benign = d.points.iter().filter(|p| !p.is_malicious()).count();
         let frac = benign as f64 / 10_000.0;
         assert!((frac - 0.25).abs() < 0.02, "benign fraction {frac}");
     }

@@ -120,13 +120,6 @@ impl ScanDetector {
         newly
     }
 
-    /// Scanners flagged so far.
-    pub fn scanners(&self) -> Vec<Ipv4Addr> {
-        let mut v: Vec<Ipv4Addr> = self.flagged.iter().copied().collect();
-        v.sort();
-        v
-    }
-
     /// `(tracked pairs, max ports probed by any pair)` — diagnostics.
     pub fn probe_stats(&self) -> (usize, usize) {
         let state = self.state.lock();

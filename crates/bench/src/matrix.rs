@@ -67,7 +67,7 @@ impl MatrixConfig {
 }
 
 /// The full Table-IV algorithm menu, in fixed matrix order.
-pub fn table_iv_algorithms() -> Vec<Algorithm> {
+fn table_iv_algorithms() -> Vec<Algorithm> {
     vec![
         Algorithm::GradientBoostedTrees(GbtParams::default()),
         Algorithm::decision_tree(),

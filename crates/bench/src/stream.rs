@@ -125,7 +125,7 @@ fn zero_arm(algorithm: &str) -> Arm {
 /// Prequential (test-then-train) evaluation of one online learner over
 /// one family's records, in canonical store order: each record is
 /// scored by the model fitted on everything before it, then learned.
-pub fn prequential(run: &FamilyRun, spec: &OnlineSpec) -> Arm {
+fn prequential(run: &FamilyRun, spec: &OnlineSpec) -> Arm {
     let det = DdosDetector::new(DdosDetectorConfig::default());
     let features = DdosDetector::features();
     let truth = run.truth();
@@ -189,7 +189,7 @@ pub fn prequential(run: &FamilyRun, spec: &OnlineSpec) -> Arm {
 
 /// The batch counterpart: the Table-IV protocol on the same records
 /// (train on the family's full record set, validate against it).
-pub fn batch_arm(run: &FamilyRun, algorithm: &Algorithm) -> Arm {
+fn batch_arm(run: &FamilyRun, algorithm: &Algorithm) -> Arm {
     let det = DdosDetector::new(DdosDetectorConfig::default());
     let features = DdosDetector::features();
     let dm = DetectorManager::new(ComputeCluster::new(2));

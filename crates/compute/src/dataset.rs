@@ -6,7 +6,7 @@ use std::sync::Arc;
 /// A partitioned, immutable collection bound to a [`ComputeCluster`].
 ///
 /// Transformations (`map`, `filter`, `map_partitions`) and actions
-/// (`reduce`, `fold`, `count`, `collect`) each run one cluster job; every
+/// (`fold`, `count`, `collect`) each run one cluster job; every
 /// partition is one task. Partitions are shared (`Arc`) so chained
 /// transformations do not copy input data.
 ///
@@ -20,8 +20,8 @@ use std::sync::Arc;
 ///     .parallelize((0..100i64).collect::<Vec<_>>(), 8)
 ///     .filter(|x| x % 2 == 0);
 /// assert_eq!(evens.count(), 50);
-/// let max = evens.reduce(|a, b| if a > b { a } else { b });
-/// assert_eq!(max, Some(98));
+/// let max = evens.fold(i64::MIN, |a, &x| a.max(x), i64::max);
+/// assert_eq!(max, 98);
 /// ```
 #[derive(Debug, Clone)]
 pub struct Dataset<T> {
@@ -64,11 +64,6 @@ impl<T> Dataset<T> {
             cluster,
             partitions: Arc::new(partitions),
         }
-    }
-
-    /// Number of partitions.
-    pub fn num_partitions(&self) -> usize {
-        self.partitions.len()
     }
 
     /// The cluster this dataset is bound to.
@@ -117,16 +112,6 @@ impl<T: Clone + Send + Sync> Dataset<T> {
         Dataset::from_partitions(self.cluster.clone(), parts)
     }
 
-    /// Combines all elements with `f` (associative).
-    pub fn reduce(&self, f: impl Fn(T, T) -> T + Sync) -> Option<T> {
-        let partials = self
-            .cluster
-            .run_job("reduce", &self.partitions, |p: &Vec<T>| {
-                p.iter().cloned().reduce(&f)
-            });
-        partials.into_iter().flatten().reduce(&f)
-    }
-
     /// Spark's `aggregate`: per-partition fold with `seq`, then a driver
     /// combine with `comb`. The driver combine runs in partition order,
     /// so the result is byte-identical at any thread count.
@@ -156,12 +141,6 @@ impl<T: Clone + Send + Sync> Dataset<T> {
             .cluster
             .run_job("collect", &self.partitions, |p: &Vec<T>| p.clone());
         parts.into_iter().flatten().collect()
-    }
-
-    /// Repartitions into `n` chunks (a shuffle).
-    pub fn repartition(&self, n: usize) -> Dataset<T> {
-        let all: Vec<T> = self.collect();
-        Dataset::from_vec(self.cluster.clone(), all, n)
     }
 
     /// Deterministically samples roughly `fraction` of the elements
@@ -195,7 +174,7 @@ mod tests {
     #[test]
     fn partitioning_is_balanced_and_complete() {
         let ds = cluster().parallelize((0..103i32).collect(), 10);
-        assert_eq!(ds.num_partitions(), 10);
+        assert_eq!(ds.partitions.len(), 10);
         assert_eq!(ds.len(), 103);
         let mut all = ds.collect();
         all.sort();
@@ -205,10 +184,9 @@ mod tests {
     #[test]
     fn empty_dataset_has_one_empty_partition() {
         let ds = cluster().parallelize(Vec::<i32>::new(), 4);
-        assert_eq!(ds.num_partitions(), 1);
+        assert_eq!(ds.partitions.len(), 1);
         assert!(ds.is_empty());
         assert_eq!(ds.count(), 0);
-        assert_eq!(ds.reduce(|a, _| a), None);
     }
 
     #[test]
@@ -230,12 +208,6 @@ mod tests {
     }
 
     #[test]
-    fn reduce_over_multiple_partitions() {
-        let ds = cluster().parallelize(vec![5, 3, 9, 1, 7, 2], 3);
-        assert_eq!(ds.reduce(std::cmp::max), Some(9));
-    }
-
-    #[test]
     fn map_partitions_sees_whole_partitions() {
         let ds = cluster().parallelize((0..12i32).collect(), 4);
         let sizes = ds.map_partitions(|p| vec![p.len()]);
@@ -251,15 +223,5 @@ mod tests {
         assert!((150..=250).contains(&n), "sampled {n}");
         assert_eq!(ds.sample(1.0).len(), 1000);
         assert_eq!(ds.sample(0.0).len(), 0);
-    }
-
-    #[test]
-    fn repartition_preserves_elements() {
-        let ds = cluster().parallelize((0..50i32).collect(), 2);
-        let r = ds.repartition(9);
-        assert_eq!(r.num_partitions(), 9);
-        let mut v = r.collect();
-        v.sort();
-        assert_eq!(v, (0..50).collect::<Vec<_>>());
     }
 }

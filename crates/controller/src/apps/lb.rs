@@ -21,7 +21,6 @@ pub struct LoadBalancer {
     /// Rule priority (above plain forwarding, below the security app).
     pub priority: u16,
     next_path: usize,
-    balanced: u64,
 }
 
 impl LoadBalancer {
@@ -32,13 +31,7 @@ impl LoadBalancer {
             soft_timeout: SimDuration::from_secs(10),
             priority: 50,
             next_path: 0,
-            balanced: 0,
         }
-    }
-
-    /// Flows balanced so far.
-    pub fn balanced(&self) -> u64 {
-        self.balanced
     }
 }
 
@@ -67,7 +60,6 @@ impl PacketProcessor for LoadBalancer {
         }
         let path = &paths[self.next_path % paths.len()];
         self.next_path = self.next_path.wrapping_add(1);
-        self.balanced += 1;
         let m = MatchFields::exact_five_tuple(ft);
         for (hop, port) in path {
             ctx.install_rule(
@@ -128,7 +120,7 @@ mod tests {
             assert_eq!(body.idle_timeout, lb.soft_timeout);
         }
         assert_ne!(first_hops[0], first_hops[1], "round-robin paths");
-        assert_eq!(lb.balanced(), 2);
+        assert_eq!(lb.next_path, 2);
     }
 
     #[test]
@@ -151,6 +143,6 @@ mod tests {
         );
         lb.process(&mut ctx);
         assert!(!ctx.is_blocked());
-        assert_eq!(lb.balanced(), 0);
+        assert_eq!(lb.next_path, 0);
     }
 }

@@ -25,7 +25,6 @@ pub struct SecurityApp {
     pub idle_timeout: SimDuration,
     /// The app only acts once activated (the paper activates it mid-run).
     pub active_from: Option<SimTime>,
-    redirected: u64,
 }
 
 impl SecurityApp {
@@ -37,7 +36,6 @@ impl SecurityApp {
             priority: 200,
             idle_timeout: SimDuration::from_secs(30),
             active_from: None,
-            redirected: 0,
         }
     }
 
@@ -45,11 +43,6 @@ impl SecurityApp {
     pub fn activate_at(mut self, t: SimTime) -> Self {
         self.active_from = Some(t);
         self
-    }
-
-    /// Flows redirected so far.
-    pub fn redirected(&self) -> u64 {
-        self.redirected
     }
 
     fn is_active(&self, now: SimTime) -> bool {
@@ -105,7 +98,6 @@ impl PacketProcessor for SecurityApp {
             FlowMod::add(m, self.priority, vec![Action::Output(dst_port)])
                 .with_idle_timeout(self.idle_timeout),
         );
-        self.redirected += 1;
         ctx.block();
     }
 }
@@ -145,7 +137,6 @@ mod tests {
         );
         app.process(&mut ctx);
         assert!(!ctx.is_blocked());
-        assert_eq!(app.redirected(), 0);
     }
 
     #[test]
@@ -166,7 +157,6 @@ mod tests {
         );
         app.process(&mut ctx);
         assert!(ctx.is_blocked());
-        assert_eq!(app.redirected(), 1);
         let cmds = ctx.into_commands();
         // Some rule is installed on the waypoint switch S6.
         assert!(cmds.iter().any(|(d, _)| *d == Dpid::new(6)));

@@ -7,8 +7,8 @@ use athena_types::{AppId, Dpid, SimTime, Xid};
 
 /// The context handed to each packet processor for one packet-in.
 ///
-/// Processors inspect the packet, emit flow rules or packet-outs, and may
-/// *block* the packet to stop lower-priority processors from seeing it
+/// Processors inspect the packet, install flow rules, and may *block*
+/// the packet to stop lower-priority processors from seeing it
 /// (how the NAE scenario's high-priority security app over-rules the load
 /// balancer).
 pub struct PacketContext<'a> {
@@ -59,11 +59,6 @@ impl<'a> PacketContext<'a> {
                 body: fm,
             },
         ));
-    }
-
-    /// Emits a raw command (e.g. a packet-out).
-    pub fn emit(&mut self, dpid: Dpid, msg: OfMessage) {
-        self.commands.push((dpid, msg));
     }
 
     /// Stops lower-priority processors from handling this packet.

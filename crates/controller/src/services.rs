@@ -182,11 +182,6 @@ impl HostService {
     pub fn learn(&mut self, ip: Ipv4Addr, dpid: Dpid, port: PortNo) {
         self.by_ip.insert(ip, (dpid, port));
     }
-
-    /// Number of known hosts.
-    pub fn host_count(&self) -> usize {
-        self.by_ip.len()
-    }
 }
 
 /// Shortest-path service over the controller's topology view.
@@ -423,11 +418,6 @@ impl FlowRuleService {
         self.records.values().filter(|r| r.app == app).collect()
     }
 
-    /// Live rules on a switch.
-    pub fn rules_on(&self, dpid: Dpid) -> Vec<&FlowRuleRecord> {
-        self.records.values().filter(|r| r.dpid == dpid).collect()
-    }
-
     /// `(installs, removals)` counters.
     pub fn counters(&self) -> (u64, u64) {
         (self.installs, self.removals)
@@ -571,7 +561,7 @@ mod tests {
     fn host_service_seeds_and_learns() {
         let topo = Topology::linear(2, 2);
         let mut h = HostService::from_topology(&topo);
-        assert_eq!(h.host_count(), 4);
+        assert_eq!(h.by_ip.len(), 4);
         let ip = topo.hosts[0].ip;
         assert_eq!(
             h.location_of(ip),
@@ -647,7 +637,7 @@ mod tests {
         assert_eq!(fm.app_id(), app);
         assert_eq!(svc.app_of_cookie(fm.cookie), app);
         assert_eq!(svc.rules_of_app(app).len(), 1);
-        assert_eq!(svc.rules_on(Dpid::new(3)).len(), 1);
+        assert!(svc.records.values().all(|r| r.dpid == Dpid::new(3)));
         assert_eq!(svc.live_count(), 1);
 
         svc.on_flow_removed(&FlowRemoved {

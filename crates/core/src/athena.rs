@@ -18,8 +18,13 @@ use athena_observe::Observe;
 use athena_store::{Filter, StoreCluster};
 use athena_telemetry::Telemetry;
 use athena_types::sentinel::TrackedMutex;
-use athena_types::{ControllerId, Dpid, Result, SimDuration};
+use athena_types::{ControllerId, Dpid, Result};
 use std::sync::Arc;
+
+/// Worker nodes in a deployment's compute cluster: the largest of the
+/// paper's 1–6 (Figure 10 sweeps the cluster size on its own
+/// `ComputeCluster`).
+const COMPUTE_WORKERS: usize = 6;
 
 /// Deployment configuration for an Athena instance.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -29,10 +34,6 @@ pub struct AthenaConfig {
     pub store_nodes: usize,
     /// Store replication factor.
     pub store_replication: usize,
-    /// Worker nodes in the compute cluster (the paper scales 1–6).
-    pub compute_workers: usize,
-    /// Athena's statistics-poll period.
-    pub poll_interval: SimDuration,
     /// Whether features are published to the store (Table IX's "no DB"
     /// configuration sets this to `false`).
     pub store_enabled: bool,
@@ -43,8 +44,6 @@ impl Default for AthenaConfig {
         AthenaConfig {
             store_nodes: 3,
             store_replication: 2,
-            compute_workers: 6,
-            poll_interval: SimDuration::from_secs(5),
             store_enabled: true,
         }
     }
@@ -105,8 +104,7 @@ impl Athena {
         store.bind_observe(&obs);
         let mut feature_manager = FeatureManager::new(&store);
         feature_manager.set_store_enabled(config.store_enabled);
-        let mut resource = ResourceManager::new();
-        resource.poll_interval = config.poll_interval;
+        let resource = ResourceManager::new();
         let runtime = Arc::new(AthenaRuntime {
             store,
             feature_manager: TrackedMutex::new("core/feature_manager", feature_manager),
@@ -116,7 +114,7 @@ impl Athena {
             telemetry: tel.clone(),
             observe: obs.clone(),
         });
-        let compute = ComputeCluster::new(config.compute_workers);
+        let compute = ComputeCluster::new(COMPUTE_WORKERS);
         compute.bind_telemetry(&tel);
         compute.bind_observe(&obs);
         Athena {
@@ -162,16 +160,6 @@ impl Athena {
     /// The detector manager (batch training/validation).
     pub fn detector_manager(&self) -> &DetectorManager {
         &self.detector_manager
-    }
-
-    /// Replaces the compute cluster (the Figure 10 sweep re-runs with
-    /// 1–6 workers). The new cluster inherits the deployment's telemetry
-    /// binding.
-    pub fn set_compute_workers(&mut self, workers: usize) {
-        let compute = ComputeCluster::new(workers);
-        compute.bind_telemetry(&self.runtime.telemetry);
-        compute.bind_observe(&self.runtime.observe);
-        self.detector_manager = DetectorManager::with_telemetry(compute, &self.runtime.telemetry);
     }
 
     // ------------------------------------------------------------------
@@ -368,7 +356,7 @@ impl std::fmt::Debug for Athena {
 mod tests {
     use super::*;
     use athena_dataplane::{workload, Network, Topology};
-    use athena_types::SimTime;
+    use athena_types::{SimDuration, SimTime};
 
     fn run_deployment(seconds: u64) -> (Athena, Network, ControllerCluster) {
         let topo = Topology::enterprise();

@@ -303,17 +303,6 @@ pub fn all_features() -> impl ExactSizeIterator<Item = FeatureId> {
     (0..COUNT).map(|i| FeatureId(i as u8))
 }
 
-/// The catalog features of one kind, in name order.
-pub fn features_of(kind: FeatureKind) -> impl Iterator<Item = FeatureId> {
-    all_features().filter(move |f| f.kind() == kind)
-}
-
-/// The category of a feature name; `None` for a name outside the
-/// catalog.
-pub fn category_of(name: &str) -> Option<FeatureCategory> {
-    FeatureId::named(name).map(FeatureId::category)
-}
-
 /// The 10-tuple flow feature set the paper's DDoS detector uses
 /// (Table V's candidates, ten of them, vs. Braga et al.'s 6-tuple).
 pub const DDOS_10_TUPLE: [FeatureId; 10] = [
@@ -636,13 +625,13 @@ mod tests {
         // Table I's examples: packet/byte counts are protocol-centric,
         // flow utilization is combination, pair-flow ratio is stateful.
         assert_eq!(
-            category_of("FLOW_PACKET_COUNT"),
-            Some(FeatureCategory::ProtocolCentric)
+            FLOW_PACKET_COUNT.category(),
+            FeatureCategory::ProtocolCentric
         );
         assert_eq!(FLOW_UTILIZATION.category(), FeatureCategory::Combination);
         assert_eq!(PAIR_FLOW_RATIO.category(), FeatureCategory::Stateful);
         assert_eq!(PORT_RX_BYTES_VAR.category(), FeatureCategory::Variation);
-        assert_eq!(category_of("truth"), None);
+        assert_eq!(FeatureId::named("truth"), None);
         // Every `_VAR` derivative, and nothing else, is a variation.
         for f in all_features() {
             assert_eq!(
@@ -655,9 +644,10 @@ mod tests {
 
     #[test]
     fn kinds_partition_the_catalog() {
-        assert_eq!(features_of(FeatureKind::PacketIn).count(), 3);
-        assert_eq!(features_of(FeatureKind::Host).count(), 9);
-        assert!(features_of(FeatureKind::Flow).all(|f| f.name().starts_with("FLOW_")));
+        let of = |kind| all_features().filter(move |f| f.kind() == kind);
+        assert_eq!(of(FeatureKind::PacketIn).count(), 3);
+        assert_eq!(of(FeatureKind::Host).count(), 9);
+        assert!(of(FeatureKind::Flow).all(|f| f.name().starts_with("FLOW_")));
         assert_eq!(PACKET_IN_PORT.kind(), FeatureKind::PacketIn);
     }
 

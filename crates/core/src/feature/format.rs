@@ -3,9 +3,6 @@
 
 use crate::feature::catalog::{self, FieldName, KeyResolver, MessageType};
 use athena_store::{Document, Fields, Key};
-
-/// Alias used at API boundaries that accept pre-built feature documents.
-pub type RawDocument = Document;
 use athena_types::{AppId, ControllerId, Dpid, FiveTuple, IpProto, Ipv4Addr, PortNo, SimTime};
 use serde::{Deserialize, Serialize};
 use serde_json::Value;
@@ -140,8 +137,8 @@ pub struct MetaData {
 /// use athena_core::{catalog, FeatureIndex, FeatureRecord};
 /// use athena_types::Dpid;
 ///
-/// let r = FeatureRecord::new(FeatureIndex::switch(Dpid::new(1)))
-///     .with_field(catalog::FLOW_PACKET_COUNT, 42.0);
+/// let mut r = FeatureRecord::new(FeatureIndex::switch(Dpid::new(1)));
+/// r.push_field(catalog::FLOW_PACKET_COUNT, 42.0);
 /// assert_eq!(r.field("FLOW_PACKET_COUNT"), Some(42.0));
 /// let doc = r.to_document();
 /// assert_eq!(doc.get_f64("FLOW_PACKET_COUNT"), Some(42.0));
@@ -168,12 +165,6 @@ impl FeatureRecord {
     /// Sets the metadata (builder style).
     pub fn with_meta(mut self, meta: MetaData) -> Self {
         self.meta = meta;
-        self
-    }
-
-    /// Appends a field (builder style).
-    pub fn with_field(mut self, name: impl Into<FieldName>, value: f64) -> Self {
-        self.push_field(name, value);
         self
     }
 
@@ -384,15 +375,15 @@ mod tests {
             Ipv4Addr::new(10, 0, 0, 2),
             80,
         );
-        FeatureRecord::new(FeatureIndex::flow(Dpid::new(7), ft))
-            .with_meta(MetaData {
-                timestamp: SimTime::from_secs(9),
-                controller: ControllerId::new(2),
-                message_type: "FLOW_STATS".into(),
-                athena_polled: true,
-            })
-            .with_field("FLOW_PACKET_COUNT", 100.0)
-            .with_field("FLOW_BYTE_COUNT", 6400.0)
+        let mut r = FeatureRecord::new(FeatureIndex::flow(Dpid::new(7), ft)).with_meta(MetaData {
+            timestamp: SimTime::from_secs(9),
+            controller: ControllerId::new(2),
+            message_type: "FLOW_STATS".into(),
+            athena_polled: true,
+        });
+        r.push_field("FLOW_PACKET_COUNT", 100.0);
+        r.push_field("FLOW_BYTE_COUNT", 6400.0);
+        r
     }
 
     #[test]
@@ -433,8 +424,8 @@ mod tests {
 
     #[test]
     fn port_scoped_index_roundtrips() {
-        let r = FeatureRecord::new(FeatureIndex::port(Dpid::new(3), PortNo::new(2)))
-            .with_field("PORT_RX_BYTES", 1.0);
+        let mut r = FeatureRecord::new(FeatureIndex::port(Dpid::new(3), PortNo::new(2)));
+        r.push_field("PORT_RX_BYTES", 1.0);
         let back = FeatureRecord::from_document(&r.to_document());
         assert_eq!(back.index.port, Some(PortNo::new(2)));
         assert_eq!(back.index.five_tuple, None);
@@ -445,11 +436,15 @@ mod tests {
         // The document has always kept the last value pushed for a name;
         // `field()` used to return the first, so what a detector read
         // could change across a store round trip. Both read the last.
-        let r = FeatureRecord::new(FeatureIndex::switch(Dpid::new(1)))
-            .with_field("FLOW_PACKET_COUNT", 1.0)
-            .with_field("truth", 0.0)
-            .with_field("FLOW_PACKET_COUNT", 2.0)
-            .with_field("truth", 1.0);
+        let mut r = FeatureRecord::new(FeatureIndex::switch(Dpid::new(1)));
+        for (name, value) in [
+            ("FLOW_PACKET_COUNT", 1.0),
+            ("truth", 0.0),
+            ("FLOW_PACKET_COUNT", 2.0),
+            ("truth", 1.0),
+        ] {
+            r.push_field(name, value);
+        }
         assert_eq!(r.field("FLOW_PACKET_COUNT"), Some(2.0));
         assert_eq!(r.field("truth"), Some(1.0));
         let d = r.to_document();
@@ -558,10 +553,10 @@ mod tests {
 
     #[test]
     fn ad_hoc_names_land_in_name_order_wherever_they_sort() {
-        let r = record()
-            .with_field("truth", 1.0)
-            .with_field("Alpha", 2.0)
-            .with_field("mid", 3.0);
+        let mut r = record();
+        for (name, value) in [("truth", 1.0), ("Alpha", 2.0), ("mid", 3.0)] {
+            r.push_field(name, value);
+        }
         let d = r.to_document();
         let keys: Vec<&str> = d.fields.iter().map(|(k, _)| k.as_str()).collect();
         assert!(keys.windows(2).all(|w| w[0] < w[1]), "{keys:?}");

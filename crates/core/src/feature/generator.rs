@@ -66,7 +66,7 @@ impl MsgWindow {
 /// use athena_types::{ControllerId, SimTime};
 ///
 /// let mut g = FeatureGenerator::new(ControllerId::new(0));
-/// assert_eq!(g.tracked_entries(), 0);
+/// assert_eq!(g.records_generated(), 0);
 /// assert!(g.flush_window(SimTime::from_secs(1)).is_empty());
 /// ```
 #[derive(Debug)]
@@ -106,7 +106,7 @@ impl FeatureGenerator {
     }
 
     /// Number of tracked previous-sample entries (the GC's subject).
-    pub fn tracked_entries(&self) -> usize {
+    fn tracked_entries(&self) -> usize {
         self.prev_flow.len() + self.prev_port.len()
     }
 
@@ -225,23 +225,11 @@ impl FeatureGenerator {
     }
 
     /// The generator's windowing definition — the single source of
-    /// truth for window width, boundary placement, and rate math, also
+    /// truth for window width and rate math, also
     /// consumed by the streaming pipeline (`crates/stream`) so the two
     /// paths can never disagree on window arithmetic.
     pub fn windowing(&self) -> Windowing {
         Windowing::new(self.window)
-    }
-
-    /// Public iterator over every window boundary in `(from, until]`:
-    /// the virtual times at which [`FeatureGenerator::flush_window`]
-    /// would close a window. Stream consumers align their ring-buffer
-    /// evictions to exactly these instants instead of re-deriving them.
-    pub fn window_boundaries(
-        &self,
-        from: SimTime,
-        until: SimTime,
-    ) -> crate::feature::window::Boundaries {
-        self.windowing().boundaries(from, until)
     }
 
     /// Flushes the per-switch message-counter window if due, emitting
@@ -917,23 +905,10 @@ mod tests {
     }
 
     #[test]
-    fn window_boundaries_share_the_flush_rate_math() {
+    fn windowing_shares_the_flush_rate_math() {
         let g = FeatureGenerator::new(ControllerId::new(0));
-        // Default 5 s window: boundaries in (0, 20] are 5, 10, 15, 20.
-        let bounds: Vec<SimTime> = g
-            .window_boundaries(SimTime::ZERO, SimTime::from_secs(20))
-            .collect();
-        assert_eq!(
-            bounds,
-            vec![
-                SimTime::from_secs(5),
-                SimTime::from_secs(10),
-                SimTime::from_secs(15),
-                SimTime::from_secs(20),
-            ]
-        );
-        // The iterator and flush_window derive from the same Windowing:
-        // the MSG rate a flush would emit is bitwise the shared formula.
+        // flush_window derives from the same Windowing: the MSG rate a
+        // flush would emit is bitwise the shared formula.
         let w = g.windowing();
         assert_eq!(w.width(), g.window);
         assert_eq!(w.rate(10).to_bits(), 2.0f64.to_bits()); // 10 / 5 s

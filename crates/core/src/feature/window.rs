@@ -5,10 +5,9 @@
 //! and on how a raw count becomes a per-second rate — otherwise the
 //! streaming verdicts drift from the batch verdicts and the
 //! incremental-equals-batch gates cannot hold. [`Windowing`] owns that
-//! math; [`Windowing::boundaries`] is the public boundary iterator the
-//! stream crate walks instead of copy-pasting window arithmetic.
+//! math.
 
-use athena_types::{SimDuration, SimTime};
+use athena_types::SimDuration;
 
 /// A fixed-width tumbling/sliding window definition.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -17,9 +16,9 @@ pub struct Windowing {
 }
 
 impl Windowing {
-    /// A windowing of the given width. Zero widths are accepted (the
+    /// A windowing of the given width. Zero widths are accepted: the
     /// rate denominator is floored, matching the historical batch
-    /// behaviour) but produce a degenerate single-boundary iterator.
+    /// behaviour.
     pub fn new(width: SimDuration) -> Self {
         Windowing { width }
     }
@@ -48,66 +47,6 @@ impl Windowing {
     pub fn rate_f64(&self, value: f64) -> f64 {
         value / self.secs()
     }
-
-    /// The index of the window containing `at` (window `i` spans
-    /// `[i*width, (i+1)*width)`). Degenerate zero-width windowings map
-    /// everything to window 0.
-    pub fn index_of(&self, at: SimTime) -> u64 {
-        let w = self.width.as_micros();
-        if w == 0 {
-            return 0;
-        }
-        at.as_micros() / w
-    }
-
-    /// The closing boundary of window `index`, saturating at
-    /// [`SimTime::MAX`].
-    pub fn close_of(&self, index: u64) -> SimTime {
-        let w = self.width.as_micros();
-        SimTime::from_micros(index.saturating_add(1).saturating_mul(w))
-    }
-
-    /// Iterator over every window boundary in `(from, until]`, in
-    /// order: the virtual times at which a window closes and its
-    /// aggregates must match a full batch recompute. This is the public
-    /// seam the stream crate aligns to — one windowing definition, two
-    /// consumers.
-    pub fn boundaries(&self, from: SimTime, until: SimTime) -> Boundaries {
-        Boundaries {
-            windowing: *self,
-            next_index: if self.width.is_zero() {
-                u64::MAX // empty iterator for degenerate widths
-            } else {
-                self.index_of(from)
-            },
-            until,
-        }
-    }
-}
-
-/// Iterator over window-close boundaries; see
-/// [`Windowing::boundaries`].
-#[derive(Debug, Clone)]
-pub struct Boundaries {
-    windowing: Windowing,
-    next_index: u64,
-    until: SimTime,
-}
-
-impl Iterator for Boundaries {
-    type Item = SimTime;
-
-    fn next(&mut self) -> Option<SimTime> {
-        if self.next_index == u64::MAX {
-            return None;
-        }
-        let close = self.windowing.close_of(self.next_index);
-        if close > self.until {
-            return None;
-        }
-        self.next_index += 1;
-        Some(close)
-    }
 }
 
 #[cfg(test)]
@@ -129,27 +68,5 @@ mod tests {
     fn zero_width_is_floored_not_infinite() {
         let w = Windowing::new(SimDuration::ZERO);
         assert!(w.rate(1).is_finite());
-        assert_eq!(
-            w.boundaries(SimTime::ZERO, SimTime::from_secs(10)).count(),
-            0
-        );
-    }
-
-    #[test]
-    fn boundaries_cover_half_open_windows() {
-        let w = Windowing::new(SimDuration::from_secs(5));
-        let b: Vec<u64> = w
-            .boundaries(SimTime::ZERO, SimTime::from_secs(16))
-            .map(|t| t.as_micros() / 1_000_000)
-            .collect();
-        assert_eq!(b, vec![5, 10, 15]);
-        // Starting mid-window yields that window's close first.
-        let b: Vec<u64> = w
-            .boundaries(SimTime::from_secs(7), SimTime::from_secs(15))
-            .map(|t| t.as_micros() / 1_000_000)
-            .collect();
-        assert_eq!(b, vec![10, 15]);
-        assert_eq!(w.index_of(SimTime::from_secs(7)), 1);
-        assert_eq!(w.close_of(1), SimTime::from_secs(10));
     }
 }

@@ -71,7 +71,7 @@ pub use athena::{Athena, AthenaConfig};
 pub use feature::catalog::{self, FeatureCategory, FeatureId, FieldName, MessageType};
 pub use feature::format::{FeatureIndex, FeatureRecord, MetaData};
 pub use feature::generator::FeatureGenerator;
-pub use feature::window::{Boundaries, Windowing};
+pub use feature::window::Windowing;
 pub use nb::detector_manager::{DetectionModel, DetectorManager};
 pub use nb::feature_manager::FeatureManager;
 pub use nb::query::{Query, QueryBuilder};

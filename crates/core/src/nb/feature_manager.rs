@@ -6,11 +6,11 @@
 //! constraints, and converts feature sets into ML training data.
 
 use crate::feature::catalog::FieldName;
-use crate::feature::format::{FeatureRecord, RawDocument};
+use crate::feature::format::FeatureRecord;
 use crate::nb::query::Query;
 use athena_ml::LabeledPoint;
 use athena_store::cluster::CollectionHandle;
-use athena_store::{Filter, FindOptions, Placement, StoreCluster};
+use athena_store::{Document, Filter, FindOptions, Placement, StoreCluster};
 use athena_types::Result;
 
 /// A live-feature handler registered through `AddEventHandler`.
@@ -19,12 +19,11 @@ pub type EventHandler = Box<dyn FnMut(&FeatureRecord) + Send>;
 /// What [`FeatureManager::ingest_batch`] hands each record of a batch,
 /// with its document, once the batch is stored (the SB interface's online
 /// validators).
-pub type Examine<'a> = &'a mut dyn FnMut(&FeatureRecord, &RawDocument);
+pub type Examine<'a> = &'a mut dyn FnMut(&FeatureRecord, &Document);
 
 struct Registration {
     filter: Filter,
     handler: EventHandler,
-    delivered: u64,
 }
 
 /// The feature manager: store access plus the event-delivery table.
@@ -117,7 +116,7 @@ impl FeatureManager {
     /// # Errors
     ///
     /// Returns [`athena_types::AthenaError::Store`] if publication fails.
-    pub fn ingest_document(&mut self, doc: RawDocument) -> Result<()> {
+    pub fn ingest_document(&mut self, doc: Document) -> Result<()> {
         let record = FeatureRecord::from_document(&doc);
         self.store_and_deliver(std::slice::from_ref(&record), [doc], None)
     }
@@ -127,7 +126,7 @@ impl FeatureManager {
     fn store_and_deliver(
         &mut self,
         records: &[FeatureRecord],
-        docs: impl IntoIterator<Item = RawDocument>,
+        docs: impl IntoIterator<Item = Document>,
         mut examine: Option<Examine<'_>>,
     ) -> Result<()> {
         let mut batch = std::mem::take(&mut self.batch);
@@ -154,11 +153,10 @@ impl FeatureManager {
 
     /// Forwards `record` to every registration whose query matches its
     /// document form.
-    fn deliver(&mut self, record: &FeatureRecord, doc: &RawDocument) {
+    fn deliver(&mut self, record: &FeatureRecord, doc: &Document) {
         for reg in &mut self.registrations {
             if reg.filter.matches(doc) {
                 (reg.handler)(record);
-                reg.delivered += 1;
                 self.dispatched += 1;
             }
         }
@@ -170,14 +168,8 @@ impl FeatureManager {
         self.registrations.push(Registration {
             filter: query.filter.clone(),
             handler,
-            delivered: 0,
         });
         self.registrations.len() - 1
-    }
-
-    /// How many events a registration has received.
-    pub fn delivered_count(&self, registration: usize) -> Option<u64> {
-        self.registrations.get(registration).map(|r| r.delivered)
     }
 
     /// Retrieves stored features matching a query (the `RequestFeatures`
@@ -294,7 +286,7 @@ mod tests {
         let mut fm = manager();
         let hits = Arc::new(AtomicU64::new(0));
         let hits2 = hits.clone();
-        let reg = fm.register_handler(
+        fm.register_handler(
             &Query::parse("FLOW_PACKET_COUNT>=100").unwrap(),
             Box::new(move |_| {
                 hits2.fetch_add(1, Ordering::Relaxed);
@@ -305,7 +297,6 @@ mod tests {
         }
         // Packets 100, 110, 120, 130, 140 match.
         assert_eq!(hits.load(Ordering::Relaxed), 5);
-        assert_eq!(fm.delivered_count(reg), Some(5));
         assert_eq!(fm.counters(), (15, 5));
     }
 

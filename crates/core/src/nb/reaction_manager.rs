@@ -128,29 +128,6 @@ impl ReactionManager {
         }
         rules
     }
-
-    /// Plans the *removal* of a reaction's rules (un-block).
-    pub fn plan_removal(
-        &self,
-        reaction: &Reaction,
-        locate: impl Fn(Ipv4Addr) -> Option<(Dpid, PortNo)>,
-    ) -> Vec<ReactionRule> {
-        reaction
-            .targets()
-            .iter()
-            .filter_map(|t| {
-                let (dpid, _) = locate(*t)?;
-                Some(ReactionRule {
-                    dpid,
-                    flow_mod: FlowMod::delete(
-                        MatchFields::new()
-                            .with_eth_type(EtherType::Ipv4)
-                            .with_ip_src(*t, 32),
-                    ),
-                })
-            })
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -214,19 +191,5 @@ mod tests {
         };
         assert!(rm.plan(&reaction, locate, next_hop).is_empty());
         assert_eq!(rm.counters(), (0, 0));
-    }
-
-    #[test]
-    fn removal_plans_deletes() {
-        let rm = ReactionManager::new();
-        let reaction = Reaction::Block {
-            targets: vec![Ipv4Addr::new(10, 0, 0, 1)],
-        };
-        let rules = rm.plan_removal(&reaction, locate);
-        assert_eq!(rules.len(), 1);
-        assert_eq!(
-            rules[0].flow_mod.command,
-            athena_openflow::FlowModCommand::Delete
-        );
     }
 }

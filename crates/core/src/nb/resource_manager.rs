@@ -6,19 +6,17 @@
 
 use crate::feature::catalog::MessageType;
 use crate::feature::format::FeatureRecord;
-use athena_types::{Dpid, SimDuration};
+use athena_types::Dpid;
 use std::collections::HashSet;
 
-/// Controls which entities are monitored, which feature kinds are
-/// generated, and how often Athena polls statistics.
+/// Controls which entities are monitored and which feature kinds are
+/// generated.
 #[derive(Debug, Clone)]
 pub struct ResourceManager {
     /// Master switch: `false` silences all feature generation.
     pub monitoring_enabled: bool,
     disabled_switches: HashSet<Dpid>,
     disabled_kinds: HashSet<MessageType>,
-    /// Athena's own statistics-poll period.
-    pub poll_interval: SimDuration,
 }
 
 impl Default for ResourceManager {
@@ -27,7 +25,6 @@ impl Default for ResourceManager {
             monitoring_enabled: true,
             disabled_switches: HashSet::new(),
             disabled_kinds: HashSet::new(),
-            poll_interval: SimDuration::from_secs(5),
         }
     }
 }

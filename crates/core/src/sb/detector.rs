@@ -5,18 +5,17 @@
 //! raise reactions for the Attack Reactor. Batch-mode detection runs in
 //! the Detector Manager; this component is the live path.
 
-use crate::feature::format::{FeatureRecord, RawDocument};
+use crate::feature::format::FeatureRecord;
 use crate::nb::detector_manager::DetectionModel;
 use crate::nb::query::Query;
 use crate::nb::reaction_manager::Reaction;
-use athena_store::Filter;
+use athena_store::{Document, Filter};
 
 /// The verdict callback: inspects an alerting record and optionally
 /// requests a mitigation.
 pub type AlertHandler = Box<dyn FnMut(&FeatureRecord) -> Option<Reaction> + Send>;
 
 struct OnlineValidator {
-    name: String,
     filter: Filter,
     model: DetectionModel,
     on_alert: AlertHandler,
@@ -45,16 +44,16 @@ impl AttackDetector {
 
     /// Registers an online validator: records matching `query` are scored
     /// with `model`; malicious verdicts invoke `on_alert`. Returns the
-    /// validator's index.
+    /// validator's index. The name is the caller's label; the detector
+    /// keeps none.
     pub fn add_validator(
         &mut self,
-        name: impl Into<String>,
+        _name: impl Into<String>,
         query: &Query,
         model: DetectionModel,
         on_alert: AlertHandler,
     ) -> usize {
         self.validators.push(OnlineValidator {
-            name: name.into(),
             filter: query.filter.clone(),
             model,
             on_alert,
@@ -80,14 +79,6 @@ impl AttackDetector {
         self.validators.len()
     }
 
-    /// `(name, examined, alerts)` per validator.
-    pub fn validator_stats(&self) -> Vec<(String, u64, u64)> {
-        self.validators
-            .iter()
-            .map(|v| (v.name.clone(), v.examined, v.alerts))
-            .collect()
-    }
-
     /// Total alerts across validators.
     pub fn total_alerts(&self) -> u64 {
         self.validators.iter().map(|v| v.alerts).sum()
@@ -106,7 +97,7 @@ impl AttackDetector {
     /// [`AttackDetector::process`] for a caller that already holds the
     /// record's document form: validator queries are evaluated on the
     /// borrowed `doc`.
-    pub fn process_document(&mut self, record: &FeatureRecord, doc: &RawDocument) -> Vec<Reaction> {
+    pub fn process_document(&mut self, record: &FeatureRecord, doc: &Document) -> Vec<Reaction> {
         let mut reactions = Vec::new();
         for v in &mut self.validators {
             if !v.filter.matches(doc) {
@@ -184,9 +175,7 @@ mod tests {
         let reactions = det.process(&record(1, 500.0));
         assert_eq!(reactions.len(), 1);
         assert_eq!(det.total_alerts(), 1);
-        let stats = det.validator_stats();
-        assert_eq!(stats[0].0, "ddos");
-        assert_eq!(stats[0].1, 2); // examined both
+        assert_eq!(det.validators[0].examined, 2); // examined both
     }
 
     #[test]
@@ -223,6 +212,6 @@ mod tests {
         det.add_validator("v", &Query::all(), threshold_model(), Box::new(|_| None));
         let empty = FeatureRecord::new(FeatureIndex::switch(Dpid::new(1)));
         det.process(&empty);
-        assert_eq!(det.validator_stats()[0].1, 0);
+        assert_eq!(det.validators[0].examined, 0);
     }
 }

@@ -12,15 +12,19 @@
 //! paper describes.
 
 use crate::athena::AthenaRuntime;
-use crate::feature::format::{FeatureRecord, RawDocument};
+use crate::feature::format::FeatureRecord;
 use crate::feature::generator::FeatureGenerator;
 use crate::nb::feature_manager::Examine;
 use athena_controller::{InterceptCtx, MessageInterceptor, PollTelemetry, PollTracker};
 use athena_observe::Observe;
 use athena_openflow::{MatchFields, OfMessage, StatsRequest};
+use athena_store::Document;
 use athena_telemetry::{names, Counter, Histogram};
-use athena_types::{ControllerId, Dpid, PortNo, SimTime, Xid};
+use athena_types::{ControllerId, Dpid, PortNo, SimDuration, SimTime, Xid};
 use std::sync::Arc;
+
+/// Athena's own statistics-poll period.
+const POLL_INTERVAL: SimDuration = SimDuration::from_secs(5);
 
 /// One controller instance's Athena southbound element.
 pub struct AthenaSouthbound {
@@ -108,7 +112,7 @@ impl AthenaSouthbound {
         let mut verdicts = 0usize;
         let observe = &self.observe;
         let validators = detector.validator_count() > 0;
-        let mut examine = |record: &FeatureRecord, doc: &RawDocument| {
+        let mut examine = |record: &FeatureRecord, doc: &Document| {
             let reactions = detector.process_document(record, doc);
             if !reactions.is_empty() {
                 verdicts += 1;
@@ -178,10 +182,7 @@ impl MessageInterceptor for AthenaSouthbound {
 
     fn on_tick(&mut self, ctx: &InterceptCtx<'_>, now: SimTime) -> Vec<(Dpid, OfMessage)> {
         let mut out = Vec::new();
-        let (poll_interval, monitoring) = {
-            let r = self.runtime.resource.lock();
-            (r.poll_interval, r.monitoring_enabled)
-        };
+        let monitoring = self.runtime.resource.lock().monitoring_enabled;
 
         // Reissue timed-out marked polls before scheduling new ones; a
         // switch this controller no longer masters is given up.
@@ -191,7 +192,7 @@ impl MessageInterceptor for AthenaSouthbound {
         // Athena's own marked statistics polling.
         let due = self
             .last_poll
-            .is_none_or(|t| now.saturating_since(t) >= poll_interval);
+            .is_none_or(|t| now.saturating_since(t) >= POLL_INTERVAL);
         if due && monitoring {
             self.last_poll = Some(now);
             let mastered = ctx.mastership.switches_of(self.controller);

@@ -58,11 +58,6 @@ impl AttackReactor {
         v
     }
 
-    /// Mitigation rules issued so far.
-    pub fn rules_issued(&self) -> u64 {
-        self.rules_issued
-    }
-
     /// `(blocks, quarantines)` counters.
     pub fn counters(&self) -> (u64, u64) {
         self.manager.counters()
@@ -118,7 +113,7 @@ mod tests {
         };
         assert_eq!(body.app_id(), ATHENA_APP);
         assert!(xid.is_athena_marked());
-        assert_eq!(r.rules_issued(), 1);
+        assert_eq!(r.rules_issued, 1);
         // Queue is drained.
         assert!(r.drain(locate, next_hop).is_empty());
     }

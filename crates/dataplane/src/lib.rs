@@ -62,7 +62,7 @@ pub mod workload;
 pub use flow::{ActiveFlow, FlowSpec};
 pub use link::{LinkModel, SimLink};
 pub use network::{
-    ControllerLink, ExpiryMode, LearningControllerStub, NetworkConfig, NetworkCounters,
+    ControllerLink, ExpiryMode, LearningControllerStub, NetworkConfig, NetworkCounters, TICK,
 };
 pub use punt::{Batched, Network, PuntDiscipline, ShardedNetwork, Synchronous};
 pub use shard::{Engine, ShardPlan};

@@ -25,15 +25,6 @@ pub struct LinkModel {
 }
 
 impl LinkModel {
-    /// A clean datacenter-style link: 200 µs base, 50 µs jitter, no drops.
-    pub fn lan() -> Self {
-        LinkModel {
-            base_latency: SimDuration::from_micros(200),
-            jitter_mean: SimDuration::from_micros(50),
-            drop_p: 0.0,
-        }
-    }
-
     /// A WAN-ish link: 20 ms base, 5 ms jitter, 1% queue-drop ticks.
     pub fn wan() -> Self {
         LinkModel {
@@ -90,7 +81,11 @@ pub struct SimLink {
     capacity_factor: f64,
     model: Option<LinkModel>,
     rng_state: u64,
+    /// The latency drawn at the last settled tick, in microseconds (zero
+    /// when no model is installed).
     last_latency_us: u64,
+    /// Bytes tail-dropped by queue-drop events (a subset of
+    /// `dropped_bytes_total`).
     queue_dropped_total: u64,
 }
 
@@ -132,18 +127,6 @@ impl SimLink {
         self.model.as_ref()
     }
 
-    /// The latency drawn at the last settled tick, in microseconds
-    /// (zero when no model is installed).
-    pub fn last_latency_us(&self) -> u64 {
-        self.last_latency_us
-    }
-
-    /// Total bytes tail-dropped by queue-drop events (a subset of
-    /// [`SimLink::dropped_bytes`]).
-    pub fn queue_dropped_bytes(&self) -> u64 {
-        self.queue_dropped_total
-    }
-
     /// Sets the effective-capacity multiplier (clamped to `[0, 1]`):
     /// `1.0` restores the link, a fraction degrades it, `0.0` takes it
     /// down entirely.
@@ -167,7 +150,7 @@ impl SimLink {
     }
 
     /// Bytes this link can carry in one tick.
-    pub fn capacity_per_tick(&self, tick: SimDuration) -> u64 {
+    fn capacity_per_tick(&self, tick: SimDuration) -> u64 {
         ((self.capacity_bps as f64 / 8.0) * tick.as_secs_f64()) as u64
     }
 
@@ -217,11 +200,6 @@ impl SimLink {
         self.last_utilization
     }
 
-    /// `true` if the last tick offered more than the capacity.
-    pub fn is_congested(&self) -> bool {
-        self.last_utilization > 1.0
-    }
-
     /// Total bytes delivered over the link's lifetime.
     pub fn delivered_bytes(&self) -> u64 {
         self.delivered_bytes_total
@@ -253,7 +231,7 @@ mod tests {
         assert_eq!(frac, 1.0);
         assert_eq!(dropped, 0);
         assert!((l.utilization() - 0.1).abs() < 1e-9);
-        assert!(!l.is_congested());
+        assert!(l.utilization() <= 1.0);
         assert_eq!(l.delivered_bytes(), 100_000);
     }
 
@@ -264,7 +242,7 @@ mod tests {
         let (frac, dropped) = l.settle_tick(SimDuration::from_secs(1));
         assert!((frac - 0.5).abs() < 1e-9);
         assert_eq!(dropped, 1_000_000);
-        assert!(l.is_congested());
+        assert!(l.utilization() > 1.0);
         assert_eq!(l.delivered_bytes(), 1_000_000);
         assert_eq!(l.dropped_bytes(), 1_000_000);
     }
@@ -313,7 +291,7 @@ mod tests {
         let (frac, dropped) = l.settle_tick(SimDuration::from_secs(1));
         assert!((frac - 0.5).abs() < 1e-9, "frac {frac}");
         assert_eq!(dropped, 500_000);
-        assert!(l.is_congested());
+        assert!(l.utilization() > 1.0);
     }
 
     #[test]
@@ -329,15 +307,15 @@ mod tests {
                 a.settle_tick(SimDuration::from_millis(100)),
                 b.settle_tick(SimDuration::from_millis(100))
             );
-            assert_eq!(a.last_latency_us(), b.last_latency_us());
+            assert_eq!(a.last_latency_us, b.last_latency_us);
         }
         let mut c = link(8_000_000);
         c.set_model(LinkModel::wan(), 100);
         c.offer(10_000);
         c.settle_tick(SimDuration::from_millis(100));
         // A different seed produces a different latency stream.
-        assert_ne!(a.last_latency_us(), 0);
-        assert_ne!(c.last_latency_us(), a.last_latency_us());
+        assert_ne!(a.last_latency_us, 0);
+        assert_ne!(c.last_latency_us, a.last_latency_us);
     }
 
     #[test]
@@ -352,16 +330,16 @@ mod tests {
         b.set_model(LinkModel::wan(), 7);
         a.settle_tick(SimDuration::from_millis(100));
         b.settle_tick(SimDuration::from_millis(100));
-        assert_ne!(a.last_latency_us(), b.last_latency_us());
+        assert_ne!(a.last_latency_us, b.last_latency_us);
     }
 
     #[test]
     fn latency_draws_ride_above_base_latency() {
         let mut l = link(8_000_000);
-        l.set_model(LinkModel::lan(), 5);
+        l.set_model(LinkModel::wan(), 5);
         for _ in 0..100 {
             l.settle_tick(SimDuration::from_millis(100));
-            assert!(l.last_latency_us() >= 200, "{}", l.last_latency_us());
+            assert!(l.last_latency_us >= 20_000, "{}", l.last_latency_us);
         }
     }
 
@@ -380,19 +358,19 @@ mod tests {
         }
         let rate = dropped_ticks as f64 / ticks as f64;
         assert!((rate - 0.1).abs() < 0.01, "observed drop rate {rate}");
-        assert_eq!(l.queue_dropped_bytes(), dropped_ticks * 1_000);
-        assert_eq!(l.dropped_bytes(), l.queue_dropped_bytes());
+        assert_eq!(l.queue_dropped_total, dropped_ticks * 1_000);
+        assert_eq!(l.dropped_bytes(), l.queue_dropped_total);
     }
 
     #[test]
     fn zero_drop_model_never_queue_drops() {
         let mut l = link(8_000_000);
-        l.set_model(LinkModel::lan(), 1);
+        l.set_model(LinkModel::lossy(0.0), 1);
         for _ in 0..1_000 {
             l.offer(1_000);
             l.settle_tick(SimDuration::from_millis(100));
         }
-        assert_eq!(l.queue_dropped_bytes(), 0);
+        assert_eq!(l.queue_dropped_total, 0);
         assert_eq!(l.delivered_bytes(), 1_000_000);
     }
 

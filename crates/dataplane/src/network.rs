@@ -63,11 +63,13 @@ pub enum ExpiryMode {
     Scan,
 }
 
+/// The traffic-crediting tick: the simulator advances virtual time in
+/// these steps.
+pub const TICK: SimDuration = SimDuration::from_secs(1);
+
 /// Simulator configuration.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NetworkConfig {
-    /// The traffic-crediting tick.
-    pub tick: SimDuration,
     /// When set, every southbound message is encoded to its OpenFlow wire
     /// form and decoded back before delivery (and the round-trip is
     /// asserted lossless) — the control channel then exercises the real
@@ -80,7 +82,6 @@ pub struct NetworkConfig {
 impl Default for NetworkConfig {
     fn default() -> Self {
         NetworkConfig {
-            tick: SimDuration::from_secs(1),
             wire_mode: None,
             expiry: ExpiryMode::Wheel,
         }

@@ -36,7 +36,7 @@
 use crate::flow::{ActiveFlow, FlowSpec};
 use crate::link::{LinkModel, SimLink};
 use crate::network::{
-    apply_rewrites, via_wire, ControllerLink, ExpiryMode, NetworkConfig, NetworkCounters,
+    apply_rewrites, via_wire, ControllerLink, ExpiryMode, NetworkConfig, NetworkCounters, TICK,
 };
 use crate::punt::{PuntDiscipline, MAX_PUNT_RETRIES};
 use crate::switch::SimSwitch;
@@ -95,11 +95,6 @@ impl ShardPlan {
     /// Number of shards in the plan.
     pub fn n_shards(&self) -> usize {
         self.groups.len()
-    }
-
-    /// The dpids assigned to shard `i` (sorted ascending).
-    pub fn shard_dpids(&self, i: usize) -> &[Dpid] {
-        self.groups.get(i).map_or(&[], Vec::as_slice)
     }
 }
 
@@ -827,7 +822,7 @@ impl<P: PuntDiscipline> Engine<P> {
     pub fn step(&mut self, ctrl: &mut impl ControllerLink) {
         let before = self.counters;
         let step_timer = self.tel.step_ns.start_timer();
-        let tick = self.config.tick;
+        let tick = TICK;
         let t = self.now + tick;
         self.now = t;
 
@@ -1000,14 +995,14 @@ impl<P: PuntDiscipline> Engine<P> {
                 link.offer(bytes);
             }
         }
-        let tick = self.config.tick;
+        let tick = TICK;
         self.each_shard(move |s| s.settle(tick));
     }
 
     /// Credits every routed item's delivered share to the switches on its
     /// path and to its flow, then empties `items` and `stream`. Shards
     /// replay their credit queues in parallel.
-    pub(crate) fn credit(&mut self) {
+    fn credit(&mut self) {
         self.queue_credits();
         let t = self.now;
         self.each_shard(move |s| s.run_credits(t));
@@ -1171,7 +1166,7 @@ impl<P: PuntDiscipline> Engine<P> {
         let now = self.now;
         let wire = self.config.wire_mode;
         let mode = self.config.expiry;
-        let tick = self.config.tick;
+        let tick = TICK;
         let mut depth = 0;
         while !commands.is_empty() && depth < 8 {
             depth += 1;
@@ -1335,7 +1330,7 @@ mod tests {
         assert_eq!(plan.n_shards(), 5);
         let mut all: Vec<Dpid> = Vec::new();
         for i in 0..plan.n_shards() {
-            let group = plan.shard_dpids(i);
+            let group = &plan.groups[i];
             assert!(!group.is_empty());
             assert!(group.windows(2).all(|w| w[0] < w[1]), "sorted in shard");
             if let (Some(last), Some(first)) = (all.last(), group.first()) {
@@ -1346,7 +1341,7 @@ mod tests {
         assert_eq!(all.len(), topo.switches.len());
         let again = ShardPlan::partition(&topo, 5);
         for i in 0..5 {
-            assert_eq!(plan.shard_dpids(i), again.shard_dpids(i));
+            assert_eq!(plan.groups[i], again.groups[i]);
         }
         // Degenerate requests clamp instead of panicking.
         assert_eq!(ShardPlan::partition(&topo, 0).n_shards(), 1);

@@ -100,8 +100,7 @@ impl SimSwitch {
             port.rx_packets += packets;
             port.rx_bytes += bytes;
         }
-        // A miss is not counted as a drop here: the engine decides, and
-        // calls `count_rx_drop` if it does.
+        // A miss is not counted as a drop: the engine punts it.
         let entry = self.table.lookup(pkt, now, packets, bytes)?;
         for out in entry.actions.iter().filter_map(|a| a.output_port()) {
             if let Some(port) = port_mut(&mut self.ports, out) {
@@ -121,13 +120,6 @@ impl SimSwitch {
     pub fn count_tx_drop(&mut self, port: PortNo, packets: u64) {
         if let Some(p) = port_mut(&mut self.ports, port) {
             p.tx_dropped += packets;
-        }
-    }
-
-    /// Records dropped traffic on a port's rx side (no route / no rule).
-    pub fn count_rx_drop(&mut self, port: PortNo, packets: u64) {
-        if let Some(p) = port_mut(&mut self.ports, port) {
-            p.rx_dropped += packets;
         }
     }
 
@@ -378,7 +370,6 @@ mod tests {
     fn drop_counters() {
         let mut sw = SimSwitch::new(Dpid::new(1), 2);
         sw.count_tx_drop(PortNo::new(1), 3);
-        sw.count_rx_drop(PortNo::new(2), 4);
         let StatsReply::Port(ports) = sw.stats(
             &StatsRequest::Port {
                 port_no: PortNo::ANY,
@@ -388,6 +379,6 @@ mod tests {
             panic!("expected port stats");
         };
         assert_eq!(ports[0].tx_dropped, 3);
-        assert_eq!(ports[1].rx_dropped, 4);
+        assert_eq!(ports[1].rx_dropped, 0);
     }
 }

@@ -115,7 +115,7 @@ impl Topology {
     }
 
     /// [`Topology::enterprise`] with a custom host count per edge switch.
-    pub fn enterprise_with_hosts(hosts_per_edge: usize) -> Self {
+    fn enterprise_with_hosts(hosts_per_edge: usize) -> Self {
         let mut t = Topology::default();
         // Core switches 1..=6, two per controller domain.
         for c in 0..6u64 {

@@ -75,11 +75,6 @@ impl<K: Ord + Copy> TimingWheel<K> {
         self.now
     }
 
-    /// How many times a coarser level spilled into a finer one.
-    pub fn cascades(&self) -> u64 {
-        self.cascades
-    }
-
     /// Schedules `key` to fire once `advance` passes `due`. A due time
     /// at or before the current time fires on the next advance.
     pub fn schedule(&mut self, due: u64, key: K) {
@@ -245,7 +240,7 @@ mod tests {
                 .map(|(i, d)| (*d, i as u32))
                 .collect::<Vec<_>>()
         );
-        assert!(w.cascades() > 0);
+        assert!(w.cascades > 0);
     }
 
     #[test]

@@ -128,11 +128,6 @@ impl<C> ChaosChannel<C> {
     pub fn profile(&self) -> MessageFaultProfile {
         self.profile
     }
-
-    /// Messages currently held in the delay queue.
-    pub fn delayed_len(&self) -> usize {
-        self.delayed.len()
-    }
 }
 
 impl<C: ControllerLink> ControllerLink for ChaosChannel<C> {
@@ -274,7 +269,7 @@ mod tests {
         ch.set_message_faults(MessageFaultProfile::delays(1.0, SimDuration::from_secs(3)));
         ch.on_message(Dpid::new(1), hello(1), SimTime::from_secs(1));
         assert!(ch.inner().seen.is_empty());
-        assert_eq!(ch.delayed_len(), 1);
+        assert_eq!(ch.delayed.len(), 1);
         // Not due yet.
         ch.on_tick(SimTime::from_secs(2));
         assert!(ch.inner().seen.is_empty());
@@ -282,7 +277,7 @@ mod tests {
         ch.on_tick(SimTime::from_secs(4));
         assert_eq!(ch.inner().seen, vec![(Dpid::new(1), SimTime::from_secs(4))]);
         assert_eq!(ch.counters().delayed, 1);
-        assert_eq!(ch.delayed_len(), 0);
+        assert_eq!(ch.delayed.len(), 0);
     }
 
     #[test]

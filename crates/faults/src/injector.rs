@@ -93,7 +93,7 @@ impl FaultInjector {
 
     /// Applies every event due at or before `now`. Returns how many were
     /// applied.
-    pub fn apply_due<P: PuntDiscipline, T: FaultTarget>(
+    fn apply_due<P: PuntDiscipline, T: FaultTarget>(
         &mut self,
         now: SimTime,
         net: &mut Engine<P>,

@@ -137,7 +137,7 @@ impl KMeansModel {
     }
 
     /// Squared distance to the nearest centroid (an anomaly score).
-    pub fn distance_to_nearest(&self, x: &[f64]) -> f64 {
+    fn distance_to_nearest(&self, x: &[f64]) -> f64 {
         nearest(&self.centroids, x).1
     }
 

@@ -124,20 +124,6 @@ impl LinearModel {
     pub fn predict_value(&self, x: &[f64]) -> f64 {
         self.weights.dot_slice(x) + self.bias
     }
-
-    /// Mean squared error over a data set.
-    pub fn mse(&self, data: &[LabeledPoint]) -> f64 {
-        if data.is_empty() {
-            return 0.0;
-        }
-        data.iter()
-            .map(|p| {
-                let e = self.predict_value(&p.features) - p.label;
-                e * e
-            })
-            .sum::<f64>()
-            / data.len() as f64
-    }
 }
 
 fn soft_threshold(x: f64, tau: f64) -> f64 {
@@ -178,7 +164,12 @@ mod tests {
             &data,
         )
         .unwrap();
-        assert!(m.mse(&data) < 1e-3, "mse {}", m.mse(&data));
+        let mse = data
+            .iter()
+            .map(|p| (m.predict_value(&p.features) - p.label).powi(2))
+            .sum::<f64>()
+            / data.len() as f64;
+        assert!(mse < 1e-3, "mse {mse}");
         assert!((m.weights[0] - 2.0).abs() < 0.1);
         assert!((m.weights[1] + 1.0).abs() < 0.1);
     }

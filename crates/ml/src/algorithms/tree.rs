@@ -64,14 +64,6 @@ impl Node {
             Node::Split { left, right, .. } => 1 + left.depth().max(right.depth()),
         }
     }
-
-    /// Number of leaves in the subtree.
-    pub fn leaves(&self) -> usize {
-        match self {
-            Node::Leaf(_) => 1,
-            Node::Split { left, right, .. } => left.leaves() + right.leaves(),
-        }
-    }
 }
 
 /// A fitted CART decision tree.
@@ -341,7 +333,7 @@ mod tests {
         )
         .unwrap();
         // Feature 0 is constant, so the tree cannot split.
-        assert_eq!(m.root.leaves(), 1);
+        assert_eq!(m.root.depth(), 1);
     }
 
     #[test]

@@ -61,7 +61,7 @@ pub use algorithms::svm::SvmModel;
 pub use algorithms::threshold::ThresholdModel;
 pub use algorithms::tree::DecisionTreeModel;
 pub use data::LabeledPoint;
-pub use linalg::{mean_of, DenseVector};
+pub use linalg::DenseVector;
 pub use metrics::{group_digits, ClusterReport, ConfusionMatrix, ValidationSummary};
 pub use model::{Algorithm, AlgorithmCategory, Model, TrainedModel};
 pub use preprocess::{FittedPreprocessor, Normalization, Preprocessor};

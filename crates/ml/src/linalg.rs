@@ -106,22 +106,6 @@ impl DerefMut for DenseVector {
     }
 }
 
-/// Component-wise mean of a set of equal-dimension slices.
-///
-/// Returns `None` for an empty input.
-pub fn mean_of<'a>(rows: impl IntoIterator<Item = &'a [f64]>) -> Option<DenseVector> {
-    let mut it = rows.into_iter();
-    let first = it.next()?;
-    let mut acc = DenseVector(first.to_vec());
-    let mut n = 1usize;
-    for row in it {
-        acc.axpy(1.0, row);
-        n += 1;
-    }
-    acc.scale(1.0 / n as f64);
-    Some(acc)
-}
-
 /// Squared Euclidean distance between two slices.
 ///
 /// # Panics
@@ -167,14 +151,6 @@ mod tests {
     #[should_panic(expected = "dimension mismatch")]
     fn dot_rejects_mismatched_dims() {
         let _ = DenseVector::zeros(2).dot(&DenseVector::zeros(3));
-    }
-
-    #[test]
-    fn mean_of_rows() {
-        let rows: Vec<Vec<f64>> = vec![vec![0.0, 2.0], vec![2.0, 4.0]];
-        let m = mean_of(rows.iter().map(Vec::as_slice)).unwrap();
-        assert_eq!(m.0, vec![1.0, 3.0]);
-        assert!(mean_of(std::iter::empty()).is_none());
     }
 
     #[test]

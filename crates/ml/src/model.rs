@@ -148,12 +148,6 @@ impl Algorithm {
         }
     }
 
-    /// Whether this algorithm needs a learning phase (everything except
-    /// the threshold rule).
-    pub fn needs_training(&self) -> bool {
-        !matches!(self, Algorithm::Threshold(_))
-    }
-
     /// Fits the algorithm on in-memory data.
     ///
     /// For clustering algorithms the Detector Manager's auto-configuration
@@ -548,7 +542,6 @@ mod tests {
     #[test]
     fn threshold_needs_no_training() {
         let a = Algorithm::threshold(0, 10.0);
-        assert!(!a.needs_training());
         // Fitting on an empty set works since no learning happens.
         let m = a.fit(&blobs(2, 1, 0)).unwrap();
         assert_eq!(m.predict(&[20.0]), 1.0);

@@ -338,11 +338,6 @@ impl Observe {
         self.inner.state.lock().series.sample_count()
     }
 
-    /// Runs `f` over the sampled series engine.
-    pub fn with_series<R>(&self, f: impl FnOnce(&SeriesEngine) -> R) -> R {
-        f(&self.inner.state.lock().series)
-    }
-
     /// Exports the causal trace as Chrome-trace JSON
     /// (`chrome://tracing` loadable).
     pub fn export_chrome_trace(&self) -> String {
@@ -408,11 +403,6 @@ pub struct SpanGuard {
 }
 
 impl SpanGuard {
-    /// The span's trace context (zeros for a disabled handle).
-    pub fn context(&self) -> TraceContext {
-        self.ctx
-    }
-
     /// Finishes the span with a detail string. `detail` is only
     /// rendered when the span is being recorded, so pass
     /// `format_args!(..)` rather than a formatted `String`.
@@ -473,10 +463,10 @@ mod tests {
         let obs = Observe::new(7);
         {
             let root = obs.span_at("dataplane", "packet_in", SimTime::from_secs(1));
-            let root_ctx = root.context();
+            let root_ctx = root.ctx;
             {
                 let child = obs.span("controller", "packet_in");
-                assert_eq!(child.context().trace_id, root_ctx.trace_id);
+                assert_eq!(child.ctx.trace_id, root_ctx.trace_id);
                 obs.event("core", "verdict", "benign");
                 child.finish("handled");
             }

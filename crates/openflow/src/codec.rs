@@ -39,7 +39,7 @@ pub enum OfVersion {
 
 impl OfVersion {
     /// The wire version byte.
-    pub const fn wire_byte(self) -> u8 {
+    const fn wire_byte(self) -> u8 {
         match self {
             OfVersion::V1_0 => 0x01,
             OfVersion::V1_3 => 0x04,
@@ -51,7 +51,7 @@ impl OfVersion {
     /// # Errors
     ///
     /// Returns [`AthenaError::Codec`] for unsupported versions.
-    pub fn from_wire_byte(b: u8) -> Result<Self> {
+    fn from_wire_byte(b: u8) -> Result<Self> {
         match b {
             0x01 => Ok(OfVersion::V1_0),
             0x04 => Ok(OfVersion::V1_3),

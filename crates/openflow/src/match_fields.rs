@@ -99,13 +99,13 @@ impl MatchFields {
     }
 
     /// Sets the source MAC.
-    pub fn with_eth_src(mut self, m: MacAddr) -> Self {
+    fn with_eth_src(mut self, m: MacAddr) -> Self {
         self.eth_src = Some(m);
         self
     }
 
     /// Sets the destination MAC.
-    pub fn with_eth_dst(mut self, m: MacAddr) -> Self {
+    fn with_eth_dst(mut self, m: MacAddr) -> Self {
         self.eth_dst = Some(m);
         self
     }
@@ -151,7 +151,7 @@ impl MatchFields {
     }
 
     /// Sets the transport source port.
-    pub fn with_tp_src(mut self, p: u16) -> Self {
+    fn with_tp_src(mut self, p: u16) -> Self {
         self.tp_src = Some(p);
         self
     }
@@ -235,11 +235,6 @@ impl MatchFields {
         s += u32::from(self.tp_src.is_some());
         s += u32::from(self.tp_dst.is_some());
         s
-    }
-
-    /// Returns `true` if this match is the all-wildcard match.
-    pub fn is_wildcard_all(&self) -> bool {
-        *self == MatchFields::default()
     }
 
     /// Returns `true` if every packet matched by `self` is also matched by
@@ -347,7 +342,6 @@ mod tests {
     #[test]
     fn wildcard_matches_everything() {
         assert!(MatchFields::new().matches(&pkt()));
-        assert!(MatchFields::new().is_wildcard_all());
     }
 
     #[test]

@@ -137,7 +137,7 @@ impl PacketHeader {
 }
 
 /// Derives a stable MAC address from an IPv4 address.
-pub fn mac_for_ip(ip: Ipv4Addr) -> MacAddr {
+fn mac_for_ip(ip: Ipv4Addr) -> MacAddr {
     let o = ip.octets();
     MacAddr::new([0x02, 0x1a, o[0], o[1], o[2], o[3]])
 }

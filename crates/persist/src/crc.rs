@@ -60,16 +60,15 @@ impl Default for Crc32 {
     }
 }
 
-/// One-shot CRC32 of a byte slice.
-pub fn crc32(bytes: &[u8]) -> u32 {
-    let mut c = Crc32::new();
-    c.update(bytes);
-    c.finish()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn crc32(bytes: &[u8]) -> u32 {
+        let mut c = Crc32::new();
+        c.update(bytes);
+        c.finish()
+    }
 
     #[test]
     fn matches_known_vectors() {

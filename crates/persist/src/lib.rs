@@ -46,7 +46,6 @@ pub mod journal;
 pub mod record;
 pub mod wal;
 
-pub use crc::crc32;
 pub use journal::{
     read_snapshot_file, write_snapshot_file, Checkpoint, Journal, PersistConfig, Recovery,
 };

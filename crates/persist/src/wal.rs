@@ -55,7 +55,7 @@ fn segment_path(dir: &Path, index: u64) -> PathBuf {
 }
 
 /// Lists WAL segment files in `dir`, sorted by segment index.
-pub fn list_segments(dir: &Path) -> Result<Vec<(u64, PathBuf)>> {
+fn list_segments(dir: &Path) -> Result<Vec<(u64, PathBuf)>> {
     let mut segs = Vec::new();
     let entries = match fs::read_dir(dir) {
         Ok(e) => e,
@@ -184,11 +184,6 @@ impl Wal {
         self.seg_bytes = 0;
         Ok(())
     }
-
-    /// Number of the segment currently being appended to.
-    pub fn segment_index(&self) -> u64 {
-        self.seg_index
-    }
 }
 
 #[cfg(test)]
@@ -240,7 +235,7 @@ mod tests {
         let dir = test_dir();
         let mut wal = Wal::open(&dir, 128).unwrap();
         fill(&mut wal, 20);
-        assert!(wal.segment_index() > 0, "expected rollover");
+        assert!(wal.seg_index > 0, "expected rollover");
         let replay = replay_dir(&dir, 0).unwrap();
         assert_eq!(replay.stats.replayed, 20);
         fs::remove_dir_all(&dir).unwrap();

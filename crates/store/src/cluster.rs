@@ -438,13 +438,13 @@ impl StoreCluster {
     }
 
     /// Number of nodes currently down.
-    pub fn down_count(&self) -> usize {
+    fn down_count(&self) -> usize {
         self.nodes.iter().filter(|n| !n.is_up()).count()
     }
 
     /// The minimum number of replica writes for an insert to succeed
     /// (majority of the replication factor).
-    pub fn write_quorum(&self) -> usize {
+    fn write_quorum(&self) -> usize {
         self.replication / 2 + 1
     }
 
@@ -490,12 +490,12 @@ impl StoreCluster {
         out
     }
 
-    pub(crate) fn primary_for(&self, id: DocId) -> usize {
+    fn primary_for(&self, id: DocId) -> usize {
         // Fibonacci hashing of the id spreads sequential ids uniformly.
         (id.0.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 32) as usize % self.nodes.len()
     }
 
-    pub(crate) fn replicas_for(&self, id: DocId) -> impl Iterator<Item = usize> + '_ {
+    fn replicas_for(&self, id: DocId) -> impl Iterator<Item = usize> + '_ {
         let primary = self.primary_for(id);
         (0..self.replication).map(move |k| (primary + k) % self.nodes.len())
     }
@@ -504,7 +504,7 @@ impl StoreCluster {
     /// replica set, with each down member handed off to the next live
     /// ring node not already holding a copy (consistent-hashing-style
     /// hinted handoff). Returns `(targets, handoff_count)`.
-    pub(crate) fn write_targets(&self, id: DocId) -> (WriteTargets, u64) {
+    fn write_targets(&self, id: DocId) -> (WriteTargets, u64) {
         let n = self.nodes.len();
         let primary = self.primary_for(id);
         if self.replicas_for(id).all(|idx| self.nodes[idx].is_up()) {
@@ -655,8 +655,7 @@ impl CollectionHandle {
     /// The write is journaled and applied on the primary and every
     /// replica. When a preferred replica is down, the write is handed
     /// off to the next live ring node; the insert succeeds as long as a
-    /// majority of the replication factor ([`StoreCluster::write_quorum`])
-    /// is written.
+    /// majority of the replication factor (the write quorum) is written.
     ///
     /// # Errors
     ///

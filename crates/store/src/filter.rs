@@ -170,7 +170,7 @@ impl fmt::Display for Filter {
 }
 
 /// Numeric-aware equality: `1` equals `1.0`.
-pub fn values_equal(a: &Value, b: &Value) -> bool {
+fn values_equal(a: &Value, b: &Value) -> bool {
     match (a.as_f64(), b.as_f64()) {
         (Some(x), Some(y)) => x == y,
         _ => a == b,

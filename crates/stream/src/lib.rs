@@ -6,9 +6,9 @@
 //!
 //! - [`window`] — ring-buffer sliding feature windows with O(1)
 //!   add/evict aggregate updates, provably equal to a full batch
-//!   recompute (the proptest gate) and aligned to the Feature
-//!   Generator's own [`athena_core::Windowing`] boundaries, so stream
-//!   and batch share one windowing definition.
+//!   recompute (the proptest gate), computing rates with the Feature
+//!   Generator's own [`athena_core::Windowing`], so stream and batch
+//!   share one windowing definition.
 //! - [`online`] — cheap incremental learners (sequential k-means,
 //!   streaming quantile/threshold, incremental naive Bayes) behind the
 //!   [`OnlineModel`] trait, with deterministic `partial_fit`/`predict`

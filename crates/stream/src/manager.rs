@@ -207,11 +207,6 @@ impl RetrainLoop {
         }
     }
 
-    /// The validator slot this loop hot-swaps.
-    pub fn validator(&self) -> usize {
-        self.validator
-    }
-
     /// Labeled points currently in the live window.
     pub fn live_points(&self) -> usize {
         self.live.lock().entries.len()

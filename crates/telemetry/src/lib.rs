@@ -105,11 +105,6 @@ impl Telemetry {
         self.inner.enabled.load(Ordering::Relaxed)
     }
 
-    /// Flips recording on or off for every instrument already handed out.
-    pub fn set_enabled(&self, on: bool) {
-        self.inner.enabled.store(on, Ordering::Relaxed);
-    }
-
     /// Snapshots every metric into a printable/exportable report.
     pub fn report(&self) -> TelemetryReport {
         self.inner.metrics.report()
@@ -153,20 +148,6 @@ mod tests {
         h.record(99);
         assert_eq!(c.get(), 0);
         assert_eq!(h.snapshot().count, 0);
-    }
-
-    #[test]
-    fn set_enabled_flips_existing_handles() {
-        let tel = Telemetry::off();
-        let c = tel.metrics().counter("a", "hits");
-        c.inc();
-        assert_eq!(c.get(), 0);
-        tel.set_enabled(true);
-        c.inc();
-        assert_eq!(c.get(), 1);
-        tel.set_enabled(false);
-        c.inc();
-        assert_eq!(c.get(), 1);
     }
 
     #[test]

@@ -65,14 +65,6 @@ impl AthenaError {
             input: input.into(),
         }
     }
-
-    /// Creates a [`AthenaError::NotFound`] error.
-    pub fn not_found(entity: impl Into<String>, id: impl fmt::Display) -> Self {
-        AthenaError::NotFound {
-            entity: entity.into(),
-            id: id.to_string(),
-        }
-    }
 }
 
 impl fmt::Display for AthenaError {
@@ -108,7 +100,10 @@ mod tests {
             (AthenaError::parse("ipv4", "999.1.1.1"), "invalid ipv4"),
             (AthenaError::Codec("short buffer".into()), "codec error"),
             (
-                AthenaError::not_found("switch", "of:01"),
+                AthenaError::NotFound {
+                    entity: "switch".into(),
+                    id: "of:01".into(),
+                },
                 "switch not found",
             ),
             (AthenaError::InvalidQuery("empty".into()), "invalid query"),

@@ -112,7 +112,7 @@ impl From<[u8; 4]> for Ipv4Addr {
 ///
 /// ```
 /// use athena_types::MacAddr;
-/// let m = MacAddr::from_host_index(3);
+/// let m = MacAddr::new([0x02, 0, 0, 0, 0, 0x03]);
 /// assert_eq!(m.to_string(), "02:00:00:00:00:03");
 /// assert!(!m.is_broadcast());
 /// ```
@@ -128,12 +128,6 @@ impl MacAddr {
     /// Creates a MAC address from its six octets.
     pub const fn new(octets: [u8; 6]) -> Self {
         MacAddr(octets)
-    }
-
-    /// Derives a locally-administered MAC for the `n`th simulated host.
-    pub const fn from_host_index(n: u64) -> Self {
-        let b = n.to_be_bytes();
-        MacAddr([0x02, b[3], b[4], b[5], b[6], b[7]])
     }
 
     /// Returns the six octets.
@@ -381,14 +375,6 @@ mod tests {
         assert!(a.in_subnet(Ipv4Addr::new(10, 0, 3, 0), 24));
         assert!(!a.in_subnet(Ipv4Addr::new(10, 0, 4, 0), 24));
         assert!(a.in_subnet(Ipv4Addr::UNSPECIFIED, 0));
-    }
-
-    #[test]
-    fn mac_from_host_index_is_unique_and_local() {
-        let a = MacAddr::from_host_index(1);
-        let b = MacAddr::from_host_index(2);
-        assert_ne!(a, b);
-        assert_eq!(a.octets()[0], 0x02);
     }
 
     #[test]

@@ -27,7 +27,7 @@
 //! ([`acquisitions`]): a clock-free measure of what one operation locks,
 //! which a test can pin.
 //!
-//! When the sentinel is disabled, [`acquire`] is one relaxed atomic load
+//! When the sentinel is disabled, `acquire` is one relaxed atomic load
 //! and the tracked types add a `&'static str` per lock — cheap enough to
 //! leave compiled into release builds.
 
@@ -99,7 +99,7 @@ fn state_guard() -> std::sync::MutexGuard<'static, SentinelState> {
 /// Records the acquisition of lock `name` (instance at `addr`, taken as
 /// `access`) by the current thread. Returns a token that pops the
 /// thread's held stack when dropped, or `None` when tracking is disabled.
-pub fn acquire(name: &'static str, addr: usize, access: Access) -> Option<HeldLock> {
+fn acquire(name: &'static str, addr: usize, access: Access) -> Option<HeldLock> {
     if !enabled() {
         return None;
     }
@@ -122,7 +122,7 @@ pub fn acquire(name: &'static str, addr: usize, access: Access) -> Option<HeldLo
     Some(HeldLock { name, addr })
 }
 
-/// Release token returned by [`acquire`]; dropping it pops the matching
+/// Release token returned by `acquire`; dropping it pops the matching
 /// entry from the thread's held-lock stack.
 pub struct HeldLock {
     name: &'static str,
@@ -301,18 +301,6 @@ impl<T: ?Sized> TrackedRwLock<T> {
             g: self.inner.read(),
             _held: held,
         }
-    }
-
-    /// Tries to acquire a read guard without blocking; the acquisition
-    /// is recorded only on success.
-    pub fn try_read(&self) -> Option<TrackedReadGuard<'_, T>> {
-        let g = self.inner.try_read()?;
-        let held = acquire(
-            self.name,
-            std::ptr::from_ref(self) as *const () as usize,
-            Access::Read,
-        );
-        Some(TrackedReadGuard { g, _held: held })
     }
 
     /// Acquires an exclusive write guard, recording the acquisition.

@@ -25,6 +25,11 @@ timed_gate() {
 echo "==> cargo fmt --check"
 cargo fmt --check
 
+echo "==> the ledger compiles (every pub item it calls still exists)"
+# `ledger/` is outside the workspace; a deleted or privatized item it
+# calls fails here in seconds instead of at the ledger step at the end.
+cargo check --offline --manifest-path ledger/Cargo.toml
+
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets --offline -- -D warnings
 

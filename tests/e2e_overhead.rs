@@ -14,7 +14,7 @@ use athena::apps::{DdosDataset, DdosDetector, DdosDetectorConfig};
 use athena::controller::cbench::{throughput_round, CbenchResponder};
 use athena::controller::ControllerCluster;
 use athena::core::{Athena, AthenaConfig};
-use athena::dataplane::{workload, Network, NetworkCounters, Topology};
+use athena::dataplane::{workload, Network, NetworkCounters, Topology, TICK};
 use athena::ml::Algorithm;
 use athena::observe::Observe;
 use athena::telemetry::{names, Telemetry};
@@ -276,7 +276,7 @@ fn span_counts_equal_the_functional_counters_of_the_same_run() {
     assert!(jobs > 0);
     assert_eq!(span_count("compute", "job"), jobs);
 
-    let ticks = net.now().as_micros() / net.config().tick.as_micros();
+    let ticks = net.now().as_micros() / TICK.as_micros();
     let steps = m
         .histogram(names::dataplane::SUBSYSTEM, names::dataplane::STEP_NS)
         .snapshot()

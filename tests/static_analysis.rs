@@ -2,8 +2,8 @@
 //!
 //! This runs the same engine as `cargo run -p athena-analyze --bin
 //! athena-lint`, in-process, so `cargo test` fails whenever a
-//! panic-freedom, unsafe-freedom, lock-discipline, lock-order, or
-//! error-hygiene violation lands in production code — including
+//! panic-freedom, unsafe-freedom, lock-discipline, lock-order,
+//! error-hygiene or unused-pub violation lands in production code — including
 //! violations only visible through the workspace call graph (a panicking
 //! helper three hops below a hot entry point, or a lock acquired in an
 //! order that contradicts the derived acquisition graph).
@@ -415,4 +415,75 @@ fn lint_catches_println_in_library_code() {
     let mut out = Vec::new();
     no_println_in_lib(&bin, &config, &mut out);
     assert!(out.is_empty(), "exempt binaries may print: {out:?}");
+}
+
+/// The names `unused-pub` flags among `files`.
+fn unused_pub(files: &[SourceFile]) -> Vec<String> {
+    let analysis = athena_analyze::analyze_sources(&test_config(""), files);
+    let all = analysis.report.diagnostics.iter();
+    all.filter(|d| d.rule == "unused-pub")
+        .map(|d| format!("{}:{}", d.file, d.line))
+        .collect()
+}
+
+#[test]
+fn unused_pub_counts_names_in_tests_and_the_ledger() {
+    // A name is used when any other file spells it — a reference-only
+    // source counts, and is itself checked by no rule.
+    let api = || {
+        file(
+            "crates/x/src/api.rs",
+            "pub fn probed_by_tests() {}\npub fn probed_by_ledger() {}",
+        )
+    };
+    let tests = || {
+        file(
+            "tests/e2e.rs",
+            "fn main() { println!(\"{:?}\", probed_by_tests()); }",
+        )
+    };
+    let ledger = || file("ledger/src/probes.rs", "fn p() { probed_by_ledger(); }");
+
+    assert_eq!(unused_pub(&[api(), tests()]), ["crates/x/src/api.rs:2"]);
+    assert_eq!(unused_pub(&[api(), ledger()]), ["crates/x/src/api.rs:1"]);
+    let analysis = athena_analyze::analyze_sources(&test_config(""), &[api(), tests(), ledger()]);
+    let rules: Vec<_> = analysis.report.diagnostics.iter().map(|d| d.rule).collect();
+    assert!(!rules.contains(&"unused-pub"), "{rules:?}");
+    assert!(!rules.contains(&"no-println-in-lib"), "{rules:?}");
+}
+
+#[test]
+fn unused_pub_skips_test_regions() {
+    // A `pub fn` inside `#[cfg(test)]` is test code, never flagged.
+    let files = [file(
+        "crates/x/src/lib.rs",
+        "#[cfg(test)]\nmod oracle { pub fn naive() {} }\n\
+         #[cfg(test)]\npub fn helper() {}",
+    )];
+    assert!(unused_pub(&files).is_empty());
+}
+
+#[test]
+fn unused_pub_ignores_use_items_and_comments() {
+    // A re-export names the function without using it; so does a doc
+    // comment. Both are flagged, `pub(crate)` and qualifiers included.
+    let files = [
+        file(
+            "crates/x/src/wal.rs",
+            "pub fn re_exported() {}\n\
+             /// Called by [`documented`]'s callers.\n\
+             pub(crate) const fn documented() {}\n\
+             pub fn called() {}",
+        ),
+        file(
+            "crates/x/src/lib.rs",
+            "pub use wal::{called, re_exported};\n\
+             // documented() is described here, never called.\n\
+             fn run() { called() }",
+        ),
+    ];
+    assert_eq!(
+        unused_pub(&files),
+        ["crates/x/src/wal.rs:1", "crates/x/src/wal.rs:3"]
+    );
 }
