@@ -110,7 +110,6 @@ impl DdosDetector {
     /// sources through the Attack Reactor.
     pub fn deploy_online(&self, athena: &Athena, model: DetectionModel) -> usize {
         athena.add_online_validator(
-            "ddos-detector",
             &self.query(),
             model,
             Box::new(|record| {

@@ -275,7 +275,6 @@ impl Athena {
     /// Reactor.
     pub fn add_online_validator(
         &self,
-        name: impl Into<String>,
         q: &Query,
         m: DetectionModel,
         on_alert: AlertHandler,
@@ -283,7 +282,7 @@ impl Athena {
         self.runtime
             .detector
             .lock()
-            .add_validator(name, q, m, on_alert)
+            .add_validator("online", q, m, on_alert)
     }
 
     /// Hot-swaps the model behind online validator `index` atomically

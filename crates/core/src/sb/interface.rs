@@ -450,7 +450,6 @@ mod tests {
             )
             .unwrap();
         athena.add_online_validator(
-            "flood",
             &Query::parse("switch==1").unwrap(),
             model,
             Box::new(move |r| {

@@ -68,8 +68,6 @@ impl Default for RetrainPolicy {
 /// Everything a streaming deployment needs besides the runtime itself.
 #[derive(Debug, Clone)]
 pub struct StreamConfig {
-    /// Validator name (appears in `validator_stats`).
-    pub name: String,
     /// Feature names extracted from matching records, in order.
     pub features: Vec<String>,
     /// Which online learner fits the candidates.
@@ -163,7 +161,7 @@ impl RetrainLoop {
             }
             on_alert(r)
         });
-        let validator = athena.add_online_validator(cfg.name.clone(), query, initial, wrapped);
+        let validator = athena.add_online_validator(query, initial, wrapped);
 
         let live = Arc::new(TrackedMutex::new(
             "stream/live",

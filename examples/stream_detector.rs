@@ -74,7 +74,6 @@ fn main() -> Result<()> {
         &athena,
         &det.query(),
         StreamConfig {
-            name: "stream-ddos".to_owned(),
             features: DdosDetector::features(),
             spec: OnlineSpec::NaiveBayes,
             preprocessor: det.preprocessor(),

@@ -333,7 +333,6 @@ fn stream_hot_swap_snapshot() -> Snapshot {
         &r.athena,
         &det.query(),
         StreamConfig {
-            name: "stream-ddos".to_owned(),
             features: DdosDetector::features(),
             spec: OnlineSpec::NaiveBayes,
             preprocessor: det.preprocessor(),

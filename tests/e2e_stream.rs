@@ -155,7 +155,6 @@ fn stream_run(chaos: bool) -> StreamRun {
 
     let snap = snapshot_path();
     let cfg = StreamConfig {
-        name: "stream-ddos".to_owned(),
         features: DdosDetector::features(),
         spec: OnlineSpec::NaiveBayes,
         preprocessor: det.preprocessor(),
