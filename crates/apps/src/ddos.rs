@@ -75,7 +75,7 @@ impl DdosDetector {
     pub fn truth(&self) -> impl Fn(&FeatureRecord) -> bool + '_ {
         let victim = self.config.victim;
         move |r: &FeatureRecord| {
-            r.index
+            r.index()
                 .five_tuple
                 .is_some_and(|ft| ft.dst == victim && ft.proto == IpProto::Udp)
         }
@@ -113,7 +113,7 @@ impl DdosDetector {
             &self.query(),
             model,
             Box::new(|record| {
-                let src = record.index.five_tuple?.src;
+                let src = record.index().five_tuple?.src;
                 Some(Reaction::Block { targets: vec![src] })
             }),
         )
@@ -184,7 +184,9 @@ mod tests {
         assert!(!truth(&mk(IpProto::Tcp, det.config.victim)));
         assert!(!truth(&mk(IpProto::Udp, Ipv4Addr::new(10, 0, 0, 3))));
         // Non-flow records are never malicious.
-        assert!(!truth(&FeatureRecord::default()));
+        assert!(!truth(&FeatureRecord::new(
+            athena_core::FeatureIndex::default()
+        )));
     }
 
     #[test]

@@ -90,9 +90,9 @@ impl LfaMitigator {
                 let util = record.field("PORT_TX_UTILIZATION").unwrap_or(0.0);
                 let drops = record.field("PORT_TX_DROPPED_VAR").unwrap_or(0.0);
                 if util >= util_threshold || drops > drop_threshold {
-                    if let Some(port) = record.index.port {
+                    if let Some(port) = record.index().port {
                         alerts.lock().push(CongestionAlert {
-                            switch: record.index.switch,
+                            switch: record.index().switch,
                             port,
                             utilization: util,
                         });
@@ -143,7 +143,7 @@ impl LfaMitigator {
                 let rx = record.field("HOST_RX_BYTES").unwrap_or(0.0);
                 // Bot profile: wide fan-out, send-heavy.
                 if fanout >= self.config.fanout_threshold && tx > rx * 2.0 {
-                    if let Some(host) = record.index.host {
+                    if let Some(host) = record.index().host {
                         if self.blocked.insert(host) {
                             newly_blocked.push(host);
                         }
@@ -174,20 +174,29 @@ impl LfaMitigator {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use athena_core::{AthenaConfig, FeatureIndex, FeatureRecord};
+    use athena_core::{AthenaConfig, FeatureIndex, FeatureRecord, MessageType, MetaData};
+
+    fn kind(message_type: MessageType) -> MetaData {
+        MetaData {
+            message_type,
+            ..MetaData::default()
+        }
+    }
 
     fn port_record(switch: u64, port: u32, util: f64, drops: f64) -> FeatureRecord {
-        let mut r = FeatureRecord::new(FeatureIndex::port(Dpid::new(switch), PortNo::new(port)));
-        r.meta.message_type = "PORT_STATS".into();
+        let index = FeatureIndex::port(Dpid::new(switch), PortNo::new(port));
+        let mut r = FeatureRecord::new(index).with_meta(kind(MessageType::PORT_STATS));
         r.push_field("PORT_TX_UTILIZATION", util);
         r.push_field("PORT_TX_DROPPED_VAR", drops);
         r
     }
 
     fn host_record(switch: u64, host: Ipv4Addr, tx: f64, rx: f64, fanout: f64) -> FeatureRecord {
-        let mut r = FeatureRecord::new(FeatureIndex::switch(Dpid::new(switch)));
-        r.index.host = Some(host);
-        r.meta.message_type = "HOST_STATE".into();
+        let index = FeatureIndex {
+            host: Some(host),
+            ..FeatureIndex::switch(Dpid::new(switch))
+        };
+        let mut r = FeatureRecord::new(index).with_meta(kind(MessageType::HOST_STATE));
         r.push_field("HOST_TX_BYTES", tx);
         r.push_field("HOST_RX_BYTES", rx);
         r.push_field("HOST_FANOUT", fanout);
@@ -200,9 +209,9 @@ mod tests {
         let lfa = LfaMitigator::new(LfaMitigatorConfig::default());
         lfa.deploy(&athena);
         let mut fm = athena.runtime().feature_manager.lock();
-        fm.ingest(&port_record(2, 1, 0.95, 0.0)).unwrap(); // congested
-        fm.ingest(&port_record(2, 2, 0.10, 0.0)).unwrap(); // fine
-        fm.ingest(&port_record(3, 1, 0.10, 50.0)).unwrap(); // drops
+        fm.ingest(port_record(2, 1, 0.95, 0.0)).unwrap(); // congested
+        fm.ingest(port_record(2, 2, 0.10, 0.0)).unwrap(); // fine
+        fm.ingest(port_record(3, 1, 0.10, 50.0)).unwrap(); // drops
         drop(fm);
         assert_eq!(lfa.pending_alerts(), 2);
     }
@@ -217,10 +226,10 @@ mod tests {
         {
             let mut fm = athena.runtime().feature_manager.lock();
             // Host profiles at switch 2.
-            fm.ingest(&host_record(2, bot, 1e9, 1e6, 12.0)).unwrap();
-            fm.ingest(&host_record(2, benign, 1e8, 9e7, 1.0)).unwrap();
+            fm.ingest(host_record(2, bot, 1e9, 1e6, 12.0)).unwrap();
+            fm.ingest(host_record(2, benign, 1e8, 9e7, 1.0)).unwrap();
             // Congestion at switch 2.
-            fm.ingest(&port_record(2, 1, 0.99, 100.0)).unwrap();
+            fm.ingest(port_record(2, 1, 0.99, 100.0)).unwrap();
         }
         let blocked = lfa.mitigate(&athena);
         assert_eq!(blocked, vec![bot]);
@@ -237,9 +246,9 @@ mod tests {
         lfa.deploy(&athena);
         {
             let mut fm = athena.runtime().feature_manager.lock();
-            fm.ingest(&host_record(2, Ipv4Addr::new(10, 0, 0, 66), 1e9, 0.0, 12.0))
+            fm.ingest(host_record(2, Ipv4Addr::new(10, 0, 0, 66), 1e9, 0.0, 12.0))
                 .unwrap();
-            fm.ingest(&port_record(2, 1, 0.2, 0.0)).unwrap();
+            fm.ingest(port_record(2, 1, 0.2, 0.0)).unwrap();
         }
         assert!(lfa.mitigate(&athena).is_empty());
     }

@@ -100,9 +100,9 @@ impl NaeMonitor {
                 state
                     .lock()
                     .samples
-                    .entry(record.meta.timestamp.as_micros())
+                    .entry(record.meta().timestamp.as_micros())
                     .or_default()
-                    .insert(record.index.switch.raw(), total);
+                    .insert(record.index().switch.raw(), total);
             }),
         )
     }
@@ -161,12 +161,15 @@ impl NaeMonitor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use athena_core::{AthenaConfig, FeatureIndex, FeatureRecord};
+    use athena_core::{AthenaConfig, FeatureIndex, FeatureRecord, MessageType, MetaData};
 
     fn switch_record(switch: u64, t: u64, packets: f64) -> FeatureRecord {
-        let mut r = FeatureRecord::new(FeatureIndex::switch(Dpid::new(switch)));
-        r.meta.message_type = "SWITCH_STATE".into();
-        r.meta.timestamp = SimTime::from_secs(t);
+        let mut r =
+            FeatureRecord::new(FeatureIndex::switch(Dpid::new(switch))).with_meta(MetaData {
+                timestamp: SimTime::from_secs(t),
+                message_type: MessageType::SWITCH_STATE,
+                ..MetaData::default()
+            });
         r.push_field("SWITCH_PACKET_COUNT_TOTAL", packets);
         r
     }
@@ -183,8 +186,8 @@ mod tests {
         let (athena, monitor) = deployed();
         let mut fm = athena.runtime().feature_manager.lock();
         for t in 0..10 {
-            fm.ingest(&switch_record(3, t, 1000.0)).unwrap();
-            fm.ingest(&switch_record(6, t, 1100.0)).unwrap();
+            fm.ingest(switch_record(3, t, 1000.0)).unwrap();
+            fm.ingest(switch_record(6, t, 1100.0)).unwrap();
         }
         drop(fm);
         assert_eq!(monitor.sample_count(), 10);
@@ -197,12 +200,12 @@ mod tests {
         let mut fm = athena.runtime().feature_manager.lock();
         // Balanced until t=5, then the security app drains switch 3.
         for t in 0..5 {
-            fm.ingest(&switch_record(3, t, 1000.0)).unwrap();
-            fm.ingest(&switch_record(6, t, 900.0)).unwrap();
+            fm.ingest(switch_record(3, t, 1000.0)).unwrap();
+            fm.ingest(switch_record(6, t, 900.0)).unwrap();
         }
         for t in 5..10 {
-            fm.ingest(&switch_record(3, t, 50.0)).unwrap();
-            fm.ingest(&switch_record(6, t, 2000.0)).unwrap();
+            fm.ingest(switch_record(3, t, 50.0)).unwrap();
+            fm.ingest(switch_record(6, t, 2000.0)).unwrap();
         }
         drop(fm);
         let violations = monitor.check_sla();
@@ -215,8 +218,8 @@ mod tests {
     fn other_switches_are_ignored() {
         let (athena, monitor) = deployed();
         let mut fm = athena.runtime().feature_manager.lock();
-        fm.ingest(&switch_record(1, 0, 5000.0)).unwrap();
-        fm.ingest(&switch_record(9, 0, 1.0)).unwrap();
+        fm.ingest(switch_record(1, 0, 5000.0)).unwrap();
+        fm.ingest(switch_record(9, 0, 1.0)).unwrap();
         drop(fm);
         assert_eq!(monitor.sample_count(), 0);
         assert!(monitor.check_sla().is_empty());
@@ -228,9 +231,8 @@ mod tests {
         {
             let mut fm = athena.runtime().feature_manager.lock();
             for t in 0..3 {
-                fm.ingest(&switch_record(3, t, f64::from(t as u32)))
-                    .unwrap();
-                fm.ingest(&switch_record(6, t, 10.0)).unwrap();
+                fm.ingest(switch_record(3, t, f64::from(t as u32))).unwrap();
+                fm.ingest(switch_record(6, t, 10.0)).unwrap();
             }
         }
         let series = monitor.series();

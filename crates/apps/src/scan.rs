@@ -71,7 +71,7 @@ impl ScanDetector {
         athena.add_event_handler(
             &q,
             Box::new(move |record: &FeatureRecord| {
-                let Some(ft) = record.index.five_tuple else {
+                let Some(ft) = record.index().five_tuple else {
                     return;
                 };
                 let paired = record.field("PAIR_FLOW").unwrap_or(1.0) >= 0.5;
@@ -133,7 +133,7 @@ impl ScanDetector {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use athena_core::{AthenaConfig, FeatureIndex};
+    use athena_core::{AthenaConfig, FeatureIndex, MessageType, MetaData};
     use athena_types::{Dpid, FiveTuple};
 
     fn flow_record(
@@ -144,8 +144,10 @@ mod tests {
         bytes: f64,
     ) -> FeatureRecord {
         let ft = FiveTuple::tcp(src, 40_000, dst, port);
-        let mut r = FeatureRecord::new(FeatureIndex::flow(Dpid::new(1), ft));
-        r.meta.message_type = "FLOW_STATS".into();
+        let mut r = FeatureRecord::new(FeatureIndex::flow(Dpid::new(1), ft)).with_meta(MetaData {
+            message_type: MessageType::FLOW_STATS,
+            ..MetaData::default()
+        });
         r.push_field("PAIR_FLOW", f64::from(u8::from(paired)));
         r.push_field("FLOW_BYTE_COUNT", bytes);
         r
@@ -161,7 +163,7 @@ mod tests {
         {
             let mut fm = athena.runtime().feature_manager.lock();
             for port in 1..=20u16 {
-                fm.ingest(&flow_record(scanner, target, port, false, 120.0))
+                fm.ingest(flow_record(scanner, target, port, false, 120.0))
                     .unwrap();
             }
         }
@@ -184,11 +186,11 @@ mod tests {
             let mut fm = athena.runtime().feature_manager.lock();
             // Few ports, paired, real volume: a browser, not a scanner.
             for port in [80u16, 443, 8080] {
-                fm.ingest(&flow_record(client, server, port, true, 500_000.0))
+                fm.ingest(flow_record(client, server, port, true, 500_000.0))
                     .unwrap();
             }
             // Unpaired but heavy flows are also not probes.
-            fm.ingest(&flow_record(client, server, 21, false, 1e7))
+            fm.ingest(flow_record(client, server, 21, false, 1e7))
                 .unwrap();
         }
         assert!(det.detect(&athena).is_empty());
@@ -209,7 +211,7 @@ mod tests {
         {
             let mut fm = athena.runtime().feature_manager.lock();
             for port in 1..=6u16 {
-                fm.ingest(&flow_record(
+                fm.ingest(flow_record(
                     scanner,
                     Ipv4Addr::new(10, 0, 1, 1),
                     port,

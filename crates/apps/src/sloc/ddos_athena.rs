@@ -8,7 +8,9 @@
 //! developer writes.
 
 use super::{DetectorOutput, RawFlowSample};
-use athena_core::{Athena, AthenaConfig, FeatureIndex, FeatureRecord, QueryBuilder};
+use athena_core::{
+    Athena, AthenaConfig, FeatureIndex, FeatureRecord, MessageType, MetaData, QueryBuilder,
+};
 use athena_ml::{Algorithm, Normalization, Preprocessor};
 use athena_types::Dpid;
 use std::collections::HashSet;
@@ -88,8 +90,11 @@ fn ingest(athena: &Athena, samples: &[RawFlowSample], phase: &str) {
     for s in samples {
         let dur = s.duration_us as f64 / 1e6;
         let paired = tuples.contains(&s.five_tuple.reversed());
-        let mut r = FeatureRecord::new(FeatureIndex::flow(Dpid::new(s.switch), s.five_tuple));
-        r.meta.message_type = "FLOW_STATS".into();
+        let index = FeatureIndex::flow(Dpid::new(s.switch), s.five_tuple);
+        let mut r = FeatureRecord::new(index).with_meta(MetaData {
+            message_type: MessageType::FLOW_STATS,
+            ..MetaData::default()
+        });
         r.push_field("PAIR_FLOW", f64::from(u8::from(paired)));
         r.push_field("PAIR_FLOW_RATIO", pair_ratio);
         r.push_field("FLOW_PACKET_COUNT", s.packet_count as f64);
@@ -104,10 +109,10 @@ fn ingest(athena: &Athena, samples: &[RawFlowSample], phase: &str) {
         r.push_field("FLOW_DURATION_NSEC", (dur.fract() * 1e9).floor());
         r.push_field("FLOW_TP_DST", f64::from(s.five_tuple.dst_port));
         r.push_field("truth", f64::from(u8::from(s.malicious)));
-        // The phase tag rides in the stored document as a plain field so
-        // the train/test queries can select on it.
-        let mut doc = r.to_document();
+        // The phase tag rides in the stored document as a plain (string)
+        // member so the train/test queries can select on it.
+        let mut doc = r.document().clone();
         doc.set("phase", phase);
-        let _ = fm.ingest_document(doc);
+        let _ = fm.ingest(FeatureRecord::from(doc));
     }
 }

@@ -197,20 +197,12 @@ fn flow_stats_entry(i: u32) -> FlowStatsEntry {
     }
 }
 
-/// The record ⇄ document conversions on either side of the store, and
-/// the model-input extraction every scored record pays (on the
-/// `PACKET_IN` shape it is the miss a validator pays for a foreign
-/// record).
+/// The model-input extraction every scored record pays: ten key searches
+/// in the record's document (on the `PACKET_IN` shape it is the miss a
+/// validator pays for a foreign record).
 fn bench_record(c: &mut Criterion) {
     let model_inputs: Vec<FieldName> = catalog::DDOS_10_TUPLE.map(FieldName::from).to_vec();
     for (name, record) in feature_records() {
-        c.bench_function(&format!("core/to_document/{name}"), |b| {
-            b.iter(|| black_box(&record).to_document())
-        });
-        let doc = record.to_document();
-        c.bench_function(&format!("core/from_document/{name}"), |b| {
-            b.iter(|| FeatureRecord::from_document(black_box(&doc)))
-        });
         c.bench_function(&format!("core/vector10/{name}"), |b| {
             b.iter(|| black_box(&record).values(black_box(&model_inputs)))
         });
@@ -304,7 +296,7 @@ fn generated_records(switches: u64, per_switch: u32) -> Vec<FeatureRecord> {
         records.extend(
             polled
                 .into_iter()
-                .filter(|r| r.meta.message_type == "FLOW_STATS"),
+                .filter(|r| r.meta().message_type == "FLOW_STATS"),
         );
         for i in (base..base + per_switch).step_by(12) {
             let header = PacketHeader::from_five_tuple(PortNo::new(1), ft(i), 64);
@@ -317,7 +309,7 @@ fn generated_records(switches: u64, per_switch: u32) -> Vec<FeatureRecord> {
             records.extend(
                 punted
                     .into_iter()
-                    .filter(|r| r.meta.message_type == "PACKET_IN"),
+                    .filter(|r| r.meta().message_type == "PACKET_IN"),
             );
         }
     }
@@ -334,7 +326,7 @@ fn bench_store_read(c: &mut Criterion) {
     let store = StoreCluster::new(3, 2);
     let mut manager = FeatureManager::new(&store);
     for r in &records {
-        manager.ingest(r).unwrap();
+        manager.ingest(r.clone()).unwrap();
     }
     let coll = store.collection(FeatureManager::COLLECTION);
     let opts = FindOptions::default();
@@ -373,7 +365,7 @@ fn bench_store_read(c: &mut Criterion) {
     // and the purge is the difference between the two rows.
     let docs: Vec<_> = records
         .iter()
-        .filter(|r| r.meta.message_type == "FLOW_STATS")
+        .filter(|r| r.meta().message_type == "FLOW_STATS")
         .take(10_000)
         .map(FeatureRecord::to_document)
         .collect();

@@ -116,7 +116,7 @@ impl FamilyRun {
     /// Ground truth for one record: its flow is in the malicious set.
     pub fn truth(&self) -> impl Fn(&FeatureRecord) -> bool + '_ {
         move |r: &FeatureRecord| {
-            r.index
+            r.index()
                 .five_tuple
                 .is_some_and(|ft| self.malicious.contains(&ft))
         }
@@ -210,7 +210,11 @@ pub fn train_models(base_runs: &[&FamilyRun]) -> Vec<(Algorithm, Option<Detectio
     } else {
         train.iter().map(|r| (*r).clone()).collect()
     };
-    let truth = |r: &FeatureRecord| r.index.five_tuple.is_some_and(|ft| malicious.contains(&ft));
+    let truth = |r: &FeatureRecord| {
+        r.index()
+            .five_tuple
+            .is_some_and(|ft| malicious.contains(&ft))
+    };
     table_iv_algorithms()
         .into_iter()
         .map(|algorithm| {
@@ -270,8 +274,8 @@ pub fn evaluate_cell(
     for r in &run.records {
         if truth(r) && model.is_malicious(r) == Some(true) {
             first_hit = Some(match first_hit {
-                Some(t) if t <= r.meta.timestamp => t,
-                _ => r.meta.timestamp,
+                Some(t) if t <= r.meta().timestamp => t,
+                _ => r.meta().timestamp,
             });
         }
     }

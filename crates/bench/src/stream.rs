@@ -135,7 +135,7 @@ fn prequential(run: &FamilyRun, spec: &OnlineSpec) -> Arm {
         .filter_map(|r| {
             r.vector(&features).map(|v| {
                 let label = if truth(r) { 1.0 } else { 0.0 };
-                (r.meta.timestamp, LabeledPoint::new(v, label))
+                (r.meta().timestamp, LabeledPoint::new(v, label))
             })
         })
         .collect();

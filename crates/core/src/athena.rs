@@ -380,7 +380,7 @@ mod tests {
         // Features arrived from all three controller domains.
         let mut seen = std::collections::HashSet::new();
         for r in athena.request_features(&Query::all()) {
-            seen.insert(r.meta.controller);
+            seen.insert(r.meta().controller);
         }
         assert_eq!(seen.len(), 3, "{seen:?}");
     }
@@ -390,7 +390,7 @@ mod tests {
         let (athena, _, _) = run_deployment(15);
         let records = athena.request_features(&Query::parse("feature==FLOW_STATS").unwrap());
         assert!(!records.is_empty());
-        assert!(records.iter().any(|r| r.meta.athena_polled));
+        assert!(records.iter().any(|r| r.meta().athena_polled));
     }
 
     #[test]

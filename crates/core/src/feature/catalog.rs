@@ -357,13 +357,6 @@ impl FieldName {
             NameRepr::Adhoc(name) => Key::Shared(Arc::clone(name)),
         }
     }
-
-    fn resolve(name: &str, adhoc: impl FnOnce() -> Arc<str>) -> Self {
-        FieldName(match FeatureId::named(name) {
-            Some(id) => NameRepr::Catalog(id),
-            None => NameRepr::Adhoc(adhoc()),
-        })
-    }
 }
 
 impl From<FeatureId> for FieldName {
@@ -374,7 +367,10 @@ impl From<FeatureId> for FieldName {
 
 impl From<&str> for FieldName {
     fn from(name: &str) -> Self {
-        FieldName::resolve(name, || name.into())
+        FieldName(match FeatureId::named(name) {
+            Some(id) => NameRepr::Catalog(id),
+            None => NameRepr::Adhoc(name.into()),
+        })
     }
 }
 
@@ -387,15 +383,6 @@ impl From<String> for FieldName {
 impl From<&String> for FieldName {
     fn from(name: &String) -> Self {
         FieldName::from(name.as_str())
-    }
-}
-
-impl From<&Key> for FieldName {
-    fn from(key: &Key) -> Self {
-        match key {
-            Key::Static(name) => FieldName::from(*name),
-            Key::Shared(name) => FieldName::resolve(name, || Arc::clone(name)),
-        }
     }
 }
 
@@ -438,31 +425,6 @@ impl Serialize for FieldName {
 impl Deserialize for FieldName {
     fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
         String::from_value(v).map(FieldName::from)
-    }
-}
-
-/// Resolves a document's keys, which arrive in name order, against the
-/// catalog. A key that *is* the table's string (every key
-/// `FeatureRecord::to_document` wrote in this process) is found by
-/// pointer, scanning on from the previous hit; any other key is looked
-/// up by content.
-#[derive(Default)]
-pub(crate) struct KeyResolver {
-    next: usize,
-}
-
-impl KeyResolver {
-    pub(crate) fn resolve(&mut self, key: &Key) -> FieldName {
-        if let Key::Static(name) = key {
-            let ahead = ENTRIES.iter().enumerate().skip(self.next);
-            for (i, entry) in ahead {
-                if std::ptr::eq(entry.name, *name) {
-                    self.next = i + 1;
-                    return FieldName(NameRepr::Catalog(FeatureId(i as u8)));
-                }
-            }
-        }
-        FieldName::from(key)
     }
 }
 
@@ -539,12 +501,6 @@ impl From<&str> for MessageType {
     }
 }
 
-impl From<String> for MessageType {
-    fn from(name: String) -> Self {
-        MessageType::from(name.as_str())
-    }
-}
-
 impl PartialEq<str> for MessageType {
     fn eq(&self, other: &str) -> bool {
         self.as_str() == other
@@ -566,18 +522,6 @@ impl fmt::Debug for MessageType {
 impl fmt::Display for MessageType {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(self.as_str())
-    }
-}
-
-impl Serialize for MessageType {
-    fn to_value(&self) -> serde::Value {
-        self.as_str().to_value()
-    }
-}
-
-impl Deserialize for MessageType {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        String::from_value(v).map(MessageType::from)
     }
 }
 
@@ -667,20 +611,11 @@ mod tests {
         assert_eq!(adhoc.feature(), None);
         assert_eq!(adhoc, "truth");
         assert_ne!(adhoc, from_text);
-        // Through a document key and back, by pointer or by content.
-        let mut resolver = KeyResolver::default();
-        assert_eq!(resolver.resolve(&from_text.to_key()), from_text);
-        assert_eq!(
-            resolver
-                .resolve(&Key::from("PAIR_FLOW".to_owned()))
-                .feature(),
-            Some(PAIR_FLOW)
+        // As a document key: the catalog's own string, or the shared one.
+        assert!(
+            matches!(from_text.to_key(), Key::Static(s) if std::ptr::eq(s, FLOW_TP_DST.name()))
         );
-        assert_eq!(
-            resolver.resolve(&Key::Static("FLOW_APP_ID")).feature(),
-            Some(FLOW_APP_ID)
-        );
-        assert_eq!(resolver.resolve(&adhoc.to_key()), adhoc);
+        assert_eq!(adhoc.to_key(), Key::from("truth"));
     }
 
     #[test]

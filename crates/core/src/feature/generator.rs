@@ -6,7 +6,7 @@
 //! periodically removes outdated entries.
 
 use crate::feature::catalog::{self, MessageType};
-use crate::feature::format::{FeatureIndex, FeatureRecord, MetaData};
+use crate::feature::format::{CatalogValues, FeatureIndex, FeatureRecord, MetaData};
 use crate::feature::window::Windowing;
 use athena_openflow::stats::PortStatsEntry;
 use athena_openflow::{FlowStatsEntry, MatchFields, OfMessage, StatsReply};
@@ -139,21 +139,24 @@ impl FeatureGenerator {
                                 .prev_table
                                 .insert(from, (e.active_count, e.lookup_count))
                                 .unwrap_or((e.active_count, e.lookup_count));
-                            let mut r = FeatureRecord::new(FeatureIndex::switch(from))
-                                .with_meta(self.meta(now, MessageType::TABLE_STATS, polled));
-                            r.push_field(catalog::TABLE_ACTIVE_COUNT, f64::from(e.active_count));
-                            r.push_field(catalog::TABLE_LOOKUP_COUNT, e.lookup_count as f64);
-                            r.push_field(catalog::TABLE_MATCHED_COUNT, e.matched_count as f64);
-                            r.push_field(catalog::TABLE_MISS_RATIO, e.miss_ratio());
-                            r.push_field(
+                            let mut v = CatalogValues::new();
+                            v.set(catalog::TABLE_ACTIVE_COUNT, f64::from(e.active_count));
+                            v.set(catalog::TABLE_LOOKUP_COUNT, e.lookup_count as f64);
+                            v.set(catalog::TABLE_MATCHED_COUNT, e.matched_count as f64);
+                            v.set(catalog::TABLE_MISS_RATIO, e.miss_ratio());
+                            v.set(
                                 catalog::TABLE_ACTIVE_COUNT_VAR,
                                 f64::from(e.active_count) - f64::from(prev_active),
                             );
-                            r.push_field(
+                            v.set(
                                 catalog::TABLE_LOOKUP_COUNT_VAR,
                                 e.lookup_count as f64 - prev_lookup as f64,
                             );
-                            records.push(r);
+                            records.push(FeatureRecord::from_catalog(
+                                &FeatureIndex::switch(from),
+                                &self.meta(now, MessageType::TABLE_STATS, polled),
+                                &v,
+                            ));
                         }
                         records
                     }
@@ -164,34 +167,31 @@ impl FeatureGenerator {
                 let mut index = FeatureIndex::switch(from);
                 index.five_tuple = body.match_fields.five_tuple();
                 index.app = Some(app_of(body.cookie));
-                let mut r = FeatureRecord::new(index).with_meta(self.meta(
-                    now,
-                    MessageType::FLOW_REMOVED,
-                    false,
-                ));
-                r.push_field(catalog::REMOVED_PACKET_COUNT, body.packet_count as f64);
-                r.push_field(catalog::REMOVED_BYTE_COUNT, body.byte_count as f64);
-                r.push_field(catalog::REMOVED_DURATION_SEC, body.duration.as_secs_f64());
+                let mut v = CatalogValues::new();
+                v.set(catalog::REMOVED_PACKET_COUNT, body.packet_count as f64);
+                v.set(catalog::REMOVED_BYTE_COUNT, body.byte_count as f64);
+                v.set(catalog::REMOVED_DURATION_SEC, body.duration.as_secs_f64());
                 use athena_openflow::FlowRemovedReason as R;
-                r.push_field(
+                v.set(
                     catalog::REMOVED_REASON_IDLE,
                     f64::from(u8::from(body.reason == R::IdleTimeout)),
                 );
-                r.push_field(
+                v.set(
                     catalog::REMOVED_REASON_HARD,
                     f64::from(u8::from(body.reason == R::HardTimeout)),
                 );
-                r.push_field(
+                v.set(
                     catalog::REMOVED_REASON_DELETE,
                     f64::from(u8::from(body.reason == R::Delete)),
                 );
-                r.push_field(
+                v.set(
                     catalog::REMOVED_BYTE_PER_PACKET,
                     safe_div(body.byte_count as f64, body.packet_count as f64),
                 );
                 // The flow is gone: stop tracking its previous sample.
                 self.prev_flow.remove(&(from, body.match_fields));
-                vec![r]
+                let meta = self.meta(now, MessageType::FLOW_REMOVED, false);
+                vec![FeatureRecord::from_catalog(&index, &meta, &v)]
             }
             OfMessage::PacketIn { body, .. } => {
                 // Per-event protocol-centric features: every punted packet
@@ -200,21 +200,18 @@ impl FeatureGenerator {
                 let mut index = FeatureIndex::switch(from);
                 index.five_tuple = body.header.five_tuple();
                 index.port = Some(body.header.in_port);
-                let mut r = FeatureRecord::new(index).with_meta(self.meta(
-                    now,
-                    MessageType::PACKET_IN,
-                    false,
-                ));
-                r.push_field(catalog::PACKET_IN_BYTE_LEN, f64::from(body.header.byte_len));
-                r.push_field(
+                let mut v = CatalogValues::new();
+                v.set(catalog::PACKET_IN_BYTE_LEN, f64::from(body.header.byte_len));
+                v.set(
                     catalog::PACKET_IN_PORT,
                     f64::from(body.header.in_port.raw()),
                 );
-                r.push_field(
+                v.set(
                     catalog::PACKET_IN_BUFFERED,
                     f64::from(u8::from(body.buffer_id.is_some())),
                 );
-                vec![r]
+                let meta = self.meta(now, MessageType::PACKET_IN, false);
+                vec![FeatureRecord::from_catalog(&index, &meta, &v)]
             }
             _ => Vec::new(),
         };
@@ -247,47 +244,48 @@ impl FeatureGenerator {
                 .prev_msg_counts
                 .insert(dpid, counts)
                 .unwrap_or_default();
-            let mut r = FeatureRecord::new(FeatureIndex::switch(dpid)).with_meta(self.meta(
-                now,
-                MessageType::MSG_WINDOW,
-                false,
-            ));
-            r.push_field(catalog::MSG_PACKET_IN_COUNT, counts.packet_in as f64);
-            r.push_field(catalog::MSG_PACKET_OUT_COUNT, counts.packet_out as f64);
-            r.push_field(catalog::MSG_FLOW_MOD_COUNT, counts.flow_mod as f64);
-            r.push_field(catalog::MSG_FLOW_REMOVED_COUNT, counts.flow_removed as f64);
-            r.push_field(catalog::MSG_PORT_STATUS_COUNT, counts.port_status as f64);
-            r.push_field(
+            let mut v = CatalogValues::new();
+            v.set(catalog::MSG_PACKET_IN_COUNT, counts.packet_in as f64);
+            v.set(catalog::MSG_PACKET_OUT_COUNT, counts.packet_out as f64);
+            v.set(catalog::MSG_FLOW_MOD_COUNT, counts.flow_mod as f64);
+            v.set(catalog::MSG_FLOW_REMOVED_COUNT, counts.flow_removed as f64);
+            v.set(catalog::MSG_PORT_STATUS_COUNT, counts.port_status as f64);
+            v.set(
                 catalog::MSG_STATS_REQUEST_COUNT,
                 counts.stats_request as f64,
             );
-            r.push_field(catalog::MSG_STATS_REPLY_COUNT, counts.stats_reply as f64);
-            r.push_field(catalog::MSG_ECHO_COUNT, counts.echo as f64);
-            r.push_field(catalog::MSG_BARRIER_COUNT, counts.barrier as f64);
-            r.push_field(
+            v.set(catalog::MSG_STATS_REPLY_COUNT, counts.stats_reply as f64);
+            v.set(catalog::MSG_ECHO_COUNT, counts.echo as f64);
+            v.set(catalog::MSG_BARRIER_COUNT, counts.barrier as f64);
+            v.set(
                 catalog::MSG_PACKET_IN_RATE,
                 windowing.rate(counts.packet_in),
             );
-            r.push_field(catalog::MSG_FLOW_MOD_RATE, windowing.rate(counts.flow_mod));
-            r.push_field(
+            v.set(catalog::MSG_FLOW_MOD_RATE, windowing.rate(counts.flow_mod));
+            v.set(
                 catalog::MSG_FLOW_REMOVED_RATE,
                 windowing.rate(counts.flow_removed),
             );
-            r.push_field(
+            v.set(
                 catalog::MSG_PACKET_IN_COUNT_VAR,
                 counts.packet_in as f64 - prev.packet_in as f64,
             );
-            r.push_field(
+            v.set(
                 catalog::MSG_FLOW_MOD_COUNT_VAR,
                 counts.flow_mod as f64 - prev.flow_mod as f64,
             );
-            r.push_field(
+            v.set(
                 catalog::MSG_PACKET_OUT_COUNT_VAR,
                 counts.packet_out as f64 - prev.packet_out as f64,
             );
-            r.push_field(catalog::MSG_TOTAL_COUNT, counts.total() as f64);
+            v.set(catalog::MSG_TOTAL_COUNT, counts.total() as f64);
             self.records_generated += 1;
-            out.push(r);
+            let meta = self.meta(now, MessageType::MSG_WINDOW, false);
+            out.push(FeatureRecord::from_catalog(
+                &FeatureIndex::switch(dpid),
+                &meta,
+                &v,
+            ));
         }
         out
     }
@@ -389,26 +387,22 @@ impl FeatureGenerator {
                 is_pair: ft.is_some_and(|t| tuples.contains(&t.reversed())),
                 pair_ratio,
             };
-            out.push(build_flow_record(from, meta.clone(), e, &stateful));
+            out.push(build_flow_record(from, &meta, e, &stateful));
         }
 
         // The per-switch stateful aggregate record.
         if !entries.is_empty() {
-            let mut r = FeatureRecord::new(FeatureIndex::switch(from)).with_meta(self.meta(
-                now,
-                MessageType::SWITCH_STATE,
-                polled,
-            ));
-            r.push_field(catalog::SWITCH_FLOW_COUNT, entries.len() as f64);
-            r.push_field(catalog::SWITCH_PAIR_FLOW_COUNT, pair_count as f64);
-            r.push_field(catalog::SWITCH_PAIR_FLOW_RATIO, pair_ratio);
-            r.push_field(
+            let mut v = CatalogValues::new();
+            v.set(catalog::SWITCH_FLOW_COUNT, entries.len() as f64);
+            v.set(catalog::SWITCH_PAIR_FLOW_COUNT, pair_count as f64);
+            v.set(catalog::SWITCH_PAIR_FLOW_RATIO, pair_ratio);
+            v.set(
                 catalog::SWITCH_AVG_FLOW_DURATION,
                 total_duration / entries.len() as f64,
             );
-            r.push_field(catalog::SWITCH_UNIQUE_SRC_COUNT, unique_src.len() as f64);
-            r.push_field(catalog::SWITCH_UNIQUE_DST_COUNT, unique_dst.len() as f64);
-            r.push_field(
+            v.set(catalog::SWITCH_UNIQUE_SRC_COUNT, unique_src.len() as f64);
+            v.set(catalog::SWITCH_UNIQUE_DST_COUNT, unique_dst.len() as f64);
+            v.set(
                 catalog::SWITCH_SRC_DST_RATIO,
                 safe_div(unique_src.len() as f64, unique_dst.len() as f64),
             );
@@ -416,10 +410,14 @@ impl FeatureGenerator {
                 .iter()
                 .filter(|e| app_of(e.cookie) == AppId::new(9))
                 .count();
-            r.push_field(catalog::SWITCH_APP_FLOW_COUNT, athena_rules as f64);
-            r.push_field(catalog::SWITCH_PACKET_COUNT_TOTAL, total_packets as f64);
-            r.push_field(catalog::SWITCH_BYTE_COUNT_TOTAL, total_bytes as f64);
-            out.push(r);
+            v.set(catalog::SWITCH_APP_FLOW_COUNT, athena_rules as f64);
+            v.set(catalog::SWITCH_PACKET_COUNT_TOTAL, total_packets as f64);
+            v.set(catalog::SWITCH_BYTE_COUNT_TOTAL, total_bytes as f64);
+            out.push(FeatureRecord::from_catalog(
+                &FeatureIndex::switch(from),
+                &self.meta(now, MessageType::SWITCH_STATE, polled),
+                &v,
+            ));
 
             // Per-host stateful aggregates from the same snapshot.
             out.extend(self.host_features(from, entries, &tuples, now, polled));
@@ -464,7 +462,7 @@ impl FeatureGenerator {
         let meta = self.meta(now, MessageType::HOST_STATE, polled);
         hosts
             .into_iter()
-            .map(|(ip, agg)| build_host_record(from, meta.clone(), ip, &agg))
+            .map(|(ip, agg)| build_host_record(from, &meta, ip, &agg))
             .collect()
     }
 
@@ -478,21 +476,20 @@ impl FeatureGenerator {
         let windowing = self.windowing();
         let mut out = Vec::with_capacity(entries.len());
         for e in entries {
-            let mut r = FeatureRecord::new(FeatureIndex::port(from, e.port_no))
-                .with_meta(self.meta(now, MessageType::PORT_STATS, polled));
-            r.push_field(catalog::PORT_RX_PACKETS, e.rx_packets as f64);
-            r.push_field(catalog::PORT_TX_PACKETS, e.tx_packets as f64);
-            r.push_field(catalog::PORT_RX_BYTES, e.rx_bytes as f64);
-            r.push_field(catalog::PORT_TX_BYTES, e.tx_bytes as f64);
-            r.push_field(catalog::PORT_RX_DROPPED, e.rx_dropped as f64);
-            r.push_field(catalog::PORT_TX_DROPPED, e.tx_dropped as f64);
-            r.push_field(catalog::PORT_RX_ERRORS, e.rx_errors as f64);
-            r.push_field(catalog::PORT_TX_ERRORS, e.tx_errors as f64);
-            r.push_field(
+            let mut v = CatalogValues::new();
+            v.set(catalog::PORT_RX_PACKETS, e.rx_packets as f64);
+            v.set(catalog::PORT_TX_PACKETS, e.tx_packets as f64);
+            v.set(catalog::PORT_RX_BYTES, e.rx_bytes as f64);
+            v.set(catalog::PORT_TX_BYTES, e.tx_bytes as f64);
+            v.set(catalog::PORT_RX_DROPPED, e.rx_dropped as f64);
+            v.set(catalog::PORT_TX_DROPPED, e.tx_dropped as f64);
+            v.set(catalog::PORT_RX_ERRORS, e.rx_errors as f64);
+            v.set(catalog::PORT_TX_ERRORS, e.tx_errors as f64);
+            v.set(
                 catalog::PORT_RX_BYTE_PER_PACKET,
                 safe_div(e.rx_bytes as f64, e.rx_packets as f64),
             );
-            r.push_field(
+            v.set(
                 catalog::PORT_TX_BYTE_PER_PACKET,
                 safe_div(e.tx_bytes as f64, e.tx_packets as f64),
             );
@@ -506,48 +503,52 @@ impl FeatureGenerator {
             let p = prev.map(|p| p.stats).unwrap_or_default();
             let rx_var = e.rx_bytes as f64 - p.rx_bytes as f64;
             let tx_var = e.tx_bytes as f64 - p.tx_bytes as f64;
-            r.push_field(
+            v.set(
                 catalog::PORT_RX_PACKETS_VAR,
                 e.rx_packets as f64 - p.rx_packets as f64,
             );
-            r.push_field(
+            v.set(
                 catalog::PORT_TX_PACKETS_VAR,
                 e.tx_packets as f64 - p.tx_packets as f64,
             );
-            r.push_field(catalog::PORT_RX_BYTES_VAR, rx_var);
-            r.push_field(catalog::PORT_TX_BYTES_VAR, tx_var);
-            r.push_field(
+            v.set(catalog::PORT_RX_BYTES_VAR, rx_var);
+            v.set(catalog::PORT_TX_BYTES_VAR, tx_var);
+            v.set(
                 catalog::PORT_RX_DROPPED_VAR,
                 e.rx_dropped as f64 - p.rx_dropped as f64,
             );
-            r.push_field(
+            v.set(
                 catalog::PORT_TX_DROPPED_VAR,
                 e.tx_dropped as f64 - p.tx_dropped as f64,
             );
-            r.push_field(
+            v.set(
                 catalog::PORT_RX_ERRORS_VAR,
                 e.rx_errors as f64 - p.rx_errors as f64,
             );
-            r.push_field(
+            v.set(
                 catalog::PORT_TX_ERRORS_VAR,
                 e.tx_errors as f64 - p.tx_errors as f64,
             );
             // Utilization over the sampling window.
-            r.push_field(
+            v.set(
                 catalog::PORT_RX_UTILIZATION,
                 windowing.rate_f64(rx_var.max(0.0) * 8.0) / NOMINAL_CAPACITY_BPS,
             );
-            r.push_field(
+            v.set(
                 catalog::PORT_TX_UTILIZATION,
                 windowing.rate_f64(tx_var.max(0.0) * 8.0) / NOMINAL_CAPACITY_BPS,
             );
             let dropped = e.rx_dropped + e.tx_dropped;
             let seen = e.rx_packets + e.tx_packets + dropped;
-            r.push_field(
+            v.set(
                 catalog::PORT_DROP_RATIO,
                 safe_div(dropped as f64, seen as f64),
             );
-            out.push(r);
+            out.push(FeatureRecord::from_catalog(
+                &FeatureIndex::port(from, e.port_no),
+                &self.meta(now, MessageType::PORT_STATS, polled),
+                &v,
+            ));
         }
         self.records_generated += out.len() as u64;
         out
@@ -580,7 +581,7 @@ struct HostAgg {
 /// Builds one `FLOW_STATS` record from an entry and its tracked state.
 fn build_flow_record(
     from: Dpid,
-    meta: MetaData,
+    meta: &MetaData,
     e: &FlowStatsEntry,
     d: &FlowState,
 ) -> FeatureRecord {
@@ -588,109 +589,109 @@ fn build_flow_record(
     let mut index = FeatureIndex::switch(from);
     index.five_tuple = ft;
     index.app = Some(d.app);
-    let mut r = FeatureRecord::new(index).with_meta(meta);
+    let mut v = CatalogValues::new();
 
     let dur = e.duration.as_secs_f64();
-    r.push_field(catalog::FLOW_PACKET_COUNT, e.packet_count as f64);
-    r.push_field(catalog::FLOW_BYTE_COUNT, e.byte_count as f64);
-    r.push_field(catalog::FLOW_DURATION_SEC, e.duration_sec() as f64);
-    r.push_field(catalog::FLOW_DURATION_NSEC, e.duration_nsec() as f64);
-    r.push_field(catalog::FLOW_PRIORITY, f64::from(e.priority));
-    r.push_field(catalog::FLOW_IDLE_TIMEOUT, e.idle_timeout.as_secs_f64());
-    r.push_field(catalog::FLOW_HARD_TIMEOUT, e.hard_timeout.as_secs_f64());
-    r.push_field(catalog::FLOW_TABLE_ID, f64::from(e.table_id));
+    v.set(catalog::FLOW_PACKET_COUNT, e.packet_count as f64);
+    v.set(catalog::FLOW_BYTE_COUNT, e.byte_count as f64);
+    v.set(catalog::FLOW_DURATION_SEC, e.duration_sec() as f64);
+    v.set(catalog::FLOW_DURATION_NSEC, e.duration_nsec() as f64);
+    v.set(catalog::FLOW_PRIORITY, f64::from(e.priority));
+    v.set(catalog::FLOW_IDLE_TIMEOUT, e.idle_timeout.as_secs_f64());
+    v.set(catalog::FLOW_HARD_TIMEOUT, e.hard_timeout.as_secs_f64());
+    v.set(catalog::FLOW_TABLE_ID, f64::from(e.table_id));
     if let Some(ft) = ft {
-        r.push_field(catalog::FLOW_IP_PROTO, f64::from(ft.proto.number()));
-        r.push_field(catalog::FLOW_IP_SRC, f64::from(ft.src.raw()));
-        r.push_field(catalog::FLOW_IP_DST, f64::from(ft.dst.raw()));
-        r.push_field(catalog::FLOW_TP_SRC, f64::from(ft.src_port));
-        r.push_field(catalog::FLOW_TP_DST, f64::from(ft.dst_port));
+        v.set(catalog::FLOW_IP_PROTO, f64::from(ft.proto.number()));
+        v.set(catalog::FLOW_IP_SRC, f64::from(ft.src.raw()));
+        v.set(catalog::FLOW_IP_DST, f64::from(ft.dst.raw()));
+        v.set(catalog::FLOW_TP_SRC, f64::from(ft.src_port));
+        v.set(catalog::FLOW_TP_DST, f64::from(ft.dst_port));
     }
     if let Some(et) = e.match_fields.eth_type {
-        r.push_field(catalog::FLOW_ETH_TYPE, f64::from(et.number()));
+        v.set(catalog::FLOW_ETH_TYPE, f64::from(et.number()));
     }
     if let Some(p) = athena_openflow::Action::first_output(&e.actions) {
-        r.push_field(catalog::FLOW_ACTION_OUTPUT_PORT, f64::from(p.raw()));
+        v.set(catalog::FLOW_ACTION_OUTPUT_PORT, f64::from(p.raw()));
     }
     // Combination features.
-    r.push_field(
+    v.set(
         catalog::FLOW_BYTE_PER_PACKET,
         safe_div(e.byte_count as f64, e.packet_count as f64),
     );
-    r.push_field(
+    v.set(
         catalog::FLOW_PACKET_PER_DURATION,
         safe_div(e.packet_count as f64, dur),
     );
-    r.push_field(
+    v.set(
         catalog::FLOW_BYTE_PER_DURATION,
         safe_div(e.byte_count as f64, dur),
     );
-    r.push_field(
+    v.set(
         catalog::FLOW_UTILIZATION,
         safe_div(e.byte_count as f64 * 8.0, dur) / NOMINAL_CAPACITY_BPS,
     );
     // Stateful features.
-    r.push_field(catalog::PAIR_FLOW, f64::from(u8::from(d.is_pair)));
-    r.push_field(catalog::PAIR_FLOW_RATIO, d.pair_ratio);
-    r.push_field(catalog::FLOW_APP_ID, f64::from(d.app.raw()));
-    r.push_field(
+    v.set(catalog::PAIR_FLOW, f64::from(u8::from(d.is_pair)));
+    v.set(catalog::PAIR_FLOW_RATIO, d.pair_ratio);
+    v.set(catalog::FLOW_APP_ID, f64::from(d.app.raw()));
+    v.set(
         catalog::FLOW_ORIGIN_REACTIVE,
         f64::from(u8::from(!e.idle_timeout.is_zero())),
     );
     // Variation features against the previous sample.
     if let Some(p) = d.prev {
-        r.push_field(
+        v.set(
             catalog::FLOW_PACKET_COUNT_VAR,
             e.packet_count as f64 - p.packet_count as f64,
         );
-        r.push_field(
+        v.set(
             catalog::FLOW_BYTE_COUNT_VAR,
             e.byte_count as f64 - p.byte_count as f64,
         );
-        r.push_field(
+        v.set(
             catalog::FLOW_DURATION_SEC_VAR,
             e.duration_sec() as f64 - p.duration_sec as f64,
         );
         let prev_bpp = safe_div(p.byte_count as f64, p.packet_count as f64);
-        r.push_field(
+        v.set(
             catalog::FLOW_BYTE_PER_PACKET_VAR,
             safe_div(e.byte_count as f64, e.packet_count as f64) - prev_bpp,
         );
     } else {
-        r.push_field(catalog::FLOW_PACKET_COUNT_VAR, e.packet_count as f64);
-        r.push_field(catalog::FLOW_BYTE_COUNT_VAR, e.byte_count as f64);
-        r.push_field(catalog::FLOW_DURATION_SEC_VAR, e.duration_sec() as f64);
-        r.push_field(
+        v.set(catalog::FLOW_PACKET_COUNT_VAR, e.packet_count as f64);
+        v.set(catalog::FLOW_BYTE_COUNT_VAR, e.byte_count as f64);
+        v.set(catalog::FLOW_DURATION_SEC_VAR, e.duration_sec() as f64);
+        v.set(
             catalog::FLOW_BYTE_PER_PACKET_VAR,
             safe_div(e.byte_count as f64, e.packet_count as f64),
         );
     }
-    r
+    FeatureRecord::from_catalog(&index, meta, &v)
 }
 
 /// Builds one `HOST_STATE` record.
 fn build_host_record(
     from: Dpid,
-    meta: MetaData,
+    meta: &MetaData,
     ip: athena_types::Ipv4Addr,
     agg: &HostAgg,
 ) -> FeatureRecord {
     let mut index = FeatureIndex::switch(from);
     index.host = Some(ip);
-    let mut r = FeatureRecord::new(index).with_meta(meta);
-    r.push_field(catalog::HOST_OUT_FLOW_COUNT, agg.out_flows as f64);
-    r.push_field(catalog::HOST_IN_FLOW_COUNT, agg.in_flows as f64);
-    r.push_field(catalog::HOST_TX_BYTES, agg.tx_bytes as f64);
-    r.push_field(catalog::HOST_RX_BYTES, agg.rx_bytes as f64);
-    r.push_field(catalog::HOST_TX_PACKETS, agg.tx_packets as f64);
-    r.push_field(catalog::HOST_RX_PACKETS, agg.rx_packets as f64);
-    r.push_field(catalog::HOST_FANOUT, agg.fanout.len() as f64);
-    r.push_field(catalog::HOST_FANIN, agg.fanin.len() as f64);
-    r.push_field(
+    let mut v = CatalogValues::new();
+    v.set(catalog::HOST_OUT_FLOW_COUNT, agg.out_flows as f64);
+    v.set(catalog::HOST_IN_FLOW_COUNT, agg.in_flows as f64);
+    v.set(catalog::HOST_TX_BYTES, agg.tx_bytes as f64);
+    v.set(catalog::HOST_RX_BYTES, agg.rx_bytes as f64);
+    v.set(catalog::HOST_TX_PACKETS, agg.tx_packets as f64);
+    v.set(catalog::HOST_RX_PACKETS, agg.rx_packets as f64);
+    v.set(catalog::HOST_FANOUT, agg.fanout.len() as f64);
+    v.set(catalog::HOST_FANIN, agg.fanin.len() as f64);
+    v.set(
         catalog::HOST_PAIR_RATIO,
         safe_div(agg.paired as f64, agg.out_flows as f64),
     );
-    r
+    FeatureRecord::from_catalog(&index, meta, &v)
 }
 
 fn safe_div(num: f64, den: f64) -> f64 {
@@ -761,22 +762,22 @@ mod tests {
         assert_eq!(
             records
                 .iter()
-                .filter(|r| r.meta.message_type == "HOST_STATE")
+                .filter(|r| r.meta().message_type == "HOST_STATE")
                 .count(),
             2
         );
         let host = records
             .iter()
-            .find(|r| r.meta.message_type == "HOST_STATE")
+            .find(|r| r.meta().message_type == "HOST_STATE")
             .unwrap();
-        assert!(host.index.host.is_some());
+        assert!(host.index().host.is_some());
         let r = &records[0];
         assert_eq!(r.field("FLOW_PACKET_COUNT"), Some(100.0));
         assert_eq!(r.field("FLOW_BYTE_PER_PACKET"), Some(640.0));
         assert_eq!(r.field("FLOW_PACKET_PER_DURATION"), Some(25.0));
         assert_eq!(r.field("PAIR_FLOW"), Some(0.0));
         assert_eq!(r.field("FLOW_TP_DST"), Some(80.0));
-        assert!(r.meta.athena_polled);
+        assert!(r.meta().athena_polled);
         assert_eq!(records[1].field("SWITCH_FLOW_COUNT"), Some(1.0));
     }
 
@@ -818,7 +819,7 @@ mod tests {
         );
         let flows: Vec<&FeatureRecord> = records
             .iter()
-            .filter(|r| r.meta.message_type == "FLOW_STATS")
+            .filter(|r| r.meta().message_type == "FLOW_STATS")
             .collect();
         assert_eq!(flows.len(), 2);
         assert!(flows.iter().all(|r| r.field("PAIR_FLOW") == Some(1.0)));
@@ -827,7 +828,7 @@ mod tests {
             .all(|r| r.field("PAIR_FLOW_RATIO") == Some(1.0)));
         let sw = records
             .iter()
-            .find(|r| r.meta.message_type == "SWITCH_STATE")
+            .find(|r| r.meta().message_type == "SWITCH_STATE")
             .unwrap();
         assert_eq!(sw.field("SWITCH_PAIR_FLOW_COUNT"), Some(2.0));
     }
@@ -851,7 +852,7 @@ mod tests {
         assert_eq!(r.field("PORT_RX_BYTES"), Some(5000.0));
         assert_eq!(r.field("PORT_RX_BYTES_VAR"), Some(4000.0));
         assert_eq!(r.field("PORT_RX_BYTE_PER_PACKET"), Some(500.0));
-        assert_eq!(r.index.port, Some(PortNo::new(1)));
+        assert_eq!(r.index().port, Some(PortNo::new(1)));
     }
 
     #[test]

@@ -250,7 +250,7 @@ impl DetectorManager {
             };
             let actual = truth(r);
             model.tally(&mut summary, &LabeledPoint::unlabeled(v), actual);
-            if let Some(ft) = r.index.five_tuple {
+            if let Some(ft) = r.index().five_tuple {
                 if actual {
                     malicious_flows.insert(ft);
                 } else {
@@ -304,7 +304,8 @@ impl DetectorManager {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::feature::format::FeatureIndex;
+    use crate::feature::catalog::MessageType;
+    use crate::feature::format::{FeatureIndex, MetaData};
     use athena_types::{Dpid, Ipv4Addr};
 
     fn records(n: usize) -> Vec<FeatureRecord> {
@@ -319,8 +320,11 @@ mod tests {
                 Ipv4Addr::new(10, 0, 9, 9),
                 80,
             );
-            let mut r = FeatureRecord::new(FeatureIndex::flow(Dpid::new(1), ft));
-            r.meta.message_type = "FLOW_STATS".into();
+            let mut r =
+                FeatureRecord::new(FeatureIndex::flow(Dpid::new(1), ft)).with_meta(MetaData {
+                    message_type: MessageType::FLOW_STATS,
+                    ..MetaData::default()
+                });
             if benign {
                 r.push_field("FLOW_PACKET_COUNT", 10.0 + (i % 5) as f64);
                 r.push_field("PAIR_FLOW", 1.0);

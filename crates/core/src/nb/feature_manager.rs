@@ -6,20 +6,19 @@
 //! constraints, and converts feature sets into ML training data.
 
 use crate::feature::catalog::FieldName;
-use crate::feature::format::FeatureRecord;
+use crate::feature::format::{FeatureRecord, META_KEYS};
 use crate::nb::query::Query;
 use athena_ml::LabeledPoint;
 use athena_store::cluster::CollectionHandle;
-use athena_store::{Document, Filter, FindOptions, Placement, StoreCluster};
+use athena_store::{Filter, FindOptions, Placement, StoreCluster};
 use athena_types::Result;
 
 /// A live-feature handler registered through `AddEventHandler`.
 pub type EventHandler = Box<dyn FnMut(&FeatureRecord) + Send>;
 
-/// What [`FeatureManager::ingest_batch`] hands each record of a batch,
-/// with its document, once the batch is stored (the SB interface's online
-/// validators).
-pub type Examine<'a> = &'a mut dyn FnMut(&FeatureRecord, &Document);
+/// What [`FeatureManager::ingest_batch`] hands each record of a batch once
+/// the batch is stored (the SB interface's online validators).
+pub type Examine<'a> = &'a mut dyn FnMut(&FeatureRecord);
 
 struct Registration {
     filter: Filter,
@@ -72,24 +71,24 @@ impl FeatureManager {
         (self.published, self.dispatched)
     }
 
-    /// Ingests one live feature record: publishes it to the distributed
-    /// store and forwards it to every registration whose query matches.
+    /// Ingests one feature record — live, or replayed from a stored set
+    /// carrying extra fields such as phase tags or ground truth: a batch
+    /// of one.
     ///
     /// # Errors
     ///
     /// Returns [`athena_types::AthenaError::Store`] if publication fails.
-    pub fn ingest(&mut self, record: &FeatureRecord) -> Result<()> {
-        self.ingest_batch(std::slice::from_ref(record), None)
+    pub fn ingest(&mut self, record: FeatureRecord) -> Result<()> {
+        self.ingest_batch([record], None)
     }
 
-    /// Ingests one message's live records: publishes their documents to
-    /// the store as one batch, then, record by record in order, forwards
-    /// each published one to the matching handlers and hands every one —
-    /// a refused write included — with its document to `examine` (the
-    /// SB interface's online validators). The whole batch is stored
-    /// before the first handler runs. Each document is built once, and
-    /// only when the store, a handler or `examine` reads it; it is moved
-    /// into the store, never copied.
+    /// Ingests one message's live records: publishes them to the store as
+    /// one batch, then, record by record in order, forwards each
+    /// published one to the matching handlers and hands every one — a
+    /// refused write included — to `examine` (the SB interface's online
+    /// validators). The whole batch is stored before the first handler
+    /// runs. Each record's body moves into the store and is stamped with
+    /// its id there; handlers and `examine` read that same body.
     ///
     /// # Errors
     ///
@@ -98,64 +97,39 @@ impl FeatureManager {
     /// delivered.
     pub fn ingest_batch(
         &mut self,
-        records: &[FeatureRecord],
-        examine: Option<Examine<'_>>,
+        records: impl IntoIterator<Item = FeatureRecord>,
+        mut examine: Option<Examine<'_>>,
     ) -> Result<()> {
         if !self.publish_to_store && self.registrations.is_empty() && examine.is_none() {
             return Ok(());
         }
-        let docs = records.iter().map(FeatureRecord::to_document);
-        self.store_and_deliver(records, docs, examine)
-    }
-
-    /// Ingests a pre-built feature document (used when replaying stored
-    /// feature sets carrying extra fields such as phase tags or ground
-    /// truth): a batch of one, stored as given. Handlers receive the
-    /// record read back from it.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`athena_types::AthenaError::Store`] if publication fails.
-    pub fn ingest_document(&mut self, doc: Document) -> Result<()> {
-        let record = FeatureRecord::from_document(&doc);
-        self.store_and_deliver(std::slice::from_ref(&record), [doc], None)
-    }
-
-    /// The one ingest path: stores `docs` (one per record, in order) as
-    /// one batch, then delivers record by record.
-    fn store_and_deliver(
-        &mut self,
-        records: &[FeatureRecord],
-        docs: impl IntoIterator<Item = Document>,
-        mut examine: Option<Examine<'_>>,
-    ) -> Result<()> {
         let mut batch = std::mem::take(&mut self.batch);
-        batch.extend(docs.into_iter().map(Placement::pending));
+        batch.extend(records.into_iter().map(Placement::pending));
         if self.publish_to_store {
             self.collection.insert_batch(&mut batch);
         }
         let mut first_error = Ok(());
-        for (record, Placement { doc, outcome, .. }) in records.iter().zip(batch.drain(..)) {
+        for Placement { doc, outcome, .. } in batch.drain(..) {
+            let record = FeatureRecord::from(doc);
             match outcome {
                 Ok(()) => {
                     self.published += u64::from(self.publish_to_store);
-                    self.deliver(record, &doc);
+                    self.deliver(&record);
                 }
                 Err(e) => first_error = first_error.and(Err(e)),
             }
             if let Some(examine) = examine.as_mut() {
-                examine(record, &doc);
+                examine(&record);
             }
         }
         self.batch = batch;
         first_error
     }
 
-    /// Forwards `record` to every registration whose query matches its
-    /// document form.
-    fn deliver(&mut self, record: &FeatureRecord, doc: &Document) {
+    /// Forwards `record` to every registration whose query matches it.
+    fn deliver(&mut self, record: &FeatureRecord) {
         for reg in &mut self.registrations {
-            if reg.filter.matches(doc) {
+            if reg.filter.matches(record.document()) {
                 (reg.handler)(record);
                 self.dispatched += 1;
             }
@@ -173,20 +147,26 @@ impl FeatureManager {
     }
 
     /// Retrieves stored features matching a query (the `RequestFeatures`
-    /// API), applying the query's projection to the feature fields. The
-    /// records are converted straight from the bodies the shards hold:
-    /// no document is copied on the way.
+    /// API). The records are the bodies the shards hold: nothing is
+    /// copied on the way, unless the query names features — then the
+    /// store projects each onto those fields plus the index and metadata
+    /// keys.
     pub fn request_features(&self, query: &Query) -> Vec<FeatureRecord> {
+        let mut projection = Vec::new();
+        if !query.features.is_empty() {
+            projection.extend(query.features.iter().cloned());
+            projection.extend(META_KEYS.map(String::from));
+        }
         let options = FindOptions {
             sort: query.sort.clone(),
             limit: query.limit,
+            projection,
             ..FindOptions::default()
         };
-        let docs = self.collection.find(&query.filter, &options);
-        let wanted: Vec<FieldName> = query.features.iter().map(FieldName::from).collect();
-        let keep = |name: &FieldName| wanted.is_empty() || wanted.contains(name);
-        docs.iter()
-            .map(|d| FeatureRecord::from_document_keeping(d, keep))
+        self.collection
+            .find(&query.filter, &options)
+            .into_iter()
+            .map(FeatureRecord::from)
             .collect()
     }
 
@@ -238,14 +218,18 @@ impl std::fmt::Debug for FeatureManager {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::feature::format::FeatureIndex;
+    use crate::feature::catalog::MessageType;
+    use crate::feature::format::{FeatureIndex, MetaData};
     use athena_types::Dpid;
     use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::Arc;
 
     fn record(switch: u64, packets: f64) -> FeatureRecord {
-        let mut r = FeatureRecord::new(FeatureIndex::switch(Dpid::new(switch)));
-        r.meta.message_type = "FLOW_STATS".into();
+        let mut r =
+            FeatureRecord::new(FeatureIndex::switch(Dpid::new(switch))).with_meta(MetaData {
+                message_type: MessageType::FLOW_STATS,
+                ..MetaData::default()
+            });
         r.push_field("FLOW_PACKET_COUNT", packets);
         r
     }
@@ -258,7 +242,7 @@ mod tests {
     fn ingest_then_request_roundtrip() {
         let mut fm = manager();
         for i in 0..10 {
-            fm.ingest(&record(i % 3, i as f64 * 10.0)).unwrap();
+            fm.ingest(record(i % 3, i as f64 * 10.0)).unwrap();
         }
         let all = fm.request_features(&Query::all());
         assert_eq!(all.len(), 10);
@@ -271,7 +255,7 @@ mod tests {
     fn the_feature_collection_declares_one_compound_index() {
         let store = StoreCluster::new(3, 2);
         let mut fm = FeatureManager::new(&store);
-        fm.ingest(&record(2, 1.0)).unwrap();
+        fm.ingest(record(2, 1.0)).unwrap();
         let features = store.collection(FeatureManager::COLLECTION);
         for i in 0..store.node_count() {
             let indexes = features.read_shard(i, |c| c.index_fields());
@@ -293,7 +277,7 @@ mod tests {
             }),
         );
         for i in 0..15 {
-            fm.ingest(&record(1, i as f64 * 10.0)).unwrap();
+            fm.ingest(record(1, i as f64 * 10.0)).unwrap();
         }
         // Packets 100, 110, 120, 130, 140 match.
         assert_eq!(hits.load(Ordering::Relaxed), 5);
@@ -312,7 +296,7 @@ mod tests {
                 hits2.fetch_add(1, Ordering::Relaxed);
             }),
         );
-        fm.ingest(&record(1, 5.0)).unwrap();
+        fm.ingest(record(1, 5.0)).unwrap();
         assert_eq!(hits.load(Ordering::Relaxed), 1);
         assert_eq!(fm.count_features(&Query::all()), 0);
         assert_eq!(fm.counters(), (0, 1));
@@ -323,12 +307,16 @@ mod tests {
         let mut fm = manager();
         let mut r = record(1, 7.0);
         r.push_field("FLOW_BYTE_COUNT", 700.0);
-        fm.ingest(&r).unwrap();
+        fm.ingest(r).unwrap();
         let mut q = Query::all();
         q.features = vec!["FLOW_BYTE_COUNT".into()];
         let out = fm.request_features(&q);
-        assert_eq!(out[0].fields.len(), 1);
-        assert_eq!(out[0].field("FLOW_BYTE_COUNT"), Some(700.0));
+        assert_eq!(
+            out[0].fields().collect::<Vec<_>>(),
+            [("FLOW_BYTE_COUNT", 700.0)]
+        );
+        assert_eq!(out[0].index().switch, Dpid::new(1));
+        assert_eq!(out[0].meta().message_type, MessageType::FLOW_STATS);
     }
 
     #[test]
@@ -350,7 +338,7 @@ mod tests {
     fn purge_deletes_matching() {
         let mut fm = manager();
         for i in 0..6 {
-            fm.ingest(&record(i % 2, 1.0)).unwrap();
+            fm.ingest(record(i % 2, 1.0)).unwrap();
         }
         assert_eq!(fm.purge(&Query::parse("switch==0").unwrap()), 3);
         assert_eq!(fm.count_features(&Query::all()), 3);

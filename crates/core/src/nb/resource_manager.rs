@@ -60,10 +60,14 @@ impl ResourceManager {
     }
 
     /// Whether a generated record passes the current fidelity settings.
+    /// Runs per generated record, so it reads a key only when something
+    /// of its kind is disabled.
     pub fn allows(&self, record: &FeatureRecord) -> bool {
         self.monitoring_enabled
-            && !self.disabled_switches.contains(&record.index.switch)
-            && !self.disabled_kinds.contains(&record.meta.message_type)
+            && (self.disabled_switches.is_empty()
+                || !self.disabled_switches.contains(&record.switch()))
+            && (self.disabled_kinds.is_empty()
+                || !self.disabled_kinds.contains(&record.message_type()))
     }
 
     /// Number of explicitly disabled entities (switches + kinds).
@@ -75,12 +79,13 @@ impl ResourceManager {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::feature::format::FeatureIndex;
+    use crate::feature::format::{FeatureIndex, MetaData};
 
     fn record(switch: u64, kind: &str) -> FeatureRecord {
-        let mut r = FeatureRecord::new(FeatureIndex::switch(Dpid::new(switch)));
-        r.meta.message_type = kind.into();
-        r
+        FeatureRecord::new(FeatureIndex::switch(Dpid::new(switch))).with_meta(MetaData {
+            message_type: kind.into(),
+            ..MetaData::default()
+        })
     }
 
     #[test]

@@ -9,7 +9,7 @@ use crate::feature::format::FeatureRecord;
 use crate::nb::detector_manager::DetectionModel;
 use crate::nb::query::Query;
 use crate::nb::reaction_manager::Reaction;
-use athena_store::{Document, Filter};
+use athena_store::Filter;
 
 /// The verdict callback: inspects an alerting record and optionally
 /// requests a mitigation.
@@ -86,21 +86,9 @@ impl AttackDetector {
 
     /// Examines one live record, returning any requested reactions.
     pub fn process(&mut self, record: &FeatureRecord) -> Vec<Reaction> {
-        // The document form is only built when some validator's query
-        // needs evaluation.
-        if self.validators.is_empty() {
-            return Vec::new();
-        }
-        self.process_document(record, &record.to_document())
-    }
-
-    /// [`AttackDetector::process`] for a caller that already holds the
-    /// record's document form: validator queries are evaluated on the
-    /// borrowed `doc`.
-    pub fn process_document(&mut self, record: &FeatureRecord, doc: &Document) -> Vec<Reaction> {
         let mut reactions = Vec::new();
         for v in &mut self.validators {
-            if !v.filter.matches(doc) {
+            if !v.filter.matches(record.document()) {
                 continue;
             }
             let Some(malicious) = v.model.is_malicious(record) else {
@@ -130,7 +118,8 @@ impl std::fmt::Debug for AttackDetector {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::feature::format::FeatureIndex;
+    use crate::feature::catalog::MessageType;
+    use crate::feature::format::{FeatureIndex, MetaData};
     use athena_compute::ComputeCluster;
     use athena_ml::{Algorithm, Preprocessor};
     use athena_types::{Dpid, Ipv4Addr};
@@ -152,8 +141,11 @@ mod tests {
     }
 
     fn record(switch: u64, packets: f64) -> FeatureRecord {
-        let mut r = FeatureRecord::new(FeatureIndex::switch(Dpid::new(switch)));
-        r.meta.message_type = "FLOW_STATS".into();
+        let mut r =
+            FeatureRecord::new(FeatureIndex::switch(Dpid::new(switch))).with_meta(MetaData {
+                message_type: MessageType::FLOW_STATS,
+                ..MetaData::default()
+            });
         r.push_field("FLOW_PACKET_COUNT", packets);
         r
     }

@@ -18,7 +18,6 @@ use crate::nb::feature_manager::Examine;
 use athena_controller::{InterceptCtx, MessageInterceptor, PollTelemetry, PollTracker};
 use athena_observe::Observe;
 use athena_openflow::{MatchFields, OfMessage, StatsRequest};
-use athena_store::Document;
 use athena_telemetry::{names, Counter, Histogram};
 use athena_types::{ControllerId, Dpid, PortNo, SimDuration, SimTime, Xid};
 use std::sync::Arc;
@@ -112,8 +111,8 @@ impl AthenaSouthbound {
         let mut verdicts = 0usize;
         let observe = &self.observe;
         let validators = detector.validator_count() > 0;
-        let mut examine = |record: &FeatureRecord, doc: &Document| {
-            let reactions = detector.process_document(record, doc);
+        let mut examine = |record: &FeatureRecord| {
+            let reactions = detector.process(record);
             if !reactions.is_empty() {
                 verdicts += 1;
                 observe.event(
@@ -121,7 +120,7 @@ impl AthenaSouthbound {
                     "verdict",
                     format_args!(
                         "malicious {}: {} reactions",
-                        record.meta.message_type,
+                        record.message_type(),
                         reactions.len()
                     ),
                 );
@@ -131,10 +130,10 @@ impl AthenaSouthbound {
             }
         };
         // One store batch for the message, then handlers and validators
-        // record by record; one document per record serves all three.
+        // record by record; each reads the body the store holds.
         // Store failures surface as dropped features, not panics.
         let examine: Examine<'_> = &mut examine;
-        let _ = fm.ingest_batch(&records, validators.then_some(examine));
+        let _ = fm.ingest_batch(records, validators.then_some(examine));
         drop((resource, fm, detector));
         out.extend(reactor.drain(
             |ip| ctx.hosts.location_of(ip),
@@ -437,7 +436,7 @@ mod tests {
         let handler_note = note.clone();
         athena.add_event_handler(
             &Query::parse("FLOW_PACKET_COUNT>=50").unwrap(),
-            Box::new(move |r| handler_note(format!("handler sw={}", r.index.switch.raw()))),
+            Box::new(move |r| handler_note(format!("handler sw={}", r.index().switch.raw()))),
         );
         let model = athena
             .detector_manager()
@@ -470,23 +469,27 @@ mod tests {
     }
 
     fn record(switch: u64, packets: f64) -> FeatureRecord {
-        let mut r = FeatureRecord::new(crate::FeatureIndex::switch(Dpid::new(switch)));
-        r.meta.message_type = "FLOW_STATS".into();
+        let mut r = FeatureRecord::new(crate::FeatureIndex::switch(Dpid::new(switch))).with_meta(
+            crate::MetaData {
+                message_type: crate::MessageType::FLOW_STATS,
+                ..crate::MetaData::default()
+            },
+        );
         r.push_field("FLOW_PACKET_COUNT", packets);
         r
     }
 
-    /// `dispatch` through the SB element (one shared document).
+    /// `dispatch` through the SB element (one stored body per record).
     fn via_dispatch(athena: &Athena, records: Vec<FeatureRecord>) {
         let ctx = Ctx::new();
         let mut sb = athena.southbound(ControllerId::new(0));
         sb.dispatch(records, &ctx.borrow(ControllerId::new(0)), &mut Vec::new());
     }
 
-    /// The reference order: each consumer builds its own document.
+    /// The reference order: each consumer is called on its own.
     fn per_consumer(athena: &Athena, records: Vec<FeatureRecord>) {
         for r in &records {
-            let _ = athena.runtime().feature_manager.lock().ingest(r);
+            let _ = athena.runtime().feature_manager.lock().ingest(r.clone());
             athena.runtime().detector.lock().process(r);
         }
     }
@@ -540,16 +543,17 @@ mod tests {
     }
 
     #[test]
-    fn ingest_document_fires_handlers_like_ingest() {
+    fn a_record_read_from_its_document_fires_handlers_like_the_record() {
         for store_enabled in [true, false] {
             let by_document = observe_run(store_enabled, |athena, records| {
                 for r in &records {
                     let mut fm = athena.runtime().feature_manager.lock();
-                    fm.ingest_document(r.to_document()).unwrap();
+                    fm.ingest(FeatureRecord::from(r.document().clone()))
+                        .unwrap();
                 }
             });
             let by_record = observe_run(store_enabled, |athena, records| {
-                for r in &records {
+                for r in records {
                     athena.runtime().feature_manager.lock().ingest(r).unwrap();
                 }
             });

@@ -8,9 +8,11 @@
 //! * Pointer identity: every field name the generator emits is a
 //!   catalog entry, and the key under which the store holds it is the
 //!   catalog's own `&'static str` — nothing between the generator and
-//!   the shard re-allocated a name.
+//!   the shard re-allocated a name. And a record is its stored body:
+//!   handlers, validators and `request_features` read the very
+//!   allocation the shards hold, so nothing was copied on the way.
 
-use athena_core::{catalog, FeatureGenerator, FeatureManager, FeatureRecord, MessageType};
+use athena_core::{catalog, FeatureGenerator, FeatureManager, FeatureRecord, MessageType, Query};
 use athena_openflow::stats::{PortStatsEntry, TableStatsEntry};
 use athena_openflow::{
     Action, FlowRemoved, FlowRemovedReason, FlowStatsEntry, MatchFields, OfMessage, PacketHeader,
@@ -20,6 +22,7 @@ use athena_store::{Document, Filter, FindOptions, Key, StoreCluster};
 use athena_types::{
     AppId, ControllerId, Dpid, FiveTuple, Ipv4Addr, PortNo, SimDuration, SimTime, Xid,
 };
+use std::sync::{Arc, Mutex};
 
 /// One record of each kind, from one message of each kind.
 fn one_of_each_kind() -> Vec<FeatureRecord> {
@@ -172,10 +175,10 @@ fn documents_of_every_kind_keep_their_bytes() {
     let records = one_of_each_kind();
     assert_eq!(records.len(), GOLDEN.len());
     for (r, (kind, encoded_len, text)) in records.iter().zip(GOLDEN) {
-        assert_eq!(r.meta.message_type, kind);
-        let doc = r.to_document();
-        assert_eq!(serde_json::to_string(&doc).unwrap(), text, "{kind}");
-        assert_eq!(serde_json::to_vec(&doc).unwrap(), text.as_bytes(), "{kind}");
+        assert_eq!(r.meta().message_type, kind);
+        let doc = r.document();
+        assert_eq!(serde_json::to_string(doc).unwrap(), text, "{kind}");
+        assert_eq!(serde_json::to_vec(doc).unwrap(), text.as_bytes(), "{kind}");
         assert_eq!(doc.encoded_len(), encoded_len, "{kind}");
         // The journal payload is the fields object alone.
         assert_eq!(
@@ -183,15 +186,13 @@ fn documents_of_every_kind_keep_their_bytes() {
             encoded_len,
             "{kind}"
         );
+        // The copy an insert of its own starts from is the same bytes.
+        assert_eq!(&r.to_document(), doc, "{kind}");
         // Text written by the old representation reads back as an equal
         // document, and as an equal record.
         let parsed: Document = serde_json::from_str(text).unwrap();
-        assert_eq!(parsed, doc, "{kind}");
-        assert_eq!(
-            FeatureRecord::from_document(&parsed),
-            FeatureRecord::from_document(&doc),
-            "{kind}"
-        );
+        assert_eq!(&parsed, doc, "{kind}");
+        assert_eq!(&FeatureRecord::from(parsed), r, "{kind}");
     }
 }
 
@@ -199,7 +200,7 @@ fn documents_of_every_kind_keep_their_bytes() {
 fn the_eight_kinds_are_the_closed_message_types() {
     let kinds: Vec<MessageType> = one_of_each_kind()
         .into_iter()
-        .map(|r| r.meta.message_type)
+        .map(|r| r.meta().message_type)
         .collect();
     assert_eq!(
         kinds,
@@ -217,25 +218,53 @@ fn the_eight_kinds_are_the_closed_message_types() {
 }
 
 #[test]
-fn names_reach_the_shard_as_the_catalogs_own_strings() {
+fn names_and_bodies_reach_the_shard_and_come_back_uncopied() {
     let store = StoreCluster::new(3, 2);
     let mut fm = FeatureManager::new(&store);
+    let handled = Arc::new(Mutex::new(Vec::new()));
+    let sink = Arc::clone(&handled);
+    fm.register_handler(
+        &Query::all(),
+        Box::new(move |r| sink.lock().unwrap().push(r.clone())),
+    );
     let records = one_of_each_kind();
-    for r in &records {
-        fm.ingest(r).unwrap();
-    }
+    let built: Vec<Document> = records.iter().map(FeatureRecord::to_document).collect();
+    let mut examined = Vec::new();
+    fm.ingest_batch(records, Some(&mut |r| examined.push(r.clone())))
+        .unwrap();
     let stored = store
         .collection(FeatureManager::COLLECTION)
         .find(&Filter::All, &FindOptions::default());
-    assert_eq!(stored.len(), records.len());
+    assert_eq!(stored.len(), built.len());
+    let handled = handled.lock().unwrap();
+    let requested = fm.request_features(&Query::all());
+    assert_eq!(
+        (handled.len(), examined.len()),
+        (stored.len(), stored.len())
+    );
+    assert_eq!(requested.len(), stored.len());
     // Reads come back in insertion order.
-    for (r, doc) in records.iter().zip(&stored) {
-        assert!(!r.fields.is_empty());
-        for (name, value) in &r.fields {
-            let id = name
-                .feature()
+    for (i, doc) in stored.iter().enumerate() {
+        // Handlers and validators got the stamped body the shards hold,
+        // and `request_features` hands out `find`'s own handles.
+        for (side, r) in [
+            ("handler", &handled[i]),
+            ("validator", &examined[i]),
+            ("request_features", &requested[i]),
+        ] {
+            assert!(
+                std::ptr::eq(r.document(), Arc::as_ptr(doc)),
+                "{side} read a copy of document {i}"
+            );
+        }
+        // The body is the generated one, stamped with its id.
+        assert_eq!(doc.fields, built[i].fields);
+        assert_ne!(doc.id, built[i].id);
+        let r = &requested[i];
+        assert!(r.fields().next().is_some());
+        for (name, value) in r.fields() {
+            let id = catalog::FeatureId::named(name)
                 .unwrap_or_else(|| panic!("{name} is not a catalog entry"));
-            assert!(catalog::all_features().any(|f| f == id));
             let (key, held) = doc
                 .fields
                 .iter()
@@ -248,18 +277,10 @@ fn names_reach_the_shard_as_the_catalogs_own_strings() {
                 ),
                 Key::Shared(_) => panic!("{name} was re-allocated on the way to the shard"),
             }
-            assert_eq!(held.as_f64(), Some(*value));
+            assert_eq!(held.as_f64(), Some(value));
         }
         // Index and metadata keys are program literals too: no key of a
         // generated record's document lives on the heap.
         assert!(doc.fields.iter().all(|(k, _)| matches!(k, Key::Static(_))));
-        // And the read side hands the same handles back.
-        let back = FeatureRecord::from_document(doc);
-        assert_eq!(back.index, r.index);
-        assert_eq!(back.meta, r.meta);
-        for (name, value) in &r.fields {
-            assert_eq!(back.value(name), Some(*value), "{name}");
-        }
-        assert_eq!(back.fields.len(), r.fields.len());
     }
 }

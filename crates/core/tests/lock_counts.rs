@@ -121,7 +121,7 @@ fn a_store_write_locks_only_its_target_shards() {
         &|cookie: u64| AppId::new(cookie as u32),
     );
     assert_eq!(records.len(), 1);
-    let counts = acquisitions_of(|| fm.ingest(&records[0]).unwrap());
+    let counts = acquisitions_of(|| fm.ingest(records[0].clone()).unwrap());
     sentinel::force(None);
     sentinel::reset();
     let features = store.collection(FeatureManager::COLLECTION);

@@ -1,7 +1,7 @@
 //! Property-based tests for the Athena query language: parser totality,
 //! parser/builder agreement, and filter-semantics invariants.
 
-use athena_core::{FeatureManager, Query, QueryBuilder};
+use athena_core::{FeatureManager, FeatureRecord, Query, QueryBuilder};
 use athena_store::{doc, StoreCluster};
 use proptest::prelude::*;
 use serde_json::Value;
@@ -10,7 +10,7 @@ use serde_json::Value;
 fn stored_x(values: &[i64]) -> FeatureManager {
     let mut fm = FeatureManager::new(&StoreCluster::new(1, 1));
     for v in values {
-        fm.ingest_document(doc! { "x" => *v }).unwrap();
+        fm.ingest(FeatureRecord::from(doc! { "x" => *v })).unwrap();
     }
     fm
 }

@@ -1,6 +1,9 @@
-//! Property-based tests for the record ⇄ document conversion: whatever
-//! mix of catalog and ad-hoc names a record carries, its document is
-//! strictly name-sorted and reads back as the same record.
+//! Property-based tests for the one form of a feature record, its
+//! document: whatever mix of catalog and ad-hoc names a record is built
+//! with, the document is strictly name-sorted, charged its journal
+//! bytes, and reads back the index, metadata and last value per name it
+//! was built from — and whatever a stored document holds, the record
+//! reads what plain key lookups read.
 
 use athena_core::{catalog, FeatureIndex, FeatureRecord, FieldName, MetaData};
 use athena_store::Document;
@@ -85,16 +88,16 @@ fn arb_meta() -> impl Strategy<Value = MetaData> {
 
 proptest! {
     #[test]
-    fn document_round_trip_preserves_index_meta_and_every_field(
+    fn a_built_record_is_a_sorted_document_that_reads_back_what_was_built(
         index in arb_index(),
         meta in arb_meta(),
         fields in proptest::collection::vec((arb_name(), arb_value()), 0..40),
     ) {
-        let mut r = FeatureRecord::new(index).with_meta(meta);
+        let mut r = FeatureRecord::new(index).with_meta(meta.clone());
         for (name, value) in &fields {
             r.push_field(name.clone(), *value);
         }
-        let doc = r.to_document();
+        let doc = r.document();
         // Strictly sorted, hence unique, keys — however the names mixed.
         let keys: Vec<&str> = doc.fields.iter().map(|(k, _)| k.as_str()).collect();
         prop_assert!(keys.windows(2).all(|w| w[0] < w[1]), "{:?}", keys);
@@ -104,28 +107,24 @@ proptest! {
             serde_json::to_vec(&doc.fields).unwrap().len()
         );
 
-        let back = FeatureRecord::from_document(&doc);
-        prop_assert_eq!(back.index, r.index);
-        prop_assert_eq!(&back.meta, &r.meta);
-        for (name, _) in &fields {
-            // A repeated name reads as its last value on both sides.
-            prop_assert_eq!(back.value(name), r.value(name), "{}", name);
-            prop_assert_eq!(doc.get_f64(name.as_str()), r.value(name), "{}", name);
+        prop_assert_eq!(r.index(), index);
+        prop_assert_eq!(r.meta(), meta);
+        // A repeated name reads as its last value, as a field and in
+        // the document.
+        let mut last: Vec<(&str, f64)> = Vec::new();
+        for (name, value) in &fields {
+            last.retain(|(n, _)| *n != name.as_str());
+            last.push((name.as_str(), *value));
         }
-        let mut distinct: Vec<&str> = fields.iter().map(|(n, _)| n.as_str()).collect();
-        distinct.sort_unstable();
-        distinct.dedup();
-        prop_assert_eq!(back.fields.len(), distinct.len());
-        // Catalog names come back as catalog handles, not as look-alikes.
-        for (name, _) in &back.fields {
-            prop_assert_eq!(
-                name.feature().is_some(),
-                catalog::FeatureId::named(name.as_str()).is_some()
-            );
+        for &(name, value) in &last {
+            prop_assert_eq!(r.field(name), Some(value), "{}", name);
+            prop_assert_eq!(r.value(&FieldName::from(name)), Some(value), "{}", name);
+            prop_assert_eq!(doc.get_f64(name), Some(value), "{}", name);
         }
-        // A second trip is a fixed point.
-        prop_assert_eq!(&FeatureRecord::from_document(&back.to_document()), &back);
-        prop_assert_eq!(back.to_document(), doc);
+        last.sort_by(|a, b| a.0.cmp(b.0));
+        prop_assert_eq!(r.fields().collect::<Vec<_>>(), last);
+        // Its document, stored elsewhere, is the same record.
+        prop_assert_eq!(&FeatureRecord::from(r.to_document()), &r);
     }
 }
 
@@ -146,10 +145,9 @@ const META_KEYS: [&str; 13] = [
     "tp_src",
 ];
 
-/// The conversion as it was first written — one path lookup per key,
-/// then a walk for the fields — kept as the oracle for the one-pass
-/// `FeatureRecord::from_document`.
-fn from_document_by_lookups(d: &Document) -> FeatureRecord {
+/// What a feature document says, read one path lookup per key and then
+/// a walk for the fields — the oracle for the record's own reads.
+fn from_document_by_lookups(d: &Document) -> (FeatureIndex, MetaData, Vec<(&str, f64)>) {
     let mut index = FeatureIndex::switch(Dpid::new(d.get_i64("switch").unwrap_or(0) as u64));
     if let Some(p) = d.get_i64("port") {
         index.port = Some(PortNo::new(p as u32));
@@ -178,13 +176,13 @@ fn from_document_by_lookups(d: &Document) -> FeatureRecord {
             .and_then(Value::as_bool)
             .unwrap_or(false),
     };
-    let mut record = FeatureRecord::new(index).with_meta(meta);
-    for (k, v) in &d.fields {
-        if let (false, Some(x)) = (META_KEYS.contains(&k.as_str()), v.as_f64()) {
-            record.push_field(k.as_str(), x);
-        }
-    }
-    record
+    let fields = d
+        .fields
+        .iter()
+        .filter(|(k, _)| !META_KEYS.contains(&k.as_str()))
+        .filter_map(|(k, v)| Some((k.as_str(), v.as_f64()?)))
+        .collect();
+    (index, meta, fields)
 }
 
 /// A value of some other type than the key's own, or a number the
@@ -204,7 +202,7 @@ fn arb_misfit() -> impl Strategy<Value = Value> {
 
 proptest! {
     #[test]
-    fn one_pass_reads_what_the_lookups_read_whatever_the_keys_hold(
+    fn a_record_reads_what_the_lookups_read_whatever_the_keys_hold(
         index in arb_index(),
         meta in arb_meta(),
         fields in proptest::collection::vec((arb_name(), arb_value()), 0..20),
@@ -224,11 +222,14 @@ proptest! {
         for (name, value) in strays {
             doc.set(ADHOC[name], value);
         }
-        let back = FeatureRecord::from_document(&doc);
-        prop_assert_eq!(&back, &from_document_by_lookups(&doc));
+        let (index, meta, fields) = from_document_by_lookups(&doc);
+        let back = FeatureRecord::from(doc.clone());
+        prop_assert_eq!(back.index(), index);
+        prop_assert_eq!(back.meta(), meta);
+        prop_assert_eq!(back.fields().collect::<Vec<_>>(), fields);
         // No key is ever a field, and every numeric ad-hoc member is one.
-        for (name, _) in &back.fields {
-            prop_assert!(!META_KEYS.contains(&name.as_str()), "{}", name);
+        for key in META_KEYS {
+            prop_assert_eq!(back.field(key), None, "{}", key);
         }
         for name in ADHOC {
             prop_assert_eq!(back.field(name), doc.get_f64(name), "{}", name);

@@ -600,10 +600,12 @@ pub struct Placement {
 }
 
 impl Placement {
-    /// A document waiting for [`CollectionHandle::insert_batch`].
-    pub fn pending(doc: Document) -> Self {
+    /// A document waiting for [`CollectionHandle::insert_batch`]. A
+    /// handle nothing else holds is stamped in place; a shared one is
+    /// copied once, on stamping.
+    pub fn pending(doc: impl Into<Arc<Document>>) -> Self {
         Placement {
-            doc: Arc::new(doc),
+            doc: doc.into(),
             outcome: Ok(()),
             targets: WriteTargets::HandedOff(Vec::new()),
             len: 0,

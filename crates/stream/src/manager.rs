@@ -154,7 +154,7 @@ impl RetrainLoop {
         let last_alert = Arc::new(AtomicU64::new(u64::MAX));
         let stamp = Arc::clone(&last_alert);
         let wrapped: AlertHandler = Box::new(move |r| {
-            let now_us = r.meta.timestamp.as_micros();
+            let now_us = r.meta().timestamp.as_micros();
             let prev = stamp.swap(now_us, Ordering::SeqCst);
             if prev != u64::MAX {
                 gap.record(now_us.saturating_sub(prev));
@@ -187,7 +187,7 @@ impl RetrainLoop {
                     if let Some(v) = r.values(&features) {
                         let label = if truth(r) { 1.0 } else { 0.0 };
                         live.lock()
-                            .push(r.meta.timestamp, LabeledPoint::new(v, label));
+                            .push(r.meta().timestamp, LabeledPoint::new(v, label));
                     }
                 }),
             );

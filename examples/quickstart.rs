@@ -54,9 +54,9 @@ fn main() -> Result<()> {
     for r in &busiest {
         println!(
             "  {} {:>12} bytes  {}",
-            r.index.switch,
+            r.index().switch,
             r.field("FLOW_BYTE_COUNT").unwrap_or(0.0),
-            r.index
+            r.index()
                 .five_tuple
                 .map_or_else(|| "-".to_owned(), |ft| ft.to_string()),
         );
@@ -74,7 +74,7 @@ fn main() -> Result<()> {
     for r in &switch_state {
         println!(
             "  {}: {} flows, pair ratio {:.2}",
-            r.index.switch,
+            r.index().switch,
             r.field("SWITCH_FLOW_COUNT").unwrap_or(0.0),
             r.field("SWITCH_PAIR_FLOW_RATIO").unwrap_or(0.0),
         );

@@ -78,6 +78,9 @@ cargo test -q -p athena-openflow --offline --test proptest_table
 echo "==> poll-accounting property test (hostile replies, both XID marks)"
 cargo test -q -p athena-controller --offline --test proptest_poll
 
+echo "==> feature record = stored document"
+cargo test -q -p athena-core --offline --test golden_documents --test proptest_record
+
 echo "==> microbench compiles (flow_table/*, controller/shortest_path/*; not run here)"
 cargo bench --no-run -q -p athena-bench --bench micro --offline
 

@@ -64,6 +64,7 @@ fn collected_features_span_all_controllers_and_kinds() {
         assert!(n > 0, "no {kind} features");
     }
     let all = d.athena.request_features(&Query::all());
-    let controllers: std::collections::HashSet<_> = all.iter().map(|r| r.meta.controller).collect();
+    let controllers: std::collections::HashSet<_> =
+        all.iter().map(|r| r.meta().controller).collect();
     assert_eq!(controllers.len(), 3, "features from all 3 instances");
 }

@@ -120,8 +120,8 @@ fn assert_bounded_miss_window(run: &ChaosRun, scenario: Scenario, end: SimTime) 
         .athena
         .request_features(&Query::all())
         .iter()
-        .filter(|r| r.meta.athena_polled)
-        .map(|r| r.meta.timestamp)
+        .filter(|r| r.meta().athena_polled)
+        .map(|r| r.meta().timestamp)
         .collect();
     stamps.sort();
     stamps.dedup();

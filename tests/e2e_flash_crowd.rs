@@ -59,7 +59,7 @@ fn flash_crowd_is_not_flagged_but_a_flood_is() {
     let crowd_alarms = crowd_records
         .iter()
         .filter(|r| {
-            r.index
+            r.index()
                 .five_tuple
                 .is_some_and(|ft| ft.dst == popular_server)
         })
@@ -68,7 +68,7 @@ fn flash_crowd_is_not_flagged_but_a_flood_is() {
     let crowd_total = crowd_records
         .iter()
         .filter(|r| {
-            r.index
+            r.index()
                 .five_tuple
                 .is_some_and(|ft| ft.dst == popular_server)
         })
@@ -99,12 +99,12 @@ fn flash_crowd_is_not_flagged_but_a_flood_is() {
         .request_features(&athena::core::Query::parse("feature==FLOW_STATS").unwrap());
     let flood_alarms = flood_records
         .iter()
-        .filter(|r| r.index.five_tuple.is_some_and(|ft| ft.dst == victim))
+        .filter(|r| r.index().five_tuple.is_some_and(|ft| ft.dst == victim))
         .filter(|r| model.is_malicious(r) == Some(true))
         .count();
     let flood_total = flood_records
         .iter()
-        .filter(|r| r.index.five_tuple.is_some_and(|ft| ft.dst == victim))
+        .filter(|r| r.index().five_tuple.is_some_and(|ft| ft.dst == victim))
         .count();
     assert!(flood_total > 20, "the flood produced {flood_total} records");
     let flood_rate = flood_alarms as f64 / flood_total as f64;

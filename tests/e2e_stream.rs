@@ -178,7 +178,7 @@ fn stream_run(chaos: bool) -> StreamRun {
         Box::new(move |r| {
             sink.lock()
                 .unwrap_or_else(|e| e.into_inner())
-                .push(r.meta.timestamp.as_micros());
+                .push(r.meta().timestamp.as_micros());
             // No mitigation: the flood must keep flowing so continuity
             // is measured against sustained attack traffic.
             None
