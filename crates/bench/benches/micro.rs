@@ -255,9 +255,9 @@ fn bench_store(c: &mut Criterion) {
     }
     // Table IX's write: a PACKET_IN is a batch of one 14-key document.
     batch_row("packet_in", &packet_in.to_document(), 1);
-    // What sizing its journal record costs: 38 keys, none escaped.
-    c.bench_function("store/encoded_len/flow_stats", |b| {
-        b.iter(|| black_box(&doc).encoded_len())
+    // What sizing its journal record costs: 38 keys, as BSON.
+    c.bench_function("store/bson_len/flow_stats", |b| {
+        b.iter(|| black_box(&doc).bson_len())
     });
     // A populated collection for query benches.
     let filled = StoreCluster::new(3, 2).collection("q");

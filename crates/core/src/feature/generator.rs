@@ -8,15 +8,16 @@
 use crate::feature::catalog::{self, MessageType};
 use crate::feature::format::{CatalogValues, FeatureIndex, FeatureRecord, MetaData};
 use crate::feature::window::Windowing;
+use athena_controller::apps::app_ids;
 use athena_openflow::stats::PortStatsEntry;
 use athena_openflow::{FlowStatsEntry, MatchFields, OfMessage, StatsReply};
-use athena_types::{AppId, ControllerId, Dpid, FiveTuple, PortNo, SimDuration, SimTime};
+use athena_types::{AppId, ControllerId, Dpid, FiveTuple, Ipv4Addr, PortNo, SimDuration, SimTime};
 use std::collections::{HashMap, HashSet};
 
 /// Nominal link capacity used for utilization features (bits/second).
 const NOMINAL_CAPACITY_BPS: f64 = 1_000_000_000.0;
 
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 struct PrevFlowSample {
     packet_count: u64,
     byte_count: u64,
@@ -122,7 +123,7 @@ impl FeatureGenerator {
         app_of: &dyn Fn(u64) -> AppId,
     ) -> Vec<FeatureRecord> {
         self.count_message(from, msg);
-        let mut out = match msg {
+        let out = match msg {
             OfMessage::StatsReply { xid, body } => {
                 let polled = xid.is_athena_marked();
                 match body {
@@ -216,8 +217,6 @@ impl FeatureGenerator {
             _ => Vec::new(),
         };
         self.records_generated += out.len() as u64;
-        // Window flush rides on the message stream clock.
-        out.extend(self.maybe_flush(now));
         out
     }
 
@@ -290,12 +289,6 @@ impl FeatureGenerator {
         out
     }
 
-    fn maybe_flush(&mut self, _now: SimTime) -> Vec<FeatureRecord> {
-        // Window flushing is driven explicitly by the SB's tick (which
-        // knows the poll cadence); nothing implicit here.
-        Vec::new()
-    }
-
     /// Removes previous-sample entries unseen for longer than the TTL.
     /// Returns how many entries were collected.
     pub fn gc(&mut self, now: SimTime) -> usize {
@@ -343,32 +336,41 @@ impl FeatureGenerator {
         polled: bool,
         app_of: &dyn Fn(u64) -> AppId,
     ) -> Vec<FeatureRecord> {
-        // Stateful context: the set of live 5-tuples on this switch.
-        let tuples: HashSet<FiveTuple> = entries
+        // Stateful context: the live 5-tuples on this switch. Each
+        // entry's tuple is hashed in once and its reverse probed once; a
+        // pair counts on its tuple's first entry only, so the count is
+        // over the set.
+        let tuples: Vec<Option<FiveTuple>> = entries
             .iter()
-            .filter_map(|e| e.match_fields.five_tuple())
+            .map(|e| e.match_fields.five_tuple())
             .collect();
-        let pair_count = tuples
+        let mut live: HashSet<FiveTuple> = HashSet::with_capacity(entries.len());
+        let first: Vec<bool> = tuples
             .iter()
-            .filter(|t| tuples.contains(&t.reversed()))
-            .count();
-        let total_tuples = tuples.len().max(1);
-        let pair_ratio = pair_count as f64 / total_tuples as f64;
+            .map(|ft| ft.is_some_and(|t| live.insert(t)))
+            .collect();
+        let mut pair_count = 0;
+        let paired: Vec<bool> = tuples
+            .iter()
+            .zip(first)
+            .map(|(ft, first)| {
+                let paired = ft.is_some_and(|t| live.contains(&t.reversed()));
+                pair_count += usize::from(first && paired);
+                paired
+            })
+            .collect();
+        let pair_ratio = pair_count as f64 / live.len().max(1) as f64;
 
-        let mut unique_src: HashSet<athena_types::Ipv4Addr> = HashSet::new();
-        let mut unique_dst: HashSet<athena_types::Ipv4Addr> = HashSet::new();
+        let mut athena_rules = 0usize;
         let mut total_packets = 0u64;
         let mut total_bytes = 0u64;
         let mut total_duration = 0.0f64;
 
         let meta = self.meta(now, MessageType::FLOW_STATS, polled);
         let mut out = Vec::with_capacity(entries.len() + 2);
-        for e in entries {
-            let ft = e.match_fields.five_tuple();
-            if let Some(ft) = ft {
-                unique_src.insert(ft.src);
-                unique_dst.insert(ft.dst);
-            }
+        for (e, &is_pair) in entries.iter().zip(&paired) {
+            let app = app_of(e.cookie);
+            athena_rules += usize::from(app == app_ids::ATHENA);
             let prev = self.prev_flow.insert(
                 (from, e.match_fields),
                 PrevFlowSample {
@@ -382,88 +384,54 @@ impl FeatureGenerator {
             total_bytes += e.byte_count;
             total_duration += e.duration.as_secs_f64();
             let stateful = FlowState {
-                app: app_of(e.cookie),
+                app,
                 prev,
-                is_pair: ft.is_some_and(|t| tuples.contains(&t.reversed())),
+                is_pair,
                 pair_ratio,
             };
             out.push(build_flow_record(from, &meta, e, &stateful));
         }
-
-        // The per-switch stateful aggregate record.
-        if !entries.is_empty() {
-            let mut v = CatalogValues::new();
-            v.set(catalog::SWITCH_FLOW_COUNT, entries.len() as f64);
-            v.set(catalog::SWITCH_PAIR_FLOW_COUNT, pair_count as f64);
-            v.set(catalog::SWITCH_PAIR_FLOW_RATIO, pair_ratio);
-            v.set(
-                catalog::SWITCH_AVG_FLOW_DURATION,
-                total_duration / entries.len() as f64,
-            );
-            v.set(catalog::SWITCH_UNIQUE_SRC_COUNT, unique_src.len() as f64);
-            v.set(catalog::SWITCH_UNIQUE_DST_COUNT, unique_dst.len() as f64);
-            v.set(
-                catalog::SWITCH_SRC_DST_RATIO,
-                safe_div(unique_src.len() as f64, unique_dst.len() as f64),
-            );
-            let athena_rules = entries
-                .iter()
-                .filter(|e| app_of(e.cookie) == AppId::new(9))
-                .count();
-            v.set(catalog::SWITCH_APP_FLOW_COUNT, athena_rules as f64);
-            v.set(catalog::SWITCH_PACKET_COUNT_TOTAL, total_packets as f64);
-            v.set(catalog::SWITCH_BYTE_COUNT_TOTAL, total_bytes as f64);
-            out.push(FeatureRecord::from_catalog(
-                &FeatureIndex::switch(from),
-                &self.meta(now, MessageType::SWITCH_STATE, polled),
-                &v,
-            ));
-
-            // Per-host stateful aggregates from the same snapshot.
-            out.extend(self.host_features(from, entries, &tuples, now, polled));
+        if entries.is_empty() {
+            return out;
         }
-        out
-    }
 
-    /// Per-host aggregates: fan-out/fan-in, byte/packet totals, and pair
-    /// ratio, keyed by host address.
-    fn host_features(
-        &mut self,
-        from: Dpid,
-        entries: &[FlowStatsEntry],
-        tuples: &HashSet<FiveTuple>,
-        now: SimTime,
-        polled: bool,
-    ) -> Vec<FeatureRecord> {
-        let mut hosts: HashMap<athena_types::Ipv4Addr, HostAgg> = HashMap::new();
-        for e in entries {
-            let Some(ft) = e.match_fields.five_tuple() else {
-                continue;
-            };
-            let src = hosts.entry(ft.src).or_default();
-            src.out_flows += 1;
-            src.tx_bytes += e.byte_count;
-            src.tx_packets += e.packet_count;
-            src.fanout.insert(ft.dst);
-            if tuples.contains(&ft.reversed()) {
-                src.paired += 1;
-            }
-            let dst = hosts.entry(ft.dst).or_default();
-            dst.in_flows += 1;
-            dst.rx_bytes += e.byte_count;
-            dst.rx_packets += e.packet_count;
-            dst.fanin.insert(ft.src);
-        }
-        // Sorted so identically-seeded runs emit (and store) the host
-        // records in the same order — crash-recovery diffs rely on it.
-        let mut hosts: Vec<_> = hosts.into_iter().collect();
-        hosts.sort_by_key(|(ip, _)| *ip);
+        // The per-switch stateful aggregate record; its unique sources
+        // and destinations are the hosts that send and that receive.
+        let hosts = host_aggregates(entries, &tuples, &paired);
+        let unique_src = hosts.iter().filter(|(_, h)| h.out_flows > 0).count();
+        let unique_dst = hosts.iter().filter(|(_, h)| h.in_flows > 0).count();
+        let mut v = CatalogValues::new();
+        v.set(catalog::SWITCH_FLOW_COUNT, entries.len() as f64);
+        v.set(catalog::SWITCH_PAIR_FLOW_COUNT, pair_count as f64);
+        v.set(catalog::SWITCH_PAIR_FLOW_RATIO, pair_ratio);
+        v.set(
+            catalog::SWITCH_AVG_FLOW_DURATION,
+            total_duration / entries.len() as f64,
+        );
+        v.set(catalog::SWITCH_UNIQUE_SRC_COUNT, unique_src as f64);
+        v.set(catalog::SWITCH_UNIQUE_DST_COUNT, unique_dst as f64);
+        v.set(
+            catalog::SWITCH_SRC_DST_RATIO,
+            safe_div(unique_src as f64, unique_dst as f64),
+        );
+        v.set(catalog::SWITCH_APP_FLOW_COUNT, athena_rules as f64);
+        v.set(catalog::SWITCH_PACKET_COUNT_TOTAL, total_packets as f64);
+        v.set(catalog::SWITCH_BYTE_COUNT_TOTAL, total_bytes as f64);
+        out.push(FeatureRecord::from_catalog(
+            &FeatureIndex::switch(from),
+            &self.meta(now, MessageType::SWITCH_STATE, polled),
+            &v,
+        ));
+
+        // Per-host stateful aggregates from the same snapshot.
         self.records_generated += hosts.len() as u64;
         let meta = self.meta(now, MessageType::HOST_STATE, polled);
-        hosts
-            .into_iter()
-            .map(|(ip, agg)| build_host_record(from, &meta, ip, &agg))
-            .collect()
+        out.extend(
+            hosts
+                .iter()
+                .map(|(ip, agg)| build_host_record(from, &meta, *ip, agg)),
+        );
+        out
     }
 
     fn port_stats_features(
@@ -573,9 +541,62 @@ struct HostAgg {
     rx_bytes: u64,
     tx_packets: u64,
     rx_packets: u64,
-    fanout: HashSet<athena_types::Ipv4Addr>,
-    fanin: HashSet<athena_types::Ipv4Addr>,
+    /// Distinct destinations this host sends to.
+    fanout: u64,
+    /// Distinct sources this host receives from.
+    fanin: u64,
     paired: u64,
+}
+
+/// The hosts a flow-stats snapshot's 5-tuples name, in address order,
+/// each with its flows' totals (`tuples` and `paired` run alongside
+/// `entries`). Fan-out and fan-in come from one sorted, deduplicated
+/// list of `(source, destination)` pairs.
+fn host_aggregates(
+    entries: &[FlowStatsEntry],
+    tuples: &[Option<FiveTuple>],
+    paired: &[bool],
+) -> Vec<(Ipv4Addr, HostAgg)> {
+    let mut pairs: Vec<(Ipv4Addr, Ipv4Addr)> =
+        tuples.iter().flatten().map(|t| (t.src, t.dst)).collect();
+    let mut ips: Vec<Ipv4Addr> = pairs.iter().flat_map(|&(src, dst)| [src, dst]).collect();
+    ips.sort_unstable();
+    ips.dedup();
+    let mut hosts: Vec<(Ipv4Addr, HostAgg)> =
+        ips.into_iter().map(|ip| (ip, HostAgg::default())).collect();
+    for ((e, t), &is_pair) in entries.iter().zip(tuples).zip(paired) {
+        let Some(t) = t else {
+            continue;
+        };
+        if let Some(src) = host_mut(&mut hosts, t.src) {
+            src.out_flows += 1;
+            src.tx_bytes += e.byte_count;
+            src.tx_packets += e.packet_count;
+            src.paired += u64::from(is_pair);
+        }
+        if let Some(dst) = host_mut(&mut hosts, t.dst) {
+            dst.in_flows += 1;
+            dst.rx_bytes += e.byte_count;
+            dst.rx_packets += e.packet_count;
+        }
+    }
+    pairs.sort_unstable();
+    pairs.dedup();
+    for (src, dst) in pairs {
+        if let Some(src) = host_mut(&mut hosts, src) {
+            src.fanout += 1;
+        }
+        if let Some(dst) = host_mut(&mut hosts, dst) {
+            dst.fanin += 1;
+        }
+    }
+    hosts
+}
+
+/// The aggregate of `ip` in address-ordered `hosts`.
+fn host_mut(hosts: &mut [(Ipv4Addr, HostAgg)], ip: Ipv4Addr) -> Option<&mut HostAgg> {
+    let i = hosts.binary_search_by_key(&ip, |(ip, _)| *ip).ok()?;
+    hosts.get_mut(i).map(|(_, agg)| agg)
 }
 
 /// Builds one `FLOW_STATS` record from an entry and its tracked state.
@@ -670,12 +691,7 @@ fn build_flow_record(
 }
 
 /// Builds one `HOST_STATE` record.
-fn build_host_record(
-    from: Dpid,
-    meta: &MetaData,
-    ip: athena_types::Ipv4Addr,
-    agg: &HostAgg,
-) -> FeatureRecord {
+fn build_host_record(from: Dpid, meta: &MetaData, ip: Ipv4Addr, agg: &HostAgg) -> FeatureRecord {
     let mut index = FeatureIndex::switch(from);
     index.host = Some(ip);
     let mut v = CatalogValues::new();
@@ -685,8 +701,8 @@ fn build_host_record(
     v.set(catalog::HOST_RX_BYTES, agg.rx_bytes as f64);
     v.set(catalog::HOST_TX_PACKETS, agg.tx_packets as f64);
     v.set(catalog::HOST_RX_PACKETS, agg.rx_packets as f64);
-    v.set(catalog::HOST_FANOUT, agg.fanout.len() as f64);
-    v.set(catalog::HOST_FANIN, agg.fanin.len() as f64);
+    v.set(catalog::HOST_FANOUT, agg.fanout as f64);
+    v.set(catalog::HOST_FANIN, agg.fanin as f64);
     v.set(
         catalog::HOST_PAIR_RATIO,
         safe_div(agg.paired as f64, agg.out_flows as f64),
@@ -706,7 +722,8 @@ fn safe_div(num: f64, den: f64) -> f64 {
 mod tests {
     use super::*;
     use athena_openflow::{Action, FlowRemoved, FlowRemovedReason};
-    use athena_types::{Ipv4Addr, Xid};
+    use athena_types::Xid;
+    use proptest::prelude::*;
 
     fn app_core(_cookie: u64) -> AppId {
         AppId::CORE
@@ -929,5 +946,216 @@ mod tests {
         assert_eq!(g.gc(SimTime::from_secs(5)), 0);
         assert_eq!(g.gc(SimTime::from_secs(20)), 1);
         assert_eq!(g.tracked_entries(), 0);
+    }
+
+    /// Per-host aggregate of the set-based path: fan-out and fan-in as
+    /// sets of addresses.
+    #[derive(Default)]
+    struct OracleHostAgg {
+        agg: HostAgg,
+        fanout: HashSet<Ipv4Addr>,
+        fanin: HashSet<Ipv4Addr>,
+    }
+
+    /// The set-based flow-stats path `flow_stats_features` replaced —
+    /// one `HashSet` of the live 5-tuples probed per question, `app_of`
+    /// resolved twice per entry, unique sources and destinations and
+    /// every host's fan-out and fan-in as sets — kept as its oracle.
+    impl FeatureGenerator {
+        fn oracle_flow_stats_features(
+            &mut self,
+            from: Dpid,
+            entries: &[FlowStatsEntry],
+            now: SimTime,
+            polled: bool,
+            app_of: &dyn Fn(u64) -> AppId,
+        ) -> Vec<FeatureRecord> {
+            let tuples: HashSet<FiveTuple> = entries
+                .iter()
+                .filter_map(|e| e.match_fields.five_tuple())
+                .collect();
+            let pair_count = tuples
+                .iter()
+                .filter(|t| tuples.contains(&t.reversed()))
+                .count();
+            let pair_ratio = pair_count as f64 / tuples.len().max(1) as f64;
+            let mut unique_src: HashSet<Ipv4Addr> = HashSet::new();
+            let mut unique_dst: HashSet<Ipv4Addr> = HashSet::new();
+            let (mut total_packets, mut total_bytes, mut total_duration) = (0u64, 0u64, 0.0f64);
+            let meta = self.meta(now, MessageType::FLOW_STATS, polled);
+            let mut out = Vec::new();
+            for e in entries {
+                let ft = e.match_fields.five_tuple();
+                if let Some(ft) = ft {
+                    unique_src.insert(ft.src);
+                    unique_dst.insert(ft.dst);
+                }
+                let prev = self.prev_flow.insert(
+                    (from, e.match_fields),
+                    PrevFlowSample {
+                        packet_count: e.packet_count,
+                        byte_count: e.byte_count,
+                        duration_sec: e.duration_sec(),
+                        last_seen: now,
+                    },
+                );
+                total_packets += e.packet_count;
+                total_bytes += e.byte_count;
+                total_duration += e.duration.as_secs_f64();
+                let stateful = FlowState {
+                    app: app_of(e.cookie),
+                    prev,
+                    is_pair: ft.is_some_and(|t| tuples.contains(&t.reversed())),
+                    pair_ratio,
+                };
+                out.push(build_flow_record(from, &meta, e, &stateful));
+            }
+            if !entries.is_empty() {
+                let mut v = CatalogValues::new();
+                v.set(catalog::SWITCH_FLOW_COUNT, entries.len() as f64);
+                v.set(catalog::SWITCH_PAIR_FLOW_COUNT, pair_count as f64);
+                v.set(catalog::SWITCH_PAIR_FLOW_RATIO, pair_ratio);
+                v.set(
+                    catalog::SWITCH_AVG_FLOW_DURATION,
+                    total_duration / entries.len() as f64,
+                );
+                v.set(catalog::SWITCH_UNIQUE_SRC_COUNT, unique_src.len() as f64);
+                v.set(catalog::SWITCH_UNIQUE_DST_COUNT, unique_dst.len() as f64);
+                v.set(
+                    catalog::SWITCH_SRC_DST_RATIO,
+                    safe_div(unique_src.len() as f64, unique_dst.len() as f64),
+                );
+                let athena_rules = entries
+                    .iter()
+                    .filter(|e| app_of(e.cookie) == app_ids::ATHENA)
+                    .count();
+                v.set(catalog::SWITCH_APP_FLOW_COUNT, athena_rules as f64);
+                v.set(catalog::SWITCH_PACKET_COUNT_TOTAL, total_packets as f64);
+                v.set(catalog::SWITCH_BYTE_COUNT_TOTAL, total_bytes as f64);
+                out.push(FeatureRecord::from_catalog(
+                    &FeatureIndex::switch(from),
+                    &self.meta(now, MessageType::SWITCH_STATE, polled),
+                    &v,
+                ));
+                out.extend(self.oracle_host_features(from, entries, &tuples, now, polled));
+            }
+            out
+        }
+
+        fn oracle_host_features(
+            &mut self,
+            from: Dpid,
+            entries: &[FlowStatsEntry],
+            tuples: &HashSet<FiveTuple>,
+            now: SimTime,
+            polled: bool,
+        ) -> Vec<FeatureRecord> {
+            let mut hosts: HashMap<Ipv4Addr, OracleHostAgg> = HashMap::new();
+            for e in entries {
+                let Some(ft) = e.match_fields.five_tuple() else {
+                    continue;
+                };
+                let src = hosts.entry(ft.src).or_default();
+                src.agg.out_flows += 1;
+                src.agg.tx_bytes += e.byte_count;
+                src.agg.tx_packets += e.packet_count;
+                src.fanout.insert(ft.dst);
+                if tuples.contains(&ft.reversed()) {
+                    src.agg.paired += 1;
+                }
+                let dst = hosts.entry(ft.dst).or_default();
+                dst.agg.in_flows += 1;
+                dst.agg.rx_bytes += e.byte_count;
+                dst.agg.rx_packets += e.packet_count;
+                dst.fanin.insert(ft.src);
+            }
+            let mut hosts: Vec<_> = hosts.into_iter().collect();
+            hosts.sort_by_key(|(ip, _)| *ip);
+            self.records_generated += hosts.len() as u64;
+            let meta = self.meta(now, MessageType::HOST_STATE, polled);
+            hosts
+                .into_iter()
+                .map(|(ip, mut h)| {
+                    h.agg.fanout = h.fanout.len() as u64;
+                    h.agg.fanin = h.fanin.len() as u64;
+                    build_host_record(from, &meta, ip, &h.agg)
+                })
+                .collect()
+        }
+    }
+
+    /// A flow-stats entry over few addresses and ports, so duplicate
+    /// 5-tuples and reverse pairs are common: a 5-tuple (with or without
+    /// an ingress port, so one tuple can sit under two matches) or a
+    /// match without one, any cookie of a handful (Athena's among them).
+    fn arb_entry() -> impl Strategy<Value = FlowStatsEntry> {
+        (
+            (0u8..4, 0u8..4, 0u16..2, 0u16..2, any::<bool>()),
+            0u8..6,
+            0u32..12,
+            (0u64..500, 0u64..50_000, 0u64..20_000_000, 0u16..3),
+        )
+            .prop_map(
+                |((a, b, pa, pb, udp), shape, app, (packets, bytes, dur_us, prio))| {
+                    let (src, dst) = (Ipv4Addr::new(10, 0, 0, a), Ipv4Addr::new(10, 0, 0, b));
+                    let (sp, dp) = (1000 + pa, 1000 + pb);
+                    let ft = if udp {
+                        FiveTuple::udp(src, sp, dst, dp)
+                    } else {
+                        FiveTuple::tcp(src, sp, dst, dp)
+                    };
+                    let match_fields = match shape {
+                        // No 5-tuple: a prefix match, or a port alone.
+                        0 => MatchFields::new().with_ip_src(src, 24).with_ip_dst(dst, 32),
+                        1 => MatchFields::new().with_in_port(PortNo::new(u32::from(a))),
+                        2 => MatchFields::exact_five_tuple(ft).with_in_port(PortNo::new(1)),
+                        _ => MatchFields::exact_five_tuple(ft),
+                    };
+                    FlowStatsEntry {
+                        table_id: 0,
+                        match_fields,
+                        priority: 100 + prio,
+                        duration: SimDuration::from_micros(dur_us),
+                        idle_timeout: SimDuration::from_secs(u64::from(prio) * 10),
+                        hard_timeout: SimDuration::ZERO,
+                        cookie: u64::from(app) << 48,
+                        packet_count: packets,
+                        byte_count: bytes,
+                        actions: vec![Action::Output(PortNo::new(2))],
+                    }
+                },
+            )
+    }
+
+    proptest! {
+        /// Reply after reply (a switch may be polled again), the one-hash
+        /// path and the set-based oracle emit the same record bodies and
+        /// count the same records, and leave the same previous samples.
+        #[test]
+        fn flow_stats_features_equal_the_set_based_oracle(
+            replies in proptest::collection::vec(
+                (1u64..3, any::<bool>(), proptest::collection::vec(arb_entry(), 0..24)),
+                1..5,
+            ),
+        ) {
+            let app_of = |cookie: u64| AppId::new((cookie >> 48) as u32);
+            let mut fast = FeatureGenerator::new(ControllerId::new(0));
+            let mut oracle = FeatureGenerator::new(ControllerId::new(0));
+            for (i, (dpid, polled, entries)) in replies.iter().enumerate() {
+                let (from, now) = (Dpid::new(*dpid), SimTime::from_secs(5 * (i as u64 + 1)));
+                let got = fast.flow_stats_features(from, entries, now, *polled, &app_of);
+                let want =
+                    oracle.oracle_flow_stats_features(from, entries, now, *polled, &app_of);
+                let text = |records: &[FeatureRecord]| -> Vec<String> {
+                    records
+                        .iter()
+                        .map(|r| serde_json::to_string(&r.document().fields).unwrap())
+                        .collect()
+                };
+                prop_assert_eq!(text(&got), text(&want), "reply {}", i);
+                prop_assert_eq!(fast.records_generated, oracle.records_generated);
+                prop_assert_eq!(&fast.prev_flow, &oracle.prev_flow);
+            }
+        }
     }
 }

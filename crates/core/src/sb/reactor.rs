@@ -6,12 +6,10 @@
 //! plane without involving the controller".
 
 use crate::nb::reaction_manager::{Reaction, ReactionManager};
+use athena_controller::apps::app_ids;
 use athena_openflow::{FlowMod, OfMessage};
-use athena_types::{AppId, Dpid, Ipv4Addr, PortNo, Xid};
+use athena_types::{Dpid, Ipv4Addr, PortNo, Xid};
 use std::collections::HashSet;
-
-/// The application id mitigation rules are attributed to.
-pub const ATHENA_APP: AppId = AppId::new(9);
 
 /// Queues reactions and emits their flow rules through the proxy.
 #[derive(Debug, Default)]
@@ -74,7 +72,7 @@ impl AttackReactor {
         for reaction in self.queue.drain(..) {
             for rule in self.manager.plan(&reaction, locate, next_hop) {
                 self.rules_issued += 1;
-                let fm: FlowMod = rule.flow_mod.with_app(ATHENA_APP);
+                let fm: FlowMod = rule.flow_mod.with_app(app_ids::ATHENA);
                 out.push((
                     rule.dpid,
                     OfMessage::FlowMod {
@@ -111,7 +109,7 @@ mod tests {
         let OfMessage::FlowMod { body, xid } = &cmds[0].1 else {
             panic!("expected flow mod");
         };
-        assert_eq!(body.app_id(), ATHENA_APP);
+        assert_eq!(body.app_id(), app_ids::ATHENA);
         assert!(xid.is_athena_marked());
         assert_eq!(r.rules_issued, 1);
         // Queue is drained.

@@ -1,10 +1,11 @@
 //! The stored form of a feature record is pinned here, and so is the
 //! way it gets there.
 //!
-//! * Golden bytes: the JSON text, journal length and snapshot text of
-//!   one document of each of the generator's eight kinds equal literals
-//!   captured before `Document` became a name-sorted vector and names
-//!   became catalog handles.
+//! * Golden bytes: the JSON text and snapshot text of one document of
+//!   each of the generator's eight kinds equal literals captured before
+//!   `Document` became a name-sorted vector and names became catalog
+//!   handles; its journal length is its BSON length, pinned from the
+//!   reference encoder.
 //! * Pointer identity: every field name the generator emits is a
 //!   catalog entry, and the key under which the store holds it is the
 //!   catalog's own `&'static str` — nothing between the generator and
@@ -23,6 +24,9 @@ use athena_types::{
     AppId, ControllerId, Dpid, FiveTuple, Ipv4Addr, PortNo, SimDuration, SimTime, Xid,
 };
 use std::sync::{Arc, Mutex};
+
+#[path = "../../store/tests/bson/mod.rs"]
+mod bson;
 
 /// One record of each kind, from one message of each kind.
 fn one_of_each_kind() -> Vec<FeatureRecord> {
@@ -124,48 +128,49 @@ fn one_of_each_kind() -> Vec<FeatureRecord> {
     out
 }
 
-/// `(message type, encoded_len, JSON text of the document)` per kind, as
-/// commit 0027069 (`BTreeMap<String, Value>` body, `String` names) wrote
-/// them.
+/// `(message type, BSON length of the fields, JSON text of the
+/// document)` per kind. The texts are as commit 0027069
+/// (`BTreeMap<String, Value>` body, `String` names) wrote them; the
+/// lengths are the reference encoder's.
 const GOLDEN: [(&str, usize, &str); 8] = [
     (
         "FLOW_STATS",
-        913,
+        876,
         r#"{"fields":{"FLOW_ACTION_OUTPUT_PORT":2.0,"FLOW_APP_ID":3.0,"FLOW_BYTE_COUNT":64123.0,"FLOW_BYTE_COUNT_VAR":64123.0,"FLOW_BYTE_PER_DURATION":14249.555555555555,"FLOW_BYTE_PER_PACKET":641.23,"FLOW_BYTE_PER_PACKET_VAR":641.23,"FLOW_DURATION_NSEC":500000000.0,"FLOW_DURATION_SEC":4.0,"FLOW_DURATION_SEC_VAR":4.0,"FLOW_ETH_TYPE":2048.0,"FLOW_HARD_TIMEOUT":0.0,"FLOW_IDLE_TIMEOUT":30.0,"FLOW_IP_DST":167772162.0,"FLOW_IP_PROTO":6.0,"FLOW_IP_SRC":167772161.0,"FLOW_ORIGIN_REACTIVE":1.0,"FLOW_PACKET_COUNT":100.0,"FLOW_PACKET_COUNT_VAR":100.0,"FLOW_PACKET_PER_DURATION":22.22222222222222,"FLOW_PRIORITY":100.0,"FLOW_TABLE_ID":0.0,"FLOW_TP_DST":80.0,"FLOW_TP_SRC":1000.0,"FLOW_UTILIZATION":0.00011399644444444443,"PAIR_FLOW":0.0,"PAIR_FLOW_RATIO":0.0,"app":3,"athena_polled":true,"controller":2,"ip_dst":167772162,"ip_proto":6,"ip_src":167772161,"message_type":"FLOW_STATS","switch":7,"timestamp":10000000,"tp_dst":80,"tp_src":1000},"id":0}"#,
     ),
     (
         "SWITCH_STATE",
-        395,
+        415,
         r#"{"fields":{"SWITCH_APP_FLOW_COUNT":0.0,"SWITCH_AVG_FLOW_DURATION":4.5,"SWITCH_BYTE_COUNT_TOTAL":64123.0,"SWITCH_FLOW_COUNT":1.0,"SWITCH_PACKET_COUNT_TOTAL":100.0,"SWITCH_PAIR_FLOW_COUNT":0.0,"SWITCH_PAIR_FLOW_RATIO":0.0,"SWITCH_SRC_DST_RATIO":1.0,"SWITCH_UNIQUE_DST_COUNT":1.0,"SWITCH_UNIQUE_SRC_COUNT":1.0,"athena_polled":true,"controller":2,"message_type":"SWITCH_STATE","switch":7,"timestamp":10000000},"id":0}"#,
     ),
     (
         "HOST_STATE",
-        312,
+        322,
         r#"{"fields":{"HOST_FANIN":0.0,"HOST_FANOUT":1.0,"HOST_IN_FLOW_COUNT":0.0,"HOST_OUT_FLOW_COUNT":1.0,"HOST_PAIR_RATIO":0.0,"HOST_RX_BYTES":0.0,"HOST_RX_PACKETS":0.0,"HOST_TX_BYTES":64123.0,"HOST_TX_PACKETS":100.0,"athena_polled":true,"controller":2,"host":167772161,"message_type":"HOST_STATE","switch":7,"timestamp":10000000},"id":0}"#,
     ),
     (
         "PORT_STATS",
-        676,
+        672,
         r#"{"fields":{"PORT_DROP_RATIO":0.05555555555555555,"PORT_RX_BYTES":5000.0,"PORT_RX_BYTES_VAR":5000.0,"PORT_RX_BYTE_PER_PACKET":500.0,"PORT_RX_DROPPED":1.0,"PORT_RX_DROPPED_VAR":1.0,"PORT_RX_ERRORS":0.0,"PORT_RX_ERRORS_VAR":0.0,"PORT_RX_PACKETS":10.0,"PORT_RX_PACKETS_VAR":10.0,"PORT_RX_UTILIZATION":8e-6,"PORT_TX_BYTES":901.0,"PORT_TX_BYTES_VAR":901.0,"PORT_TX_BYTE_PER_PACKET":128.71428571428572,"PORT_TX_DROPPED":0.0,"PORT_TX_DROPPED_VAR":0.0,"PORT_TX_ERRORS":2.0,"PORT_TX_ERRORS_VAR":2.0,"PORT_TX_PACKETS":7.0,"PORT_TX_PACKETS_VAR":7.0,"PORT_TX_UTILIZATION":1.4415999999999999e-6,"athena_polled":true,"controller":2,"message_type":"PORT_STATS","port":1,"switch":7,"timestamp":11000000},"id":0}"#,
     ),
     (
         "TABLE_STATS",
-        277,
+        269,
         r#"{"fields":{"TABLE_ACTIVE_COUNT":12.0,"TABLE_ACTIVE_COUNT_VAR":0.0,"TABLE_LOOKUP_COUNT":300.0,"TABLE_LOOKUP_COUNT_VAR":0.0,"TABLE_MATCHED_COUNT":290.0,"TABLE_MISS_RATIO":0.033333333333333326,"athena_polled":true,"controller":2,"message_type":"TABLE_STATS","switch":7,"timestamp":12000000},"id":0}"#,
     ),
     (
         "FLOW_REMOVED",
-        394,
+        376,
         r#"{"fields":{"REMOVED_BYTE_COUNT":6001.0,"REMOVED_BYTE_PER_PACKET":100.01666666666667,"REMOVED_DURATION_SEC":30.0,"REMOVED_PACKET_COUNT":60.0,"REMOVED_REASON_DELETE":0.0,"REMOVED_REASON_HARD":0.0,"REMOVED_REASON_IDLE":1.0,"app":3,"athena_polled":false,"controller":2,"ip_dst":167772162,"ip_proto":6,"ip_src":167772161,"message_type":"FLOW_REMOVED","switch":7,"timestamp":13000000,"tp_dst":80,"tp_src":1000},"id":0}"#,
     ),
     (
         "PACKET_IN",
-        254,
+        244,
         r#"{"fields":{"PACKET_IN_BUFFERED":0.0,"PACKET_IN_BYTE_LEN":64.0,"PACKET_IN_PORT":3.0,"athena_polled":false,"controller":2,"ip_dst":33686018,"ip_proto":6,"ip_src":16843009,"message_type":"PACKET_IN","port":3,"switch":7,"timestamp":13500001,"tp_dst":443,"tp_src":1234},"id":0}"#,
     ),
     (
         "MSG_WINDOW",
-        525,
+        568,
         r#"{"fields":{"MSG_BARRIER_COUNT":0.0,"MSG_ECHO_COUNT":0.0,"MSG_FLOW_MOD_COUNT":0.0,"MSG_FLOW_MOD_COUNT_VAR":0.0,"MSG_FLOW_MOD_RATE":0.0,"MSG_FLOW_REMOVED_COUNT":1.0,"MSG_FLOW_REMOVED_RATE":0.2,"MSG_PACKET_IN_COUNT":1.0,"MSG_PACKET_IN_COUNT_VAR":1.0,"MSG_PACKET_IN_RATE":0.2,"MSG_PACKET_OUT_COUNT":0.0,"MSG_PACKET_OUT_COUNT_VAR":0.0,"MSG_PORT_STATUS_COUNT":0.0,"MSG_STATS_REPLY_COUNT":3.0,"MSG_STATS_REQUEST_COUNT":0.0,"MSG_TOTAL_COUNT":5.0,"athena_polled":false,"controller":2,"message_type":"MSG_WINDOW","switch":7,"timestamp":15000000},"id":0}"#,
     ),
 ];
@@ -174,18 +179,14 @@ const GOLDEN: [(&str, usize, &str); 8] = [
 fn documents_of_every_kind_keep_their_bytes() {
     let records = one_of_each_kind();
     assert_eq!(records.len(), GOLDEN.len());
-    for (r, (kind, encoded_len, text)) in records.iter().zip(GOLDEN) {
+    for (r, (kind, bson_len, text)) in records.iter().zip(GOLDEN) {
         assert_eq!(r.meta().message_type, kind);
         let doc = r.document();
         assert_eq!(serde_json::to_string(doc).unwrap(), text, "{kind}");
         assert_eq!(serde_json::to_vec(doc).unwrap(), text.as_bytes(), "{kind}");
-        assert_eq!(doc.encoded_len(), encoded_len, "{kind}");
-        // The journal payload is the fields object alone.
-        assert_eq!(
-            serde_json::to_vec(&doc.fields).unwrap().len(),
-            encoded_len,
-            "{kind}"
-        );
+        // The journal record is the fields object alone, as BSON.
+        assert_eq!(doc.bson_len(), bson_len, "{kind}");
+        assert_eq!(bson::encode(doc).len(), bson_len, "{kind}");
         // The copy an insert of its own starts from is the same bytes.
         assert_eq!(&r.to_document(), doc, "{kind}");
         // Text written by the old representation reads back as an equal

@@ -11,6 +11,9 @@ use athena_types::{AppId, ControllerId, Dpid, FiveTuple, IpProto, Ipv4Addr, Port
 use proptest::prelude::*;
 use serde_json::Value;
 
+#[path = "../../store/tests/bson/mod.rs"]
+mod bson;
+
 /// Ad-hoc names that sort before, between and after the catalog's
 /// upper-case names and the lower-case index keys.
 const ADHOC: [&str; 8] = [
@@ -102,10 +105,7 @@ proptest! {
         let keys: Vec<&str> = doc.fields.iter().map(|(k, _)| k.as_str()).collect();
         prop_assert!(keys.windows(2).all(|w| w[0] < w[1]), "{:?}", keys);
         // The bytes the journal would hold are the bytes it is charged for.
-        prop_assert_eq!(
-            doc.encoded_len(),
-            serde_json::to_vec(&doc.fields).unwrap().len()
-        );
+        prop_assert_eq!(doc.bson_len(), bson::encode(doc).len());
 
         prop_assert_eq!(r.index(), index);
         prop_assert_eq!(r.meta(), meta);

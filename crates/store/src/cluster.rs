@@ -5,10 +5,10 @@
 //! documents are hash-sharded by id, and each is replicated onto the next
 //! `replication - 1` nodes in ring order. A write runs on the primary and
 //! every replica, and each node's journal counts a record per copy. That
-//! record is sized from the document ([`Document::encoded_len`]), not
-//! serialized; only with persistence attached is the logical operation
-//! serialized, once, into the WAL. This is the work the Table IX
-//! benchmark measures.
+//! record is sized as the modelled MongoDB stores the document, as BSON
+//! ([`Document::bson_len`]), and never encoded; only with persistence
+//! attached is the logical operation serialized, once, as JSON text into
+//! the WAL. This is the work the Table IX benchmark measures.
 
 use crate::collection::Collection;
 use crate::document::{DocId, Document};
@@ -406,7 +406,7 @@ impl StoreCluster {
     /// of that id writes to now.
     pub(crate) fn placement(&self, doc: Arc<Document>) -> Placement {
         let (targets, _) = self.write_targets(doc.id);
-        let len = doc.encoded_len() as u64;
+        let len = doc.bson_len() as u64;
         Placement {
             doc,
             outcome: Ok(()),
@@ -595,7 +595,8 @@ pub struct Placement {
     pub outcome: Result<()>,
     /// The nodes its copies go to (none while pending or when refused).
     targets: WriteTargets,
-    /// Its journal record's length, sized once for every copy.
+    /// Its journal record's length (the document as BSON), sized once
+    /// for every copy.
     len: u64,
 }
 
@@ -722,7 +723,7 @@ impl CollectionHandle {
             handoffs += handed;
             p.outcome = Ok(());
             Arc::make_mut(&mut p.doc).id = id;
-            p.len = p.doc.encoded_len() as u64;
+            p.len = p.doc.bson_len() as u64;
             p.targets = targets;
         }
         // A batch refused whole creates no collection.

@@ -1,9 +1,9 @@
 //! Documents: schemaless JSON objects with generated ids.
 
 use serde::{Deserialize, Serialize};
-use serde_json::{Map, Number, Value};
+use serde_json::{Map, Value};
 use std::cmp::Ordering;
-use std::fmt::{self, Write};
+use std::fmt;
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
@@ -124,7 +124,7 @@ impl fmt::Display for Key {
 
 /// A document body: `(name, value)` members in one vector, strictly
 /// sorted by name — one allocation per document, placement by binary
-/// search, iteration (and so JSON text, [`Document::encoded_len`] and
+/// search, iteration (and so JSON text, [`Document::bson_len`] and
 /// every digest over them) in name order.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct Fields(Vec<(Key, Value)>);
@@ -313,111 +313,46 @@ impl Document {
         self.get(path)?.as_str()
     }
 
-    /// Serialized size in bytes (the journal representation): the
-    /// length of `serde_json::to_vec(&self.fields)`, computed from the
-    /// borrowed fields without building a `Value` tree or the text.
-    pub fn encoded_len(&self) -> usize {
-        object_len(self.fields.iter().map(|(k, v)| (k.as_str(), v)))
+    /// The journal record's size: the fields as one BSON document, the
+    /// form the modelled MongoDB journals a copy in. Exact, and computed
+    /// from the borrowed fields without encoding them.
+    pub fn bson_len(&self) -> usize {
+        bson_document_len(self.fields.iter().map(|(k, v)| (k.as_str().len(), v)))
     }
 }
 
-/// Length of the members as one compact JSON object.
-fn object_len<'a>(members: impl ExactSizeIterator<Item = (&'a str, &'a Value)>) -> usize {
-    // Braces, one comma between members, one colon per member.
-    let commas = members.len().saturating_sub(1);
-    let members: usize = members.map(|(k, v)| string_len(k) + 1 + value_len(v)).sum();
-    2 + commas + members
-}
-
-fn value_len(v: &Value) -> usize {
-    match v {
-        Value::Null | Value::Bool(true) => 4,
-        Value::Bool(false) => 5,
-        Value::Number(n) => number_len(n),
-        Value::String(s) => string_len(s),
-        Value::Array(a) => 2 + a.len().saturating_sub(1) + a.iter().map(value_len).sum::<usize>(),
-        Value::Object(m) => object_len(m.iter().map(|(k, v)| (k.as_str(), v))),
-    }
-}
-
-/// Length of `s` quoted and escaped as the JSON writer escapes it:
-/// two-byte escapes for `"`, `\\` and the five named controls, `\u00XX`
-/// for the other controls, every other byte as itself.
-fn string_len(s: &str) -> usize {
-    if !needs_escape(s.as_bytes()) {
-        return s.len() + 2;
-    }
-    let body: usize = s
-        .bytes()
-        .map(|b| match b {
-            b'"' | b'\\' | b'\n' | b'\r' | b'\t' | 0x08 | 0x0c => 2,
-            0x00..=0x1f => 6,
-            _ => 1,
-        })
+/// A BSON document of `(key length, value)` elements: its int32 length,
+/// then per element a type byte, the key as a zero-terminated string and
+/// the value, then a terminating zero.
+fn bson_document_len<'a>(elements: impl Iterator<Item = (usize, &'a Value)>) -> usize {
+    let elements: usize = elements
+        .map(|(key_len, v)| 1 + key_len + 1 + bson_value_len(v))
         .sum();
-    2 + body
+    4 + elements + 1
 }
 
-/// `true` if `bytes` holds a control (below 0x20), `"` or `\\`: eight
-/// bytes per 64-bit word (SWAR), the whole words and then the last eight
-/// bytes, which overlap the last word instead of leaving a tail to walk;
-/// a string shorter than a word is walked. Exact: `below(w, n)` is
-/// nonzero iff a byte of `w` is below `n`, as a borrow only leaves a byte
-/// that was itself below `n`.
-fn needs_escape(bytes: &[u8]) -> bool {
-    const ONES: u64 = u64::from_ne_bytes([0x01; 8]);
-    let below = |w: u64, n: u8| w.wrapping_sub(ONES * u64::from(n)) & !w & (ONES << 7);
-    let escapes = |w: &[u8; 8]| {
-        let w = u64::from_ne_bytes(*w);
-        let (quote, backslash) = (w ^ (ONES * u64::from(b'"')), w ^ (ONES * u64::from(b'\\')));
-        (below(w, 0x20) | below(quote, 1) | below(backslash, 1)) != 0
-    };
-    let Some(last) = bytes.last_chunk() else {
-        return bytes.iter().any(|&b| b < 0x20 || b == b'"' || b == b'\\');
-    };
-    bytes.as_chunks().0.iter().chain([last]).any(escapes)
-}
-
-/// Length of `n` as the JSON writer prints it. Integers, and floats
-/// holding an integer (most feature fields: counts, ports, addresses;
-/// printed as `<digits>.0`), are sized by counting digits; only a
-/// fractional float is actually formatted, into a byte counter.
-fn number_len(n: &Number) -> usize {
-    if !n.is_f64() {
-        if let Some(u) = n.as_u64() {
-            return decimal_digits(u);
+fn bson_value_len(v: &Value) -> usize {
+    match v {
+        Value::Null => 0,
+        Value::Bool(_) => 1,
+        // An integer that fits is an int32; any other is an int64, and a
+        // float a double.
+        Value::Number(n) if !n.is_f64() && n.as_i64().is_some_and(|i| i32::try_from(i).is_ok()) => {
+            4
         }
-        if let Some(i) = n.as_i64() {
-            return 1 + decimal_digits(i.unsigned_abs());
+        Value::Number(_) => 8,
+        // int32 length, the bytes, a terminating zero.
+        Value::String(s) => 4 + s.len() + 1,
+        // An embedded document keyed "0", "1", ….
+        Value::Array(a) => {
+            bson_document_len(a.iter().enumerate().map(|(i, v)| (decimal_digits(i), v)))
         }
-    }
-    match n.as_f64() {
-        // Below 1e15 the float is an exact integer that prints in
-        // positional notation with a trailing `.0`.
-        Some(x) if x.fract() == 0.0 && x.abs() < 1e15 => {
-            usize::from(x.is_sign_negative()) + decimal_digits(x.abs() as u64) + 2
-        }
-        _ => {
-            let mut counter = ByteCounter(0);
-            // `ByteCounter::write_str` never fails.
-            let _ = write!(counter, "{n}");
-            counter.0
-        }
+        Value::Object(m) => bson_document_len(m.iter().map(|(k, v)| (k.len(), v))),
     }
 }
 
-fn decimal_digits(u: u64) -> usize {
-    u.checked_ilog10().map_or(1, |d| d as usize + 1)
-}
-
-/// A `fmt::Write` sink that keeps only the number of bytes written.
-struct ByteCounter(usize);
-
-impl fmt::Write for ByteCounter {
-    fn write_str(&mut self, s: &str) -> fmt::Result {
-        self.0 += s.len();
-        Ok(())
-    }
+fn decimal_digits(i: usize) -> usize {
+    i.checked_ilog10().map_or(1, |d| d as usize + 1)
 }
 
 impl From<Value> for Document {
@@ -483,9 +418,19 @@ mod tests {
     }
 
     #[test]
-    fn encoded_len_is_positive_for_nonempty() {
-        let d = doc! { "k" => 1 };
-        assert!(d.encoded_len() >= 7); // {"k":1}
+    fn bson_len_sizes_each_value_kind() {
+        // 4 + element + 1; an element is type, "k\0", value.
+        let len = |v: Value| doc! { "k" => v }.bson_len();
+        assert_eq!(doc!().bson_len(), 5);
+        assert_eq!(len(json!(null)), 8);
+        assert_eq!(len(json!(true)), 9);
+        assert_eq!(len(json!(1)), 12);
+        assert_eq!(len(json!(1i64 << 31)), 16);
+        assert_eq!(len(json!(u64::MAX)), 16);
+        assert_eq!(len(json!(1.5)), 16);
+        assert_eq!(len(json!("ab")), 15);
+        assert_eq!(len(json!([true])), 8 + 5 + 3 + 1);
+        assert_eq!(len(json!({"k": true})), 8 + 5 + 3 + 1);
     }
 
     #[test]

@@ -4,6 +4,8 @@
 use athena_store::{doc, Document, Filter, FindOptions, Placement, SortSpec, StoreCluster};
 use proptest::prelude::*;
 
+mod bson;
+
 fn arb_docs() -> impl Strategy<Value = Vec<Document>> {
     proptest::collection::vec((0i64..100, 0i64..10), 1..120).prop_map(|pairs| {
         pairs
@@ -140,12 +142,11 @@ proptest! {
     }
 }
 
-// The journal sizes a document without serializing it; the number must
-// be the serializer's, for every value shape the store accepts.
+// The journal charges a copy its BSON length without encoding it; the
+// number must be the encoder's, for every value shape the store accepts.
 
-/// Characters covering every escape class of the JSON writer: the two
-/// quoted specials, the five named controls, `\u00XX` controls, plain
-/// ASCII (DEL included) and 2-, 3- and 4-byte UTF-8.
+/// Characters of one, two, three and four UTF-8 bytes, and the controls
+/// and quotes a JSON writer would escape (BSON writes them as is).
 const CHARS: [char; 18] = [
     'a', 'Z', ' ', '/', '"', '\\', '\n', '\r', '\t', '\u{08}', '\u{0c}', '\u{00}', '\u{01}',
     '\u{1f}', '\u{7f}', 'é', '∑', '😀',
@@ -156,6 +157,31 @@ fn arb_string() -> impl Strategy<Value = String> {
         .prop_map(|picks| picks.into_iter().map(|i| CHARS[i]).collect())
 }
 
+/// Integers at the edges of BSON's int32 / int64 split: the last of each
+/// width and the first past it, from both sides, and `u64`s above
+/// `i64::MAX`.
+const EDGES: [i128; 12] = [
+    0,
+    -1,
+    i32::MAX as i128,
+    i32::MAX as i128 + 1,
+    i32::MIN as i128,
+    i32::MIN as i128 - 1,
+    i64::MAX as i128,
+    i64::MIN as i128,
+    i64::MAX as i128 + 1,
+    u64::MAX as i128,
+    u32::MAX as i128,
+    -(u32::MAX as i128),
+];
+
+fn edge_integer(i: i128) -> serde_json::Value {
+    match i64::try_from(i) {
+        Ok(i) => i.into(),
+        Err(_) => u64::try_from(i).expect("in u64 range").into(),
+    }
+}
+
 fn arb_value(depth: u32) -> BoxedStrategy<serde_json::Value> {
     use proptest::strategy::boxed;
     use serde_json::Value;
@@ -164,13 +190,13 @@ fn arb_value(depth: u32) -> BoxedStrategy<serde_json::Value> {
         any::<bool>().prop_map(Value::from),
         any::<u64>().prop_map(Value::from),
         any::<i64>().prop_map(Value::from),
+        any::<i32>().prop_map(Value::from),
         (-1000i64..1000).prop_map(Value::from),
+        (0..EDGES.len()).prop_map(|i| edge_integer(EDGES[i])),
         // Every finite bit pattern: subnormals, exponent notation, -0.0.
         any::<u64>().prop_map(|bits| Value::from(f64::from_bits(bits))),
-        // Integer-valued and short-fraction floats, the common field shape.
-        (any::<i32>(), 0i32..4)
-            .prop_map(|(m, scale)| Value::from(f64::from(m) / 10f64.powi(scale))),
-        (any::<u64>(), 0i32..4).prop_map(|(m, scale)| Value::from(m as f64 / 10f64.powi(scale))),
+        // Integer-valued floats stay doubles.
+        any::<i32>().prop_map(|m| Value::from(f64::from(m))),
         arb_string().prop_map(Value::from),
     ];
     if depth == 0 {
@@ -178,7 +204,7 @@ fn arb_value(depth: u32) -> BoxedStrategy<serde_json::Value> {
     }
     boxed(prop_oneof![
         leaf,
-        proptest::collection::vec(arb_value(depth - 1), 0..4).prop_map(Value::from),
+        proptest::collection::vec(arb_value(depth - 1), 0..12).prop_map(Value::from),
         proptest::collection::vec((arb_string(), arb_value(depth - 1)), 0..4)
             .prop_map(|members| Value::Object(members.into_iter().collect())),
     ])
@@ -186,75 +212,22 @@ fn arb_value(depth: u32) -> BoxedStrategy<serde_json::Value> {
 
 proptest! {
     #[test]
-    fn encoded_len_is_the_serialized_length(
+    fn bson_len_is_the_encoded_length(
         members in proptest::collection::vec((arb_string(), arb_value(3)), 0..8),
     ) {
         let doc = Document {
             fields: members.into_iter().collect(),
             ..Document::default()
         };
-        let bytes = serde_json::to_vec(&doc.fields).unwrap();
-        prop_assert_eq!(doc.encoded_len(), bytes.len());
-    }
-}
-
-// The escape test runs eight bytes at a time, so every escaped byte is
-// placed at every offset within a word, and in the tail after the last
-// whole word: strings of 0 to 40 bytes, for keys and for string values.
-
-/// Every byte the JSON writer escapes, the one just above them (DEL is
-/// printed as is), and 2-, 3- and 4-byte UTF-8.
-fn probe_chars() -> Vec<char> {
-    let mut chars: Vec<char> = (0u8..0x20).map(char::from).collect();
-    chars.extend(['"', '\\', '\u{7f}', ' ', 'é', '∑', '😀']);
-    chars
-}
-
-/// `encoded_len` of one document holding `s` as a key (the run-time
-/// form of a name, and the static one when `name` lends it) and as a
-/// string value, checked against the serializer.
-fn assert_string_sized(s: &str, name: Option<&'static str>) {
-    use athena_store::Key;
-    let mut keys = vec![Key::from(s.to_owned())];
-    keys.extend(name.map(Key::Static));
-    for key in keys {
-        let doc = Document::new().with(key, s);
-        let bytes = serde_json::to_vec(&doc.fields).unwrap();
-        assert_eq!(doc.encoded_len(), bytes.len(), "{s:?}");
+        prop_assert_eq!(doc.bson_len(), bson::encode(&doc).len());
     }
 }
 
 #[test]
-fn encoded_len_is_exact_for_an_escape_at_every_offset() {
-    for special in probe_chars() {
-        for len in 0..=40usize {
-            for at in 0..len {
-                let s: String = (0..len)
-                    .map(|i| if i == at { special } else { 'a' })
-                    .collect();
-                assert_string_sized(&s, None);
-            }
-            // With nothing to escape: the word path alone decides.
-            assert_string_sized(&"b".repeat(len), None);
-        }
-    }
-}
-
-proptest! {
-    #[test]
-    fn encoded_len_is_exact_for_any_mix_of_escapes(
-        picks in proptest::collection::vec((any::<bool>(), 0usize..64), 0..=40),
-        shift in 0usize..8,
-    ) {
-        let chars = probe_chars();
-        // Mostly plain bytes, so an escape often sits alone in its word.
-        let body: String = picks
-            .into_iter()
-            .map(|(plain, i)| if plain { 'x' } else { chars[i % chars.len()] })
-            .collect();
-        let s = format!("{}{body}", "_".repeat(shift));
-        let name: &'static str = Box::leak(s.clone().into_boxed_str());
-        assert_string_sized(&s, Some(name));
+fn bson_len_is_exact_at_the_integer_edges() {
+    for i in EDGES {
+        let doc = doc! { "n" => edge_integer(i), "é😀" => vec![edge_integer(i); 11] };
+        assert_eq!(doc.bson_len(), bson::encode(&doc).len(), "{i}");
     }
 }
 

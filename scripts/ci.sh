@@ -81,6 +81,10 @@ cargo test -q -p athena-controller --offline --test proptest_poll
 echo "==> feature record = stored document"
 cargo test -q -p athena-core --offline --test golden_documents --test proptest_record
 
+echo "==> southbound ingest (one-hash flow-stats path = set-based oracle; bson_len = a reference encoder)"
+cargo test -q -p athena-core --offline --lib feature::generator::tests::flow_stats_features_equal_the_set_based_oracle
+cargo test -q -p athena-store --offline --test proptest_store bson_len
+
 echo "==> microbench compiles (flow_table/*, controller/shortest_path/*; not run here)"
 cargo bench --no-run -q -p athena-bench --bench micro --offline
 

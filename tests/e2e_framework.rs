@@ -109,7 +109,7 @@ fn quarantine_redirects_instead_of_dropping() {
     // controller's flow-rule store (the proxy involved the controller).
     let athena_rules = cluster
         .flow_rules()
-        .rules_of_app(athena::core::sb::reactor::ATHENA_APP);
+        .rules_of_app(athena::controller::apps::app_ids::ATHENA);
     assert!(!athena_rules.is_empty(), "proxy must register the rule");
 
     // The redirected traffic actually reached the honeynet: the
