@@ -5,7 +5,10 @@
 use athena_apps::{DdosDataset, DdosDetector, DdosDetectorConfig};
 use athena_compute::ComputeCluster;
 use athena_controller::PathService;
-use athena_core::{catalog, FeatureGenerator, FeatureManager, FeatureRecord, FieldName, Query};
+use athena_core::{
+    catalog, FeatureGenerator, FeatureManager, FeatureRecord, FieldName, FieldReader, MessageType,
+    Query,
+};
 use athena_dataplane::Topology;
 use athena_ml::algorithms::kmeans::{KMeansModel, KMeansParams};
 use athena_ml::LabeledPoint;
@@ -199,14 +202,42 @@ fn flow_stats_entry(i: u32) -> FlowStatsEntry {
 
 /// The model-input extraction every scored record pays: ten key searches
 /// in the record's document (on the `PACKET_IN` shape it is the miss a
-/// validator pays for a foreign record).
+/// validator pays for a foreign record); the same ten names read by a
+/// `FieldReader` over a batch of one layout (the `FLOW_STATS` records of
+/// one 100-entry reply, read one record per iteration, round robin); and
+/// a record's index decoded in its one walk.
 fn bench_record(c: &mut Criterion) {
     let model_inputs: Vec<FieldName> = catalog::DDOS_10_TUPLE.map(FieldName::from).to_vec();
-    for (name, record) in feature_records() {
+    let records = feature_records();
+    for (name, record) in &records {
         c.bench_function(&format!("core/vector10/{name}"), |b| {
-            b.iter(|| black_box(&record).values(black_box(&model_inputs)))
+            b.iter(|| black_box(record).values(black_box(&model_inputs)))
         });
     }
+    let mut generator = FeatureGenerator::new(ControllerId::new(0));
+    let batch = generator.ingest(
+        Dpid::new(7),
+        &OfMessage::StatsReply {
+            xid: Xid::athena_marked(1),
+            body: StatsReply::Flow((0..100).map(flow_stats_entry).collect()),
+        },
+        SimTime::from_secs(6),
+        &|_: u64| AppId::CORE,
+    );
+    let flows: Vec<&FeatureRecord> = batch
+        .iter()
+        .filter(|r| r.meta().message_type == MessageType::FLOW_STATS)
+        .collect();
+    assert_eq!(flows.len(), 100);
+    c.bench_function("core/field_reader/flow_stats", |b| {
+        let mut reader = FieldReader::new(&model_inputs);
+        let mut next = flows.iter().cycle();
+        b.iter(|| next.next().map(|r| reader.values(black_box(r))))
+    });
+    let (_, flow_stats) = &records[1];
+    c.bench_function("core/index/flow_stats", |b| {
+        b.iter(|| black_box(flow_stats).index())
+    });
 }
 
 fn bench_store(c: &mut Criterion) {
@@ -439,7 +470,7 @@ fn bench_kmeans(c: &mut Criterion) {
     // parameters (10 features, k = 8, 5 runs of at most 20 passes).
     let det = DdosDetector::new(DdosDetectorConfig::default());
     let raw = DdosDataset::generate(18_326, 20170611).points;
-    let points = det.preprocessor().fit(&raw).unwrap().apply(&raw);
+    let (_, points) = det.preprocessor().fit_apply(raw).unwrap();
     let params = KMeansParams {
         k: 8,
         ..KMeansParams::default()

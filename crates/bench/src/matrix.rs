@@ -14,7 +14,9 @@
 use athena_apps::{DdosDetector, DdosDetectorConfig};
 use athena_compute::ComputeCluster;
 use athena_controller::ControllerCluster;
-use athena_core::{Athena, AthenaConfig, DetectionModel, DetectorManager, FeatureRecord};
+use athena_core::{
+    Athena, AthenaConfig, DetectionModel, DetectorManager, FeatureRecord, FieldReader,
+};
 use athena_dataplane::{workload, LinkModel, Network};
 use athena_faults::{run_with_faults, ChaosChannel, FaultInjector, Scenario};
 use athena_ml::algorithms::forest::ForestParams;
@@ -271,8 +273,13 @@ pub fn evaluate_cell(
     // malicious and flagged. Records arrive in canonical store order, so
     // the minimum is scanned explicitly rather than assumed first.
     let mut first_hit: Option<SimTime> = None;
+    let mut reader = FieldReader::new(&model.features);
     for r in &run.records {
-        if truth(r) && model.is_malicious(r) == Some(true) {
+        if truth(r)
+            && reader
+                .values(r)
+                .is_some_and(|v| model.is_malicious_values(v))
+        {
             first_hit = Some(match first_hit {
                 Some(t) if t <= r.meta().timestamp => t,
                 _ => r.meta().timestamp,

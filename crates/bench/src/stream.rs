@@ -129,7 +129,7 @@ fn prequential(run: &FamilyRun, spec: &OnlineSpec) -> Arm {
     let det = DdosDetector::new(DdosDetectorConfig::default());
     let features = DdosDetector::features();
     let truth = run.truth();
-    let labeled: Vec<(SimTime, LabeledPoint)> = run
+    let (stamps, points): (Vec<SimTime>, Vec<LabeledPoint>) = run
         .records
         .iter()
         .filter_map(|r| {
@@ -138,21 +138,19 @@ fn prequential(run: &FamilyRun, spec: &OnlineSpec) -> Arm {
                 (r.meta().timestamp, LabeledPoint::new(v, label))
             })
         })
-        .collect();
-    let points: Vec<LabeledPoint> = labeled.iter().map(|(_, p)| p.clone()).collect();
-    let Ok(fitted) = det.preprocessor().fit(&points) else {
+        .unzip();
+    let Ok((_, prepared)) = det.preprocessor().fit_apply(points) else {
         return zero_arm(spec.tag());
     };
-    let prepared = fitted.apply(&points);
     assert_eq!(
         prepared.len(),
-        labeled.len(),
+        stamps.len(),
         "the DDoS preprocessor is 1:1; sampling steps would break pairing"
     );
     let mut model = spec.build();
     let (mut tp, mut fp, mut tn, mut missed) = (0u64, 0u64, 0u64, 0u64);
     let mut first_hit: Option<SimTime> = None;
-    for ((t, _), p) in labeled.iter().zip(prepared.iter()) {
+    for (t, p) in stamps.iter().zip(prepared.iter()) {
         let malicious = p.is_malicious();
         let flagged = model.predict(&p.features) >= 0.5;
         match (malicious, flagged) {

@@ -5,6 +5,7 @@ use crate::feature::catalog::{self, FeatureId, FieldName, MessageType};
 use athena_store::{DocId, Document, Fields, Key};
 use athena_types::{AppId, ControllerId, Dpid, FiveTuple, IpProto, Ipv4Addr, PortNo, SimTime};
 use serde_json::Value;
+use std::cmp::Ordering;
 use std::fmt;
 use std::sync::Arc;
 
@@ -45,6 +46,13 @@ pub(crate) const META_KEYS: [&str; 13] = [
 fn is_meta_key(name: &str) -> bool {
     name.as_bytes().first().is_some_and(u8::is_ascii_lowercase)
         && META_KEYS.binary_search(&name).is_ok()
+}
+
+/// Whether `name` starts with a byte at or above `a`. Every index key
+/// does and no catalog name does; in a name-sorted body all such names
+/// come after all others.
+fn is_lower_or_above(name: &str) -> bool {
+    name.as_bytes().first().is_some_and(|b| *b >= b'a')
 }
 
 /// The index fields: where the feature came from, including OpenFlow
@@ -249,59 +257,80 @@ impl FeatureRecord {
         }
     }
 
-    fn int(&self, key: &str) -> Option<i64> {
-        self.0.fields.get(key).and_then(Value::as_i64)
+    /// The index and metadata members, one slot per [`META_KEYS`] entry
+    /// in its order, found in one walk: the body is sorted by name, so
+    /// its lower-case tail merges with the sorted keys, and ad-hoc names
+    /// among them (`phase`, `truth`) are stepped over.
+    fn meta_members(&self) -> [Option<&Value>; META_KEYS.len()] {
+        let members = self.0.fields.iter().as_slice();
+        let tail = members.partition_point(|(k, _)| !is_lower_or_above(k.as_str()));
+        let mut slots = [None; META_KEYS.len()];
+        let (mut i, mut j) = (tail, 0);
+        while let (Some((k, v)), Some(key)) = (members.get(i), META_KEYS.get(j)) {
+            let order = if std::ptr::eq(k.as_str(), *key) {
+                Ordering::Equal
+            } else {
+                k.as_str().cmp(key)
+            };
+            match order {
+                Ordering::Less => i += 1,
+                Ordering::Greater => j += 1,
+                Ordering::Equal => {
+                    if let Some(slot) = slots.get_mut(j) {
+                        *slot = Some(v);
+                    }
+                    (i, j) = (i + 1, j + 1);
+                }
+            }
+        }
+        slots
     }
 
     /// Where the feature came from. A key that is missing or holds a
     /// value of the wrong type reads as its default; half a five-tuple
     /// is none.
     pub fn index(&self) -> FeatureIndex {
-        let mut index = FeatureIndex::switch(self.switch());
-        index.port = self.int(PORT).map(|p| PortNo::new(p as u32));
-        if let (Some(src), Some(dst)) = (self.int(IP_SRC), self.int(IP_DST)) {
-            index.five_tuple = Some(FiveTuple {
-                src: Ipv4Addr::from_raw(src as u32),
-                dst: Ipv4Addr::from_raw(dst as u32),
-                src_port: self.int(TP_SRC).unwrap_or(0) as u16,
-                dst_port: self.int(TP_DST).unwrap_or(0) as u16,
-                proto: IpProto::from_number(self.int(IP_PROTO).unwrap_or(0) as u8),
-            });
+        let [app, _, _, host, ip_dst, ip_proto, ip_src, _, port, switch, _, tp_dst, tp_src] =
+            self.meta_members().map(int);
+        FeatureIndex {
+            switch: Dpid::new(switch.unwrap_or(0) as u64),
+            port: port.map(|p| PortNo::new(p as u32)),
+            five_tuple: match (ip_src, ip_dst) {
+                (Some(src), Some(dst)) => Some(FiveTuple {
+                    src: Ipv4Addr::from_raw(src as u32),
+                    dst: Ipv4Addr::from_raw(dst as u32),
+                    src_port: tp_src.unwrap_or(0) as u16,
+                    dst_port: tp_dst.unwrap_or(0) as u16,
+                    proto: IpProto::from_number(ip_proto.unwrap_or(0) as u8),
+                }),
+                _ => None,
+            },
+            host: host.map(|h| Ipv4Addr::from_raw(h as u32)),
+            app: app.map(|a| AppId::new(a as u32)),
         }
-        index.host = self.int(HOST).map(|h| Ipv4Addr::from_raw(h as u32));
-        index.app = self.int(APP).map(|a| AppId::new(a as u32));
-        index
     }
 
-    /// Timestamp and control-plane semantics, read as
-    /// [`FeatureRecord::index`] reads its keys.
+    /// Timestamp and control-plane semantics, read in the one walk
+    /// [`FeatureRecord::index`] reads its keys in.
     pub fn meta(&self) -> MetaData {
+        let [_, athena_polled, controller, _, _, _, _, message_type, _, _, timestamp, _, _] =
+            self.meta_members();
         MetaData {
-            timestamp: SimTime::from_micros(self.int(TIMESTAMP).unwrap_or(0) as u64),
-            controller: ControllerId::new(self.int(CONTROLLER).unwrap_or(0) as u32),
-            message_type: self.message_type(),
-            athena_polled: self
-                .0
-                .fields
-                .get(ATHENA_POLLED)
-                .and_then(Value::as_bool)
-                .unwrap_or(false),
+            timestamp: SimTime::from_micros(int(timestamp).unwrap_or(0) as u64),
+            controller: ControllerId::new(int(controller).unwrap_or(0) as u32),
+            message_type: kind(message_type),
+            athena_polled: athena_polled.and_then(Value::as_bool).unwrap_or(false),
         }
     }
 
     /// The originating switch alone (one key read).
     pub(crate) fn switch(&self) -> Dpid {
-        Dpid::new(self.int(SWITCH).unwrap_or(0) as u64)
+        Dpid::new(int(self.0.fields.get(SWITCH)).unwrap_or(0) as u64)
     }
 
     /// The record's kind alone (one key read).
     pub(crate) fn message_type(&self) -> MessageType {
-        self.0
-            .fields
-            .get(MESSAGE_TYPE)
-            .and_then(Value::as_str)
-            .unwrap_or("")
-            .into()
+        kind(self.0.fields.get(MESSAGE_TYPE))
     }
 
     /// Looks up a field by name: the last value pushed for it.
@@ -335,6 +364,80 @@ impl FeatureRecord {
             .iter()
             .filter(|(k, _)| !is_meta_key(k.as_str()))
             .filter_map(|(k, v)| Some((k.as_str(), v.as_f64()?)))
+    }
+}
+
+/// An integer-valued key's value, if it holds an integer.
+fn int(value: Option<&Value>) -> Option<i64> {
+    value.and_then(Value::as_i64)
+}
+
+/// The `message_type` key's value read as a kind; anything but a string
+/// is the empty kind.
+fn kind(value: Option<&Value>) -> MessageType {
+    value.and_then(Value::as_str).unwrap_or("").into()
+}
+
+/// Reads a model's inputs from record after record: what
+/// [`FeatureRecord::values`] returns, found faster when consecutive
+/// records share a key layout (every `FLOW_STATS` record of one
+/// generator does). Each name first tries the member position it held in
+/// the previous record — one key comparison, by pointer and then by
+/// string — and on a miss walks the body as a plain lookup does and
+/// remembers where it found the name. A record of another layout costs
+/// one comparison per name more than [`FeatureRecord::values`].
+///
+/// # Examples
+///
+/// ```
+/// use athena_core::{catalog, FeatureIndex, FeatureRecord, FieldName, FieldReader};
+/// use athena_types::Dpid;
+///
+/// let names = [FieldName::from(catalog::FLOW_PACKET_COUNT)];
+/// let mut reader = FieldReader::new(&names);
+/// let mut r = FeatureRecord::new(FeatureIndex::switch(Dpid::new(1)));
+/// r.push_field(catalog::FLOW_PACKET_COUNT, 42.0);
+/// assert_eq!(reader.values(&r), Some(vec![42.0]));
+/// assert_eq!(reader.values(&r), r.values(&names));
+/// ```
+#[derive(Debug, Clone)]
+pub struct FieldReader {
+    /// Each name with the member position it held in the last record
+    /// that had it.
+    names: Vec<(FieldName, usize)>,
+    /// Whether a name is an index or metadata key: then no record has
+    /// all of the fields.
+    meta: bool,
+}
+
+impl FieldReader {
+    /// A reader of `names`, in order.
+    pub fn new(names: &[FieldName]) -> Self {
+        FieldReader {
+            names: names.iter().map(|name| (name.clone(), 0)).collect(),
+            meta: names.iter().any(|name| is_meta_key(name.as_str())),
+        }
+    }
+
+    /// The named fields of `record` as a feature vector: exactly
+    /// [`FeatureRecord::values`] over the reader's names.
+    pub fn values(&mut self, record: &FeatureRecord) -> Option<Vec<f64>> {
+        if self.meta {
+            return None;
+        }
+        let members = record.0.fields.iter().as_slice();
+        let mut values = Vec::with_capacity(self.names.len());
+        for (name, at) in &mut self.names {
+            let name = name.as_str();
+            let hit = members
+                .get(*at)
+                .is_some_and(|(k, _)| std::ptr::eq(k.as_str(), name) || k.as_str() == name);
+            if !hit {
+                *at = members.iter().position(|(k, _)| k.as_str() == name)?;
+            }
+            values.push(members.get(*at)?.1.as_f64()?);
+        }
+        Some(values)
     }
 }
 

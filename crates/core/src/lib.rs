@@ -69,7 +69,7 @@ pub mod sb;
 
 pub use athena::{Athena, AthenaConfig};
 pub use feature::catalog::{self, FeatureCategory, FeatureId, FieldName, MessageType};
-pub use feature::format::{FeatureIndex, FeatureRecord, MetaData};
+pub use feature::format::{FeatureIndex, FeatureRecord, FieldReader, MetaData};
 pub use feature::generator::FeatureGenerator;
 pub use feature::window::Windowing;
 pub use nb::detector_manager::{DetectionModel, DetectorManager};

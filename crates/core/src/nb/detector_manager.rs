@@ -9,7 +9,7 @@
 //! communication overhead."
 
 use crate::feature::catalog::FieldName;
-use crate::feature::format::FeatureRecord;
+use crate::feature::format::{FeatureRecord, FieldReader};
 use crate::nb::feature_manager::FeatureManager;
 use athena_compute::ComputeCluster;
 use athena_ml::{
@@ -100,14 +100,33 @@ impl DetectionModel {
     /// Scores one feature record; `None` if the record lacks the model's
     /// features.
     pub fn score(&self, record: &FeatureRecord) -> Option<f64> {
-        let v = record.values(&self.features)?;
-        let p = self.preprocessor.apply_point(&LabeledPoint::unlabeled(v));
-        Some(self.model.predict(&p.features))
+        Some(self.score_values(record.values(&self.features)?))
     }
 
     /// Classifies one record as malicious; `None` if not applicable.
     pub fn is_malicious(&self, record: &FeatureRecord) -> Option<bool> {
-        self.score(record).map(|s| s >= 0.5)
+        Some(self.is_malicious_values(record.values(&self.features)?))
+    }
+
+    /// Classifies the model's raw inputs, read off a record in
+    /// [`DetectionModel::features`] order (as a [`crate::FieldReader`]
+    /// reads them), as malicious: what the online validators call.
+    pub fn is_malicious_values(&self, values: Vec<f64>) -> bool {
+        self.score_values(values) >= 0.5
+    }
+
+    /// The one scoring function, of [`DetectionModel::score`] and the
+    /// online path alike: the fitted chain over the raw inputs, in place,
+    /// then the model.
+    fn score_values(&self, values: Vec<f64>) -> f64 {
+        self.model.predict(&self.prepare(values))
+    }
+
+    /// Runs the fitted chain over raw inputs, in place.
+    fn prepare(&self, values: Vec<f64>) -> Vec<f64> {
+        self.preprocessor
+            .apply_owned(LabeledPoint::unlabeled(values))
+            .features
     }
 
     /// An empty validation tally with one report per cluster of the model.
@@ -115,10 +134,9 @@ impl DetectionModel {
         ValidationSummary::with_clusters(self.model.cluster_count().unwrap_or(0))
     }
 
-    /// Scores one raw point and tallies the verdict against `actual`.
-    fn tally(&self, summary: &mut ValidationSummary, point: &LabeledPoint, actual: bool) {
-        let prepared = self.preprocessor.apply_point(point);
-        let (predicted, cluster) = self.model.verdict_and_cluster(&prepared.features);
+    /// Scores raw inputs and tallies the verdict against `actual`.
+    fn tally(&self, summary: &mut ValidationSummary, values: Vec<f64>, actual: bool) {
+        let (predicted, cluster) = self.model.verdict_and_cluster(&self.prepare(values));
         summary.record(actual, predicted, cluster);
     }
 
@@ -126,7 +144,7 @@ impl DetectionModel {
     fn tally_points(&self, points: &[LabeledPoint]) -> ValidationSummary {
         let mut summary = self.empty_summary();
         for p in points {
-            self.tally(&mut summary, p, p.is_malicious());
+            self.tally(&mut summary, p.features.clone(), p.is_malicious());
         }
         summary
     }
@@ -214,8 +232,7 @@ impl DetectorManager {
                 "no records carry the requested features".into(),
             ));
         }
-        let fitted = preprocessor.fit(&points)?;
-        let prepared = fitted.apply(&points);
+        let (fitted, prepared) = preprocessor.fit_apply(points)?;
         let n = prepared.len();
         let model = if n >= self.distributed_threshold {
             let ds = self.compute.parallelize(prepared, self.partitions);
@@ -244,12 +261,13 @@ impl DetectorManager {
         let mut summary = model.empty_summary();
         let mut benign_flows: HashSet<FiveTuple> = HashSet::new();
         let mut malicious_flows: HashSet<FiveTuple> = HashSet::new();
+        let mut reader = FieldReader::new(&model.features);
         for r in records {
-            let Some(v) = r.values(&model.features) else {
+            let Some(v) = reader.values(r) else {
                 continue;
             };
             let actual = truth(r);
-            model.tally(&mut summary, &LabeledPoint::unlabeled(v), actual);
+            model.tally(&mut summary, v, actual);
             if let Some(ft) = r.index().five_tuple {
                 if actual {
                     malicious_flows.insert(ft);

@@ -6,7 +6,7 @@
 //! constraints, and converts feature sets into ML training data.
 
 use crate::feature::catalog::FieldName;
-use crate::feature::format::{FeatureRecord, META_KEYS};
+use crate::feature::format::{FeatureRecord, FieldReader, META_KEYS};
 use crate::nb::query::Query;
 use athena_ml::LabeledPoint;
 use athena_store::cluster::CollectionHandle;
@@ -194,10 +194,11 @@ impl FeatureManager {
             .iter()
             .map(|name| FieldName::from(name.as_ref()))
             .collect();
+        let mut reader = FieldReader::new(&features);
         records
             .iter()
             .filter_map(|r| {
-                let v = r.values(&features)?;
+                let v = reader.values(r)?;
                 Some(LabeledPoint::new(v, f64::from(u8::from(truth(r)))))
             })
             .collect()

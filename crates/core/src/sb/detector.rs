@@ -5,7 +5,7 @@
 //! raise reactions for the Attack Reactor. Batch-mode detection runs in
 //! the Detector Manager; this component is the live path.
 
-use crate::feature::format::FeatureRecord;
+use crate::feature::format::{FeatureRecord, FieldReader};
 use crate::nb::detector_manager::DetectionModel;
 use crate::nb::query::Query;
 use crate::nb::reaction_manager::Reaction;
@@ -18,6 +18,8 @@ pub type AlertHandler = Box<dyn FnMut(&FeatureRecord) -> Option<Reaction> + Send
 struct OnlineValidator {
     filter: Filter,
     model: DetectionModel,
+    /// Reads `model`'s inputs; rebuilt with each model swap.
+    reader: FieldReader,
     on_alert: AlertHandler,
     examined: u64,
     alerts: u64,
@@ -55,6 +57,7 @@ impl AttackDetector {
     ) -> usize {
         self.validators.push(OnlineValidator {
             filter: query.filter.clone(),
+            reader: FieldReader::new(&model.features),
             model,
             on_alert,
             examined: 0,
@@ -71,6 +74,7 @@ impl AttackDetector {
     /// candidate) when `index` names no validator.
     pub fn swap_model(&mut self, index: usize, model: DetectionModel) -> Option<DetectionModel> {
         let v = self.validators.get_mut(index)?;
+        v.reader = FieldReader::new(&model.features);
         Some(std::mem::replace(&mut v.model, model))
     }
 
@@ -91,11 +95,11 @@ impl AttackDetector {
             if !v.filter.matches(record.document()) {
                 continue;
             }
-            let Some(malicious) = v.model.is_malicious(record) else {
+            let Some(values) = v.reader.values(record) else {
                 continue;
             };
             v.examined += 1;
-            if malicious {
+            if v.model.is_malicious_values(values) {
                 v.alerts += 1;
                 if let Some(reaction) = (v.on_alert)(record) {
                     reactions.push(reaction);

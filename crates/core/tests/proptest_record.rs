@@ -3,9 +3,10 @@
 //! with, the document is strictly name-sorted, charged its journal
 //! bytes, and reads back the index, metadata and last value per name it
 //! was built from — and whatever a stored document holds, the record
-//! reads what plain key lookups read.
+//! reads what plain key lookups read, and a [`FieldReader`] reads what
+//! the record's own `values` reads.
 
-use athena_core::{catalog, FeatureIndex, FeatureRecord, FieldName, MetaData};
+use athena_core::{catalog, FeatureIndex, FeatureRecord, FieldName, FieldReader, MetaData};
 use athena_store::Document;
 use athena_types::{AppId, ControllerId, Dpid, FiveTuple, IpProto, Ipv4Addr, PortNo, SimTime};
 use proptest::prelude::*;
@@ -208,6 +209,7 @@ proptest! {
         fields in proptest::collection::vec((arb_name(), arb_value()), 0..20),
         misfits in proptest::collection::vec((0usize..META_KEYS.len(), arb_misfit()), 0..6),
         strays in proptest::collection::vec((0usize..ADHOC.len(), arb_misfit()), 0..4),
+        through_json in any::<bool>(),
     ) {
         let mut r = FeatureRecord::new(index).with_meta(meta);
         for (name, value) in &fields {
@@ -222,6 +224,11 @@ proptest! {
         for (name, value) in strays {
             doc.set(ADHOC[name], value);
         }
+        // A document read back from JSON text holds run-time keys, not
+        // the program's own strings.
+        if through_json {
+            doc = json_round_trip(&doc);
+        }
         let (index, meta, fields) = from_document_by_lookups(&doc);
         let back = FeatureRecord::from(doc.clone());
         prop_assert_eq!(back.index(), index);
@@ -233,6 +240,111 @@ proptest! {
         }
         for name in ADHOC {
             prop_assert_eq!(back.field(name), doc.get_f64(name), "{}", name);
+        }
+    }
+}
+
+/// `doc` written as JSON text and parsed back: every key is then a
+/// [`athena_store::Key::Shared`] string of its own.
+fn json_round_trip(doc: &Document) -> Document {
+    let text = serde_json::to_string(doc).expect("a document serializes");
+    serde_json::from_str(&text).expect("its own text parses")
+}
+
+/// How one record of a reader's run is laid out: each requested name is
+/// present or not (`mask`; `full` keeps them all), among any mix of
+/// other catalog and ad-hoc fields (`phase`, `truth` and `zeta` sort
+/// among the index keys) and ad-hoc members holding no number; the
+/// document is read back from JSON text or not.
+#[derive(Debug, Clone)]
+struct Layout {
+    index: FeatureIndex,
+    meta: MetaData,
+    full: bool,
+    mask: Vec<(u8, f64)>,
+    others: Vec<(FieldName, f64)>,
+    strays: Vec<(usize, Value)>,
+    through_json: bool,
+}
+
+fn arb_layout() -> impl Strategy<Value = Layout> {
+    (
+        (arb_index(), arb_meta(), any::<bool>(), any::<bool>()),
+        proptest::collection::vec((0u8..6, arb_value()), 16),
+        proptest::collection::vec((arb_name(), arb_value()), 0..24),
+        proptest::collection::vec((0usize..ADHOC.len(), arb_misfit()), 0..3),
+    )
+        .prop_map(
+            |((index, meta, full, through_json), mask, others, strays)| Layout {
+                index,
+                meta,
+                full,
+                mask,
+                others,
+                strays,
+                through_json,
+            },
+        )
+}
+
+impl Layout {
+    fn record(&self, names: &[FieldName]) -> FeatureRecord {
+        let mut r = FeatureRecord::new(self.index).with_meta(self.meta.clone());
+        for (name, &(keep, value)) in names.iter().zip(self.mask.iter().cycle()) {
+            if self.full || keep != 0 {
+                r.push_field(name.clone(), value);
+            }
+        }
+        for (name, value) in &self.others {
+            r.push_field(name.clone(), *value);
+        }
+        let mut doc = r.to_document();
+        for (name, value) in &self.strays {
+            doc.set(ADHOC[*name], value.clone());
+        }
+        if self.through_json {
+            doc = json_round_trip(&doc);
+        }
+        FeatureRecord::from(doc)
+    }
+}
+
+/// The names a model asks for: catalog and ad-hoc names, sometimes one
+/// of them twice, sometimes an index key among them.
+fn arb_request() -> impl Strategy<Value = Vec<FieldName>> {
+    (
+        proptest::collection::vec(arb_name(), 0..12),
+        any::<bool>(),
+        0usize..4 * META_KEYS.len(),
+    )
+        .prop_map(|(mut names, repeat, key)| {
+            if let (true, Some(first)) = (repeat, names.first().cloned()) {
+                names.push(first);
+            }
+            if let Some(key) = META_KEYS.get(key) {
+                names.insert(names.len() / 2, FieldName::from(*key));
+            }
+            names
+        })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn a_reader_reads_what_values_reads_whatever_layout_comes_next(
+        names in arb_request(),
+        layouts in proptest::collection::vec(arb_layout(), 1..8),
+        order in proptest::collection::vec(0usize..64, 1..40),
+    ) {
+        // A run that keeps one layout for a while and switches, back and
+        // forth: the positions the reader remembers are right, stale or
+        // out of range for the next record.
+        let records: Vec<FeatureRecord> = layouts.iter().map(|l| l.record(&names)).collect();
+        let mut reader = FieldReader::new(&names);
+        for (step, pick) in order.iter().enumerate() {
+            let r = &records[pick % records.len()];
+            prop_assert_eq!(reader.values(r), r.values(&names), "step {}", step);
         }
     }
 }

@@ -107,11 +107,25 @@ impl Preprocessor {
     /// length differs from the feature dimension, or an out-of-range
     /// sampling fraction or marking index.
     pub fn fit(&self, data: &[LabeledPoint]) -> Result<FittedPreprocessor> {
-        let dim = crate::data::check_dims(data)?;
+        self.fit_apply(data.to_vec()).map(|(fitted, _)| fitted)
+    }
+
+    /// Learns the chain's parameters on `data` and returns them with the
+    /// data transformed by it: exactly [`Preprocessor::fit`] followed by
+    /// [`FittedPreprocessor::apply`], without a copy — fitting transforms
+    /// the points step by step anyway, in place.
+    ///
+    /// # Errors
+    ///
+    /// As [`Preprocessor::fit`].
+    pub fn fit_apply(
+        &self,
+        mut data: Vec<LabeledPoint>,
+    ) -> Result<(FittedPreprocessor, Vec<LabeledPoint>)> {
+        let dim = crate::data::check_dims(&data)?;
         let mut fitted = Vec::with_capacity(self.steps.len());
         // Normalization statistics must be computed on data transformed by
         // the *preceding* steps, so fit incrementally.
-        let mut current: Vec<LabeledPoint> = data.to_vec();
         for step in &self.steps {
             let f = match step {
                 Step::Weighting(w) => {
@@ -135,7 +149,7 @@ impl Preprocessor {
                     Normalization::MinMax => {
                         let mut lo = vec![f64::INFINITY; dim];
                         let mut hi = vec![f64::NEG_INFINITY; dim];
-                        for p in &current {
+                        for p in data.iter() {
                             for (j, x) in p.features.iter().enumerate() {
                                 lo[j] = lo[j].min(*x);
                                 hi[j] = hi[j].max(*x);
@@ -144,15 +158,15 @@ impl Preprocessor {
                         FittedStep::MinMax { lo, hi }
                     }
                     Normalization::ZScore => {
-                        let n = current.len() as f64;
+                        let n = data.len() as f64;
                         let mut mean = vec![0.0; dim];
-                        for p in &current {
+                        for p in data.iter() {
                             for (j, x) in p.features.iter().enumerate() {
                                 mean[j] += x / n;
                             }
                         }
                         let mut var = vec![0.0; dim];
-                        for p in &current {
+                        for p in data.iter() {
                             for (j, x) in p.features.iter().enumerate() {
                                 var[j] += (x - mean[j]) * (x - mean[j]) / n;
                             }
@@ -173,10 +187,10 @@ impl Preprocessor {
                     }
                 }
             };
-            current = apply_step(&f, &current);
+            apply_step(&f, &mut data);
             fitted.push(f);
         }
-        Ok(FittedPreprocessor { steps: fitted, dim })
+        Ok((FittedPreprocessor { steps: fitted, dim }, data))
     }
 }
 
@@ -189,26 +203,30 @@ enum FittedStep {
     Marking { feature: usize, threshold: f64 },
 }
 
-fn apply_step(step: &FittedStep, data: &[LabeledPoint]) -> Vec<LabeledPoint> {
+/// Applies one step to a batch in place (sampling drops points).
+fn apply_step(step: &FittedStep, data: &mut Vec<LabeledPoint>) {
     match step {
         FittedStep::Sampling(frac) => {
             if *frac >= 1.0 {
-                return data.to_vec();
+                return;
             }
             if *frac <= 0.0 {
-                return Vec::new();
+                data.clear();
+                return;
             }
             let keep_every = (1.0 / frac).round().max(1.0) as usize;
-            data.iter().step_by(keep_every).cloned().collect()
+            let mut i = 0;
+            data.retain(|_| {
+                let keep = i % keep_every == 0;
+                i += 1;
+                keep
+            });
         }
-        other => data
-            .iter()
-            .map(|p| {
-                let mut p = p.clone();
-                apply_step_point(other, &mut p);
-                p
-            })
-            .collect(),
+        other => {
+            for p in data.iter_mut() {
+                apply_step_point(other, p);
+            }
+        }
     }
 }
 
@@ -257,11 +275,12 @@ impl FittedPreprocessor {
         self.dim
     }
 
-    /// Applies the chain to a batch (sampling steps drop points).
+    /// Applies the chain to a batch (sampling steps drop points): one
+    /// copy of each point, then every step in place.
     pub fn apply(&self, data: &[LabeledPoint]) -> Vec<LabeledPoint> {
         let mut current = data.to_vec();
         for step in &self.steps {
-            current = apply_step(step, &current);
+            apply_step(step, &mut current);
         }
         current
     }
@@ -269,7 +288,12 @@ impl FittedPreprocessor {
     /// Applies the chain to one live point (sampling steps are skipped —
     /// online validation sees every event).
     pub fn apply_point(&self, p: &LabeledPoint) -> LabeledPoint {
-        let mut p = p.clone();
+        self.apply_owned(p.clone())
+    }
+
+    /// [`FittedPreprocessor::apply_point`] on a point the caller hands
+    /// over, transformed in place.
+    pub fn apply_owned(&self, mut p: LabeledPoint) -> LabeledPoint {
         for step in &self.steps {
             apply_step_point(step, &mut p);
         }

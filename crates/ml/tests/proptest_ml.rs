@@ -1,5 +1,6 @@
-//! Property-based tests for the ML library: preprocessing invariants,
-//! K-Means invariants, metric identities, and model totality.
+//! Property-based tests for the ML library: preprocessing invariants
+//! (one-pass `fit_apply` = `fit` + `apply`), K-Means invariants, metric
+//! identities, and model totality.
 
 use athena_ml::algorithms::kmeans::{KMeansModel, KMeansParams};
 use athena_ml::{
@@ -202,4 +203,75 @@ proptest! {
         prop_assert!(out.len() as f64 <= expect * 2.0 + 1.0);
         prop_assert!(out.len() as f64 >= expect / 2.5 - 1.0, "{} vs {expect}", out.len());
     }
+
+    /// Fitting and applying in one pass is `fit` then `apply`, to the
+    /// bit: the same fitted chain and the same points, over any chain of
+    /// the five step kinds (the empty chain included).
+    #[test]
+    fn fit_apply_is_fit_then_apply(
+        points in arb_points(3),
+        steps in proptest::collection::vec(arb_step(), 0..5),
+    ) {
+        let chain = steps.iter().fold(Preprocessor::new(), |chain, step| step.append(chain));
+        for chain in [Preprocessor::new(), chain] {
+            match (chain.fit(&points), chain.fit_apply(points.clone())) {
+                (Ok(fitted), Ok((once, out))) => {
+                    prop_assert_eq!(&once, &fitted);
+                    prop_assert_eq!(bits(&out), bits(&fitted.apply(&points)));
+                }
+                (Err(_), Err(_)) => {}
+                (apart, together) => prop_assert!(
+                    false,
+                    "fit {:?} but fit_apply {:?}",
+                    apart.is_ok(),
+                    together.is_ok()
+                ),
+            }
+        }
+    }
+}
+
+/// One preprocessing step of a generated chain (three features).
+#[derive(Debug, Clone)]
+enum ArbStep {
+    Weighting(Vec<f64>),
+    Sampling(f64),
+    Normalization(Normalization),
+    /// A feature index of 3 is out of range: `fit` refuses the chain.
+    Marking(usize, f64),
+}
+
+impl ArbStep {
+    fn append(&self, chain: Preprocessor) -> Preprocessor {
+        match self {
+            ArbStep::Weighting(w) => chain.weight(w.clone()),
+            ArbStep::Sampling(frac) => chain.sample(*frac),
+            ArbStep::Normalization(n) => chain.normalize(*n),
+            ArbStep::Marking(feature, threshold) => chain.mark(*feature, *threshold),
+        }
+    }
+}
+
+fn arb_step() -> impl Strategy<Value = ArbStep> {
+    prop_oneof![
+        proptest::collection::vec(-5.0f64..5.0, 3..=3).prop_map(ArbStep::Weighting),
+        prop_oneof![Just(0.0), Just(1.0), 0.05f64..1.0].prop_map(ArbStep::Sampling),
+        Just(ArbStep::Normalization(Normalization::MinMax)),
+        Just(ArbStep::Normalization(Normalization::ZScore)),
+        (0usize..4, -1000.0f64..1000.0).prop_map(|(f, t)| ArbStep::Marking(f, t)),
+    ]
+}
+
+/// Points as bit patterns: equal only if every feature and label is
+/// the same `f64` to the bit.
+fn bits(points: &[LabeledPoint]) -> Vec<(Vec<u64>, u64)> {
+    points
+        .iter()
+        .map(|p| {
+            (
+                p.features.iter().map(|x| x.to_bits()).collect(),
+                p.label.to_bits(),
+            )
+        })
+        .collect()
 }

@@ -85,6 +85,12 @@ echo "==> southbound ingest (one-hash flow-stats path = set-based oracle; bson_l
 cargo test -q -p athena-core --offline --lib feature::generator::tests::flow_stats_features_equal_the_set_based_oracle
 cargo test -q -p athena-store --offline --test proptest_store bson_len
 
+echo "==> detector read path (reader = values; one-walk metadata = lookups; fit_apply = fit + apply)"
+cargo test -q -p athena-core --offline --test proptest_record -- \
+    a_reader_reads_what_values_reads_whatever_layout_comes_next \
+    a_record_reads_what_the_lookups_read_whatever_the_keys_hold
+cargo test -q -p athena-ml --offline --test proptest_ml fit_apply_is_fit_then_apply
+
 echo "==> microbench compiles (flow_table/*, controller/shortest_path/*; not run here)"
 cargo bench --no-run -q -p athena-bench --bench micro --offline
 
