@@ -3,7 +3,6 @@
 //! store writes/queries, feature generation, and K-Means training.
 
 use athena_apps::{DdosDataset, DdosDetector, DdosDetectorConfig};
-use athena_compute::ComputeCluster;
 use athena_controller::PathService;
 use athena_core::{
     catalog, FeatureGenerator, FeatureManager, FeatureRecord, FieldName, FieldReader, MessageType,
@@ -458,11 +457,6 @@ fn bench_kmeans(c: &mut Criterion) {
     };
     c.bench_function("ml/kmeans_2k_points", |b| {
         b.iter(|| KMeansModel::fit(params, black_box(&data)).unwrap())
-    });
-    let cluster = ComputeCluster::new(4);
-    let ds = cluster.parallelize(data.clone(), 8);
-    c.bench_function("ml/kmeans_2k_points_distributed", |b| {
-        b.iter(|| KMeansModel::fit_distributed(params, black_box(&ds)).unwrap())
     });
 
     // The DDoS detector's fit: as many points as the ledger trains on,

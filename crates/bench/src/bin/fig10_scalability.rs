@@ -30,11 +30,10 @@ fn main() {
     let det = DdosDetector::new(DdosDetectorConfig::default());
     let features: Vec<String> = FEATURES.iter().map(|s| (*s).to_owned()).collect();
 
-    // Train once on a subset; Figure 10 sweeps the *testing* phase.
+    // Train once on a subset, in process; Figure 10 sweeps the
+    // *testing* phase.
     let tel = Telemetry::new();
-    let train_compute = ComputeCluster::new(6);
-    train_compute.bind_telemetry(&tel);
-    let trainer = DetectorManager::with_telemetry(train_compute, &tel);
+    let trainer = DetectorManager::with_telemetry(ComputeCluster::new(6), &tel);
     let model = trainer
         .generate_from_points(
             data.points[..entries / 10].to_vec(),

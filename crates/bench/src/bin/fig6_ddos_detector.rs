@@ -30,8 +30,7 @@ fn main() {
 
     let det = DdosDetector::new(DdosDetectorConfig::default());
     let features: Vec<String> = FEATURES.iter().map(|s| (*s).to_owned()).collect();
-    let mut dm = DetectorManager::new(ComputeCluster::new(6));
-    dm.distributed_threshold = 10_000; // use the cluster like the paper
+    let dm = DetectorManager::new(ComputeCluster::new(6));
 
     let model = dm
         .generate_from_points(

@@ -133,7 +133,7 @@ fn prequential(run: &FamilyRun, spec: &OnlineSpec) -> Arm {
         .records
         .iter()
         .filter_map(|r| {
-            r.vector(&features).map(|v| {
+            r.values(&features).map(|v| {
                 let label = if truth(r) { 1.0 } else { 0.0 };
                 (r.meta().timestamp, LabeledPoint::new(v, label))
             })

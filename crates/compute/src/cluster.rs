@@ -15,7 +15,7 @@ use std::time::Instant;
 pub struct JobMetrics {
     /// Sequential job number.
     pub job_id: u64,
-    /// A label describing the job (e.g. `"map"`, `"kmeans-iter"`).
+    /// The operation that ran the job (e.g. `"map"`, `"map_partitions"`).
     pub label: String,
     /// Number of tasks (one per partition).
     pub tasks: usize,

@@ -5,8 +5,8 @@
 //! are added (Figure 10). This crate is the from-scratch substitute:
 //!
 //! - [`Dataset`] — a partitioned collection with Spark-like
-//!   transformations (`map`, `filter`, `map_partitions`) and actions
-//!   (`reduce`, `fold`, `count`, `collect`) ([`dataset`] module),
+//!   transformations (`map`, `filter`, `map_partitions`, `sample`) and
+//!   actions (`fold`, `count`, `collect`) ([`dataset`] module),
 //! - [`ComputeCluster`] — a cluster of N worker nodes ([`cluster`] module),
 //! - [`VirtualScheduler`] — the timing model ([`scheduler`] module).
 //!

@@ -209,8 +209,8 @@ impl Athena {
     }
 
     /// `GenerateDetectionModel(q, f, a)`: fetches the training features,
-    /// applies the preprocessor, and fits the algorithm — distributing
-    /// the job to the compute cluster for large datasets.
+    /// applies the preprocessor, and fits the algorithm in process
+    /// (the Detector Manager's one fit, whatever the training set's size).
     ///
     /// `truth` labels training entries (the ground truth behind the
     /// *Marking* step; the paper's operators mark known-malicious entries

@@ -348,13 +348,12 @@ impl FeatureRecord {
 
     /// Extracts the named fields as a feature vector; `None` if any is
     /// missing (the record is not of the right kind for the model).
-    pub fn vector(&self, names: &[impl AsRef<str>]) -> Option<Vec<f64>> {
-        names.iter().map(|n| self.field(n.as_ref())).collect()
-    }
-
-    /// [`FeatureRecord::vector`] over resolved names.
-    pub fn values(&self, names: &[FieldName]) -> Option<Vec<f64>> {
-        self.vector(names)
+    pub fn values(&self, names: &[impl AsRef<str>]) -> Option<Vec<f64>> {
+        let mut values = Vec::with_capacity(names.len());
+        for name in names {
+            values.push(self.field(name.as_ref())?);
+        }
+        Some(values)
     }
 
     /// The feature fields, in name order.
@@ -505,15 +504,15 @@ mod tests {
     }
 
     #[test]
-    fn field_lookup_and_vector() {
+    fn field_lookup_and_values() {
         let r = record();
         assert_eq!(r.field("FLOW_BYTE_COUNT"), Some(6400.0));
         assert_eq!(r.field("MISSING"), None);
         assert_eq!(
-            r.vector(&["FLOW_PACKET_COUNT", "FLOW_BYTE_COUNT"]),
+            r.values(&["FLOW_PACKET_COUNT", "FLOW_BYTE_COUNT"]),
             Some(vec![100.0, 6400.0])
         );
-        assert_eq!(r.vector(&["FLOW_PACKET_COUNT", "MISSING"]), None);
+        assert_eq!(r.values(&["FLOW_PACKET_COUNT", "MISSING"]), None);
     }
 
     #[test]

@@ -2,11 +2,11 @@
 //!
 //! Offers the well-known ML algorithms behind one uniform interface,
 //! auto-configures per-type details (labeling clusters from *Marking*
-//! labels), validates large-scale feature sets, and decides between
-//! single-instance and cluster execution: "while in learning mode, the
-//! Attack Detector distributes jobs to the computing cluster …; for a
-//! small dataset, it handles the request on a single instance to reduce
-//! communication overhead."
+//! labels) and validates large-scale feature sets. Training runs in
+//! process, whatever the training set's size: each algorithm has one fit,
+//! [`Algorithm::fit`]. Validation can run as a job on the compute cluster
+//! ([`DetectorManager::validate_points_distributed`]), the testing job
+//! the paper's Figure 10 times.
 
 use crate::feature::catalog::FieldName;
 use crate::feature::format::{FeatureRecord, FieldReader};
@@ -150,14 +150,12 @@ impl DetectionModel {
     }
 }
 
-/// The detector manager: training and validation with single-node or
-/// cluster execution.
+/// The detector manager: training in process, validation in process or
+/// as a compute-cluster job.
 #[derive(Debug, Clone)]
 pub struct DetectorManager {
     compute: ComputeCluster,
-    /// Datasets at least this large train/validate on the compute cluster.
-    pub distributed_threshold: usize,
-    /// Partitions used for distributed jobs.
+    /// Partitions used for distributed validation jobs.
     pub partitions: usize,
     fit_ns: Histogram,
     models_trained: Counter,
@@ -168,7 +166,6 @@ impl DetectorManager {
     pub fn new(compute: ComputeCluster) -> Self {
         DetectorManager {
             compute,
-            distributed_threshold: 50_000,
             partitions: 24,
             fit_ns: Histogram::detached(),
             models_trained: Counter::detached(),
@@ -233,20 +230,14 @@ impl DetectorManager {
             ));
         }
         let (fitted, prepared) = preprocessor.fit_apply(points)?;
-        let n = prepared.len();
-        let model = if n >= self.distributed_threshold {
-            let ds = self.compute.parallelize(prepared, self.partitions);
-            algorithm.fit_distributed_timed(&ds, &self.fit_ns)?
-        } else {
-            algorithm.fit_timed(&prepared, &self.fit_ns)?
-        };
+        let model = algorithm.fit_timed(&prepared, &self.fit_ns)?;
         self.models_trained.inc();
         Ok(DetectionModel {
             model,
             preprocessor: fitted,
             features: features.iter().map(FieldName::from).collect(),
             algorithm: algorithm.name().to_owned(),
-            trained_on: n,
+            trained_on: prepared.len(),
         })
     }
 
@@ -404,24 +395,38 @@ mod tests {
             &Algorithm::logistic_regression(),
         )
         .unwrap();
-        // Below the threshold: no cluster jobs ran.
         assert_eq!(dm.compute().job_count(), before);
-    }
 
-    #[test]
-    fn large_datasets_go_to_the_cluster() {
-        let mut dm = manager();
-        dm.distributed_threshold = 50;
-        let rs = records(200);
-        dm.generate_detection_model(
-            &rs,
-            &features(),
-            truth,
-            &Preprocessor::new(),
-            &Algorithm::kmeans(2),
-        )
-        .unwrap();
-        assert!(dm.compute().job_count() > 0);
+        // However large the training set, the fit is `Algorithm::fit` in
+        // process: 50,000 points of two 2-d blobs, K-Means with all
+        // five runs, and no cluster job.
+        let points: Vec<LabeledPoint> = (0..50_000u32)
+            .map(|i| {
+                let base = if i % 2 == 0 { 0.0 } else { 4.0 };
+                let jitter = |m: u32| f64::from(i.wrapping_mul(m) % 1_000) / 1_000.0;
+                LabeledPoint::new(
+                    vec![base + jitter(7_919), base + jitter(104_729)],
+                    f64::from(i % 2),
+                )
+            })
+            .collect();
+        let algorithm = Algorithm::kmeans(2);
+        assert!(matches!(&algorithm, Algorithm::KMeans(p) if p.runs == 5));
+        let preprocessor = Preprocessor::new().normalize(athena_ml::Normalization::MinMax);
+        let model = dm
+            .generate_from_points(points.clone(), &features(), &preprocessor, &algorithm)
+            .unwrap();
+        assert_eq!(dm.compute().job_count(), before);
+        assert_eq!(model.trained_on, 50_000);
+        let (_, prepared) = preprocessor.fit_apply(points).unwrap();
+        let oracle = algorithm.fit(&prepared).unwrap();
+        assert_eq!(model.model, oracle);
+        let (TrainedModel::KMeans { model: got, .. }, TrainedModel::KMeans { model: want, .. }) =
+            (&model.model, &oracle)
+        else {
+            panic!("a K-Means fit yields a K-Means model");
+        };
+        assert_eq!(got.cost.to_bits(), want.cost.to_bits());
     }
 
     #[test]

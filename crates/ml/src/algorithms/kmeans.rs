@@ -1,12 +1,10 @@
-//! K-Means clustering with k-means++ seeding, multiple runs, and a
-//! distributed (per-partition aggregation) training path.
+//! K-Means clustering with k-means++ seeding and multiple runs.
 //!
 //! This is the algorithm the paper's flagship DDoS detector uses
 //! (Figure 6: `K(8), Iterations(20), Runs(5), InitializedMode(k-means||)`).
 
 use crate::data::LabeledPoint;
 use crate::linalg::{squared_distance, DenseVector};
-use athena_compute::Dataset;
 use athena_types::{AthenaError, Result};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -68,69 +66,6 @@ impl KMeansModel {
         fit_counted(params, data).map(|(model, _)| model)
     }
 
-    /// Fits K-Means with the Lloyd step distributed over a compute
-    /// cluster: each partition produces per-centroid `(sum, count)` pairs,
-    /// combined on the driver — the MLlib execution shape.
-    ///
-    /// Each pass scans every centroid for every point, without the
-    /// bounds of [`fit`](Self::fit): a job's partitions keep nothing from
-    /// one job to the next, so there is nowhere to hold a point's
-    /// assignment and bound between passes. (The Detector Manager fits
-    /// locally below its `distributed_threshold`, 50 k points.)
-    ///
-    /// # Errors
-    ///
-    /// Returns [`AthenaError::Ml`] for an empty dataset or `k == 0`.
-    pub fn fit_distributed(params: KMeansParams, data: &Dataset<LabeledPoint>) -> Result<Self> {
-        if data.is_empty() {
-            return Err(AthenaError::Ml("empty training set".into()));
-        }
-        validate(&params, data.len())?;
-        // Seed centroids from a driver-side sample.
-        let sample: Vec<LabeledPoint> = data.sample(sample_fraction(data.len())).collect();
-        let sample = if sample.is_empty() {
-            data.sample(1.0).collect()
-        } else {
-            sample
-        };
-        let dim = crate::data::check_dims(&sample)?;
-        let sample_refs: Vec<&[f64]> = sample.iter().map(|p| p.features.as_slice()).collect();
-        let mut rng = StdRng::seed_from_u64(params.seed);
-        let mut centroids = plus_plus_init(&sample_refs, params.k, &mut rng);
-
-        let mut cost = f64::INFINITY;
-        let mut drift = vec![0.0; centroids.len()];
-        for _ in 0..params.max_iterations {
-            let centroids_snapshot = centroids.clone();
-            // One distributed job per Lloyd iteration.
-            let partials = data.map_partitions(move |part| {
-                let points: Vec<&[f64]> = part.iter().map(|p| p.features.as_slice()).collect();
-                let (sums, counts, c) = assign_and_sum(&points, &centroids_snapshot, dim);
-                vec![(sums, counts, c)]
-            });
-            let mut sums = vec![DenseVector::zeros(dim); centroids.len()];
-            let mut counts = vec![0usize; centroids.len()];
-            let mut new_cost = 0.0;
-            for (ps, pc, c) in partials.collect() {
-                for (j, s) in ps.iter().enumerate() {
-                    sums[j].axpy(1.0, s);
-                    counts[j] += pc[j];
-                }
-                new_cost += c;
-            }
-            let movement = update_centroids(&mut centroids, &mut sums, &counts, &mut drift);
-            cost = new_cost;
-            if movement < params.epsilon {
-                break;
-            }
-        }
-        Ok(KMeansModel {
-            centroids,
-            cost,
-            params,
-        })
-    }
-
     /// Index of the nearest centroid.
     pub fn cluster_of(&self, x: &[f64]) -> usize {
         nearest(&self.centroids, x).0
@@ -152,21 +87,6 @@ impl KMeansModel {
             .map(|p| self.distance_to_nearest(&p.features))
             .sum()
     }
-}
-
-fn validate(params: &KMeansParams, n: usize) -> Result<()> {
-    if params.k == 0 {
-        return Err(AthenaError::Ml("k must be positive".into()));
-    }
-    if n == 0 {
-        return Err(AthenaError::Ml("empty training set".into()));
-    }
-    Ok(())
-}
-
-fn sample_fraction(n: usize) -> f64 {
-    // Aim for ~10k seed points.
-    (10_000.0 / n as f64).clamp(0.001, 1.0)
 }
 
 /// k-means++ seeding (the serial analogue of k-means||).
@@ -230,25 +150,6 @@ fn scan(centroids: &[DenseVector], x: &[f64], known: Option<(usize, f64)>) -> (u
     (best.0, best.1, second)
 }
 
-/// Assigns points to centroids, returning per-centroid sums, counts, and
-/// the total cost.
-fn assign_and_sum(
-    points: &[&[f64]],
-    centroids: &[DenseVector],
-    dim: usize,
-) -> (Vec<DenseVector>, Vec<usize>, f64) {
-    let mut sums = vec![DenseVector::zeros(dim); centroids.len()];
-    let mut counts = vec![0usize; centroids.len()];
-    let mut cost = 0.0;
-    for p in points {
-        let (i, d) = nearest(centroids, p);
-        sums[i].axpy(1.0, p);
-        counts[i] += 1;
-        cost += d;
-    }
-    (sums, counts, cost)
-}
-
 /// Moves centroids to their cluster means and writes how far each one
 /// moved into `drift` (0 for an empty cluster, which keeps its
 /// centroid); returns the total movement. A mean is formed in its sum's
@@ -308,7 +209,9 @@ struct Work {
 /// [`KMeansModel::fit`], also returning the work it did.
 fn fit_counted(params: KMeansParams, data: &[LabeledPoint]) -> Result<(KMeansModel, Work)> {
     let dim = crate::data::check_dims(data)?;
-    validate(&params, data.len())?;
+    if params.k == 0 {
+        return Err(AthenaError::Ml("k must be positive".into()));
+    }
     let points: Vec<&[f64]> = data.iter().map(|p| p.features.as_slice()).collect();
     let mut lloyd = BoundedLloyd::new(points.len(), params.k, dim);
     let mut work = Work::default();
@@ -450,8 +353,26 @@ impl BoundedLloyd {
 mod tests {
     use super::*;
     use crate::algorithms::test_data::blobs;
-    use athena_compute::ComputeCluster;
     use proptest::prelude::*;
+
+    /// Assigns points to centroids, returning per-centroid sums, counts, and
+    /// the total cost.
+    fn assign_and_sum(
+        points: &[&[f64]],
+        centroids: &[DenseVector],
+        dim: usize,
+    ) -> (Vec<DenseVector>, Vec<usize>, f64) {
+        let mut sums = vec![DenseVector::zeros(dim); centroids.len()];
+        let mut counts = vec![0usize; centroids.len()];
+        let mut cost = 0.0;
+        for p in points {
+            let (i, d) = nearest(centroids, p);
+            sums[i].axpy(1.0, p);
+            counts[i] += 1;
+            cost += d;
+        }
+        (sums, counts, cost)
+    }
 
     /// The plain Lloyd loop `fit` ran before the bounds, kept as the
     /// oracle. Returns the model and its assignment passes over all runs.
@@ -674,24 +595,6 @@ mod tests {
             assert!(cost <= last + 1e-6, "k={k}: {cost} > {last}");
             last = cost;
         }
-    }
-
-    #[test]
-    fn distributed_matches_serial_shape() {
-        let data = blobs(150, 2, 3);
-        let cluster = ComputeCluster::new(4);
-        let ds = cluster.parallelize(data.clone(), 8);
-        let params = KMeansParams {
-            k: 2,
-            max_iterations: 30,
-            ..KMeansParams::default()
-        };
-        let dist = KMeansModel::fit_distributed(params, &ds).unwrap();
-        assert_eq!(dist.k(), 2);
-        // Same separation property as the serial fit.
-        assert_ne!(dist.cluster_of(&[0.0, 0.0]), dist.cluster_of(&[4.0, 4.0]));
-        // Distributed training ran jobs on the cluster.
-        assert!(cluster.job_count() > 0);
     }
 
     #[test]

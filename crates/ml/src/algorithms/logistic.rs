@@ -1,10 +1,8 @@
-//! Logistic regression with full-batch gradient descent, L2
-//! regularization, and a distributed (per-partition gradient) training
-//! path.
+//! Logistic regression with full-batch gradient descent and L2
+//! regularization.
 
 use crate::data::LabeledPoint;
 use crate::linalg::{sigmoid, DenseVector};
-use athena_compute::Dataset;
 use athena_types::{AthenaError, Result};
 use serde::{Deserialize, Serialize};
 
@@ -89,56 +87,6 @@ impl LogisticModel {
         })
     }
 
-    /// Fits with the gradient computation distributed over a compute
-    /// cluster: each partition produces a partial gradient, summed on the
-    /// driver.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`AthenaError::Ml`] for an empty dataset.
-    pub fn fit_distributed(params: LogisticParams, data: &Dataset<LabeledPoint>) -> Result<Self> {
-        if data.is_empty() {
-            return Err(AthenaError::Ml("empty training set".into()));
-        }
-        validate(&params)?;
-        let n = data.len() as f64;
-        let probe = data.sample((16.0 / n).clamp(0.0001, 1.0)).collect();
-        let dim = probe
-            .first()
-            .map(LabeledPoint::dim)
-            .ok_or_else(|| AthenaError::Ml("empty training set".into()))?;
-        let mut w = DenseVector::zeros(dim);
-        let mut b = 0.0;
-        for _ in 0..params.iterations {
-            let w_snapshot = w.clone();
-            let b_snapshot = b;
-            let partials = data.map_partitions(move |part| {
-                let mut gw = DenseVector::zeros(dim);
-                let mut gb = 0.0;
-                for p in part {
-                    let err = sigmoid(w_snapshot.dot_slice(&p.features) + b_snapshot) - p.label;
-                    gw.axpy(err, &p.features);
-                    gb += err;
-                }
-                vec![(gw, gb)]
-            });
-            let mut grad_w = DenseVector::zeros(dim);
-            let mut grad_b = 0.0;
-            for (gw, gb) in partials.collect() {
-                grad_w.axpy(1.0 / n, &gw);
-                grad_b += gb / n;
-            }
-            grad_w.axpy(params.l2, &w);
-            w.axpy(-params.learning_rate, &grad_w);
-            b -= params.learning_rate * grad_b;
-        }
-        Ok(LogisticModel {
-            weights: w,
-            bias: b,
-            params,
-        })
-    }
-
     /// Probability that `x` is malicious.
     pub fn predict_proba(&self, x: &[f64]) -> f64 {
         sigmoid(self.weights.dot_slice(x) + self.bias)
@@ -156,27 +104,12 @@ fn validate(params: &LogisticParams) -> Result<()> {
 mod tests {
     use super::*;
     use crate::algorithms::test_data::{accuracy, blobs};
-    use athena_compute::ComputeCluster;
 
     #[test]
     fn high_accuracy_on_separable_blobs() {
         let data = blobs(120, 3, 23);
         let m = LogisticModel::fit(LogisticParams::default(), &data).unwrap();
         assert!(accuracy(&data, |x| m.predict_proba(x)) > 0.98);
-    }
-
-    #[test]
-    fn distributed_matches_serial_closely() {
-        let data = blobs(120, 2, 29);
-        let serial = LogisticModel::fit(LogisticParams::default(), &data).unwrap();
-        let cluster = ComputeCluster::new(4);
-        let ds = cluster.parallelize(data.clone(), 6);
-        let dist = LogisticModel::fit_distributed(LogisticParams::default(), &ds).unwrap();
-        // Full-batch gradients are exact regardless of partitioning.
-        for (a, b) in serial.weights.iter().zip(dist.weights.iter()) {
-            assert!((a - b).abs() < 1e-9, "{a} vs {b}");
-        }
-        assert!((serial.bias - dist.bias).abs() < 1e-9);
     }
 
     #[test]

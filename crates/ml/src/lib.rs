@@ -2,8 +2,9 @@
 //!
 //! The Athena paper ships 11 machine-learning algorithms spanning five
 //! categories (Table IV), executed on a Spark cluster. This crate
-//! implements all of them from scratch, on top of [`athena_compute`] for
-//! distributed training:
+//! implements all of them from scratch. Each has one fit, over an
+//! in-memory slice, which the Detector Manager runs in process;
+//! distributed work is the validation job, in `athena-core`:
 //!
 //! | Category | Algorithms |
 //! |----------|------------|

@@ -18,7 +18,6 @@ use crate::algorithms::svm::{SvmModel, SvmParams};
 use crate::algorithms::threshold::ThresholdModel;
 use crate::algorithms::tree::{DecisionTreeModel, TreeParams};
 use crate::data::LabeledPoint;
-use athena_compute::Dataset;
 use athena_types::Result;
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -205,55 +204,6 @@ impl Algorithm {
         })
     }
 
-    /// Fits on a distributed dataset, using the distributed training path
-    /// for the algorithms that have one (K-Means, logistic regression) and
-    /// collecting to the driver for the rest — mirroring the paper's
-    /// Attack Detector, which "distributes jobs to the computing cluster"
-    /// for large datasets and "handles the request on a single instance"
-    /// otherwise.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the underlying algorithm's validation errors.
-    pub fn fit_distributed(&self, data: &Dataset<LabeledPoint>) -> Result<TrainedModel> {
-        match self {
-            Algorithm::KMeans(p) => {
-                let km = KMeansModel::fit_distributed(*p, data)?;
-                // Flag clusters with one distributed pass over the data.
-                let k = km.k();
-                let km_for_job = km.clone();
-                let partials = data.map_partitions(move |part| {
-                    let mut counts = vec![(0u64, 0u64); k];
-                    for pt in part {
-                        let c = km_for_job.cluster_of(&pt.features);
-                        if pt.is_malicious() {
-                            counts[c].1 += 1;
-                        } else {
-                            counts[c].0 += 1;
-                        }
-                    }
-                    vec![counts]
-                });
-                let mut totals = vec![(0u64, 0u64); k];
-                for part in partials.collect() {
-                    for (t, p) in totals.iter_mut().zip(part) {
-                        t.0 += p.0;
-                        t.1 += p.1;
-                    }
-                }
-                let flagged = totals.iter().map(|(b, m)| m > b).collect();
-                Ok(TrainedModel::KMeans { model: km, flagged })
-            }
-            Algorithm::LogisticRegression(p) => Ok(TrainedModel::Logistic(
-                LogisticModel::fit_distributed(*p, data)?,
-            )),
-            other => {
-                let collected = data.collect();
-                other.fit(&collected)
-            }
-        }
-    }
-
     /// [`Algorithm::fit`] with the wall-clock training latency recorded
     /// into `hist` (nanoseconds; costs nothing when the histogram's
     /// telemetry domain is disabled).
@@ -268,23 +218,6 @@ impl Algorithm {
     ) -> Result<TrainedModel> {
         let timer = hist.start_timer();
         let model = self.fit(data);
-        timer.observe(hist);
-        model
-    }
-
-    /// [`Algorithm::fit_distributed`] with the wall-clock training
-    /// latency recorded into `hist`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the underlying algorithm's validation errors.
-    pub fn fit_distributed_timed(
-        &self,
-        data: &Dataset<LabeledPoint>,
-        hist: &athena_telemetry::Histogram,
-    ) -> Result<TrainedModel> {
-        let timer = hist.start_timer();
-        let model = self.fit_distributed(data);
         timer.observe(hist);
         model
     }
@@ -558,26 +491,6 @@ mod tests {
         // Non-clustering models expose no clusters.
         let t = Algorithm::threshold(0, 1.0).fit(&data).unwrap();
         assert_eq!(t.cluster_of(&[0.0, 0.0]), None);
-    }
-
-    #[test]
-    fn distributed_fit_works_for_all() {
-        use athena_compute::ComputeCluster;
-        let data = blobs(80, 2, 79);
-        let cluster = ComputeCluster::new(3);
-        let ds = cluster.parallelize(data.clone(), 6);
-        for a in [
-            Algorithm::kmeans(2),
-            Algorithm::logistic_regression(),
-            Algorithm::NaiveBayes, // falls back to collect + serial fit
-        ] {
-            let m = a.fit_distributed(&ds).unwrap();
-            assert!(
-                accuracy(&data, |x| m.predict(x)) > 0.9,
-                "{} distributed",
-                a.name()
-            );
-        }
     }
 
     #[test]

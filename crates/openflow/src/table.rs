@@ -22,11 +22,12 @@ use crate::match_fields::MatchFields;
 use crate::message::{FlowMod, FlowModCommand, FlowRemoved, FlowRemovedReason};
 use crate::packet::PacketHeader;
 use crate::stats::{AggregateStats, FlowStatsEntry, TableStatsEntry};
+use athena_types::hash::WordHasher;
 use athena_types::{AthenaError, Ipv4Addr, Result, SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, HashMap};
-use std::hash::{BuildHasherDefault, Hasher};
+use std::hash::BuildHasherDefault;
 
 /// A single flow-table entry with live counters.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -124,55 +125,6 @@ struct Node {
     rank: Rank,
     /// The next entry of the same bucket, in match order.
     next: Option<usize>,
-}
-
-/// Hasher for the shape buckets' fixed-layout [`MatchFields`] keys: one
-/// rotate-xor-multiply per word written (the FxHash construction), a
-/// fraction of SipHash's cost on a 60-byte key. The keys come from the
-/// simulated controller, not from outside the program, and no bucket map
-/// is ever iterated, so neither flooding resistance nor a per-process
-/// seed is wanted.
-#[derive(Debug, Clone, Copy, Default)]
-struct WordHasher(u64);
-
-impl WordHasher {
-    fn mix(&mut self, word: u64) {
-        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x517c_c1b7_2722_0a95);
-    }
-}
-
-impl Hasher for WordHasher {
-    fn finish(&self) -> u64 {
-        // The multiply mixes upward only; bring the strong bits down to
-        // where the map takes its bucket index from.
-        self.0.rotate_left(26)
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        for chunk in bytes.chunks(8) {
-            self.mix(chunk.iter().fold(0, |w, b| (w << 8) | u64::from(*b)));
-        }
-    }
-
-    fn write_u8(&mut self, v: u8) {
-        self.mix(u64::from(v));
-    }
-
-    fn write_u16(&mut self, v: u16) {
-        self.mix(u64::from(v));
-    }
-
-    fn write_u32(&mut self, v: u32) {
-        self.mix(u64::from(v));
-    }
-
-    fn write_u64(&mut self, v: u64) {
-        self.mix(v);
-    }
-
-    fn write_usize(&mut self, v: usize) {
-        self.mix(v as u64);
-    }
 }
 
 /// The entries that constrain one set of fields with one pair of prefix

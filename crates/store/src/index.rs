@@ -14,6 +14,7 @@
 //! which is what a lookup ranges over.
 
 use crate::document::{DocId, Document};
+use athena_types::hash::WordHasher;
 use serde_json::Value;
 use std::borrow::Borrow;
 use std::cmp::Ordering;
@@ -366,47 +367,6 @@ impl Hash for Key {
     }
 }
 
-/// The Fx hash (rustc's): a rotate, xor and multiply per word. Index keys
-/// are values of declared, low-cardinality fields (a message type, a
-/// switch id) and the map is never iterated, so it needs neither
-/// flooding resistance nor a random seed.
-#[derive(Default)]
-struct FxHasher(u64);
-
-impl FxHasher {
-    fn add(&mut self, word: u64) {
-        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
-    }
-}
-
-impl Hasher for FxHasher {
-    fn write(&mut self, bytes: &[u8]) {
-        for chunk in bytes.chunks(8) {
-            let mut word = [0u8; 8];
-            for (w, b) in word.iter_mut().zip(chunk) {
-                *w = *b;
-            }
-            self.add(u64::from_le_bytes(word));
-        }
-    }
-
-    fn write_u8(&mut self, i: u8) {
-        self.add(u64::from(i));
-    }
-
-    fn write_u64(&mut self, i: u64) {
-        self.add(i);
-    }
-
-    fn write_usize(&mut self, i: usize) {
-        self.add(i as u64);
-    }
-
-    fn finish(&self) -> u64 {
-        self.0
-    }
-}
-
 impl PartialEq for Key {
     fn eq(&self, other: &Self) -> bool {
         self.cmp(other) == Ordering::Equal
@@ -468,7 +428,7 @@ impl IndexFields for Vec<String> {
 pub struct SecondaryIndex {
     fields: Vec<String>,
     /// Each key's posting list: what an insert or a remove probes.
-    postings: HashMap<Key, Vec<DocId>, BuildHasherDefault<FxHasher>>,
+    postings: HashMap<Key, Vec<DocId>, BuildHasherDefault<WordHasher>>,
     /// The same keys in order: what a lookup ranges over.
     keys: BTreeSet<Key>,
     entry_count: usize,
@@ -610,7 +570,7 @@ impl SecondaryIndex {
 #[derive(Clone)]
 pub struct Postings<'s, 'v> {
     range: Range<'s, Key>,
-    postings: &'s HashMap<Key, Vec<DocId>, BuildHasherDefault<FxHasher>>,
+    postings: &'s HashMap<Key, Vec<DocId>, BuildHasherDefault<WordHasher>>,
     prefix: Probe<'v>,
 }
 

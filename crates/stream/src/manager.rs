@@ -180,7 +180,7 @@ impl RetrainLoop {
         {
             let live = Arc::clone(&live);
             let truth = Arc::clone(&truth);
-            let features: Vec<FieldName> = cfg.features.iter().map(FieldName::from).collect();
+            let features = cfg.features.clone();
             athena.add_event_handler(
                 query,
                 Box::new(move |r| {

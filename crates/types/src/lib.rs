@@ -30,6 +30,7 @@
 #![deny(rust_2018_idioms)]
 pub mod env;
 pub mod error;
+pub mod hash;
 pub mod id;
 pub mod net;
 pub mod sentinel;

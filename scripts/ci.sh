@@ -91,6 +91,10 @@ cargo test -q -p athena-core --offline --test proptest_record -- \
     a_record_reads_what_the_lookups_read_whatever_the_keys_hold
 cargo test -q -p athena-ml --offline --test proptest_ml fit_apply_is_fit_then_apply
 
+echo "==> one fit per algorithm (any training-set size fits what \`Algorithm::fit\` fits; bounded k-means = Lloyd oracle)"
+cargo test -q -p athena-core --offline --lib nb::detector_manager::tests::small_datasets_train_single_node
+cargo test -q -p athena-ml --offline --lib algorithms::kmeans::tests::bounded_fit_is_the_lloyd_oracle
+
 echo "==> microbench compiles (flow_table/*, controller/shortest_path/*; not run here)"
 cargo bench --no-run -q -p athena-bench --bench micro --offline
 
