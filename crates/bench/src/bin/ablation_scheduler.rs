@@ -6,11 +6,11 @@
 //! per-task overhead to show how each shapes the speedup curve — and that
 //! the *qualitative* result (linear decrease) survives every setting.
 
-use athena_bench::{env_scale, header};
+use athena_bench::header;
 use athena_compute::{ComputeCluster, SchedulerConfig};
 use athena_ml::LabeledPoint;
 use athena_telemetry::Telemetry;
-use athena_types::SimDuration;
+use athena_types::{env_usize, SimDuration};
 
 fn speedup_curve(config: SchedulerConfig, points: &[LabeledPoint], tel: &Telemetry) -> Vec<f64> {
     let mut times = Vec::new();
@@ -43,7 +43,7 @@ fn main() {
         "{}",
         header("Ablation — scheduler cost model vs the Figure 10 curve")
     );
-    let entries = env_scale("ATHENA_ABLATION_ENTRIES", 300_000);
+    let entries = env_usize("ATHENA_ABLATION_ENTRIES", 300_000);
     let tel = Telemetry::new();
     let points: Vec<LabeledPoint> = (0..entries)
         .map(|i| LabeledPoint::new(vec![(i % 97) as f64, (i % 13) as f64], 0.0))

@@ -8,12 +8,13 @@
 //! durability (replication), how much is the write path itself, and what
 //! the no-DB ceiling is.
 
-use athena_bench::{env_scale, header, pct};
+use athena_bench::{header, pct};
 use athena_controller::cbench::{summarize, throughput_round, CbenchResponder};
 use athena_controller::ControllerCluster;
 use athena_core::{Athena, AthenaConfig};
 use athena_dataplane::Topology;
 use athena_telemetry::Telemetry;
+use athena_types::env_usize;
 
 fn measure(
     topo: &Topology,
@@ -41,8 +42,8 @@ fn main() {
         "{}",
         header("Ablation — store design vs control-plane throughput")
     );
-    let rounds = env_scale("ATHENA_ABLATION_ROUNDS", 10);
-    let events = env_scale("ATHENA_ABLATION_EVENTS", 10_000) as u64;
+    let rounds = env_usize("ATHENA_ABLATION_ROUNDS", 10);
+    let events = env_usize("ATHENA_ABLATION_EVENTS", 10_000) as u64;
     let topo = Topology::enterprise();
     let tel = Telemetry::new();
 

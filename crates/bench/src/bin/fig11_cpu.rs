@@ -13,12 +13,12 @@
 //! into utilization at each offered rate: `CPU% = rate × cost_per_event`,
 //! capped at 100 %.
 
-use athena_bench::{compare_row, env_scale, header};
+use athena_bench::{compare_row, header};
 use athena_controller::ControllerCluster;
 use athena_core::{Athena, AthenaConfig};
 use athena_dataplane::{ControllerLink, Topology};
 use athena_openflow::{FlowStatsEntry, MatchFields, OfMessage, StatsReply};
-use athena_types::{Dpid, FiveTuple, Ipv4Addr, SimDuration, SimTime, Xid};
+use athena_types::{env_usize, Dpid, FiveTuple, Ipv4Addr, SimDuration, SimTime, Xid};
 use std::time::Instant;
 
 /// Builds a flow-stats reply carrying `n` distinct flow entries.
@@ -74,8 +74,8 @@ fn cost_per_flow_event(
 
 fn main() {
     println!("{}", header("Figure 11 — CPU usage vs flow-event rate"));
-    let flows_per_reply = env_scale("ATHENA_FIG11_FLOWS", 2_000);
-    let reps = env_scale("ATHENA_FIG11_REPS", 10);
+    let flows_per_reply = env_usize("ATHENA_FIG11_FLOWS", 2_000);
+    let reps = env_usize("ATHENA_FIG11_REPS", 10);
     let topo = Topology::enterprise();
 
     // Baseline controller (stats replies only update counters).

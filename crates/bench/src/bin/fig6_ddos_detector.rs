@@ -9,17 +9,18 @@
 
 use athena_apps::dataset::{DdosDataset, FEATURES};
 use athena_apps::{DdosDetector, DdosDetectorConfig};
-use athena_bench::{compare_row, env_scale, header, pct};
+use athena_bench::{compare_row, header, pct};
 use athena_compute::ComputeCluster;
 use athena_core::{DetectorManager, UiManager};
 use athena_ml::group_digits;
+use athena_types::env_usize;
 
 fn main() {
     println!(
         "{}",
         header("Figure 6 — DDoS detector output (K-Means, K=8)")
     );
-    let entries = env_scale("ATHENA_FIG6_ENTRIES", 373_704);
+    let entries = env_usize("ATHENA_FIG6_ENTRIES", 373_704);
     println!(
         "dataset: {} entries (paper: 37,370,466; scale with ATHENA_FIG6_ENTRIES)\n",
         group_digits(entries as u64)

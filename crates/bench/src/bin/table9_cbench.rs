@@ -9,12 +9,13 @@
 //! differ from the paper's Xeon testbed, but the ordering and overhead
 //! magnitudes are the measured quantities.
 
-use athena_bench::{compare_row, env_scale, header, pct};
+use athena_bench::{compare_row, header, pct};
 use athena_controller::cbench::{summarize, throughput_round, CbenchResponder, CbenchRound};
 use athena_controller::ControllerCluster;
 use athena_core::{Athena, AthenaConfig};
 use athena_dataplane::Topology;
 use athena_telemetry::Telemetry;
+use athena_types::env_usize;
 
 #[derive(Clone, Copy)]
 enum Config {
@@ -65,8 +66,8 @@ fn main() {
         "{}",
         header("Table IX — Cbench flow-install throughput (responses/s)")
     );
-    let rounds = env_scale("ATHENA_CBENCH_ROUNDS", 50);
-    let events = env_scale("ATHENA_CBENCH_EVENTS", 20_000) as u64;
+    let rounds = env_usize("ATHENA_CBENCH_ROUNDS", 50);
+    let events = env_usize("ATHENA_CBENCH_EVENTS", 20_000) as u64;
     println!("{rounds} rounds x {events} packet-ins (ATHENA_CBENCH_ROUNDS/_EVENTS)\n");
     let topo = Topology::enterprise();
     // One telemetry handle aggregates every Athena-enabled round; its

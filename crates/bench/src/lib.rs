@@ -16,25 +16,16 @@
 //!
 //! Every binary prints the paper's reported values next to the measured
 //! ones. Scale factors (dataset sizes, round counts) default to values
-//! that finish in seconds and can be raised with the `ATHENA_SCALE`
-//! environment variable (1 = paper scale where feasible).
+//! that finish in seconds; each binary reads its own environment
+//! variables to raise them (`ATHENA_FIG10_ENTRIES`,
+//! `ATHENA_CBENCH_ROUNDS`, …) through [`athena_types::env_usize`], so an
+//! unset, empty, zero or unparsable value keeps the default.
 
 #![forbid(unsafe_code)]
 #![deny(rust_2018_idioms)]
 
 pub mod matrix;
 pub mod stream;
-
-use std::env;
-
-/// Reads a scale knob from the environment (`name`), defaulting to
-/// `default`.
-pub fn env_scale(name: &str, default: usize) -> usize {
-    env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
 
 /// Renders a section header; the caller prints it (library code stays
 /// free of direct console output).
@@ -58,17 +49,6 @@ pub fn pct(x: f64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn env_scale_parses_and_defaults() {
-        std::env::remove_var("ATHENA_TEST_SCALE_X");
-        assert_eq!(env_scale("ATHENA_TEST_SCALE_X", 7), 7);
-        std::env::set_var("ATHENA_TEST_SCALE_X", "42");
-        assert_eq!(env_scale("ATHENA_TEST_SCALE_X", 7), 42);
-        std::env::set_var("ATHENA_TEST_SCALE_X", "junk");
-        assert_eq!(env_scale("ATHENA_TEST_SCALE_X", 7), 7);
-        std::env::remove_var("ATHENA_TEST_SCALE_X");
-    }
 
     #[test]
     fn pct_formats() {

@@ -3,16 +3,19 @@
 use crate::apps::ReactiveForwarding;
 use crate::interceptor::{InterceptCtx, MessageInterceptor};
 use crate::packet::{PacketContext, PacketProcessor};
+use crate::persist::{rule_installs, MastershipEvent, RuleEvent};
 use crate::services::{FlowRuleService, HostService, MastershipService, PathService};
 use crate::stats::StatsPoller;
 use athena_dataplane::{ControllerLink, Topology};
 use athena_observe::Observe;
 use athena_openflow::OfMessage;
+use athena_persist::record::kind;
 use athena_telemetry::{names, Counter, Gauge, Histogram, Telemetry};
 use athena_types::{ControllerId, Dpid, SimDuration, SimTime};
+use serde::{Deserialize, Serialize};
 
 /// Cluster-level message counters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub struct ClusterCounters {
     /// Packet-ins processed.
     pub packet_ins: u64,
@@ -80,7 +83,7 @@ impl Default for ClusterTelemetry {
 }
 
 /// Counters for mastership re-elections triggered by instance faults.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub struct FailoverCounters {
     /// Re-election rounds run (one per crash or rejoin that moved
     /// anything).
@@ -176,7 +179,7 @@ impl ControllerCluster {
     /// the new master.
     pub fn fail_over(&mut self, dpid: Dpid, to: ControllerId) {
         self.mastership.reassign(dpid, to);
-        self.journal_mastership(crate::persist::events::reassign(dpid, to));
+        self.journal(kind::MASTERSHIP, [MastershipEvent::Reassign { dpid, to }]);
     }
 
     /// Crashes a controller instance: its switches automatically
@@ -188,7 +191,7 @@ impl ControllerCluster {
         let moved = self.mastership.crash(c);
         self.publish_instances_down();
         if was_alive {
-            self.journal_mastership(crate::persist::events::crash(c));
+            self.journal(kind::MASTERSHIP, [MastershipEvent::Crash(c)]);
         }
         if !moved.is_empty() {
             self.failover.elections += 1;
@@ -207,7 +210,7 @@ impl ControllerCluster {
         let moved = self.mastership.rejoin(c);
         self.publish_instances_down();
         if was_down {
-            self.journal_mastership(crate::persist::events::rejoin(c));
+            self.journal(kind::MASTERSHIP, [MastershipEvent::Rejoin(c)]);
         }
         if !moved.is_empty() {
             self.failover.elections += 1;
@@ -345,7 +348,12 @@ impl ControllerLink for ControllerCluster {
                 self.counters.flow_removeds += 1;
                 self.tel.flow_removeds.inc();
                 self.flow_rules.on_flow_removed(body);
-                self.journal_rule_removal(body.cookie);
+                self.journal(
+                    kind::FLOW_RULE,
+                    [RuleEvent::Remove {
+                        cookie: body.cookie,
+                    }],
+                );
             }
             OfMessage::StatsReply { xid, body } => {
                 self.counters.stats_replies += 1;
@@ -373,7 +381,7 @@ impl ControllerLink for ControllerCluster {
             .count() as u64;
         self.counters.flow_mods += flow_mods;
         self.tel.flow_mods.add(flow_mods);
-        self.journal_rule_installs(&commands, now);
+        self.journal(kind::FLOW_RULE, rule_installs(&commands, now));
         commands
     }
 
@@ -409,7 +417,7 @@ impl ControllerLink for ControllerCluster {
             .count() as u64;
         self.counters.flow_mods += flow_mods;
         self.tel.flow_mods.add(flow_mods);
-        self.journal_rule_installs(&commands, now);
+        self.journal(kind::FLOW_RULE, rule_installs(&commands, now));
         timer.observe(&self.tel.packet_in_ns);
         span.finish(format_args!("n={} cmds={}", n, commands.len()));
         commands
@@ -436,7 +444,7 @@ impl ControllerLink for ControllerCluster {
             commands.extend(i.on_tick(&ctx, now));
         }
         self.register_proxy_rules(&commands[start..], now);
-        self.journal_rule_installs(&commands, now);
+        self.journal(kind::FLOW_RULE, rule_installs(&commands, now));
         commands
     }
 }

@@ -11,15 +11,16 @@
 //! snapshots the full mastership map, rule store, and message counters.
 //! [`ControllerCluster::attach_persistence`] on a freshly built cluster
 //! replays checkpoint + WAL tail, reproducing the pre-crash control-plane
-//! view.
+//! view. Each record is a serde-derived type: [`MastershipEvent`],
+//! [`RuleEvent`] and the checkpoint's [`ControllerSnapshot`].
 
-use crate::cluster::ControllerCluster;
+use crate::cluster::{ClusterCounters, ControllerCluster, FailoverCounters};
 use crate::services::FlowRuleRecord;
-use athena_openflow::OfMessage;
-use athena_persist::{record::kind, Journal, PersistConfig, Recovery};
+use athena_openflow::{FlowModCommand, OfMessage};
+use athena_persist::{from_payload, record::kind, to_payload, Journal, PersistConfig, Recovery};
 use athena_telemetry::Telemetry;
 use athena_types::{AppId, AthenaError, ControllerId, Dpid, Result, SimTime};
-use serde_json::{Map, Value};
+use serde::{Deserialize, Serialize};
 
 /// The attached journal (records are stamped from the cluster's
 /// last-seen virtual time, so no clock is carried here).
@@ -45,85 +46,45 @@ pub struct ControllerRecoveryReport {
     pub corrupt_checkpoints_skipped: u64,
 }
 
-/// Canonical JSON encodings of the journaled control-plane events.
-pub(crate) mod events {
-    use super::*;
-
-    pub(crate) fn obj(pairs: Vec<(&str, Value)>) -> Value {
-        let mut m = Map::new();
-        for (k, v) in pairs {
-            m.insert(k.to_owned(), v);
-        }
-        Value::Object(m)
-    }
-
-    pub(crate) fn crash(c: ControllerId) -> Value {
-        obj(vec![
-            ("event", Value::from("crash")),
-            ("instance", Value::from(u64::from(c.raw()))),
-        ])
-    }
-
-    pub(crate) fn rejoin(c: ControllerId) -> Value {
-        obj(vec![
-            ("event", Value::from("rejoin")),
-            ("instance", Value::from(u64::from(c.raw()))),
-        ])
-    }
-
-    pub(crate) fn reassign(dpid: Dpid, to: ControllerId) -> Value {
-        obj(vec![
-            ("event", Value::from("reassign")),
-            ("dpid", Value::from(dpid.raw())),
-            ("to", Value::from(u64::from(to.raw()))),
-        ])
-    }
-
-    pub(crate) fn install(dpid: Dpid, app: AppId, cookie: u64, now: SimTime) -> Value {
-        obj(vec![
-            ("op", Value::from("install")),
-            ("dpid", Value::from(dpid.raw())),
-            ("app", Value::from(u64::from(app.raw()))),
-            ("cookie", Value::from(cookie)),
-            ("time_us", Value::from(now.as_micros())),
-        ])
-    }
-
-    pub(crate) fn remove(cookie: u64) -> Value {
-        obj(vec![
-            ("op", Value::from("remove")),
-            ("cookie", Value::from(cookie)),
-        ])
-    }
+/// One journaled mastership transition (a WAL record of kind
+/// `MASTERSHIP`).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+pub enum MastershipEvent {
+    /// An instance crashed.
+    Crash(ControllerId),
+    /// A crashed instance rejoined.
+    Rejoin(ControllerId),
+    /// Switch `dpid` failed over to instance `to`.
+    Reassign { dpid: Dpid, to: ControllerId },
 }
 
-fn as_object(v: &Value) -> Result<&Map<String, Value>> {
-    match v {
-        Value::Object(m) => Ok(m),
-        _ => Err(AthenaError::Persist(
-            "controller record is not an object".into(),
-        )),
-    }
+/// One journaled flow-rule change (a WAL record of kind `FLOW_RULE`).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+pub enum RuleEvent {
+    /// Application `app` installed the rule `cookie` on switch `dpid`.
+    Install {
+        dpid: Dpid,
+        app: AppId,
+        cookie: u64,
+        installed_at: SimTime,
+    },
+    /// The rule `cookie` was removed.
+    Remove { cookie: u64 },
 }
 
-fn get_str<'a>(m: &'a Map<String, Value>, key: &str) -> Result<&'a str> {
-    match m.get(key) {
-        Some(Value::String(s)) => Ok(s),
-        _ => Err(AthenaError::Persist(format!(
-            "controller record misses `{key}`"
-        ))),
-    }
-}
-
-fn get_u64(m: &Map<String, Value>, key: &str) -> Result<u64> {
-    m.get(key)
-        .and_then(Value::as_u64)
-        .ok_or_else(|| AthenaError::Persist(format!("controller record misses `{key}`")))
-}
-
-fn get_u32(m: &Map<String, Value>, key: &str) -> Result<u32> {
-    let v = get_u64(m, key)?;
-    u32::try_from(v).map_err(|_| AthenaError::Persist(format!("`{key}` out of range: {v}")))
+/// A checkpoint of the control-plane state: the mastership map and the
+/// down set (sorted), the live rules (sorted by cookie) with the rule
+/// store's counters, and the message and fail-over counters.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct ControllerSnapshot {
+    pub masters: Vec<(Dpid, ControllerId)>,
+    pub down: Vec<ControllerId>,
+    pub rules: Vec<FlowRuleRecord>,
+    pub installs: u64,
+    pub removals: u64,
+    pub next_seq: u64,
+    pub counters: ClusterCounters,
+    pub failover: FailoverCounters,
 }
 
 impl ControllerCluster {
@@ -166,9 +127,7 @@ impl ControllerCluster {
     /// Returns [`AthenaError::Persist`] when no journal is attached or the
     /// snapshot cannot be written.
     pub fn checkpoint(&mut self) -> Result<u64> {
-        let snapshot = self.build_snapshot();
-        let payload = serde_json::to_vec(&snapshot)
-            .map_err(|e| AthenaError::Persist(format!("encode snapshot: {e}")))?;
+        let payload = to_payload(&self.snapshot())?;
         let now = self.last_seen;
         let p = self
             .persist
@@ -177,112 +136,37 @@ impl ControllerCluster {
         p.journal.checkpoint(&payload, now)
     }
 
-    /// Appends one mastership event record (best-effort: the southbound
-    /// paths cannot surface persist errors).
-    pub(crate) fn journal_mastership(&mut self, event: Value) {
+    /// Appends `records`, each a WAL record of `kind`, stamped with the
+    /// last-seen time (best-effort: the southbound paths cannot surface
+    /// persist errors). Without a journal, nothing is built: `records`
+    /// is never iterated.
+    pub(crate) fn journal<T: Serialize>(&mut self, kind: u8, records: impl IntoIterator<Item = T>) {
         let now = self.last_seen;
-        if let Some(p) = self.persist.as_mut() {
-            if let Ok(payload) = serde_json::to_vec(&event) {
-                let _ = p.journal.append(kind::MASTERSHIP, &payload, now);
-            }
-        }
-    }
-
-    /// Appends one rule-removal record (best-effort).
-    pub(crate) fn journal_rule_removal(&mut self, cookie: u64) {
-        let now = self.last_seen;
-        if let Some(p) = self.persist.as_mut() {
-            if let Ok(payload) = serde_json::to_vec(&events::remove(cookie)) {
-                let _ = p.journal.append(kind::FLOW_RULE, &payload, now);
-            }
-        }
-    }
-
-    /// Appends one install record per flow-mod *add* in an outgoing
-    /// command batch (best-effort). Both the application path and the
-    /// Athena proxy path funnel through the command batches, so this
-    /// single hook covers every install the rule store sees.
-    pub(crate) fn journal_rule_installs(&mut self, commands: &[(Dpid, OfMessage)], now: SimTime) {
-        if self.persist.is_none() {
+        let Some(p) = self.persist.as_mut() else {
             return;
-        }
-        for (dpid, msg) in commands {
-            if let OfMessage::FlowMod { body, .. } = msg {
-                if body.command == athena_openflow::FlowModCommand::Add {
-                    let ev = events::install(*dpid, body.app_id(), body.cookie, now);
-                    if let Some(p) = self.persist.as_mut() {
-                        if let Ok(payload) = serde_json::to_vec(&ev) {
-                            let _ = p.journal.append(kind::FLOW_RULE, &payload, now);
-                        }
-                    }
-                }
+        };
+        for record in records {
+            if let Ok(payload) = to_payload(&record) {
+                let _ = p.journal.append(kind, &payload, now);
             }
         }
     }
 
-    /// A canonical snapshot of the control-plane state: sorted mastership
-    /// map and down-set, rule records sorted by cookie, counters — the
-    /// same state always snapshots to the same bytes.
-    fn build_snapshot(&self) -> Value {
+    /// The state a checkpoint holds — the same state always snapshots to
+    /// the same bytes.
+    fn snapshot(&self) -> ControllerSnapshot {
         let (masters, down) = self.mastership.snapshot();
-        let masters: Vec<Value> = masters
-            .iter()
-            .map(|(d, c)| Value::Array(vec![Value::from(d.raw()), Value::from(u64::from(c.raw()))]))
-            .collect();
-        let down: Vec<Value> = down
-            .iter()
-            .map(|c| Value::from(u64::from(c.raw())))
-            .collect();
-        let records: Vec<Value> = self
-            .flow_rules
-            .snapshot_records()
-            .iter()
-            .map(|r| {
-                events::obj(vec![
-                    ("app", Value::from(u64::from(r.app.raw()))),
-                    ("byte_count", Value::from(r.byte_count)),
-                    ("cookie", Value::from(r.cookie)),
-                    ("dpid", Value::from(r.dpid.raw())),
-                    ("installed_us", Value::from(r.installed_at.as_micros())),
-                    ("packet_count", Value::from(r.packet_count)),
-                ])
-            })
-            .collect();
         let (installs, removals, next_seq) = self.flow_rules.snapshot_counters();
-        events::obj(vec![
-            (
-                "counters",
-                events::obj(vec![
-                    ("flow_mods", Value::from(self.counters.flow_mods)),
-                    ("flow_removeds", Value::from(self.counters.flow_removeds)),
-                    ("packet_ins", Value::from(self.counters.packet_ins)),
-                    ("stats_replies", Value::from(self.counters.stats_replies)),
-                ]),
-            ),
-            (
-                "failover",
-                events::obj(vec![
-                    ("elections", Value::from(self.failover.elections)),
-                    ("switches_moved", Value::from(self.failover.switches_moved)),
-                ]),
-            ),
-            (
-                "flow_rules",
-                events::obj(vec![
-                    ("installs", Value::from(installs)),
-                    ("next_seq", Value::from(next_seq)),
-                    ("records", Value::Array(records)),
-                    ("removals", Value::from(removals)),
-                ]),
-            ),
-            (
-                "mastership",
-                events::obj(vec![
-                    ("down", Value::Array(down)),
-                    ("masters", Value::Array(masters)),
-                ]),
-            ),
-        ])
+        ControllerSnapshot {
+            masters,
+            down,
+            rules: self.flow_rules.snapshot_records(),
+            installs,
+            removals,
+            next_seq,
+            counters: self.counters,
+            failover: self.failover,
+        }
     }
 
     fn apply_recovery(&mut self, recovery: &Recovery) -> Result<ControllerRecoveryReport> {
@@ -292,21 +176,39 @@ impl ControllerCluster {
             ..ControllerRecoveryReport::default()
         };
         if let Some(ck) = &recovery.checkpoint {
-            let snapshot: Value = serde_json::from_slice(&ck.payload)
-                .map_err(|e| AthenaError::Persist(format!("decode snapshot: {e}")))?;
-            self.apply_snapshot(&snapshot)?;
+            let snapshot: ControllerSnapshot = from_payload(&ck.payload)?;
+            self.mastership.restore(&snapshot.masters, &snapshot.down);
+            self.flow_rules.restore(
+                snapshot.rules,
+                (snapshot.installs, snapshot.removals, snapshot.next_seq),
+            );
+            self.counters = snapshot.counters;
+            self.failover = snapshot.failover;
             report.checkpoint_applied = true;
             self.last_seen = self.last_seen.max(ck.time);
         }
         for rec in &recovery.tail {
-            let op: Value = serde_json::from_slice(&rec.payload)
-                .map_err(|e| AthenaError::Persist(format!("decode record: {e}")))?;
             match rec.kind {
                 kind::MASTERSHIP => {
-                    self.apply_mastership_event(&op)?;
+                    self.apply_mastership_event(from_payload(&rec.payload)?);
                     report.mastership_events += 1;
                 }
-                kind::FLOW_RULE => self.apply_rule_event(&op)?,
+                kind::FLOW_RULE => match from_payload(&rec.payload)? {
+                    RuleEvent::Install {
+                        dpid,
+                        app,
+                        cookie,
+                        installed_at,
+                    } => self.flow_rules.restore_record(FlowRuleRecord {
+                        dpid,
+                        app,
+                        cookie,
+                        installed_at,
+                        packet_count: 0,
+                        byte_count: 0,
+                    }),
+                    RuleEvent::Remove { cookie } => self.flow_rules.restore_removal(cookie),
+                },
                 k => {
                     return Err(AthenaError::Persist(format!(
                         "unexpected record kind {k} in controller journal"
@@ -320,152 +222,44 @@ impl ControllerCluster {
         Ok(report)
     }
 
-    fn apply_snapshot(&mut self, snapshot: &Value) -> Result<()> {
-        let m = as_object(snapshot)?;
-
-        let mastership = as_object(
-            m.get("mastership")
-                .ok_or_else(|| AthenaError::Persist("snapshot misses `mastership`".into()))?,
-        )?;
-        let masters = match mastership.get("masters") {
-            Some(Value::Array(a)) => a
-                .iter()
-                .map(|pair| match pair {
-                    Value::Array(p) if p.len() == 2 => {
-                        let d = p[0].as_u64().ok_or_else(|| {
-                            AthenaError::Persist("non-integer dpid in snapshot".into())
-                        })?;
-                        let c = p[1].as_u64().ok_or_else(|| {
-                            AthenaError::Persist("non-integer controller in snapshot".into())
-                        })?;
-                        Ok((Dpid::new(d), ControllerId::new(c as u32)))
-                    }
-                    _ => Err(AthenaError::Persist("malformed master pair".into())),
-                })
-                .collect::<Result<Vec<_>>>()?,
-            _ => return Err(AthenaError::Persist("snapshot misses `masters`".into())),
-        };
-        let down = match mastership.get("down") {
-            Some(Value::Array(a)) => a
-                .iter()
-                .map(|v| {
-                    v.as_u64()
-                        .map(|c| ControllerId::new(c as u32))
-                        .ok_or_else(|| {
-                            AthenaError::Persist("non-integer instance in `down`".into())
-                        })
-                })
-                .collect::<Result<Vec<_>>>()?,
-            _ => return Err(AthenaError::Persist("snapshot misses `down`".into())),
-        };
-        self.mastership.restore(&masters, &down);
-
-        let fr = as_object(
-            m.get("flow_rules")
-                .ok_or_else(|| AthenaError::Persist("snapshot misses `flow_rules`".into()))?,
-        )?;
-        let records = match fr.get("records") {
-            Some(Value::Array(a)) => a
-                .iter()
-                .map(|v| {
-                    let r = as_object(v)?;
-                    Ok(FlowRuleRecord {
-                        dpid: Dpid::new(get_u64(r, "dpid")?),
-                        app: AppId::new(get_u32(r, "app")?),
-                        cookie: get_u64(r, "cookie")?,
-                        installed_at: SimTime::from_micros(get_u64(r, "installed_us")?),
-                        packet_count: get_u64(r, "packet_count")?,
-                        byte_count: get_u64(r, "byte_count")?,
-                    })
-                })
-                .collect::<Result<Vec<_>>>()?,
-            _ => return Err(AthenaError::Persist("snapshot misses `records`".into())),
-        };
-        self.flow_rules.restore(
-            records,
-            (
-                get_u64(fr, "installs")?,
-                get_u64(fr, "removals")?,
-                get_u64(fr, "next_seq")?,
-            ),
-        );
-
-        let counters = as_object(
-            m.get("counters")
-                .ok_or_else(|| AthenaError::Persist("snapshot misses `counters`".into()))?,
-        )?;
-        self.counters.packet_ins = get_u64(counters, "packet_ins")?;
-        self.counters.flow_mods = get_u64(counters, "flow_mods")?;
-        self.counters.stats_replies = get_u64(counters, "stats_replies")?;
-        self.counters.flow_removeds = get_u64(counters, "flow_removeds")?;
-
-        let failover = as_object(
-            m.get("failover")
-                .ok_or_else(|| AthenaError::Persist("snapshot misses `failover`".into()))?,
-        )?;
-        self.failover.elections = get_u64(failover, "elections")?;
-        self.failover.switches_moved = get_u64(failover, "switches_moved")?;
-        Ok(())
-    }
-
     /// Re-runs one journaled mastership transition. Crash/rejoin re-elect
     /// through the same deterministic service logic as the original run,
     /// so the recovered map matches without storing every reassignment.
-    fn apply_mastership_event(&mut self, op: &Value) -> Result<()> {
-        let m = as_object(op)?;
-        match get_str(m, "event")? {
-            "crash" => {
-                let c = ControllerId::new(get_u32(m, "instance")?);
-                let moved = self.mastership.crash(c);
-                if !moved.is_empty() {
-                    self.failover.elections += 1;
-                    self.failover.switches_moved += moved.len() as u64;
-                }
-            }
-            "rejoin" => {
-                let c = ControllerId::new(get_u32(m, "instance")?);
-                let moved = self.mastership.rejoin(c);
-                if !moved.is_empty() {
-                    self.failover.elections += 1;
-                    self.failover.switches_moved += moved.len() as u64;
-                }
-            }
-            "reassign" => {
-                let dpid = Dpid::new(get_u64(m, "dpid")?);
-                let to = ControllerId::new(get_u32(m, "to")?);
+    fn apply_mastership_event(&mut self, event: MastershipEvent) {
+        let moved = match event {
+            MastershipEvent::Crash(c) => self.mastership.crash(c),
+            MastershipEvent::Rejoin(c) => self.mastership.rejoin(c),
+            MastershipEvent::Reassign { dpid, to } => {
                 self.mastership.reassign(dpid, to);
+                Vec::new()
             }
-            other => {
-                return Err(AthenaError::Persist(format!(
-                    "unknown mastership event `{other}`"
-                )))
-            }
+        };
+        if !moved.is_empty() {
+            self.failover.elections += 1;
+            self.failover.switches_moved += moved.len() as u64;
         }
-        Ok(())
     }
+}
 
-    fn apply_rule_event(&mut self, op: &Value) -> Result<()> {
-        let m = as_object(op)?;
-        match get_str(m, "op")? {
-            "install" => {
-                self.flow_rules.restore_record(FlowRuleRecord {
-                    dpid: Dpid::new(get_u64(m, "dpid")?),
-                    app: AppId::new(get_u32(m, "app")?),
-                    cookie: get_u64(m, "cookie")?,
-                    installed_at: SimTime::from_micros(get_u64(m, "time_us")?),
-                    packet_count: 0,
-                    byte_count: 0,
-                });
-            }
-            "remove" => self.flow_rules.restore_removal(get_u64(m, "cookie")?),
-            other => {
-                return Err(AthenaError::Persist(format!(
-                    "unknown flow-rule op `{other}`"
-                )))
-            }
+/// The install record of every flow-mod *add* in an outgoing command
+/// batch. Both the application path and the Athena proxy path funnel
+/// through the command batches, so this covers every install the rule
+/// store sees.
+pub(crate) fn rule_installs(
+    commands: &[(Dpid, OfMessage)],
+    now: SimTime,
+) -> impl Iterator<Item = RuleEvent> + '_ {
+    commands.iter().filter_map(move |(dpid, msg)| match msg {
+        OfMessage::FlowMod { body, .. } if body.command == FlowModCommand::Add => {
+            Some(RuleEvent::Install {
+                dpid: *dpid,
+                app: body.app_id(),
+                cookie: body.cookie,
+                installed_at: now,
+            })
         }
-        Ok(())
-    }
+        _ => None,
+    })
 }
 
 #[cfg(test)]
@@ -597,6 +391,46 @@ mod tests {
             .unwrap();
         assert_eq!(view(&third), view(&recovered));
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_checkpoint_naming_a_controller_beyond_u32_is_refused() {
+        // 2^32 + 1, which a decoder that truncates reads as controller 1.
+        let beyond = serde_json::Value::from(u64::from(u32::MAX) + 2);
+        let topo = Topology::enterprise();
+        // The untouched checkpoint recovers; either id past `u32` fails it.
+        for member in [None, Some("masters"), Some("down")] {
+            let mut cluster = ControllerCluster::new(&topo);
+            cluster.crash_instance(ControllerId::new(1));
+            let mut snapshot = serde_json::to_value(cluster.snapshot()).unwrap();
+            if let Some(member) = member {
+                let ids = snapshot
+                    .as_object_mut()
+                    .and_then(|m| m.get_mut(member))
+                    .and_then(|v| v.as_array_mut())
+                    .unwrap();
+                match &mut ids[0] {
+                    serde_json::Value::Array(pair) => pair[1] = beyond.clone(),
+                    id => *id = beyond.clone(),
+                }
+            }
+            let dir = test_dir();
+            let (mut journal, _) = Journal::open(PersistConfig::new(&dir)).unwrap();
+            journal
+                .checkpoint(&to_payload(&snapshot).unwrap(), SimTime::ZERO)
+                .unwrap();
+            drop(journal);
+            let recovered = ControllerCluster::new(&topo)
+                .attach_persistence(PersistConfig::new(&dir), &Telemetry::off());
+            match member {
+                None => assert!(recovered.unwrap().checkpoint_applied),
+                Some(member) => assert!(
+                    matches!(recovered, Err(AthenaError::Persist(_))),
+                    "{member}: {recovered:?}"
+                ),
+            }
+            std::fs::remove_dir_all(&dir).unwrap();
+        }
     }
 
     #[test]

@@ -4,6 +4,7 @@
 use athena_dataplane::Topology;
 use athena_openflow::{FlowMod, FlowRemoved};
 use athena_types::{AppId, ControllerId, Dpid, Ipv4Addr, PortNo, SimTime};
+use serde::{Deserialize, Serialize};
 use std::collections::{BTreeSet, HashMap, HashSet, VecDeque};
 use std::sync::OnceLock;
 
@@ -316,7 +317,7 @@ impl PathService {
 }
 
 /// A record of one installed flow rule.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct FlowRuleRecord {
     /// The switch holding the rule.
     pub dpid: Dpid,

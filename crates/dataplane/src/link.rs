@@ -84,9 +84,6 @@ pub struct SimLink {
     /// The latency drawn at the last settled tick, in microseconds (zero
     /// when no model is installed).
     last_latency_us: u64,
-    /// Bytes tail-dropped by queue-drop events (a subset of
-    /// `dropped_bytes_total`).
-    queue_dropped_total: u64,
 }
 
 impl SimLink {
@@ -103,7 +100,6 @@ impl SimLink {
             model: None,
             rng_state: 0,
             last_latency_us: 0,
-            queue_dropped_total: 0,
         }
     }
 
@@ -180,7 +176,6 @@ impl SimLink {
         self.last_utilization = offered as f64 / cap as f64;
         if queue_drop {
             // Queue-drop tick: the whole offered burst is tail-dropped.
-            self.queue_dropped_total += offered;
             self.dropped_bytes_total += offered;
             return (0.0, offered);
         }
@@ -358,8 +353,8 @@ mod tests {
         }
         let rate = dropped_ticks as f64 / ticks as f64;
         assert!((rate - 0.1).abs() < 0.01, "observed drop rate {rate}");
-        assert_eq!(l.queue_dropped_total, dropped_ticks * 1_000);
-        assert_eq!(l.dropped_bytes(), l.queue_dropped_total);
+        // Never capacity-limited: every dropped byte is a queue drop.
+        assert_eq!(l.dropped_bytes(), dropped_ticks * 1_000);
     }
 
     #[test]
@@ -370,7 +365,7 @@ mod tests {
             l.offer(1_000);
             l.settle_tick(SimDuration::from_millis(100));
         }
-        assert_eq!(l.queue_dropped_total, 0);
+        assert_eq!(l.dropped_bytes(), 0);
         assert_eq!(l.delivered_bytes(), 1_000_000);
     }
 

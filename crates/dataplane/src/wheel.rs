@@ -42,7 +42,6 @@ pub struct TimingWheel<K> {
     /// Entries beyond the hierarchy's horizon.
     overflow: Vec<(u64, K)>,
     len: usize,
-    cascades: u64,
 }
 
 impl<K: Ord + Copy> TimingWheel<K> {
@@ -56,7 +55,6 @@ impl<K: Ord + Copy> TimingWheel<K> {
                 .collect(),
             overflow: Vec::new(),
             len: 0,
-            cascades: 0,
         }
     }
 
@@ -148,9 +146,6 @@ impl<K: Ord + Copy> TimingWheel<K> {
                 .slot(l, self.now / granularity)
                 .map(std::mem::take)
                 .unwrap_or_default();
-            if !entries.is_empty() {
-                self.cascades += 1;
-            }
             for (due, key) in entries {
                 if due <= self.now {
                     // Due exactly at this boundary: land it in the
@@ -164,7 +159,6 @@ impl<K: Ord + Copy> TimingWheel<K> {
         }
         // Top-level wrap: re-examine the overflow list.
         if self.now.is_multiple_of(granularity) && !self.overflow.is_empty() {
-            self.cascades += 1;
             let entries = std::mem::take(&mut self.overflow);
             for (due, key) in entries {
                 if due <= self.now {
@@ -231,16 +225,13 @@ mod tests {
             w.schedule(*d, i as u32);
         }
         assert_eq!(w.len(), 5);
-        let fired = w.advance(64_u64.pow(4) + 10);
-        let got: Vec<(u64, u32)> = fired;
-        assert_eq!(
-            got,
-            dues.iter()
-                .enumerate()
-                .map(|(i, d)| (*d, i as u32))
-                .collect::<Vec<_>>()
-        );
-        assert!(w.cascades > 0);
+        // Each fires on its own tick — the four past level 0's 64-tick
+        // span through the cascades — not earlier and not later.
+        for (i, d) in dues.iter().enumerate() {
+            assert!(w.advance(d - 1).is_empty(), "{d} fired early");
+            assert_eq!(w.advance(*d), vec![(*d, i as u32)], "{d}");
+        }
+        assert!(w.is_empty());
     }
 
     #[test]

@@ -7,7 +7,8 @@
 //! guarantee from scratch:
 //!
 //! - [`record`] — versioned record framing with CRC32 checksums, shared by
-//!   WAL segments, checkpoint files, and standalone model snapshots,
+//!   WAL segments, checkpoint files, and standalone model snapshots, and
+//!   the one JSON codec of the store's and controller's record types,
 //! - [`crc`] — the checksum itself (IEEE, const-table, allocation-free),
 //! - [`wal`] — an append-only segmented log that truncates torn or corrupt
 //!   tails on replay instead of panicking,
@@ -49,5 +50,5 @@ pub mod wal;
 pub use journal::{
     read_snapshot_file, write_snapshot_file, Checkpoint, Journal, PersistConfig, Recovery,
 };
-pub use record::{Decoded, Record};
+pub use record::{from_payload, to_payload, Decoded, Record};
 pub use wal::{Replay, ReplayStats, Wal};

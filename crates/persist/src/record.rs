@@ -23,7 +23,8 @@
 //! truncates both, but the distinction feeds telemetry and tests.
 
 use crate::crc::Crc32;
-use athena_types::SimTime;
+use athena_types::{AthenaError, Result, SimTime};
+use serde::{Deserialize, Serialize};
 
 /// File magic for framed records ("Athena Write-ahead Log v1").
 pub const MAGIC: [u8; 4] = *b"AWL1";
@@ -139,6 +140,30 @@ pub fn decode(buf: &[u8]) -> Decoded {
         payload: buf[HEADER_LEN..total].to_vec(),
     };
     Decoded::Record(rec, total)
+}
+
+/// A journal payload: the JSON of a record type's serde derive. The
+/// object map is sorted by name, so one record always encodes to the
+/// same bytes.
+///
+/// # Errors
+///
+/// Returns [`AthenaError::Persist`] if the record cannot be encoded.
+pub fn to_payload<T: Serialize + ?Sized>(record: &T) -> Result<Vec<u8>> {
+    serde_json::to_vec(record)
+        .map_err(|e| AthenaError::Persist(format!("encode {}: {e}", std::any::type_name::<T>())))
+}
+
+/// The record a [`to_payload`] payload holds.
+///
+/// # Errors
+///
+/// Returns [`AthenaError::Persist`] for anything but that record's JSON:
+/// a missing member, a member of the wrong type or out of range, or an
+/// unknown variant is refused, never read as a default.
+pub fn from_payload<T: Deserialize>(payload: &[u8]) -> Result<T> {
+    serde_json::from_slice(payload)
+        .map_err(|e| AthenaError::Persist(format!("decode {}: {e}", std::any::type_name::<T>())))
 }
 
 #[cfg(test)]

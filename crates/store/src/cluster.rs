@@ -14,7 +14,7 @@ use crate::collection::Collection;
 use crate::document::{DocId, Document};
 use crate::filter::Filter;
 use crate::index::IndexFields;
-use crate::persist::{ops, StorePersist};
+use crate::persist::{StoreOp, StorePersist};
 use crate::query::{Aggregation, FindOptions};
 use athena_observe::Observe;
 use athena_telemetry::{names, Counter, Gauge, Histogram, Telemetry};
@@ -742,7 +742,10 @@ impl CollectionHandle {
             tel.write_handoffs.add(handoffs);
         }
         for p in batch.iter_mut().filter(|p| p.outcome.is_ok()) {
-            p.outcome = cluster.journal(|| ops::insert(&self.name, p.doc.id, &p.doc));
+            p.outcome = cluster.journal(|| StoreOp::Insert {
+                coll: self.name.clone(),
+                doc: Arc::clone(&p.doc),
+            });
         }
         timer.observe(&tel.insert_ns);
         span.finish(format_args!(
@@ -797,9 +800,10 @@ impl CollectionHandle {
                 .collection(true)
                 .is_some_and(|coll| coll.register_index(&fields));
         if new {
-            let _ = self
-                .cluster
-                .journal(|| ops::create_index(&self.name, &fields));
+            let _ = self.cluster.journal(|| StoreOp::Index {
+                coll: self.name.clone(),
+                fields,
+            });
         }
     }
 
@@ -868,7 +872,10 @@ impl CollectionHandle {
         self.cluster.metrics.deletes.fetch_add(n, Ordering::Relaxed);
         self.cluster.telemetry().deletes.add(n);
         if n > 0 {
-            let _ = self.cluster.journal(|| ops::delete(&self.name, &victims));
+            let _ = self.cluster.journal(|| StoreOp::Delete {
+                coll: self.name.clone(),
+                ids: victims.clone(),
+            });
         }
         victims.len()
     }
@@ -884,9 +891,11 @@ impl CollectionHandle {
         let n = victims.len() as u64;
         self.cluster.metrics.updates.fetch_add(n, Ordering::Relaxed);
         if n > 0 {
-            let _ = self
-                .cluster
-                .journal(|| ops::update(&self.name, &victims, changes));
+            let _ = self.cluster.journal(|| StoreOp::Update {
+                coll: self.name.clone(),
+                ids: victims.clone(),
+                changes: changes.to_vec(),
+            });
         }
         victims.len()
     }

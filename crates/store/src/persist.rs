@@ -3,21 +3,22 @@
 //!
 //! The paper's prototype outsources this to MongoDB's journal; here the
 //! cluster itself owns a journal under a configurable data directory.
-//! Logical operations (insert/update/delete/create-index) are encoded as
-//! canonical JSON — the serde shim's object map is BTreeMap-backed, so the
-//! same operation always serializes to the same bytes — and replayed on
-//! recovery against a fresh cluster, yielding byte-identical logical
-//! contents. Checkpoints snapshot every collection (documents sorted by
-//! id, index fields sorted) plus the id allocator, superseding the WAL.
+//! Each logical operation is a [`StoreOp`] and each checkpoint a
+//! [`StoreSnapshot`], encoded by their serde derives as canonical JSON —
+//! the serde shim's object map is BTreeMap-backed, so the same record
+//! always serializes to the same bytes — and replayed on recovery against
+//! a fresh cluster, yielding byte-identical logical contents. A checkpoint
+//! snapshots every collection (documents sorted by id, index fields
+//! sorted) plus the id allocator, superseding the WAL.
 
 use crate::cluster::{Placement, StoreCluster};
 use crate::document::{DocId, Document};
 use crate::filter::Filter;
-use athena_persist::{record::kind, Journal, PersistConfig, Recovery};
+use athena_persist::{from_payload, record::kind, to_payload, Journal, PersistConfig, Recovery};
 use athena_telemetry::Telemetry;
 use athena_types::{AthenaError, Result, VirtualClock};
-use serde::Serialize;
-use serde_json::{Map, Value};
+use serde::{Deserialize, Serialize};
+use serde_json::Value;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
@@ -43,121 +44,41 @@ pub struct StoreRecoveryReport {
     pub corrupt_checkpoints_skipped: u64,
 }
 
-/// Canonical JSON encodings of the logical store operations.
-pub(crate) mod ops {
-    use super::*;
-
-    fn obj(pairs: Vec<(&str, Value)>) -> Value {
-        let mut m = Map::new();
-        for (k, v) in pairs {
-            m.insert(k.to_owned(), v);
-        }
-        Value::Object(m)
-    }
-
-    fn id_array(ids: &[DocId]) -> Value {
-        Value::Array(ids.iter().map(|id| Value::from(id.0)).collect())
-    }
-
-    pub(crate) fn insert(coll: &str, id: DocId, doc: &Document) -> Value {
-        obj(vec![
-            ("op", Value::from("insert")),
-            ("coll", Value::from(coll)),
-            ("id", Value::from(id.0)),
-            ("fields", doc.fields.to_value()),
-        ])
-    }
-
-    pub(crate) fn update(coll: &str, ids: &[DocId], changes: &[(String, Value)]) -> Value {
-        let mut ch = Map::new();
-        for (k, v) in changes {
-            ch.insert(k.clone(), v.clone());
-        }
-        obj(vec![
-            ("op", Value::from("update")),
-            ("coll", Value::from(coll)),
-            ("ids", id_array(ids)),
-            ("changes", Value::Object(ch)),
-        ])
-    }
-
-    pub(crate) fn delete(coll: &str, ids: &[DocId]) -> Value {
-        obj(vec![
-            ("op", Value::from("delete")),
-            ("coll", Value::from(coll)),
-            ("ids", id_array(ids)),
-        ])
-    }
-
-    /// An index as its ordered field array.
-    pub(crate) fn index_fields(fields: &[String]) -> Value {
-        Value::Array(fields.iter().map(|f| Value::from(f.as_str())).collect())
-    }
-
-    pub(crate) fn create_index(coll: &str, fields: &[String]) -> Value {
-        obj(vec![
-            ("op", Value::from("index")),
-            ("coll", Value::from(coll)),
-            ("fields", index_fields(fields)),
-        ])
-    }
+/// One journaled logical operation on collection `coll` (a WAL record of
+/// kind `STORE_OP`).
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub enum StoreOp {
+    /// `doc` stored under its id.
+    Insert { coll: String, doc: Arc<Document> },
+    /// `changes`, `(field, value)` pairs, set in order on the documents
+    /// `ids`.
+    Update {
+        coll: String,
+        ids: Vec<DocId>,
+        changes: Vec<(String, Value)>,
+    },
+    /// The documents `ids` dropped.
+    Delete { coll: String, ids: Vec<DocId> },
+    /// A secondary index registered over `fields`, in key order.
+    Index { coll: String, fields: Vec<String> },
 }
 
-fn as_object(v: &Value) -> Result<&Map<String, Value>> {
-    match v {
-        Value::Object(m) => Ok(m),
-        _ => Err(AthenaError::Persist("store op is not an object".into())),
-    }
+/// A checkpoint: the id the next insert gets and every collection,
+/// sorted by name — the cluster's canonical logical contents, which
+/// [`StoreCluster::contents`] renders.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct StoreSnapshot {
+    pub next_id: u64,
+    pub collections: Vec<CollectionSnapshot>,
 }
 
-fn get_str<'a>(m: &'a Map<String, Value>, key: &str) -> Result<&'a str> {
-    match m.get(key) {
-        Some(Value::String(s)) => Ok(s),
-        _ => Err(AthenaError::Persist(format!("store op misses `{key}`"))),
-    }
-}
-
-fn get_u64(m: &Map<String, Value>, key: &str) -> Result<u64> {
-    m.get(key)
-        .and_then(Value::as_u64)
-        .ok_or_else(|| AthenaError::Persist(format!("store op misses `{key}`")))
-}
-
-fn get_ids(m: &Map<String, Value>, key: &str) -> Result<Vec<DocId>> {
-    match m.get(key) {
-        Some(Value::Array(a)) => a
-            .iter()
-            .map(|v| {
-                v.as_u64()
-                    .map(DocId)
-                    .ok_or_else(|| AthenaError::Persist(format!("non-integer id in `{key}`")))
-            })
-            .collect(),
-        _ => Err(AthenaError::Persist(format!("store op misses `{key}`"))),
-    }
-}
-
-/// An index's ordered fields: an array of paths, or — as journals and
-/// checkpoints written before compound indexes hold it — one bare path.
-fn index_fields(v: &Value) -> Result<Vec<String>> {
-    match v {
-        Value::String(f) => Ok(vec![f.clone()]),
-        Value::Array(fs) => fs
-            .iter()
-            .map(|f| match f {
-                Value::String(f) => Ok(f.clone()),
-                _ => Err(AthenaError::Persist("non-string index field".into())),
-            })
-            .collect(),
-        _ => Err(AthenaError::Persist("malformed index fields".into())),
-    }
-}
-
-fn get_object(m: &Map<String, Value>, key: &str) -> Result<Map<String, Value>> {
-    match m.get(key) {
-        Some(Value::Object(o)) => Ok(o.clone()),
-        _ => Err(AthenaError::Persist(format!("store op misses `{key}`"))),
-    }
+/// One collection of a [`StoreSnapshot`]: its name, the field lists of
+/// its secondary indexes (sorted) and its documents (sorted by id).
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct CollectionSnapshot {
+    pub name: String,
+    pub indexes: Vec<Vec<String>>,
+    pub docs: Vec<Arc<Document>>,
 }
 
 impl StoreCluster {
@@ -174,8 +95,10 @@ impl StoreCluster {
     /// # Errors
     ///
     /// Returns [`AthenaError::Persist`] if the journal cannot be opened or
-    /// a recovered record cannot be decoded. Torn/corrupt *tails* are not
-    /// errors — they are truncated, counted, and recovery continues.
+    /// a recovered record cannot be decoded (a record of another kind than
+    /// a store operation, as a controller's journal holds, included).
+    /// Torn/corrupt *tails* are not errors — they are truncated, counted,
+    /// and recovery continues.
     pub fn attach_persistence(
         &self,
         config: PersistConfig,
@@ -203,9 +126,7 @@ impl StoreCluster {
     /// Returns [`AthenaError::Persist`] when no journal is attached or the
     /// snapshot cannot be written.
     pub fn checkpoint(&self) -> Result<u64> {
-        let snapshot = self.build_snapshot();
-        let payload = serde_json::to_vec(&snapshot)
-            .map_err(|e| AthenaError::Persist(format!("encode snapshot: {e}")))?;
+        let payload = to_payload(&self.snapshot())?;
         let mut guard = self.persist.lock();
         let p = guard
             .as_mut()
@@ -216,12 +137,11 @@ impl StoreCluster {
 
     /// Appends the logical operation `op()` builds to the attached
     /// journal; without persistence it is never built.
-    pub(crate) fn journal(&self, op: impl FnOnce() -> Value) -> Result<()> {
+    pub(crate) fn journal(&self, op: impl FnOnce() -> StoreOp) -> Result<()> {
         if !self.persist_on.load(Ordering::Relaxed) {
             return Ok(());
         }
-        let payload = serde_json::to_vec(&op())
-            .map_err(|e| AthenaError::Persist(format!("encode store op: {e}")))?;
+        let payload = to_payload(&op())?;
         let mut guard = self.persist.lock();
         if let Some(p) = guard.as_mut() {
             let now = p.clock.now();
@@ -237,55 +157,37 @@ impl StoreCluster {
     /// same as one on its preferred primary — so the same logical state
     /// always renders to the same bytes, before and after crash recovery.
     pub fn contents(&self) -> String {
-        serde_json::to_string(&self.build_snapshot()).unwrap_or_default()
+        serde_json::to_string(&self.snapshot()).unwrap_or_default()
     }
 
-    /// A canonical snapshot of the whole cluster's logical contents:
-    /// collections sorted by name, documents sorted by id, index fields
-    /// sorted — the same state always snapshots to the same bytes.
+    /// A canonical snapshot of the whole cluster's logical contents.
     ///
     /// Documents are gathered from every up node with replica duplicates
     /// dropped (not the healthy primary-only read): writes handed off
     /// during an outage stay in the checkpoint even after the preferred
     /// primary comes back without them.
-    fn build_snapshot(&self) -> Value {
-        let collections = self.collection_objects();
-        let mut colls = Vec::with_capacity(collections.len());
-        for (name, coll) in collections {
-            let docs = self.live_docs(&coll, &Filter::All);
-            // Every shard holds every index: the first one's list.
-            let indexes = match coll.shards.first() {
-                Some(coll) => coll.read().index_fields(),
-                None => Vec::new(),
-            };
-            let mut m = Map::new();
-            m.insert("name".into(), Value::from(name));
-            m.insert(
-                "indexes".into(),
-                Value::Array(indexes.iter().map(|f| ops::index_fields(f)).collect()),
-            );
-            m.insert(
-                "docs".into(),
-                Value::Array(
-                    docs.into_iter()
-                        .map(|d| {
-                            let mut dm = Map::new();
-                            dm.insert("id".into(), Value::from(d.id.0));
-                            dm.insert("fields".into(), d.fields.to_value());
-                            Value::Object(dm)
-                        })
-                        .collect(),
-                ),
-            );
-            colls.push(Value::Object(m));
+    fn snapshot(&self) -> StoreSnapshot {
+        let collections = self
+            .collection_objects()
+            .into_iter()
+            .map(|(name, coll)| {
+                let docs = self.live_docs(&coll, &Filter::All);
+                // Every shard holds every index: the first one's list.
+                let indexes = match coll.shards.first() {
+                    Some(coll) => coll.read().index_fields(),
+                    None => Vec::new(),
+                };
+                CollectionSnapshot {
+                    name,
+                    indexes,
+                    docs,
+                }
+            })
+            .collect();
+        StoreSnapshot {
+            next_id: self.next_id.load(Ordering::Relaxed),
+            collections,
         }
-        let mut root = Map::new();
-        root.insert(
-            "next_id".into(),
-            Value::from(self.next_id.load(Ordering::Relaxed)),
-        );
-        root.insert("collections".into(), Value::Array(colls));
-        Value::Object(root)
     }
 
     fn apply_recovery(&self, recovery: &Recovery) -> Result<StoreRecoveryReport> {
@@ -295,84 +197,52 @@ impl StoreCluster {
             ..StoreRecoveryReport::default()
         };
         if let Some(ck) = &recovery.checkpoint {
-            let snapshot: Value = serde_json::from_slice(&ck.payload)
-                .map_err(|e| AthenaError::Persist(format!("decode snapshot: {e}")))?;
-            report.docs_restored = self.apply_snapshot(&snapshot)?;
+            report.docs_restored = self.apply_snapshot(from_payload(&ck.payload)?);
             report.checkpoint_applied = true;
         }
         for rec in &recovery.tail {
             if rec.kind != kind::STORE_OP {
-                continue;
+                return Err(AthenaError::Persist(format!(
+                    "unexpected record kind {} in store journal",
+                    rec.kind
+                )));
             }
-            let op: Value = serde_json::from_slice(&rec.payload)
-                .map_err(|e| AthenaError::Persist(format!("decode store op: {e}")))?;
-            self.apply_op(&op)?;
+            self.apply_op(from_payload(&rec.payload)?);
             report.ops_replayed += 1;
         }
         Ok(report)
     }
 
-    fn apply_snapshot(&self, snapshot: &Value) -> Result<u64> {
-        let root = as_object(snapshot)?;
+    /// Restores a checkpoint; returns the documents it held.
+    fn apply_snapshot(&self, snapshot: StoreSnapshot) -> u64 {
         let mut restored = 0u64;
-        if let Some(Value::Array(colls)) = root.get("collections") {
-            for coll in colls {
-                let cm = as_object(coll)?;
-                let name = get_str(cm, "name")?;
-                if let Some(Value::Array(indexes)) = cm.get("indexes") {
-                    for fields in indexes {
-                        self.replay_index(name, &index_fields(fields)?);
-                    }
-                }
-                if let Some(Value::Array(docs)) = cm.get("docs") {
-                    let placements = docs
-                        .iter()
-                        .map(|d| {
-                            let dm = as_object(d)?;
-                            let id = DocId(get_u64(dm, "id")?);
-                            Ok(self.replayed(id, get_object(dm, "fields")?))
-                        })
-                        .collect::<Result<Vec<Placement>>>()?;
-                    self.place_all(&self.collection_object(name), placements.iter());
-                    restored += placements.len() as u64;
-                }
+        for coll in snapshot.collections {
+            for fields in &coll.indexes {
+                self.replay_index(&coll.name, fields);
             }
+            let placements: Vec<Placement> =
+                coll.docs.into_iter().map(|d| self.replayed(d)).collect();
+            self.place_all(&self.collection_object(&coll.name), placements.iter());
+            restored += placements.len() as u64;
         }
         // Restore the allocator last: it must win over per-insert bumps.
-        self.next_id
-            .fetch_max(get_u64(root, "next_id")?, Ordering::Relaxed);
-        Ok(restored)
+        self.next_id.fetch_max(snapshot.next_id, Ordering::Relaxed);
+        restored
     }
 
-    fn apply_op(&self, op: &Value) -> Result<()> {
-        let m = as_object(op)?;
-        let op = get_str(m, "op")?;
-        let coll = get_str(m, "coll")?;
+    fn apply_op(&self, op: StoreOp) {
         match op {
-            "insert" => {
-                let id = DocId(get_u64(m, "id")?);
-                let placement = self.replayed(id, get_object(m, "fields")?);
-                self.place_all(&self.collection_object(coll), std::iter::once(&placement));
+            StoreOp::Insert { coll, doc } => {
+                let placement = self.replayed(doc);
+                self.place_all(&self.collection_object(&coll), std::iter::once(&placement));
             }
-            "update" => {
-                let changes: Vec<(String, Value)> = get_object(m, "changes")?.into_iter().collect();
-                let ids = get_ids(m, "ids")?;
-                self.collection_object(coll)
-                    .update_ids(&self.nodes, &ids, &changes);
+            StoreOp::Update { coll, ids, changes } => {
+                self.collection_object(&coll)
+                    .update_ids(&self.nodes, &ids, &changes)
             }
-            "delete" => self
-                .collection_object(coll)
-                .delete_everywhere(&get_ids(m, "ids")?),
-            "index" => {
-                let fields = m
-                    .get("fields")
-                    .or_else(|| m.get("field"))
-                    .ok_or_else(|| AthenaError::Persist("store op misses `fields`".into()))?;
-                self.replay_index(coll, &index_fields(fields)?);
-            }
-            other => return Err(AthenaError::Persist(format!("unknown store op `{other}`"))),
+            StoreOp::Delete { coll, ids } => self.collection_object(&coll).delete_everywhere(&ids),
+            StoreOp::Index { coll, fields } => self.replay_index(&coll, &fields),
         }
-        Ok(())
     }
 
     /// A recovered index, built on every shard of `coll` (not journaled
@@ -387,12 +257,9 @@ impl StoreCluster {
     /// normal placement step (all nodes are up during recovery, so its
     /// targets are the preferred replica set) and not journaled again;
     /// the id allocator moves past its id.
-    fn replayed(&self, id: DocId, fields: Map<String, Value>) -> Placement {
-        self.next_id.fetch_max(id.0 + 1, Ordering::Relaxed);
-        self.placement(Arc::new(Document {
-            id,
-            fields: fields.into(),
-        }))
+    fn replayed(&self, doc: Arc<Document>) -> Placement {
+        self.next_id.fetch_max(doc.id.0 + 1, Ordering::Relaxed);
+        self.placement(doc)
     }
 }
 
@@ -597,26 +464,6 @@ mod tests {
             }
             std::fs::remove_dir_all(&dir).unwrap();
         }
-    }
-
-    #[test]
-    fn a_one_field_index_as_the_parent_format_wrote_it_recovers() {
-        // Before compound indexes, an index op and a checkpoint's index
-        // list held one bare field name.
-        let cluster = StoreCluster::new(2, 1);
-        cluster
-            .apply_op(&serde_json::json!({ "op": "index", "coll": "a", "field": "k" }))
-            .unwrap();
-        cluster
-            .apply_snapshot(&serde_json::json!({
-                "next_id": 1,
-                "collections": [{ "name": "b", "indexes": ["k", ["m", "n"]], "docs": [] }],
-            }))
-            .unwrap();
-        assert_eq!(indexed_fields(&cluster, "a"), [["k"]]);
-        assert_eq!(indexed_fields(&cluster, "b"), [vec!["k"], vec!["m", "n"]]);
-        let malformed = serde_json::json!({ "op": "index", "coll": "a", "fields": [1] });
-        assert!(cluster.apply_op(&malformed).is_err());
     }
 
     #[test]

@@ -66,8 +66,9 @@ echo "==> recovery gate (kill mid-run, recover from disk, diff verdicts)"
 timed_gate "recovery gate" \
     env ATHENA_CHAOS_SMOKE=1 cargo test -q --offline --test e2e_recovery
 
-echo "==> persistence corruption property tests (bit flips never panic)"
+echo "==> persistence property tests (bit flips never panic; records round-trip, a mangled member is refused)"
 cargo test -q -p athena-persist --offline --test proptest_persist
+cargo test -q --offline --test proptest_records
 
 echo "==> openflow codec property tests (round-trip + decode-never-panics)"
 cargo test -q -p athena-openflow --offline --test proptest_codec

@@ -189,6 +189,19 @@ impl<T: Deserialize> Deserialize for Box<T> {
     }
 }
 
+// Real serde has these behind its `rc` feature.
+impl<T: Serialize + ?Sized> Serialize for std::sync::Arc<T> {
+    fn to_value(&self) -> Value {
+        (**self).to_value()
+    }
+}
+
+impl<T: Deserialize> Deserialize for std::sync::Arc<T> {
+    fn from_value(v: &Value) -> Result<Self, Error> {
+        T::from_value(v).map(std::sync::Arc::new)
+    }
+}
+
 impl<T: Serialize> Serialize for Option<T> {
     fn to_value(&self) -> Value {
         self.as_ref().map_or(Value::Null, Serialize::to_value)
