@@ -7,17 +7,19 @@
 //!
 //! Flags:
 //! - `--root <dir>`: workspace root (default: walk up to `lint.toml`).
-//! - `--json [path]`: also write the machine-readable report (default
+//! - `--json [path]`: also write the machine-readable report, the compact
+//!   JSON of [`athena_analyze::Analysis`] (default
 //!   `target/analysis-report.json` under the root).
 //! - `--lock-graph`: print the derived lock-acquisition graph and a
 //!   valid `lock_order` to paste into `lint.toml`, then exit 0.
 
 use std::env;
 use std::fs;
+use std::io;
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use athena_analyze::{check_workspace, find_root, json};
+use athena_analyze::{check_workspace, find_root};
 
 fn main() -> ExitCode {
     let args: Vec<String> = env::args().skip(1).collect();
@@ -116,7 +118,10 @@ fn main() -> ExitCode {
                 return ExitCode::from(2);
             }
         }
-        if let Err(e) = fs::write(&path, json::render(&analysis)) {
+        let written = serde_json::to_string(&analysis)
+            .map_err(io::Error::other)
+            .and_then(|json| fs::write(&path, json));
+        if let Err(e) = written {
             eprintln!("athena-lint: cannot write {}: {e}", path.display());
             return ExitCode::from(2);
         }

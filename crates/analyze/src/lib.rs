@@ -37,13 +37,13 @@
 pub mod config;
 pub mod graph;
 pub mod hot;
-pub mod json;
 pub mod locks;
 pub mod model;
 pub mod rules;
 pub mod sites;
 pub mod tokenizer;
 
+use serde::Serialize;
 use std::fmt;
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -84,7 +84,7 @@ impl SourceFile {
 }
 
 /// One finding — what every pass pushes and what the report prints.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Serialize)]
 pub struct Diagnostic {
     /// Rule that fired.
     pub rule: &'static str,
@@ -148,7 +148,7 @@ impl fmt::Display for Diagnostic {
 }
 
 /// Outcome of an analysis run.
-#[derive(Debug, Default)]
+#[derive(Debug, Default, Serialize)]
 pub struct Report {
     /// All findings outside the allow list, sorted by file and position.
     pub diagnostics: Vec<Diagnostic>,
@@ -179,7 +179,7 @@ impl fmt::Display for LintError {
 impl std::error::Error for LintError {}
 
 /// The derived lock graph, for `--lock-graph` and the JSON report.
-#[derive(Debug, Default)]
+#[derive(Debug, Default, Serialize)]
 pub struct LockGraph {
     /// Every crate-qualified lock with an acquisition site, sorted.
     pub locks: Vec<String>,
@@ -190,8 +190,9 @@ pub struct LockGraph {
     pub suggested_order: Vec<String>,
 }
 
-/// Full analysis output: the gate report plus the derived artifacts.
-#[derive(Debug, Default)]
+/// Full analysis output: the gate report plus the derived artifacts;
+/// `athena-lint --json` writes it as compact JSON.
+#[derive(Debug, Default, Serialize)]
 pub struct Analysis {
     /// Diagnostics, scan counts, and stale-allow findings.
     pub report: Report,

@@ -23,12 +23,13 @@ use crate::graph::Call;
 use crate::model::{self, Func};
 use crate::sites;
 use crate::{Diagnostic, LockGraph, SourceFile};
+use serde::Serialize;
 
 /// The conventional guard methods (see [`analyze_locks`]).
 const OPAQUE_WRAPPERS: &[&str] = &["lock", "read", "write", "try_lock", "try_read", "try_write"];
 
 /// One derived acquisition-order edge with its code witness.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Serialize)]
 pub struct LockEdge {
     /// Lock held at the time.
     pub from: String,

@@ -12,6 +12,7 @@
 
 use crate::series::SeriesEngine;
 use athena_types::{SimDuration, SimTime};
+use serde::Serialize;
 
 /// What a rule watches.
 #[derive(Debug, Clone, PartialEq)]
@@ -62,7 +63,7 @@ pub struct AlertRule {
 }
 
 /// A fire or clear transition.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct AlertEvent {
     /// Rule that transitioned.
     pub rule: &'static str,

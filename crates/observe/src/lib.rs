@@ -66,7 +66,6 @@ struct State {
     spans_dropped: u64,
     events_dropped: u64,
     trace_ids_dropped: u64,
-    telemetry: Option<Telemetry>,
     next_sample: SimTime,
     series: SeriesEngine,
     alerts: AlertEngine,
@@ -75,6 +74,8 @@ struct State {
 #[derive(Debug)]
 struct Inner {
     enabled: AtomicBool,
+    /// The sampled registry; read outside the state lock.
+    telemetry: Option<Telemetry>,
     state: TrackedMutex<State>,
 }
 
@@ -103,6 +104,7 @@ impl Observe {
         Observe {
             inner: Arc::new(Inner {
                 enabled: AtomicBool::new(enabled),
+                telemetry,
                 state: TrackedMutex::new(
                     "observe/state",
                     State {
@@ -117,7 +119,6 @@ impl Observe {
                         spans_dropped: 0,
                         events_dropped: 0,
                         trace_ids_dropped: 0,
-                        telemetry,
                         next_sample: SimTime::ZERO,
                         series: SeriesEngine::new(DEFAULT_SERIES_CAPACITY),
                         alerts: AlertEngine::new(rules),
@@ -163,7 +164,7 @@ impl Observe {
         // sample slot. The state lock is never held across a telemetry
         // call — the lock-graph gate conservatively treats any callee
         // named `report`/`event` as potentially re-entrant.
-        let tel = {
+        {
             let mut state = self.inner.state.lock();
             if now > state.now {
                 state.now = now;
@@ -172,10 +173,9 @@ impl Observe {
                 return;
             }
             state.next_sample = now + DEFAULT_SAMPLE_CADENCE;
-            match state.telemetry.clone() {
-                Some(t) => t,
-                None => return,
-            }
+        }
+        let Some(tel) = &self.inner.telemetry else {
+            return;
         };
         let report = tel.report();
         // Second critical section: fold the snapshot into the series
@@ -350,8 +350,17 @@ impl Observe {
         folded_stacks(&self.inner.state.lock().spans)
     }
 
-    /// Builds the point-in-time [`ObserveReport`].
+    /// Builds the point-in-time [`ObserveReport`], metric snapshot
+    /// included.
     pub fn report(&self) -> ObserveReport {
+        // Snapshot the registry first: as in `on_tick`, the state lock is
+        // never held across a telemetry call.
+        let metrics = self
+            .inner
+            .telemetry
+            .as_ref()
+            .map(Telemetry::report)
+            .unwrap_or_default();
         let state = self.inner.state.lock();
         let now = state.now;
         let series = state
@@ -377,6 +386,7 @@ impl Observe {
             alerts: state.alerts.transitions().to_vec(),
             firing: state.alerts.firing_rules(),
             series,
+            metrics,
         }
     }
 }
@@ -544,7 +554,10 @@ mod tests {
             (2, 2, 2)
         );
         assert!(report.render().contains("2 spans, 2 events, 2 trace ids"));
-        assert!(report.to_json().contains("\"trace_ids_dropped\":2"));
+        assert!(report
+            .to_json()
+            .unwrap()
+            .contains("\"trace_ids_dropped\":2"));
     }
 
     #[test]

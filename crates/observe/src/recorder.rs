@@ -5,8 +5,8 @@
 //! thread counts. (What a boundary costs on the wall clock is in the
 //! `*_ns` histograms of `athena-telemetry`.)
 
-use athena_telemetry::json;
 use athena_types::SimTime;
+use serde_json::{json, Value};
 use std::fmt::Write as _;
 
 /// One finished causal span.
@@ -52,55 +52,44 @@ pub struct CausalEvent {
 /// Perfetto loadable) JSON document. Spans become complete (`"X"`)
 /// events on a per-trace track; events become instants (`"i"`).
 pub fn chrome_trace_json(spans: &[CausalSpan], events: &[CausalEvent]) -> String {
-    let mut out = String::from("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n");
-    let mut first = true;
-    for s in spans {
-        if !first {
-            out.push_str(",\n");
-        }
-        first = false;
+    let trace_id = |id: u64| format!("{id:#018x}");
+    let spans = spans.iter().map(|s| {
         // Zero-length spans (work inside one virtual tick) get a 1 µs
         // floor so the viewer renders them.
         let dur = s.end.as_micros().saturating_sub(s.start.as_micros()).max(1);
-        let _ = write!(
-            out,
-            "{{\"name\":\"{}/{}\",\"cat\":\"{}\",\"ph\":\"X\",\"pid\":1,\
-             \"tid\":{},\"ts\":{},\"dur\":{},\"args\":{{\"trace_id\":\"{:#018x}\",\
-             \"span_id\":{},\"parent_id\":{},\"detail\":",
-            s.subsystem,
-            s.name,
-            s.subsystem,
-            s.trace_id % 1_000_000,
-            s.start.as_micros(),
-            dur,
-            s.trace_id,
-            s.span_id,
-            s.parent_id,
-        );
-        json::string_into(&mut out, &s.detail);
-        out.push_str("}}");
-    }
-    for e in events {
-        if !first {
-            out.push_str(",\n");
-        }
-        first = false;
-        let _ = write!(
-            out,
-            "{{\"name\":\"{}/{}\",\"cat\":\"{}\",\"ph\":\"i\",\"s\":\"g\",\"pid\":1,\
-             \"tid\":{},\"ts\":{},\"args\":{{\"trace_id\":\"{:#018x}\",\"detail\":",
-            e.subsystem,
-            e.name,
-            e.subsystem,
-            e.trace_id % 1_000_000,
-            e.at.as_micros(),
-            e.trace_id,
-        );
-        json::string_into(&mut out, &e.detail);
-        out.push_str("}}");
-    }
-    out.push_str("\n]}\n");
-    out
+        json!({
+            "name": (format!("{}/{}", s.subsystem, s.name)),
+            "cat": (s.subsystem),
+            "ph": "X",
+            "pid": 1,
+            "tid": (s.trace_id % 1_000_000),
+            "ts": (s.start.as_micros()),
+            "dur": dur,
+            "args": {
+                "trace_id": (trace_id(s.trace_id)),
+                "span_id": (s.span_id),
+                "parent_id": (s.parent_id),
+                "detail": (s.detail.as_str())
+            }
+        })
+    });
+    let events = events.iter().map(|e| {
+        json!({
+            "name": (format!("{}/{}", e.subsystem, e.name)),
+            "cat": (e.subsystem),
+            "ph": "i",
+            "s": "g",
+            "pid": 1,
+            "tid": (e.trace_id % 1_000_000),
+            "ts": (e.at.as_micros()),
+            "args": {
+                "trace_id": (trace_id(e.trace_id)),
+                "detail": (e.detail.as_str())
+            }
+        })
+    });
+    let trace_events: Vec<Value> = spans.chain(events).collect();
+    json!({"displayTimeUnit": "ms", "traceEvents": trace_events}).to_string()
 }
 
 /// Renders spans as folded stacks (`a;b;c <weight>` lines, one per

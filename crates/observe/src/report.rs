@@ -1,15 +1,17 @@
 //! The `ObserveReport`: a point-in-time summary of the causal trace,
-//! sampled series, and alert state, printable as a health table (the
-//! `athena-top` view) or exportable as JSON.
+//! sampled series, alert state and metric snapshot, printable as a health
+//! table (the `athena-top` view) or exportable as JSON — the one report
+//! artifact of a run.
 
 use crate::alerts::AlertEvent;
-use athena_telemetry::json;
+use athena_telemetry::TelemetryReport;
+use serde::Serialize;
 use std::fmt::Write as _;
 use std::io;
 use std::path::Path;
 
 /// One sampled series' summary row.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct SeriesRow {
     /// Metric key (`subsystem/name[instance]`, `#p99`/`#count` for
     /// histogram-derived series).
@@ -23,7 +25,7 @@ pub struct SeriesRow {
 }
 
 /// A snapshot of everything the observe layer knows.
-#[derive(Debug, Clone, Default, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize)]
 pub struct ObserveReport {
     /// Seed the trace-id stream derives from.
     pub seed: u64,
@@ -49,6 +51,9 @@ pub struct ObserveReport {
     pub firing: Vec<&'static str>,
     /// Per-series summaries, in key order.
     pub series: Vec<SeriesRow>,
+    /// The attached registry's metrics at snapshot time (empty without
+    /// telemetry).
+    pub metrics: TelemetryReport,
 }
 
 impl ObserveReport {
@@ -90,71 +95,22 @@ impl ObserveReport {
         out
     }
 
-    /// Serializes the report as JSON.
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{");
-        let _ = write!(
-            out,
-            "\"seed\":{},\"now_us\":{},\"samples\":{},\"traces\":{},\
-             \"spans\":{},\"spans_dropped\":{},\"events\":{},\"events_dropped\":{},\
-             \"trace_ids_dropped\":{},",
-            self.seed,
-            self.now_us,
-            self.samples,
-            self.traces,
-            self.spans,
-            self.spans_dropped,
-            self.events,
-            self.events_dropped,
-            self.trace_ids_dropped,
-        );
-        out.push_str("\"firing\":[");
-        for (i, f) in self.firing.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            json::string_into(&mut out, f);
-        }
-        out.push_str("],\"alerts\":[");
-        for (i, a) in self.alerts.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str("{\"rule\":");
-            json::string_into(&mut out, a.rule);
-            let _ = write!(
-                out,
-                ",\"fired\":{},\"at_us\":{},\"value\":{:.3},\"deterministic\":{}}}",
-                a.fired,
-                a.at.as_micros(),
-                a.value,
-                a.deterministic,
-            );
-        }
-        out.push_str("],\"series\":[");
-        for (i, s) in self.series.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str("{\"key\":");
-            json::string_into(&mut out, &s.key);
-            let _ = write!(
-                out,
-                ",\"points\":{},\"latest\":{:.3},\"rate_per_sec\":{:.3}}}",
-                s.points, s.latest, s.rate_per_sec,
-            );
-        }
-        out.push_str("]}");
-        out
+    /// Serializes the report as compact JSON.
+    ///
+    /// # Errors
+    ///
+    /// Propagates the serializer's error.
+    pub fn to_json(&self) -> serde_json::Result<String> {
+        serde_json::to_string(self)
     }
 
     /// Writes [`ObserveReport::to_json`] to `path`.
     ///
     /// # Errors
     ///
-    /// Propagates the underlying filesystem error.
+    /// Propagates the serializer's or the filesystem's error.
     pub fn save_json(&self, path: impl AsRef<Path>) -> io::Result<()> {
-        std::fs::write(path, self.to_json())
+        std::fs::write(path, self.to_json().map_err(io::Error::other)?)
     }
 }
 
@@ -189,12 +145,13 @@ mod tests {
                 latest: 2.0,
                 rate_per_sec: 0.0,
             }],
+            metrics: TelemetryReport::default(),
         };
         let text = report.render();
         assert!(text.contains("alerts FIRING: links-degraded"));
         assert!(text.contains("dataplane/links_degraded"));
-        let json = report.to_json();
+        let json = report.to_json().unwrap();
         assert!(json.contains("\"rule\":\"links-degraded\""));
-        assert!(json.contains("\"at_us\":11000000"));
+        assert!(json.contains("\"at\":11000000"));
     }
 }

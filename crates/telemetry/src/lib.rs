@@ -1,5 +1,5 @@
 //! Metrics for the Athena reproduction, with no dependencies beyond
-//! `athena-types` and `std`.
+//! `athena-types`, `serde` (the report types derive `Serialize`) and `std`.
 //!
 //! The paper's whole evaluation is observational (Cbench throughput,
 //! per-stage feature-generation and query latencies, detection-app
@@ -40,12 +40,11 @@
 //!
 //! let report = tel.report();
 //! assert!(report.render().contains("stats_polls"));
-//! assert!(report.to_json().starts_with('{'));
+//! assert!(serde_json::to_string(&report).unwrap().starts_with('{'));
 //! ```
 
 #![forbid(unsafe_code)]
 #![deny(rust_2018_idioms)]
-pub mod json;
 pub mod metrics;
 pub mod names;
 pub mod report;

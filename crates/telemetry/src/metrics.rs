@@ -8,6 +8,7 @@
 //! [`Telemetry`]: crate::Telemetry
 
 use crate::report::{CounterEntry, GaugeEntry, HistogramEntry, TelemetryReport};
+use serde::Serialize;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -19,7 +20,7 @@ pub const HISTOGRAM_BUCKETS: usize = 65;
 
 /// Identifies one metric: which subsystem owns it, what it measures, and
 /// (optionally) which instance of the subsystem it belongs to.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize)]
 pub struct MetricKey {
     /// The owning subsystem (`"dataplane"`, `"store"`, …).
     pub subsystem: String,
@@ -344,7 +345,7 @@ impl RawSnapshot {
 }
 
 /// Percentile summary of one histogram.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize)]
 pub struct HistogramSnapshot {
     /// Samples recorded.
     pub count: u64,

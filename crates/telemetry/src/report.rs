@@ -1,17 +1,18 @@
 //! The `TelemetryReport`: a point-in-time snapshot of every registered
-//! metric, printable as a grouped text table or exportable as JSON.
+//! metric, printable as a grouped text table; it derives `Serialize`, and
+//! `athena-observe`'s report carries it into the one JSON artifact.
 //!
 //! Bench binaries and the e2e harness print one of these at exit in
 //! place of ad-hoc timing printouts. Metric names ending in `_ns` hold
 //! nanosecond samples by convention and are humanized in the text
 //! rendering (`12.5µs` instead of `12500`).
 
-use crate::json;
 use crate::metrics::{HistogramSnapshot, MetricKey};
+use serde::Serialize;
 use std::fmt::Write as _;
 
 /// One counter in a report.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct CounterEntry {
     /// Full metric key.
     pub key: MetricKey,
@@ -20,7 +21,7 @@ pub struct CounterEntry {
 }
 
 /// One gauge in a report.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct GaugeEntry {
     /// Full metric key.
     pub key: MetricKey,
@@ -29,7 +30,7 @@ pub struct GaugeEntry {
 }
 
 /// One histogram in a report.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct HistogramEntry {
     /// Full metric key.
     pub key: MetricKey,
@@ -39,7 +40,7 @@ pub struct HistogramEntry {
 
 /// A snapshot of every metric in a [`MetricsRegistry`](crate::MetricsRegistry),
 /// sorted by key (subsystem, then name, then instance).
-#[derive(Debug, Clone, Default, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize)]
 pub struct TelemetryReport {
     /// All counters.
     pub counters: Vec<CounterEntry>,
@@ -115,69 +116,6 @@ impl TelemetryReport {
         }
         out
     }
-
-    /// Serializes the report as a JSON object with `counters`, `gauges`,
-    /// and `histograms` arrays.
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{");
-        json::key_into(&mut out, "counters");
-        out.push('[');
-        for (i, e) in self.counters.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push('{');
-            key_fields(&mut out, &e.key);
-            json::key_into(&mut out, "value");
-            out.push_str(&e.value.to_string());
-            out.push('}');
-        }
-        out.push_str("],");
-        json::key_into(&mut out, "gauges");
-        out.push('[');
-        for (i, e) in self.gauges.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push('{');
-            key_fields(&mut out, &e.key);
-            json::key_into(&mut out, "value");
-            out.push_str(&e.value.to_string());
-            out.push('}');
-        }
-        out.push_str("],");
-        json::key_into(&mut out, "histograms");
-        out.push('[');
-        for (i, e) in self.histograms.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let s = &e.snapshot;
-            out.push('{');
-            key_fields(&mut out, &e.key);
-            for (field, v) in [
-                ("count", s.count),
-                ("sum", s.sum),
-                ("max", s.max),
-                ("p50", s.p50),
-                ("p90", s.p90),
-                ("p99", s.p99),
-            ] {
-                json::key_into(&mut out, field);
-                out.push_str(&v.to_string());
-                out.push(',');
-            }
-            out.pop();
-            out.push('}');
-        }
-        out.push_str("]}");
-        out
-    }
-
-    /// Writes [`TelemetryReport::to_json`] to `path`.
-    pub fn save_json(&self, path: impl AsRef<std::path::Path>) -> std::io::Result<()> {
-        std::fs::write(path, self.to_json())
-    }
 }
 
 /// The part of the key shown inside a subsystem group: `name` or
@@ -188,18 +126,6 @@ fn display_name(key: &MetricKey) -> String {
     } else {
         format!("{}[{}]", key.name, key.instance)
     }
-}
-
-fn key_fields(out: &mut String, key: &MetricKey) {
-    json::key_into(out, "subsystem");
-    json::string_into(out, &key.subsystem);
-    out.push(',');
-    json::key_into(out, "name");
-    json::string_into(out, &key.name);
-    out.push(',');
-    json::key_into(out, "instance");
-    json::string_into(out, &key.instance);
-    out.push(',');
 }
 
 /// Formats a nanosecond quantity at a readable scale.
@@ -246,12 +172,16 @@ mod tests {
 
     #[test]
     fn json_round_trips_the_shape() {
-        let json = sample_report().to_json();
-        assert!(json.starts_with('{') && json.ends_with('}'));
-        assert!(json.contains("\"counters\":["));
-        assert!(json.contains("\"name\":\"stats_polls\",\"instance\":\"\",\"value\":7"));
-        assert!(json.contains("\"histograms\":["));
-        assert!(json.contains("\"count\":2"));
+        use serde_json::{json, Value};
+        let json = serde_json::to_string(&sample_report()).unwrap();
+        let v: Value = serde_json::from_str(&json).unwrap();
+        let list = |k| v.get(k).and_then(Value::as_array).unwrap();
+        assert!(list("counters").contains(&json!({
+            "key": {"subsystem": "controller", "name": "stats_polls", "instance": ""},
+            "value": 7
+        })));
+        let find_ns = list("histograms")[0].get("snapshot").unwrap();
+        assert_eq!(find_ns.get("count"), Some(&json!(2)));
     }
 
     #[test]
@@ -260,7 +190,7 @@ mod tests {
         assert!(report.is_empty());
         assert!(report.render().contains("no metrics recorded"));
         assert_eq!(
-            report.to_json(),
+            serde_json::to_string(&report).unwrap(),
             "{\"counters\":[],\"gauges\":[],\"histograms\":[]}"
         );
     }

@@ -13,6 +13,16 @@ use athena::core::{Athena, AthenaConfig};
 use athena::dataplane::{workload, FlowSpec, Network, NetworkConfig, ShardPlan, Topology};
 use athena::types::{Ipv4Addr, SimDuration, SimTime};
 
+/// Workload scale: `ATHENA_CHAOS_SMOKE` selects the lighter CI profile,
+/// which halves flow and dataset counts (same timeline, same assertions).
+pub fn scaled(n: usize) -> usize {
+    if athena::types::env_flag("ATHENA_CHAOS_SMOKE") {
+        n / 2
+    } else {
+        n
+    }
+}
+
 /// A live simulated SDN with Athena attached: network, controller
 /// cluster, and the framework instance, plus the topology they share.
 pub struct Deployment {

@@ -13,6 +13,8 @@
 //! Set `ATHENA_CHAOS_SMOKE=1` for the lighter CI workload (same
 //! assertions).
 
+mod common;
+
 use athena::apps::{DdosDetector, DdosDetectorConfig, ScanDetector, ScanDetectorConfig};
 use athena::controller::ControllerCluster;
 use athena::core::{Athena, AthenaConfig};
@@ -21,6 +23,7 @@ use athena::faults::{run_with_faults, ChaosChannel, FaultInjector, Scenario};
 use athena::observe::{CausalEvent, CausalSpan, Observe};
 use athena::telemetry::Telemetry;
 use athena::types::{SimDuration, SimTime};
+use common::scaled;
 use std::sync::Mutex;
 
 /// Same seed family as the chaos matrix and recovery e2e.
@@ -28,18 +31,6 @@ const SEED: u64 = 7;
 const INJECT_AT: SimTime = SimTime::from_secs(10);
 const RECOVER_AT: SimTime = SimTime::from_secs(20);
 const END: SimTime = SimTime::from_secs(35);
-
-fn smoke() -> bool {
-    athena::types::env_flag("ATHENA_CHAOS_SMOKE")
-}
-
-fn scaled(n: usize) -> usize {
-    if smoke() {
-        n / 2
-    } else {
-        n
-    }
-}
 
 /// Serializes runs: `ATHENA_THREADS` is process-global.
 static ENV_LOCK: Mutex<()> = Mutex::new(());

@@ -18,6 +18,7 @@ use athena::dataplane::{workload, Network, ShardPlan, Topology};
 use athena::faults::{run_with_faults, ChaosChannel, FaultInjector, Scenario};
 use athena::telemetry::Telemetry;
 use athena::types::{SimDuration, SimTime};
+use common::scaled;
 
 /// Matrix-wide plan seed: every scenario picks its fault target from
 /// this, so the whole matrix is reproducible bit-for-bit.
@@ -32,20 +33,6 @@ const RECOVER_AT: SimTime = SimTime::from_secs(20);
 /// for a stats-poll retry cycle or a mastership re-election, far less
 /// than a monitoring outage.
 const MISS_WINDOW_BOUND: SimDuration = SimDuration::from_secs(15);
-
-fn smoke() -> bool {
-    athena::types::env_flag("ATHENA_CHAOS_SMOKE")
-}
-
-/// Workload scale: the smoke profile halves flow counts (same timeline,
-/// same assertions) to keep the CI gate fast.
-fn scaled(n: usize) -> usize {
-    if smoke() {
-        n / 2
-    } else {
-        n
-    }
-}
 
 struct ChaosRun {
     athena: Athena,

@@ -9,6 +9,9 @@
 //! Set `ATHENA_CHAOS_SMOKE=1` for the lighter CI workload (same matrix,
 //! same assertions).
 
+mod common;
+
+use common::scaled;
 use std::collections::{BTreeMap, BTreeSet};
 
 use athena::controller::ControllerCluster;
@@ -25,14 +28,6 @@ const SEED: u64 = 7;
 const INJECT_AT: SimTime = SimTime::from_secs(10);
 const RECOVER_AT: SimTime = SimTime::from_secs(20);
 const END: SimTime = SimTime::from_secs(35);
-
-fn scaled(n: usize) -> usize {
-    if athena::types::env_flag("ATHENA_CHAOS_SMOKE") {
-        n / 2
-    } else {
-        n
-    }
-}
 
 /// The alert each fault family must round-trip (fire in the fault
 /// window, clear after recovery). All mapped rules are deterministic.
@@ -211,12 +206,11 @@ fn one_trace_spans_at_least_three_subsystems_and_exports() {
 
     std::fs::create_dir_all("target").unwrap();
     std::fs::write("target/chrome-trace.json", &chrome).unwrap();
-    run.obs
-        .report()
-        .save_json("target/observe-report.json")
-        .unwrap();
     let report = run.obs.report();
+    report.save_json("target/observe-report.json").unwrap();
     assert!(report.spans > 0 && report.samples > 0);
+    // The one report carries the run's metric snapshot.
+    assert!(!report.metrics.counters.is_empty() && !report.metrics.histograms.is_empty());
 }
 
 /// Every metric the full stack emits under chaos is declared in the

@@ -7,6 +7,8 @@
 //! Set `ATHENA_CHAOS_SMOKE=1` for the lighter CI workload (same timeline,
 //! same assertions).
 
+mod common;
+
 use athena::apps::{DdosDetector, DdosDetectorConfig};
 use athena::controller::ControllerCluster;
 use athena::core::{Athena, AthenaConfig};
@@ -15,6 +17,7 @@ use athena::faults::{run_with_faults, ChaosChannel, FaultInjector, Scenario};
 use athena::persist::PersistConfig;
 use athena::telemetry::Telemetry;
 use athena::types::{Ipv4Addr, SimDuration, SimTime, VirtualClock};
+use common::scaled;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -34,18 +37,6 @@ const KILL_AT: SimTime = SimTime::from_secs(18);
 
 /// Runs end here; the DDoS flood (8 s + 22 s) has just finished.
 const END: SimTime = SimTime::from_secs(35);
-
-fn smoke() -> bool {
-    athena::types::env_flag("ATHENA_CHAOS_SMOKE")
-}
-
-fn scaled(n: usize) -> usize {
-    if smoke() {
-        n / 2
-    } else {
-        n
-    }
-}
 
 static DIR_SEQ: AtomicU64 = AtomicU64::new(0);
 

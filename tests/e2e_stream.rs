@@ -22,6 +22,8 @@
 //! (`athena_bench::stream::run_stream`): it gates the online learner's
 //! floor on the known flood and writes `target/BENCH_stream.json`.
 
+mod common;
+
 use athena::apps::{DdosDataset, DdosDetector, DdosDetectorConfig};
 use athena::controller::ControllerCluster;
 use athena::core::{Athena, AthenaConfig, FeatureRecord};
@@ -31,6 +33,7 @@ use athena::ml::Algorithm;
 use athena::stream::{OnlineSpec, RetrainLoop, RetrainPolicy, StreamConfig};
 use athena::telemetry::{names, Telemetry};
 use athena::types::{SimDuration, SimTime};
+use common::scaled;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
@@ -44,18 +47,6 @@ const RECOVER_AT: SimTime = SimTime::from_secs(20);
 const END: SimTime = SimTime::from_secs(35);
 /// The ISSUE acceptance bound on detection continuity, in virtual µs.
 const GAP_BOUND_US: u64 = 15_000_000;
-
-fn smoke() -> bool {
-    athena::types::env_flag("ATHENA_CHAOS_SMOKE")
-}
-
-fn scaled(n: usize) -> usize {
-    if smoke() {
-        n / 2
-    } else {
-        n
-    }
-}
 
 /// Serializes runs: `ATHENA_THREADS` is process-global.
 static ENV_LOCK: Mutex<()> = Mutex::new(());
