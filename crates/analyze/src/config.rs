@@ -44,9 +44,6 @@ pub struct Config {
     /// 1-based `lint.toml` line of the `lock_order` key (0 when absent) —
     /// reported when a declared name matches no acquisition site.
     pub lock_order_line: usize,
-    /// Function names that acquire the lock passed as their argument
-    /// (poison-recovering `lock(&mutex)` helpers around `std::sync`).
-    pub lock_helpers: Vec<String>,
     /// Method names treated as send/event-bus calls by lock-discipline.
     pub bus_calls: Vec<String>,
     /// Path prefixes exempt from `no-println-in-lib` (binary-only code
@@ -128,9 +125,6 @@ impl Config {
                 ("analyze", "lock_order") => {
                     config.lock_order = parse_string_array(&value, line_no)?;
                     config.lock_order_line = line_no;
-                }
-                ("analyze", "lock_helpers") => {
-                    config.lock_helpers = parse_string_array(&value, line_no)?;
                 }
                 ("lint", "bus_calls") => config.bus_calls = parse_string_array(&value, line_no)?,
                 ("lint", "println_exempt") => {

@@ -1,8 +1,8 @@
 //! Guard windows and the derived lock-acquisition graph.
 //!
-//! Every acquisition site (`.lock()` / `.read()` / `.write()` / helper
-//! calls) opens a *window*: the token range of its function over which
-//! the guard is held. The windows are computed once and read twice.
+//! Every acquisition site (`.lock()` / `.read()` / `.write()`) opens a
+//! *window*: the token range of its function over which the guard is
+//! held. The windows are computed once and read twice.
 //!
 //! Inside one function they give `lock-discipline`: while a guard is
 //! held, the same lock may not be re-acquired (self-deadlock) and no
@@ -85,16 +85,15 @@ pub(crate) fn analyze_locks(
     calls: &[Vec<Call>],
     diags: &mut Vec<Diagnostic>,
 ) -> LockGraph {
-    let mut windows = collect_windows(config, files, funcs);
+    let mut windows = collect_windows(files, funcs);
     discipline_diags(config, files, funcs, &windows, diags);
 
     // The graph is over nameable locks, and a lock *wrapper*'s body is
-    // opaque to it: the configured helpers plus the conventional guard
-    // methods. Their internal `.lock()` is the implementation of the
-    // acquisition already attributed at their call sites.
+    // opaque to it: the conventional guard methods. Their internal
+    // `.lock()` is the implementation of the acquisition already
+    // attributed at their call sites.
     for (f, ws) in funcs.iter().zip(&mut windows) {
-        let wrapper =
-            OPAQUE_WRAPPERS.contains(&f.name.as_str()) || config.lock_helpers.contains(&f.name);
+        let wrapper = OPAQUE_WRAPPERS.contains(&f.name.as_str());
         ws.retain(|w| w.named && !wrapper);
     }
 
@@ -133,7 +132,7 @@ pub(crate) fn analyze_locks(
     for f in 0..funcs.len() {
         let file = &files[funcs[f].file];
         for w_to in &windows[f] {
-            let anchor = &file.tokens[anchor_tok(file, w_to.acq_tok)];
+            let anchor = &file.tokens[w_to.acq_tok + 1];
             let mut add = |from: String, witness: Vec<String>| {
                 edge_map
                     .entry((from.clone(), w_to.lock.clone()))
@@ -193,19 +192,9 @@ pub(crate) fn analyze_locks(
     }
 }
 
-/// The display token for an acquisition (`.lock()` anchors on `lock`,
-/// helper calls on the helper name).
-fn anchor_tok(file: &SourceFile, acq_tok: usize) -> usize {
-    if file.tokens[acq_tok].is_punct('.') {
-        acq_tok + 1
-    } else {
-        acq_tok
-    }
-}
-
 /// Collects every held-guard window of every function — the one walk
 /// over acquisition sites. Test code opens no window.
-fn collect_windows(config: &Config, files: &[SourceFile], funcs: &[Func]) -> Vec<Vec<Window>> {
+fn collect_windows(files: &[SourceFile], funcs: &[Func]) -> Vec<Vec<Window>> {
     let mut windows: Vec<Vec<Window>> = funcs.iter().map(|_| Vec::new()).collect();
     for (file_idx, file) in files.iter().enumerate() {
         let tokens = &file.tokens;
@@ -214,7 +203,7 @@ fn collect_windows(config: &Config, files: &[SourceFile], funcs: &[Func]) -> Vec
             continue;
         }
         let krate = model::crate_of(&file.rel_path);
-        for acq in sites::find_acquisitions(tokens, &config.lock_helpers) {
+        for acq in sites::find_acquisitions(tokens) {
             if tokens[acq.at].in_test {
                 continue;
             }
@@ -227,7 +216,7 @@ fn collect_windows(config: &Config, files: &[SourceFile], funcs: &[Func]) -> Vec
                 start: acq.end,
                 end: sites::guard_end(tokens, &acq).min(funcs[fid].body_end),
                 acq_tok: acq.at,
-                acq_line: tokens[anchor_tok(file, acq.at)].line,
+                acq_line: tokens[acq.at + 1].line,
             });
         }
     }

@@ -246,60 +246,30 @@ pub const UNNAMED: &str = "<expr>";
 #[derive(Debug, Clone)]
 pub struct Acquisition {
     /// Index of the token starting the acquisition: the `.` of
-    /// `.lock()`/`.read()`/`.write()`, or the helper identifier of a
-    /// `lock(&…)` helper call.
+    /// `.lock()`/`.read()`/`.write()`.
     pub at: usize,
     /// Index just past the acquisition call's closing `)`.
     pub end: usize,
-    /// Coarse lock name: the receiver's (or helper argument's) final
-    /// field/variable identifier.
+    /// Coarse lock name: the receiver's final field/variable identifier.
     pub name: String,
 }
 
 /// Finds lock-acquisition sites: `.lock()` / `.read()` / `.write()`
-/// method calls with empty argument lists, plus calls to the configured
-/// poison-recovering helper functions (`helpers`), whose first argument
-/// names the lock (`lock(&self.deques[id])` → `deques`).
-pub fn find_acquisitions(tokens: &[Token], helpers: &[String]) -> Vec<Acquisition> {
+/// method calls with empty argument lists.
+pub fn find_acquisitions(tokens: &[Token]) -> Vec<Acquisition> {
     let mut out = Vec::new();
     for i in 0..tokens.len() {
-        // `.lock()` / `.read()` / `.write()`
-        if tokens[i].is_punct('.') {
-            let is_acquire = tokens
+        let is_acquire = tokens[i].is_punct('.')
+            && tokens
                 .get(i + 1)
-                .is_some_and(|t| matches!(t.text.as_str(), "lock" | "read" | "write"));
-            if is_acquire
-                && tokens.get(i + 2).is_some_and(|t| t.is_punct('('))
-                && tokens.get(i + 3).is_some_and(|t| t.is_punct(')'))
-            {
-                out.push(Acquisition {
-                    at: i,
-                    end: i + 4,
-                    name: receiver_name(tokens, i),
-                });
-            }
-            continue;
-        }
-        // `helper(&path.to.lock, …)`
-        if tokens[i].kind == TokenKind::Ident
-            && helpers.iter().any(|h| h == &tokens[i].text)
-            && tokens.get(i + 1).is_some_and(|t| t.is_punct('('))
-        {
-            // Not a definition (`fn lock(`), method call (`.lock(` was
-            // handled above and plain-method `x.lock(arg)` is not an
-            // acquisition), or qualified path we can't attribute.
-            let prev = i.checked_sub(1).map(|p| &tokens[p]);
-            let skip = prev.is_some_and(|p| p.is_ident("fn") || p.is_punct('.'));
-            if skip {
-                continue;
-            }
-            let Some(close) = matching_paren(tokens, i + 1) else {
-                continue;
-            };
+                .is_some_and(|t| matches!(t.text.as_str(), "lock" | "read" | "write"))
+            && tokens.get(i + 2).is_some_and(|t| t.is_punct('('))
+            && tokens.get(i + 3).is_some_and(|t| t.is_punct(')'));
+        if is_acquire {
             out.push(Acquisition {
                 at: i,
-                end: close + 1,
-                name: helper_arg_name(tokens, i + 1),
+                end: i + 4,
+                name: receiver_name(tokens, i),
             });
         }
     }
@@ -320,45 +290,6 @@ fn matching_paren(tokens: &[Token], open: usize) -> Option<usize> {
         }
     }
     None
-}
-
-/// The lock name in a helper call's first argument: the final path
-/// identifier, skipping `&`/`mut`, index-bracket contents, and tuple
-/// field numbers (`lock(&self.deques[id])` → `deques`,
-/// `lock(&pending.0)` → `pending`).
-fn helper_arg_name(tokens: &[Token], open: usize) -> String {
-    let mut j = open + 1;
-    let mut paren = 1i32;
-    let mut last: Option<String> = None;
-    while let Some(t) = tokens.get(j) {
-        match t.kind {
-            TokenKind::Punct('(') => paren += 1,
-            TokenKind::Punct(')') => {
-                paren -= 1;
-                if paren == 0 {
-                    break;
-                }
-            }
-            TokenKind::Punct(',') if paren == 1 => break,
-            TokenKind::Punct('[') => {
-                // Skip index expressions: they do not name the lock.
-                let mut brackets = 1i32;
-                while brackets > 0 {
-                    j += 1;
-                    match tokens.get(j) {
-                        Some(u) if u.is_punct('[') => brackets += 1,
-                        Some(u) if u.is_punct(']') => brackets -= 1,
-                        Some(_) => {}
-                        None => return last.unwrap_or_else(|| UNNAMED.to_string()),
-                    }
-                }
-            }
-            TokenKind::Ident if t.text != "mut" => last = Some(t.text.clone()),
-            _ => {}
-        }
-        j += 1;
-    }
-    last.unwrap_or_else(|| UNNAMED.to_string())
 }
 
 /// The identifier naming the lock: the last field/variable in the

@@ -130,7 +130,6 @@ fn config_for(case: &Case) -> Config {
         "[analyze]\n\
          hot_entries = {hot_entries}\n\
          lock_order = [{lock_order}]\n\
-         lock_helpers = [\"lock_std\"]\n\
          [lint]\n\
          bus_calls = [\"dispatch\"]\n\
          println_exempt = []\n\
@@ -192,7 +191,6 @@ fn corpus_snippets_are_clean_without_their_trigger_config() {
             "[analyze]\n\
              hot_entries = []\n\
              lock_order = []\n\
-             lock_helpers = [\"lock_std\"]\n\
              [lint]\n\
              bus_calls = [\"dispatch\"]\n\
              println_exempt = []\n\

@@ -14,8 +14,8 @@
 
 use athena_core::nb::reaction_manager::Reaction;
 use athena_core::{Athena, Query, QueryBuilder};
+use athena_types::sentinel::TrackedMutex;
 use athena_types::{Dpid, Ipv4Addr, PortNo};
-use parking_lot::Mutex;
 use std::collections::HashSet;
 use std::sync::Arc;
 
@@ -61,7 +61,7 @@ pub struct CongestionAlert {
 pub struct LfaMitigator {
     /// The configuration.
     pub config: LfaMitigatorConfig,
-    alerts: Arc<Mutex<Vec<CongestionAlert>>>,
+    alerts: Arc<TrackedMutex<Vec<CongestionAlert>>>,
     blocked: HashSet<Ipv4Addr>,
 }
 
@@ -70,7 +70,7 @@ impl LfaMitigator {
     pub fn new(config: LfaMitigatorConfig) -> Self {
         LfaMitigator {
             config,
-            alerts: Arc::new(Mutex::new(Vec::new())),
+            alerts: Arc::new(TrackedMutex::new("apps/alerts", Vec::new())),
             blocked: HashSet::new(),
         }
     }

@@ -11,8 +11,8 @@
 //! the Figure 9 time series.
 
 use athena_core::{Athena, QueryBuilder};
+use athena_types::sentinel::TrackedMutex;
 use athena_types::{Dpid, SimTime};
-use parking_lot::Mutex;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -63,7 +63,7 @@ struct SeriesState {
 pub struct NaeMonitor {
     /// The configuration.
     pub config: NaeMonitorConfig,
-    state: Arc<Mutex<SeriesState>>,
+    state: Arc<TrackedMutex<SeriesState>>,
 }
 
 impl NaeMonitor {
@@ -71,7 +71,7 @@ impl NaeMonitor {
     pub fn new(config: NaeMonitorConfig) -> Self {
         NaeMonitor {
             config,
-            state: Arc::new(Mutex::new(SeriesState::default())),
+            state: Arc::new(TrackedMutex::new("apps/state", SeriesState::default())),
         }
     }
 

@@ -10,8 +10,8 @@
 
 use athena_core::nb::reaction_manager::Reaction;
 use athena_core::{Athena, FeatureRecord, Query, QueryBuilder};
+use athena_types::sentinel::TrackedMutex;
 use athena_types::Ipv4Addr;
-use parking_lot::Mutex;
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
@@ -48,7 +48,7 @@ struct ScanState {
 pub struct ScanDetector {
     /// The configuration.
     pub config: ScanDetectorConfig,
-    state: Arc<Mutex<ScanState>>,
+    state: Arc<TrackedMutex<ScanState>>,
     flagged: HashSet<Ipv4Addr>,
 }
 
@@ -57,7 +57,7 @@ impl ScanDetector {
     pub fn new(config: ScanDetectorConfig) -> Self {
         ScanDetector {
             config,
-            state: Arc::new(Mutex::new(ScanState::default())),
+            state: Arc::new(TrackedMutex::new("apps/state", ScanState::default())),
             flagged: HashSet::new(),
         }
     }

@@ -4,8 +4,9 @@
 //! Runs the chaos-matrix DDoS scenario (controller crash at 10 s,
 //! rejoin at 20 s) with the observe pipeline bound everywhere, printing
 //! the live health table (series, rates, firing alerts) every 5 virtual
-//! seconds — a `top` for the simulated SDN — and leaves the final
-//! report in `target/observe-report.json`. What the observe layer costs
+//! seconds — a `top` for the simulated SDN. It writes no file: the
+//! archived `target/observe-report.json` is the one `e2e_observe`
+//! writes and checks. What the observe layer costs
 //! is the ledger's `observe.on_wall_ratio`; that it changes no outcome
 //! at any width is `e2e_overhead`'s and `e2e_determinism`'s to assert.
 //!
@@ -88,10 +89,4 @@ fn main() {
         !obs.deterministic_alert_events().is_empty(),
         "the chaos run must produce deterministic alert transitions"
     );
-
-    std::fs::create_dir_all("target").expect("create target/");
-    obs.report()
-        .save_json("target/observe-report.json")
-        .expect("write observe-report.json");
-    println!("wrote target/observe-report.json");
 }

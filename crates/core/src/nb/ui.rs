@@ -9,27 +9,25 @@ use athena_ml::ValidationSummary;
 /// A named time series: `(label, points as (time, value))`.
 pub type Series = (String, Vec<(f64, f64)>);
 
-/// Renders Athena results for operators (`ShowResults`).
+/// Chart width in characters (also the report rule's length).
+const WIDTH: usize = 72;
+/// Chart height in rows.
+const HEIGHT: usize = 16;
+
+/// Renders Athena results for operators (`ShowResults`) on one
+/// 72x16 chart canvas.
 #[derive(Debug, Clone, Default)]
-pub struct UiManager {
-    /// Chart width in characters.
-    pub width: usize,
-    /// Chart height in rows.
-    pub height: usize,
-}
+pub struct UiManager;
 
 impl UiManager {
-    /// Creates a manager with an 72x16 chart canvas.
+    /// Creates the manager.
     pub fn new() -> Self {
-        UiManager {
-            width: 72,
-            height: 16,
-        }
+        UiManager
     }
 
     /// Renders the Figure 6 validation report.
     pub fn render_summary(&self, summary: &ValidationSummary) -> String {
-        let line = "-".repeat(self.width.max(20));
+        let line = "-".repeat(WIDTH);
         format!("{line}\n{summary}{line}")
     }
 
@@ -37,7 +35,7 @@ impl UiManager {
     /// series gets its own glyph; axes are annotated with ranges.
     pub fn render_series(&self, title: &str, series: &[Series]) -> String {
         let glyphs = ['*', 'o', '+', 'x', '#', '@'];
-        let (w, h) = (self.width.max(20), self.height.max(5));
+        let (w, h) = (WIDTH, HEIGHT);
         let all: Vec<(f64, f64)> = series
             .iter()
             .flat_map(|(_, pts)| pts.iter().copied())

@@ -199,13 +199,6 @@ struct Share {
     credit: Option<(u64, u64)>,
 }
 
-/// Wheel activity a shard accumulates until the engine mirrors it.
-#[derive(Debug, Clone, Copy, Default)]
-struct WheelStats {
-    armed: u64,
-    spurious: u64,
-}
-
 /// One shard: a contiguous dpid range of switches, the links they source,
 /// the shard's own expiry wheel, and the buffers the tick's phases fill
 /// and drain (capacity is kept across ticks).
@@ -225,7 +218,8 @@ pub(crate) struct Shard {
     wheel: TimingWheel<usize>,
     /// Earliest outstanding wheel entry per switch slot (arm dedup).
     armed: Vec<Option<u64>>,
-    wheel_stats: WheelStats,
+    /// Wheel entries armed since the engine last mirrored the count.
+    wheel_armed: u64,
     /// Packets waiting to walk this shard.
     pub(crate) inbox: Vec<PacketState>,
     /// What [`Shard::walk_inbox`] produced: the hops, and how each packet
@@ -250,7 +244,7 @@ impl Shard {
             switches,
             links,
             wheel: TimingWheel::new(0),
-            wheel_stats: WheelStats::default(),
+            wheel_armed: 0,
             inbox: Vec::new(),
             hops: Vec::new(),
             outbox: Vec::new(),
@@ -302,7 +296,7 @@ impl Shard {
         if armed.is_none_or(|a| a > due) {
             self.wheel.schedule(due, slot);
             *armed = Some(due);
-            self.wheel_stats.armed += 1;
+            self.wheel_armed += 1;
         }
     }
 
@@ -337,16 +331,15 @@ impl Shard {
             let Some(sw) = self.switches.get_mut(slot) else {
                 continue;
             };
+            // A deadline that moved later (traffic re-armed an idle
+            // timeout, entries were deleted, the switch rebooted) left a
+            // stale wake-up: nothing expires, and the re-arm below
+            // schedules the real deadline.
             if sw.next_expiry().is_some_and(|next| next <= t) {
                 let dpid = sw.dpid();
                 for fr in sw.expire(t) {
                     self.removed.push((0, dpid, fr));
                 }
-            } else {
-                // The deadline moved later (traffic re-armed an idle
-                // timeout, entries were deleted, the switch rebooted):
-                // the wake-up was stale.
-                self.wheel_stats.spurious += u64::from(wheel_mode);
             }
             if wheel_mode {
                 self.arm(slot, tick);
@@ -481,7 +474,6 @@ pub(crate) struct EngineTelemetry {
     links_degraded: Gauge,
     switch_reboots: Counter,
     wheel_armed: Counter,
-    wheel_spurious: Counter,
     shards: Gauge,
     pub(crate) punt_batches: Counter,
     pub(crate) batched_packet_ins: Counter,
@@ -699,7 +691,6 @@ impl<P: PuntDiscipline> Engine<P> {
             links_degraded: m.gauge(dp, names::dataplane::LINKS_DEGRADED),
             switch_reboots: m.counter(dp, names::dataplane::SWITCH_REBOOTS),
             wheel_armed: m.counter(dp, names::dataplane::WHEEL_ARMED),
-            wheel_spurious: m.counter(dp, names::dataplane::WHEEL_SPURIOUS),
             shards: m.gauge(sc, names::scale::SHARDS),
             punt_batches: m.counter(sc, names::scale::PUNT_BATCHES),
             batched_packet_ins: m.counter(sc, names::scale::BATCHED_PACKET_INS),
@@ -911,9 +902,9 @@ impl<P: PuntDiscipline> Engine<P> {
             .dropped_bytes
             .add(c.dropped_bytes - before.dropped_bytes);
         for shard in &mut self.shards {
-            let wheel = std::mem::take(&mut shard.wheel_stats);
-            self.tel.wheel_armed.add(wheel.armed);
-            self.tel.wheel_spurious.add(wheel.spurious);
+            self.tel
+                .wheel_armed
+                .add(std::mem::take(&mut shard.wheel_armed));
         }
         // 8. Observe sample/alert tick — after mirroring, so the sampled
         // series include this tick's counter deltas.

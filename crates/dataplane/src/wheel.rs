@@ -13,8 +13,7 @@
 //! re-checks the real deadline when the wake-up fires and re-arms if it
 //! is not yet due. Deadlines only ever move *earlier* through a new
 //! `schedule` call, so a wake-up always exists at or before the true
-//! deadline. Spurious fires are counted by the caller
-//! (`dataplane/wheel_spurious`), not hidden.
+//! deadline.
 //!
 //! Determinism: [`TimingWheel::advance`] returns due entries sorted by
 //! `(due, key)`, so fire order is a pure function of the scheduled set —

@@ -499,7 +499,7 @@ mod tests {
         use athena_telemetry::names;
         let hist = tel
             .metrics()
-            .histogram(names::ml::SUBSYSTEM, names::ml::FIT_NS);
+            .histogram(names::core::SUBSYSTEM, names::core::FIT_NS);
         let data = blobs(40, 2, 91);
         let m = Algorithm::kmeans(2).fit_timed(&data, &hist).unwrap();
         assert_eq!(m.cluster_count(), Some(2));
@@ -509,7 +509,7 @@ mod tests {
         let off = athena_telemetry::Telemetry::off();
         let cold = off
             .metrics()
-            .histogram(names::ml::SUBSYSTEM, names::ml::FIT_NS);
+            .histogram(names::core::SUBSYSTEM, names::core::FIT_NS);
         Algorithm::kmeans(2).fit_timed(&data, &cold).unwrap();
         assert_eq!(cold.snapshot().count, 0);
     }

@@ -187,7 +187,6 @@ pub(crate) struct MetricsInner {
 #[derive(Debug, Clone, Default)]
 struct StoreTelemetry {
     insert_ns: Histogram,
-    find_ns: Histogram,
     replica_writes: Counter,
     deletes: Counter,
     write_handoffs: Counter,
@@ -258,7 +257,6 @@ impl StoreCluster {
         let observe = self.tel.read().observe.clone();
         *self.tel.write() = Arc::new(StoreTelemetry {
             insert_ns: m.histogram(st, names::store::INSERT_NS),
-            find_ns: m.histogram(st, names::store::FIND_NS),
             replica_writes: m.counter(st, names::store::REPLICA_WRITES),
             deletes: m.counter(st, names::store::DELETES),
             write_handoffs: m.counter(rt, names::retry::STORE_WRITE_HANDOFFS),
@@ -815,12 +813,8 @@ impl CollectionHandle {
     /// the body it changes, so a reader never sees it — that costs a
     /// reference count per hit, and a new body only under a projection.
     pub fn find(&self, filter: &Filter, opts: &FindOptions) -> Vec<Arc<Document>> {
-        let tel = self.cluster.telemetry();
-        let timer = tel.find_ns.start_timer();
         self.cluster.metrics.finds.fetch_add(1, Ordering::Relaxed);
-        let out = opts.apply(self.find_primaries(filter));
-        timer.observe(&tel.find_ns);
-        out
+        opts.apply(self.find_primaries(filter))
     }
 
     /// Counts matching documents cluster-wide: each shard counts its
@@ -1024,7 +1018,7 @@ mod tests {
     }
 
     #[test]
-    fn telemetry_observes_query_latency_and_replication() {
+    fn telemetry_observes_insert_latency_and_replication() {
         let tel = Telemetry::new();
         let cluster = StoreCluster::new(3, 2);
         cluster.bind_telemetry(&tel);
@@ -1032,11 +1026,9 @@ mod tests {
         for i in 0..20i64 {
             coll.insert(doc! { "i" => i }).unwrap();
         }
-        coll.find(&Filter::gte("i", 10), &FindOptions::default());
         coll.delete(&Filter::eq("i", 0));
         let m = tel.metrics();
         assert_eq!(m.histogram("store", "insert_ns").snapshot().count, 20);
-        assert_eq!(m.histogram("store", "find_ns").snapshot().count, 1);
         assert_eq!(m.counter("store", "replica_writes").get(), 40);
         assert_eq!(m.counter("store", "deletes").get(), 1);
     }

@@ -97,8 +97,6 @@ struct LiveWindow {
     entries: VecDeque<(SimTime, LabeledPoint)>,
     horizon: SimDuration,
     max_points: usize,
-    updates: Counter,
-    evictions: Counter,
 }
 
 impl LiveWindow {
@@ -106,14 +104,11 @@ impl LiveWindow {
         let cutoff = SimTime::from_micros(at.as_micros().saturating_sub(self.horizon.as_micros()));
         while self.entries.front().is_some_and(|&(t, _)| t < cutoff) {
             self.entries.pop_front();
-            self.evictions.inc();
         }
         self.entries.push_back((at, point));
         while self.entries.len() > self.max_points {
             self.entries.pop_front();
-            self.evictions.inc();
         }
-        self.updates.inc();
     }
 
     fn snapshot(&self) -> Vec<LabeledPoint> {
@@ -169,12 +164,6 @@ impl RetrainLoop {
                 entries: VecDeque::new(),
                 horizon: cfg.policy.window,
                 max_points: cfg.policy.max_points.max(1),
-                updates: tel
-                    .metrics()
-                    .counter(names::stream::SUBSYSTEM, names::stream::WINDOW_UPDATES),
-                evictions: tel
-                    .metrics()
-                    .counter(names::stream::SUBSYSTEM, names::stream::WINDOW_EVICTIONS),
             },
         ));
         {

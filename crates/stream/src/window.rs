@@ -23,7 +23,6 @@
 //! after every step.
 
 use athena_core::Windowing;
-use athena_telemetry::{names, Counter, Telemetry};
 use athena_types::SimTime;
 use std::collections::VecDeque;
 
@@ -79,13 +78,10 @@ pub struct RingWindow {
     min_deque: VecDeque<(SimTime, i64)>,
     /// Front-to-back nonincreasing values: front is the window maximum.
     max_deque: VecDeque<(SimTime, i64)>,
-    updates: Counter,
-    evictions: Counter,
 }
 
 impl RingWindow {
-    /// An empty window of the given shared windowing definition, with
-    /// detached (no-op) metrics.
+    /// An empty window of the given shared windowing definition.
     pub fn new(windowing: Windowing) -> Self {
         RingWindow {
             windowing,
@@ -93,22 +89,6 @@ impl RingWindow {
             sum: 0,
             min_deque: VecDeque::new(),
             max_deque: VecDeque::new(),
-            updates: Counter::detached(),
-            evictions: Counter::detached(),
-        }
-    }
-
-    /// Like [`RingWindow::new`] with `stream/window_updates` and
-    /// `stream/window_evictions` wired to `tel`.
-    pub fn with_telemetry(windowing: Windowing, tel: &Telemetry) -> Self {
-        RingWindow {
-            updates: tel
-                .metrics()
-                .counter(names::stream::SUBSYSTEM, names::stream::WINDOW_UPDATES),
-            evictions: tel
-                .metrics()
-                .counter(names::stream::SUBSYSTEM, names::stream::WINDOW_EVICTIONS),
-            ..RingWindow::new(windowing)
         }
     }
 
@@ -151,7 +131,6 @@ impl RingWindow {
             self.max_deque.pop_back();
         }
         self.max_deque.push_back((at, value));
-        self.updates.inc();
     }
 
     /// Slides the window forward to `now` without adding a sample,
@@ -208,7 +187,6 @@ impl RingWindow {
             {
                 self.max_deque.pop_front();
             }
-            self.evictions.inc();
         }
     }
 }

@@ -33,7 +33,7 @@
 //!
 //! let tel = Telemetry::new();
 //! let polls = tel.metrics().counter("controller", "stats_polls");
-//! let latency = tel.metrics().histogram("store", "find_ns");
+//! let latency = tel.metrics().histogram("store", "insert_ns");
 //!
 //! polls.inc();
 //! latency.record(12_500);

@@ -8,10 +8,11 @@
 //! [`Telemetry`]: crate::Telemetry
 
 use crate::report::{CounterEntry, GaugeEntry, HistogramEntry, TelemetryReport};
+use athena_types::sentinel::TrackedMutex;
 use serde::Serialize;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::Instant;
 
 /// Number of histogram buckets: one for zero plus one per bit position
@@ -378,14 +379,14 @@ enum Metric {
 /// [`TelemetryReport`]. Obtained through [`Telemetry`](crate::Telemetry).
 pub struct MetricsRegistry {
     enabled: Arc<AtomicBool>,
-    metrics: Mutex<BTreeMap<MetricKey, Metric>>,
+    metrics: TrackedMutex<BTreeMap<MetricKey, Metric>>,
 }
 
 impl MetricsRegistry {
     pub(crate) fn with_flag(enabled: Arc<AtomicBool>) -> Self {
         MetricsRegistry {
             enabled,
-            metrics: Mutex::new(BTreeMap::new()),
+            metrics: TrackedMutex::new("telemetry/metrics", BTreeMap::new()),
         }
     }
 
@@ -402,7 +403,7 @@ impl MetricsRegistry {
     /// (records disappear rather than panicking a hot path).
     pub fn counter_with(&self, subsystem: &str, name: &str, instance: &str) -> Counter {
         let key = MetricKey::new(subsystem, name, instance);
-        let mut map = lock(&self.metrics);
+        let mut map = self.metrics.lock();
         match map.entry(key).or_insert_with(|| {
             Metric::Counter(Counter {
                 enabled: Arc::clone(&self.enabled),
@@ -423,7 +424,7 @@ impl MetricsRegistry {
     /// [`MetricsRegistry::counter_with`]).
     pub fn gauge_with(&self, subsystem: &str, name: &str, instance: &str) -> Gauge {
         let key = MetricKey::new(subsystem, name, instance);
-        let mut map = lock(&self.metrics);
+        let mut map = self.metrics.lock();
         match map.entry(key).or_insert_with(|| {
             Metric::Gauge(Gauge {
                 enabled: Arc::clone(&self.enabled),
@@ -444,7 +445,7 @@ impl MetricsRegistry {
     /// [`MetricsRegistry::counter_with`]).
     pub fn histogram_with(&self, subsystem: &str, name: &str, instance: &str) -> Histogram {
         let key = MetricKey::new(subsystem, name, instance);
-        let mut map = lock(&self.metrics);
+        let mut map = self.metrics.lock();
         match map.entry(key).or_insert_with(|| {
             Metric::Histogram(Histogram {
                 enabled: Arc::clone(&self.enabled),
@@ -458,7 +459,7 @@ impl MetricsRegistry {
 
     /// Snapshots every registered metric, sorted by key.
     pub fn report(&self) -> TelemetryReport {
-        let map = lock(&self.metrics);
+        let map = self.metrics.lock();
         let mut counters = Vec::new();
         let mut gauges = Vec::new();
         let mut histograms = Vec::new();
@@ -489,16 +490,9 @@ impl MetricsRegistry {
 impl std::fmt::Debug for MetricsRegistry {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("MetricsRegistry")
-            .field("metrics", &lock(&self.metrics).len())
+            .field("metrics", &self.metrics.lock().len())
             .finish()
     }
-}
-
-/// Locks the registry map, recovering from poisoning (an instrument
-/// snapshot must never propagate a panic from an unrelated thread) and
-/// reporting the acquisition to the lock-order sentinel.
-fn lock<T>(m: &Mutex<T>) -> athena_types::sentinel::StdMutexGuard<'_, T> {
-    athena_types::sentinel::lock_std(m, "telemetry/metrics")
 }
 
 #[cfg(test)]

@@ -86,8 +86,6 @@ declare_metrics! {
     store {
         /// Insert latency (wall nanoseconds).
         INSERT_NS = "insert_ns";
-        /// Find latency (wall nanoseconds).
-        FIND_NS = "find_ns";
         /// Per-replica write operations.
         REPLICA_WRITES = "replica_writes";
         /// Document deletions.
@@ -140,8 +138,6 @@ declare_metrics! {
         SWITCH_REBOOTS = "switch_reboots";
         /// Expiry wake-ups armed on the timing wheel.
         WHEEL_ARMED = "wheel_armed";
-        /// Wheel wake-ups whose deadline had moved later (lazy cancellation).
-        WHEEL_SPURIOUS = "wheel_spurious";
     }
 
     /// `scale/*` — the dataplane engine's shard plan and routing shape
@@ -179,19 +175,9 @@ declare_metrics! {
         MSGS_DELAYED = "msgs_delayed";
     }
 
-    /// `ml/*` — the algorithm library.
-    ml {
-        /// Per-algorithm fit latency (wall nanoseconds).
-        FIT_NS = "fit_ns";
-    }
-
     /// `stream/*` — the online learning pipeline (incremental windows,
     /// retrain loop, model hot-swap).
     stream {
-        /// Samples pushed into ring-buffer feature windows.
-        WINDOW_UPDATES = "window_updates";
-        /// Samples evicted as windows slid past them.
-        WINDOW_EVICTIONS = "window_evictions";
         /// Retrain/swap attempts abandoned (snapshot round-trip failures).
         SWAP_FAILURES = "swap_failures";
         /// Gap between consecutive detections (virtual microseconds) —

@@ -27,6 +27,11 @@
 //! ([`acquisitions`]): a clock-free measure of what one operation locks,
 //! which a test can pin.
 //!
+//! [`TrackedMutex`] and [`TrackedRwLock`] are the workspace's one lock
+//! type for every named lock: `std::sync` primitives that recover from
+//! poisoning and report to the tracker. Only the tracker's own `STATE`
+//! and `athena-parallel`'s claim-once result cells stay bare `std`.
+//!
 //! When the sentinel is disabled, `acquire` is one relaxed atomic load
 //! and the tracked types add a `&'static str` per lock — cheap enough to
 //! leave compiled into release builds.
@@ -34,7 +39,9 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::ops::{Deref, DerefMut};
 use std::sync::atomic::{AtomicU8, Ordering};
-use std::sync::{OnceLock, PoisonError};
+use std::sync::{
+    Mutex, MutexGuard, OnceLock, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard,
+};
 
 /// Global switch: 0 = follow `ATHENA_LOCK_SENTINEL`, 1 = forced on,
 /// 2 = forced off. Tests force; production follows the environment.
@@ -42,7 +49,7 @@ static FORCE: AtomicU8 = AtomicU8::new(0);
 static ENV_ON: OnceLock<bool> = OnceLock::new();
 
 /// Observed acquisition-order edges, global across all threads.
-static STATE: std::sync::Mutex<SentinelState> = std::sync::Mutex::new(SentinelState {
+static STATE: Mutex<SentinelState> = Mutex::new(SentinelState {
     edges: BTreeSet::new(),
     counts: BTreeMap::new(),
 });
@@ -92,7 +99,7 @@ pub fn force(on: Option<bool>) {
     FORCE.store(v, Ordering::Relaxed);
 }
 
-fn state_guard() -> std::sync::MutexGuard<'static, SentinelState> {
+fn state_guard() -> MutexGuard<'static, SentinelState> {
     STATE.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
@@ -194,11 +201,13 @@ pub fn check_against(order: &[String]) -> Vec<String> {
     out
 }
 
-/// A mutex (over the in-repo `parking_lot` shim) that reports every
-/// acquisition to the sentinel under a fixed crate-qualified name.
+/// A `std::sync::Mutex` that reports every acquisition to the sentinel
+/// under a fixed crate-qualified name. Poisoning is recovered from: a
+/// panic while the lock was held leaves the value as the panicking
+/// thread left it.
 pub struct TrackedMutex<T: ?Sized> {
     name: &'static str,
-    inner: parking_lot::Mutex<T>,
+    inner: Mutex<T>,
 }
 
 impl<T> TrackedMutex<T> {
@@ -208,13 +217,15 @@ impl<T> TrackedMutex<T> {
     pub const fn new(name: &'static str, value: T) -> Self {
         TrackedMutex {
             name,
-            inner: parking_lot::Mutex::new(value),
+            inner: Mutex::new(value),
         }
     }
 
     /// Consumes the mutex, returning the inner value.
     pub fn into_inner(self) -> T {
-        self.inner.into_inner()
+        self.inner
+            .into_inner()
+            .unwrap_or_else(PoisonError::into_inner)
     }
 }
 
@@ -228,14 +239,14 @@ impl<T: ?Sized> TrackedMutex<T> {
             Access::Lock,
         );
         TrackedMutexGuard {
-            g: self.inner.lock(),
+            g: self.inner.lock().unwrap_or_else(PoisonError::into_inner),
             _held: held,
         }
     }
 
     /// Mutable access without locking (requires exclusive ownership).
     pub fn get_mut(&mut self) -> &mut T {
-        self.inner.get_mut()
+        self.inner.get_mut().unwrap_or_else(PoisonError::into_inner)
     }
 }
 
@@ -248,7 +259,7 @@ impl<T: std::fmt::Debug + ?Sized> std::fmt::Debug for TrackedMutex<T> {
 /// RAII guard for [`TrackedMutex`]. Field order matters: the inner guard
 /// releases the lock before `_held` pops the sentinel stack.
 pub struct TrackedMutexGuard<'a, T: ?Sized> {
-    g: parking_lot::MutexGuard<'a, T>,
+    g: MutexGuard<'a, T>,
     _held: Option<HeldLock>,
 }
 
@@ -265,12 +276,13 @@ impl<T: ?Sized> DerefMut for TrackedMutexGuard<'_, T> {
     }
 }
 
-/// A reader-writer lock (over the `parking_lot` shim) that reports both
-/// read and write acquisitions to the sentinel. The order discipline does
-/// not distinguish modes — a read/write inversion deadlocks just as well.
+/// A `std::sync::RwLock` that reports both read and write acquisitions
+/// to the sentinel, recovering from poisoning like [`TrackedMutex`]. The
+/// order discipline does not distinguish modes — a read/write inversion
+/// deadlocks just as well.
 pub struct TrackedRwLock<T: ?Sized> {
     name: &'static str,
-    inner: parking_lot::RwLock<T>,
+    inner: RwLock<T>,
 }
 
 impl<T> TrackedRwLock<T> {
@@ -279,13 +291,15 @@ impl<T> TrackedRwLock<T> {
     pub const fn new(name: &'static str, value: T) -> Self {
         TrackedRwLock {
             name,
-            inner: parking_lot::RwLock::new(value),
+            inner: RwLock::new(value),
         }
     }
 
     /// Consumes the lock, returning the inner value.
     pub fn into_inner(self) -> T {
-        self.inner.into_inner()
+        self.inner
+            .into_inner()
+            .unwrap_or_else(PoisonError::into_inner)
     }
 }
 
@@ -298,7 +312,7 @@ impl<T: ?Sized> TrackedRwLock<T> {
             Access::Read,
         );
         TrackedReadGuard {
-            g: self.inner.read(),
+            g: self.inner.read().unwrap_or_else(PoisonError::into_inner),
             _held: held,
         }
     }
@@ -311,14 +325,14 @@ impl<T: ?Sized> TrackedRwLock<T> {
             Access::Write,
         );
         TrackedWriteGuard {
-            g: self.inner.write(),
+            g: self.inner.write().unwrap_or_else(PoisonError::into_inner),
             _held: held,
         }
     }
 
     /// Mutable access without locking (requires exclusive ownership).
     pub fn get_mut(&mut self) -> &mut T {
-        self.inner.get_mut()
+        self.inner.get_mut().unwrap_or_else(PoisonError::into_inner)
     }
 }
 
@@ -330,7 +344,7 @@ impl<T: std::fmt::Debug + ?Sized> std::fmt::Debug for TrackedRwLock<T> {
 
 /// Shared-read guard for [`TrackedRwLock`].
 pub struct TrackedReadGuard<'a, T: ?Sized> {
-    g: parking_lot::RwLockReadGuard<'a, T>,
+    g: RwLockReadGuard<'a, T>,
     _held: Option<HeldLock>,
 }
 
@@ -343,7 +357,7 @@ impl<T: ?Sized> Deref for TrackedReadGuard<'_, T> {
 
 /// Exclusive-write guard for [`TrackedRwLock`].
 pub struct TrackedWriteGuard<'a, T: ?Sized> {
-    g: parking_lot::RwLockWriteGuard<'a, T>,
+    g: RwLockWriteGuard<'a, T>,
     _held: Option<HeldLock>,
 }
 
@@ -355,44 +369,6 @@ impl<T: ?Sized> Deref for TrackedWriteGuard<'_, T> {
 }
 
 impl<T: ?Sized> DerefMut for TrackedWriteGuard<'_, T> {
-    fn deref_mut(&mut self) -> &mut T {
-        &mut self.g
-    }
-}
-
-/// Locks a bare `std::sync::Mutex` under a sentinel name, recovering
-/// from poisoning. For crates (telemetry) whose hot paths keep `std`
-/// primitives and lock through a poison-recovering helper.
-pub fn lock_std<'a, T: ?Sized>(
-    m: &'a std::sync::Mutex<T>,
-    name: &'static str,
-) -> StdMutexGuard<'a, T> {
-    let held = acquire(
-        name,
-        std::ptr::from_ref(m) as *const () as usize,
-        Access::Lock,
-    );
-    StdMutexGuard {
-        g: m.lock().unwrap_or_else(PoisonError::into_inner),
-        _held: held,
-    }
-}
-
-/// Guard returned by [`lock_std`]. Carries the sentinel token alongside
-/// the `std` guard.
-pub struct StdMutexGuard<'a, T: ?Sized> {
-    g: std::sync::MutexGuard<'a, T>,
-    _held: Option<HeldLock>,
-}
-
-impl<T: ?Sized> Deref for StdMutexGuard<'_, T> {
-    type Target = T;
-    fn deref(&self) -> &T {
-        &self.g
-    }
-}
-
-impl<T: ?Sized> DerefMut for StdMutexGuard<'_, T> {
     fn deref_mut(&mut self) -> &mut T {
         &mut self.g
     }
@@ -439,15 +415,14 @@ mod tests {
         }
         assert!(edges().contains(&("test/b", "test/a")));
 
-        // RwLock + std helpers record under their names as well.
+        // RwLocks record under their names as well.
         reset();
         let rw = TrackedRwLock::new("test/rw", 1u32);
-        let m = std::sync::Mutex::new(2u32);
         {
             let _gr = rw.read();
-            let _gm = lock_std(&m, "test/std");
+            let _gb = b.lock();
         }
-        assert!(edges().contains(&("test/rw", "test/std")));
+        assert!(edges().contains(&("test/rw", "test/b")));
         // Every acquisition is counted by name and mode.
         {
             let _gw = rw.write();
@@ -455,9 +430,9 @@ mod tests {
         assert_eq!(
             acquisitions(),
             [
+                (("test/b", Access::Lock), 1),
                 (("test/rw", Access::Read), 1),
                 (("test/rw", Access::Write), 1),
-                (("test/std", Access::Lock), 1),
             ]
         );
 

@@ -47,6 +47,12 @@ test -s target/analysis-report.json
 echo "==> analysis violation corpus (each rule fires exactly once)"
 cargo test -q -p athena-analyze --offline --test corpus
 
+echo "==> one lock type (no untracked production lock; the apps' handler locks in lock_order)"
+# The apps' locks are taken inside event-handler closures the derived
+# graph does not resolve: the sentinel test checks their runtime order.
+cargo test -q --offline --test static_analysis every_production_lock_is_sentinel_tracked
+cargo test -q --offline --test e2e_determinism sentinel_orders_the_apps_locks_after_the_core_locks
+
 # ATHENA_CHAOS_SMOKE=1 keeps the chaos matrix on the light workload in
 # CI (the full scenario matrix still runs — no scenario is skipped).
 # e2e_matrix (every Table-IV attack x algorithm cell against its recorded
@@ -110,8 +116,8 @@ timed_gate "parallel gate" \
 
 echo "==> observe gate (chaos-alert round trip + causal traces + health table)"
 # The e2e writes target/chrome-trace.json and target/observe-report.json
-# (the one report: alerts, series and the metric snapshot); athena_top
-# prints the live health table and rewrites the report.
+# (the one report: alerts, series and the metric snapshot) and checks
+# both; athena_top prints the live health table and writes no file.
 cargo build -q --release --offline -p athena-bench --bin athena_top
 observe_gate() {
     ATHENA_CHAOS_SMOKE=1 cargo test -q --release --offline --test e2e_observe

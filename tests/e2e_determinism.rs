@@ -473,3 +473,94 @@ fn sentinel_catches_seeded_lock_order_inversion() {
         violations[0]
     );
 }
+
+#[test]
+fn sentinel_orders_the_apps_locks_after_the_core_locks() {
+    // An app's event handler takes its own lock inside the feature
+    // manager's ingest, while `core/feature_manager` is held (under SB
+    // dispatch, all four core locks are). The handlers are closures, so
+    // the static graph never sees that nesting: only the sentinel does.
+    use athena::apps::{LfaMitigator, LfaMitigatorConfig, NaeMonitor, NaeMonitorConfig};
+    use athena::core::{FeatureIndex, FeatureRecord, MessageType, MetaData};
+    use athena::types::sentinel::Access;
+    use athena::types::{Dpid, FiveTuple, Ipv4Addr, PortNo};
+
+    fn record(
+        index: FeatureIndex,
+        message_type: MessageType,
+        fields: &[(&str, f64)],
+    ) -> FeatureRecord {
+        let meta = MetaData {
+            timestamp: SimTime::from_secs(1),
+            message_type,
+            ..MetaData::default()
+        };
+        let mut r = FeatureRecord::new(index).with_meta(meta);
+        for &(name, value) in fields {
+            r.push_field(name, value);
+        }
+        r
+    }
+    let congested_port = record(
+        FeatureIndex::port(Dpid::new(2), PortNo::new(1)),
+        MessageType::PORT_STATS,
+        &[("PORT_TX_UTILIZATION", 0.95), ("PORT_TX_DROPPED_VAR", 0.0)],
+    );
+    let monitored_switch = record(
+        FeatureIndex::switch(NaeMonitorConfig::default().switches.0),
+        MessageType::SWITCH_STATE,
+        &[("SWITCH_PACKET_COUNT_TOTAL", 100.0)],
+    );
+    let probe = FiveTuple::tcp(
+        Ipv4Addr::new(10, 0, 0, 9),
+        40_000,
+        Ipv4Addr::new(10, 0, 0, 2),
+        22,
+    );
+    let unpaired_probe = record(
+        FeatureIndex::flow(Dpid::new(1), probe),
+        MessageType::FLOW_STATS,
+        &[("PAIR_FLOW", 0.0), ("FLOW_BYTE_COUNT", 60.0)],
+    );
+
+    let athena = Athena::new(AthenaConfig::default());
+    let lfa = LfaMitigator::new(LfaMitigatorConfig::default());
+    let nae = NaeMonitor::new(NaeMonitorConfig::default());
+    let scan = ScanDetector::new(ScanDetectorConfig::default());
+    lfa.deploy(&athena);
+    nae.deploy(&athena);
+    scan.deploy(&athena);
+
+    let (acquired, violations) = with_threads(1, || {
+        sentinel::force(Some(true));
+        sentinel::reset();
+        {
+            let mut fm = athena.runtime().feature_manager.lock();
+            for r in [congested_port, monitored_switch, unpaired_probe] {
+                fm.ingest(r).expect("record stored");
+            }
+        }
+        let acquired: Vec<&str> = sentinel::acquisitions()
+            .into_iter()
+            .filter(|((_, access), _)| *access == Access::Lock)
+            .map(|((name, _), _)| name)
+            .collect();
+        let violations = sentinel::check_against(&declared_lock_order());
+        sentinel::force(None);
+        sentinel::reset();
+        (acquired, violations)
+    });
+
+    // Each handler matched its record.
+    assert_eq!(lfa.pending_alerts(), 1);
+    assert_eq!(nae.sample_count(), 1);
+    assert_eq!(scan.probe_stats(), (1, 1));
+    for name in ["apps/alerts", "apps/state"] {
+        assert!(acquired.contains(&name), "`{name}` untracked: {acquired:?}");
+    }
+    assert!(
+        violations.is_empty(),
+        "the apps' handler locks contradict the declared lock_order:\n{}",
+        violations.join("\n")
+    );
+}

@@ -95,7 +95,6 @@ fn test_config(extra: &str) -> Config {
         "[analyze]\n\
          hot_entries = [\"crates/x/src/entry.rs::*\"]\n\
          lock_order = [\"x/a\", \"x/b\"]\n\
-         lock_helpers = [\"lock_std\"]\n\
          {extra}\n\
          [lint]\n\
          bus_calls = [\"dispatch\"]\n\
@@ -485,5 +484,66 @@ fn unused_pub_ignores_use_items_and_comments() {
     assert_eq!(
         unused_pub(&files),
         ["crates/x/src/wal.rs:1", "crates/x/src/wal.rs:3"]
+    );
+}
+
+/// Production files allowed a bare `std::sync` lock, with the reason.
+const BARE_LOCKS_ALLOWED: &[(&str, &str)] = &[
+    (
+        "crates/types/src/sentinel.rs",
+        "the tracker itself: its STATE records every tracked acquisition, \
+         and the tracked types wrap std::sync",
+    ),
+    (
+        "crates/parallel/src/lib.rs",
+        "per-call result cells, each claimed once and never nested",
+    ),
+];
+
+/// Every `.rs` file under `dir`, recursively, relative to the root.
+fn rust_files(dir: &Path, out: &mut Vec<String>) {
+    let Ok(entries) = std::fs::read_dir(dir) else {
+        return;
+    };
+    for entry in entries.flatten() {
+        let path = entry.path();
+        if path.is_dir() {
+            rust_files(&path, out);
+        } else if path.extension().is_some_and(|e| e == "rs") {
+            let rel = path.strip_prefix(root()).expect("under the root");
+            out.push(rel.to_string_lossy().replace('\\', "/"));
+        }
+    }
+}
+
+#[test]
+fn every_production_lock_is_sentinel_tracked() {
+    // Every named lock is a `TrackedMutex` / `TrackedRwLock`, so the
+    // runtime sentinel sees every acquisition the static graph misses.
+    // Test code (`#[cfg(test)]`, `mod tests`) may use what it likes.
+    let mut files = Vec::new();
+    rust_files(&root().join("src"), &mut files);
+    let crates = std::fs::read_dir(root().join("crates")).expect("crates/ exists");
+    for krate in crates.flatten() {
+        rust_files(&krate.path().join("src"), &mut files);
+    }
+    assert!(files.len() > 100, "walked the production tree: {files:?}");
+
+    let mut found = Vec::new();
+    for rel in files {
+        let text = std::fs::read_to_string(root().join(&rel)).expect("readable source");
+        let allowed = BARE_LOCKS_ALLOWED.iter().any(|(path, _)| *path == rel);
+        for t in file(&rel, &text).tokens.iter().filter(|t| !t.in_test) {
+            let bare = t.is_ident("Mutex") || t.is_ident("RwLock");
+            if t.is_ident("parking_lot") || (bare && !allowed) {
+                found.push(format!("{rel}:{}:{}: `{}`", t.line, t.col, t.text));
+            }
+        }
+    }
+    assert!(
+        found.is_empty(),
+        "untracked locks in production code (use athena_types::sentinel's \
+         TrackedMutex / TrackedRwLock):\n{}",
+        found.join("\n")
     );
 }
