@@ -185,8 +185,9 @@ pub struct LockGraph {
     pub locks: Vec<String>,
     /// Derived acquisition-order edges, sorted by (from, to).
     pub edges: Vec<LockEdge>,
-    /// A topological order consistent with the edges (cycle members
-    /// last) — paste into `[analyze] lock_order` to regenerate.
+    /// A topological order consistent with the edges that keeps the
+    /// declared `lock_order` positions where the edges allow (cycle
+    /// members last) — paste into `[analyze] lock_order` to regenerate.
     pub suggested_order: Vec<String>,
 }
 

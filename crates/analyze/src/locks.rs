@@ -186,7 +186,7 @@ pub(crate) fn analyze_locks(
     bus_diags(config, files, funcs, calls, &windows, &entry_held, diags);
 
     LockGraph {
-        suggested_order: suggest_order(&locks, &edges),
+        suggested_order: suggest_order(&locks, &edges, &config.lock_order),
         locks,
         edges,
     }
@@ -470,8 +470,13 @@ fn order_diags(
 }
 
 /// A topological order of the derived graph, suitable for pasting into
-/// `lock_order`. Cycle members (if any) come last, sorted.
-fn suggest_order(locks: &[String], edges: &[LockEdge]) -> Vec<String> {
+/// `lock_order`. Of the locks ready at one step, those `declared` in
+/// `lock_order` come first, in their declared order, then the rest by
+/// name: a lock no derived edge constrains (one taken only inside a
+/// closure) keeps the place the sentinel's report gave it, and a
+/// declared order consistent with the edges comes back unchanged. Cycle
+/// members (if any) come last, sorted.
+fn suggest_order(locks: &[String], edges: &[LockEdge], declared: &[String]) -> Vec<String> {
     let index: BTreeMap<&str, usize> = locks
         .iter()
         .enumerate()
@@ -488,17 +493,25 @@ fn suggest_order(locks: &[String], edges: &[LockEdge]) -> Vec<String> {
             indegree[b] += 1;
         }
     }
-    let mut ready: BTreeSet<usize> = (0..locks.len()).filter(|&i| indegree[i] == 0).collect();
+    // `locks` is sorted, so (declared position, index) ranks declared
+    // locks by position and the others, after them, by name.
+    let rank = |i: usize| {
+        let at = declared.iter().position(|name| *name == locks[i]);
+        (at.unwrap_or(declared.len()), i)
+    };
+    let mut ready: BTreeSet<(usize, usize)> = (0..locks.len())
+        .filter(|&i| indegree[i] == 0)
+        .map(rank)
+        .collect();
     let mut out = Vec::with_capacity(locks.len());
     let mut emitted = vec![false; locks.len()];
-    while let Some(&i) = ready.iter().next() {
-        ready.remove(&i);
+    while let Some((_, i)) = ready.pop_first() {
         emitted[i] = true;
         out.push(locks[i].clone());
         for &j in &adj[i] {
             indegree[j] -= 1;
             if indegree[j] == 0 && !emitted[j] {
-                ready.insert(j);
+                ready.insert(rank(j));
             }
         }
     }

@@ -2,6 +2,12 @@
 //!
 //! This is the algorithm the paper's flagship DDoS detector uses
 //! (Figure 6: `K(8), Iterations(20), Runs(5), InitializedMode(k-means||)`).
+//!
+//! The restarts are independent, so a fit runs them as one ordered map
+//! ([`athena_parallel::par_map_indexed`], at `ATHENA_THREADS`), each with
+//! its own RNG (`seed + run`), k-means++ seeding and buffers, and keeps
+//! the first run of lowest cost in run order: the same model, bit for
+//! bit, at every width, as Spark's executors give the paper's `Runs(5)`.
 
 use crate::data::LabeledPoint;
 use crate::linalg::{squared_distance, DenseVector};
@@ -213,13 +219,21 @@ fn fit_counted(params: KMeansParams, data: &[LabeledPoint]) -> Result<(KMeansMod
         return Err(AthenaError::Ml("k must be positive".into()));
     }
     let points: Vec<&[f64]> = data.iter().map(|p| p.features.as_slice()).collect();
-    let mut lloyd = BoundedLloyd::new(points.len(), params.k, dim);
-    let mut work = Work::default();
-    let mut best: Option<(Vec<DenseVector>, f64)> = None;
-    for run in 0..params.runs.max(1) {
+    // The runs are independent: one ordered map, then a fold in run
+    // order, so the lowest-index run wins a tie at any width.
+    let runs = athena_parallel::par_map_indexed(params.runs.max(1), |run| {
         let mut rng = StdRng::seed_from_u64(params.seed.wrapping_add(run as u64));
         let mut centroids = plus_plus_init(&points, params.k, &mut rng);
+        let mut work = Work::default();
+        let mut lloyd = BoundedLloyd::new(points.len(), params.k, dim);
         let cost = lloyd.run(&points, &mut centroids, &params, &mut work);
+        (centroids, cost, work)
+    });
+    let mut work = Work::default();
+    let mut best: Option<(Vec<DenseVector>, f64)> = None;
+    for (centroids, cost, run_work) in runs {
+        work.passes += run_work.passes;
+        work.full_scans += run_work.full_scans;
         if best.as_ref().is_none_or(|(_, c)| cost < *c) {
             best = Some((centroids, cost));
         }
@@ -243,7 +257,7 @@ fn fit_counted(params: KMeansParams, data: &[LabeledPoint]) -> Result<(KMeansMod
 /// clearly below both the point's bound and half the gap from its
 /// centroid to the nearest other centroid. Sums are rebuilt from scratch
 /// each pass, points in index order, so the means are the plain loop's.
-/// The buffers live for one fit and serve every pass of every run.
+/// The buffers live for one run and serve every pass of it.
 struct BoundedLloyd {
     /// Each point's centroid.
     assigned: Vec<usize>,
@@ -521,13 +535,14 @@ mod tests {
     /// scanned on all of them.
     const MAX_FULL_SCAN_SHARE: f64 = 0.25;
 
-    #[test]
-    fn a_detector_shaped_fit_skips_most_scans() {
+    /// 4,000 points of 10 features around 6 centres, the first two
+    /// features weighted double: the shape of the detector's training set.
+    fn detector_shaped() -> Vec<LabeledPoint> {
         let mut rng = StdRng::seed_from_u64(20170611);
         let centres: Vec<Vec<f64>> = (0..6)
             .map(|_| (0..10).map(|_| rng.random_range(0.0..1.0)).collect())
             .collect();
-        let data: Vec<LabeledPoint> = (0..4_000)
+        (0..4_000)
             .map(|i| {
                 let c = &centres[i % centres.len()];
                 let x = c
@@ -540,7 +555,12 @@ mod tests {
                     .collect();
                 LabeledPoint::new(x, 0.0)
             })
-            .collect();
+            .collect()
+    }
+
+    #[test]
+    fn a_detector_shaped_fit_skips_most_scans() {
+        let data = detector_shaped();
         let params = KMeansParams::default();
         let (model, work) = fit_counted(params, &data).unwrap();
         let (oracle, passes) = lloyd_fit(params, &data);
@@ -554,6 +574,46 @@ mod tests {
             work.passes,
             data.len()
         );
+    }
+
+    /// Runs `f` with `ATHENA_THREADS` set to `width`.
+    fn with_threads<T>(width: usize, f: impl FnOnce() -> T) -> T {
+        // Env vars are process-global; serialize the tests that set one.
+        static ENV: std::sync::Mutex<()> = std::sync::Mutex::new(());
+        let _guard = ENV
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        std::env::set_var("ATHENA_THREADS", width.to_string());
+        let out = f();
+        std::env::remove_var("ATHENA_THREADS");
+        out
+    }
+
+    /// The restarts run as one ordered map folded in run order, so the
+    /// fit is the width-1 fit at every width: the same centroid and cost
+    /// bits, passes and full scans.
+    #[test]
+    fn the_fit_is_bit_identical_at_every_width() {
+        let mut cases = vec![(KMeansParams::default(), detector_shaped())];
+        cases.extend((0..50).map(oracle_case));
+        for (case, (params, data)) in cases.iter().enumerate() {
+            let fit_at = |width| with_threads(width, || fit_counted(*params, data).unwrap());
+            let (want, want_work) = fit_at(1);
+            for width in [2, 3, 8] {
+                let (got, work) = fit_at(width);
+                assert_eq!(bits(&got), bits(&want), "case {case} width {width}");
+                assert_eq!(
+                    got.cost.to_bits(),
+                    want.cost.to_bits(),
+                    "case {case} width {width}"
+                );
+                assert_eq!(work.passes, want_work.passes, "case {case} width {width}");
+                assert_eq!(
+                    work.full_scans, want_work.full_scans,
+                    "case {case} width {width}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! The paper's prototype inherits parallelism from its substrates (Spark
 //! executors, MongoDB shards). This crate gives the reproduction the
 //! same property for the few heavy items its call sites hold — compute
-//! partitions, engine shards — without giving up the
+//! partitions, engine shards, k-means restarts — without giving up the
 //! byte-identical determinism the chaos and recovery gates enforce, and
 //! without keeping a thread between jobs: [`par_map_indexed`] /
 //! [`par_map`] map over `0..n` / a vector with results **in index
@@ -29,7 +29,7 @@
 //! in any item is re-raised on the caller with its payload once all
 //! runners have stopped. Runners record nothing causal and emit no trace
 //! event, so trace streams are identical across widths. Starting and
-//! joining a thread costs ≈ 0.1 ms; jobs here live 1–16 ms (DESIGN.md §11).
+//! joining a thread costs ≈ 0.1 ms; jobs here live 1–70 ms (DESIGN.md §11).
 //!
 //! ```
 //! let base = vec![10u64, 20, 30];

@@ -98,9 +98,10 @@ cargo test -q -p athena-core --offline --test proptest_record -- \
     a_record_reads_what_the_lookups_read_whatever_the_keys_hold
 cargo test -q -p athena-ml --offline --test proptest_ml fit_apply_is_fit_then_apply
 
-echo "==> one fit per algorithm (any training-set size fits what \`Algorithm::fit\` fits; bounded k-means = Lloyd oracle)"
+echo "==> one fit per algorithm (any training-set size fits what \`Algorithm::fit\` fits; bounded k-means = Lloyd oracle; restarts bit-identical at every width)"
 cargo test -q -p athena-core --offline --lib nb::detector_manager::tests::small_datasets_train_single_node
 cargo test -q -p athena-ml --offline --lib algorithms::kmeans::tests::bounded_fit_is_the_lloyd_oracle
+cargo test -q -p athena-ml --offline --lib algorithms::kmeans::tests::the_fit_is_bit_identical_at_every_width
 
 echo "==> microbench compiles (flow_table/*, controller/shortest_path/*; not run here)"
 cargo bench --no-run -q -p athena-bench --bench micro --offline

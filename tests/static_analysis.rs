@@ -68,6 +68,76 @@ fn derived_lock_graph_is_cycle_free_and_ordered() {
 }
 
 #[test]
+fn suggested_lock_order_keeps_the_declared_positions() {
+    // The apps' handler locks are taken inside closures, so no derived
+    // edge places them; the suggestion must keep them after the core
+    // locks, where the runtime sentinel's order needs them.
+    let declared = athena_analyze::load_config(root())
+        .expect("lint.toml parses")
+        .lock_order;
+    let analysis = athena_analyze::check_workspace(root()).expect("analysis engine runs");
+    let suggested = &analysis.lock_graph.suggested_order;
+    let at = |name: &str| {
+        suggested
+            .iter()
+            .position(|s| s == name)
+            .unwrap_or_else(|| panic!("`{name}` missing from {suggested:?}"))
+    };
+    for app in ["apps/alerts", "apps/state"] {
+        assert!(
+            at(app) > at("core/reactor"),
+            "`{app}` suggested before `core/reactor`: {suggested:?}"
+        );
+    }
+    // More strongly: the declared order is consistent with the edges, so
+    // the suggestion lists the declared locks exactly as lint.toml does.
+    let kept: Vec<&String> = suggested.iter().filter(|s| declared.contains(s)).collect();
+    assert_eq!(kept, declared.iter().collect::<Vec<_>>());
+}
+
+#[test]
+fn suggested_lock_order_ranks_declared_then_undeclared_by_name() {
+    // `x/b` → `x/a` is the one derived edge; `x/d` has none and is
+    // declared first; `x/c` has none and is not declared.
+    let config = Config::parse(
+        "[analyze]\n\
+         hot_entries = []\n\
+         lock_order = [\"x/d\", \"x/b\", \"x/a\"]\n\
+         [lint]\n\
+         bus_calls = [\"dispatch\"]\n\
+         println_exempt = []\n\
+         wallclock_exempt = []\n",
+    )
+    .expect("config parses");
+    let files = [file(
+        "crates/x/src/entry.rs",
+        "use parking_lot::Mutex;\n\
+         pub struct S { a: Mutex<u32>, b: Mutex<u32>, c: Mutex<u32>, d: Mutex<u32> }\n\
+         impl S {\n\
+             pub fn nested(&self) -> u32 {\n\
+                 let gb = self.b.lock();\n\
+                 let ga = self.a.lock();\n\
+                 *ga + *gb\n\
+             }\n\
+             pub fn c(&self) -> u32 { *self.c.lock() }\n\
+             pub fn d(&self) -> u32 { *self.d.lock() }\n\
+         }",
+    )];
+    let analysis = athena_analyze::analyze_sources(&config, &files);
+    let lock_findings: Vec<_> = analysis
+        .report
+        .diagnostics
+        .iter()
+        .filter(|d| d.rule.starts_with("lock"))
+        .collect();
+    assert!(lock_findings.is_empty(), "{lock_findings:?}");
+    assert_eq!(
+        analysis.lock_graph.suggested_order,
+        ["x/d", "x/b", "x/a", "x/c"]
+    );
+}
+
+#[test]
 fn hot_propagation_reaches_transitive_helpers() {
     // None of these files appears in [analyze] hot_entries: they are
     // reached only through the call graph (forwarding path → match/route
