@@ -447,7 +447,9 @@ impl Resolver<'_> {
                     .filter(mine)
                     .find(|s| s.file == caller.file)
                     .or_else(|| self.structs.iter().find(mine));
-                let Some((_, ty)) = decl.and_then(|s| s.fields.iter().find(|(f, _)| f == field))
+                let Some(ty) = decl
+                    .and_then(|s| s.fields.iter().find(|f| f.name == *field))
+                    .map(|f| &f.ty)
                 else {
                     return Vec::new();
                 };

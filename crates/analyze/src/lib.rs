@@ -10,7 +10,7 @@
 //!   iteration, lock acquisitions and their guard extents);
 //! - [`rules`] — the file-local rules: `forbid-unsafe`, `error-hygiene`,
 //!   `no-println-in-lib`, `no-wallclock-in-lib`; and `unused-pub`, a
-//!   `pub fn` whose name no other file spells;
+//!   `pub fn` or `pub` struct field whose name no other file spells;
 //! - [`model`], [`graph`] — every production `fn`, its `impl` type, the
 //!   workspace's `struct` fields, and conservatively resolved call edges;
 //! - [`locks`] — one guard-window pass per function, from which come

@@ -116,9 +116,23 @@ pub struct StructDef {
     pub file: usize,
     /// The struct's name.
     pub name: String,
-    /// Each field with every identifier of its declared type
-    /// (`live: Arc<Mutex<Window>>` → `live`, [`Arc`, `Mutex`, `Window`]).
-    pub fields: Vec<(String, Vec<String>)>,
+    /// Whether its `#[derive(…)]` names `Serialize` or `Deserialize`,
+    /// whose generated code reads every field.
+    pub serde: bool,
+    /// Its non-test fields, in declaration order.
+    pub fields: Vec<Field>,
+}
+
+/// One named field of a [`StructDef`].
+#[derive(Debug)]
+pub struct Field {
+    /// The field's name.
+    pub name: String,
+    /// Every identifier of its declared type
+    /// (`live: Arc<Mutex<Window>>` → [`Arc`, `Mutex`, `Window`]).
+    pub ty: Vec<String>,
+    /// Token index of the name.
+    pub tok: usize,
 }
 
 /// Extracts every non-test `struct Name { field: Type, … }` from the
@@ -139,7 +153,7 @@ pub fn extract_structs(files: &[SourceFile]) -> Vec<StructDef> {
             else {
                 continue;
             };
-            let mut fields: Vec<(String, Vec<String>)> = Vec::new();
+            let mut fields: Vec<Field> = Vec::new();
             // `nest` counts `<`/`(`/`[`: a field starts at `name:` outside
             // all of them and runs to the next `,` outside all of them.
             let (mut nest, mut open_field) = (0i32, false);
@@ -151,20 +165,32 @@ pub fn extract_structs(files: &[SourceFile]) -> Vec<StructDef> {
                     TokenKind::Punct('>' | ')' | ']') => nest -= 1,
                     TokenKind::Punct(',') if nest == 0 => open_field = false,
                     TokenKind::Ident if nest == 0 && tokens[k + 1].is_punct(':') => {
-                        fields.push((t.text.clone(), Vec::new()));
+                        fields.push(Field {
+                            name: t.text.clone(),
+                            ty: Vec::new(),
+                            tok: k,
+                        });
                         open_field = true;
                     }
                     TokenKind::Ident if open_field => {
-                        if let Some((_, ty)) = fields.last_mut() {
-                            ty.push(t.text.clone());
+                        if let Some(field) = fields.last_mut() {
+                            field.ty.push(t.text.clone());
                         }
                     }
                     _ => {}
                 }
             }
+            // The item's attributes run back to the end of the item
+            // before it; comments never reach the token stream.
+            let serde = tokens[..i]
+                .iter()
+                .rev()
+                .take_while(|t| !matches!(t.kind, TokenKind::Punct(';' | '{' | '}')))
+                .any(|t| t.is_ident("Serialize") || t.is_ident("Deserialize"));
             out.push(StructDef {
                 file: file_idx,
                 name: name.text.clone(),
+                serde,
                 fields,
             });
         }

@@ -120,11 +120,14 @@ pub fn no_wallclock_in_lib(file: &SourceFile, config: &Config, out: &mut Vec<Dia
     }
 }
 
-/// `unused-pub`: flags a non-test `pub` / `pub(crate)` `fn` of production
-/// code whose name no other file spells as an identifier — the reference
-/// sources (`tests/`, `examples/`, `ledger/src`, …) included, comments and
-/// `use` items excluded. Such a function needs no visibility: make it
-/// private, or delete it when only its own file's tests call it.
+/// `unused-pub`: flags a non-test `pub` / `pub(crate)` `fn` or named
+/// struct field of production code whose name no other file spells as an
+/// identifier — the reference sources (`tests/`, `examples/`,
+/// `ledger/src`, …) included, comments and `use` items excluded. Such an
+/// item needs no visibility: make it private, or delete it when only its
+/// own file's tests use it; a setting only its own constructor assigns
+/// becomes a constant. Fields of a struct that derives `Serialize` or
+/// `Deserialize` are exempt: the derived encoder reads every one.
 ///
 /// The count is by name only. A name that collides with any other
 /// identifier elsewhere counts as used, so the rule can miss dead code
@@ -148,6 +151,7 @@ pub fn unused_pub(files: &[SourceFile], out: &mut Vec<Diagnostic>) {
             }
         }
     }
+    let only_here = |name: &Token, idx: usize| spelled.get(name.text.as_str()) == Some(&Some(idx));
     for (idx, file) in files.iter().enumerate() {
         if !model::is_production(&file.rel_path) {
             continue;
@@ -160,7 +164,7 @@ pub fn unused_pub(files: &[SourceFile], out: &mut Vec<Diagnostic>) {
             let Some(name) = tokens.get(i + 1).filter(|n| n.kind == TokenKind::Ident) else {
                 continue;
             };
-            if spelled.get(name.text.as_str()) == Some(&Some(idx)) {
+            if only_here(name, idx) {
                 let message = format!(
                     "`{}` is public but no other file names it; make it private, \
                      or delete it if only its own tests call it",
@@ -170,12 +174,28 @@ pub fn unused_pub(files: &[SourceFile], out: &mut Vec<Diagnostic>) {
             }
         }
     }
+    for def in model::extract_structs(files).iter().filter(|d| !d.serde) {
+        let file = &files[def.file];
+        let public = def.fields.iter().filter(|f| is_pub(&file.tokens, f.tok));
+        for field in public {
+            let name = &file.tokens[field.tok];
+            if only_here(name, def.file) {
+                let message = format!(
+                    "field `{}.{}` is public but no other file names it; make it \
+                     private, a constant if only its constructor sets it, or delete it",
+                    def.name, name.text
+                );
+                out.push(Diagnostic::at("unused-pub", file, name, message));
+            }
+        }
+    }
 }
 
-/// Whether the `fn` at `fn_tok` is declared `pub` or `pub(…)`, past any
-/// `const` / `async` / `unsafe` / `extern "abi"` qualifiers.
-fn is_pub(tokens: &[Token], fn_tok: usize) -> bool {
-    let mut j = fn_tok;
+/// Whether the item named at `name_tok` (a `fn` keyword or a field
+/// name) is declared `pub` or `pub(…)`, past any `const` / `async` /
+/// `unsafe` / `extern "abi"` qualifiers.
+fn is_pub(tokens: &[Token], name_tok: usize) -> bool {
+    let mut j = name_tok;
     while j > 0 {
         j -= 1;
         let t = &tokens[j];

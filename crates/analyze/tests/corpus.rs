@@ -7,8 +7,8 @@
 //! Snippets live in `tests/corpus/*.rs`; they are analyzed as if they
 //! sat at `crates/corpus/src/<name>.rs`, so crate-qualified lock names
 //! come out as `corpus/<field>`. Each is analyzed alone, so a `pub fn`
-//! in a snippet is one no other file names: only the `unused-pub` case
-//! declares one.
+//! or `pub` field in a snippet is one no other file names: only the two
+//! `unused-pub` cases declare one.
 
 use athena_analyze::{analyze_sources, Config, SourceFile};
 
@@ -107,6 +107,14 @@ const CASES: &[Case] = &[
     Case {
         name: "unused_pub",
         source: include_str!("corpus/unused_pub.rs"),
+        rule: "unused-pub",
+        hot_seed: false,
+        lock_order: &[],
+        wants_witness: false,
+    },
+    Case {
+        name: "unused_pub_field",
+        source: include_str!("corpus/unused_pub_field.rs"),
         rule: "unused-pub",
         hot_seed: false,
         lock_order: &[],

@@ -11,6 +11,9 @@
 //! to Athena over IPC), the handler only records observations; the
 //! application's [`LfaMitigator::mitigate`] step queries features and
 //! issues reactions outside the delivery path.
+//!
+//! Its thresholds (utilization, drop variation, fan-out, blocks per step)
+//! are this module's constants.
 
 use athena_core::nb::reaction_manager::Reaction;
 use athena_core::{Athena, Query, QueryBuilder};
@@ -19,31 +22,16 @@ use athena_types::{Dpid, Ipv4Addr, PortNo};
 use std::collections::HashSet;
 use std::sync::Arc;
 
-/// Configuration for the LFA mitigator.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct LfaMitigatorConfig {
-    /// Egress-port utilization above which a link is congested
-    /// (offered/capacity over the poll window).
-    pub utilization_threshold: f64,
-    /// Any positive per-window drop variation also signals congestion.
-    pub drop_var_threshold: f64,
-    /// Hosts sending to at least this many distinct destinations through
-    /// the congested switch are bot candidates.
-    pub fanout_threshold: f64,
-    /// At most this many hosts are blocked per mitigation step.
-    pub max_blocks_per_step: usize,
-}
-
-impl Default for LfaMitigatorConfig {
-    fn default() -> Self {
-        LfaMitigatorConfig {
-            utilization_threshold: 0.9,
-            drop_var_threshold: 0.0,
-            fanout_threshold: 3.0,
-            max_blocks_per_step: 16,
-        }
-    }
-}
+/// Egress-port utilization at or above which a link is congested
+/// (offered/capacity over the poll window).
+const UTILIZATION_THRESHOLD: f64 = 0.9;
+/// Any per-window drop variation above this also signals congestion.
+const DROP_VAR_THRESHOLD: f64 = 0.0;
+/// Hosts sending to at least this many distinct destinations through the
+/// congested switch are bot candidates.
+const FANOUT_THRESHOLD: f64 = 3.0;
+/// At most this many hosts are blocked per mitigation step.
+const MAX_BLOCKS_PER_STEP: usize = 16;
 
 /// A congestion observation recorded by the event handler.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -59,17 +47,20 @@ pub struct CongestionAlert {
 /// The LFA detection-and-mitigation application.
 #[derive(Debug)]
 pub struct LfaMitigator {
-    /// The configuration.
-    pub config: LfaMitigatorConfig,
     alerts: Arc<TrackedMutex<Vec<CongestionAlert>>>,
     blocked: HashSet<Ipv4Addr>,
 }
 
+impl Default for LfaMitigator {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
 impl LfaMitigator {
     /// Creates the mitigator.
-    pub fn new(config: LfaMitigatorConfig) -> Self {
+    pub fn new() -> Self {
         LfaMitigator {
-            config,
             alerts: Arc::new(TrackedMutex::new("apps/alerts", Vec::new())),
             blocked: HashSet::new(),
         }
@@ -82,14 +73,12 @@ impl LfaMitigator {
     pub fn deploy(&self, athena: &Athena) -> usize {
         let q: Query = QueryBuilder::new().eq("message_type", "PORT_STATS").build();
         let alerts = Arc::clone(&self.alerts);
-        let util_threshold = self.config.utilization_threshold;
-        let drop_threshold = self.config.drop_var_threshold;
         athena.add_event_handler(
             &q,
             Box::new(move |record| {
                 let util = record.field("PORT_TX_UTILIZATION").unwrap_or(0.0);
                 let drops = record.field("PORT_TX_DROPPED_VAR").unwrap_or(0.0);
-                if util >= util_threshold || drops > drop_threshold {
+                if util >= UTILIZATION_THRESHOLD || drops > DROP_VAR_THRESHOLD {
                     if let Some(port) = record.index().port {
                         alerts.lock().push(CongestionAlert {
                             switch: record.index().switch,
@@ -135,14 +124,14 @@ impl LfaMitigator {
                 .limit(64)
                 .build();
             for record in athena.request_features(&q) {
-                if newly_blocked.len() >= self.config.max_blocks_per_step {
+                if newly_blocked.len() >= MAX_BLOCKS_PER_STEP {
                     break;
                 }
                 let fanout = record.field("HOST_FANOUT").unwrap_or(0.0);
                 let tx = record.field("HOST_TX_BYTES").unwrap_or(0.0);
                 let rx = record.field("HOST_RX_BYTES").unwrap_or(0.0);
                 // Bot profile: wide fan-out, send-heavy.
-                if fanout >= self.config.fanout_threshold && tx > rx * 2.0 {
+                if fanout >= FANOUT_THRESHOLD && tx > rx * 2.0 {
                     if let Some(host) = record.index().host {
                         if self.blocked.insert(host) {
                             newly_blocked.push(host);
@@ -206,7 +195,7 @@ mod tests {
     #[test]
     fn congestion_alerts_are_recorded_by_the_handler() {
         let athena = Athena::new(AthenaConfig::default());
-        let lfa = LfaMitigator::new(LfaMitigatorConfig::default());
+        let lfa = LfaMitigator::new();
         lfa.deploy(&athena);
         let mut fm = athena.runtime().feature_manager.lock();
         fm.ingest(port_record(2, 1, 0.95, 0.0)).unwrap(); // congested
@@ -219,7 +208,7 @@ mod tests {
     #[test]
     fn mitigation_blocks_high_fanout_heavy_senders() {
         let athena = Athena::new(AthenaConfig::default());
-        let mut lfa = LfaMitigator::new(LfaMitigatorConfig::default());
+        let mut lfa = LfaMitigator::new();
         lfa.deploy(&athena);
         let bot = Ipv4Addr::new(10, 0, 0, 66);
         let benign = Ipv4Addr::new(10, 0, 0, 7);
@@ -242,7 +231,7 @@ mod tests {
     #[test]
     fn no_congestion_means_no_blocks() {
         let athena = Athena::new(AthenaConfig::default());
-        let mut lfa = LfaMitigator::new(LfaMitigatorConfig::default());
+        let mut lfa = LfaMitigator::new();
         lfa.deploy(&athena);
         {
             let mut fm = athena.runtime().feature_manager.lock();

@@ -28,6 +28,6 @@ pub mod sloc;
 
 pub use dataset::DdosDataset;
 pub use ddos::{DdosDetector, DdosDetectorConfig};
-pub use lfa::{LfaMitigator, LfaMitigatorConfig};
-pub use nae::{NaeMonitor, NaeMonitorConfig, SlaViolation};
-pub use scan::{ScanDetector, ScanDetectorConfig};
+pub use lfa::LfaMitigator;
+pub use nae::{NaeMonitor, SlaViolation};
+pub use scan::ScanDetector;

@@ -8,7 +8,8 @@
 //! monitor registers an event handler on per-switch features
 //! (`Match DPID==(6 or 3)`), checks a user-defined SLA ("traffic should
 //! be distributed evenly per each switch"), and reports violations with
-//! the Figure 9 time series.
+//! the Figure 9 time series. The monitored switch pair, the imbalance
+//! threshold and the start-up packet floor are this module's constants.
 
 use athena_core::{Athena, QueryBuilder};
 use athena_types::sentinel::TrackedMutex;
@@ -16,28 +17,14 @@ use athena_types::{Dpid, SimTime};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-/// Configuration for the NAE monitor.
-#[derive(Debug, Clone, PartialEq)]
-pub struct NaeMonitorConfig {
-    /// The switches whose balance the SLA covers (the paper queries
-    /// `DPID==(6 or 3)`).
-    pub switches: (Dpid, Dpid),
-    /// Maximum allowed imbalance `|a-b| / max(a,b)` per sample window.
-    pub imbalance_threshold: f64,
-    /// Samples where both switches carry fewer packets than this are
-    /// ignored (start-up noise is not an SLA violation).
-    pub min_packets: f64,
-}
-
-impl Default for NaeMonitorConfig {
-    fn default() -> Self {
-        NaeMonitorConfig {
-            switches: (Dpid::new(3), Dpid::new(6)),
-            imbalance_threshold: 0.6,
-            min_packets: 100.0,
-        }
-    }
-}
+/// The switches whose balance the SLA covers (the paper queries
+/// `DPID==(6 or 3)`).
+const SWITCHES: (Dpid, Dpid) = (Dpid::new(3), Dpid::new(6));
+/// Maximum allowed imbalance `|a-b| / max(a,b)` per sample window.
+const IMBALANCE_THRESHOLD: f64 = 0.6;
+/// Samples where both switches carry fewer packets than this are ignored
+/// (start-up noise is not an SLA violation).
+const MIN_PACKETS: f64 = 100.0;
 
 /// A detected SLA violation.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -61,16 +48,19 @@ struct SeriesState {
 /// The NAE monitoring application.
 #[derive(Debug)]
 pub struct NaeMonitor {
-    /// The configuration.
-    pub config: NaeMonitorConfig,
     state: Arc<TrackedMutex<SeriesState>>,
+}
+
+impl Default for NaeMonitor {
+    fn default() -> Self {
+        Self::new()
+    }
 }
 
 impl NaeMonitor {
     /// Creates the monitor.
-    pub fn new(config: NaeMonitorConfig) -> Self {
+    pub fn new() -> Self {
         NaeMonitor {
-            config,
             state: Arc::new(TrackedMutex::new("apps/state", SeriesState::default())),
         }
     }
@@ -79,7 +69,7 @@ impl NaeMonitor {
     /// `Match DPID==(6 or 3)` in the paper; we capture the per-switch
     /// aggregate features of both monitored switches).
     pub fn deploy(&self, athena: &Athena) -> usize {
-        let (a, b) = self.config.switches;
+        let (a, b) = SWITCHES;
         let q = QueryBuilder::new()
             .eq("message_type", "SWITCH_STATE")
             .is_in(
@@ -110,18 +100,18 @@ impl NaeMonitor {
     /// The paper's `Check_SLA()`: detects asymmetric traffic patterns.
     /// Returns every violating sample in time order.
     pub fn check_sla(&self) -> Vec<SlaViolation> {
-        let (a, b) = self.config.switches;
+        let (a, b) = SWITCHES;
         let state = self.state.lock();
         let mut violations = Vec::new();
         for (t, per_switch) in &state.samples {
             let first = per_switch.get(&a.raw()).copied().unwrap_or(0.0);
             let second = per_switch.get(&b.raw()).copied().unwrap_or(0.0);
             let max = first.max(second);
-            if max < self.config.min_packets {
+            if max < MIN_PACKETS {
                 continue;
             }
             let imbalance = (first - second).abs() / max;
-            if imbalance > self.config.imbalance_threshold {
+            if imbalance > IMBALANCE_THRESHOLD {
                 violations.push(SlaViolation {
                     at: SimTime::from_micros(*t),
                     first,
@@ -136,7 +126,7 @@ impl NaeMonitor {
     /// The Figure 9 series: per-switch packet counts over time, ready for
     /// `ShowResults`.
     pub fn series(&self) -> Vec<(String, Vec<(f64, f64)>)> {
-        let (a, b) = self.config.switches;
+        let (a, b) = SWITCHES;
         let state = self.state.lock();
         let mut sa = Vec::new();
         let mut sb = Vec::new();
@@ -176,7 +166,7 @@ mod tests {
 
     fn deployed() -> (Athena, NaeMonitor) {
         let athena = Athena::new(AthenaConfig::default());
-        let monitor = NaeMonitor::new(NaeMonitorConfig::default());
+        let monitor = NaeMonitor::new();
         monitor.deploy(&athena);
         (athena, monitor)
     }

@@ -6,7 +6,8 @@
 //! ground with no new framework code: a scanner is a host whose flows fan
 //! out across many destination ports with almost no return traffic —
 //! directly visible in the stateful `HOST_*` and per-flow `PAIR_FLOW`
-//! features.
+//! features. The port and probe-size thresholds are this module's
+//! constants, and a flagged scanner is blocked.
 
 use athena_core::nb::reaction_manager::Reaction;
 use athena_core::{Athena, FeatureRecord, Query, QueryBuilder};
@@ -15,27 +16,11 @@ use athena_types::Ipv4Addr;
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
-/// Configuration for the scan detector.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ScanDetectorConfig {
-    /// Distinct destination ports per (source, destination) pair at or
-    /// above which the source is a scanner.
-    pub port_threshold: usize,
-    /// Flows whose byte count stays below this look like probes.
-    pub probe_max_bytes: f64,
-    /// Quarantine destination; `None` blocks scanners outright.
-    pub honeypot: Option<Ipv4Addr>,
-}
-
-impl Default for ScanDetectorConfig {
-    fn default() -> Self {
-        ScanDetectorConfig {
-            port_threshold: 15,
-            probe_max_bytes: 5_000.0,
-            honeypot: None,
-        }
-    }
-}
+/// Distinct destination ports per (source, destination) pair at or above
+/// which the source is a scanner.
+const PORT_THRESHOLD: usize = 15;
+/// Flows whose byte count stays at or below this look like probes.
+const PROBE_MAX_BYTES: f64 = 5_000.0;
 
 #[derive(Debug, Default)]
 struct ScanState {
@@ -46,17 +31,20 @@ struct ScanState {
 /// The port-scan detection application.
 #[derive(Debug)]
 pub struct ScanDetector {
-    /// The configuration.
-    pub config: ScanDetectorConfig,
     state: Arc<TrackedMutex<ScanState>>,
     flagged: HashSet<Ipv4Addr>,
 }
 
+impl Default for ScanDetector {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
 impl ScanDetector {
     /// Creates the detector.
-    pub fn new(config: ScanDetectorConfig) -> Self {
+    pub fn new() -> Self {
         ScanDetector {
-            config,
             state: Arc::new(TrackedMutex::new("apps/state", ScanState::default())),
             flagged: HashSet::new(),
         }
@@ -67,7 +55,6 @@ impl ScanDetector {
     pub fn deploy(&self, athena: &Athena) -> usize {
         let q: Query = QueryBuilder::new().eq("message_type", "FLOW_STATS").build();
         let state = Arc::clone(&self.state);
-        let probe_max = self.config.probe_max_bytes;
         athena.add_event_handler(
             &q,
             Box::new(move |record: &FeatureRecord| {
@@ -76,7 +63,7 @@ impl ScanDetector {
                 };
                 let paired = record.field("PAIR_FLOW").unwrap_or(1.0) >= 0.5;
                 let bytes = record.field("FLOW_BYTE_COUNT").unwrap_or(f64::MAX);
-                if paired || bytes > probe_max {
+                if paired || bytes > PROBE_MAX_BYTES {
                     return;
                 }
                 state
@@ -89,15 +76,14 @@ impl ScanDetector {
         )
     }
 
-    /// The detection step: sources probing at least `port_threshold`
-    /// distinct ports on one target are scanners; they are blocked (or
-    /// quarantined when a honeypot is configured). Returns newly flagged
-    /// scanners.
+    /// The detection step: sources probing at least `PORT_THRESHOLD`
+    /// distinct ports on one target are scanners; they are blocked.
+    /// Returns newly flagged scanners.
     pub fn detect(&mut self, athena: &Athena) -> Vec<Ipv4Addr> {
         let state = self.state.lock();
         let mut newly = Vec::new();
         for ((src, _dst), ports) in &state.probes {
-            if ports.len() >= self.config.port_threshold {
+            if ports.len() >= PORT_THRESHOLD {
                 let scanner = Ipv4Addr::from_raw(*src);
                 if self.flagged.insert(scanner) {
                     newly.push(scanner);
@@ -106,16 +92,9 @@ impl ScanDetector {
         }
         drop(state);
         if !newly.is_empty() {
-            let reaction = match self.config.honeypot {
-                Some(destination) => Reaction::Quarantine {
-                    targets: newly.clone(),
-                    destination,
-                },
-                None => Reaction::Block {
-                    targets: newly.clone(),
-                },
-            };
-            athena.reactor(reaction);
+            athena.reactor(Reaction::Block {
+                targets: newly.clone(),
+            });
         }
         newly
     }
@@ -156,7 +135,7 @@ mod tests {
     #[test]
     fn vertical_scan_is_detected_and_blocked() {
         let athena = Athena::new(AthenaConfig::default());
-        let mut det = ScanDetector::new(ScanDetectorConfig::default());
+        let mut det = ScanDetector::new();
         det.deploy(&athena);
         let scanner = Ipv4Addr::new(10, 0, 0, 66);
         let target = Ipv4Addr::new(10, 0, 1, 1);
@@ -178,7 +157,7 @@ mod tests {
     #[test]
     fn normal_clients_are_not_scanners() {
         let athena = Athena::new(AthenaConfig::default());
-        let mut det = ScanDetector::new(ScanDetectorConfig::default());
+        let mut det = ScanDetector::new();
         det.deploy(&athena);
         let client = Ipv4Addr::new(10, 0, 0, 7);
         let server = Ipv4Addr::new(10, 0, 1, 1);
@@ -195,35 +174,5 @@ mod tests {
         }
         assert!(det.detect(&athena).is_empty());
         assert!(athena.mitigated_hosts().is_empty());
-    }
-
-    #[test]
-    fn honeypot_configuration_quarantines() {
-        let honeypot = Ipv4Addr::new(10, 0, 9, 9);
-        let athena = Athena::new(AthenaConfig::default());
-        let mut det = ScanDetector::new(ScanDetectorConfig {
-            honeypot: Some(honeypot),
-            port_threshold: 5,
-            ..ScanDetectorConfig::default()
-        });
-        det.deploy(&athena);
-        let scanner = Ipv4Addr::new(10, 0, 0, 66);
-        {
-            let mut fm = athena.runtime().feature_manager.lock();
-            for port in 1..=6u16 {
-                fm.ingest(flow_record(
-                    scanner,
-                    Ipv4Addr::new(10, 0, 1, 1),
-                    port,
-                    false,
-                    64.0,
-                ))
-                .unwrap();
-            }
-        }
-        assert_eq!(det.detect(&athena), vec![scanner]);
-        // The reactor received a quarantine (visible via counters after a
-        // drain; here just check the scanner was mitigated at all).
-        assert_eq!(athena.mitigated_hosts(), vec![scanner]);
     }
 }

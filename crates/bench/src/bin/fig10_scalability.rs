@@ -13,7 +13,7 @@ use athena_apps::{DdosDetector, DdosDetectorConfig};
 use athena_bench::{compare_row, header};
 use athena_compute::ComputeCluster;
 use athena_core::DetectorManager;
-use athena_ml::{group_digits, ConfusionMatrix, Model};
+use athena_ml::{group_digits, ConfusionMatrix};
 use athena_telemetry::Telemetry;
 use athena_types::env_usize;
 
@@ -57,28 +57,18 @@ fn main() {
         assert_eq!(summary.total_entries(), entries as u64);
         vt
     };
-    // The raw-Spark comparator: the same validation written directly
-    // against the dataset API, skipping Athena's detector-manager
-    // plumbing (per-point preprocessor objects, summary assembly).
+    // The raw-Spark comparator: the same per-point scoring
+    // (`DetectionModel::tally_points`, what Athena's job runs) written
+    // directly against the dataset API, skipping Athena's
+    // detector-manager plumbing (telemetry, summary assembly).
     let raw_job = |nodes: usize| {
         let cluster = ComputeCluster::new(nodes);
         let before = cluster.total_virtual_time();
         let ds = cluster.parallelize(data.points.clone(), 24);
-        let model_for_job = model.clone();
-        let partials = ds.map_partitions(move |part| {
-            let mut cm = ConfusionMatrix::default();
-            for p in part {
-                let prepared = model_for_job.preprocessor.apply_point(p);
-                cm.record(
-                    p.is_malicious(),
-                    model_for_job.model.predict(&prepared.features) >= 0.5,
-                );
-            }
-            vec![cm]
-        });
+        let partials = ds.map_partitions(|part| vec![model.tally_points(part)]);
         let mut merged = ConfusionMatrix::default();
-        for cm in partials.collect() {
-            merged.merge(&cm);
+        for summary in partials.collect() {
+            merged.merge(&summary.confusion);
         }
         cluster.total_virtual_time() - before
     };

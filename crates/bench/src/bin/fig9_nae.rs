@@ -4,7 +4,7 @@
 //! the takeover: the waypoint switch saturates while the balanced path
 //! starves.
 
-use athena_apps::{NaeMonitor, NaeMonitorConfig};
+use athena_apps::NaeMonitor;
 use athena_bench::{compare_row, header};
 use athena_controller::apps::{LoadBalancer, SecurityApp};
 use athena_controller::ControllerCluster;
@@ -34,7 +34,7 @@ fn main() {
     ));
     let athena = Athena::new(AthenaConfig::default());
     athena.attach(&mut cluster);
-    let monitor = NaeMonitor::new(NaeMonitorConfig::default());
+    let monitor = NaeMonitor::new();
     monitor.deploy(&athena);
 
     // FTP-dominated client traffic ("the network is dominated by FTP

@@ -3,7 +3,7 @@
 //! mitigation actually clears the congestion (which is the point of the
 //! table: same capability, no custom hardware).
 
-use athena_apps::{LfaMitigator, LfaMitigatorConfig};
+use athena_apps::LfaMitigator;
 use athena_bench::header;
 use athena_controller::ControllerCluster;
 use athena_core::{Athena, AthenaConfig, UiManager};
@@ -32,7 +32,7 @@ fn main() {
     let mut cluster = ControllerCluster::new(&topo);
     let athena = Athena::new(AthenaConfig::default());
     athena.attach(&mut cluster);
-    let mut lfa = LfaMitigator::new(LfaMitigatorConfig::default());
+    let mut lfa = LfaMitigator::new();
     lfa.deploy(&athena);
 
     net.inject_flows(workload::benign_mix_on(

@@ -2,8 +2,8 @@
 //! every Table-IV algorithm.
 //!
 //! Each [`AttackFamily`] gets one full seeded deployment (enterprise or
-//! linear topology, benign background, optional stochastic link model,
-//! optional chaos scenario). Every Table-IV algorithm then trains once on
+//! linear topology, benign background, the WAN link model, optional
+//! chaos scenario). Every Table-IV algorithm then trains once on
 //! the *base* families' labeled feature records and is validated against
 //! every family's records — known-attack cells gate against recorded
 //! baselines, held-out cells measure generalization to attacks the model
@@ -37,8 +37,6 @@ use std::collections::BTreeSet;
 pub struct MatrixConfig {
     /// The master seed every per-family seed derives from.
     pub seed: u64,
-    /// Stochastic link model installed on every deployment's links.
-    pub link_model: Option<LinkModel>,
     /// Chaos scenario composed into every family run.
     pub chaos: Option<Scenario>,
     /// Smoke mode halves workload sizes but never skips cells.
@@ -46,12 +44,11 @@ pub struct MatrixConfig {
 }
 
 impl Default for MatrixConfig {
-    /// The CI gate's configuration: seed 7, the WAN link model, no
-    /// chaos, smoke from `ATHENA_CHAOS_SMOKE`.
+    /// The CI gate's configuration: seed 7, no chaos, smoke from
+    /// `ATHENA_CHAOS_SMOKE`.
     fn default() -> Self {
         MatrixConfig {
             seed: 7,
-            link_model: Some(LinkModel::wan()),
             chaos: None,
             smoke: env_flag("ATHENA_CHAOS_SMOKE"),
         }
@@ -132,9 +129,7 @@ pub fn run_family(family: AttackFamily, cfg: &MatrixConfig) -> FamilyRun {
     let tel = Telemetry::new();
     let mut net = Network::new(topo.clone());
     net.bind_telemetry(&tel);
-    if let Some(model) = cfg.link_model {
-        net.set_link_model(model, seed);
-    }
+    net.set_link_model(LinkModel::wan(), seed);
     let mut cluster = ControllerCluster::new(&topo);
     let athena = Athena::with_telemetry(AthenaConfig::default(), tel.clone());
     athena.attach(&mut cluster);
@@ -324,7 +319,8 @@ pub struct MatrixReport {
     pub smoke: bool,
     /// The chaos scenario composed into every run, if any.
     pub chaos: Option<String>,
-    /// Whether the stochastic link model was installed.
+    /// Whether the stochastic link model was installed: always, since
+    /// every family run installs the WAN model.
     pub link_model: bool,
     /// Every (family × algorithm) cell, families outermost, both in
     /// fixed taxonomy/menu order.
@@ -386,7 +382,7 @@ pub fn run_matrix(cfg: &MatrixConfig) -> MatrixReport {
         seed: cfg.seed,
         smoke: cfg.smoke,
         chaos: cfg.chaos.map(|s| s.name().to_owned()),
-        link_model: cfg.link_model.is_some(),
+        link_model: true,
         cells,
         generalization,
     }

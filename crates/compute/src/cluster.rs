@@ -13,14 +13,10 @@ use std::time::Instant;
 /// Metrics for one executed job.
 #[derive(Debug, Clone, PartialEq)]
 pub struct JobMetrics {
-    /// Sequential job number.
-    pub job_id: u64,
     /// The operation that ran the job (e.g. `"map"`, `"map_partitions"`).
     pub label: String,
     /// Number of tasks (one per partition).
     pub tasks: usize,
-    /// Sum of measured task CPU time.
-    pub total_task_time: SimDuration,
     /// The job's virtual completion time under the cluster's scheduler.
     pub virtual_time: SimDuration,
 }
@@ -187,15 +183,13 @@ impl ComputeCluster {
         }
         tel.tasks.add(costs.len() as u64);
         let virtual_time = self.inner.scheduler.makespan(&costs);
-        let job_id = self.inner.job_counter.fetch_add(1, Ordering::Relaxed);
+        self.inner.job_counter.fetch_add(1, Ordering::Relaxed);
         self.inner
             .virtual_micros
             .fetch_add(virtual_time.as_micros(), Ordering::Relaxed);
         self.inner.jobs.lock().push(JobMetrics {
-            job_id,
             label: label.to_owned(),
             tasks: partitions.len(),
-            total_task_time: SimDuration::from_micros(costs.iter().map(|d| d.as_micros()).sum()),
             virtual_time,
         });
         job_timer.observe(&tel.job_ns);

@@ -5,25 +5,16 @@ use crate::packet::{PacketContext, PacketProcessor};
 use athena_openflow::{Action, FlowMod, MatchFields};
 use athena_types::SimDuration;
 
+/// Idle timeout for installed rules.
+const IDLE_TIMEOUT: SimDuration = SimDuration::from_secs(30);
+/// Rule priority (low, so policy apps can override).
+const PRIORITY: u16 = 10;
+
 /// Installs exact-match shortest-path rules on table misses — the default
 /// forwarding application.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct ReactiveForwarding {
-    /// Idle timeout for installed rules.
-    pub idle_timeout: SimDuration,
-    /// Rule priority (low, so policy apps can override).
-    pub priority: u16,
     installs: u64,
-}
-
-impl Default for ReactiveForwarding {
-    fn default() -> Self {
-        ReactiveForwarding {
-            idle_timeout: SimDuration::from_secs(30),
-            priority: 10,
-            installs: 0,
-        }
-    }
 }
 
 impl ReactiveForwarding {
@@ -63,16 +54,16 @@ impl PacketProcessor for ReactiveForwarding {
             ctx.install_rule(
                 app_ids::FWD,
                 hop,
-                FlowMod::add(m, self.priority, vec![Action::Output(port)])
-                    .with_idle_timeout(self.idle_timeout),
+                FlowMod::add(m, PRIORITY, vec![Action::Output(port)])
+                    .with_idle_timeout(IDLE_TIMEOUT),
             );
         }
         self.installs += 1;
         ctx.install_rule(
             app_ids::FWD,
             dst_switch,
-            FlowMod::add(m, self.priority, vec![Action::Output(dst_port)])
-                .with_idle_timeout(self.idle_timeout),
+            FlowMod::add(m, PRIORITY, vec![Action::Output(dst_port)])
+                .with_idle_timeout(IDLE_TIMEOUT),
         );
         ctx.block();
     }

@@ -10,16 +10,17 @@ use crate::packet::{PacketContext, PacketProcessor};
 use athena_openflow::{Action, FlowMod, MatchFields};
 use athena_types::{Ipv4Addr, SimDuration};
 
+/// Soft timeout for installed rules (drives Figure 9's sawtooth).
+const SOFT_TIMEOUT: SimDuration = SimDuration::from_secs(10);
+/// Rule priority (above plain forwarding, below the security app).
+const PRIORITY: u16 = 50;
+
 /// Splits traffic toward a server subnet across link-disjoint paths,
 /// round-robin per new flow, with soft (idle) timeouts.
 #[derive(Debug, Clone)]
 pub struct LoadBalancer {
     /// The destination subnet this app load-balances.
-    pub subnet: (Ipv4Addr, u8),
-    /// Soft timeout for installed rules (drives Figure 9's sawtooth).
-    pub soft_timeout: SimDuration,
-    /// Rule priority (above plain forwarding, below the security app).
-    pub priority: u16,
+    subnet: (Ipv4Addr, u8),
     next_path: usize,
 }
 
@@ -28,8 +29,6 @@ impl LoadBalancer {
     pub fn new(subnet: (Ipv4Addr, u8)) -> Self {
         LoadBalancer {
             subnet,
-            soft_timeout: SimDuration::from_secs(10),
-            priority: 50,
             next_path: 0,
         }
     }
@@ -65,15 +64,15 @@ impl PacketProcessor for LoadBalancer {
             ctx.install_rule(
                 app_ids::LB,
                 *hop,
-                FlowMod::add(m, self.priority, vec![Action::Output(*port)])
-                    .with_idle_timeout(self.soft_timeout),
+                FlowMod::add(m, PRIORITY, vec![Action::Output(*port)])
+                    .with_idle_timeout(SOFT_TIMEOUT),
             );
         }
         ctx.install_rule(
             app_ids::LB,
             dst_switch,
-            FlowMod::add(m, self.priority, vec![Action::Output(dst_port)])
-                .with_idle_timeout(self.soft_timeout),
+            FlowMod::add(m, PRIORITY, vec![Action::Output(dst_port)])
+                .with_idle_timeout(SOFT_TIMEOUT),
         );
         ctx.block();
     }
@@ -117,7 +116,7 @@ mod tests {
                 panic!("flow mod expected")
             };
             first_hops.push(Action::first_output(&body.actions).unwrap());
-            assert_eq!(body.idle_timeout, lb.soft_timeout);
+            assert_eq!(body.idle_timeout, SOFT_TIMEOUT);
         }
         assert_ne!(first_hops[0], first_hops[1], "round-robin paths");
         assert_eq!(lb.next_path, 2);

@@ -11,30 +11,28 @@ use crate::packet::{PacketContext, PacketProcessor};
 use athena_openflow::{Action, FlowMod, MatchFields};
 use athena_types::{Dpid, SimDuration, SimTime};
 
+/// Transport ports treated as FTP-related.
+const FTP_PORTS: [u16; 2] = [20, 21];
+/// Rule priority (above the load balancer).
+const PRIORITY: u16 = 200;
+/// Idle timeout for installed rules.
+const IDLE_TIMEOUT: SimDuration = SimDuration::from_secs(30);
+
 /// Redirects matching traffic through a waypoint switch (where the inline
 /// inspection device sits).
 #[derive(Debug, Clone)]
 pub struct SecurityApp {
-    /// Transport ports treated as FTP-related.
-    pub ftp_ports: Vec<u16>,
     /// The switch hosting the inline security device.
-    pub waypoint: Dpid,
-    /// Rule priority (above the load balancer).
-    pub priority: u16,
-    /// Idle timeout for installed rules.
-    pub idle_timeout: SimDuration,
+    waypoint: Dpid,
     /// The app only acts once activated (the paper activates it mid-run).
-    pub active_from: Option<SimTime>,
+    active_from: Option<SimTime>,
 }
 
 impl SecurityApp {
     /// Creates the app, inactive until [`SecurityApp::activate_at`].
     pub fn new(waypoint: Dpid) -> Self {
         SecurityApp {
-            ftp_ports: vec![20, 21],
             waypoint,
-            priority: 200,
-            idle_timeout: SimDuration::from_secs(30),
             active_from: None,
         }
     }
@@ -47,10 +45,6 @@ impl SecurityApp {
 
     fn is_active(&self, now: SimTime) -> bool {
         self.active_from.is_some_and(|t| now >= t)
-    }
-
-    fn is_ftp(&self, dst_port: u16) -> bool {
-        self.ftp_ports.contains(&dst_port)
     }
 }
 
@@ -70,7 +64,7 @@ impl PacketProcessor for SecurityApp {
         let Some(ft) = ctx.header.five_tuple() else {
             return;
         };
-        if !self.is_ftp(ft.dst_port) {
+        if !FTP_PORTS.contains(&ft.dst_port) {
             return;
         }
         let Some((dst_switch, dst_port)) = ctx.hosts.location_of(ft.dst) else {
@@ -88,15 +82,15 @@ impl PacketProcessor for SecurityApp {
             ctx.install_rule(
                 app_ids::SECURITY,
                 *hop,
-                FlowMod::add(m, self.priority, vec![Action::Output(*port)])
-                    .with_idle_timeout(self.idle_timeout),
+                FlowMod::add(m, PRIORITY, vec![Action::Output(*port)])
+                    .with_idle_timeout(IDLE_TIMEOUT),
             );
         }
         ctx.install_rule(
             app_ids::SECURITY,
             dst_switch,
-            FlowMod::add(m, self.priority, vec![Action::Output(dst_port)])
-                .with_idle_timeout(self.idle_timeout),
+            FlowMod::add(m, PRIORITY, vec![Action::Output(dst_port)])
+                .with_idle_timeout(IDLE_TIMEOUT),
         );
         ctx.block();
     }

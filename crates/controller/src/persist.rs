@@ -37,9 +37,9 @@ pub struct ControllerRecoveryReport {
     /// WAL tail records replayed after the checkpoint.
     pub ops_replayed: u64,
     /// Mastership events among the replayed records.
-    pub mastership_events: u64,
+    mastership_events: u64,
     /// Flow rules live after recovery.
-    pub rules_live: u64,
+    rules_live: u64,
     /// Torn/corrupt WAL tails truncated during recovery.
     pub tails_truncated: u64,
     /// Corrupt checkpoint files skipped during recovery.

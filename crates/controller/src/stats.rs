@@ -196,7 +196,7 @@ impl PollTracker {
 #[derive(Debug, Clone)]
 pub struct StatsPoller {
     /// The polling period.
-    pub interval: SimDuration,
+    interval: SimDuration,
     switches: Vec<Dpid>,
     last_poll: SimTime,
     polls: PollTracker,

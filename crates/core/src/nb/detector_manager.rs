@@ -140,8 +140,10 @@ impl DetectionModel {
         summary.record(actual, predicted, cluster);
     }
 
-    /// The counts-only tally of points labeled with their ground truth.
-    fn tally_points(&self, points: &[LabeledPoint]) -> ValidationSummary {
+    /// The counts-only tally of points labeled with their ground truth:
+    /// the per-point work of a validation job, Athena's and Figure 10's
+    /// raw comparator alike.
+    pub fn tally_points(&self, points: &[LabeledPoint]) -> ValidationSummary {
         let mut summary = self.empty_summary();
         for p in points {
             self.tally(&mut summary, p.features.clone(), p.is_malicious());

@@ -161,7 +161,6 @@ impl FeatureManager {
             sort: query.sort.clone(),
             limit: query.limit,
             projection,
-            ..FindOptions::default()
         };
         self.collection
             .find(&query.filter, &options)

@@ -52,9 +52,9 @@ pub struct MessageFaultCounters {
     /// Messages silently dropped.
     pub dropped: u64,
     /// Messages processed twice.
-    pub duplicated: u64,
+    duplicated: u64,
     /// Messages held back and delivered late.
-    pub delayed: u64,
+    delayed: u64,
 }
 
 /// Wraps any [`ControllerLink`], injecting southbound message faults

@@ -12,17 +12,17 @@ use athena_types::SimTime;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct FaultCounters {
     /// Total events applied.
-    pub injected: u64,
+    injected: u64,
     /// Link down/degrade/restore events applied.
-    pub link_events: u64,
+    link_events: u64,
     /// Switch reboots applied.
     pub switch_reboots: u64,
     /// Controller crash/rejoin events applied.
-    pub controller_events: u64,
+    controller_events: u64,
     /// Store node down/up transitions applied.
-    pub store_events: u64,
+    store_events: u64,
     /// Message-fault profile changes applied.
-    pub message_profile_changes: u64,
+    message_profile_changes: u64,
 }
 
 /// Applies a [`FaultPlan`]'s events to the network, control plane, and

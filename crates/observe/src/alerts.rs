@@ -57,7 +57,7 @@ pub struct AlertRule {
     /// Stable rule name (appears in events, reports, and exports).
     pub name: &'static str,
     /// The watched signal.
-    pub signal: AlertSignal,
+    signal: AlertSignal,
     /// Whether the signal is a pure function of simulated behavior.
     pub deterministic: bool,
 }

@@ -34,7 +34,7 @@ pub struct ReplayStats {
     /// Records skipped because their sequence number was already seen.
     pub duplicates_skipped: u64,
     /// Replay stopped early at a forward sequence gap.
-    pub stopped_at_gap: bool,
+    stopped_at_gap: bool,
 }
 
 /// Result of replaying a WAL directory.

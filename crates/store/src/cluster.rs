@@ -153,14 +153,8 @@ pub struct ClusterMetrics {
     pub inserts: u64,
     /// Replica writes performed (including the primary).
     pub replica_writes: u64,
-    /// Find operations served.
-    pub finds: u64,
-    /// Aggregations served.
-    pub aggregations: u64,
     /// Documents deleted.
-    pub deletes: u64,
-    /// Logical documents changed by cluster-wide updates.
-    pub updates: u64,
+    deletes: u64,
     /// Writes redirected off a down replica onto the next ring node.
     pub write_handoffs: u64,
     /// Inserts rejected for lack of a write quorum.
@@ -173,10 +167,7 @@ pub struct ClusterMetrics {
 pub(crate) struct MetricsInner {
     inserts: AtomicU64,
     replica_writes: AtomicU64,
-    finds: AtomicU64,
-    aggregations: AtomicU64,
     deletes: AtomicU64,
-    updates: AtomicU64,
     write_handoffs: AtomicU64,
     quorum_failures: AtomicU64,
     degraded_reads: AtomicU64,
@@ -333,10 +324,7 @@ impl StoreCluster {
         ClusterMetrics {
             inserts: self.metrics.inserts.load(Ordering::Relaxed),
             replica_writes: self.metrics.replica_writes.load(Ordering::Relaxed),
-            finds: self.metrics.finds.load(Ordering::Relaxed),
-            aggregations: self.metrics.aggregations.load(Ordering::Relaxed),
             deletes: self.metrics.deletes.load(Ordering::Relaxed),
-            updates: self.metrics.updates.load(Ordering::Relaxed),
             write_handoffs: self.metrics.write_handoffs.load(Ordering::Relaxed),
             quorum_failures: self.metrics.quorum_failures.load(Ordering::Relaxed),
             degraded_reads: self.metrics.degraded_reads.load(Ordering::Relaxed),
@@ -813,7 +801,6 @@ impl CollectionHandle {
     /// the body it changes, so a reader never sees it — that costs a
     /// reference count per hit, and a new body only under a projection.
     pub fn find(&self, filter: &Filter, opts: &FindOptions) -> Vec<Arc<Document>> {
-        self.cluster.metrics.finds.fetch_add(1, Ordering::Relaxed);
         opts.apply(self.find_primaries(filter))
     }
 
@@ -845,8 +832,6 @@ impl CollectionHandle {
 
     /// Runs an aggregation pipeline over the matching documents.
     pub fn aggregate(&self, pipeline: &Aggregation) -> Vec<Arc<Document>> {
-        let m = &self.cluster.metrics;
-        m.aggregations.fetch_add(1, Ordering::Relaxed);
         pipeline.run(self.find_primaries(&Filter::All))
     }
 
@@ -882,9 +867,7 @@ impl CollectionHandle {
         if let Some(coll) = self.collection(false) {
             coll.update_ids(&self.cluster.nodes, &victims, changes);
         }
-        let n = victims.len() as u64;
-        self.cluster.metrics.updates.fetch_add(n, Ordering::Relaxed);
-        if n > 0 {
+        if !victims.is_empty() {
             let _ = self.cluster.journal(|| StoreOp::Update {
                 coll: self.name.clone(),
                 ids: victims.clone(),

@@ -6,7 +6,7 @@
 //!
 //! - JSON documents with generated ids ([`document`] module),
 //! - a filter tree with MongoDB-like operators ([`filter`] module),
-//! - find options (sort / skip / limit / projection) and an aggregation
+//! - find options (sort / limit / projection) and an aggregation
 //!   pipeline (match / group / sort / limit) ([`query`] module),
 //! - ordered secondary indexes ([`index`] module),
 //! - collections with CRUD + index maintenance ([`collection`] module),

@@ -35,7 +35,7 @@ pub struct StoreRecoveryReport {
     /// A checkpoint snapshot was loaded and applied.
     pub checkpoint_applied: bool,
     /// Documents restored from the checkpoint snapshot.
-    pub docs_restored: u64,
+    docs_restored: u64,
     /// WAL tail operations replayed after the checkpoint.
     pub ops_replayed: u64,
     /// Torn/corrupt WAL tails truncated during recovery.

@@ -49,7 +49,7 @@ impl SortSpec {
     }
 }
 
-/// Options applied to a `find`: sort, skip, limit, projection.
+/// Options applied to a `find`: sort, limit, projection.
 ///
 /// # Examples
 ///
@@ -64,8 +64,6 @@ impl SortSpec {
 pub struct FindOptions {
     /// Sort keys, applied in order.
     pub sort: Vec<SortSpec>,
-    /// Number of leading results to skip.
-    pub skip: usize,
     /// Maximum number of results.
     pub limit: Option<usize>,
     /// If non-empty, keep only these fields.
@@ -76,12 +74,6 @@ impl FindOptions {
     /// Adds a sort key.
     pub fn sort(mut self, spec: SortSpec) -> Self {
         self.sort.push(spec);
-        self
-    }
-
-    /// Sets the skip count.
-    pub fn skip(mut self, n: usize) -> Self {
-        self.skip = n;
         self
     }
 
@@ -97,13 +89,12 @@ impl FindOptions {
         self
     }
 
-    /// Applies sort/skip/limit/projection to a result set. Documents are
+    /// Applies sort/limit/projection to a result set. Documents are
     /// moved by handle; only a projection builds new bodies.
     pub fn apply(&self, mut docs: Vec<Arc<Document>>) -> Vec<Arc<Document>> {
         if !self.sort.is_empty() {
             docs.sort_by(|a, b| self.compare_docs(a, b));
         }
-        docs.drain(..self.skip.min(docs.len()));
         if let Some(n) = self.limit {
             docs.truncate(n);
         }
@@ -416,14 +407,11 @@ mod tests {
     }
 
     #[test]
-    fn sort_skip_limit() {
-        let opts = FindOptions::default()
-            .sort(SortSpec::desc("pkts"))
-            .skip(1)
-            .limit(2);
+    fn sort_then_limit() {
+        let opts = FindOptions::default().sort(SortSpec::desc("pkts")).limit(2);
         let out = opts.apply(docs());
         let pkts: Vec<i64> = out.iter().filter_map(|d| d.get_i64("pkts")).collect();
-        assert_eq!(pkts, vec![30, 10]);
+        assert_eq!(pkts, vec![50, 30]);
     }
 
     #[test]

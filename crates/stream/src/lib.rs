@@ -36,7 +36,7 @@ pub mod manager;
 pub mod online;
 pub mod window;
 
-pub use manager::{RetrainLoop, RetrainPolicy, RetrainReport, StreamConfig};
+pub use manager::{RetrainLoop, RetrainReport, StreamConfig};
 pub use online::{
     IncrementalNaiveBayes, OnlineModel, OnlineSpec, SequentialKMeans, StreamingQuantile,
 };

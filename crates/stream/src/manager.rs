@@ -34,36 +34,14 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// When and on how much data the loop retrains.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RetrainPolicy {
-    /// Minimum virtual time between retrains.
-    pub interval: SimDuration,
-    /// Live-window horizon: points older than this are evicted.
-    pub window: SimDuration,
-    /// Skip retraining below this many live points.
-    pub min_points: usize,
-    /// Hard cap on retained live points (oldest evicted first).
-    pub max_points: usize,
-    /// Snapshot path for the persist round-trip. When set, every
-    /// candidate is written with `DetectionModel::save_to` and the
-    /// *reloaded* copy is what gets swapped in — proving the deployed
-    /// model survives the crash-recovery format. `None` swaps the
-    /// in-memory candidate directly.
-    pub snapshot: Option<PathBuf>,
-}
-
-impl Default for RetrainPolicy {
-    fn default() -> Self {
-        RetrainPolicy {
-            interval: SimDuration::from_secs(10),
-            window: SimDuration::from_secs(30),
-            min_points: 64,
-            max_points: 8192,
-            snapshot: None,
-        }
-    }
-}
+/// Minimum virtual time between retrains.
+const RETRAIN_INTERVAL: SimDuration = SimDuration::from_secs(10);
+/// Live-window horizon: points older than this are evicted.
+const WINDOW: SimDuration = SimDuration::from_secs(30);
+/// Skip retraining below this many live points.
+const MIN_POINTS: usize = 64;
+/// Hard cap on retained live points (oldest evicted first).
+const MAX_POINTS: usize = 8192;
 
 /// Everything a streaming deployment needs besides the runtime itself.
 #[derive(Debug, Clone)]
@@ -74,8 +52,12 @@ pub struct StreamConfig {
     pub spec: OnlineSpec,
     /// Preprocessing refitted on each live window before the fit.
     pub preprocessor: Preprocessor,
-    /// Retrain cadence and window bounds.
-    pub policy: RetrainPolicy,
+    /// Snapshot path for the persist round-trip. When set, every
+    /// candidate is written with `DetectionModel::save_to` and the
+    /// *reloaded* copy is what gets swapped in — proving the deployed
+    /// model survives the crash-recovery format. `None` swaps the
+    /// in-memory candidate directly.
+    pub snapshot: Option<PathBuf>,
 }
 
 /// What one completed retrain did.
@@ -92,21 +74,19 @@ pub struct RetrainReport {
 }
 
 /// The bounded, virtual-time-evicted buffer of labeled live traffic.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 struct LiveWindow {
     entries: VecDeque<(SimTime, LabeledPoint)>,
-    horizon: SimDuration,
-    max_points: usize,
 }
 
 impl LiveWindow {
     fn push(&mut self, at: SimTime, point: LabeledPoint) {
-        let cutoff = SimTime::from_micros(at.as_micros().saturating_sub(self.horizon.as_micros()));
+        let cutoff = SimTime::from_micros(at.as_micros().saturating_sub(WINDOW.as_micros()));
         while self.entries.front().is_some_and(|&(t, _)| t < cutoff) {
             self.entries.pop_front();
         }
         self.entries.push_back((at, point));
-        while self.entries.len() > self.max_points {
+        while self.entries.len() > MAX_POINTS {
             self.entries.pop_front();
         }
     }
@@ -158,14 +138,7 @@ impl RetrainLoop {
         });
         let validator = athena.add_online_validator(query, initial, wrapped);
 
-        let live = Arc::new(TrackedMutex::new(
-            "stream/live",
-            LiveWindow {
-                entries: VecDeque::new(),
-                horizon: cfg.policy.window,
-                max_points: cfg.policy.max_points.max(1),
-            },
-        ));
+        let live = Arc::new(TrackedMutex::new("stream/live", LiveWindow::default()));
         {
             let live = Arc::clone(&live);
             let truth = Arc::clone(&truth);
@@ -216,14 +189,14 @@ impl RetrainLoop {
     /// `stream/swap_failures` (watched by the `model-swap-failed`
     /// alert rule).
     pub fn tick(&mut self, athena: &Athena, now: SimTime) -> Option<RetrainReport> {
-        let due = self.last_retrain.is_none_or(|t| {
-            now.saturating_since(t).as_micros() >= self.cfg.policy.interval.as_micros()
-        });
+        let due = self
+            .last_retrain
+            .is_none_or(|t| now.saturating_since(t).as_micros() >= RETRAIN_INTERVAL.as_micros());
         if !due {
             return None;
         }
         let points = self.live.lock().snapshot();
-        if points.len() < self.cfg.policy.min_points {
+        if points.len() < MIN_POINTS {
             return None;
         }
         self.last_retrain = Some(now);
@@ -234,7 +207,7 @@ impl RetrainLoop {
             // threshold): keep the incumbent and try again next tick.
             Err(_) => return None,
         };
-        let deployed = match &self.cfg.policy.snapshot {
+        let deployed = match &self.cfg.snapshot {
             Some(path) => candidate
                 .save_to(path, now)
                 .and_then(|()| DetectionModel::load_from(path)),

@@ -54,8 +54,6 @@ pub struct AttackConfig {
     pub duration: SimDuration,
     /// Attack size (flows, probes, or clients depending on the family).
     pub n_flows: usize,
-    /// The LFA target link (defaults to the linear topology bottleneck).
-    pub lfa_link: Option<(Dpid, Dpid)>,
 }
 
 impl AttackConfig {
@@ -66,7 +64,6 @@ impl AttackConfig {
             start: SimTime::from_secs(8),
             duration: SimDuration::from_secs(22),
             n_flows: 150,
-            lfa_link: None,
         }
     }
 }
@@ -201,7 +198,8 @@ impl AttackFamily {
                 ),
             ),
             AttackFamily::Lfa => {
-                let (a, b) = cfg.lfa_link.unwrap_or((Dpid::new(2), Dpid::new(3)));
+                // The linear topology's bottleneck link.
+                let (a, b) = (Dpid::new(2), Dpid::new(3));
                 (
                     MutationParams::identity(),
                     workload::crossfire(

@@ -17,13 +17,13 @@ use serde::{Deserialize, Serialize};
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MutationBounds {
     /// Rate multiplier interval.
-    pub rate_scale: (f64, f64),
+    rate_scale: (f64, f64),
     /// Flow-duration multiplier interval.
-    pub duration_scale: (f64, f64),
+    duration_scale: (f64, f64),
     /// Packet-size multiplier interval.
-    pub packet_size_scale: (f64, f64),
+    packet_size_scale: (f64, f64),
     /// Extra per-flow start jitter in seconds.
-    pub start_jitter_s: (f64, f64),
+    start_jitter_s: (f64, f64),
 }
 
 /// The declared mutation-operator bounds (documented in DESIGN.md §12).

@@ -7,7 +7,7 @@
 //! cargo run --example lfa_mitigation
 //! ```
 
-use athena::apps::{LfaMitigator, LfaMitigatorConfig};
+use athena::apps::LfaMitigator;
 use athena::controller::ControllerCluster;
 use athena::core::{Athena, AthenaConfig};
 use athena::dataplane::{workload, Network, Topology};
@@ -22,7 +22,7 @@ fn main() -> Result<()> {
     let athena = Athena::new(AthenaConfig::default());
     athena.attach(&mut cluster);
 
-    let mut lfa = LfaMitigator::new(LfaMitigatorConfig::default());
+    let mut lfa = LfaMitigator::new();
     lfa.deploy(&athena);
 
     // Benign background plus the Crossfire attack on link 2 -> 3.

@@ -7,7 +7,7 @@
 //! cargo run --example nae_monitor
 //! ```
 
-use athena::apps::{NaeMonitor, NaeMonitorConfig};
+use athena::apps::NaeMonitor;
 use athena::controller::apps::{LoadBalancer, SecurityApp};
 use athena::controller::ControllerCluster;
 use athena::core::{Athena, AthenaConfig};
@@ -36,7 +36,7 @@ fn main() -> Result<()> {
 
     let athena = Athena::new(AthenaConfig::default());
     athena.attach(&mut cluster);
-    let monitor = NaeMonitor::new(NaeMonitorConfig::default());
+    let monitor = NaeMonitor::new();
     monitor.deploy(&athena);
 
     // FTP-dominated traffic from the edge clients, arriving continuously

@@ -12,7 +12,7 @@ use athena::controller::ControllerCluster;
 use athena::core::{Athena, AthenaConfig, FeatureRecord};
 use athena::dataplane::{workload, Network, Topology};
 use athena::ml::Algorithm;
-use athena::stream::{OnlineSpec, RetrainLoop, RetrainPolicy, StreamConfig};
+use athena::stream::{OnlineSpec, RetrainLoop, StreamConfig};
 use athena::types::{Result, SimDuration, SimTime};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -77,10 +77,7 @@ fn main() -> Result<()> {
             features: DdosDetector::features(),
             spec: OnlineSpec::NaiveBayes,
             preprocessor: det.preprocessor(),
-            policy: RetrainPolicy {
-                snapshot: Some(snapshot.clone()),
-                ..RetrainPolicy::default()
-            },
+            snapshot: Some(snapshot.clone()),
         },
         truth,
         bootstrap,

@@ -47,6 +47,9 @@ test -s target/analysis-report.json
 echo "==> analysis violation corpus (each rule fires exactly once)"
 cargo test -q -p athena-analyze --offline --test corpus
 
+echo "==> unused-pub over fields (names in tests/ and ledger/src count; serde structs and test regions exempt; pub(crate) flagged)"
+cargo test -q --offline --test static_analysis unused_pub_field
+
 echo "==> one lock type (no untracked production lock; the apps' handler locks in lock_order)"
 # The apps' locks are taken inside event-handler closures the derived
 # graph does not resolve: the sentinel test checks their runtime order.

@@ -15,7 +15,7 @@
 
 mod common;
 
-use athena::apps::{DdosDetector, DdosDetectorConfig, ScanDetector, ScanDetectorConfig};
+use athena::apps::{DdosDetector, DdosDetectorConfig, ScanDetector};
 use athena::controller::ControllerCluster;
 use athena::core::{Athena, AthenaConfig};
 use athena::dataplane::{workload, Network, Topology};
@@ -200,7 +200,7 @@ fn port_scan_snapshot() -> Snapshot {
     let mut r = rig();
     let scanner = r.topo.hosts[0].ip;
     let target = r.topo.hosts[30].ip;
-    let mut det = ScanDetector::new(ScanDetectorConfig::default());
+    let mut det = ScanDetector::new();
     det.deploy(&r.athena);
     r.net.inject_flows(workload::benign_mix_on(
         &r.topo,
@@ -299,7 +299,7 @@ fn matrix_cell_bytes() -> String {
 fn stream_hot_swap_snapshot() -> Snapshot {
     use athena::apps::DdosDataset;
     use athena::ml::Algorithm;
-    use athena::stream::{OnlineSpec, RetrainLoop, RetrainPolicy, StreamConfig};
+    use athena::stream::{OnlineSpec, RetrainLoop, StreamConfig};
     use std::sync::Arc;
 
     let mut r = rig();
@@ -327,7 +327,7 @@ fn stream_hot_swap_snapshot() -> Snapshot {
             features: DdosDetector::features(),
             spec: OnlineSpec::NaiveBayes,
             preprocessor: det.preprocessor(),
-            policy: RetrainPolicy::default(),
+            snapshot: None,
         },
         Arc::new(move |rec| (truth_det.truth())(rec)),
         bootstrap,
@@ -480,7 +480,7 @@ fn sentinel_orders_the_apps_locks_after_the_core_locks() {
     // manager's ingest, while `core/feature_manager` is held (under SB
     // dispatch, all four core locks are). The handlers are closures, so
     // the static graph never sees that nesting: only the sentinel does.
-    use athena::apps::{LfaMitigator, LfaMitigatorConfig, NaeMonitor, NaeMonitorConfig};
+    use athena::apps::{LfaMitigator, NaeMonitor};
     use athena::core::{FeatureIndex, FeatureRecord, MessageType, MetaData};
     use athena::types::sentinel::Access;
     use athena::types::{Dpid, FiveTuple, Ipv4Addr, PortNo};
@@ -506,8 +506,9 @@ fn sentinel_orders_the_apps_locks_after_the_core_locks() {
         MessageType::PORT_STATS,
         &[("PORT_TX_UTILIZATION", 0.95), ("PORT_TX_DROPPED_VAR", 0.0)],
     );
+    // Switch 3 is one of the two the NAE monitor's SLA covers.
     let monitored_switch = record(
-        FeatureIndex::switch(NaeMonitorConfig::default().switches.0),
+        FeatureIndex::switch(Dpid::new(3)),
         MessageType::SWITCH_STATE,
         &[("SWITCH_PACKET_COUNT_TOTAL", 100.0)],
     );
@@ -524,9 +525,9 @@ fn sentinel_orders_the_apps_locks_after_the_core_locks() {
     );
 
     let athena = Athena::new(AthenaConfig::default());
-    let lfa = LfaMitigator::new(LfaMitigatorConfig::default());
-    let nae = NaeMonitor::new(NaeMonitorConfig::default());
-    let scan = ScanDetector::new(ScanDetectorConfig::default());
+    let lfa = LfaMitigator::new();
+    let nae = NaeMonitor::new();
+    let scan = ScanDetector::new();
     lfa.deploy(&athena);
     nae.deploy(&athena);
     scan.deploy(&athena);

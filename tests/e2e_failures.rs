@@ -11,7 +11,7 @@
 
 mod common;
 
-use athena::apps::{DdosDetector, DdosDetectorConfig, ScanDetector, ScanDetectorConfig};
+use athena::apps::{DdosDetector, DdosDetectorConfig, ScanDetector};
 use athena::controller::ControllerCluster;
 use athena::core::{Athena, AthenaConfig, Query};
 use athena::dataplane::{workload, Network, ShardPlan, Topology};
@@ -185,7 +185,7 @@ fn chaos_matrix_port_scan_detection_survives_every_scenario() {
         let topo = Topology::enterprise();
         let scanner = topo.hosts[0].ip;
         let target = topo.hosts[30].ip;
-        let mut det = ScanDetector::new(ScanDetectorConfig::default());
+        let mut det = ScanDetector::new();
         let run = run_scenario(scenario, Telemetry::off(), end, |topo, net, athena| {
             det.deploy(athena);
             net.inject_flows(workload::benign_mix_on(

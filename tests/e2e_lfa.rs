@@ -4,7 +4,7 @@
 
 mod common;
 
-use athena::apps::{LfaMitigator, LfaMitigatorConfig};
+use athena::apps::LfaMitigator;
 use athena::dataplane::{workload, Topology};
 use athena::types::{Dpid, PortNo, SimDuration, SimTime};
 use common::deploy_on;
@@ -12,7 +12,7 @@ use common::deploy_on;
 #[test]
 fn crossfire_is_detected_and_mitigated() {
     let mut d = deploy_on(Topology::linear(4, 6));
-    let mut lfa = LfaMitigator::new(LfaMitigatorConfig::default());
+    let mut lfa = LfaMitigator::new();
     lfa.deploy(&d.athena);
 
     d.inject(workload::crossfire(
@@ -62,7 +62,7 @@ fn crossfire_is_detected_and_mitigated() {
 #[test]
 fn benign_traffic_does_not_trigger_mitigation() {
     let mut d = deploy_on(Topology::linear(4, 6));
-    let mut lfa = LfaMitigator::new(LfaMitigatorConfig::default());
+    let mut lfa = LfaMitigator::new();
     lfa.deploy(&d.athena);
 
     d.inject_benign(60, 40, 78);

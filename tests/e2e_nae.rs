@@ -3,7 +3,7 @@
 
 mod common;
 
-use athena::apps::{NaeMonitor, NaeMonitorConfig};
+use athena::apps::NaeMonitor;
 use athena::controller::apps::{LoadBalancer, SecurityApp};
 use athena::core::Athena;
 use athena::dataplane::{FlowSpec, ShardPlan, Topology};
@@ -24,7 +24,7 @@ fn run_scenario() -> (NaeMonitor, Athena) {
             SecurityApp::new(Dpid::new(6)).activate_at(SimTime::from_secs(ACTIVATE_AT)),
         ));
     });
-    let monitor = NaeMonitor::new(NaeMonitorConfig::default());
+    let monitor = NaeMonitor::new();
     monitor.deploy(&d.athena);
 
     let ftp = Ipv4Addr::new(10, 0, 4, 1);

@@ -4,7 +4,7 @@
 
 mod common;
 
-use athena::apps::{ScanDetector, ScanDetectorConfig};
+use athena::apps::ScanDetector;
 use athena::dataplane::workload;
 use athena::types::SimTime;
 use common::deploy_enterprise;
@@ -14,7 +14,7 @@ fn live_scan_is_flagged_and_blocked_benign_clients_are_not() {
     let mut d = deploy_enterprise();
     let scanner = d.topo.hosts[0].ip;
     let target = d.topo.hosts[30].ip;
-    let mut det = ScanDetector::new(ScanDetectorConfig::default());
+    let mut det = ScanDetector::new();
     det.deploy(&d.athena);
 
     // Benign background plus the scan.

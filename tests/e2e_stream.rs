@@ -30,7 +30,7 @@ use athena::core::{Athena, AthenaConfig, FeatureRecord};
 use athena::dataplane::{workload, Network, Topology};
 use athena::faults::{run_with_faults, ChaosChannel, FaultInjector, Scenario};
 use athena::ml::Algorithm;
-use athena::stream::{OnlineSpec, RetrainLoop, RetrainPolicy, StreamConfig};
+use athena::stream::{OnlineSpec, RetrainLoop, StreamConfig};
 use athena::telemetry::{names, Telemetry};
 use athena::types::{SimDuration, SimTime};
 use common::scaled;
@@ -149,11 +149,7 @@ fn stream_run(chaos: bool) -> StreamRun {
         features: DdosDetector::features(),
         spec: OnlineSpec::NaiveBayes,
         preprocessor: det.preprocessor(),
-        policy: RetrainPolicy {
-            interval: SimDuration::from_secs(10),
-            snapshot: Some(snap.clone()),
-            ..RetrainPolicy::default()
-        },
+        snapshot: Some(snap.clone()),
     };
     let truth_det = det.clone();
     let truth: Arc<dyn Fn(&FeatureRecord) -> bool + Send + Sync> =

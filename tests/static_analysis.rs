@@ -557,6 +557,73 @@ fn unused_pub_ignores_use_items_and_comments() {
     );
 }
 
+#[test]
+fn unused_pub_field_counts_names_in_tests_and_the_ledger() {
+    // A field is used when any other file spells its name: a read from
+    // `tests/` or a write from `ledger/src` both count.
+    let api = || {
+        file(
+            "crates/x/src/report.rs",
+            "pub struct Report {\n    pub read_by_tests: u64,\n    pub set_by_ledger: u64,\n}",
+        )
+    };
+    let tests = || file("tests/e2e.rs", "fn t(r: Report) -> u64 { r.read_by_tests }");
+    let ledger = || {
+        file(
+            "ledger/src/probes.rs",
+            "fn p(r: &mut Report) { r.set_by_ledger = 1; }",
+        )
+    };
+
+    assert_eq!(unused_pub(&[api(), tests()]), ["crates/x/src/report.rs:3"]);
+    assert_eq!(unused_pub(&[api(), ledger()]), ["crates/x/src/report.rs:2"]);
+    assert!(unused_pub(&[api(), tests(), ledger()]).is_empty());
+}
+
+#[test]
+fn unused_pub_field_exempts_serde_structs() {
+    // The derived encoder reads every field of a `Serialize` or
+    // `Deserialize` struct; a plain struct's field is flagged.
+    let files = [file(
+        "crates/x/src/artifact.rs",
+        "#[derive(Debug, Serialize)]\npub struct Written { pub total: u64 }\n\
+         #[derive(Clone, serde::Deserialize)]\n#[serde(deny_unknown_fields)]\n\
+         pub struct Read { pub source: String }\n\
+         #[derive(Debug)]\npub struct Plain { pub width: u64 }",
+    )];
+    assert_eq!(unused_pub(&files), ["crates/x/src/artifact.rs:7"]);
+}
+
+#[test]
+fn unused_pub_field_skips_test_regions() {
+    // A struct inside `#[cfg(test)]` or `mod tests` is test code, and so
+    // is a `#[cfg(test)]` field of a production struct.
+    let files = [file(
+        "crates/x/src/lib.rs",
+        "pub struct Live { #[cfg(test)] pub probe: u64, inner: u64 }\n\
+         #[cfg(test)]\nmod tests { pub struct Fixture { pub knob: u64 } }\n\
+         #[cfg(test)]\npub struct Oracle { pub naive: bool }",
+    )];
+    assert!(unused_pub(&files).is_empty());
+}
+
+#[test]
+fn unused_pub_field_flags_crate_visibility_and_ignores_use_items() {
+    // `pub(crate)` is public for the rule, and naming the field in a
+    // `use` item of another file (a same-named re-export) is no use.
+    let files = [
+        file(
+            "crates/x/src/window.rs",
+            "pub(crate) struct Window {\n    pub(crate) horizon: u64,\n    pub len: usize,\n}",
+        ),
+        file(
+            "crates/x/src/lib.rs",
+            "pub use window::{horizon, Window};\nfn size(w: &Window) -> usize { w.len }",
+        ),
+    ];
+    assert_eq!(unused_pub(&files), ["crates/x/src/window.rs:2"]);
+}
+
 /// Production files allowed a bare `std::sync` lock, with the reason.
 const BARE_LOCKS_ALLOWED: &[(&str, &str)] = &[
     (
