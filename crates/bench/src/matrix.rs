@@ -319,9 +319,6 @@ pub struct MatrixReport {
     pub smoke: bool,
     /// The chaos scenario composed into every run, if any.
     pub chaos: Option<String>,
-    /// Whether the stochastic link model was installed: always, since
-    /// every family run installs the WAN model.
-    pub link_model: bool,
     /// Every (family × algorithm) cell, families outermost, both in
     /// fixed taxonomy/menu order.
     pub cells: Vec<Cell>,
@@ -382,7 +379,6 @@ pub fn run_matrix(cfg: &MatrixConfig) -> MatrixReport {
         seed: cfg.seed,
         smoke: cfg.smoke,
         chaos: cfg.chaos.map(|s| s.name().to_owned()),
-        link_model: true,
         cells,
         generalization,
     }

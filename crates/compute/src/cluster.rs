@@ -6,15 +6,12 @@ use athena_observe::Observe;
 use athena_telemetry::{names, Counter, Histogram, Telemetry};
 use athena_types::sentinel::{TrackedMutex, TrackedRwLock};
 use athena_types::SimDuration;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
 /// Metrics for one executed job.
 #[derive(Debug, Clone, PartialEq)]
 pub struct JobMetrics {
-    /// The operation that ran the job (e.g. `"map"`, `"map_partitions"`).
-    pub label: String,
     /// Number of tasks (one per partition).
     pub tasks: usize,
     /// The job's virtual completion time under the cluster's scheduler.
@@ -24,19 +21,21 @@ pub struct JobMetrics {
 #[derive(Debug)]
 pub(crate) struct ClusterInner {
     pub(crate) scheduler: VirtualScheduler,
-    job_counter: AtomicU64,
-    virtual_micros: AtomicU64,
+    /// Tasks run: the one tally, reported by
+    /// [`ComputeCluster::bind_telemetry`].
+    tasks: Counter,
+    /// The job log: the one record of each job, which the job count and
+    /// the total virtual time are read off.
     jobs: TrackedMutex<Vec<JobMetrics>>,
     tel: TrackedRwLock<ComputeTelemetry>,
 }
 
-/// The cluster's telemetry instruments (detached until
-/// [`ComputeCluster::bind_telemetry`]).
-#[derive(Debug, Default)]
+/// The cluster's timing instruments (detached until
+/// [`ComputeCluster::bind_telemetry`]) and observe handle.
+#[derive(Debug, Clone, Default)]
 struct ComputeTelemetry {
     task_ns: Histogram,
     job_ns: Histogram,
-    tasks: Counter,
     observe: Observe,
 }
 
@@ -72,27 +71,26 @@ impl ComputeCluster {
         ComputeCluster {
             inner: Arc::new(ClusterInner {
                 scheduler: VirtualScheduler::new(workers, config),
-                job_counter: AtomicU64::new(0),
-                virtual_micros: AtomicU64::new(0),
+                tasks: Counter::default(),
                 jobs: TrackedMutex::new("compute/jobs", Vec::new()),
                 tel: TrackedRwLock::new("compute/tel", ComputeTelemetry::default()),
             }),
         }
     }
 
-    /// Routes task/job dispatch latencies into `tel` for every handle
-    /// cloned from this cluster.
+    /// Reports the task counter into `tel` and routes task/job dispatch
+    /// latencies there, for every handle cloned from this cluster.
     pub fn bind_telemetry(&self, tel: &Telemetry) {
         let m = tel.metrics();
         let sub = names::compute::SUBSYSTEM;
-        // Rebuild wholesale but keep any already-bound observe handle.
-        let observe = self.inner.tel.read().observe.clone();
-        *self.inner.tel.write() = ComputeTelemetry {
-            task_ns: m.histogram(sub, names::compute::TASK_NS),
-            job_ns: m.histogram(sub, names::compute::JOB_NS),
-            tasks: m.counter(sub, names::compute::TASKS),
-            observe,
-        };
+        m.register_counter(sub, names::compute::TASKS, &self.inner.tasks);
+        let (task_ns, job_ns) = (
+            m.histogram(sub, names::compute::TASK_NS),
+            m.histogram(sub, names::compute::JOB_NS),
+        );
+        let mut t = self.inner.tel.write();
+        t.task_ns = task_ns;
+        t.job_ns = job_ns;
     }
 
     /// Routes causal spans (the compute-job leg of a trace) into `obs`
@@ -120,12 +118,13 @@ impl ComputeCluster {
 
     /// Total virtual time consumed by all jobs so far.
     pub fn total_virtual_time(&self) -> SimDuration {
-        SimDuration::from_micros(self.inner.virtual_micros.load(Ordering::Relaxed))
+        let jobs = self.inner.jobs.lock();
+        SimDuration::from_micros(jobs.iter().map(|j| j.virtual_time.as_micros()).sum())
     }
 
     /// Number of jobs executed.
     pub fn job_count(&self) -> u64 {
-        self.inner.job_counter.load(Ordering::Relaxed)
+        self.inner.jobs.lock().len() as u64
     }
 
     /// Metrics of every executed job, in execution order.
@@ -136,8 +135,6 @@ impl ComputeCluster {
     /// Resets the virtual clock and job log (the worker count and cost
     /// model are kept). Used between benchmark repetitions.
     pub fn reset_accounting(&self) {
-        self.inner.virtual_micros.store(0, Ordering::Relaxed);
-        self.inner.job_counter.store(0, Ordering::Relaxed);
         self.inner.jobs.lock().clear();
     }
 
@@ -158,12 +155,7 @@ impl ComputeCluster {
         // log below is never locked while `tel` is held.
         let tel = {
             let guard = self.inner.tel.read();
-            ComputeTelemetry {
-                task_ns: guard.task_ns.clone(),
-                job_ns: guard.job_ns.clone(),
-                tasks: guard.tasks.clone(),
-                observe: guard.observe.clone(),
-            }
+            ComputeTelemetry::clone(&guard)
         };
         let span = tel.observe.span("compute", "job");
         let job_timer = tel.job_ns.start_timer();
@@ -181,14 +173,9 @@ impl ComputeCluster {
             costs.push(cost);
             results.push(r);
         }
-        tel.tasks.add(costs.len() as u64);
+        self.inner.tasks.add(costs.len() as u64);
         let virtual_time = self.inner.scheduler.makespan(&costs);
-        self.inner.job_counter.fetch_add(1, Ordering::Relaxed);
-        self.inner
-            .virtual_micros
-            .fetch_add(virtual_time.as_micros(), Ordering::Relaxed);
         self.inner.jobs.lock().push(JobMetrics {
-            label: label.to_owned(),
             tasks: partitions.len(),
             virtual_time,
         });

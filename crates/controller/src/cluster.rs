@@ -42,8 +42,6 @@ pub struct ControllerCluster {
     processors: Vec<Box<dyn PacketProcessor>>,
     interceptors: Vec<Box<dyn MessageInterceptor>>,
     poller: Option<StatsPoller>,
-    pub(crate) counters: ClusterCounters,
-    pub(crate) failover: FailoverCounters,
     tel: ClusterTelemetry,
     observe: Observe,
     pub(crate) persist: Option<crate::persist::ControllerPersist>,
@@ -53,31 +51,36 @@ pub struct ControllerCluster {
     pub(crate) last_seen: SimTime,
 }
 
-/// The cluster's telemetry instruments (detached until
-/// [`ControllerCluster::bind_telemetry`]).
-#[derive(Debug, Clone)]
+/// The cluster's instruments. The views read `live` plus `restored`;
+/// [`ControllerCluster::bind_telemetry`] registers only `live`.
+#[derive(Debug, Default)]
 struct ClusterTelemetry {
+    /// The events this cluster handled: one tally per event.
+    live: Tallies,
+    /// What recovery carried over from a checkpoint and a journal tail:
+    /// a deployment rebuilt in one process reports it only once.
+    restored: Tallies,
+    packet_in_ns: Histogram,
+    instances_down: Gauge,
+}
+
+/// The cluster's message and re-election counts.
+#[derive(Debug, Default)]
+struct Tallies {
     packet_ins: Counter,
     flow_mods: Counter,
     stats_replies: Counter,
     flow_removeds: Counter,
-    packet_in_ns: Histogram,
     elections: Counter,
     switches_moved: Counter,
-    instances_down: Gauge,
 }
 
-impl Default for ClusterTelemetry {
-    fn default() -> Self {
-        ClusterTelemetry {
-            packet_ins: Counter::detached(),
-            flow_mods: Counter::detached(),
-            stats_replies: Counter::detached(),
-            flow_removeds: Counter::detached(),
-            packet_in_ns: Histogram::detached(),
-            elections: Counter::detached(),
-            switches_moved: Counter::detached(),
-            instances_down: Gauge::detached(),
+impl Tallies {
+    /// Counts one re-election round if it moved any switch.
+    fn elect(&self, moved: &[Dpid]) {
+        if !moved.is_empty() {
+            self.elections.inc();
+            self.switches_moved.add(moved.len() as u64);
         }
     }
 }
@@ -114,8 +117,6 @@ impl ControllerCluster {
             processors: Vec::new(),
             interceptors: Vec::new(),
             poller: None,
-            counters: ClusterCounters::default(),
-            failover: FailoverCounters::default(),
             tel: ClusterTelemetry::default(),
             observe: Observe::disabled(),
             persist: None,
@@ -123,23 +124,22 @@ impl ControllerCluster {
         }
     }
 
-    /// Routes the cluster's counters and packet-in service latency into
-    /// `tel` (also rebinds the statistics poller, if any).
+    /// Reports the cluster's counters into `tel` and routes packet-in
+    /// service latency there (also binds the statistics poller, if any).
     pub fn bind_telemetry(&mut self, tel: &Telemetry) {
+        use names::{controller as ctl, failover as fo};
         let m = tel.metrics();
-        let ctl = names::controller::SUBSYSTEM;
-        let fo = names::failover::SUBSYSTEM;
-        self.tel = ClusterTelemetry {
-            packet_ins: m.counter(ctl, names::controller::PACKET_INS),
-            flow_mods: m.counter(ctl, names::controller::FLOW_MODS),
-            stats_replies: m.counter(ctl, names::controller::STATS_REPLIES),
-            flow_removeds: m.counter(ctl, names::controller::FLOW_REMOVEDS),
-            packet_in_ns: m.histogram(ctl, names::controller::PACKET_IN_NS),
-            elections: m.counter(fo, names::failover::ELECTIONS),
-            switches_moved: m.counter(fo, names::failover::SWITCHES_MOVED),
-            instances_down: m.gauge(fo, names::failover::INSTANCES_DOWN),
-        };
-        if let Some(poller) = &mut self.poller {
+        let t = &mut self.tel;
+        let l = &t.live;
+        m.register_counter(ctl::SUBSYSTEM, ctl::PACKET_INS, &l.packet_ins);
+        m.register_counter(ctl::SUBSYSTEM, ctl::FLOW_MODS, &l.flow_mods);
+        m.register_counter(ctl::SUBSYSTEM, ctl::STATS_REPLIES, &l.stats_replies);
+        m.register_counter(ctl::SUBSYSTEM, ctl::FLOW_REMOVEDS, &l.flow_removeds);
+        m.register_counter(fo::SUBSYSTEM, fo::ELECTIONS, &l.elections);
+        m.register_counter(fo::SUBSYSTEM, fo::SWITCHES_MOVED, &l.switches_moved);
+        t.packet_in_ns = m.histogram(ctl::SUBSYSTEM, ctl::PACKET_IN_NS);
+        t.instances_down = m.gauge(fo::SUBSYSTEM, fo::INSTANCES_DOWN);
+        if let Some(poller) = &self.poller {
             poller.bind_telemetry(tel);
         }
     }
@@ -193,12 +193,7 @@ impl ControllerCluster {
         if was_alive {
             self.journal(kind::MASTERSHIP, [MastershipEvent::Crash(c)]);
         }
-        if !moved.is_empty() {
-            self.failover.elections += 1;
-            self.failover.switches_moved += moved.len() as u64;
-            self.tel.elections.inc();
-            self.tel.switches_moved.add(moved.len() as u64);
-        }
+        self.tel.live.elect(&moved);
         moved
     }
 
@@ -212,13 +207,24 @@ impl ControllerCluster {
         if was_down {
             self.journal(kind::MASTERSHIP, [MastershipEvent::Rejoin(c)]);
         }
-        if !moved.is_empty() {
-            self.failover.elections += 1;
-            self.failover.switches_moved += moved.len() as u64;
-            self.tel.elections.inc();
-            self.tel.switches_moved.add(moved.len() as u64);
-        }
+        self.tel.live.elect(&moved);
         moved
+    }
+
+    /// Carries a checkpoint's counts over into a recovering cluster.
+    pub(crate) fn restore_counts(&self, c: ClusterCounters, f: FailoverCounters) {
+        let r = &self.tel.restored;
+        r.packet_ins.add(c.packet_ins);
+        r.flow_mods.add(c.flow_mods);
+        r.stats_replies.add(c.stats_replies);
+        r.flow_removeds.add(c.flow_removeds);
+        r.elections.add(f.elections);
+        r.switches_moved.add(f.switches_moved);
+    }
+
+    /// Carries over a re-election that recovery replays from the journal.
+    pub(crate) fn restore_election(&self, moved: &[Dpid]) {
+        self.tel.restored.elect(moved);
     }
 
     /// `true` if the instance has not crashed.
@@ -233,14 +239,24 @@ impl ControllerCluster {
             .set(i64::try_from(down).unwrap_or(i64::MAX));
     }
 
-    /// The cluster's message counters.
+    /// The cluster's message counters, recovered counts included.
     pub fn counters(&self) -> ClusterCounters {
-        self.counters
+        let (l, r) = (&self.tel.live, &self.tel.restored);
+        ClusterCounters {
+            packet_ins: l.packet_ins.get() + r.packet_ins.get(),
+            flow_mods: l.flow_mods.get() + r.flow_mods.get(),
+            stats_replies: l.stats_replies.get() + r.stats_replies.get(),
+            flow_removeds: l.flow_removeds.get() + r.flow_removeds.get(),
+        }
     }
 
-    /// The mastership re-election counters.
+    /// The mastership re-election counters, recovered counts included.
     pub fn failover_counters(&self) -> FailoverCounters {
-        self.failover
+        let (l, r) = (&self.tel.live, &self.tel.restored);
+        FailoverCounters {
+            elections: l.elections.get() + r.elections.get(),
+            switches_moved: l.switches_moved.get() + r.switches_moved.get(),
+        }
     }
 
     /// The flow-rule service (per-application attribution).
@@ -268,8 +284,7 @@ impl ControllerCluster {
         now: SimTime,
         commands: &mut Vec<(Dpid, OfMessage)>,
     ) {
-        self.counters.packet_ins += 1;
-        self.tel.packet_ins.inc();
+        self.tel.live.packet_ins.inc();
         // Host learning from observed source addresses.
         if let (Some(ip), true) = (header.ip_src, header.in_port.is_physical()) {
             if self.hosts.location_of(ip).is_none() {
@@ -318,6 +333,17 @@ impl ControllerCluster {
         self.register_proxy_rules(&out[start..], now);
     }
 
+    /// Counts the flow-mods a southbound message (or punt batch) was
+    /// answered with and journals their rule installs.
+    fn answer(&mut self, commands: &[(Dpid, OfMessage)], now: SimTime) {
+        let flow_mods = commands
+            .iter()
+            .filter(|(_, m)| matches!(m, OfMessage::FlowMod { .. }))
+            .count() as u64;
+        self.tel.live.flow_mods.add(flow_mods);
+        self.journal(kind::FLOW_RULE, rule_installs(commands, now));
+    }
+
     /// Rules issued through the proxy path are registered with the
     /// flow-rule store like any application's — the consistency property
     /// the paper's Athena Proxy exists for.
@@ -345,8 +371,7 @@ impl ControllerLink for ControllerCluster {
                 span.finish(format_args!("dpid={} cmds={}", from.raw(), commands.len()));
             }
             OfMessage::FlowRemoved { body, .. } => {
-                self.counters.flow_removeds += 1;
-                self.tel.flow_removeds.inc();
+                self.tel.live.flow_removeds.inc();
                 self.flow_rules.on_flow_removed(body);
                 self.journal(
                     kind::FLOW_RULE,
@@ -356,8 +381,7 @@ impl ControllerLink for ControllerCluster {
                 );
             }
             OfMessage::StatsReply { xid, body } => {
-                self.counters.stats_replies += 1;
-                self.tel.stats_replies.inc();
+                self.tel.live.stats_replies.inc();
                 // Settle the poller's in-flight request so it is not
                 // retried (an Athena-marked reply is never one of its own).
                 if let Some(poller) = &mut self.poller {
@@ -375,13 +399,7 @@ impl ControllerLink for ControllerCluster {
         }
         // Athena's SB observes everything after controller processing.
         self.run_interceptors(from, &msg, now, &mut commands);
-        let flow_mods = commands
-            .iter()
-            .filter(|(_, m)| matches!(m, OfMessage::FlowMod { .. }))
-            .count() as u64;
-        self.counters.flow_mods += flow_mods;
-        self.tel.flow_mods.add(flow_mods);
-        self.journal(kind::FLOW_RULE, rule_installs(&commands, now));
+        self.answer(&commands, now);
         commands
     }
 
@@ -411,13 +429,7 @@ impl ControllerLink for ControllerCluster {
             self.packet_in(from, body.header, now, &mut commands);
             self.run_interceptors(from, &msg, now, &mut commands);
         }
-        let flow_mods = commands
-            .iter()
-            .filter(|(_, m)| matches!(m, OfMessage::FlowMod { .. }))
-            .count() as u64;
-        self.counters.flow_mods += flow_mods;
-        self.tel.flow_mods.add(flow_mods);
-        self.journal(kind::FLOW_RULE, rule_installs(&commands, now));
+        self.answer(&commands, now);
         timer.observe(&self.tel.packet_in_ns);
         span.finish(format_args!("n={} cmds={}", n, commands.len()));
         commands

@@ -58,4 +58,4 @@ pub use interceptor::{InterceptCtx, MessageInterceptor};
 pub use packet::{PacketContext, PacketProcessor};
 pub use persist::ControllerRecoveryReport;
 pub use services::{FlowRuleService, HostService, MastershipService, PathService};
-pub use stats::{PollTelemetry, PollTracker, RetryCounters, StatsPoller};
+pub use stats::{PollTracker, RetryCounters, StatsPoller};

@@ -164,8 +164,8 @@ impl ControllerCluster {
             installs,
             removals,
             next_seq,
-            counters: self.counters,
-            failover: self.failover,
+            counters: self.counters(),
+            failover: self.failover_counters(),
         }
     }
 
@@ -182,8 +182,7 @@ impl ControllerCluster {
                 snapshot.rules,
                 (snapshot.installs, snapshot.removals, snapshot.next_seq),
             );
-            self.counters = snapshot.counters;
-            self.failover = snapshot.failover;
+            self.restore_counts(snapshot.counters, snapshot.failover);
             report.checkpoint_applied = true;
             self.last_seen = self.last_seen.max(ck.time);
         }
@@ -234,10 +233,7 @@ impl ControllerCluster {
                 Vec::new()
             }
         };
-        if !moved.is_empty() {
-            self.failover.elections += 1;
-            self.failover.switches_moved += moved.len() as u64;
-        }
+        self.restore_election(&moved);
     }
 }
 
@@ -362,6 +358,64 @@ mod tests {
         assert_eq!(recovered.counters(), want_counters);
         assert_eq!(recovered.failover_counters(), want_failover);
         assert!(!recovered.instance_alive(ControllerId::new(0)));
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// The value of the counter row labeled `label` in `tel`'s report.
+    fn row(tel: &Telemetry, label: &str) -> u64 {
+        let report = tel.report();
+        let mut rows = report.counters.iter().filter(|e| e.key.label() == label);
+        let value = rows.next().map_or(0, |e| e.value);
+        assert!(rows.next().is_none(), "{label} reported twice");
+        value
+    }
+
+    #[test]
+    fn a_deployment_rebuilt_in_one_process_reports_each_event_once() {
+        let dir = test_dir();
+        let tel = Telemetry::new();
+        let topo = Topology::enterprise();
+        let rows = || {
+            (
+                row(&tel, "controller/packet_ins"),
+                row(&tel, "failover/elections"),
+            )
+        };
+        let mut cluster = ControllerCluster::new(&topo);
+        cluster.bind_telemetry(&tel);
+        cluster
+            .attach_persistence(PersistConfig::new(&dir), &tel)
+            .unwrap();
+        run_workload(&mut cluster, &topo, 8);
+        cluster.crash_instance(ControllerId::new(1));
+        cluster.checkpoint().unwrap();
+        // A re-election after the checkpoint is replayed from the tail.
+        cluster.rejoin_instance(ControllerId::new(1));
+        let killed = (cluster.counters(), cluster.failover_counters());
+        assert_eq!(killed.1.elections, 2);
+        assert_eq!(rows(), (killed.0.packet_ins, 2));
+        drop(cluster);
+
+        // Rehydrated into a fresh cluster on the same telemetry: the views
+        // carry the recovered counts, the rows do not count them again.
+        let mut recovered = ControllerCluster::new(&topo);
+        recovered.bind_telemetry(&tel);
+        recovered
+            .attach_persistence(PersistConfig::new(&dir), &tel)
+            .unwrap();
+        assert_eq!(
+            (recovered.counters(), recovered.failover_counters()),
+            killed
+        );
+        assert_eq!(rows(), (killed.0.packet_ins, 2));
+
+        // Events after recovery count in both.
+        run_workload(&mut recovered, &topo, 8);
+        recovered.crash_instance(ControllerId::new(2));
+        let served = recovered.counters().packet_ins - killed.0.packet_ins;
+        assert!(served > 0);
+        assert_eq!(recovered.failover_counters().elections, 3);
+        assert_eq!(rows(), (killed.0.packet_ins + served, 3));
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

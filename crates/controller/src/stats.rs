@@ -10,12 +10,13 @@
 //!
 //! A reply lost to a faulty southbound channel (see `athena-faults`)
 //! times out after [`deadline_after`] its attempt and is re-issued with a
-//! fresh XID, at most [`MAX_RETRIES`] times; every issue, timeout, retry
-//! and give-up is counted in [`RetryCounters`] and in the owner's
-//! telemetry counters.
+//! fresh XID, at most [`MAX_RETRIES`] times. Every issue, settle,
+//! timeout, retry and give-up is counted once, in the tracker's own
+//! counters: [`PollTracker::counters`] reads them as [`RetryCounters`],
+//! and each owner reports the ones it declares a name for.
 
 use athena_openflow::{MatchFields, OfMessage, StatsRequest};
-use athena_telemetry::Counter;
+use athena_telemetry::{Counter, MetricsRegistry};
 use athena_types::{Dpid, PortNo, SimDuration, SimTime, Xid};
 use std::collections::BTreeMap;
 
@@ -59,47 +60,47 @@ pub struct RetryCounters {
     pub gave_up: u64,
 }
 
-/// The telemetry counters a [`PollTracker`] reports into; each owner
-/// binds its own declared names and leaves the rest detached.
-#[derive(Debug, Clone, Default)]
-pub struct PollTelemetry {
-    /// Incremented per issued request.
-    pub issued: Counter,
-    /// Incremented per elapsed deadline.
-    pub timeouts: Counter,
-    /// Incremented per re-issue.
-    pub retries: Counter,
-    /// Incremented per abandoned request.
-    pub gave_up: Counter,
-}
-
 /// Tracks statistics requests from issue to reply, re-issuing timed-out
 /// ones under bounded exponential backoff.
-#[derive(Debug, Clone)]
+#[derive(Debug, Default)]
 pub struct PollTracker {
     mark: u32,
     next_seq: u32,
     // Keyed by raw XID; a BTreeMap keeps timeout scans deterministic.
     outstanding: BTreeMap<u32, Outstanding>,
-    counters: RetryCounters,
-    tel: PollTelemetry,
+    issued: Counter,
+    settled: Counter,
+    timeouts: Counter,
+    retries: Counter,
+    gave_up: Counter,
 }
 
 impl PollTracker {
     /// A tracker whose XIDs carry `mark` (0, or [`Xid::ATHENA_MARK`]).
-    pub fn new(mark: u32, tel: PollTelemetry) -> Self {
+    pub fn new(mark: u32) -> Self {
         PollTracker {
             mark,
-            next_seq: 0,
-            outstanding: BTreeMap::new(),
-            counters: RetryCounters::default(),
-            tel,
+            ..PollTracker::default()
         }
     }
 
     /// The tracker's counters.
     pub fn counters(&self) -> RetryCounters {
-        self.counters
+        RetryCounters {
+            issued: self.issued.get(),
+            settled: self.settled.get(),
+            timeouts: self.timeouts.get(),
+            retries: self.retries.get(),
+            gave_up: self.gave_up.get(),
+        }
+    }
+
+    /// Reports the tracker's timeouts and give-ups into `m` under the
+    /// `retry/*` names `timeouts` and `gave_up`.
+    pub fn register_outcomes(&self, m: &MetricsRegistry, timeouts: &str, gave_up: &str) {
+        use athena_telemetry::names::retry;
+        m.register_counter(retry::SUBSYSTEM, timeouts, &self.timeouts);
+        m.register_counter(retry::SUBSYSTEM, gave_up, &self.gave_up);
     }
 
     /// Requests currently awaiting a reply.
@@ -123,7 +124,7 @@ impl PollTracker {
     /// issued, carrying the other mark, already settled or timed out.
     pub fn settle(&mut self, xid: Xid) -> bool {
         let settled = self.outstanding.remove(&xid.raw()).is_some();
-        self.counters.settled += u64::from(settled);
+        self.settled.add(u64::from(settled));
         settled
     }
 
@@ -146,15 +147,12 @@ impl PollTracker {
             let Some(o) = self.outstanding.remove(&xid) else {
                 continue;
             };
-            self.counters.timeouts += 1;
-            self.tel.timeouts.inc();
+            self.timeouts.inc();
             if o.attempt >= MAX_RETRIES || !keep(o.dpid) {
-                self.counters.gave_up += 1;
-                self.tel.gave_up.inc();
+                self.gave_up.inc();
                 continue;
             }
-            self.counters.retries += 1;
-            self.tel.retries.inc();
+            self.retries.inc();
             self.send(o.dpid, o.body, now, o.attempt + 1, out);
         }
     }
@@ -185,15 +183,14 @@ impl PollTracker {
                 attempt,
             },
         );
-        self.counters.issued += 1;
-        self.tel.issued.inc();
+        self.issued.inc();
         out.push((dpid, OfMessage::StatsRequest { xid, body }));
     }
 }
 
 /// ONOS's background poller: a flow + port request per switch every
 /// `interval`, with unmarked XIDs.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct StatsPoller {
     /// The polling period.
     interval: SimDuration,
@@ -209,20 +206,17 @@ impl StatsPoller {
             interval,
             switches,
             last_poll: SimTime::ZERO,
-            polls: PollTracker::new(0, PollTelemetry::default()),
+            polls: PollTracker::new(0),
         }
     }
 
-    /// Routes the poller's issued-request and retry counters into `tel`.
-    pub fn bind_telemetry(&mut self, tel: &athena_telemetry::Telemetry) {
-        use athena_telemetry::names::{controller, retry};
-        let m = tel.metrics();
-        self.polls.tel = PollTelemetry {
-            issued: m.counter(controller::SUBSYSTEM, controller::STATS_POLLS_ISSUED),
-            timeouts: m.counter(retry::SUBSYSTEM, retry::STATS_TIMEOUTS),
-            retries: m.counter(retry::SUBSYSTEM, retry::STATS_RETRIES),
-            gave_up: m.counter(retry::SUBSYSTEM, retry::STATS_GAVE_UP),
-        };
+    /// Reports the poller's issued-request and retry counters into `tel`.
+    pub fn bind_telemetry(&self, tel: &athena_telemetry::Telemetry) {
+        use athena_telemetry::names::{controller as ctl, retry};
+        let (m, p) = (tel.metrics(), &self.polls);
+        m.register_counter(ctl::SUBSYSTEM, ctl::STATS_POLLS_ISSUED, &p.issued);
+        m.register_counter(retry::SUBSYSTEM, retry::STATS_RETRIES, &p.retries);
+        p.register_outcomes(m, retry::STATS_TIMEOUTS, retry::STATS_GAVE_UP);
     }
 
     /// The poller's request tracker.
@@ -296,7 +290,7 @@ mod tests {
     #[test]
     fn xids_wrap_without_entering_the_marked_range() {
         for mark in [0, Xid::ATHENA_MARK] {
-            let mut t = PollTracker::new(mark, PollTelemetry::default());
+            let mut t = PollTracker::new(mark);
             // Park the sequence one issue shy of the ceiling so the next
             // three issues straddle the wrap point.
             t.next_seq = Xid::MAX_UNMARKED - 1;
@@ -388,7 +382,7 @@ mod tests {
 
     #[test]
     fn unkept_switches_give_up_on_their_first_timeout() {
-        let mut t = PollTracker::new(Xid::ATHENA_MARK, PollTelemetry::default());
+        let mut t = PollTracker::new(Xid::ATHENA_MARK);
         let mut out = Vec::new();
         for dpid in [1, 2] {
             t.issue(

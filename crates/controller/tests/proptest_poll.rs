@@ -10,7 +10,7 @@
 //! failing case panics with its mark, its operation list and the step.
 
 use athena_controller::stats::{deadline_after, BACKOFF_CAP, MAX_RETRIES};
-use athena_controller::{PollTelemetry, PollTracker, RetryCounters};
+use athena_controller::{PollTracker, RetryCounters};
 use athena_openflow::{OfMessage, StatsRequest};
 use athena_types::{Dpid, SimDuration, SimTime, Xid};
 use proptest::prelude::*;
@@ -89,7 +89,7 @@ impl Model {
     fn new(mark: u32) -> Self {
         Model {
             mark,
-            tracker: PollTracker::new(mark, PollTelemetry::default()),
+            tracker: PollTracker::new(mark),
             chains: Vec::new(),
             timed_out: Vec::new(),
             unkept: BTreeSet::new(),
@@ -323,8 +323,8 @@ proptest! {
 /// the same sequence value.
 #[test]
 fn the_marks_partition_the_xid_space() {
-    let mut unmarked = PollTracker::new(0, PollTelemetry::default());
-    let mut marked = PollTracker::new(Xid::ATHENA_MARK, PollTelemetry::default());
+    let mut unmarked = PollTracker::new(0);
+    let mut marked = PollTracker::new(Xid::ATHENA_MARK);
     let (mut a, mut b) = (Vec::new(), Vec::new());
     unmarked.issue(Dpid::new(1), StatsRequest::Table, SimTime::ZERO, &mut a);
     marked.issue(Dpid::new(1), StatsRequest::Table, SimTime::ZERO, &mut b);

@@ -169,8 +169,8 @@ impl DetectorManager {
         DetectorManager {
             compute,
             partitions: 24,
-            fit_ns: Histogram::detached(),
-            models_trained: Counter::detached(),
+            fit_ns: Histogram::default(),
+            models_trained: Counter::default(),
         }
     }
 
@@ -179,11 +179,13 @@ impl DetectorManager {
     pub fn with_telemetry(compute: ComputeCluster, tel: &Telemetry) -> Self {
         use athena_telemetry::names;
         let m = tel.metrics();
-        DetectorManager {
+        let manager = DetectorManager {
             fit_ns: m.histogram(names::core::SUBSYSTEM, names::core::FIT_NS),
-            models_trained: m.counter(names::core::SUBSYSTEM, names::core::MODELS_TRAINED),
             ..Self::new(compute)
-        }
+        };
+        let (sub, name) = (names::core::SUBSYSTEM, names::core::MODELS_TRAINED);
+        m.register_counter(sub, name, &manager.models_trained);
+        manager
     }
 
     /// The compute cluster (virtual-time accounting lives there).

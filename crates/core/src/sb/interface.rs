@@ -15,7 +15,7 @@ use crate::athena::AthenaRuntime;
 use crate::feature::format::FeatureRecord;
 use crate::feature::generator::FeatureGenerator;
 use crate::nb::feature_manager::Examine;
-use athena_controller::{InterceptCtx, MessageInterceptor, PollTelemetry, PollTracker};
+use athena_controller::{InterceptCtx, MessageInterceptor, PollTracker};
 use athena_observe::Observe;
 use athena_openflow::{MatchFields, OfMessage, StatsRequest};
 use athena_telemetry::{names, Counter, Histogram};
@@ -44,12 +44,23 @@ impl AthenaSouthbound {
     /// Creates the SB element for one controller instance.
     ///
     /// Instruments come from the runtime's [`Telemetry`] handle, labeled
-    /// by controller instance (`sb-<id>`).
+    /// by controller instance (`sb-<id>`). The poll tracker's timeouts and
+    /// give-ups are reported unlabeled: every instance's tracker registers
+    /// under the one `retry/sb_stats_*` key, which reports their sum.
     ///
     /// [`Telemetry`]: athena_telemetry::Telemetry
     pub fn new(controller: ControllerId, runtime: Arc<AthenaRuntime>) -> Self {
         let m = runtime.telemetry.metrics();
         let instance = format!("sb-{}", controller.raw());
+        let feature_records = Counter::default();
+        let (sub, name) = (names::core::SUBSYSTEM, names::core::FEATURE_RECORDS);
+        m.register_counter(sub, name, &feature_records);
+        let polls = PollTracker::new(Xid::ATHENA_MARK);
+        polls.register_outcomes(
+            m,
+            names::retry::SB_STATS_TIMEOUTS,
+            names::retry::SB_STATS_GAVE_UP,
+        );
         AthenaSouthbound {
             controller,
             name: format!("athena-sb-{}", controller.raw()),
@@ -66,15 +77,8 @@ impl AthenaSouthbound {
                 names::core::DISPATCH_NS,
                 &instance,
             ),
-            feature_records: m.counter(names::core::SUBSYSTEM, names::core::FEATURE_RECORDS),
-            polls: PollTracker::new(
-                Xid::ATHENA_MARK,
-                PollTelemetry {
-                    timeouts: m.counter(names::retry::SUBSYSTEM, names::retry::SB_STATS_TIMEOUTS),
-                    gave_up: m.counter(names::retry::SUBSYSTEM, names::retry::SB_STATS_GAVE_UP),
-                    ..PollTelemetry::default()
-                },
-            ),
+            feature_records,
+            polls,
             observe: runtime.observe.clone(),
             runtime,
         }
@@ -264,7 +268,9 @@ mod tests {
     use crate::athena::{Athena, AthenaConfig};
     use crate::feature::format::FeatureRecord;
     use athena_controller::stats::{BACKOFF_CAP, MAX_RETRIES};
-    use athena_controller::{FlowRuleService, HostService, MastershipService, PathService};
+    use athena_controller::{
+        FlowRuleService, HostService, MastershipService, PathService, RetryCounters,
+    };
     use athena_dataplane::Topology;
     use athena_openflow::StatsReply;
     use athena_telemetry::Telemetry;
@@ -340,39 +346,85 @@ mod tests {
         assert_eq!((c.timeouts, c.retries, c.gave_up), (0, 0, 0));
     }
 
+    /// The value of the counter row labeled `label` in `tel`'s report.
+    fn row(tel: &Telemetry, label: &str) -> Option<u64> {
+        let report = tel.report();
+        let mut rows = report.counters.iter().filter(|e| e.key.label() == label);
+        let value = rows.next().map(|e| e.value);
+        assert!(rows.next().is_none(), "{label} reported twice");
+        value
+    }
+
+    /// Issues one poll round from each SB element and never answers it,
+    /// walking virtual time until every attempt has expired. Returns the
+    /// requests each element issued in that first round.
+    fn lose_every_reply(ctx: &Ctx, sbs: &mut [(ControllerId, AthenaSouthbound)]) -> Vec<usize> {
+        let start = SimTime::from_secs(5);
+        let issued = sbs
+            .iter_mut()
+            .map(|(c, sb)| marked_stats_requests(&sb.on_tick(&ctx.borrow(*c), start)).len())
+            .collect();
+        // Stop new interval polls from mixing in: disable monitoring.
+        sbs[0].1.runtime.resource.lock().monitoring_enabled = false;
+        let mut now = start;
+        // Walk far enough for every attempt to expire (attempts 0..=max).
+        for _ in 0..=MAX_RETRIES + 1 {
+            now += BACKOFF_CAP;
+            for (c, sb) in sbs.iter_mut() {
+                let out = sb.on_tick(&ctx.borrow(*c), now);
+                // Retries re-issue the same stats bodies with fresh marked xids.
+                for (_, msg) in &out {
+                    if let OfMessage::StatsRequest { xid, .. } = msg {
+                        assert!(xid.is_athena_marked());
+                    }
+                }
+            }
+        }
+        issued
+    }
+
     #[test]
     fn lost_replies_are_retried_with_backoff_then_dropped() {
         let ctx = Ctx::new();
         let tel = Telemetry::new();
-        let mut sb = sb(tel.clone());
-        // Issue one poll round; never answer it.
-        let out = sb.on_tick(&ctx.borrow(ControllerId::new(0)), SimTime::from_secs(5));
-        let issued = marked_stats_requests(&out).len();
+        let mut sbs = [(ControllerId::new(0), sb(tel.clone()))];
+        let issued = lose_every_reply(&ctx, &mut sbs)[0];
         assert!(issued > 0);
-        // Stop new interval polls from mixing in: disable monitoring.
-        sb.runtime.resource.lock().monitoring_enabled = false;
-        let mut now = SimTime::from_secs(5);
-        // Walk far enough for every attempt to expire (attempts 0..=max).
-        for _ in 0..=MAX_RETRIES {
-            now += BACKOFF_CAP;
-            let out = sb.on_tick(&ctx.borrow(ControllerId::new(0)), now);
-            // Retries re-issue the same stats bodies with fresh marked xids.
-            for (_, msg) in &out {
-                if let OfMessage::StatsRequest { xid, .. } = msg {
-                    assert!(xid.is_athena_marked());
-                }
-            }
-        }
-        now += BACKOFF_CAP;
-        sb.on_tick(&ctx.borrow(ControllerId::new(0)), now);
+        let sb = &sbs[0].1;
         let c = sb.polls().counters();
         assert_eq!(c.retries, issued as u64 * u64::from(MAX_RETRIES));
         assert_eq!(c.gave_up, issued as u64);
         assert_eq!(c.timeouts, c.retries + c.gave_up);
         assert_eq!(sb.polls().outstanding(), 0);
-        let m = tel.metrics();
-        assert_eq!(m.counter("retry", "sb_stats_timeouts").get(), c.timeouts);
-        assert_eq!(m.counter("retry", "sb_stats_gave_up").get(), c.gave_up);
+        assert_eq!(row(&tel, "retry/sb_stats_timeouts"), Some(c.timeouts));
+        assert_eq!(row(&tel, "retry/sb_stats_gave_up"), Some(c.gave_up));
+    }
+
+    #[test]
+    fn every_instance_tracker_reports_into_one_row() {
+        let ctx = Ctx::new();
+        let tel = Telemetry::new();
+        let athena = Athena::with_telemetry(AthenaConfig::default(), tel.clone());
+        let mut sbs: Vec<_> = (0..3)
+            .map(|i| {
+                let c = ControllerId::new(i);
+                (c, athena.southbound(c))
+            })
+            .collect();
+        let issued = lose_every_reply(&ctx, &mut sbs);
+        assert!(issued.iter().all(|&n| n > 0), "{issued:?}");
+        let sum = |f: fn(&RetryCounters) -> u64| {
+            sbs.iter()
+                .map(|(_, sb)| f(&sb.polls().counters()))
+                .sum::<u64>()
+        };
+        let gave_up = sum(|c| c.gave_up);
+        assert_eq!(gave_up, issued.iter().sum::<usize>() as u64);
+        assert_eq!(
+            row(&tel, "retry/sb_stats_timeouts"),
+            Some(sum(|c| c.timeouts))
+        );
+        assert_eq!(row(&tel, "retry/sb_stats_gave_up"), Some(gave_up));
     }
 
     #[test]

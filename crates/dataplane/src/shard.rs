@@ -462,8 +462,9 @@ impl Shard {
     }
 }
 
-/// The engine's telemetry instruments (detached until
-/// [`Engine::bind_telemetry`]).
+/// The engine's instruments. Its counters mirror [`NetworkCounters`]
+/// once per tick and are reported from [`Engine::bind_telemetry`]; the
+/// histogram and gauges are detached until then.
 #[derive(Debug, Default)]
 pub(crate) struct EngineTelemetry {
     step_ns: Histogram,
@@ -676,28 +677,28 @@ impl<P: PuntDiscipline> Engine<P> {
         &self.active
     }
 
-    /// Routes the simulator's counters, per-tick step latency, and
-    /// per-switch flow-table lookup totals into `tel`.
+    /// Reports the simulator's counters into `tel` and routes per-tick
+    /// step latency and per-switch flow-table lookup totals there.
     pub fn bind_telemetry(&mut self, tel: &Telemetry) {
+        use names::{dataplane as d, scale as s};
         let m = tel.metrics();
-        let dp = names::dataplane::SUBSYSTEM;
-        let sc = names::scale::SUBSYSTEM;
-        self.tel = EngineTelemetry {
-            step_ns: m.histogram(dp, names::dataplane::STEP_NS),
-            packet_ins: m.counter(dp, names::dataplane::PACKET_INS),
-            flow_removeds: m.counter(dp, names::dataplane::FLOW_REMOVEDS),
-            delivered_bytes: m.counter(dp, names::dataplane::DELIVERED_BYTES),
-            dropped_bytes: m.counter(dp, names::dataplane::DROPPED_BYTES),
-            links_degraded: m.gauge(dp, names::dataplane::LINKS_DEGRADED),
-            switch_reboots: m.counter(dp, names::dataplane::SWITCH_REBOOTS),
-            wheel_armed: m.counter(dp, names::dataplane::WHEEL_ARMED),
-            shards: m.gauge(sc, names::scale::SHARDS),
-            punt_batches: m.counter(sc, names::scale::PUNT_BATCHES),
-            batched_packet_ins: m.counter(sc, names::scale::BATCHED_PACKET_INS),
-            cross_shard_handoffs: m.counter(sc, names::scale::CROSS_SHARD_HANDOFFS),
-            routing_rounds: m.counter(sc, names::scale::ROUTING_ROUNDS),
-            handle: Some(tel.clone()),
-        };
+        let t = &mut self.tel;
+        let dp = |name: &str, c: &Counter| m.register_counter(d::SUBSYSTEM, name, c);
+        let sc = |name: &str, c: &Counter| m.register_counter(s::SUBSYSTEM, name, c);
+        dp(d::PACKET_INS, &t.packet_ins);
+        dp(d::FLOW_REMOVEDS, &t.flow_removeds);
+        dp(d::DELIVERED_BYTES, &t.delivered_bytes);
+        dp(d::DROPPED_BYTES, &t.dropped_bytes);
+        dp(d::SWITCH_REBOOTS, &t.switch_reboots);
+        dp(d::WHEEL_ARMED, &t.wheel_armed);
+        sc(s::PUNT_BATCHES, &t.punt_batches);
+        sc(s::BATCHED_PACKET_INS, &t.batched_packet_ins);
+        sc(s::CROSS_SHARD_HANDOFFS, &t.cross_shard_handoffs);
+        sc(s::ROUTING_ROUNDS, &t.routing_rounds);
+        t.step_ns = m.histogram(d::SUBSYSTEM, d::STEP_NS);
+        t.links_degraded = m.gauge(d::SUBSYSTEM, d::LINKS_DEGRADED);
+        t.shards = m.gauge(s::SUBSYSTEM, s::SHARDS);
+        t.handle = Some(tel.clone());
         self.tel
             .shards
             .set(i64::try_from(self.shards.len()).unwrap_or(i64::MAX));

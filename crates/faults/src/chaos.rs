@@ -52,9 +52,9 @@ pub struct MessageFaultCounters {
     /// Messages silently dropped.
     pub dropped: u64,
     /// Messages processed twice.
-    duplicated: u64,
+    pub duplicated: u64,
     /// Messages held back and delivered late.
-    delayed: u64,
+    pub delayed: u64,
 }
 
 /// Wraps any [`ControllerLink`], injecting southbound message faults
@@ -70,10 +70,10 @@ pub struct ChaosChannel<C> {
     rng: StdRng,
     profile: MessageFaultProfile,
     delayed: VecDeque<(SimTime, Dpid, OfMessage)>,
-    counters: MessageFaultCounters,
-    dropped_tel: Counter,
-    duplicated_tel: Counter,
-    delayed_tel: Counter,
+    // One counter per `MessageFaultCounters` member.
+    dropped: Counter,
+    duplicated: Counter,
+    delays: Counter,
     observe: Observe,
 }
 
@@ -86,21 +86,20 @@ impl<C> ChaosChannel<C> {
             rng: StdRng::seed_from_u64(seed ^ 0xc4a0_5c4a),
             profile: MessageFaultProfile::none(),
             delayed: VecDeque::new(),
-            counters: MessageFaultCounters::default(),
-            dropped_tel: Counter::detached(),
-            duplicated_tel: Counter::detached(),
-            delayed_tel: Counter::detached(),
+            dropped: Counter::default(),
+            duplicated: Counter::default(),
+            delays: Counter::default(),
             observe: Observe::disabled(),
         }
     }
 
-    /// Routes the channel's fault counters into `tel`.
-    pub fn bind_telemetry(&mut self, tel: &Telemetry) {
+    /// Reports the channel's fault counters into `tel`.
+    pub fn bind_telemetry(&self, tel: &Telemetry) {
         let m = tel.metrics();
         let sub = names::faults::SUBSYSTEM;
-        self.dropped_tel = m.counter(sub, names::faults::MSGS_DROPPED);
-        self.duplicated_tel = m.counter(sub, names::faults::MSGS_DUPLICATED);
-        self.delayed_tel = m.counter(sub, names::faults::MSGS_DELAYED);
+        m.register_counter(sub, names::faults::MSGS_DROPPED, &self.dropped);
+        m.register_counter(sub, names::faults::MSGS_DUPLICATED, &self.duplicated);
+        m.register_counter(sub, names::faults::MSGS_DELAYED, &self.delays);
     }
 
     /// Routes causal events (drop/delay/duplicate decisions) and the
@@ -121,7 +120,11 @@ impl<C> ChaosChannel<C> {
 
     /// The channel's fault counters.
     pub fn counters(&self) -> MessageFaultCounters {
-        self.counters
+        MessageFaultCounters {
+            dropped: self.dropped.get(),
+            duplicated: self.duplicated.get(),
+            delayed: self.delays.get(),
+        }
     }
 
     /// The active profile.
@@ -138,15 +141,13 @@ impl<C: ControllerLink> ControllerLink for ChaosChannel<C> {
         // Fixed draw order (drop, delay, dup) keeps the stream aligned
         // across runs with the same seed and message sequence.
         if self.profile.drop_p > 0.0 && self.rng.random_bool(self.profile.drop_p) {
-            self.counters.dropped += 1;
-            self.dropped_tel.inc();
+            self.dropped.inc();
             self.observe
                 .event("faults", "msg_dropped", format_args!("dpid={}", from.raw()));
             return Vec::new();
         }
         if self.profile.delay_p > 0.0 && self.rng.random_bool(self.profile.delay_p) {
-            self.counters.delayed += 1;
-            self.delayed_tel.inc();
+            self.delays.inc();
             self.observe
                 .event("faults", "msg_delayed", format_args!("dpid={}", from.raw()));
             self.delayed
@@ -154,8 +155,7 @@ impl<C: ControllerLink> ControllerLink for ChaosChannel<C> {
             return Vec::new();
         }
         if self.profile.dup_p > 0.0 && self.rng.random_bool(self.profile.dup_p) {
-            self.counters.duplicated += 1;
-            self.duplicated_tel.inc();
+            self.duplicated.inc();
             let span = self.observe.span_at("faults", "chaos_hop", now);
             let mut out = self.inner.on_message(from, msg.clone(), now);
             out.extend(self.inner.on_message(from, msg, now));

@@ -12,17 +12,17 @@ use athena_types::SimTime;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct FaultCounters {
     /// Total events applied.
-    injected: u64,
+    pub injected: u64,
     /// Link down/degrade/restore events applied.
     link_events: u64,
     /// Switch reboots applied.
     pub switch_reboots: u64,
     /// Controller crash/rejoin events applied.
-    controller_events: u64,
+    pub controller_events: u64,
     /// Store node down/up transitions applied.
     store_events: u64,
     /// Message-fault profile changes applied.
-    message_profile_changes: u64,
+    pub message_profile_changes: u64,
 }
 
 /// Applies a [`FaultPlan`]'s events to the network, control plane, and
@@ -35,11 +35,18 @@ pub struct FaultInjector {
     plan: FaultPlan,
     cursor: usize,
     store: Option<StoreCluster>,
-    counters: FaultCounters,
-    injected_tel: Counter,
-    reboot_tel: Counter,
-    controller_tel: Counter,
-    profile_tel: Counter,
+    tally: FaultTally,
+}
+
+/// One counter per [`FaultCounters`] member: the one tally of each.
+#[derive(Default)]
+struct FaultTally {
+    injected: Counter,
+    link_events: Counter,
+    switch_reboots: Counter,
+    controller_events: Counter,
+    store_events: Counter,
+    message_profile_changes: Counter,
 }
 
 impl FaultInjector {
@@ -49,11 +56,7 @@ impl FaultInjector {
             plan,
             cursor: 0,
             store: None,
-            counters: FaultCounters::default(),
-            injected_tel: Counter::detached(),
-            reboot_tel: Counter::detached(),
-            controller_tel: Counter::detached(),
-            profile_tel: Counter::detached(),
+            tally: FaultTally::default(),
         }
     }
 
@@ -65,15 +68,14 @@ impl FaultInjector {
         self
     }
 
-    /// Routes the injector's `faults/*` counters into `tel`.
-    pub fn bind_telemetry(&mut self, tel: &Telemetry) {
-        use athena_telemetry::names;
-        let m = tel.metrics();
-        let sub = names::faults::SUBSYSTEM;
-        self.injected_tel = m.counter(sub, names::faults::INJECTED);
-        self.reboot_tel = m.counter(sub, names::faults::SWITCH_REBOOTS);
-        self.controller_tel = m.counter(sub, names::faults::CONTROLLER_EVENTS);
-        self.profile_tel = m.counter(sub, names::faults::MESSAGE_PROFILE_CHANGES);
+    /// Reports the injector's `faults/*` counters into `tel`.
+    pub fn bind_telemetry(&self, tel: &Telemetry) {
+        use athena_telemetry::names::faults;
+        let (m, sub, t) = (tel.metrics(), faults::SUBSYSTEM, &self.tally);
+        m.register_counter(sub, faults::INJECTED, &t.injected);
+        m.register_counter(sub, faults::CONTROLLER_EVENTS, &t.controller_events);
+        let profiles = faults::MESSAGE_PROFILE_CHANGES;
+        m.register_counter(sub, profiles, &t.message_profile_changes);
     }
 
     /// The plan being driven.
@@ -83,7 +85,15 @@ impl FaultInjector {
 
     /// Counters for events applied so far.
     pub fn counters(&self) -> FaultCounters {
-        self.counters
+        let t = &self.tally;
+        FaultCounters {
+            injected: t.injected.get(),
+            link_events: t.link_events.get(),
+            switch_reboots: t.switch_reboots.get(),
+            controller_events: t.controller_events.get(),
+            store_events: t.store_events.get(),
+            message_profile_changes: t.message_profile_changes.get(),
+        }
     }
 
     /// `true` once every scheduled event has been applied.
@@ -107,54 +117,50 @@ impl FaultInjector {
             let kind = ev.kind;
             self.cursor += 1;
             applied += 1;
-            self.counters.injected += 1;
-            self.injected_tel.inc();
-            match kind {
+            self.tally.injected.inc();
+            let family = match kind {
                 FaultKind::LinkDown { a, b } => {
                     net.set_link_state(a, b, 0.0);
-                    self.counters.link_events += 1;
+                    &self.tally.link_events
                 }
                 FaultKind::LinkDegrade { a, b, factor } => {
                     net.set_link_state(a, b, factor);
-                    self.counters.link_events += 1;
+                    &self.tally.link_events
                 }
                 FaultKind::LinkRestore { a, b } => {
                     net.set_link_state(a, b, 1.0);
-                    self.counters.link_events += 1;
+                    &self.tally.link_events
                 }
                 FaultKind::SwitchReboot { dpid } => {
                     net.reboot_switch(dpid);
-                    self.counters.switch_reboots += 1;
-                    self.reboot_tel.inc();
+                    &self.tally.switch_reboots
                 }
                 FaultKind::ControllerCrash { instance } => {
                     ctrl.crash(instance);
-                    self.counters.controller_events += 1;
-                    self.controller_tel.inc();
+                    &self.tally.controller_events
                 }
                 FaultKind::ControllerRejoin { instance } => {
                     ctrl.rejoin(instance);
-                    self.counters.controller_events += 1;
-                    self.controller_tel.inc();
+                    &self.tally.controller_events
                 }
                 FaultKind::StoreNodeDown { node } => {
                     if let Some(store) = &self.store {
                         store.set_node_up(node, false);
                     }
-                    self.counters.store_events += 1;
+                    &self.tally.store_events
                 }
                 FaultKind::StoreNodeUp { node } => {
                     if let Some(store) = &self.store {
                         store.set_node_up(node, true);
                     }
-                    self.counters.store_events += 1;
+                    &self.tally.store_events
                 }
                 FaultKind::MessageFaults { profile } => {
                     ctrl.set_message_faults(profile);
-                    self.counters.message_profile_changes += 1;
-                    self.profile_tel.inc();
+                    &self.tally.message_profile_changes
                 }
-            }
+            };
+            family.inc();
         }
         applied
     }

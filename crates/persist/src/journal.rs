@@ -189,14 +189,14 @@ impl Journal {
         use athena_telemetry::names::persist as p;
         let m = tel.metrics();
         let hist = |suffix: &str| m.histogram(p::SUBSYSTEM, &format!("{name}{suffix}"));
-        let ctr = |suffix: &str| m.counter(p::SUBSYSTEM, &format!("{name}{suffix}"));
+        let ctr = |suffix: &str, c| m.register_counter(p::SUBSYSTEM, &format!("{name}{suffix}"), c);
         self.tel.append_ns = Some(hist(p::APPEND_NS_SUFFIX));
         self.tel.checkpoint_bytes = Some(hist(p::CHECKPOINT_BYTES_SUFFIX));
-        self.tel.wal_records = ctr(p::WAL_RECORDS_SUFFIX);
-        self.tel.wal_bytes = ctr(p::WAL_BYTES_SUFFIX);
-        self.tel.checkpoints_written = ctr(p::CHECKPOINTS_SUFFIX);
-        self.tel.records_replayed = ctr(p::RECORDS_REPLAYED_SUFFIX);
-        self.tel.tails_truncated = ctr(p::TAILS_TRUNCATED_SUFFIX);
+        ctr(p::WAL_RECORDS_SUFFIX, &self.tel.wal_records);
+        ctr(p::WAL_BYTES_SUFFIX, &self.tel.wal_bytes);
+        ctr(p::CHECKPOINTS_SUFFIX, &self.tel.checkpoints_written);
+        ctr(p::RECORDS_REPLAYED_SUFFIX, &self.tel.records_replayed);
+        ctr(p::TAILS_TRUNCATED_SUFFIX, &self.tel.tails_truncated);
     }
 
     /// Appends one record to the WAL, returning its sequence number.

@@ -154,7 +154,7 @@ pub struct ClusterMetrics {
     /// Replica writes performed (including the primary).
     pub replica_writes: u64,
     /// Documents deleted.
-    deletes: u64,
+    pub deletes: u64,
     /// Writes redirected off a down replica onto the next ring node.
     pub write_handoffs: u64,
     /// Inserts rejected for lack of a write quorum.
@@ -163,25 +163,19 @@ pub struct ClusterMetrics {
     pub degraded_reads: u64,
 }
 
-#[derive(Debug, Default)]
-pub(crate) struct MetricsInner {
-    inserts: AtomicU64,
-    replica_writes: AtomicU64,
-    deletes: AtomicU64,
-    write_handoffs: AtomicU64,
-    quorum_failures: AtomicU64,
-    degraded_reads: AtomicU64,
-}
-
-/// The cluster's telemetry instruments (detached until
-/// [`StoreCluster::bind_telemetry`]; shared by every cloned handle).
+/// The cluster's instruments, shared by every cloned handle. Each counter
+/// is the one tally of its event, read by [`StoreCluster::metrics`] and
+/// handed to a registry by [`StoreCluster::bind_telemetry`], which also
+/// binds the histogram and the gauge.
 #[derive(Debug, Clone, Default)]
 struct StoreTelemetry {
-    insert_ns: Histogram,
+    inserts: Counter,
     replica_writes: Counter,
     deletes: Counter,
     write_handoffs: Counter,
+    quorum_failures: Counter,
     degraded_reads: Counter,
+    insert_ns: Histogram,
     nodes_down: Gauge,
     observe: Observe,
 }
@@ -210,7 +204,6 @@ pub struct StoreCluster {
     pub(crate) nodes: Arc<Vec<StoreNode>>,
     replication: usize,
     pub(crate) next_id: Arc<AtomicU64>,
-    pub(crate) metrics: Arc<MetricsInner>,
     /// Every collection by name; a handle looks its own up once.
     collections: Arc<TrackedRwLock<BTreeMap<String, Arc<ClusterCollection>>>>,
     // Swapped whole on (re)bind, so the write path takes one snapshot
@@ -230,7 +223,6 @@ impl StoreCluster {
             nodes: Arc::new((0..nodes).map(|_| StoreNode::new()).collect()),
             replication: replication.clamp(1, nodes),
             next_id: Arc::new(AtomicU64::new(1)),
-            metrics: Arc::new(MetricsInner::default()),
             collections: Arc::new(TrackedRwLock::new("store/collections", BTreeMap::new())),
             tel: Arc::new(TrackedRwLock::new("store/tel", Arc::default())),
             persist: Arc::new(TrackedMutex::new("store/persist", None)),
@@ -238,23 +230,29 @@ impl StoreCluster {
         }
     }
 
-    /// Routes query latencies and replication counters into `tel` for
-    /// every handle cloned from this cluster.
+    /// Reports the replication counters into `tel` and routes insert
+    /// latencies there, for every handle cloned from this cluster.
     pub fn bind_telemetry(&self, tel: &Telemetry) {
+        use names::{retry as rt, store as st};
         let m = tel.metrics();
-        let st = names::store::SUBSYSTEM;
-        let rt = names::retry::SUBSYSTEM;
-        // Rebuild wholesale but keep any already-bound observe handle.
-        let observe = self.tel.read().observe.clone();
-        *self.tel.write() = Arc::new(StoreTelemetry {
-            insert_ns: m.histogram(st, names::store::INSERT_NS),
-            replica_writes: m.counter(st, names::store::REPLICA_WRITES),
-            deletes: m.counter(st, names::store::DELETES),
-            write_handoffs: m.counter(rt, names::retry::STORE_WRITE_HANDOFFS),
-            degraded_reads: m.counter(rt, names::retry::STORE_DEGRADED_READS),
-            nodes_down: m.gauge(st, names::store::NODES_DOWN),
-            observe,
-        });
+        // Rebuild wholesale, keeping the counters and any bound observe
+        // handle.
+        let mut bound = StoreTelemetry::clone(&self.telemetry());
+        m.register_counter(st::SUBSYSTEM, st::REPLICA_WRITES, &bound.replica_writes);
+        m.register_counter(st::SUBSYSTEM, st::DELETES, &bound.deletes);
+        m.register_counter(
+            rt::SUBSYSTEM,
+            rt::STORE_WRITE_HANDOFFS,
+            &bound.write_handoffs,
+        );
+        m.register_counter(
+            rt::SUBSYSTEM,
+            rt::STORE_DEGRADED_READS,
+            &bound.degraded_reads,
+        );
+        bound.insert_ns = m.histogram(st::SUBSYSTEM, st::INSERT_NS);
+        bound.nodes_down = m.gauge(st::SUBSYSTEM, st::NODES_DOWN);
+        *self.tel.write() = Arc::new(bound);
     }
 
     /// Routes causal spans (the quorum-write leg of a trace) into `obs`
@@ -321,13 +319,14 @@ impl StoreCluster {
 
     /// A snapshot of the operation counters.
     pub fn metrics(&self) -> ClusterMetrics {
+        let t = self.telemetry();
         ClusterMetrics {
-            inserts: self.metrics.inserts.load(Ordering::Relaxed),
-            replica_writes: self.metrics.replica_writes.load(Ordering::Relaxed),
-            deletes: self.metrics.deletes.load(Ordering::Relaxed),
-            write_handoffs: self.metrics.write_handoffs.load(Ordering::Relaxed),
-            quorum_failures: self.metrics.quorum_failures.load(Ordering::Relaxed),
-            degraded_reads: self.metrics.degraded_reads.load(Ordering::Relaxed),
+            inserts: t.inserts.get(),
+            replica_writes: t.replica_writes.get(),
+            deletes: t.deletes.get(),
+            write_handoffs: t.write_handoffs.get(),
+            quorum_failures: t.quorum_failures.get(),
+            degraded_reads: t.degraded_reads.get(),
         }
     }
 
@@ -718,13 +717,10 @@ impl CollectionHandle {
             .collection(placed > 0)
             .map_or(0, |coll| cluster.place_all(coll, stored));
 
-        let m = &cluster.metrics;
-        m.inserts.fetch_add(placed, Ordering::Relaxed);
-        m.quorum_failures.fetch_add(n - placed, Ordering::Relaxed);
-        m.replica_writes.fetch_add(copies, Ordering::Relaxed);
+        tel.inserts.add(placed);
+        tel.quorum_failures.add(n - placed);
         tel.replica_writes.add(copies);
         if handoffs > 0 {
-            m.write_handoffs.fetch_add(handoffs, Ordering::Relaxed);
             tel.write_handoffs.add(handoffs);
         }
         for p in batch.iter_mut().filter(|p| p.outcome.is_ok()) {
@@ -848,7 +844,6 @@ impl CollectionHandle {
             coll.delete_everywhere(&victims);
         }
         let n = victims.len() as u64;
-        self.cluster.metrics.deletes.fetch_add(n, Ordering::Relaxed);
         self.cluster.telemetry().deletes.add(n);
         if n > 0 {
             let _ = self.cluster.journal(|| StoreOp::Delete {
@@ -910,8 +905,6 @@ impl CollectionHandle {
     }
 
     fn note_degraded_read(&self) {
-        let m = &self.cluster.metrics;
-        m.degraded_reads.fetch_add(1, Ordering::Relaxed);
         self.cluster.telemetry().degraded_reads.inc();
     }
 }

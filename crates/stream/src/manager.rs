@@ -155,10 +155,11 @@ impl RetrainLoop {
             );
         }
 
+        let swap_failures = Counter::default();
+        let (sub, name) = (names::stream::SUBSYSTEM, names::stream::SWAP_FAILURES);
+        tel.metrics().register_counter(sub, name, &swap_failures);
         RetrainLoop {
-            swap_failures: tel
-                .metrics()
-                .counter(names::stream::SUBSYSTEM, names::stream::SWAP_FAILURES),
+            swap_failures,
             cfg,
             validator,
             live,

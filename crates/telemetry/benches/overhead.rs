@@ -1,10 +1,11 @@
-//! Measures the cost of telemetry instruments in both states.
+//! Measures the cost of telemetry instruments.
 //!
-//! The disabled numbers are the contract: a counter increment or
-//! histogram record against a disabled domain must cost roughly one
-//! relaxed atomic load, and a disabled timer must never read the wall
-//! clock. `scripts/ci.sh` runs this in smoke mode
-//! (`ATHENA_BENCH_SMOKE=1`) to keep the gate fast.
+//! A counter always counts, so it has one case: one relaxed
+//! `fetch_add`. Histograms and timers are measured in both states, and
+//! the disabled numbers are the contract: a histogram record against a
+//! disabled domain must cost roughly one relaxed atomic load, and a
+//! disabled timer must never read the wall clock. `scripts/ci.sh` runs
+//! this in smoke mode (`ATHENA_BENCH_SMOKE=1`) to keep the gate fast.
 
 use athena_telemetry::Telemetry;
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
@@ -25,10 +26,8 @@ fn bench_overhead(c: &mut Criterion) {
     let on = Telemetry::new();
     let off = Telemetry::off();
 
-    let c_on = on.metrics().counter("bench", "hits");
-    let c_off = off.metrics().counter("bench", "hits");
-    c.bench_function("counter_inc_enabled", |b| b.iter(|| c_on.inc()));
-    c.bench_function("counter_inc_disabled", |b| b.iter(|| c_off.inc()));
+    let hits = on.metrics().counter("bench", "hits");
+    c.bench_function("counter_inc", |b| b.iter(|| hits.inc()));
 
     let h_on = on.metrics().histogram("bench", "lat_ns");
     let h_off = off.metrics().histogram("bench", "lat_ns");

@@ -19,12 +19,15 @@
 //!
 //! A [`Telemetry`] handle is one registry with an on/off switch; cloning
 //! yields another handle to the same instruments. Telemetry is **off by
-//! default** ([`Telemetry::off`], also `Default`): a disabled instrument
-//! costs one relaxed atomic load per record and never touches the wall
-//! clock, so instrumented hot paths stay deterministic and essentially
-//! free until a harness opts in with [`Telemetry::new`]. The
-//! `e2e_overhead` gate and the `overhead` criterion bench in this crate
-//! hold both ends of that contract.
+//! default** ([`Telemetry::off`], also `Default`). The switch gates
+//! histograms, timers and gauges: a disabled one costs one relaxed atomic
+//! load per record and never touches the wall clock, so instrumented hot
+//! paths stay deterministic and essentially free until a harness opts in
+//! with [`Telemetry::new`]. A [`Counter`] always counts: its subsystem
+//! owns it, reads its views off it and registers that same handle
+//! ([`MetricsRegistry::register_counter`]), so a view and its report row
+//! cannot disagree. The `e2e_overhead` gate and the `overhead` criterion
+//! bench in this crate hold the cost side.
 //!
 //! # Examples
 //!
@@ -79,7 +82,8 @@ impl Telemetry {
     }
 
     /// Creates a **disabled** telemetry domain (the default everywhere):
-    /// every record is a single relaxed atomic load, no wall-clock reads.
+    /// a histogram, timer or gauge record is a single relaxed atomic
+    /// load, with no wall-clock read. Counters still count.
     pub fn off() -> Self {
         Self::with_enabled(false)
     }
@@ -112,7 +116,8 @@ impl Telemetry {
 
 impl Default for Telemetry {
     /// The default domain is **disabled** so instrumented subsystems pay
-    /// only the atomic-load guard unless a harness opts in.
+    /// only the atomic-load guard on their timed and sampled instruments
+    /// unless a harness opts in.
     fn default() -> Self {
         Telemetry::off()
     }
@@ -139,14 +144,61 @@ mod tests {
     }
 
     #[test]
-    fn disabled_domain_records_nothing() {
+    fn disabled_domain_counts_but_samples_nothing() {
         let tel = Telemetry::off();
         let c = tel.metrics().counter("a", "hits");
         let h = tel.metrics().histogram("a", "lat_ns");
         c.inc();
         h.record(99);
-        assert_eq!(c.get(), 0);
+        assert_eq!(c.get(), 1);
         assert_eq!(h.snapshot().count, 0);
+    }
+
+    /// The value of the one counter row labeled `label`.
+    fn row(tel: &Telemetry, label: &str) -> Option<u64> {
+        let report = tel.report();
+        let mut rows = report.counters.iter().filter(|e| e.key.label() == label);
+        let value = rows.next().map(|e| e.value);
+        assert!(rows.next().is_none(), "{label} reported twice");
+        value
+    }
+
+    #[test]
+    fn a_count_made_before_registration_shows_in_view_and_report() {
+        let tel = Telemetry::new();
+        let own = Counter::default();
+        own.add(4);
+        tel.metrics().register_counter("a", "hits", &own);
+        own.inc();
+        assert_eq!(own.get(), 5);
+        assert_eq!(row(&tel, "a/hits"), Some(5));
+    }
+
+    #[test]
+    fn a_count_made_under_an_off_domain_shows_in_view_and_report() {
+        let tel = Telemetry::off();
+        let own = Counter::default();
+        tel.metrics().register_counter("a", "hits", &own);
+        own.add(3);
+        assert_eq!(own.get(), 3);
+        assert_eq!(row(&tel, "a/hits"), Some(3));
+    }
+
+    #[test]
+    fn handles_registered_under_one_key_report_their_sum() {
+        let tel = Telemetry::new();
+        let (a, b) = (Counter::default(), Counter::default());
+        a.add(2);
+        b.add(5);
+        let m = tel.metrics();
+        m.register_counter("retry", "timeouts", &a);
+        m.register_counter("retry", "timeouts", &b);
+        // Registering a handle again (a rebind) does not count it twice.
+        m.register_counter("retry", "timeouts", &a);
+        assert_eq!(row(&tel, "retry/timeouts"), Some(7));
+        assert_eq!((a.get(), b.get()), (2, 5));
+        // A lookup of the shared key reads the sum too.
+        assert_eq!(m.counter("retry", "timeouts").get(), 7);
     }
 
     #[test]

@@ -2,8 +2,12 @@
 //!
 //! Handles are `Arc`-backed and lock-free to record into; the registry's
 //! mutex is touched only at registration and snapshot time, never on the
-//! hot path. Every handle shares the owning [`Telemetry`]'s enabled flag:
-//! a record on a disabled instrument is one relaxed atomic load.
+//! hot path. A [`Counter`] always counts: it is the one tally of its
+//! event, owned by the subsystem that counts it, whose own views read it
+//! and which hands it to a registry with
+//! [`MetricsRegistry::register_counter`]. Gauges and histograms share the
+//! owning [`Telemetry`]'s enabled flag: a record on a disabled one is one
+//! relaxed atomic load, and a disabled timer never reads the clock.
 //!
 //! [`Telemetry`]: crate::Telemetry
 
@@ -58,23 +62,15 @@ impl std::fmt::Display for MetricKey {
     }
 }
 
-/// A monotonically increasing counter.
-#[derive(Debug, Clone)]
+/// A monotonically increasing counter. It counts whether or not any
+/// registry reports it, so a subsystem's views and the registry's report
+/// read the same number.
+#[derive(Debug, Clone, Default)]
 pub struct Counter {
-    enabled: Arc<AtomicBool>,
     value: Arc<AtomicU64>,
 }
 
 impl Counter {
-    /// A counter not connected to any registry (records are kept but
-    /// never reported; used as the disabled default in subsystems).
-    pub fn detached() -> Self {
-        Counter {
-            enabled: Arc::new(AtomicBool::new(false)),
-            value: Arc::new(AtomicU64::new(0)),
-        }
-    }
-
     /// Adds one.
     #[inline]
     pub fn inc(&self) {
@@ -84,22 +80,12 @@ impl Counter {
     /// Adds `n`.
     #[inline]
     pub fn add(&self, n: u64) {
-        if self.enabled.load(Ordering::Relaxed) {
-            self.value.fetch_add(n, Ordering::Relaxed);
-        }
+        self.value.fetch_add(n, Ordering::Relaxed);
     }
 
     /// The current value.
     pub fn get(&self) -> u64 {
         self.value.load(Ordering::Relaxed)
-    }
-}
-
-impl Default for Counter {
-    /// Defaults to [`Counter::detached`] so instrumented structs can keep
-    /// deriving `Default`.
-    fn default() -> Self {
-        Counter::detached()
     }
 }
 
@@ -111,14 +97,6 @@ pub struct Gauge {
 }
 
 impl Gauge {
-    /// A gauge not connected to any registry.
-    pub fn detached() -> Self {
-        Gauge {
-            enabled: Arc::new(AtomicBool::new(false)),
-            value: Arc::new(AtomicI64::new(0)),
-        }
-    }
-
     /// Sets the gauge.
     #[inline]
     pub fn set(&self, v: i64) {
@@ -142,9 +120,12 @@ impl Gauge {
 }
 
 impl Default for Gauge {
-    /// Defaults to [`Gauge::detached`].
+    /// A gauge not connected to any registry: it records nothing.
     fn default() -> Self {
-        Gauge::detached()
+        Gauge {
+            enabled: Arc::new(AtomicBool::new(false)),
+            value: Arc::new(AtomicI64::new(0)),
+        }
     }
 }
 
@@ -207,14 +188,6 @@ pub struct Histogram {
 }
 
 impl Histogram {
-    /// A histogram not connected to any registry.
-    pub fn detached() -> Self {
-        Histogram {
-            enabled: Arc::new(AtomicBool::new(false)),
-            inner: Arc::new(HistogramInner::new()),
-        }
-    }
-
     /// Records one sample.
     #[inline]
     pub fn record(&self, v: u64) {
@@ -279,9 +252,12 @@ impl Histogram {
 }
 
 impl Default for Histogram {
-    /// Defaults to [`Histogram::detached`].
+    /// A histogram not connected to any registry: it records nothing.
     fn default() -> Self {
-        Histogram::detached()
+        Histogram {
+            enabled: Arc::new(AtomicBool::new(false)),
+            inner: Arc::new(HistogramInner::new()),
+        }
     }
 }
 
@@ -370,7 +346,8 @@ impl HistogramSnapshot {
 }
 
 enum Metric {
-    Counter(Counter),
+    /// Every handle registered under the key; the report shows their sum.
+    Counter(Vec<Counter>),
     Gauge(Gauge),
     Histogram(Histogram),
 }
@@ -395,23 +372,49 @@ impl MetricsRegistry {
         self.counter_with(subsystem, name, "")
     }
 
-    /// A counter for one instance of a subsystem.
-    ///
-    /// Registration is idempotent: the same key always resolves to the
-    /// same underlying counter. If the key is already registered as a
-    /// different instrument kind, a detached handle is returned instead
-    /// (records disappear rather than panicking a hot path).
+    /// Looks a counter up by name, registering a fresh one if the key is
+    /// new (subsystems [register](Self::register_counter) their own). A
+    /// key that several handles share resolves to an unreported reading
+    /// of their sum; a key of another instrument kind, to an unreported
+    /// handle (records vanish rather than panic a hot path).
     pub fn counter_with(&self, subsystem: &str, name: &str, instance: &str) -> Counter {
         let key = MetricKey::new(subsystem, name, instance);
         let mut map = self.metrics.lock();
-        match map.entry(key).or_insert_with(|| {
-            Metric::Counter(Counter {
-                enabled: Arc::clone(&self.enabled),
-                value: Arc::new(AtomicU64::new(0)),
-            })
-        }) {
-            Metric::Counter(c) => c.clone(),
-            _ => Counter::detached(),
+        match map
+            .entry(key)
+            .or_insert_with(|| Metric::Counter(vec![Counter::default()]))
+        {
+            Metric::Counter(handles) => match handles.as_slice() {
+                [one] => one.clone(),
+                many => {
+                    let reading = Counter::default();
+                    reading.add(many.iter().map(Counter::get).sum());
+                    reading
+                }
+            },
+            _ => Counter::default(),
+        }
+    }
+
+    /// Reports a subsystem's own `counter` under `subsystem/name`. The
+    /// registry keeps the handle, so the report shows every count it
+    /// holds, made before this call or under a disabled domain alike.
+    /// Several handles registered under one key report their sum; a
+    /// handle registered twice counts once. A key that names a gauge or
+    /// histogram leaves the counter unreported.
+    pub fn register_counter(&self, subsystem: &str, name: &str, counter: &Counter) {
+        let key = MetricKey::new(subsystem, name, "");
+        let mut map = self.metrics.lock();
+        if let Metric::Counter(handles) = map
+            .entry(key)
+            .or_insert_with(|| Metric::Counter(Vec::new()))
+        {
+            if !handles
+                .iter()
+                .any(|h| Arc::ptr_eq(&h.value, &counter.value))
+            {
+                handles.push(counter.clone());
+            }
         }
     }
 
@@ -432,7 +435,7 @@ impl MetricsRegistry {
             })
         }) {
             Metric::Gauge(g) => g.clone(),
-            _ => Gauge::detached(),
+            _ => Gauge::default(),
         }
     }
 
@@ -453,7 +456,7 @@ impl MetricsRegistry {
             })
         }) {
             Metric::Histogram(h) => h.clone(),
-            _ => Histogram::detached(),
+            _ => Histogram::default(),
         }
     }
 
@@ -465,9 +468,9 @@ impl MetricsRegistry {
         let mut histograms = Vec::new();
         for (key, metric) in map.iter() {
             match metric {
-                Metric::Counter(c) => counters.push(CounterEntry {
+                Metric::Counter(handles) => counters.push(CounterEntry {
                     key: key.clone(),
-                    value: c.get(),
+                    value: handles.iter().map(Counter::get).sum(),
                 }),
                 Metric::Gauge(g) => gauges.push(GaugeEntry {
                     key: key.clone(),
@@ -592,7 +595,7 @@ mod tests {
         let b = reg.counter("s", "n");
         a.inc();
         assert_eq!(b.get(), 1);
-        // Same key, different kind: detached, not shared, no panic.
+        // Same key, different kind: unreported, not shared, no panic.
         let g = reg.gauge("s", "n");
         g.set(7);
         assert_eq!(reg.counter("s", "n").get(), 1);
@@ -617,7 +620,7 @@ mod tests {
         let t = h.start_timer();
         t.observe(&h);
         assert_eq!(h.snapshot().count, 1);
-        let off = Histogram::detached();
+        let off = Histogram::default();
         let t = off.start_timer();
         t.observe(&off);
         assert_eq!(off.snapshot().count, 0);

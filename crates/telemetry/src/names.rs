@@ -2,7 +2,7 @@
 //! crate emits, declared once.
 //!
 //! Call sites register instruments through these constants
-//! (`m.counter(names::controller::SUBSYSTEM, names::controller::PACKET_INS)`),
+//! (`m.register_counter(names::controller::SUBSYSTEM, names::controller::PACKET_INS, &c)`),
 //! and each `NAME = "name";` line below yields both the constant and its
 //! [`DECLARED`] row. The observe layer's alert keys are resolved against
 //! the same table by a unit test, so a renamed counter cannot silently
@@ -161,8 +161,6 @@ declare_metrics! {
     faults {
         /// Fault events injected.
         INJECTED = "injected";
-        /// Switch reboots injected.
-        SWITCH_REBOOTS = "switch_reboots";
         /// Controller crash/rejoin events injected.
         CONTROLLER_EVENTS = "controller_events";
         /// Message-fault profile changes applied.

@@ -50,6 +50,20 @@ cargo test -q -p athena-analyze --offline --test corpus
 echo "==> unused-pub over fields (names in tests/ and ledger/src count; serde structs and test regions exempt; pub(crate) flagged)"
 cargo test -q --offline --test static_analysis unused_pub_field
 
+echo "==> one tally per event (views equal registry rows after a chaos run; registered counters count before bind and under an off domain; every SB tracker sums into one row; a rebuilt deployment reports each event once)"
+cargo test -q -p athena-telemetry --offline --lib -- \
+    a_count_made_before_registration_shows_in_view_and_report \
+    a_count_made_under_an_off_domain_shows_in_view_and_report \
+    handles_registered_under_one_key_report_their_sum \
+    disabled_domain_counts_but_samples_nothing
+cargo test -q -p athena-core --offline --lib -- \
+    lost_replies_are_retried_with_backoff_then_dropped \
+    every_instance_tracker_reports_into_one_row
+cargo test -q -p athena-controller --offline --lib -- \
+    a_deployment_rebuilt_in_one_process_reports_each_event_once
+ATHENA_CHAOS_SMOKE=1 cargo test -q --offline --test e2e_failures \
+    fault_retry_and_failover_counters_surface_in_telemetry
+
 echo "==> one lock type (no untracked production lock; the apps' handler locks in lock_order)"
 # The apps' locks are taken inside event-handler closures the derived
 # graph does not resolve: the sentinel test checks their runtime order.

@@ -248,7 +248,8 @@ fn chaos_runs_are_deterministic_under_a_fixed_seed() {
 }
 
 /// Fault, retry, and failover counters all surface in the telemetry
-/// report of a faulted run.
+/// report of a faulted run, and each report row equals the view its
+/// subsystem reads off the same counter.
 #[test]
 fn fault_retry_and_failover_counters_surface_in_telemetry() {
     let tel = Telemetry::new();
@@ -266,7 +267,42 @@ fn fault_retry_and_failover_counters_surface_in_telemetry() {
     assert_eq!(m.counter("faults", "controller_events").get(), 2);
     assert!(m.counter("failover", "elections").get() >= 2);
     assert!(m.counter("failover", "switches_moved").get() > 0);
-    let rendered = tel.report().render();
+    let report = tel.report();
+    let row = |label: &str| {
+        let mut rows = report.counters.iter().filter(|e| e.key.label() == label);
+        let value = rows.next().map(|e| e.value);
+        assert!(rows.next().is_none(), "{label} reported twice");
+        value
+    };
+    let injector = run.injector.counters();
+    let chaos = run.chaos.counters();
+    let messages = run.chaos.inner().counters();
+    let failover = run.chaos.inner().failover_counters();
+    let store = run.athena.runtime().store.metrics();
+    for (label, view) in [
+        ("faults/injected", injector.injected),
+        ("faults/controller_events", injector.controller_events),
+        (
+            "faults/message_profile_changes",
+            injector.message_profile_changes,
+        ),
+        ("faults/msgs_dropped", chaos.dropped),
+        ("faults/msgs_duplicated", chaos.duplicated),
+        ("faults/msgs_delayed", chaos.delayed),
+        ("controller/packet_ins", messages.packet_ins),
+        ("controller/flow_mods", messages.flow_mods),
+        ("controller/stats_replies", messages.stats_replies),
+        ("controller/flow_removeds", messages.flow_removeds),
+        ("failover/elections", failover.elections),
+        ("failover/switches_moved", failover.switches_moved),
+        ("store/replica_writes", store.replica_writes),
+        ("store/deletes", store.deletes),
+        ("retry/store_write_handoffs", store.write_handoffs),
+        ("retry/store_degraded_reads", store.degraded_reads),
+    ] {
+        assert_eq!(row(label), Some(view), "{label}: the row is not its view");
+    }
+    let rendered = report.render();
     for needle in ["[faults]", "[failover]", "[retry]"] {
         assert!(
             rendered.contains(needle),
