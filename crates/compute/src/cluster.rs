@@ -4,9 +4,9 @@ use crate::dataset::Dataset;
 use crate::scheduler::{SchedulerConfig, VirtualScheduler};
 use athena_observe::Observe;
 use athena_telemetry::{names, Counter, Histogram, Telemetry};
-use athena_types::sentinel::{TrackedMutex, TrackedRwLock};
+use athena_types::sentinel::TrackedMutex;
 use athena_types::SimDuration;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
 /// Metrics for one executed job.
@@ -27,16 +27,12 @@ pub(crate) struct ClusterInner {
     /// The job log: the one record of each job, which the job count and
     /// the total virtual time are read off.
     jobs: TrackedMutex<Vec<JobMetrics>>,
-    tel: TrackedRwLock<ComputeTelemetry>,
-}
-
-/// The cluster's timing instruments (detached until
-/// [`ComputeCluster::bind_telemetry`]) and observe handle.
-#[derive(Debug, Clone, Default)]
-struct ComputeTelemetry {
+    /// Timing instruments, registered by
+    /// [`ComputeCluster::bind_telemetry`].
     task_ns: Histogram,
     job_ns: Histogram,
-    observe: Observe,
+    /// Set once, by [`ComputeCluster::bind_observe`].
+    observe: OnceLock<Observe>,
 }
 
 /// A compute cluster of N worker nodes.
@@ -73,32 +69,30 @@ impl ComputeCluster {
                 scheduler: VirtualScheduler::new(workers, config),
                 tasks: Counter::default(),
                 jobs: TrackedMutex::new("compute/jobs", Vec::new()),
-                tel: TrackedRwLock::new("compute/tel", ComputeTelemetry::default()),
+                task_ns: Histogram::default(),
+                job_ns: Histogram::default(),
+                observe: OnceLock::new(),
             }),
         }
     }
 
-    /// Reports the task counter into `tel` and routes task/job dispatch
-    /// latencies there, for every handle cloned from this cluster.
+    /// Reports the task counter and task/job dispatch latencies into
+    /// `tel`, for every handle cloned from this cluster.
     pub fn bind_telemetry(&self, tel: &Telemetry) {
-        let m = tel.metrics();
+        let (m, i) = (tel.metrics(), &self.inner);
         let sub = names::compute::SUBSYSTEM;
-        m.register_counter(sub, names::compute::TASKS, &self.inner.tasks);
-        let (task_ns, job_ns) = (
-            m.histogram(sub, names::compute::TASK_NS),
-            m.histogram(sub, names::compute::JOB_NS),
-        );
-        let mut t = self.inner.tel.write();
-        t.task_ns = task_ns;
-        t.job_ns = job_ns;
+        m.register_counter(sub, names::compute::TASKS, &i.tasks);
+        m.register_histogram(sub, names::compute::TASK_NS, "", &i.task_ns);
+        m.register_histogram(sub, names::compute::JOB_NS, "", &i.job_ns);
     }
 
     /// Routes causal spans (the compute-job leg of a trace) into `obs`
-    /// for every handle cloned from this cluster. Spans are opened and
+    /// for every handle cloned from this cluster. The handle is set once:
+    /// a later call leaves the first one bound. Spans are opened and
     /// closed on the submitting thread only — parallel runners record
     /// nothing causal, so the trace stream is thread-count-invariant.
     pub fn bind_observe(&self, obs: &Observe) {
-        self.inner.tel.write().observe = obs.clone();
+        let _ = self.inner.observe.set(obs.clone());
     }
 
     /// Number of worker nodes.
@@ -151,19 +145,14 @@ impl ComputeCluster {
         partitions: &[P],
         task: impl Fn(&P) -> R + Sync,
     ) -> Vec<R> {
-        // Instruments are cloned out of a short-lived guard so the jobs
-        // log below is never locked while `tel` is held.
-        let tel = {
-            let guard = self.inner.tel.read();
-            ComputeTelemetry::clone(&guard)
-        };
-        let span = tel.observe.span("compute", "job");
-        let job_timer = tel.job_ns.start_timer();
+        let span = self.inner.observe.get().map(|o| o.span("compute", "job"));
+        let job_timer = self.inner.job_ns.start_timer();
         let timed = athena_parallel::par_map_indexed(partitions.len(), |i| {
             let start = Instant::now();
             let r = task(&partitions[i]);
             let elapsed = start.elapsed();
-            tel.task_ns
+            self.inner
+                .task_ns
                 .record(elapsed.as_nanos().min(u128::from(u64::MAX)) as u64);
             (SimDuration::from_micros(elapsed.as_micros() as u64), r)
         });
@@ -179,8 +168,10 @@ impl ComputeCluster {
             tasks: partitions.len(),
             virtual_time,
         });
-        job_timer.observe(&tel.job_ns);
-        span.finish(format_args!("{label}: {} tasks", partitions.len()));
+        job_timer.observe(&self.inner.job_ns);
+        if let Some(span) = span {
+            span.finish(format_args!("{label}: {} tasks", partitions.len()));
+        }
         results
     }
 }

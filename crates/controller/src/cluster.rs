@@ -129,7 +129,7 @@ impl ControllerCluster {
     pub fn bind_telemetry(&mut self, tel: &Telemetry) {
         use names::{controller as ctl, failover as fo};
         let m = tel.metrics();
-        let t = &mut self.tel;
+        let t = &self.tel;
         let l = &t.live;
         m.register_counter(ctl::SUBSYSTEM, ctl::PACKET_INS, &l.packet_ins);
         m.register_counter(ctl::SUBSYSTEM, ctl::FLOW_MODS, &l.flow_mods);
@@ -137,8 +137,8 @@ impl ControllerCluster {
         m.register_counter(ctl::SUBSYSTEM, ctl::FLOW_REMOVEDS, &l.flow_removeds);
         m.register_counter(fo::SUBSYSTEM, fo::ELECTIONS, &l.elections);
         m.register_counter(fo::SUBSYSTEM, fo::SWITCHES_MOVED, &l.switches_moved);
-        t.packet_in_ns = m.histogram(ctl::SUBSYSTEM, ctl::PACKET_IN_NS);
-        t.instances_down = m.gauge(fo::SUBSYSTEM, fo::INSTANCES_DOWN);
+        m.register_histogram(ctl::SUBSYSTEM, ctl::PACKET_IN_NS, "", &t.packet_in_ns);
+        m.register_gauge(fo::SUBSYSTEM, fo::INSTANCES_DOWN, "", &t.instances_down);
         if let Some(poller) = &self.poller {
             poller.bind_telemetry(tel);
         }

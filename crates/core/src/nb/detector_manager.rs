@@ -177,14 +177,10 @@ impl DetectorManager {
     /// Like [`DetectorManager::new`], but training latency and model
     /// counts flow into `tel` under the `core` subsystem.
     pub fn with_telemetry(compute: ComputeCluster, tel: &Telemetry) -> Self {
-        use athena_telemetry::names;
-        let m = tel.metrics();
-        let manager = DetectorManager {
-            fit_ns: m.histogram(names::core::SUBSYSTEM, names::core::FIT_NS),
-            ..Self::new(compute)
-        };
-        let (sub, name) = (names::core::SUBSYSTEM, names::core::MODELS_TRAINED);
-        m.register_counter(sub, name, &manager.models_trained);
+        use athena_telemetry::names::core;
+        let (m, sub, manager) = (tel.metrics(), core::SUBSYSTEM, Self::new(compute));
+        m.register_histogram(sub, core::FIT_NS, "", &manager.fit_ns);
+        m.register_counter(sub, core::MODELS_TRAINED, &manager.models_trained);
         manager
     }
 

@@ -43,18 +43,22 @@ pub struct AthenaSouthbound {
 impl AthenaSouthbound {
     /// Creates the SB element for one controller instance.
     ///
-    /// Instruments come from the runtime's [`Telemetry`] handle, labeled
-    /// by controller instance (`sb-<id>`). The poll tracker's timeouts and
-    /// give-ups are reported unlabeled: every instance's tracker registers
-    /// under the one `retry/sb_stats_*` key, which reports their sum.
+    /// The element's own instruments are registered with the runtime's
+    /// [`Telemetry`] handle, its histograms labeled by controller instance
+    /// (`sb-<id>`). The poll tracker's timeouts and give-ups are reported
+    /// unlabeled: every instance's tracker registers under the one
+    /// `retry/sb_stats_*` key, which reports their sum.
     ///
     /// [`Telemetry`]: athena_telemetry::Telemetry
     pub fn new(controller: ControllerId, runtime: Arc<AthenaRuntime>) -> Self {
         let m = runtime.telemetry.metrics();
         let instance = format!("sb-{}", controller.raw());
+        let sub = names::core::SUBSYSTEM;
         let feature_records = Counter::default();
-        let (sub, name) = (names::core::SUBSYSTEM, names::core::FEATURE_RECORDS);
-        m.register_counter(sub, name, &feature_records);
+        m.register_counter(sub, names::core::FEATURE_RECORDS, &feature_records);
+        let (feature_gen_ns, dispatch_ns) = (Histogram::default(), Histogram::default());
+        m.register_histogram(sub, names::core::FEATURE_GEN_NS, &instance, &feature_gen_ns);
+        m.register_histogram(sub, names::core::DISPATCH_NS, &instance, &dispatch_ns);
         let polls = PollTracker::new(Xid::ATHENA_MARK);
         polls.register_outcomes(
             m,
@@ -67,16 +71,8 @@ impl AthenaSouthbound {
             generator: FeatureGenerator::new(controller),
             last_poll: None,
             last_gc: SimTime::ZERO,
-            feature_gen_ns: m.histogram_with(
-                names::core::SUBSYSTEM,
-                names::core::FEATURE_GEN_NS,
-                &instance,
-            ),
-            dispatch_ns: m.histogram_with(
-                names::core::SUBSYSTEM,
-                names::core::DISPATCH_NS,
-                &instance,
-            ),
+            feature_gen_ns,
+            dispatch_ns,
             feature_records,
             polls,
             observe: runtime.observe.clone(),

@@ -1,12 +1,14 @@
 //! What one store write locks, counted by the lock sentinel instead of
 //! timed: a batch insert takes the write lock of each target node's
-//! shard once, and reads the store's telemetry snapshot once. It looks
-//! no collection up by name and checks no index on the way. A message
-//! through Athena's southbound element adds each manager's lock once.
+//! shard once and nothing else. It looks no collection up by name,
+//! checks no index and takes no lock for its instruments on the way. A
+//! message through Athena's southbound element adds each manager's lock
+//! once, and a compute job takes its cluster's job log once.
 //!
 //! One test function: the sentinel's switch and counts are
 //! process-global, so this binary runs nothing else beside it.
 
+use athena_compute::ComputeCluster;
 use athena_controller::{
     FlowRuleService, HostService, InterceptCtx, MastershipService, MessageInterceptor, PathService,
 };
@@ -26,8 +28,6 @@ use athena_types::{
 
 /// Ceiling on shard write locks per batch and target node (measured: 1).
 const COLL_WRITES_PER_TARGET_NODE: u64 = 1;
-/// Ceiling on telemetry snapshot reads per batch (measured: 1).
-const TEL_READS_PER_BATCH: u64 = 1;
 /// Ceiling on each manager lock per message through the SB element
 /// (measured: 1 for a FLOW_STATS reply and for a FLOW_REMOVED).
 const MANAGER_LOCKS_PER_MESSAGE: u64 = 1;
@@ -51,13 +51,10 @@ fn store_only(counts: &Counts) -> Counts {
 
 /// What one batch whose copies reach `targets` nodes may take.
 fn one_batch(targets: u64) -> Counts {
-    vec![
-        (
-            ("store/coll", Access::Write),
-            targets * COLL_WRITES_PER_TARGET_NODE,
-        ),
-        (("store/tel", Access::Read), TEL_READS_PER_BATCH),
-    ]
+    vec![(
+        ("store/coll", Access::Write),
+        targets * COLL_WRITES_PER_TARGET_NODE,
+    )]
 }
 
 /// What one message through the SB element may take: each of the four
@@ -132,6 +129,23 @@ fn a_store_write_locks_only_its_target_shards() {
     assert_eq!(counts, one_batch(targets), "one PACKET_IN");
 
     southbound_messages();
+    one_compute_job();
+}
+
+/// A job on a compute cluster bound to an enabled domain: its job log
+/// once, and nothing for its instruments.
+fn one_compute_job() {
+    let tel = Telemetry::new();
+    let compute = ComputeCluster::new(3);
+    compute.bind_telemetry(&tel);
+    let data = compute.parallelize((0..64u32).collect(), 6);
+    sentinel::force(Some(true));
+    let counts = acquisitions_of(|| assert_eq!(data.count(), 64));
+    sentinel::force(None);
+    sentinel::reset();
+    assert_eq!(counts, vec![(("compute/jobs", Access::Lock), 1)]);
+    let tasks = tel.metrics().histogram("compute", "task_ns").snapshot();
+    assert_eq!(tasks.count, 6);
 }
 
 /// A `FLOW_STATS` reply and a `FLOW_REMOVED` through the SB element.

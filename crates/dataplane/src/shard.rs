@@ -48,6 +48,7 @@ use athena_telemetry::{names, Counter, Gauge, Histogram, Telemetry};
 use athena_types::{Dpid, Ipv4Addr, LinkId, PortNo, SimDuration, SimTime, Xid};
 use std::collections::HashMap;
 use std::marker::PhantomData;
+use std::sync::OnceLock;
 
 /// Command batches at or above this size that are pure `FlowMod`s are
 /// applied per shard in parallel; smaller or mixed batches use the
@@ -218,7 +219,7 @@ pub(crate) struct Shard {
     wheel: TimingWheel<usize>,
     /// Earliest outstanding wheel entry per switch slot (arm dedup).
     armed: Vec<Option<u64>>,
-    /// Wheel entries armed since the engine last mirrored the count.
+    /// Wheel entries armed since the engine last took the count.
     wheel_armed: u64,
     /// Packets waiting to walk this shard.
     pub(crate) inbox: Vec<PacketState>,
@@ -462,9 +463,8 @@ impl Shard {
     }
 }
 
-/// The engine's instruments. Its counters mirror [`NetworkCounters`]
-/// once per tick and are reported from [`Engine::bind_telemetry`]; the
-/// histogram and gauges are detached until then.
+/// The engine's instruments, registered by [`Engine::bind_telemetry`].
+/// Four counters are the one tally [`Engine::counters`] reads.
 #[derive(Debug, Default)]
 pub(crate) struct EngineTelemetry {
     step_ns: Histogram,
@@ -480,8 +480,11 @@ pub(crate) struct EngineTelemetry {
     pub(crate) batched_packet_ins: Counter,
     pub(crate) cross_shard_handoffs: Counter,
     pub(crate) routing_rounds: Counter,
-    /// Kept for the per-switch table gauges.
+    /// The enabled domain bound last, for the per-switch table gauges.
     handle: Option<Telemetry>,
+    /// One per switch, in shard and slot order; registered at the first
+    /// [`Engine::flush_gauges`] after a bind.
+    table_lookups: OnceLock<Vec<Gauge>>,
 }
 
 /// The simulated network, generic over its [punt
@@ -502,7 +505,6 @@ pub struct Engine<P> {
     pending: Vec<FlowSpec>, // sorted by start time, descending (pop from end)
     active: Vec<ActiveFlow>,
     pub(crate) now: SimTime,
-    pub(crate) counters: NetworkCounters,
     next_xid: u32,
     pub(crate) tel: EngineTelemetry,
     pub(crate) observe: Observe,
@@ -609,7 +611,6 @@ impl<P: PuntDiscipline> Engine<P> {
             pending: Vec::new(),
             active: Vec::new(),
             now: SimTime::ZERO,
-            counters: NetworkCounters::default(),
             next_xid: 1,
             tel: EngineTelemetry::default(),
             observe: Observe::disabled(),
@@ -642,12 +643,18 @@ impl<P: PuntDiscipline> Engine<P> {
 
     /// Counters accumulated so far.
     pub fn counters(&self) -> NetworkCounters {
-        self.counters
+        let t = &self.tel;
+        NetworkCounters {
+            packet_ins: t.packet_ins.get(),
+            flow_removeds: t.flow_removeds.get(),
+            delivered_bytes: t.delivered_bytes.get(),
+            dropped_bytes: t.dropped_bytes.get(),
+        }
     }
 
     /// Total bytes delivered end-to-end.
     pub fn delivered_bytes(&self) -> u64 {
-        self.counters.delivered_bytes
+        self.tel.delivered_bytes.get()
     }
 
     /// Immutable access to a switch.
@@ -695,12 +702,12 @@ impl<P: PuntDiscipline> Engine<P> {
         sc(s::BATCHED_PACKET_INS, &t.batched_packet_ins);
         sc(s::CROSS_SHARD_HANDOFFS, &t.cross_shard_handoffs);
         sc(s::ROUTING_ROUNDS, &t.routing_rounds);
-        t.step_ns = m.histogram(d::SUBSYSTEM, d::STEP_NS);
-        t.links_degraded = m.gauge(d::SUBSYSTEM, d::LINKS_DEGRADED);
-        t.shards = m.gauge(s::SUBSYSTEM, s::SHARDS);
-        t.handle = Some(tel.clone());
-        self.tel
-            .shards
+        m.register_histogram(d::SUBSYSTEM, d::STEP_NS, "", &t.step_ns);
+        m.register_gauge(d::SUBSYSTEM, d::LINKS_DEGRADED, "", &t.links_degraded);
+        m.register_gauge(s::SUBSYSTEM, s::SHARDS, "", &t.shards);
+        t.handle = tel.is_enabled().then(|| tel.clone());
+        t.table_lookups = OnceLock::new();
+        t.shards
             .set(i64::try_from(self.shards.len()).unwrap_or(i64::MAX));
     }
 
@@ -795,15 +802,18 @@ impl<P: PuntDiscipline> Engine<P> {
         let Some(tel) = &self.tel.handle else {
             return;
         };
-        if !tel.is_enabled() {
-            return;
-        }
-        let m = tel.metrics();
-        let sub = names::dataplane::SUBSYSTEM;
-        for sw in self.shards.iter().flat_map(|s| &s.switches) {
-            let instance = format!("s{}", sw.dpid().raw());
-            m.gauge_with(sub, names::dataplane::TABLE_LOOKUPS, &instance)
-                .set(i64::try_from(sw.table().lookup_count()).unwrap_or(i64::MAX));
+        let switches = || self.shards.iter().flat_map(|s| &s.switches);
+        let gauges = self.tel.table_lookups.get_or_init(|| {
+            let (m, d) = (tel.metrics(), names::dataplane::SUBSYSTEM);
+            let register = |sw: &SimSwitch| {
+                let (g, instance) = (Gauge::default(), format!("s{}", sw.dpid().raw()));
+                m.register_gauge(d, names::dataplane::TABLE_LOOKUPS, &instance, &g);
+                g
+            };
+            switches().map(register).collect()
+        });
+        for (g, sw) in gauges.iter().zip(switches()) {
+            g.set(i64::try_from(sw.table().lookup_count()).unwrap_or(i64::MAX));
         }
     }
 
@@ -812,7 +822,6 @@ impl<P: PuntDiscipline> Engine<P> {
     /// drives: it applies due fault events between steps, so every tick
     /// sees a consistent fault state.
     pub fn step(&mut self, ctrl: &mut impl ControllerLink) {
-        let before = self.counters;
         let step_timer = self.tel.step_ns.start_timer();
         let tick = TICK;
         let t = self.now + tick;
@@ -889,26 +898,14 @@ impl<P: PuntDiscipline> Engine<P> {
         self.active.retain(|f| f.spec.end_time() > t);
 
         step_timer.observe(&self.tel.step_ns);
-        // Mirror this tick's deltas into the registry — one add per
-        // counter per tick keeps the inner loops untouched.
-        let c = self.counters;
-        self.tel.packet_ins.add(c.packet_ins - before.packet_ins);
-        self.tel
-            .flow_removeds
-            .add(c.flow_removeds - before.flow_removeds);
-        self.tel
-            .delivered_bytes
-            .add(c.delivered_bytes - before.delivered_bytes);
-        self.tel
-            .dropped_bytes
-            .add(c.dropped_bytes - before.dropped_bytes);
+        // Shards count their wheel arms in parallel; take them once a tick.
         for shard in &mut self.shards {
             self.tel
                 .wheel_armed
                 .add(std::mem::take(&mut shard.wheel_armed));
         }
-        // 8. Observe sample/alert tick — after mirroring, so the sampled
-        // series include this tick's counter deltas.
+        // 8. Observe sample/alert tick — last, so the sampled series
+        // include this tick's counts.
         self.observe.on_tick(t);
     }
 
@@ -940,7 +937,7 @@ impl<P: PuntDiscipline> Engine<P> {
     pub(crate) fn packet_in(&mut self, st: &PacketState) -> Option<(Dpid, OfMessage)> {
         let sw = self.shards.get(st.at.shard)?.switches.get(st.at.slot)?;
         let dpid = sw.dpid();
-        self.counters.packet_ins += 1;
+        self.tel.packet_ins.inc();
         let xid = self.fresh_xid();
         let msg = OfMessage::packet_in(xid, st.pkt);
         Some((dpid, via_wire(msg, self.config.wire_mode)))
@@ -948,7 +945,7 @@ impl<P: PuntDiscipline> Engine<P> {
 
     /// Counts a FLOW_REMOVED and frames it for the controller.
     fn flow_removed(&mut self, body: FlowRemoved) -> OfMessage {
-        self.counters.flow_removeds += 1;
+        self.tel.flow_removeds.inc();
         let xid = self.fresh_xid();
         via_wire(OfMessage::FlowRemoved { xid, body }, self.config.wire_mode)
     }
@@ -1043,6 +1040,7 @@ impl<P: PuntDiscipline> Engine<P> {
                 share.congested = Some((hop.from, hop.link));
             }
         }
+        let (mut delivered_sum, mut dropped_sum) = (0, 0);
         for (item, share) in self.items.iter().zip(&mut self.shares) {
             let (packets, bytes) = match item.flow_idx {
                 None => (1, item.bytes),
@@ -1070,8 +1068,8 @@ impl<P: PuntDiscipline> Engine<P> {
                     };
                     flow.delivered_bytes += ok;
                     flow.dropped_bytes += lost;
-                    self.counters.delivered_bytes += ok;
-                    self.counters.dropped_bytes += lost;
+                    delivered_sum += ok;
+                    dropped_sum += lost;
                     (flow.spec.packets_for(delivered.max(1)), delivered)
                 }
             };
@@ -1096,6 +1094,8 @@ impl<P: PuntDiscipline> Engine<P> {
                 });
             }
         }
+        self.tel.delivered_bytes.add(delivered_sum);
+        self.tel.dropped_bytes.add(dropped_sum);
         self.items.clear();
         self.stream.clear();
     }
@@ -1271,7 +1271,7 @@ mod tests {
 
     over_both_disciplines!(
         routes_counts_and_credits_the_activation_packet,
-        telemetry_mirrors_engine_counters,
+        telemetry_reports_engine_counters,
         idle_timeout_produces_flow_removed_and_reinstall,
         congestion_drops_excess_traffic,
         no_route_means_no_delivery,
@@ -1424,7 +1424,7 @@ mod tests {
         assert_eq!(net.now(), SimTime::from_secs(9));
     }
 
-    fn telemetry_mirrors_engine_counters<P: PuntDiscipline>() {
+    fn telemetry_reports_engine_counters<P: PuntDiscipline>() {
         let (mut net, mut ctrl, _) = line::<P>(8, 2, 4);
         let tel = Telemetry::new();
         net.bind_telemetry(&tel);
@@ -1443,7 +1443,12 @@ mod tests {
         assert_eq!(m.histogram("dataplane", "step_ns").snapshot().count, 12);
         assert!(m.counter("dataplane", "wheel_armed").get() > 0);
         // Per-switch lookup gauges were published for the ingress switch.
-        assert!(m.gauge_with("dataplane", "table_lookups", "s1").get() > 0);
+        let report = tel.report();
+        let s1 = report
+            .gauges
+            .iter()
+            .find(|e| e.key.label() == "dataplane/table_lookups[s1]");
+        assert!(s1.is_some_and(|e| e.value > 0));
         // The plan's shape: an 8-switch line cut into 4 shards must hand
         // packets across, in at least one routing pass per tick.
         assert_eq!(m.gauge("scale", "shards").get(), 4);

@@ -38,15 +38,27 @@ pub struct FaultInjector {
     tally: FaultTally,
 }
 
-/// One counter per [`FaultCounters`] member: the one tally of each.
+/// One counter per event family: the one tally of each. Their sum is
+/// [`FaultCounters::injected`].
 #[derive(Default)]
 struct FaultTally {
-    injected: Counter,
     link_events: Counter,
     switch_reboots: Counter,
     controller_events: Counter,
     store_events: Counter,
     message_profile_changes: Counter,
+}
+
+impl FaultTally {
+    fn families(&self) -> [&Counter; 5] {
+        [
+            &self.link_events,
+            &self.switch_reboots,
+            &self.controller_events,
+            &self.store_events,
+            &self.message_profile_changes,
+        ]
+    }
 }
 
 impl FaultInjector {
@@ -68,11 +80,14 @@ impl FaultInjector {
         self
     }
 
-    /// Reports the injector's `faults/*` counters into `tel`.
+    /// Reports the injector's `faults/*` counters into `tel`: every
+    /// family under `faults/injected`, which reports their sum.
     pub fn bind_telemetry(&self, tel: &Telemetry) {
         use athena_telemetry::names::faults;
         let (m, sub, t) = (tel.metrics(), faults::SUBSYSTEM, &self.tally);
-        m.register_counter(sub, faults::INJECTED, &t.injected);
+        for family in t.families() {
+            m.register_counter(sub, faults::INJECTED, family);
+        }
         m.register_counter(sub, faults::CONTROLLER_EVENTS, &t.controller_events);
         let profiles = faults::MESSAGE_PROFILE_CHANGES;
         m.register_counter(sub, profiles, &t.message_profile_changes);
@@ -87,7 +102,7 @@ impl FaultInjector {
     pub fn counters(&self) -> FaultCounters {
         let t = &self.tally;
         FaultCounters {
-            injected: t.injected.get(),
+            injected: t.families().iter().map(|c| c.get()).sum(),
             link_events: t.link_events.get(),
             switch_reboots: t.switch_reboots.get(),
             controller_events: t.controller_events.get(),
@@ -117,7 +132,6 @@ impl FaultInjector {
             let kind = ev.kind;
             self.cursor += 1;
             applied += 1;
-            self.tally.injected.inc();
             let family = match kind {
                 FaultKind::LinkDown { a, b } => {
                     net.set_link_state(a, b, 0.0);

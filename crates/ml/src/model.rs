@@ -205,8 +205,8 @@ impl Algorithm {
     }
 
     /// [`Algorithm::fit`] with the wall-clock training latency recorded
-    /// into `hist` (nanoseconds; costs nothing when the histogram's
-    /// telemetry domain is disabled).
+    /// into `hist` (nanoseconds; costs nothing unless the histogram is
+    /// registered into an enabled telemetry domain).
     ///
     /// # Errors
     ///
@@ -495,21 +495,18 @@ mod tests {
 
     #[test]
     fn fit_timed_records_training_latency() {
-        let tel = athena_telemetry::Telemetry::new();
-        use athena_telemetry::names;
-        let hist = tel
-            .metrics()
-            .histogram(names::core::SUBSYSTEM, names::core::FIT_NS);
+        use athena_telemetry::{names, Histogram, Telemetry};
+        let (tel, hist) = (Telemetry::new(), Histogram::default());
+        let (sub, fit_ns) = (names::core::SUBSYSTEM, names::core::FIT_NS);
+        tel.metrics().register_histogram(sub, fit_ns, "", &hist);
         let data = blobs(40, 2, 91);
         let m = Algorithm::kmeans(2).fit_timed(&data, &hist).unwrap();
         assert_eq!(m.cluster_count(), Some(2));
         assert_eq!(hist.snapshot().count, 1);
         // Against a disabled domain, nothing is recorded but the fit
         // still runs.
-        let off = athena_telemetry::Telemetry::off();
-        let cold = off
-            .metrics()
-            .histogram(names::core::SUBSYSTEM, names::core::FIT_NS);
+        let (off, cold) = (Telemetry::off(), Histogram::default());
+        off.metrics().register_histogram(sub, fit_ns, "", &cold);
         Algorithm::kmeans(2).fit_timed(&data, &cold).unwrap();
         assert_eq!(cold.snapshot().count, 0);
     }

@@ -314,12 +314,13 @@ pub fn standard_rules() -> Vec<AlertRule> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use athena_telemetry::Telemetry;
+    use athena_telemetry::{Gauge, Telemetry};
 
     #[test]
     fn gauge_rule_fires_and_clears() {
-        let tel = Telemetry::new();
-        let gauge = tel.metrics().gauge("dataplane", "links_degraded");
+        let (tel, gauge) = (Telemetry::new(), Gauge::default());
+        tel.metrics()
+            .register_gauge("dataplane", "links_degraded", "", &gauge);
         let mut series = SeriesEngine::new(16);
         let mut engine = AlertEngine::new(vec![AlertRule {
             name: "links-degraded",

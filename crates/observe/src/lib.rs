@@ -20,8 +20,7 @@
 //!    fault firing and clearing its mapped alert.
 //!
 //! A disabled handle ([`Observe::disabled`], the default everywhere)
-//! costs one relaxed atomic load per call, the same contract as
-//! `Telemetry::off`.
+//! costs one flag read per call, the same contract as `Telemetry::off`.
 
 #![forbid(unsafe_code)]
 #![deny(rust_2018_idioms)]
@@ -43,7 +42,6 @@ use athena_telemetry::Telemetry;
 use athena_types::sentinel::TrackedMutex;
 use athena_types::{SimDuration, SimTime};
 use std::fmt;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 /// Bound on retained spans, events and trace ids — each list has this
@@ -73,7 +71,7 @@ struct State {
 
 #[derive(Debug)]
 struct Inner {
-    enabled: AtomicBool,
+    enabled: bool,
     /// The sampled registry; read outside the state lock.
     telemetry: Option<Telemetry>,
     state: TrackedMutex<State>,
@@ -103,7 +101,7 @@ impl Observe {
         };
         Observe {
             inner: Arc::new(Inner {
-                enabled: AtomicBool::new(enabled),
+                enabled,
                 telemetry,
                 state: TrackedMutex::new(
                     "observe/state",
@@ -128,7 +126,7 @@ impl Observe {
         }
     }
 
-    /// A handle that records nothing (one relaxed atomic load per call).
+    /// A handle that records nothing (one flag read per call).
     pub fn disabled() -> Self {
         Observe::build(false, 0, None, DEFAULT_SPAN_CAPACITY)
     }
@@ -149,7 +147,7 @@ impl Observe {
     /// Whether the handle records anything.
     #[inline]
     pub fn is_enabled(&self) -> bool {
-        self.inner.enabled.load(Ordering::Relaxed)
+        self.inner.enabled
     }
 
     /// Advances the pipeline's virtual clock; when a telemetry registry
@@ -515,8 +513,9 @@ mod tests {
 
     #[test]
     fn sampling_and_alerts_run_on_tick() {
-        let tel = Telemetry::new();
-        let gauge = tel.metrics().gauge("dataplane", "links_degraded");
+        let (tel, gauge) = (Telemetry::new(), athena_telemetry::Gauge::default());
+        tel.metrics()
+            .register_gauge("dataplane", "links_degraded", "", &gauge);
         let obs = Observe::with_telemetry(7, &tel);
         obs.on_tick(SimTime::from_secs(1));
         gauge.set(1);

@@ -67,8 +67,8 @@ pub struct Recovery {
 
 #[derive(Debug, Default)]
 struct JournalTelemetry {
-    append_ns: Option<Histogram>,
-    checkpoint_bytes: Option<Histogram>,
+    append_ns: Histogram,
+    checkpoint_bytes: Histogram,
     wal_records: Counter,
     wal_bytes: Counter,
     checkpoints_written: Counter,
@@ -188,10 +188,11 @@ impl Journal {
     pub fn bind_telemetry(&mut self, tel: &Telemetry, name: &str) {
         use athena_telemetry::names::persist as p;
         let m = tel.metrics();
-        let hist = |suffix: &str| m.histogram(p::SUBSYSTEM, &format!("{name}{suffix}"));
+        let hist =
+            |suffix: &str, h| m.register_histogram(p::SUBSYSTEM, &format!("{name}{suffix}"), "", h);
         let ctr = |suffix: &str, c| m.register_counter(p::SUBSYSTEM, &format!("{name}{suffix}"), c);
-        self.tel.append_ns = Some(hist(p::APPEND_NS_SUFFIX));
-        self.tel.checkpoint_bytes = Some(hist(p::CHECKPOINT_BYTES_SUFFIX));
+        hist(p::APPEND_NS_SUFFIX, &self.tel.append_ns);
+        hist(p::CHECKPOINT_BYTES_SUFFIX, &self.tel.checkpoint_bytes);
         ctr(p::WAL_RECORDS_SUFFIX, &self.tel.wal_records);
         ctr(p::WAL_BYTES_SUFFIX, &self.tel.wal_bytes);
         ctr(p::CHECKPOINTS_SUFFIX, &self.tel.checkpoints_written);
@@ -201,15 +202,13 @@ impl Journal {
 
     /// Appends one record to the WAL, returning its sequence number.
     pub fn append(&mut self, kind: u8, payload: &[u8], now: SimTime) -> Result<u64> {
-        let timer = self.tel.append_ns.as_ref().map(Histogram::start_timer);
+        let timer = self.tel.append_ns.start_timer();
         let seq = self.next_seq;
         let len = self.wal.append(kind, seq, now, payload)?;
         self.next_seq += 1;
         self.tel.wal_records.inc();
         self.tel.wal_bytes.add(len as u64);
-        if let (Some(t), Some(h)) = (timer, self.tel.append_ns.as_ref()) {
-            t.observe(h);
-        }
+        timer.observe(&self.tel.append_ns);
         Ok(seq)
     }
 
@@ -222,9 +221,7 @@ impl Journal {
         fs::write(&path, &bytes).map_err(|e| io_err("write", &path, e))?;
         self.wal.reset()?;
         self.tel.checkpoints_written.inc();
-        if let Some(h) = &self.tel.checkpoint_bytes {
-            h.record(bytes.len() as u64);
-        }
+        self.tel.checkpoint_bytes.record(bytes.len() as u64);
         Ok(covered)
     }
 

@@ -164,10 +164,10 @@ pub struct ClusterMetrics {
 }
 
 /// The cluster's instruments, shared by every cloned handle. Each counter
-/// is the one tally of its event, read by [`StoreCluster::metrics`] and
-/// handed to a registry by [`StoreCluster::bind_telemetry`], which also
-/// binds the histogram and the gauge.
-#[derive(Debug, Clone, Default)]
+/// is the one tally of its event, read by [`StoreCluster::metrics`];
+/// [`StoreCluster::bind_telemetry`] registers them, the histogram and the
+/// gauge, and [`StoreCluster::bind_observe`] sets the observe handle once.
+#[derive(Debug, Default)]
 struct StoreTelemetry {
     inserts: Counter,
     replica_writes: Counter,
@@ -177,7 +177,7 @@ struct StoreTelemetry {
     degraded_reads: Counter,
     insert_ns: Histogram,
     nodes_down: Gauge,
-    observe: Observe,
+    observe: OnceLock<Observe>,
 }
 
 /// A distributed document store: N nodes, hash sharding, replication.
@@ -206,9 +206,7 @@ pub struct StoreCluster {
     pub(crate) next_id: Arc<AtomicU64>,
     /// Every collection by name; a handle looks its own up once.
     collections: Arc<TrackedRwLock<BTreeMap<String, Arc<ClusterCollection>>>>,
-    // Swapped whole on (re)bind, so the write path takes one snapshot
-    // handle instead of cloning each instrument under the lock.
-    tel: Arc<TrackedRwLock<Arc<StoreTelemetry>>>,
+    tel: Arc<StoreTelemetry>,
     pub(crate) persist: Arc<TrackedMutex<Option<StorePersist>>>,
     pub(crate) persist_on: Arc<AtomicBool>,
 }
@@ -224,49 +222,31 @@ impl StoreCluster {
             replication: replication.clamp(1, nodes),
             next_id: Arc::new(AtomicU64::new(1)),
             collections: Arc::new(TrackedRwLock::new("store/collections", BTreeMap::new())),
-            tel: Arc::new(TrackedRwLock::new("store/tel", Arc::default())),
+            tel: Arc::default(),
             persist: Arc::new(TrackedMutex::new("store/persist", None)),
             persist_on: Arc::new(AtomicBool::new(false)),
         }
     }
 
-    /// Reports the replication counters into `tel` and routes insert
-    /// latencies there, for every handle cloned from this cluster.
+    /// Reports the replication counters and insert latencies into `tel`,
+    /// for every handle cloned from this cluster.
     pub fn bind_telemetry(&self, tel: &Telemetry) {
         use names::{retry as rt, store as st};
         let m = tel.metrics();
-        // Rebuild wholesale, keeping the counters and any bound observe
-        // handle.
-        let mut bound = StoreTelemetry::clone(&self.telemetry());
-        m.register_counter(st::SUBSYSTEM, st::REPLICA_WRITES, &bound.replica_writes);
-        m.register_counter(st::SUBSYSTEM, st::DELETES, &bound.deletes);
-        m.register_counter(
-            rt::SUBSYSTEM,
-            rt::STORE_WRITE_HANDOFFS,
-            &bound.write_handoffs,
-        );
-        m.register_counter(
-            rt::SUBSYSTEM,
-            rt::STORE_DEGRADED_READS,
-            &bound.degraded_reads,
-        );
-        bound.insert_ns = m.histogram(st::SUBSYSTEM, st::INSERT_NS);
-        bound.nodes_down = m.gauge(st::SUBSYSTEM, st::NODES_DOWN);
-        *self.tel.write() = Arc::new(bound);
+        let t = &self.tel;
+        m.register_counter(st::SUBSYSTEM, st::REPLICA_WRITES, &t.replica_writes);
+        m.register_counter(st::SUBSYSTEM, st::DELETES, &t.deletes);
+        m.register_counter(rt::SUBSYSTEM, rt::STORE_WRITE_HANDOFFS, &t.write_handoffs);
+        m.register_counter(rt::SUBSYSTEM, rt::STORE_DEGRADED_READS, &t.degraded_reads);
+        m.register_histogram(st::SUBSYSTEM, st::INSERT_NS, "", &t.insert_ns);
+        m.register_gauge(st::SUBSYSTEM, st::NODES_DOWN, "", &t.nodes_down);
     }
 
     /// Routes causal spans (the quorum-write leg of a trace) into `obs`
-    /// for every handle cloned from this cluster.
+    /// for every handle cloned from this cluster. The handle is set once:
+    /// a later call leaves the first one bound.
     pub fn bind_observe(&self, obs: &Observe) {
-        Arc::make_mut(&mut self.tel.write()).observe = obs.clone();
-    }
-
-    /// One snapshot handle to the instruments, out of a guard that lives
-    /// for this statement only: the write path goes on to take the shard
-    /// locks, and lock-discipline (rightly) refuses nested acquisition
-    /// under `tel`.
-    fn telemetry(&self) -> Arc<StoreTelemetry> {
-        Arc::clone(&self.tel.read())
+        let _ = self.tel.observe.set(obs.clone());
     }
 
     /// Number of nodes.
@@ -319,7 +299,7 @@ impl StoreCluster {
 
     /// A snapshot of the operation counters.
     pub fn metrics(&self) -> ClusterMetrics {
-        let t = self.telemetry();
+        let t = &self.tel;
         ClusterMetrics {
             inserts: t.inserts.get(),
             replica_writes: t.replica_writes.get(),
@@ -341,7 +321,7 @@ impl StoreCluster {
     pub fn set_node_up(&self, i: usize, up: bool) {
         if let Some(node) = self.nodes.get(i) {
             let was = node.up.swap(up, Ordering::Relaxed);
-            self.telemetry()
+            self.tel
                 .nodes_down
                 .set(i64::try_from(self.down_count()).unwrap_or(i64::MAX));
             if up && !was {
@@ -687,8 +667,8 @@ impl CollectionHandle {
             return;
         }
         let cluster = &self.cluster;
-        let tel = cluster.telemetry();
-        let span = tel.observe.span("store", "quorum_write");
+        let tel = &cluster.tel;
+        let span = tel.observe.get().map(|o| o.span("store", "quorum_write"));
         let timer = tel.insert_ns.start_timer();
         let quorum = cluster.write_quorum();
         let n = batch.len() as u64;
@@ -730,10 +710,12 @@ impl CollectionHandle {
             });
         }
         timer.observe(&tel.insert_ns);
-        span.finish(format_args!(
-            "coll={} docs={n} handoffs={handoffs}",
-            self.name
-        ));
+        if let Some(span) = span {
+            span.finish(format_args!(
+                "coll={} docs={n} handoffs={handoffs}",
+                self.name
+            ));
+        }
     }
 
     /// Inserts many documents as one batch, attempting every document
@@ -844,7 +826,7 @@ impl CollectionHandle {
             coll.delete_everywhere(&victims);
         }
         let n = victims.len() as u64;
-        self.cluster.telemetry().deletes.add(n);
+        self.cluster.tel.deletes.add(n);
         if n > 0 {
             let _ = self.cluster.journal(|| StoreOp::Delete {
                 coll: self.name.clone(),
@@ -905,7 +887,7 @@ impl CollectionHandle {
     }
 
     fn note_degraded_read(&self) {
-        self.cluster.telemetry().degraded_reads.inc();
+        self.cluster.tel.degraded_reads.inc();
     }
 }
 

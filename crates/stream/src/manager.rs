@@ -26,7 +26,7 @@
 use crate::online::OnlineSpec;
 use athena_core::{AlertHandler, Athena, DetectionModel, FeatureRecord, FieldName, Query};
 use athena_ml::{LabeledPoint, Preprocessor};
-use athena_telemetry::{names, Counter, Telemetry};
+use athena_telemetry::{names, Counter, Histogram};
 use athena_types::sentinel::TrackedMutex;
 use athena_types::{Result, SimDuration, SimTime};
 use std::collections::VecDeque;
@@ -122,10 +122,9 @@ impl RetrainLoop {
         initial: DetectionModel,
         mut on_alert: AlertHandler,
     ) -> Self {
-        let tel: Telemetry = athena.runtime().telemetry.clone();
-        let gap = tel
-            .metrics()
-            .histogram(names::stream::SUBSYSTEM, names::stream::DETECTION_GAP_US);
+        let m = athena.runtime().telemetry.metrics();
+        let (sub, gap) = (names::stream::SUBSYSTEM, Histogram::default());
+        m.register_histogram(sub, names::stream::DETECTION_GAP_US, "", &gap);
         let last_alert = Arc::new(AtomicU64::new(u64::MAX));
         let stamp = Arc::clone(&last_alert);
         let wrapped: AlertHandler = Box::new(move |r| {
@@ -156,8 +155,7 @@ impl RetrainLoop {
         }
 
         let swap_failures = Counter::default();
-        let (sub, name) = (names::stream::SUBSYSTEM, names::stream::SWAP_FAILURES);
-        tel.metrics().register_counter(sub, name, &swap_failures);
+        m.register_counter(sub, names::stream::SWAP_FAILURES, &swap_failures);
         RetrainLoop {
             swap_failures,
             cfg,

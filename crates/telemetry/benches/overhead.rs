@@ -2,12 +2,12 @@
 //!
 //! A counter always counts, so it has one case: one relaxed
 //! `fetch_add`. Histograms and timers are measured in both states, and
-//! the disabled numbers are the contract: a histogram record against a
-//! disabled domain must cost roughly one relaxed atomic load, and a
-//! disabled timer must never read the wall clock. `scripts/ci.sh` runs
+//! the disabled numbers are the contract: a histogram registered only
+//! into a disabled domain must cost roughly one relaxed atomic load per
+//! record, and its timer must never read the wall clock. `scripts/ci.sh` runs
 //! this in smoke mode (`ATHENA_BENCH_SMOKE=1`) to keep the gate fast.
 
-use athena_telemetry::Telemetry;
+use athena_telemetry::{Counter, Histogram, Telemetry};
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use std::time::Duration;
 
@@ -26,11 +26,15 @@ fn bench_overhead(c: &mut Criterion) {
     let on = Telemetry::new();
     let off = Telemetry::off();
 
-    let hits = on.metrics().counter("bench", "hits");
+    let hits = Counter::default();
+    on.metrics().register_counter("bench", "hits", &hits);
     c.bench_function("counter_inc", |b| b.iter(|| hits.inc()));
 
-    let h_on = on.metrics().histogram("bench", "lat_ns");
-    let h_off = off.metrics().histogram("bench", "lat_ns");
+    let (h_on, h_off) = (Histogram::default(), Histogram::default());
+    on.metrics()
+        .register_histogram("bench", "lat_ns", "", &h_on);
+    off.metrics()
+        .register_histogram("bench", "lat_ns", "", &h_off);
     c.bench_function("histogram_record_enabled", |b| {
         b.iter(|| h_on.record(black_box(12_345)))
     });

@@ -17,32 +17,39 @@
 //! Spans and events are not recorded here: `athena-observe` owns the one
 //! causal recorder and samples this registry for its series and alerts.
 //!
-//! A [`Telemetry`] handle is one registry with an on/off switch; cloning
+//! A [`Telemetry`] handle is one registry, enabled or not; cloning
 //! yields another handle to the same instruments. Telemetry is **off by
-//! default** ([`Telemetry::off`], also `Default`). The switch gates
-//! histograms, timers and gauges: a disabled one costs one relaxed atomic
-//! load per record and never touches the wall clock, so instrumented hot
-//! paths stay deterministic and essentially free until a harness opts in
-//! with [`Telemetry::new`]. A [`Counter`] always counts: its subsystem
-//! owns it, reads its views off it and registers that same handle
-//! ([`MetricsRegistry::register_counter`]), so a view and its report row
-//! cannot disagree. The `e2e_overhead` gate and the `overhead` criterion
-//! bench in this crate hold the cost side.
+//! default** ([`Telemetry::off`], also `Default`). Every instrument has
+//! one contract: the subsystem that records into it owns it, reads its
+//! views off it, and its `bind_telemetry` registers that same handle
+//! ([`MetricsRegistry::register_counter`], `register_histogram`,
+//! `register_gauge`); nothing swaps it afterwards, so a view and its
+//! report row cannot disagree. A [`Counter`] always counts. A
+//! [`Histogram`] or [`Gauge`] records only once registered into an
+//! enabled domain: until then a record costs one relaxed atomic load and
+//! a timer never touches the wall clock, so instrumented hot paths stay
+//! deterministic and essentially free until a harness opts in with
+//! [`Telemetry::new`]. The registry's lookups (`counter`, `histogram`,
+//! `gauge`, …) read a key back for tests and harnesses. The
+//! `e2e_overhead` gate and the `overhead` criterion bench in this crate
+//! hold the cost side.
 //!
 //! # Examples
 //!
 //! ```
-//! use athena_telemetry::Telemetry;
+//! use athena_telemetry::{Counter, Histogram, Telemetry};
 //!
 //! let tel = Telemetry::new();
-//! let polls = tel.metrics().counter("controller", "stats_polls");
-//! let latency = tel.metrics().histogram("store", "insert_ns");
+//! let (polls, latency) = (Counter::default(), Histogram::default());
+//! tel.metrics().register_counter("controller", "stats_polls", &polls);
+//! tel.metrics().register_histogram("store", "insert_ns", "", &latency);
 //!
 //! polls.inc();
 //! latency.record(12_500);
 //!
 //! let report = tel.report();
 //! assert!(report.render().contains("stats_polls"));
+//! assert_eq!(report.histograms[0].snapshot.count, 1);
 //! assert!(serde_json::to_string(&report).unwrap().starts_with('{'));
 //! ```
 
@@ -57,67 +64,56 @@ pub use metrics::{
 };
 pub use report::{CounterEntry, GaugeEntry, HistogramEntry, TelemetryReport};
 
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-struct TelemetryInner {
-    enabled: Arc<AtomicBool>,
-    metrics: MetricsRegistry,
-}
-
-/// One observability domain: a metrics registry with an on/off switch.
+/// One observability domain: a metrics registry, enabled or not.
 ///
 /// Cloning is cheap and yields a handle to the *same* instruments — a
 /// deployment creates one `Telemetry` and binds it into every subsystem
 /// (`bind_telemetry` methods across the workspace).
 #[derive(Clone)]
 pub struct Telemetry {
-    inner: Arc<TelemetryInner>,
+    metrics: Arc<MetricsRegistry>,
 }
 
 impl Telemetry {
     /// Creates an **enabled** telemetry domain.
     pub fn new() -> Self {
-        Self::with_enabled(true)
+        Telemetry {
+            metrics: Arc::new(MetricsRegistry::new(true)),
+        }
     }
 
     /// Creates a **disabled** telemetry domain (the default everywhere):
-    /// a histogram, timer or gauge record is a single relaxed atomic
-    /// load, with no wall-clock read. Counters still count.
+    /// histograms and gauges registered only here stay off, so a record
+    /// is a single relaxed atomic load, with no wall-clock read.
+    /// Counters still count.
     pub fn off() -> Self {
-        Self::with_enabled(false)
-    }
-
-    fn with_enabled(enabled: bool) -> Self {
-        let flag = Arc::new(AtomicBool::new(enabled));
         Telemetry {
-            inner: Arc::new(TelemetryInner {
-                metrics: MetricsRegistry::with_flag(Arc::clone(&flag)),
-                enabled: flag,
-            }),
+            metrics: Arc::new(MetricsRegistry::new(false)),
         }
     }
 
     /// The metrics registry.
     pub fn metrics(&self) -> &MetricsRegistry {
-        &self.inner.metrics
+        &self.metrics
     }
 
-    /// Whether recording is currently enabled.
+    /// Whether the domain records.
     pub fn is_enabled(&self) -> bool {
-        self.inner.enabled.load(Ordering::Relaxed)
+        self.metrics.enabled
     }
 
     /// Snapshots every metric into a printable/exportable report.
     pub fn report(&self) -> TelemetryReport {
-        self.inner.metrics.report()
+        self.metrics.report()
     }
 }
 
 impl Default for Telemetry {
     /// The default domain is **disabled** so instrumented subsystems pay
-    /// only the atomic-load guard on their timed and sampled instruments
-    /// unless a harness opts in.
+    /// only the atomic-load guard on their histograms and gauges unless a
+    /// harness opts in.
     fn default() -> Self {
         Telemetry::off()
     }
@@ -146,12 +142,99 @@ mod tests {
     #[test]
     fn disabled_domain_counts_but_samples_nothing() {
         let tel = Telemetry::off();
-        let c = tel.metrics().counter("a", "hits");
-        let h = tel.metrics().histogram("a", "lat_ns");
+        let (c, h, g) = (Counter::default(), Histogram::default(), Gauge::default());
+        let m = tel.metrics();
+        m.register_counter("a", "hits", &c);
+        m.register_histogram("a", "lat_ns", "", &h);
+        m.register_gauge("a", "depth", "", &g);
         c.inc();
         h.record(99);
+        g.set(4);
         assert_eq!(c.get(), 1);
         assert_eq!(h.snapshot().count, 0);
+        assert_eq!(g.get(), 0);
+        // Its timer never reads the clock.
+        let t = h.start_timer();
+        t.observe(&h);
+        assert_eq!(h.snapshot().count, 0);
+        let report = tel.report();
+        assert_eq!(report.histograms[0].snapshot.count, 0);
+        assert_eq!(report.gauges[0].value, 0);
+    }
+
+    #[test]
+    fn an_enabled_domain_records_what_follows_registration() {
+        let tel = Telemetry::new();
+        let (h, g) = (Histogram::default(), Gauge::default());
+        // Detached: nothing lands.
+        h.record(7);
+        g.set(3);
+        let m = tel.metrics();
+        m.register_histogram("a", "lat_ns", "", &h);
+        m.register_gauge("a", "depth", "", &g);
+        h.record(40);
+        let t = h.start_timer();
+        t.observe(&h);
+        g.set(5);
+        let report = tel.report();
+        assert_eq!(report.histograms[0].snapshot.count, 2);
+        assert!(report.histograms[0].snapshot.max >= 40);
+        assert_eq!(report.gauges[0].value, 5);
+        assert_eq!(h.snapshot(), report.histograms[0].snapshot);
+    }
+
+    #[test]
+    fn histograms_under_one_key_report_their_merged_samples() {
+        let tel = Telemetry::new();
+        let (a, b) = (Histogram::default(), Histogram::default());
+        let m = tel.metrics();
+        m.register_histogram("store", "insert_ns", "", &a);
+        m.register_histogram("store", "insert_ns", "", &b);
+        // Registering a handle again (a rebind) does not count it twice.
+        m.register_histogram("store", "insert_ns", "", &a);
+        for v in [10, 20, 30] {
+            a.record(v);
+        }
+        for v in [1_000, 2_000] {
+            b.record(v);
+        }
+        // The oracle: one histogram that saw every sample.
+        let all = Histogram::default();
+        m.register_histogram("oracle", "all", "", &all);
+        for v in [10, 20, 30, 1_000, 2_000] {
+            all.record(v);
+        }
+        let report = tel.report();
+        let rows: Vec<_> = report
+            .histograms
+            .iter()
+            .filter(|e| e.key.label() == "store/insert_ns")
+            .collect();
+        assert_eq!(rows.len(), 1);
+        let merged = rows[0].snapshot;
+        assert_eq!((merged.count, merged.sum, merged.max), (5, 3_060, 2_000));
+        assert_eq!(merged, all.snapshot());
+        // A lookup of the shared key reads the merged samples too.
+        assert_eq!(m.histogram("store", "insert_ns").snapshot(), merged);
+        assert_eq!((a.snapshot().count, b.snapshot().count), (3, 2));
+    }
+
+    #[test]
+    fn a_gauge_key_reports_the_gauge_registered_last() {
+        let tel = Telemetry::new();
+        let (first, second) = (Gauge::default(), Gauge::default());
+        let m = tel.metrics();
+        m.register_gauge("store", "nodes_down", "", &first);
+        first.set(2);
+        m.register_gauge("store", "nodes_down", "", &second);
+        second.set(1);
+        first.set(3);
+        let report = tel.report();
+        assert_eq!(report.gauges.len(), 1);
+        assert_eq!(report.gauges[0].value, 1);
+        assert_eq!(m.gauge("store", "nodes_down").get(), 1);
+        // Both handles record; only the last one reports.
+        assert_eq!(first.get(), 3);
     }
 
     /// The value of the one counter row labeled `label`.

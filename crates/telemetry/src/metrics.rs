@@ -2,12 +2,13 @@
 //!
 //! Handles are `Arc`-backed and lock-free to record into; the registry's
 //! mutex is touched only at registration and snapshot time, never on the
-//! hot path. A [`Counter`] always counts: it is the one tally of its
-//! event, owned by the subsystem that counts it, whose own views read it
-//! and which hands it to a registry with
-//! [`MetricsRegistry::register_counter`]. Gauges and histograms share the
-//! owning [`Telemetry`]'s enabled flag: a record on a disabled one is one
-//! relaxed atomic load, and a disabled timer never reads the clock.
+//! hot path. Every instrument has one contract: the subsystem that
+//! records into it owns it and hands that same handle to a registry
+//! (`register_counter`, `register_histogram`, `register_gauge`), which
+//! never swaps it. A [`Counter`] always counts. A [`Histogram`] or
+//! [`Gauge`] records nothing until it is registered into an enabled
+//! [`Telemetry`] domain: until then a record is one relaxed atomic load,
+//! and its timer never reads the clock.
 //!
 //! [`Telemetry`]: crate::Telemetry
 
@@ -89,59 +90,55 @@ impl Counter {
     }
 }
 
-/// A value that can go up and down.
-#[derive(Debug, Clone)]
+/// A value that can go up and down. It records only once registered
+/// into an enabled domain.
+#[derive(Debug, Clone, Default)]
 pub struct Gauge {
-    enabled: Arc<AtomicBool>,
-    value: Arc<AtomicI64>,
+    inner: Arc<GaugeInner>,
+}
+
+#[derive(Debug, Default)]
+struct GaugeInner {
+    enabled: AtomicBool,
+    value: AtomicI64,
 }
 
 impl Gauge {
     /// Sets the gauge.
     #[inline]
     pub fn set(&self, v: i64) {
-        if self.enabled.load(Ordering::Relaxed) {
-            self.value.store(v, Ordering::Relaxed);
+        if self.inner.enabled.load(Ordering::Relaxed) {
+            self.inner.value.store(v, Ordering::Relaxed);
         }
     }
 
     /// Adds `delta` (may be negative).
     #[inline]
     pub fn add(&self, delta: i64) {
-        if self.enabled.load(Ordering::Relaxed) {
-            self.value.fetch_add(delta, Ordering::Relaxed);
+        if self.inner.enabled.load(Ordering::Relaxed) {
+            self.inner.value.fetch_add(delta, Ordering::Relaxed);
         }
     }
 
     /// The current value.
     pub fn get(&self) -> i64 {
-        self.value.load(Ordering::Relaxed)
-    }
-}
-
-impl Default for Gauge {
-    /// A gauge not connected to any registry: it records nothing.
-    fn default() -> Self {
-        Gauge {
-            enabled: Arc::new(AtomicBool::new(false)),
-            value: Arc::new(AtomicI64::new(0)),
-        }
+        self.inner.value.load(Ordering::Relaxed)
     }
 }
 
 #[derive(Debug)]
 struct HistogramInner {
+    enabled: AtomicBool,
     buckets: [AtomicU64; HISTOGRAM_BUCKETS],
-    count: AtomicU64,
     sum: AtomicU64,
     max: AtomicU64,
 }
 
-impl HistogramInner {
-    fn new() -> Self {
+impl Default for HistogramInner {
+    fn default() -> Self {
         HistogramInner {
+            enabled: AtomicBool::new(false),
             buckets: std::array::from_fn(|_| AtomicU64::new(0)),
-            count: AtomicU64::new(0),
             sum: AtomicU64::new(0),
             max: AtomicU64::new(0),
         }
@@ -181,9 +178,9 @@ fn bucket_hi(i: usize) -> u64 {
 /// never allocates, never locks, and never panics. Quantiles interpolate
 /// linearly inside the winning bucket and are clamped to the exact
 /// recorded maximum, which keeps p50 ≤ p90 ≤ p99 ≤ max by construction.
-#[derive(Debug, Clone)]
+/// It records only once registered into an enabled domain.
+#[derive(Debug, Clone, Default)]
 pub struct Histogram {
-    enabled: Arc<AtomicBool>,
     inner: Arc<HistogramInner>,
 }
 
@@ -191,12 +188,11 @@ impl Histogram {
     /// Records one sample.
     #[inline]
     pub fn record(&self, v: u64) {
-        if !self.enabled.load(Ordering::Relaxed) {
+        let inner = &*self.inner;
+        if !inner.enabled.load(Ordering::Relaxed) {
             return;
         }
-        let inner = &*self.inner;
         inner.buckets[bucket_index(v)].fetch_add(1, Ordering::Relaxed);
-        inner.count.fetch_add(1, Ordering::Relaxed);
         inner.sum.fetch_add(v, Ordering::Relaxed);
         inner.max.fetch_max(v, Ordering::Relaxed);
     }
@@ -207,7 +203,7 @@ impl Histogram {
     #[inline]
     pub fn start_timer(&self) -> HistTimer {
         HistTimer {
-            start: if self.enabled.load(Ordering::Relaxed) {
+            start: if self.inner.enabled.load(Ordering::Relaxed) {
                 Some(Instant::now())
             } else {
                 None
@@ -249,15 +245,21 @@ impl Histogram {
             buckets,
         }
     }
-}
 
-impl Default for Histogram {
-    /// A histogram not connected to any registry: it records nothing.
-    fn default() -> Self {
-        Histogram {
-            enabled: Arc::new(AtomicBool::new(false)),
-            inner: Arc::new(HistogramInner::new()),
+    /// An unreported histogram holding every sample of `handles`.
+    fn merged(handles: &[Histogram]) -> Histogram {
+        let out = Histogram::default();
+        for h in handles {
+            let (o, i) = (&*out.inner, &*h.inner);
+            for (ob, ib) in o.buckets.iter().zip(&i.buckets) {
+                ob.fetch_add(ib.load(Ordering::Relaxed), Ordering::Relaxed);
+            }
+            o.sum
+                .fetch_add(i.sum.load(Ordering::Relaxed), Ordering::Relaxed);
+            o.max
+                .fetch_max(i.max.load(Ordering::Relaxed), Ordering::Relaxed);
         }
+        out
     }
 }
 
@@ -346,39 +348,99 @@ impl HistogramSnapshot {
 }
 
 enum Metric {
-    /// Every handle registered under the key; the report shows their sum.
     Counter(Vec<Counter>),
     Gauge(Gauge),
-    Histogram(Histogram),
+    Histogram(Vec<Histogram>),
 }
 
-/// The registry: hands out instrument handles and snapshots them into a
-/// [`TelemetryReport`]. Obtained through [`Telemetry`](crate::Telemetry).
+/// The registry: keeps the instruments subsystems register and snapshots
+/// them into a [`TelemetryReport`]. Obtained through
+/// [`Telemetry`](crate::Telemetry).
+///
+/// Several counters under one key report their sum and several
+/// histograms their merged samples; a gauge key reports the gauge
+/// registered last. A handle registered twice under a key counts once,
+/// and a key that names another kind of instrument leaves the handle
+/// unreported.
 pub struct MetricsRegistry {
-    enabled: Arc<AtomicBool>,
+    pub(crate) enabled: bool,
     metrics: TrackedMutex<BTreeMap<MetricKey, Metric>>,
 }
 
 impl MetricsRegistry {
-    pub(crate) fn with_flag(enabled: Arc<AtomicBool>) -> Self {
+    pub(crate) fn new(enabled: bool) -> Self {
         MetricsRegistry {
             enabled,
             metrics: TrackedMutex::new("telemetry/metrics", BTreeMap::new()),
         }
     }
 
-    /// A counter labeled `subsystem/name` (no instance).
-    pub fn counter(&self, subsystem: &str, name: &str) -> Counter {
-        self.counter_with(subsystem, name, "")
+    /// Reports a subsystem's own `counter` under `subsystem/name`. The
+    /// registry keeps the handle, so the report shows every count it
+    /// holds, made before this call or under a disabled domain alike.
+    pub fn register_counter(&self, subsystem: &str, name: &str, counter: &Counter) {
+        let key = MetricKey::new(subsystem, name, "");
+        let mut map = self.metrics.lock();
+        if let Metric::Counter(handles) = map
+            .entry(key)
+            .or_insert_with(|| Metric::Counter(Vec::new()))
+        {
+            if !handles
+                .iter()
+                .any(|h| Arc::ptr_eq(&h.value, &counter.value))
+            {
+                handles.push(counter.clone());
+            }
+        }
     }
 
-    /// Looks a counter up by name, registering a fresh one if the key is
-    /// new (subsystems [register](Self::register_counter) their own). A
-    /// key that several handles share resolves to an unreported reading
-    /// of their sum; a key of another instrument kind, to an unreported
-    /// handle (records vanish rather than panic a hot path).
-    pub fn counter_with(&self, subsystem: &str, name: &str, instance: &str) -> Counter {
+    /// Reports a subsystem's own `hist` under `subsystem/name[instance]`
+    /// (`instance` empty for a singleton) and, in an enabled domain,
+    /// turns it on: it records what comes after this call.
+    pub fn register_histogram(
+        &self,
+        subsystem: &str,
+        name: &str,
+        instance: &str,
+        hist: &Histogram,
+    ) {
         let key = MetricKey::new(subsystem, name, instance);
+        let mut map = self.metrics.lock();
+        if let Metric::Histogram(handles) = map
+            .entry(key)
+            .or_insert_with(|| Metric::Histogram(Vec::new()))
+        {
+            if !handles.iter().any(|h| Arc::ptr_eq(&h.inner, &hist.inner)) {
+                handles.push(hist.clone());
+            }
+            hist.inner.enabled.fetch_or(self.enabled, Ordering::Relaxed);
+        }
+    }
+
+    /// Reports a subsystem's own `gauge` under `subsystem/name[instance]`
+    /// in place of any gauge registered there before and, in an enabled
+    /// domain, turns it on.
+    pub fn register_gauge(&self, subsystem: &str, name: &str, instance: &str, gauge: &Gauge) {
+        let key = MetricKey::new(subsystem, name, instance);
+        let mut map = self.metrics.lock();
+        if let Metric::Gauge(g) = map
+            .entry(key)
+            .or_insert_with(|| Metric::Gauge(gauge.clone()))
+        {
+            *g = gauge.clone();
+            gauge
+                .inner
+                .enabled
+                .fetch_or(self.enabled, Ordering::Relaxed);
+        }
+    }
+
+    /// Reads the counter `subsystem/name`, registering a fresh one if the
+    /// key is new. A key that several handles share resolves to an
+    /// unreported reading of their sum; a key of another instrument
+    /// kind, to an unreported handle.
+    pub fn counter(&self, subsystem: &str, name: &str) -> Counter {
+        let key = MetricKey::new(subsystem, name, "");
         let mut map = self.metrics.lock();
         match map
             .entry(key)
@@ -396,66 +458,28 @@ impl MetricsRegistry {
         }
     }
 
-    /// Reports a subsystem's own `counter` under `subsystem/name`. The
-    /// registry keeps the handle, so the report shows every count it
-    /// holds, made before this call or under a disabled domain alike.
-    /// Several handles registered under one key report their sum; a
-    /// handle registered twice counts once. A key that names a gauge or
-    /// histogram leaves the counter unreported.
-    pub fn register_counter(&self, subsystem: &str, name: &str, counter: &Counter) {
-        let key = MetricKey::new(subsystem, name, "");
-        let mut map = self.metrics.lock();
-        if let Metric::Counter(handles) = map
-            .entry(key)
-            .or_insert_with(|| Metric::Counter(Vec::new()))
-        {
-            if !handles
-                .iter()
-                .any(|h| Arc::ptr_eq(&h.value, &counter.value))
-            {
-                handles.push(counter.clone());
-            }
-        }
-    }
-
-    /// A gauge labeled `subsystem/name`.
+    /// Reads the gauge reported under `subsystem/name` (an unreported one
+    /// if there is none).
     pub fn gauge(&self, subsystem: &str, name: &str) -> Gauge {
-        self.gauge_with(subsystem, name, "")
-    }
-
-    /// A gauge for one instance of a subsystem (idempotent; see
-    /// [`MetricsRegistry::counter_with`]).
-    pub fn gauge_with(&self, subsystem: &str, name: &str, instance: &str) -> Gauge {
-        let key = MetricKey::new(subsystem, name, instance);
-        let mut map = self.metrics.lock();
-        match map.entry(key).or_insert_with(|| {
-            Metric::Gauge(Gauge {
-                enabled: Arc::clone(&self.enabled),
-                value: Arc::new(AtomicI64::new(0)),
-            })
-        }) {
-            Metric::Gauge(g) => g.clone(),
+        match self
+            .metrics
+            .lock()
+            .get(&MetricKey::new(subsystem, name, ""))
+        {
+            Some(Metric::Gauge(g)) => g.clone(),
             _ => Gauge::default(),
         }
     }
 
-    /// A histogram labeled `subsystem/name`.
+    /// Reads the histograms registered under `subsystem/name`: an
+    /// unreported copy of their merged samples (empty if there are none).
     pub fn histogram(&self, subsystem: &str, name: &str) -> Histogram {
-        self.histogram_with(subsystem, name, "")
-    }
-
-    /// A histogram for one instance of a subsystem (idempotent; see
-    /// [`MetricsRegistry::counter_with`]).
-    pub fn histogram_with(&self, subsystem: &str, name: &str, instance: &str) -> Histogram {
-        let key = MetricKey::new(subsystem, name, instance);
-        let mut map = self.metrics.lock();
-        match map.entry(key).or_insert_with(|| {
-            Metric::Histogram(Histogram {
-                enabled: Arc::clone(&self.enabled),
-                inner: Arc::new(HistogramInner::new()),
-            })
-        }) {
-            Metric::Histogram(h) => h.clone(),
+        match self
+            .metrics
+            .lock()
+            .get(&MetricKey::new(subsystem, name, ""))
+        {
+            Some(Metric::Histogram(handles)) => Histogram::merged(handles),
             _ => Histogram::default(),
         }
     }
@@ -476,9 +500,9 @@ impl MetricsRegistry {
                     key: key.clone(),
                     value: g.get(),
                 }),
-                Metric::Histogram(h) => histograms.push(HistogramEntry {
+                Metric::Histogram(handles) => histograms.push(HistogramEntry {
                     key: key.clone(),
-                    snapshot: h.snapshot(),
+                    snapshot: Histogram::merged(handles).snapshot(),
                 }),
             }
         }
@@ -503,7 +527,14 @@ mod tests {
     use super::*;
 
     fn enabled_registry() -> MetricsRegistry {
-        MetricsRegistry::with_flag(Arc::new(AtomicBool::new(true)))
+        MetricsRegistry::new(true)
+    }
+
+    /// A histogram registered into an enabled domain.
+    fn live() -> Histogram {
+        let h = Histogram::default();
+        enabled_registry().register_histogram("t", "h", "", &h);
+        h
     }
 
     #[test]
@@ -524,8 +555,7 @@ mod tests {
 
     #[test]
     fn quantiles_interpolate_within_a_bucket() {
-        let reg = enabled_registry();
-        let h = reg.histogram("t", "h");
+        let h = live();
         // 100 samples spread across bucket 11 ([1024, 2047]).
         for _ in 0..100 {
             h.record(1500);
@@ -540,8 +570,7 @@ mod tests {
 
     #[test]
     fn quantiles_separate_well_spread_samples() {
-        let reg = enabled_registry();
-        let h = reg.histogram("t", "h");
+        let h = live();
         // 90 fast samples, 10 slow ones, different buckets.
         for _ in 0..90 {
             h.record(100);
@@ -558,8 +587,7 @@ mod tests {
 
     #[test]
     fn empty_and_single_sample_quantiles() {
-        let reg = enabled_registry();
-        let h = reg.histogram("t", "h");
+        let h = live();
         assert_eq!(h.quantile(0.5), 0);
         h.record(42);
         for q in [0.0, 0.5, 0.99, 1.0] {
@@ -569,8 +597,7 @@ mod tests {
 
     #[test]
     fn zero_samples_land_in_bucket_zero() {
-        let reg = enabled_registry();
-        let h = reg.histogram("t", "h");
+        let h = live();
         h.record(0);
         h.record(0);
         let s = h.snapshot();
@@ -579,8 +606,7 @@ mod tests {
 
     #[test]
     fn extreme_samples_do_not_overflow_quantiles() {
-        let reg = enabled_registry();
-        let h = reg.histogram("t", "h");
+        let h = live();
         h.record(u64::MAX);
         h.record(u64::MAX - 1);
         let s = h.snapshot();
@@ -596,27 +622,35 @@ mod tests {
         a.inc();
         assert_eq!(b.get(), 1);
         // Same key, different kind: unreported, not shared, no panic.
-        let g = reg.gauge("s", "n");
+        let (g, h) = (Gauge::default(), Histogram::default());
+        reg.register_gauge("s", "n", "", &g);
+        reg.register_histogram("s", "n", "", &h);
         g.set(7);
+        h.record(7);
+        assert_eq!((g.get(), h.snapshot().count), (0, 0));
         assert_eq!(reg.counter("s", "n").get(), 1);
+        let report = reg.report();
+        assert!(report.gauges.is_empty() && report.histograms.is_empty());
     }
 
     #[test]
     fn instance_labels_separate_metrics() {
         let reg = enabled_registry();
-        reg.counter_with("dp", "lookups", "sw1").add(5);
-        reg.counter_with("dp", "lookups", "sw2").add(9);
+        let (sw1, sw2) = (Gauge::default(), Gauge::default());
+        reg.register_gauge("dp", "lookups", "sw1", &sw1);
+        reg.register_gauge("dp", "lookups", "sw2", &sw2);
+        sw1.set(5);
+        sw2.set(9);
         let report = reg.report();
-        assert_eq!(report.counters.len(), 2);
-        assert_eq!(report.counters[0].key.instance, "sw1");
-        assert_eq!(report.counters[0].value, 5);
-        assert_eq!(report.counters[1].value, 9);
+        assert_eq!(report.gauges.len(), 2);
+        assert_eq!(report.gauges[0].key.instance, "sw1");
+        assert_eq!(report.gauges[0].value, 5);
+        assert_eq!(report.gauges[1].value, 9);
     }
 
     #[test]
     fn timer_measures_only_when_enabled() {
-        let reg = enabled_registry();
-        let h = reg.histogram("t", "lat_ns");
+        let h = live();
         let t = h.start_timer();
         t.observe(&h);
         assert_eq!(h.snapshot().count, 1);
@@ -628,8 +662,7 @@ mod tests {
 
     #[test]
     fn mean_is_sum_over_count() {
-        let reg = enabled_registry();
-        let h = reg.histogram("t", "h");
+        let h = live();
         h.record(10);
         h.record(30);
         assert_eq!(h.snapshot().mean(), 20);

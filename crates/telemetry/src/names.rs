@@ -130,7 +130,7 @@ declare_metrics! {
         DELIVERED_BYTES = "delivered_bytes";
         /// Bytes dropped by contention or downed links.
         DROPPED_BYTES = "dropped_bytes";
-        /// Per-switch flow-table lookups (gauge, mirrored per tick).
+        /// Per-switch flow-table lookups (gauge, set at each flush).
         TABLE_LOOKUPS = "table_lookups";
         /// Links whose effective capacity is currently below 1.0 (gauge).
         LINKS_DEGRADED = "links_degraded";

@@ -144,16 +144,18 @@ fn humanize_ns(ns: u64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Telemetry;
+    use crate::{Gauge, Histogram, Telemetry};
 
     fn sample_report() -> TelemetryReport {
         let tel = Telemetry::new();
-        tel.metrics().counter("controller", "stats_polls").add(7);
-        tel.metrics()
-            .counter_with("dataplane", "lookups", "s1")
-            .add(3);
-        tel.metrics().gauge("store", "docs").set(42);
-        let h = tel.metrics().histogram("store", "find_ns");
+        let m = tel.metrics();
+        m.counter("controller", "stats_polls").add(7);
+        let (lookups, docs, h) = (Gauge::default(), Gauge::default(), Histogram::default());
+        m.register_gauge("dataplane", "lookups", "s1", &lookups);
+        m.register_gauge("store", "docs", "", &docs);
+        m.register_histogram("store", "find_ns", "", &h);
+        lookups.set(3);
+        docs.set(42);
         h.record(1_500);
         h.record(2_500_000);
         tel.report()

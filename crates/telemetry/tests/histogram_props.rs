@@ -2,7 +2,16 @@
 //! never panic, and reported percentiles must be ordered and bounded by
 //! the exact recorded extremes.
 
-use athena_telemetry::Telemetry;
+use athena_telemetry::{Histogram, Telemetry};
+
+/// A histogram registered into an enabled domain.
+fn live() -> Histogram {
+    let hist = Histogram::default();
+    Telemetry::new()
+        .metrics()
+        .register_histogram("prop", "samples", "", &hist);
+    hist
+}
 use proptest::prelude::*;
 
 proptest! {
@@ -12,8 +21,7 @@ proptest! {
     fn arbitrary_samples_never_panic_and_percentiles_are_monotone(
         samples in proptest::collection::vec(any::<u64>(), 0..256),
     ) {
-        let tel = Telemetry::new();
-        let hist = tel.metrics().histogram("prop", "samples");
+        let hist = live();
         for &s in &samples {
             hist.record(s);
         }
@@ -40,8 +48,7 @@ proptest! {
         samples in proptest::collection::vec(any::<u64>(), 1..128),
         qs in proptest::collection::vec(0.0f64..=1.0, 2..8),
     ) {
-        let tel = Telemetry::new();
-        let hist = tel.metrics().histogram("prop", "samples");
+        let hist = live();
         for &s in &samples {
             hist.record(s);
         }

@@ -64,6 +64,16 @@ cargo test -q -p athena-controller --offline --lib -- \
 ATHENA_CHAOS_SMOKE=1 cargo test -q --offline --test e2e_failures \
     fault_retry_and_failover_counters_surface_in_telemetry
 
+echo "==> one registration contract (histograms and gauges registered like counters; no instrument swapped; a store batch takes only its shard locks)"
+cargo test -q -p athena-telemetry --offline --lib -- \
+    disabled_domain_counts_but_samples_nothing \
+    an_enabled_domain_records_what_follows_registration \
+    histograms_under_one_key_report_their_merged_samples \
+    a_gauge_key_reports_the_gauge_registered_last
+cargo test -q -p athena-core --offline --test lock_counts
+ATHENA_CHAOS_SMOKE=1 cargo test -q --offline --test e2e_failures \
+    fault_retry_and_failover_counters_surface_in_telemetry
+
 echo "==> one lock type (no untracked production lock; the apps' handler locks in lock_order)"
 # The apps' locks are taken inside event-handler closures the derived
 # graph does not resolve: the sentinel test checks their runtime order.
