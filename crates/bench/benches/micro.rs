@@ -3,12 +3,11 @@
 //! store writes/queries, feature generation, and K-Means training.
 
 use athena_apps::{DdosDataset, DdosDetector, DdosDetectorConfig};
-use athena_controller::PathService;
 use athena_core::{
     catalog, FeatureGenerator, FeatureManager, FeatureRecord, FieldName, FieldReader, MessageType,
     Query,
 };
-use athena_dataplane::Topology;
+use athena_dataplane::{Routes, Topology};
 use athena_ml::algorithms::kmeans::{KMeansModel, KMeansParams};
 use athena_ml::LabeledPoint;
 use athena_openflow::{
@@ -126,8 +125,9 @@ fn bench_flow_table(c: &mut Criterion) {
     }
 }
 
-/// One route between two edge switches: a fresh adjacency + BFS per call
-/// (`Topology::shortest_path`) against the controller's `PathService`.
+/// One route between two edge switches off `Routes`: cold builds the
+/// index and reads a source's tree for the first time, warm reads a
+/// source whose tree is kept.
 fn bench_shortest_path(c: &mut Criterion) {
     for (name, topo) in [
         ("enterprise", Topology::enterprise()),
@@ -141,21 +141,22 @@ fn bench_shortest_path(c: &mut Criterion) {
             (edges[i % edges.len()], edges[(i * 7 + 3) % edges.len()])
         };
         c.bench_function(
-            &format!("controller/shortest_path/{name}/topology_bfs"),
+            &format!("controller/shortest_path/{name}/routes_cold"),
             |b| {
                 b.iter(|| {
                     let (from, to) = pair();
-                    topo.shortest_path(black_box(from), to).map(|p| p.len())
+                    let routes = Routes::new(black_box(&topo));
+                    routes.shortest_path(black_box(from), to).map(|p| p.len())
                 })
             },
         );
-        let paths = PathService::from_topology(&topo);
+        let routes = Routes::new(&topo);
         c.bench_function(
-            &format!("controller/shortest_path/{name}/path_service"),
+            &format!("controller/shortest_path/{name}/routes_warm"),
             |b| {
                 b.iter(|| {
                     let (from, to) = pair();
-                    paths.shortest_path(black_box(from), to).map(|p| p.len())
+                    routes.shortest_path(black_box(from), to).map(|p| p.len())
                 })
             },
         );

@@ -72,8 +72,8 @@ impl PacketProcessor for ReactiveForwarding {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::services::{FlowRuleService, HostService, PathService};
-    use athena_dataplane::Topology;
+    use crate::services::{FlowRuleService, HostService};
+    use athena_dataplane::{Routes, Topology};
     use athena_openflow::{OfMessage, PacketHeader};
     use athena_types::{Dpid, PortNo, SimTime};
 
@@ -81,7 +81,7 @@ mod tests {
     fn installs_rules_along_the_path() {
         let topo = Topology::linear(3, 1);
         let hosts = HostService::from_topology(&topo);
-        let paths = PathService::from_topology(&topo);
+        let paths = Routes::new(&topo);
         let mut rules = FlowRuleService::new();
         let src = topo.hosts[0];
         let dst = topo.hosts[2];
@@ -113,7 +113,7 @@ mod tests {
     fn ignores_unknown_destinations_and_non_ip() {
         let topo = Topology::linear(2, 1);
         let hosts = HostService::from_topology(&topo);
-        let paths = PathService::from_topology(&topo);
+        let paths = Routes::new(&topo);
         let mut rules = FlowRuleService::new();
         let header = PacketHeader::arp_request(PortNo::new(3), topo.hosts[0].ip);
         let mut ctx = crate::packet::PacketContext::new(

@@ -81,8 +81,8 @@ impl PacketProcessor for LoadBalancer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::services::{FlowRuleService, HostService, PathService};
-    use athena_dataplane::Topology;
+    use crate::services::{FlowRuleService, HostService};
+    use athena_dataplane::{Routes, Topology};
     use athena_openflow::PacketHeader;
     use athena_types::SimTime;
 
@@ -90,7 +90,7 @@ mod tests {
     fn alternates_between_paths_per_flow() {
         let topo = Topology::nae();
         let hosts = HostService::from_topology(&topo);
-        let paths = PathService::from_topology(&topo);
+        let paths = Routes::new(&topo);
         let mut rules = FlowRuleService::new();
         let client = topo.hosts[0];
         let server = Ipv4Addr::new(10, 0, 4, 1);
@@ -126,7 +126,7 @@ mod tests {
     fn ignores_traffic_outside_the_subnet() {
         let topo = Topology::nae();
         let hosts = HostService::from_topology(&topo);
-        let paths = PathService::from_topology(&topo);
+        let paths = Routes::new(&topo);
         let mut rules = FlowRuleService::new();
         let client = topo.hosts[0];
         let other = topo.hosts[4]; // host behind S5, not in 10.0.4.0/24

@@ -99,8 +99,8 @@ impl PacketProcessor for SecurityApp {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::services::{FlowRuleService, HostService, PathService};
-    use athena_dataplane::Topology;
+    use crate::services::{FlowRuleService, HostService};
+    use athena_dataplane::{Routes, Topology};
     use athena_openflow::{OfMessage, PacketHeader};
     use athena_types::Ipv4Addr;
 
@@ -117,7 +117,7 @@ mod tests {
     fn inactive_app_does_nothing() {
         let topo = Topology::nae();
         let hosts = HostService::from_topology(&topo);
-        let paths = PathService::from_topology(&topo);
+        let paths = Routes::new(&topo);
         let mut rules = FlowRuleService::new();
         let (dpid, header) = ftp_packet(&topo);
         let mut app = SecurityApp::new(Dpid::new(6));
@@ -137,7 +137,7 @@ mod tests {
     fn active_app_routes_ftp_through_waypoint() {
         let topo = Topology::nae();
         let hosts = HostService::from_topology(&topo);
-        let paths = PathService::from_topology(&topo);
+        let paths = Routes::new(&topo);
         let mut rules = FlowRuleService::new();
         let (dpid, header) = ftp_packet(&topo);
         let mut app = SecurityApp::new(Dpid::new(6)).activate_at(SimTime::from_secs(10));
@@ -168,7 +168,7 @@ mod tests {
     fn non_ftp_traffic_is_ignored_even_when_active() {
         let topo = Topology::nae();
         let hosts = HostService::from_topology(&topo);
-        let paths = PathService::from_topology(&topo);
+        let paths = Routes::new(&topo);
         let mut rules = FlowRuleService::new();
         let client = topo.hosts[0];
         let header = PacketHeader::tcp_syn(

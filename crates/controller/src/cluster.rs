@@ -4,9 +4,9 @@ use crate::apps::ReactiveForwarding;
 use crate::interceptor::{InterceptCtx, MessageInterceptor};
 use crate::packet::{PacketContext, PacketProcessor};
 use crate::persist::{rule_installs, MastershipEvent, RuleEvent};
-use crate::services::{FlowRuleService, HostService, MastershipService, PathService};
+use crate::services::{FlowRuleService, HostService, MastershipService};
 use crate::stats::StatsPoller;
-use athena_dataplane::{ControllerLink, Topology};
+use athena_dataplane::{ControllerLink, Routes, Topology};
 use athena_observe::Observe;
 use athena_openflow::OfMessage;
 use athena_persist::record::kind;
@@ -37,7 +37,7 @@ pub struct ControllerCluster {
     topology: Topology,
     pub(crate) mastership: MastershipService,
     hosts: HostService,
-    paths: PathService,
+    paths: Routes,
     pub(crate) flow_rules: FlowRuleService,
     processors: Vec<Box<dyn PacketProcessor>>,
     interceptors: Vec<Box<dyn MessageInterceptor>>,
@@ -112,7 +112,7 @@ impl ControllerCluster {
             topology: topo.clone(),
             mastership: MastershipService::from_topology(topo),
             hosts: HostService::from_topology(topo),
-            paths: PathService::from_topology(topo),
+            paths: Routes::new(topo),
             flow_rules: FlowRuleService::new(),
             processors: Vec::new(),
             interceptors: Vec::new(),

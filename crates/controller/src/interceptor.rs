@@ -8,7 +8,8 @@
 //! through the normal command path (the Athena Proxy), so the controller's
 //! internal state stays consistent.
 
-use crate::services::{FlowRuleService, HostService, MastershipService, PathService};
+use crate::services::{FlowRuleService, HostService, MastershipService};
+use athena_dataplane::Routes;
 use athena_openflow::OfMessage;
 use athena_types::{ControllerId, Dpid, SimTime};
 
@@ -23,7 +24,7 @@ pub struct InterceptCtx<'a> {
     /// Switch mastership.
     pub mastership: &'a MastershipService,
     /// Shortest paths over the topology view.
-    pub paths: &'a PathService,
+    pub paths: &'a Routes,
 }
 
 /// An observer of the southbound message stream (Athena's SB interface).

@@ -57,5 +57,5 @@ pub use cluster::{ControllerCluster, FailoverCounters};
 pub use interceptor::{InterceptCtx, MessageInterceptor};
 pub use packet::{PacketContext, PacketProcessor};
 pub use persist::ControllerRecoveryReport;
-pub use services::{FlowRuleService, HostService, MastershipService, PathService};
+pub use services::{FlowRuleService, HostService, MastershipService};
 pub use stats::{PollTracker, RetryCounters, StatsPoller};

@@ -1,7 +1,8 @@
 //! The packet-processing chain: ONOS-style `PacketProcessor`s with
 //! priorities.
 
-use crate::services::{FlowRuleService, HostService, PathService};
+use crate::services::{FlowRuleService, HostService};
+use athena_dataplane::Routes;
 use athena_openflow::{FlowMod, OfMessage, PacketHeader};
 use athena_types::{AppId, Dpid, SimTime, Xid};
 
@@ -19,7 +20,7 @@ pub struct PacketContext<'a> {
     /// The simulation time.
     pub now: SimTime,
     /// Shortest paths over the topology view.
-    pub paths: &'a PathService,
+    pub paths: &'a Routes,
     /// Host locations.
     pub hosts: &'a HostService,
     flow_rules: &'a mut FlowRuleService,
@@ -32,7 +33,7 @@ impl<'a> PacketContext<'a> {
         dpid: Dpid,
         header: PacketHeader,
         now: SimTime,
-        paths: &'a PathService,
+        paths: &'a Routes,
         hosts: &'a HostService,
         flow_rules: &'a mut FlowRuleService,
     ) -> Self {
@@ -123,7 +124,7 @@ mod tests {
     fn context_collects_attributed_commands() {
         let topo = Topology::linear(2, 1);
         let hosts = HostService::from_topology(&topo);
-        let paths = PathService::from_topology(&topo);
+        let paths = Routes::new(&topo);
         let mut rules = FlowRuleService::new();
         let header = PacketHeader::tcp_syn(
             PortNo::new(1),

@@ -1,12 +1,12 @@
-//! Core controller services: mastership, host location, shortest paths,
-//! flow-rule bookkeeping with per-application attribution.
+//! Core controller services: mastership, host location, flow-rule
+//! bookkeeping with per-application attribution. Shortest paths are the
+//! data plane's [`athena_dataplane::Routes`].
 
 use athena_dataplane::Topology;
 use athena_openflow::{FlowMod, FlowRemoved};
 use athena_types::{AppId, ControllerId, Dpid, Ipv4Addr, PortNo, SimTime};
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeSet, HashMap, HashSet, VecDeque};
-use std::sync::OnceLock;
+use std::collections::{BTreeSet, HashMap};
 
 /// Maps each switch to the controller instance that masters it.
 ///
@@ -182,137 +182,6 @@ impl HostService {
     /// Learns (or refreshes) a host location from an observed packet.
     pub fn learn(&mut self, ip: Ipv4Addr, dpid: Dpid, port: PortNo) {
         self.by_ip.insert(ip, (dpid, port));
-    }
-}
-
-/// Shortest-path service over the controller's topology view.
-///
-/// The view never changes after construction, so the adjacency is built
-/// once and each source's breadth-first tree is computed on first use
-/// and kept. Paths are exactly [`Topology::shortest_path`]'s: neighbours
-/// are visited in link order and a switch keeps the predecessor that
-/// discovered it first, which a search that stops at the destination
-/// and one that runs to completion agree on.
-///
-/// # Examples
-///
-/// ```
-/// use athena_controller::PathService;
-/// use athena_dataplane::Topology;
-/// use athena_types::Dpid;
-///
-/// let topo = Topology::enterprise();
-/// let paths = PathService::from_topology(&topo);
-/// let (from, to) = (Dpid::new(7), Dpid::new(18));
-/// assert_eq!(paths.shortest_path(from, to), topo.shortest_path(from, to));
-/// ```
-#[derive(Debug, Clone, Default)]
-pub struct PathService {
-    index: HashMap<Dpid, usize>,
-    /// Per linked switch: its dpid and `(egress port, neighbour)` pairs
-    /// in link order.
-    nodes: Vec<(Dpid, Vec<(PortNo, usize)>)>,
-    trees: Vec<OnceLock<Tree>>,
-}
-
-/// One source's breadth-first tree: per switch, its predecessor and the
-/// predecessor's egress port toward it (`None` if unreached).
-type Tree = Vec<Option<(usize, PortNo)>>;
-
-impl PathService {
-    /// Builds the adjacency from the topology's links.
-    pub fn from_topology(topo: &Topology) -> Self {
-        let mut svc = PathService::default();
-        for l in &topo.links {
-            let (a, b) = (svc.node(l.a.0), svc.node(l.b.0));
-            for (from, port, to) in [(a, l.a.1, b), (b, l.b.1, a)] {
-                if let Some((_, out)) = svc.nodes.get_mut(from) {
-                    out.push((port, to));
-                }
-            }
-        }
-        svc.trees = vec![OnceLock::new(); svc.nodes.len()];
-        svc
-    }
-
-    fn node(&mut self, dpid: Dpid) -> usize {
-        *self.index.entry(dpid).or_insert_with(|| {
-            self.nodes.push((dpid, Vec::new()));
-            self.nodes.len() - 1
-        })
-    }
-
-    /// Shortest path (hop count) between two switches as a list of
-    /// `(dpid, egress port)` hops, excluding the destination switch.
-    /// Returns `None` if unreachable.
-    pub fn shortest_path(&self, from: Dpid, to: Dpid) -> Option<Vec<(Dpid, PortNo)>> {
-        self.route(from, to, &HashSet::new())
-    }
-
-    /// Up to `k` link-disjoint shortest paths between two switches: the
-    /// shortest path, then the shortest avoiding its hops, and so on.
-    pub fn disjoint_paths(&self, from: Dpid, to: Dpid, k: usize) -> Vec<Vec<(Dpid, PortNo)>> {
-        let mut paths = Vec::new();
-        let mut excluded = HashSet::new();
-        for _ in 0..k {
-            let Some(path) = self.route(from, to, &excluded) else {
-                break;
-            };
-            excluded.extend(path.iter().copied());
-            paths.push(path);
-        }
-        paths
-    }
-
-    fn route(
-        &self,
-        from: Dpid,
-        to: Dpid,
-        excluded: &HashSet<(Dpid, PortNo)>,
-    ) -> Option<Vec<(Dpid, PortNo)>> {
-        if from == to {
-            return Some(Vec::new());
-        }
-        let (from, to) = (*self.index.get(&from)?, *self.index.get(&to)?);
-        let detour;
-        let tree = if excluded.is_empty() {
-            self.trees
-                .get(from)?
-                .get_or_init(|| self.tree(from, excluded))
-        } else {
-            detour = self.tree(from, excluded);
-            &detour
-        };
-        let mut path = Vec::new();
-        let mut cur = to;
-        while cur != from {
-            let (prev, port) = (*tree.get(cur)?)?;
-            path.push((self.nodes.get(prev)?.0, port));
-            cur = prev;
-        }
-        path.reverse();
-        Some(path)
-    }
-
-    /// Breadth-first tree from `from` over the hops not in `excluded`.
-    fn tree(&self, from: usize, excluded: &HashSet<(Dpid, PortNo)>) -> Tree {
-        let mut tree = vec![None; self.nodes.len()];
-        let mut queue = VecDeque::from([from]);
-        while let Some(cur) = queue.pop_front() {
-            let Some((dpid, out)) = self.nodes.get(cur) else {
-                continue;
-            };
-            for (port, next) in out {
-                if *next == from || excluded.contains(&(*dpid, *port)) {
-                    continue;
-                }
-                if let Some(slot @ None) = tree.get_mut(*next) {
-                    *slot = Some((cur, *port));
-                    queue.push_back(*next);
-                }
-            }
-        }
-        tree
     }
 }
 
@@ -571,58 +440,6 @@ mod tests {
         // A moved host is re-learned.
         h.learn(ip, Dpid::new(2), PortNo::new(9));
         assert_eq!(h.location_of(ip), Some((Dpid::new(2), PortNo::new(9))));
-    }
-
-    #[test]
-    fn path_service_equals_the_topology_search_on_every_ordered_pair() {
-        for topo in [
-            Topology::linear(5, 1),
-            Topology::enterprise(),
-            Topology::nae(),
-            Topology::fat_tree(4),
-        ] {
-            let paths = PathService::from_topology(&topo);
-            // One dpid no switch has: unreachable from and to everything.
-            let dpids: Vec<Dpid> = topo
-                .switches
-                .iter()
-                .map(|s| s.dpid)
-                .chain([Dpid::new(9_999)])
-                .collect();
-            for from in &dpids {
-                for to in &dpids {
-                    assert_eq!(
-                        paths.shortest_path(*from, *to),
-                        topo.shortest_path(*from, *to),
-                        "{from} -> {to}"
-                    );
-                }
-            }
-        }
-        // A partitioned view: the far side is unreachable, not a panic.
-        let mut split = Topology::linear(4, 1);
-        split.links.remove(1);
-        let paths = PathService::from_topology(&split);
-        assert_eq!(paths.shortest_path(Dpid::new(1), Dpid::new(4)), None);
-        assert_eq!(
-            paths
-                .shortest_path(Dpid::new(3), Dpid::new(4))
-                .map(|p| p.len()),
-            Some(1)
-        );
-    }
-
-    #[test]
-    fn nae_topology_yields_two_disjoint_paths() {
-        let paths = PathService::from_topology(&Topology::nae()).disjoint_paths(
-            Dpid::new(1),
-            Dpid::new(4),
-            2,
-        );
-        assert_eq!(paths.len(), 2);
-        // Paths share no (switch, port) hop.
-        let a: HashSet<_> = paths[0].iter().collect();
-        assert!(paths[1].iter().all(|h| !a.contains(h)));
     }
 
     #[test]

@@ -264,10 +264,8 @@ mod tests {
     use crate::athena::{Athena, AthenaConfig};
     use crate::feature::format::FeatureRecord;
     use athena_controller::stats::{BACKOFF_CAP, MAX_RETRIES};
-    use athena_controller::{
-        FlowRuleService, HostService, MastershipService, PathService, RetryCounters,
-    };
-    use athena_dataplane::Topology;
+    use athena_controller::{FlowRuleService, HostService, MastershipService, RetryCounters};
+    use athena_dataplane::{Routes, Topology};
     use athena_openflow::StatsReply;
     use athena_telemetry::Telemetry;
 
@@ -275,7 +273,7 @@ mod tests {
         flow_rules: FlowRuleService,
         hosts: HostService,
         mastership: MastershipService,
-        paths: PathService,
+        paths: Routes,
         topology: Topology,
     }
 
@@ -286,7 +284,7 @@ mod tests {
                 flow_rules: FlowRuleService::new(),
                 hosts: HostService::from_topology(&topology),
                 mastership: MastershipService::from_topology(&topology),
-                paths: PathService::from_topology(&topology),
+                paths: Routes::new(&topology),
                 topology,
             }
         }

@@ -10,10 +10,10 @@
 
 use athena_compute::ComputeCluster;
 use athena_controller::{
-    FlowRuleService, HostService, InterceptCtx, MastershipService, MessageInterceptor, PathService,
+    FlowRuleService, HostService, InterceptCtx, MastershipService, MessageInterceptor,
 };
 use athena_core::{Athena, AthenaConfig, FeatureGenerator, FeatureManager};
-use athena_dataplane::Topology;
+use athena_dataplane::{Routes, Topology};
 use athena_openflow::{
     Action, FlowRemoved, FlowRemovedReason, FlowStatsEntry, MatchFields, OfMessage, PacketHeader,
     StatsReply, StatsRequest,
@@ -155,7 +155,7 @@ fn southbound_messages() {
     let flow_rules = FlowRuleService::new();
     let hosts = HostService::from_topology(&topology);
     let mastership = MastershipService::from_topology(&topology);
-    let paths = PathService::from_topology(&topology);
+    let paths = Routes::new(&topology);
     let controller = ControllerId::new(0);
     let ctx = InterceptCtx {
         controller,

@@ -40,7 +40,7 @@
 //!
 //! let topo = Topology::linear(3, 2);
 //! let mut net = Network::new(topo);
-//! let mut ctrl = LearningControllerStub::new(&net);
+//! let mut ctrl = LearningControllerStub::for_topology(net.topology().clone());
 //! let flows = workload::benign_mix(&net.topology().host_ids(), 20, SimDuration::from_secs(10), 7);
 //! net.inject_flows(flows);
 //! net.run_until(SimTime::from_secs(12), &mut ctrl);
@@ -67,5 +67,5 @@ pub use network::{
 pub use punt::{Batched, Network, PuntDiscipline, ShardedNetwork, Synchronous};
 pub use shard::{Engine, ShardPlan};
 pub use switch::SimSwitch;
-pub use topology::{HostSpec, LinkSpec, SwitchSpec, Topology};
+pub use topology::{HostSpec, LinkSpec, Routes, SwitchSpec, Topology};
 pub use wheel::TimingWheel;

@@ -4,11 +4,9 @@
 //! reference [`LearningControllerStub`]. The engine that drives them is
 //! [`crate::shard::Engine`].
 
-use crate::punt::PuntDiscipline;
-use crate::shard::Engine;
-use crate::topology::{HostSpec, Topology};
+use crate::topology::{HostSpec, Routes, Topology};
 use athena_openflow::{Action, OfMessage, PacketHeader};
-use athena_types::{Dpid, FiveTuple, Ipv4Addr, PortNo, SimDuration, SimTime, Xid};
+use athena_types::{Dpid, FiveTuple, Ipv4Addr, SimDuration, SimTime, Xid};
 use std::collections::HashMap;
 
 /// The data plane's view of its controllers.
@@ -141,9 +139,6 @@ pub(crate) fn apply_rewrites(actions: &[Action], mut pkt: PacketHeader) -> Packe
     pkt
 }
 
-/// Adjacency: `dpid -> [(out port, neighbor, neighbor's in port)]`.
-type Adjacency = HashMap<Dpid, Vec<(PortNo, Dpid, PortNo)>>;
-
 /// A minimal reactive shortest-path controller used by the data-plane
 /// crate's own tests and examples. The full distributed controller lives
 /// in `athena-controller`.
@@ -151,47 +146,34 @@ type Adjacency = HashMap<Dpid, Vec<(PortNo, Dpid, PortNo)>>;
 /// On each `PACKET_IN` it looks up the destination host and installs
 /// exact-match forwarding rules (with an idle timeout) along a shortest
 /// path. When several shortest paths exist (fat-tree/Clos fabrics) the
-/// per-hop choice is ECMP: a deterministic hash of the five-tuple picks
-/// among the equal-cost next hops, so flows spread across the fabric
-/// instead of all collapsing onto the first path BFS happens to find —
-/// on a unique-shortest-path topology this reduces to plain BFS.
+/// per-hop choice is ECMP ([`Routes::ecmp_path`]): a deterministic hash
+/// of the five-tuple picks among the equal-cost next hops, so flows
+/// spread across the fabric instead of all collapsing onto the first
+/// path BFS happens to find — on a unique-shortest-path topology this
+/// reduces to plain BFS.
 #[derive(Debug, Clone)]
 pub struct LearningControllerStub {
-    topology: Topology,
     /// Idle timeout for installed rules.
     pub idle_timeout: SimDuration,
     installs: u64,
     /// Host lookup by IP, built once — a linear scan over the host list
     /// per PACKET_IN melts down at 100k-host scale.
-    host_of: HashMap<Ipv4Addr, usize>,
-    /// Adjacency built once; `Topology::shortest_path` rebuilds it per
-    /// call, which dominates punt handling on large fabrics.
-    adj: Adjacency,
-    /// Hop-distance maps keyed by destination switch, built lazily (one
-    /// BFS per distinct destination edge switch, then O(path) per punt).
-    dist_cache: HashMap<Dpid, HashMap<Dpid, u32>>,
+    host_of: HashMap<Ipv4Addr, HostSpec>,
+    routes: Routes,
 }
 
 impl LearningControllerStub {
-    /// Creates a stub for the given network.
-    pub fn new<P: PuntDiscipline>(net: &Engine<P>) -> Self {
-        Self::for_topology(net.topology().clone())
-    }
-
-    /// Creates a stub for a topology directly (no engine needed).
+    /// Creates a stub routing over `topology`.
     pub fn for_topology(topology: Topology) -> Self {
         let mut host_of = HashMap::new();
-        for (i, h) in topology.hosts.iter().enumerate() {
-            host_of.entry(h.ip).or_insert(i);
+        for h in &topology.hosts {
+            host_of.entry(h.ip).or_insert(*h);
         }
-        let adj = topology.adjacency();
         LearningControllerStub {
-            topology,
             idle_timeout: SimDuration::from_secs(30),
             installs: 0,
             host_of,
-            adj,
-            dist_cache: HashMap::new(),
+            routes: Routes::new(&topology),
         }
     }
 
@@ -213,78 +195,14 @@ impl LearningControllerStub {
         h
     }
 
-    /// Hop distances from every switch to `to` (BFS over the cached
-    /// adjacency), computed once per destination.
-    fn ensure_dists<'a>(
-        cache: &'a mut HashMap<Dpid, HashMap<Dpid, u32>>,
-        adj: &Adjacency,
-        to: Dpid,
-    ) -> &'a HashMap<Dpid, u32> {
-        cache.entry(to).or_insert_with(|| {
-            let mut dist: HashMap<Dpid, u32> = HashMap::from([(to, 0)]);
-            let mut queue = std::collections::VecDeque::from([to]);
-            while let Some(cur) = queue.pop_front() {
-                let d = dist.get(&cur).copied().unwrap_or(0);
-                for (_, next, _) in adj.get(&cur).into_iter().flatten() {
-                    if !dist.contains_key(next) {
-                        dist.insert(*next, d + 1);
-                        queue.push_back(*next);
-                    }
-                }
-            }
-            dist
-        })
-    }
-
-    /// A shortest path `from -> to`, ECMP-balanced: at each hop the
-    /// flow hash (mixed with the hop index) picks among the equal-cost
-    /// downhill neighbours in adjacency order. Deterministic per flow.
-    fn walk_ecmp(
-        adj: &Adjacency,
-        dist: &HashMap<Dpid, u32>,
-        from: Dpid,
-        to: Dpid,
-        h: u64,
-    ) -> Option<Vec<(Dpid, PortNo)>> {
-        dist.get(&from)?;
-        let mut path = Vec::new();
-        let mut cur = from;
-        let mut hop = 0u32;
-        while cur != to {
-            let d = dist.get(&cur).copied()?;
-            let candidates: Vec<(PortNo, Dpid)> = adj
-                .get(&cur)
-                .into_iter()
-                .flatten()
-                .filter(|(_, next, _)| dist.get(next).copied() == Some(d - 1))
-                .map(|(port, next, _)| (*port, *next))
-                .collect();
-            if candidates.is_empty() {
-                return None;
-            }
-            let pick = (h.rotate_left(hop * 8) as usize) % candidates.len();
-            let (port, next) = candidates.get(pick).copied()?;
-            path.push((cur, port));
-            cur = next;
-            hop += 1;
-        }
-        Some(path)
-    }
-
     /// The `FlowMod` install sequence for one punted flow: the ECMP path
     /// hop by hop, then delivery out the destination host port.
-    fn install_cmds(
-        adj: &Adjacency,
-        dist: &HashMap<Dpid, u32>,
-        from: Dpid,
-        ft: FiveTuple,
-        dst: HostSpec,
-        idle: SimDuration,
-    ) -> Vec<(Dpid, OfMessage)> {
+    fn install_cmds(&self, from: Dpid, ft: FiveTuple, dst: HostSpec) -> Vec<(Dpid, OfMessage)> {
         let h = Self::flow_hash(&ft);
-        let Some(path) = Self::walk_ecmp(adj, dist, from, dst.switch, h) else {
+        let Some(path) = self.routes.ecmp_path(from, dst.switch, h) else {
             return Vec::new();
         };
+        let idle = self.idle_timeout;
         let m = athena_openflow::MatchFields::exact_five_tuple(ft);
         let mut cmds = Vec::with_capacity(path.len() + 1);
         for (hop, port) in &path {
@@ -315,11 +233,7 @@ impl LearningControllerStub {
             return None;
         };
         let ft = body.header.five_tuple()?;
-        let dst = self
-            .host_of
-            .get(&ft.dst)
-            .and_then(|i| self.topology.hosts.get(*i))
-            .copied()?;
+        let dst = self.host_of.get(&ft.dst).copied()?;
         Some((ft, dst))
     }
 
@@ -334,8 +248,7 @@ impl ControllerLink for LearningControllerStub {
         let Some((ft, dst)) = self.punt_dst(&msg) else {
             return Vec::new();
         };
-        let dist = Self::ensure_dists(&mut self.dist_cache, &self.adj, dst.switch);
-        let cmds = Self::install_cmds(&self.adj, dist, from, ft, dst, self.idle_timeout);
+        let cmds = self.install_cmds(from, ft, dst);
         self.installs += cmds.len() as u64;
         cmds
     }

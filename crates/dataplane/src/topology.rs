@@ -1,9 +1,10 @@
 //! Topology descriptions and builders, including the paper's evaluation
-//! topologies.
+//! topologies, and [`Routes`], the shortest paths over one.
 
 use athena_types::{ControllerId, Dpid, HostId, Ipv4Addr, LinkId, PortNo};
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet, VecDeque};
+use std::sync::OnceLock;
 
 /// A switch in the topology.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -417,50 +418,169 @@ impl Topology {
         }
         None
     }
+}
 
-    /// Adjacency map: `dpid -> [(egress port, neighbour dpid, ingress port)]`.
-    pub fn adjacency(&self) -> HashMap<Dpid, Vec<(PortNo, Dpid, PortNo)>> {
-        let mut adj: HashMap<Dpid, Vec<(PortNo, Dpid, PortNo)>> = HashMap::new();
-        for l in &self.links {
-            adj.entry(l.a.0).or_default().push((l.a.1, l.b.0, l.b.1));
-            adj.entry(l.b.0).or_default().push((l.b.1, l.a.0, l.a.1));
+/// Shortest-path routes over one topology: the one route computation.
+///
+/// The adjacency is built once, in link order over a dense switch index,
+/// and each source's breadth-first tree is computed on its first read and
+/// kept. A switch keeps the predecessor that discovered it first, so a
+/// path does not depend on which reads came before it. Links are
+/// bidirectional, so the depth of a switch in `to`'s tree is its distance
+/// to `to`, which is what an equal-cost walk toward `to` descends.
+///
+/// # Examples
+///
+/// ```
+/// use athena_dataplane::{Routes, Topology};
+/// use athena_types::Dpid;
+///
+/// let routes = Routes::new(&Topology::linear(3, 1));
+/// let path = routes.shortest_path(Dpid::new(1), Dpid::new(3)).unwrap();
+/// assert_eq!(path.len(), 2);
+/// assert_eq!(routes.ecmp_path(Dpid::new(1), Dpid::new(3), 7), Some(path));
+/// ```
+#[derive(Debug, Clone, Default)]
+pub struct Routes {
+    index: HashMap<Dpid, usize>,
+    /// Per linked switch: its dpid and `(egress port, neighbour)` pairs
+    /// in link order.
+    nodes: Vec<(Dpid, Vec<(PortNo, usize)>)>,
+    trees: Vec<OnceLock<Tree>>,
+}
+
+/// One source's breadth-first tree: per switch, its depth and the hop
+/// that reached it, the predecessor and its egress port (`None` if
+/// unreached; the source has depth 0 and no hop).
+type Tree = Vec<Option<(u32, Option<(usize, PortNo)>)>>;
+
+impl Routes {
+    /// Builds the adjacency from the topology's links.
+    pub fn new(topo: &Topology) -> Self {
+        let mut routes = Routes::default();
+        for l in &topo.links {
+            let (a, b) = (routes.node(l.a.0), routes.node(l.b.0));
+            for (from, port, to) in [(a, l.a.1, b), (b, l.b.1, a)] {
+                if let Some((_, out)) = routes.nodes.get_mut(from) {
+                    out.push((port, to));
+                }
+            }
         }
-        adj
+        routes.trees = vec![OnceLock::new(); routes.nodes.len()];
+        routes
+    }
+
+    fn node(&mut self, dpid: Dpid) -> usize {
+        *self.index.entry(dpid).or_insert_with(|| {
+            self.nodes.push((dpid, Vec::new()));
+            self.nodes.len() - 1
+        })
     }
 
     /// Shortest path (hop count) between two switches as a list of
     /// `(dpid, egress port)` hops, excluding the destination switch.
     /// Returns `None` if unreachable.
     pub fn shortest_path(&self, from: Dpid, to: Dpid) -> Option<Vec<(Dpid, PortNo)>> {
+        self.route(from, to, &HashSet::new())
+    }
+
+    /// Up to `k` link-disjoint shortest paths between two switches: the
+    /// shortest path, then the shortest avoiding its hops, and so on.
+    pub fn disjoint_paths(&self, from: Dpid, to: Dpid, k: usize) -> Vec<Vec<(Dpid, PortNo)>> {
+        let mut paths = Vec::new();
+        let mut excluded = HashSet::new();
+        for _ in 0..k {
+            let Some(path) = self.route(from, to, &excluded) else {
+                break;
+            };
+            excluded.extend(path.iter().copied());
+            paths.push(path);
+        }
+        paths
+    }
+
+    /// A shortest path `from -> to`, ECMP-balanced: at each hop the
+    /// flow `hash` (rotated by the hop index) picks among the neighbours
+    /// one step nearer `to`, in link order. Deterministic per hash; on a
+    /// unique-shortest-path topology it is [`Routes::shortest_path`].
+    pub fn ecmp_path(&self, from: Dpid, to: Dpid, hash: u64) -> Option<Vec<(Dpid, PortNo)>> {
         if from == to {
             return Some(Vec::new());
         }
-        let adj = self.adjacency();
-        let mut prev: HashMap<Dpid, (Dpid, PortNo)> = HashMap::new();
-        let mut queue = std::collections::VecDeque::from([from]);
-        while let Some(cur) = queue.pop_front() {
-            if cur == to {
-                break;
-            }
-            for (out_port, next, _) in adj.get(&cur).into_iter().flatten() {
-                if *next != from && !prev.contains_key(next) {
-                    prev.insert(*next, (cur, *out_port));
-                    queue.push_back(*next);
-                }
-            }
+        let (mut cur, to) = (*self.index.get(&from)?, *self.index.get(&to)?);
+        let tree = self.tree_of(to)?;
+        let depth = |n: usize| tree.get(n).copied().flatten().map(|(d, _)| d);
+        let mut d = depth(cur)?;
+        let mut path = Vec::with_capacity(d as usize);
+        while d > 0 {
+            let (dpid, out) = self.nodes.get(cur)?;
+            d -= 1;
+            let nearer = || out.iter().filter(|(_, next)| depth(*next) == Some(d));
+            let turn = (path.len() as u32) * 8;
+            let pick = (hash.rotate_left(turn) as usize).checked_rem(nearer().count())?;
+            let (port, next) = nearer().nth(pick)?;
+            path.push((*dpid, *port));
+            cur = *next;
         }
-        if !prev.contains_key(&to) {
-            return None;
+        Some(path)
+    }
+
+    fn route(
+        &self,
+        from: Dpid,
+        to: Dpid,
+        excluded: &HashSet<(Dpid, PortNo)>,
+    ) -> Option<Vec<(Dpid, PortNo)>> {
+        if from == to {
+            return Some(Vec::new());
         }
+        let (from, to) = (*self.index.get(&from)?, *self.index.get(&to)?);
+        let detour;
+        let tree = if excluded.is_empty() {
+            self.tree_of(from)?
+        } else {
+            detour = self.tree(from, excluded);
+            &detour
+        };
         let mut path = Vec::new();
         let mut cur = to;
         while cur != from {
-            let (p, port) = prev[&cur];
-            path.push((p, port));
-            cur = p;
+            let (prev, port) = (*tree.get(cur)?)?.1?;
+            path.push((self.nodes.get(prev)?.0, port));
+            cur = prev;
         }
         path.reverse();
         Some(path)
+    }
+
+    /// `from`'s tree over every link, computed on its first read.
+    fn tree_of(&self, from: usize) -> Option<&Tree> {
+        let tree = self.trees.get(from)?;
+        Some(tree.get_or_init(|| self.tree(from, &HashSet::new())))
+    }
+
+    /// Breadth-first tree from `from` over the hops not in `excluded`.
+    fn tree(&self, from: usize, excluded: &HashSet<(Dpid, PortNo)>) -> Tree {
+        let mut tree = vec![None; self.nodes.len()];
+        if let Some(slot) = tree.get_mut(from) {
+            *slot = Some((0, None));
+        }
+        let mut queue = VecDeque::from([(from, 0)]);
+        while let Some((cur, depth)) = queue.pop_front() {
+            let Some((dpid, out)) = self.nodes.get(cur) else {
+                continue;
+            };
+            for (port, next) in out {
+                if excluded.contains(&(*dpid, *port)) {
+                    continue;
+                }
+                if let Some(slot @ None) = tree.get_mut(*next) {
+                    *slot = Some((depth + 1, Some((cur, *port))));
+                    queue.push_back((*next, depth + 1));
+                }
+            }
+        }
+        tree
     }
 }
 
@@ -492,10 +612,11 @@ mod tests {
     #[test]
     fn enterprise_is_fully_connected() {
         let t = Topology::enterprise();
+        let routes = Routes::new(&t);
         for s in &t.switches {
             for d in &t.switches {
                 assert!(
-                    t.shortest_path(s.dpid, d.dpid).is_some(),
+                    routes.shortest_path(s.dpid, d.dpid).is_some(),
                     "{} -> {} unreachable",
                     s.dpid,
                     d.dpid
@@ -508,7 +629,9 @@ mod tests {
     fn nae_topology_has_two_paths_to_servers() {
         let t = Topology::nae();
         assert_eq!(t.switches.len(), 7);
-        let upper = t.shortest_path(Dpid::new(1), Dpid::new(4)).unwrap();
+        let upper = Routes::new(&t)
+            .shortest_path(Dpid::new(1), Dpid::new(4))
+            .unwrap();
         assert_eq!(upper.len(), 3); // both candidate paths are 3 hops
                                     // The FTP server exists.
         assert!(t.host_by_ip(Ipv4Addr::new(10, 0, 4, 1)).is_some());
@@ -516,13 +639,56 @@ mod tests {
 
     #[test]
     fn shortest_path_endpoints() {
-        let t = Topology::linear(3, 1);
+        let t = Routes::new(&Topology::linear(3, 1));
         assert_eq!(t.shortest_path(Dpid::new(1), Dpid::new(1)), Some(vec![]));
         let p = t.shortest_path(Dpid::new(1), Dpid::new(3)).unwrap();
         assert_eq!(p.len(), 2);
         assert_eq!(p[0].0, Dpid::new(1));
         assert_eq!(p[1].0, Dpid::new(2));
         assert_eq!(t.shortest_path(Dpid::new(1), Dpid::new(99)), None);
+        assert_eq!(t.ecmp_path(Dpid::new(99), Dpid::new(1), 0), None);
+    }
+
+    #[test]
+    fn a_partitioned_view_routes_each_side_only() {
+        let mut split = Topology::linear(4, 1);
+        split.links.remove(1);
+        let routes = Routes::new(&split);
+        assert_eq!(routes.shortest_path(Dpid::new(1), Dpid::new(4)), None);
+        assert_eq!(routes.ecmp_path(Dpid::new(1), Dpid::new(4), 0), None);
+        assert!(routes
+            .disjoint_paths(Dpid::new(1), Dpid::new(4), 2)
+            .is_empty());
+        assert_eq!(
+            routes
+                .shortest_path(Dpid::new(3), Dpid::new(4))
+                .map(|p| p.len()),
+            Some(1)
+        );
+    }
+
+    #[test]
+    fn nae_topology_yields_two_disjoint_paths() {
+        let paths = Routes::new(&Topology::nae()).disjoint_paths(Dpid::new(1), Dpid::new(4), 2);
+        assert_eq!(paths.len(), 2);
+        // Paths share no (switch, port) hop.
+        let a: HashSet<_> = paths[0].iter().collect();
+        assert!(paths[1].iter().all(|h| !a.contains(h)));
+    }
+
+    #[test]
+    fn a_read_does_not_depend_on_the_reads_before_it() {
+        let t = Topology::fat_tree(4);
+        let dpids: Vec<Dpid> = t.switches.iter().map(|s| s.dpid).collect();
+        let (warm, cold) = (Routes::new(&t), Routes::new(&t));
+        for from in &dpids {
+            for to in &dpids {
+                warm.ecmp_path(*to, *from, 3);
+                let path = warm.shortest_path(*from, *to);
+                assert_eq!(path, Routes::new(&t).shortest_path(*from, *to));
+                assert_eq!(warm.ecmp_path(*from, *to, 3), cold.ecmp_path(*from, *to, 3));
+            }
+        }
     }
 
     #[test]
@@ -576,7 +742,9 @@ mod tests {
         // Cross-pod reachability via agg + core layers.
         let first = t.hosts.first().unwrap();
         let last = t.hosts.last().unwrap();
-        let path = t.shortest_path(first.switch, last.switch).unwrap();
+        let path = Routes::new(&t)
+            .shortest_path(first.switch, last.switch)
+            .unwrap();
         assert_eq!(path.len(), 4, "edge-agg-core-agg-edge is four hops");
     }
 

@@ -14,7 +14,7 @@
 //! Generators are deterministic given their seed.
 
 use crate::flow::FlowSpec;
-use crate::topology::{HostSpec, Topology};
+use crate::topology::{HostSpec, Routes, Topology};
 use athena_types::{FiveTuple, HostId, Ipv4Addr, SimDuration, SimTime};
 use rand::rngs::StdRng;
 use rand::seq::IndexedRandom;
@@ -234,13 +234,14 @@ pub fn crossfire(
     let mut rng = StdRng::seed_from_u64(seed);
     // Decoys: hosts whose path from some bot traverses target_src ->
     // target_dst consecutively.
+    let routes = Routes::new(topo);
     let mut pairs: Vec<(&HostSpec, &HostSpec)> = Vec::new();
     for bot in &topo.hosts {
         for decoy in &topo.hosts {
             if bot.id == decoy.id {
                 continue;
             }
-            if let Some(path) = topo.shortest_path(bot.switch, decoy.switch) {
+            if let Some(path) = routes.shortest_path(bot.switch, decoy.switch) {
                 let hops: Vec<athena_types::Dpid> = path
                     .iter()
                     .map(|(d, _)| *d)
@@ -379,10 +380,11 @@ mod tests {
         );
         assert_eq!(flows.len(), 50);
         // Each flow's path indeed crosses 2 -> 3.
+        let routes = Routes::new(&topo);
         for f in &flows {
             let src = topo.host_by_ip(f.five_tuple.src).unwrap();
             let dst = topo.host_by_ip(f.five_tuple.dst).unwrap();
-            let path = topo.shortest_path(src.switch, dst.switch).unwrap();
+            let path = routes.shortest_path(src.switch, dst.switch).unwrap();
             let hops: Vec<Dpid> = path
                 .iter()
                 .map(|(d, _)| *d)

@@ -1,7 +1,7 @@
 //! Property-based tests for the data-plane simulator: byte conservation,
 //! determinism, topology invariants, and workload well-formedness.
 
-use athena_dataplane::{workload, FlowSpec, LearningControllerStub, Network, Topology};
+use athena_dataplane::{workload, FlowSpec, LearningControllerStub, Network, Routes, Topology};
 use athena_types::{FiveTuple, HostId, SimDuration, SimTime};
 use proptest::prelude::*;
 
@@ -47,7 +47,7 @@ proptest! {
         let topo = Topology::linear(3, 3);
         let run = || {
             let mut net = Network::new(topo.clone());
-            let mut ctrl = LearningControllerStub::new(&net);
+            let mut ctrl = LearningControllerStub::for_topology(topo.clone());
             net.inject_flows(workload::benign_mix_on(
                 &topo,
                 30,
@@ -68,7 +68,7 @@ proptest! {
     )) {
         let topo = Topology::linear(3, 3);
         let mut net = Network::new(topo.clone());
-        let mut ctrl = LearningControllerStub::new(&net);
+        let mut ctrl = LearningControllerStub::for_topology(topo.clone());
         // Offered upper bound: rate × (duration + one tick of slack) for
         // both directions, plus the activation packet.
         let offered: u64 = flows
@@ -98,7 +98,7 @@ proptest! {
     )) {
         let topo = Topology::linear(2, 4);
         let mut net = Network::new(topo.clone());
-        let mut ctrl = LearningControllerStub::new(&net);
+        let mut ctrl = LearningControllerStub::for_topology(topo.clone());
         net.inject_flows(flows);
         let run_secs = 20u64;
         net.run_until(SimTime::from_secs(run_secs), &mut ctrl);
@@ -126,18 +126,44 @@ proptest! {
         }
     }
 
-    /// Shortest paths are symmetric in length and stay within the network
-    /// diameter.
+    /// Every route is a walk over topology links: shortest paths are
+    /// symmetric in length and stay within the network diameter, the
+    /// stub's ECMP walk is exactly as long, and two disjoint paths share
+    /// no `(dpid, port)` hop. A lone switch with no links routes to
+    /// itself as an empty path.
     #[test]
-    fn shortest_paths_are_sane(a in 1u64..=18, b in 1u64..=18) {
-        use athena_types::Dpid;
-        let topo = Topology::enterprise();
-        let fwd = topo.shortest_path(Dpid::new(a), Dpid::new(b)).unwrap();
-        let back = topo.shortest_path(Dpid::new(b), Dpid::new(a)).unwrap();
+    fn shortest_paths_are_sane(which in 0usize..4, a in 0usize..64, b in 0usize..64, hash in any::<u64>()) {
+        let topo = match which {
+            0 => Topology::enterprise(),
+            1 => Topology::linear(5, 1),
+            2 => Topology::fat_tree(4),
+            _ => Topology::linear(1, 2),
+        };
+        let n = topo.switches.len();
+        let (a, b) = (topo.switches[a % n].dpid, topo.switches[b % n].dpid);
+        let routes = Routes::new(&topo);
+        let fwd = routes.shortest_path(a, b).unwrap();
+        let back = routes.shortest_path(b, a).unwrap();
+        let ecmp = routes.ecmp_path(a, b, hash).unwrap();
+        for (from, to, path) in [(a, b, &fwd), (b, a, &back), (a, b, &ecmp)] {
+            let mut at = from;
+            for (dpid, port) in path {
+                prop_assert_eq!(*dpid, at);
+                let link = topo.link_from(*dpid, *port);
+                prop_assert!(link.is_some(), "{dpid}:{port} is not a link");
+                at = link.unwrap().dst;
+            }
+            prop_assert_eq!(at, to);
+        }
         prop_assert_eq!(fwd.len(), back.len());
-        prop_assert!(fwd.len() <= topo.switches.len());
+        prop_assert_eq!(fwd.len(), ecmp.len());
+        prop_assert!(fwd.len() <= n);
         if a == b {
             prop_assert!(fwd.is_empty());
+        }
+        let disjoint = routes.disjoint_paths(a, b, 2);
+        if let [first, second] = disjoint.as_slice() {
+            prop_assert!(second.iter().all(|hop| !first.contains(hop)), "{disjoint:?}");
         }
     }
 }

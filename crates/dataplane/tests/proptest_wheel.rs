@@ -64,7 +64,7 @@ fn run_mode(
     };
     let mut net = Network::with_config(topo.clone(), config);
     let mut ctrl = RemovalRecorder {
-        inner: LearningControllerStub::new(&net),
+        inner: LearningControllerStub::for_topology(topo.clone()),
         removed: Vec::new(),
     };
     ctrl.inner.idle_timeout = SimDuration::from_secs(idle_secs);

@@ -314,7 +314,7 @@ pub fn standard_rules() -> Vec<AlertRule> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use athena_telemetry::{Gauge, Telemetry};
+    use athena_telemetry::{Counter, Gauge, Telemetry};
 
     #[test]
     fn gauge_rule_fires_and_clears() {
@@ -353,7 +353,9 @@ mod tests {
     #[test]
     fn rate_rule_clears_once_window_passes() {
         let tel = Telemetry::new();
-        let ctr = tel.metrics().counter("faults", "msgs_dropped");
+        let ctr = Counter::default();
+        tel.metrics()
+            .register_counter("faults", "msgs_dropped", &ctr);
         let mut series = SeriesEngine::new(64);
         let mut engine = AlertEngine::new(vec![AlertRule {
             name: "messages-dropped",
@@ -383,7 +385,9 @@ mod tests {
     #[test]
     fn stall_rule_needs_a_prior_rise() {
         let tel = Telemetry::new();
-        let ctr = tel.metrics().counter("core", "feature_records");
+        let ctr = Counter::default();
+        tel.metrics()
+            .register_counter("core", "feature_records", &ctr);
         let mut series = SeriesEngine::new(64);
         let mut engine = AlertEngine::new(vec![AlertRule {
             name: "detection-miss-window",

@@ -453,6 +453,7 @@ impl Drop for SpanGuard {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use athena_telemetry::Counter;
 
     #[test]
     fn disabled_handle_records_nothing() {
@@ -562,7 +563,10 @@ mod tests {
     #[test]
     fn report_and_exports_are_consistent() {
         let tel = Telemetry::new();
-        tel.metrics().counter("dataplane", "packet_ins").add(5);
+        let packet_ins = Counter::default();
+        tel.metrics()
+            .register_counter("dataplane", "packet_ins", &packet_ins);
+        packet_ins.add(5);
         let obs = Observe::with_telemetry(3, &tel);
         let g = obs.span_at("dataplane", "packet_in", SimTime::from_secs(1));
         g.finish("punt");

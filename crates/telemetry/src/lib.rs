@@ -30,7 +30,8 @@
 //! a timer never touches the wall clock, so instrumented hot paths stay
 //! deterministic and essentially free until a harness opts in with
 //! [`Telemetry::new`]. The registry's lookups (`counter`, `histogram`,
-//! `gauge`, …) read a key back for tests and harnesses. The
+//! `gauge`, …) read a key back for tests and harnesses and register
+//! nothing: an unknown key reads as zero and adds no report row. The
 //! `e2e_overhead` gate and the `overhead` criterion bench in this crate
 //! hold the cost side.
 //!
@@ -135,7 +136,9 @@ mod tests {
     fn handles_share_state_across_clones() {
         let tel = Telemetry::new();
         let other = tel.clone();
-        tel.metrics().counter("a", "hits").add(3);
+        let hits = Counter::default();
+        tel.metrics().register_counter("a", "hits", &hits);
+        hits.add(3);
         assert_eq!(other.metrics().counter("a", "hits").get(), 3);
     }
 

@@ -435,18 +435,16 @@ impl MetricsRegistry {
         }
     }
 
-    /// Reads the counter `subsystem/name`, registering a fresh one if the
-    /// key is new. A key that several handles share resolves to an
-    /// unreported reading of their sum; a key of another instrument
-    /// kind, to an unreported handle.
+    /// Reads the counter reported under `subsystem/name`: the one handle
+    /// registered there, an unreported reading of their sum when several
+    /// share the key, and an unreported zero when there is none.
     pub fn counter(&self, subsystem: &str, name: &str) -> Counter {
-        let key = MetricKey::new(subsystem, name, "");
-        let mut map = self.metrics.lock();
-        match map
-            .entry(key)
-            .or_insert_with(|| Metric::Counter(vec![Counter::default()]))
+        match self
+            .metrics
+            .lock()
+            .get(&MetricKey::new(subsystem, name, ""))
         {
-            Metric::Counter(handles) => match handles.as_slice() {
+            Some(Metric::Counter(handles)) => match handles.as_slice() {
                 [one] => one.clone(),
                 many => {
                     let reading = Counter::default();
@@ -617,7 +615,9 @@ mod tests {
     #[test]
     fn registration_is_idempotent_and_type_checked() {
         let reg = enabled_registry();
-        let a = reg.counter("s", "n");
+        let a = Counter::default();
+        reg.register_counter("s", "n", &a);
+        reg.register_counter("s", "n", &a);
         let b = reg.counter("s", "n");
         a.inc();
         assert_eq!(b.get(), 1);
@@ -630,6 +630,23 @@ mod tests {
         assert_eq!((g.get(), h.snapshot().count), (0, 0));
         assert_eq!(reg.counter("s", "n").get(), 1);
         let report = reg.report();
+        assert!(report.gauges.is_empty() && report.histograms.is_empty());
+    }
+
+    #[test]
+    fn reading_an_unknown_key_reports_nothing() {
+        let reg = enabled_registry();
+        let (c, g, h) = (
+            reg.counter("s", "typo"),
+            reg.gauge("s", "g"),
+            reg.histogram("s", "h"),
+        );
+        c.inc();
+        g.set(1);
+        h.record(1);
+        assert_eq!(reg.counter("s", "typo").get(), 0);
+        let report = reg.report();
+        assert!(report.counters.is_empty(), "{:?}", report.counters);
         assert!(report.gauges.is_empty() && report.histograms.is_empty());
     }
 

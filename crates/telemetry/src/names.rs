@@ -250,7 +250,7 @@ pub fn undeclared(report: &crate::TelemetryReport) -> Vec<String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Telemetry;
+    use crate::{Counter, Telemetry};
 
     #[test]
     fn declared_pairs_are_unique() {
@@ -273,8 +273,11 @@ mod tests {
     fn undeclared_flags_rogue_keys_only() {
         let tel = Telemetry::new();
         let m = tel.metrics();
-        m.counter(dataplane::SUBSYSTEM, dataplane::PACKET_INS).inc();
-        m.counter("rogue", "metric").inc();
+        let (packet_ins, rogue) = (Counter::default(), Counter::default());
+        m.register_counter(dataplane::SUBSYSTEM, dataplane::PACKET_INS, &packet_ins);
+        m.register_counter("rogue", "metric", &rogue);
+        packet_ins.inc();
+        rogue.inc();
         let bad = undeclared(&tel.report());
         assert_eq!(bad, vec!["rogue/metric".to_string()]);
     }

@@ -144,12 +144,14 @@ fn humanize_ns(ns: u64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Gauge, Histogram, Telemetry};
+    use crate::{Counter, Gauge, Histogram, Telemetry};
 
     fn sample_report() -> TelemetryReport {
         let tel = Telemetry::new();
         let m = tel.metrics();
-        m.counter("controller", "stats_polls").add(7);
+        let polls = Counter::default();
+        m.register_counter("controller", "stats_polls", &polls);
+        polls.add(7);
         let (lookups, docs, h) = (Gauge::default(), Gauge::default(), Histogram::default());
         m.register_gauge("dataplane", "lookups", "s1", &lookups);
         m.register_gauge("store", "docs", "", &docs);

@@ -74,6 +74,13 @@ cargo test -q -p athena-core --offline --test lock_counts
 ATHENA_CHAOS_SMOKE=1 cargo test -q --offline --test e2e_failures \
     fault_retry_and_failover_counters_surface_in_telemetry
 
+echo "==> one route computation (Routes serves the apps, the SB's quarantine hop, the stub's ECMP walk and crossfire; engine and wire-mode digests pinned)"
+cargo test -q -p athena-dataplane --offline --test golden_engine
+cargo test -q -p athena-dataplane --offline --test proptest_network shortest_paths_are_sane
+cargo test -q -p athena-dataplane --offline --lib topology::
+cargo test -q -p athena-controller --offline --lib -- apps::fwd apps::lb apps::security
+cargo test -q --offline --release --test e2e_wire_mode
+
 echo "==> one lock type (no untracked production lock; the apps' handler locks in lock_order)"
 # The apps' locks are taken inside event-handler closures the derived
 # graph does not resolve: the sentinel test checks their runtime order.

@@ -21,7 +21,7 @@ use athena::core::{Athena, AthenaConfig};
 use athena::dataplane::{workload, Network, Topology};
 use athena::faults::{run_with_faults, ChaosChannel, FaultInjector, Scenario};
 use athena::observe::{CausalEvent, CausalSpan, Observe};
-use athena::telemetry::Telemetry;
+use athena::telemetry::{Counter, Telemetry};
 use athena::types::{SimDuration, SimTime};
 use common::scaled;
 use std::sync::Mutex;
@@ -412,12 +412,13 @@ fn sentinel_observes_clean_lock_order_during_chaos_run() {
     // Surface the observation counts the way the production stack
     // reports everything else: through telemetry.
     let tel = Telemetry::new();
+    let (edges_observed, order_violations) = (Counter::default(), Counter::default());
     tel.metrics()
-        .counter("sentinel", "edges_observed")
-        .add(edges.len() as u64);
+        .register_counter("sentinel", "edges_observed", &edges_observed);
     tel.metrics()
-        .counter("sentinel", "order_violations")
-        .add(violations.len() as u64);
+        .register_counter("sentinel", "order_violations", &order_violations);
+    edges_observed.add(edges.len() as u64);
+    order_violations.add(violations.len() as u64);
     let report = tel.report();
     assert!(
         report

@@ -4,7 +4,7 @@
 //! (`athena-lint --json`, the compact JSON of an `Analysis`).
 
 use athena::observe::Observe;
-use athena::telemetry::Telemetry;
+use athena::telemetry::{Counter, Telemetry};
 use athena::types::SimTime;
 use athena_analyze::{Config, SourceFile};
 use serde_json::{json, Value};
@@ -30,7 +30,10 @@ fn list<'a>(v: &'a Value, path: &[&str]) -> &'a Vec<Value> {
 #[test]
 fn chrome_trace_and_observe_report_parse_and_read_back() {
     let tel = Telemetry::new();
-    tel.metrics().counter("dataplane", "packet_ins").add(3);
+    let packet_ins = Counter::default();
+    tel.metrics()
+        .register_counter("dataplane", "packet_ins", &packet_ins);
+    packet_ins.add(3);
     let obs = Observe::with_telemetry(7, &tel);
     let root = obs.span_at("dataplane", "packet_in", SimTime::from_secs(1));
     obs.event("core", "verdict", DETAIL);

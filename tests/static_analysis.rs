@@ -142,12 +142,12 @@ fn hot_propagation_reaches_transitive_helpers() {
     // None of these files appears in [analyze] hot_entries: they are
     // reached only through the call graph (forwarding path → match/route
     // helpers; engine phases → ordered fan-out; engine punt → the ECMP
-    // controller stub's per-destination BFS in `network.rs`). A
+    // controller stub → the BFS of `Routes` in `topology.rs`). A
     // hand-maintained per-file hot list would not cover them.
     let analysis = athena_analyze::check_workspace(root()).expect("analysis engine runs");
     for expected in [
         "crates/openflow/src/match_fields.rs::matches",
-        "crates/dataplane/src/network.rs::ensure_dists",
+        "crates/dataplane/src/topology.rs::tree",
         "crates/openflow/src/table.rs::winner",
         "crates/parallel/src/lib.rs::run_ordered",
     ] {
