@@ -8,7 +8,8 @@
 use crate::apps::app_ids;
 use crate::packet::{PacketContext, PacketProcessor};
 use athena_openflow::{Action, FlowMod, MatchFields};
-use athena_types::{Ipv4Addr, SimDuration};
+use athena_types::{Dpid, Ipv4Addr, PortNo, SimDuration};
+use std::collections::HashMap;
 
 /// Soft timeout for installed rules (drives Figure 9's sawtooth).
 const SOFT_TIMEOUT: SimDuration = SimDuration::from_secs(10);
@@ -22,6 +23,9 @@ pub struct LoadBalancer {
     /// The destination subnet this app load-balances.
     subnet: (Ipv4Addr, u8),
     next_path: usize,
+    /// The disjoint paths from an ingress switch to a destination
+    /// switch, found on the pair's first flow: the routes never change.
+    paths: HashMap<(Dpid, Dpid), Vec<Vec<(Dpid, PortNo)>>>,
 }
 
 impl LoadBalancer {
@@ -30,6 +34,7 @@ impl LoadBalancer {
         LoadBalancer {
             subnet,
             next_path: 0,
+            paths: HashMap::new(),
         }
     }
 }
@@ -53,7 +58,11 @@ impl PacketProcessor for LoadBalancer {
         let Some((dst_switch, dst_port)) = ctx.hosts.location_of(ft.dst) else {
             return;
         };
-        let paths = ctx.paths.disjoint_paths(ctx.dpid, dst_switch, 2);
+        let routes = ctx.paths;
+        let paths = self
+            .paths
+            .entry((ctx.dpid, dst_switch))
+            .or_insert_with(|| routes.disjoint_paths(ctx.dpid, dst_switch, 2));
         if paths.is_empty() {
             return;
         }
@@ -120,6 +129,46 @@ mod tests {
         }
         assert_ne!(first_hops[0], first_hops[1], "round-robin paths");
         assert_eq!(lb.next_path, 2);
+    }
+
+    #[test]
+    fn repeated_flows_of_one_pair_alternate_over_the_same_two_paths() {
+        let topo = Topology::nae();
+        let hosts = HostService::from_topology(&topo);
+        let paths = Routes::new(&topo);
+        let mut rules = FlowRuleService::new();
+        let client = topo.hosts[0];
+        let server = Ipv4Addr::new(10, 0, 4, 1);
+        let mut lb = LoadBalancer::new((Ipv4Addr::new(10, 0, 4, 0), 24));
+        let want = paths.disjoint_paths(client.switch, Dpid::new(4), 2);
+        assert_eq!(want.len(), 2);
+
+        for sport in 1000u16..1006 {
+            let header = PacketHeader::tcp_syn(client.port, client.ip, sport, server, 21);
+            let mut ctx = crate::packet::PacketContext::new(
+                client.switch,
+                header,
+                SimTime::ZERO,
+                &paths,
+                &hosts,
+                &mut rules,
+            );
+            lb.process(&mut ctx);
+            // One rule per hop of the flow's path, then the egress rule.
+            let hops: Vec<(Dpid, PortNo)> = ctx
+                .into_commands()
+                .iter()
+                .map(|(dpid, msg)| {
+                    let athena_openflow::OfMessage::FlowMod { body, .. } = msg else {
+                        panic!("flow mod expected")
+                    };
+                    (*dpid, Action::first_output(&body.actions).unwrap())
+                })
+                .collect();
+            let path = &want[usize::from(sport - 1000) % 2];
+            assert_eq!(hops[..hops.len() - 1], path[..], "flow {sport}");
+        }
+        assert_eq!(lb.paths.len(), 1, "one pair, one lookup");
     }
 
     #[test]

@@ -3,10 +3,13 @@
 
 use crate::feature::catalog::{self, FeatureId, FieldName, MessageType};
 use athena_store::{DocId, Document, Fields, Key};
+use athena_types::hash::WordHasher;
 use athena_types::{AppId, ControllerId, Dpid, FiveTuple, IpProto, Ipv4Addr, PortNo, SimTime};
 use serde_json::Value;
 use std::cmp::Ordering;
+use std::collections::HashMap;
 use std::fmt;
+use std::hash::BuildHasherDefault;
 use std::sync::Arc;
 
 const APP: &str = "app";
@@ -146,6 +149,46 @@ pub(crate) struct CatalogValues {
 
 const WORDS: usize = catalog::COUNT.div_ceil(64);
 
+/// What fixes a generated record's member names: the catalog features
+/// present, and which of the optional index keys are set (a bit each
+/// for port, five-tuple, host and app).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+struct Shape {
+    present: [u64; WORDS],
+    keys: u8,
+}
+
+impl Shape {
+    fn of(index: &FeatureIndex, values: &CatalogValues) -> Self {
+        let keys = u8::from(index.port.is_some())
+            | u8::from(index.five_tuple.is_some()) << 1
+            | u8::from(index.host.is_some()) << 2
+            | u8::from(index.app.is_some()) << 3;
+        Shape {
+            present: values.present,
+            keys,
+        }
+    }
+
+    /// The number of members a record of this shape has: its features,
+    /// the five keys every record carries, and the optional ones (a
+    /// five-tuple is five).
+    fn len(&self) -> usize {
+        let features: usize = self.present.iter().map(|w| w.count_ones() as usize).sum();
+        let keys = usize::from(self.keys & 1 != 0)
+            + 5 * usize::from(self.keys & 2 != 0)
+            + usize::from(self.keys & 4 != 0)
+            + usize::from(self.keys & 8 != 0);
+        features + 5 + keys
+    }
+}
+
+/// The member-name lists of the records one generator builds, one per
+/// [`Shape`]: every record of a shape points at its list and owns only
+/// its values. A generator meets a handful of shapes.
+#[derive(Debug, Default)]
+pub(crate) struct Layouts(HashMap<Shape, Arc<[Key]>, BuildHasherDefault<WordHasher>>);
+
 impl CatalogValues {
     pub(crate) fn new() -> Self {
         CatalogValues {
@@ -168,7 +211,12 @@ impl FeatureRecord {
     /// Creates a record for an index, with default metadata and no
     /// fields.
     pub fn new(index: FeatureIndex) -> Self {
-        Self::from_catalog(&index, &MetaData::default(), &CatalogValues::new())
+        Self::from_catalog(
+            &mut Layouts::default(),
+            &index,
+            &MetaData::default(),
+            &CatalogValues::new(),
+        )
     }
 
     /// Sets the metadata (builder style).
@@ -190,28 +238,33 @@ impl FeatureRecord {
     /// The record the generator emits: its catalog values, then the index
     /// and metadata keys, assembled in name order without comparing a
     /// name (catalog fields are placed by id; id order is name order, and
-    /// all of them sort before the lower-case keys).
+    /// all of them sort before the lower-case keys). Its name list is
+    /// its shape's in `layouts`, made by the first record of the shape.
     pub(crate) fn from_catalog(
+        layouts: &mut Layouts,
         index: &FeatureIndex,
         meta: &MetaData,
         values: &CatalogValues,
     ) -> Self {
-        let features: usize = values.present.iter().map(|w| w.count_ones() as usize).sum();
-        let index_keys = usize::from(index.port.is_some())
-            + 5 * usize::from(index.five_tuple.is_some())
-            + usize::from(index.host.is_some())
-            + usize::from(index.app.is_some());
-        let mut members: Vec<(Key, Value)> = Vec::with_capacity(features + 5 + index_keys);
+        let shape = Shape::of(index, values);
+        let known = layouts.0.get(&shape).cloned();
+        let mut names: Vec<Key> = Vec::with_capacity(if known.is_some() { 0 } else { shape.len() });
+        let mut vals: Vec<Value> = Vec::with_capacity(shape.len());
+        let mut member = |key: &'static str, value: Value| {
+            if known.is_none() {
+                names.push(Key::Static(key));
+            }
+            vals.push(value);
+        };
         for (word, mut bits) in values.present.into_iter().enumerate() {
             while bits != 0 {
                 let i = word * 64 + bits.trailing_zeros() as usize;
                 bits &= bits - 1;
                 if let (Some(id), Some(value)) = (FeatureId::from_index(i), values.values.get(i)) {
-                    members.push((Key::Static(id.name()), Value::from(*value)));
+                    member(id.name(), Value::from(*value));
                 }
             }
         }
-        let mut member = |key: &'static str, value: Value| members.push((Key::Static(key), value));
         let ft = index.five_tuple;
         // In `META_KEYS` order.
         if let Some(app) = index.app {
@@ -237,8 +290,12 @@ impl FeatureRecord {
             member(TP_DST, ft.dst_port.into());
             member(TP_SRC, ft.src_port.into());
         }
+        let names = match known {
+            Some(names) => names,
+            None => Arc::clone(layouts.0.entry(shape).or_insert_with(|| names.into())),
+        };
         FeatureRecord(Arc::new(Document {
-            fields: Fields::from_sorted(members),
+            fields: Fields::with_names(names, vals),
             ..Document::default()
         }))
     }
@@ -262,11 +319,11 @@ impl FeatureRecord {
     /// its lower-case tail merges with the sorted keys, and ad-hoc names
     /// among them (`phase`, `truth`) are stepped over.
     fn meta_members(&self) -> [Option<&Value>; META_KEYS.len()] {
-        let members = self.0.fields.iter().as_slice();
-        let tail = members.partition_point(|(k, _)| !is_lower_or_above(k.as_str()));
+        let (names, values) = (self.0.fields.names(), self.0.fields.values());
+        let tail = names.partition_point(|k| !is_lower_or_above(k.as_str()));
         let mut slots = [None; META_KEYS.len()];
         let (mut i, mut j) = (tail, 0);
-        while let (Some((k, v)), Some(key)) = (members.get(i), META_KEYS.get(j)) {
+        while let (Some(k), Some(key)) = (names.get(i), META_KEYS.get(j)) {
             let order = if std::ptr::eq(k.as_str(), *key) {
                 Ordering::Equal
             } else {
@@ -277,7 +334,7 @@ impl FeatureRecord {
                 Ordering::Greater => j += 1,
                 Ordering::Equal => {
                     if let Some(slot) = slots.get_mut(j) {
-                        *slot = Some(v);
+                        *slot = values.get(i);
                     }
                     (i, j) = (i + 1, j + 1);
                 }
@@ -379,12 +436,11 @@ fn kind(value: Option<&Value>) -> MessageType {
 
 /// Reads a model's inputs from record after record: what
 /// [`FeatureRecord::values`] returns, found faster when consecutive
-/// records share a key layout (every `FLOW_STATS` record of one
-/// generator does). Each name first tries the member position it held in
-/// the previous record — one key comparison, by pointer and then by
-/// string — and on a miss walks the body as a plain lookup does and
-/// remembers where it found the name. A record of another layout costs
-/// one comparison per name more than [`FeatureRecord::values`].
+/// records share a name list (every `FLOW_STATS` record of one
+/// generator's layout does). The reader keeps the last list it read with
+/// each name's position in it; a record under the same list (one pointer
+/// comparison) is read by position alone, and one under another list is
+/// looked up as a plain lookup does and its positions kept.
 ///
 /// # Examples
 ///
@@ -401,9 +457,10 @@ fn kind(value: Option<&Value>) -> MessageType {
 /// ```
 #[derive(Debug, Clone)]
 pub struct FieldReader {
-    /// Each name with the member position it held in the last record
-    /// that had it.
-    names: Vec<(FieldName, usize)>,
+    names: Vec<FieldName>,
+    /// The name list of the last record read (held, so no other list can
+    /// take its address), with each name's position in it.
+    layout: Option<(Arc<[Key]>, Vec<Option<usize>>)>,
     /// Whether a name is an index or metadata key: then no record has
     /// all of the fields.
     meta: bool,
@@ -413,7 +470,8 @@ impl FieldReader {
     /// A reader of `names`, in order.
     pub fn new(names: &[FieldName]) -> Self {
         FieldReader {
-            names: names.iter().map(|name| (name.clone(), 0)).collect(),
+            names: names.to_vec(),
+            layout: None,
             meta: names.iter().any(|name| is_meta_key(name.as_str())),
         }
     }
@@ -424,19 +482,24 @@ impl FieldReader {
         if self.meta {
             return None;
         }
-        let members = record.0.fields.iter().as_slice();
-        let mut values = Vec::with_capacity(self.names.len());
-        for (name, at) in &mut self.names {
-            let name = name.as_str();
-            let hit = members
-                .get(*at)
-                .is_some_and(|(k, _)| std::ptr::eq(k.as_str(), name) || k.as_str() == name);
-            if !hit {
-                *at = members.iter().position(|(k, _)| k.as_str() == name)?;
+        let fields = &record.0.fields;
+        let list = fields.names();
+        let positions = match &mut self.layout {
+            Some((held, positions)) if Arc::ptr_eq(held, list) => positions,
+            layout => {
+                let positions = self
+                    .names
+                    .iter()
+                    .map(|name| list.iter().position(|k| k.as_str() == name.as_str()))
+                    .collect();
+                &mut layout.insert((Arc::clone(list), positions)).1
             }
-            values.push(members.get(*at)?.1.as_f64()?);
-        }
-        Some(values)
+        };
+        let values = fields.values();
+        positions
+            .iter()
+            .map(|at| values.get((*at)?)?.as_f64())
+            .collect()
     }
 }
 

@@ -6,7 +6,7 @@
 //! periodically removes outdated entries.
 
 use crate::feature::catalog::{self, MessageType};
-use crate::feature::format::{CatalogValues, FeatureIndex, FeatureRecord, MetaData};
+use crate::feature::format::{CatalogValues, FeatureIndex, FeatureRecord, Layouts, MetaData};
 use crate::feature::window::Windowing;
 use athena_controller::apps::app_ids;
 use athena_openflow::stats::PortStatsEntry;
@@ -83,6 +83,8 @@ pub struct FeatureGenerator {
     msg_counts: HashMap<Dpid, MsgWindow>,
     prev_msg_counts: HashMap<Dpid, MsgWindow>,
     records_generated: u64,
+    /// The name list of each record shape met so far.
+    layouts: Layouts,
 }
 
 impl FeatureGenerator {
@@ -98,6 +100,7 @@ impl FeatureGenerator {
             msg_counts: HashMap::new(),
             prev_msg_counts: HashMap::new(),
             records_generated: 0,
+            layouts: Layouts::default(),
         }
     }
 
@@ -153,9 +156,11 @@ impl FeatureGenerator {
                                 catalog::TABLE_LOOKUP_COUNT_VAR,
                                 e.lookup_count as f64 - prev_lookup as f64,
                             );
+                            let meta = self.meta(now, MessageType::TABLE_STATS, polled);
                             records.push(FeatureRecord::from_catalog(
+                                &mut self.layouts,
                                 &FeatureIndex::switch(from),
-                                &self.meta(now, MessageType::TABLE_STATS, polled),
+                                &meta,
                                 &v,
                             ));
                         }
@@ -192,7 +197,12 @@ impl FeatureGenerator {
                 // The flow is gone: stop tracking its previous sample.
                 self.prev_flow.remove(&(from, body.match_fields));
                 let meta = self.meta(now, MessageType::FLOW_REMOVED, false);
-                vec![FeatureRecord::from_catalog(&index, &meta, &v)]
+                vec![FeatureRecord::from_catalog(
+                    &mut self.layouts,
+                    &index,
+                    &meta,
+                    &v,
+                )]
             }
             OfMessage::PacketIn { body, .. } => {
                 // Per-event protocol-centric features: every punted packet
@@ -212,7 +222,12 @@ impl FeatureGenerator {
                     f64::from(u8::from(body.buffer_id.is_some())),
                 );
                 let meta = self.meta(now, MessageType::PACKET_IN, false);
-                vec![FeatureRecord::from_catalog(&index, &meta, &v)]
+                vec![FeatureRecord::from_catalog(
+                    &mut self.layouts,
+                    &index,
+                    &meta,
+                    &v,
+                )]
             }
             _ => Vec::new(),
         };
@@ -281,6 +296,7 @@ impl FeatureGenerator {
             self.records_generated += 1;
             let meta = self.meta(now, MessageType::MSG_WINDOW, false);
             out.push(FeatureRecord::from_catalog(
+                &mut self.layouts,
                 &FeatureIndex::switch(dpid),
                 &meta,
                 &v,
@@ -389,7 +405,13 @@ impl FeatureGenerator {
                 is_pair,
                 pair_ratio,
             };
-            out.push(build_flow_record(from, &meta, e, &stateful));
+            out.push(build_flow_record(
+                &mut self.layouts,
+                from,
+                &meta,
+                e,
+                &stateful,
+            ));
         }
         if entries.is_empty() {
             return out;
@@ -417,19 +439,22 @@ impl FeatureGenerator {
         v.set(catalog::SWITCH_APP_FLOW_COUNT, athena_rules as f64);
         v.set(catalog::SWITCH_PACKET_COUNT_TOTAL, total_packets as f64);
         v.set(catalog::SWITCH_BYTE_COUNT_TOTAL, total_bytes as f64);
+        let meta = self.meta(now, MessageType::SWITCH_STATE, polled);
         out.push(FeatureRecord::from_catalog(
+            &mut self.layouts,
             &FeatureIndex::switch(from),
-            &self.meta(now, MessageType::SWITCH_STATE, polled),
+            &meta,
             &v,
         ));
 
         // Per-host stateful aggregates from the same snapshot.
         self.records_generated += hosts.len() as u64;
         let meta = self.meta(now, MessageType::HOST_STATE, polled);
+        let layouts = &mut self.layouts;
         out.extend(
             hosts
                 .iter()
-                .map(|(ip, agg)| build_host_record(from, &meta, *ip, agg)),
+                .map(|(ip, agg)| build_host_record(layouts, from, &meta, *ip, agg)),
         );
         out
     }
@@ -512,9 +537,11 @@ impl FeatureGenerator {
                 catalog::PORT_DROP_RATIO,
                 safe_div(dropped as f64, seen as f64),
             );
+            let meta = self.meta(now, MessageType::PORT_STATS, polled);
             out.push(FeatureRecord::from_catalog(
+                &mut self.layouts,
                 &FeatureIndex::port(from, e.port_no),
-                &self.meta(now, MessageType::PORT_STATS, polled),
+                &meta,
                 &v,
             ));
         }
@@ -601,6 +628,7 @@ fn host_mut(hosts: &mut [(Ipv4Addr, HostAgg)], ip: Ipv4Addr) -> Option<&mut Host
 
 /// Builds one `FLOW_STATS` record from an entry and its tracked state.
 fn build_flow_record(
+    layouts: &mut Layouts,
     from: Dpid,
     meta: &MetaData,
     e: &FlowStatsEntry,
@@ -687,11 +715,17 @@ fn build_flow_record(
             safe_div(e.byte_count as f64, e.packet_count as f64),
         );
     }
-    FeatureRecord::from_catalog(&index, meta, &v)
+    FeatureRecord::from_catalog(layouts, &index, meta, &v)
 }
 
 /// Builds one `HOST_STATE` record.
-fn build_host_record(from: Dpid, meta: &MetaData, ip: Ipv4Addr, agg: &HostAgg) -> FeatureRecord {
+fn build_host_record(
+    layouts: &mut Layouts,
+    from: Dpid,
+    meta: &MetaData,
+    ip: Ipv4Addr,
+    agg: &HostAgg,
+) -> FeatureRecord {
     let mut index = FeatureIndex::switch(from);
     index.host = Some(ip);
     let mut v = CatalogValues::new();
@@ -707,7 +741,7 @@ fn build_host_record(from: Dpid, meta: &MetaData, ip: Ipv4Addr, agg: &HostAgg) -
         catalog::HOST_PAIR_RATIO,
         safe_div(agg.paired as f64, agg.out_flows as f64),
     );
-    FeatureRecord::from_catalog(&index, meta, &v)
+    FeatureRecord::from_catalog(layouts, &index, meta, &v)
 }
 
 fn safe_div(num: f64, den: f64) -> f64 {
@@ -1008,7 +1042,13 @@ mod tests {
                     is_pair: ft.is_some_and(|t| tuples.contains(&t.reversed())),
                     pair_ratio,
                 };
-                out.push(build_flow_record(from, &meta, e, &stateful));
+                out.push(build_flow_record(
+                    &mut self.layouts,
+                    from,
+                    &meta,
+                    e,
+                    &stateful,
+                ));
             }
             if !entries.is_empty() {
                 let mut v = CatalogValues::new();
@@ -1032,9 +1072,11 @@ mod tests {
                 v.set(catalog::SWITCH_APP_FLOW_COUNT, athena_rules as f64);
                 v.set(catalog::SWITCH_PACKET_COUNT_TOTAL, total_packets as f64);
                 v.set(catalog::SWITCH_BYTE_COUNT_TOTAL, total_bytes as f64);
+                let meta = self.meta(now, MessageType::SWITCH_STATE, polled);
                 out.push(FeatureRecord::from_catalog(
+                    &mut self.layouts,
                     &FeatureIndex::switch(from),
-                    &self.meta(now, MessageType::SWITCH_STATE, polled),
+                    &meta,
                     &v,
                 ));
                 out.extend(self.oracle_host_features(from, entries, &tuples, now, polled));
@@ -1078,7 +1120,7 @@ mod tests {
                 .map(|(ip, mut h)| {
                     h.agg.fanout = h.fanout.len() as u64;
                     h.agg.fanin = h.fanin.len() as u64;
-                    build_host_record(from, &meta, ip, &h.agg)
+                    build_host_record(&mut self.layouts, from, &meta, ip, &h.agg)
                 })
                 .collect()
         }

@@ -285,3 +285,54 @@ fn names_and_bodies_reach_the_shard_and_come_back_uncopied() {
         assert!(doc.fields.iter().all(|(k, _)| matches!(k, Key::Static(_))));
     }
 }
+
+#[test]
+fn records_of_one_kind_share_one_name_list() {
+    // One flow gives a FLOW_STATS, a SWITCH_STATE and two HOST_STATE
+    // records; two polls give two of each of the first two kinds.
+    let mut g = FeatureGenerator::new(ControllerId::new(2));
+    let ft = FiveTuple::tcp(
+        Ipv4Addr::new(10, 0, 0, 1),
+        1000,
+        Ipv4Addr::new(10, 0, 0, 2),
+        80,
+    );
+    let entry = FlowStatsEntry {
+        table_id: 0,
+        match_fields: MatchFields::exact_five_tuple(ft),
+        priority: 100,
+        duration: SimDuration::from_millis(4500),
+        idle_timeout: SimDuration::from_secs(30),
+        hard_timeout: SimDuration::ZERO,
+        cookie: 3,
+        packet_count: 100,
+        byte_count: 64_123,
+        actions: vec![Action::Output(PortNo::new(2))],
+    };
+    let poll = |g: &mut FeatureGenerator, at| {
+        let msg = OfMessage::StatsReply {
+            xid: Xid::athena_marked(1),
+            body: StatsReply::Flow(vec![entry.clone()]),
+        };
+        g.ingest(Dpid::new(7), &msg, SimTime::from_secs(at), &|c| {
+            AppId::new(c as u32)
+        })
+    };
+    let (first, second) = (poll(&mut g, 10), poll(&mut g, 20));
+    assert_eq!((first.len(), second.len()), (4, 4));
+    let names = |r: &FeatureRecord| Arc::clone(r.document().fields.names());
+    for (a, b) in [
+        (&first[0], &second[0]),
+        (&first[1], &second[1]),
+        (&first[2], &first[3]),
+        (&first[2], &second[3]),
+    ] {
+        assert!(Arc::ptr_eq(&names(a), &names(b)), "{a} and {b}");
+        assert_ne!(
+            a.document().fields,
+            FeatureRecord::new(a.index()).document().fields
+        );
+    }
+    assert!(!Arc::ptr_eq(&names(&first[0]), &names(&first[1])));
+    assert!(names(&first[0]).iter().all(|k| matches!(k, Key::Static(_))));
+}

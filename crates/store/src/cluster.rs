@@ -4,11 +4,10 @@
 //! collection is one cluster-wide object holding a shard per node; its
 //! documents are hash-sharded by id, and each is replicated onto the next
 //! `replication - 1` nodes in ring order. A write runs on the primary and
-//! every replica, and each node's journal counts a record per copy. That
-//! record is sized as the modelled MongoDB stores the document, as BSON
-//! ([`Document::bson_len`]), and never encoded; only with persistence
-//! attached is the logical operation serialized, once, as JSON text into
-//! the WAL. This is the work the Table IX benchmark measures.
+//! every replica, and each node's journal counts a record per copy. Only
+//! with persistence attached is the logical operation serialized, once,
+//! as JSON text into the WAL. This is the work the Table IX benchmark
+//! measures.
 
 use crate::collection::Collection;
 use crate::document::{DocId, Document};
@@ -29,7 +28,6 @@ use std::sync::{Arc, OnceLock};
 /// shards it hosts belong to the collections).
 #[derive(Debug)]
 pub struct StoreNode {
-    journal_bytes: AtomicU64,
     journal_records: AtomicU64,
     up: AtomicBool,
 }
@@ -37,7 +35,6 @@ pub struct StoreNode {
 impl StoreNode {
     fn new() -> Self {
         StoreNode {
-            journal_bytes: AtomicU64::new(0),
             journal_records: AtomicU64::new(0),
             up: AtomicBool::new(true),
         }
@@ -52,29 +49,20 @@ impl StoreNode {
     /// rejoin delivery, journal replay: one lock on this node's shard
     /// `coll`, the handles stored in the order given (each index probed
     /// once per run of copies sharing its key), and one journal add for
-    /// them all (a record per copy, each its document's length plus the
-    /// header). An empty batch takes no lock. Returns the copies written.
+    /// them all (a record per copy). An empty batch takes no lock.
+    /// Returns the copies written.
     pub(crate) fn place<'a>(
         &self,
         coll: &TrackedRwLock<Collection>,
         copies: impl Iterator<Item = &'a Placement> + Clone,
     ) -> u64 {
-        const HEADER_BYTES: u64 = 16;
-        let (records, bytes) = copies.clone().fold((0, 0), |(records, bytes), p| {
-            (records + 1, bytes + p.len + HEADER_BYTES)
-        });
+        let records = copies.clone().count() as u64;
         if records == 0 {
             return 0;
         }
         coll.write().insert_all(copies.map(|p| &p.doc));
-        self.journal_bytes.fetch_add(bytes, Ordering::Relaxed);
         self.journal_records.fetch_add(records, Ordering::Relaxed);
         records
-    }
-
-    /// Total bytes appended to this node's journal.
-    pub fn journal_bytes(&self) -> u64 {
-        self.journal_bytes.load(Ordering::Relaxed)
     }
 
     /// Total records appended to this node's journal.
@@ -371,12 +359,10 @@ impl StoreCluster {
     /// of that id writes to now.
     pub(crate) fn placement(&self, doc: Arc<Document>) -> Placement {
         let (targets, _) = self.write_targets(doc.id);
-        let len = doc.bson_len() as u64;
         Placement {
             doc,
             outcome: Ok(()),
             targets,
-            len,
         }
     }
 
@@ -411,11 +397,6 @@ impl StoreCluster {
     /// (majority of the replication factor).
     fn write_quorum(&self) -> usize {
         self.replication / 2 + 1
-    }
-
-    /// Total journal bytes across all nodes.
-    pub fn total_journal_bytes(&self) -> u64 {
-        self.nodes.iter().map(StoreNode::journal_bytes).sum()
     }
 
     /// Access a node by index (for inspection in tests and benchmarks).
@@ -560,9 +541,6 @@ pub struct Placement {
     pub outcome: Result<()>,
     /// The nodes its copies go to (none while pending or when refused).
     targets: WriteTargets,
-    /// Its journal record's length (the document as BSON), sized once
-    /// for every copy.
-    len: u64,
 }
 
 impl Placement {
@@ -574,7 +552,6 @@ impl Placement {
             doc: doc.into(),
             outcome: Ok(()),
             targets: WriteTargets::HandedOff(Vec::new()),
-            len: 0,
         }
     }
 }
@@ -688,7 +665,6 @@ impl CollectionHandle {
             handoffs += handed;
             p.outcome = Ok(());
             Arc::make_mut(&mut p.doc).id = id;
-            p.len = p.doc.bson_len() as u64;
             p.targets = targets;
         }
         // A batch refused whole creates no collection.
@@ -941,7 +917,6 @@ mod tests {
         // Journals received every replica write.
         let total_records: u64 = (0..5).map(|i| cluster.node(i).journal_records()).sum();
         assert_eq!(total_records, 30);
-        assert!(cluster.total_journal_bytes() > 0);
     }
 
     #[test]

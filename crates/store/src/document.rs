@@ -122,38 +122,56 @@ impl fmt::Display for Key {
     }
 }
 
-/// A document body: `(name, value)` members in one vector, strictly
-/// sorted by name — one allocation per document, placement by binary
-/// search, iteration (and so JSON text, [`Document::bson_len`] and
-/// every digest over them) in name order.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct Fields(Vec<(Key, Value)>);
+/// A document body: its member names, strictly sorted, in one shared
+/// list, and their values in a vector in the same order. Bodies of one
+/// shape — every record the feature generator builds of one kind and
+/// layout — point at one list and own only their values; setting a name
+/// the list lacks gives the body a list of its own (copy on write).
+/// Iteration (and so JSON text, [`Document::bson_len`] and every digest
+/// over them) is in name order.
+#[derive(Clone, Default)]
+pub struct Fields {
+    names: Arc<[Key]>,
+    values: Vec<Value>,
+}
 
 impl Fields {
-    /// Wraps members that are already strictly sorted by name (the
-    /// feature path assembles them in order and skips the sort).
-    /// Sortedness is the caller's contract, checked in debug builds.
-    pub fn from_sorted(members: Vec<(Key, Value)>) -> Self {
+    /// A body of `values` under `names`, which must be strictly sorted
+    /// and one per value (the feature generator hands every record of a
+    /// shape the same list). The contract is the caller's, checked in
+    /// debug builds.
+    pub fn with_names(names: Arc<[Key]>, values: Vec<Value>) -> Self {
         debug_assert!(
-            members.windows(2).all(|w| w[0].0 < w[1].0),
-            "members must be strictly sorted by name"
+            names.windows(2).all(|w| w[0] < w[1]),
+            "names must be strictly sorted"
         );
-        Fields(members)
+        debug_assert_eq!(names.len(), values.len(), "one value per name");
+        Fields { names, values }
+    }
+
+    /// The member names, in order: a list other bodies may share.
+    pub fn names(&self) -> &Arc<[Key]> {
+        &self.names
+    }
+
+    /// The member values, in name order.
+    pub fn values(&self) -> &[Value] {
+        &self.values
     }
 
     /// Number of members.
     pub fn len(&self) -> usize {
-        self.0.len()
+        self.values.len()
     }
 
     /// Returns `true` if there are no members.
     pub fn is_empty(&self) -> bool {
-        self.0.is_empty()
+        self.values.is_empty()
     }
 
     /// The members, in name order.
-    pub fn iter(&self) -> std::slice::Iter<'_, (Key, Value)> {
-        self.0.iter()
+    pub fn iter(&self) -> Members<'_> {
+        self.names.iter().zip(self.values.iter())
     }
 
     /// The value of the member called `name` (no path navigation). A
@@ -161,35 +179,66 @@ impl Fields {
     /// feature-document sizes (a few dozen members) it is several times
     /// faster than the binary search's ordered string comparisons.
     pub fn get(&self, name: &str) -> Option<&Value> {
-        self.0
-            .iter()
-            .find(|(k, _)| k.as_str() == name)
-            .map(|(_, v)| v)
+        let i = self.names.iter().position(|k| k.as_str() == name)?;
+        self.values.get(i)
     }
 
-    /// Sets a member, replacing the value of an existing one.
+    /// Sets a member, replacing the value of an existing one; a new name
+    /// goes into a copy of the name list.
     pub fn insert(&mut self, key: Key, value: Value) {
-        match self.position(key.as_str()) {
+        match self
+            .names
+            .binary_search_by(|k| k.as_str().cmp(key.as_str()))
+        {
             Ok(i) => {
-                if let Some((_, slot)) = self.0.get_mut(i) {
+                if let Some(slot) = self.values.get_mut(i) {
                     *slot = value;
                 }
             }
-            Err(i) => self.0.insert(i, (key, value)),
+            Err(i) => {
+                let mut names = Vec::with_capacity(self.names.len() + 1);
+                names.extend(self.names.iter().take(i).cloned());
+                names.push(key);
+                names.extend(self.names.iter().skip(i).cloned());
+                self.names = names.into();
+                self.values.insert(i, value);
+            }
         }
-    }
-
-    fn position(&self, name: &str) -> Result<usize, usize> {
-        self.0.binary_search_by(|(k, _)| k.as_str().cmp(name))
     }
 }
 
+/// A body's members, in name order: each name with its value.
+pub type Members<'a> = std::iter::Zip<std::slice::Iter<'a, Key>, std::slice::Iter<'a, Value>>;
+
 impl<'a> IntoIterator for &'a Fields {
-    type Item = &'a (Key, Value);
-    type IntoIter = std::slice::Iter<'a, (Key, Value)>;
+    type Item = (&'a Key, &'a Value);
+    type IntoIter = Members<'a>;
 
     fn into_iter(self) -> Self::IntoIter {
-        self.0.iter()
+        self.iter()
+    }
+}
+
+/// Bodies are equal when their members are: one list shared by both is
+/// equal without a name comparison.
+impl PartialEq for Fields {
+    fn eq(&self, other: &Self) -> bool {
+        (Arc::ptr_eq(&self.names, &other.names) || self.names == other.names)
+            && self.values == other.values
+    }
+}
+
+/// As the `(name, value)` members in one vector printed:
+/// `Fields([("a", Number(1)), …])`.
+impl fmt::Debug for Fields {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        struct List<'a>(&'a Fields);
+        impl fmt::Debug for List<'_> {
+            fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+                f.debug_list().entries(self.0.iter()).finish()
+            }
+        }
+        f.debug_tuple("Fields").field(&List(self)).finish()
     }
 }
 
@@ -199,29 +248,34 @@ impl<K: Into<Key>> FromIterator<(K, Value)> for Fields {
         let mut members: Vec<(Key, Value)> = iter.into_iter().map(|(k, v)| (k.into(), v)).collect();
         // Stable, so among equal names the last one pushed is last.
         members.sort_by(|a, b| a.0.cmp(&b.0));
-        let mut fields = Fields(Vec::with_capacity(members.len()));
+        let mut names: Vec<Key> = Vec::with_capacity(members.len());
+        let mut values: Vec<Value> = Vec::with_capacity(members.len());
         for (k, v) in members {
-            match fields.0.last_mut() {
-                Some(last) if last.0 == k => last.1 = v,
-                _ => fields.0.push((k, v)),
+            match (names.last(), values.last_mut()) {
+                (Some(last), Some(slot)) if *last == k => *slot = v,
+                _ => {
+                    names.push(k);
+                    values.push(v);
+                }
             }
         }
-        fields
+        Fields::with_names(names.into(), values)
     }
 }
 
 impl From<Map<String, Value>> for Fields {
     fn from(m: Map<String, Value>) -> Self {
         // A `Map` iterates in name order with unique names.
-        Fields(m.into_iter().map(|(k, v)| (Key::from(k), v)).collect())
+        let (names, values): (Vec<Key>, Vec<Value>) =
+            m.into_iter().map(|(k, v)| (Key::from(k), v)).unzip();
+        Fields::with_names(names.into(), values)
     }
 }
 
 impl Serialize for Fields {
     fn to_value(&self) -> Value {
         Value::Object(
-            self.0
-                .iter()
+            self.iter()
                 .map(|(k, v)| (k.as_str().to_owned(), v.clone()))
                 .collect(),
         )

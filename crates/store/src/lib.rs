@@ -14,7 +14,7 @@
 //!   a write journal, and operation metrics ([`cluster`] module).
 //!
 //! The write path performs *real* work (index maintenance, replication
-//! fan-out, a journal record per copy — sized, not serialized, unless
+//! fan-out, a journal record counted per copy, serialized only when
 //! persistence is attached) because the paper's Table IX attributes
 //! Athena's throughput overhead primarily to DB operations — the
 //! benchmark harness measures these same costs.

@@ -102,12 +102,10 @@ impl FindOptions {
             // One shared name per projected path, not one per document.
             let keys: Vec<Key> = self.projection.iter().map(Key::from).collect();
             for d in &mut docs {
-                let mut kept = Fields::default();
-                for key in &keys {
-                    if let Some(v) = d.get(key.as_str()) {
-                        kept.insert(key.clone(), v.clone());
-                    }
-                }
+                let kept: Fields = keys
+                    .iter()
+                    .filter_map(|key| Some((key.clone(), d.get(key.as_str())?.clone())))
+                    .collect();
                 *d = Arc::new(Document {
                     id: d.id,
                     fields: kept,

@@ -722,9 +722,9 @@ fn arb_write_step() -> impl Strategy<Value = WriteStep> {
     ]
 }
 
-/// Per node: up or not, journal bytes and records, and of its shard of
-/// `c` the ids held and each index with its entry count.
-type NodeState = (bool, u64, u64, Vec<u64>, Vec<(Vec<String>, Option<usize>)>);
+/// Per node: up or not, journal records, and of its shard of `c` the ids
+/// held and each index with its entry count.
+type NodeState = (bool, u64, Vec<u64>, Vec<(Vec<String>, Option<usize>)>);
 
 fn node_states(cluster: &StoreCluster) -> Vec<NodeState> {
     let coll = cluster.collection("c");
@@ -745,13 +745,7 @@ fn node_states(cluster: &StoreCluster) -> Vec<NodeState> {
                     .collect();
                 (ids, entries)
             });
-            (
-                node.is_up(),
-                node.journal_bytes(),
-                node.journal_records(),
-                ids,
-                indexes,
-            )
+            (node.is_up(), node.journal_records(), ids, indexes)
         })
         .collect()
 }
@@ -1046,4 +1040,104 @@ fn an_unindexable_equality_finds_its_document_with_or_without_the_index() {
     assert_eq!(found.iter().map(|d| d.id).collect::<Vec<_>>(), vec![id]);
     assert_eq!(coll.delete(&pair), 1);
     assert_eq!(coll.count(&Filter::All), 1);
+}
+
+// Shared name lists: a body under a list other bodies share is the same
+// body its members make on their own, and an index keys it the same.
+
+proptest! {
+    #[test]
+    fn a_body_under_a_shared_list_is_its_members_collected(
+        members in proptest::collection::vec((arb_string(), arb_member()), 0..8),
+        edits in proptest::collection::vec((0usize..KEYS.len(), -9i64..9), 0..4),
+    ) {
+        use athena_store::{Fields, Key};
+        use std::collections::BTreeMap;
+        use std::sync::Arc;
+
+        let members: BTreeMap<String, serde_json::Value> = members.into_iter().collect();
+        let names: Arc<[Key]> = members.keys().map(Key::from).collect();
+        let values: Vec<serde_json::Value> = members.values().cloned().collect();
+        let shared = Fields::with_names(Arc::clone(&names), values.clone());
+        let collected: Fields = members.clone().into_iter().collect();
+        prop_assert_eq!(&shared, &collected);
+        prop_assert_eq!(
+            serde_json::to_string(&shared).unwrap(),
+            serde_json::to_string(&collected).unwrap()
+        );
+        prop_assert_eq!(format!("{shared:?}"), format!("{collected:?}"));
+        let (a, b) = (
+            Document { fields: shared.clone(), ..Document::new() },
+            Document { fields: collected, ..Document::new() },
+        );
+        prop_assert_eq!(a.bson_len(), b.bson_len());
+        // `set` on one of two documents that share a list leaves the
+        // other as it was.
+        let mut edited = a.clone();
+        let other = Document { fields: Fields::with_names(names, values), ..Document::new() };
+        for (k, v) in edits {
+            edited.set(KEYS[k], v);
+        }
+        prop_assert_eq!(&other, &a);
+        prop_assert_eq!(&other.fields, &shared);
+    }
+
+    #[test]
+    fn one_batch_of_two_layouts_indexes_as_documents_one_at_a_time(
+        kinds in proptest::collection::vec((0u8..2, 0i64..3, 0i64..3), 1..24),
+    ) {
+        use athena_store::{DocId, Fields, Key};
+        use serde_json::{json, Value};
+        use std::sync::Arc;
+
+        // Two layouts, each one shared list; "n.k" reaches into an object.
+        let lists: [Arc<[Key]>; 2] = [
+            vec![Key::from("a"), Key::from("n")].into(),
+            vec![Key::from("a"), Key::from("b"), Key::from("n")].into(),
+        ];
+        let docs: Vec<Document> = kinds
+            .iter()
+            .enumerate()
+            .map(|(i, &(kind, a, k))| {
+                let mut values: Vec<Value> = vec![json!(a), json!({ "k": k })];
+                if kind == 1 {
+                    values.insert(1, json!(k));
+                }
+                let fields = Fields::with_names(Arc::clone(&lists[usize::from(kind)]), values);
+                Document { id: DocId(i as u64 + 1), fields }
+            })
+            .collect();
+        let indexes: [&[&str]; 3] = [&["a", "n.k"], &["n.k"], &["b", "a"]];
+        // One batch against one call per document, on one node.
+        let (batched, single) = (StoreCluster::new(1, 1), StoreCluster::new(1, 1));
+        let (bc, sc) = (batched.collection("c"), single.collection("c"));
+        for fields in indexes {
+            bc.create_index(fields);
+            sc.create_index(fields);
+        }
+        bc.insert_many(docs.iter().cloned()).unwrap();
+        for d in &docs {
+            sc.insert(d.clone()).unwrap();
+        }
+        for fields in indexes {
+            prop_assert_eq!(
+                bc.read_shard(0, |c| c.index_entries(fields)),
+                sc.read_shard(0, |c| c.index_entries(fields))
+            );
+        }
+        for (a, k) in [(0i64, 0i64), (1, 2), (2, 1)] {
+            for filter in [
+                Filter::and(vec![Filter::eq("a", a), Filter::eq("n.k", k)]),
+                Filter::eq("n.k", k),
+                Filter::and(vec![Filter::eq("b", k), Filter::eq("a", a)]),
+            ] {
+                let ids = |c: &athena_store::cluster::CollectionHandle| -> Vec<u64> {
+                    c.read_shard(0, |c| c.matching(&filter, |_| true).iter().map(|d| d.id.0).collect())
+                };
+                let want: Vec<u64> = docs.iter().filter(|d| filter.matches(d)).map(|d| d.id.0).collect();
+                prop_assert_eq!(ids(&bc), want.clone());
+                prop_assert_eq!(ids(&sc), want);
+            }
+        }
+    }
 }

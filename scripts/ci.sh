@@ -119,8 +119,11 @@ cargo test -q -p athena-openflow --offline --test proptest_table
 echo "==> poll-accounting property test (hostile replies, both XID marks)"
 cargo test -q -p athena-controller --offline --test proptest_poll
 
-echo "==> feature record = stored document"
+echo "==> feature record = stored document (shared name lists; a mixed-layout batch indexes as singletons)"
 cargo test -q -p athena-core --offline --test golden_documents --test proptest_record
+cargo test -q -p athena-store --offline --test proptest_store -- \
+    a_body_under_a_shared_list_is_its_members_collected \
+    one_batch_of_two_layouts_indexes_as_documents_one_at_a_time
 
 echo "==> southbound ingest (one-hash flow-stats path = set-based oracle; bson_len = a reference encoder)"
 cargo test -q -p athena-core --offline --lib feature::generator::tests::flow_stats_features_equal_the_set_based_oracle

@@ -294,5 +294,8 @@ fn store_receives_replicated_journaled_writes() {
     assert!(metrics.inserts >= 2_000);
     // Replication factor 2: every insert hit two nodes' journals.
     assert_eq!(metrics.replica_writes, metrics.inserts * 2);
-    assert!(store.total_journal_bytes() > 0);
+    let journaled: u64 = (0..store.node_count())
+        .map(|i| store.node(i).journal_records())
+        .sum();
+    assert_eq!(journaled, metrics.replica_writes);
 }
