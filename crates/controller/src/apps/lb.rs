@@ -16,6 +16,9 @@ const SOFT_TIMEOUT: SimDuration = SimDuration::from_secs(10);
 /// Rule priority (above plain forwarding, below the security app).
 const PRIORITY: u16 = 50;
 
+/// A path as hops: each switch with its output port.
+type Path = Vec<(Dpid, PortNo)>;
+
 /// Splits traffic toward a server subnet across link-disjoint paths,
 /// round-robin per new flow, with soft (idle) timeouts.
 #[derive(Debug, Clone)]
@@ -25,7 +28,7 @@ pub struct LoadBalancer {
     next_path: usize,
     /// The disjoint paths from an ingress switch to a destination
     /// switch, found on the pair's first flow: the routes never change.
-    paths: HashMap<(Dpid, Dpid), Vec<Vec<(Dpid, PortNo)>>>,
+    paths: HashMap<(Dpid, Dpid), Vec<Path>>,
 }
 
 impl LoadBalancer {

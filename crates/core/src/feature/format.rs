@@ -434,6 +434,9 @@ fn kind(value: Option<&Value>) -> MessageType {
     value.and_then(Value::as_str).unwrap_or("").into()
 }
 
+/// Where each of a reader's names sits in one name list, if it does.
+type Positions = Vec<Option<usize>>;
+
 /// Reads a model's inputs from record after record: what
 /// [`FeatureRecord::values`] returns, found faster when consecutive
 /// records share a name list (every `FLOW_STATS` record of one
@@ -460,7 +463,7 @@ pub struct FieldReader {
     names: Vec<FieldName>,
     /// The name list of the last record read (held, so no other list can
     /// take its address), with each name's position in it.
-    layout: Option<(Arc<[Key]>, Vec<Option<usize>>)>,
+    layout: Option<(Arc<[Key]>, Positions)>,
     /// Whether a name is an index or metadata key: then no record has
     /// all of the fields.
     meta: bool,
