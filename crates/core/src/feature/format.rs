@@ -2,7 +2,7 @@
 //! metadata, then the feature fields — one store document per record.
 
 use crate::feature::catalog::{self, FeatureId, FieldName, MessageType};
-use athena_store::{DocId, Document, Fields, Key};
+use athena_store::{DocId, Document, Fields, Key, Layout};
 use athena_types::hash::WordHasher;
 use athena_types::{AppId, ControllerId, Dpid, FiveTuple, IpProto, Ipv4Addr, PortNo, SimTime};
 use serde_json::Value;
@@ -187,7 +187,7 @@ impl Shape {
 /// [`Shape`]: every record of a shape points at its list and owns only
 /// its values. A generator meets a handful of shapes.
 #[derive(Debug, Default)]
-pub(crate) struct Layouts(HashMap<Shape, Arc<[Key]>, BuildHasherDefault<WordHasher>>);
+pub(crate) struct NameLists(HashMap<Shape, Arc<[Key]>, BuildHasherDefault<WordHasher>>);
 
 impl CatalogValues {
     pub(crate) fn new() -> Self {
@@ -212,7 +212,7 @@ impl FeatureRecord {
     /// fields.
     pub fn new(index: FeatureIndex) -> Self {
         Self::from_catalog(
-            &mut Layouts::default(),
+            &mut NameLists::default(),
             &index,
             &MetaData::default(),
             &CatalogValues::new(),
@@ -239,15 +239,15 @@ impl FeatureRecord {
     /// and metadata keys, assembled in name order without comparing a
     /// name (catalog fields are placed by id; id order is name order, and
     /// all of them sort before the lower-case keys). Its name list is
-    /// its shape's in `layouts`, made by the first record of the shape.
+    /// its shape's in `name_lists`, made by the first record of the shape.
     pub(crate) fn from_catalog(
-        layouts: &mut Layouts,
+        name_lists: &mut NameLists,
         index: &FeatureIndex,
         meta: &MetaData,
         values: &CatalogValues,
     ) -> Self {
         let shape = Shape::of(index, values);
-        let known = layouts.0.get(&shape).cloned();
+        let known = name_lists.0.get(&shape).cloned();
         let mut names: Vec<Key> = Vec::with_capacity(if known.is_some() { 0 } else { shape.len() });
         let mut vals: Vec<Value> = Vec::with_capacity(shape.len());
         let mut member = |key: &'static str, value: Value| {
@@ -292,7 +292,7 @@ impl FeatureRecord {
         }
         let names = match known {
             Some(names) => names,
-            None => Arc::clone(layouts.0.entry(shape).or_insert_with(|| names.into())),
+            None => Arc::clone(name_lists.0.entry(shape).or_insert_with(|| names.into())),
         };
         FeatureRecord(Arc::new(Document {
             fields: Fields::with_names(names, vals),
@@ -434,16 +434,13 @@ fn kind(value: Option<&Value>) -> MessageType {
     value.and_then(Value::as_str).unwrap_or("").into()
 }
 
-/// Where each of a reader's names sits in one name list, if it does.
-type Positions = Vec<Option<usize>>;
-
 /// Reads a model's inputs from record after record: what
 /// [`FeatureRecord::values`] returns, found faster when consecutive
 /// records share a name list (every `FLOW_STATS` record of one
-/// generator's layout does). The reader keeps the last list it read with
-/// each name's position in it; a record under the same list (one pointer
-/// comparison) is read by position alone, and one under another list is
-/// looked up as a plain lookup does and its positions kept.
+/// generator's shape does). It finds the names through an
+/// [`athena_store::Layout`]: a record under the last list read (one
+/// pointer comparison) is read by position alone, and one under another
+/// list is looked up by name once and its positions kept.
 ///
 /// # Examples
 ///
@@ -461,9 +458,8 @@ type Positions = Vec<Option<usize>>;
 #[derive(Debug, Clone)]
 pub struct FieldReader {
     names: Vec<FieldName>,
-    /// The name list of the last record read (held, so no other list can
-    /// take its address), with each name's position in it.
-    layout: Option<(Arc<[Key]>, Positions)>,
+    /// Where the records read hold the names.
+    layout: Layout,
     /// Whether a name is an index or metadata key: then no record has
     /// all of the fields.
     meta: bool,
@@ -474,7 +470,7 @@ impl FieldReader {
     pub fn new(names: &[FieldName]) -> Self {
         FieldReader {
             names: names.to_vec(),
-            layout: None,
+            layout: Layout::default(),
             meta: names.iter().any(|name| is_meta_key(name.as_str())),
         }
     }
@@ -486,20 +482,10 @@ impl FieldReader {
             return None;
         }
         let fields = &record.0.fields;
-        let list = fields.names();
-        let positions = match &mut self.layout {
-            Some((held, positions)) if Arc::ptr_eq(held, list) => positions,
-            layout => {
-                let positions = self
-                    .names
-                    .iter()
-                    .map(|name| list.iter().position(|k| k.as_str() == name.as_str()))
-                    .collect();
-                &mut layout.insert((Arc::clone(list), positions)).1
-            }
-        };
+        let names = self.names.iter().map(FieldName::as_str);
         let values = fields.values();
-        positions
+        self.layout
+            .positions(names, fields)
             .iter()
             .map(|at| values.get((*at)?)?.as_f64())
             .collect()

@@ -6,7 +6,7 @@
 //! periodically removes outdated entries.
 
 use crate::feature::catalog::{self, MessageType};
-use crate::feature::format::{CatalogValues, FeatureIndex, FeatureRecord, Layouts, MetaData};
+use crate::feature::format::{CatalogValues, FeatureIndex, FeatureRecord, MetaData, NameLists};
 use crate::feature::window::Windowing;
 use athena_controller::apps::app_ids;
 use athena_openflow::stats::PortStatsEntry;
@@ -84,7 +84,7 @@ pub struct FeatureGenerator {
     prev_msg_counts: HashMap<Dpid, MsgWindow>,
     records_generated: u64,
     /// The name list of each record shape met so far.
-    layouts: Layouts,
+    name_lists: NameLists,
 }
 
 impl FeatureGenerator {
@@ -100,7 +100,7 @@ impl FeatureGenerator {
             msg_counts: HashMap::new(),
             prev_msg_counts: HashMap::new(),
             records_generated: 0,
-            layouts: Layouts::default(),
+            name_lists: NameLists::default(),
         }
     }
 
@@ -158,7 +158,7 @@ impl FeatureGenerator {
                             );
                             let meta = self.meta(now, MessageType::TABLE_STATS, polled);
                             records.push(FeatureRecord::from_catalog(
-                                &mut self.layouts,
+                                &mut self.name_lists,
                                 &FeatureIndex::switch(from),
                                 &meta,
                                 &v,
@@ -198,7 +198,7 @@ impl FeatureGenerator {
                 self.prev_flow.remove(&(from, body.match_fields));
                 let meta = self.meta(now, MessageType::FLOW_REMOVED, false);
                 vec![FeatureRecord::from_catalog(
-                    &mut self.layouts,
+                    &mut self.name_lists,
                     &index,
                     &meta,
                     &v,
@@ -223,7 +223,7 @@ impl FeatureGenerator {
                 );
                 let meta = self.meta(now, MessageType::PACKET_IN, false);
                 vec![FeatureRecord::from_catalog(
-                    &mut self.layouts,
+                    &mut self.name_lists,
                     &index,
                     &meta,
                     &v,
@@ -296,7 +296,7 @@ impl FeatureGenerator {
             self.records_generated += 1;
             let meta = self.meta(now, MessageType::MSG_WINDOW, false);
             out.push(FeatureRecord::from_catalog(
-                &mut self.layouts,
+                &mut self.name_lists,
                 &FeatureIndex::switch(dpid),
                 &meta,
                 &v,
@@ -406,7 +406,7 @@ impl FeatureGenerator {
                 pair_ratio,
             };
             out.push(build_flow_record(
-                &mut self.layouts,
+                &mut self.name_lists,
                 from,
                 &meta,
                 e,
@@ -441,7 +441,7 @@ impl FeatureGenerator {
         v.set(catalog::SWITCH_BYTE_COUNT_TOTAL, total_bytes as f64);
         let meta = self.meta(now, MessageType::SWITCH_STATE, polled);
         out.push(FeatureRecord::from_catalog(
-            &mut self.layouts,
+            &mut self.name_lists,
             &FeatureIndex::switch(from),
             &meta,
             &v,
@@ -450,11 +450,11 @@ impl FeatureGenerator {
         // Per-host stateful aggregates from the same snapshot.
         self.records_generated += hosts.len() as u64;
         let meta = self.meta(now, MessageType::HOST_STATE, polled);
-        let layouts = &mut self.layouts;
+        let name_lists = &mut self.name_lists;
         out.extend(
             hosts
                 .iter()
-                .map(|(ip, agg)| build_host_record(layouts, from, &meta, *ip, agg)),
+                .map(|(ip, agg)| build_host_record(name_lists, from, &meta, *ip, agg)),
         );
         out
     }
@@ -539,7 +539,7 @@ impl FeatureGenerator {
             );
             let meta = self.meta(now, MessageType::PORT_STATS, polled);
             out.push(FeatureRecord::from_catalog(
-                &mut self.layouts,
+                &mut self.name_lists,
                 &FeatureIndex::port(from, e.port_no),
                 &meta,
                 &v,
@@ -628,7 +628,7 @@ fn host_mut(hosts: &mut [(Ipv4Addr, HostAgg)], ip: Ipv4Addr) -> Option<&mut Host
 
 /// Builds one `FLOW_STATS` record from an entry and its tracked state.
 fn build_flow_record(
-    layouts: &mut Layouts,
+    name_lists: &mut NameLists,
     from: Dpid,
     meta: &MetaData,
     e: &FlowStatsEntry,
@@ -715,12 +715,12 @@ fn build_flow_record(
             safe_div(e.byte_count as f64, e.packet_count as f64),
         );
     }
-    FeatureRecord::from_catalog(layouts, &index, meta, &v)
+    FeatureRecord::from_catalog(name_lists, &index, meta, &v)
 }
 
 /// Builds one `HOST_STATE` record.
 fn build_host_record(
-    layouts: &mut Layouts,
+    name_lists: &mut NameLists,
     from: Dpid,
     meta: &MetaData,
     ip: Ipv4Addr,
@@ -741,7 +741,7 @@ fn build_host_record(
         catalog::HOST_PAIR_RATIO,
         safe_div(agg.paired as f64, agg.out_flows as f64),
     );
-    FeatureRecord::from_catalog(layouts, &index, meta, &v)
+    FeatureRecord::from_catalog(name_lists, &index, meta, &v)
 }
 
 fn safe_div(num: f64, den: f64) -> f64 {
@@ -1043,7 +1043,7 @@ mod tests {
                     pair_ratio,
                 };
                 out.push(build_flow_record(
-                    &mut self.layouts,
+                    &mut self.name_lists,
                     from,
                     &meta,
                     e,
@@ -1074,7 +1074,7 @@ mod tests {
                 v.set(catalog::SWITCH_BYTE_COUNT_TOTAL, total_bytes as f64);
                 let meta = self.meta(now, MessageType::SWITCH_STATE, polled);
                 out.push(FeatureRecord::from_catalog(
-                    &mut self.layouts,
+                    &mut self.name_lists,
                     &FeatureIndex::switch(from),
                     &meta,
                     &v,
@@ -1120,7 +1120,7 @@ mod tests {
                 .map(|(ip, mut h)| {
                     h.agg.fanout = h.fanout.len() as u64;
                     h.agg.fanin = h.fanin.len() as u64;
-                    build_host_record(&mut self.layouts, from, &meta, ip, &h.agg)
+                    build_host_record(&mut self.name_lists, from, &meta, ip, &h.agg)
                 })
                 .collect()
         }

@@ -207,6 +207,58 @@ impl Fields {
     }
 }
 
+/// Where a reader's names sit in the bodies it reads: the name list of
+/// the last body asked about (held, so no other list can take its
+/// address), with the position in it of each name, if it has the name.
+/// A body under the same list (one pointer comparison) is answered from
+/// the held positions; another list is resolved once, by name. The
+/// secondary indexes and the feature reader both read this way.
+///
+/// # Examples
+///
+/// ```
+/// use athena_store::{doc, Fields, Layout};
+///
+/// let mut layout = Layout::default();
+/// let d = doc! { "a" => 1, "b" => 2 };
+/// assert_eq!(layout.positions(["b", "c"], &d.fields), [Some(1), None]);
+/// // Another body under the same list: no name is looked up.
+/// let e = Fields::with_names(d.fields.names().clone(), vec![3.into(), 4.into()]);
+/// assert_eq!(layout.positions(["b", "c"], &e), [Some(1), None]);
+/// ```
+#[derive(Debug, Clone, Default)]
+pub struct Layout {
+    names: Option<Arc<[Key]>>,
+    at: Vec<Option<usize>>,
+}
+
+impl Layout {
+    /// The position of each of `wanted` in `fields`' name list, in the
+    /// order given. `wanted` is only walked when the list is not the
+    /// held one, so a reader must pass the same names on every call.
+    pub fn positions<'w>(
+        &mut self,
+        wanted: impl IntoIterator<Item = &'w str>,
+        fields: &Fields,
+    ) -> &[Option<usize>] {
+        let names = fields.names();
+        let held = self
+            .names
+            .as_ref()
+            .is_some_and(|held| Arc::ptr_eq(held, names));
+        if !held {
+            self.at.clear();
+            self.at.extend(
+                wanted
+                    .into_iter()
+                    .map(|w| names.iter().position(|k| k.as_str() == w)),
+            );
+            self.names = Some(Arc::clone(names));
+        }
+        &self.at
+    }
+}
+
 /// A body's members, in name order: each name with its value.
 pub type Members<'a> = std::iter::Zip<std::slice::Iter<'a, Key>, std::slice::Iter<'a, Value>>;
 

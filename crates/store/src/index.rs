@@ -13,7 +13,7 @@
 //! kept in a `BTreeSet`, touched only when a key appears or empties,
 //! which is what a lookup ranges over.
 
-use crate::document::{DocId, Document, Key as Name};
+use crate::document::{DocId, Document, Layout};
 use athena_types::hash::WordHasher;
 use serde_json::Value;
 use std::borrow::Borrow;
@@ -215,6 +215,35 @@ impl<'a> Probe<'a> {
         self.len += 1;
     }
 
+    /// The key `doc` is indexed under; `None` when its first field is
+    /// missing or holds an array or an object (such a document is not
+    /// indexed). Each field's first path component is found through
+    /// `layout` (by position while documents share a name list); a dotted
+    /// field then descends the rest of its path as [`Document::get`] does.
+    fn of_doc(layout: &mut Layout, fields: &[String], doc: &'a Document) -> Option<Self> {
+        let heads = fields
+            .iter()
+            .map(|f| f.split_once('.').map_or(f.as_str(), |(head, _)| head));
+        let at = layout.positions(heads, &doc.fields);
+        let values = doc.fields.values();
+        let mut value = fields.iter().zip(at).map(|(f, at)| {
+            let v = values.get((*at)?)?;
+            match f.split_once('.') {
+                None => Some(v),
+                Some((_, rest)) => rest
+                    .split('.')
+                    .try_fold(v, |cur, part| cur.as_object()?.get(part)),
+            }
+        });
+        let first = KeyRef::scalar(value.next()??)?;
+        let mut probe = Probe::new();
+        probe.push(first);
+        for v in value {
+            probe.push(KeyRef::component(v));
+        }
+        Some(probe)
+    }
+
     /// A prefix of the values of an index's leading fields; `None` when
     /// there are none or one is not [`indexable`].
     fn of_values(values: impl IntoIterator<Item = &'a Value>) -> Option<Self> {
@@ -241,56 +270,6 @@ impl<'a> Probe<'a> {
     fn prefixes(&self, key: &dyn Keyed) -> bool {
         let (prefix, key) = (self.parts(), key.parts());
         prefix.len() <= key.len() && prefix.cmp_first(key, prefix.len()) == Ordering::Equal
-    }
-}
-
-/// Where documents hold an index's fields: the name list of the last
-/// document keyed (held, so no other list can take its address), with
-/// the position in it of each field's first path component. A document
-/// under the same list reads its values by position; another list is
-/// resolved once, by name. A dotted field then descends the rest of its
-/// path as [`Document::get`] does.
-#[derive(Debug, Clone, Default)]
-struct Layout {
-    names: Option<Arc<[Name]>>,
-    at: Vec<Option<usize>>,
-}
-
-impl Layout {
-    /// The key `doc` is indexed under; `None` when its first field is
-    /// missing or holds an array or an object (such a document is not
-    /// indexed).
-    fn probe<'d>(&mut self, fields: &[String], doc: &'d Document) -> Option<Probe<'d>> {
-        let names = doc.fields.names();
-        if !self
-            .names
-            .as_ref()
-            .is_some_and(|held| Arc::ptr_eq(held, names))
-        {
-            self.at.clear();
-            self.at.extend(fields.iter().map(|f| {
-                let head = f.split_once('.').map_or(f.as_str(), |(head, _)| head);
-                names.iter().position(|k| k.as_str() == head)
-            }));
-            self.names = Some(Arc::clone(names));
-        }
-        let values = doc.fields.values();
-        let mut value = fields.iter().zip(&self.at).map(|(f, at)| {
-            let v = values.get((*at)?)?;
-            match f.split_once('.') {
-                None => Some(v),
-                Some((_, rest)) => rest
-                    .split('.')
-                    .try_fold(v, |cur, part| cur.as_object()?.get(part)),
-            }
-        });
-        let first = KeyRef::scalar(value.next()??)?;
-        let mut probe = Probe::new();
-        probe.push(first);
-        for v in value {
-            probe.push(KeyRef::component(v));
-        }
-        Some(probe)
     }
 }
 
@@ -511,7 +490,7 @@ impl SecondaryIndex {
     pub fn insert_all<'d>(&mut self, docs: impl IntoIterator<Item = &'d Document>) {
         let mut run: Option<(Probe<'d>, &mut Vec<DocId>)> = None;
         for doc in docs {
-            let Some(key) = self.layout.probe(&self.fields, doc) else {
+            let Some(key) = Probe::of_doc(&mut self.layout, &self.fields, doc) else {
                 continue;
             };
             self.entry_count += 1;
@@ -537,7 +516,7 @@ impl SecondaryIndex {
     /// Removes one document from under its key (a batch goes through
     /// [`SecondaryIndex::remove_all`]).
     pub fn remove(&mut self, doc: &Document) {
-        let Some(key) = self.layout.probe(&self.fields, doc) else {
+        let Some(key) = Probe::of_doc(&mut self.layout, &self.fields, doc) else {
             return;
         };
         if let Some(ids) = self.postings.get_mut(key.keyed()) {
@@ -560,7 +539,9 @@ impl SecondaryIndex {
         gone: &HashSet<DocId>,
     ) {
         let (fields, layout) = (&self.fields, &mut self.layout);
-        let mut keys: Vec<Probe<'d>> = docs.filter_map(|d| layout.probe(fields, d)).collect();
+        let mut keys: Vec<Probe<'d>> = docs
+            .filter_map(|d| Probe::of_doc(layout, fields, d))
+            .collect();
         keys.sort_by(|a, b| a.keyed().cmp(b.keyed()));
         keys.dedup_by(|a, b| a.keyed() == b.keyed());
         for key in &keys {

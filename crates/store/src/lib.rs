@@ -49,7 +49,7 @@ pub mod query;
 
 pub use cluster::{ClusterMetrics, Placement, StoreCluster, StoreNode};
 pub use collection::Collection;
-pub use document::{DocId, Document, Fields, Key};
+pub use document::{DocId, Document, Fields, Key, Layout};
 pub use filter::Filter;
 pub use persist::StoreRecoveryReport;
 pub use query::{Accumulator, AggStage, Aggregation, FindOptions, GroupSpec, SortOrder, SortSpec};

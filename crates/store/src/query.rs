@@ -358,15 +358,19 @@ fn run_group(spec: &GroupSpec, docs: &[Arc<Document>]) -> Vec<Arc<Document>> {
         }
     }
 
+    // One shared name per output member, not one per group.
+    let by: Vec<Key> = spec.by.iter().map(Key::from).collect();
+    let accumulators: Vec<(Key, &Accumulator)> = spec
+        .accumulators
+        .iter()
+        .map(|(name, acc)| (Key::from(name), acc))
+        .collect();
     order
         .into_iter()
         .filter_map(|key| groups.remove(&key))
         .map(|(key_vals, states)| {
-            let mut out = Document::new();
-            for (field, v) in spec.by.iter().zip(key_vals) {
-                out.set(field.clone(), v);
-            }
-            for ((name, acc), state) in spec.accumulators.iter().zip(states) {
+            let keyed = by.iter().cloned().zip(key_vals);
+            let accumulated = accumulators.iter().zip(states).map(|((name, acc), state)| {
                 let v = match acc {
                     Accumulator::Sum(_) => Value::from(state.sum),
                     Accumulator::Avg(_) => {
@@ -381,9 +385,14 @@ fn run_group(spec: &GroupSpec, docs: &[Arc<Document>]) -> Vec<Arc<Document>> {
                     Accumulator::Max(_) => state.max.unwrap_or(Value::Null),
                     Accumulator::First(_) => state.first.unwrap_or(Value::Null),
                 };
-                out.set(name.clone(), v);
-            }
-            Arc::new(out)
+                (name.clone(), v)
+            });
+            // Collected at once: a repeated name keeps its last value,
+            // as setting the members one by one would.
+            Arc::new(Document {
+                fields: keyed.chain(accumulated).collect(),
+                ..Document::default()
+            })
         })
         .collect()
 }

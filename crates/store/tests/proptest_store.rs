@@ -1071,15 +1071,24 @@ proptest! {
             Document { fields: collected, ..Document::new() },
         );
         prop_assert_eq!(a.bson_len(), b.bson_len());
-        // `set` on one of two documents that share a list leaves the
-        // other as it was.
+        // `set` on one of two documents that share a list takes its
+        // edits and leaves the other as it was; a new name gives the
+        // edited one a list of its own.
         let mut edited = a.clone();
-        let other = Document { fields: Fields::with_names(names, values), ..Document::new() };
+        let mut want = members.clone();
         for (k, v) in edits {
             edited.set(KEYS[k], v);
+            want.insert(KEYS[k].to_owned(), v.into());
         }
-        prop_assert_eq!(&other, &a);
-        prop_assert_eq!(&other.fields, &shared);
+        prop_assert_eq!(
+            Arc::ptr_eq(edited.fields.names(), &names),
+            want.len() == members.len()
+        );
+        prop_assert_eq!(&edited.fields, &want.into_iter().collect::<Fields>());
+        prop_assert!(Arc::ptr_eq(a.fields.names(), &names));
+        prop_assert!(names.iter().map(Key::as_str).eq(members.keys().map(String::as_str)));
+        prop_assert_eq!(&a.fields, &shared);
+        prop_assert_eq!(a.fields.values(), &values[..]);
     }
 
     #[test]
