@@ -1095,6 +1095,7 @@ proptest! {
     fn one_batch_of_two_layouts_indexes_as_documents_one_at_a_time(
         kinds in proptest::collection::vec((0u8..2, 0i64..3, 0i64..3), 1..24),
     ) {
+        use athena_store::index::SecondaryIndex;
         use athena_store::{DocId, Fields, Key};
         use serde_json::{json, Value};
         use std::sync::Arc;
@@ -1133,6 +1134,21 @@ proptest! {
                 bc.read_shard(0, |c| c.index_entries(fields)),
                 sc.read_shard(0, |c| c.index_entries(fields))
             );
+            // The index itself: one `insert_all` over the mixed batch
+            // holds the posting lists, in order, that one insert per
+            // document builds.
+            let (mut batch, mut single) = (SecondaryIndex::new(fields), SecondaryIndex::new(fields));
+            batch.insert_all(&docs);
+            for d in &docs {
+                single.insert(d);
+            }
+            for v in 0i64..3 {
+                let v = json!(v);
+                let lists = |i: &SecondaryIndex| -> Option<Vec<Vec<DocId>>> {
+                    Some(i.lookup([&v])?.map(<[DocId]>::to_vec).collect())
+                };
+                prop_assert_eq!(lists(&batch), lists(&single));
+            }
         }
         for (a, k) in [(0i64, 0i64), (1, 2), (2, 1)] {
             for filter in [
